@@ -138,7 +138,7 @@ def test_measured_per_round_traffic(once):
 
     upload = encoded_nbytes(
         MaskedInputMsg(
-            sender=1, masked_vector=np.zeros(DIMENSION, dtype=np.int64)
+            sender=1, masked_vector=np.zeros(DIMENSION, dtype=np.int64), bits=BITS
         )
     )
     sec_masked = sec_stages["masked_input"]

@@ -355,3 +355,105 @@ int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
     }
     return 0;
 }
+
+/* ---------------------------------------------------------------------
+ * Ring-width bit packing for masked vectors (repro.wire.bitpack).
+ *
+ * The wire carries element i of a vector in bits [i*bits, (i+1)*bits)
+ * of a little-endian bit stream: bit k of the stream is bit (k & 7) of
+ * byte (k >> 3).  Both loops move the stream through a 64-bit window,
+ * so they touch memory one word at a time; repro.wire.bitpack holds the
+ * bit-identical numpy fallback.
+ * ------------------------------------------------------------------ */
+
+/* Fixed eight-byte forms: compilers fold these loops into one move. */
+static inline void store_le64(uint8_t *dst, uint64_t w)
+{
+    int j;
+    for (j = 0; j < 8; j++)
+        dst[j] = (uint8_t)(w >> (8 * j));
+}
+
+static inline uint64_t load_le64(const uint8_t *src)
+{
+    uint64_t w = 0;
+    int j;
+    for (j = 0; j < 8; j++)
+        w |= (uint64_t)src[j] << (8 * j);
+    return w;
+}
+
+/* Pack src[0..n) into dst[0 .. ceil(n*bits/8)); pad bits are zero.
+ * Returns 0, -1 on bad arguments, -2 when an element is outside
+ * [0, 2**bits) (dst contents are then unspecified). */
+int repro_pack_bits(const int64_t *src, size_t n, unsigned bits, uint8_t *dst)
+{
+    uint64_t acc = 0, seen = 0;
+    unsigned fill = 0;
+    size_t i;
+
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    for (i = 0; i < n; i++) {
+        uint64_t v = (uint64_t)src[i];
+        unsigned total = fill + bits;
+
+        seen |= v;
+        acc |= v << fill;
+        if (total >= 64) {
+            /* bits <= 62, so a full window implies fill >= 2. */
+            store_le64(dst, acc);
+            dst += 8;
+            acc = v >> (64 - fill);
+            total -= 64;
+        }
+        fill = total;
+    }
+    for (; fill > 0; fill = fill > 8 ? fill - 8 : 0) {
+        *dst++ = (uint8_t)acc;
+        acc >>= 8;
+    }
+    return (seen >> bits) ? -2 : 0;
+}
+
+/* Unpack n elements from src[0..nbytes) into dst; the caller has
+ * checked nbytes == ceil(n*bits/8).  Returns 0, -1 on bad arguments or
+ * a short buffer, -2 when a pad bit is set. */
+int repro_unpack_bits(const uint8_t *src, size_t nbytes, size_t n,
+                      unsigned bits, int64_t *dst)
+{
+    uint64_t acc = 0, mask;
+    unsigned fill = 0;
+    size_t pos = 0, i;
+
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    mask = ((uint64_t)1 << bits) - 1;
+    for (i = 0; i < n; i++) {
+        if (fill >= bits) {
+            dst[i] = (int64_t)(acc & mask);
+            acc >>= bits;
+            fill -= bits;
+        } else {
+            size_t take = nbytes - pos < 8 ? nbytes - pos : 8;
+            unsigned need = bits - fill;
+            uint64_t w = 0;
+            size_t j;
+
+            if (take == 8)
+                w = load_le64(src + pos);
+            else
+                for (j = 0; j < take; j++)
+                    w |= (uint64_t)src[pos + j] << (8 * j);
+            if (8 * take < need)
+                return -1;
+            pos += take;
+            dst[i] = (int64_t)((acc | (w << fill)) & mask);
+            acc = w >> need;
+            fill = (unsigned)(8 * take) - need;
+        }
+    }
+    if (pos != nbytes)
+        return -1;
+    return acc ? -2 : 0;
+}

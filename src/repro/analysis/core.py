@@ -299,3 +299,63 @@ def functions_matching(
             node.name
         ):
             yield node
+
+
+# ---------------------------------------------------------------------------
+# The codec registry, read from source
+# ---------------------------------------------------------------------------
+
+#: The module whose ``register_codec(...)`` calls define the wire contract.
+CODEC_REGISTRY_FILE = "src/repro/wire/codecs.py"
+
+
+@dataclass(frozen=True)
+class RegisteredCodec:
+    """One ``register_codec(cls, tag, mod.encode, mod.decode, …)`` call
+    whose body functions live in another module of the tree."""
+
+    rel: str
+    encoder: str
+    decoder: str
+    in_place: bool
+
+
+def registered_codecs(ctx: CheckContext) -> list[RegisteredCodec]:
+    """Typed codecs the registry module binds from other modules.
+
+    The wire rules scope by *registration*, not by filename: a codec
+    body lives wherever its message type does, and what makes it wire
+    code is the ``register_codec`` call naming it.  Resolves
+    ``alias.function`` arguments through the registry module's
+    ``from package import module as alias`` imports.
+    """
+    registry = ctx.source(CODEC_REGISTRY_FILE)
+    if registry is None:
+        return []
+    modules: dict[str, str] = {}
+    for node in ast.walk(registry.tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                modules[alias.asname or alias.name] = (
+                    "src/" + f"{node.module}.{alias.name}".replace(".", "/") + ".py"
+                )
+    found = []
+    for call in iter_calls(registry.tree):
+        if dotted_name(call.func) != "register_codec" or len(call.args) < 4:
+            continue
+        encoder, decoder = dotted_name(call.args[2]), dotted_name(call.args[3])
+        if not encoder or not decoder or "." not in encoder or "." not in decoder:
+            continue
+        alias, encode_name = encoder.rsplit(".", 1)
+        decode_alias, decode_name = decoder.rsplit(".", 1)
+        rel = modules.get(alias)
+        if rel is None or decode_alias != alias or ctx.source(rel) is None:
+            continue
+        in_place = any(
+            kw.arg == "in_place"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in call.keywords
+        )
+        found.append(RegisteredCodec(rel, encode_name, decode_name, in_place))
+    return found

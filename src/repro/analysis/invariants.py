@@ -98,4 +98,18 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "rules": ["parity-twin", "headroom-guard"],
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
+    # The ring-width data plane: bit-packed masked vectors (element
+    # width, pad rule, wire version 2), 32-bit PRG draws, one wire-size
+    # definition, masked-input admission, announced native fallback.
+    "12": {
+        "rules": ["strict-decoder", "zero-copy"],
+        "tests": [
+            "tests/wire/test_bitpack.py",
+            "tests/secagg/test_codec.py",
+            "tests/secagg/test_malformed_masked_input.py",
+            "tests/crypto/test_hotpath_parity.py",
+            "tests/engine/test_stream_transport.py",
+            "tests/test_native_fallback.py",
+        ],
+    },
 }

@@ -3,8 +3,10 @@
 The wire contract (ARCHITECTURE.md, "The wire layer") is that decoding
 is strict and total — truncation, trailing garbage, wrong versions,
 unknown tags all *raise*, never misparse, hang, or quietly return
-nothing.  For every ``decode_*`` function in ``repro/wire/`` and
-``repro/secagg/wire.py`` this rule requires:
+nothing.  For every ``decode_*``/``unpack_*`` function in
+``repro/wire/``, ``repro/secagg/wire.py`` and every module the codec
+registry binds a decoder from (``secagg/codec.py`` — scoped by
+registration, not by filename) this rule requires:
 
 1. no bare ``except:`` anywhere in the function;
 2. no ``except Exception``/``BaseException`` handler that swallows (a
@@ -30,6 +32,7 @@ from repro.analysis.core import (
     SourceFile,
     dotted_name,
     register,
+    registered_codecs,
 )
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -38,8 +41,12 @@ _SCOPE_DIRS = ("src/repro/wire/",)
 _SCOPE_FILES = ("src/repro/secagg/wire.py",)
 
 #: Exception names accepted as the ValueError family even without a
-#: local ClassDef (module-local subclasses are discovered from the AST).
-_VALUE_ERROR_NAMES = {"ValueError"}
+#: local ClassDef (module-local subclasses are discovered from the AST);
+#: ``CodecError`` is the wire layer's own subclass, imported by the
+#: registered codec modules.
+_VALUE_ERROR_NAMES = {"ValueError", "CodecError"}
+
+_DECODER_PREFIXES = ("decode_", "unpack_")
 
 
 def _in_scope(rel: str) -> bool:
@@ -89,15 +96,17 @@ def _called_local_names(fn: ast.AST) -> set[str]:
 class StrictDecoderRule(Rule):
     id = "strict-decoder"
     description = (
-        "every decode_* in repro/wire/ and repro/secagg/wire.py raises "
-        "ValueError on malformed input — no bare except, no swallowing "
-        "handler, no silent None return"
+        "every decode_*/unpack_* in repro/wire/, repro/secagg/wire.py and "
+        "the modules of registered codecs raises ValueError on malformed "
+        "input — no bare except, no swallowing handler, no silent None "
+        "return"
     )
-    invariants = ("5", "6")
+    invariants = ("5", "6", "12")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
+        registered = {codec.rel for codec in registered_codecs(ctx)}
         for src in ctx.sources:
-            if _in_scope(src.rel):
+            if _in_scope(src.rel) or src.rel in registered:
                 yield from self._check_module(src)
 
     def _check_module(self, src: SourceFile) -> Iterable[Finding]:
@@ -123,7 +132,7 @@ class StrictDecoderRule(Rule):
                     changed = True
 
         for name, fn in module_fns.items():
-            if not name.startswith("decode_"):
+            if not name.startswith(_DECODER_PREFIXES):
                 continue
             yield from self._check_decoder(src, fn, name in raising)
 

@@ -9,9 +9,12 @@ payload)`` so an unmasked response is never copied at all.  A stray
 copies the refactor removed — and the parity tests, which compare
 *values* not allocations, would never notice.
 
-Inside every non-``*_reference`` ``encode_*``/``fill_*`` function of
-``wire/codecs.py``, ``wire/frame.py``, and ``wire/ws.py`` this rule
-flags:
+Inside every non-``*_reference`` ``encode_*``/``fill_*``/``pack_*``
+function of ``wire/codecs.py``, ``wire/frame.py``, ``wire/ws.py`` and
+``wire/bitpack.py`` — and inside the encoder of every codec the
+registry binds ``in_place`` (the bulk carriers that promise to write
+straight into the frame buffer), whichever module it lives in — this
+rule flags:
 
 1. any ``.tobytes()`` call (ndarray data must travel as a
    ``memoryview``);
@@ -22,6 +25,10 @@ flags:
 
 The retained ``*_reference`` twins are exempt by name: they are the
 concatenating specification the fast path is measured against.
+
+Scoping by registration is what keeps the dominant payload in view: the
+masked-input encoder lives in ``secagg/codec.py``, and a filename scope
+of ``wire/*.py`` once let a four-copy version of it pass.
 """
 
 from __future__ import annotations
@@ -36,18 +43,20 @@ from repro.analysis.core import (
     SourceFile,
     functions_matching,
     register,
+    registered_codecs,
 )
 
 _SCOPE_FILES = (
     "src/repro/wire/codecs.py",
     "src/repro/wire/frame.py",
     "src/repro/wire/ws.py",
+    "src/repro/wire/bitpack.py",
 )
 
 
 def _is_hot_encoder(name: str) -> bool:
     return (
-        (name.startswith("encode_") or name.startswith("fill_"))
+        name.startswith(("encode_", "fill_", "pack_"))
         and not name.endswith("_reference")
     )
 
@@ -85,15 +94,24 @@ class ZeroCopyRule(Rule):
     id = "zero-copy"
     description = (
         "no .tobytes() and no per-byte loops inside the non-reference "
-        "encode paths of wire/codecs.py, wire/frame.py, wire/ws.py"
+        "encode paths of wire/codecs.py, wire/frame.py, wire/ws.py, "
+        "wire/bitpack.py and every codec registered in_place"
     )
-    invariants = ("6", "9")
+    invariants = ("6", "9", "12")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
         for src in ctx.sources:
             if src.rel not in _SCOPE_FILES:
                 continue
             for fn in functions_matching(src.tree, _is_hot_encoder):
+                yield from self._check_encoder(src, fn)
+        for codec in registered_codecs(ctx):
+            if not codec.in_place or codec.rel in _SCOPE_FILES:
+                continue
+            src = ctx.source(codec.rel)
+            for fn in functions_matching(
+                src.tree, lambda name: name == codec.encoder
+            ):
                 yield from self._check_encoder(src, fn)
 
     def _check_encoder(self, src: SourceFile, fn: ast.AST) -> Iterable[Finding]:

@@ -16,12 +16,15 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.prg import PRG, PRGReference
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
+from repro.secagg.types import MaskedInputMsg
 from repro.utils.rng import derive_rng
 from repro.wire import codecs as wire_codecs
+from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE, encode_frame
 
 TOPIC = "hotpath"
 
@@ -94,19 +97,28 @@ def run_hotpath(
     fast_s = _best_of(lambda: scheme.reconstruct(shares), repeats)
     _speedup_triplet(metrics, "shamir_reconstruct", ref_s, fast_s)
 
-    # Codec: a masked-upload-shaped payload at the largest dimension.
+    # Codec: the masked upload a round ships — a MaskedInputMsg framed
+    # as the client's RESPONSE — at the largest dimension, against the
+    # concatenating frame-of-payload twin; decode is the coordinator's
+    # decode_payload over the received frame body.
     d = max(dims)
     vector = rng.integers(0, modulus, size=d).astype(np.int64)
-    payload = {"sender": 1, "round": 0, "masked_vector": vector}
+    upload = MaskedInputMsg(sender=1, masked_vector=vector, bits=bits)
     ref_s = _best_of(
-        lambda: wire_codecs.encode_payload_reference(payload), repeats
+        lambda: encode_frame(
+            KIND_RESPONSE, wire_codecs.encode_payload_reference(upload)
+        ),
+        repeats,
     )
-    fast_s = _best_of(lambda: wire_codecs.encode_payload(payload), repeats)
+    fast_s = _best_of(
+        lambda: wire_codecs.encode_payload_frame(KIND_RESPONSE, upload), repeats
+    )
     _speedup_triplet(metrics, f"codec_encode_d{d}", ref_s, fast_s)
-    encoded = wire_codecs.encode_payload(payload)
-    metrics[f"codec_encoded_d{d}_bytes"] = metric(len(encoded), "bytes")
+    frame = wire_codecs.encode_payload_frame(KIND_RESPONSE, upload)
+    metrics[f"codec_encoded_d{d}_bytes"] = metric(len(frame), "bytes")
+    body = bytes(frame[FRAME_OVERHEAD:])
     metrics[f"codec_decode_d{d}_s"] = metric(
-        _best_of(lambda: wire_codecs.decode_payload(encoded), repeats), "s"
+        _best_of(lambda: wire_codecs.decode_payload(body), repeats), "s"
     )
 
     # Mask accumulation: base + one mask per live neighbor.
@@ -138,5 +150,6 @@ def run_hotpath(
         "shamir_participants": n,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "native_backend": native.backend_name(),
     }
     return make_report(TOPIC, config, metrics)

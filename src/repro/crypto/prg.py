@@ -24,10 +24,18 @@ bit-identical by test (``tests/crypto/test_hotpath_parity.py``):
   the deployed protocol describes it.  Every optimization above must
   reproduce this stream byte for byte.
 
+Draw width: a ring element costs 4 stream bytes when the modulus is
+``2**b`` with ``b ≤ 32`` — a big-endian 32-bit word masked down to ``b``
+bits, exactly uniform — and 8 bytes (a 64-bit word reduced mod
+``modulus``) otherwise (:func:`draw_nbytes`).  The protocol's ring is
+``2**20``, so a mask costs half the SHA-256 compressions an 8-byte draw
+would.
+
 :func:`expand_uniform` is the shared whole-mask entry point (counter 0,
-length · 8 bytes of stream) and :func:`expand_uniform_batch` amortizes
-its per-mask setup across the k expansions of an unmask round; both are
-parity-pinned per element against :class:`PRGReference`.
+``length · draw_nbytes(modulus)`` bytes of stream) and
+:func:`expand_uniform_batch` amortizes its per-mask setup across the k
+expansions of an unmask round; both are parity-pinned per element
+against :class:`PRGReference`.
 """
 
 from __future__ import annotations
@@ -66,6 +74,17 @@ except ImportError:  # pragma: no cover
 _CTR_CAP = 1 << 19
 _ctr_table: list[bytes] = []
 _ctr_lock = threading.Lock()
+
+
+def draw_nbytes(modulus: int) -> int:
+    """Stream bytes one uniform draw in ``[0, modulus)`` consumes.
+
+    4 when ``modulus`` is a power of two up to ``2**32`` — the low bits
+    of a 32-bit word are exactly uniform, so nothing is gained by
+    drawing 64 — else 8, where reducing a 64-bit word keeps the modulo
+    bias below ``modulus / 2**64``.
+    """
+    return 4 if modulus <= 1 << 32 and modulus & (modulus - 1) == 0 else 8
 
 
 def _counter_bytes(nblocks: int) -> list[bytes]:
@@ -117,8 +136,9 @@ class PRGReference:
             raise ValueError("modulus must be positive")
         if length < 0:
             raise ValueError("length must be non-negative")
-        raw = self.read(8 * length)
-        words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+        width = draw_nbytes(modulus)
+        raw = self.read(width * length)
+        words = np.frombuffer(raw, dtype=f">u{width}").astype(np.uint64)
         return (words % np.uint64(modulus)).astype(np.int64)
 
     def numpy_generator(self) -> np.random.Generator:
@@ -181,18 +201,17 @@ class PRG:
     def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
         """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
 
-        Used for SecAgg masks over the ring Z_R.  Rejection-free: we read
-        64-bit words and reduce mod ``modulus``; with ``modulus`` ≤ 2**40
-        (the paper uses bit-width b = 20) the modulo bias is < 2**-24 and
-        irrelevant for masking (any fixed bias cancels in the pairwise
-        mask sum p_{u,v} + p_{v,u} = 0).
+        Used for SecAgg masks over the ring Z_R.  Rejection-free: a
+        power-of-two ring up to 2**32 (the paper uses bit-width b = 20)
+        masks a 32-bit word — exactly uniform; any other modulus
+        reduces a 64-bit word, whose modulo bias is < modulus / 2**64
+        and irrelevant for masking (any fixed bias cancels in the
+        pairwise mask sum p_{u,v} + p_{v,u} = 0).
 
-        Zero-copy reduction: the counter blocks land in one writable
-        buffer, viewed as native ``uint64`` (in-place byteswap on
-        little-endian hosts recovers the stream's big-endian word
-        order), reduced with an in-place modulo, and reinterpreted as
-        ``int64`` — every value is < ``modulus`` ≤ 2**63, so the
-        reinterpretation is value-preserving and copies nothing.
+        Zero-copy reduction (:func:`_reduce_stream`): the counter blocks
+        land in one writable buffer, viewed as native words (in-place
+        byteswap on little-endian hosts recovers the stream's
+        big-endian word order) and reduced in place.
         """
         if modulus <= 0:
             raise ValueError("modulus must be positive")
@@ -207,13 +226,9 @@ class PRG:
             raw = self.read(8 * length)
             words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
             return (words % np.uint64(modulus)).astype(np.int64)
-        nbytes = 8 * length
+        nbytes = draw_nbytes(modulus) * length
         buf = bytearray(b"".join(self._block_digests(-(-nbytes // _BLOCK))))
-        words = np.frombuffer(buf, dtype=np.uint64, count=length)
-        if sys.byteorder == "little":
-            words.byteswap(inplace=True)
-        words %= np.uint64(modulus)
-        return words.view(np.int64)
+        return _reduce_stream(buf, length, modulus)
 
     def numpy_generator(self) -> np.random.Generator:
         """A NumPy generator keyed by the next stream block.
@@ -226,18 +241,43 @@ class PRG:
         return np.random.default_rng(int.from_bytes(key, "big"))
 
 
+def _reduce_stream(buf: bytearray, length: int, modulus: int) -> np.ndarray:
+    """The first ``length`` draws of the block stream ``buf`` as int64.
+
+    ``modulus`` ≤ 2**63.  Power-of-two rings up to 2**32 read 32-bit
+    words: byteswapped and masked in place at half the memory traffic,
+    then widened once into the int64 result.  Everything else reads
+    64-bit words, reduced in place (a bitmask for the remaining powers
+    of two — ``x % 2**b == x & (2**b − 1)`` for unsigned x) and
+    reinterpreted as int64: every value is < ``modulus`` ≤ 2**63, so the
+    view is value-preserving and copies nothing.
+    """
+    if draw_nbytes(modulus) == 4:
+        words = np.frombuffer(buf, dtype=np.uint32, count=length)
+        if sys.byteorder == "little":
+            words.byteswap(inplace=True)
+        if modulus < 1 << 32:
+            words &= np.uint32(modulus - 1)
+        return words.astype(np.int64)
+    words = np.frombuffer(buf, dtype=np.uint64, count=length)
+    if sys.byteorder == "little":
+        words.byteswap(inplace=True)
+    if modulus & (modulus - 1) == 0:
+        words &= np.uint64(modulus - 1)
+    else:
+        words %= np.uint64(modulus)
+    return words.view(np.int64)
+
+
 def _expand_reduced(seed: bytes, length: int, modulus: int) -> np.ndarray:
     """One full-speed mask expansion (counter 0, ``modulus`` ≤ 2**63).
 
     The shared inner loop of :func:`expand_uniform` and
     :func:`expand_uniform_batch`: midstate copied per counter block,
-    counter encodings from the shared table, one join, one in-place
-    byteswap, one vectorized reduction.  Power-of-two moduli — the
-    protocol's Z_{2^b} ring — reduce with a bitmask instead of a modulo
-    (identical values: ``x % 2**b == x & (2**b − 1)`` for unsigned x).
-    Returns an int64 view; every value is < ``modulus`` ≤ 2**63.
+    counter encodings from the shared table, one join, one
+    :func:`_reduce_stream`.
     """
-    nbytes = 8 * length
+    nbytes = draw_nbytes(modulus) * length
     nblocks = -(-nbytes // _BLOCK)
     # The native kernel (repro.native) emits the identical block stream
     # ~10× faster when the host can build it; None means "no kernel" and
@@ -252,14 +292,7 @@ def _expand_reduced(seed: bytes, length: int, modulus: int) -> np.ndarray:
             h.update(ctr)
             append(h.digest())
         buf = bytearray(b"".join(blocks))
-    words = np.frombuffer(buf, dtype=np.uint64, count=length)
-    if sys.byteorder == "little":
-        words.byteswap(inplace=True)
-    if modulus & (modulus - 1) == 0:
-        words &= np.uint64(modulus - 1)
-    else:
-        words %= np.uint64(modulus)
-    return words.view(np.int64)
+    return _reduce_stream(buf, length, modulus)
 
 
 def expand_uniform(seed: bytes, length: int, modulus: int) -> np.ndarray:

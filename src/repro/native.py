@@ -1,4 +1,4 @@
-"""Optional native accelerator for the counter-mode PRG.
+"""Optional native accelerator for the counter-mode PRG and the bit packer.
 
 The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
 elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
@@ -7,7 +7,9 @@ microsecond per block — almost all of it per-block Python/hashlib
 bookkeeping, not hashing.  This module removes that floor when (and only
 when) the host can support it, by lazily compiling the self-contained C
 kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
-it through :mod:`ctypes`.
+it through :mod:`ctypes`.  The same shared object carries the two
+ring-width bit-packing loops of the masked-vector wire codec
+(:mod:`repro.wire.bitpack`), so one build serves the whole data plane.
 
 Design constraints, in order:
 
@@ -15,12 +17,13 @@ Design constraints, in order:
   includes beyond the C standard library; it is built with whatever
   ``cc``/``gcc``/``clang`` the host already has.  No compiler, no
   kernel — nothing is downloaded or installed.
-- **Graceful fallback.**  Any failure — no compiler, compile error,
-  load error, ``REPRO_NATIVE=0`` in the environment — makes
-  :func:`load` return ``None`` (memoized), and callers silently keep
-  the pure-Python path.  The two paths are bit-identical by
-  construction (same ``SHA256(seed ∥ ctr)`` stream) and parity-pinned
-  by test whenever the kernel is available.
+- **Graceful, announced fallback.**  Any failure — no compiler, compile
+  error, load error, a wrong probe digest, ``REPRO_NATIVE=0`` in the
+  environment — makes :func:`load` return ``None`` (memoized) and emit
+  one ``RuntimeWarning`` per process naming the reason; callers keep
+  the pure-Python/numpy path.  The two paths are bit-identical by
+  construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream)
+  and parity-pinned by test whenever the kernel is available.
 - **Self-invalidating cache.**  The shared object lands in a
   gitignored ``_native/_build/`` directory next to the source, named by
   a hash of the source text, so editing the C file rebuilds and stale
@@ -42,6 +45,7 @@ import subprocess
 import sysconfig
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -69,37 +73,43 @@ def _compilers() -> list[str]:
     return [c for c in cands if not (c in seen or seen.add(c))]
 
 
-def _build() -> Optional[ctypes.CDLL]:
+class _Unavailable(Exception):
+    """Why the kernel cannot be used (the text of the fallback warning)."""
+
+
+def _compile(sofile: Path) -> None:
+    _BUILD_DIR.mkdir(parents=True, exist_ok=True)
+    failure = "no C compiler found"
+    for cc in _compilers():
+        # Compile to a temp name and rename into place so a
+        # concurrent builder can never load a half-written object.
+        fd, tmp = tempfile.mkstemp(suffix=".so", prefix="sha256ctr-", dir=_BUILD_DIR)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [cc, "-O3", "-fPIC", "-shared", str(_SRC), "-o", tmp],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            os.replace(tmp, sofile)
+            return
+        except (OSError, subprocess.SubprocessError) as exc:
+            if not isinstance(exc, FileNotFoundError):
+                failure = f"build error ({cc}: {type(exc).__name__})"
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+    raise _Unavailable(failure)
+
+
+def _build() -> ctypes.CDLL:
     src = _SRC.read_text()
     tag = hashlib.sha256(src.encode()).hexdigest()[:16]
     sofile = _BUILD_DIR / f"sha256ctr-{tag}.so"
     if not sofile.exists():
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        built = False
-        for cc in _compilers():
-            # Compile to a temp name and rename into place so a
-            # concurrent builder can never load a half-written object.
-            fd, tmp = tempfile.mkstemp(
-                suffix=".so", prefix="sha256ctr-", dir=_BUILD_DIR
-            )
-            os.close(fd)
-            try:
-                subprocess.run(
-                    [cc, "-O3", "-fPIC", "-shared", str(_SRC), "-o", tmp],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                os.replace(tmp, sofile)
-                built = True
-                break
-            except (OSError, subprocess.SubprocessError):
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        if not built:
-            return None
+        _compile(sofile)
     lib = ctypes.CDLL(str(sofile))
     lib.repro_sha256_ctr.argtypes = [
         ctypes.c_char_p,
@@ -111,11 +121,52 @@ def _build() -> Optional[ctypes.CDLL]:
     lib.repro_sha256_ctr.restype = ctypes.c_int
     lib.repro_sha256_ctr_backend.argtypes = []
     lib.repro_sha256_ctr_backend.restype = ctypes.c_int
+    lib.repro_pack_bits.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_size_t,
+        ctypes.c_uint,
+        ctypes.c_void_p,
+    ]
+    lib.repro_pack_bits.restype = ctypes.c_int
+    lib.repro_unpack_bits.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_size_t,
+        ctypes.c_size_t,
+        ctypes.c_uint,
+        ctypes.c_void_p,
+    ]
+    lib.repro_unpack_bits.restype = ctypes.c_int
     return lib
 
 
+def _probe(lib: ctypes.CDLL) -> None:
+    """One sanity answer per kernel before trusting the object: block 0
+    of an all-zero seed must match hashlib, and three 20-bit elements
+    must pack to the documented little-endian bit stream and back."""
+    digest = ctypes.create_string_buffer(32)
+    seed = b"\x00" * 32
+    rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
+    want = hashlib.sha256(seed + (0).to_bytes(8, "big")).digest()
+    if rc != 0 or digest.raw != want:
+        raise _Unavailable("probe mismatch (SHA-256 counter block)")
+    values = (ctypes.c_int64 * 3)(0xABCDE, 0x12345, 0xFFFFF)
+    packed = ctypes.create_string_buffer(8)
+    unpacked = (ctypes.c_int64 * 3)()
+    if (
+        lib.repro_pack_bits(values, 3, 20, packed) != 0
+        or packed.raw != bytes.fromhex("debc5a3412ffff0f")
+        or lib.repro_unpack_bits(packed, 8, 3, 20, unpacked) != 0
+        or list(unpacked) != list(values)
+    ):
+        raise _Unavailable("probe mismatch (bit packer)")
+
+
 def load() -> Optional[ctypes.CDLL]:
-    """The loaded kernel, building it on first call; ``None`` on failure."""
+    """The loaded kernel, building it on first call; ``None`` on failure.
+
+    The outcome is memoized either way; a failure is announced once per
+    process as a ``RuntimeWarning`` naming the reason.
+    """
     global _loaded, _lib
     if _loaded:
         return _lib
@@ -123,20 +174,22 @@ def load() -> Optional[ctypes.CDLL]:
         if _loaded:
             return _lib
         lib = None
-        if os.environ.get("REPRO_NATIVE", "1") != "0":
+        try:
+            if os.environ.get("REPRO_NATIVE", "1") == "0":
+                raise _Unavailable("REPRO_NATIVE=0")
             try:
                 lib = _build()
-                if lib is not None:
-                    # One sanity digest before trusting it: block 0 of an
-                    # all-zero seed must match hashlib.
-                    probe = ctypes.create_string_buffer(32)
-                    seed = b"\x00" * 32
-                    rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, probe)
-                    want = hashlib.sha256(seed + (0).to_bytes(8, "big"))
-                    if rc != 0 or probe.raw != want.digest():
-                        lib = None
-            except Exception:
-                lib = None
+            except OSError as exc:
+                raise _Unavailable(f"load error ({exc})") from exc
+            _probe(lib)
+        except _Unavailable as exc:
+            lib = None
+            warnings.warn(
+                "repro.native: kernel unavailable, PRG expansion and "
+                f"masked-vector packing run in pure Python/numpy: {exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         _lib = lib
         _loaded = True
     return _lib

@@ -216,7 +216,9 @@ class SecAggClient:
                 acc.add(base)
             else:
                 acc.sub(base)
-        return MaskedInputMsg(sender=self.id, masked_vector=acc.finish())
+        return MaskedInputMsg(
+            sender=self.id, masked_vector=acc.finish(), bits=self.config.bits
+        )
 
     # ------------------------------------------------------------------
     # Stage 3 — ConsistencyCheck (malicious mode only)

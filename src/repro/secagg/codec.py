@@ -1,23 +1,28 @@
 """Wire codecs for every protocol message.
 
 The round driver passes Python objects in-process; a deployment ships
-bytes.  This module gives each message type a canonical, length-prefixed
-binary encoding — used by the traffic meter for *exact* payload sizes and
-by tests to pin the wire format (a tampered or truncated encoding must
-fail to parse, never mis-parse).
+bytes.  This module gives each message type a canonical binary body —
+registered with :mod:`repro.wire.codecs`, which frames it — and tests
+pin the format (a tampered or truncated encoding must fail to parse,
+never mis-parse).
 
 Format conventions: 4-byte big-endian length prefixes via
-:mod:`repro.secagg.wire`; vectors as ``int64`` big-endian; group elements
-at the group's fixed width.
+:mod:`repro.secagg.wire`; group elements at the group's fixed width.
+The masked input — the one model-sized message — is the exception: a
+fixed 13-byte header and the vector bit-packed at the ring width
+(:mod:`repro.wire.bitpack`), written straight into the frame buffer and
+read straight out of it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import struct
 
 from repro.crypto.signature import SchnorrSignature
 from repro.secagg import wire
 from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, UnmaskingMsg
+from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
+from repro.wire.codecs import CodecError
 
 _KEY_BYTES = 256  # MODP group elements (≤ 2048 bits)
 
@@ -47,30 +52,54 @@ def decode_advertise(data: bytes) -> AdvertiseKeysMsg:
     )
 
 
-def encode_vector(vector: np.ndarray) -> bytes:
-    return np.ascontiguousarray(vector, dtype=">i8").tobytes()
+#: Masked-input body header: sender u64 ∥ bits u8 ∥ count u32 (big-endian).
+_MASKED_HEADER = struct.Struct(">QBI")
 
 
-def decode_vector(data: bytes) -> np.ndarray:
-    if len(data) % 8:
-        raise ValueError("vector encoding must be a multiple of 8 bytes")
-    return np.frombuffer(data, dtype=">i8").astype(np.int64)
+def masked_input_nbytes(count: int, bits: int) -> int:
+    """Body size of a masked input: header + ``ceil(count·bits/8)``."""
+    return _MASKED_HEADER.size + packed_nbytes(count, bits)
 
 
-def encode_masked_input(msg: MaskedInputMsg) -> bytes:
-    return wire.encode_fields(
-        [msg.sender.to_bytes(8, "big"), encode_vector(msg.masked_vector)]
-    )
+def encode_masked_input(msg: MaskedInputMsg, out: bytearray | None = None) -> bytearray:
+    """Append the masked-input body to ``out`` (a fresh buffer if none).
+
+    ``sender u64 ∥ bits u8 ∥ count u32`` then the vector as a
+    little-endian bit stream, element *i* in bits ``[i·b, (i+1)·b)``.
+    The vector's only copy is the pack into ``out`` — in a round, the
+    frame buffer the socket writes.
+    """
+    if out is None:
+        out = bytearray()
+    vector = msg.masked_vector
+    start = len(out)
+    try:
+        out += _MASKED_HEADER.pack(msg.sender, msg.bits, vector.size)
+        pack_bits_into(vector, msg.bits, out)
+    except (struct.error, ValueError) as exc:
+        del out[start:]
+        raise CodecError(f"unencodable MaskedInput: {exc}") from exc
+    return out
 
 
-def decode_masked_input(data: bytes) -> MaskedInputMsg:
-    fields = wire.decode_fields(data)
-    if len(fields) != 2:
-        raise ValueError("malformed MaskedInput encoding")
-    return MaskedInputMsg(
-        sender=int.from_bytes(fields[0], "big"),
-        masked_vector=decode_vector(fields[1]),
-    )
+def decode_masked_input(data) -> MaskedInputMsg:
+    """Strict inverse of :func:`encode_masked_input`.
+
+    ``data`` is any bytes-like object — in a round, a ``memoryview`` of
+    the received frame, unpacked in place into one fresh ``int64``
+    array.  Truncation, extra bytes, a width outside ``[1, 62]``, a
+    count that disagrees with the length and non-zero pad bits all
+    raise :class:`CodecError`.
+    """
+    view = memoryview(data)
+    if view.nbytes < _MASKED_HEADER.size:
+        raise CodecError("truncated MaskedInput header")
+    sender, bits, count = _MASKED_HEADER.unpack_from(view)
+    try:
+        vector = unpack_bits(view[_MASKED_HEADER.size :], count, bits)
+    except ValueError as exc:
+        raise CodecError(f"malformed MaskedInput body: {exc}") from exc
+    return MaskedInputMsg(sender=sender, masked_vector=vector, bits=bits)
 
 
 def _encode_share_map(shares: dict) -> bytes:
@@ -130,7 +159,7 @@ def message_bytes(msg) -> int:
     if isinstance(msg, AdvertiseKeysMsg):
         return len(encode_advertise(msg))
     if isinstance(msg, MaskedInputMsg):
-        return len(encode_masked_input(msg))
+        return masked_input_nbytes(msg.masked_vector.size, msg.bits)
     if isinstance(msg, UnmaskingMsg):
         return len(encode_unmasking(msg))
     raise TypeError(f"unknown message type {type(msg).__name__}")

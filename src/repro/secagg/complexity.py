@@ -14,12 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.secagg.codec import masked_input_nbytes
 from repro.secagg.graph import recommended_degree
+from repro.secagg.types import SecAggConfig
+from repro.wire.frame import FRAME_OVERHEAD
 
 #: Wire-size constants (bytes) matching repro.secagg.codec / §6.3.
 PUBLIC_KEY_BYTES = 256
 CIPHERTEXT_OVERHEAD = 48  # nonce + tag
 SHARE_BYTES = 300  # one encoded Shamir share of a 256-byte secret
+
+#: Fixed bytes around one masked vector on the wire: frame header,
+#: payload version, codec tag + length prefix, and the masked-input
+#: header (sender, ring width, count).  Independent of the vector.
+MASKED_INPUT_ENVELOPE_BYTES = FRAME_OVERHEAD + 1 + 1 + 4 + masked_input_nbytes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,17 @@ class ServerCost:
     reconstructions: int
     mask_expansions: int
     routed_ciphertexts: int
+
+
+def masked_upload_bytes(config: SecAggConfig) -> int:
+    """Analytic uplink of one masked input: ``d·b`` bits plus the envelope.
+
+    ``config.vector_bytes`` is the one definition of a vector's wire
+    size — the codec writes exactly that many body bytes — so this
+    equals the framed bytes a socket carries for the message (pinned by
+    test against a measured round).
+    """
+    return config.vector_bytes + MASKED_INPUT_ENVELOPE_BYTES
 
 
 def secagg_client_cost(n_clients: int, dropout_rate: float = 0.0) -> ClientCost:

@@ -43,6 +43,13 @@ def self_mask(seed: bytes, dimension: int, modulus: int) -> np.ndarray:
     return expand_uniform(seed, dimension, modulus)
 
 
+def in_ring(vector: np.ndarray, modulus: int) -> bool:
+    """Whether every element lies in ``[0, modulus)`` (two passes, no copy)."""
+    return vector.size == 0 or (
+        0 <= int(vector.min()) and int(vector.max()) < modulus
+    )
+
+
 class MaskAccumulator:
     """Signed sum of a base vector and ``n`` masks mod R, reduced once.
 
@@ -52,6 +59,11 @@ class MaskAccumulator:
     after *every* term walks the full vector k + 1 extra times; instead
     the terms fold raw into int64 (:meth:`add` / :meth:`sub`) and reduce
     once at :meth:`finish`.
+
+    The base joins the deferred sum as it is when it already lies in
+    ``[0, modulus)`` (one min/max check instead of a full ``%`` pass and
+    its copy — the client's encoded input always does); any other base
+    is reduced eagerly, so the headroom proof below covers both.
 
     Headroom proof: each term is in ``[0, modulus)``, so the running
     signed sum of ``n_terms`` terms has magnitude at most
@@ -75,7 +87,13 @@ class MaskAccumulator:
             raise ValueError("n_terms counts the base vector: must be >= 1")
         self._modulus = modulus
         self._deferred = n_terms * (modulus - 1) < 2**63
-        self._acc = np.asarray(base, dtype=np.int64) % modulus
+        base = np.asarray(base, dtype=np.int64)
+        if self._deferred and in_ring(base, modulus):
+            # finish() reduces anyway; the copy keeps the caller's
+            # vector out of the in-place folds.
+            self._acc = base.copy()
+        else:
+            self._acc = base % modulus
         self._remaining = n_terms - 1
 
     def _fold(self, mask: np.ndarray, sign: int) -> None:

@@ -22,7 +22,7 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_batch
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.parallel import WorkerPool, split_slabs
-from repro.secagg.masking import MaskAccumulator
+from repro.secagg.masking import MaskAccumulator, in_ring
 from repro.secagg.types import (
     AdvertiseKeysMsg,
     MaskedInputMsg,
@@ -88,16 +88,41 @@ class SecAggServer:
 
     # ------------------------------------------------------------------
     def collect_masked(self, messages: dict[int, MaskedInputMsg]) -> list[int]:
-        """Fix U3 (the survivor set whose inputs enter the aggregate)."""
-        good = {u: m for u, m in messages.items() if u in self.u2}
-        if len(good) < self.config.threshold:
-            raise ProtocolAbort(f"only {len(good)} masked inputs; below threshold")
-        self._masked = {
-            u: np.asarray(m.masked_vector, dtype=np.int64) % self.config.modulus
-            for u, m in good.items()
+        """Fix U3 (the survivor set whose inputs enter the aggregate).
+
+        A message that is not a ``(dimension,)`` vector over this
+        round's ring is not a masked input: its sender is left out of
+        U3 — recovered like any client that dropped after ShareKeys —
+        or, below threshold, the round aborts by name.  The packed wire
+        decoder yields in-ring int64 vectors by construction, so the
+        accepted vectors are kept as they arrive, not re-reduced.
+        """
+        good = {
+            u: m.masked_vector
+            for u, m in messages.items()
+            if u in self.u2 and self._well_formed(m)
         }
+        if len(good) < self.config.threshold:
+            malformed = sorted(
+                u for u in messages if u in self.u2 and u not in good
+            )
+            detail = f" ({len(malformed)} malformed: {malformed})" if malformed else ""
+            raise ProtocolAbort(
+                f"only {len(good)} masked inputs{detail}; below threshold"
+            )
+        self._masked = good
         self.u3 = sorted(good)
         return list(self.u3)
+
+    def _well_formed(self, msg: MaskedInputMsg) -> bool:
+        vector = msg.masked_vector
+        return (
+            msg.bits == self.config.bits
+            and isinstance(vector, np.ndarray)
+            and vector.dtype == np.int64
+            and vector.shape == (self.config.dimension,)
+            and in_ring(vector, self.config.modulus)
+        )
 
     # ------------------------------------------------------------------
     def collect_consistency(

@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro.crypto.signature import SchnorrSignature
+from repro.wire.bitpack import packed_nbytes
 
 STAGE_ADVERTISE = 0
 STAGE_SHARE_KEYS = 1
@@ -105,8 +106,13 @@ class SecAggConfig:
 
     @property
     def vector_bytes(self) -> int:
-        """Wire size of one masked vector: dimension × b bits."""
-        return self.dimension * self.bits // 8
+        """Wire size of one masked vector: ``ceil(dimension × b / 8)``.
+
+        The one definition of that size: the codec writes exactly this
+        many body bytes after its fixed header, and the traffic meter
+        and :mod:`repro.secagg.complexity` book the same number.
+        """
+        return packed_nbytes(self.dimension, self.bits)
 
 
 @dataclass(frozen=True)
@@ -121,10 +127,16 @@ class AdvertiseKeysMsg:
 
 @dataclass(frozen=True)
 class MaskedInputMsg:
-    """Stage-2 client → server: the masked (and DP-perturbed) input."""
+    """Stage-2 client → server: the masked (and DP-perturbed) input.
+
+    ``bits`` is the ring width the sender masked in: every element of
+    ``masked_vector`` is in ``[0, 2**bits)`` and occupies exactly
+    ``bits`` bits on the wire.
+    """
 
     sender: int
     masked_vector: np.ndarray
+    bits: int
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ and set entries sorted by their encoded key/element bytes) so equal
 payloads encode to equal bytes.  All length/count prefixes are 4-byte
 big-endian; ints are length-prefixed signed big-endian (arbitrary
 precision — DH group elements fit); ndarrays carry dtype, shape, and
-the raw C-order buffer.
+the raw C-order buffer.  Version 2 (this one) bit-packs the masked
+input at its ring width; a version-1 payload is refused by name.
 
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong
@@ -26,10 +27,13 @@ Decoding never executes code (no pickle) and never blocks.
 Registry
 --------
 :func:`register_codec` binds a Python type to a tag in ``0x20..0xFF``
-with its own body encoder/decoder.  The protocol message types ship
-registered below; :class:`repro.engine.Targeted` registers itself when
-the engine is imported (the engine depends on this module, not the
-reverse).  Transports treat the registry as *the* wire contract — a
+with its own body encoder/decoder.  A codec registered ``in_place``
+writes its body straight into the frame buffer and parses it from a
+``memoryview`` of the frame — the masked input, the one model-sized
+message, crosses with one copy out and none in.  The protocol message
+types ship registered below; :class:`repro.engine.Targeted` registers
+itself when the engine is imported (the engine depends on this module,
+not the reverse).  Transports treat the registry as *the* wire contract — a
 future websocket/gRPC backend reuses these codecs unchanged.
 """
 
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).
@@ -78,14 +82,16 @@ REGISTERED_TAG_BASE = 0x20
 _by_type: dict[type, tuple[int, Callable[[Any], bytes]]] = {}
 _by_tag: dict[int, tuple[type, Callable[[bytes], Any]]] = {}
 _size_by_type: dict[type, Callable[[Any], int]] = {}
+_in_place: set[type] = set()
 
 
 def register_codec(
     cls: type,
     tag: int,
-    encode_body: Callable[[Any], bytes],
+    encode_body: Callable[..., bytes],
     decode_body: Callable[[bytes], Any],
     body_nbytes: Callable[[Any], int] | None = None,
+    in_place: bool = False,
 ) -> None:
     """Bind ``cls`` to ``tag`` with a body encoder/decoder pair.
 
@@ -94,6 +100,11 @@ def register_codec(
     refused.  ``body_nbytes`` optionally computes ``len(encode_body(x))``
     without materializing the bytes — worth providing for bulk-carrying
     types (the size-only path otherwise falls back to encoding).
+
+    ``in_place`` marks a bulk codec that never stages its body:
+    ``encode_body(obj, out)`` appends to the caller's buffer (and, with
+    ``out`` omitted, returns a fresh one) and ``decode_body`` receives a
+    ``memoryview`` of the enclosing buffer instead of a ``bytes`` slice.
     """
     if not REGISTERED_TAG_BASE <= tag <= 0xFF:
         raise ValueError(
@@ -110,6 +121,8 @@ def register_codec(
     _by_tag[tag] = (cls, decode_body)
     if body_nbytes is not None:
         _size_by_type[cls] = body_nbytes
+    if in_place:
+        _in_place.add(cls)
 
 
 def registered_codecs() -> dict[type, int]:
@@ -158,9 +171,10 @@ def _ensure_defaults() -> None:
         0x23,
         secagg_codec.encode_masked_input,
         secagg_codec.decode_masked_input,
-        # encode_fields([sender(8), vector(8·d)]): two 4-byte length
-        # prefixes — O(1), the vector buffer is never copied to size it.
-        body_nbytes=lambda m: 4 + 8 + 4 + 8 * int(m.masked_vector.size),
+        body_nbytes=lambda m: secagg_codec.masked_input_nbytes(
+            m.masked_vector.size, m.bits
+        ),
+        in_place=True,
     )
     register_codec(
         UnmaskingMsg,
@@ -267,6 +281,15 @@ def encode_value_into(obj: Any, out: bytearray) -> None:
         entry = _by_type.get(cls)
         if entry is not None:
             tag, encode_body = entry
+            if cls in _in_place:
+                # Reserve the length prefix, let the codec write its
+                # body into this buffer, then fill the prefix in.
+                out.append(tag)
+                at = len(out)
+                out += b"\x00\x00\x00\x00"
+                encode_body(obj, out)
+                out[at : at + 4] = (len(out) - at - 4).to_bytes(4, "big")
+                return
             body = encode_body(obj)
             out.append(tag)
             out += len(body).to_bytes(4, "big")
@@ -445,7 +468,14 @@ def decode_value(
     entry = _by_tag.get(tag)
     if entry is not None:
         cls, decode_body = entry
-        body, offset = _read_lp(data, offset)
+        if cls in _in_place:
+            n, offset = _read_count(data, offset)
+            if offset + n > len(data):
+                raise CodecError("truncated value")
+            body = memoryview(data)[offset : offset + n]
+            offset += n
+        else:
+            body, offset = _read_lp(data, offset)
         try:
             return decode_body(body), offset
         except CodecError:

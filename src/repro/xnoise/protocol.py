@@ -455,9 +455,7 @@ def run_xnoise_round_reference(
     masked = {}
     for u in sorted(alive & set(server.u2)):
         masked[u] = clients[u].masked_input(inboxes.get(u, {}), inputs[u])
-        traffic.add_up(
-            STAGE_MASKED_INPUT, secagg_cfg.dimension * secagg_cfg.bits // 8
-        )
+        traffic.add_up(STAGE_MASKED_INPUT, secagg_cfg.vector_bytes)
     u3 = server.collect_masked(masked)
     traffic.add_down(STAGE_MASKED_INPUT, 8 * len(u3) * len(u3))
 

@@ -212,6 +212,34 @@ class TestHeadroomGuard:
 # ---------------------------------------------------------------------------
 
 
+#: A registry module binding one in-place codec from ``secagg/codec.py``
+#: and one ordinary codec from ``secagg/wire.py`` — the shape of the
+#: real ``repro.wire.codecs._ensure_defaults``.
+_REGISTRY = _src("""
+    class CodecError(ValueError):
+        pass
+
+    def register_codec(cls, tag, encode_body, decode_body, in_place=False):
+        if tag < 0x20:
+            raise ValueError("reserved tag")
+
+    def _ensure_defaults():
+        from repro.secagg import codec as secagg_codec
+        from repro.secagg import wire as secagg_wire
+
+        register_codec(
+            object, 0x20, secagg_wire.encode_share, secagg_wire.decode_share
+        )
+        register_codec(
+            object,
+            0x23,
+            secagg_codec.encode_masked_input,
+            secagg_codec.decode_masked_input,
+            in_place=True,
+        )
+""")
+
+
 class TestStrictDecoder:
     def test_trips_on_bare_except(self, check_repo):
         result = check_repo({
@@ -299,6 +327,53 @@ class TestStrictDecoder:
             """),
         })
         assert findings_for(result, "strict-decoder") == []
+
+
+    def test_registered_codec_module_is_in_scope(self, check_repo):
+        # Scoped by registration: secagg/codec.py is wire code because
+        # the registry binds its decoders, whatever its filename.
+        result = check_repo({
+            "src/repro/wire/codecs.py": _REGISTRY,
+            "src/repro/secagg/codec.py": _src("""
+                def encode_masked_input(msg, out):
+                    out += msg
+
+                def decode_masked_input(data):
+                    return data[0]
+            """),
+        })
+        (f,) = findings_for(result, "strict-decoder")
+        assert f.file == "src/repro/secagg/codec.py"
+        assert "decode_masked_input never raises ValueError" in f.message
+
+    def test_registered_decoder_raising_imported_codec_error_passes(
+        self, check_repo
+    ):
+        result = check_repo({
+            "src/repro/wire/codecs.py": _REGISTRY,
+            "src/repro/secagg/codec.py": _src("""
+                from repro.wire.codecs import CodecError
+
+                def encode_masked_input(msg, out):
+                    out += msg
+
+                def decode_masked_input(data):
+                    if not data:
+                        raise CodecError("truncated")
+                    return data[0]
+            """),
+        })
+        assert findings_for(result, "strict-decoder") == []
+
+    def test_unpack_functions_are_decoders_too(self, check_repo):
+        result = check_repo({
+            "src/repro/wire/bitpack.py": _src("""
+                def unpack_bits(data, count, bits):
+                    return data[:count]
+            """),
+        })
+        (f,) = findings_for(result, "strict-decoder")
+        assert "unpack_bits never raises ValueError" in f.message
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +565,56 @@ class TestZeroCopy:
                 "# encode_vector_reference encode_vector\n",
         })
         assert findings_for(result, "zero-copy") == []
+
+    def test_trips_on_registered_in_place_encoder_outside_wire(
+        self, check_repo
+    ):
+        # The four-copy masked-input encoder that a wire/*.py filename
+        # scope let through: flagged because the registry binds it
+        # in_place.  The ordinary (small-message) codec next to it and
+        # unregistered helpers stay out of scope.
+        result = check_repo({
+            "src/repro/wire/codecs.py": _REGISTRY,
+            "src/repro/secagg/codec.py": _src("""
+                def encode_masked_input(msg, out):
+                    if msg is None:
+                        raise ValueError("no message")
+                    out += msg.masked_vector.astype(">i8").tobytes()
+
+                def decode_masked_input(data):
+                    if not data:
+                        raise ValueError("truncated")
+                    return data
+
+                def encode_debug_dump(msg):
+                    return msg.masked_vector.tobytes()
+            """),
+            "src/repro/secagg/wire.py": _src("""
+                def encode_share(share):
+                    return share.tobytes()
+
+                def decode_share(data):
+                    if not data:
+                        raise ValueError("truncated")
+                    return data
+            """),
+        })
+        (f,) = findings_for(result, "zero-copy")
+        assert f.file == "src/repro/secagg/codec.py"
+        assert ".tobytes() in encode hot path encode_masked_input" in f.message
+
+    def test_pack_functions_in_bitpack_are_hot_encoders(self, check_repo):
+        result = check_repo({
+            "src/repro/wire/bitpack.py": _src("""
+                def pack_bits_into(values, bits, out):
+                    if bits < 1:
+                        raise ValueError("bad width")
+                    for i in range(len(values)):
+                        out.append(values[i] & 0xFF)
+            """),
+        })
+        msgs = [f.message for f in findings_for(result, "zero-copy")]
+        assert any("range(len(...))" in m for m in msgs)
 
     def test_memoryview_writer_passes(self, check_repo):
         result = check_repo({

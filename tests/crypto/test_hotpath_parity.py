@@ -18,6 +18,7 @@ from repro import native
 from repro.crypto.prg import (
     PRG,
     PRGReference,
+    draw_nbytes,
     expand_uniform,
     expand_uniform_batch,
 )
@@ -113,6 +114,64 @@ class TestPRGParity:
             expand_uniform(seed, 65, 1 << 20),
             PRGReference(seed).uniform_vector(65, 1 << 20),
         )
+
+    def test_draw_width_follows_the_ring(self):
+        # 4 stream bytes for a power-of-two ring up to 2**32, else 8.
+        for bits in range(0, 33):
+            assert draw_nbytes(1 << bits) == 4, bits
+        for bits in range(33, 64):
+            assert draw_nbytes(1 << bits) == 8, bits
+        for modulus in (3, 997, (1 << 20) + 17, (1 << 32) - 1, (1 << 32) + 1):
+            assert draw_nbytes(modulus) == 8, modulus
+
+    @pytest.mark.parametrize("bits", [1, 8, 20, 31, 32, 33, 34, 62])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 257])
+    def test_ring_width_draws_match_reference(self, bits, length):
+        # Either side of the b = 32/33 boundary, on every entry point.
+        modulus = 1 << bits
+        seed = bytes(range(32))
+        want = PRGReference(seed).uniform_vector(length, modulus)
+        assert want.dtype == np.int64 and int(want.max()) < modulus
+        np.testing.assert_array_equal(expand_uniform(seed, length, modulus), want)
+        np.testing.assert_array_equal(
+            PRG(seed).uniform_vector(length, modulus), want
+        )
+        np.testing.assert_array_equal(
+            expand_uniform_batch([seed], length, modulus)[0], want
+        )
+
+    def test_a_32_bit_draw_is_the_masked_big_endian_stream_word(self):
+        seed = b"w" * 32
+        stream = PRGReference(seed).read(4 * 11)
+        words = [
+            int.from_bytes(stream[4 * i : 4 * i + 4], "big") for i in range(11)
+        ]
+        np.testing.assert_array_equal(
+            expand_uniform(seed, 11, 1 << 20), [w & 0xFFFFF for w in words]
+        )
+        np.testing.assert_array_equal(expand_uniform(seed, 11, 1 << 32), words)
+
+    def test_non_power_of_two_modulus_stays_on_8_byte_draws(self):
+        seed = b"n" * 32
+        modulus = (1 << 20) + 17
+        stream = PRGReference(seed).read(8 * 9)
+        words = [
+            int.from_bytes(stream[8 * i : 8 * i + 8], "big") for i in range(9)
+        ]
+        np.testing.assert_array_equal(
+            expand_uniform(seed, 9, modulus), [w % modulus for w in words]
+        )
+
+    def test_stream_position_after_a_vector_matches_reference(self):
+        # Eight 20-bit draws are one 32-byte block, not two: the next
+        # read must continue from block 1 on both implementations.
+        fast, ref = PRG(b"p" * 32), PRGReference(b"p" * 32)
+        np.testing.assert_array_equal(
+            fast.uniform_vector(8, 1 << 20), ref.uniform_vector(8, 1 << 20)
+        )
+        tail = ref.read(32)
+        assert fast.read(32) == tail
+        assert tail == PRGReference(b"p" * 32).read(64)[32:]
 
     def test_native_kernel_matches_hashlib_when_available(self):
         lib = native.load()
@@ -335,6 +394,43 @@ class TestMaskAccumulatorParity:
             acc.finish(),
             accumulate_signed_masks_reference(base, terms, modulus),
         )
+
+    @pytest.mark.parametrize("modulus", [1 << 20, 1 << 62])
+    def test_out_of_range_base_matches_reference(self, modulus):
+        # An in-ring base joins the deferred sum unreduced; anything
+        # else is reduced eagerly.  Both must equal the left fold.
+        rng = random.Random(29)
+        dim = 16
+        terms = [
+            (m, sign)
+            for m, sign in zip(self._masks(rng, 4, dim, modulus), [1, -1, 1, -1])
+        ]
+        in_ring = self._masks(rng, 1, dim, modulus)[0]
+        for base in (
+            in_ring,
+            in_ring - modulus,  # all negative
+            in_ring + modulus,  # all above the ring
+            np.where(np.arange(dim) % 2, in_ring, -in_ring - 1),  # mixed
+            np.zeros(dim, dtype=np.int64),
+            np.full(dim, modulus - 1, dtype=np.int64),
+            np.full(dim, modulus, dtype=np.int64),
+        ):
+            acc = MaskAccumulator(base, modulus, n_terms=5)
+            for m, sign in terms:
+                (acc.add if sign > 0 else acc.sub)(m)
+            got = acc.finish()
+            np.testing.assert_array_equal(
+                got, accumulate_signed_masks_reference(base, terms, modulus)
+            )
+            assert got.min() >= 0 and int(got.max()) < modulus
+
+    def test_base_is_never_mutated(self):
+        base = np.arange(8, dtype=np.int64)
+        keep = base.copy()
+        acc = MaskAccumulator(base, 1 << 20, n_terms=2)
+        acc.add(np.ones(8, dtype=np.int64))
+        acc.finish()
+        np.testing.assert_array_equal(base, keep)
 
     def test_over_declared_adds_rejected(self):
         acc = MaskAccumulator(np.zeros(4, dtype=np.int64), 1 << 20, n_terms=2)

@@ -21,6 +21,7 @@ from repro.engine import (
     ListenerTransport,
     RoundEngine,
 )
+from repro.wire import WIRE_VERSION
 from tests.engine.test_stream_transport import EchoClient, EchoServer
 
 
@@ -63,13 +64,32 @@ class TestAdversarialHandshake:
         listener, exc = asyncio.run(scenario())
         # The rejection names both sides of the skew.
         assert "wire version 9" in str(exc)
-        assert "listener speaks 1" in str(exc)
+        assert f"listener speaks {WIRE_VERSION}" in str(exc)
         assert listener.rejected == 1 and listener.accepted == 0
         # The refused socket is on the books, attributed to the claimed id.
         (stats,) = listener.closed_connection_stats
         assert stats.client_id == 1
         assert stats.handshake_received > 0 and stats.handshake_sent > 0
         assert stats.frame_bytes == 0
+
+    def test_version_1_hello_refused_by_name(self):
+        # The previous wire version, announced honestly in the HELLO.
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            await listener.start()
+            try:
+                dialer = DialingClient(
+                    EchoBack(1), *listener.address, wire_version=1
+                )
+                exc = await _run_refused(listener, dialer)
+            finally:
+                await listener.aclose()
+            return listener, exc
+
+        listener, exc = asyncio.run(scenario())
+        assert WIRE_VERSION == 2
+        assert "speaks wire version 1, listener speaks 2" in str(exc)
+        assert listener.rejected == 1 and listener.accepted == 0
 
     def test_bad_auth_token_rejected(self):
         async def scenario():

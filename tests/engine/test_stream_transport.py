@@ -341,6 +341,77 @@ class TestDropoutOverSockets:
         ]
 
 
+@pytest.mark.timeout(60)
+class TestMaskedVectorWireSize:
+    """One definition of a masked vector's wire size.
+
+    ``SecAggConfig.vector_bytes`` (``ceil(d·b/8)``) is what the traffic
+    meter books, what ``secagg.complexity`` predicts and what the codec
+    writes — checked here on a ring and a dimension that leave pad bits
+    (7 × 13 = 91 bits → 12 bytes), against bytes counted on a socket.
+    """
+
+    def _round(self, transport, dropped=frozenset()):
+        from repro.secagg import DropoutSchedule, arun_secagg_round
+        from repro.secagg.types import SecAggConfig
+
+        config = SecAggConfig(threshold=3, bits=13, dimension=7, dh_group="modp512")
+        rng = np.random.default_rng(3)
+        inputs = {
+            u: rng.integers(0, config.modulus, size=7, dtype=np.int64)
+            for u in range(1, 6)
+        }
+        engine = RoundEngine(transport=transport)
+        result = run_sync(
+            arun_secagg_round(
+                config, inputs, DropoutSchedule.before_upload(set(dropped)),
+                engine=engine,
+            )
+        )
+        return config, engine, result
+
+    @pytest.mark.parametrize("dropped", [frozenset(), frozenset({2})])
+    def test_analytic_uplink_is_measured_uplink_minus_the_envelope(self, dropped):
+        from repro.secagg.complexity import (
+            MASKED_INPUT_ENVELOPE_BYTES,
+            masked_upload_bytes,
+        )
+        from repro.secagg.types import STAGE_MASKED_INPUT
+
+        config, engine, result = self._round(StreamTransport(), dropped)
+        senders = len(result.u3)
+        assert senders == 5 - len(dropped)
+        assert config.vector_bytes == 12  # ceil(91 / 8); the floor was 11
+        (span,) = [
+            s for s in engine.trace.round_spans(0) if s.label == "masked_input"
+        ]
+        booked = result.traffic.up_bytes[STAGE_MASKED_INPUT]
+        assert booked == senders * config.vector_bytes
+        assert span.up_bytes - senders * MASKED_INPUT_ENVELOPE_BYTES == booked
+        assert span.up_bytes == senders * masked_upload_bytes(config)
+
+    def test_simulated_accounting_equals_socket_bytes(self):
+        from repro.engine import SimulatedNetworkTransport
+        from repro.sim.network import ClientDevice
+
+        devices = {
+            u: ClientDevice(client_id=u, compute_factor=1.0, bandwidth_bps=1e6)
+            for u in range(1, 6)
+        }
+        _, sock_engine, sock = self._round(StreamTransport(), {4})
+        _, sim_engine, sim = self._round(SimulatedNetworkTransport(devices), {4})
+        np.testing.assert_array_equal(sock.aggregate, sim.aggregate)
+        assert [
+            (s.label, s.down_bytes, s.up_bytes) for s in sock_engine.trace.spans
+        ] == [
+            (s.label, s.down_bytes, s.up_bytes) for s in sim_engine.trace.spans
+        ]
+        stats = sock_engine.transport.closed_connection_stats
+        assert sum(s.up_bytes for s in stats) == sum(
+            s.up_bytes for s in sim_engine.trace.spans
+        )
+
+
 @pytest.mark.timeout(120)
 class TestStreamChunkedRound:
     def test_chunked_round_over_sockets(self):

@@ -155,6 +155,7 @@ def _sample_payloads(seed: int) -> dict[type, object]:
         MaskedInputMsg: MaskedInputMsg(
             sender=int(rng.integers(1, 99)),
             masked_vector=rng.integers(0, 2**16, size=8).astype(np.int64),
+            bits=16,
         ),
         UnmaskingMsg: UnmaskingMsg(
             sender=int(rng.integers(1, 99)),
@@ -170,7 +171,7 @@ def _sample_payloads(seed: int) -> dict[type, object]:
 
 def _equal(a, b) -> bool:
     if isinstance(a, MaskedInputMsg):
-        return a.sender == b.sender and np.array_equal(
+        return (a.sender, a.bits) == (b.sender, b.bits) and np.array_equal(
             a.masked_vector, b.masked_vector
         )
     if isinstance(a, Targeted):
@@ -230,6 +231,23 @@ class TestEnvelope:
         bad = bytes([PAYLOAD_VERSION + 1]) + good[1:]
         with pytest.raises(CodecError, match="unsupported payload version"):
             decode_payload(bad)
+
+    def test_version_1_payload_refused_by_name(self):
+        # A version-1 masked input (length-prefixed fields, int64
+        # big-endian elements) exactly as the previous tree wrote it.
+        assert PAYLOAD_VERSION == 2
+        v1_body = (
+            (8).to_bytes(4, "big") + (3).to_bytes(8, "big")
+            + (16).to_bytes(4, "big") + (5).to_bytes(8, "big") + (6).to_bytes(8, "big")
+        )
+        v1 = bytes([1, 0x23]) + len(v1_body).to_bytes(4, "big") + v1_body
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 1 \(speaking 2\)"
+        ):
+            decode_payload(v1)
+        # Even relabelled as version 2 it does not parse as a packed body.
+        with pytest.raises(CodecError, match="MaskedInput"):
+            decode_payload(bytes([PAYLOAD_VERSION]) + v1[1:])
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):

@@ -58,6 +58,16 @@ class TestFrameAdversarial:
         with pytest.raises(ValueError, match="unsupported frame version"):
             f.decode_frame(bad)
 
+    def test_version_1_frame_refused_by_name(self):
+        # Version 2 bit-packs masked inputs; a version-1 peer's frames
+        # must fail to parse, not misparse.
+        assert f.WIRE_VERSION == 2
+        v1 = self.GOOD[:2] + b"\x01" + self.GOOD[3:]
+        with pytest.raises(
+            ValueError, match=r"unsupported frame version 1 \(speaking 2\)"
+        ):
+            f.decode_frame(v1)
+
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]
         with pytest.raises(ValueError, match="unknown frame kind"):
