@@ -41,10 +41,10 @@ async def main():
     inputs = make_inputs()
     dropout = DropoutSchedule.before_upload({3})
 
-    # 1 — in-process round with dropout middleware.
+    # 1 — in-process round with dropout middleware (live objects move,
+    # so no bytes are counted here).
     result = await arun_secagg_round(config, inputs, dropout)
-    print(f"in-process: survivors U3 = {result.u3}, "
-          f"traffic = {result.traffic.total_bytes / 1024:.1f} KiB")
+    print(f"in-process: survivors U3 = {result.u3}")
 
     # 2 — the same round over simulated per-link latency: the slowest
     # sampled device gates every comm-bearing stage.
@@ -57,9 +57,11 @@ async def main():
     )
     server, clients = secagg_round_components(config, inputs)
     timed = await engine.run_round(server, clients)
+    split = engine.trace.round_traffic_split(0)
     print(f"simulated net: U3 = {timed.u3}, "
           f"round completes at t = {engine.trace.completion_time * 1e3:.2f} ms "
-          f"(virtual)")
+          f"(virtual), traffic = {split.down / 1024:.1f} KiB down + "
+          f"{split.up / 1024:.1f} KiB up (framed sizes from the codecs)")
 
     # 3 — chunk-pipelined execution: m independent sub-rounds overlap
     # per the Appendix-C schedule; serial execution is the baseline.

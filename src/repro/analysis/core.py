@@ -311,8 +311,9 @@ CODEC_REGISTRY_FILE = "src/repro/wire/codecs.py"
 
 @dataclass(frozen=True)
 class RegisteredCodec:
-    """One ``register_codec(cls, tag, mod.encode, mod.decode, …)`` call
-    whose body functions live in another module of the tree."""
+    """One ``register_codec(cls, tag, owner.encode, owner.decode, …)``
+    call whose body functions live in another module of the tree —
+    ``owner`` an imported module or a class imported from one."""
 
     rel: str
     encoder: str
@@ -326,8 +327,9 @@ def registered_codecs(ctx: CheckContext) -> list[RegisteredCodec]:
     The wire rules scope by *registration*, not by filename: a codec
     body lives wherever its message type does, and what makes it wire
     code is the ``register_codec`` call naming it.  Resolves
-    ``alias.function`` arguments through the registry module's
-    ``from package import module as alias`` imports.
+    ``owner.function`` arguments through the registry module's
+    ``from package import owner`` imports: ``owner`` is a module
+    (``package/owner.py``) or a class of the module ``package.py``.
     """
     registry = ctx.source(CODEC_REGISTRY_FILE)
     if registry is None:
@@ -335,9 +337,11 @@ def registered_codecs(ctx: CheckContext) -> list[RegisteredCodec]:
     modules: dict[str, str] = {}
     for node in ast.walk(registry.tree):
         if isinstance(node, ast.ImportFrom) and node.module:
+            package = "src/" + node.module.replace(".", "/")
             for alias in node.names:
+                as_module = f"{package}/{alias.name}.py"
                 modules[alias.asname or alias.name] = (
-                    "src/" + f"{node.module}.{alias.name}".replace(".", "/") + ".py"
+                    as_module if ctx.source(as_module) else package + ".py"
                 )
     found = []
     for call in iter_calls(registry.tree):

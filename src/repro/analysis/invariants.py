@@ -99,7 +99,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
     # The ring-width data plane: bit-packed masked vectors (element
-    # width, pad rule, wire version 2), 32-bit PRG draws, one wire-size
+    # width, pad rule, wire version 3), 32-bit PRG draws, one wire-size
     # definition, masked-input admission, announced native fallback.
     "12": {
         "rules": ["strict-decoder", "zero-copy"],

@@ -4,9 +4,10 @@ The wire contract (ARCHITECTURE.md, "The wire layer") is that decoding
 is strict and total — truncation, trailing garbage, wrong versions,
 unknown tags all *raise*, never misparse, hang, or quietly return
 nothing.  For every ``decode_*``/``unpack_*`` function in
-``repro/wire/``, ``repro/secagg/wire.py`` and every module the codec
-registry binds a decoder from (``secagg/codec.py`` — scoped by
-registration, not by filename) this rule requires:
+``repro/wire/`` and in every module the codec registry binds a decoder
+from — scoped by registration, not by filename — and for each bound
+decoder itself, whatever its name (``Share.from_bytes``,
+``WireRecord.from_bytes``), this rule requires:
 
 1. no bare ``except:`` anywhere in the function;
 2. no ``except Exception``/``BaseException`` handler that swallows (a
@@ -16,8 +17,8 @@ registration, not by filename) this rule requires:
 4. the function raises a ``ValueError`` (or a subclass such as
    ``CodecError``) on some path — directly, or via another function in
    the same module that does (transitive closure over module-local
-   calls, so ``decode_share_payload`` may delegate its failures to
-   ``decode_fields``).
+   calls, so ``decode_payload`` may delegate its failures to
+   ``decode_whole_value``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.analysis.core import (
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 _SCOPE_DIRS = ("src/repro/wire/",)
-_SCOPE_FILES = ("src/repro/secagg/wire.py",)
 
 #: Exception names accepted as the ValueError family even without a
 #: local ClassDef (module-local subclasses are discovered from the AST);
@@ -50,7 +50,7 @@ _DECODER_PREFIXES = ("decode_", "unpack_")
 
 
 def _in_scope(rel: str) -> bool:
-    return rel in _SCOPE_FILES or any(rel.startswith(d) for d in _SCOPE_DIRS)
+    return any(rel.startswith(d) for d in _SCOPE_DIRS)
 
 
 def _value_error_classes(tree: ast.Module) -> set[str]:
@@ -96,20 +96,24 @@ def _called_local_names(fn: ast.AST) -> set[str]:
 class StrictDecoderRule(Rule):
     id = "strict-decoder"
     description = (
-        "every decode_*/unpack_* in repro/wire/, repro/secagg/wire.py and "
-        "the modules of registered codecs raises ValueError on malformed "
-        "input — no bare except, no swallowing handler, no silent None "
-        "return"
+        "every decode_*/unpack_* in repro/wire/ and the modules of "
+        "registered codecs, and every registered decoder, raises "
+        "ValueError on malformed input — no bare except, no swallowing "
+        "handler, no silent None return"
     )
     invariants = ("5", "6", "12")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
-        registered = {codec.rel for codec in registered_codecs(ctx)}
+        bound: dict[str, set[str]] = {}
+        for codec in registered_codecs(ctx):
+            bound.setdefault(codec.rel, set()).add(codec.decoder)
         for src in ctx.sources:
-            if _in_scope(src.rel) or src.rel in registered:
-                yield from self._check_module(src)
+            if _in_scope(src.rel) or src.rel in bound:
+                yield from self._check_module(src, bound.get(src.rel, set()))
 
-    def _check_module(self, src: SourceFile) -> Iterable[Finding]:
+    def _check_module(
+        self, src: SourceFile, bound_decoders: set[str]
+    ) -> Iterable[Finding]:
         ve_names = _value_error_classes(src.tree)
         module_fns = {
             node.name: node
@@ -132,7 +136,7 @@ class StrictDecoderRule(Rule):
                     changed = True
 
         for name, fn in module_fns.items():
-            if not name.startswith(_DECODER_PREFIXES):
+            if not name.startswith(_DECODER_PREFIXES) and name not in bound_decoders:
                 continue
             yield from self._check_decoder(src, fn, name in raising)
 

@@ -79,11 +79,15 @@ def _fabricate_state(
         for v in survivors
     }
 
-    # c_public is never touched during unmasking; s_public must be the
-    # real DH public so the coordinator's agreement reproduces each
-    # dropped client's pairwise seeds.
+    # c_public is never touched during unmasking (any valid key does);
+    # s_public must be the real DH public so the coordinator's agreement
+    # reproduces each dropped client's pairwise seeds.
     roster = {
-        u: AdvertiseKeysMsg(sender=u, c_public=0, s_public=pairs[u].public)
+        u: AdvertiseKeysMsg(
+            sender=u,
+            c_public=ka.public_bytes(pairs[u]),
+            s_public=ka.public_bytes(pairs[u]),
+        )
         for u in ids
     }
 
@@ -114,9 +118,7 @@ def _make_server(state: dict[str, Any], workers: Optional[int]) -> SecAggServer:
         workers=workers,
     )
     server = SecAggServer(config)
-    server.roster = dict(state["roster"])
-    server.graph = state["graph"]
-    server.u1 = list(state["ids"])
+    server.collect_advertise(state["roster"], state["graph"])
     server.u2 = list(state["ids"])
     server.u3 = list(state["survivors"])
     server.u4 = list(state["survivors"])

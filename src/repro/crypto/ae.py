@@ -43,6 +43,9 @@ class AuthenticatedEncryption:
     authenticate, abort" behaviour.
     """
 
+    #: Bytes a ciphertext is longer than its plaintext (nonce + tag).
+    OVERHEAD = _NONCE_LEN + _TAG_LEN
+
     def __init__(self, key: bytes):
         if len(key) != _KEY_LEN:
             raise ValueError(f"key must be {_KEY_LEN} bytes, got {len(key)}")

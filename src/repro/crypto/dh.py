@@ -46,6 +46,11 @@ class DHGroup:
     def power(self, base: int, exp: int) -> int:
         return pow(base, exp, self.p)
 
+    @property
+    def element_bytes(self) -> int:
+        """Width of one group element as fixed-size big-endian bytes."""
+        return (self.p.bit_length() + 7) // 8
+
 
 MODP_2048 = DHGroup(p=MODP_2048_P, g=MODP_2048_G, q=MODP_2048_Q)
 
@@ -88,16 +93,15 @@ class DHKeyPair:
     secret: int
     public: int
 
-    def public_bytes(self) -> bytes:
-        return self.public.to_bytes(256, "big")
-
 
 class KeyAgreement:
     """KA.gen / KA.agree as used in Fig. 5.
 
     ``agree(my_keypair, peer_public)`` returns a 32-byte symmetric key:
     SHA-256 of the shared group element, following the hash-composed DH
-    the paper specifies.
+    the paper specifies.  A public key's wire form (:meth:`public_bytes`)
+    is the group's element width whatever its value, so a message's size
+    never depends on the key drawn.
     """
 
     def __init__(self, group: DHGroup = MODP_2048):
@@ -107,9 +111,24 @@ class KeyAgreement:
         sk = self.group.random_exponent()
         return DHKeyPair(secret=sk, public=self.group.power(self.group.g, sk))
 
+    def public_bytes(self, pair: DHKeyPair) -> bytes:
+        return pair.public.to_bytes(self.group.element_bytes, "big")
+
+    def decode_public(self, data: bytes) -> int:
+        """Strict inverse of :meth:`public_bytes`: a padded or re-split
+        key is a ``ValueError``, not another spelling of the same key."""
+        width = self.group.element_bytes
+        if not isinstance(data, bytes) or len(data) != width:
+            raise ValueError(f"public key is not {width} bytes")
+        public = int.from_bytes(data, "big")
+        self._require_element(public)
+        return public
+
     def agree(self, mine: DHKeyPair, peer_public: int) -> bytes:
-        if not 1 < peer_public < self.group.p - 1:
-            raise ValueError("peer public key outside the group range")
+        self._require_element(peer_public)
         shared = self.group.power(peer_public, mine.secret)
-        size = (self.group.p.bit_length() + 7) // 8
-        return hashlib.sha256(shared.to_bytes(size, "big")).digest()
+        return hashlib.sha256(shared.to_bytes(self.group.element_bytes, "big")).digest()
+
+    def _require_element(self, public: int) -> None:
+        if not 1 < public < self.group.p - 1:
+            raise ValueError("peer public key outside the group range")

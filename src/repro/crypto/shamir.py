@@ -35,6 +35,52 @@ class Share:
     ys: tuple[int, ...]
     secret_len: int
 
+    def to_bytes(self) -> bytes:
+        """``x u64 ∥ secret_len u32 ∥ count u16 ∥ count × y u128``, big-endian.
+
+        The widths are fixed, so every out-of-range field is validated
+        here and raises a ``ValueError`` naming the field — never a raw
+        ``OverflowError`` from ``int.to_bytes``.
+        """
+        if not 0 <= self.x < 1 << 64:
+            raise ValueError(f"share field 'x' = {self.x} outside [0, 2**64)")
+        if not 0 <= self.secret_len < 1 << 32:
+            raise ValueError(
+                f"share field 'secret_len' = {self.secret_len} outside [0, 2**32)"
+            )
+        if len(self.ys) >= 1 << 16:
+            raise ValueError(
+                f"share field 'ys' has {len(self.ys)} evaluations (max {(1 << 16) - 1})"
+            )
+        for i, y in enumerate(self.ys):
+            if not 0 <= y < 1 << 128:
+                raise ValueError(f"share field 'ys[{i}]' = {y} outside [0, 2**128)")
+        parts = [
+            self.x.to_bytes(8, "big"),
+            self.secret_len.to_bytes(4, "big"),
+            len(self.ys).to_bytes(2, "big"),
+        ]
+        parts += [y.to_bytes(16, "big") for y in self.ys]
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Share":
+        """Strict inverse of :meth:`to_bytes`."""
+        if len(data) < 14:
+            raise ValueError("share encoding too short")
+        count = int.from_bytes(data[12:14], "big")
+        body = data[14:]
+        if len(body) != 16 * count:
+            raise ValueError("share encoding length mismatch")
+        return cls(
+            x=int.from_bytes(data[:8], "big"),
+            ys=tuple(
+                int.from_bytes(body[i : i + 16], "big")
+                for i in range(0, len(body), 16)
+            ),
+            secret_len=int.from_bytes(data[8:12], "big"),
+        )
+
 
 class ShamirSecretSharing:
     """t-out-of-n sharing of byte-string secrets.

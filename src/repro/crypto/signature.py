@@ -38,7 +38,7 @@ class SchnorrSignature:
 
 
 def _challenge(group: DHGroup, commitment: int, public: int, message: bytes) -> int:
-    size = (group.p.bit_length() + 7) // 8
+    size = group.element_bytes
     h = hashlib.sha256()
     h.update(commitment.to_bytes(size, "big"))
     h.update(public.to_bytes(size, "big"))

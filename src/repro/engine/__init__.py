@@ -59,8 +59,6 @@ from repro.engine.transport import (
     SerializingTransport,
     SimulatedNetworkTransport,
     Transport,
-    measured_nbytes,
-    payload_nbytes,
 )
 
 __all__ = [
@@ -93,7 +91,5 @@ __all__ = [
     "StreamTransport",
     "Transport",
     "WebSocketTransport",
-    "measured_nbytes",
-    "payload_nbytes",
     "ws_envelope_overhead",
 ]

@@ -16,7 +16,7 @@ timeline.  Implementations:
   the per-client latency implied by :mod:`repro.sim.network` device
   profiles (payload bytes / bandwidth), so heterogeneous stragglers gate
   comm stages exactly as in the paper's §6.1 setup.  Sizes are
-  *measured* through the :mod:`repro.wire` codecs, not guessed.
+  the framed sizes :func:`repro.wire.codecs.encoded_nbytes` computes.
 - :class:`SerializingTransport` — middleware that makes every payload
   cross a genuine serialization boundary: requests and responses travel
   as :mod:`repro.wire` frames through any inner transport, and each
@@ -38,8 +38,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
-
-import numpy as np
 
 from repro.wire import codecs as wire_codecs
 from repro.wire.frame import (
@@ -104,10 +102,6 @@ class Delivery:
     def up_nbytes(self) -> int:
         """Client→server bytes (the response frame, on the uplink)."""
         return self.response_nbytes
-
-    @property
-    def wire_nbytes(self) -> int:
-        return self.request_nbytes + self.response_nbytes
 
 
 class Channel:
@@ -233,56 +227,6 @@ class QueueTransport(Transport):
         return _QueueChannel(clients, self.latency_fn)
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Rough serialized size of a message payload — the legacy heuristic.
-
-    Counts ndarray buffers, byte strings, and containers thereof; every
-    other object costs a small fixed overhead (headers, framing).
-
-    This is a documented **fallback only**: the accounting and latency
-    paths use :func:`measured_nbytes`, the exact framed size from the
-    :mod:`repro.wire` codecs, and reach for this guess solely when a
-    payload type has no registered codec (e.g. an application object a
-    custom protocol passes through a simulated transport).
-    """
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
-        # Content-length counted like bytes (UTF-8 on the wire) plus a
-        # small header — not the 8-byte scalar default, which would
-        # price a kilobyte label the same as an int.
-        return 8 + len(payload.encode("utf-8"))
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return 16 + sum(payload_nbytes(v) for v in payload)
-    if isinstance(payload, dict):
-        return 16 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items()
-        )
-    if hasattr(payload, "__dataclass_fields__"):
-        return 16 + sum(
-            payload_nbytes(getattr(payload, name))
-            for name in payload.__dataclass_fields__
-        )
-    return 8
-
-
-def measured_nbytes(payload: Any) -> int:
-    """Exact framed wire size of ``payload`` via the codec registry.
-
-    Falls back to the :func:`payload_nbytes` heuristic for payload
-    types no codec covers, so custom application objects still get a
-    size instead of an error.
-    """
-    try:
-        return wire_codecs.encoded_nbytes(payload)
-    except wire_codecs.CodecError:
-        return payload_nbytes(payload)
-
-
 class _SizedQueueChannel(_QueueChannel):
     """Queue channel reporting measured sizes and size-derived latency.
 
@@ -297,12 +241,11 @@ class _SizedQueueChannel(_QueueChannel):
 
     async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
         delivery = await super().request(client_id, op, payload)
-        size_fn = self._transport.size_fn
         # The request wire message is the framed (op, payload) envelope,
         # the response just the payload — byte-identical to what
         # SerializingTransport/StreamTransport put on a real link.
-        request_nbytes = size_fn((op, payload))
-        response_nbytes = size_fn(delivery.response)
+        request_nbytes = wire_codecs.encoded_nbytes((op, payload))
+        response_nbytes = wire_codecs.encoded_nbytes(delivery.response)
         overhead_fn = self._transport.overhead_fn
         if overhead_fn is not None:
             request_nbytes += overhead_fn("down", request_nbytes)
@@ -332,14 +275,15 @@ class SimulatedNetworkTransport(QueueTransport):
     the max over concurrently dispatched clients, so the slowest
     sampled device gates each comm stage, as in the paper's cost model.
 
-    ``size_fn`` sizes one *wire message*: it receives the ``(op,
-    payload)`` tuple for requests and the bare response payload for
-    responses.  The default, :func:`measured_nbytes`, returns the
-    actual framed encoding — byte-identical to the frames
-    :class:`SerializingTransport` and ``StreamTransport`` put on a real
-    link — so simulated ``bytes / bandwidth`` latency and traced
-    per-stage traffic both reflect what a deployment would send, not
-    the old heuristic guess.
+    Each *wire message* — the ``(op, payload)`` tuple for a request,
+    the bare payload for a response — is sized by
+    :func:`repro.wire.codecs.encoded_nbytes`, the actual framed
+    encoding: byte-identical to the frames :class:`SerializingTransport`
+    and ``StreamTransport`` put on a real link, so simulated
+    ``bytes / bandwidth`` latency and traced per-stage traffic both
+    reflect what a deployment would send.  A payload no codec covers
+    raises :class:`repro.wire.codecs.CodecError`, as it would on a
+    socket.
 
     ``overhead_fn(direction, envelope_nbytes)`` optionally adds a
     carrier's per-message framing bytes on top of the sized envelope
@@ -354,12 +298,10 @@ class SimulatedNetworkTransport(QueueTransport):
     def __init__(
         self,
         devices: Mapping[int, "DeviceProfile"],
-        size_fn: Callable[[Any], int] = measured_nbytes,
         overhead_fn: Optional[Callable[[str, int], int]] = None,
     ):
         super().__init__()
         self.devices = dict(devices)
-        self.size_fn = size_fn
         self.overhead_fn = overhead_fn
 
     def link_seconds(

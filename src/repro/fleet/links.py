@@ -19,7 +19,6 @@ from repro.engine.transport import (
     SerializingTransport,
     SimulatedNetworkTransport,
     Transport,
-    measured_nbytes,
 )
 from repro.fleet.fleet import Fleet
 
@@ -41,10 +40,9 @@ class FleetNetworkTransport(SimulatedNetworkTransport):
     def __init__(
         self,
         fleet: Fleet,
-        size_fn: Callable[[Any], int] = measured_nbytes,
         overhead_fn: Optional[Callable[[str, int], int]] = None,
     ):
-        super().__init__({}, size_fn, overhead_fn)
+        super().__init__({}, overhead_fn)
         self.fleet = fleet
 
     def link_seconds(

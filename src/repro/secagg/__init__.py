@@ -19,9 +19,11 @@ in-process state machines:
 - :mod:`repro.secagg.driver` — round drivers: the engine-backed
   :func:`run_secagg_round` and the retained synchronous reference it is
   regression-tested against; both inject client dropout before any stage
-  and return the aggregate plus per-stage traffic statistics.
-- :mod:`repro.secagg.wire` — byte-level codecs for the encrypted share
-  payloads.
+  and return the aggregate plus the per-stage participant sets.
+- :mod:`repro.secagg.types` — configuration and the protocol messages,
+  each small one a :class:`~repro.secagg.types.WireRecord` (its wire
+  body is the value encoding of its fields); :mod:`repro.secagg.codec`
+  holds the one bulk format, the bit-packed masked input.
 
 The XNoise protocol (:mod:`repro.xnoise.protocol`) extends these classes
 with seed sharing and the ExcessiveNoiseRemoval stage.

@@ -21,6 +21,7 @@ The class exposes two extension points used by XNoise
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.crypto.dh import KeyAgreement, resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.shamir import Share, ShamirSecretSharing, random_seed
 from repro.crypto.signature import SchnorrSigner
-from repro.secagg import wire
 from repro.crypto.prg import expand_uniform
 from repro.secagg.masking import MaskAccumulator, self_mask
 from repro.secagg.types import (
@@ -38,12 +38,15 @@ from repro.secagg.types import (
     MaskedInputMsg,
     ProtocolAbort,
     SecAggConfig,
+    SharePayload,
     UnmaskingMsg,
 )
 
 
 def _advertise_message_bytes(msg: AdvertiseKeysMsg) -> bytes:
-    return msg.c_public.to_bytes(256, "big") + msg.s_public.to_bytes(256, "big")
+    """The signed ``c^PK ∥ s^PK`` — unambiguous only at one fixed key
+    width, which verifiers check before the signature."""
+    return msg.c_public + msg.s_public
 
 
 def consistency_message(round_index: int, u3: list[int]) -> bytes:
@@ -79,7 +82,7 @@ class SecAggClient:
         self._c_pair = self._ka.generate()
         self._s_pair = self._ka.generate()
         self._b_seed: bytes = b""
-        self._roster: dict[int, AdvertiseKeysMsg] = {}
+        self._peer_keys: dict[int, tuple[int, int]] = {}  # peer -> (c^PK, s^PK)
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
         self._u2: set[int] = set()
@@ -92,18 +95,13 @@ class SecAggClient:
         """Generate the two key pairs and advertise the public halves."""
         msg = AdvertiseKeysMsg(
             sender=self.id,
-            c_public=self._c_pair.public,
-            s_public=self._s_pair.public,
+            c_public=self._ka.public_bytes(self._c_pair),
+            s_public=self._ka.public_bytes(self._s_pair),
         )
         if self.config.malicious:
             assert self._signer is not None
             sig = self._signer.sign(_advertise_message_bytes(msg))
-            msg = AdvertiseKeysMsg(
-                sender=self.id,
-                c_public=msg.c_public,
-                s_public=msg.s_public,
-                signature=sig,
-            )
+            msg = dataclasses.replace(msg, signature=sig)
         return msg
 
     # ------------------------------------------------------------------
@@ -124,8 +122,18 @@ class SecAggClient:
             raise ProtocolAbort(
                 f"roster of {len(roster)} below threshold {self.config.threshold}"
             )
-        publics = [(m.c_public, m.s_public) for m in roster.values()]
-        flat = [k for pair in publics for k in pair]
+        # Keys leave their wire form here, once; any other width is
+        # refused before duplicates are compared or signatures checked.
+        peer_keys: dict[int, tuple[int, int]] = {}
+        for peer, msg in roster.items():
+            try:
+                peer_keys[peer] = (
+                    self._ka.decode_public(msg.c_public),
+                    self._ka.decode_public(msg.s_public),
+                )
+            except ValueError as exc:
+                raise ProtocolAbort(f"bad public key from {peer}: {exc}") from exc
+        flat = [k for pair in peer_keys.values() for k in pair]
         if len(set(flat)) != len(flat):
             raise ProtocolAbort("duplicate public keys in roster")
         if self.config.malicious:
@@ -136,7 +144,7 @@ class SecAggClient:
                 ):
                     raise ProtocolAbort(f"bad key signature from {peer}")
 
-        self._roster = dict(roster)
+        self._peer_keys = peer_keys
         self._graph = graph
         self._neighbors = set(graph.get(self.id, set())) & set(roster)
         if len(self._neighbors) < self.config.threshold:
@@ -166,15 +174,15 @@ class SecAggClient:
 
         ciphertexts: dict[int, bytes] = {}
         for peer in neighbor_ids:
-            payload = wire.encode_share_payload(
+            payload = SharePayload(
                 sender=self.id,
                 recipient=peer,
                 s_sk_share=s_shares[peer],
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            key = self._ka.agree(self._c_pair, self._roster[peer].c_public)
-            ciphertexts[peer] = AuthenticatedEncryption(key).encrypt(payload)
+            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
+            ciphertexts[peer] = AuthenticatedEncryption(key).encrypt(payload.to_bytes())
         return ciphertexts
 
     # ------------------------------------------------------------------
@@ -193,7 +201,7 @@ class SecAggClient:
                 f"input shape {update_ring.shape} != ({self.config.dimension},)"
             )
         self._received_ciphertexts = dict(ciphertexts)
-        self._u2 = (set(ciphertexts) & set(self._roster)) | {self.id}
+        self._u2 = (set(ciphertexts) & set(self._peer_keys)) | {self.id}
         if len(self._u2) < self.config.threshold:
             raise ProtocolAbort(
                 f"|U2| = {len(self._u2)} below threshold {self.config.threshold}"
@@ -210,7 +218,7 @@ class SecAggClient:
         acc = MaskAccumulator(update_ring, modulus, n_terms=2 + len(peers))
         acc.add(self_mask(self._b_seed, self.config.dimension, modulus))
         for peer in peers:
-            seed = self._ka.agree(self._s_pair, self._roster[peer].s_public)
+            seed = self._ka.agree(self._s_pair, self._peer_keys[peer][1])
             base = expand_uniform(seed, self.config.dimension, modulus)
             if self.id > peer:
                 acc.add(base)
@@ -325,20 +333,19 @@ class SecAggClient:
         if hasattr(self, "_own_shares"):
             out[self.id] = self._own_shares
         for peer, blob in self._received_ciphertexts.items():
-            if peer == self.id or peer not in self._roster:
+            if peer == self.id or peer not in self._peer_keys:
                 continue
-            key = self._ka.agree(self._c_pair, self._roster[peer].c_public)
+            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
             try:
-                plaintext = AuthenticatedEncryption(key).decrypt(blob)
-                sender, recipient, s_share, b_share, extra = (
-                    wire.decode_share_payload(plaintext)
+                payload = SharePayload.from_bytes(
+                    AuthenticatedEncryption(key).decrypt(blob)
                 )
             except (AEError, ValueError) as exc:
                 raise ProtocolAbort(f"bad ciphertext from {peer}: {exc}") from exc
-            if sender != peer or recipient != self.id:
+            if payload.sender != peer or payload.recipient != self.id:
                 raise ProtocolAbort(
-                    f"misrouted payload: claims {sender}->{recipient}, "
+                    f"misrouted payload: claims {payload.sender}->{payload.recipient}, "
                     f"expected {peer}->{self.id}"
                 )
-            out[peer] = (s_share, b_share, extra)
+            out[peer] = (payload.s_sk_share, payload.b_share, payload.extra_shares)
         return out

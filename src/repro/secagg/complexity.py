@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.crypto.ae import AuthenticatedEncryption
+from repro.crypto.dh import resolve_group
+from repro.crypto.field import FIELD
+from repro.crypto.shamir import Share
 from repro.secagg.codec import masked_input_nbytes
 from repro.secagg.graph import recommended_degree
-from repro.secagg.types import SecAggConfig
+from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, SharePayload
+from repro.wire.codecs import encoded_nbytes
 from repro.wire.frame import FRAME_OVERHEAD
-
-#: Wire-size constants (bytes) matching repro.secagg.codec / §6.3.
-PUBLIC_KEY_BYTES = 256
-CIPHERTEXT_OVERHEAD = 48  # nonce + tag
-SHARE_BYTES = 300  # one encoded Shamir share of a 256-byte secret
 
 #: Fixed bytes around one masked vector on the wire: frame header,
 #: payload version, codec tag + length prefix, and the masked-input
@@ -65,6 +65,33 @@ def masked_upload_bytes(config: SecAggConfig) -> int:
     return config.vector_bytes + MASKED_INPUT_ENVELOPE_BYTES
 
 
+def _blank_share(secret_len: int) -> Share:
+    """A zero-filled share the size of any share of a ``secret_len``-byte secret."""
+    chunks = -(-secret_len // FIELD.capacity_bytes)
+    return Share(x=0, ys=(0,) * chunks, secret_len=secret_len)
+
+
+def fixed_upload_bytes(neighbors: int) -> int:
+    """Framed bytes one client uploads besides its masked vector.
+
+    Its key advertisement plus its ShareKeys outbox (one ciphertext per
+    neighbor), sized by the codecs from representative messages: keys
+    at the width of ``SecAggConfig``'s default group, and AE's constant
+    overhead over a plaintext holding shares of a 256-byte mask key —
+    the width :meth:`SecAggClient.share_keys` cuts it at — and a 32-byte
+    seed.  Every term is fixed-width, so a round over ids below 128
+    measures exactly this (pinned by test).
+    """
+    key = bytes(resolve_group(SecAggConfig.dh_group).element_bytes)
+    plaintext = SharePayload(
+        sender=0, recipient=0, s_sk_share=_blank_share(256), b_share=_blank_share(32)
+    ).to_bytes()
+    ciphertext = bytes(len(plaintext) + AuthenticatedEncryption.OVERHEAD)
+    return encoded_nbytes(AdvertiseKeysMsg(0, key, key)) + encoded_nbytes(
+        {peer: ciphertext for peer in range(neighbors)}
+    )
+
+
 def secagg_client_cost(n_clients: int, dropout_rate: float = 0.0) -> ClientCost:
     """Per-client cost of full SecAgg: everything is O(n)."""
     if n_clients < 2:
@@ -75,8 +102,7 @@ def secagg_client_cost(n_clients: int, dropout_rate: float = 0.0) -> ClientCost:
         shares_generated=2 * (neighbors + 1),  # s_sk and b over U1
         ciphertexts_sent=neighbors,
         mask_expansions=neighbors + 1,  # pairwise + self
-        upload_bytes_fixed=2 * PUBLIC_KEY_BYTES
-        + neighbors * (2 * SHARE_BYTES + CIPHERTEXT_OVERHEAD),
+        upload_bytes_fixed=fixed_upload_bytes(neighbors),
     )
 
 
@@ -93,8 +119,7 @@ def secagg_plus_client_cost(
         shares_generated=2 * (k + 1),
         ciphertexts_sent=k,
         mask_expansions=k + 1,
-        upload_bytes_fixed=2 * PUBLIC_KEY_BYTES
-        + k * (2 * SHARE_BYTES + CIPHERTEXT_OVERHEAD),
+        upload_bytes_fixed=fixed_upload_bytes(k),
     )
 
 

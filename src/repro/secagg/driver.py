@@ -13,8 +13,8 @@ exercise mid-unmasking failures.
 
 The pre-engine serial loop is retained as
 :func:`run_secagg_round_reference` — the executable specification the
-engine path is regression-tested against (bit-identical aggregates,
-participant sets, and traffic).
+engine path is regression-tested against (bit-identical aggregates
+and participant sets).
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ from repro.secagg.workflow import (
     with_dropout,
 )
 from repro.secagg.types import (
-    ProtocolAbort,
     RoundResult,
     SecAggConfig,
-    TrafficMeter,
     STAGE_ADVERTISE,
     STAGE_SHARE_KEYS,
     STAGE_MASKED_INPUT,
     STAGE_CONSISTENCY,
     STAGE_UNMASK,
+    UnmaskingMsg,
 )
 
 
@@ -206,7 +205,7 @@ def run_secagg_round(
         noise seeds).  The factory must accept the client id.
 
     Returns the :class:`RoundResult` with the unmasked ring aggregate over
-    U3 and per-stage traffic.  Raises :class:`ProtocolAbort` if any stage
+    U3 and the per-stage participant sets.  Raises :class:`ProtocolAbort` if any stage
     falls below threshold.
     """
     return run_sync(
@@ -214,6 +213,61 @@ def run_secagg_round(
             config, inputs, dropout, pki, round_index, client_factory
         )
     )
+
+
+def run_reference_stages(
+    clients: dict[int, SecAggClient],
+    server: SecAggServer,
+    inputs: dict[int, np.ndarray],
+    dropout: DropoutSchedule,
+) -> tuple[np.ndarray, set[int], dict[int, UnmaskingMsg]]:
+    """Fig. 5's stages 0–4, serially, for both reference drivers.
+
+    Returns the unmasked aggregate, the clients still alive after
+    Unmasking and their stage-4 messages (XNoise's stage 5 reads the
+    revealed seeds from them).
+    """
+    config = server.config
+    # Stage 0 — AdvertiseKeys.
+    alive = set(clients) - dropout.dropped_by(STAGE_ADVERTISE)
+    adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
+    graph = build_graph(config, sorted(adverts))
+    roster = server.collect_advertise(adverts, graph)
+
+    # Stage 1 — ShareKeys.
+    alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
+    outboxes = {
+        u: clients[u].share_keys(roster, graph) for u in sorted(alive & set(roster))
+    }
+    inboxes = server.route_shares(outboxes)
+
+    # Stage 2 — MaskedInputCollection.
+    alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
+    masked = {
+        u: clients[u].masked_input(inboxes.get(u, {}), inputs[u])
+        for u in sorted(alive & set(server.u2))
+    }
+    u3 = server.collect_masked(masked)
+
+    # Stage 3 — ConsistencyCheck (malicious only).
+    alive -= dropout.dropped_by(STAGE_CONSISTENCY)
+    if config.malicious:
+        sigs = {u: clients[u].consistency_check(u3) for u in sorted(alive & set(u3))}
+        u4, sig_set = server.collect_consistency(sigs)
+    else:
+        for u in sorted(alive & set(u3)):
+            clients[u].consistency_check(u3)
+        u4, sig_set = server.skip_consistency(), None
+
+    # Stage 4 — Unmasking.
+    alive -= dropout.dropped_by(STAGE_UNMASK)
+    dropped_list = server.dropped_after_masking
+    unmask_msgs = {
+        u: clients[u].unmask(u4, sig_set, dropped=dropped_list, survivors=list(u3))
+        for u in sorted(alive & set(u4))
+    }
+    aggregate = server.collect_unmask(unmask_msgs)
+    return aggregate, alive, unmask_msgs
 
 
 def run_secagg_round_reference(
@@ -231,71 +285,13 @@ def run_secagg_round_reference(
     new behavior belongs in the workflow/engine path.
     """
     dropout = dropout or DropoutSchedule()
-    traffic = TrafficMeter()
     sampled = sorted(inputs)
 
     pki = resolve_round_pki(config, pki, client_factory)
     clients = make_secagg_clients(config, sampled, pki, round_index, client_factory)
     server = SecAggServer(config, pki=pki, round_index=round_index)
 
-    # Stage 0 — AdvertiseKeys.
-    alive = set(sampled) - dropout.dropped_by(STAGE_ADVERTISE)
-    adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    for _ in adverts:
-        traffic.add_up(STAGE_ADVERTISE, 512 + (288 if config.malicious else 0))
-    graph = build_graph(config, sorted(adverts))
-    roster = server.collect_advertise(adverts, graph)
-    traffic.add_down(STAGE_ADVERTISE, len(roster) * 512 * len(roster))
-
-    # Stage 1 — ShareKeys.
-    alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
-    outboxes = {}
-    for u in sorted(alive & set(roster)):
-        outboxes[u] = clients[u].share_keys(roster, graph)
-        traffic.add_up(
-            STAGE_SHARE_KEYS, sum(len(ct) for ct in outboxes[u].values())
-        )
-    inboxes = server.route_shares(outboxes)
-    for box in inboxes.values():
-        traffic.add_down(STAGE_SHARE_KEYS, sum(len(ct) for ct in box.values()))
-
-    # Stage 2 — MaskedInputCollection.
-    alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
-    masked = {}
-    for u in sorted(alive & set(server.u2)):
-        masked[u] = clients[u].masked_input(inboxes.get(u, {}), inputs[u])
-        traffic.add_up(STAGE_MASKED_INPUT, config.vector_bytes)
-    u3 = server.collect_masked(masked)
-    traffic.add_down(STAGE_MASKED_INPUT, 8 * len(u3) * len(u3))
-
-    # Stage 3 — ConsistencyCheck (malicious only).
-    alive -= dropout.dropped_by(STAGE_CONSISTENCY)
-    if config.malicious:
-        sigs = {}
-        for u in sorted(alive & set(u3)):
-            sigs[u] = clients[u].consistency_check(u3)
-            traffic.add_up(STAGE_CONSISTENCY, 288)
-        u4, sig_set = server.collect_consistency(sigs)
-        traffic.add_down(STAGE_CONSISTENCY, 288 * len(u4) * len(u4))
-    else:
-        for u in sorted(alive & set(u3)):
-            clients[u].consistency_check(u3)
-        u4, sig_set = server.skip_consistency(), None
-
-    # Stage 4 — Unmasking.
-    alive -= dropout.dropped_by(STAGE_UNMASK)
-    dropped_list = server.dropped_after_masking
-    unmask_msgs = {}
-    for u in sorted(alive & set(u4)):
-        msg = clients[u].unmask(
-            u4, sig_set, dropped=dropped_list, survivors=list(u3)
-        )
-        unmask_msgs[u] = msg
-        traffic.add_up(
-            STAGE_UNMASK,
-            300 * (len(msg.s_sk_shares) + len(msg.b_shares)),
-        )
-    aggregate = server.collect_unmask(unmask_msgs)
+    aggregate, _, _ = run_reference_stages(clients, server, inputs, dropout)
 
     return RoundResult(
         aggregate=aggregate,
@@ -304,5 +300,4 @@ def run_secagg_round_reference(
         u3=list(server.u3),
         u4=list(server.u4),
         u5=list(server.u5),
-        traffic=traffic,
     )

@@ -46,6 +46,7 @@ class SecAggServer:
         self.round_index = round_index
         self._ka = KeyAgreement(resolve_group(config.dh_group))
         self.roster: dict[int, AdvertiseKeysMsg] = {}
+        self._s_publics: dict[int, int] = {}  # the roster's s^PK as elements
         self.graph: dict[int, set[int]] = {}
         self.u1: list[int] = []
         self.u2: list[int] = []
@@ -59,12 +60,19 @@ class SecAggServer:
     def collect_advertise(
         self, messages: dict[int, AdvertiseKeysMsg], graph: dict[int, set[int]]
     ) -> dict[int, AdvertiseKeysMsg]:
-        """Fix U1 and the communication graph; broadcast the roster."""
+        """Fix U1 and the communication graph; broadcast the roster —
+        never one a client would refuse for a key of the wrong width."""
         if len(messages) < self.config.threshold:
             raise ProtocolAbort(
                 f"only {len(messages)} advertisements; threshold "
                 f"{self.config.threshold} unmet"
             )
+        for u, msg in messages.items():
+            try:
+                self._ka.decode_public(msg.c_public)
+                self._s_publics[u] = self._ka.decode_public(msg.s_public)
+            except ValueError as exc:
+                raise ProtocolAbort(f"bad public key from {u}: {exc}") from exc
         self.roster = dict(messages)
         self.u1 = sorted(messages)
         self.graph = graph
@@ -214,7 +222,7 @@ class SecAggServer:
             for u, sk_bytes in zip(dropped, secrets[len(self.u3):]):
                 pair = DHKeyPair(secret=int.from_bytes(sk_bytes, "big"), public=0)
                 for v in sorted(self.graph.get(u, set()) & set(self.u3)):
-                    seed = self._ka.agree(pair, self.roster[v].s_public)
+                    seed = self._ka.agree(pair, self._s_publics[v])
                     terms.append((seed, -1 if v > u else 1))
 
             n_terms = 1 + len(self.u3) + len(terms)
@@ -287,7 +295,7 @@ class SecAggServer:
             sk = int.from_bytes(sk_bytes, "big")
             pair = DHKeyPair(secret=sk, public=0)
             for v in sorted(self.graph.get(u, set()) & set(self.u3)):
-                seed = self._ka.agree(pair, self.roster[v].s_public)
+                seed = self._ka.agree(pair, self._s_publics[v])
                 base = PRGReference(seed).uniform_vector(dim, modulus)
                 mask = base if v > u else (-base) % modulus
                 aggregate = (aggregate - mask) % modulus

@@ -6,13 +6,15 @@ driver and match the paper's Fig. 5 stage names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
+from repro.crypto.shamir import Share
 from repro.crypto.signature import SchnorrSignature
 from repro.wire.bitpack import packed_nbytes
+from repro.wire.codecs import CodecError, decode_whole_value, encode_value
 
 STAGE_ADVERTISE = 0
 STAGE_SHARE_KEYS = 1
@@ -109,20 +111,121 @@ class SecAggConfig:
         """Wire size of one masked vector: ``ceil(dimension × b / 8)``.
 
         The one definition of that size: the codec writes exactly this
-        many body bytes after its fixed header, and the traffic meter
-        and :mod:`repro.secagg.complexity` book the same number.
+        many body bytes after its fixed header, and
+        :mod:`repro.secagg.complexity` counts the same number.
         """
         return packed_nbytes(self.dimension, self.bits)
 
 
+def _is_id(value) -> bool:
+    """A non-negative integer (client id, noise-component index)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def _is_map(value, is_key, value_type) -> bool:
+    return isinstance(value, dict) and all(
+        is_key(k) and isinstance(v, value_type) for k, v in value.items()
+    )
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CodecError(what)
+
+
+class WireRecord:
+    """A small message whose wire body is the value encoding of its fields.
+
+    ``to_bytes`` is :func:`repro.wire.codecs.encode_value` of the plain
+    field tuple; ``from_bytes`` decodes the whole body back to that
+    tuple.  The value encoding gives framing, canonical order and
+    duplicate-key rejection; each record's ``_check(*fields)`` adds what
+    it cannot know — every field's type and range — and runs on both
+    sides, so a record that would not decode is refused before it is
+    sent.  Every failure is a :class:`CodecError`.
+    """
+
+    def to_bytes(self) -> bytes:
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        self._check(*values)
+        return encode_value(values)
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        try:
+            values = decode_whole_value(data)
+        except CodecError as exc:
+            raise CodecError(f"malformed {cls.__name__} body: {exc}") from exc
+        arity = len(fields(cls))
+        if not isinstance(values, tuple) or len(values) != arity:
+            raise CodecError(f"{cls.__name__} is not a {arity}-field tuple")
+        cls._check(*values)
+        return cls(*values)
+
+
 @dataclass(frozen=True)
-class AdvertiseKeysMsg:
-    """Stage-0 client → server: the two DH public keys (+ signature)."""
+class AdvertiseKeysMsg(WireRecord):
+    """Stage-0 client → server: the two DH public keys (+ signature).
+
+    The keys are :meth:`repro.crypto.dh.KeyAgreement.public_bytes` —
+    fixed at the group's width, so the message (and the roster broadcast
+    built from it) has one size per group, not one per key value.  The
+    record cannot know the group: server and clients refuse any other
+    width (:meth:`~repro.crypto.dh.KeyAgreement.decode_public`).
+    """
 
     sender: int
-    c_public: int
-    s_public: int
+    c_public: bytes
+    s_public: bytes
     signature: Optional[SchnorrSignature] = None
+
+    @staticmethod
+    def _check(sender, c_public, s_public, signature) -> None:
+        _require(_is_id(sender), f"AdvertiseKeys sender {sender!r} is not an id")
+        _require(
+            isinstance(c_public, bytes) and isinstance(s_public, bytes)
+            and len(c_public) > 0 and len(s_public) > 0,
+            "AdvertiseKeys public keys must be non-empty bytes",
+        )
+        _require(
+            signature is None or isinstance(signature, SchnorrSignature),
+            "AdvertiseKeys signature must be a SchnorrSignature or None",
+        )
+
+
+@dataclass(frozen=True)
+class SharePayload(WireRecord):
+    """The plaintext of one ShareKeys ciphertext (Fig. 5):
+    ``u ∥ v ∥ s^SK_{u,v} ∥ b_{u,v} [∥ g_{u,1,v} … g_{u,T,v}]``.
+
+    ``extra_shares`` maps a label to the recipient's share of that
+    extra secret (XNoise: the noise-component seeds).
+    """
+
+    sender: int
+    recipient: int
+    s_sk_share: Share
+    b_share: Share
+    extra_shares: dict = field(default_factory=dict)  # label -> Share
+
+    @staticmethod
+    def _check(sender, recipient, s_sk_share, b_share, extra_shares) -> None:
+        _require(
+            _is_id(sender) and _is_id(recipient),
+            f"share payload route {sender!r} -> {recipient!r} is not a pair of ids",
+        )
+        _require(
+            isinstance(s_sk_share, Share) and isinstance(b_share, Share),
+            "share payload must carry a Share of the mask key and of the seed",
+        )
+        _require(
+            _is_map(extra_shares, lambda k: isinstance(k, str), Share),
+            "share payload extras must map str labels to Shares",
+        )
 
 
 @dataclass(frozen=True)
@@ -140,7 +243,7 @@ class MaskedInputMsg:
 
 
 @dataclass(frozen=True)
-class UnmaskingMsg:
+class UnmaskingMsg(WireRecord):
     """Stage-4 client → server.
 
     ``s_sk_shares`` hold shares of *dropped* clients' mask-key secrets
@@ -156,27 +259,17 @@ class UnmaskingMsg:
     b_shares: dict  # peer id -> Share
     revealed_seeds: dict = field(default_factory=dict)  # k -> bytes
 
-
-@dataclass
-class TrafficMeter:
-    """Per-stage upstream/downstream byte estimates.
-
-    Used by the Fig. 2 / Fig. 10 cost analysis; counts serialized payload
-    sizes, not Python object overhead.
-    """
-
-    up_bytes: dict = field(default_factory=dict)
-    down_bytes: dict = field(default_factory=dict)
-
-    def add_up(self, stage: int, nbytes: int) -> None:
-        self.up_bytes[stage] = self.up_bytes.get(stage, 0) + int(nbytes)
-
-    def add_down(self, stage: int, nbytes: int) -> None:
-        self.down_bytes[stage] = self.down_bytes.get(stage, 0) + int(nbytes)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.up_bytes.values()) + sum(self.down_bytes.values())
+    @staticmethod
+    def _check(sender, s_sk_shares, b_shares, revealed_seeds) -> None:
+        _require(_is_id(sender), f"Unmasking sender {sender!r} is not an id")
+        _require(
+            _is_map(s_sk_shares, _is_id, Share) and _is_map(b_shares, _is_id, Share),
+            "Unmasking share maps must map peer ids to Shares",
+        )
+        _require(
+            _is_map(revealed_seeds, _is_id, bytes),
+            "Unmasking revealed seeds must map component indices to bytes",
+        )
 
 
 @dataclass
@@ -194,7 +287,6 @@ class RoundResult:
     u3: list
     u4: list
     u5: list
-    traffic: TrafficMeter
     u6: list = field(default_factory=list)  # XNoise stage-5 responders
     removed_noise_components: int = 0  # XNoise bookkeeping
 

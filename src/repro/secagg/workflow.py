@@ -8,9 +8,8 @@ coordination methods narrow each stage to the live participant set with
 it is injected by wrapping the engine's transport in
 :class:`repro.engine.DropoutTransport` with :func:`secagg_stage_of`, the
 role the old synchronous ``SecAggDriver`` loop used to play inline.
-
-Traffic metering reproduces the old driver's accounting byte-for-byte,
-which the engine-vs-reference regression tests check.
+Neither are bytes counted here: a round on a byte-reporting transport
+leaves its measured per-stage traffic in ``engine.trace``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.secagg.graph import build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import (
     RoundResult,
-    TrafficMeter,
     STAGE_ADVERTISE,
     STAGE_SHARE_KEYS,
     STAGE_MASKED_INPUT,
@@ -109,10 +107,9 @@ class SecAggWorkflowServer(ProtocolServer):
     # executor keeps the coordinator's event loop serving listener I/O.
     offload_ops = frozenset({"collect_unmask"})
 
-    def __init__(self, inner: SecAggServer, traffic: Optional[TrafficMeter] = None):
+    def __init__(self, inner: SecAggServer):
         self.inner = inner
         self.config = inner.config
-        self.traffic = traffic if traffic is not None else TrafficMeter()
 
     # ------------------------------------------------------------------
     def set_graph_dict(self) -> dict:
@@ -134,40 +131,21 @@ class SecAggWorkflowServer(ProtocolServer):
     # Coordination methods (one per declared s-comp operation)
     # ------------------------------------------------------------------
     def collect_advertise(self, responses: dict) -> Targeted:
-        for _ in responses:
-            self.traffic.add_up(
-                STAGE_ADVERTISE, 512 + (288 if self.config.malicious else 0)
-            )
         graph = build_graph(self.config, sorted(responses))
         roster = self.inner.collect_advertise(responses, graph)
-        self.traffic.add_down(STAGE_ADVERTISE, len(roster) * 512 * len(roster))
         return Targeted({u: (dict(roster), graph) for u in sorted(roster)})
 
     def route_shares(self, responses: dict) -> Targeted:
-        for u in sorted(responses):
-            self.traffic.add_up(
-                STAGE_SHARE_KEYS, sum(len(ct) for ct in responses[u].values())
-            )
         inboxes = self.inner.route_shares(responses)
-        for box in inboxes.values():
-            self.traffic.add_down(
-                STAGE_SHARE_KEYS, sum(len(ct) for ct in box.values())
-            )
         return Targeted({u: inboxes[u] for u in sorted(inboxes)})
 
     def collect_masked(self, responses: dict) -> Targeted:
-        for _ in responses:
-            self.traffic.add_up(STAGE_MASKED_INPUT, self.config.vector_bytes)
         u3 = self.inner.collect_masked(responses)
-        self.traffic.add_down(STAGE_MASKED_INPUT, 8 * len(u3) * len(u3))
         return Targeted({u: list(u3) for u in u3})
 
     def collect_consistency(self, responses: dict) -> Targeted:
         if self.config.malicious:
-            for _ in responses:
-                self.traffic.add_up(STAGE_CONSISTENCY, 288)
             u4, sig_set = self.inner.collect_consistency(responses)
-            self.traffic.add_down(STAGE_CONSISTENCY, 288 * len(u4) * len(u4))
         else:
             u4, sig_set = self.inner.skip_consistency(), None
         dropped = self.inner.dropped_after_masking
@@ -176,25 +154,12 @@ class SecAggWorkflowServer(ProtocolServer):
             {u: (list(u4), sig_set, dropped, survivors) for u in u4}
         )
 
-    def _meter_unmask(self, responses: dict) -> None:
-        for msg in responses.values():
-            self.traffic.add_up(
-                STAGE_UNMASK, 300 * (len(msg.s_sk_shares) + len(msg.b_shares))
-            )
-
     def collect_unmask(self, responses: dict) -> RoundResult:
-        self._meter_unmask(responses)
-        aggregate = self.inner.collect_unmask(responses)
-        return self._round_result(aggregate)
-
-    # ------------------------------------------------------------------
-    def _round_result(self, aggregate: np.ndarray) -> RoundResult:
         return RoundResult(
-            aggregate=aggregate,
+            aggregate=self.inner.collect_unmask(responses),
             u1=list(self.inner.u1),
             u2=list(self.inner.u2),
             u3=list(self.inner.u3),
             u4=list(self.inner.u4),
             u5=list(self.inner.u5),
-            traffic=self.traffic,
         )

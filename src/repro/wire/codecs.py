@@ -1,12 +1,10 @@
 """Typed payload codecs: every protocol payload as canonical bytes.
 
-This module generalizes the per-message helpers of
-:mod:`repro.secagg.wire` / :mod:`repro.secagg.codec` into one recursive
-*value encoding* plus a registry of typed codecs, so that **any**
-payload a protocol operation sends — masked ``np.ndarray`` chunks,
-:class:`~repro.crypto.shamir.Share` bundles, DH public keys (big ints),
-signatures, seed commitments, roster dicts, abort notices — has exactly
-one byte representation and a strict, total decoder.
+One recursive *value encoding* plus a registry of typed codecs, so that
+**any** payload a protocol operation sends — masked ``np.ndarray``
+chunks, :class:`~repro.crypto.shamir.Share` maps, DH public keys (big
+ints), signatures, seed commitments, roster dicts, abort notices — has
+exactly one byte representation and a strict, total decoder.
 
 Format
 ------
@@ -16,8 +14,10 @@ and set entries sorted by their encoded key/element bytes) so equal
 payloads encode to equal bytes.  All length/count prefixes are 4-byte
 big-endian; ints are length-prefixed signed big-endian (arbitrary
 precision — DH group elements fit); ndarrays carry dtype, shape, and
-the raw C-order buffer.  Version 2 (this one) bit-packs the masked
-input at its ring width; a version-1 payload is refused by name.
+the raw C-order buffer.  Version 3 (this one) carries every small
+typed message as the value encoding of its field tuple (version 2 had
+hand-laid, zero-padded field lists); an older payload is refused by
+name.
 
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong
@@ -30,7 +30,10 @@ Registry
 with its own body encoder/decoder.  A codec registered ``in_place``
 writes its body straight into the frame buffer and parses it from a
 ``memoryview`` of the frame — the masked input, the one model-sized
-message, crosses with one copy out and none in.  The protocol message
+message, crosses with one copy out and none in.  Every other typed
+body is the fixed-width leaf format of a crypto value (``Share``,
+``SchnorrSignature``) or, for a message, the value encoding of its
+fields (:class:`repro.secagg.types.WireRecord`).  The protocol message
 types ship registered below; :class:`repro.engine.Targeted` registers
 itself when the engine is imported (the engine depends on this module,
 not the reverse).  Transports treat the registry as *the* wire contract — a
@@ -46,7 +49,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).
@@ -148,23 +151,14 @@ def _ensure_defaults() -> None:
     from repro.crypto.shamir import Share
     from repro.crypto.signature import SchnorrSignature
     from repro.secagg import codec as secagg_codec
-    from repro.secagg import wire as secagg_wire
     from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, UnmaskingMsg
 
+    register_codec(Share, 0x20, Share.to_bytes, Share.from_bytes)
     register_codec(
-        Share, 0x20, secagg_wire.encode_share, secagg_wire.decode_share
+        SchnorrSignature, 0x21, SchnorrSignature.to_bytes, SchnorrSignature.from_bytes
     )
     register_codec(
-        SchnorrSignature,
-        0x21,
-        lambda sig: sig.to_bytes(),
-        SchnorrSignature.from_bytes,
-    )
-    register_codec(
-        AdvertiseKeysMsg,
-        0x22,
-        secagg_codec.encode_advertise,
-        secagg_codec.decode_advertise,
+        AdvertiseKeysMsg, 0x22, AdvertiseKeysMsg.to_bytes, AdvertiseKeysMsg.from_bytes
     )
     register_codec(
         MaskedInputMsg,
@@ -176,12 +170,7 @@ def _ensure_defaults() -> None:
         ),
         in_place=True,
     )
-    register_codec(
-        UnmaskingMsg,
-        0x24,
-        secagg_codec.encode_unmasking,
-        secagg_codec.decode_unmasking,
-    )
+    register_codec(UnmaskingMsg, 0x24, UnmaskingMsg.to_bytes, UnmaskingMsg.from_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +474,14 @@ def decode_value(
     raise CodecError(f"unknown value tag {tag:#x}")
 
 
+def decode_whole_value(data: bytes, offset: int = 0) -> Any:
+    """The one value ``data[offset:]`` holds; anything after it is an error."""
+    value, end = decode_value(data, offset)
+    if end != len(data):
+        raise CodecError(f"trailing garbage: {len(data) - end} bytes after value")
+    return value
+
+
 def _decode_ndarray(data: bytes, offset: int) -> tuple[np.ndarray, int]:
     dtype_raw, offset = _read_lp(data, offset)
     try:
@@ -531,12 +528,6 @@ def encode_payload_reference(obj: Any) -> bytes:
     return bytes((PAYLOAD_VERSION,)) + encode_value_reference(obj)
 
 
-def encode_payload_into(obj: Any, out: bytearray) -> None:
-    """Append the versioned payload envelope for ``obj`` to ``out``."""
-    out.append(PAYLOAD_VERSION)
-    encode_value_into(obj, out)
-
-
 def encode_payload_frame(kind: int, obj: Any) -> bytearray:
     """One complete wire frame carrying ``encode_payload(obj)``.
 
@@ -548,7 +539,8 @@ def encode_payload_frame(kind: int, obj: Any) -> bytearray:
     suitable for ``StreamWriter.write`` as-is.
     """
     buf = bytearray(FRAME_OVERHEAD)
-    encode_payload_into(obj, buf)
+    buf.append(PAYLOAD_VERSION)
+    encode_value_into(obj, buf)
     fill_frame_header(buf, kind)
     return buf
 
@@ -561,12 +553,7 @@ def decode_payload(data: bytes) -> Any:
         raise CodecError(
             f"unsupported payload version {data[0]} (speaking {PAYLOAD_VERSION})"
         )
-    value, offset = decode_value(data, 1)
-    if offset != len(data):
-        raise CodecError(
-            f"trailing garbage: {len(data) - offset} bytes after payload"
-        )
-    return value
+    return decode_whole_value(data, 1)
 
 
 def encoded_value_nbytes(obj: Any) -> int:
@@ -611,8 +598,8 @@ def encoded_value_nbytes(obj: Any) -> int:
     for cls in type(obj).__mro__:
         entry = _by_type.get(cls)
         if entry is not None:
-            size_fn = _size_by_type.get(cls)
-            body = size_fn(obj) if size_fn else len(entry[1](obj))
+            body_nbytes = _size_by_type.get(cls)
+            body = body_nbytes(obj) if body_nbytes else len(entry[1](obj))
             return 1 + 4 + body
     raise CodecError(
         f"no codec registered for payload type {type(obj).__name__}"
@@ -623,10 +610,10 @@ def encoded_nbytes(payload: Any) -> int:
     """Framed wire size of ``payload``: header + version + encoded body.
 
     This is the *measured* size transports and the latency model use —
-    computed without serializing (see :func:`encoded_value_nbytes`);
-    raises :class:`CodecError` for payloads no codec covers (callers
-    that need a guess fall back to
-    :func:`repro.engine.transport.payload_nbytes`).
+    computed without serializing (see :func:`encoded_value_nbytes`).
+    It is the only sizer: a payload no codec covers raises
+    :class:`CodecError` on a simulated link exactly as it would on a
+    socket.
     """
     return FRAME_OVERHEAD + 1 + encoded_value_nbytes(payload)
 
@@ -695,8 +682,8 @@ def register_targeted(cls: type) -> None:
         return encode_value(dict(t.payloads))
 
     def _decode(body: bytes):
-        payloads, offset = decode_value(body)
-        if offset != len(body) or not isinstance(payloads, dict):
+        payloads = decode_whole_value(body)
+        if not isinstance(payloads, dict):
             raise CodecError("malformed Targeted body")
         return cls(payloads)
 

@@ -31,7 +31,7 @@ import asyncio
 from dataclasses import dataclass
 
 MAGIC = b"DW"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Fixed header size: magic(2) + version(1) + kind(1) + length(4).
 FRAME_OVERHEAD = 8

@@ -37,8 +37,8 @@ from repro.secagg.driver import (
     DropoutSchedule,
     make_secagg_clients,
     resolve_round_pki,
+    run_reference_stages,
 )
-from repro.secagg.graph import build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.workflow import (
     SecAggWorkflowClient,
@@ -49,12 +49,6 @@ from repro.secagg.types import (
     ProtocolAbort,
     RoundResult,
     SecAggConfig,
-    TrafficMeter,
-    STAGE_ADVERTISE,
-    STAGE_SHARE_KEYS,
-    STAGE_MASKED_INPUT,
-    STAGE_CONSISTENCY,
-    STAGE_UNMASK,
     STAGE_NOISE_REMOVAL,
 )
 from repro.xnoise.decomposition import NoiseDecomposition
@@ -228,23 +222,13 @@ class XNoiseServer(SecAggServer):
 class XNoiseWorkflowServer(SecAggWorkflowServer):
     """Fig.-5 workflow extended with ExcessiveNoiseRemoval (stage 5)."""
 
-    def __init__(self, inner: XNoiseServer, traffic: Optional[TrafficMeter] = None):
-        super().__init__(inner, traffic)
-        self.xconfig = inner.xconfig
-
     def set_graph_dict(self) -> dict:
         graph = super().set_graph_dict()
         graph["noise_shares"] = {"resource": "c-comp", "deps": ["collect_unmask"]}
         graph["remove_noise"] = {"resource": "s-comp", "deps": ["noise_shares"]}
         return graph
 
-    def _meter_unmask(self, responses: dict) -> None:
-        super()._meter_unmask(responses)
-        for msg in responses.values():
-            self.traffic.add_up(STAGE_UNMASK, 32 * len(msg.revealed_seeds))
-
     def collect_unmask(self, responses: dict) -> Targeted:
-        self._meter_unmask(responses)
         self._aggregate = self.inner.collect_unmask(responses)
         self._revealed = {
             u: dict(m.revealed_seeds) for u, m in responses.items()
@@ -276,7 +260,6 @@ class XNoiseWorkflowServer(SecAggWorkflowServer):
             for peer, found in response.items():
                 for lbl, share in found.items():
                     collected[peer][lbl].append(share)
-                    self.traffic.add_up(STAGE_NOISE_REMOVAL, 300)
         reconstructed: dict[int, dict[int, bytes]] = {}
         if needs_recovery:
             if len(u6) < self.config.threshold and removal:
@@ -300,13 +283,14 @@ class XNoiseWorkflowServer(SecAggWorkflowServer):
             self._aggregate, self._revealed, reconstructed
         )
         n_dropped = self.inner.n_dropped()
-        exceeded = n_dropped > self.xconfig.tolerance
+        xconfig = self.inner.xconfig
+        exceeded = n_dropped > xconfig.tolerance
         residual = self.inner.decomposition.residual_variance(
-            min(n_dropped, self.xconfig.tolerance)
+            min(n_dropped, xconfig.tolerance)
         )
         if exceeded:
             # Fewer survivors than |U|−T: aggregate noise is below target.
-            residual = (self.xconfig.n_sampled - n_dropped) * (
+            residual = (xconfig.n_sampled - n_dropped) * (
                 self.inner.decomposition.client_total_variance()
             )
         return XNoiseResult(
@@ -316,7 +300,6 @@ class XNoiseWorkflowServer(SecAggWorkflowServer):
             u3=list(self.inner.u3),
             u4=list(self.inner.u4),
             u5=list(self.inner.u5),
-            traffic=self.traffic,
             u6=u6,
             removed_noise_components=removed,
             residual_variance=residual,
@@ -420,7 +403,6 @@ def run_xnoise_round_reference(
             f"got {len(inputs)} inputs for n_sampled={config.n_sampled}"
         )
     dropout = dropout or DropoutSchedule()
-    traffic = TrafficMeter()
     sampled = sorted(inputs)
     secagg_cfg = config.secagg
 
@@ -431,61 +413,13 @@ def run_xnoise_round_reference(
     )
     server = XNoiseServer(config, pki=pki, round_index=round_index)
 
-    # Stage 0 — AdvertiseKeys.
-    alive = set(sampled) - dropout.dropped_by(STAGE_ADVERTISE)
-    adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    for _ in adverts:
-        traffic.add_up(STAGE_ADVERTISE, 512 + (288 if secagg_cfg.malicious else 0))
-    graph = build_graph(secagg_cfg, sorted(adverts))
-    roster = server.collect_advertise(adverts, graph)
-    traffic.add_down(STAGE_ADVERTISE, len(roster) * 512 * len(roster))
-
-    # Stage 1 — ShareKeys (now carrying the T noise-seed shares).
-    alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
-    outboxes = {}
-    for u in sorted(alive & set(roster)):
-        outboxes[u] = clients[u].share_keys(roster, graph)
-        traffic.add_up(STAGE_SHARE_KEYS, sum(len(ct) for ct in outboxes[u].values()))
-    inboxes = server.route_shares(outboxes)
-    for box in inboxes.values():
-        traffic.add_down(STAGE_SHARE_KEYS, sum(len(ct) for ct in box.values()))
-
-    # Stage 2 — MaskedInputCollection (inputs perturbed with T+1 components).
-    alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
-    masked = {}
-    for u in sorted(alive & set(server.u2)):
-        masked[u] = clients[u].masked_input(inboxes.get(u, {}), inputs[u])
-        traffic.add_up(STAGE_MASKED_INPUT, secagg_cfg.vector_bytes)
-    u3 = server.collect_masked(masked)
-    traffic.add_down(STAGE_MASKED_INPUT, 8 * len(u3) * len(u3))
-
-    # Stage 3 — ConsistencyCheck.
-    alive -= dropout.dropped_by(STAGE_CONSISTENCY)
-    if secagg_cfg.malicious:
-        sigs = {}
-        for u in sorted(alive & set(u3)):
-            sigs[u] = clients[u].consistency_check(u3)
-            traffic.add_up(STAGE_CONSISTENCY, 288)
-        u4, sig_set = server.collect_consistency(sigs)
-        traffic.add_down(STAGE_CONSISTENCY, 288 * len(u4) * len(u4))
-    else:
-        for u in sorted(alive & set(u3)):
-            clients[u].consistency_check(u3)
-        u4, sig_set = server.skip_consistency(), None
-
-    # Stage 4 — Unmasking (with direct excess-seed reveal).
-    alive -= dropout.dropped_by(STAGE_UNMASK)
-    dropped_list = server.dropped_after_masking
-    unmask_msgs = {}
-    for u in sorted(alive & set(u4)):
-        msg = clients[u].unmask(u4, sig_set, dropped=dropped_list, survivors=list(u3))
-        unmask_msgs[u] = msg
-        traffic.add_up(
-            STAGE_UNMASK,
-            300 * (len(msg.s_sk_shares) + len(msg.b_shares))
-            + 32 * len(msg.revealed_seeds),
-        )
-    aggregate = server.collect_unmask(unmask_msgs)
+    # Stages 0–4 are SecAgg's: ShareKeys also carries the T noise-seed
+    # shares, inputs go up perturbed with T+1 components, and Unmasking
+    # reveals the excess seeds directly — all inside the XNoise client.
+    aggregate, alive, unmask_msgs = run_reference_stages(
+        clients, server, inputs, dropout
+    )
+    u3 = server.u3
 
     # Stage 5 — ExcessiveNoiseRemoval.
     alive -= dropout.dropped_by(STAGE_NOISE_REMOVAL)
@@ -506,7 +440,6 @@ def run_xnoise_round_reference(
             for peer, found in response.items():
                 for lbl, share in found.items():
                     collected[peer][lbl].append(share)
-                    traffic.add_up(STAGE_NOISE_REMOVAL, 300)
         if len(u6) < secagg_cfg.threshold and removal:
             raise ProtocolAbort(
                 f"only {len(u6)} stage-5 responders; below threshold"
@@ -546,7 +479,6 @@ def run_xnoise_round_reference(
         u3=list(server.u3),
         u4=list(server.u4),
         u5=list(server.u5),
-        traffic=traffic,
         u6=u6,
         removed_noise_components=removed,
         residual_variance=residual,

@@ -213,8 +213,8 @@ class TestHeadroomGuard:
 
 
 #: A registry module binding one in-place codec from ``secagg/codec.py``
-#: and one ordinary codec from ``secagg/wire.py`` — the shape of the
-#: real ``repro.wire.codecs._ensure_defaults``.
+#: and one ordinary codec from a class of ``crypto/shamir.py`` — the
+#: shape of the real ``repro.wire.codecs._ensure_defaults``.
 _REGISTRY = _src("""
     class CodecError(ValueError):
         pass
@@ -224,12 +224,10 @@ _REGISTRY = _src("""
             raise ValueError("reserved tag")
 
     def _ensure_defaults():
+        from repro.crypto.shamir import Share
         from repro.secagg import codec as secagg_codec
-        from repro.secagg import wire as secagg_wire
 
-        register_codec(
-            object, 0x20, secagg_wire.encode_share, secagg_wire.decode_share
-        )
+        register_codec(Share, 0x20, Share.to_bytes, Share.from_bytes)
         register_codec(
             object,
             0x23,
@@ -345,6 +343,28 @@ class TestStrictDecoder:
         (f,) = findings_for(result, "strict-decoder")
         assert f.file == "src/repro/secagg/codec.py"
         assert "decode_masked_input never raises ValueError" in f.message
+
+    def test_class_bound_decoder_is_checked_whatever_its_name(self, check_repo):
+        # ``Share.from_bytes`` matches no decode_*/unpack_* prefix and
+        # its module no wire path: the registry binding puts it in scope.
+        result = check_repo({
+            "src/repro/wire/codecs.py": _REGISTRY,
+            "src/repro/crypto/shamir.py": _src("""
+                class Share:
+                    def to_bytes(self):
+                        return b""
+
+                    @classmethod
+                    def from_bytes(cls, data):
+                        return cls()
+
+                def from_int(value):
+                    return value
+            """),
+        })
+        (f,) = findings_for(result, "strict-decoder")
+        assert f.file == "src/repro/crypto/shamir.py"
+        assert "from_bytes never raises ValueError" in f.message
 
     def test_registered_decoder_raising_imported_codec_error_passes(
         self, check_repo
@@ -589,14 +609,16 @@ class TestZeroCopy:
                 def encode_debug_dump(msg):
                     return msg.masked_vector.tobytes()
             """),
-            "src/repro/secagg/wire.py": _src("""
-                def encode_share(share):
-                    return share.tobytes()
+            "src/repro/crypto/shamir.py": _src("""
+                class Share:
+                    def to_bytes(self):
+                        return self.ys.tobytes()
 
-                def decode_share(data):
-                    if not data:
-                        raise ValueError("truncated")
-                    return data
+                    @classmethod
+                    def from_bytes(cls, data):
+                        if not data:
+                            raise ValueError("truncated")
+                        return data
             """),
         })
         (f,) = findings_for(result, "zero-copy")

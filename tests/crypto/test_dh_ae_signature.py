@@ -41,7 +41,28 @@ class TestKeyAgreement:
 
     def test_public_bytes_fixed_width(self):
         ka = KeyAgreement(MODP_2048)
-        assert len(ka.generate().public_bytes()) == 256
+        assert len(ka.public_bytes(ka.generate())) == 256
+
+    def test_public_bytes_are_the_groups_width_whatever_the_key(self):
+        # The wire form of a key: message sizes must not depend on the
+        # value drawn, and decode_public is its strict inverse.
+        ka = KeyAgreement(TOY_GROUP)
+        assert TOY_GROUP.element_bytes == 64
+        pairs = [ka.generate() for _ in range(8)]
+        assert {len(ka.public_bytes(p)) for p in pairs} == {64}
+        assert all(ka.decode_public(ka.public_bytes(p)) == p.public for p in pairs)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda key: b"\x00" + key,  # zero-padded: same integer, other spelling
+        lambda key: key[:-1],
+        lambda key: b"",
+        lambda key: bytes(len(key)),  # right width, degenerate element
+        lambda key: int.from_bytes(key, "big"),  # an element is not its wire form
+    ])
+    def test_decode_public_takes_exactly_one_element_width(self, mangle):
+        ka = KeyAgreement(TOY_GROUP)
+        with pytest.raises(ValueError):
+            ka.decode_public(mangle(ka.public_bytes(ka.generate())))
 
 
 class TestAuthenticatedEncryption:

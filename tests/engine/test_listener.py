@@ -72,14 +72,15 @@ class TestAdversarialHandshake:
         assert stats.handshake_received > 0 and stats.handshake_sent > 0
         assert stats.frame_bytes == 0
 
-    def test_version_1_hello_refused_by_name(self):
-        # The previous wire version, announced honestly in the HELLO.
+    @staticmethod
+    def _refuse_hello_of_version(old: int):
+        # An earlier wire version, announced honestly in the HELLO.
         async def scenario():
             listener = CoordinatorListener(expected_ids={1})
             await listener.start()
             try:
                 dialer = DialingClient(
-                    EchoBack(1), *listener.address, wire_version=1
+                    EchoBack(1), *listener.address, wire_version=old
                 )
                 exc = await _run_refused(listener, dialer)
             finally:
@@ -87,9 +88,15 @@ class TestAdversarialHandshake:
             return listener, exc
 
         listener, exc = asyncio.run(scenario())
-        assert WIRE_VERSION == 2
-        assert "speaks wire version 1, listener speaks 2" in str(exc)
+        assert WIRE_VERSION == 3
+        assert f"speaks wire version {old}, listener speaks 3" in str(exc)
         assert listener.rejected == 1 and listener.accepted == 0
+
+    def test_version_1_hello_refused_by_name(self):
+        self._refuse_hello_of_version(1)
+
+    def test_version_2_hello_refused_by_name(self):
+        self._refuse_hello_of_version(2)
 
     def test_bad_auth_token_rejected(self):
         async def scenario():

@@ -78,8 +78,6 @@ def _same_round(a, b):
         and a.u3 == b.u3
         and a.u4 == b.u4
         and a.u5 == b.u5
-        and a.traffic.up_bytes == b.traffic.up_bytes
-        and a.traffic.down_bytes == b.traffic.down_bytes
     )
 
 

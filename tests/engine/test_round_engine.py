@@ -452,7 +452,7 @@ class TestTiming:
         """up == down bandwidth must reduce to the pre-refactor formula
         bit-identically: (request + response) / bandwidth, one division
         — not two separately-rounded per-direction terms."""
-        from repro.engine import measured_nbytes
+        from repro.wire import encoded_nbytes
 
         vectors = {0: np.ones(8)}
         bandwidth = 3.0  # pathological divisor: rounding differences show
@@ -463,14 +463,14 @@ class TestTiming:
         engine = RoundEngine(transport=SimulatedNetworkTransport(devices))
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
-        down = measured_nbytes(("encode", None))
-        up = measured_nbytes(vectors[0])
+        down = encoded_nbytes(("encode", None))
+        up = encoded_nbytes(vectors[0])
         assert encode_span.duration == (down + up) / bandwidth
         assert (encode_span.down_bytes, encode_span.up_bytes) == (down, up)
 
     def test_asymmetric_device_charges_each_direction(self):
         """Request bytes ride the downlink, response bytes the uplink."""
-        from repro.engine import measured_nbytes
+        from repro.wire import encoded_nbytes
         from repro.sim.network import DeviceProfile
 
         vectors = {0: np.ones(8)}
@@ -481,8 +481,8 @@ class TestTiming:
         engine = RoundEngine(transport=SimulatedNetworkTransport(devices))
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
-        down = measured_nbytes(("encode", None))
-        up = measured_nbytes(vectors[0])
+        down = encoded_nbytes(("encode", None))
+        up = encoded_nbytes(vectors[0])
         assert encode_span.duration == down / 1000.0 + up / 10.0
 
     def test_simulated_network_latency_gates_stage(self):
@@ -490,9 +490,9 @@ class TestTiming:
 
         Latency is ``measured bytes / bandwidth``: the size is the
         *actual* framed wire encoding of each payload/response (via
-        :func:`repro.engine.measured_nbytes`), not the old heuristic.
+        :func:`repro.wire.encoded_nbytes`).
         """
-        from repro.engine import measured_nbytes
+        from repro.wire import encoded_nbytes
 
         vectors = {0: np.ones(8), 1: np.ones(8)}
         devices = {
@@ -507,7 +507,7 @@ class TestTiming:
         encode_span = engine.trace.round_spans(0)[0]
         # Request = the framed (op, payload) envelope, response = the
         # framed vector — what the wire transports actually send.
-        exchange = measured_nbytes(("encode", None)) + measured_nbytes(vectors[0])
+        exchange = encoded_nbytes(("encode", None)) + encoded_nbytes(vectors[0])
         slowest = devices[0].upload_seconds(exchange)
         assert encode_span.duration == pytest.approx(slowest)
         assert encode_span.duration >= devices[1].upload_seconds(exchange)
@@ -526,9 +526,9 @@ class TestSplitTrafficReplay:
         from repro.engine import (
             InProcessTransport,
             SerializingTransport,
-            measured_nbytes,
             stage_groups,
         )
+        from repro.wire import encoded_nbytes
         from repro.sim.timeline import SimulatedRound, simulate_trace
         from repro.wire.codecs import encode_payload
         from repro.wire.frame import KIND_REQUEST, encode_frame
@@ -548,22 +548,22 @@ class TestSplitTrafficReplay:
         # carries: encode fans out to 3, dispatch/decode too; acks and
         # vectors come back).
         down = {
-            "encode": 3 * measured_nbytes(("encode", None)),
+            "encode": 3 * encoded_nbytes(("encode", None)),
             "aggregate": 0,
-            "dispatch": 3 * measured_nbytes(("dispatch", aggregate)),
-            "decode": 3 * measured_nbytes(("decode", True)),
+            "dispatch": 3 * encoded_nbytes(("dispatch", aggregate)),
+            "decode": 3 * encoded_nbytes(("decode", True)),
             "finalize": 0,
         }
         up = {
-            "encode": 3 * measured_nbytes(vectors[0]),
+            "encode": 3 * encoded_nbytes(vectors[0]),
             "aggregate": 0,
-            "dispatch": 3 * measured_nbytes(True),
-            "decode": 3 * measured_nbytes(True),
+            "dispatch": 3 * encoded_nbytes(True),
+            "decode": 3 * encoded_nbytes(True),
             "finalize": 0,
         }
-        # Sanity: measured_nbytes really is the framed request size.
+        # Sanity: encoded_nbytes really is the framed request size.
         frame = encode_frame(KIND_REQUEST, encode_payload(("encode", None)))
-        assert measured_nbytes(("encode", None)) == len(frame)
+        assert encoded_nbytes(("encode", None)) == len(frame)
 
         replay = simulate_trace([
             SimulatedRound(

@@ -376,8 +376,6 @@ class TestMaskedVectorWireSize:
             MASKED_INPUT_ENVELOPE_BYTES,
             masked_upload_bytes,
         )
-        from repro.secagg.types import STAGE_MASKED_INPUT
-
         config, engine, result = self._round(StreamTransport(), dropped)
         senders = len(result.u3)
         assert senders == 5 - len(dropped)
@@ -385,9 +383,8 @@ class TestMaskedVectorWireSize:
         (span,) = [
             s for s in engine.trace.round_spans(0) if s.label == "masked_input"
         ]
-        booked = result.traffic.up_bytes[STAGE_MASKED_INPUT]
-        assert booked == senders * config.vector_bytes
-        assert span.up_bytes - senders * MASKED_INPUT_ENVELOPE_BYTES == booked
+        analytic = senders * config.vector_bytes
+        assert span.up_bytes - senders * MASKED_INPUT_ENVELOPE_BYTES == analytic
         assert span.up_bytes == senders * masked_upload_bytes(config)
 
     def test_simulated_accounting_equals_socket_bytes(self):

@@ -10,8 +10,9 @@ framed TCP sockets.
 import numpy as np
 import pytest
 
-from repro.engine import RoundEngine, measured_nbytes
+from repro.engine import RoundEngine
 from repro.fleet import DeviceProfile, Fleet, FleetNetworkTransport, fleet_transport
+from repro.wire import encoded_nbytes
 from tests.engine.test_round_engine import SumClient, SumServer
 
 
@@ -36,8 +37,8 @@ class TestFleetNetworkTransport:
         fleet = asymmetric_fleet()
         trace = run_round(FleetNetworkTransport(fleet))
         encode = trace.round_spans(0)[0]
-        down = measured_nbytes(("encode", None))
-        up = measured_nbytes(np.ones(16) * 1.0)
+        down = encoded_nbytes(("encode", None))
+        up = encoded_nbytes(np.ones(16) * 1.0)
         worst = max(
             fleet.link_seconds(u, down, up) for u in (0, 1, 2)
         )

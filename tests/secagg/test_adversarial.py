@@ -82,6 +82,70 @@ class TestRosterAttacks:
         with pytest.raises(ProtocolAbort):
             clients[1].share_keys(adverts, graph)
 
+    def test_zero_padded_duplicate_key_rejected(self):
+        """Keys are compared as group elements at one width: a replayed
+        key spelled with a leading zero byte is not a new key."""
+        clients, server, roster, graph = make_round()
+        cloned = dict(roster)
+        victim = roster[1]
+        cloned[2] = AdvertiseKeysMsg(
+            sender=2,
+            c_public=b"\x00" + victim.c_public,
+            s_public=b"\x00" + victim.s_public,
+        )
+        with pytest.raises(ProtocolAbort, match="bad public key from 2"):
+            clients[3].share_keys(cloned, graph)
+
+    def test_resplit_signed_keys_rejected_in_malicious_mode(self):
+        """The signature covers ``c ∥ s``; moving the split point keeps
+        the signed bytes (so the peer's own signature still verifies)
+        but changes both keys.  It survives the wire — the record does
+        not know the group — and is refused at the roster boundary."""
+        from repro.wire import decode_payload, encode_payload
+
+        pki = PublicKeyInfrastructure()
+        config = SecAggConfig(
+            threshold=3, bits=16, dimension=8, malicious=True, dh_group="modp512"
+        )
+        signers = {u: pki.register(u) for u in range(1, 5)}
+        clients = {
+            u: SecAggClient(u, config, signer=signers[u], pki=pki)
+            for u in range(1, 5)
+        }
+        adverts = {u: c.advertise_keys() for u, c in clients.items()}
+        graph = build_graph(config, sorted(adverts))
+        clients[4].share_keys(adverts, graph)  # the honest roster is fine
+        c, s = adverts[2].c_public, adverts[2].s_public
+        resplit = AdvertiseKeysMsg(
+            sender=2, c_public=c[:-1], s_public=c[-1:] + s,
+            signature=adverts[2].signature,
+        )
+        assert pki.verifier(2).verify(
+            resplit.c_public + resplit.s_public, resplit.signature
+        )
+        adverts[2] = resplit
+        roster = decode_payload(encode_payload(adverts))
+        assert roster[2] == resplit
+        with pytest.raises(ProtocolAbort, match="bad public key from 2"):
+            clients[1].share_keys(roster, graph)
+
+    @pytest.mark.parametrize("field", ["c_public", "s_public"])
+    @pytest.mark.parametrize("mangle", [
+        lambda key: b"\x00" + key, lambda key: key[1:], lambda key: bytes(len(key)),
+    ])
+    def test_server_refuses_to_broadcast_a_wrong_width_key(self, field, mangle):
+        import dataclasses
+
+        clients = {u: SecAggClient(u, CFG) for u in range(1, 6)}
+        adverts = {u: c.advertise_keys() for u, c in clients.items()}
+        adverts[2] = dataclasses.replace(
+            adverts[2], **{field: mangle(getattr(adverts[2], field))}
+        )
+        with pytest.raises(ProtocolAbort, match="bad public key from 2"):
+            SecAggServer(CFG).collect_advertise(
+                adverts, build_graph(CFG, sorted(adverts))
+            )
+
 
 class TestCiphertextAttacks:
     def _shared_round(self):

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.shamir import ShamirSecretSharing
+from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.crypto.signature import SchnorrSigner, generate_signing_keypair
 from repro.crypto.dh import TOY_GROUP
 from repro.secagg.codec import (
-    decode_advertise,
     decode_masked_input,
-    decode_unmasking,
-    encode_advertise,
     encode_masked_input,
-    encode_unmasking,
     masked_input_nbytes,
-    message_bytes,
 )
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -23,7 +18,14 @@ from repro.secagg.types import (
     SecAggConfig,
     UnmaskingMsg,
 )
-from repro.wire import KIND_RESPONSE, CodecError, decode_payload, encode_payload
+from repro.wire import (
+    KIND_RESPONSE,
+    CodecError,
+    decode_payload,
+    encode_payload,
+    encode_value,
+    encoded_value_nbytes,
+)
 from repro.wire.codecs import encode_payload_frame
 
 #: ``sender u64 ∥ bits u8 ∥ count u32`` in front of the packed vector.
@@ -52,19 +54,73 @@ def ring_vectors(draw):
 
 class TestAdvertiseCodec:
     def test_roundtrip_semi_honest(self):
-        msg = AdvertiseKeysMsg(sender=7, c_public=12345, s_public=67890)
-        assert decode_advertise(encode_advertise(msg)) == msg
+        msg = AdvertiseKeysMsg(sender=7, c_public=b"\x30\x39", s_public=b"\x01\x09\x32")
+        assert AdvertiseKeysMsg.from_bytes(msg.to_bytes()) == msg
 
     def test_roundtrip_with_signature(self):
         sk, _ = generate_signing_keypair(TOY_GROUP)
         sig = SchnorrSigner(sk, TOY_GROUP).sign(b"keys")
-        msg = AdvertiseKeysMsg(sender=7, c_public=1, s_public=2, signature=sig)
-        decoded = decode_advertise(encode_advertise(msg))
-        assert decoded.signature == sig
+        msg = AdvertiseKeysMsg(sender=7, c_public=b"\x01", s_public=b"\x02", signature=sig)
+        assert AdvertiseKeysMsg.from_bytes(msg.to_bytes()).signature == sig
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            decode_advertise(b"\x00\x01garbage")
+        with pytest.raises(CodecError):
+            AdvertiseKeysMsg.from_bytes(b"\x00\x01garbage")
+
+    def test_empty_fields_do_not_decode_as_zeros(self):
+        # The field-list decoder read four empty fields as sender 0 with
+        # public keys 0.
+        with pytest.raises(CodecError, match="sender b'' is not an id"):
+            AdvertiseKeysMsg.from_bytes(encode_value((b"", b"", b"", b"")))
+        with pytest.raises(CodecError, match="non-empty bytes"):
+            AdvertiseKeysMsg.from_bytes(encode_value((0, b"", b"", None)))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (-7, b"\x01", b"\x02", None),
+            (True, b"\x01", b"\x02", None),
+            (7, 1, b"\x02", None),
+            (7, b"\x01", "\x02", None),
+            (7, b"\x01", b"\x02", b"signature"),
+            (7, b"\x01", b"\x02"),
+            [7, b"\x01", b"\x02", None],
+        ],
+    )
+    def test_wrong_shape_type_or_range_rejected(self, fields):
+        with pytest.raises(CodecError):
+            AdvertiseKeysMsg.from_bytes(encode_value(fields))
+
+    def test_negative_sender_refused_by_the_encoder(self):
+        # int.to_bytes used to leak an OverflowError from here.
+        bad = AdvertiseKeysMsg(sender=-1, c_public=b"\x01", s_public=b"\x02")
+        with pytest.raises(CodecError, match="sender -1 is not an id"):
+            encode_payload(bad)
+
+    def test_public_key_of_any_width_encodes(self):
+        # A key ≥ 2**2048 overflowed the 256-byte field; the key travels
+        # at whatever width its group has.
+        for width in (1, 64, 256, 257, 1024):
+            msg = AdvertiseKeysMsg(sender=1, c_public=b"\xff" * width, s_public=b"\x01")
+            assert decode_payload(encode_payload(msg)) == msg
+
+    def test_golden_frame(self):
+        # magic "DW", wire version 3, kind 0x11, body length 32;
+        # payload version 3, tag 0x22, codec body length 26; a 4-tuple
+        # of int 7, bytes 12 34, bytes 00 ff, None.
+        frame = encode_payload_frame(
+            KIND_RESPONSE,
+            AdvertiseKeysMsg(sender=7, c_public=b"\x12\x34", s_public=b"\x00\xff"),
+        )
+        assert bytes(frame).hex() == (
+            "44570311" "00000020"
+            "03" "22" "0000001a"
+            "08" "00000004"
+            "03" "00000001" "07"
+            "06" "00000002" "1234"
+            "06" "00000002" "00ff"
+            "00"
+        )
 
 
 class TestVectorCodec:
@@ -154,7 +210,7 @@ class TestMaskedInputCodec:
     def test_size_scales_with_dimension(self):
         small = MaskedInputMsg(1, np.zeros(16, dtype=np.int64), 20)
         large = MaskedInputMsg(1, np.zeros(1024, dtype=np.int64), 20)
-        assert message_bytes(large) > message_bytes(small) * 30
+        assert encoded_value_nbytes(large) > encoded_value_nbytes(small) * 30
 
     def test_body_is_header_plus_config_vector_bytes(self):
         # One definition of a vector's wire size: SecAggConfig.vector_bytes.
@@ -162,21 +218,21 @@ class TestMaskedInputCodec:
             config = SecAggConfig(threshold=2, bits=bits, dimension=dimension)
             msg = MaskedInputMsg(1, np.zeros(dimension, dtype=np.int64), bits)
             assert config.vector_bytes == -(-dimension * bits // 8)
-            assert message_bytes(msg) == HEADER + config.vector_bytes
+            assert masked_input_nbytes(dimension, bits) == HEADER + config.vector_bytes
             assert len(encode_masked_input(msg)) == HEADER + config.vector_bytes
 
     def test_golden_frame(self):
         # The whole RESPONSE frame of a tiny masked input, byte for byte:
-        # magic "DW", wire version 2, kind 0x11, body length 27;
-        # payload version 2, tag 0x23, codec body length 21;
+        # magic "DW", wire version 3, kind 0x11, body length 27;
+        # payload version 3, tag 0x23, codec body length 21;
         # sender 7, bits 20, count 3; 0xABCDE ∥ 0x12345 ∥ 0xFFFFF packed
         # little-endian, top nibble of the last byte zero padding.
         frame = encode_payload_frame(
             KIND_RESPONSE, _masked([0xABCDE, 0x12345, 0xFFFFF], 20, sender=7)
         )
         assert bytes(frame).hex() == (
-            "44570211" "0000001b"
-            "02" "23" "00000015"
+            "44570311" "0000001b"
+            "03" "23" "00000015"
             "0000000000000007" "14" "00000003"
             "debc5a3412ffff0f"
         )
@@ -201,20 +257,76 @@ class TestUnmaskingCodec:
 
     def test_roundtrip(self):
         msg = self._message()
-        decoded = decode_unmasking(encode_unmasking(msg))
-        assert decoded.sender == msg.sender
-        assert decoded.s_sk_shares == msg.s_sk_shares
-        assert decoded.b_shares == msg.b_shares
-        assert decoded.revealed_seeds == msg.revealed_seeds
+        assert UnmaskingMsg.from_bytes(msg.to_bytes()) == msg
 
     def test_malformed_rejected(self):
-        blob = encode_unmasking(self._message())
-        with pytest.raises(ValueError):
-            decode_unmasking(blob[:-4])
+        blob = self._message().to_bytes()
+        with pytest.raises(CodecError):
+            UnmaskingMsg.from_bytes(blob[:-4])
 
     def test_message_bytes_dispatch(self):
-        assert message_bytes(self._message()) == len(
-            encode_unmasking(self._message())
+        # One sizer for every message type, exact; none for a stranger.
+        for msg in (
+            self._message(),
+            AdvertiseKeysMsg(sender=1, c_public=b"\x01" * 64, s_public=b"\x02" * 64),
+            _masked(range(9), 20),
+        ):
+            assert encoded_value_nbytes(msg) == len(encode_value(msg))
+        with pytest.raises(CodecError, match="no codec registered"):
+            encoded_value_nbytes(object())
+
+    def test_peer_named_twice_rejected(self):
+        # The field-list decoder kept the second share ("last entry
+        # wins"); the dict decoder refuses the body.
+        share = self._message().s_sk_shares[5]
+        entry = encode_value(7) + encode_value(share)
+        forged = (
+            encode_value((2,))[:1] + (4).to_bytes(4, "big") + encode_value(2)
+            + encode_value({})[:1] + (2).to_bytes(4, "big") + entry + entry
+            + encode_value({}) + encode_value({})
         )
-        with pytest.raises(TypeError):
-            message_bytes(object())
+        with pytest.raises(CodecError, match="duplicate keys"):
+            UnmaskingMsg.from_bytes(forged)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (b"\x00" * 21, {}, {}, {}),
+            (-2, {}, {}, {}),
+            (2, {5: b"not a share"}, {}, {}),
+            (2, {}, {"5": Share(1, (2,), 3)}, {}),
+            (2, {}, {-5: Share(1, (2,), 3)}, {}),
+            (2, {}, {}, {1: "seed"}),
+            (2, {}, {}, [(1, b"seed")]),
+            (2, {}, {}),
+        ],
+    )
+    def test_wrong_shape_type_or_range_rejected(self, fields):
+        with pytest.raises(CodecError):
+            UnmaskingMsg.from_bytes(encode_value(fields))
+
+    def test_golden_frame(self):
+        # Body length 86; tag 0x24, codec body length 80; a 4-tuple of
+        # int 2, {5: Share} (tag 0x20, 30 bytes: x 2, secret_len 1, one
+        # 16-byte evaluation 0xab), an empty dict, {1: bytes aa bb}.
+        msg = UnmaskingMsg(
+            sender=2,
+            s_sk_shares={5: Share(x=2, ys=(0xAB,), secret_len=1)},
+            b_shares={},
+            revealed_seeds={1: b"\xaa\xbb"},
+        )
+        assert bytes(encode_payload_frame(KIND_RESPONSE, msg)).hex() == (
+            "44570311" "00000056"
+            "03" "24" "00000050"
+            "08" "00000004"
+            "03" "00000001" "02"
+            "0b" "00000001"
+            "03" "00000001" "05"
+            "20" "0000001e"
+            "0000000000000002" "00000001" "0001"
+            "000000000000000000000000000000ab"
+            "0b" "00000000"
+            "0b" "00000001"
+            "03" "00000001" "01"
+            "06" "00000002" "aabb"
+        )

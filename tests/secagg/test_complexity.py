@@ -5,6 +5,7 @@ import pytest
 
 from repro.secagg.complexity import (
     crossover_population,
+    fixed_upload_bytes,
     secagg_client_cost,
     secagg_plus_client_cost,
     secagg_server_cost,
@@ -39,6 +40,32 @@ class TestClientAsymptotics:
         # Below the crossover the degree is clamped to n−1 (no gain).
         below = secagg_plus_client_cost(4)
         assert below.key_agreements == secagg_client_cost(4).key_agreements
+
+
+class TestFixedUploadIsTheMeasuredOne:
+    @pytest.mark.parametrize("malicious", [False, True])
+    def test_analytic_fixed_upload_equals_measured_uplink(self, malicious):
+        """The byte term comes from the codecs, so a wire-faithful round
+        measures exactly it: every client uploads its key advertisement
+        and one ciphertext per neighbor (+ one signature when signed)."""
+        import numpy as np
+
+        from repro.crypto.signature import SchnorrSignature
+        from repro.engine import RoundEngine, SerializingTransport, run_sync
+        from repro.secagg import SecAggConfig, arun_secagg_round
+        from repro.wire import encoded_value_nbytes
+
+        n = 6
+        # The default group: the one the analytic term sizes its keys by.
+        config = SecAggConfig(threshold=4, bits=16, dimension=4, malicious=malicious)
+        inputs = {u: np.zeros(4, dtype=np.int64) for u in range(1, n + 1)}
+        engine = RoundEngine(transport=SerializingTransport())
+        run_sync(arun_secagg_round(config, inputs, engine=engine))
+        traffic = engine.trace.stage_traffic_split(0)
+        signature = encoded_value_nbytes(SchnorrSignature(0, 0)) - 1  # replaces a None
+        assert traffic["advertise_keys"].up + traffic["share_keys"].up == n * (
+            fixed_upload_bytes(n - 1) + malicious * signature
+        )
 
 
 class TestServerAsymptotics:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.engine import RoundEngine, SerializingTransport, run_sync
 from repro.secagg import (
     DropoutSchedule,
     ProtocolAbort,
     SecAggConfig,
+    arun_secagg_round,
     run_secagg_round,
     secagg_plus_config,
     STAGE_ADVERTISE,
@@ -14,6 +16,7 @@ from repro.secagg import (
     STAGE_MASKED_INPUT,
     STAGE_UNMASK,
 )
+from repro.secagg.complexity import masked_upload_bytes
 from repro.utils.rng import derive_rng
 
 
@@ -23,6 +26,14 @@ def make_inputs(n, dim, bits=16, label="inputs"):
         u: rng.integers(0, 1 << (bits - 4), size=dim).astype(np.int64)
         for u in range(1, n + 1)
     }
+
+
+def measured_traffic(config, inputs):
+    """``{stage label: TrafficSplit}`` of one round on a wire-faithful
+    transport — the one place per-stage bytes come from."""
+    engine = RoundEngine(transport=SerializingTransport())
+    run_sync(arun_secagg_round(config, inputs, engine=engine))
+    return engine.trace.stage_traffic_split(0)
 
 
 def ring_sum(inputs, ids, bits):
@@ -51,9 +62,9 @@ class TestNoDropout:
 
     def test_traffic_metered(self):
         config = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
-        result = run_secagg_round(config, make_inputs(5, 8))
-        assert result.traffic.total_bytes > 0
-        assert STAGE_MASKED_INPUT in result.traffic.up_bytes
+        traffic = measured_traffic(config, make_inputs(5, 8))
+        assert sum(split.total for split in traffic.values()) > 0
+        assert traffic["masked_input"].up == 5 * masked_upload_bytes(config)
 
 
 class TestDropoutBeforeUpload:
@@ -213,11 +224,12 @@ class TestSecAggPlus:
         full = SecAggConfig(threshold=13, bits=bits, dimension=dim, dh_group="modp512")
         plus = secagg_plus_config(n, bits=bits, dimension=dim, degree=6, dh_group="modp512")
         inputs = make_inputs(n, dim, bits)
-        t_full = run_secagg_round(full, inputs).traffic
-        t_plus = run_secagg_round(plus, inputs).traffic
-        assert (
-            t_plus.up_bytes[STAGE_SHARE_KEYS] < t_full.up_bytes[STAGE_SHARE_KEYS]
-        )
+        t_full = measured_traffic(full, inputs)["share_keys"]
+        t_plus = measured_traffic(plus, inputs)["share_keys"]
+        # 6 of 23 possible neighbors: a quarter of the ciphertexts up,
+        # and a quarter of them routed back down in the next request.
+        assert t_plus.up < t_full.up / 3
+        assert t_plus.down < t_full.down
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -73,9 +73,7 @@ def clone_with_workers(server: SecAggServer, workers) -> SecAggServer:
     """A coordinator with identical round state but a different pool size."""
     config = dataclasses.replace(server.config, workers=workers)
     clone = SecAggServer(config, pki=server.pki, round_index=server.round_index)
-    clone.roster = dict(server.roster)
-    clone.graph = server.graph
-    clone.u1 = list(server.u1)
+    clone.collect_advertise(server.roster, server.graph)
     clone.u2 = list(server.u2)
     clone.u3 = list(server.u3)
     clone.u4 = list(server.u4)

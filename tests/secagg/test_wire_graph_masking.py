@@ -2,55 +2,50 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crypto.shamir import Share, ShamirSecretSharing
-from repro.secagg import wire
 from repro.secagg.graph import CompleteGraph, KRegularGraph, recommended_degree
 from repro.secagg.masking import pairwise_mask, self_mask
+from repro.secagg.types import SharePayload
 from repro.utils.rng import derive_seed
+from repro.wire import CodecError, encode_value
+
+
+def _share_payload() -> SharePayload:
+    ss = ShamirSecretSharing(threshold=2)
+    return SharePayload(
+        sender=5,
+        recipient=1,
+        s_sk_share=ss.share(b"\x01" * 32, [1, 2])[1],
+        b_share=ss.share(b"\x02" * 32, [1, 2])[1],
+        extra_shares={"g:0": ss.share(b"\x03" * 32, [1, 2])[1]},
+    )
 
 
 class TestWire:
-    @given(fields=st.lists(st.binary(max_size=60), max_size=8))
-    @settings(max_examples=30)
-    def test_fields_roundtrip(self, fields):
-        assert wire.decode_fields(wire.encode_fields(fields)) == fields
-
     def test_truncated_fields_rejected(self):
-        blob = wire.encode_fields([b"abcdef"])
-        with pytest.raises(ValueError):
-            wire.decode_fields(blob[:-2])
+        blob = _share_payload().to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(CodecError):
+                SharePayload.from_bytes(blob[:cut])
 
     def test_share_roundtrip(self):
         share = Share(x=7, ys=(123456789, 42), secret_len=20)
-        assert wire.decode_share(wire.encode_share(share)) == share
+        assert Share.from_bytes(share.to_bytes()) == share
 
     def test_share_payload_roundtrip_with_extras(self):
-        ss = ShamirSecretSharing(threshold=2)
-        s_shares = ss.share(b"\x01" * 32, [1, 2])
-        b_shares = ss.share(b"\x02" * 32, [1, 2])
-        g_shares = ss.share(b"\x03" * 32, [1, 2])
-        blob = wire.encode_share_payload(
-            sender=5,
-            recipient=1,
-            s_sk_share=s_shares[1],
-            b_share=b_shares[1],
-            extra_shares={"g:0": g_shares[1]},
-        )
-        sender, recipient, s, b, extra = wire.decode_share_payload(blob)
-        assert (sender, recipient) == (5, 1)
-        assert s == s_shares[1]
-        assert b == b_shares[1]
-        assert extra == {"g:0": g_shares[1]}
+        payload = _share_payload()
+        assert SharePayload.from_bytes(payload.to_bytes()) == payload
 
     def test_malformed_payload_rejected(self):
-        with pytest.raises(ValueError):
-            wire.decode_share_payload(wire.encode_fields([b"1", b"2", b"3"]))
+        with pytest.raises(CodecError):
+            SharePayload.from_bytes(encode_value((b"1", b"2", b"3")))
+        with pytest.raises(CodecError, match="trailing garbage"):
+            SharePayload.from_bytes(_share_payload().to_bytes() + b"\x00")
 
     def test_garbage_share_rejected(self):
         with pytest.raises(ValueError):
-            wire.decode_share(b"\x00" * 5)
+            Share.from_bytes(b"\x00" * 5)
 
 
 class TestMasking:

@@ -7,7 +7,7 @@ from repro.core import DordisConfig, DordisSession
 from repro.dp.planner import plan_noise
 from repro.secagg import SecAggConfig, run_secagg_round
 from repro.secagg.client import SecAggClient
-from repro.secagg.types import RoundResult, TrafficMeter
+from repro.secagg.types import RoundResult
 
 
 class TestSessionStrategyStrings:
@@ -61,21 +61,11 @@ class TestDriverClientFactory:
         assert not result.aggregate.any()
 
 
-class TestTrafficMeter:
-    def test_accumulates_per_stage(self):
-        meter = TrafficMeter()
-        meter.add_up(0, 100)
-        meter.add_up(0, 50)
-        meter.add_down(2, 25)
-        assert meter.up_bytes[0] == 150
-        assert meter.down_bytes[2] == 25
-        assert meter.total_bytes == 175
-
+class TestRoundResult:
     def test_round_result_survivors_alias(self):
         r = RoundResult(
             aggregate=np.zeros(1, dtype=np.int64),
             u1=[1, 2], u2=[1, 2], u3=[1], u4=[1], u5=[1],
-            traffic=TrafficMeter(),
         )
         assert r.survivors == [1]
 

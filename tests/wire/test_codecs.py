@@ -21,9 +21,12 @@ from repro.wire import (
     decode_payload,
     encode_error,
     encode_payload,
+    encode_value,
     encoded_nbytes,
+    encoded_value_nbytes,
     registered_codecs,
 )
+from repro.wire.codecs import decode_whole_value
 from repro.wire.frame import FRAME_OVERHEAD
 
 # ---------------------------------------------------------------------------
@@ -148,8 +151,8 @@ def _sample_payloads(seed: int) -> dict[type, object]:
         SchnorrSignature: sig,
         AdvertiseKeysMsg: AdvertiseKeysMsg(
             sender=int(rng.integers(1, 99)),
-            c_public=int(rng.integers(1, 2**60)),
-            s_public=int(rng.integers(1, 2**60)),
+            c_public=rng.bytes(64),
+            s_public=rng.bytes(64),
             signature=sig if seed % 2 else None,
         ),
         MaskedInputMsg: MaskedInputMsg(
@@ -216,6 +219,56 @@ class TestRegisteredCodecs:
                 decode_payload(encode_payload(payload) + b"\x00")
 
 
+_ids = st.integers(min_value=0, max_value=2**64)
+_shares = st.builds(
+    Share,
+    x=st.integers(0, 2**64 - 1),
+    ys=st.lists(st.integers(0, 2**128 - 1), max_size=4).map(tuple),
+    secret_len=st.integers(0, 2**32 - 1),
+)
+_signatures = st.builds(
+    SchnorrSignature, e=st.integers(0, 2**256 - 1), s=st.integers(0, 2**2048 - 1)
+)
+#: One strategy per small registered codec (the masked input, the one
+#: bulk codec, has its own suite in tests/secagg/test_codec.py).
+_small_messages = {
+    Share: _shares,
+    SchnorrSignature: _signatures,
+    AdvertiseKeysMsg: st.builds(
+        AdvertiseKeysMsg,
+        sender=_ids,
+        c_public=st.binary(min_size=1, max_size=70),
+        s_public=st.binary(min_size=1, max_size=70),
+        signature=st.none() | _signatures,
+    ),
+    UnmaskingMsg: st.builds(
+        UnmaskingMsg,
+        sender=_ids,
+        s_sk_shares=st.dictionaries(_ids, _shares, max_size=3),
+        b_shares=st.dictionaries(_ids, _shares, max_size=3),
+        revealed_seeds=st.dictionaries(_ids, st.binary(max_size=32), max_size=3),
+    ),
+    Targeted: st.builds(
+        Targeted, st.dictionaries(_ids, st.binary(max_size=8) | _shares, max_size=3)
+    ),
+}
+
+
+class TestSmallCodecsProperty:
+    def test_every_small_registered_codec_has_a_strategy(self):
+        assert set(_small_messages) == set(registered_codecs()) - {MaskedInputMsg}
+
+    @given(message=st.one_of(*_small_messages.values()))
+    @settings(max_examples=150, deadline=None)
+    def test_size_roundtrip_and_every_strict_prefix_fails(self, message):
+        encoded = encode_value(message)
+        assert encoded_value_nbytes(message) == len(encoded)
+        assert _equal(message, decode_whole_value(encoded))
+        for cut in range(len(encoded)):
+            with pytest.raises(CodecError):
+                decode_whole_value(encoded[:cut])
+
+
 # ---------------------------------------------------------------------------
 # Envelope strictness
 # ---------------------------------------------------------------------------
@@ -235,19 +288,40 @@ class TestEnvelope:
     def test_version_1_payload_refused_by_name(self):
         # A version-1 masked input (length-prefixed fields, int64
         # big-endian elements) exactly as the previous tree wrote it.
-        assert PAYLOAD_VERSION == 2
+        assert PAYLOAD_VERSION == 3
         v1_body = (
             (8).to_bytes(4, "big") + (3).to_bytes(8, "big")
             + (16).to_bytes(4, "big") + (5).to_bytes(8, "big") + (6).to_bytes(8, "big")
         )
         v1 = bytes([1, 0x23]) + len(v1_body).to_bytes(4, "big") + v1_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 1 \(speaking 2\)"
+            CodecError, match=r"unsupported payload version 1 \(speaking 3\)"
         ):
             decode_payload(v1)
-        # Even relabelled as version 2 it does not parse as a packed body.
+        # Even relabelled as this version it does not parse as a packed body.
         with pytest.raises(CodecError, match="MaskedInput"):
             decode_payload(bytes([PAYLOAD_VERSION]) + v1[1:])
+
+    def test_version_2_payload_refused_by_name(self):
+        # A version-2 AdvertiseKeys (length-prefixed fields, keys zero-
+        # padded to 256 bytes) exactly as the previous tree wrote it.
+        v2_body = b"".join(
+            len(field).to_bytes(4, "big") + field
+            for field in (
+                (7).to_bytes(8, "big"),
+                (12345).to_bytes(256, "big"),
+                (67890).to_bytes(256, "big"),
+                b"",
+            )
+        )
+        v2 = bytes([2, 0x22]) + len(v2_body).to_bytes(4, "big") + v2_body
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 2 \(speaking 3\)"
+        ):
+            decode_payload(v2)
+        # Even relabelled as this version it is refused, never mis-parsed.
+        with pytest.raises(CodecError, match="AdvertiseKeysMsg"):
+            decode_payload(bytes([PAYLOAD_VERSION]) + v2[1:])
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):

@@ -61,12 +61,21 @@ class TestFrameAdversarial:
     def test_version_1_frame_refused_by_name(self):
         # Version 2 bit-packs masked inputs; a version-1 peer's frames
         # must fail to parse, not misparse.
-        assert f.WIRE_VERSION == 2
+        assert f.WIRE_VERSION == 3
         v1 = self.GOOD[:2] + b"\x01" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 1 \(speaking 2\)"
+            ValueError, match=r"unsupported frame version 1 \(speaking 3\)"
         ):
             f.decode_frame(v1)
+
+    def test_version_2_frame_refused_by_name(self):
+        # Version 3 re-laid every small message body; a version-2 peer's
+        # frames must fail to parse, not misparse.
+        v2 = self.GOOD[:2] + b"\x02" + self.GOOD[3:]
+        with pytest.raises(
+            ValueError, match=r"unsupported frame version 2 \(speaking 3\)"
+        ):
+            f.decode_frame(v2)
 
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]
