@@ -14,7 +14,7 @@ from conftest import print_header
 from repro.core import DordisConfig, DordisSession
 from repro.core.baselines import OrigStrategy, make_strategy
 from repro.dp.planner import plan_noise
-from repro.fl.dropout import BehaviorTrace, TraceDrivenDropout
+from repro.fleet import BehaviorTrace, TraceDrivenDropout
 
 
 def test_fig1a_client_dynamics(once):

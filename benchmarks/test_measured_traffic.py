@@ -14,7 +14,7 @@ themselves cost.
 import numpy as np
 from conftest import print_header
 
-from repro.engine import InProcessTransport, RoundEngine, SerializingTransport, run_sync
+from repro.engine import RoundEngine, SerializingTransport, run_sync
 from repro.secagg.driver import arun_secagg_round
 from repro.secagg.types import SecAggConfig
 from repro.utils.rng import derive_rng
@@ -55,7 +55,7 @@ def _inputs(dimension=DIMENSION):
 
 
 def _engine():
-    return RoundEngine(transport=SerializingTransport(InProcessTransport()))
+    return RoundEngine(transport=SerializingTransport())
 
 
 def _measure_secagg():
@@ -211,8 +211,10 @@ def test_measured_direction_split(once):
     assert masked_up > l_tot.up - masked_up
 
 
-def _measure_over(transport_factory, dimension):
-    engine = RoundEngine(transport=transport_factory())
+def _measure_over(carrier, dimension):
+    from repro.engine import SocketTransport
+
+    engine = RoundEngine(transport=SocketTransport(carrier))
     run_sync(
         arun_secagg_round(
             _secagg_config(dimension), _inputs(dimension), None, engine=engine
@@ -227,15 +229,13 @@ def test_measured_ws_framing_overhead(once):
     premium per message (2 B unmasked / 6 B masked for short frames,
     +2/+8 for extended lengths) — a constant-per-message cost that
     vanishes relative to the model-sized payloads as d grows."""
-    from repro.engine import StreamTransport, WebSocketTransport
-
     SMALL, LARGE = 64, 4096
 
     def run_all():
         return {
             d: (
-                _measure_over(StreamTransport, d),
-                _measure_over(WebSocketTransport, d),
+                _measure_over("sockets", d),
+                _measure_over("websocket", d),
             )
             for d in (SMALL, LARGE)
         }

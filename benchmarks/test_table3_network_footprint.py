@@ -72,12 +72,7 @@ def test_table3_footprint_grid(once):
 
 def _measured_round_split(dimension, xnoise):
     """(down, up) measured wire bytes of one real round at ``dimension``."""
-    from repro.engine import (
-        InProcessTransport,
-        RoundEngine,
-        SerializingTransport,
-        run_sync,
-    )
+    from repro.engine import RoundEngine, SerializingTransport, run_sync
     from repro.secagg.driver import arun_secagg_round
     from repro.secagg.types import SecAggConfig
     from repro.utils.rng import derive_rng
@@ -91,7 +86,7 @@ def _measured_round_split(dimension, xnoise):
     inputs = {
         u: rng.integers(0, 1 << 16, size=dimension) for u in range(1, n + 1)
     }
-    engine = RoundEngine(transport=SerializingTransport(InProcessTransport()))
+    engine = RoundEngine(transport=SerializingTransport())
     if xnoise:
         xconfig = XNoiseConfig(
             secagg=config, n_sampled=n, tolerance=2, target_variance=4.0

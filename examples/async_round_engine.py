@@ -27,8 +27,8 @@ from repro.secagg import (
     SecAggConfig,
     secagg_stage_of,
 )
+from repro.fleet import Fleet, heterogeneous_fleet
 from repro.secagg.driver import arun_secagg_round, secagg_round_components
-from repro.sim.network import heterogeneous_fleet
 
 
 def make_inputs(n=6, dim=64, seed=0):
@@ -48,11 +48,12 @@ async def main():
 
     # 2 — the same round over simulated per-link latency: the slowest
     # sampled device gates every comm-bearing stage.
-    fleet = heterogeneous_fleet(len(inputs) + 1, seed=1)
-    devices = {u: fleet[u % len(fleet)] for u in inputs}
+    fleet = Fleet(heterogeneous_fleet(len(inputs) + 1, seed=1))
     engine = RoundEngine(
         transport=DropoutTransport(
-            SimulatedNetworkTransport(devices), dropout, secagg_stage_of
+            SimulatedNetworkTransport(fleet.link_seconds),
+            dropout,
+            secagg_stage_of,
         )
     )
     server, clients = secagg_round_components(config, inputs)

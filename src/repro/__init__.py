@@ -27,8 +27,8 @@ Privacy* (Jiang, Wang, Chen — EuroSys 2024).  It contains:
 - ``repro.engine``   — the unified async round engine: every declared
   protocol workflow executes over a pluggable transport with concurrent
   client dispatch and chunk-pipelined scheduling per Appendix C.
-- ``repro.sim``      — network/latency heterogeneity models and an
-  in-process cluster used to drive the protocols.
+- ``repro.sim``      — virtual-time execution traces and their offline
+  discrete-event replay.
 - ``repro.core``     — the end-to-end Dordis framework and the baseline
   noise strategies (Orig / Early / Con-k).
 

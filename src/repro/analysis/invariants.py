@@ -51,15 +51,15 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "rules": ["strict-decoder"],
         "tests": [
             "tests/engine/test_parity.py",
-            "tests/engine/test_websocket_transport.py",
+            "tests/engine/test_socket_transport.py",
         ],
     },
     # Traced traffic equals the framed bytes on the socket, both ends.
     "6": {
         "rules": ["strict-decoder", "zero-copy"],
         "tests": [
-            "tests/engine/test_stream_transport.py",
-            "tests/engine/test_websocket_transport.py",
+            "tests/engine/test_socket_transport.py",
+            "tests/wire/test_link.py",
         ],
     },
     # up_bytes + down_bytes == traffic_bytes, by construction.
@@ -108,7 +108,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/secagg/test_codec.py",
             "tests/secagg/test_malformed_masked_input.py",
             "tests/crypto/test_hotpath_parity.py",
-            "tests/engine/test_stream_transport.py",
+            "tests/engine/test_socket_transport.py",
             "tests/test_native_fallback.py",
         ],
     },

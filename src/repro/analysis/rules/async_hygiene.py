@@ -1,9 +1,11 @@
 """async-hygiene: the engine's event loop never blocks or leaks tasks.
 
 The engine (``repro/engine/``) is the one async substrate every round
-runs through; a blocking call inside one of its coroutines stalls every
-concurrent client, and a fire-and-forget task is lost to cancellation
-and exception reporting.  Two checks over ``async def`` bodies:
+runs through, and the wire layer (``repro/wire/``) holds the coroutines
+it awaits on every socket — the stream readers and the carrier links;
+a blocking call inside any of them stalls every concurrent client, and
+a fire-and-forget task is lost to cancellation and exception
+reporting.  Two checks over ``async def`` bodies:
 
 1. no call to a known blocking API (``time.sleep``, ``subprocess.*``,
    ``os.system``, ``os.popen``, ``socket.create_connection``,
@@ -29,7 +31,7 @@ from repro.analysis.core import (
     register,
 )
 
-_SCOPE_DIR = "src/repro/engine/"
+_SCOPE_DIRS = ("src/repro/engine/", "src/repro/wire/")
 
 _BLOCKING_CALLS = {
     "time.sleep",
@@ -55,7 +57,7 @@ class AsyncHygieneRule(Rule):
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
         for src in ctx.sources:
-            if not src.rel.startswith(_SCOPE_DIR):
+            if not src.rel.startswith(_SCOPE_DIRS):
                 continue
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.AsyncFunctionDef):

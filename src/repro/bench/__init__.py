@@ -1,10 +1,10 @@
 """Benchmark harness behind ``repro.cli bench``.
 
 One entry point runs the hot-path microbenchmarks (every optimized path
-timed against its retained ``*_reference`` twin), measured protocol
-rounds over real sockets, and the million-device fleet topic (columnar
-construction, cohort queries, and churn scenarios), and persists each
-topic as a machine-readable
+timed against its retained ``*_reference`` twin), a measured protocol
+round and the listener stress over real sockets, and the million-device
+fleet topic (columnar construction, cohort queries, and churn
+scenarios), and persists each topic as a machine-readable
 ``BENCH_<topic>.json`` so successive runs form a diffable performance
 trajectory (``repro.cli bench --diff old new``).
 """
@@ -12,7 +12,7 @@ trajectory (``repro.cli bench --diff old new``).
 from repro.bench.fleet import run_fleet
 from repro.bench.hotpath import run_hotpath
 from repro.bench.listener import run_listener
-from repro.bench.rounds import run_round, run_traffic
+from repro.bench.rounds import run_traffic
 from repro.bench.unmask import run_unmask
 from repro.bench.schema import (
     SCHEMA_VERSION,
@@ -35,7 +35,6 @@ __all__ = [
     "run_fleet",
     "run_hotpath",
     "run_listener",
-    "run_round",
     "run_traffic",
     "run_unmask",
     "validate_report",

@@ -1,14 +1,10 @@
-"""Measured-round benchmarks: real protocol rounds over real sockets.
+"""The ``traffic`` topic: a real protocol round over real sockets.
 
-Two topics:
-
-- ``traffic`` — one SecAgg round over the framed-TCP transport at a
-  modest dimension, recording the *measured* per-stage byte split the
-  engine traced (the Table-3 network-footprint view, as bytes on an
-  actual socket rather than a formula).
-- ``round`` — end-to-end wall time of one measured round per model
-  dimension (the Fig.-2 overhead-vs-size view), with the framed byte
-  totals alongside.
+One SecAgg round over the framed-TCP transport at a modest dimension,
+recording the *measured* per-stage byte split the engine traced (the
+Table-3 network-footprint view, as bytes on an actual socket rather
+than a formula).  End-to-end round wall time is the perf benchmark's
+job (``benchmarks/perf``, ``wide_model/round_wall_s``).
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from repro.bench.schema import make_report, metric
 from repro.utils.rng import derive_rng
 
 TRAFFIC_TOPIC = "traffic"
-ROUND_TOPIC = "round"
 
 
 def _slug(label: str) -> str:
@@ -33,8 +28,8 @@ def _slug(label: str) -> str:
 def _run_measured_round(
     clients: int, dimension: int, bits: int, seed: int
 ) -> dict[str, Any]:
-    """One SecAgg round over StreamTransport; returns raw measurements."""
-    from repro.engine import RoundEngine, StreamTransport
+    """One SecAgg round over framed TCP; returns raw measurements."""
+    from repro.engine import RoundEngine, SocketTransport
     from repro.engine.core import run_sync
     from repro.secagg.driver import DropoutSchedule, arun_secagg_round
     from repro.secagg.types import SecAggConfig
@@ -51,7 +46,7 @@ def _run_measured_round(
         u: rng.integers(0, config.modulus, size=dimension)
         for u in range(1, n + 1)
     }
-    transport = StreamTransport()
+    transport = SocketTransport()
     engine = RoundEngine(transport=transport)
     schedule = DropoutSchedule.before_upload(set())
 
@@ -111,26 +106,3 @@ def run_traffic(
         "transport": "sockets",
     }
     return make_report(TRAFFIC_TOPIC, config, metrics)
-
-
-def run_round(
-    dims: list[int], *, clients: int = 4, bits: int = 20, seed: int = 0
-) -> dict[str, Any]:
-    """End-to-end measured SecAgg round per model dimension."""
-    metrics: dict[str, Any] = {}
-    n = max(3, clients)
-    for d in dims:
-        m = _run_measured_round(n, d, bits, seed)
-        metrics[f"round_d{d}_wall_s"] = metric(m["wall_s"], "s")
-        metrics[f"round_d{d}_total_bytes"] = metric(m["total_bytes"], "bytes")
-        metrics[f"round_d{d}_aggregate_ok"] = metric(
-            1 if m["ok"] else 0, "flag"
-        )
-    config = {
-        "dims": list(dims),
-        "clients": n,
-        "bits": bits,
-        "seed": seed,
-        "transport": "sockets",
-    }
-    return make_report(ROUND_TOPIC, config, metrics)

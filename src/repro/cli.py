@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands mirror the workflow a user of the original system
+Seven subcommands mirror the workflow a user of the original system
 walks through:
 
 - ``run``      — train one Dordis session and report utility + ε;
@@ -8,10 +8,6 @@ walks through:
   budget/horizon (§2.2);
 - ``pipeline`` — print plain-vs-pipelined round times and the optimal
   chunk count for a workload (§4);
-- ``sockets``  — run one secure-aggregation round over real localhost
-  connections — framed TCP or RFC 6455 WebSocket
-  (``--transport websocket``) — and report the *measured* per-stage
-  traffic and per-connection byte accounting;
 - ``serve``    — the cross-process coordinator: bind ONE listening
   port, wait for every ``join`` process to dial in, run one
   secure-aggregation round across them, and report (or ``--json``-emit)
@@ -23,7 +19,7 @@ walks through:
   (``--die-after K`` vanishes after K answers — dropout injection);
 - ``bench``    — run the hot-path microbenchmarks (each optimized
   crypto/codec path against its retained ``*_reference`` twin),
-  measured end-to-end rounds, and the listener stress topic (1000
+  one measured traffic round, and the listener stress topic (1000
   concurrent dialing clients against one coordinator port by default),
   writing one machine-readable ``BENCH_<topic>.json`` per topic;
   ``--diff old new`` compares two persisted reports metric by metric;
@@ -37,8 +33,6 @@ Examples::
         --strategy xnoise --rounds 8
     python -m repro.cli plan --rounds 150 --epsilon 6 --delta 0.01
     python -m repro.cli pipeline --clients 100 --model-size 11000000
-    python -m repro.cli sockets --clients 6 --dimension 64 --drop 1
-    python -m repro.cli sockets --clients 6 --transport websocket
     python -m repro.cli serve --clients 3 --port 7001   # terminal 1
     python -m repro.cli join --client-id 1 --clients 3 --port 7001  # 2..4
     python -m repro.cli bench --out .
@@ -119,27 +113,6 @@ def _add_pipeline_parser(sub) -> None:
     p.add_argument("--max-chunks", type=int, default=20)
 
 
-def _add_sockets_parser(sub) -> None:
-    p = sub.add_parser(
-        "sockets",
-        help="one secure-aggregation round over real sockets "
-             "(framed TCP or WebSocket)",
-    )
-    p.add_argument("--clients", type=int, default=5)
-    p.add_argument("--dimension", type=int, default=16)
-    p.add_argument("--bits", type=int, default=16)
-    p.add_argument("--drop", type=int, default=0,
-                   help="clients dropping before the masked upload")
-    p.add_argument("--xnoise", action="store_true",
-                   help="run the integrated XNoise+SecAgg protocol instead")
-    p.add_argument("--transport", default="sockets",
-                   choices=["sockets", "websocket"],
-                   help="wire carrier: framed TCP (default) or RFC 6455 "
-                        "WebSocket (byte counts then include the WS "
-                        "framing overhead)")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def _add_serve_parser(sub) -> None:
     p = sub.add_parser(
         "serve",
@@ -203,13 +176,13 @@ def _add_join_parser(sub) -> None:
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser(
         "bench",
-        help="hot-path microbenchmarks + measured rounds → BENCH_*.json",
+        help="hot-path microbenchmarks + measured topics → BENCH_*.json",
     )
     p.add_argument("--dims", type=int, nargs="+",
                    default=[2 ** 14, 2 ** 17, 2 ** 20],
-                   help="model dimensions for the PRG/round sweeps")
+                   help="model dimensions for the PRG sweeps")
     p.add_argument("--clients", type=int, default=4,
-                   help="clients per measured round (and Shamir cohort)")
+                   help="clients in the traffic round (and Shamir cohort)")
     p.add_argument("--repeats", type=int, default=3,
                    help="best-of repetitions per microbenchmark")
     p.add_argument("--bits", type=int, default=20,
@@ -217,10 +190,9 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--traffic-dimension", type=int, default=1024,
                    help="dimension for the per-stage traffic round")
     p.add_argument("--topics", nargs="+", default=["hotpath", "traffic",
-                                                   "round", "listener",
-                                                   "fleet"],
-                   choices=["hotpath", "traffic", "round", "listener",
-                            "fleet", "unmask"],
+                                                   "listener", "fleet"],
+                   choices=["hotpath", "traffic", "listener", "fleet",
+                            "unmask"],
                    help="which reports to produce (unmask — the "
                         "coordinator's full dropout-recovery plane at the "
                         "target shape — runs only when asked for: its "
@@ -281,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_parser(sub)
     _add_plan_parser(sub)
     _add_pipeline_parser(sub)
-    _add_sockets_parser(sub)
     _add_serve_parser(sub)
     _add_join_parser(sub)
     _add_bench_parser(sub)
@@ -290,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _demo_round_setup(n: int, dimension: int, bits: int, seed: int):
-    """The deterministic demo cohort shared by ``sockets``, ``serve``,
-    and ``join``: every process deriving from the same seed sees the
-    same config and the same per-client ring vectors, so a
-    cross-process round is bit-comparable to an in-process one."""
+    """The deterministic demo cohort shared by ``serve`` and ``join``:
+    every process deriving from the same seed sees the same config and
+    the same per-client ring vectors, so a cross-process round is
+    bit-comparable to an in-process one."""
     from repro.secagg.types import SecAggConfig
     from repro.utils.rng import derive_rng
 
@@ -422,101 +393,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_sockets(args) -> int:
-    import numpy as np
-
-    from repro.engine import RoundEngine, StreamTransport, WebSocketTransport
-    from repro.engine.core import run_sync
-    from repro.secagg.driver import DropoutSchedule, arun_secagg_round
-    from repro.xnoise.protocol import XNoiseConfig, arun_xnoise_round
-
-    n = args.clients
-    if n < 3:
-        print("need at least 3 clients", file=sys.stderr)
-        return 2
-    config, inputs = _demo_round_setup(n, args.dimension, args.bits, args.seed)
-    threshold = config.threshold
-    if not 0 <= args.drop <= n - threshold:
-        print(
-            f"--drop must be in [0, {n - threshold}]: with {n} clients the "
-            f"Shamir threshold is {threshold}, so at most {n - threshold} "
-            f"dropouts are tolerable",
-            file=sys.stderr,
-        )
-        return 2
-    dropped = set(range(1, args.drop + 1))
-    schedule = DropoutSchedule.before_upload(dropped)
-    transport = (
-        WebSocketTransport()
-        if args.transport == "websocket"
-        else StreamTransport()
-    )
-    engine = RoundEngine(transport=transport)
-
-    if args.xnoise:
-        xconfig = XNoiseConfig(
-            secagg=config,
-            n_sampled=n,
-            tolerance=max(1, n - threshold),
-            target_variance=4.0,
-        )
-        signal_inputs = {
-            u: (v - config.modulus // 2) for u, v in inputs.items()
-        }
-        result = run_sync(
-            arun_xnoise_round(xconfig, signal_inputs, schedule, engine=engine)
-        )
-    else:
-        result = run_sync(
-            arun_secagg_round(config, dict(inputs), schedule, engine=engine)
-        )
-
-    protocol = "XNoise+SecAgg" if args.xnoise else "SecAgg"
-    carrier = (
-        "RFC 6455 WebSocket" if args.transport == "websocket"
-        else "framed TCP"
-    )
-    print(f"protocol         : {protocol} over {carrier} (localhost)")
-    print(f"sampled/survived : {n} sampled, {len(result.u3)} in U3 "
-          f"({args.drop} dropped before upload)")
-    if not args.xnoise:
-        expected = np.zeros(config.dimension, dtype=np.int64)
-        for u in result.u3:
-            expected = (expected + inputs[u]) % config.modulus
-        ok = np.array_equal(result.aggregate, expected)
-        print(f"aggregate        : {'verified — ring sum over U3 matches' if ok else 'MISMATCH'}")
-        if not ok:
-            return 1
-    print()
-    print("measured per-stage traffic (framed bytes on the socket):")
-    print(f"  {'stage':20s} {'down':>10s} {'up':>10s} {'total':>10s}")
-    for label, split in engine.trace.stage_traffic_split(0).items():
-        if split.total:
-            print(f"  {label:20s} {split.down:>10,d} {split.up:>10,d} "
-                  f"{split.total:>10,d}")
-    total = engine.trace.round_traffic_bytes(0)
-    round_split = engine.trace.round_traffic_split(0)
-    stats = transport.closed_connection_stats
-    frames = sum(s.frame_bytes for s in stats)
-    down_frames = sum(s.down_bytes for s in stats)
-    up_frames = sum(s.up_bytes for s in stats)
-    handshake = sum(s.handshake_sent + s.handshake_received for s in stats)
-    print(f"  {'total':20s} {round_split.down:>10,d} {round_split.up:>10,d} "
-          f"{total:>10,d}")
-    print()
-    print(f"connections      : {len(stats)} "
-          f"(+{handshake:,d} B handshake, not stage-accounted)")
-    balanced = (
-        total == frames
-        and round_split.down == down_frames
-        and round_split.up == up_frames
-    )
-    print(f"accounting check : traced {round_split.down:,d}↓ + "
-          f"{round_split.up:,d}↑ == framed {down_frames:,d}↓ + "
-          f"{up_frames:,d}↑ {'✓' if balanced else '✗ MISMATCH'}")
-    return 0 if balanced else 1
-
-
 def _cmd_serve(args) -> int:
     import json
 
@@ -599,11 +475,7 @@ def _cmd_serve(args) -> int:
         }))
         return 0 if ok else 1
 
-    carrier = (
-        "RFC 6455 WebSocket" if args.transport == "websocket"
-        else "framed TCP"
-    )
-    print(f"protocol         : SecAgg over {carrier} (cross-process)")
+    print(f"protocol         : SecAgg over {args.transport} (cross-process)")
     print(f"cohort/survived  : {n} expected, {listener.accepted} joined, "
           f"{len(result.u3)} in U3")
     print(f"aggregate        : "
@@ -726,14 +598,6 @@ def _cmd_bench(args) -> int:
         print(f"traffic round d={args.traffic_dimension}: "
               f"{int(m['total_bytes']['value']):,d} B framed in "
               f"{m['round_wall_s']['value']:.3f}s")
-    if "round" in args.topics:
-        report = bench.run_round(
-            args.dims, clients=args.clients, bits=args.bits, seed=args.seed
-        )
-        written.append(bench.write_bench(report, args.out))
-        for d in args.dims:
-            v = report["metrics"][f"round_d{d}_wall_s"]["value"]
-            print(f"measured round d={d}: {v:.3f}s")
     if "fleet" in args.topics:
         if args.fleet_devices < 1 or args.fleet_cohort < 1 or args.fleet_rounds < 2:
             print("--fleet-devices/--fleet-cohort must be positive and "
@@ -829,7 +693,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "plan": _cmd_plan,
         "pipeline": _cmd_pipeline,
-        "sockets": _cmd_sockets,
         "serve": _cmd_serve,
         "join": _cmd_join,
         "bench": _cmd_bench,

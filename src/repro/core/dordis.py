@@ -42,8 +42,7 @@ from repro.fl.data import (
     make_femnist_like,
     make_text_task,
 )
-from repro.fl.dropout import FixedRateDropout
-from repro.fleet import Fleet
+from repro.fleet import Fleet, FixedRateDropout
 from repro.fl.models import BigramLM, MLPClassifier, SoftmaxRegression
 from repro.fl.optim import SGD, AdamW
 from repro.fl.server import FedAvgServer
@@ -110,30 +109,31 @@ _TASK_FACTORIES = {
 def build_transport(name: str, fleet: Fleet | None = None):
     """Engine transport for a :attr:`DordisConfig.transport` name.
 
-    With a fleet, every backend carries the fleet's per-direction link
-    model (request frames on each client's downlink, responses on its
-    uplink — :func:`repro.fleet.fleet_transport`); without one, the
-    legacy zero-latency backends.
+    With a fleet, every backend prices each exchange on the client's own
+    links (:meth:`Fleet.link_seconds`: request frame on the downlink,
+    response on the uplink); without one, no virtual latency.  The
+    first three rows charge identical byte counts, so a fleet round's
+    trace is transport-invariant (the parity suites pin this);
+    ``"websocket"`` honestly adds its RFC 6455 framing bytes.  In-process
+    rounds without a fleet move live objects and report no bytes.
     """
     from repro.engine import (
         InProcessTransport,
         SerializingTransport,
-        StreamTransport,
-        WebSocketTransport,
+        SimulatedNetworkTransport,
+        SocketTransport,
     )
+    from repro.wire.ws import CARRIERS
 
-    if fleet is not None:
-        from repro.fleet import fleet_transport
-
-        return fleet_transport(name, fleet)
-    if name == "serialized":
-        return SerializingTransport(InProcessTransport())
-    if name == "sockets":
-        return StreamTransport()
-    if name == "websocket":
-        return WebSocketTransport()
+    link = None if fleet is None else fleet.link_seconds
     if name == "inprocess":
-        return InProcessTransport()
+        if link is None:
+            return InProcessTransport()
+        return SimulatedNetworkTransport(link)
+    if name == "serialized":
+        return SerializingTransport(link)
+    if name in CARRIERS:
+        return SocketTransport(name, link)
     raise ValueError(f"unknown transport {name!r}")
 
 

@@ -4,12 +4,12 @@ Every round in the repo — the Appendix-D programming-interface runtime,
 the SecAgg/XNoise protocol drivers, and the training session loop — runs
 through one event-driven :class:`RoundEngine`:
 
-- **Transport-agnostic**: in-process direct dispatch, asyncio message
-  queues, simulated per-link latency from §6.1 device profiles,
-  wire-serializing middleware, real framed TCP sockets
-  (:class:`StreamTransport`), real RFC 6455 WebSockets
-  (:class:`WebSocketTransport`), and dropout-injecting middleware are
-  interchangeable backends.
+- **Transport-agnostic**: in-process direct dispatch, codec-sized
+  simulated links priced from §6.1 device profiles, the in-process wire
+  serialization boundary, real sockets (:class:`SocketTransport`:
+  framed TCP or RFC 6455 WebSocket behind one listening port;
+  :class:`ListenerTransport` when the listener is owned elsewhere), and
+  dropout-injecting middleware are interchangeable backends.
 - **Chunk-pipelined**: aggregation tasks split into m sub-tasks
   (:mod:`repro.pipeline.chunking`) executed as overlapping asyncio tasks
   whose cross-chunk ordering is the Appendix-C schedule — the pipeline
@@ -46,16 +46,14 @@ from repro.engine.listener import (
     CoordinatorListener,
     DialingClient,
     ListenerTransport,
+    SocketTransport,
 )
-from repro.engine.stream import StreamTransport
-from repro.engine.websocket import WebSocketTransport, ws_envelope_overhead
 from repro.engine.transport import (
     Channel,
     ClientUnavailable,
     Delivery,
     DropoutTransport,
     InProcessTransport,
-    QueueTransport,
     SerializingTransport,
     SimulatedNetworkTransport,
     Transport,
@@ -85,11 +83,8 @@ __all__ = [
     "DropoutTransport",
     "InProcessTransport",
     "ListenerTransport",
-    "QueueTransport",
     "SerializingTransport",
     "SimulatedNetworkTransport",
-    "StreamTransport",
+    "SocketTransport",
     "Transport",
-    "WebSocketTransport",
-    "ws_envelope_overhead",
 ]

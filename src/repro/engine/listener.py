@@ -4,17 +4,19 @@ This module is the production-topology heart of the socket stack.  One
 :class:`CoordinatorListener` owns **one** ``asyncio.start_server`` port
 (plain framed TCP, or its RFC 6455 upgrade twin) and accepts every
 client connection on it; devices are :class:`DialingClient` workers that
-dial *in* — the inverse of the original harness, where each protocol
-client hid behind its own localhost server and the coordinator dialed
-out.  Both socket carriers (:class:`~repro.engine.stream.StreamTransport`
-and :class:`~repro.engine.websocket.WebSocketTransport`) and the
-cross-process ``repro.cli serve``/``join`` entry points are thin shells
+dial *in*.  The carrier is a constructor argument, never a second
+socket stack: how a frame rides the byte stream, and what that costs,
+lives behind :func:`repro.wire.ws.open_link`.  :class:`SocketTransport`
+(a private listener plus in-process dialers per round) and
+:class:`ListenerTransport` (an externally-owned listener, the
+cross-process ``repro.cli serve``/``join`` path) are the two shells
 over this core.
 
 Per accepted connection the listener runs:
 
-1. the carrier accept — for the websocket carrier an HTTP/1.1 Upgrade
-   handshake, for framed TCP nothing — counted as connection overhead;
+1. the carrier accept (:func:`~repro.wire.ws.open_link`) — for the
+   websocket carrier an HTTP/1.1 Upgrade handshake, for framed TCP
+   nothing — counted as connection overhead;
 2. the wire handshake — the dialer opens with a ``HELLO`` frame carrying
    the explicit :class:`repro.wire.frame.Hello` schema (client id, wire
    version, optional auth token); the listener validates version, token,
@@ -26,13 +28,21 @@ Per accepted connection the listener runs:
    backpressure seam: a coordinator fanning requests to thousands of
    connections blocks on a full queue instead of buffering unboundedly.
 
-A connection that drops mid-round — process killed, socket reset, clean
-close — is *retired*: every in-flight exchange and every later request
-for that client raises
+A connection that drops mid-round — process killed (even halfway
+through writing a frame), socket reset, clean close — is *retired*:
+every in-flight exchange and every later request for that client raises
 :class:`~repro.engine.transport.ClientUnavailable`, which the engine
-folds into the existing dropout machinery (the client simply stops
-responding, exactly like :class:`~repro.engine.transport.DropoutTransport`
-dropping it).  A dead connection never crashes the round.
+folds into the existing dropout machinery (exactly like
+:class:`~repro.engine.transport.DropoutTransport` dropping it).  A dead
+connection never crashes the round; *malformed* bytes (bad magic,
+unknown kind, oversize prefix, a text or unmasked websocket frame) are
+a protocol violation and fail loud into the first in-flight exchange.
+
+Traced per-stage traffic sums the frames of *completed* deliveries: an
+ERROR exchange is counted in its connection's :class:`ConnectionStats`
+(the bytes really crossed) but produces no delivery — the engine aborts
+the round on the re-raised exception — so ``traced == Σ frame_bytes``
+holds exactly for every round that runs to completion.
 
 Byte accounting is measured from both socket ends, as everywhere in the
 repo: the listener books its view into :class:`ConnectionStats` (every
@@ -46,12 +56,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
-from repro.engine.transport import Channel, ClientUnavailable, Delivery, Transport
+from repro.engine.transport import (
+    Channel,
+    ClientUnavailable,
+    Delivery,
+    LinkSeconds,
+    Transport,
+    priced,
+)
 from repro.wire import codecs as wire_codecs
 from repro.wire.frame import (
     KIND_ERROR,
@@ -60,41 +76,16 @@ from repro.wire.frame import (
     KIND_RESPONSE,
     KIND_WELCOME,
     WIRE_VERSION,
-    FrameEOF,
     Hello,
-    decode_frame,
+    LinkClosed,
     decode_hello,
     encode_frame,
     encode_hello,
-    read_frame,
 )
-from repro.wire.ws import (
-    CONTROL_OPCODES,
-    MAX_MESSAGE,
-    OP_BINARY,
-    OP_CLOSE,
-    OP_CONT,
-    OP_PING,
-    OP_PONG,
-    WSClosed,
-    WSEOF,
-    encode_ws_frame,
-    encode_ws_frame_parts,
-    handshake_request,
-    handshake_response,
-    parse_handshake_request,
-    parse_handshake_response,
-    read_handshake,
-    read_ws_frame,
-    websocket_key,
-    ws_frame_overhead,
-)
+from repro.wire.ws import check_carrier, open_link
 
 if TYPE_CHECKING:
     from repro.api.protocol import ProtocolClient
-
-#: Carrier names the listener and dialers speak.
-CARRIERS = ("sockets", "websocket")
 
 #: Listen backlog: a 1k-connection stress burst must not see refusals.
 LISTEN_BACKLOG = 2048
@@ -164,279 +155,6 @@ class ConnectionStats:
     def frame_bytes(self) -> int:
         """Request + response frames (the per-stage-accounted traffic)."""
         return self.request_bytes + self.response_bytes
-
-
-class LinkClosed(Exception):
-    """The peer ended the connection cleanly (EOF / close handshake)."""
-
-
-class _TCPLink:
-    """Framed TCP as a carrier link: frames pass through unchanged."""
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-
-    #: Framed TCP has no control frames; the counters exist so both
-    #: carriers finalize identically.
-    control_sent = 0
-    control_received = 0
-
-    async def recv(self) -> tuple[int, bytes, int]:
-        try:
-            return await read_frame(self._reader)
-        except FrameEOF as exc:
-            raise LinkClosed from exc
-
-    async def send(
-        self,
-        frame: bytes | bytearray,
-        count: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        n = len(frame)
-        # Counted *before* the flush: a cancellation landing in the
-        # drain can never lose already-written bytes from the books.
-        if count is not None:
-            count(n)
-        self._writer.write(frame)
-        await self._writer.drain()
-        return n
-
-    def framed_size(self, frame_nbytes: int) -> int:
-        """Wire bytes for one frame of that size — TCP adds nothing."""
-        return frame_nbytes
-
-    async def start_close(self) -> None:
-        """Begin a graceful goodbye: plain TCP just closes the socket
-        (the peer reads a clean EOF between frames)."""
-        self._writer.close()
-
-    async def shutdown(self) -> None:
-        self._writer.close()
-        with contextlib.suppress(Exception):
-            await self._writer.wait_closed()
-
-
-class _WSLink:
-    """One end of an upgraded connection: messages over RFC 6455 frames.
-
-    Handles fragmentation (outgoing when ``max_fragment`` is set,
-    incoming always), answers pings, runs the close handshake, and
-    counts every frame byte — data message bytes are returned per call
-    for stage attribution, control bytes accumulate in
-    ``control_sent``/``control_received`` (connection overhead).
-    Counters update *before* each flush, so a cancellation landing in a
-    drain can never lose already-written bytes from the accounting.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        masked: bool,
-        max_fragment: Optional[int] = None,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self.masked = masked
-        self.max_fragment = max_fragment
-        self._close_sent = False
-        self.control_sent = 0
-        self.control_received = 0
-
-    def _mask(self) -> Optional[bytes]:
-        return os.urandom(4) if self.masked else None
-
-    def _build_parts(
-        self, payload: bytes | bytearray
-    ) -> tuple[bytes, bytes | bytearray | memoryview]:
-        """One message as write-ready parts (head, wire payload).
-
-        Unfragmented — the default — the payload buffer passes through
-        untouched on the unmasked side (see
-        :func:`repro.wire.ws.encode_ws_frame_parts`); fragmentation
-        joins its pieces into the head part, payload part empty.
-        """
-        if self.max_fragment is None or len(payload) <= self.max_fragment:
-            return encode_ws_frame_parts(OP_BINARY, payload, mask=self._mask())
-        pieces = [
-            payload[i : i + self.max_fragment]
-            for i in range(0, len(payload), self.max_fragment)
-        ]
-        blob = b"".join(
-            encode_ws_frame(
-                OP_BINARY if i == 0 else OP_CONT,
-                piece,
-                fin=(i == len(pieces) - 1),
-                mask=self._mask(),
-            )
-            for i, piece in enumerate(pieces)
-        )
-        return blob, b""
-
-    async def _write(
-        self, blob: bytes, count: Optional[Callable[[int], None]] = None
-    ) -> None:
-        if count is not None:
-            count(len(blob))
-        self._writer.write(blob)
-        await self._writer.drain()
-
-    async def send_message(
-        self,
-        payload: bytes | bytearray,
-        count: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """One binary data message; returns its WS-framed byte count.
-
-        ``count`` (if given) observes that count before the flush — the
-        cancellation-safe way to attribute the bytes to a direction.
-        The head and payload go onto the writer back to back, so the
-        payload buffer is never concatenated into a new blob.
-        """
-        head, body = self._build_parts(payload)
-        n = len(head) + len(body)
-        if count is not None:
-            count(n)
-        self._writer.write(head)
-        if len(body):
-            self._writer.write(body)
-        await self._writer.drain()
-        return n
-
-    async def _send_control(self, opcode: int, payload: bytes = b"") -> None:
-        frame = encode_ws_frame(opcode, payload, mask=self._mask())
-        self.control_sent += len(frame)
-        await self._write(frame)
-
-    async def recv_message(self) -> tuple[bytes, int]:
-        """One binary data message: ``(payload, WS-framed byte count)``.
-
-        Interleaved control frames are handled inline — pings answered,
-        pongs absorbed, a peer CLOSE echoed then raised as
-        :class:`WSClosed` — and counted as connection overhead.  Raises
-        :class:`WSEOF` on a clean TCP close between frames.
-        """
-        assembled = bytearray()
-        nbytes = 0
-        expecting_cont = False
-        while True:
-            fin, opcode, body, n = await read_ws_frame(
-                self._reader, require_mask=not self.masked
-            )
-            if opcode in CONTROL_OPCODES:
-                self.control_received += n
-                if opcode == OP_PING:
-                    await self._send_control(OP_PONG, body)
-                elif opcode == OP_CLOSE:
-                    code = (
-                        int.from_bytes(body[:2], "big") if len(body) >= 2 else 1000
-                    )
-                    if not self._close_sent:
-                        self._close_sent = True
-                        with contextlib.suppress(ConnectionError):
-                            await self._send_control(OP_CLOSE, body[:2])
-                    raise WSClosed(code, bytes(body[2:]))
-                continue  # pong: keepalive noise, nothing to do
-            if expecting_cont != (opcode == OP_CONT):
-                raise ValueError(
-                    "continuation frame without a message to continue"
-                    if opcode == OP_CONT
-                    else "data frame interleaved into a fragmented message"
-                )
-            if not expecting_cont and opcode != OP_BINARY:
-                raise ValueError("wire messages must be binary frames")
-            assembled += body
-            nbytes += n
-            if len(assembled) > MAX_MESSAGE:
-                raise ValueError(
-                    f"assembled message exceeds MAX_MESSAGE={MAX_MESSAGE}"
-                )
-            if fin:
-                return bytes(assembled), nbytes
-            expecting_cont = True
-
-    async def send_close(self, code: int = 1000) -> None:
-        """Send the CLOSE control frame (without reading the echo — the
-        connection's reader consumes it as :class:`WSClosed`)."""
-        if not self._close_sent:
-            self._close_sent = True
-            await self._send_control(OP_CLOSE, code.to_bytes(2, "big"))
-
-    async def close(self, code: int = 1000) -> None:
-        """Initiate (or finish) the close handshake from this end.
-
-        Only safe when no other task is reading this link — the hosted
-        connections run a dedicated reader and use :meth:`send_close`.
-        """
-        await self.send_close(code)
-        while True:
-            try:
-                _fin, opcode, _body, n = await read_ws_frame(
-                    self._reader, require_mask=not self.masked
-                )
-            except (WSEOF, ValueError, ConnectionError):
-                return
-            # Anything read while closing is teardown overhead.
-            self.control_received += n
-            if opcode == OP_CLOSE:
-                return
-
-
-class _WSFrameLink:
-    """A :class:`_WSLink` speaking wire frames as binary messages."""
-
-    def __init__(self, ws: _WSLink, writer: asyncio.StreamWriter):
-        self.ws = ws
-        self._writer = writer
-
-    @property
-    def control_sent(self) -> int:
-        return self.ws.control_sent
-
-    @property
-    def control_received(self) -> int:
-        return self.ws.control_received
-
-    async def recv(self) -> tuple[int, bytes, int]:
-        try:
-            payload, n = await self.ws.recv_message()
-        except (WSEOF, WSClosed) as exc:
-            raise LinkClosed from exc
-        kind, body = decode_frame(payload)
-        return kind, body, n
-
-    async def send(
-        self,
-        frame: bytes | bytearray,
-        count: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        return await self.ws.send_message(frame, count=count)
-
-    def framed_size(self, frame_nbytes: int) -> int:
-        """Deterministic wire bytes for one frame of that envelope size
-        (fragmentation included) — what :meth:`send` will measure."""
-        frag = self.ws.max_fragment
-        if frag is None or frame_nbytes <= frag:
-            return frame_nbytes + ws_frame_overhead(
-                frame_nbytes, masked=self.ws.masked
-            )
-        total = 0
-        for start in range(0, frame_nbytes, frag):
-            piece = min(frag, frame_nbytes - start)
-            total += piece + ws_frame_overhead(piece, masked=self.ws.masked)
-        return total
-
-    async def start_close(self) -> None:
-        """Begin a graceful goodbye: send CLOSE; the reader task will
-        consume the peer's echo and retire the connection."""
-        await self.ws.send_close()
-
-    async def shutdown(self) -> None:
-        self._writer.close()
-        with contextlib.suppress(Exception):
-            await self._writer.wait_closed()
 
 
 class _ClientConnection:
@@ -520,15 +238,11 @@ class _ClientConnection:
         dropout as :class:`ClientUnavailable`.
         """
         self.dead = True
-        first = True
         while self.pending:
             op, fut = self.pending.popleft()
             if not fut.done():
-                if first and exc is not None:
-                    fut.set_exception(exc)
-                else:
-                    fut.set_exception(ClientUnavailable(self.client_id, op))
-            first = False
+                fut.set_exception(exc or ClientUnavailable(self.client_id, op))
+            exc = None
 
 
 class CoordinatorListener:
@@ -561,18 +275,14 @@ class CoordinatorListener:
         auth_token: bytes = b"",
         join_timeout: float = 30.0,
         send_queue_size: int = SEND_QUEUE_SIZE,
-        max_fragment: Optional[int] = None,
     ):
-        if carrier not in CARRIERS:
-            raise ValueError(f"carrier must be one of {CARRIERS}, not {carrier!r}")
         self.host = host
         self.port = port
-        self.carrier = carrier
+        self.carrier = check_carrier(carrier)
         self.expected_ids = None if expected_ids is None else set(expected_ids)
         self.auth_token = bytes(auth_token)
         self.join_timeout = join_timeout
         self.send_queue_size = send_queue_size
-        self.max_fragment = max_fragment
         self.accepted = 0
         self.rejected = 0
         self.closed_connection_stats: list[ConnectionStats] = []
@@ -595,24 +305,6 @@ class CoordinatorListener:
         return self.host, self.port
 
     # -- accept path -----------------------------------------------------
-
-    async def _accept_link(self, reader, writer, stats: ConnectionStats):
-        """Carrier setup for one accepted socket; counts its bytes."""
-        if self.carrier == "websocket":
-            raw = await read_handshake(reader)
-            stats.handshake_received += len(raw)
-            key = parse_handshake_request(raw)
-            response = handshake_response(key)
-            stats.handshake_sent += len(response)
-            writer.write(response)
-            await writer.drain()
-            return _WSFrameLink(
-                _WSLink(
-                    reader, writer, masked=False, max_fragment=self.max_fragment
-                ),
-                writer,
-            )
-        return _TCPLink(reader, writer)
 
     async def _check_hello(self, hello: Hello) -> None:
         """Admission control — every rejection names its reason.
@@ -672,8 +364,18 @@ class CoordinatorListener:
         def count_handshake_sent(n: int) -> None:
             stats.handshake_sent += n
 
+        def count_handshake_received(n: int) -> None:
+            stats.handshake_received += n
+
         try:
-            link = await self._accept_link(reader, writer, stats)
+            link = await open_link(
+                self.carrier,
+                "accept",
+                reader,
+                writer,
+                sent=count_handshake_sent,
+                received=count_handshake_received,
+            )
             try:
                 hello = await self._handshake(link, stats)
             except LinkClosed:
@@ -709,13 +411,11 @@ class CoordinatorListener:
             )
             self._signal(hello.client_id)
             await self._read_loop(conn)
-        except asyncio.CancelledError:
-            # aclose() cancels accepts parked mid-handshake; end quietly
-            # (the finally below still books the partial stats).
-            return
-        except (ConnectionError, ValueError):
-            # Carrier-level failure (bad upgrade, reset socket): the
-            # socket dies, its partial stats are still recorded.
+        except (asyncio.CancelledError, ConnectionError, ValueError):
+            # aclose() cancelling an accept parked mid-handshake, or a
+            # carrier-level failure (bad upgrade, reset socket): the
+            # socket dies quietly, the finally below still books its
+            # partial stats.
             return
         finally:
             if conn is not None:
@@ -749,8 +449,6 @@ class CoordinatorListener:
             while True:
                 frame = await conn.send_queue.get()
                 await conn.link.send(frame, count=conn._count_request)
-        except asyncio.CancelledError:
-            raise
         except Exception:
             # A dead socket: the reader loop (or aclose) retires the
             # connection; in-flight exchanges fold into dropout there.
@@ -771,12 +469,9 @@ class CoordinatorListener:
                 return
             conn.stats.response_bytes += n
             if not conn.pending:
-                conn.retire(
-                    ValueError(
-                        f"client {conn.client_id} sent an unsolicited "
-                        f"frame of kind {kind:#x}"
-                    )
-                )
+                # An unsolicited frame: nobody is waiting to be told, so
+                # the connection just dies (later requests see a dropout).
+                conn.retire()
                 return
             _op, fut = conn.pending.popleft()
             if not fut.done():
@@ -856,8 +551,8 @@ class DialingClient:
     ``max_requests`` makes the worker vanish (abrupt socket close, as a
     killed process would) after answering that many requests — the
     dropout-mid-round test hook and ``join --die-after``.  The public
-    counters mirror the old per-client endpoint's, so they remain the
-    ground truth for :class:`ConnectionStats` ``endpoint_*`` fields.
+    counters are the ground truth for the :class:`ConnectionStats`
+    ``endpoint_*`` fields.
     """
 
     def __init__(
@@ -870,20 +565,16 @@ class DialingClient:
         auth_token: bytes = b"",
         client_id: Optional[int] = None,
         wire_version: int = WIRE_VERSION,
-        max_fragment: Optional[int] = None,
         max_requests: Optional[int] = None,
         dial_timeout: float = 5.0,
     ):
-        if carrier not in CARRIERS:
-            raise ValueError(f"carrier must be one of {CARRIERS}, not {carrier!r}")
         self.client = client
         self.client_id = client.id if client_id is None else client_id
         self.host = host
         self.port = port
-        self.carrier = carrier
+        self.carrier = check_carrier(carrier)
         self.auth_token = bytes(auth_token)
         self.wire_version = wire_version
-        self.max_fragment = max_fragment
         self.max_requests = max_requests
         self.dial_timeout = dial_timeout
         self.bytes_received = 0
@@ -900,6 +591,10 @@ class DialingClient:
     def _count_handshake(self, n: int) -> None:
         self.bytes_sent += n
         self.handshake_sent += n
+
+    def _count_handshake_received(self, n: int) -> None:
+        self.bytes_received += n
+        self.handshake_received += n
 
     def _count_response(self, n: int) -> None:
         self.bytes_sent += n
@@ -918,26 +613,6 @@ class DialingClient:
                     raise
                 await asyncio.sleep(0.05)
 
-    async def _upgrade(self, reader, writer):
-        """Carrier setup from the dialing side (the WS *client* masks)."""
-        if self.carrier == "websocket":
-            key = websocket_key()
-            upgrade = handshake_request(self.host, self.port, key)
-            self._count_handshake(len(upgrade))
-            writer.write(upgrade)
-            await writer.drain()
-            raw = await read_handshake(reader)
-            self.bytes_received += len(raw)
-            self.handshake_received += len(raw)
-            parse_handshake_response(raw, key)
-            return _WSFrameLink(
-                _WSLink(
-                    reader, writer, masked=True, max_fragment=self.max_fragment
-                ),
-                writer,
-            )
-        return _TCPLink(reader, writer)
-
     async def _hello(self, link) -> None:
         await link.send(
             encode_frame(
@@ -948,9 +623,13 @@ class DialingClient:
             ),
             count=self._count_handshake,
         )
-        kind, body, n = await link.recv()
-        self.bytes_received += n
-        self.handshake_received += n
+        try:
+            kind, body, n = await link.recv()
+        except LinkClosed as exc:
+            raise ConnectionError(
+                "listener hung up before answering the HELLO"
+            ) from exc
+        self._count_handshake_received(n)
         if kind == KIND_ERROR:
             raise wire_codecs.decode_error(body)
         if kind != KIND_WELCOME:
@@ -963,14 +642,25 @@ class DialingClient:
             )
 
     async def run(self) -> None:
-        """Dial, handshake, serve until the coordinator hangs up (or
-        ``max_requests`` answers have been given)."""
+        """Dial, handshake, serve until ``max_requests`` answers have
+        been given or the coordinator goes away — cleanly or cut off
+        mid-frame, either ends the run normally with the whole-frame
+        counters intact.  A listener gone *before* its WELCOME raises
+        ``ConnectionError``."""
         reader, writer = await self._dial()
         link = None
         try:
-            link = await self._upgrade(reader, writer)
+            link = await open_link(
+                self.carrier,
+                "dial",
+                reader,
+                writer,
+                sent=self._count_handshake,
+                received=self._count_handshake_received,
+                host=self.host,
+                port=self.port,
+            )
             await self._hello(link)
-            served = 0
             while True:
                 try:
                     kind, body, n = await link.recv()
@@ -999,16 +689,13 @@ class DialingClient:
                         KIND_RESPONSE, response
                     )
                 await link.send(reply, count=self._count_response)
-                served += 1
                 self.requests += 1
-                if self.max_requests is not None and served >= self.max_requests:
+                if self.max_requests is not None and self.requests >= self.max_requests:
                     return  # vanish abruptly, like a killed process
         finally:
             if link is not None:
-                self.bytes_sent += link.control_sent
-                self.bytes_received += link.control_received
-                self.handshake_sent += link.control_sent
-                self.handshake_received += link.control_received
+                self._count_handshake(link.control_sent)
+                self._count_handshake_received(link.control_received)
             writer.close()
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await writer.wait_closed()
@@ -1026,66 +713,91 @@ def record_endpoint(stats: ConnectionStats, dialer) -> None:
     stats.endpoint_response_bytes = dialer.response_bytes
 
 
-def _delivery_latency(transport, client_id: int, sent: int, received: int) -> float:
-    if transport.latency_split_fn is not None:
-        return transport.latency_split_fn(client_id, sent, received)
-    if transport.latency_fn is not None:
-        return transport.latency_fn(client_id, sent + received)
-    return 0.0
+class _ListenerChannel(Channel):
+    """A round routed over an externally-owned, already-started
+    listener — the cross-process ``serve`` path.  The listener outlives
+    the channel: ``aclose`` is deliberately a no-op (its owner closes
+    it and then reads the stats)."""
+
+    def __init__(self, ids, transport):
+        self._ids = set(ids)
+        self._transport = transport
+
+    async def _connection(self, client_id: int, op: str) -> _ClientConnection:
+        return await self._transport.listener.connection(client_id, op)
+
+    async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
+        """One engine request as an exchange on the client's connection."""
+        if client_id not in self._ids:
+            raise ClientUnavailable(client_id, op)
+        conn = await self._connection(client_id, op)
+        frame = wire_codecs.encode_payload_frame(KIND_REQUEST, (op, payload))
+        kind, rbody, sent, received = await conn.exchange(op, frame)
+        latency = priced(self._transport.link_seconds, client_id, sent, received)
+        if kind == KIND_ERROR:
+            raise wire_codecs.decode_error(rbody)
+        if kind != KIND_RESPONSE:
+            raise ValueError(f"unexpected frame kind {kind:#x} in response")
+        return Delivery(
+            client_id,
+            op,
+            wire_codecs.decode_payload(rbody),
+            latency=latency,
+            request_nbytes=sent,
+            response_nbytes=received,
+        )
 
 
-async def _request_over(
-    conn: _ClientConnection, transport, client_id: int, op: str, payload: Any
-) -> Delivery:
-    """One engine request as an exchange on a listener connection."""
-    frame = wire_codecs.encode_payload_frame(KIND_REQUEST, (op, payload))
-    kind, rbody, sent, received = await conn.exchange(op, frame)
-    latency = _delivery_latency(transport, client_id, sent, received)
-    if kind == KIND_ERROR:
-        raise wire_codecs.decode_error(rbody)
-    if kind != KIND_RESPONSE:
-        raise ValueError(f"unexpected frame kind {kind:#x} in response")
-    return Delivery(
-        client_id,
-        op,
-        wire_codecs.decode_payload(rbody),
-        latency=latency,
-        request_nbytes=sent,
-        response_nbytes=received,
-    )
+class ListenerTransport(Transport):
+    """A :class:`~repro.engine.transport.Transport` over one started
+    :class:`CoordinatorListener` whose clients are *elsewhere* — other
+    processes (``repro.cli join``) or independently-managed dialing
+    tasks.  ``connect``'s mapping contributes only its id set; the
+    state machines live behind the sockets.  ``link_seconds`` prices
+    measured frame sizes exactly as on :class:`SocketTransport`.
+    """
+
+    def __init__(
+        self, listener: CoordinatorListener, link_seconds: LinkSeconds = None
+    ):
+        self.listener = listener
+        self.link_seconds = link_seconds
+
+    @property
+    def closed_connection_stats(self) -> list[ConnectionStats]:
+        return self.listener.closed_connection_stats
+
+    def connect(self, clients) -> Channel:
+        return _ListenerChannel(clients, self)
 
 
-class _HostedChannel(Channel):
+class _HostedChannel(_ListenerChannel):
     """One round's in-process ensemble: a private listener plus one
     dialing worker task per requested client.
 
-    Lazy like the old per-client dialing: the listener starts on first
-    use, and each client's worker is spawned on the first request to
-    it.  ``aclose`` says goodbye to every connection, drains workers,
-    copies their ground-truth counters into the matching
-    :class:`ConnectionStats`, and lands everything in the owning
-    transport's ``closed_connection_stats``.
+    Lazy: the listener starts on first use, and each client's worker is
+    spawned on the first request to it.  ``aclose`` says goodbye to
+    every connection, drains workers, copies their ground-truth
+    counters into the matching :class:`ConnectionStats`, and lands
+    everything in the owning transport's ``closed_connection_stats``.
     """
 
     #: In-process workers dial immediately; a client not connected well
     #: before this is a bug, not a slow join.
     JOIN_TIMEOUT = 10.0
 
-    def __init__(self, clients, transport, carrier: str, max_fragment=None):
+    def __init__(self, clients, transport: "SocketTransport"):
+        super().__init__(clients, transport)
         self._clients = dict(clients)
-        self._transport = transport
-        self._carrier = carrier
-        self._max_fragment = max_fragment
         self._listener: Optional[CoordinatorListener] = None
         self._start_task: Optional[asyncio.Task] = None
         self._workers: dict[int, tuple[DialingClient, asyncio.Task]] = {}
 
     async def _start(self) -> None:
         listener = CoordinatorListener(
-            carrier=self._carrier,
-            expected_ids=set(self._clients),
+            carrier=self._transport.carrier,
+            expected_ids=self._ids,
             join_timeout=self.JOIN_TIMEOUT,
-            max_fragment=self._max_fragment,
         )
         await listener.start()
         self._listener = listener
@@ -1103,8 +815,7 @@ class _HostedChannel(Channel):
             dialer = DialingClient(
                 self._clients[client_id],
                 *self._listener.address,
-                carrier=self._carrier,
-                max_fragment=self._max_fragment,
+                carrier=self._transport.carrier,
             )
             task = asyncio.get_running_loop().create_task(dialer.run())
             self._workers[client_id] = (dialer, task)
@@ -1120,27 +831,16 @@ class _HostedChannel(Channel):
             await asyncio.wait(
                 {waiter, worker}, return_when=asyncio.FIRST_COMPLETED
             )
+            if not waiter.done() and not worker.cancelled():
+                exc = worker.exception()
+                if exc is not None:
+                    raise exc
         except BaseException:
             waiter.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await waiter
             raise
-        if not waiter.done() and worker.done() and not worker.cancelled():
-            exc = worker.exception()
-            if exc is not None:
-                waiter.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await waiter
-                raise exc
         return await waiter
-
-    async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
-        if client_id not in self._clients:
-            raise ClientUnavailable(client_id, op)
-        conn = await self._connection(client_id, op)
-        return await _request_over(
-            conn, self._transport, client_id, op, payload
-        )
 
     async def aclose(self) -> None:
         if self._start_task is not None:
@@ -1168,56 +868,26 @@ class _HostedChannel(Channel):
             )
 
 
-class _ListenerChannel(Channel):
-    """A round routed over an externally-owned, already-started
-    listener — the cross-process ``serve`` path.  The listener outlives
-    the channel: ``aclose`` is deliberately a no-op (its owner closes
-    it and then reads the stats)."""
+class SocketTransport(Transport):
+    """Each round behind one real localhost listener of its own.
 
-    def __init__(self, ids, transport: "ListenerTransport"):
-        self._ids = set(ids)
-        self._transport = transport
-
-    async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
-        if client_id not in self._ids:
-            raise ClientUnavailable(client_id, op)
-        conn = await self._transport.listener.connection(client_id, op)
-        return await _request_over(
-            conn, self._transport, client_id, op, payload
-        )
-
-    async def aclose(self) -> None:
-        pass
-
-
-class ListenerTransport(Transport):
-    """A :class:`~repro.engine.transport.Transport` over one started
-    :class:`CoordinatorListener` whose clients are *elsewhere* — other
-    processes (``repro.cli join``) or independently-managed dialing
-    tasks.  ``connect``'s mapping contributes only its id set; the
-    state machines live behind the sockets.
-
-    The optional ``latency_fn(client_id, frame_bytes)`` /
-    ``latency_split_fn(client_id, down_nbytes, up_nbytes)`` hooks price
-    measured frame sizes into virtual link seconds exactly as on the
-    in-process socket transports.
+    Every protocol client runs as a :class:`DialingClient` task dialing
+    the round's :class:`CoordinatorListener` over a genuine socket;
+    ``carrier`` picks framed TCP (``"sockets"``) or RFC 6455
+    (``"websocket"``).  Connections live for the channel's round and
+    land their :class:`ConnectionStats` — partial ones for connections
+    aborted mid-handshake included — in ``closed_connection_stats``.
+    Deliveries report carrier-framed byte counts (the wire envelope plus
+    :func:`repro.wire.ws.envelope_overhead`); ``link_seconds`` prices
+    exactly those.
     """
 
     def __init__(
-        self,
-        listener: CoordinatorListener,
-        latency_fn: Optional[Callable[[int, int], float]] = None,
-        latency_split_fn: Optional[Callable[[int, int, int], float]] = None,
+        self, carrier: str = "sockets", link_seconds: LinkSeconds = None
     ):
-        if latency_fn is not None and latency_split_fn is not None:
-            raise ValueError("pass latency_fn or latency_split_fn, not both")
-        self.listener = listener
-        self.latency_fn = latency_fn
-        self.latency_split_fn = latency_split_fn
+        self.carrier = check_carrier(carrier)
+        self.link_seconds = link_seconds
+        self.closed_connection_stats: list[ConnectionStats] = []
 
-    @property
-    def closed_connection_stats(self) -> list[ConnectionStats]:
-        return self.listener.closed_connection_stats
-
-    def connect(self, clients) -> Channel:
-        return _ListenerChannel(set(clients), self)
+    def connect(self, clients: Mapping[int, "ProtocolClient"]) -> Channel:
+        return _HostedChannel(clients, self)

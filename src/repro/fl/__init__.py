@@ -13,10 +13,10 @@ federated tasks with the same structure (documented in DESIGN.md §1):
 - :mod:`repro.fl.optim`   — SGD with momentum and AdamW on flat vectors.
 - :mod:`repro.fl.client` / :mod:`repro.fl.server` — local training and
   FedAvg aggregation.
-- :mod:`repro.fl.dropout` — legacy re-export of the client-availability
-  models, which now live in :mod:`repro.fleet.availability` (i.i.d.
-  fixed-rate dropout and the trace-driven on/off behaviour generator
-  reproducing the Fig. 1a dynamics).
+
+Client availability (who drops out of a round) is a property of the
+device population, not of the learning algorithm: see
+:mod:`repro.fleet.availability`.
 """
 
 from repro.fl.data import (
@@ -37,7 +37,6 @@ from repro.fl.models import (
 from repro.fl.optim import SGD, AdamW
 from repro.fl.client import LocalTrainer
 from repro.fl.server import FedAvgServer
-from repro.fl.dropout import FixedRateDropout, BehaviorTrace, TraceDrivenDropout
 
 __all__ = [
     "FederatedDataset",
@@ -55,7 +54,4 @@ __all__ = [
     "AdamW",
     "LocalTrainer",
     "FedAvgServer",
-    "FixedRateDropout",
-    "BehaviorTrace",
-    "TraceDrivenDropout",
 ]

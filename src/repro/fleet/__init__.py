@@ -7,19 +7,15 @@ availability (:mod:`repro.fleet.availability`: §6.1 fixed-rate dropout,
 the Fig.-1a behaviour-trace churn, or its lazy million-device
 :class:`SessionStream` form with optional bandwidth×availability
 rank correlation), and the :class:`Fleet` object binding the two into a
-scenario the rest of the stack consumes — transports derive per-link
-latency from it, the training session derives per-round dropout and
-modeled round cost from it.
+scenario the rest of the stack consumes — every byte-reporting
+transport takes :meth:`Fleet.link_seconds` as its pricing hook
+(:func:`repro.core.dordis.build_transport` wires it), the training
+session derives per-round dropout and modeled round cost from it.
 
 Profiles are stored columnar (:class:`ProfileColumns`) and boxed
 lazily, so fleets scale to millions of devices with O(sampled-cohort)
 resident objects; :func:`heterogeneous_fleet_reference` retains the
 one-object-per-device builder as the parity-pinned executable spec.
-
-Legacy entry points remain importable: :mod:`repro.sim.network`
-re-exports the profile layer (``ClientDevice`` builds a symmetric
-profile) and :mod:`repro.fl.dropout` re-exports the availability
-models.
 """
 
 from repro.fleet.availability import (
@@ -34,7 +30,6 @@ from repro.fleet.availability import (
     build_availability,
 )
 from repro.fleet.fleet import Fleet, FleetConfig, FleetRoundCost
-from repro.fleet.links import FleetNetworkTransport, fleet_transport
 from repro.fleet.profile import (
     DEFAULT_BANDWIDTH_RANGE,
     DeviceProfile,
@@ -52,14 +47,12 @@ __all__ = [
     "DiurnalWave",
     "Fleet",
     "FleetConfig",
-    "FleetNetworkTransport",
     "FleetRoundCost",
     "FixedRateDropout",
     "FlashCrowd",
     "ProfileColumns",
     "RegionalOutage",
     "SessionStream",
-    "fleet_transport",
     "TraceDrivenDropout",
     "build_availability",
     "heterogeneous_fleet",

@@ -28,9 +28,8 @@ Scenario wrappers (:class:`DiurnalWave`, :class:`FlashCrowd`,
 churn: a time-of-day availability wave, a cohort joining mid-training,
 and a correlated slice of the fleet vanishing for a window of rounds.
 
-These classes historically lived in :mod:`repro.fl.dropout`, which
-re-exports them; the fleet layer owns them now because availability is a
-property of the device population, not of the learning algorithm.
+The fleet layer owns these models because availability is a property
+of the device population, not of the learning algorithm.
 """
 
 from __future__ import annotations

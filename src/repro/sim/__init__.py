@@ -1,17 +1,13 @@
-"""Deployment-environment simulation: device heterogeneity and the
-in-process cluster.
+"""Virtual-time simulation: execution traces and their offline replay.
 
-The paper's testbed throttles client bandwidth into [21, 210] Mbps and
-skews response latency with a Zipf(a = 1.2) profile (§6.1).  This
-subpackage reproduces that environment analytically:
-
-- :mod:`repro.sim.network` — heterogeneous device fleets;
-- :mod:`repro.sim.cluster` — an in-process cluster binding devices to
-  protocol participants and answering straggler/timing queries.
+:mod:`repro.sim.timeline` holds the traced spans every engine round
+records (:class:`ExecutionTrace`, :class:`StageSpan`, per-direction
+:class:`TrafficSplit`) and the discrete-event replay that reproduces
+them offline (:func:`simulate_trace`).  The device population the
+paper's testbed throttles (§6.1 bandwidth and Zipf latency skew) lives
+in :mod:`repro.fleet`.
 """
 
-from repro.sim.network import ClientDevice, DeviceProfile, heterogeneous_fleet
-from repro.sim.cluster import SimulatedCluster
 from repro.sim.timeline import (
     ExecutionTrace,
     SimulatedRound,
@@ -24,10 +20,6 @@ from repro.sim.timeline import (
 )
 
 __all__ = [
-    "ClientDevice",
-    "DeviceProfile",
-    "heterogeneous_fleet",
-    "SimulatedCluster",
     "ExecutionTrace",
     "SimulatedRound",
     "StageSpan",

@@ -93,7 +93,7 @@ class StageSpan:
     :class:`repro.engine.transport.Delivery`).  Both are 0 for
     in-process execution, which never serializes, and exact — byte for
     byte what was written to the socket — for the serializing and
-    stream transports.  ``traffic_bytes`` is their sum; constructing a
+    socket transports.  ``traffic_bytes`` is their sum; constructing a
     span whose ``traffic_bytes`` disagrees with the split is an error
     (the invariant ``up + down == total`` holds for every span, by
     construction).

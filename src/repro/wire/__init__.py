@@ -5,9 +5,13 @@ package: :mod:`repro.wire.codecs` gives every protocol payload one
 canonical, versioned byte encoding with a strict total decoder, and
 :mod:`repro.wire.frame` wraps encoded payloads in self-delimiting
 length-prefixed frames with a handshake and error kind.  The codec
-registry is the contract any transport backend (in-process, asyncio
-TCP, a future websocket/gRPC bridge) plugs into — transports move
-opaque frames; only the codec layer understands their contents.
+registry is the contract any transport backend plugs into — transports
+move opaque frames; only the codec layer understands their contents.
+How a frame rides a byte stream is the *link* seam:
+:class:`repro.wire.frame.TCPLink` (raw framed TCP) and
+:class:`repro.wire.ws.WSLink` (RFC 6455 binary messages) share one
+surface, and :func:`repro.wire.ws.open_link` is the one place a carrier
+name picks between them.
 """
 
 from repro.wire.codecs import (
@@ -36,13 +40,15 @@ from repro.wire.frame import (
     MAX_BODY,
     WIRE_VERSION,
     FrameEOF,
+    FrameTruncated,
     Hello,
+    LinkClosed,
+    TCPLink,
     decode_frame,
     decode_hello,
     encode_frame,
     encode_hello,
     read_frame,
-    write_frame,
 )
 
 __all__ = [
@@ -69,11 +75,13 @@ __all__ = [
     "MAX_BODY",
     "WIRE_VERSION",
     "FrameEOF",
+    "FrameTruncated",
     "Hello",
+    "LinkClosed",
+    "TCPLink",
     "decode_frame",
     "decode_hello",
     "encode_frame",
     "encode_hello",
     "read_frame",
-    "write_frame",
 ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 MAGIC = b"DW"
 WIRE_VERSION = 3
@@ -53,6 +54,20 @@ _KNOWN_KINDS = frozenset(
 
 class FrameEOF(Exception):
     """The peer closed the stream cleanly between frames (not an error)."""
+
+
+class FrameTruncated(ValueError):
+    """The stream ended inside a frame: the peer died mid-send.
+
+    A ``ValueError`` like every other decode failure, but named, so a
+    :class:`Link` can tell a dead peer (a dropout) from malformed bytes
+    (a protocol violation that must stay loud).
+    """
+
+
+class LinkClosed(Exception):
+    """The peer is gone: clean EOF, a close handshake, or a stream cut
+    off mid-frame."""
 
 
 def encode_frame(kind: int, body: bytes) -> bytes:
@@ -135,30 +150,70 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes, int]:
     """Read one frame from a stream: ``(kind, body, framed byte count)``.
 
     Raises :class:`FrameEOF` on a clean close *between* frames and
-    ``ValueError`` on a close mid-frame (the peer died mid-send).
+    :class:`FrameTruncated` on a close mid-frame (the peer died
+    mid-send).
     """
     try:
         header = await reader.readexactly(FRAME_OVERHEAD)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             raise FrameEOF from exc
-        raise ValueError("connection closed inside a frame header") from exc
+        raise FrameTruncated("connection closed inside a frame header") from exc
     kind, length = _check_header(header)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise ValueError("connection closed inside a frame body") from exc
+        raise FrameTruncated("connection closed inside a frame body") from exc
     return kind, body, FRAME_OVERHEAD + length
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, kind: int, body: bytes
-) -> int:
-    """Write one frame and drain; returns the framed byte count."""
-    frame = encode_frame(kind, body)
-    writer.write(frame)
-    await writer.drain()
-    return len(frame)
+class TCPLink:
+    """Raw framed TCP as a carrier link: frames pass through unchanged.
+
+    The link surface both carriers share (see
+    :class:`repro.wire.ws.WSLink`): ``recv`` returns ``(kind, body,
+    wire bytes)`` and raises :class:`LinkClosed` once the peer is gone;
+    ``send`` reports its byte count to ``count`` *before* the flush, so
+    a cancellation landing in the drain can never lose already-written
+    bytes from the books.
+    """
+
+    #: Framed TCP has no control frames; the counters exist so both
+    #: carriers finalize identically.
+    control_sent = 0
+    control_received = 0
+
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        self._reader = reader
+        self._writer = writer
+
+    def framed_size(self, frame_nbytes: int) -> int:
+        """Wire bytes :meth:`send` measures for a frame of that size —
+        TCP adds nothing."""
+        return frame_nbytes
+
+    async def recv(self) -> tuple[int, bytes, int]:
+        try:
+            return await read_frame(self._reader)
+        except (FrameEOF, FrameTruncated) as exc:
+            raise LinkClosed from exc
+
+    async def send(
+        self,
+        frame: bytes | bytearray,
+        count: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        n = len(frame)
+        if count is not None:
+            count(n)
+        self._writer.write(frame)
+        await self._writer.drain()
+        return n
+
+    async def start_close(self) -> None:
+        """Begin a graceful goodbye: plain TCP just closes the socket
+        (the peer reads a clean EOF between frames)."""
+        self._writer.close()
 
 
 #: Upper bound on a HELLO auth token (fits the 2-byte length field).

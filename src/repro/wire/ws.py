@@ -1,10 +1,10 @@
 """RFC 6455 WebSocket wire layer — pure stdlib, no third-party deps.
 
-The transport stack's fourth carrier speaks standards WebSocket so the
-same :mod:`repro.wire` frames that ride raw framed TCP can traverse
-HTTP-aware infrastructure (proxies, load balancers) the way the
-original system's Socket.IO substrate does.  This module is the
-protocol layer only — no sockets of its own:
+The transport stack's second socket carrier speaks standards WebSocket
+so the same :mod:`repro.wire` frames that ride raw framed TCP can
+traverse HTTP-aware infrastructure (proxies, load balancers) the way
+the original system's Socket.IO substrate does.  This module is the
+protocol layer only — it is handed streams, it opens no sockets:
 
 - **Handshake**: the HTTP/1.1 Upgrade exchange (RFC 6455 §4).
   :func:`handshake_request` / :func:`handshake_response` build the two
@@ -21,17 +21,30 @@ protocol layer only — no sockets of its own:
 - **Masking discipline** (§5.1): a reader declares which side it is —
   frames from the WebSocket *client* must be masked, frames from the
   *server* must not be — and any frame violating that fails to parse.
+- **The link** (:class:`WSLink`): wire frames as binary messages over
+  one upgraded stream — inbound reassembly, ping/pong, the close
+  handshake — with the surface of :class:`repro.wire.frame.TCPLink`.
+- **The carrier seam**: :func:`open_link` is the one place a carrier
+  name picks a link (and performs that side's half of the upgrade);
+  :func:`envelope_overhead` is the matching byte oracle.
 
 All decode paths raise :class:`ValueError` on malformed input — never
-a partial parse, never a hang — mirroring :mod:`repro.wire.frame`.
+a partial parse, never a hang — mirroring :mod:`repro.wire.frame`.  A
+stream cut off *inside* a frame raises the named
+:class:`~repro.wire.frame.FrameTruncated` subclass: a dead peer, not a
+protocol violation.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import hashlib
 import os
+from typing import Callable, Optional
+
+from repro.wire.frame import FrameTruncated, LinkClosed, TCPLink, decode_frame
 
 #: GUID every handshake appends to the client key before SHA-1 (§1.3).
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -67,15 +80,6 @@ _LEN_16BIT_MAX = 0xFFFF
 
 class WSEOF(Exception):
     """The peer closed the TCP stream cleanly between frames."""
-
-
-class WSClosed(Exception):
-    """The peer completed (or initiated) the WebSocket close handshake."""
-
-    def __init__(self, code: int = 1000, reason: bytes = b""):
-        super().__init__(f"websocket closed (code {code})")
-        self.code = code
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +229,15 @@ def parse_handshake_response(raw: bytes, key: str) -> None:
 async def read_handshake(reader: asyncio.StreamReader) -> bytes:
     """Read one HTTP message head (through the blank line), bounded.
 
-    Returns the raw bytes (for accounting); raises :class:`ValueError`
-    if the peer closes mid-handshake or the head exceeds
+    Returns the raw bytes (for accounting); raises
+    :class:`~repro.wire.frame.FrameTruncated` if the peer closes
+    mid-handshake and plain :class:`ValueError` if the head exceeds
     :data:`MAX_HANDSHAKE`.
     """
     try:
         raw = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
-        raise ValueError("connection closed inside the handshake") from exc
+        raise FrameTruncated("connection closed inside the handshake") from exc
     except asyncio.LimitOverrunError as exc:
         raise ValueError("handshake exceeds the stream buffer limit") from exc
     if len(raw) > MAX_HANDSHAKE:
@@ -436,15 +441,16 @@ async def read_ws_frame(
 ) -> tuple[bool, int, bytes, int]:
     """Read one frame from a stream: ``(fin, opcode, payload, wire bytes)``.
 
-    Raises :class:`WSEOF` on a clean close *between* frames and
-    :class:`ValueError` on a close mid-frame or any framing violation.
+    Raises :class:`WSEOF` on a clean close *between* frames,
+    :class:`~repro.wire.frame.FrameTruncated` on a close mid-frame, and
+    plain :class:`ValueError` on any framing violation.
     """
     try:
         head = await reader.readexactly(2)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             raise WSEOF from exc
-        raise ValueError("connection closed inside a frame header") from exc
+        raise FrameTruncated("connection closed inside a frame header") from exc
     fin, opcode, masked, length = _check_first_two(
         head[0], head[1], require_mask=require_mask
     )
@@ -461,7 +467,209 @@ async def read_ws_frame(
         body = await reader.readexactly(length)
         nbytes += length
     except asyncio.IncompleteReadError as exc:
-        raise ValueError("connection closed inside a frame") from exc
+        raise FrameTruncated("connection closed inside a frame") from exc
     if masked:
         body = _apply_mask(body, mask)
     return fin, opcode, body, nbytes
+
+
+# ---------------------------------------------------------------------------
+# The link: wire frames as binary messages
+# ---------------------------------------------------------------------------
+
+
+class WSLink:
+    """One end of an upgraded connection, speaking wire frames.
+
+    Each wire frame rides as one unfragmented binary message; inbound,
+    fragmented messages are reassembled, pings answered, pongs
+    absorbed and a peer CLOSE echoed.  Every frame byte is counted:
+    data bytes are returned per call for stage attribution, control
+    bytes accumulate in ``control_sent``/``control_received``
+    (connection overhead).  Counters update *before* each flush, so a
+    cancellation landing in a drain can never lose already-written
+    bytes from the accounting.  ``masked`` is True on the dialing
+    (WebSocket client) end.
+    """
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        *,
+        masked: bool,
+    ):
+        self._reader = reader
+        self._writer = writer
+        self.masked = masked
+        self._close_sent = False
+        self.control_sent = 0
+        self.control_received = 0
+
+    def _mask(self) -> Optional[bytes]:
+        return os.urandom(4) if self.masked else None
+
+    def framed_size(self, frame_nbytes: int) -> int:
+        """Wire bytes :meth:`send` measures for a frame of that size."""
+        return frame_nbytes + ws_frame_overhead(frame_nbytes, masked=self.masked)
+
+    async def send(
+        self,
+        frame: bytes | bytearray,
+        count: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        """One wire frame as a binary message; returns its WS-framed
+        byte count, which ``count`` (if given) observes first.  Head and
+        payload go onto the writer back to back, so the payload buffer
+        is never concatenated into a new blob."""
+        head, body = encode_ws_frame_parts(OP_BINARY, frame, mask=self._mask())
+        n = len(head) + len(body)
+        if count is not None:
+            count(n)
+        self._writer.write(head)
+        if len(body):
+            self._writer.write(body)
+        await self._writer.drain()
+        return n
+
+    async def _send_control(self, opcode: int, payload: bytes = b"") -> None:
+        frame = encode_ws_frame(opcode, payload, mask=self._mask())
+        self.control_sent += len(frame)
+        self._writer.write(frame)
+        await self._writer.drain()
+
+    async def recv(self) -> tuple[int, bytes, int]:
+        """One wire frame: ``(kind, body, WS-framed byte count)``.
+
+        Interleaved control frames are handled inline and counted as
+        connection overhead.  Raises :class:`LinkClosed` once the peer
+        is gone — clean EOF, a CLOSE (echoed first), or a stream cut
+        off mid-frame — and :class:`ValueError` on anything malformed.
+        """
+        assembled = bytearray()
+        nbytes = 0
+        expecting_cont = False
+        while True:
+            try:
+                fin, opcode, body, n = await read_ws_frame(
+                    self._reader, require_mask=not self.masked
+                )
+            except (WSEOF, FrameTruncated) as exc:
+                raise LinkClosed from exc
+            if opcode in CONTROL_OPCODES:
+                self.control_received += n
+                if opcode == OP_PING:
+                    await self._send_control(OP_PONG, body)
+                elif opcode == OP_CLOSE:
+                    with contextlib.suppress(ConnectionError):
+                        await self._send_close(body[:2])
+                    raise LinkClosed
+                continue  # pong: keepalive noise, nothing to do
+            if expecting_cont != (opcode == OP_CONT):
+                raise ValueError(
+                    "continuation frame without a message to continue"
+                    if opcode == OP_CONT
+                    else "data frame interleaved into a fragmented message"
+                )
+            if not expecting_cont and opcode != OP_BINARY:
+                raise ValueError("wire messages must be binary frames")
+            assembled += body
+            nbytes += n
+            if len(assembled) > MAX_MESSAGE:
+                raise ValueError(
+                    f"assembled message exceeds MAX_MESSAGE={MAX_MESSAGE}"
+                )
+            if fin:
+                kind, frame_body = decode_frame(bytes(assembled))
+                return kind, frame_body, nbytes
+            expecting_cont = True
+
+    async def _send_close(self, status: bytes) -> None:
+        if not self._close_sent:
+            self._close_sent = True
+            await self._send_control(OP_CLOSE, status)
+
+    async def start_close(self) -> None:
+        """Begin a graceful goodbye: send CLOSE (once); whoever reads
+        this link consumes the peer's echo as :class:`LinkClosed`."""
+        await self._send_close((1000).to_bytes(2, "big"))
+
+
+# ---------------------------------------------------------------------------
+# The carrier seam
+# ---------------------------------------------------------------------------
+
+#: Carrier name → framing bytes around one wire frame of that size.
+_CARRIER_OVERHEAD: dict[str, Callable[..., int]] = {
+    "sockets": lambda frame_nbytes, *, masked: 0,
+    "websocket": ws_frame_overhead,
+}
+
+#: Carrier names the listener and dialers speak.
+CARRIERS = tuple(_CARRIER_OVERHEAD)
+
+
+def check_carrier(carrier: str) -> str:
+    """``carrier`` if it names a known carrier, else ``ValueError``."""
+    if carrier not in CARRIERS:
+        raise ValueError(f"carrier must be one of {CARRIERS}, not {carrier!r}")
+    return carrier
+
+
+def envelope_overhead(carrier: str, direction: str, envelope_nbytes: int) -> int:
+    """Carrier framing bytes around one wire envelope, per direction.
+
+    The oracle term for socket traffic: a span's ``down_bytes`` /
+    ``up_bytes`` over a carrier equal the codec-measured envelope sizes
+    plus this overhead per message — nothing for framed TCP, the
+    RFC 6455 header for websocket.  ``"up"`` messages (responses,
+    device→coordinator) carry the client mask — the dialing device is
+    the WebSocket client — ``"down"`` messages (requests) do not.
+    """
+    if direction not in ("down", "up"):
+        raise ValueError(f"direction must be 'down' or 'up', not {direction!r}")
+    overhead = _CARRIER_OVERHEAD[check_carrier(carrier)]
+    return overhead(envelope_nbytes, masked=(direction == "up"))
+
+
+async def open_link(
+    carrier: str,
+    role: str,
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    *,
+    sent: Callable[[int], None],
+    received: Callable[[int], None],
+    host: str = "",
+    port: int = 0,
+):
+    """Carrier setup for one connected stream; returns its link.
+
+    ``role`` is ``"accept"`` (the listening end) or ``"dial"`` (the
+    device end, the WebSocket *client*, which masks).  Framed TCP needs
+    no setup; the websocket carrier performs this role's half of the
+    HTTP/1.1 Upgrade, reporting every handshake byte to ``sent`` /
+    ``received`` (``sent`` before the flush).  ``host``/``port`` fill
+    the dialing side's ``Host`` header.
+    """
+    if role not in ("accept", "dial"):
+        raise ValueError(f"role must be 'accept' or 'dial', not {role!r}")
+    if check_carrier(carrier) != "websocket":
+        return TCPLink(reader, writer)
+    if role == "dial":
+        key = websocket_key()
+        upgrade = handshake_request(host, port, key)
+        sent(len(upgrade))
+        writer.write(upgrade)
+        await writer.drain()
+        raw = await read_handshake(reader)
+        received(len(raw))
+        parse_handshake_response(raw, key)
+    else:
+        raw = await read_handshake(reader)
+        received(len(raw))
+        response = handshake_response(parse_handshake_request(raw))
+        sent(len(response))
+        writer.write(response)
+        await writer.drain()
+    return WSLink(reader, writer, masked=(role == "dial"))

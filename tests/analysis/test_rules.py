@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from .conftest import findings_for
 
 
@@ -402,9 +404,12 @@ class TestStrictDecoder:
 
 
 class TestAsyncHygiene:
-    def test_trips_on_blocking_call_in_coroutine(self, check_repo):
+    @pytest.mark.parametrize("scope", ["engine", "wire"])
+    def test_trips_on_blocking_call_in_coroutine(self, check_repo, scope):
+        # The engine's coroutines and the wire layer's (stream readers,
+        # carrier links) run on the same event loop.
         result = check_repo({
-            "src/repro/engine/a.py": _src("""
+            f"src/repro/{scope}/a.py": _src("""
                 import time
 
                 async def run_round(self):

@@ -143,9 +143,16 @@ class TestSessionFleet:
         transport must still resolve protocol id u+1 to client u's
         device — not its neighbour's."""
         session = DordisSession(secagg_config())
-        transport_fleet = session.engine.transport.fleet
-        for u in range(session.config.num_clients):
-            assert transport_fleet.device(u + 1) is session.fleet.device(u)
+        link_seconds = session.engine.transport.link_seconds
+        priced = [
+            link_seconds(u + 1, 1_000_003, 777_777)
+            for u in range(session.config.num_clients)
+        ]
+        assert priced == [
+            session.fleet.link_seconds(u, 1_000_003, 777_777)
+            for u in range(session.config.num_clients)
+        ]
+        assert len(set(priced)) > 1  # heterogeneous: neighbours differ
 
     def test_secagg_straggler_scales_engine_timing(self):
         """The real-protocol path runs c-comp stages at the sampled

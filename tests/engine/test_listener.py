@@ -1,16 +1,17 @@
 """CoordinatorListener core: admission control, dropout folds, and the
 bounded-queue exchange path.
 
-The carrier integration suites (``test_stream_transport``,
-``test_websocket_transport``) pin round-level behavior; this file
-exercises the listener directly — hostile HELLOs, connections dying at
-every stage boundary, and the backpressure seam — over real sockets.
+The carrier integration suite (``test_socket_transport``) pins
+round-level behavior; this file exercises the listener directly —
+hostile HELLOs, connections dying at every stage boundary *and inside a
+frame*, and the backpressure seam — over real sockets.
 All tests carry the hard ``timeout`` marker so a hung connection fails
 fast in CI instead of stalling the suite.
 """
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.api.protocol import ProtocolClient
@@ -21,8 +22,11 @@ from repro.engine import (
     ListenerTransport,
     RoundEngine,
 )
-from repro.wire import WIRE_VERSION
-from tests.engine.test_stream_transport import EchoClient, EchoServer
+from repro.wire import WIRE_VERSION, codecs as wire_codecs
+from repro.wire import frame as wire_frame
+from repro.wire import ws
+from repro.wire.ws import CARRIERS, open_link
+from tests.engine.test_socket_transport import EchoClient, EchoServer
 
 
 class EchoBack(ProtocolClient):
@@ -356,3 +360,251 @@ class TestExchangePath:
             return elapsed
 
         assert asyncio.run(scenario()) < 5
+
+
+def _ignore(_n):
+    pass
+
+
+def _half(carrier, frame):
+    """The first half of ``frame`` as a dialing device would put it on
+    this carrier's stream — a process killed mid-send."""
+    wire = bytes(frame)
+    if carrier == "websocket":
+        wire = ws.encode_ws_frame(ws.OP_BINARY, wire, mask=b"abcd")
+    return wire[: len(wire) // 2]
+
+
+async def _welcomed(client_id, host, port, carrier):
+    """Dial in by hand, through the WELCOME: ``(link, writer)``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    link = await open_link(
+        carrier, "dial", reader, writer,
+        sent=_ignore, received=_ignore, host=host, port=port,
+    )
+    hello = wire_frame.encode_hello(wire_frame.Hello(client_id))
+    await link.send(wire_frame.encode_frame(wire_frame.KIND_HELLO, hello))
+    kind, _body, _n = await link.recv()
+    assert kind == wire_frame.KIND_WELCOME
+    return link, writer
+
+
+async def _dying_dialer(client, host, port, carrier, die_on_op):
+    """A device that serves faithfully until ``die_on_op``, then writes
+    *half* of that response frame and is gone."""
+    link, writer = await _welcomed(client.id, host, port, carrier)
+    try:
+        while True:
+            _kind, body, _n = await link.recv()
+            op, payload = wire_codecs.decode_payload(body)
+            reply = wire_codecs.encode_payload_frame(
+                wire_frame.KIND_RESPONSE, client.handle(op, payload)
+            )
+            if op == die_on_op:
+                writer.write(_half(carrier, reply))
+                await writer.drain()
+                return
+            await link.send(reply)
+    finally:
+        writer.close()
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("carrier", CARRIERS)
+class TestDeathInsideAFrame:
+    """A peer killed halfway through writing a frame is a *dropout*, on
+    both carriers — mid-upload is exactly when a device holding a
+    model-sized masked vector is most likely to die.
+
+    Regression: the truncated read surfaced as a plain ``ValueError``,
+    which the reader loop treated as a malformed frame and failed loud
+    into the in-flight exchange — one dead device aborted the round.
+    """
+
+    def test_half_response_is_client_unavailable(self, carrier):
+        async def scenario():
+            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            host, port = await listener.start()
+            client = EchoBack(1)
+            worker = asyncio.ensure_future(
+                _dying_dialer(client, host, port, carrier, "echo")
+            )
+            channel = ListenerTransport(listener).connect({1: client})
+            try:
+                with pytest.raises(ClientUnavailable):
+                    await channel.request(1, "echo", list(range(64)))
+                with pytest.raises(ClientUnavailable):
+                    await channel.request(1, "echo", 0)
+                await worker
+            finally:
+                await listener.aclose()
+            return listener
+
+        listener = asyncio.run(scenario())
+        (stats,) = listener.closed_connection_stats
+        # The request went out whole; the half response is on no book.
+        assert stats.requests == 0
+        assert stats.request_bytes > 0 and stats.response_bytes == 0
+
+    def test_secagg_round_survives_a_death_inside_the_masked_input(self, carrier):
+        from repro.secagg.driver import secagg_round_components
+        from repro.secagg.types import SecAggConfig
+
+        config = SecAggConfig(
+            threshold=3, bits=16, dimension=64, dh_group="modp512"
+        )
+        rng = np.random.default_rng(11)
+        inputs = {
+            u: rng.integers(0, config.modulus, size=config.dimension)
+            for u in range(1, 6)
+        }
+        victim = 4
+
+        async def scenario():
+            server, clients = secagg_round_components(config, dict(inputs))
+            listener = CoordinatorListener(
+                carrier=carrier, expected_ids=set(inputs)
+            )
+            host, port = await listener.start()
+            workers = [
+                asyncio.ensure_future(
+                    _dying_dialer(c, host, port, carrier, "masked_input")
+                    if c.id == victim
+                    else DialingClient(c, host, port, carrier=carrier).run()
+                )
+                for c in clients
+            ]
+            engine = RoundEngine(transport=ListenerTransport(listener))
+            try:
+                result = await engine.run_round(server, clients)
+            finally:
+                await listener.aclose()
+                await asyncio.gather(*workers)
+            return result
+
+        result = asyncio.run(scenario())
+        assert set(result.u3) == set(inputs) - {victim}
+        expected = sum(inputs[u] for u in result.u3) % config.modulus
+        np.testing.assert_array_equal(result.aggregate, expected)
+
+    def test_malformed_response_still_aborts_loudly(self, carrier):
+        """The other side of the line: bytes that are *wrong* (here a
+        bad magic) fail into the in-flight exchange, never a dropout."""
+
+        async def scenario():
+            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            host, port = await listener.start()
+
+            async def garbler():
+                link, writer = await _welcomed(1, host, port, carrier)
+                await link.recv()  # the request
+                reply = wire_frame.encode_frame(wire_frame.KIND_RESPONSE, b"x")
+                await link.send(b"XX" + reply[2:])
+                writer.close()
+
+            worker = asyncio.ensure_future(garbler())
+            channel = ListenerTransport(listener).connect({1: EchoBack(1)})
+            try:
+                with pytest.raises(ValueError, match="bad frame magic"):
+                    await channel.request(1, "echo", 0)
+                await worker
+            finally:
+                await listener.aclose()
+
+        asyncio.run(scenario())
+
+    def test_unsolicited_frame_retires_the_connection(self, carrier):
+        """A frame nobody asked for kills the connection: its bytes are
+        booked, and the client is a dropout from then on."""
+
+        async def scenario():
+            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            host, port = await listener.start()
+            link, writer = await _welcomed(1, host, port, carrier)
+            conn = await listener.connection(1, timeout=10)
+            unsolicited = await link.send(
+                wire_codecs.encode_payload_frame(wire_frame.KIND_RESPONSE, 7)
+            )
+            try:
+                while not conn.dead:
+                    await asyncio.sleep(0.01)
+                with pytest.raises(ClientUnavailable):
+                    await listener.connection(1, timeout=10)
+            finally:
+                writer.close()
+                await listener.aclose()
+            return listener, unsolicited
+
+        listener, unsolicited = asyncio.run(scenario())
+        (stats,) = listener.closed_connection_stats
+        assert stats.response_bytes == unsolicited and stats.requests == 0
+
+
+async def _dying_coordinator(carrier, die_in):
+    """A one-connection coordinator that is killed halfway through its
+    WELCOME (``die_in="welcome"``) or its first REQUEST."""
+    done = asyncio.Event()
+
+    async def serve(reader, writer):
+        link = await open_link(
+            carrier, "accept", reader, writer, sent=_ignore, received=_ignore
+        )
+        _kind, body, _n = await link.recv()
+        client_id = wire_frame.decode_hello(body).client_id
+        welcome = wire_frame.encode_frame(
+            wire_frame.KIND_WELCOME, wire_codecs.encode_payload(client_id)
+        )
+        request = wire_codecs.encode_payload_frame(
+            wire_frame.KIND_REQUEST, ("echo", list(range(64)))
+        )
+        if die_in == "welcome":
+            cut = welcome
+        else:
+            await link.send(welcome)
+            cut = request
+        if carrier == "websocket":
+            cut = ws.encode_ws_frame(ws.OP_BINARY, bytes(cut))
+        writer.write(bytes(cut)[: len(cut) // 2])
+        await writer.drain()
+        writer.close()
+        done.set()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    return server, done
+
+
+@pytest.mark.timeout(60)
+@pytest.mark.parametrize("carrier", CARRIERS)
+class TestCoordinatorDeathSeenFromTheDevice:
+    """What ``DialingClient.run()`` does when the *coordinator* dies
+    inside a frame — the pinned contract ``repro.cli join`` relies on."""
+
+    def _run(self, carrier, die_in):
+        async def scenario():
+            server, done = await _dying_coordinator(carrier, die_in)
+            host, port = server.sockets[0].getsockname()[:2]
+            dialer = DialingClient(EchoBack(1), host, port, carrier=carrier)
+            try:
+                await asyncio.wait_for(dialer.run(), 10)
+            finally:
+                await done.wait()
+                server.close()
+                await server.wait_closed()
+            return dialer
+
+        return asyncio.run(scenario())
+
+    def test_mid_request_ends_the_run_normally(self, carrier):
+        """Once welcomed, a coordinator cut off mid-frame is the same
+        event as one hanging up: the run ends, whole-frame counters
+        intact (``join`` prints them and exits 0)."""
+        dialer = self._run(carrier, "request")
+        assert dialer.requests == 0 and dialer.request_bytes == 0
+        assert dialer.handshake_sent > 0 and dialer.handshake_received > 0
+        assert dialer.bytes_received == dialer.handshake_received
+
+    def test_mid_welcome_is_a_connection_error(self, carrier):
+        """Before the WELCOME there is no session to end: the handshake
+        failed, loudly (``join`` prints ``join failed`` and exits 1)."""
+        with pytest.raises(ConnectionError, match="before answering the HELLO"):
+            self._run(carrier, "welcome")

@@ -5,9 +5,9 @@ the engine paths must reproduce the retained reference implementations
 *exactly* — aggregates, participant sets, and traffic accounting.
 
 The wire-transport classes extend the bar: a round executed over
-``StreamTransport`` (real framed TCP) or
-``SerializingTransport(InProcessTransport())`` must be bit-identical —
-aggregates, participant sets, and traces — to in-process execution.
+``SocketTransport`` (real framed TCP or RFC 6455 connections) or
+``SerializingTransport()`` must be bit-identical — aggregates,
+participant sets, and traces — to in-process execution.
 """
 
 import numpy as np
@@ -20,10 +20,8 @@ from repro.engine import (
     RoundEngine,
     SerializingTransport,
     SimulatedNetworkTransport,
-    StreamTransport,
-    WebSocketTransport,
+    SocketTransport,
     run_sync,
-    ws_envelope_overhead,
 )
 from repro.secagg.driver import (
     DropoutSchedule,
@@ -157,10 +155,8 @@ class TestXNoiseParity:
 
 def _make_transport(name):
     if name == "serialized":
-        return SerializingTransport(InProcessTransport())
-    if name == "websocket":
-        return WebSocketTransport()
-    return StreamTransport()
+        return SerializingTransport()
+    return SocketTransport(name)
 
 
 #: Every wire-crossing backend: the in-process serialization boundary,
@@ -264,23 +260,21 @@ class TestWireTransportParity:
     def test_websocket_traffic_is_oracle_plus_framing_overhead(self):
         """The websocket carrier measures the same envelopes plus the
         documented RFC 6455 framing: span for span its per-direction
-        bytes equal the codec oracle with ``ws_envelope_overhead``, and
+        bytes equal the codec oracle with ``envelope_overhead``, and
         the connection books balance from both socket ends."""
-        from repro.sim.network import ClientDevice
+        from functools import partial
+
+        from repro.wire.ws import envelope_overhead
 
         inputs = _inputs()
-        transport = WebSocketTransport()
+        transport = SocketTransport("websocket")
         ws_engine = RoundEngine(transport=transport)
         run_sync(
             arun_secagg_round(CONFIG, dict(inputs), None, engine=ws_engine)
         )
-        devices = {
-            u: ClientDevice(client_id=u, compute_factor=1.0, bandwidth_bps=1e6)
-            for u in range(1, 7)
-        }
         oracle_engine = RoundEngine(
             transport=SimulatedNetworkTransport(
-                devices, overhead_fn=ws_envelope_overhead
+                overhead_fn=partial(envelope_overhead, "websocket")
             )
         )
         run_sync(
@@ -466,10 +460,7 @@ class TestCrossProcessParity:
             u: rng.integers(0, config.modulus, size=self.DIMENSION)
             for u in range(1, self.N + 1)
         }
-        engine = RoundEngine(
-            transport=WebSocketTransport() if carrier == "websocket"
-            else StreamTransport()
-        )
+        engine = RoundEngine(transport=SocketTransport(carrier))
         result = run_sync(
             arun_secagg_round(config, dict(inputs), None, engine=engine)
         )

@@ -10,7 +10,6 @@ from repro.engine import (
     DropoutTransport,
     InProcessTransport,
     PerOpTiming,
-    QueueTransport,
     RoundEngine,
     SimulatedNetworkTransport,
     StageTiming,
@@ -18,8 +17,8 @@ from repro.engine import (
 )
 from repro.pipeline.perf_model import StagePerfModel, WorkflowPerfModel
 from repro.pipeline.scheduler import build_schedule
+from repro.fleet import DeviceProfile, Fleet
 from repro.secagg.driver import DropoutSchedule
-from repro.sim.network import ClientDevice
 from repro.sim.timeline import TraceTimeline
 
 
@@ -161,14 +160,6 @@ class TestDispatch:
         clients = [SumClient(i, np.full(2, i + 1.0)) for i in range(3)]
         result = engine.run_round_sync(SumServer(), clients)
         np.testing.assert_allclose(result, np.full(2, 4.0))  # 1 + 3
-
-    def test_queue_transport_matches_in_process(self):
-        clients = [SumClient(i, np.full(3, i + 1.0)) for i in range(4)]
-        direct = RoundEngine().run_round_sync(SumServer(), clients)
-        queued = RoundEngine(transport=QueueTransport()).run_round_sync(
-            SumServer(), clients
-        )
-        np.testing.assert_array_equal(direct, queued)
 
     def test_client_error_propagates(self):
         class FailingClient(SumClient):
@@ -456,11 +447,10 @@ class TestTiming:
 
         vectors = {0: np.ones(8)}
         bandwidth = 3.0  # pathological divisor: rounding differences show
-        devices = {
-            0: ClientDevice(client_id=0, compute_factor=1.0,
-                            bandwidth_bps=bandwidth),
-        }
-        engine = RoundEngine(transport=SimulatedNetworkTransport(devices))
+        fleet = Fleet([DeviceProfile.symmetric(0, bandwidth_bps=bandwidth)])
+        engine = RoundEngine(
+            transport=SimulatedNetworkTransport(fleet.link_seconds)
+        )
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
         down = encoded_nbytes(("encode", None))
@@ -471,14 +461,15 @@ class TestTiming:
     def test_asymmetric_device_charges_each_direction(self):
         """Request bytes ride the downlink, response bytes the uplink."""
         from repro.wire import encoded_nbytes
-        from repro.sim.network import DeviceProfile
 
         vectors = {0: np.ones(8)}
-        devices = {
-            0: DeviceProfile(client_id=0, compute_factor=1.0,
-                             uplink_bps=10.0, downlink_bps=1000.0),
-        }
-        engine = RoundEngine(transport=SimulatedNetworkTransport(devices))
+        fleet = Fleet([
+            DeviceProfile(client_id=0, compute_factor=1.0,
+                          uplink_bps=10.0, downlink_bps=1000.0),
+        ])
+        engine = RoundEngine(
+            transport=SimulatedNetworkTransport(fleet.link_seconds)
+        )
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
         down = encoded_nbytes(("encode", None))
@@ -495,11 +486,11 @@ class TestTiming:
         from repro.wire import encoded_nbytes
 
         vectors = {0: np.ones(8), 1: np.ones(8)}
-        devices = {
-            0: ClientDevice(client_id=0, compute_factor=1.0, bandwidth_bps=1e4),
-            1: ClientDevice(client_id=1, compute_factor=1.0, bandwidth_bps=1e6),
-        }
-        transport = SimulatedNetworkTransport(devices)
+        devices = [
+            DeviceProfile.symmetric(0, bandwidth_bps=1e4),
+            DeviceProfile.symmetric(1, bandwidth_bps=1e6),
+        ]
+        transport = SimulatedNetworkTransport(Fleet(devices).link_seconds)
         engine = RoundEngine(transport=transport)
         clients = [SumClient(u, v) for u, v in vectors.items()]
         result = engine.run_round_sync(SumServer(), clients)
@@ -523,11 +514,7 @@ class TestSplitTrafficReplay:
         The replay's traffic comes from the codecs (an independent
         oracle), not from the executed trace.
         """
-        from repro.engine import (
-            InProcessTransport,
-            SerializingTransport,
-            stage_groups,
-        )
+        from repro.engine import SerializingTransport, stage_groups
         from repro.wire import encoded_nbytes
         from repro.sim.timeline import SimulatedRound, simulate_trace
         from repro.wire.codecs import encode_payload
@@ -535,7 +522,7 @@ class TestSplitTrafficReplay:
 
         vectors = {u: np.arange(6, dtype=float) + u for u in range(3)}
         engine = RoundEngine(
-            transport=SerializingTransport(InProcessTransport()),
+            transport=SerializingTransport(),
             timing=PerOpTiming(TIMES),
         )
         clients = [RoundTripClient(u, v) for u, v in vectors.items()]

@@ -14,7 +14,6 @@ import pytest
 
 from repro.engine import RoundEngine, SimulatedNetworkTransport
 from repro.secagg.types import AdvertiseKeysMsg
-from repro.sim.network import ClientDevice
 from repro.wire import KIND_RESPONSE, CodecError, encoded_nbytes
 from repro.wire.codecs import encode_payload_frame
 from tests.engine.test_round_engine import SumClient, SumServer
@@ -92,7 +91,6 @@ class TestMeasuredNbytes:
             def _encode(self, _payload):
                 return Opaque()
 
-        device = ClientDevice(client_id=0, compute_factor=1.0, bandwidth_bps=1e6)
-        engine = RoundEngine(transport=SimulatedNetworkTransport({0: device}))
+        engine = RoundEngine(transport=SimulatedNetworkTransport())
         with pytest.raises(CodecError, match="no codec registered"):
             engine.run_round_sync(SumServer(), [OpaqueClient(0, np.ones(2))])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fl.client import LocalTrainer
 from repro.fl.data import make_classification_task
-from repro.fl.dropout import BehaviorTrace, FixedRateDropout, TraceDrivenDropout
+from repro.fleet import BehaviorTrace, FixedRateDropout, TraceDrivenDropout
 from repro.fl.models import SoftmaxRegression
 from repro.fl.optim import SGD
 from repro.fl.server import FedAvgServer

@@ -1,18 +1,24 @@
-"""Fleet-driven transports: one link model, three carriers.
+"""Fleet-priced transports: one link model, one pricing hook.
 
-The acceptance bar for the directional refactor: the same asymmetric
-fleet must produce *identical* traces — per-direction byte splits and
-virtual latencies — whether the round runs in-process with codec-sized
+``build_transport(name, fleet)`` hands every backend the same hook,
+``fleet.link_seconds``.  The acceptance bar: the same asymmetric fleet
+must produce *identical* traces — per-direction byte splits and virtual
+latencies — whether the round runs in-process with codec-sized
 payloads, behind the in-process serialization boundary, or over real
-framed TCP sockets.
+framed TCP sockets; the websocket carrier prices its (honestly larger)
+framed bytes on the same links.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.engine import RoundEngine
-from repro.fleet import DeviceProfile, Fleet, FleetNetworkTransport, fleet_transport
+from repro.core.dordis import build_transport
+from repro.engine import RoundEngine, SimulatedNetworkTransport
+from repro.fleet import DeviceProfile, Fleet
 from repro.wire import encoded_nbytes
+from repro.wire.ws import envelope_overhead
 from tests.engine.test_round_engine import SumClient, SumServer
 
 
@@ -32,10 +38,10 @@ def run_round(transport):
     return engine.trace
 
 
-class TestFleetNetworkTransport:
+class TestFleetPricedSimulatedLinks:
     def test_latency_is_per_direction_per_client(self):
         fleet = asymmetric_fleet()
-        trace = run_round(FleetNetworkTransport(fleet))
+        trace = run_round(SimulatedNetworkTransport(fleet.link_seconds))
         encode = trace.round_spans(0)[0]
         down = encoded_nbytes(("encode", None))
         up = encoded_nbytes(np.ones(16) * 1.0)
@@ -50,7 +56,7 @@ class TestFleetNetworkTransport:
 
     def test_unknown_transport_name_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
-            fleet_transport("carrier-pigeon", asymmetric_fleet())
+            build_transport("carrier-pigeon", asymmetric_fleet())
 
 
 @pytest.mark.timeout(120)
@@ -60,7 +66,7 @@ class TestOneLinkModelThreeCarriers:
         finish, down, up) on all three envelope-identical backends."""
         fleet = asymmetric_fleet()
         traces = {
-            name: run_round(fleet_transport(name, fleet))
+            name: run_round(build_transport(name, fleet))
             for name in ("inprocess", "serialized", "sockets")
         }
         as_tuples = {
@@ -83,14 +89,15 @@ class TestWebSocketCarrier:
     def test_ws_trace_equals_fleet_oracle_with_overhead(self):
         """The fourth carrier prices its own (honestly larger) framed
         bytes on the same fleet links: its trace — spans *and* virtual
-        latencies — equals the offline FleetNetworkTransport oracle
-        carrying the documented RFC 6455 framing overhead."""
-        from repro.engine import ws_envelope_overhead
-
+        latencies — equals the offline fleet-priced oracle carrying
+        the documented RFC 6455 framing overhead."""
         fleet = asymmetric_fleet()
-        ws_trace = run_round(fleet_transport("websocket", fleet))
+        ws_trace = run_round(build_transport("websocket", fleet))
         oracle_trace = run_round(
-            FleetNetworkTransport(fleet, overhead_fn=ws_envelope_overhead)
+            SimulatedNetworkTransport(
+                fleet.link_seconds,
+                overhead_fn=partial(envelope_overhead, "websocket"),
+            )
         )
         assert [
             (s.label, s.resource, s.begin, s.finish, s.down_bytes, s.up_bytes)
@@ -105,8 +112,8 @@ class TestWebSocketCarrier:
         carrier's comm stages take (slightly) longer than framed TCP —
         more bytes over the same bandwidth, never fewer."""
         fleet = asymmetric_fleet()
-        tcp = run_round(fleet_transport("sockets", fleet))
-        ws = run_round(fleet_transport("websocket", fleet))
+        tcp = run_round(build_transport("sockets", fleet))
+        ws = run_round(build_transport("websocket", fleet))
         tcp_split = tcp.round_traffic_split(0)
         ws_split = ws.round_traffic_split(0)
         assert ws_split.down > tcp_split.down

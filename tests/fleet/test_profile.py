@@ -12,7 +12,6 @@ from repro.fleet import (
     heterogeneous_fleet_columns,
     heterogeneous_fleet_reference,
 )
-from repro.sim.network import ClientDevice
 
 
 class TestDeviceProfile:
@@ -43,15 +42,40 @@ class TestDeviceProfile:
         d = DeviceProfile(0, compute_factor=1.0, uplink_bps=10.0, downlink_bps=40.0)
         assert d.link_seconds(400, 100) == 400 / 40.0 + 100 / 10.0
 
-    def test_legacy_client_device_is_symmetric(self):
-        d = ClientDevice(3, compute_factor=2.0, bandwidth_bps=5e5)
-        assert isinstance(d, DeviceProfile)
+    def test_symmetric_constructor_sets_both_directions(self):
+        d = DeviceProfile.symmetric(3, compute_factor=2.0, bandwidth_bps=5e5)
         assert d.uplink_bps == d.downlink_bps == 5e5
         assert d.bandwidth_bps == 5e5
         assert d.compute_factor == 2.0
+        assert d.upload_seconds(1e6) == pytest.approx(2.0)
+        with pytest.raises(ValueError):
+            DeviceProfile.symmetric(0, compute_factor=0.5, bandwidth_bps=1e6)
+        with pytest.raises(ValueError):
+            DeviceProfile.symmetric(0, bandwidth_bps=0.0)
 
 
 class TestHeterogeneousFleet:
+    def test_size_and_ranges(self):
+        fleet = heterogeneous_fleet(50, seed=1)
+        assert len(fleet) == 50
+        assert all(1.0 <= d.compute_factor <= 8.0 for d in fleet)
+        lo, hi = 21e6 / 8, 210e6 / 8
+        assert all(lo <= d.bandwidth_bps <= hi for d in fleet)
+
+    def test_heterogeneous(self):
+        fleet = heterogeneous_fleet(50, seed=1)
+        factors = {round(d.compute_factor, 3) for d in fleet}
+        assert len(factors) > 10
+
+    def test_deterministic(self):
+        a = heterogeneous_fleet(10, seed=3)
+        b = heterogeneous_fleet(10, seed=3)
+        assert [d.bandwidth_bps for d in a] == [d.bandwidth_bps for d in b]
+
+    def test_invalid_size(self):
+        with pytest.raises(ValueError):
+            heterogeneous_fleet(0)
+
     def test_default_fleet_is_symmetric(self):
         fleet = heterogeneous_fleet(30, seed=2)
         assert all(d.is_symmetric for d in fleet)

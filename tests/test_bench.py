@@ -17,7 +17,7 @@ from repro.cli import main
 
 pytestmark = pytest.mark.timeout(120)
 
-TOPICS = ("hotpath", "traffic", "round", "listener", "fleet")
+TOPICS = ("hotpath", "traffic", "listener", "fleet")
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +64,6 @@ class TestBenchEntrypoint:
             assert f"{name}_reference_s" in m
             assert f"{name}_fast_s" in m
 
-    def test_round_report_covers_requested_dims(self, bench_run):
-        m = bench.load_bench(bench.bench_path(bench_run, "round"))["metrics"]
-        for d in (32, 64):
-            assert m[f"round_d{d}_wall_s"]["unit"] == "s"
-            assert m[f"round_d{d}_aggregate_ok"]["value"] == 1
-
     def test_traffic_report_balances(self, bench_run):
         m = bench.load_bench(bench.bench_path(bench_run, "traffic"))["metrics"]
         assert m["aggregate_ok"]["value"] == 1
@@ -113,15 +107,15 @@ class TestBenchEntrypoint:
         assert m["outage_outside_excess"]["value"] == 0
 
     def test_diff_reports_per_metric_deltas(self, bench_run, capsys):
-        path = str(bench.bench_path(bench_run, "round"))
+        path = str(bench.bench_path(bench_run, "traffic"))
         rc = main(["bench", "--diff", path, path])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "round_d32_wall_s" in out
+        assert "round_wall_s" in out
         assert "b/a" in out
 
     def test_diff_bench_rows(self, bench_run):
-        path = bench.bench_path(bench_run, "round")
+        path = bench.bench_path(bench_run, "traffic")
         rows = bench.diff_bench(path, path)
         assert rows
         for row in rows:

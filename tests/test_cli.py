@@ -21,13 +21,11 @@ class TestParser:
         assert args.transport == "websocket"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--transport", "pigeon"])
-        args = build_parser().parse_args(
-            ["sockets", "--transport", "websocket"]
-        )
+        args = build_parser().parse_args(["serve", "--transport", "websocket"])
         assert args.transport == "websocket"
         with pytest.raises(SystemExit):
-            # The demo only has wire carriers to demonstrate.
-            build_parser().parse_args(["sockets", "--transport", "inprocess"])
+            # The cross-process round only has wire carriers to offer.
+            build_parser().parse_args(["serve", "--transport", "inprocess"])
 
     def test_plan_requires_core_args(self):
         with pytest.raises(SystemExit):
@@ -59,6 +57,15 @@ class TestRunCommand:
         assert "dropout=trace" in out
         assert "fleet-timed" in out
         assert "down" in out and "up" in out
+
+    @pytest.mark.timeout(120)
+    def test_websocket_transport_smoke(self, capsys):
+        code = main([
+            "run", "--num-clients", "12", "--sample-size", "5",
+            "--rounds", "2", "--transport", "websocket",
+        ])
+        assert code == 0
+        assert "rounds completed : 2" in capsys.readouterr().out
 
     def test_no_fleet_opt_out(self, capsys):
         code = main([
@@ -121,51 +128,8 @@ class TestPipelineCommand:
         assert plain_minutes(xn) > plain_minutes(base)
 
 
-class TestSocketsCommand:
-    @pytest.mark.timeout(120)
-    def test_secagg_round_over_sockets(self, capsys):
-        code = main([
-            "sockets", "--clients", "4", "--dimension", "8", "--drop", "1",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "SecAgg over framed TCP" in out
-        assert "verified — ring sum over U3 matches" in out
-        assert "accounting check" in out and "✓" in out
-
-    @pytest.mark.timeout(120)
-    def test_secagg_round_over_websocket(self, capsys):
-        code = main([
-            "sockets", "--clients", "4", "--dimension", "8", "--drop", "1",
-            "--transport", "websocket",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "SecAgg over RFC 6455 WebSocket" in out
-        assert "verified — ring sum over U3 matches" in out
-        assert "accounting check" in out and "✓" in out
-
-    @pytest.mark.timeout(120)
-    def test_xnoise_round_over_sockets(self, capsys):
-        code = main([
-            "sockets", "--clients", "4", "--dimension", "8", "--xnoise",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "XNoise+SecAgg over framed TCP" in out
-        assert "✓" in out
-
-    def test_too_few_clients_rejected(self, capsys):
-        assert main(["sockets", "--clients", "2"]) == 2
-
-    def test_excessive_drop_rejected(self, capsys):
-        # 4 clients → threshold 3 → at most 1 tolerable dropout.
-        assert main(["sockets", "--clients", "4", "--drop", "2"]) == 2
-        assert "tolerable" in capsys.readouterr().err
-
-
 class TestServeJoinValidation:
-    """serve/join argument hardening, mirroring the sockets command."""
+    """serve/join argument hardening."""
 
     def test_serve_too_few_clients_rejected(self, capsys):
         assert main(["serve", "--clients", "2"]) == 2

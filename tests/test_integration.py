@@ -12,7 +12,7 @@ from repro.core import DordisConfig, DordisSession
 from repro.core.baselines import XNoiseStrategy, make_strategy
 from repro.dp.accountant import RdpAccountant
 from repro.dp.planner import plan_noise
-from repro.fl.dropout import BehaviorTrace, TraceDrivenDropout
+from repro.fleet import BehaviorTrace, TraceDrivenDropout
 from repro.pipeline.perf_model import (
     StagePerfModel,
     WorkflowPerfModel,

@@ -29,7 +29,7 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     from repro import native
     from repro.crypto.prg import expand_uniform
-    from repro.engine import InProcessTransport, RoundEngine, SerializingTransport, run_sync
+    from repro.engine import RoundEngine, SerializingTransport, run_sync
     from repro.secagg import DropoutSchedule, SecAggConfig, arun_secagg_round
     from repro.secagg.types import MaskedInputMsg
     from repro.wire import KIND_RESPONSE, decode_payload
@@ -41,7 +41,7 @@ with warnings.catch_warnings(record=True) as caught:
         u: rng.integers(0, config.modulus, size=config.dimension, dtype=np.int64)
         for u in range(1, 6)
     }
-    engine = RoundEngine(transport=SerializingTransport(InProcessTransport()))
+    engine = RoundEngine(transport=SerializingTransport())
     result = run_sync(arun_secagg_round(
         config, inputs, DropoutSchedule.before_upload({4}), engine=engine
     ))

@@ -110,13 +110,17 @@ class TestStreamFraming:
         async def scenario():
             async def serve(reader, writer):
                 kind, body, _ = await f.read_frame(reader)
-                await f.write_frame(writer, f.KIND_RESPONSE, body[::-1])
+                writer.write(f.encode_frame(f.KIND_RESPONSE, body[::-1]))
+                await writer.drain()
                 writer.close()
 
             server = await asyncio.start_server(serve, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            sent = await f.write_frame(writer, f.KIND_REQUEST, b"abc")
+            request = f.encode_frame(f.KIND_REQUEST, b"abc")
+            writer.write(request)
+            await writer.drain()
+            sent = len(request)
             kind, body, received = await f.read_frame(reader)
             writer.close()
             server.close()
