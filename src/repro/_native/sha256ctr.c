@@ -12,6 +12,9 @@
  * dispatch where the CPU has it.  Built lazily by repro.native with the
  * system C compiler; when that fails, the pure-Python hashlib loop in
  * repro.crypto.prg serves the same bytes (parity-pinned by test).
+ *
+ * The same object carries the masked-vector bit packer and the modular
+ * exponentiation kernel further down: one build, one probe.
  */
 
 #include <stddef.h>
@@ -457,3 +460,187 @@ int repro_unpack_bits(const uint8_t *src, size_t nbytes, size_t n,
         return -1;
     return acc ? -2 : 0;
 }
+
+/* ---------------------------------------------------------------------
+ * Fixed-width modular exponentiation (repro.crypto.dh.DHGroup.power).
+ *
+ * out = base**exp mod p for an odd modulus of n 64-bit limbs, n <= 64.
+ * Operands cross the boundary as big-endian bytes, 8*n wide (the
+ * exponent explen wide); the caller supplies R^2 mod p for R = 2**(64n),
+ * computed once per group.  Montgomery multiplication is the CIOS
+ * recurrence; the exponent is consumed in fixed 4-bit windows, most
+ * significant first.
+ *
+ * What does not depend on the exponent's value or on intermediate
+ * values: the sequence of multiplications (four squarings and one
+ * multiply for every window of the explen bytes given, zero windows
+ * included — the caller pads to whole limbs, so only the exponent's
+ * limb count shows), the table read (all sixteen entries are scanned
+ * and combined under a mask) and the final subtraction of every
+ * multiplication (computed always, selected under a mask).  That is
+ * strictly better than CPython's pow(), which skips
+ * zero windows and trims leading zero digits — but nothing here pins
+ * what the compiler makes of it or what the cache and the multiplier
+ * leak, so this is not a side-channel-hardened library.  The modulus,
+ * its width and base < p are public and are branched on.
+ *
+ * Needs a 128-bit integer type; without one the entry point reports
+ * -3 and the caller keeps pow(), which returns the same integer.
+ * ------------------------------------------------------------------ */
+
+#define MODEXP_MAX_LIMBS 64
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static void load_be_limbs(uint64_t *dst, const uint8_t *src, size_t n)
+{
+    size_t i;
+    int j;
+    for (i = 0; i < n; i++) {
+        const uint8_t *s = src + 8 * (n - 1 - i);
+        uint64_t w = 0;
+        for (j = 0; j < 8; j++)
+            w = (w << 8) | s[j];
+        dst[i] = w;
+    }
+}
+
+static void store_be_limbs(uint8_t *dst, const uint64_t *src, size_t n)
+{
+    size_t i;
+    int j;
+    for (i = 0; i < n; i++) {
+        uint8_t *d = dst + 8 * (n - 1 - i);
+        for (j = 0; j < 8; j++)
+            d[j] = (uint8_t)(src[i] >> (56 - 8 * j));
+    }
+}
+
+/* borrow out of a - p: 1 iff a < p.  d, when given, receives a - p. */
+static uint64_t sub_limbs(uint64_t *d, const uint64_t *a, const uint64_t *p,
+                          size_t n)
+{
+    uint64_t borrow = 0;
+    size_t j;
+    for (j = 0; j < n; j++) {
+        u128 s = (u128)a[j] - p[j] - borrow;
+        if (d)
+            d[j] = (uint64_t)s;
+        borrow = (uint64_t)(s >> 64) & 1;
+    }
+    return borrow;
+}
+
+/* r = a*b/R mod p for a, b < p; n0 = -1/p mod 2**64.  r may alias a, b.
+ * The carry chain bounds both inner loops; unrolling them is worth a
+ * quarter of the run time at 32 limbs. */
+static void mont_mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                     const uint64_t *p, uint64_t n0, size_t n)
+{
+    uint64_t t[MODEXP_MAX_LIMBS + 2], d[MODEXP_MAX_LIMBS];
+    uint64_t mask;
+    size_t i, j;
+
+    memset(t, 0, (n + 2) * sizeof(uint64_t));
+    for (i = 0; i < n; i++) {
+        uint64_t bi = b[i], c = 0, m;
+        u128 x;
+
+#pragma GCC unroll 8
+        for (j = 0; j < n; j++) {
+            x = (u128)a[j] * bi + t[j] + c;
+            t[j] = (uint64_t)x;
+            c = (uint64_t)(x >> 64);
+        }
+        x = (u128)t[n] + c;
+        t[n] = (uint64_t)x;
+        t[n + 1] = (uint64_t)(x >> 64);
+
+        m = t[0] * n0;
+        x = (u128)m * p[0] + t[0];
+        c = (uint64_t)(x >> 64);
+#pragma GCC unroll 8
+        for (j = 1; j < n; j++) {
+            x = (u128)m * p[j] + t[j] + c;
+            t[j - 1] = (uint64_t)x;
+            c = (uint64_t)(x >> 64);
+        }
+        x = (u128)t[n] + c;
+        t[n - 1] = (uint64_t)x;
+        t[n] = t[n + 1] + (uint64_t)(x >> 64);
+    }
+    /* t < 2p: subtract p exactly when t >= p, without branching on it. */
+    mask = (uint64_t)0 - (t[n] | (sub_limbs(d, t, p, n) ^ 1));
+    for (j = 0; j < n; j++)
+        r[j] = (d[j] & mask) | (t[j] & ~mask);
+}
+
+/* Returns 0, -1 on bad arguments (null, n outside [1, 64], even
+ * modulus, base >= modulus). */
+int repro_modexp(const uint8_t *mod, const uint8_t *rr, size_t n,
+                 const uint8_t *base, const uint8_t *exp, size_t explen,
+                 uint8_t *out)
+{
+    uint64_t p[MODEXP_MAX_LIMBS], one[MODEXP_MAX_LIMBS];
+    uint64_t acc[MODEXP_MAX_LIMBS], sel[MODEXP_MAX_LIMBS];
+    uint64_t table[16][MODEXP_MAX_LIMBS];
+    uint64_t n0;
+    size_t i, j, k;
+    int shift;
+
+    if (mod == NULL || rr == NULL || base == NULL || exp == NULL
+        || out == NULL || n < 1 || n > MODEXP_MAX_LIMBS)
+        return -1;
+    load_be_limbs(p, mod, n);
+    load_be_limbs(acc, base, n);
+    if (!(p[0] & 1) || !sub_limbs(NULL, acc, p, n))
+        return -1;
+
+    /* Newton's iteration doubles the correct low bits of 1/p[0]
+     * (an odd x is its own inverse mod 8). */
+    n0 = p[0];
+    for (i = 0; i < 5; i++)
+        n0 *= 2 - p[0] * n0;
+    n0 = (uint64_t)0 - n0;
+
+    /* table[k] = base**k in Montgomery form; table[0] = R mod p. */
+    memset(one, 0, n * sizeof(uint64_t));
+    one[0] = 1;
+    load_be_limbs(sel, rr, n);
+    mont_mul(table[0], sel, one, p, n0, n);
+    mont_mul(table[1], acc, sel, p, n0, n);
+    for (k = 2; k < 16; k++)
+        mont_mul(table[k], table[k - 1], table[1], p, n0, n);
+
+    memcpy(acc, table[0], n * sizeof(uint64_t));
+    for (i = 0; i < explen; i++) {
+        for (shift = 4; shift >= 0; shift -= 4) {
+            uint64_t w = (exp[i] >> shift) & 15;
+
+            for (k = 0; k < 4; k++)
+                mont_mul(acc, acc, acc, p, n0, n);
+            memset(sel, 0, n * sizeof(uint64_t));
+            for (k = 0; k < 16; k++) {
+                /* all ones iff k == w */
+                uint64_t mask = (uint64_t)0 - (((k ^ w) - 1) >> 63);
+                for (j = 0; j < n; j++)
+                    sel[j] |= table[k][j] & mask;
+            }
+            mont_mul(acc, acc, sel, p, n0, n);
+        }
+    }
+    mont_mul(acc, acc, one, p, n0, n);
+    store_be_limbs(out, acc, n);
+    return 0;
+}
+#else
+int repro_modexp(const uint8_t *mod, const uint8_t *rr, size_t n,
+                 const uint8_t *base, const uint8_t *exp, size_t explen,
+                 uint8_t *out)
+{
+    (void)mod; (void)rr; (void)n; (void)base; (void)exp; (void)explen;
+    (void)out;
+    return -3;
+}
+#endif

@@ -100,7 +100,8 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     },
     # The ring-width data plane: bit-packed masked vectors (element
     # width, pad rule, wire version 3), 32-bit PRG draws, one wire-size
-    # definition, masked-input admission, announced native fallback.
+    # definition, masked-input admission, announced native fallback
+    # (PRG stream, bit packer, modexp ≡ pow).
     "12": {
         "rules": ["strict-decoder", "zero-copy"],
         "tests": [
@@ -110,6 +111,17 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/crypto/test_hotpath_parity.py",
             "tests/engine/test_socket_transport.py",
             "tests/test_native_fallback.py",
+            "tests/crypto/test_modexp.py",
+        ],
+    },
+    # Every pairwise key is agreed once a round; executed agree/decrypt
+    # counts equal secagg/complexity.py's.
+    "13": {
+        "rules": [],
+        "tests": [
+            "tests/secagg/test_complexity.py",
+            "tests/xnoise/test_protocol.py",
+            "tests/secagg/test_adversarial.py",
         ],
     },
 }

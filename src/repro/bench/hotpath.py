@@ -1,15 +1,16 @@
 """Hot-path microbenchmarks: every fast path against its retained twin.
 
-Each metric pair times the optimized implementation and the
+Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
-(PRG mask expansion, Shamir share evaluation and reconstruction, codec
-encode, mask accumulation), so the recorded speedups are measured on the
-same machine, same inputs, same run — the trajectory point the paper's
-Fig.-2-style overhead claims rest on.
+(PRG mask expansion, key agreement, Shamir share evaluation and
+reconstruction, codec encode, mask accumulation), so the recorded
+speedups are measured on the same machine, same inputs, same run — the
+trajectory point the paper's Fig.-2-style overhead claims rest on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import platform
 import time
 from typing import Any, Callable
@@ -18,7 +19,8 @@ import numpy as np
 
 from repro import native
 from repro.bench.schema import make_report, metric
-from repro.crypto.prg import PRG, PRGReference
+from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
+from repro.crypto.prg import PRGReference, expand_uniform
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
 from repro.secagg.types import MaskedInputMsg
@@ -62,15 +64,37 @@ def run_hotpath(
     prg_seed = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     metrics: dict[str, Any] = {}
 
-    # PRG mask expansion, per dimension.
+    # PRG mask expansion, per dimension: expand_uniform is what every
+    # pairwise and self mask of a round goes through.
     for d in dims:
         ref_s = _best_of(
             lambda: PRGReference(prg_seed).uniform_vector(d, modulus), repeats
         )
-        fast_s = _best_of(
-            lambda: PRG(prg_seed).uniform_vector(d, modulus), repeats
-        )
+        fast_s = _best_of(lambda: expand_uniform(prg_seed, d, modulus), repeats)
         _speedup_triplet(metrics, f"prg_expand_d{d}", ref_s, fast_s)
+
+    # Key agreement, per group: KeyAgreement.agree (DHGroup.power → the
+    # native modexp kernel when config.native_backend is not "python")
+    # against the same agreement on CPython's pow().
+    for name in ("modp512", "modp2048"):
+        ka = KeyAgreement(resolve_group(name))
+        group = ka.group
+        width = group.element_bytes
+        secret, peer_secret = (
+            1 + int.from_bytes(rng.bytes(width), "big") % (group.q - 1)
+            for _ in range(2)
+        )
+        mine = DHKeyPair(secret=secret, public=group.power(group.g, secret))
+        peer_public = group.power(group.g, peer_secret)
+
+        def _agree_pow() -> bytes:
+            shared = pow(peer_public, mine.secret, group.p)
+            return hashlib.sha256(shared.to_bytes(width, "big")).digest()
+
+        assert _agree_pow() == ka.agree(mine, peer_public)
+        ref_s = _best_of(_agree_pow, repeats)
+        fast_s = _best_of(lambda: ka.agree(mine, peer_public), repeats)
+        _speedup_triplet(metrics, f"dh_agree_{name}", ref_s, fast_s)
 
     # Shamir: the deterministic evaluation step on identical polynomials
     # (share() itself samples fresh randomness, so the fair comparison

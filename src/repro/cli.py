@@ -586,6 +586,12 @@ def _cmd_bench(args) -> int:
                   f"{m[f'prg_expand_d{d}_reference_s']['value']:.4f}s ref → "
                   f"{m[f'prg_expand_d{d}_fast_s']['value']:.4f}s fast "
                   f"({speedup['value']:.2f}x)")
+        for group in ("modp512", "modp2048"):
+            print(f"DH agree {group}: "
+                  f"{m[f'dh_agree_{group}_reference_s']['value'] * 1e3:.3f}ms pow → "
+                  f"{m[f'dh_agree_{group}_fast_s']['value'] * 1e3:.3f}ms "
+                  f"{report['config']['native_backend']} "
+                  f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
     if "traffic" in args.topics:
         report = bench.run_traffic(
             clients=args.clients,

@@ -6,6 +6,11 @@ mask (``s`` keys) — via Diffie–Hellman composed with a hash (Fig. 5,
 AdvertiseKeys/ShareKeys).  We implement classic DH in the 2048-bit MODP
 group of RFC 3526 (a safe-prime group: q = (p−1)/2 is prime), with the
 agreed key being SHA-256 of the shared group element.
+
+Every modular power of the protocol — DH generate/agree, Schnorr
+sign/verify, the VRF — goes through :meth:`DHGroup.power`, which hands
+the operands to the native Montgomery kernel (:mod:`repro.native`) when
+it covers them and to ``pow()`` otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
+
+from repro import native
 
 #: RFC 3526, group 14 (2048-bit MODP).  Generator 2.
 MODP_2048_P = int(
@@ -44,7 +53,25 @@ class DHGroup:
         return 1 + secrets.randbelow(self.q - 1)
 
     def power(self, base: int, exp: int) -> int:
+        """``base**exp mod p`` — the one place a group exponentiates.
+
+        The native kernel answers when it is loaded, ``p`` is an odd
+        multiple-of-64-bit modulus, ``0 ≤ base < p`` and ``exp ≥ 0``;
+        anything else (:data:`TOY_GROUP`, a negative exponent, an
+        unreduced base, no kernel) is ``pow()``.  The result is an
+        integer, so the two cannot differ; the kernel's absence is
+        announced once per process by :func:`repro.native.load`.
+        """
+        ctx = self._montgomery
+        if ctx is not None:
+            result = native.modexp(ctx, base, exp)
+            if result is not None:
+                return result
         return pow(base, exp, self.p)
+
+    @cached_property
+    def _montgomery(self) -> Optional[native.MontgomeryContext]:
+        return native.montgomery_context(self.p)
 
     @property
     def element_bytes(self) -> int:

@@ -56,7 +56,7 @@ def _hash_to_group(group: DHGroup, message: bytes) -> int:
             ).digest()
         candidate = int.from_bytes(digest, "big") % group.p
         if candidate > 1:
-            return pow(candidate, 2, group.p)
+            return group.power(candidate, 2)
         counter += 1
 
 
@@ -70,7 +70,7 @@ def _challenge(group: DHGroup, points: list[int]) -> int:
 def generate_vrf_keypair(group: DHGroup = MODP_2048) -> tuple[int, int]:
     """Return ``(secret_key, public_key)``."""
     sk = 1 + secrets.randbelow(group.q - 1)
-    return sk, pow(group.g, sk, group.p)
+    return sk, group.power(group.g, sk)
 
 
 def vrf_prove(
@@ -83,11 +83,11 @@ def vrf_prove(
     key without revealing the key.
     """
     h = _hash_to_group(group, message)
-    gamma = pow(h, secret_key, group.p)
+    gamma = group.power(h, secret_key)
     k = 1 + secrets.randbelow(group.q - 1)
-    a1 = pow(group.g, k, group.p)
-    a2 = pow(h, k, group.p)
-    public = pow(group.g, secret_key, group.p)
+    a1 = group.power(group.g, k)
+    a2 = group.power(h, k)
+    public = group.power(group.g, secret_key)
     c = _challenge(group, [group.g, h, public, gamma, a1, a2])
     s = (k - c * secret_key) % group.q
     output = hashlib.sha256(b"vrf-out" + _int_bytes(group, gamma)).digest()
@@ -108,8 +108,8 @@ def vrf_verify(
         return False
     h = _hash_to_group(group, message)
     # Recompute the commitments: a1 = g^s · y^c, a2 = h^s · γ^c.
-    a1 = (pow(group.g, proof.s, group.p) * pow(public_key, proof.c, group.p)) % group.p
-    a2 = (pow(h, proof.s, group.p) * pow(proof.gamma, proof.c, group.p)) % group.p
+    a1 = (group.power(group.g, proof.s) * group.power(public_key, proof.c)) % group.p
+    a2 = (group.power(h, proof.s) * group.power(proof.gamma, proof.c)) % group.p
     expected_c = _challenge(
         group, [group.g, h, public_key, proof.gamma, a1, a2]
     )

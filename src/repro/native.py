@@ -1,4 +1,4 @@
-"""Optional native accelerator for the counter-mode PRG and the bit packer.
+"""Optional native accelerator: counter-mode PRG, bit packer, modexp.
 
 The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
 elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
@@ -9,7 +9,11 @@ when) the host can support it, by lazily compiling the self-contained C
 kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
 it through :mod:`ctypes`.  The same shared object carries the two
 ring-width bit-packing loops of the masked-vector wire codec
-(:mod:`repro.wire.bitpack`), so one build serves the whole data plane.
+(:mod:`repro.wire.bitpack`) and the fixed-width modular exponentiation
+behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
+agreement, Schnorr signature and VRF evaluation — one CPython ``pow()``
+each otherwise: 0.7 ms at 512 bits, 28 ms at 2048), so one build serves
+the data plane and the control plane.
 
 Design constraints, in order:
 
@@ -22,8 +26,9 @@ Design constraints, in order:
   environment — makes :func:`load` return ``None`` (memoized) and emit
   one ``RuntimeWarning`` per process naming the reason; callers keep
   the pure-Python/numpy path.  The two paths are bit-identical by
-  construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream)
-  and parity-pinned by test whenever the kernel is available.
+  construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream,
+  and a modular power is an integer: ``pow()`` *is* the fallback) and
+  parity-pinned by test whenever the kernel is available.
 - **Self-invalidating cache.**  The shared object lands in a
   gitignored ``_native/_build/`` directory next to the source, named by
   a hash of the source text, so editing the C file rebuilds and stale
@@ -47,7 +52,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _SRC = Path(__file__).resolve().parent / "_native" / "sha256ctr.c"
 _BUILD_DIR = _SRC.parent / "_build"
@@ -56,6 +61,11 @@ _BUILD_DIR = _SRC.parent / "_build"
 # single padded SHA-256 block (seedlen + 8 ≤ 55).  Protocol seeds are
 # 32 bytes (DH agreement digests / random_seed(32)).
 MAX_SEED_LEN = 47
+
+#: Widest modulus the modexp kernel takes (64 limbs of 64 bits).
+MODEXP_MAX_BITS = 4096
+#: ``repro_modexp``'s answer when it was compiled without ``__int128``.
+_MODEXP_NOT_BUILT = -3
 
 _lock = threading.Lock()
 _loaded = False
@@ -136,13 +146,24 @@ def _build() -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.repro_unpack_bits.restype = ctypes.c_int
+    lib.repro_modexp.argtypes = [
+        ctypes.c_char_p,
+        ctypes.c_char_p,
+        ctypes.c_size_t,
+        ctypes.c_char_p,
+        ctypes.c_char_p,
+        ctypes.c_size_t,
+        ctypes.c_char_p,
+    ]
+    lib.repro_modexp.restype = ctypes.c_int
     return lib
 
 
 def _probe(lib: ctypes.CDLL) -> None:
     """One sanity answer per kernel before trusting the object: block 0
-    of an all-zero seed must match hashlib, and three 20-bit elements
-    must pack to the documented little-endian bit stream and back."""
+    of an all-zero seed must match hashlib, three 20-bit elements must
+    pack to the documented little-endian bit stream and back, and a
+    two-limb modular power must match ``pow``."""
     digest = ctypes.create_string_buffer(32)
     seed = b"\x00" * 32
     rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
@@ -159,6 +180,23 @@ def _probe(lib: ctypes.CDLL) -> None:
         or list(unpacked) != list(values)
     ):
         raise _Unavailable("probe mismatch (bit packer)")
+    modulus = (1 << 128) - 159
+    ctx = montgomery_context(modulus)
+    base, exp = 0xFEDCBA9876543210_0123456789ABCDEF, modulus - 2
+    out = ctypes.create_string_buffer(16)
+    rc = lib.repro_modexp(
+        ctx.modulus, ctx.rr, ctx.limbs,
+        base.to_bytes(16, "big"), exp.to_bytes(16, "big"), 16, out,
+    )
+    if rc == _MODEXP_NOT_BUILT:
+        warnings.warn(
+            "repro.native: the C compiler has no 128-bit integer, key "
+            "agreement and signatures run on Python's pow()",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    elif rc != 0 or int.from_bytes(out.raw, "big") != pow(base, exp, modulus):
+        raise _Unavailable("probe mismatch (modular exponentiation)")
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -185,8 +223,9 @@ def load() -> Optional[ctypes.CDLL]:
         except _Unavailable as exc:
             lib = None
             warnings.warn(
-                "repro.native: kernel unavailable, PRG expansion and "
-                f"masked-vector packing run in pure Python/numpy: {exc}",
+                "repro.native: kernel unavailable, PRG expansion, "
+                "masked-vector packing and key agreement (modular "
+                f"exponentiation) run in pure Python/numpy: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -224,3 +263,56 @@ def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[byte
         if rc != 0:
             return None
     return out
+
+
+class MontgomeryContext(NamedTuple):
+    """What the modexp kernel needs of a modulus, computed once per group."""
+
+    modulus: bytes  # big-endian, 8·limbs wide
+    rr: bytes  # R² mod p for R = 2^(64·limbs), same width
+    limbs: int
+
+
+def montgomery_context(modulus: int) -> Optional[MontgomeryContext]:
+    """The kernel's view of ``modulus``, or ``None`` if it is not covered.
+
+    Covered: an odd modulus whose bit length is a multiple of 64, up to
+    :data:`MODEXP_MAX_BITS`.  Pure arithmetic — no kernel is loaded.
+    """
+    bits = modulus.bit_length()
+    if modulus % 2 == 0 or bits % 64 or not 0 < bits <= MODEXP_MAX_BITS:
+        return None
+    width = bits // 8
+    return MontgomeryContext(
+        modulus=modulus.to_bytes(width, "big"),
+        rr=((1 << (2 * bits)) % modulus).to_bytes(width, "big"),
+        limbs=bits // 64,
+    )
+
+
+def modexp(ctx: MontgomeryContext, base: int, exp: int) -> Optional[int]:
+    """``base**exp mod p`` from the kernel, or ``None`` to mean "use pow".
+
+    ``None`` when the kernel is unavailable, the exponent is negative or
+    the base is outside ``[0, p)``.  The exponent crosses at its length
+    in whole 64-bit limbs, so the windows scanned are a function of that
+    length alone — public for every exponent the protocol draws (a
+    uniform secret below q is a limb short with probability < 2⁻⁶²) —
+    and a short public exponent (a 256-bit Fiat–Shamir challenge, the
+    squaring in hash-to-group) costs what it is, not the modulus width.
+    """
+    lib = load()
+    if lib is None or exp < 0:
+        return None
+    width = 8 * ctx.limbs
+    try:
+        base_be = base.to_bytes(width, "big")
+    except OverflowError:  # negative, or wider than the modulus
+        return None
+    exp_be = exp.to_bytes(8 * max(1, (exp.bit_length() + 63) // 64), "big")
+    out = ctypes.create_string_buffer(width)
+    if lib.repro_modexp(
+        ctx.modulus, ctx.rr, ctx.limbs, base_be, exp_be, len(exp_be), out
+    ):
+        return None  # base >= p (or a compiler without __int128)
+    return int.from_bytes(out.raw, "big")

@@ -43,6 +43,11 @@ from repro.secagg.types import (
 )
 
 
+#: What one peer's ShareKeys payload leaves with its recipient:
+#: ``(share of s^SK, share of b, shares of the extra secrets)``.
+_HeldShares = tuple[Share, Share, dict[str, Share]]
+
+
 def _advertise_message_bytes(msg: AdvertiseKeysMsg) -> bytes:
     """The signed ``c^PK ∥ s^PK`` — unambiguous only at one fixed key
     width, which verifiers check before the signature."""
@@ -83,8 +88,12 @@ class SecAggClient:
         self._s_pair = self._ka.generate()
         self._b_seed: bytes = b""
         self._peer_keys: dict[int, tuple[int, int]] = {}  # peer -> (c^PK, s^PK)
+        # Each pairwise c-channel key is agreed once a round: in
+        # ShareKeys to encrypt, reused in Unmasking to decrypt.
+        self._c_keys: dict[int, bytes] = {}
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
+        self._payloads: Optional[dict[int, _HeldShares]] = None
         self._u2: set[int] = set()
         self._u3: set[int] = set()
 
@@ -145,6 +154,7 @@ class SecAggClient:
                     raise ProtocolAbort(f"bad key signature from {peer}")
 
         self._peer_keys = peer_keys
+        self._c_keys = {}
         self._graph = graph
         self._neighbors = set(graph.get(self.id, set())) & set(roster)
         if len(self._neighbors) < self.config.threshold:
@@ -181,9 +191,18 @@ class SecAggClient:
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
-            ciphertexts[peer] = AuthenticatedEncryption(key).encrypt(payload.to_bytes())
+            ciphertexts[peer] = AuthenticatedEncryption(self._c_key(peer)).encrypt(
+                payload.to_bytes()
+            )
         return ciphertexts
+
+    def _c_key(self, peer: int) -> bytes:
+        """The c-channel key shared with ``peer``, agreed on first use."""
+        key = self._c_keys.get(peer)
+        if key is None:
+            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
+            self._c_keys[peer] = key
+        return key
 
     # ------------------------------------------------------------------
     # Stage 2 — MaskedInputCollection
@@ -201,6 +220,7 @@ class SecAggClient:
                 f"input shape {update_ring.shape} != ({self.config.dimension},)"
             )
         self._received_ciphertexts = dict(ciphertexts)
+        self._payloads = None
         self._u2 = (set(ciphertexts) & set(self._peer_keys)) | {self.id}
         if len(self._u2) < self.config.threshold:
             raise ProtocolAbort(
@@ -323,19 +343,25 @@ class SecAggClient:
         return response
 
     # ------------------------------------------------------------------
-    def _decrypt_payloads(self) -> dict[int, tuple[Share, Share, dict[str, Share]]]:
+    def _decrypt_payloads(self) -> dict[int, _HeldShares]:
         """Decrypt and authenticate all stored ShareKeys ciphertexts.
 
         Includes this client's own (never-encrypted) shares of its own
-        secrets, mirroring Fig. 5's SS.share over all of U1.
+        secrets, mirroring Fig. 5's SS.share over all of U1.  Each
+        ciphertext is authenticated and parsed once a round: the result
+        is kept for the next caller (Unmasking, then XNoise's
+        ExcessiveNoiseRemoval), and only a complete result is kept, so
+        a bad ciphertext aborts every stage that asks.
         """
-        out: dict[int, tuple[Share, Share, dict[str, Share]]] = {}
+        if self._payloads is not None:
+            return self._payloads
+        out: dict[int, _HeldShares] = {}
         if hasattr(self, "_own_shares"):
             out[self.id] = self._own_shares
         for peer, blob in self._received_ciphertexts.items():
             if peer == self.id or peer not in self._peer_keys:
                 continue
-            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
+            key = self._c_key(peer)
             try:
                 payload = SharePayload.from_bytes(
                     AuthenticatedEncryption(key).decrypt(blob)
@@ -348,4 +374,5 @@ class SecAggClient:
                     f"expected {peer}->{self.id}"
                 )
             out[peer] = (payload.s_sk_share, payload.b_share, payload.extra_shares)
+        self._payloads = out
         return out

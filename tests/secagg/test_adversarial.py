@@ -176,6 +176,25 @@ class TestCiphertextAttacks:
         with pytest.raises(ProtocolAbort):
             clients[1].unmask(sorted(clients), None, dropped=[], survivors=sorted(clients))
 
+    def test_a_bad_inbox_aborts_every_stage_that_opens_it(self):
+        """The opened inbox is kept for the next stage only when all of it
+        authenticated: stage 4 and stage 5 both abort, naming the sender,
+        and a later good inbox is not served the earlier failure."""
+        clients, server, inboxes = self._shared_round()
+        box = dict(inboxes[1])
+        box[3] = box[3][:-1] + bytes([box[3][-1] ^ 0x80])
+        everyone = sorted(clients)
+        clients[1].masked_input(box, np.zeros(8, dtype=np.int64))
+        clients[1].consistency_check(everyone)
+        for _ in range(2):
+            with pytest.raises(ProtocolAbort, match="bad ciphertext from 3"):
+                clients[1].unmask(everyone, None, dropped=[], survivors=everyone)
+            with pytest.raises(ProtocolAbort, match="bad ciphertext from 3"):
+                clients[1].shares_of_extra_secret({2: ["g:1"]})
+        clients[1].masked_input(inboxes[1], np.zeros(8, dtype=np.int64))
+        reply = clients[1].unmask(everyone, None, dropped=[], survivors=everyone)
+        assert sorted(reply.b_shares) == everyone
+
 
 class TestUnmaskingAttacks:
     def _to_unmask_stage(self):

@@ -68,6 +68,55 @@ class TestFixedUploadIsTheMeasuredOne:
         )
 
 
+class TestKeyAgreementsAreTheExecutedOnes:
+    def test_a_round_with_dropouts_agrees_exactly_the_counted_keys(self, monkeypatch):
+        """``key_agreements = 2·neighbors`` is what a client executes —
+        one c- and one s-channel key per peer, each agreed once — and
+        the coordinator agrees |dropped|·|U3| to cancel pairwise masks.
+        The shape is the perf benchmark's ``many_clients`` round."""
+        from collections import Counter
+
+        import numpy as np
+
+        from repro.crypto.dh import KeyAgreement
+        from repro.secagg import DropoutSchedule, SecAggConfig, run_secagg_round
+        from repro.secagg.client import SecAggClient
+
+        calls = Counter()
+        real = KeyAgreement.agree
+
+        def counting(self, mine, peer_public):
+            calls[id(self)] += 1
+            return real(self, mine, peer_public)
+
+        monkeypatch.setattr(KeyAgreement, "agree", counting)
+
+        n, dropped = 32, {5, 17, 30}
+        config = SecAggConfig(threshold=17, bits=16, dimension=8, dh_group="modp512")
+        inputs = {u: np.full(8, u, dtype=np.int64) for u in range(1, n + 1)}
+        clients: dict[int, SecAggClient] = {}
+
+        def factory(u: int) -> SecAggClient:
+            clients[u] = SecAggClient(u, config)
+            return clients[u]
+
+        result = run_secagg_round(
+            config, inputs, DropoutSchedule.before_upload(dropped),
+            client_factory=factory,
+        )
+        assert sorted(set(inputs) - set(result.u3)) == sorted(dropped)
+
+        per_client = {u: calls.pop(id(c._ka)) for u, c in clients.items()}
+        cost = secagg_client_cost(n)
+        for u, count in per_client.items():
+            # A client that left before uploading never derived masks.
+            expected = cost.ciphertexts_sent if u in dropped else cost.key_agreements
+            assert count == expected, u
+        (server_calls,) = calls.values()
+        assert server_calls == len(dropped) * len(result.u3)
+        assert sum(per_client.values()) + server_calls == 992 + 899 + 87
+
+
 class TestServerAsymptotics:
     def test_quadratic_under_dropout_full_graph(self):
         """Dropped×survivors mask reconstruction is the O(n²) term."""

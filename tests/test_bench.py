@@ -56,6 +56,8 @@ class TestBenchEntrypoint:
         m = bench.load_bench(bench.bench_path(bench_run, "hotpath"))["metrics"]
         for name in (
             "prg_expand_d64",
+            "dh_agree_modp512",
+            "dh_agree_modp2048",
             "shamir_share",
             "shamir_reconstruct",
             "codec_encode_d64",

@@ -2,10 +2,13 @@
 
 ``native.load()`` returning ``None`` used to be a memoized secret.  It
 now emits one ``RuntimeWarning`` per process naming the reason, and the
-pure-Python/numpy path it falls back to — PRG expansion *and* the
-masked-vector bit packer — must produce the same frames, masks and
-aggregates as the C kernel.  Each side runs in a fresh interpreter
-(the load outcome is memoized per process).
+pure-Python/numpy path it falls back to — PRG expansion, the
+masked-vector bit packer *and* modular exponentiation (``pow``) — must
+produce the same frames, masks, keys, signatures and aggregates as the
+C kernel.  Each side runs in a fresh interpreter (the load outcome is
+memoized per process) with the process's randomness replaced by one
+fixed stream, so DH secrets, Schnorr nonces, Shamir coefficients and AE
+nonces — and with them every frame of the round — repeat exactly.
 """
 
 import json
@@ -22,18 +25,56 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: re-derives masks too), a fixed frame, and fixed expansions — run
 #: under ``warnings.catch_warnings`` so every announcement is counted.
 SCRIPT = r"""
-import hashlib, json, warnings
+import hashlib, itertools, json, secrets, warnings
 import numpy as np
+
+_draws = itertools.count()
+
+def _token_bytes(nbytes):
+    out = b""
+    while len(out) < nbytes:
+        out += hashlib.sha256(b"fixed" + next(_draws).to_bytes(8, "big")).digest()
+    return out[:nbytes]
+
+secrets.token_bytes = _token_bytes
+secrets.randbelow = lambda n: int.from_bytes(
+    _token_bytes((n.bit_length() + 7) // 8 + 8), "big") % n
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     from repro import native
+    from repro.crypto.dh import MODP_512, MODP_2048, KeyAgreement
+    from repro.crypto.signature import SchnorrSigner, SchnorrVerifier
     from repro.crypto.prg import expand_uniform
     from repro.engine import RoundEngine, SerializingTransport, run_sync
     from repro.secagg import DropoutSchedule, SecAggConfig, arun_secagg_round
     from repro.secagg.types import MaskedInputMsg
     from repro.wire import KIND_RESPONSE, decode_payload
+    from repro.wire import codecs as wire_codecs
     from repro.wire.codecs import encode_payload_frame
+
+    # Key agreement and signatures, on both production groups.
+    keys = hashlib.sha256()
+    signatures = hashlib.sha256()
+    for group in (MODP_512, MODP_2048):
+        ka = KeyAgreement(group)
+        alice, bob = ka.generate(), ka.generate()
+        agreed = ka.agree(alice, bob.public)
+        assert agreed == ka.agree(bob, alice.public)
+        keys.update(ka.public_bytes(alice) + ka.public_bytes(bob) + agreed)
+        signer = SchnorrSigner(group.random_exponent(), group)
+        signature = signer.sign(b"round:0|u3:1,2,3,5")
+        assert SchnorrVerifier(signer.public, group).verify(
+            b"round:0|u3:1,2,3,5", signature)
+        signatures.update(signature.to_bytes())
+
+    # Every frame the round puts on the wire, in order.
+    round_frames = hashlib.sha256()
+    def _recording(kind, payload):
+        frame = encode_payload_frame(kind, payload)
+        round_frames.update(frame)
+        return frame
+    wire_codecs.encode_payload_frame = _recording
 
     config = SecAggConfig(threshold=3, bits=20, dimension=301, dh_group="modp512")
     rng = np.random.default_rng(11)
@@ -45,6 +86,7 @@ with warnings.catch_warnings(record=True) as caught:
     result = run_sync(arun_secagg_round(
         config, inputs, DropoutSchedule.before_upload({4}), engine=engine
     ))
+    wire_codecs.encode_payload_frame = encode_payload_frame
     expected = sum(inputs[u] for u in result.u3) % config.modulus
 
     digest = hashlib.sha256()
@@ -73,6 +115,9 @@ print(json.dumps({
     "aggregate": hashlib.sha256(result.aggregate.tobytes()).hexdigest(),
     "frames": digest.hexdigest(),
     "masks": masks.hexdigest(),
+    "keys": keys.hexdigest(),
+    "signatures": signatures.hexdigest(),
+    "round_frames": round_frames.hexdigest(),
 }))
 """
 
@@ -100,6 +145,7 @@ class TestAnnouncedFallback:
         (message,) = fallback["announcements"]
         assert "REPRO_NATIVE=0" in message
         assert "pure Python/numpy" in message
+        assert "key agreement" in message
 
     def test_fallback_round_is_correct(self, fallback):
         assert fallback["u3"] == [1, 2, 3, 5]
@@ -112,7 +158,8 @@ class TestAnnouncedFallback:
             assert len(kernel["announcements"]) == 1
             pytest.skip("native kernel unavailable on this host")
         assert kernel["announcements"] == []
-        for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks"):
+        for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
+                    "keys", "signatures", "round_frames"):
             assert kernel[key] == fallback[key], key
 
 
@@ -152,6 +199,46 @@ class TestEveryReasonIsNamed:
 
         monkeypatch.setattr(rearmed, "_build", lambda: WrongKernel)
         assert "probe mismatch" in self._announcement(rearmed)
+
+    @staticmethod
+    def _real_kernel_with(native, modexp):
+        """The real object (built into the fixture's tmp dir) with its
+        ``repro_modexp`` replaced."""
+        import types
+
+        real = native._build()
+        return types.SimpleNamespace(
+            repro_sha256_ctr=real.repro_sha256_ctr,
+            repro_pack_bits=real.repro_pack_bits,
+            repro_unpack_bits=real.repro_unpack_bits,
+            repro_modexp=lambda *args: modexp(real, *args),
+        )
+
+    def test_wrong_modexp_answer_disables_the_whole_object(self, rearmed, monkeypatch):
+        def one_flipped_bit(real, mod, rr, limbs, base, exp, explen, out):
+            real.repro_modexp(mod, rr, limbs, base, exp, explen, out)
+            out[0] = bytes([out[0][0] ^ 1])
+            return 0
+
+        kernel = self._real_kernel_with(rearmed, one_flipped_bit)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (modular exponentiation)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
+    def test_compiler_without_int128_keeps_the_rest_of_the_object(
+        self, rearmed, monkeypatch
+    ):
+        from repro.crypto.dh import MODP_512
+
+        kernel = self._real_kernel_with(rearmed, lambda real, *args: -3)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        with pytest.warns(RuntimeWarning, match="128-bit integer") as caught:
+            assert rearmed.load() is kernel
+        assert len(caught) == 1
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is not None
+        assert rearmed.modexp(MODP_512._montgomery, 3, 5) is None
+        assert MODP_512.power(3, 5) == 243
 
     def test_memoized_silence_after_the_first_call(self, rearmed, monkeypatch):
         import warnings

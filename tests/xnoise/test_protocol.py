@@ -128,6 +128,41 @@ class TestDropoutWithinTolerance:
         err = decoded_error(result, inputs, result.u3, 18)
         assert err.var() == pytest.approx(400.0, rel=0.35)
 
+    def test_stage5_responders_agree_and_decrypt_once(self, monkeypatch):
+        """Unmasking and ExcessiveNoiseRemoval read the same ShareKeys
+        payloads: each is authenticated and parsed once a round, under a
+        c-channel key agreed once a round (in ShareKeys, to encrypt)."""
+        from collections import Counter
+
+        from repro.crypto.ae import AuthenticatedEncryption
+        from repro.crypto.dh import KeyAgreement
+        from repro.secagg.complexity import secagg_client_cost
+
+        calls = Counter()
+        for cls, name in [(KeyAgreement, "agree"),
+                          (AuthenticatedEncryption, "encrypt"),
+                          (AuthenticatedEncryption, "decrypt")]:
+            def counting(self, *args, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(cls, name, counting)
+
+        n = 6
+        cfg = make_config(n=n, t=3, tolerance=2, variance=400.0, dim=64)
+        schedule = DropoutSchedule(at_stage={STAGE_UNMASK: {4}})
+        result = run_xnoise_round(cfg, make_signals(n, 64), schedule)
+        assert 4 in result.u3 and 4 not in result.u5  # stage 5 ran
+        assert len(result.u6) == n - 1
+
+        # Nobody dropped before uploading, so the coordinator re-derives
+        # no pairwise mask: every agreement is a client's, c and s once
+        # per peer.
+        assert calls["agree"] == n * secagg_client_cost(n).key_agreements
+        assert calls["encrypt"] == n * (n - 1)
+        # Client 4 left before Unmasking and never opened its inbox; the
+        # five that answered stages 4 *and* 5 opened theirs once.
+        assert calls["decrypt"] == (n - 1) * (n - 1)
+
     def test_mixed_dropout_upload_and_removal(self):
         cfg = make_config(n=8, t=4, tolerance=3, variance=400.0, dim=256)
         inputs = make_signals(8, 256)
