@@ -99,9 +99,9 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
     # The ring-width data plane: bit-packed masked vectors (element
-    # width, pad rule, wire version 3), 32-bit PRG draws, one wire-size
+    # width, pad rule, wire version 4), 32-bit PRG draws, one wire-size
     # definition, masked-input admission, announced native fallback
-    # (PRG stream, bit packer, modexp ≡ pow).
+    # (PRG stream, bit packer, Skellam noise loop, modexp ≡ pow).
     "12": {
         "rules": ["strict-decoder", "zero-copy"],
         "tests": [
@@ -112,6 +112,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/engine/test_socket_transport.py",
             "tests/test_native_fallback.py",
             "tests/crypto/test_modexp.py",
+            "tests/dp/test_sampler.py",
         ],
     },
     # Every pairwise key is agreed once a round; executed agree/decrypt
@@ -122,6 +123,19 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/secagg/test_complexity.py",
             "tests/xnoise/test_protocol.py",
             "tests/secagg/test_adversarial.py",
+        ],
+    },
+    # The noise plane: a seed's noise vector is specified in
+    # dp/sampler.py (goldens), is the Skellam distribution it claims,
+    # kernel ≡ numpy twin, and XNoise enforcement is exact under fixed
+    # seeds.
+    "14": {
+        "rules": [],
+        "tests": [
+            "tests/xnoise/test_noise_vectors.py",
+            "tests/dp/test_sampler.py",
+            "tests/xnoise/test_protocol.py",
+            "tests/test_native_fallback.py",
         ],
     },
 }

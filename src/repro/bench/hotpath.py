@@ -2,8 +2,9 @@
 
 Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
-(PRG mask expansion, key agreement, Shamir share evaluation and
-reconstruction, codec encode, mask accumulation), so the recorded
+(PRG mask expansion, key agreement, Skellam noise expansion, Shamir
+share evaluation and reconstruction, codec encode, mask accumulation),
+so the recorded
 speedups are measured on the same machine, same inputs, same run — the
 trajectory point the paper's Fig.-2-style overhead claims rest on.
 """
@@ -22,13 +23,21 @@ from repro.bench.schema import make_report, metric
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.prg import PRGReference, expand_uniform
 from repro.crypto.shamir import ShamirSecretSharing
+from repro.dp.sampler import skellam_noise_from_seed_reference
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
 from repro.secagg.types import MaskedInputMsg
 from repro.utils.rng import derive_rng
 from repro.wire import codecs as wire_codecs
 from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE, encode_frame
+from repro.xnoise.protocol import skellam_noise_from_seed
 
 TOPIC = "hotpath"
+
+#: What the perf benchmark's ``dordis_round`` expands 110 times a round:
+#: its padded model dimension, and the smallest and largest of the seven
+#: component variances its session draws.
+SKELLAM_DIMENSION = 1 << 17
+SKELLAM_VARIANCES = (228_000_000, 2_500_000_000)
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> float:
@@ -95,6 +104,25 @@ def run_hotpath(
         ref_s = _best_of(_agree_pow, repeats)
         fast_s = _best_of(lambda: ka.agree(mine, peer_public), repeats)
         _speedup_triplet(metrics, f"dh_agree_{name}", ref_s, fast_s)
+
+    # Noise expansion: skellam_noise_from_seed as the XNoise client and
+    # server call it (the native kernel unless config.native_backend is
+    # "python") against the numpy twin — its announced fallback — with
+    # the per-variance table built beforehand, as in every round but a
+    # session's first.
+    for variance in SKELLAM_VARIANCES:
+        expand_args = (prg_seed, float(variance), SKELLAM_DIMENSION)
+        assert np.array_equal(
+            skellam_noise_from_seed(*expand_args),
+            skellam_noise_from_seed_reference(*expand_args),
+        )
+        ref_s = _best_of(
+            lambda: skellam_noise_from_seed_reference(*expand_args), repeats
+        )
+        fast_s = _best_of(lambda: skellam_noise_from_seed(*expand_args), repeats)
+        _speedup_triplet(
+            metrics, f"skellam_expand_d{SKELLAM_DIMENSION}_var{variance}", ref_s, fast_s
+        )
 
     # Shamir: the deterministic evaluation step on identical polynomials
     # (share() itself samples fresh randomness, so the fair comparison

@@ -592,6 +592,14 @@ def _cmd_bench(args) -> int:
                   f"{m[f'dh_agree_{group}_fast_s']['value'] * 1e3:.3f}ms "
                   f"{report['config']['native_backend']} "
                   f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
+        for name in sorted(m):
+            if name.startswith("skellam_expand_") and name.endswith("_speedup"):
+                stem = name[: -len("_speedup")]
+                print(f"{stem.replace('_', ' ')}: "
+                      f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
+                      f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms "
+                      f"{report['config']['native_backend']} "
+                      f"({m[name]['value']:.2f}x)")
     if "traffic" in args.topics:
         report = bench.run_traffic(
             clients=args.clients,

@@ -141,10 +141,6 @@ class PRGReference:
         words = np.frombuffer(raw, dtype=f">u{width}").astype(np.uint64)
         return (words % np.uint64(modulus)).astype(np.int64)
 
-    def numpy_generator(self) -> np.random.Generator:
-        key = self.read(16)
-        return np.random.default_rng(int.from_bytes(key, "big"))
-
 
 class PRG:
     """Deterministic byte/vector stream expanded from a seed.
@@ -230,16 +226,6 @@ class PRG:
         buf = bytearray(b"".join(self._block_digests(-(-nbytes // _BLOCK))))
         return _reduce_stream(buf, length, modulus)
 
-    def numpy_generator(self) -> np.random.Generator:
-        """A NumPy generator keyed by the next stream block.
-
-        Used to sample distribution-shaped noise (Skellam, Gaussian)
-        deterministically from a seed.  Each call returns an independent
-        generator because it consumes a fresh stream block.
-        """
-        key = self.read(16)
-        return np.random.default_rng(int.from_bytes(key, "big"))
-
 
 def _reduce_stream(buf: bytearray, length: int, modulus: int) -> np.ndarray:
     """The first ``length`` draws of the block stream ``buf`` as int64.
@@ -269,30 +255,36 @@ def _reduce_stream(buf: bytearray, length: int, modulus: int) -> np.ndarray:
     return words.view(np.int64)
 
 
-def _expand_reduced(seed: bytes, length: int, modulus: int) -> np.ndarray:
-    """One full-speed mask expansion (counter 0, ``modulus`` ≤ 2**63).
+def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
+    """Blocks ``ctr0 … ctr0 + nblocks − 1`` of ``SHA256(seed ∥ be64(ctr))``.
 
-    The shared inner loop of :func:`expand_uniform` and
-    :func:`expand_uniform_batch`: midstate copied per counter block,
-    counter encodings from the shared table, one join, one
-    :func:`_reduce_stream`.
+    The raw block stream under every seed expansion — masks
+    (:func:`expand_uniform`) and Skellam noise (:mod:`repro.dp.sampler`)
+    — in one writable buffer.  The native kernel (repro.native) emits it
+    ~10× faster when the host can build it; otherwise the hashlib
+    midstate loop serves the identical bytes.
     """
-    nbytes = draw_nbytes(modulus) * length
-    nblocks = -(-nbytes // _BLOCK)
-    # The native kernel (repro.native) emits the identical block stream
-    # ~10× faster when the host can build it; None means "no kernel" and
-    # the hashlib loop below serves the same bytes.
-    buf = native.sha256_ctr_stream(seed, nblocks)
+    buf = native.sha256_ctr_stream(seed, nblocks, ctr0)
     if buf is None:
         copy = _sha256_fast(seed).copy
         blocks: list[bytes] = []
         append = blocks.append
-        for ctr in _counter_bytes(nblocks):
+        for ctr in _counter_bytes(ctr0 + nblocks)[ctr0:]:
             h = copy()
             h.update(ctr)
             append(h.digest())
         buf = bytearray(b"".join(blocks))
-    return _reduce_stream(buf, length, modulus)
+    return buf
+
+
+def _expand_reduced(seed: bytes, length: int, modulus: int) -> np.ndarray:
+    """One full-speed mask expansion (counter 0, ``modulus`` ≤ 2**63):
+    ``length`` draws of :func:`counter_stream`, one :func:`_reduce_stream`
+    — the shared inner step of :func:`expand_uniform` and
+    :func:`expand_uniform_batch`.
+    """
+    nbytes = draw_nbytes(modulus) * length
+    return _reduce_stream(counter_stream(seed, -(-nbytes // _BLOCK)), length, modulus)
 
 
 def expand_uniform(seed: bytes, length: int, modulus: int) -> np.ndarray:

@@ -12,6 +12,9 @@ consumed by every released aggregate update.  The pieces:
 - :mod:`repro.dp.skellam`    — the DSkellam mechanism [Agarwal et al.
   2021] the paper's prototype employs (§5): clip → scale → rotate →
   conditionally round → add Skellam noise → wrap modulo 2**b.
+- :mod:`repro.dp.sampler`    — seed → Skellam noise, specified in the
+  repo: the vector XNoise's clients add and its server removes
+  (SHA-256 counter stream, strip rejection, native kernel + numpy twin).
 - :mod:`repro.dp.quantize`   — clipping, stochastic rounding, modular
   (un)wrapping.
 - :mod:`repro.dp.rotation`   — the randomized Hadamard transform used to

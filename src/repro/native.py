@@ -1,4 +1,4 @@
-"""Optional native accelerator: counter-mode PRG, bit packer, modexp.
+"""Optional native accelerator: counter-mode PRG, bit packer, noise loop, modexp.
 
 The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
 elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
@@ -9,7 +9,9 @@ when) the host can support it, by lazily compiling the self-contained C
 kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
 it through :mod:`ctypes`.  The same shared object carries the two
 ring-width bit-packing loops of the masked-vector wire codec
-(:mod:`repro.wire.bitpack`) and the fixed-width modular exponentiation
+(:mod:`repro.wire.bitpack`), the Skellam noise loop every XNoise
+component is drawn by (:mod:`repro.dp.sampler` holds its specification,
+its tables and its numpy twin) and the fixed-width modular exponentiation
 behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
 agreement, Schnorr signature and VRF evaluation — one CPython ``pow()``
 each otherwise: 0.7 ms at 512 bits, 28 ms at 2048), so one build serves
@@ -27,6 +29,7 @@ Design constraints, in order:
   one ``RuntimeWarning`` per process naming the reason; callers keep
   the pure-Python/numpy path.  The two paths are bit-identical by
   construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream,
+  the same IEEE operations in the same order for the noise weights,
   and a modular power is an integer: ``pow()`` *is* the fallback) and
   parity-pinned by test whenever the kernel is available.
 - **Self-invalidating cache.**  The shared object lands in a
@@ -46,6 +49,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import sysconfig
 import tempfile
@@ -66,6 +70,17 @@ MAX_SEED_LEN = 47
 MODEXP_MAX_BITS = 4096
 #: ``repro_modexp``'s answer when it was compiled without ``__int128``.
 _MODEXP_NOT_BUILT = -3
+#: ``(k, z, g(k))`` as :mod:`repro.dp.sampler` evaluates the weight, and
+#: what the probe's four draws must leave behind (both pinned equal to
+#: the Python evaluation by ``tests/dp/test_sampler.py``).
+_SKELLAM_PROBE_WEIGHTS = (
+    (0.0, float(1 << 20), "0x1.0000020000120p+0"),
+    (1024.0, float(1 << 20), "0x1.368b2e28ea599p-1"),
+    (200000.0, 2.28e8, "0x1.5d2d19166f4c8p-127"),
+    (799999.0, 2.5e9, "0x1.43062b04af994p-185"),
+    (-3.0e8, float(1 << 49), "0x1.99320102c051ap-116"),
+)
+_SKELLAM_PROBE_DRAWS = [15, 16, 30, 37]
 
 _lock = threading.Lock()
 _loaded = False
@@ -97,7 +112,10 @@ def _compile(sofile: Path) -> None:
         os.close(fd)
         try:
             subprocess.run(
-                [cc, "-O3", "-fPIC", "-shared", str(_SRC), "-o", tmp],
+                # -ffp-contract=off: the noise kernel's floating point must
+                # round after every operation (no fused multiply-add) to
+                # match its numpy twin bit for bit.
+                [cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared", str(_SRC), "-o", tmp],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -156,14 +174,28 @@ def _build() -> ctypes.CDLL:
         ctypes.c_char_p,
     ]
     lib.repro_modexp.restype = ctypes.c_int
+    lib.repro_skellam_fill.argtypes = [
+        ctypes.c_char_p,
+        ctypes.c_size_t,
+        ctypes.c_void_p,
+        ctypes.c_size_t,
+        ctypes.c_double,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_size_t,
+    ]
+    lib.repro_skellam_fill.restype = ctypes.c_int
+    lib.repro_skellam_weight.argtypes = [ctypes.c_double, ctypes.c_double]
+    lib.repro_skellam_weight.restype = ctypes.c_double
     return lib
 
 
 def _probe(lib: ctypes.CDLL) -> None:
     """One sanity answer per kernel before trusting the object: block 0
     of an all-zero seed must match hashlib, three 20-bit elements must
-    pack to the documented little-endian bit stream and back, and a
-    two-limb modular power must match ``pow``."""
+    pack to the documented little-endian bit stream and back, a
+    two-limb modular power must match ``pow``, and five hand-made noise
+    trials must land where the sampler's specification puts them."""
     digest = ctypes.create_string_buffer(32)
     seed = b"\x00" * 32
     rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
@@ -197,6 +229,17 @@ def _probe(lib: ctypes.CDLL) -> None:
         )
     elif rc != 0 or int.from_bytes(out.raw, "big") != pow(base, exp, modulus):
         raise _Unavailable("probe mismatch (modular exponentiation)")
+    # The noise kernel: its weight function to the last bit, then four
+    # draws from a hand-made two-strip table (−5 … 4, every other trial
+    # past the squeeze) folded with sign −1 into a non-zero vector.
+    for k, z, weight in _SKELLAM_PROBE_WEIGHTS:
+        if lib.repro_skellam_weight(k, z) != float.fromhex(weight):
+            raise _Unavailable("probe mismatch (Skellam weight function)")
+    strips = struct.pack("=qqQdqqQd", 0, 5, 1 << 63, 1.0, -1, -5, 1 << 63, 1.0)
+    noise = (ctypes.c_int64 * 4)(10, 20, 30, 40)
+    rc = lib.repro_skellam_fill(seed, len(seed), strips, 2, float(1 << 20), -1, noise, 4)
+    if rc != 0 or list(noise) != _SKELLAM_PROBE_DRAWS:
+        raise _Unavailable("probe mismatch (Skellam noise expansion)")
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -224,8 +267,8 @@ def load() -> Optional[ctypes.CDLL]:
             lib = None
             warnings.warn(
                 "repro.native: kernel unavailable, PRG expansion, "
-                "masked-vector packing and key agreement (modular "
-                f"exponentiation) run in pure Python/numpy: {exc}",
+                "masked-vector packing, noise expansion and key agreement "
+                f"(modular exponentiation) run in pure Python/numpy: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -263,6 +306,26 @@ def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[byte
         if rc != 0:
             return None
     return out
+
+
+def skellam_fill(strips, z: float, seed: bytes, out, sign: int) -> bool:
+    """Run the noise kernel; ``False`` means "no kernel, use the twin".
+
+    ``strips`` is the sampler's row table (``repro.dp.sampler.STRIP_DTYPE``,
+    contiguous) and ``out`` a contiguous ``int64`` vector: ``sign·k`` of
+    the first ``len(out)`` accepted trials of ``seed``'s counter stream
+    is added into it, in order.
+    """
+    lib = None if len(seed) > MAX_SEED_LEN else load()
+    if lib is None:
+        return False
+    rc = lib.repro_skellam_fill(
+        seed, len(seed), strips.ctypes.data, len(strips), z, sign,
+        out.ctypes.data, len(out),
+    )
+    if rc != 0:  # unreachable for a table the sampler built
+        raise ValueError("noise kernel rejected its arguments")
+    return True
 
 
 class MontgomeryContext(NamedTuple):

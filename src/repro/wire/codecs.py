@@ -14,10 +14,12 @@ and set entries sorted by their encoded key/element bytes) so equal
 payloads encode to equal bytes.  All length/count prefixes are 4-byte
 big-endian; ints are length-prefixed signed big-endian (arbitrary
 precision — DH group elements fit); ndarrays carry dtype, shape, and
-the raw C-order buffer.  Version 3 (this one) carries every small
-typed message as the value encoding of its field tuple (version 2 had
-hand-laid, zero-padded field lists); an older payload is refused by
-name.
+the raw C-order buffer.  Version 3 carried every small typed message
+as the value encoding of its field tuple (version 2 had hand-laid,
+zero-padded field lists); version 4 (this one) has the same layout and
+a different meaning — an XNoise seed expands to the noise vector
+:mod:`repro.dp.sampler` specifies, not to a numpy generator's — so an
+older payload is refused by name.
 
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong
@@ -49,7 +51,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).

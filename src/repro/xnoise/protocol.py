@@ -17,7 +17,10 @@ Integration with Secure Aggregation"):
 
 Noise is Skellam in the ring domain (closed under summation, integer-
 valued), regenerated deterministically from each 32-byte seed — this is
-why removal costs seeds, not model-sized vectors (§3.1).
+why removal costs seeds, not model-sized vectors (§3.1).  What a seed
+expands to is specified in :mod:`repro.dp.sampler`
+(:func:`skellam_noise_from_seed`, re-exported here); both sides add or
+subtract a component straight into their running vector.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.prg import PRG
 from repro.crypto.shamir import ShamirSecretSharing, random_seed
+from repro.dp.sampler import skellam_noise_from_seed, support_bound
 from repro.engine import RoundEngine, Targeted
 from repro.engine.core import run_sync
 from repro.secagg.client import SecAggClient
@@ -57,26 +60,6 @@ from repro.xnoise.decomposition import NoiseDecomposition
 def seed_label(k: int) -> str:
     """ShareKeys label under which component k's seed is shared."""
     return f"g:{k}"
-
-
-def skellam_noise_from_seed(
-    seed: bytes, variance: float, dimension: int
-) -> np.ndarray:
-    """Deterministically expand a seed into one Skellam noise component.
-
-    Client (addition) and server (removal) call this with the same seed
-    and variance and obtain the identical vector — the property that lets
-    XNoise transmit 32-byte seeds instead of model-sized noise.
-    """
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
-    if variance == 0:
-        return np.zeros(dimension, dtype=np.int64)
-    gen = PRG(seed).numpy_generator()
-    mu = variance / 2.0
-    plus = gen.poisson(mu, size=dimension)
-    minus = gen.poisson(mu, size=dimension)
-    return (plus - minus).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -148,12 +131,13 @@ class XNoiseClient(SecAggClient):
 
     def masked_input(self, ciphertexts, update_signal: np.ndarray):
         """Add all T+1 noise components to the encoded signal, then mask."""
-        noisy = np.asarray(update_signal, dtype=np.int64).copy()
+        noisy = np.array(update_signal, dtype=np.int64)
         for k, variance in enumerate(self.decomposition.variances()):
-            noisy = noisy + skellam_noise_from_seed(
-                self.noise_seeds[k], variance, self.config.dimension
+            skellam_noise_from_seed(
+                self.noise_seeds[k], variance, self.config.dimension, out=noisy
             )
-        return super().masked_input(ciphertexts, noisy % self.config.modulus)
+        noisy %= self.config.modulus
+        return super().masked_input(ciphertexts, noisy)
 
     def excess_component_indices(self) -> range:
         """Components this client should reveal, from its view of U3."""
@@ -202,21 +186,33 @@ class XNoiseServer(SecAggServer):
         """
         modulus = self.config.modulus
         variances = self.decomposition.variances()
+        removal = self.removal_indices()
+        # One signed accumulator, one reduction: sound while the ring
+        # element plus every removed component's support fits int64.
+        # Otherwise (62-bit rings, astronomically many components)
+        # reduce after each component.
+        deferred = (
+            modulus + len(self.u3) * sum(support_bound(variances[k]) for k in removal)
+            < 2**63
+        )
+        total = np.array(aggregate, dtype=np.int64)
         removed = 0
         for u in self.u3:
             seeds = revealed.get(u) or reconstructed.get(u) or {}
-            for k in self.removal_indices():
+            for k in removal:
                 seed = seeds.get(k)
                 if seed is None:
                     raise ProtocolAbort(
                         f"missing seed g_{{{u},{k}}} for noise removal"
                     )
-                noise = skellam_noise_from_seed(
-                    seed, variances[k], self.config.dimension
+                skellam_noise_from_seed(
+                    seed, variances[k], self.config.dimension, out=total, sign=-1
                 )
-                aggregate = (aggregate - noise) % modulus
+                if not deferred:
+                    total %= modulus
                 removed += 1
-        return aggregate, removed
+        total %= modulus
+        return total, removed
 
 
 class XNoiseWorkflowServer(SecAggWorkflowServer):

@@ -78,15 +78,6 @@ class TestPRGParity:
         )
         assert fast.read(40) == ref.read(40)
 
-    def test_numpy_generator_parity(self):
-        a = PRG(b"gen" * 12).numpy_generator().integers(0, 1 << 30, size=16)
-        b = (
-            PRGReference(b"gen" * 12)
-            .numpy_generator()
-            .integers(0, 1 << 30, size=16)
-        )
-        np.testing.assert_array_equal(a, b)
-
     def test_expand_uniform_matches_reference(self):
         np.testing.assert_array_equal(
             expand_uniform(b"z" * 32, 257, 1 << 24),

@@ -68,18 +68,3 @@ class TestUniformVector:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             PRG(b"x").uniform_vector(-1, 17)
-
-
-class TestNumpyGenerator:
-    def test_deterministic_noise_from_seed(self):
-        g1 = PRG(b"noise-seed").numpy_generator()
-        g2 = PRG(b"noise-seed").numpy_generator()
-        np.testing.assert_array_equal(
-            g1.poisson(10.0, size=50), g2.poisson(10.0, size=50)
-        )
-
-    def test_successive_generators_independent(self):
-        prg = PRG(b"noise-seed")
-        a = prg.numpy_generator().normal(size=50)
-        b = prg.numpy_generator().normal(size=50)
-        assert not np.allclose(a, b)

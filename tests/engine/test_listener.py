@@ -92,8 +92,8 @@ class TestAdversarialHandshake:
             return listener, exc
 
         listener, exc = asyncio.run(scenario())
-        assert WIRE_VERSION == 3
-        assert f"speaks wire version {old}, listener speaks 3" in str(exc)
+        assert WIRE_VERSION == 4
+        assert f"speaks wire version {old}, listener speaks 4" in str(exc)
         assert listener.rejected == 1 and listener.accepted == 0
 
     def test_version_1_hello_refused_by_name(self):
@@ -101,6 +101,10 @@ class TestAdversarialHandshake:
 
     def test_version_2_hello_refused_by_name(self):
         self._refuse_hello_of_version(2)
+
+    def test_version_3_hello_refused_by_name(self):
+        # Same frames, different seed → noise expansion: refused at HELLO.
+        self._refuse_hello_of_version(3)
 
     def test_bad_auth_token_rejected(self):
         async def scenario():

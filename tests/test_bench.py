@@ -58,6 +58,8 @@ class TestBenchEntrypoint:
             "prg_expand_d64",
             "dh_agree_modp512",
             "dh_agree_modp2048",
+            "skellam_expand_d131072_var228000000",
+            "skellam_expand_d131072_var2500000000",
             "shamir_share",
             "shamir_reconstruct",
             "codec_encode_d64",

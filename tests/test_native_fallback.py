@@ -3,12 +3,13 @@
 ``native.load()`` returning ``None`` used to be a memoized secret.  It
 now emits one ``RuntimeWarning`` per process naming the reason, and the
 pure-Python/numpy path it falls back to — PRG expansion, the
-masked-vector bit packer *and* modular exponentiation (``pow``) — must
-produce the same frames, masks, keys, signatures and aggregates as the
-C kernel.  Each side runs in a fresh interpreter (the load outcome is
-memoized per process) with the process's randomness replaced by one
-fixed stream, so DH secrets, Schnorr nonces, Shamir coefficients and AE
-nonces — and with them every frame of the round — repeat exactly.
+masked-vector bit packer, Skellam noise expansion *and* modular
+exponentiation (``pow``) — must produce the same frames, masks, noise
+vectors, keys, signatures and aggregates as the C kernel.  Each side
+runs in a fresh interpreter (the load outcome is memoized per process)
+with the process's randomness replaced by one fixed stream, so DH
+secrets, Schnorr nonces, Shamir coefficients, noise seeds and AE nonces
+— and with them every frame of the round — repeat exactly.
 """
 
 import json
@@ -22,8 +23,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: One serialized SecAgg round with a dropout (so the coordinator
-#: re-derives masks too), a fixed frame, and fixed expansions — run
-#: under ``warnings.catch_warnings`` so every announcement is counted.
+#: re-derives masks too), one XNoise round that removes noise directly
+#: and through stage 5, a fixed frame, and fixed expansions — run under
+#: ``warnings.catch_warnings`` so every announcement is counted.
 SCRIPT = r"""
 import hashlib, itertools, json, secrets, warnings
 import numpy as np
@@ -48,10 +50,13 @@ with warnings.catch_warnings(record=True) as caught:
     from repro.crypto.prg import expand_uniform
     from repro.engine import RoundEngine, SerializingTransport, run_sync
     from repro.secagg import DropoutSchedule, SecAggConfig, arun_secagg_round
-    from repro.secagg.types import MaskedInputMsg
+    from repro.secagg.types import STAGE_MASKED_INPUT, STAGE_UNMASK, MaskedInputMsg
     from repro.wire import KIND_RESPONSE, decode_payload
     from repro.wire import codecs as wire_codecs
     from repro.wire.codecs import encode_payload_frame
+    from repro.xnoise.protocol import (
+        XNoiseConfig, arun_xnoise_round, skellam_noise_from_seed,
+    )
 
     # Key agreement and signatures, on both production groups.
     keys = hashlib.sha256()
@@ -86,8 +91,31 @@ with warnings.catch_warnings(record=True) as caught:
     result = run_sync(arun_secagg_round(
         config, inputs, DropoutSchedule.before_upload({4}), engine=engine
     ))
-    wire_codecs.encode_payload_frame = encode_payload_frame
     expected = sum(inputs[u] for u in result.u3) % config.modulus
+
+    # A whole XNoise round on the strip sampler (σ² = 2²⁴ ≥ 2²⁰): every
+    # client adds T+1 components, the coordinator removes the excess —
+    # client 5 leaves before revealing, so its seeds come back through
+    # Shamir.  Noise seeds are drawn from the fixed stream too.
+    xconfig = XNoiseConfig(
+        secagg=SecAggConfig(threshold=3, bits=32, dimension=301, dh_group="modp512"),
+        n_sampled=5, tolerance=2, target_variance=2.0**24,
+    )
+    signals = {u: rng.integers(-50, 50, size=301, dtype=np.int64) for u in range(1, 6)}
+    xresult = run_sync(arun_xnoise_round(
+        xconfig, signals, DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {2}, STAGE_UNMASK: {5}}),
+        engine=RoundEngine(transport=SerializingTransport()),
+    ))
+    wire_codecs.encode_payload_frame = encode_payload_frame
+
+    # Noise vectors on both sampler paths, fresh and folded in place.
+    noise = hashlib.sha256()
+    for variance in (2.0, 80.0, float(1 << 20), 2.28e8, 2.50e9):
+        for dimension in (1, 301, 5000):
+            vector = skellam_noise_from_seed(b"n" * 32, variance, dimension)
+            noise.update(vector.tobytes())
+            skellam_noise_from_seed(b"m" * 32, variance, dimension, out=vector, sign=-1)
+            noise.update(vector.tobytes())
 
     digest = hashlib.sha256()
     for bits, count in [(20, 301), (1, 9), (13, 64), (33, 65), (62, 7)]:
@@ -115,6 +143,11 @@ print(json.dumps({
     "aggregate": hashlib.sha256(result.aggregate.tobytes()).hexdigest(),
     "frames": digest.hexdigest(),
     "masks": masks.hexdigest(),
+    "noise": noise.hexdigest(),
+    "xnoise_u3": xresult.u3,
+    "xnoise_u6": xresult.u6,
+    "xnoise_removed": xresult.removed_noise_components,
+    "xnoise_aggregate": hashlib.sha256(xresult.aggregate.tobytes()).hexdigest(),
     "keys": keys.hexdigest(),
     "signatures": signatures.hexdigest(),
     "round_frames": round_frames.hexdigest(),
@@ -146,10 +179,14 @@ class TestAnnouncedFallback:
         assert "REPRO_NATIVE=0" in message
         assert "pure Python/numpy" in message
         assert "key agreement" in message
+        assert "noise expansion" in message
 
     def test_fallback_round_is_correct(self, fallback):
         assert fallback["u3"] == [1, 2, 3, 5]
         assert fallback["aggregate_is_ring_sum"]
+        assert fallback["xnoise_u3"] == [1, 3, 4, 5]
+        assert fallback["xnoise_u6"] == [1, 3, 4]  # stage 5 recovered client 5's seed
+        assert fallback["xnoise_removed"] == 4  # components k = 2 of four survivors
 
     def test_fallback_is_bit_identical_to_the_kernel(self, fallback):
         kernel = _run("1")
@@ -159,7 +196,8 @@ class TestAnnouncedFallback:
             pytest.skip("native kernel unavailable on this host")
         assert kernel["announcements"] == []
         for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
-                    "keys", "signatures", "round_frames"):
+                    "keys", "signatures", "round_frames", "noise", "xnoise_u3",
+                    "xnoise_u6", "xnoise_removed", "xnoise_aggregate"):
             assert kernel[key] == fallback[key], key
 
 
@@ -201,18 +239,20 @@ class TestEveryReasonIsNamed:
         assert "probe mismatch" in self._announcement(rearmed)
 
     @staticmethod
-    def _real_kernel_with(native, modexp):
-        """The real object (built into the fixture's tmp dir) with its
-        ``repro_modexp`` replaced."""
+    def _real_kernel_with(native, **replaced):
+        """The real object (built into the fixture's tmp dir) with the
+        named entry points replaced by ``fn(real, *args)``."""
         import types
 
         real = native._build()
-        return types.SimpleNamespace(
-            repro_sha256_ctr=real.repro_sha256_ctr,
-            repro_pack_bits=real.repro_pack_bits,
-            repro_unpack_bits=real.repro_unpack_bits,
-            repro_modexp=lambda *args: modexp(real, *args),
-        )
+        entry_points = {
+            name: getattr(real, name)
+            for name in ("repro_sha256_ctr", "repro_pack_bits", "repro_unpack_bits",
+                         "repro_modexp", "repro_skellam_fill", "repro_skellam_weight")
+        }
+        for name, fn in replaced.items():
+            entry_points[name] = lambda *args, _fn=fn: _fn(real, *args)
+        return types.SimpleNamespace(**entry_points)
 
     def test_wrong_modexp_answer_disables_the_whole_object(self, rearmed, monkeypatch):
         def one_flipped_bit(real, mod, rr, limbs, base, exp, explen, out):
@@ -220,18 +260,43 @@ class TestEveryReasonIsNamed:
             out[0] = bytes([out[0][0] ^ 1])
             return 0
 
-        kernel = self._real_kernel_with(rearmed, one_flipped_bit)
+        kernel = self._real_kernel_with(rearmed, repro_modexp=one_flipped_bit)
         monkeypatch.setattr(rearmed, "_build", lambda: kernel)
         message = self._announcement(rearmed)
         assert "probe mismatch (modular exponentiation)" in message
         assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
+    def test_wrong_noise_weight_disables_the_whole_object(self, rearmed, monkeypatch):
+        # One unit in the last place — what a fused multiply-add would do.
+        import math
+
+        def one_ulp_off(real, k, z):
+            return math.nextafter(real.repro_skellam_weight(k, z), 2.0)
+
+        kernel = self._real_kernel_with(rearmed, repro_skellam_weight=one_ulp_off)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (Skellam weight function)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
+    def test_wrong_noise_draw_disables_the_whole_object(self, rearmed, monkeypatch):
+        def skips_a_trial(real, seed, seedlen, strips, nstrips, z, sign, out, n):
+            rc = real.repro_skellam_fill(seed, seedlen, strips, nstrips, z, sign, out, n)
+            out[n - 1] += 1
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_skellam_fill=skips_a_trial)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (Skellam noise expansion)" in message
+        assert rearmed.modexp(rearmed.montgomery_context((1 << 128) - 159), 3, 5) is None
 
     def test_compiler_without_int128_keeps_the_rest_of_the_object(
         self, rearmed, monkeypatch
     ):
         from repro.crypto.dh import MODP_512
 
-        kernel = self._real_kernel_with(rearmed, lambda real, *args: -3)
+        kernel = self._real_kernel_with(rearmed, repro_modexp=lambda real, *args: -3)
         monkeypatch.setattr(rearmed, "_build", lambda: kernel)
         with pytest.warns(RuntimeWarning, match="128-bit integer") as caught:
             assert rearmed.load() is kernel

@@ -61,10 +61,10 @@ class TestFrameAdversarial:
     def test_version_1_frame_refused_by_name(self):
         # Version 2 bit-packs masked inputs; a version-1 peer's frames
         # must fail to parse, not misparse.
-        assert f.WIRE_VERSION == 3
+        assert f.WIRE_VERSION == 4
         v1 = self.GOOD[:2] + b"\x01" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 1 \(speaking 3\)"
+            ValueError, match=r"unsupported frame version 1 \(speaking 4\)"
         ):
             f.decode_frame(v1)
 
@@ -73,9 +73,19 @@ class TestFrameAdversarial:
         # frames must fail to parse, not misparse.
         v2 = self.GOOD[:2] + b"\x02" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 2 \(speaking 3\)"
+            ValueError, match=r"unsupported frame version 2 \(speaking 4\)"
         ):
             f.decode_frame(v2)
+
+    def test_version_3_frame_refused_by_name(self):
+        # Version 4 kept the layout and changed what an XNoise seed
+        # expands to; a version-3 peer would add and remove different
+        # noise, so its frames are refused too.
+        v3 = self.GOOD[:2] + b"\x03" + self.GOOD[3:]
+        with pytest.raises(
+            ValueError, match=r"unsupported frame version 3 \(speaking 4\)"
+        ):
+            f.decode_frame(v3)
 
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]

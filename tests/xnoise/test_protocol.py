@@ -64,6 +64,11 @@ class TestSeedExpansion:
         with pytest.raises(ValueError):
             skellam_noise_from_seed(b"s", -1.0, 16)
 
+    @pytest.mark.parametrize("variance", [float("nan"), float("inf"), 2.0**50])
+    def test_non_finite_or_out_of_range_variance_rejected(self, variance):
+        with pytest.raises(ValueError):
+            skellam_noise_from_seed(b"s", variance, 16)
+
     def test_label_format(self):
         assert seed_label(3) == "g:3"
 
@@ -175,6 +180,78 @@ class TestDropoutWithinTolerance:
         survivors = [u for u in inputs if u != 1]
         err = decoded_error(result, inputs, survivors, 18)
         assert err.var() == pytest.approx(400.0, rel=0.4)
+
+
+class TestExactNoiseEnforcement:
+    """With the noise seeds fixed, Theorem 1 is an equality, not a
+    variance estimate: the aggregate is the survivors' signal plus
+    exactly the components k ≤ |D| of every survivor — for every dropout
+    count the tolerance covers, on both sampler paths (σ² = 400 inverts
+    a table, 2²⁴ rejects from strips)."""
+
+    N, T, DIM, BITS = 8, 3, 96, 32
+
+    @staticmethod
+    def _seeds(u: int, count: int) -> list[bytes]:
+        return [bytes([u, k]) * 16 for k in range(count)]
+
+    @pytest.mark.parametrize("variance", [400.0, 2.0**24])
+    @pytest.mark.parametrize("n_dropped", [0, 1, 2, 3])
+    def test_aggregate_is_signal_plus_exactly_the_retained_components(
+        self, variance, n_dropped
+    ):
+        from repro.xnoise.protocol import XNoiseClient
+
+        cfg = make_config(n=self.N, t=4, tolerance=self.T, bits=self.BITS,
+                          dim=self.DIM, variance=variance)
+        variances = cfg.decomposition().variances()
+        inputs = make_signals(self.N, self.DIM)
+        dropped = set(range(1, n_dropped + 1))
+        # One survivor also leaves before revealing its seeds, so some
+        # removed components come back through Shamir (stage 5).
+        schedule = DropoutSchedule(
+            at_stage={STAGE_MASKED_INPUT: dropped, STAGE_UNMASK: {self.N}}
+        )
+        result = run_xnoise_round(
+            cfg, inputs, schedule,
+            client_factory=lambda u: XNoiseClient(
+                u, cfg, noise_seeds=self._seeds(u, len(variances))
+            ),
+        )
+        assert result.n_dropped == n_dropped and not result.tolerance_exceeded
+        survivors = [u for u in inputs if u not in dropped]
+        assert result.u3 == survivors
+        assert result.removed_noise_components == len(survivors) * (self.T - n_dropped)
+
+        expected = np.zeros(self.DIM, dtype=np.int64)
+        for u in survivors:
+            expected += inputs[u]
+            for k in range(n_dropped + 1):
+                expected += skellam_noise_from_seed(
+                    self._seeds(u, len(variances))[k], variances[k], self.DIM
+                )
+        np.testing.assert_array_equal(result.aggregate, expected % (1 << self.BITS))
+
+    def test_removal_reduces_per_component_when_the_ring_leaves_no_headroom(self):
+        """A 62-bit ring cannot defer the reduction (2⁶² + Σ16σ would pass
+        2⁶³ only for absurd cohorts, so shrink int64's headroom instead):
+        the per-component path must give the same ring element."""
+        from repro.xnoise import protocol
+        from repro.xnoise.protocol import XNoiseServer
+
+        cfg = make_config(n=5, t=3, tolerance=2, bits=20, dim=32, variance=2.0**22)
+        server = XNoiseServer(cfg)
+        server.u3 = [1, 2, 3, 4, 5]
+        revealed = {u: {k: bytes([u, k]) * 16 for k in (1, 2)} for u in server.u3}
+        aggregate = np.arange(32, dtype=np.int64) * 31_337 % (1 << 20)
+        deferred, removed = server.remove_excess_noise(aggregate, revealed, {})
+        assert removed == 10
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "support_bound", lambda variance: 2**62)
+            stepwise, _ = server.remove_excess_noise(aggregate, revealed, {})
+        np.testing.assert_array_equal(deferred, stepwise)
+        assert deferred.min() >= 0 and deferred.max() < 1 << 20
+        assert aggregate[1] == 31_337  # the caller's vector is not touched
 
 
 class TestToleranceExceeded:
