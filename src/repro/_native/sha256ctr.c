@@ -370,7 +370,8 @@ int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
  * bit-identical numpy fallback.
  * ------------------------------------------------------------------ */
 
-/* Fixed eight-byte forms: compilers fold these loops into one move. */
+/* Fixed eight-byte forms: one move each (the store loop folds into one;
+ * the load says so, as GCC does not fold it inside the mask loop). */
 static inline void store_le64(uint8_t *dst, uint64_t w)
 {
     int j;
@@ -380,11 +381,17 @@ static inline void store_le64(uint8_t *dst, uint64_t w)
 
 static inline uint64_t load_le64(const uint8_t *src)
 {
+#if defined(__GNUC__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t w;
+    memcpy(&w, src, sizeof(w));
+    return w;
+#else
     uint64_t w = 0;
     int j;
     for (j = 0; j < 8; j++)
         w |= (uint64_t)src[j] << (8 * j);
     return w;
+#endif
 }
 
 /* Pack src[0..n) into dst[0 .. ceil(n*bits/8)); pad bits are zero.
@@ -606,6 +613,87 @@ int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
                 continue;
             out[filled++] += sign * k;
         }
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * Mask folding: a seed's ring elements added straight into a vector
+ * (repro.crypto.prg.expand_uniform with out=).
+ *
+ * Over the ring 2**bits, element i of a seed's mask is bits
+ * [i*bits, (i+1)*bits) of its counter stream read as the little-endian
+ * bit stream of the packer above: a mask is the wire unpacking of its
+ * seed's stream, every stream bit used once.  256 elements are exactly
+ * `bits` blocks, so the stream is produced a slab of 256*m elements at a
+ * time on the stack (it never leaves L1) and unpack-added into the
+ * caller's accumulator; no mask vector is stored anywhere.
+ * repro.crypto.prg holds the bit-identical numpy twin.
+ * ------------------------------------------------------------------ */
+
+#define MASK_SLAB_BLOCKS 64 /* stream per slab: bits*m blocks, at most 2 KiB */
+#define MASK_SLAB_SLACK 16  /* readable bytes past it for the last window */
+
+/* The element `at` bits into a group, negated when flip is -1 (0 keeps
+ * it).  The 64 bits read at its first byte hold all of it while
+ * bits <= 57; a wider element (`wide`) takes its top bits from the
+ * ninth byte. */
+static inline int64_t mask_element(const uint8_t *group, unsigned at, int wide,
+                                   uint64_t mask, int64_t flip)
+{
+    const uint8_t *src = group + (at >> 3);
+    unsigned shift = at & 7;
+    uint64_t v = load_le64(src) >> shift;
+
+    if (wide)
+        v |= ((uint64_t)src[8] << 1) << (63 - shift);
+    return ((int64_t)(v & mask) ^ flip) - flip;
+}
+
+/* out[i] += (+/-) element i of stream, i in [0, n).  Eight elements are
+ * exactly `bits` bytes, so every group of eight starts on a byte with
+ * the same eight (byte, shift) pairs: the compiler unrolls the inner
+ * loop around them, and no iteration depends on the one before it.
+ * Inlined with `wide` a constant, so the loop carries no test for it. */
+static inline void mask_unpack_add(const uint8_t *stream, unsigned bits,
+                                   int wide, int64_t flip, int64_t *out,
+                                   size_t n)
+{
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    size_t group;
+    unsigned k;
+
+    for (group = 0; group < n / 8; group++, stream += bits, out += 8)
+        for (k = 0; k < 8; k++)
+            out[k] += mask_element(stream, k * bits, wide, mask, flip);
+    for (k = 0; k < n % 8; k++)
+        out[k] += mask_element(stream, k * bits, wide, mask, flip);
+}
+
+/* Adds sign * (element i of seed's mask over 2**bits) into out[i] for
+ * i in [0, n), raw: the caller owns the int64 headroom.  Returns 0, -1
+ * on bad arguments (bits outside [1, 62], seedlen > 47 included). */
+int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
+                    int64_t sign, int64_t *out, size_t n)
+{
+    uint8_t stream[32 * MASK_SLAB_BLOCKS + MASK_SLAB_SLACK] = {0};
+    size_t slab, done;
+    uint64_t ctr = 0;
+
+    if (out == NULL || bits < 1 || bits > 62 || (sign != 1 && sign != -1))
+        return -1;
+    slab = 256 * (size_t)(MASK_SLAB_BLOCKS / bits);
+    for (done = 0; done < n; done += slab) {
+        size_t count = n - done < slab ? n - done : slab;
+        uint64_t nblocks = (count * bits + 255) / 256;
+
+        if (repro_sha256_ctr(seed, seedlen, ctr, nblocks, stream))
+            return -1;
+        ctr += nblocks;
+        if (bits > 57)
+            mask_unpack_add(stream, bits, 1, sign >> 63, out + done, count);
+        else
+            mask_unpack_add(stream, bits, 0, sign >> 63, out + done, count);
     }
     return 0;
 }

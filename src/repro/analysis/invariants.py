@@ -99,7 +99,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
     # The ring-width data plane: bit-packed masked vectors (element
-    # width, pad rule, wire version 4), 32-bit PRG draws, one wire-size
+    # width, pad rule, wire version 5), ring-width PRG draws, one wire-size
     # definition, masked-input admission, announced native fallback
     # (PRG stream, bit packer, Skellam noise loop, modexp ≡ pow).
     "12": {
@@ -135,6 +135,18 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/xnoise/test_noise_vectors.py",
             "tests/dp/test_sampler.py",
             "tests/xnoise/test_protocol.py",
+            "tests/test_native_fallback.py",
+        ],
+    },
+    # The mask plane: a mask is the wire unpacking of its seed's stream
+    # (goldens), the in-place fold ≡ expand-then-add on kernel and twin,
+    # under the accumulators' 2**63 guard.
+    "15": {
+        "rules": ["parity-twin", "headroom-guard"],
+        "tests": [
+            "tests/crypto/test_mask_vectors.py",
+            "tests/crypto/test_hotpath_parity.py",
+            "tests/secagg/test_unmask_plane.py",
             "tests/test_native_fallback.py",
         ],
     },

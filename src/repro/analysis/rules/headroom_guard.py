@@ -3,8 +3,10 @@
 The hot planes (``MaskAccumulator``, ``SecAggServer.collect_unmask``)
 sum ring vectors raw in int64 and reduce once at the end — sound only
 while ``n_terms * (modulus - 1) < 2**63``.  ARCHITECTURE.md invariants
-9 and 11 require every such accumulator to check that bound and fall
-back to per-term reduction when it fails.
+9, 11 and 15 require every such accumulator to check that bound and
+fall back to per-term reduction when it fails.  (An accumulation done
+in C — ``expand_uniform(..., out=acc)`` — is invisible here, so it must
+sit in the scope whose guard it relies on.)
 
 Detection is scope-based.  A *deferred accumulator* is a target that
 receives a ``+=``/``-=`` somewhere in a scope and a ``%=``-by-modulus
@@ -77,7 +79,7 @@ class HeadroomGuardRule(Rule):
         "a += / -= accumulator reduced later by %= modulus must sit in a "
         "scope that compares against the 2**63 int64 headroom bound"
     )
-    invariants = ("9", "11")
+    invariants = ("9", "11", "15")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
         for src in ctx.sources:

@@ -60,7 +60,7 @@ class ParityTwinRule(Rule):
         "every *_reference def/class has a same-scope fast twin with an "
         "identical signature, and a test file names both"
     )
-    invariants = ("9", "10", "11")
+    invariants = ("9", "10", "11", "15")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
         for src in ctx.sources:

@@ -2,11 +2,11 @@
 
 Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
-(PRG mask expansion, key agreement, Skellam noise expansion, Shamir
-share evaluation and reconstruction, codec encode, mask accumulation),
-so the recorded
-speedups are measured on the same machine, same inputs, same run — the
-trajectory point the paper's Fig.-2-style overhead claims rest on.
+(PRG mask expansion and folding, key agreement, Skellam noise expansion,
+Shamir share evaluation and reconstruction, codec encode, mask
+accumulation), so the recorded speedups are measured on the same
+machine, same inputs, same run — the trajectory point the paper's
+Fig.-2-style overhead claims rest on.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
-from repro.crypto.prg import PRGReference, expand_uniform
+from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_reference
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.dp.sampler import skellam_noise_from_seed_reference
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
@@ -38,6 +38,12 @@ TOPIC = "hotpath"
 #: component variances its session draws.
 SKELLAM_DIMENSION = 1 << 17
 SKELLAM_VARIANCES = (228_000_000, 2_500_000_000)
+
+#: Mask folds of the perf benchmark's data-plane workloads: 20 a round at
+#: ``wide_model``'s dimension, 216 at ``dropout_recovery``'s, both over
+#: the protocol's 20-bit ring.
+MASK_FOLD_DIMENSIONS = (1 << 20, 1 << 18)
+MASK_FOLD_BITS = 20
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> float:
@@ -73,14 +79,32 @@ def run_hotpath(
     prg_seed = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
     metrics: dict[str, Any] = {}
 
-    # PRG mask expansion, per dimension: expand_uniform is what every
-    # pairwise and self mask of a round goes through.
+    # PRG mask expansion, per dimension: expand_uniform returning a
+    # fresh vector (a round folds its masks in place — timed below).
     for d in dims:
         ref_s = _best_of(
             lambda: PRGReference(prg_seed).uniform_vector(d, modulus), repeats
         )
         fast_s = _best_of(lambda: expand_uniform(prg_seed, d, modulus), repeats)
         _speedup_triplet(metrics, f"prg_expand_d{d}", ref_s, fast_s)
+
+    # Mask folding: expand_uniform with out=, as every client and the
+    # coordinator call it — sign·mask added into a vector that is
+    # already there (the native kernel unless config.native_backend is
+    # "python") — against the numpy twin, its announced fallback.
+    for d in MASK_FOLD_DIMENSIONS:
+        fold_args = (prg_seed, d, 1 << MASK_FOLD_BITS)
+        base = rng.integers(0, 1 << MASK_FOLD_BITS, size=d).astype(np.int64)
+        acc = base.copy()
+        assert np.array_equal(
+            expand_uniform(*fold_args, out=acc, sign=-1),
+            expand_uniform_reference(*fold_args, out=base.copy(), sign=-1),
+        )
+        ref_s = _best_of(
+            lambda: expand_uniform_reference(*fold_args, out=acc, sign=1), repeats
+        )
+        fast_s = _best_of(lambda: expand_uniform(*fold_args, out=acc, sign=-1), repeats)
+        _speedup_triplet(metrics, f"mask_fold_d{d}_b{MASK_FOLD_BITS}", ref_s, fast_s)
 
     # Key agreement, per group: KeyAgreement.agree (DHGroup.power → the
     # native modexp kernel when config.native_backend is not "python")

@@ -593,7 +593,7 @@ def _cmd_bench(args) -> int:
                   f"{report['config']['native_backend']} "
                   f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
         for name in sorted(m):
-            if name.startswith("skellam_expand_") and name.endswith("_speedup"):
+            if name.startswith(("mask_fold_", "skellam_expand_")) and name.endswith("_speedup"):
                 stem = name[: -len("_speedup")]
                 print(f"{stem.replace('_', ' ')}: "
                       f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "

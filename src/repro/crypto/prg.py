@@ -11,42 +11,54 @@ streams, which is what lets XNoise ship 32-byte seeds instead of
 model-sized noise vectors.
 
 Two implementations live here, bit-identical by construction and pinned
-bit-identical by test (``tests/crypto/test_hotpath_parity.py``):
+bit-identical by test (``tests/crypto/test_hotpath_parity.py``,
+``tests/crypto/test_mask_vectors.py``):
 
-- :class:`PRG` — the hot path.  The SHA-256 midstate over the seed is
-  computed once and ``.copy()``-ed per counter block (the seed bytes are
-  never re-absorbed), counter blocks land in one preallocated buffer,
-  and :meth:`PRG.uniform_vector` reduces through a zero-copy
-  ``np.frombuffer`` view of that buffer (in-place byteswap + in-place
-  modulo + ``int64`` reinterpretation — no ``.astype`` round trips).
+- :func:`expand_uniform` and :class:`PRG` — the hot path.  The SHA-256
+  midstate over the seed is computed once and ``.copy()``-ed per counter
+  block (the seed bytes are never re-absorbed); whole-mask expansion
+  takes its stream from the native kernel (:mod:`repro.native`) when the
+  host can build it.
 - :class:`PRGReference` — the retained executable specification: one
-  ``hashlib.sha256(seed + counter)`` call per 32-byte block, exactly as
-  the deployed protocol describes it.  Every optimization above must
-  reproduce this stream byte for byte.
+  ``hashlib.sha256(seed + counter)`` call per 32-byte block and Python
+  integers for every element, exactly as the deployed protocol
+  describes it.  Every optimization above must reproduce it bit for bit.
 
-Draw width: a ring element costs 4 stream bytes when the modulus is
-``2**b`` with ``b ≤ 32`` — a big-endian 32-bit word masked down to ``b``
-bits, exactly uniform — and 8 bytes (a 64-bit word reduced mod
-``modulus``) otherwise (:func:`draw_nbytes`).  The protocol's ring is
-``2**20``, so a mask costs half the SHA-256 compressions an 8-byte draw
-would.
+**What a seed expands to.**  Over a ring ``2**b`` (``1 ≤ b ≤ 62`` — every
+ring the protocol uses; the paper's is ``2**20``) element *i* of the
+mask is bits ``[i·b, (i+1)·b)`` of the seed's counter stream, read as
+the little-endian bit stream :mod:`repro.wire.bitpack` puts on the wire
+(bit *k* is bit ``k & 7`` of byte ``k >> 3``): a mask *is*
+``unpack_bits(stream, n, b)``.  Every stream bit is used exactly once, so
+the draw is exactly uniform and costs ``b/8`` bytes — ``⌈n·b/256⌉``
+blocks in all, the bits past ``n·b`` ignored.  Element ``256·j`` starts
+at block ``j·b`` exactly, so any 256-aligned run of elements expands
+from its own counter and nothing ever holds more than a slab of stream.
+Any other modulus reduces one big-endian 64-bit word per element (modulo
+bias below ``modulus / 2**64``, irrelevant for masking: any fixed bias
+cancels in ``p_{u,v} + p_{v,u} = 0``); ``modulus == 1`` draws nothing.
 
-:func:`expand_uniform` is the shared whole-mask entry point (counter 0,
-``length · draw_nbytes(modulus)`` bytes of stream) and
-:func:`expand_uniform_batch` amortizes its per-mask setup across the k
-expansions of an unmask round; both are parity-pinned per element
-against :class:`PRGReference`.
+:func:`expand_uniform` is the one whole-mask entry point (counter 0).
+Given ``out`` it adds ``sign·mask`` into the caller's vector instead of
+returning a fresh one — in the kernel (``repro_mask_fold``) one C loop
+that produces the stream ≤ 2 KiB at a time on its stack and unpack-adds
+it, so a mask that is about to be summed is never materialised;
+:func:`expand_uniform_reference` is its numpy twin and
+:func:`expand_uniform_batch` the loop over it for many seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 import threading
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import native
+from repro.wire.bitpack import MAX_BITS, bit_fields, packed_nbytes
 
 _BLOCK = hashlib.sha256().digest_size  # 32 bytes
 
@@ -67,35 +79,40 @@ except ImportError:  # pragma: no cover
 
 # Counter blocks are the same for every seed (block i appends
 # ``i.to_bytes(8, "big")``), so the 8-byte encodings are precomputed
-# once and shared across all expansions — at d = 2^20 that is 2^18
-# encodings per mask, ~1000 masks per unmask round.  Grown on demand
-# under a lock (concurrent growers would interleave appends), capped so
-# a one-off huge expansion cannot pin unbounded memory.
+# once and shared across all expansions.  Grown on demand under a lock
+# (concurrent growers would interleave appends), capped so a one-off
+# huge expansion cannot pin unbounded memory.
 _CTR_CAP = 1 << 19
 _ctr_table: list[bytes] = []
 _ctr_lock = threading.Lock()
 
-
-def draw_nbytes(modulus: int) -> int:
-    """Stream bytes one uniform draw in ``[0, modulus)`` consumes.
-
-    4 when ``modulus`` is a power of two up to ``2**32`` — the low bits
-    of a 32-bit word are exactly uniform, so nothing is gained by
-    drawing 64 — else 8, where reducing a 64-bit word keeps the modulo
-    bias below ``modulus / 2**64``.
-    """
-    return 4 if modulus <= 1 << 32 and modulus & (modulus - 1) == 0 else 8
+#: Elements the numpy twin unpacks per pass — a multiple of 256, so each
+#: slab starts on a block boundary; its temporaries stay cache-resident.
+_SLAB = 1 << 14
 
 
-def _counter_bytes(nblocks: int) -> list[bytes]:
-    """The first ``nblocks`` counter encodings (shared, cached ≤ cap)."""
-    if nblocks > _CTR_CAP:
-        return [i.to_bytes(8, "big") for i in range(nblocks)]
-    if len(_ctr_table) < nblocks:
+def _counter_bytes(start: int, stop: int) -> list[bytes]:
+    """Counter encodings ``start … stop − 1`` (shared, cached ≤ cap)."""
+    if stop > _CTR_CAP:
+        return [i.to_bytes(8, "big") for i in range(start, stop)]
+    if len(_ctr_table) < stop:
         with _ctr_lock:
-            for i in range(len(_ctr_table), nblocks):
+            for i in range(len(_ctr_table), stop):
                 _ctr_table.append(i.to_bytes(8, "big"))
-    return _ctr_table[:nblocks]
+    return _ctr_table[start:stop]
+
+
+def _check_draw(length: int, modulus: int) -> Optional[int]:
+    """Validate a draw; ``b`` for the ring ``2**b`` with ``b ≤ 62``
+    (bit-packed draws, ``b == 0`` drawing nothing), ``None`` for any
+    other modulus (one 64-bit word per element)."""
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    modulus = int(modulus)
+    bits = modulus.bit_length() - 1
+    return bits if modulus == 1 << bits and bits <= MAX_BITS else None
 
 
 class PRGReference:
@@ -131,15 +148,28 @@ class PRGReference:
         return b"".join(blocks)
 
     def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
-        """Return ``length`` integers uniform in ``[0, modulus)`` as int64."""
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        width = draw_nbytes(modulus)
-        raw = self.read(width * length)
-        words = np.frombuffer(raw, dtype=f">u{width}").astype(np.uint64)
-        return (words % np.uint64(modulus)).astype(np.int64)
+        """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
+
+        The draw definition in Python integers: over a ring ``2**b``
+        element *i* is the ``b`` bits at bit ``i·b`` of the little-endian
+        stream (``⌈length·b/256⌉`` whole blocks are consumed); any other
+        modulus reduces the big-endian 64-bit word at byte ``8·i``.
+        """
+        bits = _check_draw(length, modulus)
+        if bits is None:
+            raw = self.read(8 * length)
+            words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+            return (words % np.uint64(modulus)).astype(np.int64)
+        if bits == 0:
+            return np.zeros(length, dtype=np.int64)
+        raw = self.read(packed_nbytes(length, bits))
+        # Nine bytes from an element's first byte cover 7 + 62 bits.
+        draws = [
+            (int.from_bytes(raw[at >> 3 : (at >> 3) + 9], "little") >> (at & 7))
+            & (modulus - 1)
+            for at in range(0, length * bits, bits)
+        ]
+        return np.array(draws, dtype=np.int64)
 
 
 class PRG:
@@ -197,61 +227,29 @@ class PRG:
     def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
         """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
 
-        Used for SecAgg masks over the ring Z_R.  Rejection-free: a
-        power-of-two ring up to 2**32 (the paper uses bit-width b = 20)
-        masks a 32-bit word — exactly uniform; any other modulus
-        reduces a 64-bit word, whose modulo bias is < modulus / 2**64
-        and irrelevant for masking (any fixed bias cancels in the
-        pairwise mask sum p_{u,v} + p_{v,u} = 0).
-
-        Zero-copy reduction (:func:`_reduce_stream`): the counter blocks
-        land in one writable buffer, viewed as native words (in-place
-        byteswap on little-endian hosts recovers the stream's
-        big-endian word order) and reduced in place.
+        The next stream segment read as :meth:`PRGReference.uniform_vector`
+        defines it: the wire unpacking of ``⌈length·b/256⌉`` blocks over
+        a ring ``2**b``, one reduced 64-bit word per element otherwise.
         """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if length == 0:
-            self.read(0)
-            return np.zeros(0, dtype=np.int64)
-        if modulus > 1 << 63:
-            # int64 reinterpretation would be lossy; take the reference
-            # reduction (protocol moduli are 2**bits with bits ≤ 62).
-            raw = self.read(8 * length)
-            words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-            return (words % np.uint64(modulus)).astype(np.int64)
-        nbytes = draw_nbytes(modulus) * length
-        buf = bytearray(b"".join(self._block_digests(-(-nbytes // _BLOCK))))
-        return _reduce_stream(buf, length, modulus)
+        bits = _check_draw(length, modulus)
+        if bits is None:
+            return _reduce_words(bytearray(self.read(8 * length)), length, modulus)
+        if bits == 0:
+            return np.zeros(length, dtype=np.int64)
+        stream = self.read(packed_nbytes(length, bits))
+        return bit_fields(np.frombuffer(stream, dtype=np.uint8), length, bits)
 
 
-def _reduce_stream(buf: bytearray, length: int, modulus: int) -> np.ndarray:
-    """The first ``length`` draws of the block stream ``buf`` as int64.
+def _reduce_words(buf: bytearray, length: int, modulus: int) -> np.ndarray:
+    """The first ``length`` big-endian 64-bit words of ``buf`` mod ``modulus``.
 
-    ``modulus`` ≤ 2**63.  Power-of-two rings up to 2**32 read 32-bit
-    words: byteswapped and masked in place at half the memory traffic,
-    then widened once into the int64 result.  Everything else reads
-    64-bit words, reduced in place (a bitmask for the remaining powers
-    of two — ``x % 2**b == x & (2**b − 1)`` for unsigned x) and
-    reinterpreted as int64: every value is < ``modulus`` ≤ 2**63, so the
-    view is value-preserving and copies nothing.
+    Byteswapped and reduced in place, then reinterpreted as int64:
+    value-preserving while ``modulus`` ≤ 2**63, wrapping above it.
     """
-    if draw_nbytes(modulus) == 4:
-        words = np.frombuffer(buf, dtype=np.uint32, count=length)
-        if sys.byteorder == "little":
-            words.byteswap(inplace=True)
-        if modulus < 1 << 32:
-            words &= np.uint32(modulus - 1)
-        return words.astype(np.int64)
     words = np.frombuffer(buf, dtype=np.uint64, count=length)
     if sys.byteorder == "little":
         words.byteswap(inplace=True)
-    if modulus & (modulus - 1) == 0:
-        words &= np.uint64(modulus - 1)
-    else:
-        words %= np.uint64(modulus)
+    words %= np.uint64(modulus)
     return words.view(np.int64)
 
 
@@ -269,7 +267,7 @@ def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
         copy = _sha256_fast(seed).copy
         blocks: list[bytes] = []
         append = blocks.append
-        for ctr in _counter_bytes(ctr0 + nblocks)[ctr0:]:
+        for ctr in _counter_bytes(ctr0, ctr0 + nblocks):
             h = copy()
             h.update(ctr)
             append(h.digest())
@@ -277,51 +275,112 @@ def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
     return buf
 
 
-def _expand_reduced(seed: bytes, length: int, modulus: int) -> np.ndarray:
-    """One full-speed mask expansion (counter 0, ``modulus`` ≤ 2**63):
-    ``length`` draws of :func:`counter_stream`, one :func:`_reduce_stream`
-    — the shared inner step of :func:`expand_uniform` and
-    :func:`expand_uniform_batch`.
+def _add_signed(out: np.ndarray, draws: np.ndarray, sign: int) -> None:
+    if sign > 0:
+        out += draws
+    else:
+        out -= draws
+
+
+def _fold_numpy(seed: bytes, bits: int, out: np.ndarray, sign: int) -> None:
+    """The kernel's loop on numpy: ``out += sign·mask`` a slab at a time.
+
+    Slab ``j`` starts at element ``j·_SLAB`` and therefore at block
+    ``j·_SLAB/256·bits``; where the slabs end never shows in the result.
     """
-    nbytes = draw_nbytes(modulus) * length
-    return _reduce_stream(counter_stream(seed, -(-nbytes // _BLOCK)), length, modulus)
+    for start in range(0, len(out), _SLAB):
+        part = out[start : start + _SLAB]
+        nbytes = packed_nbytes(len(part), bits)
+        blocks = counter_stream(seed, -(-nbytes // _BLOCK), start // 256 * bits)
+        stream = np.frombuffer(blocks, dtype=np.uint8, count=nbytes)
+        _add_signed(part, bit_fields(stream, len(part), bits), sign)
 
 
-def expand_uniform(seed: bytes, length: int, modulus: int) -> np.ndarray:
-    """Expand ``seed`` into ``length`` uniform ring elements (fresh PRG).
-
-    The one shared mask-expansion entry point: SecAgg masking
-    (:mod:`repro.secagg.masking`) and the API layer's PG handler both
-    call this, so there is exactly one hot-path implementation and one
-    parity surface.  Bit-identical to
-    ``PRGReference(seed).uniform_vector(length, modulus)`` (pinned by
-    test); oversized moduli take the :class:`PRG` fallback reduction.
-    """
+def _expand(seed, length, modulus, out, sign, kernel: bool) -> np.ndarray:
     if not isinstance(seed, (bytes, bytearray)):
         raise TypeError("seed must be bytes")
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length == 0:
-        return np.zeros(0, dtype=np.int64)
-    if modulus > 1 << 63:
-        return PRG(seed).uniform_vector(length, modulus)
-    return _expand_reduced(bytes(seed), length, modulus)
+    bits = _check_draw(length, modulus)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if out is None:
+        out = np.zeros(length, dtype=np.int64)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.int64
+        and out.shape == (length,)
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError(
+            f"out must be a writable contiguous int64 vector of length {length}"
+        )
+    if length == 0 or bits == 0:
+        return out
+    seed = bytes(seed)
+    if bits is None:
+        stream = counter_stream(seed, -(-length // 4))
+        _add_signed(out, _reduce_words(stream, length, modulus), sign)
+    elif not (kernel and native.mask_fold(seed, bits, out, sign)):
+        _fold_numpy(seed, bits, out, sign)
+    return out
+
+
+def expand_uniform(
+    seed: bytes,
+    length: int,
+    modulus: int,
+    out: Optional[np.ndarray] = None,
+    sign: int = 1,
+) -> np.ndarray:
+    """Expand ``seed`` into ``length`` uniform ring elements (counter 0).
+
+    The one shared mask-expansion entry point: SecAgg's client and
+    coordinator and the API layer's PG handler all call this.  Returns a
+    fresh ``int64`` vector, or — given ``out`` (a writable contiguous
+    ``int64`` vector of that length, else ``ValueError`` before anything
+    is drawn) — adds ``sign·mask`` raw into it and returns it, so a mask
+    that is about to be summed or subtracted is never materialised; the
+    caller owns the ``int64`` headroom.  Bit-identical to
+    ``PRGReference(seed).uniform_vector(length, modulus)`` with or
+    without the native kernel (pinned by test).
+    """
+    return _expand(seed, length, modulus, out, sign, kernel=True)
+
+
+def expand_uniform_reference(
+    seed: bytes,
+    length: int,
+    modulus: int,
+    out: Optional[np.ndarray] = None,
+    sign: int = 1,
+) -> np.ndarray:
+    """:func:`expand_uniform` on the numpy twin, never the mask kernel."""
+    return _expand(seed, length, modulus, out, sign, kernel=False)
 
 
 def expand_uniform_batch(
-    seeds: list[bytes], length: int, modulus: int
+    seeds: Sequence[bytes],
+    length: int,
+    modulus: int,
+    out: Optional[np.ndarray] = None,
+    signs: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Expand ``k`` seeds into a ``(k, length)`` int64 matrix.
+    """:func:`expand_uniform` over ``k`` seeds, ``signs[i]`` (default +1) each.
 
-    Row ``i`` is bit-identical to ``expand_uniform(seeds[i], …)`` —
-    batching only amortizes the per-mask setup (the shared counter
-    table, one output allocation) across the round's expansions.  The
-    coordinator's unmask plane expands ~|U3| + |U2\\U3|·degree masks per
-    round through this.
+    Given ``out`` (one ``(length,)`` accumulator) every signed mask is
+    added into it and no row is ever materialised — the coordinator's
+    unmask plane folds ~|U3| + |U2\\U3|·degree seeds a round through
+    this.  Without it, returns the ``(k, length)`` matrix whose row
+    ``i`` is ``signs[i]·expand_uniform(seeds[i], …)``.
     """
-    out = np.empty((len(seeds), length), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        out[i] = expand_uniform(seed, length, modulus)
+    if signs is None:
+        signs = [1] * len(seeds)
+    elif len(signs) != len(seeds):
+        raise ValueError("signs must name one sign per seed")
+    if out is None:
+        out = targets = np.zeros((len(seeds), length), dtype=np.int64)
+    else:
+        targets = itertools.repeat(out)
+    for seed, sign, target in zip(seeds, signs, targets):
+        expand_uniform(seed, length, modulus, out=target, sign=sign)
     return out

@@ -9,7 +9,9 @@ when) the host can support it, by lazily compiling the self-contained C
 kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
 it through :mod:`ctypes`.  The same shared object carries the two
 ring-width bit-packing loops of the masked-vector wire codec
-(:mod:`repro.wire.bitpack`), the Skellam noise loop every XNoise
+(:mod:`repro.wire.bitpack`), the mask fold that unpack-adds a seed's
+stream straight into an accumulator (:func:`repro.crypto.prg.expand_uniform`
+specifies the draw and holds the numpy twin), the Skellam noise loop every XNoise
 component is drawn by (:mod:`repro.dp.sampler` holds its specification,
 its tables and its numpy twin) and the fixed-width modular exponentiation
 behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
@@ -187,6 +189,15 @@ def _build() -> ctypes.CDLL:
     lib.repro_skellam_fill.restype = ctypes.c_int
     lib.repro_skellam_weight.argtypes = [ctypes.c_double, ctypes.c_double]
     lib.repro_skellam_weight.restype = ctypes.c_double
+    lib.repro_mask_fold.argtypes = [
+        ctypes.c_char_p,
+        ctypes.c_size_t,
+        ctypes.c_uint,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_size_t,
+    ]
+    lib.repro_mask_fold.restype = ctypes.c_int
     return lib
 
 
@@ -194,8 +205,9 @@ def _probe(lib: ctypes.CDLL) -> None:
     """One sanity answer per kernel before trusting the object: block 0
     of an all-zero seed must match hashlib, three 20-bit elements must
     pack to the documented little-endian bit stream and back, a
-    two-limb modular power must match ``pow``, and five hand-made noise
-    trials must land where the sampler's specification puts them."""
+    two-limb modular power must match ``pow``, five hand-made noise
+    trials must land where the sampler's specification puts them, and
+    two folded masks must be the bit fields of their hashlib stream."""
     digest = ctypes.create_string_buffer(32)
     seed = b"\x00" * 32
     rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
@@ -240,6 +252,27 @@ def _probe(lib: ctypes.CDLL) -> None:
     rc = lib.repro_skellam_fill(seed, len(seed), strips, 2, float(1 << 20), -1, noise, 4)
     if rc != 0 or list(noise) != _SKELLAM_PROBE_DRAWS:
         raise _Unavailable("probe mismatch (Skellam noise expansion)")
+    # The mask fold, against Python integers over hashlib's stream: the
+    # protocol's 20 bits added, a width past the 57-bit window
+    # subtracted, each into a non-zero vector a few elements longer than
+    # one kernel slab (768 and 256 elements) and no multiple of 256.
+    for bits, count, sign in ((20, 771, 1), (59, 259, -1)):
+        blocks = -(-count * bits // 256)
+        stream = int.from_bytes(
+            b"".join(
+                hashlib.sha256(seed + ctr.to_bytes(8, "big")).digest()
+                for ctr in range(blocks)
+            ),
+            "little",
+        )
+        want = [
+            3 * i + sign * ((stream >> (i * bits)) & ((1 << bits) - 1))
+            for i in range(count)
+        ]
+        folded = (ctypes.c_int64 * count)(*range(0, 3 * count, 3))
+        rc = lib.repro_mask_fold(seed, len(seed), bits, sign, folded, count)
+        if rc != 0 or list(folded) != want:
+            raise _Unavailable("probe mismatch (mask folding)")
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -266,9 +299,9 @@ def load() -> Optional[ctypes.CDLL]:
         except _Unavailable as exc:
             lib = None
             warnings.warn(
-                "repro.native: kernel unavailable, PRG expansion, "
-                "masked-vector packing, noise expansion and key agreement "
-                f"(modular exponentiation) run in pure Python/numpy: {exc}",
+                "repro.native: kernel unavailable, PRG expansion, mask "
+                "folding, masked-vector packing, noise expansion and key "
+                f"agreement (modular exponentiation) run in pure Python/numpy: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -306,6 +339,22 @@ def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[byte
         if rc != 0:
             return None
     return out
+
+
+def mask_fold(seed: bytes, bits: int, out, sign: int) -> bool:
+    """Run the mask kernel; ``False`` means "no kernel, use the twin".
+
+    ``out`` is a writable contiguous ``int64`` vector (the caller has
+    checked): ``sign`` times element *i* of ``seed``'s mask over the ring
+    ``2**bits`` — bits ``[i·bits, (i+1)·bits)`` of its counter stream —
+    is added into ``out[i]``.
+    """
+    lib = None if len(seed) > MAX_SEED_LEN else load()
+    if lib is None:
+        return False
+    if lib.repro_mask_fold(seed, len(seed), bits, sign, out.ctypes.data, len(out)):
+        raise ValueError("mask kernel rejected its arguments")  # bits outside [1, 62]
+    return True
 
 
 def skellam_fill(strips, z: float, seed: bytes, out, sign: int) -> bool:

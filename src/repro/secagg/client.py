@@ -31,8 +31,7 @@ from repro.crypto.dh import KeyAgreement, resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.shamir import Share, ShamirSecretSharing, random_seed
 from repro.crypto.signature import SchnorrSigner
-from repro.crypto.prg import expand_uniform
-from repro.secagg.masking import MaskAccumulator, self_mask
+from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
     MaskedInputMsg,
@@ -231,19 +230,15 @@ class SecAggClient:
         peers = sorted(self._neighbors & self._u2)
         # Input + self mask + one pairwise mask per live neighbor, summed
         # with one deferred reduction (int64 headroom guard inside).
-        # The pairwise sign γ (p_{u,v} = γ·PRG(s_{u,v}), γ = +1 iff
-        # u > v) folds into the accumulation: subtracting the raw
-        # expansion equals adding ``(−PRG(s)) % R`` without the extra
-        # full-vector negate-and-reduce pass `pairwise_mask` pays.
+        # Each seed's expansion is added into the sum as it is drawn —
+        # no mask vector exists — with the pairwise sign γ
+        # (p_{u,v} = γ·PRG(s_{u,v}), γ = +1 iff u > v) folded in:
+        # subtracting the raw expansion equals adding ``(−PRG(s)) % R``.
         acc = MaskAccumulator(update_ring, modulus, n_terms=2 + len(peers))
-        acc.add(self_mask(self._b_seed, self.config.dimension, modulus))
+        acc.fold_seed(self._b_seed, 1)
         for peer in peers:
             seed = self._ka.agree(self._s_pair, self._peer_keys[peer][1])
-            base = expand_uniform(seed, self.config.dimension, modulus)
-            if self.id > peer:
-                acc.add(base)
-            else:
-                acc.sub(base)
+            acc.fold_seed(seed, 1 if self.id > peer else -1)
         return MaskedInputMsg(
             sender=self.id, masked_vector=acc.finish(), bits=self.config.bits
         )

@@ -10,9 +10,11 @@ MaskedInputCollection):
   learns u's pairwise secrets while unmasking a *dropped* u — survivors'
   self masks are only removed via their secret-shared b_u.
 
-Both mask vectors are expanded from 32-byte seeds by the counter-mode
-PRG, exactly as the deployed protocol does, so a mask is never
-materialized on the wire.
+Both masks are expanded from 32-byte seeds by the counter-mode PRG,
+exactly as the deployed protocol does, so a mask is never materialized
+on the wire — nor in memory: :meth:`MaskAccumulator.fold_seed` has
+:func:`repro.crypto.prg.expand_uniform` add a seed's signed expansion
+straight into the running sum.
 """
 
 from __future__ import annotations
@@ -20,27 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.prg import expand_uniform
-
-
-def pairwise_mask(
-    shared_seed: bytes, u: int, v: int, dimension: int, modulus: int
-) -> np.ndarray:
-    """The signed pairwise mask p_{u,v} as seen from client ``u``.
-
-    Antisymmetry (p_{u,v} = −p_{v,u} mod R) holds because both ends expand
-    the same seed and apply opposite signs.
-    """
-    if u == v:
-        return np.zeros(dimension, dtype=np.int64)
-    base = expand_uniform(shared_seed, dimension, modulus)
-    if u > v:
-        return base
-    return (-base) % modulus
-
-
-def self_mask(seed: bytes, dimension: int, modulus: int) -> np.ndarray:
-    """The self mask p_u = PRG(b_u)."""
-    return expand_uniform(seed, dimension, modulus)
 
 
 def in_ring(vector: np.ndarray, modulus: int) -> bool:
@@ -96,10 +77,13 @@ class MaskAccumulator:
             self._acc = base % modulus
         self._remaining = n_terms - 1
 
-    def _fold(self, mask: np.ndarray, sign: int) -> None:
+    def _take_term(self) -> None:
         if self._remaining <= 0:
             raise ValueError("more masks added than n_terms declared")
         self._remaining -= 1
+
+    def _fold(self, mask: np.ndarray, sign: int) -> None:
+        self._take_term()
         if self._deferred:
             if sign > 0:
                 self._acc += mask
@@ -117,6 +101,22 @@ class MaskAccumulator:
     def sub(self, mask: np.ndarray) -> None:
         """Fold one *negated* mask vector into the sum."""
         self._fold(mask, -1)
+
+    def fold_seed(self, seed: bytes, sign: int) -> None:
+        """Fold ``sign·PRG(seed)`` into the sum without materializing it.
+
+        Under the deferral guard the expansion is added raw, in place
+        (each element is in ``[0, modulus)``, so the headroom proof
+        above covers it); without headroom the mask is expanded and
+        reduced per term like any other — bit-identical either way.
+        """
+        if self._deferred:
+            self._take_term()
+            expand_uniform(
+                seed, self._acc.size, self._modulus, out=self._acc, sign=sign
+            )
+        else:
+            self._fold(expand_uniform(seed, self._acc.size, self._modulus), sign)
 
     def finish(self) -> np.ndarray:
         """The accumulated sum, reduced into ``[0, modulus)``."""
@@ -151,13 +151,3 @@ def accumulate_signed_masks_reference(
         else:
             total = (total - mask) % modulus
     return total
-
-
-def add_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """(a + b) mod R with int64 vectors."""
-    return (a + b) % modulus
-
-
-def sub_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """(a − b) mod R with int64 vectors."""
-    return (a - b) % modulus

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_batch
+from repro.crypto.prg import PRGReference, expand_uniform_batch
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.parallel import WorkerPool, split_slabs
 from repro.secagg.masking import MaskAccumulator, in_ring
@@ -154,11 +154,6 @@ class SecAggServer:
         """U2 \\ U3 — clients whose pairwise masks must be reconstructed."""
         return sorted(set(self.u2) - set(self.u3))
 
-    # How many masks one expand_uniform_batch call materializes at once
-    # inside a worker slab — bounds peak memory per worker to a few
-    # vectors while still amortizing the batch entry point's setup.
-    _EXPAND_BATCH = 4
-
     # ------------------------------------------------------------------
     def collect_unmask(self, messages: dict[int, UnmaskingMsg]) -> np.ndarray:
         """Fix U5, reconstruct masks, and return the unmasked ring sum.
@@ -170,15 +165,19 @@ class SecAggServer:
         is computed as one deferred-reduction int64 accumulation: every
         term folds in raw (the pairwise sign γ folds into the sum — no
         ``(−mask) % R`` materialization) and the vector is reduced into
-        ``[0, R)`` exactly once at the end.  Secrets are recovered
+        ``[0, R)`` exactly once at the end.  No mask is ever a vector:
+        each ``(seed, ±1)`` term is expanded *into* the aggregate by
+        :func:`expand_uniform_batch`.  Secrets are recovered
         through :meth:`ShamirSecretSharing.reconstruct_many`, which
         computes the Lagrange-at-zero coefficients once per share-holder
-        set; mask expansion and reconstruction fan across a
+        set; mask folding and reconstruction fan across a
         :class:`repro.parallel.WorkerPool` sized by ``config.workers``
-        (``workers=1`` is purely inline and serial).  Slab partials are
-        exact int64 sums, so the aggregate is bit-identical at every
-        ``workers`` setting and to :meth:`collect_unmask_reference`
-        (both pinned by test).
+        (``workers=1`` is purely inline and serial): the terms split
+        into contiguous slabs, the first folds into the aggregate
+        itself and every further worker into one partial of its own.
+        Partials are exact int64 sums, so the aggregate is bit-identical
+        at every ``workers`` setting and to
+        :meth:`collect_unmask_reference` (both pinned by test).
 
         Headroom guard: the deferred signed sum has magnitude at most
         ``n_terms · (modulus − 1)``; when that (or the modulus itself)
@@ -236,18 +235,25 @@ class SecAggServer:
                 for u in self.u3:
                     acc.add(self._masked[u])
                 for seed, sign in terms:
-                    mask = expand_uniform(seed, dim, modulus)
-                    if sign > 0:
-                        acc.add(mask)
-                    else:
-                        acc.sub(mask)
+                    acc.fold_seed(seed, sign)
                 return acc.finish()
 
             aggregate = np.zeros(dim, dtype=np.int64)
             for u in self.u3:
                 aggregate += self._masked[u]
-            if terms:
-                aggregate += self._sum_signed_masks(terms, pool)
+
+            # One slab of terms per worker: the first folds into the
+            # aggregate itself, each further one into a partial of its own.
+            slabs = split_slabs(terms, pool.workers)
+            parts = [aggregate] + [np.zeros_like(aggregate) for _ in slabs[1:]]
+
+            def fold(job: tuple[list[tuple[bytes, int]], np.ndarray]) -> np.ndarray:
+                slab, part = job
+                seeds, signs = zip(*slab)
+                return expand_uniform_batch(seeds, dim, modulus, out=part, signs=signs)
+
+            for part in pool.map(fold, list(zip(slabs, parts)))[1:]:
+                aggregate += part
             aggregate %= modulus
             return aggregate
 
@@ -336,41 +342,6 @@ class SecAggServer:
             for shares, what in jobs:
                 self._reconstruct(ss, shares, what)
             raise  # unreachable: the replay aborts at the failing job
-
-    def _sum_signed_masks(
-        self, terms: list[tuple[bytes, int]], pool: WorkerPool
-    ) -> np.ndarray:
-        """Σ sign·PRG(seed) over ``terms`` as an *unreduced* int64 vector.
-
-        Terms split into contiguous slabs, one per worker; each slab
-        expands its seeds through :func:`expand_uniform_batch` in small
-        chunks (bounding peak memory) and folds them into a slab
-        partial.  Partials and the final sum are exact int64 arithmetic
-        — order-independent, so the result is identical for any slab
-        count.  Callers guarantee int64 headroom.
-        """
-        dim = self.config.dimension
-        modulus = self.config.modulus
-        batch = self._EXPAND_BATCH
-
-        def slab_sum(slab: list[tuple[bytes, int]]) -> np.ndarray:
-            part = np.zeros(dim, dtype=np.int64)
-            for start in range(0, len(slab), batch):
-                chunk = slab[start : start + batch]
-                masks = expand_uniform_batch(
-                    [seed for seed, _ in chunk], dim, modulus
-                )
-                for row, (_, sign) in zip(masks, chunk):
-                    if sign > 0:
-                        part += row
-                    else:
-                        part -= row
-            return part
-
-        total = np.zeros(dim, dtype=np.int64)
-        for part in pool.map(slab_sum, split_slabs(terms, pool.workers)):
-            total += part
-        return total
 
     def _reconstruct(
         self, ss: ShamirSecretSharing, shares: list[Share], what: str

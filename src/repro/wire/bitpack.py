@@ -20,6 +20,11 @@ Two implementations, bit-identical and pinned so by test:
 Both write into / read from caller-owned memory: :func:`pack_bits_into`
 appends to the frame buffer, :func:`unpack_bits` reads a ``memoryview``
 of the frame and fills one fresh ``int64`` array.
+
+The same layout defines what a mask seed expands to
+(:mod:`repro.crypto.prg`): a mask over ``2**b`` is the unpacking of its
+seed's SHA-256 counter stream, so there is one definition of "a b-bit
+vector as bytes" on the wire and in the PRG.
 """
 
 from __future__ import annotations
@@ -73,8 +78,16 @@ def _pack_numpy(values: np.ndarray, bits: int) -> np.ndarray:
     return out.reshape(-1).view(np.uint8)[: packed_nbytes(n, bits)]
 
 
-def _unpack_numpy(data: np.ndarray, count: int, bits: int) -> np.ndarray:
-    """``count`` elements of the ``uint8`` stream ``data`` (fallback path)."""
+def bit_fields(data: np.ndarray, count: int, bits: int) -> np.ndarray:
+    """The first ``count`` ``bits``-wide fields of the ``uint8`` stream ``data``.
+
+    The numpy loop under :func:`unpack_bits`, which adds what a received
+    frame needs — exact length, zero pad bits.  On its own it is how
+    :mod:`repro.crypto.prg` reads a mask out of a seed's counter stream,
+    where whatever follows the last element is more stream, not padding,
+    and is ignored: ``data`` is the ``ceil(count·bits/8)`` bytes that
+    hold the fields.
+    """
     period, words, schedule = _column_schedule(bits)
     rows = -(-count // period)
     if data.size == rows * words * 8:
@@ -148,7 +161,7 @@ def unpack_bits(data, count: int, bits: int) -> np.ndarray:
         raise ValueError("non-zero pad bits after the last vector element")
     lib = native.load()
     if lib is None:
-        return _unpack_numpy(stream, count, bits)
+        return bit_fields(stream, count, bits)
     out = np.empty(count, dtype=np.int64)
     rc = lib.repro_unpack_bits(
         stream.ctypes.data, stream.size, count, bits, out.ctypes.data

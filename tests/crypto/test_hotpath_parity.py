@@ -18,7 +18,6 @@ from repro import native
 from repro.crypto.prg import (
     PRG,
     PRGReference,
-    draw_nbytes,
     expand_uniform,
     expand_uniform_batch,
 )
@@ -106,15 +105,6 @@ class TestPRGParity:
             PRGReference(seed).uniform_vector(65, 1 << 20),
         )
 
-    def test_draw_width_follows_the_ring(self):
-        # 4 stream bytes for a power-of-two ring up to 2**32, else 8.
-        for bits in range(0, 33):
-            assert draw_nbytes(1 << bits) == 4, bits
-        for bits in range(33, 64):
-            assert draw_nbytes(1 << bits) == 8, bits
-        for modulus in (3, 997, (1 << 20) + 17, (1 << 32) - 1, (1 << 32) + 1):
-            assert draw_nbytes(modulus) == 8, modulus
-
     @pytest.mark.parametrize("bits", [1, 8, 20, 31, 32, 33, 34, 62])
     @pytest.mark.parametrize("length", [1, 7, 8, 9, 257])
     def test_ring_width_draws_match_reference(self, bits, length):
@@ -131,16 +121,16 @@ class TestPRGParity:
             expand_uniform_batch([seed], length, modulus)[0], want
         )
 
-    def test_a_32_bit_draw_is_the_masked_big_endian_stream_word(self):
+    def test_a_ring_draw_is_a_bit_field_of_the_little_endian_stream(self):
+        # Element i is bits [i·b, (i+1)·b) of the stream — b/8 bytes an
+        # element, no word is cut down and thrown away.
         seed = b"w" * 32
-        stream = PRGReference(seed).read(4 * 11)
-        words = [
-            int.from_bytes(stream[4 * i : 4 * i + 4], "big") for i in range(11)
-        ]
-        np.testing.assert_array_equal(
-            expand_uniform(seed, 11, 1 << 20), [w & 0xFFFFF for w in words]
-        )
-        np.testing.assert_array_equal(expand_uniform(seed, 11, 1 << 32), words)
+        stream = int.from_bytes(PRGReference(seed).read(64), "little")
+        for bits, count in ((20, 25), (32, 16), (33, 15), (62, 8)):
+            np.testing.assert_array_equal(
+                expand_uniform(seed, count, 1 << bits),
+                [(stream >> (i * bits)) & ((1 << bits) - 1) for i in range(count)],
+            )
 
     def test_non_power_of_two_modulus_stays_on_8_byte_draws(self):
         seed = b"n" * 32
@@ -154,11 +144,11 @@ class TestPRGParity:
         )
 
     def test_stream_position_after_a_vector_matches_reference(self):
-        # Eight 20-bit draws are one 32-byte block, not two: the next
-        # read must continue from block 1 on both implementations.
+        # Twelve 20-bit draws are 30 bytes — one 32-byte block, not two:
+        # the next read must continue from block 1 on both implementations.
         fast, ref = PRG(b"p" * 32), PRGReference(b"p" * 32)
         np.testing.assert_array_equal(
-            fast.uniform_vector(8, 1 << 20), ref.uniform_vector(8, 1 << 20)
+            fast.uniform_vector(12, 1 << 20), ref.uniform_vector(12, 1 << 20)
         )
         tail = ref.read(32)
         assert fast.read(32) == tail
@@ -415,11 +405,63 @@ class TestMaskAccumulatorParity:
             )
             assert got.min() >= 0 and int(got.max()) < modulus
 
+    @pytest.mark.parametrize(
+        "modulus, n_seeds, deferred",
+        [
+            (1 << 20, 6, True),
+            (1 << 62, 1, True),  # 2·(2⁶² − 1) < 2⁶³: the last ring with headroom
+            (1 << 62, 2, False),  # 3·(2⁶² − 1) ≥ 2⁶³: per-term reduction
+            (1 << 62, 6, False),
+            ((1 << 20) + 17, 6, True),  # not a power of two: 64-bit word draws
+        ],
+    )
+    def test_seed_folding_matches_reference_on_both_sides_of_the_guard(
+        self, modulus, n_seeds, deferred
+    ):
+        # fold_seed adds the expansion in place under the guard and
+        # expands-then-reduces without it: the same left fold either way.
+        rng = random.Random(41)
+        dim = 300  # crosses a 256-element block group
+        base = self._masks(rng, 1, dim, modulus)[0]
+        seeds = [(rng.randbytes(32), rng.choice([1, -1])) for _ in range(n_seeds)]
+        acc = MaskAccumulator(base, modulus, n_terms=1 + n_seeds)
+        assert acc._deferred is deferred
+        for seed, sign in seeds:
+            acc.fold_seed(seed, sign)
+        terms = [
+            (PRGReference(seed).uniform_vector(dim, modulus), sign)
+            for seed, sign in seeds
+        ]
+        got = acc.finish()
+        np.testing.assert_array_equal(
+            got, accumulate_signed_masks_reference(base, terms, modulus)
+        )
+        assert got.min() >= 0 and int(got.max()) < modulus
+
+    def test_seed_folding_mixes_with_vector_terms_and_counts_as_one(self):
+        modulus = 1 << 20
+        rng = random.Random(43)
+        base, vector = self._masks(rng, 2, 40, modulus)
+        acc = MaskAccumulator(base, modulus, n_terms=3)
+        acc.fold_seed(b"s" * 32, -1)
+        acc.sub(vector)
+        with pytest.raises(ValueError, match="more masks"):
+            acc.fold_seed(b"t" * 32, 1)
+        np.testing.assert_array_equal(
+            acc.finish(),
+            accumulate_signed_masks_reference(
+                base,
+                [(PRGReference(b"s" * 32).uniform_vector(40, modulus), -1), (vector, -1)],
+                modulus,
+            ),
+        )
+
     def test_base_is_never_mutated(self):
         base = np.arange(8, dtype=np.int64)
         keep = base.copy()
-        acc = MaskAccumulator(base, 1 << 20, n_terms=2)
+        acc = MaskAccumulator(base, 1 << 20, n_terms=3)
         acc.add(np.ones(8, dtype=np.int64))
+        acc.fold_seed(b"b" * 32, 1)
         acc.finish()
         np.testing.assert_array_equal(base, keep)
 

@@ -92,8 +92,8 @@ class TestAdversarialHandshake:
             return listener, exc
 
         listener, exc = asyncio.run(scenario())
-        assert WIRE_VERSION == 4
-        assert f"speaks wire version {old}, listener speaks 4" in str(exc)
+        assert WIRE_VERSION == 5
+        assert f"speaks wire version {old}, listener speaks 5" in str(exc)
         assert listener.rejected == 1 and listener.accepted == 0
 
     def test_version_1_hello_refused_by_name(self):
@@ -105,6 +105,11 @@ class TestAdversarialHandshake:
     def test_version_3_hello_refused_by_name(self):
         # Same frames, different seed → noise expansion: refused at HELLO.
         self._refuse_hello_of_version(3)
+
+    def test_version_4_hello_refused_by_name(self):
+        # Same frames, different seed → mask expansion: refused at HELLO,
+        # before a round can return a silently wrong aggregate.
+        self._refuse_hello_of_version(4)
 
     def test_bad_auth_token_rejected(self):
         async def scenario():

@@ -174,6 +174,21 @@ class TestUnmaskPlaneParity:
         assert n_terms_floor * (config.modulus - 1) >= 2**63
         assert_plane_parity(server, messages, inputs)
 
+    @pytest.mark.parametrize("bits", [20, 33])
+    def test_folded_seeds_match_reference_past_one_stream_slab(self, bits):
+        # d = 1031 crosses the 256-element block groups and the kernel's
+        # 768-element slab; every (seed, ±1) term is folded straight into
+        # the aggregate (workers = 1) or a worker's partial (2, 4).
+        config = SecAggConfig(
+            threshold=4, bits=bits, dimension=1031, dh_group="modp512"
+        )
+        rng = random.Random(606)
+        inputs = ring_inputs(rng, range(1, 9), 1031, config.modulus)
+        dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {3, 6, 8}})
+        server, messages = build_unmask_state(config, inputs, dropout)
+        assert server.dropped_after_masking == [3, 6, 8]
+        assert_plane_parity(server, messages, inputs, workers=(1, 2, 4))
+
     def test_workers_auto_matches_serial(self):
         config = SecAggConfig(
             threshold=3, bits=20, dimension=16, dh_group="modp512"

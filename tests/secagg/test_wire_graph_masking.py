@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.secagg.graph import CompleteGraph, KRegularGraph, recommended_degree
-from repro.secagg.masking import pairwise_mask, self_mask
+from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import SharePayload
 from repro.utils.rng import derive_seed
 from repro.wire import CodecError, encode_value
@@ -48,24 +49,42 @@ class TestWire:
             Share.from_bytes(b"\x00" * 5)
 
 
+def _folded(terms, dimension, modulus) -> np.ndarray:
+    """``Σ sign·PRG(seed) mod R`` as the protocol computes it: every seed
+    folded into one accumulator, no mask vector in between."""
+    acc = MaskAccumulator(
+        np.zeros(dimension, dtype=np.int64), modulus, n_terms=1 + len(terms)
+    )
+    for seed, sign in terms:
+        acc.fold_seed(seed, sign)
+    return acc.finish()
+
+
+def _pairwise_oracle(seed, u, v, dimension, modulus) -> np.ndarray:
+    """p_{u,v} = γ·PRG(s_{u,v}) as Fig. 5 writes it, on the reference PRG."""
+    base = PRGReference(seed).uniform_vector(dimension, modulus)
+    return base if u > v else (-base) % modulus
+
+
 class TestMasking:
     def test_pairwise_masks_cancel(self):
         seed = derive_seed("pair", 1, 2)
         modulus = 1 << 20
-        a = pairwise_mask(seed, 2, 1, 64, modulus)
-        b = pairwise_mask(seed, 1, 2, 64, modulus)
+        a = _folded([(seed, 1)], 64, modulus)  # as client 2 sees it
+        b = _folded([(seed, -1)], 64, modulus)  # as client 1 sees it
+        np.testing.assert_array_equal(a, _pairwise_oracle(seed, 2, 1, 64, modulus))
+        np.testing.assert_array_equal(b, _pairwise_oracle(seed, 1, 2, 64, modulus))
         np.testing.assert_array_equal((a + b) % modulus, np.zeros(64, dtype=np.int64))
 
-    def test_self_pair_is_zero(self):
-        assert not pairwise_mask(b"s", 3, 3, 16, 1 << 10).any()
-
     def test_self_mask_deterministic(self):
-        np.testing.assert_array_equal(
-            self_mask(b"b-seed", 32, 1 << 20), self_mask(b"b-seed", 32, 1 << 20)
-        )
+        want = PRGReference(b"b-seed").uniform_vector(32, 1 << 20)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                _folded([(b"b-seed", 1)], 32, 1 << 20), want
+            )
 
     def test_masks_cover_full_range(self):
-        m = self_mask(b"range", 5000, 1 << 16)
+        m = _folded([(b"range", 1)], 5000, 1 << 16)
         assert m.min() >= 0 and m.max() < (1 << 16)
         assert m.max() > (1 << 15)  # uses the upper half too
 
@@ -76,11 +95,16 @@ class TestMasking:
         ids = [3, 7, 11, 19]
         total = np.zeros(16, dtype=np.int64)
         for u in ids:
-            for v in ids:
-                if u == v:
-                    continue
-                seed = derive_seed("pair", min(u, v), max(u, v))
-                total = (total + pairwise_mask(seed, u, v, 16, modulus)) % modulus
+            peers = [v for v in ids if v != u]
+            seeds = {v: derive_seed("pair", min(u, v), max(u, v)) for v in peers}
+            mine = _folded(
+                [(seeds[v], 1 if u > v else -1) for v in peers], 16, modulus
+            )
+            oracle = sum(
+                _pairwise_oracle(seeds[v], u, v, 16, modulus) for v in peers
+            ) % modulus
+            np.testing.assert_array_equal(mine, oracle)
+            total = (total + mine) % modulus
         np.testing.assert_array_equal(total, np.zeros(16, dtype=np.int64))
 
 

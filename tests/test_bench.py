@@ -58,6 +58,8 @@ class TestBenchEntrypoint:
             "prg_expand_d64",
             "dh_agree_modp512",
             "dh_agree_modp2048",
+            "mask_fold_d1048576_b20",
+            "mask_fold_d262144_b20",
             "skellam_expand_d131072_var228000000",
             "skellam_expand_d131072_var2500000000",
             "shamir_share",

@@ -2,10 +2,10 @@
 
 ``native.load()`` returning ``None`` used to be a memoized secret.  It
 now emits one ``RuntimeWarning`` per process naming the reason, and the
-pure-Python/numpy path it falls back to — PRG expansion, the
-masked-vector bit packer, Skellam noise expansion *and* modular
-exponentiation (``pow``) — must produce the same frames, masks, noise
-vectors, keys, signatures and aggregates as the C kernel.  Each side
+pure-Python/numpy path it falls back to — PRG expansion, mask folding,
+the masked-vector bit packer, Skellam noise expansion *and* modular
+exponentiation (``pow``) — must produce the same frames, masks, masked
+vectors, noise vectors, keys, signatures and aggregates as the C kernel.  Each side
 runs in a fresh interpreter (the load outcome is memoized per process)
 with the process's randomness replaced by one fixed stream, so DH
 secrets, Schnorr nonces, Shamir coefficients, noise seeds and AE nonces
@@ -23,8 +23,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: One serialized SecAgg round with a dropout (so the coordinator
-#: re-derives masks too), one XNoise round that removes noise directly
-#: and through stage 5, a fixed frame, and fixed expansions — run under
+#: re-derives masks too), a second, wider one whose masked vectors are
+#: kept as uploaded, one XNoise round that removes noise directly and
+#: through stage 5, a fixed frame, and fixed expansions — run under
 #: ``warnings.catch_warnings`` so every announcement is counted.
 SCRIPT = r"""
 import hashlib, itertools, json, secrets, warnings
@@ -73,11 +74,15 @@ with warnings.catch_warnings(record=True) as caught:
             b"round:0|u3:1,2,3,5", signature)
         signatures.update(signature.to_bytes())
 
-    # Every frame the round puts on the wire, in order.
+    # Every frame the round puts on the wire, in order, and every
+    # masked vector a client uploads.
     round_frames = hashlib.sha256()
+    masked_vectors = hashlib.sha256()
     def _recording(kind, payload):
         frame = encode_payload_frame(kind, payload)
         round_frames.update(frame)
+        if isinstance(payload, MaskedInputMsg):
+            masked_vectors.update(payload.masked_vector.tobytes())
         return frame
     wire_codecs.encode_payload_frame = _recording
 
@@ -92,6 +97,21 @@ with warnings.catch_warnings(record=True) as caught:
         config, inputs, DropoutSchedule.before_upload({4}), engine=engine
     ))
     expected = sum(inputs[u] for u in result.u3) % config.modulus
+
+    # A plain round past one stream slab (d = 1000 > 768 elements at 20
+    # bits) with two clients lost after ShareKeys: every survivor folds
+    # six seeds into its input, the coordinator folds the survivors'
+    # self masks and the dropped clients' pairwise masks back out.
+    wide = SecAggConfig(threshold=4, bits=20, dimension=1000, dh_group="modp512")
+    wide_inputs = {
+        u: rng.integers(0, wide.modulus, size=wide.dimension, dtype=np.int64)
+        for u in range(1, 8)
+    }
+    wide_result = run_sync(arun_secagg_round(
+        wide, wide_inputs, DropoutSchedule.before_upload({2, 6}),
+        engine=RoundEngine(transport=SerializingTransport()),
+    ))
+    wide_expected = sum(wide_inputs[u] for u in wide_result.u3) % wide.modulus
 
     # A whole XNoise round on the strip sampler (σ² = 2²⁴ ≥ 2²⁰): every
     # client adds T+1 components, the coordinator removes the excess —
@@ -127,8 +147,11 @@ with warnings.catch_warnings(record=True) as caught:
         assert np.array_equal(back.masked_vector, vector) and back.bits == bits
         digest.update(frame)
     masks = hashlib.sha256()
-    for modulus in (1 << 20, 1 << 32, 1 << 33, 997):
-        masks.update(expand_uniform(b"k" * 32, 1000, modulus).tobytes())
+    for modulus in (1 << 20, 1 << 32, 1 << 33, 1 << 58, 997):
+        vector = expand_uniform(b"k" * 32, 1000, modulus)
+        masks.update(vector.tobytes())
+        expand_uniform(b"j" * 32, 1000, modulus, out=vector, sign=-1)
+        masks.update(vector.tobytes())
     native.load()
     native.load()
 
@@ -141,6 +164,10 @@ print(json.dumps({
     "u3": result.u3,
     "aggregate_is_ring_sum": bool(np.array_equal(result.aggregate, expected)),
     "aggregate": hashlib.sha256(result.aggregate.tobytes()).hexdigest(),
+    "wide_u3": wide_result.u3,
+    "wide_aggregate_is_ring_sum": bool(np.array_equal(wide_result.aggregate, wide_expected)),
+    "wide_aggregate": hashlib.sha256(wide_result.aggregate.tobytes()).hexdigest(),
+    "masked_vectors": masked_vectors.hexdigest(),
     "frames": digest.hexdigest(),
     "masks": masks.hexdigest(),
     "noise": noise.hexdigest(),
@@ -180,10 +207,13 @@ class TestAnnouncedFallback:
         assert "pure Python/numpy" in message
         assert "key agreement" in message
         assert "noise expansion" in message
+        assert "mask folding" in message
 
     def test_fallback_round_is_correct(self, fallback):
         assert fallback["u3"] == [1, 2, 3, 5]
         assert fallback["aggregate_is_ring_sum"]
+        assert fallback["wide_u3"] == [1, 3, 4, 5, 7]
+        assert fallback["wide_aggregate_is_ring_sum"]
         assert fallback["xnoise_u3"] == [1, 3, 4, 5]
         assert fallback["xnoise_u6"] == [1, 3, 4]  # stage 5 recovered client 5's seed
         assert fallback["xnoise_removed"] == 4  # components k = 2 of four survivors
@@ -197,7 +227,8 @@ class TestAnnouncedFallback:
         assert kernel["announcements"] == []
         for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
                     "keys", "signatures", "round_frames", "noise", "xnoise_u3",
-                    "xnoise_u6", "xnoise_removed", "xnoise_aggregate"):
+                    "xnoise_u6", "xnoise_removed", "xnoise_aggregate", "wide_u3",
+                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors"):
             assert kernel[key] == fallback[key], key
 
 
@@ -248,7 +279,8 @@ class TestEveryReasonIsNamed:
         entry_points = {
             name: getattr(real, name)
             for name in ("repro_sha256_ctr", "repro_pack_bits", "repro_unpack_bits",
-                         "repro_modexp", "repro_skellam_fill", "repro_skellam_weight")
+                         "repro_modexp", "repro_skellam_fill", "repro_skellam_weight",
+                         "repro_mask_fold")
         }
         for name, fn in replaced.items():
             entry_points[name] = lambda *args, _fn=fn: _fn(real, *args)
@@ -290,6 +322,22 @@ class TestEveryReasonIsNamed:
         message = self._announcement(rearmed)
         assert "probe mismatch (Skellam noise expansion)" in message
         assert rearmed.modexp(rearmed.montgomery_context((1 << 128) - 159), 3, 5) is None
+
+    def test_wrong_mask_element_disables_the_whole_object(self, rearmed, monkeypatch):
+        # Right everywhere but in the element after the kernel's first
+        # slab of stream (768 elements at 20 bits).
+        def one_wrong_element(real, seed, seedlen, bits, sign, out, n):
+            rc = real.repro_mask_fold(seed, seedlen, bits, sign, out, n)
+            if n > 768:
+                out[768] ^= 1
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_mask_fold=one_wrong_element)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (mask folding)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+        assert not rearmed.mask_fold(b"k" * 32, 20, None, 1)
 
     def test_compiler_without_int128_keeps_the_rest_of_the_object(
         self, rearmed, monkeypatch

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.wire.bitpack import (
     _pack_numpy,
-    _unpack_numpy,
+    bit_fields,
     pack_bits_into,
     packed_nbytes,
     unpack_bits,
@@ -93,7 +93,7 @@ class TestNativeNumpyParity:
             assert bytes(_pack_numpy(values, bits)) == bytes(out), (bits, n)
             stream = np.frombuffer(bytes(out), dtype=np.uint8)
             np.testing.assert_array_equal(
-                _unpack_numpy(stream, n, bits), unpack_bits(out, n, bits)
+                bit_fields(stream, n, bits), unpack_bits(out, n, bits)
             )
 
     def test_fallback_reads_an_unaligned_frame_slice(self):
@@ -101,7 +101,7 @@ class TestNativeNumpyParity:
         frame = bytearray(b"xyz")  # odd offset: the stream is unaligned
         pack_bits_into(values, 20, frame)
         stream = np.frombuffer(frame, dtype=np.uint8, offset=3)
-        np.testing.assert_array_equal(_unpack_numpy(stream, 48, 20), values)
+        np.testing.assert_array_equal(bit_fields(stream, 48, 20), values)
 
 
 class TestStrictness:

@@ -61,10 +61,10 @@ class TestFrameAdversarial:
     def test_version_1_frame_refused_by_name(self):
         # Version 2 bit-packs masked inputs; a version-1 peer's frames
         # must fail to parse, not misparse.
-        assert f.WIRE_VERSION == 4
+        assert f.WIRE_VERSION == 5
         v1 = self.GOOD[:2] + b"\x01" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 1 \(speaking 4\)"
+            ValueError, match=r"unsupported frame version 1 \(speaking 5\)"
         ):
             f.decode_frame(v1)
 
@@ -73,7 +73,7 @@ class TestFrameAdversarial:
         # frames must fail to parse, not misparse.
         v2 = self.GOOD[:2] + b"\x02" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 2 \(speaking 4\)"
+            ValueError, match=r"unsupported frame version 2 \(speaking 5\)"
         ):
             f.decode_frame(v2)
 
@@ -83,9 +83,20 @@ class TestFrameAdversarial:
         # noise, so its frames are refused too.
         v3 = self.GOOD[:2] + b"\x03" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 3 \(speaking 4\)"
+            ValueError, match=r"unsupported frame version 3 \(speaking 5\)"
         ):
             f.decode_frame(v3)
+
+    def test_version_4_frame_refused_by_name(self):
+        # Version 5 kept the layout again and changed what a mask seed
+        # expands to (ring-width bit fields of the stream, not cut-down
+        # 32-bit words); a version-4 peer would mask and unmask with
+        # different pads and hand back a silently wrong aggregate.
+        v4 = self.GOOD[:2] + b"\x04" + self.GOOD[3:]
+        with pytest.raises(
+            ValueError, match=r"unsupported frame version 4 \(speaking 5\)"
+        ):
+            f.decode_frame(v4)
 
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]
