@@ -1,6 +1,6 @@
 """headroom-guard: deferred modular accumulation carries the 2**63 guard.
 
-The hot planes (``MaskAccumulator``, ``SecAggServer.collect_unmask``)
+The hot planes (``MaskAccumulator``, ``XNoiseServer.remove_excess_noise``)
 sum ring vectors raw in int64 and reduce once at the end — sound only
 while ``n_terms * (modulus - 1) < 2**63``.  ARCHITECTURE.md invariants
 9, 11 and 15 require every such accumulator to check that bound and
@@ -13,7 +13,7 @@ receives a ``+=``/``-=`` somewhere in a scope and a ``%=``-by-modulus
 reduction somewhere in the same scope:
 
 - local names are judged per *function* (the guard must sit in the same
-  function, as in ``collect_unmask``);
+  function, as in ``remove_excess_noise``);
 - ``self.attr`` targets are judged per *class* (the accumulate, the
   reduce, and the guard may live in different methods, as in
   ``MaskAccumulator.__init__`` / ``_fold`` / ``finish``).

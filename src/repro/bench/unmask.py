@@ -18,6 +18,7 @@ masking to set up a measurement the coordinator finishes in seconds.
 
 from __future__ import annotations
 
+import os
 import platform
 import time
 from typing import Any, Optional
@@ -187,6 +188,7 @@ def run_unmask(
         "bits": bits,
         "seed": seed,
         "prg_backend": native.backend_name(),
+        "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

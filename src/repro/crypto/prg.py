@@ -50,7 +50,6 @@ it, so a mask that is about to be summed is never materialised;
 from __future__ import annotations
 
 import hashlib
-import itertools
 import sys
 import threading
 from typing import Optional, Sequence
@@ -362,25 +361,20 @@ def expand_uniform_batch(
     seeds: Sequence[bytes],
     length: int,
     modulus: int,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
     signs: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """:func:`expand_uniform` over ``k`` seeds, ``signs[i]`` (default +1) each.
+    """:func:`expand_uniform` over ``k`` seeds into one accumulator.
 
-    Given ``out`` (one ``(length,)`` accumulator) every signed mask is
-    added into it and no row is ever materialised — the coordinator's
-    unmask plane folds ~|U3| + |U2\\U3|·degree seeds a round through
-    this.  Without it, returns the ``(k, length)`` matrix whose row
-    ``i`` is ``signs[i]·expand_uniform(seeds[i], …)``.
+    Adds ``signs[i]·mask(seeds[i])`` (default +1 each) into ``out``, one
+    ``(length,)`` int64 vector, and returns it; no mask is ever
+    materialised.  One slab of the coordinator's unmask fan-out
+    (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`).
     """
     if signs is None:
         signs = [1] * len(seeds)
     elif len(signs) != len(seeds):
         raise ValueError("signs must name one sign per seed")
-    if out is None:
-        out = targets = np.zeros((len(seeds), length), dtype=np.int64)
-    else:
-        targets = itertools.repeat(out)
-    for seed, sign, target in zip(seeds, signs, targets):
-        expand_uniform(seed, length, modulus, out=target, sign=sign)
+    for seed, sign in zip(seeds, signs):
+        expand_uniform(seed, length, modulus, out=out, sign=sign)
     return out

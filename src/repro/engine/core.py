@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from repro.engine.arbiter import AsyncResourceArbiter
-from repro.parallel import WorkerPool
 from repro.engine.timing import OpTiming, stage_groups
 from repro.engine.transport import (
     Channel,
@@ -203,19 +202,10 @@ class RoundEngine:
         transport: Optional[Transport] = None,
         timing: Optional[OpTiming] = None,
         trace: Optional[ExecutionTrace] = None,
-        offload: Optional["WorkerPool"] = None,
     ):
         self.transport = transport or InProcessTransport()
         self.timing = timing or OpTiming()
         self.trace = trace if trace is not None else ExecutionTrace()
-        # Executor offload for heavy server compute ops: a server class
-        # lists op names in ``offload_ops`` and the engine runs those on
-        # the pool's executor, so (e.g.) the unmask plane no longer
-        # stalls the listener's event loop mid-round.  ``None`` — and a
-        # serial pool — run every server op inline, exactly as before;
-        # results are identical either way (one op, one thread, same
-        # arguments), only the loop's responsiveness changes.
-        self._offload = offload
         self._resource_free: dict[str, float] = {}
         self._round_serial = 0
         self._submit_serial = 0
@@ -594,13 +584,7 @@ class RoundEngine:
                     stage_down += down
                     stage_up += up
                 else:
-                    method = server.operation_method(op)
-                    if self._offload is not None and op in getattr(
-                        server, "offload_ops", ()
-                    ):
-                        carry = await self._offload.run_async(method, carry)
-                    else:
-                        carry = method(carry)
+                    carry = server.operation_method(op)(carry)
                     duration = timing.duration(
                         op, resource,
                         n_chunks=n_chunks, chunk_index=chunk_index,

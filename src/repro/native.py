@@ -41,9 +41,10 @@ Design constraints, in order:
 
 The kernel itself dispatches at runtime between a portable scalar
 SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~10× again over
-scalar C).  ``ctypes`` releases the GIL around the foreign call, so
-:class:`repro.parallel.WorkerPool` fan-out scales the native path across
-cores too.
+scalar C).  ``ctypes`` releases the GIL around the foreign call, which
+is what lets the coordinator's one thread fan-out
+(:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`) fold masks on
+several cores at once.
 """
 
 from __future__ import annotations

@@ -40,9 +40,7 @@ from repro.pipeline.chunking import (
     chunk_boundaries,
     split_vector,
     concat_chunks,
-    run_chunked_aggregation,
 )
-from repro.pipeline.profiler import OnlineProfiler, ProfileNotReady
 
 __all__ = [
     "Resource",
@@ -65,7 +63,4 @@ __all__ = [
     "chunk_boundaries",
     "split_vector",
     "concat_chunks",
-    "run_chunked_aggregation",
-    "OnlineProfiler",
-    "ProfileNotReady",
 ]

@@ -5,15 +5,12 @@ every client's update into m chunks turns one aggregation task into m
 *independent* chunk-aggregation sub-tasks whose results concatenate back
 — ``Σᵢ Δᵢ = (Σᵢ Δᵢ,1) ∥ … ∥ (Σᵢ Δᵢ,m)``.  The timing side of pipelining
 lives in :mod:`repro.pipeline.scheduler`; this module is the *functional*
-side: the split/concat operators and a driver that actually runs m
-protocol rounds over the chunks, used to validate that chunked execution
-preserves the aggregate (and, with XNoise, the per-coordinate noise
-level).
+side: the split/concat operators
+:meth:`repro.engine.RoundEngine.run_chunked_round` runs its m protocol
+sub-rounds between.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -51,28 +48,3 @@ def concat_chunks(chunks: list[np.ndarray]) -> np.ndarray:
     if not chunks:
         raise ValueError("no chunks to concatenate")
     return np.concatenate(chunks)
-
-
-def run_chunked_aggregation(
-    inputs: dict[int, np.ndarray],
-    n_chunks: int,
-    aggregate_chunk: Callable[[dict[int, np.ndarray], int], np.ndarray],
-) -> np.ndarray:
-    """Run one aggregation as m independent chunk sub-tasks.
-
-    ``aggregate_chunk(chunk_inputs, chunk_index)`` runs one sub-task —
-    e.g. one full XNoise+SecAgg round over the chunk — and returns the
-    chunk aggregate.  Results are concatenated in chunk order, matching
-    the §4.1 identity.
-    """
-    if not inputs:
-        raise ValueError("no inputs")
-    dimension = next(iter(inputs.values())).shape[0]
-    if any(v.shape != (dimension,) for v in inputs.values()):
-        raise ValueError("all inputs must share one dimension")
-    per_client_chunks = {u: split_vector(v, n_chunks) for u, v in inputs.items()}
-    results = []
-    for j in range(n_chunks):
-        chunk_inputs = {u: chunks[j] for u, chunks in per_client_chunks.items()}
-        results.append(np.asarray(aggregate_chunk(chunk_inputs, j)))
-    return concat_chunks(results)

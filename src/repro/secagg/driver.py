@@ -292,12 +292,4 @@ def run_secagg_round_reference(
     server = SecAggServer(config, pki=pki, round_index=round_index)
 
     aggregate, _, _ = run_reference_stages(clients, server, inputs, dropout)
-
-    return RoundResult(
-        aggregate=aggregate,
-        u1=list(server.u1),
-        u2=list(server.u2),
-        u3=list(server.u3),
-        u4=list(server.u4),
-        u5=list(server.u5),
-    )
+    return server.round_result(aggregate)

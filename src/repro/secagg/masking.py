@@ -19,9 +19,13 @@ straight into the running sum.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional, Sequence
+
 import numpy as np
 
-from repro.crypto.prg import expand_uniform
+from repro.crypto.prg import expand_uniform, expand_uniform_batch
 
 
 def in_ring(vector: np.ndarray, modulus: int) -> bool:
@@ -117,6 +121,51 @@ class MaskAccumulator:
             )
         else:
             self._fold(expand_uniform(seed, self._acc.size, self._modulus), sign)
+
+    def fold_seeds(
+        self, terms: Sequence[tuple[bytes, int]], workers: Optional[int] = 1
+    ) -> None:
+        """:meth:`fold_seed` every ``(seed, ±1)`` term, on ``workers`` threads.
+
+        The coordinator's unmask fan-out, and the one place that knows
+        about threads (``None``: one per core).  Under the deferral
+        guard the terms split into contiguous slabs: the first folds
+        into the sum itself, each further one into a zeroed partial of
+        its own — the mask kernel and numpy's large-vector adds release
+        the GIL — and the partials are added at the end.  Every partial
+        is an exact int64 sum of in-ring terms, so the headroom proof
+        above covers the total whatever the slab boundaries, and the
+        result is bit-identical at any ``workers`` (pinned by test).
+        Without headroom, or with one worker or one term, this is the
+        loop over :meth:`fold_seed`; more terms than ``n_terms`` left
+        room for are refused before any is folded.
+        """
+        if len(terms) > self._remaining:
+            raise ValueError("more masks added than n_terms declared")
+        if workers is None:
+            workers = os.cpu_count() or 1
+        workers = min(workers, len(terms))
+        if not self._deferred or workers <= 1:
+            for seed, sign in terms:
+                self.fold_seed(seed, sign)
+            return
+        self._remaining -= len(terms)
+        bounds = [len(terms) * i // workers for i in range(workers + 1)]
+        partials = [self._acc] + [
+            np.zeros_like(self._acc) for _ in range(workers - 1)
+        ]
+
+        def fold(start: int, stop: int, part: np.ndarray) -> None:
+            seeds, signs = zip(*terms[start:stop])
+            expand_uniform_batch(
+                seeds, part.size, self._modulus, out=part, signs=signs
+            )
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # list(): read every result, so a worker's exception raises here.
+            list(pool.map(fold, bounds[:-1], bounds[1:], partials))
+        for part in partials[1:]:
+            self._acc += part
 
     def finish(self) -> np.ndarray:
         """The accumulated sum, reduced into ``[0, modulus)``."""

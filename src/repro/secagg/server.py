@@ -19,14 +19,14 @@ import numpy as np
 
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.prg import PRGReference, expand_uniform_batch
+from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
-from repro.parallel import WorkerPool, split_slabs
 from repro.secagg.masking import MaskAccumulator, in_ring
 from repro.secagg.types import (
     AdvertiseKeysMsg,
     MaskedInputMsg,
     ProtocolAbort,
+    RoundResult,
     SecAggConfig,
     UnmaskingMsg,
 )
@@ -162,100 +162,54 @@ class SecAggServer:
 
             z = Σ_{u∈U3} y_u − Σ_{u∈U3} PRG(b_u) − Σ γ_{v,u}·PRG(s_{v,u})
 
-        is computed as one deferred-reduction int64 accumulation: every
-        term folds in raw (the pairwise sign γ folds into the sum — no
-        ``(−mask) % R`` materialization) and the vector is reduced into
-        ``[0, R)`` exactly once at the end.  No mask is ever a vector:
-        each ``(seed, ±1)`` term is expanded *into* the aggregate by
-        :func:`expand_uniform_batch`.  Secrets are recovered
-        through :meth:`ShamirSecretSharing.reconstruct_many`, which
-        computes the Lagrange-at-zero coefficients once per share-holder
-        set; mask folding and reconstruction fan across a
-        :class:`repro.parallel.WorkerPool` sized by ``config.workers``
-        (``workers=1`` is purely inline and serial): the terms split
-        into contiguous slabs, the first folds into the aggregate
-        itself and every further worker into one partial of its own.
-        Partials are exact int64 sums, so the aggregate is bit-identical
-        at every ``workers`` setting and to
-        :meth:`collect_unmask_reference` (both pinned by test).
-
-        Headroom guard: the deferred signed sum has magnitude at most
-        ``n_terms · (modulus − 1)``; when that (or the modulus itself)
-        would not fit int64, the plane falls back to per-term reduced
-        accumulation through :class:`MaskAccumulator`, whose internal
-        guard makes the same call.
+        is one :class:`MaskAccumulator`: the survivors' vectors and every
+        ``(seed, ±1)`` term fold into it raw (the pairwise sign γ folds
+        into the sum, no mask is ever a vector) and it reduces once —
+        or per term when the ring leaves no int64 headroom; the guard,
+        and the ``config.workers`` fan-out of the seed folds, are the
+        accumulator's.  Secrets are reconstructed one by one in the
+        reference twin's order (survivors' b_u, then dropped clients'
+        s^SK), so a failed reconstruction aborts with the identical
+        message.  The aggregate is bit-identical at every ``workers``
+        setting and to :meth:`collect_unmask_reference` (pinned by test).
         """
         good = self._accept_unmask(messages)
-        modulus = self.config.modulus
-        dim = self.config.dimension
-        dropped = self.dropped_after_masking
         ss = ShamirSecretSharing(self.config.threshold)
-
-        # One reconstruction job per secret, in the reference twin's
-        # order (survivors' b_u first, then dropped clients' s^SK) so a
-        # failed reconstruction aborts with the identical message.
-        jobs: list[tuple[list[Share], str]] = [
+        # Survivors' self masks subtract; a dropped u's pairwise mask
+        # p_{v,u} = γ·PRG(s_{v,u}) with γ = +1 iff v > u is *subtracted*,
+        # so the raw expansion folds with sign −γ.
+        terms: list[tuple[bytes, int]] = [
             (
-                [m.b_shares[u] for m in good.values() if u in m.b_shares],
-                f"self-mask seed of {u}",
+                self._reconstruct(
+                    ss,
+                    [m.b_shares[u] for m in good.values() if u in m.b_shares],
+                    f"self-mask seed of {u}",
+                ),
+                -1,
             )
             for u in self.u3
         ]
-        jobs += [
-            (
+        for u in self.dropped_after_masking:
+            sk_bytes = self._reconstruct(
+                ss,
                 [m.s_sk_shares[u] for m in good.values() if u in m.s_sk_shares],
                 f"mask key of {u}",
             )
-            for u in dropped
-        ]
+            pair = DHKeyPair(secret=int.from_bytes(sk_bytes, "big"), public=0)
+            for v in sorted(self.graph.get(u, set()) & set(self.u3)):
+                seed = self._ka.agree(pair, self._s_publics[v])
+                terms.append((seed, -1 if v > u else 1))
 
-        with WorkerPool(self.config.workers) as pool:
-            secrets = self._reconstruct_batch(ss, jobs, pool)
-            b_seeds = secrets[: len(self.u3)]
-
-            # The signed expansion terms: survivors' self masks subtract;
-            # a dropped u's pairwise mask p_{v,u} = γ·PRG(s_{v,u}) with
-            # γ = +1 iff v > u is *subtracted*, so the raw expansion
-            # folds with sign −γ.
-            terms: list[tuple[bytes, int]] = [(seed, -1) for seed in b_seeds]
-            for u, sk_bytes in zip(dropped, secrets[len(self.u3):]):
-                pair = DHKeyPair(secret=int.from_bytes(sk_bytes, "big"), public=0)
-                for v in sorted(self.graph.get(u, set()) & set(self.u3)):
-                    seed = self._ka.agree(pair, self._s_publics[v])
-                    terms.append((seed, -1 if v > u else 1))
-
-            n_terms = 1 + len(self.u3) + len(terms)
-            if modulus > 2**63 or n_terms * (modulus - 1) >= 2**63:
-                # No int64 headroom: fold every term with interleaved
-                # reductions (MaskAccumulator's guard picks that path for
-                # exactly this n_terms/modulus combination).
-                acc = MaskAccumulator(
-                    np.zeros(dim, dtype=np.int64), modulus, n_terms=n_terms
-                )
-                for u in self.u3:
-                    acc.add(self._masked[u])
-                for seed, sign in terms:
-                    acc.fold_seed(seed, sign)
-                return acc.finish()
-
-            aggregate = np.zeros(dim, dtype=np.int64)
-            for u in self.u3:
-                aggregate += self._masked[u]
-
-            # One slab of terms per worker: the first folds into the
-            # aggregate itself, each further one into a partial of its own.
-            slabs = split_slabs(terms, pool.workers)
-            parts = [aggregate] + [np.zeros_like(aggregate) for _ in slabs[1:]]
-
-            def fold(job: tuple[list[tuple[bytes, int]], np.ndarray]) -> np.ndarray:
-                slab, part = job
-                seeds, signs = zip(*slab)
-                return expand_uniform_batch(seeds, dim, modulus, out=part, signs=signs)
-
-            for part in pool.map(fold, list(zip(slabs, parts)))[1:]:
-                aggregate += part
-            aggregate %= modulus
-            return aggregate
+        first, *others = self.u3
+        acc = MaskAccumulator(
+            self._masked[first],
+            self.config.modulus,
+            n_terms=len(self.u3) + len(terms),
+        )
+        for u in others:
+            acc.add(self._masked[u])
+        acc.fold_seeds(terms, self.config.workers)
+        return acc.finish()
 
     # ------------------------------------------------------------------
     def collect_unmask_reference(
@@ -308,6 +262,20 @@ class SecAggServer:
         return aggregate
 
     # ------------------------------------------------------------------
+    def round_result(
+        self, aggregate: np.ndarray, result_cls: type = RoundResult, **extra
+    ) -> RoundResult:
+        """The round's outcome: ``aggregate`` plus the participant sets."""
+        return result_cls(
+            aggregate=aggregate,
+            u1=list(self.u1),
+            u2=list(self.u2),
+            u3=list(self.u3),
+            u4=list(self.u4),
+            u5=list(self.u5),
+            **extra,
+        )
+
     def _accept_unmask(
         self, messages: dict[int, UnmaskingMsg]
     ) -> dict[int, UnmaskingMsg]:
@@ -317,31 +285,6 @@ class SecAggServer:
             raise ProtocolAbort(f"only {len(good)} unmask responses; below threshold")
         self.u5 = sorted(good)
         return good
-
-    def _reconstruct_batch(
-        self,
-        ss: ShamirSecretSharing,
-        jobs: list[tuple[list[Share], str]],
-        pool: WorkerPool,
-    ) -> list[bytes]:
-        """All secrets, reconstructed in slabs across the pool.
-
-        On any reconstruction failure, the jobs are replayed serially in
-        order so the abort carries the first failing secret's label —
-        identical to the reference twin's behavior.
-        """
-        share_lists = [shares for shares, _ in jobs]
-        try:
-            slabs = split_slabs(share_lists, pool.workers)
-            return [
-                secret
-                for batch in pool.map(ss.reconstruct_many, slabs)
-                for secret in batch
-            ]
-        except ValueError:
-            for shares, what in jobs:
-                self._reconstruct(ss, shares, what)
-            raise  # unreachable: the replay aborts at the failing job
 
     def _reconstruct(
         self, ss: ShamirSecretSharing, shares: list[Share], what: str

@@ -68,11 +68,12 @@ class SecAggConfig:
         Named Diffie–Hellman group ("modp2048" for deployment-grade keys,
         "modp512" for fast simulation/testing).
     workers:
-        Worker threads for the coordinator's unmask compute plane.
-        ``1`` (the default) is the purely inline serial path; ``None``
-        means one worker per available core.  Any setting produces the
-        bit-identical aggregate (pinned by test) — the fan-out reduces
-        with exact order-independent int64 sums.
+        Threads the coordinator folds recovered mask seeds on
+        (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`).
+        ``1`` (the default) is the inline serial loop; ``None`` means
+        one per available core.  Any setting produces the bit-identical
+        aggregate (pinned by test) — the fan-out adds exact int64
+        partial sums.
     """
 
     threshold: int

@@ -101,12 +101,6 @@ class SecAggWorkflowClient(ProtocolClient):
 class SecAggWorkflowServer(ProtocolServer):
     """Declared Fig.-5 workflow around one :class:`SecAggServer`."""
 
-    # Server compute ops heavy enough to offload to the engine's worker
-    # pool (when one is configured): the unmask plane expands and folds
-    # ~|U3| + |U2\U3|·degree full-length masks, and running it on an
-    # executor keeps the coordinator's event loop serving listener I/O.
-    offload_ops = frozenset({"collect_unmask"})
-
     def __init__(self, inner: SecAggServer):
         self.inner = inner
         self.config = inner.config
@@ -155,11 +149,4 @@ class SecAggWorkflowServer(ProtocolServer):
         )
 
     def collect_unmask(self, responses: dict) -> RoundResult:
-        return RoundResult(
-            aggregate=self.inner.collect_unmask(responses),
-            u1=list(self.inner.u1),
-            u2=list(self.inner.u2),
-            u3=list(self.inner.u3),
-            u4=list(self.inner.u4),
-            u5=list(self.inner.u5),
-        )
+        return self.inner.round_result(self.inner.collect_unmask(responses))

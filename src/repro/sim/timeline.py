@@ -298,9 +298,7 @@ class SimulatedRound:
     span's ``down_bytes``/``up_bytes`` (and hence ``traffic_bytes``,
     their sum).  Omitted (``None``), the direction contributes 0;
     with both omitted every replayed span reports 0 traffic, matching
-    in-process execution.  ``traffic`` is the retired undirected field:
-    spans are directional now, so passing it raises with a migration
-    hint instead of silently mis-attributing the bytes.
+    in-process execution.
     """
 
     resources: tuple
@@ -312,15 +310,6 @@ class SimulatedRound:
     round_index: int | None = None
     down_traffic: tuple | None = None
     up_traffic: tuple | None = None
-    traffic: tuple | None = None
-
-    def __post_init__(self) -> None:
-        if self.traffic is not None:
-            raise ValueError(
-                "SimulatedRound.traffic was undirected and is retired: "
-                "pass down_traffic/up_traffic (spans now carry the "
-                "per-direction split, and traffic_bytes is their sum)"
-            )
 
 
 def simulate_trace(rounds, initial_clocks=None) -> ExecutionTrace:

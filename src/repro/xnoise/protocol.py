@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.shamir import ShamirSecretSharing, random_seed
+from repro.crypto.shamir import ShamirSecretSharing, Share, random_seed
 from repro.dp.sampler import skellam_noise_from_seed, support_bound
 from repro.engine import RoundEngine, Targeted
 from repro.engine.core import run_sync
@@ -53,6 +53,7 @@ from repro.secagg.types import (
     RoundResult,
     SecAggConfig,
     STAGE_NOISE_REMOVAL,
+    UnmaskingMsg,
 )
 from repro.xnoise.decomposition import NoiseDecomposition
 
@@ -161,6 +162,9 @@ class XNoiseServer(SecAggServer):
         super().__init__(config.secagg, **kwargs)
         self.xconfig = config
         self.decomposition = config.decomposition()
+        # Stage-5 state, fixed by seed_requests().
+        self._revealed: dict[int, dict[int, bytes]] = {}
+        self._requested: dict[int, list[str]] = {}
 
     def n_dropped(self) -> int:
         """|D| = |U \\ U3| — sampled clients whose noise is missing."""
@@ -214,6 +218,96 @@ class XNoiseServer(SecAggServer):
         total %= modulus
         return total, removed
 
+    def seed_requests(
+        self, unmask_msgs: dict[int, UnmaskingMsg]
+    ) -> dict[int, list[str]]:
+        """Stage 5's question, from stage 4's answers.
+
+        Records the seeds U5 revealed directly and returns
+        ``{survivor: [seed labels]}`` to ask every U5 client for shares
+        of — the excess components of the survivors that dropped before
+        revealing (U3 \\ U5).  Empty when there is nothing to recover.
+        """
+        self._revealed = {
+            u: dict(m.revealed_seeds) for u, m in unmask_msgs.items()
+        }
+        labels = [seed_label(k) for k in self.removal_indices()]
+        unrevealed = sorted(set(self.u3) - set(self._revealed)) if labels else []
+        self._requested = {u: labels for u in unrevealed}
+        return self._requested
+
+    def _requested_shares(self, response: object):
+        """The ``(peer, label, share)`` entries of one stage-5 response
+        that :meth:`seed_requests` asked for; anything else is skipped."""
+        if not isinstance(response, dict):
+            return
+        for peer, found in response.items():
+            labels = self._requested.get(peer)
+            if labels is None or not isinstance(found, dict):
+                continue
+            for label, share in found.items():
+                if label in labels and isinstance(share, Share):
+                    yield peer, label, share
+
+    def finish_round(
+        self, aggregate: np.ndarray, responses: dict[int, object]
+    ) -> XNoiseResult:
+        """Stage 5 — ExcessiveNoiseRemoval — from U5's share responses.
+
+        ``aggregate`` is :meth:`collect_unmask`'s, ``responses`` the
+        answers to :meth:`seed_requests`.  Responders are untrusted:
+        only ``{requested peer: {requested label: Share}}`` from a U5
+        client is collected, everything else is ignored, and U6 is the
+        clients that contributed at least one requested share.  With
+        recovery pending and |U6| below the threshold the round aborts
+        by name, as does a seed that cannot be reconstructed.
+        """
+        collected: dict[int, dict[str, list[Share]]] = {
+            u: {label: [] for label in labels}
+            for u, labels in self._requested.items()
+        }
+        u6: list[int] = []
+        for v in sorted(set(responses) & set(self.u5)):
+            requested = list(self._requested_shares(responses[v]))
+            for peer, label, share in requested:
+                collected[peer][label].append(share)
+            if requested:
+                u6.append(v)
+        if collected and len(u6) < self.config.threshold:
+            raise ProtocolAbort(
+                f"only {len(u6)} stage-5 responders; below threshold"
+            )
+        ss = ShamirSecretSharing(self.config.threshold)
+        reconstructed = {
+            u: {
+                k: self._reconstruct(
+                    ss, shares[seed_label(k)], f"seed g_{{{u},{k}}}"
+                )
+                for k in self.removal_indices()
+            }
+            for u, shares in collected.items()
+        }
+        aggregate, removed = self.remove_excess_noise(
+            aggregate, self._revealed, reconstructed
+        )
+
+        n_dropped = self.n_dropped()
+        exceeded = n_dropped > self.xconfig.tolerance
+        if exceeded:
+            # Fewer survivors than |U|−T: aggregate noise is below target.
+            residual = len(self.u3) * self.decomposition.client_total_variance()
+        else:
+            residual = self.decomposition.residual_variance(n_dropped)
+        return self.round_result(
+            aggregate,
+            XNoiseResult,
+            u6=u6,
+            removed_noise_components=removed,
+            residual_variance=residual,
+            tolerance_exceeded=exceeded,
+            n_dropped=n_dropped,
+        )
+
 
 class XNoiseWorkflowServer(SecAggWorkflowServer):
     """Fig.-5 workflow extended with ExcessiveNoiseRemoval (stage 5)."""
@@ -226,82 +320,11 @@ class XNoiseWorkflowServer(SecAggWorkflowServer):
 
     def collect_unmask(self, responses: dict) -> Targeted:
         self._aggregate = self.inner.collect_unmask(responses)
-        self._revealed = {
-            u: dict(m.revealed_seeds) for u, m in responses.items()
-        }
-        self._removal = list(self.inner.removal_indices())
-        self._needs_recovery = (
-            sorted(set(self.inner.u3) - set(self._revealed))
-            if self._removal
-            else []
-        )
-        self._labels = {
-            u: [seed_label(k) for k in self._removal]
-            for u in self._needs_recovery
-        }
-        if self._needs_recovery:
-            return Targeted({v: self._labels for v in sorted(self.inner.u5)})
-        return Targeted({})
+        labels = self.inner.seed_requests(responses)
+        return Targeted({v: labels for v in self.inner.u5} if labels else {})
 
     def remove_noise(self, responses: dict) -> XNoiseResult:
-        removal, needs_recovery = self._removal, self._needs_recovery
-        collected: dict[int, dict[str, list]] = {
-            u: {lbl: [] for lbl in self._labels[u]} for u in needs_recovery
-        }
-        u6: list[int] = []
-        for v in sorted(responses):
-            response = responses[v]
-            if response:
-                u6.append(v)
-            for peer, found in response.items():
-                for lbl, share in found.items():
-                    collected[peer][lbl].append(share)
-        reconstructed: dict[int, dict[int, bytes]] = {}
-        if needs_recovery:
-            if len(u6) < self.config.threshold and removal:
-                raise ProtocolAbort(
-                    f"only {len(u6)} stage-5 responders; below threshold"
-                )
-            ss = ShamirSecretSharing(self.config.threshold)
-            for u in needs_recovery:
-                seeds: dict[int, bytes] = {}
-                for k in removal:
-                    shares = collected[u][seed_label(k)]
-                    try:
-                        seeds[k] = ss.reconstruct(shares)
-                    except ValueError as exc:
-                        raise ProtocolAbort(
-                            f"cannot reconstruct seed g_{{{u},{k}}}: {exc}"
-                        ) from exc
-                reconstructed[u] = seeds
-
-        aggregate, removed = self.inner.remove_excess_noise(
-            self._aggregate, self._revealed, reconstructed
-        )
-        n_dropped = self.inner.n_dropped()
-        xconfig = self.inner.xconfig
-        exceeded = n_dropped > xconfig.tolerance
-        residual = self.inner.decomposition.residual_variance(
-            min(n_dropped, xconfig.tolerance)
-        )
-        if exceeded:
-            # Fewer survivors than |U|−T: aggregate noise is below target.
-            residual = (xconfig.n_sampled - n_dropped) * (
-                self.inner.decomposition.client_total_variance()
-            )
-        return XNoiseResult(
-            aggregate=aggregate,
-            u1=list(self.inner.u1),
-            u2=list(self.inner.u2),
-            u3=list(self.inner.u3),
-            u4=list(self.inner.u4),
-            u5=list(self.inner.u5),
-            u6=u6,
-            removed_noise_components=removed,
-            residual_variance=residual,
-            tolerance_exceeded=exceeded,
-            n_dropped=n_dropped,
-        )
+        return self.inner.finish_round(self._aggregate, responses)
 
 
 def xnoise_round_components(
@@ -415,69 +438,10 @@ def run_xnoise_round_reference(
     aggregate, alive, unmask_msgs = run_reference_stages(
         clients, server, inputs, dropout
     )
-    u3 = server.u3
 
-    # Stage 5 — ExcessiveNoiseRemoval.
+    # Stage 5 — ExcessiveNoiseRemoval: the server asks, live U5 answers.
     alive -= dropout.dropped_by(STAGE_NOISE_REMOVAL)
-    removal = list(server.removal_indices())
-    revealed = {u: dict(m.revealed_seeds) for u, m in unmask_msgs.items()}
-    needs_recovery = sorted(set(u3) - set(revealed)) if removal else []
-    reconstructed: dict[int, dict[int, bytes]] = {}
-    u6: list[int] = []
-    if needs_recovery:
-        labels = {u: [seed_label(k) for k in removal] for u in needs_recovery}
-        collected: dict[int, dict[str, list]] = {
-            u: {lbl: [] for lbl in labels[u]} for u in needs_recovery
-        }
-        for v in sorted(alive & set(server.u5)):
-            response = clients[v].shares_of_extra_secret(labels)
-            if response:
-                u6.append(v)
-            for peer, found in response.items():
-                for lbl, share in found.items():
-                    collected[peer][lbl].append(share)
-        if len(u6) < secagg_cfg.threshold and removal:
-            raise ProtocolAbort(
-                f"only {len(u6)} stage-5 responders; below threshold"
-            )
-        ss = ShamirSecretSharing(secagg_cfg.threshold)
-        for u in needs_recovery:
-            seeds: dict[int, bytes] = {}
-            for k in removal:
-                shares = collected[u][seed_label(k)]
-                try:
-                    seeds[k] = ss.reconstruct(shares)
-                except ValueError as exc:
-                    raise ProtocolAbort(
-                        f"cannot reconstruct seed g_{{{u},{k}}}: {exc}"
-                    ) from exc
-            reconstructed[u] = seeds
-
-    aggregate, removed = server.remove_excess_noise(
-        aggregate, revealed, reconstructed
-    )
-
-    n_dropped = server.n_dropped()
-    exceeded = n_dropped > config.tolerance
-    residual = server.decomposition.residual_variance(
-        min(n_dropped, config.tolerance)
-    )
-    if exceeded:
-        # Fewer survivors than |U|−T: aggregate noise is below target.
-        residual = (config.n_sampled - n_dropped) * (
-            server.decomposition.client_total_variance()
-        )
-
-    return XNoiseResult(
-        aggregate=aggregate,
-        u1=list(server.u1),
-        u2=list(server.u2),
-        u3=list(server.u3),
-        u4=list(server.u4),
-        u5=list(server.u5),
-        u6=u6,
-        removed_noise_components=removed,
-        residual_variance=residual,
-        tolerance_exceeded=exceeded,
-        n_dropped=n_dropped,
-    )
+    labels = server.seed_requests(unmask_msgs)
+    asked = sorted(alive & set(server.u5)) if labels else []
+    responses = {v: clients[v].shares_of_extra_secret(labels) for v in asked}
+    return server.finish_round(aggregate, responses)

@@ -86,15 +86,17 @@ class TestPRGParity:
     @pytest.mark.parametrize(
         "modulus", [1, 997, 1 << 20, 1 << 62, (1 << 63) + 5]
     )
-    def test_expand_uniform_batch_rows_match_reference(self, modulus):
+    def test_expand_uniform_batch_sum_matches_reference(self, modulus):
         rng = random.Random(17)
         seeds = [rng.randbytes(32) for _ in range(5)]
-        out = expand_uniform_batch(seeds, 123, modulus)
-        assert out.shape == (5, 123) and out.dtype == np.int64
-        for row, seed in zip(out, seeds):
-            np.testing.assert_array_equal(
-                row, PRGReference(seed).uniform_vector(123, modulus)
-            )
+        out = expand_uniform_batch(
+            seeds, 123, modulus, out=np.zeros(123, dtype=np.int64)
+        )
+        # Raw int64 sums on both sides (they wrap alike past 2**63).
+        want = np.zeros(123, dtype=np.int64)
+        for seed in seeds:
+            want += PRGReference(seed).uniform_vector(123, modulus)
+        np.testing.assert_array_equal(out, want)
 
     def test_expand_uniform_long_seed_matches_reference(self):
         # Seeds longer than one padded SHA-256 block bypass the native
@@ -118,7 +120,10 @@ class TestPRGParity:
             PRG(seed).uniform_vector(length, modulus), want
         )
         np.testing.assert_array_equal(
-            expand_uniform_batch([seed], length, modulus)[0], want
+            expand_uniform_batch(
+                [seed], length, modulus, out=np.zeros(length, dtype=np.int64)
+            ),
+            want,
         )
 
     def test_a_ring_draw_is_a_bit_field_of_the_little_endian_stream(self):
@@ -455,6 +460,98 @@ class TestMaskAccumulatorParity:
                 modulus,
             ),
         )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, None])
+    @pytest.mark.parametrize("n_seeds", [0, 1, 7])  # 7: no worker count divides it
+    @pytest.mark.parametrize(
+        "modulus, deferred", [(1 << 20, True), (1 << 62, False)]
+    )
+    def test_fold_seeds_matches_reference_at_every_worker_count(
+        self, modulus, deferred, n_seeds, workers
+    ):
+        # The fan-out (slabs of terms into per-worker partials, summed)
+        # under the guard, the fold_seed loop without it: one left fold,
+        # in the middle of add / fold_seed / sub terms.
+        rng = random.Random(47)
+        dim = 300
+        base, added, subbed = self._masks(rng, 3, dim, modulus)
+        seeds = [(rng.randbytes(32), rng.choice([1, -1])) for _ in range(n_seeds)]
+        acc = MaskAccumulator(base, modulus, n_terms=4 + n_seeds)
+        assert acc._deferred is deferred
+        acc.add(added)
+        acc.fold_seed(b"s" * 32, -1)
+        acc.fold_seeds(seeds, workers)
+        acc.sub(subbed)
+        with pytest.raises(ValueError, match="more masks"):
+            acc.add(added)  # every folded seed was counted against n_terms
+
+        def mask(seed):
+            return PRGReference(seed).uniform_vector(dim, modulus)
+
+        terms = (
+            [(added, 1), (mask(b"s" * 32), -1)]
+            + [(mask(seed), sign) for seed, sign in seeds]
+            + [(subbed, -1)]
+        )
+        np.testing.assert_array_equal(
+            acc.finish(), accumulate_signed_masks_reference(base, terms, modulus)
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_over_declared_fold_seeds_refused_with_nothing_folded(self, workers):
+        modulus = 1 << 20
+        base = np.arange(8, dtype=np.int64)
+        seeds = [(bytes([i]) * 32, -1) for i in range(3)]
+        acc = MaskAccumulator(base, modulus, n_terms=3)
+        with pytest.raises(ValueError, match="more masks"):
+            acc.fold_seeds(seeds, workers)
+        # Nothing was folded and nothing was counted: two seeds still fit.
+        acc.fold_seeds(seeds[:2], workers)
+        terms = [
+            (PRGReference(seed).uniform_vector(8, modulus), sign)
+            for seed, sign in seeds[:2]
+        ]
+        np.testing.assert_array_equal(
+            acc.finish(), accumulate_signed_masks_reference(base, terms, modulus)
+        )
+
+    def test_an_error_in_a_fold_seeds_worker_raises_in_the_caller(self):
+        acc = MaskAccumulator(np.zeros(8, dtype=np.int64), 1 << 20, n_terms=5)
+        seeds = [(b"a" * 32, 1), (b"b" * 32, 1), (b"c" * 32, 1), ("not bytes", 1)]
+        with pytest.raises(TypeError, match="seed must be bytes"):
+            acc.fold_seeds(seeds, 2)
+
+    @pytest.mark.timeout(60)
+    def test_fold_seeds_fan_out_on_the_numpy_twin_under_thread_stress(self):
+        # More workers than cores, a 1 µs switch interval, every worker
+        # on the hashlib stream — whose shared counter table is emptied
+        # first, so the workers grow it concurrently (under its lock).
+        # A lost or doubled update anywhere changes the sum.
+        import sys
+        from unittest import mock
+
+        from repro.crypto import prg
+
+        modulus, dim = 1 << 20, 40_000  # past two of the twin's 2**14 slabs
+        rng = random.Random(53)
+        base = np.arange(dim, dtype=np.int64)
+        seeds = [(rng.randbytes(32), rng.choice([1, -1])) for _ in range(24)]
+        serial = MaskAccumulator(base, modulus, n_terms=25)
+        serial.fold_seeds(seeds, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with prg._ctr_lock:
+                del prg._ctr_table[:]
+            with (
+                mock.patch.object(native, "mask_fold", return_value=False),
+                mock.patch.object(native, "sha256_ctr_stream", return_value=None),
+            ):
+                fanned = MaskAccumulator(base, modulus, n_terms=25)
+                fanned.fold_seeds(seeds, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(fanned.finish(), serial.finish())
 
     def test_base_is_never_mutated(self):
         base = np.arange(8, dtype=np.int64)

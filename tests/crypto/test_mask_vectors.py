@@ -111,7 +111,9 @@ EXPANDERS = {
     "twin": expand_uniform_reference,
     "reference": lambda seed, n, m: PRGReference(seed).uniform_vector(n, m),
     "stateful": lambda seed, n, m: PRG(seed).uniform_vector(n, m),
-    "batch": lambda seed, n, m: expand_uniform_batch([seed], n, m)[0],
+    "batch": lambda seed, n, m: expand_uniform_batch(
+        [seed], n, m, out=np.zeros(n, dtype=np.int64)
+    ),
 }
 
 
@@ -271,13 +273,21 @@ class TestBatch:
         assert expand_uniform_batch(seeds, 777, 1 << 20, out=acc, signs=signs) is acc
         np.testing.assert_array_equal(acc, want)
 
-    def test_matrix_form_applies_signs_per_row(self):
+    def test_signs_default_to_plus_one_and_an_empty_batch_adds_nothing(self):
         seeds = [b"a" * 32, b"b" * 32]
-        rows = expand_uniform_batch(seeds, 33, 1 << 33, signs=[-1, 1])
-        np.testing.assert_array_equal(rows[0], -expand_uniform(seeds[0], 33, 1 << 33))
-        np.testing.assert_array_equal(rows[1], expand_uniform(seeds[1], 33, 1 << 33))
-        assert expand_uniform_batch([], 33, 1 << 20).shape == (0, 33)
+        acc = np.zeros(33, dtype=np.int64)
+        expand_uniform_batch(seeds, 33, 1 << 33, out=acc)
+        np.testing.assert_array_equal(
+            acc,
+            expand_uniform(seeds[0], 33, 1 << 33)
+            + expand_uniform(seeds[1], 33, 1 << 33),
+        )
+        before = acc.copy()
+        assert expand_uniform_batch([], 33, 1 << 33, out=acc) is acc
+        np.testing.assert_array_equal(acc, before)
 
     def test_signs_must_match_seeds(self):
+        acc = np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError, match="one sign per seed"):
-            expand_uniform_batch([b"a" * 32], 4, 1 << 20, signs=[1, 1])
+            expand_uniform_batch([b"a" * 32], 4, 1 << 20, out=acc, signs=[1, 1])
+        assert not acc.any()

@@ -18,7 +18,8 @@ from repro.engine import (
 from repro.pipeline.perf_model import StagePerfModel, WorkflowPerfModel
 from repro.pipeline.scheduler import build_schedule
 from repro.fleet import DeviceProfile, Fleet
-from repro.secagg.driver import DropoutSchedule
+from repro.secagg import SecAggConfig, run_secagg_round
+from repro.secagg.driver import DropoutSchedule, secagg_round_components
 from repro.sim.timeline import TraceTimeline
 
 
@@ -235,6 +236,47 @@ class TestChunkPipelining:
     def test_chunked_aggregate_matches_unchunked(self):
         _, chunked, vectors = self._run(3, pipelined=True)
         np.testing.assert_allclose(chunked.result, sum(vectors.values()))
+
+    def test_real_secagg_chunk_rounds_match_the_whole_vector_round(self):
+        """Each chunk runs one full SecAgg sub-round; their concatenation
+        equals the single-round aggregate — chunked execution keeps the
+        same security protocol per sub-task (§4.1 / §6.4 'without
+        reducing their security properties')."""
+        bits, dim, n, m = 16, 24, 5, 3
+        rng = np.random.default_rng(7)
+        inputs = {
+            u: rng.integers(0, 1 << 10, size=dim).astype(np.int64)
+            for u in range(1, n + 1)
+        }
+
+        def config(dimension):
+            return SecAggConfig(
+                threshold=3, bits=bits, dimension=dimension, dh_group="modp512"
+            )
+
+        def factory(_j, chunk_inputs):
+            chunk_dim = next(iter(chunk_inputs.values())).shape[0]
+            return secagg_round_components(config(chunk_dim), chunk_inputs)
+
+        chunked = asyncio.run(
+            RoundEngine().run_chunked_round(factory, inputs, m)
+        )
+        whole = run_secagg_round(config(dim), inputs).aggregate
+        np.testing.assert_array_equal(chunked.result, whole)
+        np.testing.assert_array_equal(whole, sum(inputs.values()) % (1 << bits))
+
+    def test_input_validation(self):
+        engine = RoundEngine()
+        vectors = {u: np.ones(4) for u in range(2)}
+        with pytest.raises(ValueError, match="no inputs"):
+            asyncio.run(engine.run_chunked_round(roundtrip_factory({}), {}, 2))
+        for bad in (0, 5):
+            with pytest.raises(ValueError, match="n_chunks"):
+                asyncio.run(
+                    engine.run_chunked_round(
+                        roundtrip_factory(vectors), vectors, bad
+                    )
+                )
 
     @pytest.mark.parametrize("n_chunks", [2, 3, 4])
     def test_pipelined_beats_serial(self, n_chunks):

@@ -1,5 +1,6 @@
-"""Functional chunking: the §4.1 concatenation identity, incl. through
-the real secure-aggregation protocol."""
+"""Functional chunking: the §4.1 split/concat operators.  The identity
+through executed rounds (plain sums and real SecAgg sub-rounds) is
+``tests/engine/test_round_engine.py::TestChunkPipelining``."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ import pytest
 from repro.pipeline.chunking import (
     chunk_boundaries,
     concat_chunks,
-    run_chunked_aggregation,
     split_vector,
 )
-from repro.secagg import SecAggConfig, run_secagg_round
 from repro.utils.rng import derive_rng
 
 
@@ -40,50 +39,3 @@ class TestSplitConcat:
     def test_empty_concat_rejected(self):
         with pytest.raises(ValueError):
             concat_chunks([])
-
-
-class TestChunkedAggregation:
-    def test_identity_with_plain_sum(self):
-        """Σᵢ Δᵢ = ∥ⱼ (Σᵢ Δᵢ,ⱼ) with a trivial chunk aggregator."""
-        rng = derive_rng("chunk-agg")
-        inputs = {u: rng.normal(size=17) for u in range(5)}
-
-        def plain_sum(chunk_inputs, _):
-            return sum(chunk_inputs.values())
-
-        for m in (1, 3, 17):
-            result = run_chunked_aggregation(inputs, m, plain_sum)
-            np.testing.assert_allclose(result, sum(inputs.values()))
-
-    def test_identity_through_real_secagg_rounds(self):
-        """Each chunk runs one full SecAgg round; the concatenation equals
-        the single-round aggregate — chunked execution keeps the same
-        security protocol per sub-task (§4.1 / §6.4 'without reducing
-        their security properties')."""
-        bits, dim, n, m = 16, 24, 5, 3
-        rng = derive_rng("chunk-secagg")
-        inputs = {
-            u: rng.integers(0, 1 << 10, size=dim).astype(np.int64)
-            for u in range(1, n + 1)
-        }
-
-        def secagg_chunk(chunk_inputs, chunk_index):
-            chunk_dim = next(iter(chunk_inputs.values())).shape[0]
-            config = SecAggConfig(
-                threshold=3, bits=bits, dimension=chunk_dim, dh_group="modp512"
-            )
-            return run_secagg_round(config, chunk_inputs).aggregate
-
-        chunked = run_chunked_aggregation(inputs, m, secagg_chunk)
-        whole_config = SecAggConfig(
-            threshold=3, bits=bits, dimension=dim, dh_group="modp512"
-        )
-        whole = run_secagg_round(whole_config, inputs).aggregate
-        np.testing.assert_array_equal(chunked, whole)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            run_chunked_aggregation({}, 2, lambda c, i: 0)
-        bad = {1: np.zeros(4), 2: np.zeros(5)}
-        with pytest.raises(ValueError):
-            run_chunked_aggregation(bad, 2, lambda c, i: 0)

@@ -138,18 +138,6 @@ class TestSimulatedRoundTraffic:
         assert all(s.traffic_bytes == 0 for s in trace.spans)
         assert all(s.up_bytes == 0 and s.down_bytes == 0 for s in trace.spans)
 
-    def test_legacy_undirected_traffic_rejected(self):
-        import pytest
-
-        from repro.sim.timeline import SimulatedRound
-
-        with pytest.raises(ValueError, match="down_traffic/up_traffic"):
-            SimulatedRound(
-                resources=("c-comp",),
-                durations=((1.0,),),
-                traffic=((100,),),
-            )
-
     def test_mismatched_traffic_shape_rejected(self):
         import pytest
 

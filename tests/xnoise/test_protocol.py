@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg import DropoutSchedule, ProtocolAbort, SecAggConfig
-from repro.secagg.types import STAGE_MASKED_INPUT, STAGE_UNMASK
+from repro.secagg.types import STAGE_MASKED_INPUT, STAGE_UNMASK, UnmaskingMsg
 from repro.xnoise.protocol import (
+    XNoiseClient,
     XNoiseConfig,
+    XNoiseServer,
     run_xnoise_round,
+    run_xnoise_round_reference,
     seed_label,
     skellam_noise_from_seed,
 )
@@ -267,6 +271,190 @@ class TestToleranceExceeded:
         expected = 3 * (100.0 / (6 - 1))  # survivors × per-client level
         assert result.residual_variance == pytest.approx(expected)
         assert result.residual_variance < 100.0
+
+
+class TestStage5ServerMethods:
+    """``XNoiseServer.seed_requests`` / ``finish_round`` on hand-built
+    state: five sampled clients, t = 3, T = 2, all five uploaded, U5
+    as each test sets it."""
+
+    DIM, BITS = 32, 20
+
+    @staticmethod
+    def _seed(u: int, k: int) -> bytes:
+        return bytes([u, k]) * 16
+
+    def _server(self, u3=(1, 2, 3, 4, 5), u5=(1, 2, 3, 4)):
+        cfg = make_config(n=5, t=3, tolerance=2, bits=self.BITS, dim=self.DIM,
+                          variance=2.0**22)
+        server = XNoiseServer(cfg)
+        server.u1 = server.u2 = list(range(1, 6))
+        server.u3 = server.u4 = list(u3)
+        server.u5 = list(u5)
+        return server
+
+    def _unmask_msgs(self, server):
+        return {
+            v: UnmaskingMsg(
+                sender=v, s_sk_shares={}, b_shares={},
+                revealed_seeds={k: self._seed(v, k) for k in server.removal_indices()},
+            )
+            for v in server.u5
+        }
+
+    def _responses(self, server, requested):
+        """What honest U5 clients answer: their share of every seed asked for."""
+        ss = ShamirSecretSharing(server.config.threshold)
+        shares = {
+            (u, label): ss.share(self._seed(u, int(label[2:])), server.u1)
+            for u, labels in requested.items()
+            for label in labels
+        }
+        return {
+            v: {
+                u: {label: shares[u, label][v] for label in labels}
+                for u, labels in requested.items()
+            }
+            for v in server.u5
+        }
+
+    def _aggregate(self):
+        return np.arange(self.DIM, dtype=np.int64) * 31_337 % (1 << self.BITS)
+
+    def test_recovers_the_seeds_of_survivors_that_did_not_reveal(self):
+        server = self._server()
+        requested = server.seed_requests(self._unmask_msgs(server))
+        assert requested == {5: ["g:1", "g:2"]}
+        result = server.finish_round(
+            self._aggregate(), self._responses(server, requested)
+        )
+        everything = {u: {k: self._seed(u, k) for k in (1, 2)} for u in server.u3}
+        expected, removed = server.remove_excess_noise(self._aggregate(), everything, {})
+        np.testing.assert_array_equal(result.aggregate, expected)
+        assert result.removed_noise_components == removed == 10
+        assert (result.u1, result.u3, result.u5, result.u6) == (
+            [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4]
+        )
+        assert result.n_dropped == 0 and not result.tolerance_exceeded
+        assert result.residual_variance == pytest.approx(2.0**22)
+
+    def test_nothing_to_recover_means_no_request(self):
+        # Every survivor revealed its own seeds …
+        server = self._server(u5=(1, 2, 3, 4, 5))
+        assert server.seed_requests(self._unmask_msgs(server)) == {}
+        result = server.finish_round(self._aggregate(), {})
+        assert result.u6 == [] and result.removed_noise_components == 10
+        # … or |D| ≥ T left no excess component to remove.
+        server = self._server(u3=(1, 2, 3), u5=(1, 2))
+        assert list(server.removal_indices()) == []
+        assert server.seed_requests(self._unmask_msgs(server)) == {}
+        result = server.finish_round(self._aggregate(), {})
+        assert result.u6 == [] and result.removed_noise_components == 0
+        np.testing.assert_array_equal(result.aggregate, self._aggregate())
+
+    def test_too_few_stage5_responders_abort_by_name(self):
+        server = self._server()
+        requested = server.seed_requests(self._unmask_msgs(server))
+        responses = self._responses(server, requested)
+        few = {v: responses[v] for v in (1, 2)}
+        few[3] = {}  # answered, but holds nothing that was asked for
+        few[5] = responses[1]  # not in U5: never asked
+        with pytest.raises(ProtocolAbort, match="only 2 stage-5 responders"):
+            server.finish_round(self._aggregate(), few)
+
+    def test_unreconstructable_seed_aborts_with_its_label(self):
+        server = self._server()
+        requested = server.seed_requests(self._unmask_msgs(server))
+        responses = self._responses(server, requested)
+        for v in (2, 3, 4):
+            del responses[v][5]["g:2"]
+        with pytest.raises(
+            ProtocolAbort, match=r"cannot reconstruct seed g_\{5,2\}: need 3 shares"
+        ):
+            server.finish_round(self._aggregate(), responses)
+
+    @pytest.mark.parametrize(
+        "u3, exceeded, residual",
+        [
+            ((1, 2, 3), False, 2.0**22),  # |D| = T: exactly the target
+            ((1, 2), True, 2 * 2.0**22 / (5 - 2)),  # |D| = T + 1: 2 clients' worth
+        ],
+    )
+    def test_residual_and_flag_on_both_sides_of_the_tolerance(
+        self, u3, exceeded, residual
+    ):
+        server = self._server(u3=u3, u5=u3)
+        assert server.seed_requests(self._unmask_msgs(server)) == {}
+        result = server.finish_round(self._aggregate(), {})
+        assert result.tolerance_exceeded is exceeded
+        assert result.n_dropped == 5 - len(u3)
+        assert result.residual_variance == pytest.approx(residual)
+        assert (result.residual_variance < 2.0**22) is exceeded
+
+
+#: What a hostile stage-5 responder may send back instead of its honest
+#: response ``r`` (peer 6's seeds were requested) → whether its requested
+#: shares, if any survive, still count it into U6.
+TAMPERS = {
+    "unrequested-peer": (lambda r: {**r, 99: dict(r[6])}, True),
+    "unrequested-label": (
+        lambda r: {6: {**r[6], "g:9": r[6]["g:1"], "b": r[6]["g:1"]}}, True
+    ),
+    "not-a-share": (lambda r: {6: {"g:1": "junk", "g:2": None}}, False),
+    "peer-entry-not-a-dict": (lambda r: {6: ["g:1", "g:2"]}, False),
+    "not-a-dict": (lambda r: ["junk"], False),
+}
+
+
+class TestHostileStage5Responder:
+    """One responder answering ExcessiveNoiseRemoval with something that
+    was not asked for must not crash the coordinator: the round ends in
+    the exact aggregate while ≥ t honest responders remain, in a named
+    abort below that — on the engine path and the reference driver."""
+
+    N, DIM, BITS = 6, 48, 32
+
+    def _run(self, driver, tamper, hostile):
+        cfg = make_config(n=self.N, t=4, tolerance=2, bits=self.BITS,
+                          dim=self.DIM, variance=400.0)
+        variances = cfg.decomposition().variances()
+        inputs = make_signals(self.N, self.DIM)
+
+        def seeds(u):
+            return [bytes([u, k]) * 16 for k in range(len(variances))]
+
+        class Hostile(XNoiseClient):
+            def shares_of_extra_secret(self, label_for):
+                return tamper(super().shares_of_extra_secret(label_for))
+
+        result = driver(
+            cfg, inputs, DropoutSchedule(at_stage={STAGE_UNMASK: {6}}),
+            client_factory=lambda u: (Hostile if u in hostile else XNoiseClient)(
+                u, cfg, noise_seeds=seeds(u)
+            ),
+        )
+        # Nobody dropped before uploading: only component 0 stays.
+        expected = sum(
+            inputs[u] + skellam_noise_from_seed(seeds(u)[0], variances[0], self.DIM)
+            for u in inputs
+        )
+        return result, expected % (1 << self.BITS)
+
+    @pytest.mark.parametrize("driver", [run_xnoise_round, run_xnoise_round_reference])
+    @pytest.mark.parametrize("name", TAMPERS)
+    def test_round_completes_with_the_exact_aggregate(self, driver, name):
+        tamper, counted = TAMPERS[name]
+        result, expected = self._run(driver, tamper, hostile={1})
+        np.testing.assert_array_equal(result.aggregate, expected)
+        assert result.u5 == [1, 2, 3, 4, 5]
+        assert result.u6 == ([1, 2, 3, 4, 5] if counted else [2, 3, 4, 5])
+        assert result.removed_noise_components == self.N * 2
+
+    @pytest.mark.parametrize("driver", [run_xnoise_round, run_xnoise_round_reference])
+    def test_too_few_honest_responders_abort_by_name(self, driver):
+        tamper, _ = TAMPERS["not-a-dict"]
+        with pytest.raises(ProtocolAbort, match="only 3 stage-5 responders"):
+            self._run(driver, tamper, hostile={1, 2})
 
 
 class TestMaliciousMode:
