@@ -292,49 +292,243 @@ static void compress_shani(uint32_t state[8], const uint8_t block[64])
 }
 #endif /* __x86_64__ */
 
-static int pick_backend(void)
+/* ---------------------------------------------------------------------
+ * Sixteen counters of one seed at once (AVX-512 F + BW + VL).
+ *
+ * Counter mode makes a seed's blocks independent single-block messages,
+ * so sixteen of them run side by side: one zmm register per state word
+ * and per schedule word, lane j working on counter ctr + j.  A message
+ * word that holds only seed or padding bytes is the same in every lane
+ * and is broadcast; the eight counter bytes sit at byte `seedlen`, so
+ * they fill word seedlen/4 + 1 and — shifted by the seed's odd bytes —
+ * parts of the words on either side of it, and those (at most three)
+ * rows are built per lane from 64-bit sums ctr + j, which carry past
+ * 2^32 and wrap at 2^64 exactly as the loop below does.  The rounds are
+ * the textbook ones, a rotate being one vprord and each of Ch, Maj and
+ * the three-way xors one vpternlogd.  The eight digest registers are
+ * byte-swapped and transposed (32-bit, then 64-bit unpacks inside each
+ * 128-bit lane, one two-source permute across them), which leaves
+ * blocks j and j + 4 in one register: sixteen 32-byte stores in the
+ * layout the single-block paths write.
+ *
+ * -DREPRO_NO_X16 leaves the section out: repro.native retries the build
+ * with it when the compiler refuses the section, so losing the lanes
+ * never costs the object.  There is no eight-lane AVX2 variant: without
+ * vprord and vpternlogd it would not beat SHA-NI, and no host here can
+ * measure one.
+ * ------------------------------------------------------------------ */
+#if defined(HAVE_SHANI_BUILD) && !defined(REPRO_NO_X16)
+#define HAVE_X16_BUILD 1
+#define X16_TARGET __attribute__((target("avx512f,avx512bw,avx512vl")))
+
+#define X16_ADD(x, y) _mm512_add_epi32(x, y)
+#define X16_XOR3(x, y, z) _mm512_ternarylogic_epi32(x, y, z, 0x96)
+#define X16_BIG_S0(x) X16_XOR3(_mm512_ror_epi32(x, 2), \
+    _mm512_ror_epi32(x, 13), _mm512_ror_epi32(x, 22))
+#define X16_BIG_S1(x) X16_XOR3(_mm512_ror_epi32(x, 6), \
+    _mm512_ror_epi32(x, 11), _mm512_ror_epi32(x, 25))
+#define X16_SMALL_S0(x) X16_XOR3(_mm512_ror_epi32(x, 7), \
+    _mm512_ror_epi32(x, 18), _mm512_srli_epi32(x, 3))
+#define X16_SMALL_S1(x) X16_XOR3(_mm512_ror_epi32(x, 17), \
+    _mm512_ror_epi32(x, 19), _mm512_srli_epi32(x, 10))
+
+/* Round i + j on schedule word w[j]; Ch is 0xCA, Maj 0xE8. */
+#define X16_ROUND(a, b, c, d, e, f, g, h, j) do { \
+    __m512i t1 = X16_ADD( \
+        X16_ADD(h, X16_ADD(w[j], _mm512_set1_epi32((int)K[i + j]))), \
+        X16_ADD(X16_BIG_S1(e), _mm512_ternarylogic_epi32(e, f, g, 0xCA))); \
+    __m512i t2 = X16_ADD(X16_BIG_S0(a), \
+        _mm512_ternarylogic_epi32(a, b, c, 0xE8)); \
+    d = X16_ADD(d, t1); \
+    h = X16_ADD(t1, t2); \
+} while (0)
+
+/* w[j] becomes schedule word i + j, in place over word i + j - 16. */
+#define X16_SCHEDULE(j) \
+    w[j] = X16_ADD(X16_ADD(w[j], X16_SMALL_S0(w[(j + 1) & 15])), \
+        X16_ADD(w[(j + 9) & 15], X16_SMALL_S1(w[(j + 14) & 15])))
+
+#define X16_EIGHT_ROUNDS(j, STEP) \
+    STEP(j); X16_ROUND(a, b, c, d, e, f, g, h, j); \
+    STEP(j + 1); X16_ROUND(h, a, b, c, d, e, f, g, j + 1); \
+    STEP(j + 2); X16_ROUND(g, h, a, b, c, d, e, f, j + 2); \
+    STEP(j + 3); X16_ROUND(f, g, h, a, b, c, d, e, j + 3); \
+    STEP(j + 4); X16_ROUND(e, f, g, h, a, b, c, d, j + 4); \
+    STEP(j + 5); X16_ROUND(d, e, f, g, h, a, b, c, j + 5); \
+    STEP(j + 6); X16_ROUND(c, d, e, f, g, h, a, b, j + 6); \
+    STEP(j + 7); X16_ROUND(b, c, d, e, f, g, h, a, j + 7)
+#define X16_NO_STEP(j) (void)0
+
+/* The low halves of eight 64-bit lanes of lo, then of hi. */
+X16_TARGET
+static inline __m512i x16_low_words(__m512i lo, __m512i hi)
 {
-#ifdef HAVE_SHANI_BUILD
-    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")
-        && __builtin_cpu_supports("ssse3"))
-        return 2;
-#endif
-    return 1;
+    return _mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm512_cvtepi64_epi32(lo)),
+        _mm512_cvtepi64_epi32(hi), 1);
 }
 
-/* Which compression path expand will use: 1 = portable C, 2 = SHA-NI. */
+/* out[32j .. 32j+31] = SHA256 of the block whose big-endian words are
+ * `words` with be64(ctr + j) written at byte seedlen, j in [0, 16);
+ * `words` has zeros where the counter goes. */
+X16_TARGET
+static void compress_x16(const uint32_t words[16], size_t seedlen,
+                         uint64_t ctr, uint8_t *out)
+{
+    const __m512i byteswap = _mm512_broadcast_i32x4(_mm_set_epi64x(
+        0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL));
+    const __m512i blocks_0_4 = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+    const __m512i blocks_8_12 = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+    const __m512i ctr_lo = _mm512_add_epi64(_mm512_set1_epi64((long long)ctr),
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m512i ctr_hi = _mm512_add_epi64(ctr_lo, _mm512_set1_epi64(8));
+    const __m128i odd = _mm_cvtsi32_si128(8 * (int)(seedlen % 4));
+    const __m128i rest = _mm_cvtsi32_si128(32 - 8 * (int)(seedlen % 4));
+    const size_t at = seedlen / 4;
+    __m512i rows[16], w[16], a, b, c, d, e, f, g, h;
+    int i, j;
+
+    /* The 96 bits of words at .. at + 2 are odd seed bytes, the counter,
+     * then 0x80 and padding: the counter shifted right by the odd bytes
+     * (a shift by 64 or more leaves zero, and the narrowing drops what
+     * belongs to the word before). */
+    for (j = 0; j < 16; j++) /* rows: indexed at run time; w stays in registers */
+        rows[j] = _mm512_set1_epi32((int)words[j]);
+    rows[at] = _mm512_or_si512(rows[at], x16_low_words(
+        _mm512_srl_epi64(_mm512_srli_epi64(ctr_lo, 32), odd),
+        _mm512_srl_epi64(_mm512_srli_epi64(ctr_hi, 32), odd)));
+    rows[at + 1] = x16_low_words(
+        _mm512_srl_epi64(ctr_lo, odd), _mm512_srl_epi64(ctr_hi, odd));
+    rows[at + 2] = _mm512_or_si512(rows[at + 2], x16_low_words(
+        _mm512_sll_epi64(ctr_lo, rest), _mm512_sll_epi64(ctr_hi, rest)));
+    for (j = 0; j < 16; j++)
+        w[j] = rows[j];
+
+    a = _mm512_set1_epi32((int)H0[0]); b = _mm512_set1_epi32((int)H0[1]);
+    c = _mm512_set1_epi32((int)H0[2]); d = _mm512_set1_epi32((int)H0[3]);
+    e = _mm512_set1_epi32((int)H0[4]); f = _mm512_set1_epi32((int)H0[5]);
+    g = _mm512_set1_epi32((int)H0[6]); h = _mm512_set1_epi32((int)H0[7]);
+
+    i = 0;
+    X16_EIGHT_ROUNDS(0, X16_NO_STEP);
+    X16_EIGHT_ROUNDS(8, X16_NO_STEP);
+    for (i = 16; i < 64; i += 16) {
+        X16_EIGHT_ROUNDS(0, X16_SCHEDULE);
+        X16_EIGHT_ROUNDS(8, X16_SCHEDULE);
+    }
+
+    w[0] = X16_ADD(a, _mm512_set1_epi32((int)H0[0]));
+    w[1] = X16_ADD(b, _mm512_set1_epi32((int)H0[1]));
+    w[2] = X16_ADD(c, _mm512_set1_epi32((int)H0[2]));
+    w[3] = X16_ADD(d, _mm512_set1_epi32((int)H0[3]));
+    w[4] = X16_ADD(e, _mm512_set1_epi32((int)H0[4]));
+    w[5] = X16_ADD(f, _mm512_set1_epi32((int)H0[5]));
+    w[6] = X16_ADD(g, _mm512_set1_epi32((int)H0[6]));
+    w[7] = X16_ADD(h, _mm512_set1_epi32((int)H0[7]));
+    for (j = 0; j < 8; j++)
+        w[j] = _mm512_shuffle_epi8(w[j], byteswap);
+    /* Digest words 0-3 (then 4-7) of block 4q + m, in 128-bit lane q of
+     * w[8 + m] (w[12 + m]). */
+    for (j = 0; j < 8; j += 4) {
+        __m512i ab_lo = _mm512_unpacklo_epi32(w[j], w[j + 1]);
+        __m512i ab_hi = _mm512_unpackhi_epi32(w[j], w[j + 1]);
+        __m512i cd_lo = _mm512_unpacklo_epi32(w[j + 2], w[j + 3]);
+        __m512i cd_hi = _mm512_unpackhi_epi32(w[j + 2], w[j + 3]);
+
+        w[8 + j] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+        w[9 + j] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+        w[10 + j] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+        w[11 + j] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+    }
+    for (j = 0; j < 4; j++) {
+        __m512i low = _mm512_permutex2var_epi64(w[8 + j], blocks_0_4, w[12 + j]);
+        __m512i high = _mm512_permutex2var_epi64(w[8 + j], blocks_8_12, w[12 + j]);
+
+        _mm256_storeu_si256((__m256i *)(out + 32 * j),
+                            _mm512_castsi512_si256(low));
+        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 4)),
+                            _mm512_extracti64x4_epi64(low, 1));
+        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 8)),
+                            _mm512_castsi512_si256(high));
+        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 12)),
+                            _mm512_extracti64x4_epi64(high, 1));
+    }
+}
+#endif /* HAVE_X16_BUILD */
+
+#define PATH_SCALAR 1
+#define PATH_SHANI 2
+#define PATH_X16 3
+#define X16_LANES 16
+
+/* 0 when this build on this CPU can run `path`, -2 when the CPU lacks
+ * its instructions, -3 when the build left it out, -1 for no path. */
+static int path_status(int path)
+{
+    switch (path) {
+    case PATH_SCALAR:
+        return 0;
+    case PATH_SHANI:
+#ifdef HAVE_SHANI_BUILD
+        return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")
+            && __builtin_cpu_supports("ssse3") ? 0 : -2;
+#else
+        return -3;
+#endif
+    case PATH_X16:
+#ifdef HAVE_X16_BUILD
+        return __builtin_cpu_supports("avx512f")
+            && __builtin_cpu_supports("avx512bw")
+            && __builtin_cpu_supports("avx512vl") ? 0 : -2;
+#else
+        return -3;
+#endif
+    default:
+        return -1;
+    }
+}
+
+/* Which single-block compression serves short streams and tails:
+ * 1 = portable C, 2 = SHA-NI. */
 int repro_sha256_ctr_backend(void)
 {
     static int backend;
     if (!backend)
-        backend = pick_backend();
+        backend = path_status(PATH_SHANI) ? PATH_SCALAR : PATH_SHANI;
     return backend;
 }
 
-/* out[i*32 .. i*32+31] = SHA256(seed || be64(ctr0 + i)).
- * Requires seedlen <= 47 (message fits one padded block).
- * Returns 0 on success, -1 on bad arguments. */
-int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
-                     uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+/* How many counters one compression call covers on runs long enough:
+ * 16 with the AVX-512 lanes, else 1. */
+int repro_sha256_ctr_lanes(void)
 {
-    uint8_t block[64];
-    size_t mlen;
-    uint64_t bits, i;
+    static int lanes;
+    if (!lanes)
+        lanes = path_status(PATH_X16) ? 1 : X16_LANES;
+    return lanes;
+}
+
+/* The padded block of seed || be64(0): the one message every counter of
+ * this seed patches eight bytes of. */
+static void ctr_block(uint8_t block[64], const uint8_t *seed, size_t seedlen)
+{
+    uint64_t bits = (uint64_t)(seedlen + 8) * 8;
     int j;
-    int backend;
 
-    if (seed == NULL || out == NULL || seedlen > 47)
-        return -1;
-
-    memset(block, 0, sizeof(block));
+    memset(block, 0, 64);
     memcpy(block, seed, seedlen);
-    mlen = seedlen + 8;
-    block[mlen] = 0x80;
-    bits = (uint64_t)mlen * 8;
+    block[seedlen + 8] = 0x80;
     for (j = 0; j < 8; j++)
         block[63 - j] = (uint8_t)(bits >> (8 * j));
+}
 
-    backend = repro_sha256_ctr_backend();
+/* nblocks digests from ctr0, one block at a time on `path` (1 or 2). */
+static void ctr_single(int path, uint8_t block[64], size_t seedlen,
+                       uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+{
+    uint64_t i;
+    int j;
+
     for (i = 0; i < nblocks; i++) {
         uint64_t c = ctr0 + i;
         uint32_t st[8];
@@ -344,7 +538,7 @@ int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
             block[seedlen + 7 - j] = (uint8_t)(c >> (8 * j));
         memcpy(st, H0, sizeof(st));
 #ifdef HAVE_SHANI_BUILD
-        if (backend == 2)
+        if (path == PATH_SHANI)
             compress_shani(st, block);
         else
 #endif
@@ -357,6 +551,82 @@ int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
             o[4 * j + 3] = (uint8_t)v;
         }
     }
+}
+
+#ifdef HAVE_X16_BUILD
+/* Every whole run of sixteen of the nblocks digests from ctr0 — and,
+ * with `ragged`, the rest too, by way of a scratch run cut to length.
+ * Returns how many blocks it wrote. */
+static uint64_t ctr_lanes(const uint8_t block[64], size_t seedlen,
+                          uint64_t ctr0, uint64_t nblocks, uint8_t *out,
+                          int ragged)
+{
+    uint32_t words[16];
+    uint64_t i;
+    int j;
+
+    if (nblocks < X16_LANES && !ragged)
+        return 0;
+    for (j = 0; j < 16; j++)
+        words[j] = ((uint32_t)block[4 * j] << 24)
+            | ((uint32_t)block[4 * j + 1] << 16)
+            | ((uint32_t)block[4 * j + 2] << 8) | block[4 * j + 3];
+    for (i = 0; nblocks - i >= X16_LANES; i += X16_LANES)
+        compress_x16(words, seedlen, ctr0 + i, out + 32 * i);
+    if (ragged && i < nblocks) {
+        uint8_t scratch[32 * X16_LANES];
+
+        compress_x16(words, seedlen, ctr0 + i, scratch);
+        memcpy(out + 32 * i, scratch, 32 * (size_t)(nblocks - i));
+        i = nblocks;
+    }
+    return i;
+}
+#endif
+
+/* out[i*32 .. i*32+31] = SHA256(seed || be64(ctr0 + i)).
+ * Requires seedlen <= 47 (message fits one padded block).
+ * Returns 0 on success, -1 on bad arguments. */
+int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
+                     uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+{
+    uint8_t block[64];
+    uint64_t done = 0;
+
+    if (seed == NULL || out == NULL || seedlen > 47)
+        return -1;
+    ctr_block(block, seed, seedlen);
+#ifdef HAVE_X16_BUILD
+    if (repro_sha256_ctr_lanes() == X16_LANES)
+        done = ctr_lanes(block, seedlen, ctr0, nblocks, out, 0);
+#endif
+    ctr_single(repro_sha256_ctr_backend(), block, seedlen, ctr0 + done,
+               nblocks - done, out + 32 * done);
+    return 0;
+}
+
+/* The same stream with every block on one compression path — 1 portable
+ * C, 2 SHA-NI, 3 the sixteen lanes (ragged ends included) — so a test
+ * can run the paths this host would never pick.  Not reachable from
+ * configuration.  Returns 0, -1 on bad arguments, -2 when the CPU lacks
+ * the path, -3 when the build does. */
+int repro_sha256_ctr_path(int path, const uint8_t *seed, size_t seedlen,
+                          uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+{
+    uint8_t block[64];
+    int status = path_status(path);
+
+    if (status)
+        return status;
+    if (seed == NULL || out == NULL || seedlen > 47)
+        return -1;
+    ctr_block(block, seed, seedlen);
+#ifdef HAVE_X16_BUILD
+    if (path == PATH_X16)
+        ctr_lanes(block, seedlen, ctr0, nblocks, out, 1);
+    else
+#endif
+        ctr_single(path, block, seedlen, ctr0, nblocks, out);
     return 0;
 }
 
@@ -624,14 +894,18 @@ int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
  * Over the ring 2**bits, element i of a seed's mask is bits
  * [i*bits, (i+1)*bits) of its counter stream read as the little-endian
  * bit stream of the packer above: a mask is the wire unpacking of its
- * seed's stream, every stream bit used once.  256 elements are exactly
- * `bits` blocks, so the stream is produced a slab of 256*m elements at a
- * time on the stack (it never leaves L1) and unpack-added into the
- * caller's accumulator; no mask vector is stored anywhere.
+ * seed's stream, every stream bit used once.  The stream is produced a
+ * slab of MASK_SLAB_BLOCKS blocks at a time on the stack (it never
+ * leaves L1; whole runs of sixteen, so all of it but the vector's end
+ * comes from the lanes) and unpack-added into the caller's accumulator;
+ * no mask vector is stored anywhere.  Eight elements are exactly `bits`
+ * bytes: a slab gives its whole groups of eight, and the few bytes past
+ * the last one are carried to just before the next slab.
  * repro.crypto.prg holds the bit-identical numpy twin.
  * ------------------------------------------------------------------ */
 
-#define MASK_SLAB_BLOCKS 64 /* stream per slab: bits*m blocks, at most 2 KiB */
+#define MASK_SLAB_BLOCKS 64 /* stream per slab: 2 KiB */
+#define MASK_SLAB_CARRY 64  /* room before it for < bits <= 62 carried bytes */
 #define MASK_SLAB_SLACK 16  /* readable bytes past it for the last window */
 
 /* The element `at` bits into a group, negated when flip is -1 (0 keeps
@@ -676,24 +950,33 @@ static inline void mask_unpack_add(const uint8_t *stream, unsigned bits,
 int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
                     int64_t sign, int64_t *out, size_t n)
 {
-    uint8_t stream[32 * MASK_SLAB_BLOCKS + MASK_SLAB_SLACK] = {0};
-    size_t slab, done;
-    uint64_t ctr = 0;
+    uint8_t buffer[MASK_SLAB_CARRY + 32 * MASK_SLAB_BLOCKS + MASK_SLAB_SLACK]
+        __attribute__((aligned(64))) = {0};
+    uint8_t *const slab = buffer + MASK_SLAB_CARRY;
+    size_t done = 0, carried = 0;
+    uint64_t ctr = 0, left;
 
     if (out == NULL || bits < 1 || bits > 62 || (sign != 1 && sign != -1))
         return -1;
-    slab = 256 * (size_t)(MASK_SLAB_BLOCKS / bits);
-    for (done = 0; done < n; done += slab) {
-        size_t count = n - done < slab ? n - done : slab;
-        uint64_t nblocks = (count * bits + 255) / 256;
+    /* ceil(n * bits / 256) without forming n * bits */
+    left = (uint64_t)(n / 256) * bits + ((n % 256) * bits + 255) / 256;
+    while (left) {
+        uint64_t nblocks = left < MASK_SLAB_BLOCKS ? left : MASK_SLAB_BLOCKS;
+        const uint8_t *stream = slab - carried;
+        size_t have = carried + 32 * (size_t)nblocks, count;
 
-        if (repro_sha256_ctr(seed, seedlen, ctr, nblocks, stream))
+        if (repro_sha256_ctr(seed, seedlen, ctr, nblocks, slab))
             return -1;
         ctr += nblocks;
+        left -= nblocks;
+        count = left ? have / bits * 8 : n - done;
         if (bits > 57)
             mask_unpack_add(stream, bits, 1, sign >> 63, out + done, count);
         else
             mask_unpack_add(stream, bits, 0, sign >> 63, out + done, count);
+        done += count;
+        carried = left ? have % bits : 0;
+        memcpy(slab - carried, slab + 32 * nblocks - carried, carried);
     }
     return 0;
 }

@@ -150,4 +150,13 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/test_native_fallback.py",
         ],
     },
+    # One stream on every compression path (portable C, SHA-NI, the
+    # sixteen AVX-512 lanes): probed at load, forced path by path in test.
+    "16": {
+        "rules": [],
+        "tests": [
+            "tests/crypto/test_hotpath_parity.py",
+            "tests/test_native_fallback.py",
+        ],
+    },
 }

@@ -227,5 +227,6 @@ def run_hotpath(
         "python": platform.python_version(),
         "numpy": np.__version__,
         "native_backend": native.backend_name(),
+        "stream_lanes": native.stream_lanes(),
     }
     return make_report(TOPIC, config, metrics)

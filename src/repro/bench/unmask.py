@@ -188,6 +188,7 @@ def run_unmask(
         "bits": bits,
         "seed": seed,
         "prg_backend": native.backend_name(),
+        "stream_lanes": native.stream_lanes(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

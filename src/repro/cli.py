@@ -592,13 +592,14 @@ def _cmd_bench(args) -> int:
                   f"{m[f'dh_agree_{group}_fast_s']['value'] * 1e3:.3f}ms "
                   f"{report['config']['native_backend']} "
                   f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
+        stream = (f"{report['config']['native_backend']} "
+                  f"x{report['config']['stream_lanes']}")
         for name in sorted(m):
             if name.startswith(("mask_fold_", "skellam_expand_")) and name.endswith("_speedup"):
                 stem = name[: -len("_speedup")]
                 print(f"{stem.replace('_', ' ')}: "
                       f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
-                      f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms "
-                      f"{report['config']['native_backend']} "
+                      f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms {stream} "
                       f"({m[name]['value']:.2f}x)")
     if "traffic" in args.topics:
         report = bench.run_traffic(
@@ -654,7 +655,8 @@ def _cmd_bench(args) -> int:
         ref = m["unmask_reference_s"]["value"]
         print(f"unmask plane d={args.unmask_dim} n={args.unmask_clients} "
               f"dropout={args.unmask_dropout:g} "
-              f"({report['config']['prg_backend']}): {ref:.3f}s reference")
+              f"({report['config']['prg_backend']} "
+              f"x{report['config']['stream_lanes']}): {ref:.3f}s reference")
         for w in args.unmask_workers:
             fast = m[f"unmask_fast_w{w}_s"]["value"]
             speed = m[f"unmask_speedup_w{w}"]["value"]

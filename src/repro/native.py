@@ -36,13 +36,19 @@ Design constraints, in order:
   parity-pinned by test whenever the kernel is available.
 - **Self-invalidating cache.**  The shared object lands in a
   gitignored ``_native/_build/`` directory next to the source, named by
-  a hash of the source text, so editing the C file rebuilds and stale
-  artifacts are never picked up.
+  a hash of the source text and the compiler flags, so editing the C
+  file rebuilds and an object built any other way is never picked up.
 
 The kernel itself dispatches at runtime between a portable scalar
-SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~10× again over
-scalar C).  ``ctypes`` releases the GIL around the foreign call, which
-is what lets the coordinator's one thread fan-out
+SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~7× again over
+scalar C) — :func:`backend_name` — and, where the CPU has AVX-512,
+hashes every run of sixteen consecutive counters side by side, at half
+SHA-NI's time per block — :func:`stream_lanes`; a compiler that refuses
+that section still builds everything else (``-DREPRO_NO_X16``).  Every
+path yields the same bytes: the probe checks the one block and the wide
+run it will use, ``repro_sha256_ctr_path`` lets the tests force each
+path the host has.  ``ctypes`` releases the GIL around the foreign
+call, which is what lets the coordinator's one thread fan-out
 (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`) fold masks on
 several cores at once.
 """
@@ -105,7 +111,16 @@ class _Unavailable(Exception):
     """Why the kernel cannot be used (the text of the fallback warning)."""
 
 
-def _compile(sofile: Path) -> None:
+#: -ffp-contract=off: the noise kernel's floating point must round after
+#: every operation (no fused multiply-add) to match its numpy twin bit
+#: for bit.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+#: Flag sets in order of preference: the whole object, then the object
+#: without the AVX-512 lanes for a compiler that refuses that section.
+_BUILDS = (_CFLAGS, _CFLAGS + ("-DREPRO_NO_X16",))
+
+
+def _compile(flags: tuple[str, ...], sofile: Path) -> None:
     _BUILD_DIR.mkdir(parents=True, exist_ok=True)
     failure = "no C compiler found"
     for cc in _compilers():
@@ -115,10 +130,7 @@ def _compile(sofile: Path) -> None:
         os.close(fd)
         try:
             subprocess.run(
-                # -ffp-contract=off: the noise kernel's floating point must
-                # round after every operation (no fused multiply-add) to
-                # match its numpy twin bit for bit.
-                [cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared", str(_SRC), "-o", tmp],
+                [cc, *flags, str(_SRC), "-o", tmp],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -135,13 +147,37 @@ def _compile(sofile: Path) -> None:
     raise _Unavailable(failure)
 
 
+def _shared_object() -> Path:
+    """The cached object for this source, built if none is there yet.
+
+    Its name hashes the source *and* the flags, so an object built any
+    other way (another flag set, a sanitizer) is never picked up.
+    """
+    src = _SRC.read_bytes()
+    tags = [hashlib.sha256(src + " ".join(flags).encode()).hexdigest() for flags in _BUILDS]
+    objects = [_BUILD_DIR / f"sha256ctr-{tag[:16]}.so" for tag in tags]
+    found = next((sofile for sofile in objects if sofile.exists()), None)
+    if found is None:
+        for flags, found in zip(_BUILDS, objects):
+            try:
+                _compile(flags, found)
+                break
+            except _Unavailable as exc:
+                failure = exc
+        else:
+            raise failure
+    if found != objects[0]:
+        warnings.warn(
+            "repro.native: the C compiler refused the kernel's AVX-512 section, "
+            "the counter stream runs one block at a time",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    return found
+
+
 def _build() -> ctypes.CDLL:
-    src = _SRC.read_text()
-    tag = hashlib.sha256(src.encode()).hexdigest()[:16]
-    sofile = _BUILD_DIR / f"sha256ctr-{tag}.so"
-    if not sofile.exists():
-        _compile(sofile)
-    lib = ctypes.CDLL(str(sofile))
+    lib = ctypes.CDLL(str(_shared_object()))
     lib.repro_sha256_ctr.argtypes = [
         ctypes.c_char_p,
         ctypes.c_size_t,
@@ -150,8 +186,12 @@ def _build() -> ctypes.CDLL:
         ctypes.c_char_p,
     ]
     lib.repro_sha256_ctr.restype = ctypes.c_int
+    lib.repro_sha256_ctr_path.argtypes = [ctypes.c_int, *lib.repro_sha256_ctr.argtypes]
+    lib.repro_sha256_ctr_path.restype = ctypes.c_int
     lib.repro_sha256_ctr_backend.argtypes = []
     lib.repro_sha256_ctr_backend.restype = ctypes.c_int
+    lib.repro_sha256_ctr_lanes.argtypes = []
+    lib.repro_sha256_ctr_lanes.restype = ctypes.c_int
     lib.repro_pack_bits.argtypes = [
         ctypes.c_void_p,
         ctypes.c_size_t,
@@ -204,7 +244,8 @@ def _build() -> ctypes.CDLL:
 
 def _probe(lib: ctypes.CDLL) -> None:
     """One sanity answer per kernel before trusting the object: block 0
-    of an all-zero seed must match hashlib, three 20-bit elements must
+    of an all-zero seed must match hashlib and so must a run long enough
+    for the sixteen lanes, three 20-bit elements must
     pack to the documented little-endian bit stream and back, a
     two-limb modular power must match ``pow``, five hand-made noise
     trials must land where the sampler's specification puts them, and
@@ -215,6 +256,17 @@ def _probe(lib: ctypes.CDLL) -> None:
     want = hashlib.sha256(seed + (0).to_bytes(8, "big")).digest()
     if rc != 0 or digest.raw != want:
         raise _Unavailable("probe mismatch (SHA-256 counter block)")
+    # Two runs of sixteen and a tail, from a counter whose low word
+    # carries inside the first run, lane by lane.
+    ctr0, nblocks = (1 << 32) - 8, 33
+    run = ctypes.create_string_buffer(32 * nblocks)
+    rc = lib.repro_sha256_ctr(seed, len(seed), ctr0, nblocks, run)
+    want = b"".join(
+        hashlib.sha256(seed + ctr.to_bytes(8, "big")).digest()
+        for ctr in range(ctr0, ctr0 + nblocks)
+    )
+    if rc != 0 or run.raw != want:
+        raise _Unavailable("probe mismatch (SHA-256 counter lanes)")
     values = (ctypes.c_int64 * 3)(0xABCDE, 0x12345, 0xFFFFF)
     packed = ctypes.create_string_buffer(8)
     unpacked = (ctypes.c_int64 * 3)()
@@ -256,8 +308,8 @@ def _probe(lib: ctypes.CDLL) -> None:
     # The mask fold, against Python integers over hashlib's stream: the
     # protocol's 20 bits added, a width past the 57-bit window
     # subtracted, each into a non-zero vector a few elements longer than
-    # one kernel slab (768 and 256 elements) and no multiple of 256.
-    for bits, count, sign in ((20, 771, 1), (59, 259, -1)):
+    # one kernel slab (816 and 272 elements) and no multiple of eight.
+    for bits, count, sign in ((20, 819, 1), (59, 275, -1)):
         blocks = -(-count * bits // 256)
         stream = int.from_bytes(
             b"".join(
@@ -312,13 +364,21 @@ def load() -> Optional[ctypes.CDLL]:
 
 
 def backend_name() -> str:
-    """Which expansion backend is active (for bench metadata)."""
+    """Which single-block compression is active (for bench metadata):
+    what short streams and ragged ends run on, with or without lanes."""
     lib = load()
     if lib is None:
         return "python"
     return {1: "c-scalar", 2: "c-sha-ni"}.get(
         lib.repro_sha256_ctr_backend(), "c-unknown"
     )
+
+
+def stream_lanes() -> int:
+    """Counters hashed per compression on runs of sixteen blocks or more:
+    16 when the kernel has its AVX-512 lanes on this CPU, else 1."""
+    lib = load()
+    return 1 if lib is None else lib.repro_sha256_ctr_lanes()
 
 
 def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[bytearray]:

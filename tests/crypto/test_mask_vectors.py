@@ -183,8 +183,12 @@ class TestInPlaceFold:
     def test_kernel_matches_twin_across_its_slab_boundary(self, bits):
         if native.load() is None:
             pytest.skip("native kernel unavailable on this host")
-        slab = 256 * (64 // bits)  # MASK_SLAB_BLOCKS / bits groups of 256
-        for length in (slab - 1, slab, slab + 1, 2 * slab + 5):
+        # A slab is MASK_SLAB_BLOCKS = 64 blocks: after k of them the
+        # kernel has folded the whole groups of eight in 2048·k bytes and
+        # carried the odd bytes into the next.
+        first, second = (2048 * k // bits * 8 for k in (1, 2))
+        for length in (first - 1, first, first + 1, second - 1, second, second + 1,
+                       2 * second + 5):
             base = np.full(length, 7, dtype=np.int64)
             assert native.mask_fold(SEEDS[1], bits, base, -1)
             np.testing.assert_array_equal(

@@ -53,7 +53,10 @@ class TestBenchEntrypoint:
         assert report["metrics"]
 
     def test_hotpath_records_speedup_pairs(self, bench_run):
-        m = bench.load_bench(bench.bench_path(bench_run, "hotpath"))["metrics"]
+        report = bench.load_bench(bench.bench_path(bench_run, "hotpath"))
+        assert report["config"]["native_backend"]
+        assert report["config"]["stream_lanes"] in (1, 16)
+        m = report["metrics"]
         for name in (
             "prg_expand_d64",
             "dh_agree_modp512",
@@ -157,6 +160,7 @@ class TestUnmaskBench:
         assert report["topic"] == "unmask"
         assert report["config"]["dim"] == 256
         assert report["config"]["prg_backend"]
+        assert report["config"]["stream_lanes"] in (1, 16)
 
     def test_fast_plane_is_bit_identical(self, unmask_run):
         m = bench.load_bench(bench.bench_path(unmask_run, "unmask"))["metrics"]

@@ -98,7 +98,7 @@ with warnings.catch_warnings(record=True) as caught:
     ))
     expected = sum(inputs[u] for u in result.u3) % config.modulus
 
-    # A plain round past one stream slab (d = 1000 > 768 elements at 20
+    # A plain round past one stream slab (d = 1000 > 816 elements at 20
     # bits) with two clients lost after ShareKeys: every survivor folds
     # six seeds into its input, the coordinator folds the survivors'
     # self masks and the dropped clients' pairwise masks back out.
@@ -278,13 +278,81 @@ class TestEveryReasonIsNamed:
         real = native._build()
         entry_points = {
             name: getattr(real, name)
-            for name in ("repro_sha256_ctr", "repro_pack_bits", "repro_unpack_bits",
-                         "repro_modexp", "repro_skellam_fill", "repro_skellam_weight",
-                         "repro_mask_fold")
+            for name in ("repro_sha256_ctr", "repro_sha256_ctr_lanes", "repro_pack_bits",
+                         "repro_unpack_bits", "repro_modexp", "repro_skellam_fill",
+                         "repro_skellam_weight", "repro_mask_fold")
         }
         for name, fn in replaced.items():
             entry_points[name] = lambda *args, _fn=fn: _fn(real, *args)
         return types.SimpleNamespace(**entry_points)
+
+    def test_wrong_wide_block_disables_the_whole_object(self, rearmed, monkeypatch):
+        # Right block by block, wrong only in a run long enough for the
+        # sixteen lanes: one bit of the lane whose counter is 2**32.
+        def one_wrong_lane(real, seed, seedlen, ctr0, nblocks, out):
+            rc = real.repro_sha256_ctr(seed, seedlen, ctr0, nblocks, out)
+            if nblocks >= 16:
+                out[32 * 8] = bytes([out[32 * 8][0] ^ 1])
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_sha256_ctr=one_wrong_lane)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (SHA-256 counter lanes)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+        assert rearmed.stream_lanes() == 1
+
+    def test_compiler_that_refuses_the_lanes_keeps_the_rest_of_the_object(
+        self, rearmed, monkeypatch, tmp_path
+    ):
+        # A compiler that fails on the AVX-512 section (an old one, say):
+        # it only gets through the source with the section left out.
+        import ctypes
+        import hashlib
+        import shutil
+
+        import numpy as np
+
+        real_cc = next((cc for cc in rearmed._compilers() if shutil.which(cc)), None)
+        if real_cc is None:
+            pytest.skip("no C compiler on this host")
+        picky = tmp_path / "picky-cc"
+        picky.write_text(
+            '#!/bin/sh\ncase " $* " in *" -DREPRO_NO_X16 "*) exec '
+            f'{shutil.which(real_cc)} "$@";; esac\nexit 1\n'
+        )
+        picky.chmod(0o755)
+        monkeypatch.setattr(rearmed, "_compilers", lambda: [str(picky)])
+        with pytest.warns(RuntimeWarning, match="AVX-512 section") as caught:
+            lib = rearmed.load()
+        assert lib is not None and len(caught) == 1
+        assert rearmed.stream_lanes() == 1
+        assert rearmed.backend_name() in ("c-scalar", "c-sha-ni")
+        out = ctypes.create_string_buffer(32)
+        assert lib.repro_sha256_ctr_path(3, b"", 0, 0, 1, out) == -3  # not built
+        assert out.raw == bytes(32)
+        # Every other kernel is there and answers as the full object does.
+        stream = rearmed.sha256_ctr_stream(b"k" * 32, 40, ctr0=2**32 - 20)
+        assert stream == b"".join(
+            hashlib.sha256(b"k" * 32 + ctr.to_bytes(8, "big")).digest()
+            for ctr in range(2**32 - 20, 2**32 + 20)
+        )
+        folded = np.zeros(1000, dtype=np.int64)
+        assert rearmed.mask_fold(b"k" * 32, 20, folded, 1)
+        from repro.crypto.prg import expand_uniform_reference
+
+        np.testing.assert_array_equal(
+            folded, expand_uniform_reference(b"k" * 32, 1000, 1 << 20)
+        )
+
+    def test_the_cached_object_is_named_by_source_and_flags(self, rearmed, monkeypatch):
+        # An object built with other flags (a sanitizer, say) can never be
+        # the one a production run finds.
+        production = rearmed._shared_object()
+        monkeypatch.setattr(rearmed, "_BUILDS", (rearmed._CFLAGS + ("-g",),))
+        other = rearmed._shared_object()
+        assert production != other and production.exists() and other.exists()
+        assert production.parent == other.parent == rearmed._BUILD_DIR
 
     def test_wrong_modexp_answer_disables_the_whole_object(self, rearmed, monkeypatch):
         def one_flipped_bit(real, mod, rr, limbs, base, exp, explen, out):
@@ -325,11 +393,11 @@ class TestEveryReasonIsNamed:
 
     def test_wrong_mask_element_disables_the_whole_object(self, rearmed, monkeypatch):
         # Right everywhere but in the element after the kernel's first
-        # slab of stream (768 elements at 20 bits).
+        # slab of stream (816 elements at 20 bits).
         def one_wrong_element(real, seed, seedlen, bits, sign, out, n):
             rc = real.repro_mask_fold(seed, seedlen, bits, sign, out, n)
-            if n > 768:
-                out[768] ^= 1
+            if n > 816:
+                out[816] ^= 1
             return rc
 
         kernel = self._real_kernel_with(rearmed, repro_mask_fold=one_wrong_element)
