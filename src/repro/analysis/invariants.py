@@ -159,4 +159,13 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/test_native_fallback.py",
         ],
     },
+    # The transform plane: ascending-stage butterflies, kernel ≡ twin ≡ goldens.
+    "17": {
+        "rules": [],
+        "tests": [
+            "tests/dp/test_transform_vectors.py",
+            "tests/dp/test_skellam.py",
+            "tests/test_native_fallback.py",
+        ],
+    },
 }

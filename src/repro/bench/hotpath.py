@@ -3,8 +3,8 @@
 Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
 (PRG mask expansion and folding, key agreement, Skellam noise expansion,
-Shamir share evaluation and reconstruction, codec encode, mask
-accumulation), so the recorded speedups are measured on the same
+the DSkellam transform, Shamir share evaluation and reconstruction, codec
+encode, mask accumulation), so the recorded speedups are measured on the same
 machine, same inputs, same run — the trajectory point the paper's
 Fig.-2-style overhead claims rest on.
 """
@@ -23,7 +23,9 @@ from repro.bench.schema import make_report, metric
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_reference
 from repro.crypto.shamir import ShamirSecretSharing
+from repro.dp.rotation import fwht
 from repro.dp.sampler import skellam_noise_from_seed_reference
+from repro.dp.skellam import SkellamConfig, SkellamMechanism
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
 from repro.secagg.types import MaskedInputMsg
 from repro.utils.rng import derive_rng
@@ -147,6 +149,29 @@ def run_hotpath(
         _speedup_triplet(
             metrics, f"skellam_expand_d{SKELLAM_DIMENSION}_var{variance}", ref_s, fast_s
         )
+
+    # The DSkellam transform: the butterfly alone, then encode_signal
+    # and decode as a session's clients and coordinator call them, on
+    # the kernels against the same calls on their numpy twins — the
+    # announced fallback.  Equal generators, so equal integers.
+    size = 84_580  # dordis_round's model: pads to SKELLAM_DIMENSION
+    config = SkellamConfig(dimension=size, clip_bound=1.0, bits=MASK_FOLD_BITS)
+    mechanism = SkellamMechanism(config)
+    update = rng.normal(size=size) * 0.01
+    ring = rng.integers(0, mechanism.modulus, size=SKELLAM_DIMENSION)
+    rotated = rng.normal(size=SKELLAM_DIMENSION)
+    for name, call in (
+        ("fwht", lambda: fwht(rotated)),
+        (
+            "skellam_encode_signal",
+            lambda: mechanism.encode_signal(update, np.random.default_rng(seed)),
+        ),
+        ("skellam_decode", lambda: mechanism.decode(ring)),
+    ):
+        with native.twins_only():
+            by_twin, ref_s = call(), _best_of(call, repeats)
+        assert np.array_equal(call(), by_twin)
+        _speedup_triplet(metrics, f"{name}_d{SKELLAM_DIMENSION}", ref_s, _best_of(call, repeats))
 
     # Shamir: the deterministic evaluation step on identical polynomials
     # (share() itself samples fresh randomness, so the fair comparison

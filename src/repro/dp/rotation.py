@@ -8,13 +8,16 @@ transform is orthogonal, hence exactly invertible and L2-preserving —
 which also means it does not change the mechanism's L2 sensitivity.
 
 Both the forward and inverse transforms run in O(d log d) via the
-iterative butterfly.
+iterative butterfly ``(a, b) → (a + b, a − b)`` at strides 1, 2, 4, … in
+that order, which *defines* :func:`fwht`: each output is one fixed tree of
+IEEE additions, so the native kernel and the numpy twin give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.utils.rng import derive_rng
 
 
@@ -25,24 +28,34 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+def _fwht_inplace(v: np.ndarray) -> None:
+    """The butterfly over a fresh contiguous float64 vector of power-of-two
+    length: the kernel, else its numpy twin over one half-length scratch."""
+    lib = native.load()
+    if lib is not None and lib.repro_fwht(v.ctypes.data, v.size) == 0:
+        return
+    n = v.shape[0]
+    scratch = np.empty(n // 2)
+    h = 1
+    while h < n:
+        pairs = v.reshape(-1, 2, h)
+        left, right = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(-1, h)
+        np.subtract(left, right, out=diff)
+        np.add(left, right, out=left)
+        right[...] = diff
+        h *= 2
+
+
 def fwht(vector: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh–Hadamard transform (unnormalized).
+    """Fast Walsh–Hadamard transform (unnormalized) of a copy of ``vector``.
 
     Requires a power-of-two length; the caller pads.
     """
-    v = np.asarray(vector, dtype=float).copy()
-    n = v.shape[0]
-    if n & (n - 1):
+    v = np.array(vector, dtype=float, order="C")
+    if v.ndim != 1 or v.size & (v.size - 1):
         raise ValueError("fwht length must be a power of two")
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        right = v[:, h:].copy()
-        v[:, :h] = left + right
-        v[:, h:] = left - right
-        v = v.reshape(-1)
-        h *= 2
+    _fwht_inplace(v)
     return v
 
 
@@ -60,10 +73,11 @@ class RandomizedHadamard:
         self.dimension = dimension
         self.padded = _next_pow2(dimension)
         rng = derive_rng("hadamard-signs", seed_material)
-        self.signs = rng.integers(0, 2, size=self.padded) * 2 - 1
+        self.signs = (rng.integers(0, 2, size=self.padded) * 2 - 1).astype(float)
 
-    def forward(self, vector: np.ndarray) -> np.ndarray:
-        """Rotate a length-``dimension`` vector into length-``padded`` space."""
+    def forward(self, vector: np.ndarray, factor: float = 1.0) -> np.ndarray:
+        """Rotate ``factor`` times a length-``dimension`` vector into
+        length-``padded`` space, in place over the one padded buffer."""
         vector = np.asarray(vector, dtype=float)
         if vector.shape != (self.dimension,):
             raise ValueError(
@@ -71,16 +85,25 @@ class RandomizedHadamard:
             )
         padded = np.zeros(self.padded)
         padded[: self.dimension] = vector
-        return fwht(padded * self.signs) / np.sqrt(self.padded)
+        if factor != 1.0:
+            padded *= factor
+        padded *= self.signs
+        _fwht_inplace(padded)
+        padded /= np.sqrt(self.padded)
+        return padded
 
-    def inverse(self, vector: np.ndarray) -> np.ndarray:
-        """Invert :meth:`forward`; returns the original ``dimension`` coords.
-
-        H/√d is its own inverse (orthogonal, symmetric), so the inverse is
-        un-rotate then un-sign then truncate the padding.
+    def inverse(self, vector: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+        """Invert :meth:`forward` on ``vector / divisor``; returns the
+        original ``dimension`` coords.  H/√d is its own inverse (orthogonal,
+        symmetric), so the inverse is un-rotate then un-sign then truncate
+        the padding — in place over the one float copy of ``vector``.
         """
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.padded,):
-            raise ValueError(f"expected shape ({self.padded},), got {vector.shape}")
-        unrotated = fwht(vector) / np.sqrt(self.padded)
-        return (unrotated * self.signs)[: self.dimension]
+        unrotated = np.array(vector, dtype=float, order="C")
+        if unrotated.shape != (self.padded,):
+            raise ValueError(f"expected shape ({self.padded},), got {unrotated.shape}")
+        if divisor != 1.0:
+            unrotated /= divisor
+        _fwht_inplace(unrotated)
+        unrotated /= np.sqrt(self.padded)
+        unrotated *= self.signs
+        return unrotated[: self.dimension]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dp.quantize import (
-    clip_l2,
     conditional_stochastic_round,
     unwrap_modular,
     wrap_modular,
@@ -137,11 +136,19 @@ class SkellamMechanism:
 
         Returns a signed int64 vector of length ``padded_dimension``.
         XNoise adds its noise components to this before wrapping.
+        ``ValueError`` for an update with a NaN or ±inf entry (it would
+        poison the whole aggregate) or a rounding outside the signed ring.
         """
-        clipped = clip_l2(update, self.config.clip_bound)
-        rotated = self.rotation.forward(clipped)
-        scaled = rotated * self.config.scale
-        return conditional_stochastic_round(scaled, rng, self.rounding_norm_bound())
+        bound = self.config.clip_bound
+        norm = float(np.linalg.norm(update))
+        if not (math.isfinite(norm) or np.isfinite(update).all()):
+            raise ValueError("cannot encode an update with NaN or ±inf entries")
+        # clip_l2's factor, applied in forward's own buffer.
+        rotated = self.rotation.forward(update, bound / norm if norm > bound else 1.0)
+        rotated *= self.config.scale
+        return conditional_stochastic_round(
+            rotated, rng, self.rounding_norm_bound(), limit=self.modulus >> 1
+        )
 
     def sample_noise(
         self, variance: float, rng: np.random.Generator
@@ -184,8 +191,7 @@ class SkellamMechanism:
         count for FedAvg.
         """
         signed = unwrap_modular(aggregate_ring, self.config.bits)
-        unscaled = signed.astype(float) / self.config.scale
-        return self.rotation.inverse(unscaled)
+        return self.rotation.inverse(signed, self.config.scale)
 
     def aggregate_ring(self, encoded: list[np.ndarray]) -> np.ndarray:
         """Sum encoded vectors in the ring (what SecAgg computes)."""

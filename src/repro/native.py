@@ -1,4 +1,4 @@
-"""Optional native accelerator: counter-mode PRG, bit packer, noise loop, modexp.
+"""Optional native accelerator: counter-mode PRG, bit packer, noise loop, modexp, transform.
 
 The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
 elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
@@ -16,8 +16,10 @@ component is drawn by (:mod:`repro.dp.sampler` holds its specification,
 its tables and its numpy twin) and the fixed-width modular exponentiation
 behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
 agreement, Schnorr signature and VRF evaluation — one CPython ``pow()``
-each otherwise: 0.7 ms at 512 bits, 28 ms at 2048), so one build serves
-the data plane and the control plane.
+each otherwise: 0.7 ms at 512 bits, 28 ms at 2048) and the DSkellam
+transform's butterfly and rounder (:mod:`repro.dp.rotation` and
+:mod:`repro.dp.quantize` hold their numpy twins), so one build serves
+the data plane, the control plane and the device-side DP encode.
 
 Design constraints, in order:
 
@@ -31,9 +33,9 @@ Design constraints, in order:
   one ``RuntimeWarning`` per process naming the reason; callers keep
   the pure-Python/numpy path.  The two paths are bit-identical by
   construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream,
-  the same IEEE operations in the same order for the noise weights,
-  and a modular power is an integer: ``pow()`` *is* the fallback) and
-  parity-pinned by test whenever the kernel is available.
+  the same IEEE operations in the same order for the noise weights and
+  the butterfly, and a modular power is an integer: ``pow()`` *is* the
+  fallback) and parity-pinned by test whenever the kernel is available.
 - **Self-invalidating cache.**  The shared object lands in a
   gitignored ``_native/_build/`` directory next to the source, named by
   a hash of the source text and the compiler flags, so editing the C
@@ -55,6 +57,7 @@ several cores at once.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -90,6 +93,15 @@ _SKELLAM_PROBE_WEIGHTS = (
     (-3.0e8, float(1 << 49), "0x1.99320102c051ap-116"),
 )
 _SKELLAM_PROBE_DRAWS = [15, 16, 30, 37]
+#: ``(x, u, limit, rounded)`` for the rounder — ``u`` equal to the fraction
+#: stays down — with ``None`` where it must refuse.
+_ROUND_PROBE = (
+    (2.75, 0.5, 8, 3), (2.75, 0.75, 8, 2), (-2.75, 0.0, 8, -2), (-2.75, 0.25, 8, -3),
+    (-0.0, 0.0, 8, 0), (7.0, 0.0, 8, 7), (-5e-324, 0.999, 8, 0), (-5e-324, 1.0, 8, -1),
+    (2.0**51 + 0.5, 0.25, 1 << 62, 2**51 + 1), (-(2.0**61), 0.5, 1 << 62, -(2**61)),
+    (float("nan"), 0.5, 8, None), (float("-inf"), 0.5, 8, None),
+    (2.0**62, 0.5, 1 << 62, None), (7.5, 0.25, 8, None), (-8.5, 0.75, 8, None),
+)
 
 _lock = threading.Lock()
 _loaded = False
@@ -239,6 +251,12 @@ def _build() -> ctypes.CDLL:
         ctypes.c_size_t,
     ]
     lib.repro_mask_fold.restype = ctypes.c_int
+    lib.repro_fwht.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
+    lib.repro_fwht.restype = ctypes.c_int
+    lib.repro_stochastic_round.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int64, ctypes.c_void_p,
+    ]
+    lib.repro_stochastic_round.restype = ctypes.c_int
     return lib
 
 
@@ -248,8 +266,9 @@ def _probe(lib: ctypes.CDLL) -> None:
     for the sixteen lanes, three 20-bit elements must
     pack to the documented little-endian bit stream and back, a
     two-limb modular power must match ``pow``, five hand-made noise
-    trials must land where the sampler's specification puts them, and
-    two folded masks must be the bit fields of their hashlib stream."""
+    trials must land where the sampler's specification puts them,
+    two folded masks must be the bit fields of their hashlib stream, and
+    the butterfly and the rounder must reproduce hand-made vectors."""
     digest = ctypes.create_string_buffer(32)
     seed = b"\x00" * 32
     rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
@@ -326,6 +345,21 @@ def _probe(lib: ctypes.CDLL) -> None:
         rc = lib.repro_mask_fold(seed, len(seed), bits, sign, folded, count)
         if rc != 0 or list(folded) != want:
             raise _Unavailable("probe mismatch (mask folding)")
+    # The butterfly of the Kronecker product of (1, c), c = 2 … 9, is the
+    # product of the factors' (1 + c, 1 − c): exact integers, every stage
+    # with its own factor, so a skipped, doubled or mirrored one shows.
+    vector, want = [1.0], [1.0]
+    for c in range(2, 10):
+        vector = vector + [x * c for x in vector]
+        want = [x * (1 + c) for x in want] + [x * (1 - c) for x in want]
+    rotated = (ctypes.c_double * len(vector))(*vector)
+    if lib.repro_fwht(rotated, len(vector)) != 0 or list(rotated) != want:
+        raise _Unavailable("probe mismatch (Walsh-Hadamard butterfly)")
+    one, rounded = ctypes.c_double * 1, (ctypes.c_int64 * 1)()
+    for x, u, limit, want in _ROUND_PROBE:
+        rc = lib.repro_stochastic_round(one(x), one(u), 1, limit, rounded)
+        if (rc, rounded[0]) != (0, want) if want is not None else rc != -2:
+            raise _Unavailable("probe mismatch (stochastic rounding)")
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -353,14 +387,27 @@ def load() -> Optional[ctypes.CDLL]:
             lib = None
             warnings.warn(
                 "repro.native: kernel unavailable, PRG expansion, mask "
-                "folding, masked-vector packing, noise expansion and key "
-                f"agreement (modular exponentiation) run in pure Python/numpy: {exc}",
+                "folding, masked-vector packing, noise expansion, the DSkellam "
+                "transform and key agreement (modular exponentiation) run in "
+                f"pure Python/numpy: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )
         _lib = lib
         _loaded = True
     return _lib
+
+
+@contextlib.contextmanager
+def twins_only():
+    """Answer "no kernel" inside the block, so every caller runs its twin
+    (bench reference rows, parity tests).  Process-wide, not thread-safe."""
+    global _lib
+    saved, _lib = load(), None
+    try:
+        yield
+    finally:
+        _lib = saved
 
 
 def backend_name() -> str:

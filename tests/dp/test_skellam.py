@@ -75,6 +75,57 @@ class TestEncodeDecode:
             make_mechanism().aggregate_ring([])
 
 
+class TestDivergedUpdateIsRefused:
+    """A NaN or ±inf update used to burn all 64 rounding attempts and
+    come back as a vector of INT64_MIN under a RuntimeWarning — one
+    diverged client silently poisoning the ring aggregate."""
+
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_update_raises_before_any_work(self, poison):
+        mech = make_mechanism(dimension=1 << 12)
+        update = derive_rng("sk-poison").normal(size=1 << 12) * 0.01
+        update[777] = poison
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="NaN or ±inf"):
+            mech.encode_signal(update, rng)
+        with pytest.raises(ValueError, match="NaN or ±inf"):
+            mech.encode(update, 4.0, rng)
+        # No rounding attempt was made: the generator is where it began.
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_discrete_gaussian_rounder_refuses_it_too(self):
+        from repro.dp.dgauss import DGaussConfig, DiscreteGaussianMechanism
+
+        mech = DiscreteGaussianMechanism(DGaussConfig(dimension=8, clip_bound=1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            mech.encode(np.array([0.1] * 7 + [float("nan")]), 1.0, np.random.default_rng(0))
+
+    def test_finite_update_with_an_overflowing_norm_clips_to_zeros_as_before(self):
+        # ‖x‖ = inf on finite entries: clip_l2's factor is bound/inf = 0.
+        mech = make_mechanism(dimension=50)
+        with np.errstate(over="ignore"):
+            encoded = mech.encode_signal(np.full(50, 1e200), np.random.default_rng(5))
+        assert not encoded.any()
+
+    def test_all_zero_update_still_encodes_to_zeros(self):
+        mech = make_mechanism(dimension=50)
+        encoded = mech.encode_signal(np.zeros(50), np.random.default_rng(5))
+        assert encoded.dtype == np.int64 and encoded.shape == (64,)
+        assert not encoded.any()
+        np.testing.assert_array_equal(mech.decode(mech.wrap(encoded)), np.zeros(50))
+
+    def test_a_coordinate_the_ring_cannot_hold_is_refused(self):
+        # One client's signal past ±2**(b−1) cannot survive the wrap: a
+        # sure decoding error, raised where it is made.  (The first
+        # basis vector times the sign row rotates onto a single axis.)
+        mech = make_mechanism(dimension=64, clip=1.0, bits=8, scale=200.0)
+        update = mech.rotation.signs[:64] / 8.0  # norm 1: all of it on axis 0
+        with pytest.raises(ValueError, match=r"outside \[-128, 128\)"):
+            mech.encode_signal(update, np.random.default_rng(0))
+        fits = make_mechanism(dimension=64, clip=1.0, bits=8, scale=100.0)
+        assert fits.encode_signal(update, np.random.default_rng(0))[0] == 100
+
+
 class TestSkellamNoise:
     def test_variance_matches_parameter(self):
         mech = make_mechanism(dimension=4096)

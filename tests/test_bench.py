@@ -65,6 +65,9 @@ class TestBenchEntrypoint:
             "mask_fold_d262144_b20",
             "skellam_expand_d131072_var228000000",
             "skellam_expand_d131072_var2500000000",
+            "fwht_d131072",
+            "skellam_encode_signal_d131072",
+            "skellam_decode_d131072",
             "shamir_share",
             "shamir_reconstruct",
             "codec_encode_d64",

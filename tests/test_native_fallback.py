@@ -3,13 +3,15 @@
 ``native.load()`` returning ``None`` used to be a memoized secret.  It
 now emits one ``RuntimeWarning`` per process naming the reason, and the
 pure-Python/numpy path it falls back to — PRG expansion, mask folding,
-the masked-vector bit packer, Skellam noise expansion *and* modular
-exponentiation (``pow``) — must produce the same frames, masks, masked
-vectors, noise vectors, keys, signatures and aggregates as the C kernel.  Each side
-runs in a fresh interpreter (the load outcome is memoized per process)
-with the process's randomness replaced by one fixed stream, so DH
-secrets, Schnorr nonces, Shamir coefficients, noise seeds and AE nonces
-— and with them every frame of the round — repeat exactly.
+the masked-vector bit packer, Skellam noise expansion, modular
+exponentiation (``pow``) *and* the DSkellam transform (butterfly and
+rounder) — must produce the same frames, masks, masked vectors, noise
+vectors, keys, signatures, encoded updates, aggregates and training
+trajectories as the C kernel.  Each side runs in a fresh interpreter
+(the load outcome is memoized per process) with the process's
+randomness replaced by one fixed stream, so DH secrets, Schnorr nonces,
+Shamir coefficients, noise seeds and AE nonces — and with them every
+frame of the round — repeat exactly.
 """
 
 import json
@@ -25,8 +27,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: One serialized SecAgg round with a dropout (so the coordinator
 #: re-derives masks too), a second, wider one whose masked vectors are
 #: kept as uploaded, one XNoise round that removes noise directly and
-#: through stage 5, a fixed frame, and fixed expansions — run under
-#: ``warnings.catch_warnings`` so every announcement is counted.
+#: through stage 5, a fixed frame, fixed expansions, and two short
+#: ``DordisSession`` runs (plain and chunked) on the DSkellam encode —
+#: run under ``warnings.catch_warnings`` so every announcement is counted.
 SCRIPT = r"""
 import hashlib, itertools, json, secrets, warnings
 import numpy as np
@@ -152,6 +155,37 @@ with warnings.catch_warnings(record=True) as caught:
         masks.update(vector.tobytes())
         expand_uniform(b"j" * 32, 1000, modulus, out=vector, sign=-1)
         masks.update(vector.tobytes())
+    # The paper's round in a session, unchunked and in two chunks: what
+    # every client's DSkellam encode hands the protocol, the ring
+    # aggregate the coordinator decodes, the decoded update and the
+    # resulting metric trajectory.
+    from repro.core import DordisConfig, DordisSession
+    from repro.dp.skellam import SkellamMechanism
+
+    encoded_inputs, ring_aggregates, decoded = (hashlib.sha256() for _ in range(3))
+    _encode_signal, _decode = SkellamMechanism.encode_signal, SkellamMechanism.decode
+    def _recording_encode(self, update, rng):
+        signal = _encode_signal(self, update, rng)
+        encoded_inputs.update(signal.tobytes())
+        return signal
+    def _recording_decode(self, aggregate_ring):
+        ring_aggregates.update(np.ascontiguousarray(aggregate_ring).tobytes())
+        update = _decode(self, aggregate_ring)
+        decoded.update(np.ascontiguousarray(update).tobytes())
+        return update
+    SkellamMechanism.encode_signal = _recording_encode
+    SkellamMechanism.decode = _recording_decode
+    metric_history = []
+    for chunks in (1, 2):
+        session = DordisSession(DordisConfig(
+            task="cifar10-like", model="softmax", mechanism="skellam",
+            secure_aggregation="secagg", strategy="xnoise", pipeline_chunks=chunks,
+            num_clients=8, sample_size=5, rounds=2, samples_per_client=15,
+            learning_rate=0.1, epsilon=6.0, clip_bound=1.0, dropout_rate=0.2,
+            tolerance_fraction=0.4, dh_group="modp512", seed=1,
+        ))
+        metric_history.append([float(m).hex() for m in session.run().metric_history])
+    SkellamMechanism.encode_signal, SkellamMechanism.decode = _encode_signal, _decode
     native.load()
     native.load()
 
@@ -178,6 +212,10 @@ print(json.dumps({
     "keys": keys.hexdigest(),
     "signatures": signatures.hexdigest(),
     "round_frames": round_frames.hexdigest(),
+    "session_encoded_inputs": encoded_inputs.hexdigest(),
+    "session_ring_aggregates": ring_aggregates.hexdigest(),
+    "session_decoded": decoded.hexdigest(),
+    "session_metric_history": metric_history,
 }))
 """
 
@@ -208,6 +246,7 @@ class TestAnnouncedFallback:
         assert "key agreement" in message
         assert "noise expansion" in message
         assert "mask folding" in message
+        assert "DSkellam transform" in message
 
     def test_fallback_round_is_correct(self, fallback):
         assert fallback["u3"] == [1, 2, 3, 5]
@@ -217,6 +256,8 @@ class TestAnnouncedFallback:
         assert fallback["xnoise_u3"] == [1, 3, 4, 5]
         assert fallback["xnoise_u6"] == [1, 3, 4]  # stage 5 recovered client 5's seed
         assert fallback["xnoise_removed"] == 4  # components k = 2 of four survivors
+        plain, chunked = fallback["session_metric_history"]
+        assert len(plain) == len(chunked) == 2  # both sessions ran their rounds
 
     def test_fallback_is_bit_identical_to_the_kernel(self, fallback):
         kernel = _run("1")
@@ -228,7 +269,9 @@ class TestAnnouncedFallback:
         for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
                     "keys", "signatures", "round_frames", "noise", "xnoise_u3",
                     "xnoise_u6", "xnoise_removed", "xnoise_aggregate", "wide_u3",
-                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors"):
+                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors",
+                    "session_encoded_inputs", "session_ring_aggregates",
+                    "session_decoded", "session_metric_history"):
             assert kernel[key] == fallback[key], key
 
 
@@ -280,7 +323,8 @@ class TestEveryReasonIsNamed:
             name: getattr(real, name)
             for name in ("repro_sha256_ctr", "repro_sha256_ctr_lanes", "repro_pack_bits",
                          "repro_unpack_bits", "repro_modexp", "repro_skellam_fill",
-                         "repro_skellam_weight", "repro_mask_fold")
+                         "repro_skellam_weight", "repro_mask_fold", "repro_fwht",
+                         "repro_stochastic_round")
         }
         for name, fn in replaced.items():
             entry_points[name] = lambda *args, _fn=fn: _fn(real, *args)
@@ -406,6 +450,54 @@ class TestEveryReasonIsNamed:
         assert "probe mismatch (mask folding)" in message
         assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
         assert not rearmed.mask_fold(b"k" * 32, 20, None, 1)
+
+    def test_wrong_butterfly_disables_the_whole_object(self, rearmed, monkeypatch):
+        # Right in every stage but the last: the two halves of the vector
+        # come back swapped.
+        import ctypes
+
+        def swapped_last_stage(real, vector, n):
+            rc = real.repro_fwht(vector, n)
+            if n > 1:
+                half = (ctypes.c_double * (n // 2))(*vector[: n // 2])
+                vector[: n // 2] = vector[n // 2 :]
+                vector[n // 2 :] = half
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_fwht=swapped_last_stage)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (Walsh-Hadamard butterfly)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+        assert rearmed.load() is None
+
+    def test_wrong_rounding_disables_the_whole_object(self, rearmed, monkeypatch):
+        # A rounder that rounds up when the uniform *equals* the fraction.
+        def rounds_up_on_a_tie(real, x, u, n, limit, out):
+            rc = real.repro_stochastic_round(x, u, n, limit, out)
+            for i in range(n):
+                if rc == 0 and u[i] == x[i] % 1.0 != 0.0:
+                    out[i] += 1
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_stochastic_round=rounds_up_on_a_tie)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (stochastic rounding)" in message
+        assert rearmed.load() is None
+
+    def test_rounder_that_casts_what_it_should_refuse_disables_the_whole_object(
+        self, rearmed, monkeypatch
+    ):
+        def never_refuses(real, x, u, n, limit, out):
+            real.repro_stochastic_round(x, u, n, limit, out)
+            return 0
+
+        kernel = self._real_kernel_with(rearmed, repro_stochastic_round=never_refuses)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (stochastic rounding)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
 
     def test_compiler_without_int128_keeps_the_rest_of_the_object(
         self, rearmed, monkeypatch
