@@ -70,7 +70,6 @@ async def main():
         "advertise_keys": 0.2, "collect_advertise": 0.1,
         "share_keys": 0.4, "route_shares": 0.1,
         "masked_input": 0.6, "collect_masked": 0.3,
-        "consistency_check": 0.1, "collect_consistency": 0.1,
         "unmask": 0.4, "collect_unmask": 0.5,
     }
 

@@ -1,12 +1,15 @@
-"""parity-twin: every ``*_reference`` definition has a live fast twin.
+"""parity-twin: every ``*_reference`` function has a live fast twin.
 
 The repo's performance discipline (ARCHITECTURE.md invariants 9–11)
 keeps each optimized hot path next to the original scalar code as an
 executable specification: ``share`` / ``share_reference``,
-``collect_unmask`` / ``collect_unmask_reference``, class ``PRG`` /
-``PRGReference``.  Nothing used to stop a refactor from silently
-deleting one side of a pair, renaming it out of sync, or dropping the
-parity test.  This rule checks, for every reference definition under
+``collect_unmask`` / ``collect_unmask_reference``,
+``expand_uniform`` / ``expand_uniform_reference``.  Nothing used to
+stop a refactor from silently deleting one side of a pair, renaming it
+out of sync, or dropping the parity test.  (A specification *class* is
+out of scope: ``PRGReference`` specifies module functions —
+``counter_stream``, ``expand_uniform`` — not a class of its own.)  This
+rule checks, for every reference function or method under
 ``src/repro``:
 
 1. a fast twin with the un-suffixed name exists in the same scope
@@ -38,11 +41,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _twin_name(name: str) -> str | None:
-    """``share_reference`` → ``share``; class ``PRGReference`` → ``PRG``."""
+    """``share_reference`` → ``share``."""
     if name.endswith("_reference") and len(name) > len("_reference"):
         return name[: -len("_reference")]
-    if name.endswith("Reference") and len(name) > len("Reference"):
-        return name[: -len("Reference")]
     return None
 
 
@@ -57,7 +58,7 @@ def _scope_lookup(body: list[ast.stmt], name: str) -> ast.AST | None:
 class ParityTwinRule(Rule):
     id = "parity-twin"
     description = (
-        "every *_reference def/class has a same-scope fast twin with an "
+        "every *_reference def has a same-scope fast twin with an "
         "identical signature, and a test file names both"
     )
     invariants = ("9", "10", "11", "15")
@@ -70,12 +71,12 @@ class ParityTwinRule(Rule):
         # (reference node, enclosing body to search for the twin)
         scopes: list[tuple[ast.AST, list[ast.stmt]]] = []
         for node in src.tree.body:
-            if isinstance(node, (*_DEFS, ast.ClassDef)):
+            if isinstance(node, _DEFS):
                 scopes.append((node, src.tree.body))
-                if isinstance(node, ast.ClassDef):
-                    for sub in node.body:
-                        if isinstance(sub, (*_DEFS, ast.ClassDef)):
-                            scopes.append((sub, node.body))
+            elif isinstance(node, ast.ClassDef):
+                scopes.extend(
+                    (sub, node.body) for sub in node.body if isinstance(sub, _DEFS)
+                )
 
         for node, body in scopes:
             twin = _twin_name(node.name)  # type: ignore[union-attr]
@@ -89,7 +90,7 @@ class ParityTwinRule(Rule):
                     f"scope",
                 )
                 continue
-            if isinstance(node, _DEFS) and isinstance(twin_node, _DEFS):
+            if isinstance(twin_node, _DEFS):
                 ref_args, fast_args = arg_names(node), arg_names(twin_node)
                 if ref_args != fast_args:
                     yield self.finding(

@@ -29,7 +29,6 @@ from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.dh import KeyAgreement, resolve_group
 from repro.crypto.shamir import ShamirSecretSharing, random_seed
-from repro.secagg.graph import build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, UnmaskingMsg
 from repro.utils.rng import derive_rng
@@ -55,7 +54,6 @@ def _fabricate_state(
     )
     ka = KeyAgreement(resolve_group(config.dh_group))
     pairs = {u: ka.generate() for u in ids}
-    graph = build_graph(config, ids)
     modulus = config.modulus
 
     masked = {
@@ -98,7 +96,6 @@ def _fabricate_state(
         "survivors": survivors,
         "dropped": dropped,
         "roster": roster,
-        "graph": graph,
         "masked": masked,
         "messages": messages,
     }
@@ -119,7 +116,7 @@ def _make_server(state: dict[str, Any], workers: Optional[int]) -> SecAggServer:
         workers=workers,
     )
     server = SecAggServer(config)
-    server.collect_advertise(state["roster"], state["graph"])
+    server.collect_advertise(state["roster"])
     server.u2 = list(state["ids"])
     server.u3 = list(state["survivors"])
     server.u4 = list(state["survivors"])
@@ -142,9 +139,8 @@ def run_unmask(
     state = _fabricate_state(dim, clients, dropout, bits, seed)
     survivors = state["survivors"]
     dropped = state["dropped"]
-    n_masks = len(survivors) + sum(
-        len(state["graph"].get(u, set()) & set(survivors)) for u in dropped
-    )
+    # Complete graph: every dropped client pairs with every survivor.
+    n_masks = len(survivors) * (1 + len(dropped))
 
     metrics: dict[str, Any] = {}
     results: list[np.ndarray] = []

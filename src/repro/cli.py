@@ -344,6 +344,11 @@ def _cmd_run(args) -> int:
     print(f"final {result.metric_name:10s}: {result.final_metric:.4f}")
     print(f"epsilon consumed : {result.epsilon_consumed:.3f} "
           f"(budget {args.epsilon})")
+    if result.epsilon_consumed > args.epsilon:
+        past = ", ".join(map(str, result.past_tolerance_rounds)) or "none"
+        print(f"warning: epsilon consumed {result.epsilon_consumed:.3f} exceeds "
+              f"the budget {args.epsilon}; rounds past the XNoise tolerance "
+              f"(|D| > T): {past}", file=sys.stderr)
     if fleet is not None and result.round_seconds_history:
         trace = session.engine.trace
         print(f"mean round       : "

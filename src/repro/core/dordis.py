@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.baselines import NoiseStrategy, make_strategy
+from repro.core.baselines import NoiseStrategy, XNoiseStrategy, make_strategy
 from repro.core.config import DordisConfig
 from repro.engine import RoundEngine
 from repro.engine.core import run_sync
@@ -67,7 +67,10 @@ class TrainingResult:
     legacy zero-latency behaviour: entries are then 0.0 unless the
     caller supplies an engine with its own timing source (e.g.
     ``DordisSession(cfg, engine=RoundEngine(transport=SimulatedNetworkTransport(...)))``
-    or a ``StageTiming`` model).
+    or a ``StageTiming`` model).  ``past_tolerance_rounds`` names the
+    completed rounds whose dropout exceeded the XNoise tolerance
+    (|D| > T): Theorem 1 no longer holds there, the aggregate carried
+    less than the target noise and the round spent more than planned.
     """
 
     metric_name: str
@@ -75,6 +78,7 @@ class TrainingResult:
     epsilon_history: list = field(default_factory=list)
     dropout_history: list = field(default_factory=list)
     round_seconds_history: list = field(default_factory=list)
+    past_tolerance_rounds: list = field(default_factory=list)
     rounds_completed: int = 0
     stopped_early: bool = False
 
@@ -362,7 +366,7 @@ class DordisSession:
                 for u in sampled
             }
             try:
-                update_sum = await self._aggregate_secagg(
+                update_sum, past_tolerance = await self._aggregate_secagg(
                     updates_by_id, sampled, dropped, r
                 )
             except ProtocolAbort:
@@ -384,6 +388,11 @@ class DordisSession:
                 for u in survivors
             ]
             update_sum = self._aggregate(updates, sampled, survivors, r)
+            # Only XNoise has a tolerance T; the executed protocol
+            # reports |D| > T itself (XNoiseResult.tolerance_exceeded).
+            past_tolerance = isinstance(
+                self.strategy, XNoiseStrategy
+            ) and len(dropped) > self.strategy.tolerance(len(sampled))
             if self.fleet is not None:
                 # The fast path executes no protocol rounds, so the
                 # fleet's timing model supplies the round's cost: model
@@ -404,6 +413,8 @@ class DordisSession:
                     )
                 )
         server.apply_update_sum(update_sum, len(survivors))
+        if past_tolerance:
+            result.past_tolerance_rounds.append(r)
 
         actual = self.strategy.actual_variance(
             self.plan.variance, len(sampled), len(dropped)
@@ -486,13 +497,15 @@ class DordisSession:
         sampled: list[int],
         dropped: set[int],
         round_index: int,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, bool]:
         """Run the integrated XNoise+SecAgg protocol for real (Fig. 5).
 
         With ``pipeline_chunks > 1`` the round executes as m independent
         chunk sub-rounds overlapped on the engine (§4.1): each chunk is a
         full XNoise+SecAgg round over its coordinate slice, and the chunk
-        aggregates concatenate back per the ``Σ ∥`` identity.
+        aggregates concatenate back per the ``Σ ∥`` identity.  Returns
+        the decoded update sum and whether the round ran past the XNoise
+        tolerance (|D| > T, as the protocol server saw it).
         """
         from repro.secagg.driver import DropoutSchedule
         from repro.secagg.types import SecAggConfig
@@ -548,7 +561,7 @@ class DordisSession:
                 xconfig, inputs, schedule,
                 round_index=round_index, engine=self.engine, timing=timing,
             )
-            return mech.decode(result.aggregate)
+            return mech.decode(result.aggregate), result.tolerance_exceeded
 
         transport = with_dropout(self.engine.transport, schedule)
 
@@ -565,4 +578,6 @@ class DordisSession:
             chunk_factory, inputs, n_chunks, transport=transport,
             timing=timing,
         )
-        return mech.decode(chunked.result)
+        return mech.decode(chunked.result), any(
+            chunk.tolerance_exceeded for chunk in chunked.chunk_results
+        )

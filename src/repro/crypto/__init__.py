@@ -21,7 +21,7 @@ failure), but they have not been audited for production deployment.
 """
 
 from repro.crypto.field import PrimeField, FIELD
-from repro.crypto.prg import PRG, PRGReference, expand_uniform
+from repro.crypto.prg import PRGReference, expand_uniform
 from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.crypto.dh import DHKeyPair, KeyAgreement, MODP_2048
 from repro.crypto.ae import AuthenticatedEncryption, AEError
@@ -31,7 +31,6 @@ from repro.crypto.pki import PublicKeyInfrastructure
 __all__ = [
     "PrimeField",
     "FIELD",
-    "PRG",
     "PRGReference",
     "expand_uniform",
     "ShamirSecretSharing",

@@ -4,7 +4,8 @@ SecAgg requires an IND-CPA + INT-CTXT authenticated-encryption scheme AE
 to protect the secret shares that clients route through the untrusted
 server (Fig. 5, ShareKeys).  We build the standard composition:
 
-- keystream: SHA-256 counter-mode PRG keyed by ``HKDF(key, "enc") || nonce``;
+- keystream: the SHA-256 counter stream (:func:`repro.crypto.prg.counter_stream`)
+  of the 48-byte seed ``HKDF(key, "enc") || nonce``;
 - ciphertext: plaintext XOR keystream;
 - tag: HMAC-SHA256 under ``HKDF(key, "mac")`` over ``nonce || ciphertext``.
 
@@ -18,7 +19,7 @@ import hmac
 import hashlib
 import secrets
 
-from repro.crypto.prg import PRG
+from repro.crypto.prg import counter_stream
 
 _NONCE_LEN = 16
 _TAG_LEN = 32
@@ -52,10 +53,19 @@ class AuthenticatedEncryption:
         self._enc_key = _subkey(key, b"enc")
         self._mac_key = _subkey(key, b"mac")
 
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the first ``len(data)`` keystream bytes, as one
+        big-integer operation."""
+        n = len(data)
+        stream = counter_stream(self._enc_key + nonce, -(-n // 32))
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(
+            memoryview(stream)[:n], "big"
+        )
+        return mixed.to_bytes(n, "big")
+
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = secrets.token_bytes(_NONCE_LEN)
-        stream = PRG(self._enc_key + nonce).read(len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = self._xor_keystream(nonce, plaintext)
         tag = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).digest()
         return nonce + ciphertext + tag
 
@@ -68,5 +78,4 @@ class AuthenticatedEncryption:
         expect = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).digest()
         if not hmac.compare_digest(tag, expect):
             raise AEError("authentication failed")
-        stream = PRG(self._enc_key + nonce).read(len(ciphertext))
-        return bytes(c ^ s for c, s in zip(ciphertext, stream))
+        return self._xor_keystream(nonce, ciphertext)

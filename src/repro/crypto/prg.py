@@ -14,11 +14,11 @@ Two implementations live here, bit-identical by construction and pinned
 bit-identical by test (``tests/crypto/test_hotpath_parity.py``,
 ``tests/crypto/test_mask_vectors.py``):
 
-- :func:`expand_uniform` and :class:`PRG` — the hot path.  The SHA-256
-  midstate over the seed is computed once and ``.copy()``-ed per counter
-  block (the seed bytes are never re-absorbed); whole-mask expansion
-  takes its stream from the native kernel (:mod:`repro.native`) when the
-  host can build it.
+- :func:`counter_stream` and :func:`expand_uniform` — the hot path.
+  The stream comes from the native kernel (:mod:`repro.native`) when
+  the host can build it; otherwise the SHA-256 midstate over the seed
+  is computed once and ``.copy()``-ed per counter block (the seed bytes
+  are never re-absorbed).
 - :class:`PRGReference` — the retained executable specification: one
   ``hashlib.sha256(seed + counter)`` call per 32-byte block and Python
   integers for every element, exactly as the deployed protocol
@@ -117,8 +117,9 @@ def _check_draw(length: int, modulus: int) -> Optional[int]:
 class PRGReference:
     """The retained scalar reference: ``SHA256(seed ∥ counter)`` per block.
 
-    This is the executable specification :class:`PRG` is parity-pinned
-    against — slow on purpose, never used on the hot path.
+    This is the executable specification :func:`counter_stream` and
+    :func:`expand_uniform` are parity-pinned against — slow on purpose,
+    never used on the hot path.
     """
 
     def __init__(self, seed: bytes):
@@ -126,10 +127,6 @@ class PRGReference:
             raise TypeError("seed must be bytes")
         self._seed = bytes(seed)
         self._counter = 0
-
-    @property
-    def seed(self) -> bytes:
-        return self._seed
 
     def read(self, n: int) -> bytes:
         """Return the next ``n`` pseudorandom bytes."""
@@ -171,74 +168,6 @@ class PRGReference:
         return np.array(draws, dtype=np.int64)
 
 
-class PRG:
-    """Deterministic byte/vector stream expanded from a seed.
-
-    Each call advances an internal counter, so successive calls return
-    disjoint stream segments; two PRGs built from the same seed produce
-    the same sequence of outputs for the same sequence of calls.  The
-    stream is bit-identical to :class:`PRGReference` for any sequence of
-    calls (pinned by test); only the per-block bookkeeping differs.
-    """
-
-    def __init__(self, seed: bytes):
-        if not isinstance(seed, (bytes, bytearray)):
-            raise TypeError("seed must be bytes")
-        self._seed = bytes(seed)
-        self._counter = 0
-        # Midstate: the seed is absorbed exactly once; each block copies
-        # this state and appends only its 8 counter bytes.  copy()
-        # preserves buffered input, so SHA256(seed ∥ ctr) ==
-        # copy().update(ctr).digest() for any seed length.
-        self._midstate = _sha256_fast(self._seed)
-
-    @property
-    def seed(self) -> bytes:
-        return self._seed
-
-    def _block_digests(self, nblocks: int) -> list[bytes]:
-        """The next ``nblocks`` whole counter blocks, one digest each."""
-        copy = self._midstate.copy
-        out: list[bytes] = []
-        append = out.append
-        for ctr in range(self._counter, self._counter + nblocks):
-            h = copy()
-            h.update(ctr.to_bytes(8, "big"))
-            append(h.digest())
-        self._counter += nblocks
-        return out
-
-    def read(self, n: int) -> bytes:
-        """Return the next ``n`` pseudorandom bytes."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return b""
-        nblocks = -(-n // _BLOCK)
-        blocks = self._block_digests(nblocks)
-        # The final partial block is sliced exactly once (the reference
-        # discards the tail of its last block the same way).
-        rem = n - (nblocks - 1) * _BLOCK
-        if rem != _BLOCK:
-            blocks[-1] = blocks[-1][:rem]
-        return b"".join(blocks)
-
-    def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
-        """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
-
-        The next stream segment read as :meth:`PRGReference.uniform_vector`
-        defines it: the wire unpacking of ``⌈length·b/256⌉`` blocks over
-        a ring ``2**b``, one reduced 64-bit word per element otherwise.
-        """
-        bits = _check_draw(length, modulus)
-        if bits is None:
-            return _reduce_words(bytearray(self.read(8 * length)), length, modulus)
-        if bits == 0:
-            return np.zeros(length, dtype=np.int64)
-        stream = self.read(packed_nbytes(length, bits))
-        return bit_fields(np.frombuffer(stream, dtype=np.uint8), length, bits)
-
-
 def _reduce_words(buf: bytearray, length: int, modulus: int) -> np.ndarray:
     """The first ``length`` big-endian 64-bit words of ``buf`` mod ``modulus``.
 
@@ -256,8 +185,9 @@ def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
     """Blocks ``ctr0 … ctr0 + nblocks − 1`` of ``SHA256(seed ∥ be64(ctr))``.
 
     The raw block stream under every seed expansion — masks
-    (:func:`expand_uniform`) and Skellam noise (:mod:`repro.dp.sampler`)
-    — in one writable buffer.  The native kernel (repro.native) emits it
+    (:func:`expand_uniform`), Skellam noise (:mod:`repro.dp.sampler`)
+    and the AE keystream (:mod:`repro.crypto.ae`) — in one writable
+    buffer.  The native kernel (repro.native) emits it
     ~10× faster when the host can build it; otherwise the hashlib
     midstate loop serves the identical bytes.
     """

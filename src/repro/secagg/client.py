@@ -7,14 +7,18 @@ responding, raising :class:`ProtocolAbort` on any inconsistency — the
 
 Malicious-mode behaviour (signature generation/verification and the
 ConsistencyCheck stage) activates when the config says so and a PKI is
-supplied.
+supplied.  A semi-honest round has no ConsistencyCheck exchange: the
+Unmasking request carries U3 and :meth:`SecAggClient.unmask` adopts it
+through the same checks.
 
-The class exposes two extension points used by XNoise
+The class exposes three extension points used by XNoise
 (:mod:`repro.xnoise.protocol`):
 
 - ``extra_secrets`` — labelled byte secrets Shamir-shared along with the
   mask key and self-mask seed in ShareKeys (XNoise: the noise-component
   seeds g_{u,k});
+- :meth:`revealed_seeds` — what Unmasking discloses directly, asked once
+  U3 is fixed (XNoise: the excess components' seeds);
 - :meth:`shares_of_extra_secret` — disclose held shares of peers' extra
   secrets on request (XNoise: ExcessiveNoiseRemoval).
 """
@@ -66,7 +70,6 @@ class SecAggClient:
         self,
         client_id: int,
         config: SecAggConfig,
-        graph: dict[int, set[int]] | None = None,
         signer: Optional[SchnorrSigner] = None,
         pki: Optional[PublicKeyInfrastructure] = None,
         round_index: int = 0,
@@ -80,7 +83,6 @@ class SecAggClient:
         self._ka = KeyAgreement(resolve_group(config.dh_group))
         self._signer = signer
         self._pki = pki
-        self._graph = graph
         self.extra_secrets = dict(extra_secrets or {})
 
         self._c_pair = self._ka.generate()
@@ -116,9 +118,14 @@ class SecAggClient:
     # Stage 1 — ShareKeys
     # ------------------------------------------------------------------
     def share_keys(
-        self, roster: dict[int, AdvertiseKeysMsg], graph: dict[int, set[int]]
+        self, roster: dict[int, AdvertiseKeysMsg], neighbors
     ) -> dict[int, bytes]:
         """Validate the roster and distribute encrypted shares.
+
+        ``neighbors`` is this client's own neighbourhood in the masking
+        graph — a collection of roster ids, the whole roster but itself
+        under the complete graph — as the server sends it; nothing is
+        cut for a set that was not checked against the roster first.
 
         Returns ``recipient id → AE ciphertext``.  Shares of the masking
         key s^SK, the self-mask seed b_u, and every extra secret are cut
@@ -152,10 +159,20 @@ class SecAggClient:
                 ):
                     raise ProtocolAbort(f"bad key signature from {peer}")
 
+        if not isinstance(neighbors, (list, tuple, set, frozenset)) or not all(
+            type(v) is int for v in neighbors
+        ):
+            raise ProtocolAbort("neighbors must be a collection of client ids")
+        neighbor_set = set(neighbors)
+        if self.id in neighbor_set:
+            raise ProtocolAbort(f"client {self.id} listed as its own neighbor")
+        strangers = sorted(neighbor_set - roster.keys())
+        if strangers:
+            raise ProtocolAbort(f"neighbors {strangers} missing from roster")
+
         self._peer_keys = peer_keys
         self._c_keys = {}
-        self._graph = graph
-        self._neighbors = set(graph.get(self.id, set())) & set(roster)
+        self._neighbors = neighbor_set
         if len(self._neighbors) < self.config.threshold:
             raise ProtocolAbort(
                 f"only {len(self._neighbors)} neighbors; threshold "
@@ -244,10 +261,11 @@ class SecAggClient:
         )
 
     # ------------------------------------------------------------------
-    # Stage 3 — ConsistencyCheck (malicious mode only)
+    # Stage 3 — ConsistencyCheck (an exchange in malicious mode only)
     # ------------------------------------------------------------------
     def consistency_check(self, u3: list[int]):
-        """Sign ``r ∥ U3`` so the server cannot equivocate about survivors."""
+        """Fix U3; in malicious mode sign ``r ∥ U3`` so the server cannot
+        equivocate about survivors."""
         self._u3 = set(u3)
         if len(self._u3) < self.config.threshold:
             raise ProtocolAbort(f"|U3| = {len(self._u3)} below threshold")
@@ -267,7 +285,6 @@ class SecAggClient:
         u4_signatures: dict[int, object] | None,
         dropped: list[int],
         survivors: list[int],
-        revealed_seeds: dict[int, bytes] | None = None,
     ) -> UnmaskingMsg:
         """Reveal shares: mask keys of the dropped, self-mask seeds of survivors.
 
@@ -278,8 +295,12 @@ class SecAggClient:
         dropped_set, survivor_set = set(dropped), set(survivors)
         if dropped_set & survivor_set:
             raise ProtocolAbort("server requested both secrets of one client")
-        if not survivor_set <= self._u3 or self._u3 - survivor_set:
-            # Survivor list must be exactly the U3 the client saw.
+        if not self.config.malicious:
+            # No ConsistencyCheck exchange ran: the survivor list *is*
+            # U3, adopted here through the same checks.
+            self.consistency_check(survivors)
+        elif survivor_set != self._u3:
+            # Survivor list must be exactly the U3 the client signed.
             raise ProtocolAbort("survivor list inconsistent with U3")
         if dropped_set & self._u3:
             # With a k-regular graph the client only sees its neighborhood
@@ -311,12 +332,16 @@ class SecAggClient:
             sender=self.id,
             s_sk_shares=s_sk_shares,
             b_shares=b_shares,
-            revealed_seeds=dict(revealed_seeds or {}),
+            revealed_seeds=self.revealed_seeds(),
         )
 
     # ------------------------------------------------------------------
-    # XNoise extension hook
+    # XNoise extension hooks
     # ------------------------------------------------------------------
+    def revealed_seeds(self) -> dict[int, bytes]:
+        """Seeds Unmasking discloses directly; asked after U3 is fixed."""
+        return {}
+
     def shares_of_extra_secret(
         self, label_for: dict[int, list[str]]
     ) -> dict[int, dict[str, Share]]:

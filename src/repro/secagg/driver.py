@@ -28,12 +28,10 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.engine import RoundEngine
 from repro.engine.core import run_sync
 from repro.secagg.client import SecAggClient
-from repro.secagg.graph import build_graph  # noqa: F401  (re-export)
 from repro.secagg.server import SecAggServer
 from repro.secagg.workflow import (
     SecAggWorkflowClient,
     SecAggWorkflowServer,
-    secagg_stage_of,  # noqa: F401  (re-export)
     with_dropout,
 )
 from repro.secagg.types import (
@@ -227,17 +225,16 @@ def run_reference_stages(
     Unmasking and their stage-4 messages (XNoise's stage 5 reads the
     revealed seeds from them).
     """
-    config = server.config
     # Stage 0 — AdvertiseKeys.
     alive = set(clients) - dropout.dropped_by(STAGE_ADVERTISE)
     adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    graph = build_graph(config, sorted(adverts))
-    roster = server.collect_advertise(adverts, graph)
+    share_requests = server.collect_advertise(adverts)
 
     # Stage 1 — ShareKeys.
     alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
     outboxes = {
-        u: clients[u].share_keys(roster, graph) for u in sorted(alive & set(roster))
+        u: clients[u].share_keys(*share_requests[u])
+        for u in sorted(alive & set(share_requests))
     }
     inboxes = server.route_shares(outboxes)
 
@@ -249,22 +246,18 @@ def run_reference_stages(
     }
     u3 = server.collect_masked(masked)
 
-    # Stage 3 — ConsistencyCheck (malicious only).
+    # Stage 3 — ConsistencyCheck: an exchange in malicious mode only.
     alive -= dropout.dropped_by(STAGE_CONSISTENCY)
-    if config.malicious:
-        sigs = {u: clients[u].consistency_check(u3) for u in sorted(alive & set(u3))}
-        u4, sig_set = server.collect_consistency(sigs)
-    else:
-        for u in sorted(alive & set(u3)):
-            clients[u].consistency_check(u3)
-        u4, sig_set = server.skip_consistency(), None
+    if server.config.malicious:
+        server.collect_consistency(
+            {u: clients[u].consistency_check(u3) for u in sorted(alive & set(u3))}
+        )
 
     # Stage 4 — Unmasking.
     alive -= dropout.dropped_by(STAGE_UNMASK)
-    dropped_list = server.dropped_after_masking
+    request = server.unmask_request()
     unmask_msgs = {
-        u: clients[u].unmask(u4, sig_set, dropped=dropped_list, survivors=list(u3))
-        for u in sorted(alive & set(u4))
+        u: clients[u].unmask(*request) for u in sorted(alive & set(server.u4))
     }
     aggregate = server.collect_unmask(unmask_msgs)
     return aggregate, alive, unmask_msgs

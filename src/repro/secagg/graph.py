@@ -6,9 +6,10 @@ by masking only along the edges of a random k-regular graph with
 k = O(log n), at a slight cost in dropout/collusion robustness (§2.3.2).
 
 Both cases expose the same interface: given the stage-0 roster, return
-each client's neighbor set.  The graph must be a *public, deterministic*
-function of the roster and a public seed so every party derives the same
-topology.
+each client's neighbor set.  The server builds the graph once a round
+and sends each client its own neighbor ids: the construction is
+deterministic in the roster and a public seed, but what ``networkx``
+draws from that seed is no specification two parties could be held to.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
+from repro.secagg.graph import build_graph
 from repro.secagg.masking import MaskAccumulator, in_ring
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -54,14 +55,21 @@ class SecAggServer:
         self.u4: list[int] = []
         self.u5: list[int] = []
         self._masked: dict[int, np.ndarray] = {}
-        self._consistency_sigs: dict[int, object] = {}
+        self._consistency_sigs: Optional[dict[int, object]] = None
 
     # ------------------------------------------------------------------
     def collect_advertise(
-        self, messages: dict[int, AdvertiseKeysMsg], graph: dict[int, set[int]]
-    ) -> dict[int, AdvertiseKeysMsg]:
-        """Fix U1 and the communication graph; broadcast the roster —
-        never one a client would refuse for a key of the wrong width."""
+        self, messages: dict[int, AdvertiseKeysMsg]
+    ) -> dict[int, tuple[dict[int, AdvertiseKeysMsg], list[int]]]:
+        """Fix U1 and the masking graph over it; return each client's
+        ShareKeys request ``(roster, its own neighbors)`` — never a
+        roster a client would refuse for a key of the wrong width.
+
+        The one place the graph is built.  A client is sent its
+        neighbourhood, not the graph and not a recipe for it: what
+        networkx's generator draws from ``graph_seed`` is no frozen
+        specification two releases must agree on.
+        """
         if len(messages) < self.config.threshold:
             raise ProtocolAbort(
                 f"only {len(messages)} advertisements; threshold "
@@ -75,8 +83,9 @@ class SecAggServer:
                 raise ProtocolAbort(f"bad public key from {u}: {exc}") from exc
         self.roster = dict(messages)
         self.u1 = sorted(messages)
-        self.graph = graph
-        return dict(self.roster)
+        self.graph = build_graph(self.config, self.u1)
+        roster = dict(self.roster)
+        return {u: (roster, sorted(self.graph[u])) for u in self.u1}
 
     # ------------------------------------------------------------------
     def route_shares(
@@ -96,7 +105,9 @@ class SecAggServer:
 
     # ------------------------------------------------------------------
     def collect_masked(self, messages: dict[int, MaskedInputMsg]) -> list[int]:
-        """Fix U3 (the survivor set whose inputs enter the aggregate).
+        """Fix U3 (the survivor set whose inputs enter the aggregate) —
+        and, in a semi-honest round, U4 = U3: there is no
+        ConsistencyCheck exchange to narrow it.
 
         A message that is not a ``(dimension,)`` vector over this
         round's ring is not a masked input: its sender is left out of
@@ -120,6 +131,8 @@ class SecAggServer:
             )
         self._masked = good
         self.u3 = sorted(good)
+        if not self.config.malicious:
+            self.u4 = list(self.u3)
         return list(self.u3)
 
     def _well_formed(self, msg: MaskedInputMsg) -> bool:
@@ -133,21 +146,25 @@ class SecAggServer:
         )
 
     # ------------------------------------------------------------------
-    def collect_consistency(
-        self, signatures: dict[int, object]
-    ) -> tuple[list[int], dict[int, object]]:
-        """Fix U4; broadcast the signature set for mutual verification."""
+    def collect_consistency(self, signatures: dict[int, object]) -> list[int]:
+        """Fix U4; its signature set goes out with the Unmasking request
+        for mutual verification."""
         good = {u: s for u, s in signatures.items() if u in self.u3 and s is not None}
         if len(good) < self.config.threshold:
             raise ProtocolAbort(f"only {len(good)} consistency sigs; below threshold")
         self.u4 = sorted(good)
-        self._consistency_sigs = dict(good)
-        return list(self.u4), dict(good)
-
-    def skip_consistency(self) -> list[int]:
-        """Semi-honest mode: U4 = U3 without signatures."""
-        self.u4 = list(self.u3)
+        self._consistency_sigs = good
         return list(self.u4)
+
+    def unmask_request(self) -> tuple:
+        """The Unmasking request, ``SecAggClient.unmask``'s arguments:
+        ``(U4, U4's signatures or None, U2 \\ U3, U3)``."""
+        return (
+            list(self.u4),
+            self._consistency_sigs,
+            self.dropped_after_masking,
+            list(self.u3),
+        )
 
     @property
     def dropped_after_masking(self) -> list[int]:

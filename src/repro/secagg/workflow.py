@@ -21,7 +21,6 @@ import numpy as np
 from repro.api.protocol import ProtocolClient, ProtocolServer
 from repro.engine import Targeted
 from repro.secagg.client import SecAggClient
-from repro.secagg.graph import build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import (
     RoundResult,
@@ -81,8 +80,7 @@ class SecAggWorkflowClient(ProtocolClient):
         return self.inner.advertise_keys()
 
     def _share_keys(self, payload):
-        roster, graph = payload
-        return self.inner.share_keys(roster, graph)
+        return self.inner.share_keys(*payload)  # (roster, neighbors)
 
     def _masked_input(self, inbox):
         return self.inner.masked_input(inbox, self.update_ring)
@@ -91,8 +89,7 @@ class SecAggWorkflowClient(ProtocolClient):
         return self.inner.consistency_check(u3)
 
     def _unmask(self, payload):
-        u4, sig_set, dropped, survivors = payload
-        return self.inner.unmask(u4, sig_set, dropped=dropped, survivors=survivors)
+        return self.inner.unmask(*payload)  # (u4, signatures, dropped, survivors)
 
     def _noise_shares(self, labels):
         return self.inner.shares_of_extra_secret(labels)
@@ -107,6 +104,9 @@ class SecAggWorkflowServer(ProtocolServer):
 
     # ------------------------------------------------------------------
     def set_graph_dict(self) -> dict:
+        """Fig. 5 as declared operations: eight in a semi-honest round,
+        ten in a malicious one — ConsistencyCheck is its bracketed,
+        malicious-only exchange."""
         ops = [
             ("advertise_keys", "c-comp", []),
             ("collect_advertise", "s-comp", ["advertise_keys"]),
@@ -114,9 +114,15 @@ class SecAggWorkflowServer(ProtocolServer):
             ("route_shares", "s-comp", ["share_keys"]),
             ("masked_input", "c-comp", ["route_shares"]),
             ("collect_masked", "s-comp", ["masked_input"]),
-            ("consistency_check", "c-comp", ["collect_masked"]),
-            ("collect_consistency", "s-comp", ["consistency_check"]),
-            ("unmask", "c-comp", ["collect_consistency"]),
+        ]
+        if self.config.malicious:
+            ops += [
+                ("consistency_check", "c-comp", ["collect_masked"]),
+                ("collect_consistency", "s-comp", ["consistency_check"]),
+            ]
+        unmask_after = ops[-1][0]
+        ops += [
+            ("unmask", "c-comp", [unmask_after]),
             ("collect_unmask", "s-comp", ["unmask"]),
         ]
         return {op: {"resource": r, "deps": d} for op, r, d in ops}
@@ -125,9 +131,7 @@ class SecAggWorkflowServer(ProtocolServer):
     # Coordination methods (one per declared s-comp operation)
     # ------------------------------------------------------------------
     def collect_advertise(self, responses: dict) -> Targeted:
-        graph = build_graph(self.config, sorted(responses))
-        roster = self.inner.collect_advertise(responses, graph)
-        return Targeted({u: (dict(roster), graph) for u in sorted(roster)})
+        return Targeted(self.inner.collect_advertise(responses))
 
     def route_shares(self, responses: dict) -> Targeted:
         inboxes = self.inner.route_shares(responses)
@@ -135,18 +139,17 @@ class SecAggWorkflowServer(ProtocolServer):
 
     def collect_masked(self, responses: dict) -> Targeted:
         u3 = self.inner.collect_masked(responses)
+        if not self.config.malicious:
+            return self._unmask_requests()
         return Targeted({u: list(u3) for u in u3})
 
     def collect_consistency(self, responses: dict) -> Targeted:
-        if self.config.malicious:
-            u4, sig_set = self.inner.collect_consistency(responses)
-        else:
-            u4, sig_set = self.inner.skip_consistency(), None
-        dropped = self.inner.dropped_after_masking
-        survivors = list(self.inner.u3)
-        return Targeted(
-            {u: (list(u4), sig_set, dropped, survivors) for u in u4}
-        )
+        self.inner.collect_consistency(responses)
+        return self._unmask_requests()
+
+    def _unmask_requests(self) -> Targeted:
+        request = self.inner.unmask_request()
+        return Targeted({u: request for u in self.inner.u4})
 
     def collect_unmask(self, responses: dict) -> RoundResult:
         return self.inner.round_result(self.inner.collect_unmask(responses))

@@ -16,12 +16,16 @@ big-endian; ints are length-prefixed signed big-endian (arbitrary
 precision — DH group elements fit); ndarrays carry dtype, shape, and
 the raw C-order buffer.  Version 3 carried every small typed message
 as the value encoding of its field tuple (version 2 had hand-laid,
-zero-padded field lists); versions 4 and 5 (this one) kept the layout
-and changed a meaning — since 4 an XNoise seed expands to the noise
-vector :mod:`repro.dp.sampler` specifies, not to a numpy generator's,
-and since 5 a mask seed expands to ring-width bit fields of its stream
-(:mod:`repro.crypto.prg`), not to cut-down 32-bit words — so an older
-payload is refused by name.
+zero-padded field lists); versions 4, 5 and 6 (this one) kept the
+layout and changed a meaning — since 4 an XNoise seed expands to the
+noise vector :mod:`repro.dp.sampler` specifies, not to a numpy
+generator's; since 5 a mask seed expands to ring-width bit fields of
+its stream (:mod:`repro.crypto.prg`), not to cut-down 32-bit words;
+and since 6 a ``share_keys`` request is ``(roster, the recipient's own
+neighbour ids)``, not ``(roster, the whole masking graph)``, and a
+semi-honest round has no ``consistency_check`` request (its
+``unmask`` request carries U3) — so an older payload is refused by
+name.
 
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong
@@ -53,7 +57,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 5
+PAYLOAD_VERSION = 6
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).

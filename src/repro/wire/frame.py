@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 MAGIC = b"DW"
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 #: Fixed header size: magic(2) + version(1) + kind(1) + length(4).
 FRAME_OVERHEAD = 8

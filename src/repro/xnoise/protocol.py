@@ -146,13 +146,9 @@ class XNoiseClient(SecAggClient):
         clamped = min(max(n_dropped, 0), self.decomposition.tolerance)
         return range(clamped + 1, self.decomposition.n_components)
 
-    def unmask(self, u4, u4_signatures, dropped, survivors, revealed_seeds=None):
-        reveal = {
-            k: self.noise_seeds[k] for k in self.excess_component_indices()
-        }
-        return super().unmask(
-            u4, u4_signatures, dropped, survivors, revealed_seeds=reveal
-        )
+    def revealed_seeds(self) -> dict[int, bytes]:
+        """Unmasking reveals the excess components' seeds directly."""
+        return {k: self.noise_seeds[k] for k in self.excess_component_indices()}
 
 
 class XNoiseServer(SecAggServer):

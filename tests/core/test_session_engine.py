@@ -45,6 +45,25 @@ class TestChunkedSecAggSession:
         )
         assert chunked.dropout_history == plain.dropout_history
 
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_past_tolerance_rounds_are_named(self, chunks):
+        """T = 1 of 5 sampled: the rounds where two or more dropped ran
+        past the tolerance, as the protocol server saw it
+        (``XNoiseResult.tolerance_exceeded``) — and as the noise-algebra
+        path computes it from the strategy for the same round sequence."""
+        shape = dict(tolerance_fraction=0.2, dropout_rate=0.3, rounds=3)
+        executed = DordisSession(
+            secagg_config(pipeline_chunks=chunks, **shape)
+        ).run()
+        assert executed.dropout_history == [0.4, 0.2, 0.2]
+        assert executed.past_tolerance_rounds == [0]
+        simulated = DordisSession(
+            secagg_config(secure_aggregation="simulated", **shape)
+        ).run()
+        assert simulated.past_tolerance_rounds == [0]
+        within = DordisSession(secagg_config(pipeline_chunks=chunks)).run()
+        assert within.past_tolerance_rounds == []
+
     def test_round_durations_recorded_per_completed_round(self):
         session = DordisSession(secagg_config(pipeline_chunks=2))
         result = session.run()

@@ -95,6 +95,48 @@ class TestAuthenticatedEncryption:
         with pytest.raises(ValueError):
             AuthenticatedEncryption(b"short-key")
 
+    #: Taken from the tree at 923c2d7 (keystream read a byte at a time
+    #: from the stateful ``PRG``): key ``bytes(range(32))``, nonce
+    #: ``a0 … af``, plaintext the big-endian 16-bit words 0 … 44 — 90
+    #: bytes, so the keystream ends inside its third block.  Ciphertexts
+    #: cross between checkouts in both directions; never regenerate
+    #: these from the tree under test.
+    GOLDEN_NONCE = bytes(range(0xA0, 0xB0))
+    GOLDEN_BLOB = bytes.fromhex(
+        "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+        "abd759eb8e78eb0aeca0b5b9e141968489eade4ae5e6bad1d217ca6337d8f6f7"
+        "51a9e001965e8ccdeed63c6a4511d6e2b1d0354002518fe39700c76f715be33e"
+        "1b2b5df4b3e730aecd08495aa0cd3d5ad214627ce3772e3ef306"
+        "a489ecf2e7532de509607b8bc9fd66860ffec29ff14aad6e68e81d8632ead073"
+    )
+    GOLDEN_EMPTY_BLOB = bytes.fromhex(
+        "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
+        "a014e95fac95546a48bc10f0f43c5537dc993b2b7e25893f2a4ab60111b5758e"
+    )
+
+    def test_golden_ciphertext_of_the_parent_decrypts_and_is_reproduced(self):
+        from unittest import mock
+
+        ae = AuthenticatedEncryption(bytes(range(32)))
+        plaintext = b"".join(i.to_bytes(2, "big") for i in range(45))
+        assert ae.decrypt(self.GOLDEN_BLOB) == plaintext
+        assert ae.decrypt(self.GOLDEN_EMPTY_BLOB) == b""
+        with mock.patch(
+            "repro.crypto.ae.secrets.token_bytes", return_value=self.GOLDEN_NONCE
+        ):
+            assert ae.encrypt(plaintext) == self.GOLDEN_BLOB
+            assert ae.encrypt(b"") == self.GOLDEN_EMPTY_BLOB
+
+    def test_keystream_is_the_counter_stream_of_enc_key_and_nonce(self):
+        # 48 bytes of seed: past the kernel's one-block layout, so the
+        # hashlib loop serves it on every host.
+        from repro.crypto.prg import PRGReference
+
+        ae = AuthenticatedEncryption(b"k" * 32)
+        blob = ae.encrypt(bytes(100))  # zeros: the ciphertext is the keystream
+        nonce, ciphertext = blob[:16], blob[16:-32]
+        assert ciphertext == PRGReference(ae._enc_key + nonce).read(100)
+
     @given(payload=st.binary(min_size=0, max_size=500))
     @settings(max_examples=30)
     def test_roundtrip_arbitrary_payloads(self, payload):

@@ -5,8 +5,8 @@ bits ``[i·b, (i+1)·b)`` of ``SHA256(seed ∥ be64(ctr))`` read as the wire's
 little-endian bit stream — protocol semantics since wire version 5.  The
 vectors below were computed from hashlib and Python integers alone
 (first three elements, SHA-256 of the 1000-element vector as
-little-endian int64) and must come out of the C kernel, the numpy twin,
-``PRGReference`` and ``PRG`` alike, at every length (a shorter mask is a
+little-endian int64) and must come out of the C kernel, the numpy twin
+and ``PRGReference`` alike, at every length (a shorter mask is a
 prefix of a longer one), whatever slab either loop works in.
 """
 
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.crypto import prg
 from repro.crypto.prg import (
-    PRG,
     PRGReference,
     expand_uniform,
     expand_uniform_batch,
@@ -110,7 +109,6 @@ EXPANDERS = {
     "kernel": expand_uniform,
     "twin": expand_uniform_reference,
     "reference": lambda seed, n, m: PRGReference(seed).uniform_vector(n, m),
-    "stateful": lambda seed, n, m: PRG(seed).uniform_vector(n, m),
     "batch": lambda seed, n, m: expand_uniform_batch(
         [seed], n, m, out=np.zeros(n, dtype=np.int64)
     ),
@@ -236,10 +234,9 @@ class TestInPlaceFold:
             out = np.arange(9, dtype=np.int64)
             expand_uniform(SEEDS[0], 9, 1, out=out, sign=-1)
             np.testing.assert_array_equal(out, np.arange(9))
-        for cls in (PRG, PRGReference):
-            stream = cls(SEEDS[0])
-            assert not stream.uniform_vector(9, 1).any()
-            assert stream.read(32) == PRGReference(SEEDS[0]).read(32)
+        stream = PRGReference(SEEDS[0])
+        assert not stream.uniform_vector(9, 1).any()
+        assert stream.read(32) == PRGReference(SEEDS[0]).read(32)
 
 
 class TestOtherModuli:

@@ -92,8 +92,8 @@ class TestAdversarialHandshake:
             return listener, exc
 
         listener, exc = asyncio.run(scenario())
-        assert WIRE_VERSION == 5
-        assert f"speaks wire version {old}, listener speaks 5" in str(exc)
+        assert WIRE_VERSION == 6
+        assert f"speaks wire version {old}, listener speaks 6" in str(exc)
         assert listener.rejected == 1 and listener.accepted == 0
 
     def test_version_1_hello_refused_by_name(self):
@@ -110,6 +110,12 @@ class TestAdversarialHandshake:
         # Same frames, different seed → mask expansion: refused at HELLO,
         # before a round can return a silently wrong aggregate.
         self._refuse_hello_of_version(4)
+
+    def test_version_5_hello_refused_by_name(self):
+        # Same frames, a different ShareKeys request (the whole graph)
+        # and one more semi-honest exchange: refused at HELLO, before a
+        # client is handed a request it would abort on.
+        self._refuse_hello_of_version(5)
 
     def test_bad_auth_token_rejected(self):
         async def scenario():

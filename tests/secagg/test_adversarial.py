@@ -11,7 +11,6 @@ import pytest
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signature import SchnorrSignature
 from repro.secagg.client import SecAggClient, consistency_message
-from repro.secagg.driver import build_graph
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -26,8 +25,9 @@ def make_round(n=5, config=CFG):
     clients = {u: SecAggClient(u, config) for u in range(1, n + 1)}
     server = SecAggServer(config)
     adverts = {u: c.advertise_keys() for u, c in clients.items()}
-    graph = build_graph(config, sorted(adverts))
-    roster = server.collect_advertise(adverts, graph)
+    requests = server.collect_advertise(adverts)
+    roster = requests[1][0]
+    graph = {u: nbrs for u, (_, nbrs) in requests.items()}
     return clients, server, roster, graph
 
 
@@ -42,22 +42,21 @@ class TestRosterAttacks:
             sender=2, c_public=victim.c_public, s_public=victim.s_public
         )
         with pytest.raises(ProtocolAbort):
-            clients[3].share_keys(cloned, graph)
+            clients[3].share_keys(cloned, graph[3])
 
     def test_client_missing_from_roster_aborts(self):
         clients, server, roster, graph = make_round()
         without_me = {u: m for u, m in roster.items() if u != 3}
         with pytest.raises(ProtocolAbort):
-            clients[3].share_keys(without_me, graph)
+            clients[3].share_keys(without_me, graph[3])
 
     def test_undersized_roster_aborts(self):
         config = SecAggConfig(threshold=4, bits=16, dimension=8, dh_group="modp512")
         clients = {u: SecAggClient(u, config) for u in range(1, 6)}
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
-        graph = build_graph(config, sorted(adverts))
         tiny = {u: adverts[u] for u in (1, 2, 3)}
-        with pytest.raises(ProtocolAbort):
-            clients[1].share_keys(tiny, graph)
+        with pytest.raises(ProtocolAbort, match="roster of 3 below threshold 4"):
+            clients[1].share_keys(tiny, [2, 3])
 
     def test_forged_key_signature_rejected_in_malicious_mode(self):
         pki = PublicKeyInfrastructure()
@@ -78,9 +77,8 @@ class TestRosterAttacks:
             sender=2, c_public=fake.c_public, s_public=fake.s_public,
             signature=adverts[2].signature,
         )
-        graph = build_graph(config, sorted(adverts))
-        with pytest.raises(ProtocolAbort):
-            clients[1].share_keys(adverts, graph)
+        with pytest.raises(ProtocolAbort, match="bad key signature from 2"):
+            clients[1].share_keys(adverts, [2, 3, 4])
 
     def test_zero_padded_duplicate_key_rejected(self):
         """Keys are compared as group elements at one width: a replayed
@@ -94,7 +92,7 @@ class TestRosterAttacks:
             s_public=b"\x00" + victim.s_public,
         )
         with pytest.raises(ProtocolAbort, match="bad public key from 2"):
-            clients[3].share_keys(cloned, graph)
+            clients[3].share_keys(cloned, graph[3])
 
     def test_resplit_signed_keys_rejected_in_malicious_mode(self):
         """The signature covers ``c ∥ s``; moving the split point keeps
@@ -113,8 +111,7 @@ class TestRosterAttacks:
             for u in range(1, 5)
         }
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
-        graph = build_graph(config, sorted(adverts))
-        clients[4].share_keys(adverts, graph)  # the honest roster is fine
+        clients[4].share_keys(adverts, [1, 2, 3])  # the honest roster is fine
         c, s = adverts[2].c_public, adverts[2].s_public
         resplit = AdvertiseKeysMsg(
             sender=2, c_public=c[:-1], s_public=c[-1:] + s,
@@ -127,7 +124,7 @@ class TestRosterAttacks:
         roster = decode_payload(encode_payload(adverts))
         assert roster[2] == resplit
         with pytest.raises(ProtocolAbort, match="bad public key from 2"):
-            clients[1].share_keys(roster, graph)
+            clients[1].share_keys(roster, [2, 3, 4])
 
     @pytest.mark.parametrize("field", ["c_public", "s_public"])
     @pytest.mark.parametrize("mangle", [
@@ -142,15 +139,74 @@ class TestRosterAttacks:
             adverts[2], **{field: mangle(getattr(adverts[2], field))}
         )
         with pytest.raises(ProtocolAbort, match="bad public key from 2"):
-            SecAggServer(CFG).collect_advertise(
-                adverts, build_graph(CFG, sorted(adverts))
-            )
+            SecAggServer(CFG).collect_advertise(adverts)
+
+
+class TestShareKeysRequestAttacks:
+    """The ShareKeys request is ``(roster, the recipient's neighbour ids)``;
+    whatever else arrives ends in a named abort before any share is cut."""
+
+    @pytest.fixture
+    def no_shares_cut(self):
+        from unittest import mock
+
+        from repro.crypto.shamir import ShamirSecretSharing
+
+        with mock.patch.object(ShamirSecretSharing, "share") as share:
+            yield
+        share.assert_not_called()
+
+    def test_whole_graph_dict_refused(self, no_shares_cut):
+        """What a version-5 coordinator sent: every client's neighbour set."""
+        clients, server, roster, graph = make_round()
+        whole = {u: set(nbrs) for u, nbrs in graph.items()}
+        with pytest.raises(ProtocolAbort, match="collection of client ids"):
+            clients[1].share_keys(roster, whole)
+
+    def test_whole_graph_dict_refused_across_the_wire(self, no_shares_cut):
+        from repro.secagg.workflow import SecAggWorkflowClient
+        from repro.wire import decode_payload, encode_payload
+
+        clients, server, roster, graph = make_round()
+        whole = {u: set(nbrs) for u, nbrs in graph.items()}
+        client = SecAggWorkflowClient(clients[1], np.zeros(8, dtype=np.int64))
+        request = decode_payload(encode_payload((roster, whole)))
+        with pytest.raises(ProtocolAbort, match="collection of client ids"):
+            client.handle("share_keys", request)
+
+    @pytest.mark.parametrize("neighbors", [[2, 3, "4"], [2, 3, 4.0], [2, 3, True], 7, None])
+    def test_non_id_neighbors_refused(self, neighbors, no_shares_cut):
+        clients, server, roster, graph = make_round()
+        with pytest.raises(ProtocolAbort, match="collection of client ids"):
+            clients[1].share_keys(roster, neighbors)
+
+    def test_neighbor_outside_the_roster_refused(self, no_shares_cut):
+        clients, server, roster, graph = make_round()
+        with pytest.raises(ProtocolAbort, match=r"neighbors \[9\] missing from roster"):
+            clients[1].share_keys(roster, [2, 3, 4, 9])
+
+    def test_self_as_neighbor_refused(self, no_shares_cut):
+        clients, server, roster, graph = make_round()
+        with pytest.raises(ProtocolAbort, match="client 1 listed as its own neighbor"):
+            clients[1].share_keys(roster, [1, 2, 3, 4])
+
+    def test_fewer_than_threshold_neighbors_refused(self, no_shares_cut):
+        clients, server, roster, graph = make_round()
+        with pytest.raises(ProtocolAbort, match="only 2 neighbors; threshold 3"):
+            clients[1].share_keys(roster, [2, 3])
+        with pytest.raises(ProtocolAbort, match="only 2 neighbors; threshold 3"):
+            clients[1].share_keys(roster, [2, 2, 3, 3])  # repeats are one neighbour
+
+    def test_shares_are_cut_for_exactly_the_checked_neighbors(self):
+        clients, server, roster, graph = make_round()
+        assert graph[1] == [2, 3, 4, 5]
+        assert sorted(clients[1].share_keys(roster, (5, 2, 4))) == [2, 4, 5]
 
 
 class TestCiphertextAttacks:
     def _shared_round(self):
         clients, server, roster, graph = make_round()
-        outboxes = {u: clients[u].share_keys(roster, graph) for u in clients}
+        outboxes = {u: clients[u].share_keys(roster, graph[u]) for u in clients}
         inboxes = server.route_shares(outboxes)
         return clients, server, inboxes
 
@@ -161,7 +217,6 @@ class TestCiphertextAttacks:
         blob[len(blob) // 2] ^= 0x01
         box[2] = bytes(blob)
         clients[1].masked_input(box, np.zeros(8, dtype=np.int64))
-        clients[1].consistency_check(sorted(clients))
         with pytest.raises(ProtocolAbort):
             clients[1].unmask(sorted(clients), None, dropped=[], survivors=sorted(clients))
 
@@ -172,7 +227,6 @@ class TestCiphertextAttacks:
         box = dict(inboxes[1])
         box[2] = inboxes[3][2]  # 2 -> 3 payload rerouted to 1
         clients[1].masked_input(box, np.zeros(8, dtype=np.int64))
-        clients[1].consistency_check(sorted(clients))
         with pytest.raises(ProtocolAbort):
             clients[1].unmask(sorted(clients), None, dropped=[], survivors=sorted(clients))
 
@@ -185,7 +239,6 @@ class TestCiphertextAttacks:
         box[3] = box[3][:-1] + bytes([box[3][-1] ^ 0x80])
         everyone = sorted(clients)
         clients[1].masked_input(box, np.zeros(8, dtype=np.int64))
-        clients[1].consistency_check(everyone)
         for _ in range(2):
             with pytest.raises(ProtocolAbort, match="bad ciphertext from 3"):
                 clients[1].unmask(everyone, None, dropped=[], survivors=everyone)
@@ -199,15 +252,13 @@ class TestCiphertextAttacks:
 class TestUnmaskingAttacks:
     def _to_unmask_stage(self):
         clients, server, roster, graph = make_round()
-        outboxes = {u: clients[u].share_keys(roster, graph) for u in clients}
+        outboxes = {u: clients[u].share_keys(roster, graph[u]) for u in clients}
         inboxes = server.route_shares(outboxes)
         masked = {
             u: clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
             for u in clients
         }
         u3 = server.collect_masked(masked)
-        for u in clients:
-            clients[u].consistency_check(u3)
         return clients, server, u3
 
     def test_both_secrets_request_refused(self):
@@ -222,8 +273,34 @@ class TestUnmaskingAttacks:
 
     def test_survivor_list_mismatch_refused(self):
         clients, server, u3 = self._to_unmask_stage()
-        with pytest.raises(ProtocolAbort):
+        with pytest.raises(ProtocolAbort, match="U4 must be a subset of U3"):
             clients[1].unmask(u3, None, dropped=[], survivors=u3[:-1])
+
+    def test_semi_honest_unmask_adopts_u3_through_the_consistency_checks(self):
+        """No ConsistencyCheck exchange ran: the Unmasking request's
+        survivor list is U3, and the stage-3 checks guard it."""
+        clients, server, u3 = self._to_unmask_stage()
+        assert server.u4 == u3 and server.unmask_request() == (u3, None, [], u3)
+        with pytest.raises(ProtocolAbort, match=r"\|U3\| = 2 below threshold"):
+            clients[1].unmask(u3[:2], None, dropped=[], survivors=u3[:2])
+        with pytest.raises(ProtocolAbort, match="excluded me from U3"):
+            clients[1].unmask(u3[1:], None, dropped=[], survivors=u3[1:])
+        with pytest.raises(ProtocolAbort, match="both secrets of one client"):
+            clients[1].unmask(u3, None, dropped=[u3[-1]], survivors=u3)
+        reply = clients[1].unmask(*server.unmask_request())
+        assert sorted(reply.b_shares) == u3 and not reply.s_sk_shares
+
+    def test_malicious_unmask_never_adopts_u3_from_the_request(self):
+        """Malicious mode keeps the exchange: U3 is what the client
+        signed, and an Unmasking request cannot replace it."""
+        clients, server, u3 = self._malicious_round_to_consistency()
+        for u in clients:
+            clients[u].consistency_check(u3)
+        with pytest.raises(ProtocolAbort, match="survivor list inconsistent with U3"):
+            clients[1].unmask(u3[:3], {}, dropped=[], survivors=u3[:3])
+        fresh, _, _ = self._malicious_round_to_consistency()
+        with pytest.raises(ProtocolAbort, match="survivor list inconsistent with U3"):
+            fresh[1].unmask(u3, {}, dropped=[], survivors=u3)
 
     def test_undersized_u4_refused(self):
         clients, server, u3 = self._to_unmask_stage()
@@ -235,7 +312,7 @@ class TestUnmaskingAttacks:
         with pytest.raises(ProtocolAbort):
             clients[1].unmask(u3 + [99], None, dropped=[], survivors=u3)
 
-    def test_forged_consistency_signature_refused(self):
+    def _malicious_round_to_consistency(self):
         pki = PublicKeyInfrastructure()
         config = SecAggConfig(
             threshold=3, bits=16, dimension=8, malicious=True, dh_group="modp512"
@@ -247,22 +324,26 @@ class TestUnmaskingAttacks:
         }
         server = SecAggServer(config, pki=pki)
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
-        graph = build_graph(config, sorted(adverts))
-        roster = server.collect_advertise(adverts, graph)
-        outboxes = {u: clients[u].share_keys(roster, graph) for u in clients}
+        requests = server.collect_advertise(adverts)
+        outboxes = {u: clients[u].share_keys(*requests[u]) for u in clients}
         inboxes = server.route_shares(outboxes)
         masked = {
             u: clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
             for u in clients
         }
         u3 = server.collect_masked(masked)
+        assert server.u4 == []  # fixed by the exchange, not by collect_masked
+        return clients, server, u3
+
+    def test_forged_consistency_signature_refused(self):
+        clients, server, u3 = self._malicious_round_to_consistency()
         sigs = {u: clients[u].consistency_check(u3) for u in clients}
         # The server substitutes a forged signature — pretending a
         # different survivor set was acknowledged.
         sigs[2] = SchnorrSignature(e=12345, s=67890)
-        u4, sig_set = server.collect_consistency(sigs)
-        with pytest.raises(ProtocolAbort):
-            clients[1].unmask(u4, sig_set, dropped=[], survivors=u3)
+        server.collect_consistency(sigs)
+        with pytest.raises(ProtocolAbort, match="bad consistency signature from 2"):
+            clients[1].unmask(*server.unmask_request())
 
     def test_consistency_message_binds_round_and_set(self):
         assert consistency_message(1, [1, 2]) != consistency_message(2, [1, 2])

@@ -105,16 +105,16 @@ class TestAdvertiseCodec:
             assert decode_payload(encode_payload(msg)) == msg
 
     def test_golden_frame(self):
-        # magic "DW", wire version 5, kind 0x11, body length 32;
-        # payload version 5, tag 0x22, codec body length 26; a 4-tuple
+        # magic "DW", wire version 6, kind 0x11, body length 32;
+        # payload version 6, tag 0x22, codec body length 26; a 4-tuple
         # of int 7, bytes 12 34, bytes 00 ff, None.
         frame = encode_payload_frame(
             KIND_RESPONSE,
             AdvertiseKeysMsg(sender=7, c_public=b"\x12\x34", s_public=b"\x00\xff"),
         )
         assert bytes(frame).hex() == (
-            "44570511" "00000020"
-            "05" "22" "0000001a"
+            "44570611" "00000020"
+            "06" "22" "0000001a"
             "08" "00000004"
             "03" "00000001" "07"
             "06" "00000002" "1234"
@@ -223,16 +223,16 @@ class TestMaskedInputCodec:
 
     def test_golden_frame(self):
         # The whole RESPONSE frame of a tiny masked input, byte for byte:
-        # magic "DW", wire version 5, kind 0x11, body length 27;
-        # payload version 5, tag 0x23, codec body length 21;
+        # magic "DW", wire version 6, kind 0x11, body length 27;
+        # payload version 6, tag 0x23, codec body length 21;
         # sender 7, bits 20, count 3; 0xABCDE ∥ 0x12345 ∥ 0xFFFFF packed
         # little-endian, top nibble of the last byte zero padding.
         frame = encode_payload_frame(
             KIND_RESPONSE, _masked([0xABCDE, 0x12345, 0xFFFFF], 20, sender=7)
         )
         assert bytes(frame).hex() == (
-            "44570511" "0000001b"
-            "05" "23" "00000015"
+            "44570611" "0000001b"
+            "06" "23" "00000015"
             "0000000000000007" "14" "00000003"
             "debc5a3412ffff0f"
         )
@@ -316,8 +316,8 @@ class TestUnmaskingCodec:
             revealed_seeds={1: b"\xaa\xbb"},
         )
         assert bytes(encode_payload_frame(KIND_RESPONSE, msg)).hex() == (
-            "44570511" "00000056"
-            "05" "24" "00000050"
+            "44570611" "00000056"
+            "06" "24" "00000050"
             "08" "00000004"
             "03" "00000001" "02"
             "0b" "00000001"

@@ -117,6 +117,123 @@ class TestKeyAgreementsAreTheExecutedOnes:
         assert sum(per_client.values()) + server_calls == 992 + 899 + 87
 
 
+class TestControlPlaneSendsWhatFig5Sends:
+    """One measured ``serialized`` round: a ShareKeys request is the
+    roster and the recipient's own neighbour ids — O(n) ints a client,
+    not the O(n²) whole graph — and a semi-honest round is four
+    exchanges per live client, the malicious one keeps its fifth."""
+
+    @staticmethod
+    def _measured_round(monkeypatch, config, n, dropped):
+        import numpy as np
+
+        from repro.engine import RoundEngine, SerializingTransport, run_sync
+        from repro.secagg import DropoutSchedule, arun_secagg_round
+        from repro.secagg.driver import make_secagg_clients, resolve_round_pki
+        from repro.wire import codecs
+
+        frames = []
+        real = codecs.encode_payload_frame
+
+        def counting(kind, payload):
+            frames.append(kind)
+            return real(kind, payload)
+
+        monkeypatch.setattr(codecs, "encode_payload_frame", counting)
+
+        pki = resolve_round_pki(config, None, None)
+        clients = make_secagg_clients(config, list(range(1, n + 1)), pki, 0, None)
+        share_requests = {}
+        for u, client in clients.items():
+            def recording(roster, neighbors, u=u, share_keys=client.share_keys):
+                share_requests[u] = (roster, neighbors)
+                return share_keys(roster, neighbors)
+
+            client.share_keys = recording
+
+        inputs = {u: np.full(config.dimension, u, dtype=np.int64) for u in clients}
+        engine = RoundEngine(transport=SerializingTransport())
+        result = run_sync(arun_secagg_round(
+            config, inputs, DropoutSchedule.before_upload(dropped),
+            pki=pki, client_factory=clients.__getitem__, engine=engine,
+        ))
+        return result, engine.trace.stage_traffic_split(0), share_requests, frames
+
+    @pytest.mark.parametrize(
+        "n, threshold, dropped, degree, frames",
+        [
+            (8, 5, {3, 6}, None, 2 * (8 + 8 + 6 + 6)),
+            # The perf benchmark's many_clients shape: 302 frames on wire
+            # version 5 (whole graph, a ConsistencyCheck of Nones).
+            (32, 17, {5, 17, 30}, None, 244),
+            (16, 4, {2}, 6, 2 * (16 + 16 + 15 + 15)),
+        ],
+    )
+    def test_semi_honest_round(self, monkeypatch, n, threshold, dropped, degree, frames):
+        from repro.secagg import SecAggConfig
+        from repro.wire import encoded_nbytes
+
+        config = SecAggConfig(
+            threshold=threshold, bits=16, dimension=8, dh_group="modp512",
+            graph_degree=degree,
+        )
+        result, traffic, requests, sent = self._measured_round(
+            monkeypatch, config, n, dropped
+        )
+        assert sorted(set(result.u1) - set(result.u3)) == sorted(dropped)
+        assert result.u4 == result.u3 == result.u5
+        assert "consistency_check" not in traffic
+        assert len(sent) == frames == 2 * sum(
+            len(u) for u in (result.u1, result.u2, result.u3, result.u5)
+        )
+
+        everyone = set(result.u1)
+        for u, (roster, neighbors) in requests.items():
+            assert sorted(roster) == result.u1
+            assert neighbors == sorted(neighbors) and u not in neighbors
+            if degree is None:
+                assert set(neighbors) == everyone - {u}
+            else:
+                assert len(neighbors) == degree and set(neighbors) < everyone
+        assert traffic["share_keys"].down == sum(
+            encoded_nbytes(("share_keys", requests[u])) for u in result.u2
+        )
+
+    def test_malicious_round_keeps_its_fifth_exchange(self, monkeypatch):
+        from repro.secagg import SecAggConfig
+        from repro.wire import encoded_nbytes
+
+        config = SecAggConfig(
+            threshold=5, bits=16, dimension=8, malicious=True, dh_group="modp512"
+        )
+        result, traffic, requests, sent = self._measured_round(
+            monkeypatch, config, 8, {3, 6}
+        )
+        assert result.u4 == result.u3 == [1, 2, 4, 5, 7, 8]
+        assert len(sent) == 2 * (8 + 8 + 6 + 6) + 2 * len(result.u4)
+        assert traffic["consistency_check"].down == len(result.u3) * encoded_nbytes(
+            ("consistency_check", result.u3)
+        )
+        assert traffic["share_keys"].down == sum(
+            encoded_nbytes(("share_keys", requests[u])) for u in result.u2
+        )
+
+    def test_declared_workflow_is_eight_operations_or_ten(self):
+        from repro.secagg import SecAggConfig, SecAggServer, SecAggWorkflowServer
+
+        def ops(malicious):
+            config = SecAggConfig(threshold=2, malicious=malicious, dh_group="modp512")
+            return SecAggWorkflowServer(SecAggServer(config)).workflow_order()
+
+        assert ops(False) == [
+            "advertise_keys", "collect_advertise", "share_keys", "route_shares",
+            "masked_input", "collect_masked", "unmask", "collect_unmask",
+        ]
+        assert ops(True) == ops(False)[:6] + [
+            "consistency_check", "collect_consistency", "unmask", "collect_unmask",
+        ]
+
+
 class TestServerAsymptotics:
     def test_quadratic_under_dropout_full_graph(self):
         """Dropped×survivors mask reconstruction is the O(n²) term."""

@@ -9,7 +9,11 @@ U3 or a clean :class:`ProtocolAbort`, never a wrong answer or a hang.
 import numpy as np
 import pytest
 
-from repro.secagg.driver import DropoutSchedule, run_secagg_round
+from repro.secagg.driver import (
+    DropoutSchedule,
+    run_secagg_round,
+    run_secagg_round_reference,
+)
 from repro.secagg.types import (
     ProtocolAbort,
     SecAggConfig,
@@ -47,6 +51,22 @@ class TestConsistencyStageDropout:
         np.testing.assert_array_equal(
             result.aggregate,
             _ring_sum(inputs, result.u3, config.modulus, 6),
+        )
+
+    @pytest.mark.parametrize("run", [run_secagg_round, run_secagg_round_reference])
+    def test_semi_honest_dropper_stays_in_u4_and_is_never_asked_to_unmask(self, run):
+        """A semi-honest round has no ConsistencyCheck exchange to miss:
+        U4 = U3 is fixed by the masked uploads, the dropper is simply
+        absent from U5 and its self mask is reconstructed from shares —
+        the outcome the version-5 round (with the exchange) had."""
+        config = SecAggConfig(threshold=3, bits=16, dimension=6, dh_group="modp512")
+        inputs = _inputs(seed=9)
+        schedule = DropoutSchedule(at_stage={STAGE_CONSISTENCY: {2, 5}})
+        result = run(config, inputs, schedule)
+        assert result.u3 == result.u4 == [1, 2, 3, 4, 5]
+        assert result.u5 == [1, 3, 4]
+        np.testing.assert_array_equal(
+            result.aggregate, _ring_sum(inputs, result.u3, config.modulus, 6)
         )
 
     def test_malicious_mode_aggregate_still_correct(self):

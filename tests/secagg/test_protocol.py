@@ -18,6 +18,7 @@ from repro.secagg import (
 )
 from repro.secagg.complexity import masked_upload_bytes
 from repro.utils.rng import derive_rng
+from repro.wire import encoded_value_nbytes
 
 
 def make_inputs(n, dim, bits=16, label="inputs"):
@@ -226,10 +227,12 @@ class TestSecAggPlus:
         inputs = make_inputs(n, dim, bits)
         t_full = measured_traffic(full, inputs)["share_keys"]
         t_plus = measured_traffic(plus, inputs)["share_keys"]
-        # 6 of 23 possible neighbors: a quarter of the ciphertexts up,
-        # and a quarter of them routed back down in the next request.
+        # 6 of 23 possible neighbors: a quarter of the ciphertexts up.
         assert t_plus.up < t_full.up / 3
-        assert t_plus.down < t_full.down
+        # Down, the ShareKeys request is the same roster plus the
+        # recipient's own neighbour ids: k of them, not n − 1.
+        one_id = encoded_value_nbytes(1)
+        assert t_full.down - t_plus.down == n * (n - 1 - 6) * one_id
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ import pytest
 
 from repro.secagg.driver import (
     DropoutSchedule,
-    build_graph,
     make_secagg_clients,
     resolve_round_pki,
 )
@@ -41,12 +40,10 @@ def build_unmask_state(config, inputs, dropout=None):
 
     alive = set(sampled)
     adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    graph = build_graph(config, sorted(adverts))
-    roster = server.collect_advertise(adverts, graph)
+    requests = server.collect_advertise(adverts)
 
     outboxes = {
-        u: clients[u].share_keys(roster, graph)
-        for u in sorted(alive & set(roster))
+        u: clients[u].share_keys(*requests[u]) for u in sorted(alive & set(requests))
     }
     inboxes = server.route_shares(outboxes)
 
@@ -55,16 +52,12 @@ def build_unmask_state(config, inputs, dropout=None):
         u: clients[u].masked_input(inboxes.get(u, {}), inputs[u])
         for u in sorted(alive & set(server.u2))
     }
-    u3 = server.collect_masked(masked)
-    for u in sorted(alive & set(u3)):
-        clients[u].consistency_check(u3)
-    u4 = server.skip_consistency()
+    server.collect_masked(masked)
 
     alive -= dropout.dropped_by(STAGE_UNMASK)
-    dropped_list = server.dropped_after_masking
+    request = server.unmask_request()
     messages = {
-        u: clients[u].unmask(u4, None, dropped=dropped_list, survivors=list(u3))
-        for u in sorted(alive & set(u4))
+        u: clients[u].unmask(*request) for u in sorted(alive & set(server.u4))
     }
     return server, messages
 
@@ -73,7 +66,7 @@ def clone_with_workers(server: SecAggServer, workers) -> SecAggServer:
     """A coordinator with identical round state but a different pool size."""
     config = dataclasses.replace(server.config, workers=workers)
     clone = SecAggServer(config, pki=server.pki, round_index=server.round_index)
-    clone.collect_advertise(server.roster, server.graph)
+    clone.collect_advertise(server.roster)
     clone.u2 = list(server.u2)
     clone.u3 = list(server.u3)
     clone.u4 = list(server.u4)

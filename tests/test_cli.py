@@ -47,6 +47,29 @@ class TestRunCommand:
         assert "epsilon consumed" in out
         assert "rounds completed : 3" in out
 
+    def test_overspent_budget_names_the_past_tolerance_rounds_on_stderr(self, capsys):
+        code = main([
+            "run", "--num-clients", "12", "--sample-size", "6", "--rounds", "3",
+            "--dropout-rate", "0.2", "--strategy", "xnoise",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0  # the exit code stays with the policy item
+        assert "epsilon consumed : 7.437 (budget 6.0)" in out
+        (line,) = err.strip().splitlines()
+        assert line == (
+            "warning: epsilon consumed 7.437 exceeds the budget 6.0; "
+            "rounds past the XNoise tolerance (|D| > T): 0, 2"
+        )
+
+    def test_within_budget_run_is_silent_on_stderr(self, capsys):
+        code = main([
+            "run", "--num-clients", "12", "--sample-size", "6", "--rounds", "3",
+            "--dropout-rate", "0.0", "--strategy", "xnoise",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0 and "epsilon consumed" in out
+        assert err == ""
+
     def test_trace_availability_and_fleet_report(self, capsys):
         code = main([
             "run", "--num-clients", "24", "--sample-size", "8",

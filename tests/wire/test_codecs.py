@@ -288,14 +288,14 @@ class TestEnvelope:
     def test_version_1_payload_refused_by_name(self):
         # A version-1 masked input (length-prefixed fields, int64
         # big-endian elements) exactly as the previous tree wrote it.
-        assert PAYLOAD_VERSION == 5
+        assert PAYLOAD_VERSION == 6
         v1_body = (
             (8).to_bytes(4, "big") + (3).to_bytes(8, "big")
             + (16).to_bytes(4, "big") + (5).to_bytes(8, "big") + (6).to_bytes(8, "big")
         )
         v1 = bytes([1, 0x23]) + len(v1_body).to_bytes(4, "big") + v1_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 1 \(speaking 5\)"
+            CodecError, match=r"unsupported payload version 1 \(speaking 6\)"
         ):
             decode_payload(v1)
         # Even relabelled as this version it does not parse as a packed body.
@@ -316,7 +316,7 @@ class TestEnvelope:
         )
         v2 = bytes([2, 0x22]) + len(v2_body).to_bytes(4, "big") + v2_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 2 \(speaking 5\)"
+            CodecError, match=r"unsupported payload version 2 \(speaking 6\)"
         ):
             decode_payload(v2)
         # Even relabelled as this version it is refused, never mis-parsed.
@@ -328,7 +328,7 @@ class TestEnvelope:
         # layout did not change, what a revealed seed expands to did.
         v3 = bytes([3]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 3 \(speaking 5\)"
+            CodecError, match=r"unsupported payload version 3 \(speaking 6\)"
         ):
             decode_payload(v3)
 
@@ -337,9 +337,20 @@ class TestEnvelope:
         # a mask seed (a reconstructed b_u, an agreed s_{u,v}) expands to.
         v4 = bytes([4]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 4 \(speaking 5\)"
+            CodecError, match=r"unsupported payload version 4 \(speaking 6\)"
         ):
             decode_payload(v4)
+
+    def test_version_5_payload_refused_by_name(self):
+        # A version-5 ShareKeys request, byte for byte but for the
+        # version: ``(roster, whole graph)``.  Version 6 sends the
+        # recipient's own neighbour ids in that slot — and no
+        # ``consistency_check`` in a semi-honest round.
+        v5 = bytes([5]) + encode_payload(({}, {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}))[1:]
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 5 \(speaking 6\)"
+        ):
+            decode_payload(v5)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):

@@ -61,10 +61,10 @@ class TestFrameAdversarial:
     def test_version_1_frame_refused_by_name(self):
         # Version 2 bit-packs masked inputs; a version-1 peer's frames
         # must fail to parse, not misparse.
-        assert f.WIRE_VERSION == 5
+        assert f.WIRE_VERSION == 6
         v1 = self.GOOD[:2] + b"\x01" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 1 \(speaking 5\)"
+            ValueError, match=r"unsupported frame version 1 \(speaking 6\)"
         ):
             f.decode_frame(v1)
 
@@ -73,7 +73,7 @@ class TestFrameAdversarial:
         # frames must fail to parse, not misparse.
         v2 = self.GOOD[:2] + b"\x02" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 2 \(speaking 5\)"
+            ValueError, match=r"unsupported frame version 2 \(speaking 6\)"
         ):
             f.decode_frame(v2)
 
@@ -83,7 +83,7 @@ class TestFrameAdversarial:
         # noise, so its frames are refused too.
         v3 = self.GOOD[:2] + b"\x03" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 3 \(speaking 5\)"
+            ValueError, match=r"unsupported frame version 3 \(speaking 6\)"
         ):
             f.decode_frame(v3)
 
@@ -94,9 +94,21 @@ class TestFrameAdversarial:
         # different pads and hand back a silently wrong aggregate.
         v4 = self.GOOD[:2] + b"\x04" + self.GOOD[3:]
         with pytest.raises(
-            ValueError, match=r"unsupported frame version 4 \(speaking 5\)"
+            ValueError, match=r"unsupported frame version 4 \(speaking 6\)"
         ):
             f.decode_frame(v4)
+
+    def test_version_5_frame_refused_by_name(self):
+        # Version 6 kept the layout once more and changed what a
+        # ``share_keys`` request means (the recipient's neighbour ids,
+        # not the whole masking graph) and dropped the semi-honest
+        # ``consistency_check`` exchange; a version-5 peer would send or
+        # expect the other conversation.
+        v5 = self.GOOD[:2] + b"\x05" + self.GOOD[3:]
+        with pytest.raises(
+            ValueError, match=r"unsupported frame version 5 \(speaking 6\)"
+        ):
+            f.decode_frame(v5)
 
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]
