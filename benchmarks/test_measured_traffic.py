@@ -137,9 +137,7 @@ def test_measured_per_round_traffic(once):
     from repro.wire import encoded_nbytes
 
     upload = encoded_nbytes(
-        MaskedInputMsg(
-            sender=1, masked_vector=np.zeros(DIMENSION, dtype=np.int64), bits=BITS
-        )
+        MaskedInputMsg.from_vector(1, np.zeros(DIMENSION, dtype=np.int64), BITS)
     )
     sec_masked = sec_stages["masked_input"]
     xn_masked = xn_stages["masked_input"]

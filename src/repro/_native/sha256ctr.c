@@ -665,22 +665,26 @@ static inline uint64_t load_le64(const uint8_t *src)
 #endif
 }
 
-/* Pack src[0..n) into dst[0 .. ceil(n*bits/8)); pad bits are zero.
- * Returns 0, -1 on bad arguments, -2 when an element is outside
- * [0, 2**bits) (dst contents are then unspecified). */
-int repro_pack_bits(const int64_t *src, size_t n, unsigned bits, uint8_t *dst)
+/* The pack loop.  `reduce` (a constant at both call sites) keeps only
+ * the low `bits` bits of every element -- its value mod 2**bits, for a
+ * negative two's-complement sum too -- where the strict form reports an
+ * element outside [0, 2**bits). */
+static inline int pack_window(const int64_t *src, size_t n, unsigned bits,
+                              uint8_t *dst, int reduce)
 {
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
     uint64_t acc = 0, seen = 0;
     unsigned fill = 0;
     size_t i;
 
-    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
-        return -1;
     for (i = 0; i < n; i++) {
         uint64_t v = (uint64_t)src[i];
         unsigned total = fill + bits;
 
-        seen |= v;
+        if (reduce)
+            v &= mask;
+        else
+            seen |= v;
         acc |= v << fill;
         if (total >= 64) {
             /* bits <= 62, so a full window implies fill >= 2. */
@@ -698,9 +702,39 @@ int repro_pack_bits(const int64_t *src, size_t n, unsigned bits, uint8_t *dst)
     return (seen >> bits) ? -2 : 0;
 }
 
-/* Unpack n elements from src[0..nbytes) into dst; the caller has
- * checked nbytes == ceil(n*bits/8).  Returns 0, -1 on bad arguments or
- * a short buffer, -2 when a pad bit is set. */
+/* Pack src[0..n) into dst[0 .. ceil(n*bits/8)); pad bits are zero.
+ * Returns 0, -1 on bad arguments, -2 when an element is outside
+ * [0, 2**bits) (dst contents are then unspecified). */
+int repro_pack_bits(const int64_t *src, size_t n, unsigned bits, uint8_t *dst)
+{
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    return pack_window(src, n, bits, dst, 0);
+}
+
+/* Pack src[i] mod 2**bits: the deferred sum of a MaskAccumulator goes
+ * from int64 to its wire form in this one pass, the reduction fused
+ * into the pack.  Returns 0, -1 on bad arguments. */
+int repro_pack_low_bits(const int64_t *src, size_t n, unsigned bits,
+                        uint8_t *dst)
+{
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    return pack_window(src, n, bits, dst, 1);
+}
+
+/* Whether nbytes == ceil(n * bits / 8), without forming n * bits (a
+ * count no buffer could hold is refused before it can wrap). */
+static int packed_length_ok(size_t nbytes, size_t n, unsigned bits)
+{
+    if (n > (size_t)-1 / 64)
+        return 0;
+    return nbytes == (n / 8) * bits + ((n % 8) * bits + 7) / 8;
+}
+
+/* Unpack n elements from src[0..nbytes) into dst.  src is
+ * network-supplied: nbytes must be exactly ceil(n*bits/8).  Returns 0,
+ * -1 on bad arguments or a length mismatch, -2 when a pad bit is set. */
 int repro_unpack_bits(const uint8_t *src, size_t nbytes, size_t n,
                       unsigned bits, int64_t *dst)
 {
@@ -709,6 +743,8 @@ int repro_unpack_bits(const uint8_t *src, size_t nbytes, size_t n,
     size_t pos = 0, i;
 
     if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    if (!packed_length_ok(nbytes, n, bits))
         return -1;
     mask = ((uint64_t)1 << bits) - 1;
     for (i = 0; i < n; i++) {
@@ -943,6 +979,49 @@ static inline void mask_unpack_add(const uint8_t *stream, unsigned bits,
             out[k] += mask_element(stream, k * bits, wide, mask, flip);
     for (k = 0; k < n % 8; k++)
         out[k] += mask_element(stream, k * bits, wide, mask, flip);
+}
+
+/* dst[i] += element i of the packed stream src[0..nbytes), i in [0, n):
+ * a received masked input folded into the coordinator's sum without ever
+ * being a vector.  src is network-supplied, so everything is checked
+ * before dst is touched: nbytes == ceil(n*bits/8) and zero pad bits
+ * (every element is then in [0, 2**bits) by construction; the caller
+ * owns the int64 headroom).  The loop is the mask fold's, which reads
+ * eight (nine when bits > 57) bytes at an element's first byte: it runs
+ * in place over the groups of eight whose widest read ends inside src,
+ * and over a zero-padded copy of the last few bytes for the rest.
+ * Returns 0, -1 on bad arguments or a length mismatch, -2 when a pad
+ * bit is set. */
+int repro_unpack_add(const uint8_t *src, size_t nbytes, size_t n,
+                     unsigned bits, int64_t *dst)
+{
+    uint8_t tail[62 + 8 + MASK_SLAB_SLACK] = {0};
+    size_t whole, rest;
+    unsigned pad;
+
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    if (!packed_length_ok(nbytes, n, bits))
+        return -1;
+    pad = (unsigned)((8 - (n % 8) * bits % 8) % 8);
+    if (pad && src[nbytes - 1] >> (8 - pad))
+        return -2;
+    /* Group g reads no further than byte g*bits + bits + 7. */
+    whole = nbytes < 8 ? 0 : (nbytes - 8) / bits;
+    if (whole > n / 8)
+        whole = n / 8;
+    rest = nbytes - whole * bits;
+    if (rest > sizeof(tail) - MASK_SLAB_SLACK)
+        return -1; /* unreachable: rest < bits + 8 */
+    memcpy(tail, src + whole * bits, rest);
+    if (bits > 57) {
+        mask_unpack_add(src, bits, 1, 0, dst, 8 * whole);
+        mask_unpack_add(tail, bits, 1, 0, dst + 8 * whole, n - 8 * whole);
+    } else {
+        mask_unpack_add(src, bits, 0, 0, dst, 8 * whole);
+        mask_unpack_add(tail, bits, 0, 0, dst + 8 * whole, n - 8 * whole);
+    }
+    return 0;
 }
 
 /* Adds sign * (element i of seed's mask over 2**bits) into out[i] for

@@ -99,7 +99,8 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
     # The ring-width data plane: bit-packed masked vectors (element
-    # width, pad rule, wire version 5), ring-width PRG draws, one wire-size
+    # width, pad rule, wire version 5), the fused reducing-pack /
+    # unpack-add pair (sanitized), ring-width PRG draws, one wire-size
     # definition, masked-input admission, announced native fallback
     # (PRG stream, bit packer, Skellam noise loop, modexp ≡ pow).
     "12": {
@@ -108,9 +109,11 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/wire/test_bitpack.py",
             "tests/secagg/test_codec.py",
             "tests/secagg/test_malformed_masked_input.py",
+            "tests/secagg/test_masked_input_sender.py",
             "tests/crypto/test_hotpath_parity.py",
             "tests/engine/test_socket_transport.py",
             "tests/test_native_fallback.py",
+            "tests/test_native_sanitized.py",
             "tests/crypto/test_modexp.py",
             "tests/dp/test_sampler.py",
         ],
@@ -166,6 +169,19 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/dp/test_transform_vectors.py",
             "tests/dp/test_skellam.py",
             "tests/test_native_fallback.py",
+        ],
+    },
+    # An O(d) coordinator on a one-pass data plane: after
+    # MaskedInputCollection one d-vector and no client's masked input
+    # (executed memory walk), one admission door, arrival fold ≡
+    # reference drivers on every carrier.
+    "18": {
+        "rules": [],
+        "tests": [
+            "tests/secagg/test_coordinator_memory.py",
+            "tests/secagg/test_malformed_masked_input.py",
+            "tests/engine/test_parity.py",
+            "tests/engine/test_round_engine.py",
         ],
     },
 }

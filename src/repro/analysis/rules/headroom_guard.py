@@ -4,14 +4,20 @@ The hot planes (``MaskAccumulator``, ``XNoiseServer.remove_excess_noise``)
 sum ring vectors raw in int64 and reduce once at the end — sound only
 while ``n_terms * (modulus - 1) < 2**63``.  ARCHITECTURE.md invariants
 9, 11 and 15 require every such accumulator to check that bound and
-fall back to per-term reduction when it fails.  (An accumulation done
-in C — ``expand_uniform(..., out=acc)`` — is invisible here, so it must
-sit in the scope whose guard it relies on.)
+fall back to per-term reduction when it fails.
 
-Detection is scope-based.  A *deferred accumulator* is a target that
-receives a ``+=``/``-=`` somewhere in a scope and a ``%=``-by-modulus
-reduction somewhere in the same scope:
+Detection is scope-based.  A *deferred accumulator* is a target that is
+accumulated into somewhere in a scope and reduced by the modulus
+somewhere in the same scope:
 
+- an *accumulate* is ``+=`` / ``-=``, or a call to one of the in-place
+  fold kernels with the target as ``out=`` (``unpack_add`` — a packed
+  masked input joining a sum — ``expand_uniform``,
+  ``expand_uniform_batch``, ``skellam_noise_from_seed``): the addition
+  happens in C or numpy, the headroom is still the caller's;
+- a *reduce* is ``%= modulus``, ``&= modulus - 1`` (the same reduction
+  over a power-of-two ring) or handing the target to
+  ``pack_low_bits_into``, whose pack keeps the low bits only;
 - local names are judged per *function* (the guard must sit in the same
   function, as in ``remove_excess_noise``);
 - ``self.attr`` targets are judged per *class* (the accumulate, the
@@ -47,9 +53,33 @@ from repro.analysis.core import (
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+#: Calls that add into their ``out=`` argument in place.
+_FOLD_CALLS = {
+    "unpack_add", "expand_uniform", "expand_uniform_batch", "skellam_noise_from_seed",
+}
+#: Calls that reduce their first argument mod ``2**bits`` on the way out.
+_REDUCING_CALLS = {"pack_low_bits_into"}
+
+
 def _names_modulus(node: ast.AST) -> bool:
     name = dotted_name(node)
     return name is not None and "modulus" in name.rsplit(".", 1)[-1].lower()
+
+
+def _is_modulus_mask(node: ast.AST) -> bool:
+    """``modulus - 1``: the ``&=`` operand that reduces over ``2**b``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and _names_modulus(node.left)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+    )
+
+
+def _call_name(node: ast.Call) -> str | None:
+    name = dotted_name(node.func)
+    return None if name is None else name.rsplit(".", 1)[-1]
 
 
 def _scan(scope: ast.AST) -> tuple[dict[str, int], set[str], bool]:
@@ -67,6 +97,17 @@ def _scan(scope: ast.AST) -> tuple[dict[str, int], set[str], bool]:
                 accumulates.setdefault(path, node.lineno)
             elif isinstance(node.op, ast.Mod) and _names_modulus(node.value):
                 reduces.add(path)
+            elif isinstance(node.op, ast.BitAnd) and _is_modulus_mask(node.value):
+                reduces.add(path)
+        elif isinstance(node, ast.Call) and _call_name(node) in _FOLD_CALLS:
+            for keyword in node.keywords:
+                path = target_path(keyword.value) if keyword.arg == "out" else None
+                if path is not None:
+                    accumulates.setdefault(path, node.lineno)
+        elif isinstance(node, ast.Call) and _call_name(node) in _REDUCING_CALLS:
+            path = target_path(node.args[0]) if node.args else None
+            if path is not None:
+                reduces.add(path)
         elif isinstance(node, ast.Compare) and contains_pow_2_63(node):
             guarded = True
     return accumulates, reduces, guarded
@@ -76,8 +117,9 @@ def _scan(scope: ast.AST) -> tuple[dict[str, int], set[str], bool]:
 class HeadroomGuardRule(Rule):
     id = "headroom-guard"
     description = (
-        "a += / -= accumulator reduced later by %= modulus must sit in a "
-        "scope that compares against the 2**63 int64 headroom bound"
+        "an accumulator (+= / -= / an in-place fold kernel's out=) reduced "
+        "later by the modulus (%=, &= modulus - 1, the reducing pack) must "
+        "sit in a scope that compares against the 2**63 int64 headroom bound"
     )
     invariants = ("9", "11", "15")
 
@@ -110,6 +152,6 @@ class HeadroomGuardRule(Rule):
             yield self.finding(
                 src, accumulates[path],
                 f"deferred accumulator {path!r} in {label} is reduced by "
-                f"%= modulus but the scope never checks the "
+                f"the modulus but the scope never checks the "
                 f"n_terms * (modulus - 1) < 2**63 headroom bound",
             )

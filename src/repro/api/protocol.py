@@ -27,7 +27,17 @@ _VALID_RESOURCES = {r.value for r in Resource}
 
 
 class ProtocolServer:
-    """Base class for server-side protocol workflows."""
+    """Base class for server-side protocol workflows.
+
+    One optional seam beside the coordination methods: a server that
+    defines ``receive_response(op, client_id, response)`` is handed
+    every client response the moment its delivery completes, before the
+    operation's other responses are in, and what it returns takes the
+    response's place in the dict the next coordination method receives
+    — how SecAgg folds a masked input into its sum on arrival and keeps
+    a receipt instead of the vector.  A server without it gets the
+    responses as they were sent.
+    """
 
     def set_graph_dict(self) -> dict:
         """Return ``{operation: {"resource": str, "deps": [operation…]}}``.

@@ -30,6 +30,7 @@ from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
 from repro.secagg.types import MaskedInputMsg
 from repro.utils.rng import derive_rng
 from repro.wire import codecs as wire_codecs
+from repro.wire.bitpack import pack_bits_into, pack_low_bits_into, unpack_add, unpack_bits
 from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE, encode_frame
 from repro.xnoise.protocol import skellam_noise_from_seed
 
@@ -107,6 +108,51 @@ def run_hotpath(
         )
         fast_s = _best_of(lambda: expand_uniform(*fold_args, out=acc, sign=-1), repeats)
         _speedup_triplet(metrics, f"mask_fold_d{d}_b{MASK_FOLD_BITS}", ref_s, fast_s)
+
+    # The fused bit-pack pair, at wide_model's shape: the reducing pack
+    # a client's deferred sum leaves through and the unpack-add the
+    # coordinator folds a received masked input by — kernel against
+    # numpy twin (the announced fallback), and each beside its
+    # non-fused sibling on the kernel (plain pack of an in-ring vector,
+    # plain unpack into a fresh one): the reduction and the add should
+    # cost nothing on top.
+    d = MASK_FOLD_DIMENSIONS[0]
+    sums = rng.integers(-(1 << 40), 1 << 40, size=d).astype(np.int64)
+    ring = sums & ((1 << MASK_FOLD_BITS) - 1)
+    packed = bytearray()
+    pack_bits_into(ring, MASK_FOLD_BITS, packed)
+    stream = bytes(packed)
+    total = np.zeros(d, dtype=np.int64)
+
+    def _pack_low() -> bytearray:
+        out = bytearray()
+        pack_low_bits_into(sums, MASK_FOLD_BITS, out)
+        return out
+
+    def _pack_plain() -> bytearray:
+        out = bytearray()
+        pack_bits_into(ring, MASK_FOLD_BITS, out)
+        return out
+
+    def _fold() -> np.ndarray:
+        return unpack_add(stream, MASK_FOLD_BITS, total)
+
+    name = f"d{d}_b{MASK_FOLD_BITS}"
+    with native.twins_only():
+        by_twin, ref_s = _pack_low(), _best_of(_pack_low, repeats)
+    assert by_twin == _pack_low() == packed
+    _speedup_triplet(
+        metrics, f"pack_low_bits_{name}", ref_s, _best_of(_pack_low, repeats)
+    )
+    metrics[f"pack_bits_{name}_s"] = metric(_best_of(_pack_plain, repeats), "s")
+    with native.twins_only():
+        by_twin, ref_s = _fold().copy(), _best_of(_fold, repeats)
+    total[:] = 0
+    assert np.array_equal(by_twin, _fold()) and np.array_equal(by_twin, ring)
+    _speedup_triplet(metrics, f"unpack_add_{name}", ref_s, _best_of(_fold, repeats))
+    metrics[f"unpack_bits_{name}_s"] = metric(
+        _best_of(lambda: unpack_bits(stream, d, MASK_FOLD_BITS), repeats), "s"
+    )
 
     # Key agreement, per group: KeyAgreement.agree (DHGroup.power → the
     # native modexp kernel when config.native_backend is not "python")
@@ -204,7 +250,7 @@ def run_hotpath(
     # decode_payload over the received frame body.
     d = max(dims)
     vector = rng.integers(0, modulus, size=d).astype(np.int64)
-    upload = MaskedInputMsg(sender=1, masked_vector=vector, bits=bits)
+    upload = MaskedInputMsg.from_vector(1, vector, bits)
     ref_s = _best_of(
         lambda: encode_frame(
             KIND_RESPONSE, wire_codecs.encode_payload_reference(upload)

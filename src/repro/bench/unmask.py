@@ -3,13 +3,19 @@
 Fabricates one round's worth of post-Unmasking coordinator state at the
 ROADMAP target shape (d = 2^20, 100 clients, 10% dropout) — real DH
 keypairs, real Shamir shares of every survivor's self-mask seed and
-every dropped client's mask key, random masked inputs — then times
+every dropped client's mask key, random masked inputs admitted through
+the coordinator's own door (packed, as they arrive) — then times
 :meth:`SecAggServer.collect_unmask_reference` (serial executable
 specification: one PRG expansion and one full reduction per term, one
 Lagrange computation per reconstruction) against the deferred-reduction
 plane :meth:`SecAggServer.collect_unmask` at each requested ``workers``
 setting.  Every timed run must produce the bit-identical aggregate; the
 report carries that check as a metric.
+
+Admission — the arrival fold — happens while the state is built and is
+not in either timing; ``repro.bench.hotpath`` times it on its own
+(``unpack_add``).  The reference twin is an oracle: it is told the
+vectors the clients sent, which the coordinator itself no longer holds.
 
 Fabricating state directly is what makes the target shape reachable: a
 full protocol round at d = 2^20 would spend ~20 minutes in client-side
@@ -30,7 +36,12 @@ from repro.bench.schema import make_report, metric
 from repro.crypto.dh import KeyAgreement, resolve_group
 from repro.crypto.shamir import ShamirSecretSharing, random_seed
 from repro.secagg.server import SecAggServer
-from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, UnmaskingMsg
+from repro.secagg.types import (
+    AdvertiseKeysMsg,
+    MaskedInputMsg,
+    SecAggConfig,
+    UnmaskingMsg,
+)
 from repro.utils.rng import derive_rng
 
 TOPIC = "unmask"
@@ -60,6 +71,7 @@ def _fabricate_state(
         u: rng.integers(0, modulus, size=dim, dtype=np.int64)
         for u in survivors
     }
+    uploads = {u: MaskedInputMsg.from_vector(u, masked[u], bits) for u in survivors}
 
     # Every client shares both secrets across the whole cohort (complete
     # graph); responders reveal b_u for survivors, s^SK_u for dropped.
@@ -97,6 +109,7 @@ def _fabricate_state(
         "dropped": dropped,
         "roster": roster,
         "masked": masked,
+        "uploads": uploads,
         "messages": messages,
     }
 
@@ -118,9 +131,9 @@ def _make_server(state: dict[str, Any], workers: Optional[int]) -> SecAggServer:
     server = SecAggServer(config)
     server.collect_advertise(state["roster"])
     server.u2 = list(state["ids"])
-    server.u3 = list(state["survivors"])
-    server.u4 = list(state["survivors"])
-    server._masked = state["masked"]
+    for u, upload in state["uploads"].items():
+        server.admit_masked(u, upload)
+    server.collect_masked()
     return server
 
 
@@ -149,7 +162,7 @@ def run_unmask(
     for _ in range(max(1, repeats)):
         server = _make_server(state, workers=1)
         start = time.perf_counter()
-        out = server.collect_unmask_reference(state["messages"])
+        out = server.collect_unmask_reference(state["messages"], state["masked"])
         best = min(best, time.perf_counter() - start)
         results.append(out)
     ref_s = best

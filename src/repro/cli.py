@@ -606,6 +606,16 @@ def _cmd_bench(args) -> int:
                       f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
                       f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms {stream} "
                       f"({m[name]['value']:.2f}x)")
+            # The fused bit-pack pair, beside its non-fused sibling.
+            for fused, plain in (("pack_low_bits_", "pack_bits_"), ("unpack_add_", "unpack_bits_")):
+                if name.startswith(fused) and name.endswith("_speedup"):
+                    stem = name[: -len("_speedup")]
+                    sibling = plain + stem[len(fused):] + "_s"
+                    print(f"{stem.replace('_', ' ')}: "
+                          f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
+                          f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms kernel "
+                          f"({plain.rstrip('_').replace('_', ' ')} alone: "
+                          f"{m[sibling]['value'] * 1e3:.2f}ms)")
     if "traffic" in args.topics:
         report = bench.run_traffic(
             clients=args.clients,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -577,7 +577,7 @@ class RoundEngine:
                 # construction (§4.1 grouping).
                 if _dispatches_to_clients(server, op, resource):
                     carry, duration, down, up = await self._dispatch_clients(
-                        channel, by_id, op, resource, carry,
+                        server, channel, by_id, op, resource, carry,
                         n_chunks=n_chunks, chunk_index=chunk_index,
                         timing=timing,
                     )
@@ -609,6 +609,7 @@ class RoundEngine:
 
     async def _dispatch_clients(
         self,
+        server: ProtocolServer,
         channel: Channel,
         by_id: dict[int, ProtocolClient],
         op: str,
@@ -621,9 +622,12 @@ class RoundEngine:
     ) -> tuple[dict[int, Any], float, int, int]:
         """Fan one client operation out concurrently; collect live replies.
 
-        Returns the response dict, the op's virtual duration, and the
-        op's *measured* directional traffic — the framed request bytes
-        (server→client, the downlink) and response bytes
+        A server that defines ``receive_response`` (see
+        :class:`~repro.api.protocol.ProtocolServer`) is handed each
+        response as its delivery completes; the dict then holds what it
+        returned.  Returns the response dict, the op's virtual duration,
+        and the op's *measured* directional traffic — the framed request
+        bytes (server→client, the downlink) and response bytes
         (client→server, the uplink) every delivery reports (0 for
         in-process dispatch, which never serializes).
         """
@@ -637,8 +641,20 @@ class RoundEngine:
         else:
             requests = [(cid, carry) for cid in sorted(by_id)]
 
+        receive = getattr(server, "receive_response", None)
+
+        async def exchange(cid: int, payload):
+            delivery = await channel.request(cid, op, payload)
+            if receive is not None:
+                # The arrival seam: the server consumes the response now
+                # and the engine keeps only what it hands back.
+                delivery = replace(
+                    delivery, response=receive(op, cid, delivery.response)
+                )
+            return delivery
+
         deliveries = await asyncio.gather(
-            *(channel.request(cid, op, payload) for cid, payload in requests),
+            *(exchange(cid, payload) for cid, payload in requests),
             return_exceptions=True,
         )
         responses: dict[int, Any] = {}

@@ -7,11 +7,14 @@ microsecond per block — almost all of it per-block Python/hashlib
 bookkeeping, not hashing.  This module removes that floor when (and only
 when) the host can support it, by lazily compiling the self-contained C
 kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
-it through :mod:`ctypes`.  The same shared object carries the two
+it through :mod:`ctypes`.  The same shared object carries the
 ring-width bit-packing loops of the masked-vector wire codec
-(:mod:`repro.wire.bitpack`), the mask fold that unpack-adds a seed's
-stream straight into an accumulator (:func:`repro.crypto.prg.expand_uniform`
-specifies the draw and holds the numpy twin), the Skellam noise loop every XNoise
+(:mod:`repro.wire.bitpack`: pack and unpack, and the fused pair a round
+runs — the reducing pack a client finishes its masked input with and
+the unpack-add the coordinator folds it by), the mask fold that
+unpack-adds a seed's stream straight into an accumulator
+(:func:`repro.crypto.prg.expand_uniform` specifies the draw and holds
+the numpy twin), the Skellam noise loop every XNoise
 component is drawn by (:mod:`repro.dp.sampler` holds its specification,
 its tables and its numpy twin) and the fixed-width modular exponentiation
 behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
@@ -219,6 +222,10 @@ def _build() -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.repro_unpack_bits.restype = ctypes.c_int
+    lib.repro_pack_low_bits.argtypes = lib.repro_pack_bits.argtypes
+    lib.repro_pack_low_bits.restype = ctypes.c_int
+    lib.repro_unpack_add.argtypes = lib.repro_unpack_bits.argtypes
+    lib.repro_unpack_add.restype = ctypes.c_int
     lib.repro_modexp.argtypes = [
         ctypes.c_char_p,
         ctypes.c_char_p,
@@ -264,7 +271,8 @@ def _probe(lib: ctypes.CDLL) -> None:
     """One sanity answer per kernel before trusting the object: block 0
     of an all-zero seed must match hashlib and so must a run long enough
     for the sixteen lanes, three 20-bit elements must
-    pack to the documented little-endian bit stream and back, a
+    pack to the documented little-endian bit stream and back (reduced
+    on the way in, added on the way out, by the fused pair), a
     two-limb modular power must match ``pow``, five hand-made noise
     trials must land where the sampler's specification puts them,
     two folded masks must be the bit fields of their hashlib stream, and
@@ -296,6 +304,24 @@ def _probe(lib: ctypes.CDLL) -> None:
         or list(unpacked) != list(values)
     ):
         raise _Unavailable("probe mismatch (bit packer)")
+    # The fused pair: the same three elements, each off by a multiple of
+    # 2**20 (two of them negative), reduce-pack to the same stream, and
+    # that stream adds into a non-zero vector — after a stream one byte
+    # short and one with a pad bit set were refused with it untouched.
+    shifted = (ctypes.c_int64 * 3)(0xABCDE - (1 << 40), 0x12345 + (1 << 20), -1)
+    reduced = ctypes.create_string_buffer(8)
+    start = [5, -7, 1 << 40]
+    folded = (ctypes.c_int64 * 3)(*start)
+    if (
+        lib.repro_pack_low_bits(shifted, 3, 20, reduced) != 0
+        or reduced.raw != packed.raw
+        or lib.repro_unpack_add(packed, 7, 3, 20, folded) != -1
+        or lib.repro_unpack_add(packed.raw[:7] + b"\x1f", 8, 3, 20, folded) != -2
+        or list(folded) != start
+        or lib.repro_unpack_add(packed, 8, 3, 20, folded) != 0
+        or list(folded) != [a + b for a, b in zip(start, values)]
+    ):
+        raise _Unavailable("probe mismatch (fused bit packer)")
     modulus = (1 << 128) - 159
     ctx = montgomery_context(modulus)
     base, exp = 0xFEDCBA9876543210_0123456789ABCDEF, modulus - 2
@@ -387,8 +413,8 @@ def load() -> Optional[ctypes.CDLL]:
             lib = None
             warnings.warn(
                 "repro.native: kernel unavailable, PRG expansion, mask "
-                "folding, masked-vector packing, noise expansion, the DSkellam "
-                "transform and key agreement (modular exponentiation) run in "
+                "folding, masked-vector packing and folding, noise expansion, "
+                "the DSkellam transform and key agreement (modular exponentiation) run in "
                 f"pure Python/numpy: {exc}",
                 RuntimeWarning,
                 stacklevel=2,

@@ -224,11 +224,18 @@ class SecAggClient:
     # Stage 2 — MaskedInputCollection
     # ------------------------------------------------------------------
     def masked_input(
-        self, ciphertexts: dict[int, bytes], update_ring: np.ndarray
+        self,
+        ciphertexts: dict[int, bytes],
+        update_ring: np.ndarray,
+        *,
+        owned: bool = False,
     ) -> MaskedInputMsg:
         """Store routed ciphertexts and upload the masked input.
 
-        ``update_ring`` is the already DP-encoded vector in Z_{2^b}.
+        ``update_ring`` is the already DP-encoded vector, taken mod
+        ``2**b``.  With ``owned`` the caller gives the ``int64`` array
+        up: the masks are folded into it in place instead of into a
+        copy (XNoise's freshly perturbed signal).
         """
         update_ring = np.asarray(update_ring, dtype=np.int64)
         if update_ring.shape != (self.config.dimension,):
@@ -243,7 +250,6 @@ class SecAggClient:
                 f"|U2| = {len(self._u2)} below threshold {self.config.threshold}"
             )
 
-        modulus = self.config.modulus
         peers = sorted(self._neighbors & self._u2)
         # Input + self mask + one pairwise mask per live neighbor, summed
         # with one deferred reduction (int64 headroom guard inside).
@@ -251,13 +257,20 @@ class SecAggClient:
         # no mask vector exists — with the pairwise sign γ
         # (p_{u,v} = γ·PRG(s_{u,v}), γ = +1 iff u > v) folded in:
         # subtracting the raw expansion equals adding ``(−PRG(s)) % R``.
-        acc = MaskAccumulator(update_ring, modulus, n_terms=2 + len(peers))
+        # The sum leaves as its ring-width bit stream, reduced by the
+        # pack: the masked input is never a vector again.
+        acc = MaskAccumulator(
+            update_ring, self.config.modulus, n_terms=2 + len(peers), owned=owned
+        )
         acc.fold_seed(self._b_seed, 1)
         for peer in peers:
             seed = self._ka.agree(self._s_pair, self._peer_keys[peer][1])
             acc.fold_seed(seed, 1 if self.id > peer else -1)
         return MaskedInputMsg(
-            sender=self.id, masked_vector=acc.finish(), bits=self.config.bits
+            sender=self.id,
+            bits=self.config.bits,
+            count=self.config.dimension,
+            packed=acc.finish_packed(),
         )
 
     # ------------------------------------------------------------------

@@ -240,11 +240,9 @@ def run_reference_stages(
 
     # Stage 2 — MaskedInputCollection.
     alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
-    masked = {
-        u: clients[u].masked_input(inboxes.get(u, {}), inputs[u])
-        for u in sorted(alive & set(server.u2))
-    }
-    u3 = server.collect_masked(masked)
+    for u in sorted(alive & set(server.u2)):
+        server.admit_masked(u, clients[u].masked_input(inboxes.get(u, {}), inputs[u]))
+    u3 = server.collect_masked()
 
     # Stage 3 — ConsistencyCheck: an exchange in malicious mode only.
     alive -= dropout.dropped_by(STAGE_CONSISTENCY)

@@ -26,13 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.crypto.prg import expand_uniform, expand_uniform_batch
-
-
-def in_ring(vector: np.ndarray, modulus: int) -> bool:
-    """Whether every element lies in ``[0, modulus)`` (two passes, no copy)."""
-    return vector.size == 0 or (
-        0 <= int(vector.min()) and int(vector.max()) < modulus
-    )
+from repro.wire.bitpack import pack_low_bits_into, packed_stream, unpack_add, unpack_bits
 
 
 class MaskAccumulator:
@@ -45,10 +39,18 @@ class MaskAccumulator:
     the terms fold raw into int64 (:meth:`add` / :meth:`sub`) and reduce
     once at :meth:`finish`.
 
-    The base joins the deferred sum as it is when it already lies in
-    ``[0, modulus)`` (one min/max check instead of a full ``%`` pass and
-    its copy — the client's encoded input always does); any other base
-    is reduced eagerly, so the headroom proof below covers both.
+    Over a ring ``2**b`` — every ring a round uses — a reduction is
+    ``& (modulus − 1)``, a quarter of the cost of numpy's signed 64-bit
+    ``%`` and equal to it for negative sums too (pinned by test), and
+    the sum can enter and leave in wire form: :meth:`add_packed` folds a
+    received bit stream without unpacking it into a vector,
+    :meth:`finish_packed` packs the deferred sum with the reduction
+    fused into the pack.  A general modulus keeps ``%``.
+
+    The base is reduced into the ring on the way in, so the headroom
+    proof below covers any base: one ``&`` pass into a fresh array, or
+    in place when the caller gives its buffer up (``owned=True`` — the
+    accumulator then folds into ``base`` itself and no copy is made).
 
     Headroom proof: each term is in ``[0, modulus)``, so the running
     signed sum of ``n_terms`` terms has magnitude at most
@@ -67,19 +69,52 @@ class MaskAccumulator:
     ``(x + ((−b) mod R)) mod R == (x − b) mod R``.
     """
 
-    def __init__(self, base: np.ndarray, modulus: int, n_terms: int):
+    def __init__(
+        self, base: np.ndarray, modulus: int, n_terms: int, *, owned: bool = False
+    ):
+        self._configure(modulus, n_terms)
+        if owned:
+            if not (isinstance(base, np.ndarray) and base.dtype == np.int64):
+                raise ValueError("an owned base must be an int64 array")
+            self._acc = base
+            self._reduce()
+        elif self._bits is not None:
+            self._acc = np.asarray(base, dtype=np.int64) & (self._modulus - 1)
+        else:
+            self._acc = np.asarray(base, dtype=np.int64) % self._modulus
+
+    @classmethod
+    def zeros(cls, size: int, modulus: int, n_terms: int) -> "MaskAccumulator":
+        """The sum of nothing yet: a zero base of ``size`` elements
+        (counted in ``n_terms`` like any base), with no pass spent
+        reducing it — how the coordinator's accumulator starts."""
+        self = cls.__new__(cls)
+        self._configure(modulus, n_terms)
+        self._acc = np.zeros(size, dtype=np.int64)
+        return self
+
+    def _configure(self, modulus: int, n_terms: int) -> None:
         if n_terms < 1:
             raise ValueError("n_terms counts the base vector: must be >= 1")
-        self._modulus = modulus
+        self._modulus = modulus = int(modulus)
+        #: log2 of a power-of-two modulus (reductions are a mask, the
+        #: sum has a packed form), else ``None``.
+        self._bits = (
+            modulus.bit_length() - 1 if modulus & (modulus - 1) == 0 else None
+        )
         self._deferred = n_terms * (modulus - 1) < 2**63
-        base = np.asarray(base, dtype=np.int64)
-        if self._deferred and in_ring(base, modulus):
-            # finish() reduces anyway; the copy keeps the caller's
-            # vector out of the in-place folds.
-            self._acc = base.copy()
-        else:
-            self._acc = base % modulus
         self._remaining = n_terms - 1
+
+    def _reduce(self) -> None:
+        if self._bits is not None:
+            self._acc &= self._modulus - 1
+        else:
+            self._acc %= self._modulus
+
+    def _packed_bits(self) -> int:
+        if self._bits is None:
+            raise ValueError("only a power-of-two ring has a packed form")
+        return self._bits
 
     def _take_term(self) -> None:
         if self._remaining <= 0:
@@ -88,15 +123,12 @@ class MaskAccumulator:
 
     def _fold(self, mask: np.ndarray, sign: int) -> None:
         self._take_term()
-        if self._deferred:
-            if sign > 0:
-                self._acc += mask
-            else:
-                self._acc -= mask
-        elif sign > 0:
-            self._acc = (self._acc + mask) % self._modulus
+        if sign > 0:
+            self._acc += mask
         else:
-            self._acc = (self._acc - mask) % self._modulus
+            self._acc -= mask
+        if not self._deferred:
+            self._reduce()
 
     def add(self, mask: np.ndarray) -> None:
         """Fold one mask vector (values in ``[0, modulus)``) into the sum."""
@@ -167,11 +199,38 @@ class MaskAccumulator:
         for part in partials[1:]:
             self._acc += part
 
+    def add_packed(self, data) -> None:
+        """Fold one vector given as its ring-width bit stream.
+
+        ``add(unpack_bits(data, d, b))`` over the ring ``2**b`` without
+        the vector: under the deferral guard the stream is unpack-added
+        straight into the sum.  A stream that is not exactly ``d``
+        elements of ``b`` bits with zero pad bits raises ``ValueError``
+        and leaves the accumulator — sum and term count — as it was.
+        """
+        bits = self._packed_bits()
+        if self._deferred:
+            packed_stream(data, self._acc.size, bits)  # refuse before a term is taken
+            self._take_term()
+            unpack_add(data, bits, out=self._acc)
+        else:
+            self._fold(unpack_bits(data, self._acc.size, bits), 1)
+
     def finish(self) -> np.ndarray:
         """The accumulated sum, reduced into ``[0, modulus)``."""
         if self._deferred:
-            self._acc %= self._modulus
+            self._reduce()
         return self._acc
+
+    def finish_packed(self) -> bytearray:
+        """The accumulated sum mod ``2**b`` as its ring-width bit stream.
+
+        :func:`~repro.wire.bitpack.pack_bits_into` of :meth:`finish`
+        in one pass over the sum: the reduction is the packer's mask.
+        """
+        out = bytearray()
+        pack_low_bits_into(self._acc, self._packed_bits(), out)
+        return out
 
 
 # repro: allow[parity-twin] the fast twin is the MaskAccumulator class, not a def

@@ -9,6 +9,13 @@ by reconstructing dropped clients' mask keys and survivors' self-mask
 seeds from Shamir shares.  It learns the aggregate only — the privacy
 argument lives in the client's refusal to reveal both secrets of any one
 peer.
+
+It also *holds* the aggregate only.  A masked input is folded into the
+round's one accumulator the moment it is admitted
+(:meth:`SecAggServer.admit_masked`) and is gone: after
+MaskedInputCollection the server has Σ y_u, one ``int64[d]``, and no
+client's vector — O(d) memory at any cohort size, and nothing of an
+individual to leak.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.secagg.graph import build_graph
-from repro.secagg.masking import MaskAccumulator, in_ring
+from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
     MaskedInputMsg,
@@ -54,7 +61,11 @@ class SecAggServer:
         self.u3: list[int] = []
         self.u4: list[int] = []
         self.u5: list[int] = []
-        self._masked: dict[int, np.ndarray] = {}
+        #: Σ y_u over the admitted masked inputs (``None`` until the first).
+        self._sum: Optional[MaskAccumulator] = None
+        #: u → whether u's masked input was admitted, for every U2
+        #: client one arrived from (the first arrival decides).
+        self._receipts: dict[int, bool] = {}
         self._consistency_sigs: Optional[dict[int, object]] = None
 
     # ------------------------------------------------------------------
@@ -104,46 +115,67 @@ class SecAggServer:
         return inboxes
 
     # ------------------------------------------------------------------
-    def collect_masked(self, messages: dict[int, MaskedInputMsg]) -> list[int]:
-        """Fix U3 (the survivor set whose inputs enter the aggregate) —
-        and, in a semi-honest round, U4 = U3: there is no
-        ConsistencyCheck exchange to narrow it.
+    def admit_masked(self, u: int, msg: MaskedInputMsg) -> bool:
+        """The one door a masked input enters the sum by; ``True`` iff it did.
 
-        A message that is not a ``(dimension,)`` vector over this
-        round's ring is not a masked input: its sender is left out of
-        U3 — recovered like any client that dropped after ShareKeys —
-        or, below threshold, the round aborts by name.  The packed wire
-        decoder yields in-ring int64 vectors by construction, so the
-        accepted vectors are kept as they arrive, not re-reduced.
+        ``msg`` arrived from client ``u`` (the connection it came in on,
+        not what it claims).  It is admitted when ``u`` is in U2 and
+        nothing arrived from it before, its ``sender`` is ``u``, its
+        ``bits`` and ``count`` are this round's, and its stream is
+        exactly ``count`` elements with zero pad bits — so every element
+        is in the ring by construction.  An admitted input is added
+        into the round's one accumulator here and not kept; anything
+        else is refused *before* it touches the sum, and its sender is
+        left out of U3 — recovered like any client that dropped after
+        ShareKeys.
+
+        The accumulator is sized for the most terms the round can still
+        fold — |U2| inputs, |U2| self masks, one pairwise mask per edge
+        inside U2 — so its headroom guard decides once, here.
         """
-        good = {
-            u: m.masked_vector
-            for u, m in messages.items()
-            if u in self.u2 and self._well_formed(m)
-        }
+        if u not in self.u2 or u in self._receipts:
+            return False
+        admitted = (
+            isinstance(msg, MaskedInputMsg)
+            and msg.sender == u
+            and msg.bits == self.config.bits
+            and msg.count == self.config.dimension
+        )
+        if admitted:
+            if self._sum is None:
+                members = set(self.u2)
+                edges = sum(len(self.graph.get(v, set()) & members) for v in members)
+                self._sum = MaskAccumulator.zeros(
+                    self.config.dimension,
+                    self.config.modulus,
+                    n_terms=1 + 2 * len(members) + edges // 2,
+                )
+            try:
+                self._sum.add_packed(msg.packed)
+            except ValueError:
+                admitted = False
+        self._receipts[u] = admitted
+        return admitted
+
+    def collect_masked(self) -> list[int]:
+        """Fix U3 — the clients whose inputs :meth:`admit_masked` took
+        into the sum — and, in a semi-honest round, U4 = U3: there is
+        no ConsistencyCheck exchange to narrow it.
+
+        Below threshold the round aborts by name, counting the arrivals
+        that were refused.
+        """
+        good = sorted(u for u, admitted in self._receipts.items() if admitted)
         if len(good) < self.config.threshold:
-            malformed = sorted(
-                u for u in messages if u in self.u2 and u not in good
-            )
+            malformed = sorted(set(self._receipts) - set(good))
             detail = f" ({len(malformed)} malformed: {malformed})" if malformed else ""
             raise ProtocolAbort(
                 f"only {len(good)} masked inputs{detail}; below threshold"
             )
-        self._masked = good
-        self.u3 = sorted(good)
+        self.u3 = good
         if not self.config.malicious:
             self.u4 = list(self.u3)
         return list(self.u3)
-
-    def _well_formed(self, msg: MaskedInputMsg) -> bool:
-        vector = msg.masked_vector
-        return (
-            msg.bits == self.config.bits
-            and isinstance(vector, np.ndarray)
-            and vector.dtype == np.int64
-            and vector.shape == (self.config.dimension,)
-            and in_ring(vector, self.config.modulus)
-        )
 
     # ------------------------------------------------------------------
     def collect_consistency(self, signatures: dict[int, object]) -> list[int]:
@@ -179,11 +211,12 @@ class SecAggServer:
 
             z = Σ_{u∈U3} y_u − Σ_{u∈U3} PRG(b_u) − Σ γ_{v,u}·PRG(s_{v,u})
 
-        is one :class:`MaskAccumulator`: the survivors' vectors and every
-        ``(seed, ±1)`` term fold into it raw (the pairwise sign γ folds
-        into the sum, no mask is ever a vector) and it reduces once —
-        or per term when the ring leaves no int64 headroom; the guard,
-        and the ``config.workers`` fan-out of the seed folds, are the
+        is one :class:`MaskAccumulator`: it already holds Σ y_u (every
+        admitted input was added as it arrived), and every ``(seed, ±1)``
+        term folds into it raw (the pairwise sign γ folds into the sum,
+        no mask is ever a vector) before it reduces once — or per term
+        when the ring leaves no int64 headroom; the guard, and the
+        ``config.workers`` fan-out of the seed folds, are the
         accumulator's.  Secrets are reconstructed one by one in the
         reference twin's order (survivors' b_u, then dropped clients'
         s^SK), so a failed reconstruction aborts with the identical
@@ -217,20 +250,14 @@ class SecAggServer:
                 seed = self._ka.agree(pair, self._s_publics[v])
                 terms.append((seed, -1 if v > u else 1))
 
-        first, *others = self.u3
-        acc = MaskAccumulator(
-            self._masked[first],
-            self.config.modulus,
-            n_terms=len(self.u3) + len(terms),
-        )
-        for u in others:
-            acc.add(self._masked[u])
-        acc.fold_seeds(terms, self.config.workers)
-        return acc.finish()
+        self._sum.fold_seeds(terms, self.config.workers)
+        return self._sum.finish()
 
     # ------------------------------------------------------------------
     def collect_unmask_reference(
-        self, messages: dict[int, UnmaskingMsg]
+        self,
+        messages: dict[int, UnmaskingMsg],
+        vectors: dict[int, np.ndarray],
     ) -> np.ndarray:
         """Retained serial reference for :meth:`collect_unmask`.
 
@@ -239,17 +266,20 @@ class SecAggServer:
         reduction per term, one :class:`PRGReference` expansion per
         mask (``(−base) % R`` materialized for the γ = −1 pairwise
         case), one :meth:`ShamirSecretSharing.reconstruct_reference`
-        per secret with its own Lagrange computation.  The fast plane
-        must reproduce this aggregate bit for bit at every ``workers``
-        setting (pinned by test); it is also the "before" side of
-        ``bench --topics unmask``.
+        per secret with its own Lagrange computation.  The server keeps
+        no client's masked input, so the oracle is told them:
+        ``vectors`` maps every U3 client to the vector it sent (the
+        caller unpacks the streams).  The fast plane must reproduce
+        this aggregate bit for bit at every ``workers`` setting (pinned
+        by test); it is also the "before" side of ``bench --topics
+        unmask``.
         """
         good = self._accept_unmask(messages)
         modulus = self.config.modulus
         dim = self.config.dimension
         aggregate = np.zeros(dim, dtype=np.int64)
         for u in self.u3:
-            aggregate = (aggregate + self._masked[u]) % modulus
+            aggregate = (aggregate + vectors[u]) % modulus
 
         ss = ShamirSecretSharing(self.config.threshold)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.crypto.shamir import Share
 from repro.crypto.signature import SchnorrSignature
-from repro.wire.bitpack import packed_nbytes
+from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
 from repro.wire.codecs import CodecError, decode_whole_value, encode_value
 
 STAGE_ADVERTISE = 0
@@ -233,14 +233,39 @@ class SharePayload(WireRecord):
 class MaskedInputMsg:
     """Stage-2 client → server: the masked (and DP-perturbed) input.
 
-    ``bits`` is the ring width the sender masked in: every element of
-    ``masked_vector`` is in ``[0, 2**bits)`` and occupies exactly
-    ``bits`` bits on the wire.
+    The one model-sized message, and it is never a vector: ``packed``
+    is the ring-width bit stream of :mod:`repro.wire.bitpack` —
+    ``count`` elements of ``bits`` bits, the form the client's
+    accumulator is packed into
+    (:meth:`repro.secagg.masking.MaskAccumulator.finish_packed`), the
+    wire carries (:mod:`repro.secagg.codec` appends it to the frame and
+    decodes to a ``memoryview`` of the frame) and the coordinator adds
+    into its sum (:meth:`repro.secagg.server.SecAggServer.admit_masked`).
+    A stream of exactly ``ceil(count·bits/8)`` bytes with zero pad bits
+    holds elements of ``[0, 2**bits)`` and nothing else — "out of ring"
+    and "negative" cannot be written down.  The decoder refuses any
+    other stream; a message built in process is checked at the
+    coordinator's door.
     """
 
     sender: int
-    masked_vector: np.ndarray
     bits: int
+    count: int
+    packed: object  # bytes-like: bytes, bytearray, or a memoryview of the frame
+
+    @classmethod
+    def from_vector(cls, sender: int, vector, bits: int) -> "MaskedInputMsg":
+        """The message carrying ``vector`` (tests, benches); an element
+        outside ``[0, 2**bits)`` is a ``ValueError``."""
+        packed = bytearray()
+        pack_bits_into(vector, bits, packed)
+        return cls(sender=sender, bits=bits, count=len(vector), packed=packed)
+
+    @property
+    def masked_vector(self) -> np.ndarray:
+        """The stream unpacked into a fresh ``int64`` array — for tests
+        and oracles; no round path reads it."""
+        return unpack_bits(self.packed, self.count, self.bits)
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,16 @@ class SecAggWorkflowServer(ProtocolServer):
         inboxes = self.inner.route_shares(responses)
         return Targeted({u: inboxes[u] for u in sorted(inboxes)})
 
-    def collect_masked(self, responses: dict) -> Targeted:
-        u3 = self.inner.collect_masked(responses)
+    def receive_response(self, op: str, client_id: int, response):
+        """The engine's arrival seam: a masked input is folded into the
+        sum the moment its frame lands, and what the engine keeps in its
+        place is the receipt — admitted or not."""
+        if op == "masked_input":
+            return self.inner.admit_masked(client_id, response)
+        return response
+
+    def collect_masked(self, receipts: dict) -> Targeted:
+        u3 = self.inner.collect_masked()
         if not self.config.malicious:
             return self._unmask_requests()
         return Targeted({u: list(u3) for u in u3})

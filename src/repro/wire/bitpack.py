@@ -9,7 +9,7 @@ zero.
 
 Two implementations, bit-identical and pinned so by test:
 
-- the two C loops in ``_native/sha256ctr.c`` (the shared object
+- the C loops in ``_native/sha256ctr.c`` (the shared object
   :func:`repro.native.load` builds), one 64-bit window over the stream;
 - the numpy fallback below.  The stream's layout repeats every
   ``P = 64/gcd(b, 64)`` elements (``P·b`` bits are a whole number of
@@ -20,6 +20,14 @@ Two implementations, bit-identical and pinned so by test:
 Both write into / read from caller-owned memory: :func:`pack_bits_into`
 appends to the frame buffer, :func:`unpack_bits` reads a ``memoryview``
 of the frame and fills one fresh ``int64`` array.
+
+A round never holds a masked input in any form but this stream.  The
+client leaves its ``int64`` accumulator through :func:`pack_low_bits_into`
+— the pack with the ``mod 2**b`` reduction fused in: the low ``b`` bits
+of each two's-complement sum — and the coordinator enters its own
+through :func:`unpack_add`, which adds the stream's elements into a
+vector that is already there.  Their fallbacks work a slab at a time,
+so neither side ever allocates a second model-sized array.
 
 The same layout defines what a mask seed expands to
 (:mod:`repro.crypto.prg`): a mask over ``2**b`` is the unpacking of its
@@ -38,6 +46,10 @@ from repro import native
 #: Element widths the format carries (``SecAggConfig.bits`` has the same range).
 MIN_BITS = 1
 MAX_BITS = 62
+
+#: Elements the fused fallbacks move per numpy step.  A multiple of 64,
+#: so every slab starts on a word boundary of the stream at any width.
+_SLAB = 1 << 15
 
 
 def packed_nbytes(count: int, bits: int) -> int:
@@ -107,6 +119,23 @@ def bit_fields(data: np.ndarray, count: int, bits: int) -> np.ndarray:
     return out[:count]
 
 
+def _as_vector(values) -> np.ndarray:
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {values.shape}")
+    return values
+
+
+def _reserve(out: bytearray, nbytes: int) -> np.ndarray:
+    """``nbytes`` zero bytes appended to ``out``, as a writable view.
+
+    The view exports ``out``'s buffer: drop it before appending again.
+    """
+    start = len(out)
+    out += bytes(nbytes)
+    return np.frombuffer(out, dtype=np.uint8, count=nbytes, offset=start)
+
+
 def pack_bits_into(values: np.ndarray, bits: int, out: bytearray) -> None:
     """Append the packed stream of ``values`` (1-D ``int64``) to ``out``.
 
@@ -115,11 +144,8 @@ def pack_bits_into(values: np.ndarray, bits: int, out: bytearray) -> None:
     outside ``[0, 2**bits)`` — packing would silently truncate it.
     """
     _check_bits(bits)
-    values = np.ascontiguousarray(values, dtype=np.int64)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {values.shape}")
+    values = _as_vector(values)
     start = len(out)
-    nbytes = packed_nbytes(values.size, bits)
     lib = native.load()
     if lib is None:
         in_ring = values.size == 0 or (
@@ -128,8 +154,7 @@ def pack_bits_into(values: np.ndarray, bits: int, out: bytearray) -> None:
         if in_ring:
             out += _pack_numpy(values, bits).data
     else:
-        out += bytes(nbytes)
-        dst = np.frombuffer(out, dtype=np.uint8, count=nbytes, offset=start)
+        dst = _reserve(out, packed_nbytes(values.size, bits))
         in_ring = (
             lib.repro_pack_bits(values.ctypes.data, values.size, bits, dst.ctypes.data)
             == 0
@@ -140,17 +165,44 @@ def pack_bits_into(values: np.ndarray, bits: int, out: bytearray) -> None:
         raise ValueError(f"vector element outside the ring [0, 2**{bits})")
 
 
-def unpack_bits(data, count: int, bits: int) -> np.ndarray:
-    """``count`` elements from the packed stream ``data`` as a fresh ``int64`` array.
+def pack_low_bits_into(values: np.ndarray, bits: int, out: bytearray) -> None:
+    """Append the packed stream of ``values mod 2**bits`` to ``out``.
 
-    ``data`` is any contiguous bytes-like object — in the decode path a
-    ``memoryview`` of the received frame, read in place.  Strict: the
-    length must be exactly ``ceil(count·bits/8)`` and the pad bits of
-    the last byte zero, else ``ValueError``.  Every element is in
-    ``[0, 2**bits)`` by construction.
+    :func:`pack_bits_into` of ``values % 2**bits`` without that vector:
+    the low ``bits`` bits of each two's-complement element *are* its
+    residue, negative or not, so the reduction is one ``and`` inside
+    the pack loop.  This is how a deferred ``int64`` sum leaves its
+    accumulator — one pass, no element can be out of range.
     """
     _check_bits(bits)
-    stream = np.frombuffer(data, dtype=np.uint8)
+    values = _as_vector(values)
+    lib = native.load()
+    if lib is None:
+        mask = (1 << bits) - 1
+        for start in range(0, values.size, _SLAB):
+            out += _pack_numpy(values[start : start + _SLAB] & mask, bits).data
+        return
+    dst = _reserve(out, packed_nbytes(values.size, bits))
+    rc = lib.repro_pack_low_bits(values.ctypes.data, values.size, bits, dst.ctypes.data)
+    del dst
+    if rc != 0:  # unreachable after the checks above
+        raise ValueError(f"bit packer rejected its arguments (code {rc})")
+
+
+def packed_stream(data, count: int, bits: int) -> np.ndarray:
+    """``data`` as the ``uint8`` stream of ``count`` ``bits``-wide elements.
+
+    The one check a received stream passes before anything reads it:
+    ``data`` is a contiguous bytes-like object of exactly
+    ``ceil(count·bits/8)`` bytes whose pad bits are zero — else
+    ``ValueError``.  Every element of a stream that passes is in
+    ``[0, 2**bits)`` by construction.  No copy is made.
+    """
+    _check_bits(bits)
+    try:
+        stream = np.frombuffer(data, dtype=np.uint8)
+    except (TypeError, ValueError, BufferError) as exc:
+        raise ValueError(f"packed vector is not a contiguous byte buffer: {exc}") from exc
     if stream.size != packed_nbytes(count, bits):
         raise ValueError(
             f"packed vector of {stream.size} bytes does not hold "
@@ -159,6 +211,19 @@ def unpack_bits(data, count: int, bits: int) -> np.ndarray:
     pad = 8 * stream.size - count * bits
     if pad and int(stream[-1]) >> (8 - pad):
         raise ValueError("non-zero pad bits after the last vector element")
+    return stream
+
+
+def unpack_bits(data, count: int, bits: int) -> np.ndarray:
+    """``count`` elements from the packed stream ``data`` as a fresh ``int64`` array.
+
+    ``data`` is any contiguous bytes-like object — in the decode path a
+    ``memoryview`` of the received frame, read in place.  Strict
+    (:func:`packed_stream`): the length must be exactly
+    ``ceil(count·bits/8)`` and the pad bits of the last byte zero, else
+    ``ValueError``.  Every element is in ``[0, 2**bits)`` by construction.
+    """
+    stream = packed_stream(data, count, bits)
     lib = native.load()
     if lib is None:
         return bit_fields(stream, count, bits)
@@ -168,4 +233,39 @@ def unpack_bits(data, count: int, bits: int) -> np.ndarray:
     )
     if rc != 0:  # unreachable after the checks above; never trust a misparse
         raise ValueError(f"bit unpacker rejected the stream (code {rc})")
+    return out
+
+
+def unpack_add(data, bits: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] +=`` element ``i`` of the packed stream ``data``; returns ``out``.
+
+    ``out += unpack_bits(data, out.size, bits)`` without that vector:
+    how a received masked input joins the coordinator's sum.  ``out`` is
+    a writable contiguous 1-D ``int64`` array and the caller owns its
+    headroom; ``data`` is checked exactly as :func:`unpack_bits` checks
+    it, and a stream that fails raises ``ValueError`` *before* ``out``
+    is touched.
+    """
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.int64
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError("unpack_add needs a writable contiguous 1-D int64 vector")
+    count = out.size
+    stream = packed_stream(data, count, bits)
+    lib = native.load()
+    if lib is None:
+        for start in range(0, count, _SLAB):
+            n = min(_SLAB, count - start)
+            at = start * bits // 8
+            out[start : start + n] += bit_fields(
+                stream[at : at + packed_nbytes(n, bits)], n, bits
+            )
+    elif lib.repro_unpack_add(
+        stream.ctypes.data, stream.size, count, bits, out.ctypes.data
+    ):  # unreachable after the checks above; the kernel adds nothing then
+        raise ValueError("bit unpacker rejected the stream")
     return out

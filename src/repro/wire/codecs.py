@@ -173,9 +173,7 @@ def _ensure_defaults() -> None:
         0x23,
         secagg_codec.encode_masked_input,
         secagg_codec.decode_masked_input,
-        body_nbytes=lambda m: secagg_codec.masked_input_nbytes(
-            m.masked_vector.size, m.bits
-        ),
+        body_nbytes=lambda m: secagg_codec.masked_input_nbytes(m.count, m.bits),
         in_place=True,
     )
     register_codec(UnmaskingMsg, 0x24, UnmaskingMsg.to_bytes, UnmaskingMsg.from_bytes)

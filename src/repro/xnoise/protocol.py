@@ -131,14 +131,18 @@ class XNoiseClient(SecAggClient):
         )
 
     def masked_input(self, ciphertexts, update_signal: np.ndarray):
-        """Add all T+1 noise components to the encoded signal, then mask."""
+        """Add all T+1 noise components to the encoded signal, then mask.
+
+        The perturbed signal is this call's own buffer: SecAgg's
+        accumulator takes it over — reduces it into the ring and folds
+        the masks into it — rather than copying it again.
+        """
         noisy = np.array(update_signal, dtype=np.int64)
         for k, variance in enumerate(self.decomposition.variances()):
             skellam_noise_from_seed(
                 self.noise_seeds[k], variance, self.config.dimension, out=noisy
             )
-        noisy %= self.config.modulus
-        return super().masked_input(ciphertexts, noisy)
+        return super().masked_input(ciphertexts, noisy, owned=True)
 
     def excess_component_indices(self) -> range:
         """Components this client should reveal, from its view of U3."""
@@ -190,7 +194,8 @@ class XNoiseServer(SecAggServer):
         # One signed accumulator, one reduction: sound while the ring
         # element plus every removed component's support fits int64.
         # Otherwise (62-bit rings, astronomically many components)
-        # reduce after each component.
+        # reduce after each component.  The ring is 2**bits: a
+        # reduction is one mask, negative sums included.
         deferred = (
             modulus + len(self.u3) * sum(support_bound(variances[k]) for k in removal)
             < 2**63
@@ -209,9 +214,9 @@ class XNoiseServer(SecAggServer):
                     seed, variances[k], self.config.dimension, out=total, sign=-1
                 )
                 if not deferred:
-                    total %= modulus
+                    total &= modulus - 1
                 removed += 1
-        total %= modulus
+        total &= modulus - 1
         return total, removed
 
     def seed_requests(

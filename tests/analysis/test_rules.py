@@ -119,6 +119,29 @@ class TestParityTwin:
         (f,) = findings_for(result, "parity-twin")
         assert "fold_reference" in f.message and "signature" in f.message
 
+    def test_an_oracle_may_be_told_what_the_fast_side_holds(self, check_repo):
+        # The reference begins with the fast twin's arguments; what
+        # follows is state the fast side folded away (collect_unmask /
+        # collect_unmask_reference).  A reordered or renamed prefix
+        # still drifts.
+        files = {
+            "src/repro/mod.py": _src("""
+                class Server:
+                    def collect(self, messages):
+                        return messages
+
+                    def collect_reference(self, messages, vectors):
+                        return messages
+            """),
+            "tests/test_collect.py": "# collect collect_reference\n",
+        }
+        assert findings_for(check_repo(files), "parity-twin") == []
+        files["src/repro/mod.py"] = files["src/repro/mod.py"].replace(
+            "self, messages, vectors", "self, vectors, messages"
+        )
+        (f,) = findings_for(check_repo(files), "parity-twin")
+        assert "signature" in f.message
+
 
 # ---------------------------------------------------------------------------
 # headroom-guard
@@ -189,6 +212,78 @@ class TestHeadroomGuard:
         })
         (f,) = findings_for(result, "headroom-guard")
         assert "'self._acc'" in f.message
+
+    #: The shapes of the ring-width data plane: a mask by ``modulus - 1``
+    #: is a reduce, a packed fold / an in-place kernel's ``out=`` is an
+    #: accumulate, the reducing pack is a reduce.
+    _PLANE = {
+        "mask-reduce": """
+            def remove(total, noise, modulus):
+                total -= noise
+                total &= modulus - 1
+                return total
+        """,
+        "packed-fold": """
+            def collect(streams, bits, modulus, acc):
+                for data in streams:
+                    unpack_add(data, bits, out=acc)
+                acc &= modulus - 1
+                return acc
+        """,
+        "kernel-fold": """
+            def mask(seeds, dim, modulus, acc):
+                for seed in seeds:
+                    prg.expand_uniform(seed, dim, modulus, out=acc)
+                acc %= modulus
+                return acc
+        """,
+        "reducing-pack": """
+            def upload(masks, bits, acc, frame):
+                for mask in masks:
+                    acc += mask
+                pack_low_bits_into(acc, bits, frame)
+        """,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_PLANE))
+    def test_ring_width_plane_shapes_are_deferred_accumulators(self, check_repo, shape):
+        body = _src(self._PLANE[shape])
+        (f,) = findings_for(
+            check_repo({"src/repro/secagg/plane.py": body}), "headroom-guard"
+        )
+        assert "2**63" in f.message
+        header, rest = body.split("\n", 1)
+        guarded = f"{header}\n    assert 3 * (1 << 20) < 2**63\n{rest}"
+        assert findings_for(
+            check_repo({"src/repro/secagg/plane.py": guarded}), "headroom-guard"
+        ) == []
+
+    def test_a_mask_by_anything_else_is_not_a_reduction(self, check_repo):
+        result = check_repo({
+            "src/repro/secagg/plane.py": _src("""
+                def low_byte(acc, v, flags):
+                    acc += v
+                    acc &= 0xFF
+                    acc &= flags - 1
+                    return acc
+            """),
+        })
+        assert findings_for(result, "headroom-guard") == []
+
+    def test_the_real_accumulators_lose_their_static_half_with_the_guard(self, check_repo):
+        # Invariants 9/11/15: strip the 2**63 comparison from the real
+        # sources and each deferred accumulator becomes a finding.
+        from repro.analysis.runner import default_root
+
+        root = default_root()
+        files = {}
+        for rel in ("src/repro/secagg/masking.py", "src/repro/xnoise/protocol.py"):
+            text = (root / rel).read_text()
+            assert "< 2**63" in text
+            files[rel] = text.replace("< 2**63", "< LIMIT")
+        messages = [f.message for f in findings_for(check_repo(files), "headroom-guard")]
+        assert any("'self._acc' in class MaskAccumulator" in m for m in messages)
+        assert any("'total' in remove_excess_noise" in m for m in messages)
 
     def test_non_modulus_reduction_out_of_scope(self, check_repo):
         # Big-int field arithmetic (`% p`) cannot overflow int64 and is

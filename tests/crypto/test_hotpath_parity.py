@@ -646,3 +646,96 @@ class TestMaskAccumulatorParity:
     def test_n_terms_must_count_base(self):
         with pytest.raises(ValueError):
             MaskAccumulator(np.zeros(2, dtype=np.int64), 8, n_terms=0)
+
+    @pytest.mark.parametrize(
+        "modulus, n_terms, deferred",
+        [(1 << 20, 6, True), (1 << 62, 2, True), (1 << 62, 6, False), ((1 << 20) + 17, 6, True)],
+    )
+    def test_an_owned_base_is_folded_into_in_place_and_equals_a_copied_one(
+        self, modulus, n_terms, deferred
+    ):
+        # ``owned=True``: the caller's buffer *is* the sum (XNoise's
+        # perturbed signal) — same left fold, no copy, any base.
+        rng = random.Random(53)
+        dim = 40
+        ring = self._masks(rng, 1, dim, modulus)[0]
+        terms = [
+            (m, sign)
+            for m, sign in zip(
+                self._masks(rng, n_terms - 1, dim, modulus), [1, -1] * n_terms
+            )
+        ]
+        for base in (ring, ring - modulus, np.where(np.arange(dim) % 2, ring, -ring - 1)):
+            mine = base.copy()
+            acc = MaskAccumulator(mine, modulus, n_terms=n_terms, owned=True)
+            assert acc._deferred is deferred
+            for m, sign in terms:
+                (acc.add if sign > 0 else acc.sub)(m)
+            got = acc.finish()
+            assert got is mine
+            np.testing.assert_array_equal(
+                got, accumulate_signed_masks_reference(base, terms, modulus)
+            )
+
+    def test_an_owned_base_must_be_an_int64_array(self):
+        for base in ([1, 2, 3], np.zeros(3, dtype=np.int32), np.zeros(3)):
+            with pytest.raises(ValueError, match="owned base"):
+                MaskAccumulator(base, 1 << 20, n_terms=2, owned=True)
+
+    @pytest.mark.parametrize("bits, n_terms, deferred", [(20, 5, True), (62, 5, False)])
+    def test_the_packed_door_and_exit_match_the_vector_ones(self, bits, n_terms, deferred):
+        # add_packed ≡ add(unpack_bits(...)); finish_packed ≡ the strict
+        # pack of finish(); zeros() ≡ a zero base — on both sides of the
+        # guard.
+        from repro.wire.bitpack import pack_bits_into
+
+        modulus = 1 << bits
+        rng = random.Random(59)
+        dim = 77
+        vectors = self._masks(rng, n_terms - 1, dim, modulus)
+        streams = []
+        for v in vectors:
+            out = bytearray()
+            pack_bits_into(v, bits, out)
+            streams.append(bytes(out))
+        by_vector = MaskAccumulator(np.zeros(dim, dtype=np.int64), modulus, n_terms)
+        by_stream = MaskAccumulator.zeros(dim, modulus, n_terms)
+        assert by_vector._deferred is by_stream._deferred is deferred
+        for v, stream in zip(vectors, streams):
+            by_vector.add(v)
+            by_stream.add_packed(stream)
+        with pytest.raises(ValueError, match="more masks added"):
+            by_stream.add_packed(streams[0])
+        np.testing.assert_array_equal(by_stream._acc, by_vector._acc)
+        packed = by_stream.finish_packed()
+        want = bytearray()
+        pack_bits_into(by_vector.finish(), bits, want)
+        assert packed == want
+        np.testing.assert_array_equal(
+            by_vector.finish(), accumulate_masks_reference(vectors[0], vectors[1:], modulus)
+        )
+
+    @pytest.mark.parametrize("bits", [20, 62])
+    def test_a_malformed_stream_changes_neither_the_sum_nor_the_term_count(self, bits):
+        from repro.wire.bitpack import pack_bits_into
+
+        dim = 7  # 7·20 and 7·62 bits both leave pad bits
+        good = bytearray()
+        pack_bits_into(np.arange(dim, dtype=np.int64), bits, good)
+        acc = MaskAccumulator.zeros(dim, 1 << bits, n_terms=3)
+        acc.add_packed(good)
+        before = (acc._acc.copy(), acc._remaining)
+        for bad in (good[:-1], good + b"\x00", good[:-1] + bytes([good[-1] | 0x80]), None):
+            with pytest.raises(ValueError):
+                acc.add_packed(bad)
+            np.testing.assert_array_equal(acc._acc, before[0])
+            assert acc._remaining == before[1]
+        acc.add_packed(good)  # the budget the refusals did not spend
+        np.testing.assert_array_equal(acc.finish(), 2 * np.arange(dim))
+
+    def test_a_general_modulus_has_no_packed_form(self):
+        acc = MaskAccumulator(np.zeros(4, dtype=np.int64), 997, n_terms=2)
+        with pytest.raises(ValueError, match="power-of-two"):
+            acc.add_packed(bytes(5))
+        with pytest.raises(ValueError, match="power-of-two"):
+            acc.finish_packed()

@@ -295,6 +295,184 @@ class TestWireTransportParity:
         assert split.up == sum(s.up_bytes for s in stats)
 
 
+#: The in-process baseline and the three wire-crossing backends.
+ALL_CARRIERS = ["in-process"] + WIRE_TRANSPORTS
+
+
+def _carrier(name):
+    return InProcessTransport() if name == "in-process" else _make_transport(name)
+
+
+#: ``(n_chunks, malicious, bits)``: whole and in four chunks, both modes,
+#: the deferred sum (20 bits) and the no-headroom fallback (62).  Every
+#: carrier runs every shape but the slowest — signatures on every chunk —
+#: which one wire carrier covers (against the reference and the
+#: in-process trace alike).
+_FOLD_SHAPES = [(1, False, 20), (1, False, 62), (4, False, 20), (4, False, 62), (1, True, 20)]
+FOLD_CASES = [
+    (carrier, *shape) for carrier in ALL_CARRIERS for shape in _FOLD_SHAPES
+] + [("sockets", 4, True, 62)]
+
+
+@pytest.mark.timeout(300)
+@pytest.mark.parametrize("carrier,n_chunks,malicious,bits", FOLD_CASES)
+class TestArrivalFoldParity:
+    """The one-pass data plane — a masked input packed by the client's
+    accumulator, folded by the coordinator as its frame lands, never a
+    vector in between — against the serial reference drivers, which go
+    through the same admission door one client at a time: aggregates and
+    U-sets bit-identical on all four carriers, both modes, whole and in
+    four chunks, with and without int64 headroom; traces identical to
+    in-process execution."""
+
+    DIM = 50  # four chunks of 13, 13, 12, 12
+    SCHEDULE = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {2}, STAGE_UNMASK: {4}})
+    #: In-process timing spans per (protocol, shape): the trace every
+    #: carrier must reproduce, executed once.
+    _baseline: dict = {}
+
+    def _assert_trace_is_the_in_process_one(
+        self, key, carrier, spans, components, inputs, n_chunks
+    ):
+        if carrier == "in-process":
+            self._baseline.setdefault(key, spans)
+        elif key not in self._baseline:
+            self._baseline[key] = self._run("in-process", components, inputs, n_chunks)[1]
+        assert spans == self._baseline[key]
+
+    def _chunks(self, inputs, n_chunks):
+        from repro.pipeline.chunking import split_vector
+
+        per_client = {u: split_vector(v, n_chunks) for u, v in inputs.items()}
+        return [{u: parts[j] for u, parts in per_client.items()} for j in range(n_chunks)]
+
+    def _run(self, carrier, components, inputs, n_chunks):
+        """Engine execution: ``(chunk results, timing spans)``."""
+        from repro.secagg.workflow import with_dropout
+
+        engine = RoundEngine(transport=_carrier(carrier))
+        transport = with_dropout(engine.transport, self.SCHEDULE)
+        if n_chunks == 1:
+            server, clients = components(0, inputs)
+            results = [run_sync(engine.run_round(server, clients, transport=transport))]
+        else:
+            chunked = run_sync(
+                engine.run_chunked_round(components, inputs, n_chunks, transport=transport)
+            )
+            results = chunked.chunk_results
+            np.testing.assert_array_equal(
+                chunked.result, np.concatenate([r.aggregate for r in results])
+            )
+        return results, _timing_spans(engine.trace)
+
+    def test_secagg(self, carrier, n_chunks, malicious, bits):
+        from dataclasses import replace
+
+        from repro.crypto.pki import PublicKeyInfrastructure
+        from repro.secagg.driver import secagg_round_components
+
+        config = SecAggConfig(
+            threshold=3, bits=bits, dimension=self.DIM, malicious=malicious,
+            dh_group="modp512",
+        )
+        rng = np.random.default_rng([24, bits])
+        inputs = {
+            u: rng.integers(0, config.modulus, size=self.DIM, dtype=np.int64)
+            for u in range(1, 7)
+        }
+
+        def components(j, chunk_inputs):
+            dim = next(iter(chunk_inputs.values())).shape[0]
+            return secagg_round_components(replace(config, dimension=dim), chunk_inputs)
+
+        results, spans = self._run(carrier, components, inputs, n_chunks)
+        for result, chunk_inputs in zip(results, self._chunks(inputs, n_chunks)):
+            dim = next(iter(chunk_inputs.values())).shape[0]
+            reference = run_secagg_round_reference(
+                replace(config, dimension=dim), chunk_inputs, self.SCHEDULE,
+                pki=PublicKeyInfrastructure() if malicious else None,
+            )
+            assert _same_round(result, reference)
+            assert result.u3 == [1, 3, 4, 5, 6] and result.u5 == [1, 3, 5, 6]
+            expected = np.array(
+                [sum(int(chunk_inputs[u][i]) for u in result.u3) % config.modulus
+                 for i in range(dim)],
+                dtype=np.int64,
+            )
+            np.testing.assert_array_equal(result.aggregate, expected)
+        self._assert_trace_is_the_in_process_one(
+            ("secagg", n_chunks, malicious, bits), carrier, spans, components, inputs, n_chunks
+        )
+
+    def test_xnoise(self, carrier, n_chunks, malicious, bits):
+        from dataclasses import replace
+
+        from repro.crypto.pki import PublicKeyInfrastructure
+        from repro.xnoise.protocol import xnoise_round_components
+
+        xconfig = XNoiseConfig(
+            secagg=SecAggConfig(
+                threshold=4, bits=bits, dimension=self.DIM, malicious=malicious,
+                dh_group="modp512",
+            ),
+            n_sampled=6, tolerance=2, target_variance=4.0,
+        )
+        inputs = {
+            u: np.random.default_rng([u, bits]).integers(-40, 40, size=self.DIM)
+            for u in range(1, 7)
+        }
+
+        def factory(pki, signers=None):
+            # Pinned noise seeds (both paths add identical noise); in
+            # malicious mode each client signs with its registered key.
+            def make(u):
+                rng = derive_rng("arrival-fold-seeds", u)
+                return XNoiseClient(
+                    u, make.config,
+                    noise_seeds=[
+                        rng.bytes(32)
+                        for _ in range(make.config.decomposition().n_components)
+                    ],
+                    signer=None if signers is None else signers[u],
+                    pki=pki,
+                )
+
+            return make
+
+        def pki_and_factory(chunk_config):
+            pki = signers = None
+            if malicious:
+                pki = PublicKeyInfrastructure()
+                signers = {u: pki.register(u) for u in sorted(inputs)}
+            make = factory(pki, signers)
+            make.config = chunk_config
+            return pki, make
+
+        def components(j, chunk_inputs):
+            dim = next(iter(chunk_inputs.values())).shape[0]
+            chunk_config = replace(xconfig, secagg=replace(xconfig.secagg, dimension=dim))
+            pki, make = pki_and_factory(chunk_config)
+            return xnoise_round_components(
+                chunk_config, chunk_inputs, pki=pki, client_factory=make
+            )
+
+        results, spans = self._run(carrier, components, inputs, n_chunks)
+        for result, chunk_inputs in zip(results, self._chunks(inputs, n_chunks)):
+            dim = next(iter(chunk_inputs.values())).shape[0]
+            chunk_config = replace(xconfig, secagg=replace(xconfig.secagg, dimension=dim))
+            pki, make = pki_and_factory(chunk_config)
+            reference = run_xnoise_round_reference(
+                chunk_config, chunk_inputs, self.SCHEDULE, pki=pki, client_factory=make
+            )
+            assert _same_round(result, reference)
+            assert result.u6 == reference.u6
+            assert result.removed_noise_components == reference.removed_noise_components
+            assert result.n_dropped == reference.n_dropped == 1
+        self._assert_trace_is_the_in_process_one(
+            ("xnoise", n_chunks, malicious, bits), carrier, spans, components, inputs, n_chunks
+        )
+
+
 class TestRuntimeParity:
     """AggregationRuntime (now engine-backed) vs the old serial walk."""
 

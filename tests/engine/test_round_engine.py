@@ -212,6 +212,82 @@ class TestDispatch:
         result = asyncio.run(main())
         np.testing.assert_allclose(result, np.full(2, float(n)))
 
+    def test_arrival_seam_hands_each_response_over_as_its_delivery_completes(self):
+        """A server defining ``receive_response`` sees every response the
+        moment it lands — before its slower siblings are in — and the
+        coordination method gets what the seam returned in its place."""
+        from repro.engine import Channel
+
+        inner_transport = InProcessTransport()
+        release_slow = None  # created inside the running loop
+        seen = []
+
+        class FoldingServer(SumServer):
+            def __init__(self):
+                self.total = 0.0
+
+            def receive_response(self, op, client_id, response):
+                seen.append((op, client_id, release_slow.is_set()))
+                self.total = self.total + response
+                if client_id == 0:
+                    release_slow.set()  # only now may client 2 answer
+                return "folded"
+
+            def aggregate(self, receipts):
+                assert receipts == {0: "folded", 1: "folded", 2: "folded"}
+                return self.total
+
+        class StaggeredTransport(InProcessTransport):
+            def connect(self, clients):
+                inner = inner_transport.connect(clients)
+
+                class StaggeredChannel(Channel):
+                    async def request(self, cid, op, payload):
+                        if cid == 2:
+                            await asyncio.wait_for(release_slow.wait(), timeout=5)
+                        return await inner.request(cid, op, payload)
+
+                return StaggeredChannel()
+
+        async def main():
+            nonlocal release_slow
+            release_slow = asyncio.Event()
+            engine = RoundEngine(transport=StaggeredTransport())
+            clients = [SumClient(i, np.full(2, i + 1.0)) for i in range(3)]
+            return await engine.run_round(FoldingServer(), clients)
+
+        result = asyncio.run(main())
+        np.testing.assert_allclose(result, np.full(2, 6.0))
+        # Client 0 was folded while client 2's request was still parked.
+        assert seen[0] == ("encode", 0, False)
+        assert sorted(seen) == [("encode", 0, False), ("encode", 1, True), ("encode", 2, True)]
+
+    def test_arrival_seam_skips_dropped_clients_and_propagates_its_errors(self):
+        schedule = DropoutSchedule(at_stage={0: {1}})
+        transport = DropoutTransport(
+            InProcessTransport(), schedule, lambda op: 0 if op == "encode" else None
+        )
+        arrived = []
+
+        class Receipts(SumServer):
+            def receive_response(self, op, client_id, response):
+                arrived.append(client_id)
+                return float(response.sum())
+
+            def aggregate(self, receipts):
+                return receipts
+
+        clients = [SumClient(i, np.full(2, i + 1.0)) for i in range(3)]
+        result = RoundEngine(transport=transport).run_round_sync(Receipts(), clients)
+        assert result == {0: 2.0, 2: 6.0} and arrived == [0, 2]
+
+        class Exploding(SumServer):
+            def receive_response(self, op, client_id, response):
+                raise RuntimeError("seam exploded")
+
+        with pytest.raises(RuntimeError, match="seam exploded"):
+            RoundEngine().run_round_sync(Exploding(), [SumClient(0, np.zeros(1))])
+
 
 # ---------------------------------------------------------------------------
 # Chunk pipelining — the acceptance-criterion tests

@@ -254,11 +254,11 @@ class TestUnmaskingAttacks:
         clients, server, roster, graph = make_round()
         outboxes = {u: clients[u].share_keys(roster, graph[u]) for u in clients}
         inboxes = server.route_shares(outboxes)
-        masked = {
-            u: clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
-            for u in clients
-        }
-        u3 = server.collect_masked(masked)
+        for u in clients:
+            server.admit_masked(
+                u, clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
+            )
+        u3 = server.collect_masked()
         return clients, server, u3
 
     def test_both_secrets_request_refused(self):
@@ -327,11 +327,11 @@ class TestUnmaskingAttacks:
         requests = server.collect_advertise(adverts)
         outboxes = {u: clients[u].share_keys(*requests[u]) for u in clients}
         inboxes = server.route_shares(outboxes)
-        masked = {
-            u: clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
-            for u in clients
-        }
-        u3 = server.collect_masked(masked)
+        for u in clients:
+            server.admit_masked(
+                u, clients[u].masked_input(inboxes[u], np.zeros(8, dtype=np.int64))
+            )
+        u3 = server.collect_masked()
         assert server.u4 == []  # fixed by the exchange, not by collect_masked
         return clients, server, u3
 

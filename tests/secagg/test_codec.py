@@ -33,9 +33,7 @@ HEADER = 13
 
 
 def _masked(values, bits, sender=3):
-    return MaskedInputMsg(
-        sender=sender, masked_vector=np.array(values, dtype=np.int64), bits=bits
-    )
+    return MaskedInputMsg.from_vector(sender, np.array(values, dtype=np.int64), bits)
 
 
 @st.composite
@@ -184,12 +182,38 @@ class TestVectorCodec:
             decode_masked_input(bytes(body))
 
     @pytest.mark.parametrize("bad", [-1, 1 << 20, 1 << 40])
-    def test_out_of_ring_element_refused_by_the_encoder(self, bad):
-        # Packing would silently truncate it; the buffer is left as found.
+    def test_out_of_ring_element_cannot_be_written_down(self, bad):
+        # Packing would silently truncate it, so no message carries it.
+        with pytest.raises(ValueError, match="outside the ring"):
+            _masked([1, bad, 3], 20)
+
+    @pytest.mark.parametrize(
+        "bits, count, packed, why",
+        [
+            (20, 3, bytes(7), "does not hold"),
+            (20, 3, bytes(9), "does not hold"),
+            (20, 4, bytes(8), "does not hold"),
+            (20, 3, bytes(7) + b"\x10", "pad bits"),
+            (0, 3, b"", "element width"),
+            (63, 1, bytes(8), "element width"),
+            (20, 3, [0] * 8, "byte buffer"),
+        ],
+    )
+    def test_a_stream_that_would_not_decode_is_refused_by_the_encoder(
+        self, bits, count, packed, why
+    ):
+        # What is sent is what would be accepted; the buffer is left as found.
         out = bytearray(b"frame")
-        with pytest.raises(CodecError, match="outside the ring"):
-            encode_masked_input(_masked([1, bad, 3], 20), out)
+        msg = MaskedInputMsg(sender=3, bits=bits, count=count, packed=packed)
+        with pytest.raises(CodecError, match=why):
+            encode_masked_input(msg, out)
         assert out == b"frame"
+
+    def test_decoding_keeps_a_view_of_the_frame_not_a_copy(self):
+        body = bytes(encode_masked_input(_masked(range(11), 20)))
+        decoded = decode_masked_input(memoryview(body))
+        assert isinstance(decoded.packed, memoryview) and decoded.packed.obj is body
+        assert decoded.count == 11 and decoded.packed.nbytes == len(body) - HEADER
 
     def test_malformed_body_inside_a_payload_never_partially_parses(self):
         payload = bytearray(encode_payload(_masked([1, 2, 3], 20)))
@@ -200,23 +224,21 @@ class TestVectorCodec:
 
 class TestMaskedInputCodec:
     def test_roundtrip(self):
-        msg = MaskedInputMsg(
-            sender=3, masked_vector=np.arange(16, dtype=np.int64), bits=20
-        )
+        msg = _masked(np.arange(16), 20)
         decoded = decode_masked_input(encode_masked_input(msg))
         assert decoded.sender == 3 and decoded.bits == 20
         np.testing.assert_array_equal(decoded.masked_vector, msg.masked_vector)
 
     def test_size_scales_with_dimension(self):
-        small = MaskedInputMsg(1, np.zeros(16, dtype=np.int64), 20)
-        large = MaskedInputMsg(1, np.zeros(1024, dtype=np.int64), 20)
+        small = _masked(np.zeros(16), 20)
+        large = _masked(np.zeros(1024), 20)
         assert encoded_value_nbytes(large) > encoded_value_nbytes(small) * 30
 
     def test_body_is_header_plus_config_vector_bytes(self):
         # One definition of a vector's wire size: SecAggConfig.vector_bytes.
         for dimension, bits in [(16, 20), (7, 20), (1, 1), (1000, 13), (5, 62)]:
             config = SecAggConfig(threshold=2, bits=bits, dimension=dimension)
-            msg = MaskedInputMsg(1, np.zeros(dimension, dtype=np.int64), bits)
+            msg = _masked(np.zeros(dimension), bits)
             assert config.vector_bytes == -(-dimension * bits // 8)
             assert masked_input_nbytes(dimension, bits) == HEADER + config.vector_bytes
             assert len(encode_masked_input(msg)) == HEADER + config.vector_bytes

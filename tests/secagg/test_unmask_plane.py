@@ -31,7 +31,9 @@ from repro.secagg.types import (
 
 
 def build_unmask_state(config, inputs, dropout=None):
-    """Run stages 0–4 client-side; return the server + unmask messages."""
+    """Run stages 0–4 client-side; return the server, the unmask
+    messages and the masked inputs the clients sent — the server folded
+    them into its sum and kept none, so the oracle is told them."""
     dropout = dropout or DropoutSchedule()
     sampled = sorted(inputs)
     pki = resolve_round_pki(config, None, None)
@@ -48,41 +50,58 @@ def build_unmask_state(config, inputs, dropout=None):
     inboxes = server.route_shares(outboxes)
 
     alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
-    masked = {
+    sent = {
         u: clients[u].masked_input(inboxes.get(u, {}), inputs[u])
         for u in sorted(alive & set(server.u2))
     }
-    server.collect_masked(masked)
+    for u, msg in sent.items():
+        assert server.admit_masked(u, msg)
+    server.collect_masked()
 
     alive -= dropout.dropped_by(STAGE_UNMASK)
     request = server.unmask_request()
     messages = {
         u: clients[u].unmask(*request) for u in sorted(alive & set(server.u4))
     }
-    return server, messages
+    return server, messages, sent
 
 
-def clone_with_workers(server: SecAggServer, workers) -> SecAggServer:
-    """A coordinator with identical round state but a different pool size."""
+def clone_with_workers(server: SecAggServer, sent, workers) -> SecAggServer:
+    """A coordinator with identical round state but a different pool
+    size: same roster and U2, the same streams admitted again."""
     config = dataclasses.replace(server.config, workers=workers)
     clone = SecAggServer(config, pki=server.pki, round_index=server.round_index)
     clone.collect_advertise(server.roster)
     clone.u2 = list(server.u2)
-    clone.u3 = list(server.u3)
-    clone.u4 = list(server.u4)
-    clone._masked = server._masked
+    for u, msg in sent.items():
+        assert clone.admit_masked(u, msg)
+    assert clone.collect_masked() == server.u3
     return clone
 
 
-def assert_plane_parity(server, messages, inputs, *, workers=(1, 3)):
+def sent_vectors(sent):
+    """What the oracle is told: every sent stream, unpacked."""
+    return {u: msg.masked_vector for u, msg in sent.items()}
+
+
+def unmask_by(method, server, messages, sent):
+    """``collect_unmask`` or its reference twin, by name."""
+    if method == "collect_unmask_reference":
+        return server.collect_unmask_reference(messages, sent_vectors(sent))
+    return getattr(server, method)(messages)
+
+
+def assert_plane_parity(server, messages, sent, inputs, *, workers=(1, 3)):
     """Fast plane ≡ reference twin ≡ the survivor input sum, all workers."""
-    reference = clone_with_workers(server, 1).collect_unmask_reference(messages)
+    reference = clone_with_workers(server, sent, 1).collect_unmask_reference(
+        messages, sent_vectors(sent)
+    )
     expected = np.zeros(server.config.dimension, dtype=np.int64)
     for u in server.u3:
         expected = (expected + inputs[u]) % server.config.modulus
     np.testing.assert_array_equal(reference, expected)
     for w in workers:
-        fast = clone_with_workers(server, w).collect_unmask(messages)
+        fast = clone_with_workers(server, sent, w).collect_unmask(messages)
         np.testing.assert_array_equal(fast, reference)
     return reference
 
@@ -103,9 +122,9 @@ class TestUnmaskPlaneParity:
         )
         rng = random.Random(101)
         inputs = ring_inputs(rng, range(1, 7), 48, config.modulus)
-        server, messages = build_unmask_state(config, inputs)
+        server, messages, sent = build_unmask_state(config, inputs)
         assert server.dropped_after_masking == []
-        assert_plane_parity(server, messages, inputs)
+        assert_plane_parity(server, messages, sent, inputs)
 
     def test_all_but_threshold_dropped(self):
         config = SecAggConfig(
@@ -114,10 +133,10 @@ class TestUnmaskPlaneParity:
         rng = random.Random(202)
         inputs = ring_inputs(rng, range(1, 8), 32, config.modulus)
         dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {2, 5, 7}})
-        server, messages = build_unmask_state(config, inputs, dropout)
+        server, messages, sent = build_unmask_state(config, inputs, dropout)
         assert len(server.u3) == config.threshold
         assert server.dropped_after_masking == [2, 5, 7]
-        assert_plane_parity(server, messages, inputs)
+        assert_plane_parity(server, messages, sent, inputs)
 
     def test_sparse_graph_with_dropped_neighbors(self):
         # SecAgg+ k-regular graph where dropped clients neighbor other
@@ -135,9 +154,9 @@ class TestUnmaskPlaneParity:
         rng = random.Random(303)
         inputs = ring_inputs(rng, range(1, 10), 24, config.modulus)
         dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {2, 3}})
-        server, messages = build_unmask_state(config, inputs, dropout)
+        server, messages, sent = build_unmask_state(config, inputs, dropout)
         assert server.dropped_after_masking == [2, 3]
-        assert_plane_parity(server, messages, inputs)
+        assert_plane_parity(server, messages, sent, inputs)
 
     def test_unmask_stage_dropouts_shrink_u5(self):
         config = SecAggConfig(
@@ -148,9 +167,9 @@ class TestUnmaskPlaneParity:
         dropout = DropoutSchedule(
             at_stage={STAGE_MASKED_INPUT: {4}, STAGE_UNMASK: {1, 6}}
         )
-        server, messages = build_unmask_state(config, inputs, dropout)
+        server, messages, sent = build_unmask_state(config, inputs, dropout)
         assert sorted(messages) == sorted(set(server.u4) - {1, 6})
-        assert_plane_parity(server, messages, inputs)
+        assert_plane_parity(server, messages, sent, inputs)
 
     def test_headroom_guard_fallback_at_bits_62(self):
         # n_terms · (2^62 − 1) ≥ 2^63 for any round with ≥ 2 terms, so
@@ -162,10 +181,10 @@ class TestUnmaskPlaneParity:
         rng = random.Random(505)
         inputs = ring_inputs(rng, range(1, 6), 8, config.modulus)
         dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {2}})
-        server, messages = build_unmask_state(config, inputs, dropout)
+        server, messages, sent = build_unmask_state(config, inputs, dropout)
         n_terms_floor = 1 + len(server.u3)
         assert n_terms_floor * (config.modulus - 1) >= 2**63
-        assert_plane_parity(server, messages, inputs)
+        assert_plane_parity(server, messages, sent, inputs)
 
     @pytest.mark.parametrize("bits", [20, 33])
     def test_folded_seeds_match_reference_past_one_stream_slab(self, bits):
@@ -178,9 +197,9 @@ class TestUnmaskPlaneParity:
         rng = random.Random(606)
         inputs = ring_inputs(rng, range(1, 9), 1031, config.modulus)
         dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: {3, 6, 8}})
-        server, messages = build_unmask_state(config, inputs, dropout)
+        server, messages, sent = build_unmask_state(config, inputs, dropout)
         assert server.dropped_after_masking == [3, 6, 8]
-        assert_plane_parity(server, messages, inputs, workers=(1, 2, 4))
+        assert_plane_parity(server, messages, sent, inputs, workers=(1, 2, 4))
 
     def test_workers_auto_matches_serial(self):
         config = SecAggConfig(
@@ -188,8 +207,8 @@ class TestUnmaskPlaneParity:
         )
         rng = random.Random(606)
         inputs = ring_inputs(rng, range(1, 6), 16, config.modulus)
-        server, messages = build_unmask_state(config, inputs)
-        assert_plane_parity(server, messages, inputs, workers=(1, 2, None))
+        server, messages, sent = build_unmask_state(config, inputs)
+        assert_plane_parity(server, messages, sent, inputs, workers=(1, 2, None))
 
     def test_fuzz_random_dropout_patterns(self):
         rng = random.Random(0xD15C0)
@@ -212,16 +231,16 @@ class TestUnmaskPlaneParity:
             max_drop = n - threshold
             drop = set(rng.sample(ids, rng.randint(0, max_drop)))
             dropout = DropoutSchedule(at_stage={STAGE_MASKED_INPUT: drop})
-            server, messages = build_unmask_state(config, inputs, dropout)
+            server, messages, sent = build_unmask_state(config, inputs, dropout)
             workers = (1, rng.choice([2, 3, 4]))
             try:
-                assert_plane_parity(server, messages, inputs, workers=workers)
+                assert_plane_parity(server, messages, sent, inputs, workers=workers)
             except ProtocolAbort as abort:
                 # Sparse graphs can leave too few share-holders alive;
                 # the fast plane must abort exactly like the reference.
                 for w in workers:
                     with pytest.raises(ProtocolAbort) as excinfo:
-                        clone_with_workers(server, w).collect_unmask(messages)
+                        clone_with_workers(server, sent, w).collect_unmask(messages)
                     assert str(excinfo.value) == str(abort)
 
 
@@ -236,36 +255,36 @@ class TestUnmaskPlaneAbortParity:
         return build_unmask_state(config, inputs, dropout)
 
     def test_below_threshold_aborts_identically(self):
-        server, messages = self._state()
+        server, messages, sent = self._state()
         few = dict(list(messages.items())[:2])
         errors = []
         for method in ("collect_unmask", "collect_unmask_reference"):
             with pytest.raises(ProtocolAbort) as excinfo:
-                getattr(clone_with_workers(server, 1), method)(few)
+                unmask_by(method, clone_with_workers(server, sent, 1), few, sent)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
     def test_missing_self_mask_shares_abort_identically(self):
-        server, messages = self._state()
+        server, messages, sent = self._state()
         victim = server.u3[1]
         for msg in messages.values():
             msg.b_shares.pop(victim, None)
         errors = []
         for method in ("collect_unmask", "collect_unmask_reference"):
             with pytest.raises(ProtocolAbort) as excinfo:
-                getattr(clone_with_workers(server, 2), method)(messages)
+                unmask_by(method, clone_with_workers(server, sent, 2), messages, sent)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
         assert f"self-mask seed of {victim}" in errors[0]
 
     def test_missing_mask_key_shares_abort_identically(self):
-        server, messages = self._state()
+        server, messages, sent = self._state()
         for msg in messages.values():
             msg.s_sk_shares.pop(3, None)
         errors = []
         for method in ("collect_unmask", "collect_unmask_reference"):
             with pytest.raises(ProtocolAbort) as excinfo:
-                getattr(clone_with_workers(server, 2), method)(messages)
+                unmask_by(method, clone_with_workers(server, sent, 2), messages, sent)
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
         assert "mask key of 3" in errors[0]
@@ -277,7 +296,7 @@ class TestUnmaskPlaneAbortParity:
         # ProtocolAbort message.
         from repro.crypto.shamir import ShamirSecretSharing
 
-        server, _ = self._state()
+        server, _, _ = self._state()
         ss = ShamirSecretSharing(3)
         shares = list(ss.share(b"unmask seed material", [1, 2, 3, 4]).values())
         too_few = shares[:2]

@@ -144,11 +144,23 @@ with warnings.catch_warnings(record=True) as caught:
     for bits, count in [(20, 301), (1, 9), (13, 64), (33, 65), (62, 7)]:
         vector = rng.integers(0, 1 << bits, size=count, dtype=np.int64)
         frame = encode_payload_frame(
-            KIND_RESPONSE, MaskedInputMsg(sender=9, masked_vector=vector, bits=bits)
+            KIND_RESPONSE, MaskedInputMsg.from_vector(9, vector, bits)
         )
         back = decode_payload(bytes(frame[8:]))
         assert np.array_equal(back.masked_vector, vector) and back.bits == bits
         digest.update(frame)
+    # The fused pair a round runs: a deferred sum (negative and
+    # over-range elements) reduce-packed, and the stream unpack-added
+    # into a vector that is already there — past one fallback slab too.
+    from repro.wire.bitpack import pack_low_bits_into, unpack_add
+    fused = hashlib.sha256()
+    for bits, count in [(20, 301), (1, 9), (13, 64), (33, 65), (62, 7), (20, 2 * 32768 + 77)]:
+        sums = rng.integers(-(1 << 62), 1 << 62, size=count, dtype=np.int64)
+        packed = bytearray()
+        pack_low_bits_into(sums, bits, packed)
+        fused.update(packed)
+        total = rng.integers(-(1 << 40), 1 << 40, size=count, dtype=np.int64)
+        fused.update(unpack_add(packed, bits, total).tobytes())
     masks = hashlib.sha256()
     for modulus in (1 << 20, 1 << 32, 1 << 33, 1 << 58, 997):
         vector = expand_uniform(b"k" * 32, 1000, modulus)
@@ -203,6 +215,7 @@ print(json.dumps({
     "wide_aggregate": hashlib.sha256(wide_result.aggregate.tobytes()).hexdigest(),
     "masked_vectors": masked_vectors.hexdigest(),
     "frames": digest.hexdigest(),
+    "fused": fused.hexdigest(),
     "masks": masks.hexdigest(),
     "noise": noise.hexdigest(),
     "xnoise_u3": xresult.u3,
@@ -269,7 +282,7 @@ class TestAnnouncedFallback:
         for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
                     "keys", "signatures", "round_frames", "noise", "xnoise_u3",
                     "xnoise_u6", "xnoise_removed", "xnoise_aggregate", "wide_u3",
-                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors",
+                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors", "fused",
                     "session_encoded_inputs", "session_ring_aggregates",
                     "session_decoded", "session_metric_history"):
             assert kernel[key] == fallback[key], key
@@ -322,7 +335,8 @@ class TestEveryReasonIsNamed:
         entry_points = {
             name: getattr(real, name)
             for name in ("repro_sha256_ctr", "repro_sha256_ctr_lanes", "repro_pack_bits",
-                         "repro_unpack_bits", "repro_modexp", "repro_skellam_fill",
+                         "repro_unpack_bits", "repro_pack_low_bits", "repro_unpack_add",
+                         "repro_modexp", "repro_skellam_fill",
                          "repro_skellam_weight", "repro_mask_fold", "repro_fwht",
                          "repro_stochastic_round")
         }
@@ -450,6 +464,39 @@ class TestEveryReasonIsNamed:
         assert "probe mismatch (mask folding)" in message
         assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
         assert not rearmed.mask_fold(b"k" * 32, 20, None, 1)
+
+    def test_reducing_packer_that_does_not_reduce_disables_the_whole_object(
+        self, rearmed, monkeypatch
+    ):
+        # Packs in-ring vectors correctly and lets the high bits of a
+        # deferred sum spill into the next element.
+        def unreduced(real, src, n, bits, dst):
+            real.repro_pack_low_bits(src, n, bits, dst)
+            return real.repro_pack_bits(src, n, bits, dst) and 0
+
+        kernel = self._real_kernel_with(rearmed, repro_pack_low_bits=unreduced)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        assert "probe mismatch (fused bit packer)" in self._announcement(rearmed)
+
+    @pytest.mark.parametrize("refusal", [-1, -2])
+    def test_unpack_add_that_folds_what_it_should_refuse_disables_the_whole_object(
+        self, rearmed, monkeypatch, refusal
+    ):
+        # Right on every well-formed stream; a short stream (-1) or a set
+        # pad bit (-2) is added anyway — into the coordinator's sum.
+        import ctypes
+
+        def admits_anything(real, src, nbytes, n, bits, dst):
+            rc = real.repro_unpack_add(src, nbytes, n, bits, dst)
+            if rc == refusal:
+                padded = ctypes.create_string_buffer(bytes(src[:nbytes]), (n * bits + 7) // 8)
+                padded[-1] = bytes([padded[-1][0] & 0x0F])
+                rc = real.repro_unpack_add(padded, len(padded), n, bits, dst)
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_unpack_add=admits_anything)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        assert "probe mismatch (fused bit packer)" in self._announcement(rearmed)
 
     def test_wrong_butterfly_disables_the_whole_object(self, rearmed, monkeypatch):
         # Right in every stage but the last: the two halves of the vector

@@ -1,0 +1,205 @@
+"""The bit-pack plane under AddressSanitizer + UndefinedBehaviorSanitizer.
+
+``repro_unpack_bits`` and ``repro_unpack_add`` read a *network-supplied*
+buffer through raw pointers, ``repro_pack_bits`` / ``repro_pack_low_bits``
+write the frame a socket sends.  This file builds the same
+``sha256ctr.c`` with ``-fsanitize=address,undefined`` under its own
+object name (the production cache is keyed by source *and* flags, so the
+two can never be confused) and drives the four loops in a fresh
+interpreter with libasan preloaded — every buffer a ``malloc`` of
+exactly the size the kernel is told, so one byte read or written past
+either end is a report, and any report fails the test.  Shapes: every
+width, lengths on and off the group of eight / the 64-bit window / the
+in-place–tail split, plus what a hostile frame can be — a byte short, a
+byte long, a pad bit set — which must be refused with the destination
+untouched.  Results are compared with the numpy twins (the subprocess
+runs with ``REPRO_NATIVE=0``), so this is also a third parity leg.
+
+Skips by name when the toolchain cannot build or preload the sanitizer
+runtime; every finding it ever makes is a fix with a regression vector
+here, or a documented non-issue.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import native
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SANITIZER_FLAGS = (
+    "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off", "-fPIC", "-shared",
+    "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+)
+
+SCRIPT = r"""
+import ctypes, sys
+import numpy as np
+from repro import native
+from repro.wire.bitpack import pack_bits_into, pack_low_bits_into, packed_nbytes, unpack_add
+
+assert native.load() is None  # REPRO_NATIVE=0: everything imported here is a twin
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+P, Z, U = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint
+for name, args in (
+    ("repro_pack_bits", [P, Z, U, P]), ("repro_pack_low_bits", [P, Z, U, P]),
+    ("repro_unpack_bits", [P, Z, Z, U, P]), ("repro_unpack_add", [P, Z, Z, U, P]),
+):
+    getattr(lib, name).argtypes = args
+    getattr(lib, name).restype = ctypes.c_int
+
+
+class Exact:
+    # malloc(n) holding ``data``: ASan puts a redzone at byte n.
+    def __init__(self, data: bytes):
+        self.n = len(data)
+        self.ptr = libc.malloc(max(self.n, 1))
+        ctypes.memmove(self.ptr, data, self.n)
+    def bytes(self) -> bytes:
+        return ctypes.string_at(self.ptr, self.n)
+    def free(self):
+        libc.free(self.ptr)
+
+
+def int64s(buf: Exact) -> np.ndarray:
+    return np.frombuffer(buf.bytes(), dtype=np.int64)
+
+
+shapes = 0
+for bits in range(1, 63):
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 4099):
+        rng = np.random.default_rng([bits, n])
+        sums = rng.integers(-(1 << 62), 1 << 62, size=n, dtype=np.int64)
+        ring = sums & ((1 << bits) - 1)
+        want = bytearray()
+        pack_bits_into(ring, bits, want)
+        nbytes = packed_nbytes(n, bits)
+
+        # pack: strict on in-ring values, reducing on the raw sums
+        for fn, values in ((lib.repro_pack_bits, ring), (lib.repro_pack_low_bits, sums)):
+            src, dst = Exact(values.tobytes()), Exact(bytes(nbytes))
+            assert fn(src.ptr, n, bits, dst.ptr) == 0, (fn, bits, n)
+            assert dst.bytes() == bytes(want), (fn, bits, n)
+            src.free(); dst.free()
+        if n:  # the strict packer reports a sum it would truncate
+            bad = ring.copy(); bad[n // 2] = -1
+            src, dst = Exact(bad.tobytes()), Exact(bytes(nbytes))
+            assert lib.repro_pack_bits(src.ptr, n, bits, dst.ptr) == -2
+            src.free(); dst.free()
+
+        # unpack / unpack-add from an exact-size received stream
+        start = rng.integers(-(1 << 40), 1 << 40, size=n, dtype=np.int64)
+        stream = Exact(bytes(want))
+        out = Exact(bytes(8 * n))
+        assert lib.repro_unpack_bits(stream.ptr, nbytes, n, bits, out.ptr) == 0
+        assert np.array_equal(int64s(out), ring), (bits, n)
+        out.free()
+        total = Exact(start.tobytes())
+        assert lib.repro_unpack_add(stream.ptr, nbytes, n, bits, total.ptr) == 0
+        twin = unpack_add(bytes(want), bits, start.copy())
+        assert np.array_equal(int64s(total), twin), (bits, n)
+        stream.free()
+
+        # hostile frames: refused, the sum as it was
+        before = total.bytes()
+        hostile = [(bytes(want) + b"\x00", -1)]
+        if nbytes:
+            hostile.append((bytes(want[:-1]), -1))
+        pad = 8 * nbytes - n * bits
+        if pad:
+            hostile.append((bytes(want[:-1]) + bytes([want[-1] | 0x80]), -2))
+        for data, code in hostile:
+            frame = Exact(data)
+            assert lib.repro_unpack_add(frame.ptr, frame.n, n, bits, total.ptr) == code, (bits, n, code)
+            assert total.bytes() == before
+            scratch = Exact(bytes(8 * n))
+            assert lib.repro_unpack_bits(frame.ptr, frame.n, n, bits, scratch.ptr) == code, (bits, n, code)
+            scratch.free(); frame.free()
+        total.free()
+        shapes += 1
+
+# A count that claims more than any buffer holds must not walk off it
+# (nor overflow on the way to finding that out).
+tiny = Exact(bytes(3))
+sink = Exact(bytes(64))
+for count in (2**31, 2**61, 2**64 - 1):
+    assert lib.repro_unpack_add(tiny.ptr, 3, count, 20, sink.ptr) == -1
+    assert lib.repro_unpack_bits(tiny.ptr, 3, count, 20, sink.ptr) == -1
+tiny.free(); sink.free()
+print("sanitized shapes:", shapes)
+"""
+
+
+def _runtime(name: str):
+    cc = next((cc for cc in native._compilers() if shutil.which(cc)), None)
+    if cc is None:
+        pytest.skip("no C compiler on this host")
+    found = subprocess.run(
+        [cc, f"-print-file-name={name}"], capture_output=True, text=True
+    ).stdout.strip()
+    # An unresolved name comes back as given; a linker script is no preload.
+    if not os.path.isabs(found) or not os.path.exists(found):
+        pytest.skip(f"toolchain has no {name} (sanitizer runtime not installed)")
+    return os.path.realpath(found)
+
+
+@pytest.fixture(scope="module")
+def sanitized_object():
+    libasan = _runtime("libasan.so")
+    tag = hashlib.sha256(
+        native._SRC.read_bytes() + " ".join(SANITIZER_FLAGS).encode()
+    ).hexdigest()[:16]
+    sofile = native._BUILD_DIR / f"sha256ctr-asan-ubsan-{tag}.so"
+    if not sofile.exists():
+        try:
+            native._compile(SANITIZER_FLAGS, sofile)
+        except native._Unavailable as exc:
+            pytest.skip(f"cannot build with -fsanitize=address,undefined: {exc}")
+    # The runtime must actually preload into this interpreter and the
+    # object load under it — a toolchain matter, not a kernel one.
+    loaded = _sanitized_python("import ctypes, sys; ctypes.CDLL(sys.argv[1])", libasan, sofile)
+    if loaded.returncode != 0:
+        pytest.skip(f"cannot preload {libasan} into python: {loaded.stderr[-300:]!r}")
+    return libasan, sofile
+
+
+def _sanitized_python(script: str, libasan: str, sofile: Path) -> subprocess.CompletedProcess:
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(SRC),
+        REPRO_NATIVE="0",
+        LD_PRELOAD=libasan,
+        PYTHONMALLOC="malloc",
+        # CPython never frees everything; leaks are not what this hunts.
+        ASAN_OPTIONS="detect_leaks=0:abort_on_error=0:exitcode=99",
+        UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1",
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", script, str(sofile)],
+        env=env, capture_output=True, text=True, timeout=280,
+    )
+
+
+@pytest.mark.timeout(300)
+def test_bit_pack_plane_is_clean_under_asan_and_ubsan(sanitized_object):
+    done = _sanitized_python(SCRIPT, *sanitized_object)
+    report = done.stdout[-2000:] + done.stderr[-6000:]
+    assert done.returncode == 0, report
+    assert "sanitized shapes: 558" in done.stdout, report
+    assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
+
+
+def test_the_sanitized_object_is_never_the_production_one(sanitized_object):
+    _, sofile = sanitized_object
+    assert sofile != native._shared_object()
+    assert "asan" in sofile.name

@@ -1,15 +1,21 @@
 """Ring-width bit packing: the layout, strictness, and native ≡ numpy."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
 from repro.wire.bitpack import (
+    _SLAB,
     _pack_numpy,
     bit_fields,
     pack_bits_into,
+    pack_low_bits_into,
     packed_nbytes,
+    packed_stream,
+    unpack_add,
     unpack_bits,
 )
 
@@ -147,3 +153,157 @@ class TestStrictness:
             stream = rng.bytes(packed_nbytes(n, bits))
             values = unpack_bits(stream, n, bits)
             assert values.min() >= 0 and int(values.max()) < 1 << bits
+
+
+#: The fused pair's shapes: every width, lengths on and off the group of
+#: eight, the 64-bit window and the kernel's in-place / tail split, and
+#: one past a page.
+FUSED_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 4099]
+
+
+def _deferred_sum(bits, n, seed=2):
+    """What a ``MaskAccumulator`` holds before it reduces: signed, wide."""
+    return np.random.default_rng([seed, bits, n]).integers(
+        -(1 << 62), 1 << 62, size=n, dtype=np.int64
+    )
+
+
+class TestFusedPair:
+    """``pack_low_bits_into`` ≡ ``% 2**b`` + ``pack_bits_into`` and
+    ``unpack_add`` ≡ ``unpack_bits`` + ``+=`` — kernel and twin alike —
+    on exact-size heap buffers (``bytes`` objects: nothing readable past
+    the stream's last byte belongs to it)."""
+
+    @pytest.mark.parametrize("bits", range(1, 63))
+    def test_both_paths_match_the_unfused_composition(self, bits):
+        for n in FUSED_LENGTHS:
+            sums = _deferred_sum(bits, n)
+            plain = bytearray()
+            pack_bits_into(sums % (1 << bits), bits, plain)
+            stream = bytes(plain)
+            start = _deferred_sum(40, n, seed=3) >> 23
+            want = start + unpack_bits(stream, n, bits)
+            for twin in (False, True):
+                if twin and native.load() is None:
+                    continue  # the active path already was the twin
+                with native.twins_only() if twin else contextlib.nullcontext():
+                    out = bytearray(b"head")
+                    pack_low_bits_into(sums, bits, out)
+                    total = start.copy()
+                    assert unpack_add(stream, bits, total) is total
+                assert bytes(out[4:]) == stream and out[:4] == b"head", (bits, n, twin)
+                np.testing.assert_array_equal(total, want)
+
+    def test_the_twins_work_slab_by_slab_across_slab_boundaries(self):
+        # 2 slabs and a ragged end, at a width whose slabs end off the
+        # byte grid of nothing (a slab is a multiple of 64 elements).
+        n = 2 * _SLAB + 77
+        for bits in (20, 33):
+            sums = _deferred_sum(bits, n)
+            plain = bytearray()
+            pack_bits_into(sums & ((1 << bits) - 1), bits, plain)
+            with native.twins_only():
+                out = bytearray()
+                pack_low_bits_into(sums, bits, out)
+                total = unpack_add(bytes(plain), bits, np.ones(n, dtype=np.int64))
+            assert out == plain
+            np.testing.assert_array_equal(total, 1 + unpack_bits(plain, n, bits))
+
+    @given(bits=st.integers(1, 62), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_masking_equals_modulo_for_every_signed_sum(self, bits, data):
+        # The satellite's claim, pinned: & (2**b − 1) is % 2**b on int64,
+        # negative sums included — in numpy and in the packer.
+        values = data.draw(
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=0, max_size=40)
+        )
+        vector = np.array(values, dtype=np.int64)
+        reduced = vector % (1 << bits)
+        np.testing.assert_array_equal(vector & ((1 << bits) - 1), reduced)
+        assert [int(v) for v in reduced] == [v % (1 << bits) for v in values]
+        out = bytearray()
+        pack_low_bits_into(vector, bits, out)
+        assert bytes(out) == _oracle(reduced, bits)
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_a_refused_stream_leaves_the_sum_untouched(self, twin):
+        stream = bytearray()
+        pack_bits_into(_random_vector(20, 11), 20, stream)  # 220 bits: 4 pad bits
+        start = np.arange(11, dtype=np.int64)
+        total = start.copy()
+        with native.twins_only() if twin else contextlib.nullcontext():
+            for bad in (bytes(stream[:-1]), bytes(stream) + b"\x00", b""):
+                with pytest.raises(ValueError, match="does not hold"):
+                    unpack_add(bad, 20, total)
+            with pytest.raises(ValueError, match="pad bits"):
+                unpack_add(bytes(stream[:-1]) + bytes([stream[-1] | 0x40]), 20, total)
+            with pytest.raises(ValueError, match="element width"):
+                unpack_add(bytes(stream), 63, total)
+            with pytest.raises(ValueError, match="byte buffer"):
+                unpack_add([0] * len(stream), 20, total)
+        np.testing.assert_array_equal(total, start)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.zeros(4, dtype=np.int32),
+            np.zeros((2, 2), dtype=np.int64),
+            np.zeros(8, dtype=np.int64)[::2],
+            [0, 0, 0, 0],
+        ],
+    )
+    def test_unpack_add_refuses_anything_but_a_plain_int64_vector(self, out):
+        with pytest.raises(ValueError, match="int64 vector"):
+            unpack_add(bytes(10), 20, out)
+
+    def test_packed_stream_is_a_view_not_a_copy(self):
+        frame = bytearray(b"xyz")
+        pack_bits_into(_random_vector(20, 8), 20, frame)
+        stream = packed_stream(memoryview(frame)[3:], 8, 20)
+        assert stream.base is not None and not stream.flags.owndata
+        frame[3] ^= 0xFF
+        assert stream[0] == frame[3]
+
+
+#: SHA-256 of the RESPONSE frame the *parent* tree (584bc45: int64
+#: accumulator → ``finish()`` → ``%=`` → strict pack) emitted for a
+#: client that folded ``terms`` fixed seeds into a fixed signed base:
+#: ``(bits, dimension, terms) → digest``.  Never regenerate from the
+#: tree under test — the frame only moves if the wire format does.
+PARENT_FRAMES = {
+    (20, 4099, 5): "7d66203b5814c4948daf4070aec44bd8c2ddc6b45b99daf6b366256e1c752ce1",
+    (1, 65, 3): "4ab7255a08e0d5e476cdb24d68ee0470a4765657a03b660e1d6750bacd71509e",
+    (13, 64, 4): "5ae2589ecdc8ddcf45137c25aa8c0aa2bf25761f8260322513d17618bc3e805f",
+    (33, 1031, 6): "86a3387de4224382d2cde5bc49f9bec51edcb6562f8fe47ae1a8de6f6d3612ee",
+    (57, 9, 2): "a0a85f70455f15ff883708b5293d217a4e697fe2781d44014911a78112ce7d65",
+    (58, 63, 7): "a01b3b1a0bb472eaf6be6f34f685db5b84b022aa4ac907b9869f31ecc730e354",
+    (62, 7, 3): "a825b18cb9705f1c999ac058943a35397b78cdb60e1a6cd037f28dfc90890d1a",
+}
+
+
+class TestTheFrameAClientEmitsIsTheParents:
+    @pytest.mark.parametrize("twin", [False, True])
+    @pytest.mark.parametrize("shape", sorted(PARENT_FRAMES))
+    def test_golden_frames(self, shape, twin):
+        import hashlib
+
+        from repro.secagg.masking import MaskAccumulator
+        from repro.secagg.types import MaskedInputMsg
+        from repro.wire import KIND_RESPONSE, decode_payload
+        from repro.wire.codecs import encode_payload_frame
+
+        bits, dim, terms = shape
+        rng = np.random.default_rng([24, bits, dim])
+        base = rng.integers(-(1 << 40), 1 << 40, size=dim, dtype=np.int64)
+        with native.twins_only() if twin else contextlib.nullcontext():
+            acc = MaskAccumulator(base, 1 << bits, n_terms=1 + terms)
+            for k in range(terms):
+                acc.fold_seed(bytes([k + 1]) * 32, 1 if k % 2 else -1)
+            msg = MaskedInputMsg(sender=7, bits=bits, count=dim, packed=acc.finish_packed())
+            frame = encode_payload_frame(KIND_RESPONSE, msg)
+        assert hashlib.sha256(frame).hexdigest() == PARENT_FRAMES[shape]
+        # … and the coordinator's fold of that frame is the vector it carried.
+        received = decode_payload(bytes(frame[8:]))
+        total = MaskAccumulator.zeros(dim, 1 << bits, n_terms=2)
+        total.add_packed(received.packed)
+        np.testing.assert_array_equal(total.finish(), msg.masked_vector)

@@ -155,10 +155,10 @@ def _sample_payloads(seed: int) -> dict[type, object]:
             s_public=rng.bytes(64),
             signature=sig if seed % 2 else None,
         ),
-        MaskedInputMsg: MaskedInputMsg(
-            sender=int(rng.integers(1, 99)),
-            masked_vector=rng.integers(0, 2**16, size=8).astype(np.int64),
-            bits=16,
+        MaskedInputMsg: MaskedInputMsg.from_vector(
+            int(rng.integers(1, 99)),
+            rng.integers(0, 2**16, size=8).astype(np.int64),
+            16,
         ),
         UnmaskingMsg: UnmaskingMsg(
             sender=int(rng.integers(1, 99)),

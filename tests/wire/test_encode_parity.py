@@ -70,8 +70,8 @@ def _protocol_payloads():
     return [
         shares[1],
         {u: s for u, s in shares.items()},
-        MaskedInputMsg(sender=3, masked_vector=vector, bits=20),
-        ("masked_input", MaskedInputMsg(sender=1, masked_vector=vector, bits=20)),
+        MaskedInputMsg.from_vector(3, vector, 20),
+        ("masked_input", MaskedInputMsg.from_vector(1, vector, 20)),
         {"roster": {1: b"pk1", 2: b"pk2"}, "u2": {1, 2}, "round": 0},
     ]
 
