@@ -118,8 +118,9 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/dp/test_sampler.py",
         ],
     },
-    # Every pairwise key is agreed once a round; executed agree/decrypt
-    # counts equal secagg/complexity.py's.
+    # Every pairwise key is agreed once a round, one agree call per
+    # neighbourhood (2 a client, |dropped| for the coordinator);
+    # executed agreement/decrypt counts equal secagg/complexity.py's.
     "13": {
         "rules": [],
         "tests": [

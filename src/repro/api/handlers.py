@@ -8,6 +8,8 @@ hardware AE scheme) requires no protocol changes — the Table-4 promise.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.crypto.ae import AuthenticatedEncryption
@@ -118,7 +120,8 @@ class KAHandler:
     def generate(self):
         raise NotImplementedError
 
-    def agree(self, mine, peer_public) -> bytes:
+    def agree(self, mine, peer_publics) -> list[bytes]:
+        """One key per peer public, in order (a whole neighbourhood)."""
         raise NotImplementedError
 
 
@@ -131,8 +134,8 @@ class DefaultKAHandler(KAHandler):
     def generate(self) -> DHKeyPair:
         return self._ka.generate()
 
-    def agree(self, mine: DHKeyPair, peer_public: int) -> bytes:
-        return self._ka.agree(mine, peer_public)
+    def agree(self, mine: DHKeyPair, peer_publics: Sequence[int]) -> list[bytes]:
+        return self._ka.agree(mine, peer_publics)
 
 
 class PGHandler:

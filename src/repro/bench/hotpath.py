@@ -42,6 +42,10 @@ TOPIC = "hotpath"
 SKELLAM_DIMENSION = 1 << 17
 SKELLAM_VARIANCES = (228_000_000, 2_500_000_000)
 
+#: Peers a many_clients client agrees with in one call: 32 clients, the
+#: complete graph.
+DH_BATCH_PEERS = 31
+
 #: Mask folds of the perf benchmark's data-plane workloads: 20 a round at
 #: ``wide_model``'s dimension, 216 at ``dropout_recovery``'s, both over
 #: the protocol's 20-bit ring.
@@ -154,28 +158,46 @@ def run_hotpath(
         _best_of(lambda: unpack_bits(stream, d, MASK_FOLD_BITS), repeats), "s"
     )
 
-    # Key agreement, per group: KeyAgreement.agree (DHGroup.power → the
+    # Key agreement, per group: KeyAgreement.agree (DHGroup.powers → the
     # native modexp kernel when config.native_backend is not "python")
-    # against the same agreement on CPython's pow().
+    # against the same agreement on CPython's pow() — for one peer, then
+    # per agreement for a neighbourhood of DH_BATCH_PEERS under one
+    # secret, where the kernel's lanes (config.modexp_lanes) raise eight
+    # bases a pass; the batch also times the kernel's scalar loop forced.
     for name in ("modp512", "modp2048"):
         ka = KeyAgreement(resolve_group(name))
         group = ka.group
         width = group.element_bytes
-        secret, peer_secret = (
+        secret, *peer_secrets = (
             1 + int.from_bytes(rng.bytes(width), "big") % (group.q - 1)
-            for _ in range(2)
+            for _ in range(1 + DH_BATCH_PEERS)
         )
         mine = DHKeyPair(secret=secret, public=group.power(group.g, secret))
-        peer_public = group.power(group.g, peer_secret)
+        publics = [group.power(group.g, peer_secret) for peer_secret in peer_secrets]
+        context = native.montgomery_context(group.p)
 
-        def _agree_pow() -> bytes:
-            shared = pow(peer_public, mine.secret, group.p)
-            return hashlib.sha256(shared.to_bytes(width, "big")).digest()
+        def _hashed(shared: list[int]) -> list[bytes]:
+            return [hashlib.sha256(x.to_bytes(width, "big")).digest() for x in shared]
 
-        assert _agree_pow() == ka.agree(mine, peer_public)
-        ref_s = _best_of(_agree_pow, repeats)
-        fast_s = _best_of(lambda: ka.agree(mine, peer_public), repeats)
+        def _agree_pow(peers: list[int]) -> list[bytes]:
+            return _hashed([pow(v, secret, group.p) for v in peers])
+
+        def _agree_scalar(peers: list[int]) -> list[bytes]:
+            shared = native.modexp(context, peers, secret, path=1)
+            return _agree_pow(peers) if shared is None else _hashed(shared)
+
+        one = publics[:1]
+        assert _agree_pow(publics) == ka.agree(mine, publics) == _agree_scalar(publics)
+        ref_s = _best_of(lambda: _agree_pow(one), repeats)
+        fast_s = _best_of(lambda: ka.agree(mine, one), repeats)
         _speedup_triplet(metrics, f"dh_agree_{name}", ref_s, fast_s)
+        batch = f"dh_agree_batch{DH_BATCH_PEERS}_{name}"
+        ref_s = _best_of(lambda: _agree_pow(publics), repeats) / DH_BATCH_PEERS
+        fast_s = _best_of(lambda: ka.agree(mine, publics), repeats) / DH_BATCH_PEERS
+        _speedup_triplet(metrics, batch, ref_s, fast_s)
+        metrics[f"{batch}_scalar_s"] = metric(
+            _best_of(lambda: _agree_scalar(publics), repeats) / DH_BATCH_PEERS, "s"
+        )
 
     # Noise expansion: skellam_noise_from_seed as the XNoise client and
     # server call it (the native kernel unless config.native_backend is
@@ -299,5 +321,6 @@ def run_hotpath(
         "numpy": np.__version__,
         "native_backend": native.backend_name(),
         "stream_lanes": native.stream_lanes(),
+        "modexp_lanes": native.modexp_lanes(),
     }
     return make_report(TOPIC, config, metrics)

@@ -3,7 +3,9 @@
 Seven subcommands mirror the workflow a user of the original system
 walks through:
 
-- ``run``      — train one Dordis session and report utility + ε;
+- ``run``      — train one Dordis session and report utility + ε:
+  exits 1 when the session ends over its ε budget (the stderr warning
+  names the rounds past the XNoise tolerance), 2 on usage errors;
 - ``plan``     — offline noise planning: print the per-round σ for a
   budget/horizon (§2.2);
 - ``pipeline`` — print plain-vs-pipelined round times and the optimal
@@ -344,7 +346,8 @@ def _cmd_run(args) -> int:
     print(f"final {result.metric_name:10s}: {result.final_metric:.4f}")
     print(f"epsilon consumed : {result.epsilon_consumed:.3f} "
           f"(budget {args.epsilon})")
-    if result.epsilon_consumed > args.epsilon:
+    overspent = result.epsilon_consumed > args.epsilon
+    if overspent:
         past = ", ".join(map(str, result.past_tolerance_rounds)) or "none"
         print(f"warning: epsilon consumed {result.epsilon_consumed:.3f} exceeds "
               f"the budget {args.epsilon}; rounds past the XNoise tolerance "
@@ -356,7 +359,8 @@ def _cmd_run(args) -> int:
               f"(fleet-timed)")
         print(f"traffic          : {trace.total_down_bytes / 2**20:.2f} MiB "
               f"down, {trace.total_up_bytes / 2**20:.2f} MiB up")
-    return 0
+    # A run that ends over its privacy budget did not do what was asked.
+    return 1 if overspent else 0
 
 
 def _cmd_plan(args) -> int:
@@ -556,6 +560,7 @@ def _cmd_join(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro import bench
+    from repro.bench.hotpath import DH_BATCH_PEERS
 
     if args.diff:
         old, new = args.diff
@@ -591,12 +596,21 @@ def _cmd_bench(args) -> int:
                   f"{m[f'prg_expand_d{d}_reference_s']['value']:.4f}s ref → "
                   f"{m[f'prg_expand_d{d}_fast_s']['value']:.4f}s fast "
                   f"({speedup['value']:.2f}x)")
+        lanes = report["config"]["modexp_lanes"]
+        passes = (f"lanes x{lanes}" if lanes > 1
+                  else "one base a pass (a build or CPU without the IFMA lanes)")
         for group in ("modp512", "modp2048"):
             print(f"DH agree {group}: "
                   f"{m[f'dh_agree_{group}_reference_s']['value'] * 1e3:.3f}ms pow → "
                   f"{m[f'dh_agree_{group}_fast_s']['value'] * 1e3:.3f}ms "
                   f"{report['config']['native_backend']} "
                   f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
+            batch = f"dh_agree_batch{DH_BATCH_PEERS}_{group}"
+            print(f"DH agree {group}, {DH_BATCH_PEERS} peers a call, per agreement: "
+                  f"{m[f'{batch}_reference_s']['value'] * 1e3:.3f}ms pow → "
+                  f"{m[f'{batch}_scalar_s']['value'] * 1e3:.3f}ms scalar loop → "
+                  f"{m[f'{batch}_fast_s']['value'] * 1e3:.3f}ms {passes} "
+                  f"({m[f'{batch}_speedup']['value']:.2f}x)")
         stream = (f"{report['config']['native_backend']} "
                   f"x{report['config']['stream_lanes']}")
         for name in sorted(m):

@@ -8,9 +8,12 @@ group of RFC 3526 (a safe-prime group: q = (p−1)/2 is prime), with the
 agreed key being SHA-256 of the shared group element.
 
 Every modular power of the protocol — DH generate/agree, Schnorr
-sign/verify, the VRF — goes through :meth:`DHGroup.power`, which hands
+sign/verify, the VRF — goes through :meth:`DHGroup.powers`, which hands
 the operands to the native Montgomery kernel (:mod:`repro.native`) when
-it covers them and to ``pow()`` otherwise.
+it covers them and to ``pow()`` otherwise.  A party's agreements in one
+stage share its secret exponent, so :meth:`KeyAgreement.agree` takes a
+whole neighbourhood and the kernel raises it eight bases a pass where
+the CPU has the lanes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import native
 
@@ -52,22 +55,27 @@ class DHGroup:
         """Uniform secret exponent in [1, q)."""
         return 1 + secrets.randbelow(self.q - 1)
 
-    def power(self, base: int, exp: int) -> int:
-        """``base**exp mod p`` — the one place a group exponentiates.
+    def powers(self, bases: Sequence[int], exp: int) -> list[int]:
+        """``[b**exp mod p for b in bases]`` — the one place a group
+        exponentiates.
 
         The native kernel answers when it is loaded, ``p`` is an odd
-        multiple-of-64-bit modulus, ``0 ≤ base < p`` and ``exp ≥ 0``;
-        anything else (:data:`TOY_GROUP`, a negative exponent, an
-        unreduced base, no kernel) is ``pow()``.  The result is an
-        integer, so the two cannot differ; the kernel's absence is
-        announced once per process by :func:`repro.native.load`.
+        multiple-of-64-bit modulus, every base is in ``[0, p)`` and
+        ``exp ≥ 0``; anything else (:data:`TOY_GROUP`, a negative
+        exponent, an unreduced base, no kernel) is ``pow()``.  The
+        results are integers, so the two cannot differ; the kernel's
+        absence is announced once per process by :func:`repro.native.load`.
         """
         ctx = self._montgomery
         if ctx is not None:
-            result = native.modexp(ctx, base, exp)
-            if result is not None:
-                return result
-        return pow(base, exp, self.p)
+            results = native.modexp(ctx, bases, exp)
+            if results is not None:
+                return results
+        return [pow(base, exp, self.p) for base in bases]
+
+    def power(self, base: int, exp: int) -> int:
+        """``base**exp mod p``: :meth:`powers` of one base."""
+        return self.powers([base], exp)[0]
 
     @cached_property
     def _montgomery(self) -> Optional[native.MontgomeryContext]:
@@ -124,11 +132,11 @@ class DHKeyPair:
 class KeyAgreement:
     """KA.gen / KA.agree as used in Fig. 5.
 
-    ``agree(my_keypair, peer_public)`` returns a 32-byte symmetric key:
-    SHA-256 of the shared group element, following the hash-composed DH
-    the paper specifies.  A public key's wire form (:meth:`public_bytes`)
-    is the group's element width whatever its value, so a message's size
-    never depends on the key drawn.
+    ``agree(my_keypair, peer_publics)`` returns one 32-byte symmetric key
+    per peer: SHA-256 of the shared group element, following the
+    hash-composed DH the paper specifies.  A public key's wire form
+    (:meth:`public_bytes`) is the group's element width whatever its
+    value, so a message's size never depends on the key drawn.
     """
 
     def __init__(self, group: DHGroup = MODP_2048):
@@ -151,10 +159,20 @@ class KeyAgreement:
         self._require_element(public)
         return public
 
-    def agree(self, mine: DHKeyPair, peer_public: int) -> bytes:
-        self._require_element(peer_public)
-        shared = self.group.power(peer_public, mine.secret)
-        return hashlib.sha256(shared.to_bytes(self.group.element_bytes, "big")).digest()
+    def agree(self, mine: DHKeyPair, peer_publics: Sequence[int]) -> list[bytes]:
+        """The keys ``mine`` shares with each of ``peer_publics``, in order.
+
+        One call per neighbourhood: every public is range-checked before
+        any power is taken, then all are raised to ``mine.secret`` in one
+        :meth:`DHGroup.powers`.
+        """
+        for public in peer_publics:
+            self._require_element(public)
+        width = self.group.element_bytes
+        return [
+            hashlib.sha256(shared.to_bytes(width, "big")).digest()
+            for shared in self.group.powers(peer_publics, mine.secret)
+        ]
 
     def _require_element(self, public: int) -> None:
         if not 1 < public < self.group.p - 1:

@@ -17,9 +17,11 @@ unpack-adds a seed's stream straight into an accumulator
 the numpy twin), the Skellam noise loop every XNoise
 component is drawn by (:mod:`repro.dp.sampler` holds its specification,
 its tables and its numpy twin) and the fixed-width modular exponentiation
-behind :meth:`repro.crypto.dh.DHGroup.power` (every DH key generation and
+behind :meth:`repro.crypto.dh.DHGroup.powers` (every DH key generation and
 agreement, Schnorr signature and VRF evaluation — one CPython ``pow()``
-each otherwise: 0.7 ms at 512 bits, 28 ms at 2048) and the DSkellam
+each otherwise: 0.7 ms at 512 bits, 28 ms at 2048; a neighbourhood's
+agreements share one secret exponent and go eight bases a pass on
+AVX-512 IFMA — :func:`modexp_lanes`) and the DSkellam
 transform's butterfly and rounder (:mod:`repro.dp.rotation` and
 :mod:`repro.dp.quantize` hold their numpy twins), so one build serves
 the data plane, the control plane and the device-side DP encode.
@@ -71,7 +73,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 _SRC = Path(__file__).resolve().parent / "_native" / "sha256ctr.c"
 _BUILD_DIR = _SRC.parent / "_build"
@@ -83,6 +85,8 @@ MAX_SEED_LEN = 47
 
 #: Widest modulus the modexp kernel takes (64 limbs of 64 bits).
 MODEXP_MAX_BITS = 4096
+#: Radix of the modexp lanes' digits (AVX-512 IFMA multiplies 52 bits).
+MODEXP_LANE_DIGIT_BITS = 52
 #: ``repro_modexp``'s answer when it was compiled without ``__int128``.
 _MODEXP_NOT_BUILT = -3
 #: ``(k, z, g(k))`` as :mod:`repro.dp.sampler` evaluates the weight, and
@@ -96,6 +100,15 @@ _SKELLAM_PROBE_WEIGHTS = (
     (-3.0e8, float(1 << 49), "0x1.99320102c051ap-116"),
 )
 _SKELLAM_PROBE_DRAWS = [15, 16, 30, 37]
+#: The modexp probe's two-limb modulus and, for the lanes, nine bases
+#: under one exponent — a full group of eight and a tail — with the edges
+#: a digit carry or the final subtraction would get wrong: 0, 1, 2, p − 1,
+#: p − 2, the top bit alone, two all-ones 52-bit digits, two that are neither.
+_MODEXP_PROBE_MODULUS = (1 << 128) - 159
+_MODEXP_PROBE_BASES = (
+    0, 1, 2, _MODEXP_PROBE_MODULUS - 1, _MODEXP_PROBE_MODULUS - 2, 1 << 127,
+    (1 << 104) - 1, 0x0123456789ABCDEF_FEDCBA9876543210, _MODEXP_PROBE_MODULUS // 3,
+)
 #: ``(x, u, limit, rounded)`` for the rounder — ``u`` equal to the fraction
 #: stays down — with ``None`` where it must refuse.
 _ROUND_PROBE = (
@@ -184,7 +197,8 @@ def _shared_object() -> Path:
     if found != objects[0]:
         warnings.warn(
             "repro.native: the C compiler refused the kernel's AVX-512 section, "
-            "the counter stream runs one block at a time",
+            "the counter stream runs one block at a time and modular powers "
+            "one base at a time (a build without lanes)",
             RuntimeWarning,
             stacklevel=4,
         )
@@ -229,13 +243,19 @@ def _build() -> ctypes.CDLL:
     lib.repro_modexp.argtypes = [
         ctypes.c_char_p,
         ctypes.c_char_p,
+        ctypes.c_char_p,
         ctypes.c_size_t,
         ctypes.c_char_p,
+        ctypes.c_size_t,
         ctypes.c_char_p,
         ctypes.c_size_t,
         ctypes.c_char_p,
     ]
     lib.repro_modexp.restype = ctypes.c_int
+    lib.repro_modexp_path.argtypes = [ctypes.c_int, *lib.repro_modexp.argtypes]
+    lib.repro_modexp_path.restype = ctypes.c_int
+    lib.repro_modexp_lanes.argtypes = []
+    lib.repro_modexp_lanes.restype = ctypes.c_int
     lib.repro_skellam_fill.argtypes = [
         ctypes.c_char_p,
         ctypes.c_size_t,
@@ -273,7 +293,8 @@ def _probe(lib: ctypes.CDLL) -> None:
     for the sixteen lanes, three 20-bit elements must
     pack to the documented little-endian bit stream and back (reduced
     on the way in, added on the way out, by the fused pair), a
-    two-limb modular power must match ``pow``, five hand-made noise
+    two-limb modular power must match ``pow`` and so must nine edge
+    bases under one exponent (a full group of lanes and a tail), five hand-made noise
     trials must land where the sampler's specification puts them,
     two folded masks must be the bit fields of their hashlib stream, and
     the butterfly and the rounder must reproduce hand-made vectors."""
@@ -322,23 +343,29 @@ def _probe(lib: ctypes.CDLL) -> None:
         or list(folded) != [a + b for a, b in zip(start, values)]
     ):
         raise _Unavailable("probe mismatch (fused bit packer)")
-    modulus = (1 << 128) - 159
+    modulus = _MODEXP_PROBE_MODULUS
     ctx = montgomery_context(modulus)
-    base, exp = 0xFEDCBA9876543210_0123456789ABCDEF, modulus - 2
-    out = ctypes.create_string_buffer(16)
-    rc = lib.repro_modexp(
-        ctx.modulus, ctx.rr, ctx.limbs,
-        base.to_bytes(16, "big"), exp.to_bytes(16, "big"), 16, out,
-    )
-    if rc == _MODEXP_NOT_BUILT:
-        warnings.warn(
-            "repro.native: the C compiler has no 128-bit integer, key "
-            "agreement and signatures run on Python's pow()",
-            RuntimeWarning,
-            stacklevel=3,
+    exp = (modulus - 2).to_bytes(16, "big")
+    for bases, what in (
+        ([0xFEDCBA9876543210_0123456789ABCDEF], "modular exponentiation"),
+        (_MODEXP_PROBE_BASES, "modular exponentiation lanes"),
+    ):
+        out = ctypes.create_string_buffer(16 * len(bases))
+        rc = lib.repro_modexp(
+            ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs,
+            b"".join(b.to_bytes(16, "big") for b in bases), len(bases), exp, 16, out,
         )
-    elif rc != 0 or int.from_bytes(out.raw, "big") != pow(base, exp, modulus):
-        raise _Unavailable("probe mismatch (modular exponentiation)")
+        if rc == _MODEXP_NOT_BUILT:
+            warnings.warn(
+                "repro.native: the C compiler has no 128-bit integer, key "
+                "agreement and signatures run on Python's pow()",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            break
+        want = b"".join(pow(b, modulus - 2, modulus).to_bytes(16, "big") for b in bases)
+        if rc != 0 or out.raw != want:
+            raise _Unavailable(f"probe mismatch ({what})")
     # The noise kernel: its weight function to the last bit, then four
     # draws from a hand-made two-strip table (−5 … 4, every other trial
     # past the squeeze) folded with sign −1 into a non-zero vector.
@@ -454,6 +481,14 @@ def stream_lanes() -> int:
     return 1 if lib is None else lib.repro_sha256_ctr_lanes()
 
 
+def modexp_lanes() -> int:
+    """Bases one modular-exponentiation pass raises to a shared exponent
+    (moduli up to 2048 bits, groups of two or more): 8 when the kernel
+    has its AVX-512 IFMA lanes on this CPU, else 1."""
+    lib = load()
+    return 1 if lib is None else lib.repro_modexp_lanes()
+
+
 def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[bytearray]:
     """``nblocks`` · 32 bytes of ``SHA256(seed ∥ be64(ctr))`` stream.
 
@@ -515,7 +550,8 @@ class MontgomeryContext(NamedTuple):
     """What the modexp kernel needs of a modulus, computed once per group."""
 
     modulus: bytes  # big-endian, 8·limbs wide
-    rr: bytes  # R² mod p for R = 2^(64·limbs), same width
+    rr: bytes  # R² mod p for R = 2^(64·limbs), same width (the scalar loop)
+    rr52: bytes  # R² mod p for R = 2^(52·k), k = ⌈(bits + 2)/52⌉ (the lanes)
     limbs: int
 
 
@@ -529,36 +565,48 @@ def montgomery_context(modulus: int) -> Optional[MontgomeryContext]:
     if modulus % 2 == 0 or bits % 64 or not 0 < bits <= MODEXP_MAX_BITS:
         return None
     width = bits // 8
+    digits = -(-(bits + 2) // MODEXP_LANE_DIGIT_BITS)
     return MontgomeryContext(
         modulus=modulus.to_bytes(width, "big"),
         rr=((1 << (2 * bits)) % modulus).to_bytes(width, "big"),
+        rr52=((1 << (2 * MODEXP_LANE_DIGIT_BITS * digits)) % modulus).to_bytes(width, "big"),
         limbs=bits // 64,
     )
 
 
-def modexp(ctx: MontgomeryContext, base: int, exp: int) -> Optional[int]:
-    """``base**exp mod p`` from the kernel, or ``None`` to mean "use pow".
+def modexp(
+    ctx: MontgomeryContext, bases: Sequence[int], exp: int, *, path: int = 0
+) -> Optional[list[int]]:
+    """``[b**exp mod p for b in bases]`` from the kernel, or ``None`` to
+    mean "use pow".
 
     ``None`` when the kernel is unavailable, the exponent is negative or
-    the base is outside ``[0, p)``.  The exponent crosses at its length
-    in whole 64-bit limbs, so the windows scanned are a function of that
-    length alone — public for every exponent the protocol draws (a
-    uniform secret below q is a limb short with probability < 2⁻⁶²) —
-    and a short public exponent (a 256-bit Fiat–Shamir challenge, the
-    squaring in hash-to-group) costs what it is, not the modulus width.
+    any base is outside ``[0, p)``.  The kernel raises the bases eight at
+    a time where it has its lanes (:func:`modexp_lanes`) and one at a
+    time otherwise — the same integers.  ``path`` 1 (the scalar loop) or
+    2 (the lanes, a lone base too) forces one of them, for tests and the
+    bench's reference rows; ``None`` then also means "not on this host"
+    (or, for the lanes, a modulus over 2048 bits).  The exponent crosses
+    at its length in whole 64-bit limbs, so the windows scanned are a
+    function of that length alone — public for every exponent the
+    protocol draws (a uniform secret below q is a limb short with
+    probability < 2⁻⁶²) — and a short public exponent (a 256-bit
+    Fiat–Shamir challenge, the squaring in hash-to-group) costs what it
+    is, not the modulus width.
     """
     lib = load()
     if lib is None or exp < 0:
         return None
     width = 8 * ctx.limbs
     try:
-        base_be = base.to_bytes(width, "big")
+        bases_be = b"".join(base.to_bytes(width, "big") for base in bases)
     except OverflowError:  # negative, or wider than the modulus
         return None
     exp_be = exp.to_bytes(8 * max(1, (exp.bit_length() + 63) // 64), "big")
-    out = ctypes.create_string_buffer(width)
-    if lib.repro_modexp(
-        ctx.modulus, ctx.rr, ctx.limbs, base_be, exp_be, len(exp_be), out
-    ):
-        return None  # base >= p (or a compiler without __int128)
-    return int.from_bytes(out.raw, "big")
+    count = len(bases_be) // width
+    out = ctypes.create_string_buffer(width * count)
+    args = (ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs, bases_be, count, exp_be, len(exp_be), out)
+    if lib.repro_modexp_path(path, *args) if path else lib.repro_modexp(*args):
+        return None  # a base >= p (or a compiler without __int128)
+    raw = out.raw
+    return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]

@@ -90,7 +90,8 @@ class SecAggClient:
         self._b_seed: bytes = b""
         self._peer_keys: dict[int, tuple[int, int]] = {}  # peer -> (c^PK, s^PK)
         # Each pairwise c-channel key is agreed once a round: in
-        # ShareKeys to encrypt, reused in Unmasking to decrypt.
+        # ShareKeys, the whole neighbourhood in one call, to encrypt;
+        # reused in Unmasking to decrypt.
         self._c_keys: dict[int, bytes] = {}
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
@@ -198,6 +199,8 @@ class SecAggClient:
             {label: shares[self.id] for label, shares in extra_shares.items()},
         )
 
+        c_keys = self._ka.agree(self._c_pair, [self._peer_keys[v][0] for v in neighbor_ids])
+        self._c_keys = dict(zip(neighbor_ids, c_keys))
         ciphertexts: dict[int, bytes] = {}
         for peer in neighbor_ids:
             payload = SharePayload(
@@ -207,16 +210,17 @@ class SecAggClient:
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            ciphertexts[peer] = AuthenticatedEncryption(self._c_key(peer)).encrypt(
+            ciphertexts[peer] = AuthenticatedEncryption(self._c_keys[peer]).encrypt(
                 payload.to_bytes()
             )
         return ciphertexts
 
     def _c_key(self, peer: int) -> bytes:
-        """The c-channel key shared with ``peer``, agreed on first use."""
+        """The c-channel key shared with ``peer``: agreed in ShareKeys for
+        every neighbour, on first use for anyone else."""
         key = self._c_keys.get(peer)
         if key is None:
-            key = self._ka.agree(self._c_pair, self._peer_keys[peer][0])
+            (key,) = self._ka.agree(self._c_pair, [self._peer_keys[peer][0]])
             self._c_keys[peer] = key
         return key
 
@@ -263,8 +267,8 @@ class SecAggClient:
             update_ring, self.config.modulus, n_terms=2 + len(peers), owned=owned
         )
         acc.fold_seed(self._b_seed, 1)
-        for peer in peers:
-            seed = self._ka.agree(self._s_pair, self._peer_keys[peer][1])
+        seeds = self._ka.agree(self._s_pair, [self._peer_keys[peer][1] for peer in peers])
+        for peer, seed in zip(peers, seeds):
             acc.fold_seed(seed, 1 if self.id > peer else -1)
         return MaskedInputMsg(
             sender=self.id,

@@ -246,9 +246,9 @@ class SecAggServer:
                 f"mask key of {u}",
             )
             pair = DHKeyPair(secret=int.from_bytes(sk_bytes, "big"), public=0)
-            for v in sorted(self.graph.get(u, set()) & set(self.u3)):
-                seed = self._ka.agree(pair, self._s_publics[v])
-                terms.append((seed, -1 if v > u else 1))
+            survivors = sorted(self.graph.get(u, set()) & set(self.u3))
+            seeds = self._ka.agree(pair, [self._s_publics[v] for v in survivors])
+            terms.extend((seed, -1 if v > u else 1) for v, seed in zip(survivors, seeds))
 
         self._sum.fold_seeds(terms, self.config.workers)
         return self._sum.finish()
@@ -301,8 +301,9 @@ class SecAggServer:
             sk_bytes = self._reconstruct_reference(ss, shares, f"mask key of {u}")
             sk = int.from_bytes(sk_bytes, "big")
             pair = DHKeyPair(secret=sk, public=0)
-            for v in sorted(self.graph.get(u, set()) & set(self.u3)):
-                seed = self._ka.agree(pair, self._s_publics[v])
+            survivors = sorted(self.graph.get(u, set()) & set(self.u3))
+            seeds = self._ka.agree(pair, [self._s_publics[v] for v in survivors])
+            for v, seed in zip(survivors, seeds):
                 base = PRGReference(seed).uniform_vector(dim, modulus)
                 mask = base if v > u else (-base) % modulus
                 aggregate = (aggregate - mask) % modulus

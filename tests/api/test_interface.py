@@ -199,7 +199,7 @@ class TestDefaultHandlers:
     def test_ka_handler_agreement(self):
         ka = DefaultKAHandler("modp512")
         a, b = ka.generate(), ka.generate()
-        assert ka.agree(a, b.public) == ka.agree(b, a.public)
+        assert ka.agree(a, [b.public]) == ka.agree(b, [a.public])
 
     def test_pg_handler_deterministic(self):
         pg = DefaultPGHandler()

@@ -18,26 +18,33 @@ class TestKeyAgreement:
     def test_agreement_is_symmetric(self):
         ka = KeyAgreement(TOY_GROUP)
         alice, bob = ka.generate(), ka.generate()
-        assert ka.agree(alice, bob.public) == ka.agree(bob, alice.public)
+        assert ka.agree(alice, [bob.public]) == ka.agree(bob, [alice.public])
 
     def test_agreement_is_symmetric_full_group(self):
         ka = KeyAgreement(MODP_2048)
         alice, bob = ka.generate(), ka.generate()
-        key = ka.agree(alice, bob.public)
-        assert key == ka.agree(bob, alice.public)
+        (key,) = ka.agree(alice, [bob.public])
+        assert [key] == ka.agree(bob, [alice.public])
         assert len(key) == 32
 
     def test_third_party_disagrees(self):
         ka = KeyAgreement(TOY_GROUP)
         alice, bob, eve = ka.generate(), ka.generate(), ka.generate()
-        assert ka.agree(alice, bob.public) != ka.agree(eve, bob.public)
+        assert ka.agree(alice, [bob.public]) != ka.agree(eve, [bob.public])
+
+    def test_a_neighbourhood_is_each_pair_agreed_in_order(self):
+        ka = KeyAgreement(TOY_GROUP)
+        me, *peers = (ka.generate() for _ in range(10))
+        keys = ka.agree(me, [peer.public for peer in peers])
+        assert keys == [ka.agree(peer, [me.public])[0] for peer in peers]
+        assert ka.agree(me, []) == []
 
     def test_degenerate_public_keys_rejected(self):
         ka = KeyAgreement(TOY_GROUP)
         mine = ka.generate()
         for bad in (0, 1, TOY_GROUP.p - 1, TOY_GROUP.p):
             with pytest.raises(ValueError):
-                ka.agree(mine, bad)
+                ka.agree(mine, [bad])
 
     def test_public_bytes_fixed_width(self):
         ka = KeyAgreement(MODP_2048)

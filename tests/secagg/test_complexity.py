@@ -71,9 +71,11 @@ class TestFixedUploadIsTheMeasuredOne:
 class TestKeyAgreementsAreTheExecutedOnes:
     def test_a_round_with_dropouts_agrees_exactly_the_counted_keys(self, monkeypatch):
         """``key_agreements = 2·neighbors`` is what a client executes —
-        one c- and one s-channel key per peer, each agreed once — and
-        the coordinator agrees |dropped|·|U3| to cancel pairwise masks.
-        The shape is the perf benchmark's ``many_clients`` round."""
+        one c- and one s-channel key per peer, each agreed once, in one
+        ``agree`` call per stage (the whole neighbourhood under one
+        secret) — and the coordinator agrees |dropped|·|U3| to cancel
+        pairwise masks, one call per dropped client.  The shape is the
+        perf benchmark's ``many_clients`` round."""
         from collections import Counter
 
         import numpy as np
@@ -82,12 +84,13 @@ class TestKeyAgreementsAreTheExecutedOnes:
         from repro.secagg import DropoutSchedule, SecAggConfig, run_secagg_round
         from repro.secagg.client import SecAggClient
 
-        calls = Counter()
+        calls, agreements = Counter(), Counter()
         real = KeyAgreement.agree
 
-        def counting(self, mine, peer_public):
+        def counting(self, mine, peer_publics):
             calls[id(self)] += 1
-            return real(self, mine, peer_public)
+            agreements[id(self)] += len(peer_publics)
+            return real(self, mine, peer_publics)
 
         monkeypatch.setattr(KeyAgreement, "agree", counting)
 
@@ -106,15 +109,21 @@ class TestKeyAgreementsAreTheExecutedOnes:
         )
         assert sorted(set(inputs) - set(result.u3)) == sorted(dropped)
 
-        per_client = {u: calls.pop(id(c._ka)) for u, c in clients.items()}
+        per_client = {u: agreements.pop(id(c._ka)) for u, c in clients.items()}
+        client_calls = {u: calls.pop(id(c._ka)) for u, c in clients.items()}
         cost = secagg_client_cost(n)
         for u, count in per_client.items():
             # A client that left before uploading never derived masks.
-            expected = cost.ciphertexts_sent if u in dropped else cost.key_agreements
-            assert count == expected, u
+            left = u in dropped
+            assert count == (cost.ciphertexts_sent if left else cost.key_agreements), u
+            assert client_calls[u] == (1 if left else 2), u
+        (server_agreements,) = agreements.values()
         (server_calls,) = calls.values()
-        assert server_calls == len(dropped) * len(result.u3)
-        assert sum(per_client.values()) + server_calls == 992 + 899 + 87
+        assert server_agreements == len(dropped) * len(result.u3)
+        assert server_calls == len(dropped)
+        # 1,978 agreements in 64 calls: 2·29 + 3 by clients, 3 by the coordinator.
+        assert sum(per_client.values()) + server_agreements == 992 + 899 + 87
+        assert sum(client_calls.values()) + server_calls == 64
 
 
 class TestControlPlaneSendsWhatFig5Sends:

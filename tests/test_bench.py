@@ -56,11 +56,18 @@ class TestBenchEntrypoint:
         report = bench.load_bench(bench.bench_path(bench_run, "hotpath"))
         assert report["config"]["native_backend"]
         assert report["config"]["stream_lanes"] in (1, 16)
+        assert report["config"]["modexp_lanes"] in (1, 8)
         m = report["metrics"]
+        for group in ("modp512", "modp2048"):
+            # A neighbourhood per call: pow, the scalar loop forced, the
+            # kernel's own dispatch — each per agreement.
+            assert f"dh_agree_batch31_{group}_scalar_s" in m
         for name in (
             "prg_expand_d64",
             "dh_agree_modp512",
             "dh_agree_modp2048",
+            "dh_agree_batch31_modp512",
+            "dh_agree_batch31_modp2048",
             "mask_fold_d1048576_b20",
             "mask_fold_d262144_b20",
             "skellam_expand_d131072_var228000000",

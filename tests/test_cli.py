@@ -36,14 +36,20 @@ class TestParser:
             build_parser().parse_args(["run", "--task", "imagenet"])
 
 
+def _finished(code: int, err: str) -> bool:
+    """A run's status is its budget's: 0 within it, 1 over it — the one
+    case the stderr warning names."""
+    return code == (1 if "exceeds the budget" in err else 0)
+
+
 class TestRunCommand:
     def test_quick_session(self, capsys):
         code = main([
             "run", "--num-clients", "16", "--sample-size", "6",
             "--rounds", "3", "--dropout-rate", "0.2",
         ])
-        out = capsys.readouterr().out
-        assert code == 0
+        out, err = capsys.readouterr()
+        assert _finished(code, err)
         assert "epsilon consumed" in out
         assert "rounds completed : 3" in out
 
@@ -53,7 +59,7 @@ class TestRunCommand:
             "--dropout-rate", "0.2", "--strategy", "xnoise",
         ])
         out, err = capsys.readouterr()
-        assert code == 0  # the exit code stays with the policy item
+        assert code == 1  # the run ended over its budget: not a success
         assert "epsilon consumed : 7.437 (budget 6.0)" in out
         (line,) = err.strip().splitlines()
         assert line == (
@@ -75,8 +81,8 @@ class TestRunCommand:
             "run", "--num-clients", "24", "--sample-size", "8",
             "--rounds", "3", "--availability", "trace", "--asymmetric",
         ])
-        out = capsys.readouterr().out
-        assert code == 0
+        out, err = capsys.readouterr()
+        assert _finished(code, err)
         assert "dropout=trace" in out
         assert "fleet-timed" in out
         assert "down" in out and "up" in out
@@ -109,8 +115,8 @@ class TestRunCommand:
             "run", "--strategy", "early", "--dropout-rate", "0.4",
             "--num-clients", "16", "--sample-size", "6", "--rounds", "6",
         ])
-        out = capsys.readouterr().out
-        assert code == 0
+        out, err = capsys.readouterr()
+        assert _finished(code, err)
         assert "stopped early" in out
 
 

@@ -62,15 +62,20 @@ with warnings.catch_warnings(record=True) as caught:
         XNoiseConfig, arun_xnoise_round, skellam_noise_from_seed,
     )
 
-    # Key agreement and signatures, on both production groups.
+    # Key agreement and signatures, on both production groups: one pair,
+    # then a whole neighbourhood (a group of eight and a tail) in one call.
     keys = hashlib.sha256()
     signatures = hashlib.sha256()
     for group in (MODP_512, MODP_2048):
         ka = KeyAgreement(group)
         alice, bob = ka.generate(), ka.generate()
-        agreed = ka.agree(alice, bob.public)
-        assert agreed == ka.agree(bob, alice.public)
+        (agreed,) = ka.agree(alice, [bob.public])
+        assert [agreed] == ka.agree(bob, [alice.public])
         keys.update(ka.public_bytes(alice) + ka.public_bytes(bob) + agreed)
+        peers = [ka.generate() for _ in range(11)]
+        neighbourhood = ka.agree(alice, [peer.public for peer in peers])
+        assert neighbourhood == [ka.agree(peer, [alice.public])[0] for peer in peers]
+        keys.update(b"".join(neighbourhood))
         signer = SchnorrSigner(group.random_exponent(), group)
         signature = signer.sign(b"round:0|u3:1,2,3,5")
         assert SchnorrVerifier(signer.public, group).verify(
@@ -336,7 +341,8 @@ class TestEveryReasonIsNamed:
             name: getattr(real, name)
             for name in ("repro_sha256_ctr", "repro_sha256_ctr_lanes", "repro_pack_bits",
                          "repro_unpack_bits", "repro_pack_low_bits", "repro_unpack_add",
-                         "repro_modexp", "repro_skellam_fill",
+                         "repro_modexp", "repro_modexp_path", "repro_modexp_lanes",
+                         "repro_skellam_fill",
                          "repro_skellam_weight", "repro_mask_fold", "repro_fwht",
                          "repro_stochastic_round")
         }
@@ -384,11 +390,17 @@ class TestEveryReasonIsNamed:
         with pytest.warns(RuntimeWarning, match="AVX-512 section") as caught:
             lib = rearmed.load()
         assert lib is not None and len(caught) == 1
-        assert rearmed.stream_lanes() == 1
+        assert "modular powers one base at a time" in str(caught[0].message)
+        assert rearmed.stream_lanes() == 1 and rearmed.modexp_lanes() == 1
         assert rearmed.backend_name() in ("c-scalar", "c-sha-ni")
         out = ctypes.create_string_buffer(32)
         assert lib.repro_sha256_ctr_path(3, b"", 0, 0, 1, out) == -3  # not built
         assert out.raw == bytes(32)
+        ctx = rearmed.montgomery_context((1 << 128) - 159)
+        assert lib.repro_modexp_path(2, ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs,
+                                     b"", 0, bytes(8), 8, None) == -3
+        bases = list(range(2, 13))
+        assert rearmed.modexp(ctx, bases, 65537) == [pow(b, 65537, (1 << 128) - 159) for b in bases]
         # Every other kernel is there and answers as the full object does.
         stream = rearmed.sha256_ctr_stream(b"k" * 32, 40, ctr0=2**32 - 20)
         assert stream == b"".join(
@@ -413,8 +425,8 @@ class TestEveryReasonIsNamed:
         assert production.parent == other.parent == rearmed._BUILD_DIR
 
     def test_wrong_modexp_answer_disables_the_whole_object(self, rearmed, monkeypatch):
-        def one_flipped_bit(real, mod, rr, limbs, base, exp, explen, out):
-            real.repro_modexp(mod, rr, limbs, base, exp, explen, out)
+        def one_flipped_bit(real, mod, rr, rr52, limbs, bases, count, exp, explen, out):
+            real.repro_modexp(mod, rr, rr52, limbs, bases, count, exp, explen, out)
             out[0] = bytes([out[0][0] ^ 1])
             return 0
 
@@ -423,6 +435,23 @@ class TestEveryReasonIsNamed:
         message = self._announcement(rearmed)
         assert "probe mismatch (modular exponentiation)" in message
         assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
+    def test_one_wrong_lane_disables_the_whole_object(self, rearmed, monkeypatch):
+        # Right one base at a time; in a call of several, the fourth base's
+        # power comes back one bit off — what a lane that mis-carries does.
+        def one_wrong_lane(real, mod, rr, rr52, limbs, bases, count, exp, explen, out):
+            rc = real.repro_modexp(mod, rr, rr52, limbs, bases, count, exp, explen, out)
+            if count > 1:
+                at = 3 * 8 * limbs + 8 * limbs - 1
+                out[at] = bytes([out[at][0] ^ 1])
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_modexp=one_wrong_lane)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        message = self._announcement(rearmed)
+        assert "probe mismatch (modular exponentiation lanes)" in message
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+        assert rearmed.modexp_lanes() == 1
 
     def test_wrong_noise_weight_disables_the_whole_object(self, rearmed, monkeypatch):
         # One unit in the last place — what a fused multiply-add would do.
@@ -447,7 +476,7 @@ class TestEveryReasonIsNamed:
         monkeypatch.setattr(rearmed, "_build", lambda: kernel)
         message = self._announcement(rearmed)
         assert "probe mismatch (Skellam noise expansion)" in message
-        assert rearmed.modexp(rearmed.montgomery_context((1 << 128) - 159), 3, 5) is None
+        assert rearmed.modexp(rearmed.montgomery_context((1 << 128) - 159), [3], 5) is None
 
     def test_wrong_mask_element_disables_the_whole_object(self, rearmed, monkeypatch):
         # Right everywhere but in the element after the kernel's first
@@ -557,8 +586,8 @@ class TestEveryReasonIsNamed:
             assert rearmed.load() is kernel
         assert len(caught) == 1
         assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is not None
-        assert rearmed.modexp(MODP_512._montgomery, 3, 5) is None
-        assert MODP_512.power(3, 5) == 243
+        assert rearmed.modexp(MODP_512._montgomery, [3, 4], 5) is None
+        assert MODP_512.powers([3, 4], 5) == [243, 1024]
 
     def test_memoized_silence_after_the_first_call(self, rearmed, monkeypatch):
         import warnings

@@ -1,19 +1,26 @@
-"""The bit-pack plane under AddressSanitizer + UndefinedBehaviorSanitizer.
+"""The bit-pack and modexp planes under AddressSanitizer + UBSan.
 
 ``repro_unpack_bits`` and ``repro_unpack_add`` read a *network-supplied*
 buffer through raw pointers, ``repro_pack_bits`` / ``repro_pack_low_bits``
-write the frame a socket sends.  This file builds the same
+write the frame a socket sends, and ``repro_modexp`` reads a
+neighbourhood of public keys into fixed stack tables on two loops (one
+base at a time, or eight IFMA lanes).  This file builds the same
 ``sha256ctr.c`` with ``-fsanitize=address,undefined`` under its own
 object name (the production cache is keyed by source *and* flags, so the
-two can never be confused) and drives the four loops in a fresh
+two can never be confused) and drives those loops in a fresh
 interpreter with libasan preloaded — every buffer a ``malloc`` of
 exactly the size the kernel is told, so one byte read or written past
-either end is a report, and any report fails the test.  Shapes: every
-width, lengths on and off the group of eight / the 64-bit window / the
-in-place–tail split, plus what a hostile frame can be — a byte short, a
-byte long, a pad bit set — which must be refused with the destination
-untouched.  Results are compared with the numpy twins (the subprocess
-runs with ``REPRO_NATIVE=0``), so this is also a third parity leg.
+either end is a report, and any report fails the test.  Bit-pack shapes:
+every width, lengths on and off the group of eight / the 64-bit window /
+the in-place–tail split, plus what a hostile frame can be — a byte
+short, a byte long, a pad bit set — which must be refused with the
+destination untouched; the results are compared with the numpy twins
+(the subprocess runs with ``REPRO_NATIVE=0``), so this is also a third
+parity leg.  Modexp shapes: every modulus width from 2 to 64 limbs
+(2048 / 2112 bits, the lanes' last width and the first past it, with
+every batch size), 1 to 17 bases, exponents of 1 to 8 limbs, on the
+scalar loop, the lanes and the dispatcher, against ``pow`` — and a base
+not below ``p`` in any position, refused with ``out`` untouched.
 
 Skips by name when the toolchain cannot build or preload the sanitizer
 runtime; every finding it ever makes is a fix with a regression vector
@@ -139,6 +146,87 @@ tiny.free(); sink.free()
 print("sanitized shapes:", shapes)
 """
 
+MODEXP_SCRIPT = r"""
+import ctypes, random, sys
+from repro import native
+
+assert native.load() is None  # REPRO_NATIVE=0: montgomery_context is arithmetic only
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+P, Z = ctypes.c_void_p, ctypes.c_size_t
+lib.repro_modexp_path.argtypes = [ctypes.c_int, P, P, P, Z, P, Z, P, Z, P]
+lib.repro_modexp_path.restype = ctypes.c_int
+lib.repro_modexp.argtypes = [P, P, P, Z, P, Z, P, Z, P]
+lib.repro_modexp.restype = ctypes.c_int
+LANES_MAX_LIMBS = 32  # 40 digits of 52 bits
+
+
+class Exact:
+    # malloc(n) holding ``data``: ASan puts a redzone at byte n.
+    def __init__(self, data: bytes):
+        self.n = len(data)
+        self.ptr = libc.malloc(max(self.n, 1))
+        ctypes.memmove(self.ptr, data, self.n)
+    def bytes(self) -> bytes:
+        return ctypes.string_at(self.ptr, self.n)
+    def free(self):
+        libc.free(self.ptr)
+
+
+def call(path, ctx, bases_be, count, exp_be, out):
+    held = [Exact(ctx.modulus), Exact(ctx.rr), Exact(ctx.rr52), Exact(bases_be), Exact(exp_be)]
+    mod, rr, rr52, bases, exp = (b.ptr for b in held)
+    if path:
+        rc = lib.repro_modexp_path(path, mod, rr, rr52, ctx.limbs, bases, count, exp, len(exp_be), out.ptr)
+    else:
+        rc = lib.repro_modexp(mod, rr, rr52, ctx.limbs, bases, count, exp, len(exp_be), out.ptr)
+    for b in held:
+        b.free()
+    return rc
+
+
+lanes = lib.repro_modexp_path(2, None, None, None, 1, None, 0, None, 0, None) not in (-2, -3)
+rng = random.Random(2112)
+shapes = []
+for limbs in range(2, 65):
+    shapes.append((limbs, 1 + (3 * limbs) % 17, 1 + limbs % 8))
+for limbs in (2, 32, 33):
+    shapes += [(limbs, count, 1 + count % 8) for count in range(1, 18)]
+
+done = 0
+for limbs, count, explen in shapes:
+    width = 8 * limbs
+    p = rng.getrandbits(64 * limbs) | (1 << (64 * limbs - 1)) | 1
+    ctx = native.montgomery_context(p)
+    bases = [rng.randrange(p) for _ in range(count)]
+    for at, edge in zip(range(count), (p - 1, 0, 1, (1 << (64 * limbs - 1)))):
+        bases[(3 * at) % count] = edge
+    exp = rng.getrandbits(64 * explen) | (1 << (64 * explen - 1))
+    exp_be = exp.to_bytes(8 * explen, "big")
+    bases_be = b"".join(b.to_bytes(width, "big") for b in bases)
+    want = b"".join(pow(b, exp, p).to_bytes(width, "big") for b in bases)
+    paths = [0, 1] + ([2] if lanes and limbs <= LANES_MAX_LIMBS else [])
+    for path in paths:
+        out = Exact(bytes(width * count))
+        assert call(path, ctx, bases_be, count, exp_be, out) == 0, (limbs, count, explen, path)
+        assert out.bytes() == want, (limbs, count, explen, path)
+        # A base not below p, in any lane: refused, out as it was.
+        bad = bases_be[: width * (count - 1)] + ctx.modulus
+        assert call(path, ctx, bad, count, exp_be, out) == -1, (limbs, count, path)
+        assert out.bytes() == want
+        out.free()
+        done += 1
+    if lanes and limbs > LANES_MAX_LIMBS:  # the lanes refuse a wider modulus
+        out = Exact(bytes(width * count))
+        assert call(2, ctx, bases_be, count, exp_be, out) == -1
+        assert out.bytes() == bytes(width * count)
+        out.free()
+print("sanitized modexp calls:", done, "lanes" if lanes else "no lanes")
+"""
+
 
 def _runtime(name: str):
     cc = next((cc for cc in native._compilers() if shutil.which(cc)), None)
@@ -196,6 +284,18 @@ def test_bit_pack_plane_is_clean_under_asan_and_ubsan(sanitized_object):
     report = done.stdout[-2000:] + done.stderr[-6000:]
     assert done.returncode == 0, report
     assert "sanitized shapes: 558" in done.stdout, report
+    assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
+
+
+@pytest.mark.timeout(300)
+def test_modexp_plane_is_clean_under_asan_and_ubsan(sanitized_object):
+    done = _sanitized_python(MODEXP_SCRIPT, *sanitized_object)
+    report = done.stdout[-2000:] + done.stderr[-6000:]
+    assert done.returncode == 0, report
+    # 114 shapes: three paths each up to 32 limbs (65 shapes), two past it (49).
+    assert done.stdout.strip() in (
+        "sanitized modexp calls: 293 lanes", "sanitized modexp calls: 228 no lanes",
+    ), report
     assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
 
 

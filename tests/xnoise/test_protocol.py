@@ -153,6 +153,8 @@ class TestDropoutWithinTolerance:
                           (AuthenticatedEncryption, "decrypt")]:
             def counting(self, *args, _real=getattr(cls, name), _name=name):
                 calls[_name] += 1
+                if _name == "agree":
+                    calls["agreements"] += len(args[1])
                 return _real(self, *args)
             monkeypatch.setattr(cls, name, counting)
 
@@ -165,8 +167,9 @@ class TestDropoutWithinTolerance:
 
         # Nobody dropped before uploading, so the coordinator re-derives
         # no pairwise mask: every agreement is a client's, c and s once
-        # per peer.
-        assert calls["agree"] == n * secagg_client_cost(n).key_agreements
+        # per peer, each kind in one call for the whole neighbourhood.
+        assert calls["agreements"] == n * secagg_client_cost(n).key_agreements
+        assert calls["agree"] == 2 * n
         assert calls["encrypt"] == n * (n - 1)
         # Client 4 left before Unmasking and never opened its inbox; the
         # five that answered stages 4 *and* 5 opened theirs once.
