@@ -873,7 +873,7 @@ static inline uint64_t load_be64(const uint8_t *src)
 /* Adds sign * k of the first n accepted trials of seed's stream (from
  * counter 0) into out[0..n), in order.  The stream is produced here, a
  * refill at a time, so it never leaves the cache and never runs out.
- * Returns 0, -1 on bad arguments (seedlen > 47 included). */
+ * Returns 0, -1 on bad arguments (seedlen > 47 included, whatever n is). */
 int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
                        const skellam_strip *strips, size_t nstrips,
                        double z, int64_t sign, int64_t *out, size_t n)
@@ -882,8 +882,8 @@ int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
     uint64_t ctr = 0;
     size_t filled = 0, t;
 
-    if (strips == NULL || out == NULL || nstrips < 1
-        || nstrips > ((size_t)1 << SKELLAM_STRIP_BITS)
+    if (seed == NULL || seedlen > 47 || strips == NULL || out == NULL
+        || nstrips < 1 || nstrips > ((size_t)1 << SKELLAM_STRIP_BITS)
         || (sign != 1 && sign != -1))
         return -1;
     while (filled < n) {
@@ -1026,7 +1026,8 @@ int repro_unpack_add(const uint8_t *src, size_t nbytes, size_t n,
 
 /* Adds sign * (element i of seed's mask over 2**bits) into out[i] for
  * i in [0, n), raw: the caller owns the int64 headroom.  Returns 0, -1
- * on bad arguments (bits outside [1, 62], seedlen > 47 included). */
+ * on bad arguments (bits outside [1, 62], seedlen > 47 included, whatever
+ * n is). */
 int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
                     int64_t sign, int64_t *out, size_t n)
 {
@@ -1036,7 +1037,8 @@ int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
     size_t done = 0, carried = 0;
     uint64_t ctr = 0, left;
 
-    if (out == NULL || bits < 1 || bits > 62 || (sign != 1 && sign != -1))
+    if (seed == NULL || seedlen > 47 || out == NULL || bits < 1 || bits > 62
+        || (sign != 1 && sign != -1))
         return -1;
     /* ceil(n * bits / 256) without forming n * bits */
     left = (uint64_t)(n / 256) * bits + ((n % 256) * bits + 255) / 256;

@@ -175,7 +175,8 @@ class DefaultSSHandler(SSHandler):
         return scheme
 
     def share(self, secret, threshold, ids):
-        return self._scheme(threshold).share(secret, ids)
+        (shares,) = self._scheme(threshold).share([secret], ids)
+        return shares
 
     def reconstruct(self, shares, threshold):
         return self._scheme(threshold).reconstruct(shares)

@@ -3,7 +3,7 @@
 Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
 (PRG mask expansion and folding, key agreement, Skellam noise expansion,
-the DSkellam transform, Shamir share evaluation and reconstruction, codec
+the DSkellam transform, Shamir dealing and reconstruction, codec
 encode, mask accumulation), so the recorded speedups are measured on the same
 machine, same inputs, same run — the trajectory point the paper's
 Fig.-2-style overhead claims rest on.
@@ -45,6 +45,9 @@ SKELLAM_VARIANCES = (228_000_000, 2_500_000_000)
 #: Peers a many_clients client agrees with in one call: 32 clients, the
 #: complete graph.
 DH_BATCH_PEERS = 31
+
+#: Holders and threshold of a many_clients client's ShareKeys deal.
+SHAMIR_SHAPE = (32, 17)
 
 #: Mask folds of the perf benchmark's data-plane workloads: 20 a round at
 #: ``wide_model``'s dimension, 216 at ``dropout_recovery``'s, both over
@@ -241,30 +244,30 @@ def run_hotpath(
         assert np.array_equal(call(), by_twin)
         _speedup_triplet(metrics, f"{name}_d{SKELLAM_DIMENSION}", ref_s, _best_of(call, repeats))
 
-    # Shamir: the deterministic evaluation step on identical polynomials
-    # (share() itself samples fresh randomness, so the fair comparison
-    # is _evaluate_shares vs its retained twin), then reconstruction on
-    # identical shares.  Floor of 16 participants: the protocol shares
-    # keys across whole cohorts, not the 3–4 clients of a smoke run.
-    n = max(16, clients)
-    threshold = max(2, n // 2 + 1)
+    # Shamir, at many_clients' shape: one client's whole ShareKeys deal
+    # (its modp512 mask key at the group's secret width and its self-mask
+    # seed, to every holder) in the one-pass dealer against the oracle —
+    # a randbelow per coefficient, a modulo per Horner step — and the
+    # same dealer at the 256-byte key width clients used to share at;
+    # then the coordinator's reconstruction of the key.
+    n, threshold = SHAMIR_SHAPE
     scheme = ShamirSecretSharing(threshold)
     ids = list(range(1, n + 1))
-    secret = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
-    polys = scheme._sample_polynomials(secret)
-    ref_s = _best_of(
-        lambda: scheme._evaluate_shares_reference(polys, ids, len(secret)),
-        repeats,
+    key_width = resolve_group("modp512").secret_bytes
+    key, seed_b = (bytes(rng.integers(0, 256, size=w, dtype=np.uint8)) for w in (key_width, 32))
+    ref_s = _best_of(lambda: scheme.share_reference([key, seed_b], ids), repeats)
+    fast_s = _best_of(lambda: scheme.share([key, seed_b], ids), repeats)
+    shape = f"n{n}_t{threshold}"
+    _speedup_triplet(metrics, f"shamir_share_{shape}", ref_s, fast_s)
+    wide_key = key.rjust(256, b"\0")
+    metrics[f"shamir_share_{shape}_width256_s"] = metric(
+        _best_of(lambda: scheme.share([wide_key, seed_b], ids), repeats), "s"
     )
-    fast_s = _best_of(
-        lambda: scheme._evaluate_shares(polys, ids, len(secret)), repeats
-    )
-    _speedup_triplet(metrics, "shamir_share", ref_s, fast_s)
 
-    shares = list(scheme.share(secret, ids).values())
+    shares = list(scheme.share([key], ids)[0].values())
     ref_s = _best_of(lambda: scheme.reconstruct_reference(shares), repeats)
     fast_s = _best_of(lambda: scheme.reconstruct(shares), repeats)
-    _speedup_triplet(metrics, "shamir_reconstruct", ref_s, fast_s)
+    _speedup_triplet(metrics, f"shamir_reconstruct_{shape}", ref_s, fast_s)
 
     # Codec: the masked upload a round ships — a MaskedInputMsg framed
     # as the client's RESPONSE — at the largest dimension, against the

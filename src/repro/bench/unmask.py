@@ -76,9 +76,9 @@ def _fabricate_state(
     # Every client shares both secrets across the whole cohort (complete
     # graph); responders reveal b_u for survivors, s^SK_u for dropped.
     ss = ShamirSecretSharing(threshold)
-    b_shares = {u: ss.share(random_seed(32), ids) for u in survivors}
+    b_shares = {u: ss.share([random_seed(32)], ids)[0] for u in survivors}
     sk_shares = {
-        u: ss.share(pairs[u].secret.to_bytes(256, "big"), ids)
+        u: ss.share([pairs[u].secret.to_bytes(ka.group.secret_bytes, "big")], ids)[0]
         for u in dropped
     }
     messages = {

@@ -611,6 +611,11 @@ def _cmd_bench(args) -> int:
                   f"{m[f'{batch}_scalar_s']['value'] * 1e3:.3f}ms scalar loop → "
                   f"{m[f'{batch}_fast_s']['value'] * 1e3:.3f}ms {passes} "
                   f"({m[f'{batch}_speedup']['value']:.2f}x)")
+        deal = "shamir_share_n32_t17"
+        print(f"Shamir deal, 32 holders, t=17, 64 B key + 32 B seed: "
+              f"{m[f'{deal}_reference_s']['value'] * 1e3:.3f}ms oracle → "
+              f"{m[f'{deal}_fast_s']['value'] * 1e3:.3f}ms one pass "
+              f"(key at 256 B: {m[f'{deal}_width256_s']['value'] * 1e3:.3f}ms)")
         stream = (f"{report['config']['native_backend']} "
                   f"x{report['config']['stream_lanes']}")
         for name in sorted(m):

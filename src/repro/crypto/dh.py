@@ -86,6 +86,13 @@ class DHGroup:
         """Width of one group element as fixed-size big-endian bytes."""
         return (self.p.bit_length() + 7) // 8
 
+    @property
+    def secret_bytes(self) -> int:
+        """Width of one secret exponent (< q) as fixed-size big-endian
+        bytes — what a client Shamir-shares its mask key at: 64 on
+        ``modp512``, 256 on ``modp2048``."""
+        return (self.q.bit_length() + 7) // 8
+
 
 MODP_2048 = DHGroup(p=MODP_2048_P, g=MODP_2048_G, q=MODP_2048_Q)
 

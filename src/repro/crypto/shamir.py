@@ -9,13 +9,17 @@ interpolation, fewer reveal nothing.
 
 Secrets here are byte strings (seeds, serialized keys).  A byte secret is
 chunked so each chunk fits one field element; every chunk is shared with
-an independent polynomial.
+an independent polynomial.  A dealer hands all of its secrets to one
+:meth:`ShamirSecretSharing.share` call, which draws every random
+coefficient from one CSPRNG read and evaluates every chunk at a holder's
+point in one packed Horner pass.
 """
 
 from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto.field import FIELD, PrimeField
 from repro.utils.bytesio import bytes_to_int, chunk_bytes, int_to_bytes
@@ -105,13 +109,53 @@ class ShamirSecretSharing:
         self.field = field
         self._lagrange_cache: dict[tuple[int, ...], list[int]] = {}
 
-    def share(self, secret: bytes, participant_ids: list[int]) -> dict[int, Share]:
-        """Split ``secret`` into one share per participant id.
+    def share(
+        self, secret_list: Sequence[bytes], participant_ids: list[int]
+    ) -> list[dict[int, Share]]:
+        """Split every secret of ``secret_list`` into one share per
+        participant id: element ``i`` of the result is secret ``i``'s
+        ``{id: Share}``.
 
+        One dealer pass: the ids and secrets are checked before any
+        randomness is drawn, every random coefficient of every chunk comes
+        from one :meth:`_draw_coefficients` read, and each participant's
+        evaluations of all chunks from one :meth:`_evaluate_shares` pass.
         ``participant_ids`` must be distinct positive integers (they become
         the polynomial evaluation points, so 0 — the secret's position — is
         forbidden).
         """
+        ids = self._holder_ids(participant_ids)
+        constants, shapes = self._chunk_secrets(secret_list)
+        step = self.threshold - 1
+        draws = self._draw_coefficients(len(constants) * step)
+        polys = [
+            [constant, *draws[i * step : (i + 1) * step]]
+            for i, constant in enumerate(constants)
+        ]
+        return self._cut_shares(self._evaluate_shares(polys, ids), shapes)
+
+    def share_reference(
+        self, secret_list: Sequence[bytes], participant_ids: list[int]
+    ) -> list[dict[int, Share]]:
+        """Retained scalar reference for :meth:`share`: one
+        ``secrets.randbelow`` per coefficient and one ``field.eval_poly``
+        (a modulo per Horner step) per chunk and participant.
+
+        Shares are random, so the parity pins are on the deterministic
+        evaluation step — :meth:`_evaluate_shares` must equal
+        :meth:`_evaluate_shares_reference` for any polynomials — and on
+        what :meth:`_draw_coefficients` accepts and redraws.
+        """
+        ids = self._holder_ids(participant_ids)
+        constants, shapes = self._chunk_secrets(secret_list)
+        polys = [
+            [constant] + [self.field.random_element() for _ in range(self.threshold - 1)]
+            for constant in constants
+        ]
+        return self._cut_shares(self._evaluate_shares_reference(polys, ids), shapes)
+
+    def _holder_ids(self, participant_ids: list[int]) -> list[int]:
+        """The evaluation points, checked: distinct, in [1, p), at least t."""
         # Coerce to Python ints: NumPy integers overflow inside the
         # big-int polynomial arithmetic.
         ids = [int(i) for i in participant_ids]
@@ -123,78 +167,95 @@ class ShamirSecretSharing:
             raise ValueError(
                 f"need at least threshold={self.threshold} participants, got {len(ids)}"
             )
-        polys = self._sample_polynomials(secret)
-        return self._evaluate_shares(polys, ids, len(secret))
+        return ids
 
-    def share_reference(
-        self, secret: bytes, participant_ids: list[int]
-    ) -> dict[int, Share]:
-        """Retained scalar reference for :meth:`share` (a modulo per
-        Horner step via ``field.eval_poly``).
+    def _chunk_secrets(
+        self, secret_list: Sequence[bytes]
+    ) -> tuple[list[int], list[tuple[int, int]]]:
+        """Every secret's chunks as field constants, in order, and each
+        secret's ``(byte length, chunk count)``.  An empty secret is one
+        zero chunk."""
+        if isinstance(secret_list, (bytes, bytearray, memoryview, str)):
+            raise TypeError("share() takes a list of secrets, not one secret")
+        capacity = self.field.capacity_bytes
+        constants: list[int] = []
+        shapes: list[tuple[int, int]] = []
+        for secret in secret_list:
+            chunks = chunk_bytes(secret, capacity) or [b""]
+            constants += [bytes_to_int(chunk) for chunk in chunks]
+            shapes.append((len(secret), len(chunks)))
+        return constants, shapes
 
-        Shares are random, so the parity pin is on the deterministic
-        evaluation step: :meth:`_evaluate_shares` must equal
-        :meth:`_evaluate_shares_reference` for any polynomials.
+    def _draw_coefficients(self, count: int) -> list[int]:
+        """``count`` uniform elements of GF(p) from one CSPRNG read.
+
+        Each ``element_bytes``-wide big-endian word of the read is masked
+        to p's bit length and redrawn while it is ≥ p: the rule
+        ``secrets.randbelow(p)`` applies to ``getrandbits(p.bit_length())``,
+        so the distribution is the same.  On 2**127 − 1 the one value
+        redrawn is p itself.
         """
-        ids = [int(i) for i in participant_ids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("participant ids must be distinct")
-        if any(i <= 0 or i >= self.field.p for i in ids):
-            raise ValueError("participant ids must be in [1, p)")
-        if len(ids) < self.threshold:
-            raise ValueError(
-                f"need at least threshold={self.threshold} participants, got {len(ids)}"
-            )
-        polys = self._sample_polynomials(secret)
-        return self._evaluate_shares_reference(polys, ids, len(secret))
-
-    def _sample_polynomials(self, secret: bytes) -> list[list[int]]:
-        """One random degree-(t−1) polynomial per secret chunk."""
-        chunks = chunk_bytes(secret, self.field.capacity_bytes) or [b""]
-        polys = []
-        for chunk in chunks:
-            constant = bytes_to_int(chunk) if chunk else 0
-            coeffs = [constant] + [
-                self.field.random_element() for _ in range(self.threshold - 1)
-            ]
-            polys.append(coeffs)
-        return polys
+        p = self.field.p
+        width = self.field.element_bytes
+        mask = (1 << p.bit_length()) - 1
+        pool = secrets.token_bytes(width * count)
+        words = [
+            int.from_bytes(pool[k : k + width], "big") & mask
+            for k in range(0, len(pool), width)
+        ]
+        for k, word in enumerate(words):
+            while word >= p:
+                word = words[k] = int.from_bytes(secrets.token_bytes(width), "big") & mask
+        return words
 
     def _evaluate_shares(
-        self, polys: list[list[int]], ids: list[int], secret_len: int
-    ) -> dict[int, Share]:
-        """Deferred-reduction Horner: one modulo per (participant, chunk)
-        instead of one per coefficient.  The evaluation point is a small
-        client index, so each Horner step multiplies the accumulator by
-        a few-bit integer — the accumulator grows by ~log2(x) bits per
-        step and a single final reduction is cheaper than t − 1
-        interleaved ones (measured ~2× across cohort sizes).
-        Bit-identical to :meth:`_evaluate_shares_reference` (polynomial
-        evaluation mod p is unique); pinned by test."""
+        self, polys: list[list[int]], ids: list[int]
+    ) -> dict[int, list[int]]:
+        """Every chunk polynomial at every id: one packed Horner pass per id.
+
+        Coefficient j of chunk i sits in slot i of one integer per degree
+        j.  Evaluated over the integers, a chunk at x is at most
+        (p − 1)·Σ_{j<t} x^j < 2**(bitlen(p) + (t − 1)·bitlen(max id) + 1),
+        and a slot is that wide, so no slot carries into the next: Horner
+        over the packed integers evaluates every chunk at once, and each
+        slot is reduced mod p once.  Bit-identical to
+        :meth:`_evaluate_shares_reference` (polynomial evaluation mod p
+        is unique); pinned by test.
+        """
         p = self.field.p
-        out: dict[int, Share] = {}
+        slot = p.bit_length() + (self.threshold - 1) * max(ids).bit_length() + 1
+        mask = (1 << slot) - 1
+        offsets = range(0, slot * len(polys), slot)
+        columns = [sum(c << k for c, k in zip(column, offsets)) for column in zip(*polys)]
+        out: dict[int, list[int]] = {}
         for pid in ids:
-            ys = []
-            for coeffs in polys:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * pid + c
-                ys.append(acc % p)
-            out[pid] = Share(x=pid, ys=tuple(ys), secret_len=secret_len)
+            acc = 0
+            for column in reversed(columns):
+                acc = acc * pid + column
+            out[pid] = [(acc >> k & mask) % p for k in offsets]
         return out
 
     def _evaluate_shares_reference(
-        self, polys: list[list[int]], ids: list[int], secret_len: int
-    ) -> dict[int, Share]:
+        self, polys: list[list[int]], ids: list[int]
+    ) -> dict[int, list[int]]:
         """Retained scalar evaluation: per-chunk Horner per participant."""
-        return {
-            pid: Share(
-                x=pid,
-                ys=tuple(self.field.eval_poly(coeffs, pid) for coeffs in polys),
-                secret_len=secret_len,
-            )
-            for pid in ids
-        }
+        return {pid: [self.field.eval_poly(coeffs, pid) for coeffs in polys] for pid in ids}
+
+    @staticmethod
+    def _cut_shares(
+        evaluations: dict[int, list[int]], shapes: list[tuple[int, int]]
+    ) -> list[dict[int, Share]]:
+        """Split each participant's chunk evaluations back into one
+        :class:`Share` per secret."""
+        out: list[dict[int, Share]] = []
+        start = 0
+        for secret_len, count in shapes:
+            out.append({
+                pid: Share(x=pid, ys=tuple(ys[start : start + count]), secret_len=secret_len)
+                for pid, ys in evaluations.items()
+            })
+            start += count
+        return out
 
     def reconstruct(self, shares: list[Share]) -> bytes:
         """Recover the secret from at least ``threshold`` shares.

@@ -186,13 +186,11 @@ class SecAggClient:
         # the dealer keeps its own share and may reveal it in Unmasking.
         holder_ids = sorted(self._neighbors | {self.id})
         neighbor_ids = sorted(self._neighbors)
-        s_sk_bytes = self._s_pair.secret.to_bytes(256, "big")
-        s_shares = ss.share(s_sk_bytes, holder_ids)
-        b_shares = ss.share(self._b_seed, holder_ids)
-        extra_shares: dict[str, dict[int, Share]] = {
-            label: ss.share(secret, holder_ids)
-            for label, secret in self.extra_secrets.items()
-        }
+        s_sk_bytes = self._s_pair.secret.to_bytes(self._ka.group.secret_bytes, "big")
+        s_shares, b_shares, *extras = ss.share(
+            [s_sk_bytes, self._b_seed, *self.extra_secrets.values()], holder_ids
+        )
+        extra_shares: dict[str, dict[int, Share]] = dict(zip(self.extra_secrets, extras))
         self._own_shares = (
             s_shares[self.id],
             b_shares[self.id],

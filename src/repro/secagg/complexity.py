@@ -71,20 +71,24 @@ def _blank_share(secret_len: int) -> Share:
     return Share(x=0, ys=(0,) * chunks, secret_len=secret_len)
 
 
-def fixed_upload_bytes(neighbors: int) -> int:
+def fixed_upload_bytes(neighbors: int, dh_group: str = SecAggConfig.dh_group) -> int:
     """Framed bytes one client uploads besides its masked vector.
 
     Its key advertisement plus its ShareKeys outbox (one ciphertext per
     neighbor), sized by the codecs from representative messages: keys
-    at the width of ``SecAggConfig``'s default group, and AE's constant
-    overhead over a plaintext holding shares of a 256-byte mask key —
+    at ``dh_group``'s element width, and AE's constant overhead over a
+    plaintext holding shares of a mask key at the group's secret width —
     the width :meth:`SecAggClient.share_keys` cuts it at — and a 32-byte
     seed.  Every term is fixed-width, so a round over ids below 128
-    measures exactly this (pinned by test).
+    measures exactly this (pinned by test on both named groups).
     """
-    key = bytes(resolve_group(SecAggConfig.dh_group).element_bytes)
+    group = resolve_group(dh_group)
+    key = bytes(group.element_bytes)
     plaintext = SharePayload(
-        sender=0, recipient=0, s_sk_share=_blank_share(256), b_share=_blank_share(32)
+        sender=0,
+        recipient=0,
+        s_sk_share=_blank_share(group.secret_bytes),
+        b_share=_blank_share(32),
     ).to_bytes()
     ciphertext = bytes(len(plaintext) + AuthenticatedEncryption.OVERHEAD)
     return encoded_nbytes(AdvertiseKeysMsg(0, key, key)) + encoded_nbytes(

@@ -25,7 +25,12 @@ and since 6 a ``share_keys`` request is ``(roster, the recipient's own
 neighbour ids)``, not ``(roster, the whole masking graph)``, and a
 semi-honest round has no ``consistency_check`` request (its
 ``unmask`` request carries U3) — so an older payload is refused by
-name.
+name.  Sharing the mask key s^SK at its group's secret width (64 bytes
+on ``modp512``, where it was 256) did not take a version: a ``Share``
+carries its own chunk count and secret length, and the coordinator
+reads a reconstructed key with ``int.from_bytes``, so a 256-byte
+sharing from an older dealer still unmasks to the same aggregate
+(pinned by test) — nothing a peer decodes changed meaning.
 
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong

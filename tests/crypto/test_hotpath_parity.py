@@ -265,19 +265,25 @@ def test_the_announced_lane_width_is_what_the_dispatcher_runs():
 
 class TestShamirParity:
     def test_evaluate_shares_matches_reference_on_random_polys(self):
+        # Slots sized by the largest id: small cohorts, 2**64 and p − 1
+        # (a coefficient of p − 1 at every degree is the widest slot).
         rng = random.Random(7)
-        for _ in range(10):
-            threshold = rng.randint(1, 6)
+        for trial in range(24):
+            threshold = rng.randint(1, 40)
             scheme = ShamirSecretSharing(threshold)
-            n_chunks = rng.randint(1, 4)
+            p = scheme.field.p
+            n_chunks = rng.randint(0, 24)
             polys = [
-                [rng.randrange(scheme.field.p) for _ in range(threshold)]
+                [p - 1 if trial % 4 == 0 else rng.randrange(p) for _ in range(threshold)]
                 for _ in range(n_chunks)
             ]
-            ids = rng.sample(range(1, 1000), rng.randint(threshold, 8))
+            top = (1000, 1 << 64, p - 1)[trial % 3]
+            ids = list(dict.fromkeys(
+                [rng.randrange(1, top) for _ in range(threshold)] + [top - 1]
+            ))
             assert scheme._evaluate_shares(
-                polys, ids, 17
-            ) == scheme._evaluate_shares_reference(polys, ids, 17)
+                polys, ids
+            ) == scheme._evaluate_shares_reference(polys, ids)
 
     def test_reconstruct_matches_reference_on_identical_shares(self):
         rng = random.Random(11)
@@ -286,7 +292,7 @@ class TestShamirParity:
             scheme = ShamirSecretSharing(threshold)
             secret = rng.randbytes(rng.randint(0, 64))
             shares = list(
-                scheme.share(secret, list(range(1, threshold + 3))).values()
+                scheme.share([secret], list(range(1, threshold + 3)))[0].values()
             )
             rng.shuffle(shares)
             assert scheme.reconstruct(shares) == scheme.reconstruct_reference(
@@ -300,13 +306,13 @@ class TestShamirParity:
         ids = [1, 5, 9, 14]
         assert (
             scheme.reconstruct_reference(
-                list(scheme.share(secret, ids).values())
+                list(scheme.share([secret], ids)[0].values())
             )
             == secret
         )
         assert (
             scheme.reconstruct(
-                list(scheme.share_reference(secret, ids).values())
+                list(scheme.share_reference([secret], ids)[0].values())
             )
             == secret
         )
@@ -315,11 +321,11 @@ class TestShamirParity:
         scheme = ShamirSecretSharing(3)
         for method in (scheme.share, scheme.share_reference):
             with pytest.raises(ValueError):
-                method(b"s", [1, 1, 2])
+                method([b"s"], [1, 1, 2])
             with pytest.raises(ValueError):
-                method(b"s", [0, 1, 2])
+                method([b"s"], [0, 1, 2])
             with pytest.raises(ValueError):
-                method(b"s", [1, 2])
+                method([b"s"], [1, 2])
 
     def test_lagrange_cache_leaves_single_call_behavior_unchanged(self):
         # Repeated reconstructions over the same share-holder set hit
@@ -329,14 +335,14 @@ class TestShamirParity:
         secrets = [b"alpha-secret", b"beta", b"\x00" * 40]
         ids = [2, 4, 6, 8]
         for secret in secrets:
-            shares = list(scheme.share(secret, ids).values())
+            shares = list(scheme.share([secret], ids)[0].values())
             assert (
                 scheme.reconstruct(shares)
                 == scheme.reconstruct_reference(shares)
                 == secret
             )
         assert len(scheme._lagrange_cache) == 1
-        other = list(scheme.share(b"other-holders", [1, 3, 5]).values())
+        other = list(scheme.share([b"other-holders"], [1, 3, 5])[0].values())
         assert scheme.reconstruct(other) == b"other-holders"
         assert len(scheme._lagrange_cache) == 2
 
@@ -344,7 +350,7 @@ class TestShamirParity:
         scheme = ShamirSecretSharing(2)
         scheme._LAGRANGE_CACHE_CAP = 4
         for i in range(1, 12, 2):
-            shares = list(scheme.share(b"s", [i, i + 1]).values())
+            shares = list(scheme.share([b"s"], [i, i + 1])[0].values())
             assert scheme.reconstruct(shares) == b"s"
         assert len(scheme._lagrange_cache) <= 4
 
@@ -357,7 +363,7 @@ class TestShamirParity:
             secret = rng.randbytes(rng.randint(1, 64))
             # Alternate between two holder sets to exercise cache reuse.
             ids = [1, 2, 3, 4, 5] if i % 2 else [6, 7, 8, 9]
-            shares = list(scheme.share(secret, ids).values())
+            shares = list(scheme.share([secret], ids)[0].values())
             rng.shuffle(shares)
             secrets.append(secret)
             share_lists.append(shares)
@@ -369,7 +375,7 @@ class TestShamirParity:
 
     def test_reconstruct_many_fails_like_sequential(self):
         scheme = ShamirSecretSharing(3)
-        good = list(scheme.share(b"ok", [1, 2, 3]).values())
+        good = list(scheme.share([b"ok"], [1, 2, 3])[0].values())
         with pytest.raises(ValueError):
             scheme.reconstruct_many([good, good[:2]])
 

@@ -268,8 +268,7 @@ class TestMaskedInputCodec:
 class TestUnmaskingCodec:
     def _message(self):
         ss = ShamirSecretSharing(threshold=2)
-        s_shares = ss.share(b"\x01" * 64, [1, 2, 3])
-        b_shares = ss.share(b"\x02" * 32, [1, 2, 3])
+        s_shares, b_shares = ss.share([b"\x01" * 64, b"\x02" * 32], [1, 2, 3])
         return UnmaskingMsg(
             sender=2,
             s_sk_shares={5: s_shares[2]},

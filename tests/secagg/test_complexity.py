@@ -1,8 +1,10 @@
 """Asymptotic cost accounting: O(n) vs O(log n) clients, O(n²) server."""
 
+from collections import Counter
 
 import pytest
 
+from repro.crypto.dh import DHGroup
 from repro.secagg.complexity import (
     crossover_population,
     fixed_upload_bytes,
@@ -43,11 +45,13 @@ class TestClientAsymptotics:
 
 
 class TestFixedUploadIsTheMeasuredOne:
+    @pytest.mark.parametrize("dh_group", ["modp512", "modp2048"])
     @pytest.mark.parametrize("malicious", [False, True])
-    def test_analytic_fixed_upload_equals_measured_uplink(self, malicious):
+    def test_analytic_fixed_upload_equals_measured_uplink(self, malicious, dh_group):
         """The byte term comes from the codecs, so a wire-faithful round
         measures exactly it: every client uploads its key advertisement
-        and one ciphertext per neighbor (+ one signature when signed)."""
+        and one ciphertext per neighbor (+ one signature when signed),
+        with keys and the shared mask key at the group's widths."""
         import numpy as np
 
         from repro.crypto.signature import SchnorrSignature
@@ -56,16 +60,123 @@ class TestFixedUploadIsTheMeasuredOne:
         from repro.wire import encoded_value_nbytes
 
         n = 6
-        # The default group: the one the analytic term sizes its keys by.
-        config = SecAggConfig(threshold=4, bits=16, dimension=4, malicious=malicious)
+        config = SecAggConfig(
+            threshold=4, bits=16, dimension=4, malicious=malicious, dh_group=dh_group
+        )
         inputs = {u: np.zeros(4, dtype=np.int64) for u in range(1, n + 1)}
         engine = RoundEngine(transport=SerializingTransport())
         run_sync(arun_secagg_round(config, inputs, engine=engine))
         traffic = engine.trace.stage_traffic_split(0)
         signature = encoded_value_nbytes(SchnorrSignature(0, 0)) - 1  # replaces a None
         assert traffic["advertise_keys"].up + traffic["share_keys"].up == n * (
-            fixed_upload_bytes(n - 1) + malicious * signature
+            fixed_upload_bytes(n - 1, dh_group) + malicious * signature
         )
+
+    def test_modp2048_upload_is_the_width_it_always_was(self):
+        # Taken from the tree that shared every mask key at 256 bytes:
+        # modp2048's q has 2,047 bits, so its secret width is still 256.
+        assert fixed_upload_bytes(5) == fixed_upload_bytes(5, "modp2048") == 2837
+        assert fixed_upload_bytes(31, "modp2048") == 14667
+
+
+class _ParentWidth(DHGroup):
+    """A group dealing its mask keys at 256 bytes whatever q is — what
+    every client did before keys were shared at the secret width."""
+
+    @property
+    def secret_bytes(self) -> int:
+        return 256
+
+
+class TestMaskKeyAtTheSecretWidth:
+    """On ``modp512`` a client shares s^SK at 64 bytes: 5 field chunks,
+    not the 18 of a 256-byte key, so every share of it is 13 × 16 =
+    208 B smaller — inside each ShareKeys ciphertext sent, again inside
+    each one routed, and in each share revealed in Unmasking."""
+
+    @staticmethod
+    def _round(n, threshold, dropped, parent_dealers=()):
+        import numpy as np
+
+        from repro.crypto.dh import KeyAgreement
+        from repro.crypto.shamir import ShamirSecretSharing
+        from repro.engine import RoundEngine, SerializingTransport, run_sync
+        from repro.secagg import DropoutSchedule, SecAggConfig, arun_secagg_round
+        from repro.secagg.client import SecAggClient
+
+        config = SecAggConfig(
+            threshold=threshold, bits=16, dimension=8, dh_group="modp512"
+        )
+        counts = Counter()
+        key_widths = []
+        real_share = ShamirSecretSharing.share
+        real_share_keys = SecAggClient.share_keys
+        real_masked, real_unmask = SecAggClient.masked_input, SecAggClient.unmask
+
+        def share(self, secret_list, ids):
+            key_widths.append(len(secret_list[0]))
+            return real_share(self, secret_list, ids)
+
+        def share_keys(self, *args):
+            ciphertexts = real_share_keys(self, *args)
+            counts["sent"] += len(ciphertexts)
+            return ciphertexts
+
+        def masked_input(self, ciphertexts, *args, **kwargs):
+            counts["routed"] += len(set(ciphertexts) - {self.id})
+            return real_masked(self, ciphertexts, *args, **kwargs)
+
+        def unmask(self, *args, **kwargs):
+            msg = real_unmask(self, *args, **kwargs)
+            counts["revealed"] += len(msg.s_sk_shares)
+            return msg
+
+        def factory(u):
+            client = SecAggClient(u, config)
+            if u in parent_dealers:
+                group = client._ka.group
+                client._ka = KeyAgreement(_ParentWidth(p=group.p, g=group.g, q=group.q))
+            return client
+
+        inputs = {u: np.full(8, 1000 * u, dtype=np.int64) for u in range(1, n + 1)}
+        engine = RoundEngine(transport=SerializingTransport())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShamirSecretSharing, "share", share)
+            patch.setattr(SecAggClient, "share_keys", share_keys)
+            patch.setattr(SecAggClient, "masked_input", masked_input)
+            patch.setattr(SecAggClient, "unmask", unmask)
+            result = run_sync(arun_secagg_round(
+                config, inputs, DropoutSchedule.before_upload(dropped),
+                client_factory=factory, engine=engine,
+            ))
+        expected = sum(inputs[u] for u in result.u3) % config.modulus
+        np.testing.assert_array_equal(result.aggregate, expected)
+        split = engine.trace.round_traffic_split(0)
+        return split.down + split.up, counts, key_widths
+
+    def test_saving_is_208_bytes_per_agreement_on_many_clients(self):
+        n, t, dropped = 32, 17, {5, 17, 30}
+        now, counts, widths = self._round(n, t, dropped)
+        assert set(widths) == {64}
+        parent, parent_counts, widths = self._round(
+            n, t, dropped, parent_dealers=range(1, n + 1)
+        )
+        assert set(widths) == {256} and parent_counts == counts
+        # Sent + routed + revealed is the round's agreement count:
+        # 992 + 899 + 87 = 1,978 (TestKeyAgreementsAreTheExecutedOnes).
+        assert counts == {"sent": 992, "routed": 899, "revealed": 87}
+        assert parent - now == 208 * sum(counts.values()) == 411_424
+
+    def test_a_256_byte_key_sharing_still_unmasks(self):
+        """Why the wire version stays 6: a Share carries its own chunk
+        count and secret length, and the coordinator reads a
+        reconstructed key with ``int.from_bytes``, so dealers still
+        sharing at 256 bytes — dropped ones, whose keys the coordinator
+        must rebuild, and a survivor — unmask to the exact survivor sum
+        beside dealers at 64."""
+        _, counts, widths = self._round(8, 5, {3, 6}, parent_dealers={1, 3, 6})
+        assert sorted(widths) == [64] * 5 + [256] * 3
+        assert counts["revealed"] == 2 * 6
 
 
 class TestKeyAgreementsAreTheExecutedOnes:

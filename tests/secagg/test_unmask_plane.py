@@ -298,7 +298,7 @@ class TestUnmaskPlaneAbortParity:
 
         server, _, _ = self._state()
         ss = ShamirSecretSharing(3)
-        shares = list(ss.share(b"unmask seed material", [1, 2, 3, 4]).values())
+        shares = list(ss.share([b"unmask seed material"], [1, 2, 3, 4])[0].values())
         too_few = shares[:2]
         errors = []
         for method in ("_reconstruct", "_reconstruct_reference"):

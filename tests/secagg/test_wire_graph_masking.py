@@ -17,9 +17,9 @@ def _share_payload() -> SharePayload:
     return SharePayload(
         sender=5,
         recipient=1,
-        s_sk_share=ss.share(b"\x01" * 32, [1, 2])[1],
-        b_share=ss.share(b"\x02" * 32, [1, 2])[1],
-        extra_shares={"g:0": ss.share(b"\x03" * 32, [1, 2])[1]},
+        s_sk_share=ss.share([b"\x01" * 32], [1, 2])[0][1],
+        b_share=ss.share([b"\x02" * 32], [1, 2])[0][1],
+        extra_shares={"g:0": ss.share([b"\x03" * 32], [1, 2])[0][1]},
     )
 
 

@@ -62,6 +62,8 @@ class TestBenchEntrypoint:
             # A neighbourhood per call: pow, the scalar loop forced, the
             # kernel's own dispatch — each per agreement.
             assert f"dh_agree_batch31_{group}_scalar_s" in m
+        # The dealer at the 256-byte key width clients used to share at.
+        assert "shamir_share_n32_t17_width256_s" in m
         for name in (
             "prg_expand_d64",
             "dh_agree_modp512",
@@ -75,8 +77,8 @@ class TestBenchEntrypoint:
             "fwht_d131072",
             "skellam_encode_signal_d131072",
             "skellam_decode_d131072",
-            "shamir_share",
-            "shamir_reconstruct",
+            "shamir_share_n32_t17",
+            "shamir_reconstruct_n32_t17",
             "codec_encode_d64",
             "mask_accumulate_d64",
         ):

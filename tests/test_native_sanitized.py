@@ -1,4 +1,4 @@
-"""The bit-pack and modexp planes under AddressSanitizer + UBSan.
+"""The bit-pack, modexp, mask-fold and noise planes under AddressSanitizer + UBSan.
 
 ``repro_unpack_bits`` and ``repro_unpack_add`` read a *network-supplied*
 buffer through raw pointers, ``repro_pack_bits`` / ``repro_pack_low_bits``
@@ -21,6 +21,14 @@ parity leg.  Modexp shapes: every modulus width from 2 to 64 limbs
 every batch size), 1 to 17 bases, exponents of 1 to 8 limbs, on the
 scalar loop, the lanes and the dispatcher, against ``pow`` — and a base
 not below ``p`` in any position, refused with ``out`` untouched.
+Stream shapes: ``repro_mask_fold`` at every ring width and
+``repro_skellam_fill`` on a one-row and a 1,024-row strip table, over
+counts of 0, 1 and 255–257 (the noise kernel's 256-word refill) and
+each width's first slab edge, from seeds of 0 and 47 bytes, against the
+numpy twins.  A 48-byte seed must be refused with ``out`` untouched —
+the slice's one finding: at a count of 0 both kernels used to return 0
+for it, unchecked, though their contract refuses it; they now check the
+seed before anything else.
 
 Skips by name when the toolchain cannot build or preload the sanitizer
 runtime; every finding it ever makes is a fix with a regression vector
@@ -227,6 +235,93 @@ for limbs, count, explen in shapes:
 print("sanitized modexp calls:", done, "lanes" if lanes else "no lanes")
 """
 
+STREAM_SCRIPT = r"""
+import ctypes, sys
+import numpy as np
+from repro import native
+from repro.crypto.prg import expand_uniform
+from repro.dp import sampler
+
+assert native.load() is None  # REPRO_NATIVE=0: both twins are numpy
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+P, Z, I64 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int64
+lib.repro_mask_fold.argtypes = [P, Z, ctypes.c_uint, I64, P, Z]
+lib.repro_mask_fold.restype = ctypes.c_int
+lib.repro_skellam_fill.argtypes = [P, Z, P, Z, ctypes.c_double, I64, P, Z]
+lib.repro_skellam_fill.restype = ctypes.c_int
+
+
+class Exact:
+    # malloc(n) holding ``data``: ASan puts a redzone at byte n.
+    def __init__(self, data: bytes):
+        self.n = len(data)
+        self.ptr = libc.malloc(max(self.n, 1))
+        ctypes.memmove(self.ptr, data, self.n)
+    def bytes(self) -> bytes:
+        return ctypes.string_at(self.ptr, self.n)
+    def free(self):
+        libc.free(self.ptr)
+
+
+SEEDS = (b"", bytes(range(47)))
+TOO_LONG = bytes(48)
+# 255 / 256 / 257 straddle the noise kernel's 256-word refill.
+COUNTS = (0, 1, 255, 256, 257)
+calls = 0
+
+
+def run(fn, seed, args, start):
+    global calls
+    held, out = Exact(seed), Exact(start.tobytes())
+    rc = fn(held.ptr, len(seed), *args, out.ptr, len(start))
+    got = np.frombuffer(out.bytes(), dtype=np.int64).copy()
+    held.free(); out.free()
+    calls += 1
+    return rc, got
+
+
+# The mask fold: every ring width, at the counts above and at the edges
+# of its first 64-block slab (2048 // bits * 8 elements), both signs.
+for bits in range(1, 63):
+    slab = 2048 // bits * 8
+    for n in sorted(set(COUNTS) | {slab - 1, slab, slab + 1}):
+        rng = np.random.default_rng([bits, n])
+        start = rng.integers(-(1 << 40), 1 << 40, size=n, dtype=np.int64)
+        sign = 1 if n % 2 else -1
+        for seed in SEEDS:
+            rc, got = run(lib.repro_mask_fold, seed, (bits, sign), start)
+            want = expand_uniform(seed, n, 1 << bits, out=start.copy(), sign=sign)
+            assert rc == 0 and np.array_equal(got, want), (bits, n, len(seed))
+        rc, got = run(lib.repro_mask_fold, TOO_LONG, (bits, sign), start)
+        assert rc == -1 and np.array_equal(got, start), (bits, n)
+
+# The noise fill: a one-row table (every word whose top ten bits are not
+# zero is rejected, so refills run back to back) and a full 1,024-row one.
+z = 228_000_000.0
+full = sampler._strip_table(z)
+one = sampler._StripTable(z, np.ascontiguousarray(full.strips[:1]), full.efficiency / 1024)
+assert len(full.strips) == 1024
+for table in (one, full):
+    strips = Exact(table.strips.tobytes())
+    for n in COUNTS:
+        start = np.random.default_rng(n).integers(-(1 << 40), 1 << 40, size=n, dtype=np.int64)
+        for sign in (1, -1):
+            for seed in SEEDS:
+                args = (strips.ptr, len(table.strips), z, sign)
+                rc, got = run(lib.repro_skellam_fill, seed, args, start)
+                want = start.copy()
+                sampler._fill_numpy(table, seed, want, sign)
+                assert rc == 0 and np.array_equal(got, want), (len(table.strips), n, len(seed))
+            rc, got = run(lib.repro_skellam_fill, TOO_LONG, args, start)
+            assert rc == -1 and np.array_equal(got, start), (len(table.strips), n)
+    strips.free()
+print("sanitized stream calls:", calls)
+"""
+
 
 def _runtime(name: str):
     cc = next((cc for cc in native._compilers() if shutil.which(cc)), None)
@@ -296,6 +391,17 @@ def test_modexp_plane_is_clean_under_asan_and_ubsan(sanitized_object):
     assert done.stdout.strip() in (
         "sanitized modexp calls: 293 lanes", "sanitized modexp calls: 228 no lanes",
     ), report
+    assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
+
+
+@pytest.mark.timeout(300)
+def test_mask_fold_and_noise_fill_are_clean_under_asan_and_ubsan(sanitized_object):
+    done = _sanitized_python(STREAM_SCRIPT, *sanitized_object)
+    report = done.stdout[-2000:] + done.stderr[-6000:]
+    assert done.returncode == 0, report
+    # Mask fold: 62 widths × 8 counts × 3 seeds; noise fill: 2 tables ×
+    # 5 counts × 2 signs × 3 seeds.
+    assert done.stdout.strip() == "sanitized stream calls: 1548", report
     assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
 
 

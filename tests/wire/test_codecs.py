@@ -132,7 +132,7 @@ class TestStructuralRoundTrip:
 
 def _random_share(rng) -> Share:
     ss = ShamirSecretSharing(2)
-    shares = ss.share(rng.bytes(24), [1, 2, 3])
+    shares = ss.share([rng.bytes(24)], [1, 2, 3])[0]
     return shares[int(rng.integers(1, 4))]
 
 

@@ -65,7 +65,7 @@ def _random_value(rng: random.Random, depth: int = 0):
 
 def _protocol_payloads():
     scheme = ShamirSecretSharing(2)
-    shares = scheme.share(b"a seed worth sharing", [1, 2, 3])
+    shares = scheme.share([b"a seed worth sharing"], [1, 2, 3])[0]
     vector = np.arange(64, dtype=np.int64) % (1 << 20)
     return [
         shares[1],

@@ -309,7 +309,7 @@ class TestStage5ServerMethods:
         """What honest U5 clients answer: their share of every seed asked for."""
         ss = ShamirSecretSharing(server.config.threshold)
         shares = {
-            (u, label): ss.share(self._seed(u, int(label[2:])), server.u1)
+            (u, label): ss.share([self._seed(u, int(label[2:]))], server.u1)[0]
             for u, labels in requested.items()
             for label in labels
         }
