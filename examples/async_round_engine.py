@@ -27,7 +27,7 @@ from repro.secagg import (
     SecAggConfig,
     secagg_stage_of,
 )
-from repro.fleet import Fleet, heterogeneous_fleet
+from repro.fleet import Fleet
 from repro.secagg.driver import arun_secagg_round, secagg_round_components
 
 
@@ -47,8 +47,9 @@ async def main():
     print(f"in-process: survivors U3 = {result.u3}")
 
     # 2 — the same round over simulated per-link latency: the slowest
-    # sampled device gates every comm-bearing stage.
-    fleet = Fleet(heterogeneous_fleet(len(inputs) + 1, seed=1))
+    # sampled device gates every comm-bearing stage.  SecAgg's client
+    # ids start at 1, so the fleet is addressed through a +1 view.
+    fleet = Fleet.build(len(inputs), seed=1).with_id_offset(1)
     engine = RoundEngine(
         transport=DropoutTransport(
             SimulatedNetworkTransport(fleet.link_seconds),

@@ -42,12 +42,13 @@ def main():
     )
     session = DordisSession(config)
     fleet = session.fleet
-    ups = [d.uplink_bps * 8 / 1e6 for d in fleet.profiles.values()]
-    downs = [d.downlink_bps * 8 / 1e6 for d in fleet.profiles.values()]
+    cols = fleet.columns
+    ups = cols.uplink_bps * 8 / 1e6
+    downs = cols.downlink_bps * 8 / 1e6
     print(f"fleet: {fleet.n_clients} devices, uplink "
-          f"{min(ups):.0f}-{max(ups):.0f} Mbps, downlink "
-          f"{min(downs):.0f}-{max(downs):.0f} Mbps, slowest compute "
-          f"{max(d.compute_factor for d in fleet.profiles.values()):.1f}x")
+          f"{ups.min():.0f}-{ups.max():.0f} Mbps, downlink "
+          f"{downs.min():.0f}-{downs.max():.0f} Mbps, slowest compute "
+          f"{cols.compute_factor.max():.1f}x")
     print()
 
     result = session.run()

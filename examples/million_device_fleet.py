@@ -45,12 +45,11 @@ def main():
     )
     built = time.perf_counter() - start
     print(f"built {fleet.n_clients:,d} devices in {built:.3f}s "
-          f"(columnar: ~{3 * 8 * DEVICES / 2**20:.0f} MiB of arrays, "
-          f"{fleet.resident_profiles} boxed profiles)")
+          f"(columnar: ~{3 * 8 * DEVICES / 2**20:.0f} MiB of arrays)")
 
     # Slow uplinks are flaky by construction: compare the online
     # propensity of the bandwidth tails.
-    order = np.argsort(fleet._store.columns.uplink_bps)
+    order = np.argsort(fleet.columns.uplink_bps)
     slow = float(np.mean(
         [fleet.availability.propensity(int(u)) for u in order[:200]]
     ))
@@ -73,9 +72,6 @@ def main():
         survivors = [u for u in cohort if u not in gone]
         rate = len(gone) / len(cohort)
         rates.append(rate)
-        # Box the cohort's profiles (what a transport consumes) — the
-        # only DeviceProfile objects that ever exist, LRU-bounded.
-        fleet.profiles_for(cohort)
         cost = fleet.round_cost(cohort, survivors, UPDATE_NBYTES)
         bar = "#" * round(rate * 20)
         dark = " <- outage" if OUTAGE[0] <= r < OUTAGE[1] else ""
@@ -88,9 +84,9 @@ def main():
     outside = float(np.mean(rates[:OUTAGE[0]] + rates[OUTAGE[1]:]))
     print(f"\norganic churn {outside:.0%} -> {inside:.0%} while the region "
           f"({REGION[1] - REGION[0]:,d} devices) is dark")
-    print(f"resident boxed profiles after {ROUNDS} rounds of "
-          f"{COHORT}-client cohorts: {fleet.resident_profiles} "
-          f"(O(cohort), not O({DEVICES:,d}))")
+    print(f"resident availability timelines after {ROUNDS} rounds of "
+          f"{COHORT}-client cohorts: {fleet.availability.resident_devices:,d} "
+          f"(LRU-bounded, not O({DEVICES:,d}))")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ the ROADMAP's "millions of users" north star asks for: building a
 1M-device population (columnar vs the boxed
 :func:`heterogeneous_fleet_reference` builder, which is timed at a
 capped size and compared per-device), sampling 100-client cohorts,
-pricing rounds (vectorized :meth:`Fleet.round_cost` vs the legacy
-per-device Python loop on the *same* fleet), and the lazy
+pricing rounds (vectorized :meth:`Fleet.round_cost` vs a per-device
+Python loop over the *same* columns), and the lazy
 :class:`SessionStream` availability model with correlated
 bandwidth×availability churn — plus scenario sweeps (diurnal wave,
 flash-crowd join, regional outage) exercising the composition wrappers.
@@ -38,26 +38,6 @@ TOPIC = "fleet"
 #: object per device makes 10^6 pointless to wait for; the comparison
 #: is per-device throughput, which is size-stable for both builders.
 REFERENCE_BUILD_CAP = 100_000
-
-
-# repro: allow[parity-twin] bench-local boxed-loop reference; the live twin is Fleet.round_cost
-def _round_cost_reference(
-    fleet: Fleet, sampled: list[int], survivors: list[int], nbytes: int
-) -> tuple[float, float, float]:
-    """The pre-columnar per-device query loop, on the same fleet.
-
-    Replicates the legacy ``round_cost`` shape — one boxed
-    ``fleet.device(u)`` call and one Python-level reduction per stage —
-    so the recorded speedup is loop-vs-vectorized on identical data.
-    """
-    down = max(fleet.device(u).download_seconds(nbytes) for u in sampled)
-    factor = max(fleet.device(u).compute_factor for u in sampled)
-    up = (
-        max(fleet.device(u).upload_seconds(nbytes) for u in survivors)
-        if survivors
-        else 0.0
-    )
-    return down, factor, up
 
 
 def _scenario_rates(
@@ -136,7 +116,11 @@ def run_fleet(
     dropped_s = (time.perf_counter() - start) / rounds
     metrics["cohort_dropout_query_s"] = metric(dropped_s, "s")
 
-    sampled, survivors = cohorts[0], survivor_sets[0]
+    # The loop baseline: one Python-level read and reduction per device
+    # and stage over the same columns, so the recorded speedup is
+    # loop-vs-vectorized on identical data.
+    cols = fleet.columns
+    down_bps, up_bps = cols.downlink_bps, cols.uplink_bps
     fast_s = float("inf")
     ref_cost_s = float("inf")
     for _ in range(max(1, repeats)):
@@ -146,9 +130,10 @@ def run_fleet(
         fast_s = min(fast_s, (time.perf_counter() - start) / rounds)
         start = time.perf_counter()
         for r, c in enumerate(cohorts):
-            _round_cost_reference(
-                fleet, c, survivor_sets[r], update_nbytes
-            )
+            max(update_nbytes / down_bps.item(u) for u in c)
+            max(cols.compute_factor.item(u) for u in c)
+            if survivor_sets[r]:
+                max(update_nbytes / up_bps.item(u) for u in survivor_sets[r])
         ref_cost_s = min(ref_cost_s, (time.perf_counter() - start) / rounds)
     metrics["round_cost_reference_s"] = metric(ref_cost_s, "s")
     metrics["round_cost_fast_s"] = metric(fast_s, "s")
@@ -156,22 +141,11 @@ def run_fleet(
         metrics["round_cost_speedup"] = metric(ref_cost_s / fast_s, "x")
         metrics["round_cost_queries_per_s"] = metric(1.0 / fast_s, "per_s")
 
-    start = time.perf_counter()
-    profiles = fleet.profiles_for(sampled)
-    metrics["cohort_profiles_s"] = metric(
-        time.perf_counter() - start, "s"
-    )
-    assert len(profiles) == len(sampled)
-    metrics["resident_profiles"] = metric(fleet.resident_profiles, "count")
-    metrics["resident_profiles_bounded"] = metric(
-        int(fleet.resident_profiles <= 4096), "flag"
-    )
-
     # -- correlated bandwidth × availability --------------------------
     # Slow-uplink devices should be flakier: compare the mean online
     # propensity of the slowest and fastest uplink tails.
     k = max(1, min(200, devices // 2))
-    order = np.argsort(fleet._store.columns.uplink_bps)
+    order = np.argsort(up_bps)
     availability = fleet.availability
     slow_p = float(
         np.mean([availability.propensity(int(u)) for u in order[:k]])

@@ -65,16 +65,15 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--learning-rate", type=float, default=0.15)
     p.add_argument("--dropout-rate", type=float, default=0.0)
     p.add_argument("--availability", default="fixed",
-                   choices=["fixed", "trace", "session"],
+                   choices=["fixed", "trace"],
                    help="fixed: i.i.d. dropout at --dropout-rate; trace: "
                         "Fig.-1a behaviour-trace churn (rate swings per "
                         "round, --dropout-rate ignored; lazily derived at "
-                        "large n); session: the lazy per-device session "
-                        "stream unconditionally")
+                        "large n or with --correlation)")
     p.add_argument("--correlation", type=float, default=0.0,
                    help="rank-correlate link speed with availability "
                         "(slow-link devices are also flaky); needs "
-                        "--availability trace or session")
+                        "--availability trace")
     p.add_argument("--asymmetric", action="store_true",
                    help="give devices independent Zipf downlinks "
                         "(100-1000 Mbps) instead of symmetric links")
@@ -296,7 +295,7 @@ def _cmd_run(args) -> int:
         if args.availability != "fixed" or args.asymmetric or args.correlation:
             print(
                 "--no-fleet disables the fleet layer, which owns "
-                "--availability trace/session, --asymmetric and "
+                "--availability trace, --asymmetric and "
                 "--correlation; drop --no-fleet or the fleet flags",
                 file=sys.stderr,
             )
@@ -307,7 +306,7 @@ def _cmd_run(args) -> int:
             print(
                 "--correlation couples link speed to availability, which "
                 "the fixed-rate model cannot express; add "
-                "--availability trace (or session)",
+                "--availability trace",
                 file=sys.stderr,
             )
             return 2
@@ -337,7 +336,7 @@ def _cmd_run(args) -> int:
     result = session.run()
     dropout = (
         f"{args.availability} (mean {float(np.mean(result.dropout_history)):.0%})"
-        if args.availability in ("trace", "session") and fleet is not None
+        if args.availability == "trace" and fleet is not None
         else f"{args.dropout_rate:.0%}"
     )
     print(f"task={args.task} strategy={args.strategy} dropout={dropout}")
@@ -668,8 +667,7 @@ def _cmd_bench(args) -> int:
         print(f"fleet round cost k={min(args.fleet_cohort, args.fleet_devices)}: "
               f"{m['round_cost_reference_s']['value'] * 1e3:.3f}ms loop → "
               f"{m['round_cost_fast_s']['value'] * 1e3:.3f}ms vectorized "
-              f"({m['round_cost_speedup']['value']:.2f}x), "
-              f"{int(m['resident_profiles']['value'])} resident profiles")
+              f"({m['round_cost_speedup']['value']:.2f}x)")
     if "unmask" in args.topics:
         if args.unmask_clients < 4 or not 0 <= args.unmask_dropout < 0.5:
             print("--unmask-clients must be >= 4 and --unmask-dropout in "

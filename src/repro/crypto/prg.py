@@ -189,8 +189,11 @@ def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
     and the AE keystream (:mod:`repro.crypto.ae`) — in one writable
     buffer.  The native kernel (repro.native) emits it
     ~10× faster when the host can build it; otherwise the hashlib
-    midstate loop serves the identical bytes.
+    midstate loop serves the identical bytes.  Every counter must be one
+    ``be64`` can name, ``[0, 2**64)``: ``ValueError`` on both paths.
     """
+    if ctr0 < 0 or ctr0 + nblocks > 1 << 64:
+        raise ValueError("stream counters must lie in [0, 2**64)")
     buf = native.sha256_ctr_stream(seed, nblocks, ctr0)
     if buf is None:
         copy = _sha256_fast(seed).copy

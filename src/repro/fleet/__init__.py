@@ -12,9 +12,9 @@ transport takes :meth:`Fleet.link_seconds` as its pricing hook
 (:func:`repro.core.dordis.build_transport` wires it), the training
 session derives per-round dropout and modeled round cost from it.
 
-Profiles are stored columnar (:class:`ProfileColumns`) and boxed
-lazily, so fleets scale to millions of devices with O(sampled-cohort)
-resident objects; :func:`heterogeneous_fleet_reference` retains the
+The population is stored columnar (:class:`ProfileColumns`, built by
+:func:`heterogeneous_fleet`), so fleets scale to millions of devices as
+three arrays; :func:`heterogeneous_fleet_reference` retains the
 one-object-per-device builder as the parity-pinned executable spec.
 """
 
@@ -35,7 +35,6 @@ from repro.fleet.profile import (
     DeviceProfile,
     ProfileColumns,
     heterogeneous_fleet,
-    heterogeneous_fleet_columns,
     heterogeneous_fleet_reference,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "TraceDrivenDropout",
     "build_availability",
     "heterogeneous_fleet",
-    "heterogeneous_fleet_columns",
     "heterogeneous_fleet_reference",
 ]

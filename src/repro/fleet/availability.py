@@ -451,7 +451,6 @@ def build_availability(
     seed: int = 0,
     correlation: float = 0.0,
     link_quantiles: np.ndarray | None = None,
-    dense_trace_max: int = DENSE_TRACE_MAX_CLIENTS,
 ):
     """Availability model for a config name.
 
@@ -459,23 +458,23 @@ def build_availability(
     §6.1 i.i.d. model; rate 0 degenerates to :class:`AlwaysAvailable`);
     ``"trace"`` → the Fig.-1a churn model — ``dropout_rate`` is ignored,
     the trace sets the rate each round.  Small populations get the dense
-    :class:`BehaviorTrace` reference; above ``dense_trace_max`` clients
-    (or whenever ``correlation`` is set, which only the lazy model
-    supports) the timelines derive lazily via :class:`SessionStream`;
-    ``"session"`` → :class:`SessionStream` unconditionally.
+    :class:`BehaviorTrace` reference; above
+    :data:`DENSE_TRACE_MAX_CLIENTS` clients (or whenever ``correlation``
+    is set, which only the lazy model supports) the timelines derive
+    lazily via :class:`SessionStream`.
     """
     if name == "fixed":
         if correlation:
             raise ValueError(
                 "correlation couples availability to link quality, which "
                 "the fixed-rate model cannot express; use availability "
-                "'trace' or 'session'"
+                "'trace'"
             )
         if dropout_rate == 0.0:
             return AlwaysAvailable()
         return FixedRateDropout(dropout_rate, seed=seed)
-    if name in ("trace", "session"):
-        if name == "session" or correlation or n_clients > dense_trace_max:
+    if name == "trace":
+        if correlation or n_clients > DENSE_TRACE_MAX_CLIENTS:
             return SessionStream(
                 n_clients=n_clients,
                 mean_session=mean_session,
@@ -492,5 +491,5 @@ def build_availability(
             )
         )
     raise ValueError(
-        f"unknown availability model {name!r} (fixed | trace | session)"
+        f"unknown availability model {name!r} (fixed | trace)"
     )

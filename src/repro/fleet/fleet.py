@@ -1,53 +1,38 @@
-"""The fleet: device profiles + an availability model, as one scenario.
+"""The fleet: device columns + an availability model, as one scenario.
 
 A :class:`Fleet` is the single object the rest of the stack consults
-about the client population: which device a client runs on (per-direction
-bandwidth, compute slowdown), who is online this round, and what a
-synchronized round costs in virtual seconds and directional bytes.
+about the client population.  A round asks it five things:
 
-- The engine consumes it through transports
-  (:meth:`Fleet.link_seconds` feeds
-  :class:`repro.engine.transport.SimulatedNetworkTransport` and the
-  per-direction latency hooks of the wire transports).
-- The training session (:mod:`repro.core.dordis`) derives per-round
-  dropout from :attr:`availability` and — on the fast noise-algebra
-  path, which runs no protocol rounds — records the fleet's modeled
-  round cost (:meth:`round_cost`) as traced spans, so
-  ``round_seconds_history`` is meaningful by default.
+- :meth:`Fleet.build` — the §6.1 population for a config and seed;
+- :meth:`Fleet.with_id_offset` — the same fleet addressed by protocol
+  ids (SecAgg shifts client ids by +1);
+- :meth:`Fleet.link_seconds` — one client's exchange priced on its own
+  links, the hook every fleet-priced transport takes;
+- :meth:`Fleet.straggler_factor` — the sampled compute straggler;
+- :meth:`Fleet.round_cost` — the modeled FedAvg round of the fast
+  noise-algebra path, recorded as traced spans;
 
-The backing representation is columnar
-(:class:`repro.fleet.profile.ProfileColumns`): a million devices are
-three float64 arrays, not a million boxed dataclasses.
-:class:`DeviceProfile` objects are synthesized lazily by
-:meth:`Fleet.device` and held in a small LRU, so resident boxed state is
-O(sampled cohort) regardless of fleet size; the per-cohort timing
-queries (:meth:`straggler_factor`, :meth:`broadcast_seconds`,
-:meth:`upload_seconds`, :meth:`round_cost`) reduce directly over the
-columns without boxing anything.
+plus :attr:`Fleet.availability` for per-round dropout.  The population
+is :class:`repro.fleet.profile.ProfileColumns` — three float64 arrays —
+and every query reads them directly.  An id outside the population is a
+``KeyError`` naming it: pricing one client's frames on another device's
+links is a bug, not a fallback.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Mapping as MappingABC
+import copy
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.fleet.availability import AlwaysAvailable, build_availability
 from repro.fleet.profile import (
     DEFAULT_BANDWIDTH_RANGE,
-    DeviceProfile,
     ProfileColumns,
-    heterogeneous_fleet_columns,
+    heterogeneous_fleet,
 )
-
-#: Boxed :class:`DeviceProfile` views a fleet keeps resident (LRU).
-#: Evicted profiles are re-synthesized from the columns on demand, so
-#: this bounds memory, not correctness; it comfortably covers the
-#: 100-client cohorts the paper samples per round.
-PROFILE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -55,14 +40,13 @@ class FleetConfig:
     """Declarative description of a device population.
 
     ``availability`` is ``"fixed"`` (§6.1 i.i.d. dropout at the
-    session's ``dropout_rate``), ``"trace"`` (Fig.-1a behaviour-trace
-    churn; dense reference at small n, lazy
-    :class:`~repro.fleet.availability.SessionStream` at scale) or
-    ``"session"`` (the lazy stream unconditionally).
-    ``downlink_range=None`` keeps links symmetric — the pre-split
-    behaviour; a range gives every device an independent Zipf downlink
-    (asymmetric WAN).  ``compute_seconds`` is the base local-training
-    time of the *fastest* device per round; the sampled straggler's
+    session's ``dropout_rate``) or ``"trace"`` (Fig.-1a behaviour-trace
+    churn: the dense reference at small n, the lazy
+    :class:`~repro.fleet.availability.SessionStream` at scale or with a
+    ``correlation``).  ``downlink_range=None`` keeps links symmetric; a
+    range gives every device an independent Zipf downlink (asymmetric
+    WAN).  ``compute_seconds`` is the base local-training time of the
+    *fastest* device per round; the sampled straggler's
     ``compute_factor`` scales it.  ``correlation`` rank-couples link
     quality to availability (slow-link devices are also flaky) through
     the session model's Gaussian copula; the fixed-rate model cannot
@@ -79,8 +63,8 @@ class FleetConfig:
     correlation: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.availability not in {"fixed", "trace", "session"}:
-            raise ValueError("availability must be fixed, trace, or session")
+        if self.availability not in {"fixed", "trace"}:
+            raise ValueError("availability must be fixed or trace")
         if self.max_slowdown < 1.0:
             raise ValueError("max_slowdown is relative to the fastest (>= 1)")
         if self.compute_seconds < 0:
@@ -89,7 +73,7 @@ class FleetConfig:
             raise ValueError("correlation must be in [-1, 1]")
         if self.correlation and self.availability == "fixed":
             raise ValueError(
-                "correlation requires availability 'trace' or 'session' "
+                "correlation requires availability 'trace' "
                 "(the fixed-rate model has no per-device availability)"
             )
 
@@ -120,173 +104,23 @@ class FleetRoundCost:
         return self.down_bytes + self.up_bytes
 
 
-class _ColumnStore:
-    """Columns + id index + the shared LRU of boxed profile views.
+class Fleet:
+    """A device population plus its availability model.
 
-    One store backs a fleet and every ``with_id_offset`` view of it, so
-    a profile boxed through any view is the *same object* everywhere —
-    offset views shift addressing, not identity.
-
-    ``ids is None`` means row ``r`` is device ``r`` (the contiguous
-    0..n-1 population every built fleet has); otherwise ``ids`` is the
-    sorted array of explicit device ids and row ``r`` is device
-    ``ids[r]`` — matching the legacy sorted-key order, which the modular
-    oversampling fallback indexes into.
+    Client id ``u`` is row ``u − offset`` of :attr:`columns`; the offset
+    is 0 unless the fleet came from :meth:`with_id_offset`.
     """
-
-    __slots__ = ("columns", "ids", "_row_by_id", "_cache", "cache_size")
 
     def __init__(
         self,
         columns: ProfileColumns,
-        ids: Optional[np.ndarray] = None,
-        cache_size: int = PROFILE_CACHE_SIZE,
-    ):
-        self.columns = columns
-        self.ids = ids
-        self._row_by_id = (
-            None if ids is None else {int(c): r for r, c in enumerate(ids)}
-        )
-        self._cache: OrderedDict[int, DeviceProfile] = OrderedDict()
-        self.cache_size = cache_size
-
-    @property
-    def n(self) -> int:
-        return self.columns.n
-
-    def device_id(self, row: int) -> int:
-        return row if self.ids is None else int(self.ids[row])
-
-    def row_of(self, device_id: int) -> Optional[int]:
-        """The row serving ``device_id``, or None if it is not a member."""
-        if self.ids is None:
-            return device_id if 0 <= device_id < self.columns.n else None
-        return self._row_by_id.get(device_id)
-
-    def rows(self, base: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Vectorized ``row_of`` with the legacy modular fallback.
-
-        ``base`` is the query ids translated to base addressing (offset
-        removed); ids that miss the population fall back to sorted
-        position ``query % n`` — exactly the boxed path's
-        ``profiles[sorted_keys[client_id % n]]`` oversampling rule,
-        which wraps on the *as-addressed* id.
-        """
-        n = self.columns.n
-        if self.ids is None:
-            hit = (base >= 0) & (base < n)
-            rows = base
-        else:
-            pos = np.searchsorted(self.ids, base)
-            rows = np.clip(pos, 0, n - 1)
-            hit = self.ids[rows] == base
-        return np.where(hit, rows, query % n)
-
-    def profile(self, row: int) -> DeviceProfile:
-        """Box one row, via the LRU (O(cohort) resident objects)."""
-        row = int(row)
-        cached = self._cache.get(row)
-        if cached is not None:
-            self._cache.move_to_end(row)
-            return cached
-        cols = self.columns
-        boxed = DeviceProfile(
-            client_id=self.device_id(row),
-            compute_factor=float(cols.compute_factor[row]),
-            uplink_bps=float(cols.uplink_bps[row]),
-            downlink_bps=float(cols.downlink_bps[row]),
-        )
-        self._cache[row] = boxed
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-        return boxed
-
-    @property
-    def resident_profiles(self) -> int:
-        return len(self._cache)
-
-
-class _ProfilesView(MappingABC):
-    """``{client id: profile}`` over the columns, synthesized lazily.
-
-    Preserves the legacy ``fleet.profiles`` mapping contract (lookup,
-    iteration in sorted-id order, ``len``) without materializing one
-    object per device — iterating *values* of a million-device view is
-    the caller's own choice to box everything.
-    """
-
-    __slots__ = ("_store", "_offset")
-
-    def __init__(self, store: _ColumnStore, offset: int):
-        self._store = store
-        self._offset = offset
-
-    def __getitem__(self, client_id: int) -> DeviceProfile:
-        row = self._store.row_of(client_id - self._offset)
-        if row is None:
-            raise KeyError(client_id)
-        return self._store.profile(row)
-
-    def __iter__(self) -> Iterator[int]:
-        store, offset = self._store, self._offset
-        if store.ids is None:
-            return iter(range(offset, offset + store.n))
-        return (int(c) + offset for c in store.ids)
-
-    def __len__(self) -> int:
-        return self._store.n
-
-
-class Fleet:
-    """A device population plus its availability model."""
-
-    def __init__(
-        self,
-        profiles: Mapping[int, DeviceProfile] | Sequence[DeviceProfile] | None = None,
         availability=None,
         config: Optional[FleetConfig] = None,
-        *,
-        columns: Optional[ProfileColumns] = None,
     ):
-        if (profiles is None) == (columns is None):
-            raise ValueError("pass exactly one of profiles or columns")
-        if columns is not None:
-            self._store = _ColumnStore(columns)
-        else:
-            if isinstance(profiles, Mapping):
-                by_id = dict(profiles)
-            else:
-                by_id = {p.client_id: p for p in profiles}
-            if not by_id:
-                raise ValueError("a fleet needs at least one device")
-            ordered = sorted(by_id)
-            boxed = [by_id[c] for c in ordered]
-            store_columns = ProfileColumns(
-                compute_factor=np.array(
-                    [p.compute_factor for p in boxed], dtype=np.float64
-                ),
-                uplink_bps=np.array(
-                    [p.uplink_bps for p in boxed], dtype=np.float64
-                ),
-                downlink_bps=np.array(
-                    [p.downlink_bps for p in boxed], dtype=np.float64
-                ),
-            )
-            ids = (
-                None
-                if ordered == list(range(len(ordered)))
-                else np.asarray(ordered, dtype=np.int64)
-            )
-            self._store = _ColumnStore(store_columns, ids)
-            # The caller already holds these boxed objects; seeding the
-            # LRU keeps legacy object identity (fleet.device(u) is the
-            # profile passed in) at zero extra footprint.
-            if len(boxed) <= self._store.cache_size:
-                for row, p in enumerate(boxed):
-                    self._store._cache[row] = p
-        self._id_offset = 0
+        self.columns = columns
         self.availability = availability or AlwaysAvailable()
         self.config = config or FleetConfig()
+        self._offset = 0
 
     @classmethod
     def build(
@@ -300,14 +134,12 @@ class Fleet:
     ) -> "Fleet":
         """Population from a :class:`FleetConfig` (deterministic per seed).
 
-        Columnar end to end: the §6.1 Zipf draws stay arrays, nothing is
-        boxed until a cohort is actually queried.  With
-        ``config.correlation`` set, each device's uplink mid-rank
+        With ``config.correlation`` set, each device's uplink mid-rank
         quantile feeds the availability model's copula so slow links and
         flaky behaviour coincide.
         """
         config = config or FleetConfig()
-        columns = heterogeneous_fleet_columns(
+        columns = heterogeneous_fleet(
             n_clients,
             zipf_a=config.zipf_a,
             bandwidth_range=config.uplink_range,
@@ -331,101 +163,71 @@ class Fleet:
             correlation=config.correlation,
             link_quantiles=link_quantiles,
         )
-        return cls(None, availability, config, columns=columns)
+        return cls(columns, availability, config)
 
-    # -- population queries -------------------------------------------
     @property
     def n_clients(self) -> int:
-        return self._store.n
-
-    @property
-    def profiles(self) -> Mapping[int, DeviceProfile]:
-        """Lazy ``{client id: profile}`` view (legacy mapping contract)."""
-        return _ProfilesView(self._store, self._id_offset)
-
-    @property
-    def _sorted_ids(self) -> tuple[int, ...]:
-        """Member ids in sorted order, as addressed by this view."""
-        store, offset = self._store, self._id_offset
-        if store.ids is None:
-            return tuple(range(offset, offset + store.n))
-        return tuple(int(c) + offset for c in store.ids)
-
-    @property
-    def resident_profiles(self) -> int:
-        """Boxed profile objects currently alive (LRU-bounded)."""
-        return self._store.resident_profiles
+        return self.columns.n
 
     def with_id_offset(self, offset: int) -> "Fleet":
-        """A view of this fleet addressed by shifted client ids.
+        """This fleet addressed by shifted client ids.
 
         Protocol layers may re-index clients — SecAgg shifts ids by +1
         so Shamir evaluation points are non-zero — and a transport that
         looks devices up by *protocol* id would otherwise price client
-        u's frames on device u+1's links.  The view applies the offset
-        arithmetically over the *same* backing store (O(1): no profile
-        dict is rebuilt, and both views share one LRU, so
-        ``shifted.device(u + 1) is fleet.device(u)``) and shares the
-        same availability model.
+        u's frames on device u+1's links.  The view shares the columns
+        and the availability model; only the addressing moves.
         """
         if offset == 0:
             return self
-        view = Fleet.__new__(Fleet)
-        view._store = self._store
-        view._id_offset = self._id_offset + offset
-        view.availability = self.availability
-        view.config = self.config
+        view = copy.copy(self)
+        view._offset = self._offset + offset
         return view
 
-    def device(self, client_id: int) -> DeviceProfile:
-        """The profile serving ``client_id`` (modular for oversampling)."""
-        row = self._store.row_of(client_id - self._id_offset)
-        if row is None:
-            # Legacy oversampling rule: wrap the as-addressed id onto
-            # the sorted member order.
-            row = client_id % self._store.n
-        return self._store.profile(row)
+    def _outside(self, client_id: int) -> KeyError:
+        lo = self._offset
+        return KeyError(
+            f"client id {client_id} is not in this fleet "
+            f"(ids [{lo}, {lo + self.columns.n}))"
+        )
 
-    def profiles_for(self, client_ids: Iterable[int]) -> dict[int, DeviceProfile]:
-        """``{client id: profile}`` for a sampled set (transport input)."""
-        return {u: self.device(u) for u in client_ids}
+    def _rows(self, sampled: Iterable[int]) -> np.ndarray:
+        """Cohort ids → rows, vectorized; refuses empty cohorts and ids
+        outside the population."""
+        ids = np.asarray(
+            sampled if isinstance(sampled, np.ndarray) else list(sampled),
+            dtype=np.int64,
+        )
+        if ids.size == 0:
+            raise ValueError("sampled set is empty")
+        rows = ids - self._offset
+        outside = (rows < 0) | (rows >= self.columns.n)
+        if outside.any():
+            raise self._outside(int(ids[outside.argmax()]))
+        return rows
 
-    # -- availability -------------------------------------------------
     def dropped(self, sampled: list[int], round_index: int) -> set[int]:
         """Which of this round's sample the availability model silences."""
         return self.availability.dropped(sampled, round_index)
 
-    # -- timing -------------------------------------------------------
-    def _rows(self, sampled: Iterable[int]) -> np.ndarray:
-        """Cohort → backing rows, vectorized (raises on empty cohorts)."""
-        if not isinstance(sampled, np.ndarray):
-            sampled = np.asarray(list(sampled), dtype=np.int64)
-        elif sampled.dtype != np.int64:
-            sampled = sampled.astype(np.int64)
-        if sampled.size == 0:
-            raise ValueError("sampled set is empty")
-        return self._store.rows(sampled - self._id_offset, sampled)
-
-    def straggler_factor(self, sampled: Iterable[int]) -> float:
-        """Compute slowdown of the slowest sampled device."""
-        rows = self._rows(sampled)
-        return float(self._store.columns.compute_factor[rows].max())
-
-    def broadcast_seconds(self, sampled: Iterable[int], nbytes: float) -> float:
-        """Synchronized server→clients broadcast: slowest downlink gates."""
-        rows = self._rows(sampled)
-        return float((nbytes / self._store.columns.downlink_bps[rows]).max())
-
-    def upload_seconds(self, sampled: Iterable[int], nbytes: float) -> float:
-        """Synchronized clients→server upload: slowest uplink gates."""
-        rows = self._rows(sampled)
-        return float((nbytes / self._store.columns.uplink_bps[rows]).max())
-
     def link_seconds(
         self, client_id: int, down_nbytes: float, up_nbytes: float
     ) -> float:
-        """One client's request/response exchange on its own links."""
-        return self.device(client_id).link_seconds(down_nbytes, up_nbytes)
+        """One client's request/response exchange on its own links:
+        :meth:`DeviceProfile.link_seconds` over the columns (one
+        division when the links are symmetric)."""
+        row = client_id - self._offset
+        if not 0 <= row < self.columns.n:
+            raise self._outside(client_id)
+        up = self.columns.uplink_bps.item(row)
+        down = self.columns.downlink_bps.item(row)
+        if up == down:
+            return (down_nbytes + up_nbytes) / up
+        return down_nbytes / down + up_nbytes / up
+
+    def straggler_factor(self, sampled: Iterable[int]) -> float:
+        """Compute slowdown of the slowest sampled device."""
+        return float(self.columns.compute_factor[self._rows(sampled)].max())
 
     def round_cost(
         self,
@@ -439,12 +241,10 @@ class Fleet:
         Every sampled client downloads the ``update_nbytes``-sized model
         (dropouts happen *after* being sampled, §6.1, so they cost
         downlink); only survivors upload.  Stage times are gated by the
-        slowest relevant link / the compute straggler.  One row-lookup
-        pass over the cohort prices the whole round — no profile is
-        boxed.
+        slowest relevant link / the compute straggler.
         """
         rows = self._rows(sampled)
-        cols = self._store.columns
+        cols = self.columns
         base = (
             self.config.compute_seconds
             if compute_seconds is None

@@ -5,9 +5,13 @@ end-to-end latency of the i-th slowest client follows an inverse Zipf
 profile, and client bandwidth is Zipf-distributed within [21, 210] Mbps.
 Its network costs are also *directionally asymmetric* — the client
 uplink is the WAN bottleneck for masked inputs and shares, the downlink
-for model broadcast — so a profile carries separate ``uplink_bps`` and
-``downlink_bps``.  A symmetric profile (``uplink == downlink``) behaves
-bit-identically to the legacy single-``bandwidth_bps`` device.
+for model broadcast — so a device carries separate uplink and downlink
+speeds.
+
+A population is :class:`ProfileColumns` (three float64 arrays, built by
+:func:`heterogeneous_fleet`).  :class:`DeviceProfile` and
+:func:`heterogeneous_fleet_reference` are the one-object-per-device
+oracle the columns are pinned against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ DEFAULT_BANDWIDTH_RANGE = (21e6 / 8, 210e6 / 8)
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """One client's hardware/network profile.
+    """One client's hardware/network profile (the boxed oracle).
 
     ``compute_factor`` multiplies compute-stage durations (1.0 = the
     fleet's fastest device); ``uplink_bps`` / ``downlink_bps`` are the
@@ -43,48 +47,13 @@ class DeviceProfile:
         if self.uplink_bps <= 0 or self.downlink_bps <= 0:
             raise ValueError("bandwidth must be positive")
 
-    @classmethod
-    def symmetric(
-        cls, client_id: int, compute_factor: float = 1.0,
-        bandwidth_bps: float = DEFAULT_BANDWIDTH_RANGE[1],
-    ) -> "DeviceProfile":
-        """A device whose uplink and downlink share one bandwidth."""
-        return cls(
-            client_id=client_id,
-            compute_factor=compute_factor,
-            uplink_bps=bandwidth_bps,
-            downlink_bps=bandwidth_bps,
-        )
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.uplink_bps == self.downlink_bps
-
-    @property
-    def bandwidth_bps(self) -> float:
-        """The uplink speed — the legacy symmetric accessor.
-
-        Pre-split call sites (straggler queries, upload gating) read one
-        ``bandwidth_bps``; they meant the uplink, which this returns.
-        Equals ``downlink_bps`` for symmetric profiles.
-        """
-        return self.uplink_bps
-
-    def upload_seconds(self, nbytes: float) -> float:
-        """Client→server transfer time of ``nbytes`` on the uplink."""
-        return nbytes / self.uplink_bps
-
-    def download_seconds(self, nbytes: float) -> float:
-        """Server→client transfer time of ``nbytes`` on the downlink."""
-        return nbytes / self.downlink_bps
-
     def link_seconds(self, down_nbytes: float, up_nbytes: float) -> float:
         """One request/response exchange: down on the downlink, up on
         the uplink.
 
         The symmetric case is computed as ``(down + up) / bandwidth`` —
         one division, exactly the pre-split formula — so a symmetric
-        profile reproduces legacy latencies *bit-identically* rather
+        device reproduces legacy latencies *bit-identically* rather
         than merely approximately (two divisions would round
         differently).
         """
@@ -99,11 +68,8 @@ class DeviceProfile:
 class ProfileColumns:
     """A device population as three parallel float64 columns.
 
-    Row ``i`` is device ``i``'s profile.  This is the scalable
-    representation: a million devices are three 8 MB arrays instead of a
-    million boxed :class:`DeviceProfile` objects.  :meth:`device` boxes
-    one row on demand, producing a profile bit-identical to what the
-    materializing builder would have constructed for the same row.
+    Row ``i`` is device ``i``: a million devices are three 8 MB arrays,
+    not a million boxed :class:`DeviceProfile` objects.
     """
 
     compute_factor: np.ndarray
@@ -116,8 +82,7 @@ class ProfileColumns:
             raise ValueError("a fleet needs at least one device")
         if len(self.uplink_bps) != n or len(self.downlink_bps) != n:
             raise ValueError("profile columns must have equal length")
-        # The per-profile __post_init__ checks, vectorized: one pass at
-        # construction instead of one Python call per boxed device.
+        # DeviceProfile's checks, vectorized: one pass at construction.
         if float(self.compute_factor.min()) < 1.0:
             raise ValueError("compute_factor is relative to the fastest (>= 1)")
         if float(self.uplink_bps.min()) <= 0 or float(self.downlink_bps.min()) <= 0:
@@ -127,17 +92,8 @@ class ProfileColumns:
     def n(self) -> int:
         return len(self.compute_factor)
 
-    def device(self, row: int) -> DeviceProfile:
-        """Box one row (``client_id == row``) as a :class:`DeviceProfile`."""
-        return DeviceProfile(
-            client_id=int(row),
-            compute_factor=float(self.compute_factor[row]),
-            uplink_bps=float(self.uplink_bps[row]),
-            downlink_bps=float(self.downlink_bps[row]),
-        )
 
-
-def heterogeneous_fleet_columns(
+def heterogeneous_fleet(
     n: int,
     zipf_a: float = 1.2,
     bandwidth_range: tuple[float, float] = DEFAULT_BANDWIDTH_RANGE,
@@ -145,26 +101,20 @@ def heterogeneous_fleet_columns(
     seed: int = 0,
     downlink_range: tuple[float, float] | None = None,
 ) -> ProfileColumns:
-    """The §6.1 heterogeneity draws, kept columnar.
+    """The §6.1 heterogeneity draws, as columns.
 
-    Identical rng streams and identical arithmetic to
-    :func:`heterogeneous_fleet_reference` — the draws were always numpy
-    arrays; this builder just stops boxing them.  Boxing row ``i``
-    (:meth:`ProfileColumns.device`) reproduces the reference profile
-    bit-for-bit, which the parity suite pins.
+    Identical rng streams and arithmetic to
+    :func:`heterogeneous_fleet_reference`, so row ``i`` equals the
+    reference's device ``i`` bit for bit (pinned by test).
 
     Compute factors follow the inverse Zipf profile (slowest =
     ``max_slowdown``×); uplink bandwidths are an independently-shuffled
     Zipf profile within ``bandwidth_range`` — the two resources are not
     correlated, as in the paper's setup of two independent Zipf draws.
-
-    ``downlink_range=None`` (the default) produces symmetric devices
-    whose profiles — compute factors and bandwidths alike — are
-    bit-identical to the pre-split fleet for the same seed.  Passing a
-    range draws a third independent Zipf profile for the downlinks
-    (real WAN links are asymmetric: residential downlink is typically
-    several times the uplink), shuffled on its own rng stream so the
-    uplink/compute draws are untouched.
+    ``downlink_range=None`` gives symmetric devices; a range draws a
+    third independent Zipf profile for the downlinks (real WAN links
+    are asymmetric), shuffled on its own rng stream so the uplink and
+    compute draws are untouched.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -189,34 +139,6 @@ def heterogeneous_fleet_columns(
     )
 
 
-def heterogeneous_fleet(
-    n: int,
-    zipf_a: float = 1.2,
-    bandwidth_range: tuple[float, float] = DEFAULT_BANDWIDTH_RANGE,
-    max_slowdown: float = 8.0,
-    seed: int = 0,
-    downlink_range: tuple[float, float] | None = None,
-) -> list[DeviceProfile]:
-    """Build a fleet with §6.1's heterogeneity as a boxed profile list.
-
-    A thin materializing wrapper over
-    :func:`heterogeneous_fleet_columns` for call sites that want the
-    legacy list-of-profiles shape (the sim layer, small examples);
-    bit-identical to :func:`heterogeneous_fleet_reference` for the same
-    seed.  Scale-sensitive code should consume the columns directly
-    (``Fleet.build`` does).
-    """
-    columns = heterogeneous_fleet_columns(
-        n,
-        zipf_a=zipf_a,
-        bandwidth_range=bandwidth_range,
-        max_slowdown=max_slowdown,
-        seed=seed,
-        downlink_range=downlink_range,
-    )
-    return [columns.device(i) for i in range(n)]
-
-
 def heterogeneous_fleet_reference(
     n: int,
     zipf_a: float = 1.2,
@@ -227,10 +149,10 @@ def heterogeneous_fleet_reference(
 ) -> list[DeviceProfile]:
     """The original one-object-per-device builder, retained verbatim.
 
-    The executable specification the columnar path is parity-pinned
-    against (and the "old path" the fleet benchmark times): every draw
-    lands in a freshly boxed :class:`DeviceProfile` — fine at 100
-    devices, hostile at 10^6.
+    The executable specification the columns are parity-pinned against
+    (and the "old path" the fleet benchmark times): every draw lands in
+    a freshly boxed :class:`DeviceProfile` — fine at 100 devices,
+    hostile at 10^6.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

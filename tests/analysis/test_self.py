@@ -34,8 +34,8 @@ def test_committed_baseline_is_empty():
     assert keys == set()
 
 
-def test_suppression_inventory_is_the_documented_three():
-    # Every inline allow in the tree, by (file, rule) — all three are
+def test_suppression_inventory_is_the_documented_two():
+    # Every inline allow in the tree, by (file, rule) — both are
     # parity-twin exemptions whose fast twin is not a same-named def.
     from repro.analysis.core import scan_suppressions
     from repro.analysis.runner import discover_sources
@@ -49,7 +49,6 @@ def test_suppression_inventory_is_the_documented_three():
         for s in sups:
             assert s.reason, f"{s.file}:{s.line} has an empty reason"
     assert sorted(inventory) == [
-        ("src/repro/bench/fleet.py", "parity-twin"),
         ("src/repro/secagg/masking.py", "parity-twin"),
         ("src/repro/secagg/masking.py", "parity-twin"),
     ]

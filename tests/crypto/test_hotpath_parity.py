@@ -46,6 +46,20 @@ class TestPRGParity:
                 assert isinstance(got, bytearray)
                 assert got == whole[32 * ctr0 : 32 * (ctr0 + nblocks)], (trial, ctr0)
 
+    @pytest.mark.parametrize("seed_len", [47, 48])  # kernel, then hashlib
+    def test_counter_stream_refuses_counters_be64_cannot_name(self, seed_len):
+        """Past 2**64 − 1 the kernel wraps to counter 0 while the
+        hashlib loop raised, and ctypes passed a negative ctr0 to the
+        kernel as 2**64 − 1; counter_stream now refuses both before
+        either path runs, and a run ending on the last counter is served
+        on either path."""
+        seed, top = bytes(seed_len), 1 << 64
+        last = counter_stream(seed, 40, top - 40)[-32:]
+        assert last == hashlib.sha256(seed + (top - 1).to_bytes(8, "big")).digest()
+        for nblocks, ctr0 in ((41, top - 40), (1, top), (1, -1)):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                counter_stream(seed, nblocks, ctr0)
+
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 100, 1021, 4096])
     @pytest.mark.parametrize(
         "modulus",

@@ -17,7 +17,7 @@ from repro.engine import (
 )
 from repro.pipeline.perf_model import StagePerfModel, WorkflowPerfModel
 from repro.pipeline.scheduler import build_schedule
-from repro.fleet import DeviceProfile, Fleet
+from repro.fleet import Fleet, ProfileColumns
 from repro.secagg import SecAggConfig, run_secagg_round
 from repro.secagg.driver import DropoutSchedule, secagg_round_components
 from repro.sim.timeline import TraceTimeline
@@ -111,6 +111,15 @@ def roundtrip_factory(vectors):
         ]
 
     return factory
+
+
+def link_fleet(uplinks, downlinks):
+    """Devices 0.. with these links and no compute slowdown."""
+    return Fleet(ProfileColumns(
+        compute_factor=np.ones(len(uplinks)),
+        uplink_bps=np.array(uplinks, dtype=float),
+        downlink_bps=np.array(downlinks, dtype=float),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +574,7 @@ class TestTiming:
 
         vectors = {0: np.ones(8)}
         bandwidth = 3.0  # pathological divisor: rounding differences show
-        fleet = Fleet([DeviceProfile.symmetric(0, bandwidth_bps=bandwidth)])
+        fleet = link_fleet(uplinks=[bandwidth], downlinks=[bandwidth])
         engine = RoundEngine(
             transport=SimulatedNetworkTransport(fleet.link_seconds)
         )
@@ -581,10 +590,7 @@ class TestTiming:
         from repro.wire import encoded_nbytes
 
         vectors = {0: np.ones(8)}
-        fleet = Fleet([
-            DeviceProfile(client_id=0, compute_factor=1.0,
-                          uplink_bps=10.0, downlink_bps=1000.0),
-        ])
+        fleet = link_fleet(uplinks=[10.0], downlinks=[1000.0])
         engine = RoundEngine(
             transport=SimulatedNetworkTransport(fleet.link_seconds)
         )
@@ -604,11 +610,9 @@ class TestTiming:
         from repro.wire import encoded_nbytes
 
         vectors = {0: np.ones(8), 1: np.ones(8)}
-        devices = [
-            DeviceProfile.symmetric(0, bandwidth_bps=1e4),
-            DeviceProfile.symmetric(1, bandwidth_bps=1e6),
-        ]
-        transport = SimulatedNetworkTransport(Fleet(devices).link_seconds)
+        bandwidths = [1e4, 1e6]
+        fleet = link_fleet(uplinks=bandwidths, downlinks=bandwidths)
+        transport = SimulatedNetworkTransport(fleet.link_seconds)
         engine = RoundEngine(transport=transport)
         clients = [SumClient(u, v) for u, v in vectors.items()]
         result = engine.run_round_sync(SumServer(), clients)
@@ -617,9 +621,9 @@ class TestTiming:
         # Request = the framed (op, payload) envelope, response = the
         # framed vector — what the wire transports actually send.
         exchange = encoded_nbytes(("encode", None)) + encoded_nbytes(vectors[0])
-        slowest = devices[0].upload_seconds(exchange)
+        slowest = exchange / bandwidths[0]
         assert encode_span.duration == pytest.approx(slowest)
-        assert encode_span.duration >= devices[1].upload_seconds(exchange)
+        assert encode_span.duration >= exchange / bandwidths[1]
         # The stage's traffic is the measured exchange of both links.
         assert encode_span.traffic_bytes == 2 * exchange
 

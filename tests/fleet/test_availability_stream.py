@@ -207,9 +207,11 @@ class TestBuildAvailabilitySwitching:
         assert isinstance(model, SessionStream)
         assert model.correlation == 0.5
 
-    def test_session_name_is_always_lazy(self):
-        model = build_availability("session", n_clients=5, horizon=10, seed=1)
-        assert isinstance(model, SessionStream)
+    def test_session_name_is_refused(self):
+        """"trace" already chooses the lazy stream by size and
+        correlation; there is no second name for it."""
+        with pytest.raises(ValueError, match=r"\(fixed \| trace\)"):
+            build_availability("session", n_clients=5, horizon=10, seed=1)
 
     def test_fixed_rejects_correlation(self):
         with pytest.raises(ValueError, match="correlation"):

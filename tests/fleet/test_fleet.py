@@ -1,77 +1,39 @@
-"""Fleet: availability derivation, directional round costs, config."""
+"""Fleet: availability derivation, directional round costs, config, and
+the named refusal of an id outside the population."""
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
     AlwaysAvailable,
-    DeviceProfile,
     Fleet,
     FleetConfig,
     FixedRateDropout,
+    ProfileColumns,
     TraceDrivenDropout,
     build_availability,
+    heterogeneous_fleet_reference,
 )
 
 
 def toy_fleet(availability=None):
-    profiles = [
-        DeviceProfile(0, compute_factor=1.0, uplink_bps=100.0, downlink_bps=400.0),
-        DeviceProfile(1, compute_factor=4.0, uplink_bps=50.0, downlink_bps=200.0),
-        DeviceProfile(2, compute_factor=2.0, uplink_bps=25.0, downlink_bps=800.0),
-    ]
-    return Fleet(profiles, availability)
+    columns = ProfileColumns(
+        compute_factor=np.array([1.0, 4.0, 2.0]),
+        uplink_bps=np.array([100.0, 50.0, 25.0]),
+        downlink_bps=np.array([400.0, 200.0, 800.0]),
+    )
+    return Fleet(columns, availability)
 
 
 class TestFleetQueries:
-    def test_modular_device_lookup(self):
-        fleet = toy_fleet()
-        assert fleet.device(1).uplink_bps == 50.0
-        # Unknown ids wrap onto the population (protocols shift ids).
-        assert fleet.device(4).client_id == 1
-        assert fleet.profiles_for([0, 5]) == {
-            0: fleet.device(0), 5: fleet.device(5)
-        }
-
-    def test_modular_lookup_uses_cached_sorted_ids(self):
-        """The fallback must not re-sort the profile dict per lookup —
-        it sits on the per-frame pricing path — and the cache must be
-        sort-equivalent regardless of construction order."""
-        profiles = [
-            DeviceProfile(
-                i,
-                compute_factor=1.0,
-                uplink_bps=10.0 * (i + 1),
-                downlink_bps=10.0 * (i + 1),
-            )
-            for i in (7, 0, 3)
-        ]
-        fleet = Fleet(profiles)
-        assert fleet._sorted_ids == (0, 3, 7)
-        # Modular wrap follows the sorted order, as before the cache.
-        assert [fleet.device(100 + k).client_id for k in range(3)] == [
-            (0, 3, 7)[(100 + k) % 3] for k in range(3)
-        ]
-
-    def test_id_offset_view_keeps_cache_consistent(self):
-        """with_id_offset builds a shifted view whose sorted-key cache
-        reflects the *shifted* ids, so its modular fallback agrees with
-        recomputing from the shifted profile dict."""
-        fleet = toy_fleet()
-        shifted = fleet.with_id_offset(1)
-        assert shifted._sorted_ids == tuple(sorted(shifted.profiles))
-        # An id miss on the view wraps over the shifted key space.
-        assert (
-            shifted.device(99).client_id
-            == shifted.profiles[shifted._sorted_ids[99 % 3]].client_id
-        )
-
     def test_straggler_and_gating(self):
         fleet = toy_fleet()
         assert fleet.straggler_factor([0, 1, 2]) == 4.0
+        cost = fleet.round_cost([0, 1, 2], [0, 1, 2], update_nbytes=400)
         # Broadcast gated by slowest downlink (client 1: 200 B/s).
-        assert fleet.broadcast_seconds([0, 1, 2], 400) == pytest.approx(2.0)
+        assert cost.down_seconds == pytest.approx(2.0)
         # Upload gated by slowest uplink (client 2: 25 B/s).
-        assert fleet.upload_seconds([0, 1, 2], 100) == pytest.approx(4.0)
+        assert cost.up_seconds == pytest.approx(16.0)
         with pytest.raises(ValueError):
             fleet.straggler_factor([])
 
@@ -135,14 +97,15 @@ class TestFleetBuild:
     def test_build_is_deterministic(self):
         a = Fleet.build(20, FleetConfig(), dropout_rate=0.2, seed=9)
         b = Fleet.build(20, FleetConfig(), dropout_rate=0.2, seed=9)
-        assert [a.device(i).uplink_bps for i in range(20)] == [
-            b.device(i).uplink_bps for i in range(20)
-        ]
+        assert a.columns.uplink_bps.tolist() == b.columns.uplink_bps.tolist()
         assert a.dropped(list(range(10)), 3) == b.dropped(list(range(10)), 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(availability="sometimes")
+        # "trace" already picks the lazy stream by size and correlation.
+        with pytest.raises(ValueError, match="fixed or trace"):
+            FleetConfig(availability="session")
         with pytest.raises(ValueError):
             FleetConfig(max_slowdown=0.5)
         with pytest.raises(ValueError):
@@ -153,11 +116,12 @@ class TestFleetBuild:
         with pytest.raises(ValueError, match="correlation"):
             FleetConfig(availability="fixed", correlation=0.4)
         FleetConfig(availability="trace", correlation=0.4)
-        FleetConfig(availability="session", correlation=-0.4)
+        FleetConfig(availability="trace", correlation=-0.4)
 
     def test_empty_fleet_rejected(self):
+        empty = np.empty(0)
         with pytest.raises(ValueError):
-            Fleet([])
+            Fleet(ProfileColumns(empty, empty, empty))
 
 
 class TestIdOffset:
@@ -167,99 +131,111 @@ class TestIdOffset:
         fleet = toy_fleet()
         shifted = fleet.with_id_offset(1)
         for u in (0, 1, 2):
-            assert shifted.device(u + 1) is fleet.device(u)
+            assert shifted.link_seconds(u + 1, 100, 50) == (
+                fleet.link_seconds(u, 100, 50)
+            )
+            assert shifted.straggler_factor([u + 1]) == (
+                fleet.straggler_factor([u])
+            )
         assert shifted.availability is fleet.availability
-        assert shifted.link_seconds(3, 100, 50) == fleet.link_seconds(2, 100, 50)
 
     def test_zero_offset_is_identity(self):
         fleet = toy_fleet()
         assert fleet.with_id_offset(0) is fleet
 
     def test_offset_view_is_o1_over_shared_store(self):
-        """The view shifts addressing arithmetically; no profile dict is
-        rebuilt and both views share one backing store (and LRU)."""
+        """The view shifts addressing arithmetically over the same
+        columns; nothing is copied."""
         fleet = toy_fleet()
         shifted = fleet.with_id_offset(5)
-        assert shifted._store is fleet._store
+        assert shifted.columns is fleet.columns
         assert shifted.n_clients == fleet.n_clients
-        assert shifted._sorted_ids == (5, 6, 7)
+        assert shifted.link_seconds(5, 1, 2) == fleet.link_seconds(0, 1, 2)
 
     def test_offset_views_compose(self):
         fleet = toy_fleet()
         twice = fleet.with_id_offset(2).with_id_offset(3)
-        assert twice._store is fleet._store
-        assert twice.device(5) is fleet.device(0)
-        assert sorted(twice.profiles) == [5, 6, 7]
+        assert twice.columns is fleet.columns
+        assert twice.link_seconds(7, 9, 4) == fleet.link_seconds(2, 9, 4)
+        for outside in (4, 8):
+            with pytest.raises(KeyError, match=r"\[5, 8\)"):
+                twice.link_seconds(outside, 1, 1)
 
 
 class TestFleetScale:
-    def test_modular_fallback_at_huge_ids(self):
-        """Oversampled ids far beyond the population wrap modularly —
-        the exact legacy profiles[sorted_keys[id % n]] rule."""
-        fleet = toy_fleet()
-        huge = 10**12 + 1
-        assert fleet.device(huge) is fleet.device(huge % 3)
-        # On a shifted view the wrap applies to the as-addressed id.
-        shifted = fleet.with_id_offset(1)
-        assert shifted.device(huge).client_id == huge % 3
-        # Non-contiguous populations wrap onto sorted order too.
-        sparse = Fleet([
-            DeviceProfile(i, compute_factor=1.0, uplink_bps=1.0 * (i + 1),
-                          downlink_bps=1.0 * (i + 1))
-            for i in (7, 0, 3)
-        ])
-        assert sparse.device(huge).client_id == (0, 3, 7)[huge % 3]
-
     def test_empty_cohort_value_errors(self):
         fleet = toy_fleet()
         with pytest.raises(ValueError, match="empty"):
             fleet.straggler_factor([])
         with pytest.raises(ValueError, match="empty"):
-            fleet.broadcast_seconds([], 100)
-        with pytest.raises(ValueError, match="empty"):
-            fleet.upload_seconds([], 100)
-        with pytest.raises(ValueError, match="empty"):
             fleet.round_cost([], [], 100)
 
     def test_vectorized_queries_match_per_device_loop(self):
         """The array reductions must agree bit-for-bit with querying
-        boxed profiles one by one (same divisions, same max)."""
+        boxed reference devices one by one (same divisions, same max)."""
         fleet = Fleet.build(50, FleetConfig(compute_seconds=2.0), seed=3)
-        sampled = [3, 17, 44, 61, 9]  # 61 oversamples and wraps
-        nbytes = 12345.0
+        ref = heterogeneous_fleet_reference(50, seed=3)
+        sampled = [3, 17, 44, 49, 9]
+        nbytes = 12345
         assert fleet.straggler_factor(sampled) == max(
-            fleet.device(u).compute_factor for u in sampled
+            ref[u].compute_factor for u in sampled
         )
-        assert fleet.broadcast_seconds(sampled, nbytes) == max(
-            fleet.device(u).download_seconds(nbytes) for u in sampled
+        cost = fleet.round_cost(sampled, sampled[:3], nbytes)
+        assert cost.down_seconds == max(
+            nbytes / ref[u].downlink_bps for u in sampled
         )
-        assert fleet.upload_seconds(sampled, nbytes) == max(
-            fleet.device(u).upload_seconds(nbytes) for u in sampled
-        )
-        cost = fleet.round_cost(sampled, sampled[:3], int(nbytes))
         assert cost.up_seconds == max(
-            fleet.device(u).upload_seconds(nbytes) for u in sampled[:3]
+            nbytes / ref[u].uplink_bps for u in sampled[:3]
         )
 
-    def test_resident_profiles_bounded_and_regenerable(self):
-        """Boxed profiles live in an LRU: scanning more devices than the
-        cache holds keeps residency bounded, and evicted profiles
-        regenerate bit-identically from the columns."""
-        fleet = Fleet.build(100, seed=1)
-        first = fleet.device(0)
-        fleet._store.cache_size = 10
-        for i in range(100):
-            fleet.device(i)
-        assert fleet.resident_profiles <= 10
-        again = fleet.device(0)  # evicted: re-boxed from the columns
-        assert again is not first and again == first
 
-    def test_lazy_profiles_view_keeps_mapping_contract(self):
+class TestIdOutsideThePopulation:
+    """An id the fleet does not hold is refused by name — never wrapped
+    onto another device, whose links would then price the frames."""
+
+    @staticmethod
+    def queries(fleet, client_id, member):
+        return [
+            lambda: fleet.link_seconds(client_id, 10, 10),
+            lambda: fleet.straggler_factor([member, client_id]),
+            lambda: fleet.round_cost([member, client_id], [member], 10),
+            lambda: fleet.round_cost([member], [client_id], 10),
+        ]
+
+    @pytest.mark.parametrize("client_id", [3, -1, 10**12 + 1])
+    def test_unshifted_fleet_refuses_ids_from_n(self, client_id):
         fleet = toy_fleet()
-        view = fleet.profiles
-        assert len(view) == 3
-        assert list(view) == [0, 1, 2]
-        assert view[1].uplink_bps == 50.0
-        with pytest.raises(KeyError):
-            view[9]
-        assert dict(fleet.with_id_offset(2).profiles).keys() == {2, 3, 4}
+        for query in self.queries(fleet, client_id, member=0):
+            with pytest.raises(KeyError) as refused:
+                query()
+            assert f"client id {client_id} " in str(refused.value)
+            assert "[0, 3)" in str(refused.value)
+
+    @pytest.mark.parametrize("client_id", [0, 4])
+    def test_offset_view_refuses_zero_and_n_plus_one(self, client_id):
+        shifted = toy_fleet().with_id_offset(1)
+        for query in self.queries(shifted, client_id, member=1):
+            with pytest.raises(KeyError) as refused:
+                query()
+            assert f"client id {client_id} " in str(refused.value)
+            assert "[1, 4)" in str(refused.value)
+        # Every id it does hold still prices.
+        for u in (1, 2, 3):
+            shifted.link_seconds(u, 10, 10)
+
+    @pytest.mark.timeout(300)
+    def test_secagg_session_over_sockets_needs_no_wrap(self):
+        """The session prices protocol ids 1..n on the +1 view; no
+        production path ever relied on the modular wrap."""
+        from repro.core import DordisConfig, DordisSession
+
+        session = DordisSession(DordisConfig(
+            task="cifar10-like", model="softmax", mechanism="skellam",
+            secure_aggregation="secagg", strategy="xnoise", num_clients=6,
+            sample_size=6, rounds=1, samples_per_client=10,
+            dropout_rate=0.2, tolerance_fraction=0.4, transport="sockets",
+            seed=2,
+        ))
+        result = session.run()
+        assert result.rounds_completed == 1
+        assert session.engine.trace.total_traffic_bytes > 0

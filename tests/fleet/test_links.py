@@ -16,18 +16,18 @@ import pytest
 
 from repro.core.dordis import build_transport
 from repro.engine import RoundEngine, SimulatedNetworkTransport
-from repro.fleet import DeviceProfile, Fleet
+from repro.fleet import Fleet, ProfileColumns
 from repro.wire import encoded_nbytes
 from repro.wire.ws import envelope_overhead
 from tests.engine.test_round_engine import SumClient, SumServer
 
 
 def asymmetric_fleet():
-    return Fleet([
-        DeviceProfile(0, compute_factor=1.0, uplink_bps=1e4, downlink_bps=8e4),
-        DeviceProfile(1, compute_factor=1.0, uplink_bps=1e6, downlink_bps=4e6),
-        DeviceProfile(2, compute_factor=1.0, uplink_bps=5e5, downlink_bps=5e5),
-    ])
+    return Fleet(ProfileColumns(
+        compute_factor=np.ones(3),
+        uplink_bps=np.array([1e4, 1e6, 5e5]),
+        downlink_bps=np.array([8e4, 4e6, 5e5]),
+    ))
 
 
 def run_round(transport):

@@ -110,7 +110,6 @@ class TestBenchEntrypoint:
         assert m["build_columnar_s"]["unit"] == "s"
         assert m["round_cost_fast_s"]["value"] > 0
         assert m["round_cost_reference_s"]["value"] > 0
-        assert m["resident_profiles_bounded"]["value"] == 1
         # Correlated churn: the fast-uplink tail is measurably more
         # available than the slow tail.
         assert m["correlation_effect"]["value"] > 0

@@ -1,4 +1,5 @@
-"""The bit-pack, modexp, mask-fold and noise planes under AddressSanitizer + UBSan.
+"""The native planes under AddressSanitizer + UBSan: bit-pack, modexp,
+mask fold, noise fill, counter stream, butterfly and rounder.
 
 ``repro_unpack_bits`` and ``repro_unpack_add`` read a *network-supplied*
 buffer through raw pointers, ``repro_pack_bits`` / ``repro_pack_low_bits``
@@ -28,7 +29,19 @@ each width's first slab edge, from seeds of 0 and 47 bytes, against the
 numpy twins.  A 48-byte seed must be refused with ``out`` untouched —
 the slice's one finding: at a count of 0 both kernels used to return 0
 for it, unchecked, though their contract refuses it; they now check the
-seed before anything else.
+seed before anything else.  Counter stream, butterfly and rounder:
+``repro_sha256_ctr`` and ``repro_sha256_ctr_path`` on every compression
+path the host has, at 0 / 1 / 15–17 / 33 blocks from counters 0,
+2³² − 8 (the low word carries inside a lane run) and 2⁶⁴ − 40, seeds of
+0 and 47 bytes against hashlib, 48 refused; ``repro_fwht`` at 0, 1, 2
+and 2¹⁰ ± 1 / 2¹⁰ (the odd lengths refused, untouched) and
+``repro_stochastic_round`` at 0, 1 and 7–9 elements with NaN, ±inf,
+±2⁶² and the limit's edges at either end, against the numpy twins.  No
+sanitizer report.  One parity finding at the Python entry: past
+2⁶⁴ − 1 the kernel wraps the counter to 0 (its pinned contract, kept)
+while the hashlib loop raised, and ctypes handed a negative ``ctr0`` to
+the kernel as 2⁶⁴ − 1; ``counter_stream`` now refuses both on either
+path (vector in ``tests/crypto/test_hotpath_parity.py``).
 
 Skips by name when the toolchain cannot build or preload the sanitizer
 runtime; every finding it ever makes is a fix with a regression vector
@@ -322,6 +335,157 @@ for table in (one, full):
 print("sanitized stream calls:", calls)
 """
 
+CTR_AND_TRANSFORM_SCRIPT = r"""
+import ctypes, hashlib, sys
+import numpy as np
+from repro import native
+from repro.dp.quantize import _round_by_uniforms
+from repro.dp.rotation import fwht
+
+assert native.load() is None  # REPRO_NATIVE=0: fwht and the rounder are numpy
+lib = ctypes.CDLL(sys.argv[1])
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+P, Z, U64 = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint64
+lib.repro_sha256_ctr.argtypes = [P, Z, U64, U64, P]
+lib.repro_sha256_ctr.restype = ctypes.c_int
+lib.repro_sha256_ctr_path.argtypes = [ctypes.c_int, P, Z, U64, U64, P]
+lib.repro_sha256_ctr_path.restype = ctypes.c_int
+lib.repro_fwht.argtypes = [P, Z]
+lib.repro_fwht.restype = ctypes.c_int
+lib.repro_stochastic_round.argtypes = [P, P, Z, ctypes.c_int64, P]
+lib.repro_stochastic_round.restype = ctypes.c_int
+
+
+class Exact:
+    # malloc(n) holding ``data``: ASan puts a redzone at byte n.
+    def __init__(self, data: bytes):
+        self.n = len(data)
+        self.ptr = libc.malloc(max(self.n, 1))
+        ctypes.memmove(self.ptr, data, self.n)
+    def bytes(self) -> bytes:
+        return ctypes.string_at(self.ptr, self.n)
+    def free(self):
+        libc.free(self.ptr)
+
+
+# -- the counter stream, on every compression path this host has -------
+# A path the CPU or the build lacks answers -2 / -3 before it looks at
+# its arguments; one it has refuses the NULL seed with -1.
+paths = [p for p in (1, 2, 3) if lib.repro_sha256_ctr_path(p, None, 0, 0, 0, None) == -1]
+runs = {"auto": lambda *a: lib.repro_sha256_ctr(*a)}
+for p in paths:
+    runs[f"path {p}"] = lambda *a, p=p: lib.repro_sha256_ctr_path(p, *a)
+TOP = 2**64
+ctr_calls = 0
+for name, run in runs.items():
+    for ctr0 in (0, 2**32 - 8, TOP - 40):
+        for nblocks in (0, 1, 15, 16, 17, 33):
+            for seed in (b"", bytes(range(47))):
+                want = b"".join(
+                    hashlib.sha256(seed + (ctr0 + i).to_bytes(8, "big")).digest()
+                    for i in range(nblocks)
+                )
+                held, out = Exact(seed), Exact(bytes(32 * nblocks))
+                assert run(held.ptr, len(seed), ctr0, nblocks, out.ptr) == 0, (name, ctr0, nblocks)
+                assert out.bytes() == want, (name, ctr0, nblocks, len(seed))
+                held.free(); out.free()
+                ctr_calls += 1
+            # A 48-byte seed does not fit one padded block: refused.
+            held, out = Exact(bytes(48)), Exact(bytes(32 * nblocks))
+            assert run(held.ptr, 48, ctr0, nblocks, out.ptr) == -1, (name, nblocks)
+            assert out.bytes() == bytes(32 * nblocks)
+            held.free(); out.free()
+    # Past 2**64 - 1 the kernel's counter wraps to 0 — its pinned
+    # contract (tests/crypto/test_hotpath_parity.py); counter_stream,
+    # the Python entry, refuses such a run before either path runs.
+    seed = bytes(range(47))
+    for nblocks in (40, 41, 57):
+        want = b"".join(
+            hashlib.sha256(seed + ((TOP - 40 + i) % TOP).to_bytes(8, "big")).digest()
+            for i in range(nblocks)
+        )
+        held, out = Exact(seed), Exact(bytes(32 * nblocks))
+        assert run(held.ptr, 47, TOP - 40, nblocks, out.ptr) == 0, (name, nblocks)
+        assert out.bytes() == want, (name, nblocks)
+        held.free(); out.free()
+        ctr_calls += 1
+
+# -- the butterfly -----------------------------------------------------
+fwht_calls = 0
+for n in (0, 1, 2, 2**10 - 1, 2**10, 2**10 + 1):
+    v = np.random.default_rng(n).standard_normal(n)
+    buf = Exact(v.tobytes())
+    rc = lib.repro_fwht(buf.ptr, n)
+    got = np.frombuffer(buf.bytes(), dtype=np.float64)
+    if n & (n - 1):  # not a power of two: refused, untouched
+        assert rc == -1 and got.tobytes() == v.tobytes(), n
+    else:
+        assert rc == 0 and got.tobytes() == fwht(v).tobytes(), n
+    buf.free()
+    fwht_calls += 1
+assert lib.repro_fwht(None, 0) == 0 and lib.repro_fwht(None, 4) == -1
+
+# -- the rounder: the numpy twin's answer, or its refusal --------------
+def twin(x, u, limit):
+    out = np.empty(len(x), dtype=np.int64)
+    try:
+        _round_by_uniforms(x, u, limit, out)
+    except ValueError:
+        return None
+    return out
+
+
+def kernel(x, u, limit):
+    xs, us, out = Exact(x.tobytes()), Exact(u.tobytes()), Exact(bytes(8 * len(x)))
+    rc = lib.repro_stochastic_round(xs.ptr, us.ptr, len(x), limit, out.ptr)
+    got = np.frombuffer(out.bytes(), dtype=np.int64).copy()
+    xs.free(); us.free(); out.free()
+    assert rc in (0, -2), rc
+    return got if rc == 0 else None
+
+
+round_calls = 0
+BIG = 2.0**62
+for n in (0, 1, 7, 8, 9):
+    rng = np.random.default_rng(100 + n)
+    x = rng.uniform(-1e6, 1e6, n)
+    u = rng.random(n)
+    cases = [(x, 1 << 62), (x, 1 << 21)]
+    for at in {0, n - 1} if n else ():
+        for bad in (np.nan, np.inf, -np.inf, BIG, -BIG, 2e6, -2e6):
+            y = x.copy(); y[at] = bad
+            cases.append((y, 1 << 21))  # ±2e6 round past ±2**21
+    for y, limit in cases:
+        want, got = twin(y, u, limit), kernel(y, u, limit)
+        assert (want is None) == (got is None), (n, y, limit)
+        if want is not None:
+            assert np.array_equal(got, want), (n, limit)
+        round_calls += 1
+# The limit's own edges: a value may round to [-limit, limit) only.
+for x, u, want in (
+    ([7.0, -8.0], [0.0, 0.0], [7, -8]),
+    ([7.5, -8.5], [0.9, 0.1], [7, -8]),
+    ([7.0, 7.5], [0.0, 0.1], None),    # rounds up to the limit
+    ([-8.0, -8.5], [0.0, 0.9], None),  # rounds down past -limit
+):
+    x, u = np.array(x), np.array(u)
+    got = kernel(x, u, 8)
+    assert (got is None) == (want is None) == (twin(x, u, 8) is None), want
+    if want is not None:
+        assert got.tolist() == want
+    round_calls += 1
+scratch = Exact(bytes(8))
+assert lib.repro_stochastic_round(None, None, 0, 1, scratch.ptr) == -1
+assert lib.repro_stochastic_round(scratch.ptr, scratch.ptr, 1, 0, scratch.ptr) == -1
+scratch.free()
+assert ctr_calls == 39 * len(runs), ctr_calls
+print("sanitized ctr/fwht/round calls:", fwht_calls, round_calls)
+print("stream runs:", ", ".join(runs))
+"""
+
 
 def _runtime(name: str):
     cc = next((cc for cc in native._compilers() if shutil.which(cc)), None)
@@ -403,6 +567,19 @@ def test_mask_fold_and_noise_fill_are_clean_under_asan_and_ubsan(sanitized_objec
     # 5 counts × 2 signs × 3 seeds.
     assert done.stdout.strip() == "sanitized stream calls: 1548", report
     assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
+
+
+@pytest.mark.timeout(300)
+def test_stream_butterfly_and_rounder_are_clean_under_asan_and_ubsan(sanitized_object):
+    done = _sanitized_python(CTR_AND_TRANSFORM_SCRIPT, *sanitized_object)
+    report = done.stdout[-2000:] + done.stderr[-6000:]
+    assert done.returncode == 0, report
+    assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
+    # fwht: six lengths; the rounder: 2 clean limits per length, 7 bad
+    # values at each of its (up to two) ends, and 4 limit edges.
+    assert done.stdout.startswith("sanitized ctr/fwht/round calls: 6 63\n"), report
+    # The dispatcher always, then every compression path the host has.
+    assert "stream runs: auto, path 1" in done.stdout, report
 
 
 def test_the_sanitized_object_is_never_the_production_one(sanitized_object):
