@@ -81,6 +81,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": [
             "tests/crypto/test_hotpath_parity.py",
             "tests/wire/test_encode_parity.py",
+            "tests/wire/test_codec_oracle.py",
         ],
     },
     # Fleet scale: the columns ≡ the reference builder row for row, and

@@ -3,10 +3,12 @@
 Each metric pair times the callable a round executes and the
 ``*_reference`` executable specification it is parity-pinned against
 (PRG mask expansion and folding, key agreement, Skellam noise expansion,
-the DSkellam transform, Shamir dealing and reconstruction, codec
-encode, mask accumulation), so the recorded speedups are measured on the same
+the DSkellam transform, Shamir dealing and reconstruction, mask
+accumulation), so the recorded speedups are measured on the same
 machine, same inputs, same run — the trajectory point the paper's
-Fig.-2-style overhead claims rest on.
+Fig.-2-style overhead claims rest on.  The codec rows time the fast
+path alone (its specification is a test oracle): the masked upload and
+the control plane's messages at ``many_clients``' shape.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from repro.dp.rotation import fwht
 from repro.dp.sampler import skellam_noise_from_seed_reference
 from repro.dp.skellam import SkellamConfig, SkellamMechanism
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
-from repro.secagg.types import MaskedInputMsg
+from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, SharePayload, UnmaskingMsg
 from repro.utils.rng import derive_rng
 from repro.wire import codecs as wire_codecs
 from repro.wire.bitpack import pack_bits_into, pack_low_bits_into, unpack_add, unpack_bits
-from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE, encode_frame
+from repro.wire.frame import FRAME_OVERHEAD, KIND_REQUEST, KIND_RESPONSE
 from repro.xnoise.protocol import skellam_noise_from_seed
 
 TOPIC = "hotpath"
@@ -73,6 +75,29 @@ def _speedup_triplet(
     metrics[f"{name}_fast_s"] = metric(fast_s, "s")
     if fast_s > 0:
         metrics[f"{name}_speedup"] = metric(ref_s / fast_s, "x")
+
+
+def _codec_rows(
+    metrics: dict[str, Any], name: str, kind: int, make: Callable[[], Any], repeats: int
+) -> None:
+    """Encode (one framed payload) and decode (its body) times and the
+    frame's size; ``make`` builds the payload afresh for every encode,
+    outside the timing."""
+    frame = wire_codecs.encode_payload_frame(kind, make())
+    body = bytes(frame[FRAME_OVERHEAD:])
+    assert wire_codecs.encode_payload(wire_codecs.decode_payload(body)) == body
+
+    def _encode() -> float:
+        obj = make()
+        start = time.perf_counter()
+        wire_codecs.encode_payload_frame(kind, obj)
+        return time.perf_counter() - start
+
+    metrics[f"codec_encode_{name}_s"] = metric(min(_encode() for _ in range(max(1, repeats))), "s")
+    metrics[f"codec_decode_{name}_s"] = metric(
+        _best_of(lambda: wire_codecs.decode_payload(body), repeats), "s"
+    )
+    metrics[f"codec_encoded_{name}_bytes"] = metric(len(frame), "bytes")
 
 
 def run_hotpath(
@@ -270,28 +295,47 @@ def run_hotpath(
     _speedup_triplet(metrics, f"shamir_reconstruct_{shape}", ref_s, fast_s)
 
     # Codec: the masked upload a round ships — a MaskedInputMsg framed
-    # as the client's RESPONSE — at the largest dimension, against the
-    # concatenating frame-of-payload twin; decode is the coordinator's
-    # decode_payload over the received frame body.
+    # as the client's RESPONSE — at the largest dimension; decode is the
+    # coordinator's decode_payload over the received frame body.
     d = max(dims)
     vector = rng.integers(0, modulus, size=d).astype(np.int64)
     upload = MaskedInputMsg.from_vector(1, vector, bits)
-    ref_s = _best_of(
-        lambda: encode_frame(
-            KIND_RESPONSE, wire_codecs.encode_payload_reference(upload)
-        ),
-        repeats,
+    _codec_rows(metrics, f"d{d}", KIND_RESPONSE, lambda: upload, repeats)
+
+    # The control plane at many_clients' shape (modp512, n = 32, t = 17):
+    # one client's ShareKeys request (the whole roster and its 31
+    # neighbour ids); one ShareKeys plaintext, plain and with XNoise's
+    # six g:k extras; one Unmasking response with 29 b-shares and 3
+    # s^SK shares.  The request's roster records are fresh each call,
+    # so every record is encoded, as for a round's first recipient.
+    extras = [bytes(rng.integers(0, 256, size=32, dtype=np.uint8)) for _ in range(6)]
+    s_shares, b_shares, *g_shares = scheme.share([key, seed_b, *extras], ids)
+    width = resolve_group("modp512").element_bytes
+    publics = [bytes(rng.integers(0, 256, size=width, dtype=np.uint8)) for _ in ids]
+
+    def _request() -> tuple:
+        roster = {u: AdvertiseKeysMsg(u, c, c[::-1]) for u, c in zip(ids, publics)}
+        return ("share_keys", (roster, ids[1:]))
+
+    _codec_rows(metrics, f"share_keys_request_n{n}", KIND_REQUEST, _request, repeats)
+    plain = SharePayload(1, 2, s_shares[2], b_shares[2])
+    extended = SharePayload(
+        1, 2, s_shares[2], b_shares[2], {f"g:{k}": g[2] for k, g in enumerate(g_shares, 1)}
     )
-    fast_s = _best_of(
-        lambda: wire_codecs.encode_payload_frame(KIND_RESPONSE, upload), repeats
+    for name, payload in (("share_payload", plain), ("share_payload_x6", extended)):
+        data = payload.to_bytes()
+        assert SharePayload.from_bytes(data) == payload
+        metrics[f"codec_encode_{name}_s"] = metric(_best_of(payload.to_bytes, repeats), "s")
+        metrics[f"codec_decode_{name}_s"] = metric(
+            _best_of(lambda: SharePayload.from_bytes(data), repeats), "s"
+        )
+        metrics[f"codec_encoded_{name}_bytes"] = metric(len(data), "bytes")
+    unmasking = UnmaskingMsg(
+        sender=1,
+        s_sk_shares={u: s_shares[u] for u in ids[29:]},
+        b_shares={u: b_shares[u] for u in ids[:29]},
     )
-    _speedup_triplet(metrics, f"codec_encode_d{d}", ref_s, fast_s)
-    frame = wire_codecs.encode_payload_frame(KIND_RESPONSE, upload)
-    metrics[f"codec_encoded_d{d}_bytes"] = metric(len(frame), "bytes")
-    body = bytes(frame[FRAME_OVERHEAD:])
-    metrics[f"codec_decode_d{d}_s"] = metric(
-        _best_of(lambda: wire_codecs.decode_payload(body), repeats), "s"
-    )
+    _codec_rows(metrics, "unmasking_b29_s3", KIND_RESPONSE, lambda: unmasking, repeats)
 
     # Mask accumulation: base + one mask per live neighbor.
     masks = [

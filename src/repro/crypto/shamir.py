@@ -18,6 +18,7 @@ point in one packed Horner pass.
 from __future__ import annotations
 
 import secrets
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +45,7 @@ class Share:
 
         The widths are fixed, so every out-of-range field is validated
         here and raises a ``ValueError`` naming the field — never a raw
-        ``OverflowError`` from ``int.to_bytes``.
+        ``struct.error`` or ``OverflowError`` from the packing.
         """
         if not 0 <= self.x < 1 << 64:
             raise ValueError(f"share field 'x' = {self.x} outside [0, 2**64)")
@@ -59,31 +60,27 @@ class Share:
         for i, y in enumerate(self.ys):
             if not 0 <= y < 1 << 128:
                 raise ValueError(f"share field 'ys[{i}]' = {y} outside [0, 2**128)")
-        parts = [
-            self.x.to_bytes(8, "big"),
-            self.secret_len.to_bytes(4, "big"),
-            len(self.ys).to_bytes(2, "big"),
-        ]
-        parts += [y.to_bytes(16, "big") for y in self.ys]
-        return b"".join(parts)
+        head = _SHARE_HEADER.pack(self.x, self.secret_len, len(self.ys))
+        return head + b"".join([y.to_bytes(16, "big") for y in self.ys])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Share":
         """Strict inverse of :meth:`to_bytes`."""
-        if len(data) < 14:
+        n, head = len(data), _SHARE_HEADER.size
+        if n < head:
             raise ValueError("share encoding too short")
-        count = int.from_bytes(data[12:14], "big")
-        body = data[14:]
-        if len(body) != 16 * count:
+        x, secret_len, count = _SHARE_HEADER.unpack_from(data)
+        if n != head + 16 * count:
             raise ValueError("share encoding length mismatch")
         return cls(
-            x=int.from_bytes(data[:8], "big"),
-            ys=tuple(
-                int.from_bytes(body[i : i + 16], "big")
-                for i in range(0, len(body), 16)
-            ),
-            secret_len=int.from_bytes(data[8:12], "big"),
+            x=x,
+            ys=tuple([int.from_bytes(data[i : i + 16], "big") for i in range(head, n, 16)]),
+            secret_len=secret_len,
         )
+
+
+#: ``x u64 ∥ secret_len u32 ∥ count u16``: the fixed head of a Share.
+_SHARE_HEADER = struct.Struct(">QIH")
 
 
 class ShamirSecretSharing:

@@ -7,6 +7,7 @@ driver and match the paper's Fig. 5 stage names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -151,7 +152,7 @@ class WireRecord:
     """
 
     def to_bytes(self) -> bytes:
-        values = tuple(getattr(self, f.name) for f in fields(self))
+        values = tuple([getattr(self, name) for name in _field_names(type(self))])
         self._check(*values)
         return encode_value(values)
 
@@ -161,11 +162,17 @@ class WireRecord:
             values = decode_whole_value(data)
         except CodecError as exc:
             raise CodecError(f"malformed {cls.__name__} body: {exc}") from exc
-        arity = len(fields(cls))
+        arity = len(_field_names(cls))
         if not isinstance(values, tuple) or len(values) != arity:
             raise CodecError(f"{cls.__name__} is not a {arity}-field tuple")
         cls._check(*values)
         return cls(*values)
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A record class's field names, in order (read once per class)."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -177,12 +184,23 @@ class AdvertiseKeysMsg(WireRecord):
     built from it) has one size per group, not one per key value.  The
     record cannot know the group: server and clients refuse any other
     width (:meth:`~repro.crypto.dh.KeyAgreement.decode_public`).
+
+    The record is frozen and every field immutable, so it keeps its
+    body after the first encode: the ShareKeys request repeats the
+    whole roster to every client.
     """
 
     sender: int
     c_public: bytes
     s_public: bytes
     signature: Optional[SchnorrSignature] = None
+
+    @cached_property
+    def _body(self) -> bytes:
+        return WireRecord.to_bytes(self)
+
+    def to_bytes(self) -> bytes:
+        return self._body
 
     @staticmethod
     def _check(sender, c_public, s_public, signature) -> None:

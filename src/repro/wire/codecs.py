@@ -37,6 +37,20 @@ Strictness: :func:`decode_payload` consumes the entire buffer or raises
 version bytes, duplicate dict keys/set elements all fail loudly.
 Decoding never executes code (no pickle) and never blocks.
 
+Dispatch
+--------
+The encoder finds a value's writer by its exact type in one table (the
+builtins the protocol ships and every registered codec that stages its
+body); a miss — a numpy scalar, a subclass, a ``memoryview``, a set, an
+ndarray, an ``in_place`` codec — takes the ``isinstance`` ladder and
+then the registry along the type's MRO, to the same bytes.  The
+decoder indexes a table by the tag byte and reads each count and body
+in place.  Only :class:`~repro.secagg.types.AdvertiseKeysMsg` keeps its
+encoding: the ShareKeys request repeats the roster to every client, and
+the record is frozen with immutable fields (``SharePayload`` and
+``UnmaskingMsg`` hold dicts and are sent once).  The pre-dispatch codec
+is the test oracle ``tests/oracles/wire_codec.py``.
+
 Registry
 --------
 :func:`register_codec` binds a Python type to a tag in ``0x20..0xFF``
@@ -112,8 +126,9 @@ def register_codec(
     """Bind ``cls`` to ``tag`` with a body encoder/decoder pair.
 
     Tags below :data:`REGISTERED_TAG_BASE` belong to the structural
-    value encoding; duplicate tags or types are programming errors and
-    refused.  ``body_nbytes`` optionally computes ``len(encode_body(x))``
+    value encoding; duplicate tags or types, and a type the value
+    encoding already covers (an ``int`` or ``tuple`` subclass, say), are
+    programming errors and refused.  ``body_nbytes`` optionally computes ``len(encode_body(x))``
     without materializing the bytes — worth providing for bulk-carrying
     types (the size-only path otherwise falls back to encoding).
 
@@ -133,12 +148,17 @@ def register_codec(
         )
     if cls in _by_type:
         raise ValueError(f"type {cls.__name__} already has a codec")
+    if issubclass(cls, _STRUCTURAL):
+        raise ValueError(f"type {cls.__name__} is encoded as a value, not by a codec")
     _by_type[cls] = (tag, encode_body)
     _by_tag[tag] = (cls, decode_body)
+    _DECODERS[tag] = _record_decoder(cls, decode_body, in_place)
     if body_nbytes is not None:
         _size_by_type[cls] = body_nbytes
     if in_place:
         _in_place.add(cls)
+    else:
+        _ENCODERS[cls] = _record_encoder(tag, encode_body)
 
 
 def registered_codecs() -> dict[type, int]:
@@ -188,23 +208,15 @@ def _ensure_defaults() -> None:
 # Value encoding
 # ---------------------------------------------------------------------------
 
-
-def _lp(body: bytes) -> bytes:
-    """4-byte big-endian length prefix."""
-    return len(body).to_bytes(4, "big") + body
-
-
-def _encode_int(value: int) -> bytes:
-    n = max(1, (value.bit_length() + 8) // 8)
-    return value.to_bytes(n, "big", signed=True)
+_U32 = struct.Struct(">I")
+#: A tag byte and the 4-byte length or count that follows it.
+_TAG_U32 = struct.Struct(">BI")
+_TAG_F64 = struct.Struct(">Bd")
+_F64 = struct.Struct(">d")
 
 
 def encode_value(obj: Any) -> bytes:
-    """Tagged canonical encoding of one payload value.
-
-    Byte-identical to :func:`encode_value_reference` (pinned by test);
-    built through the single-buffer :func:`encode_value_into` path.
-    """
+    """Tagged canonical encoding of one payload value."""
     out = bytearray()
     encode_value_into(obj, out)
     return bytes(out)
@@ -221,141 +233,141 @@ def encode_value_into(obj: Any, out: bytearray) -> None:
     each element separately, as the format requires.
     """
     _ensure_defaults()
-    if obj is None:
-        out.append(_TAG_NONE)
-        return
+    _ENCODERS.get(type(obj), _encode_other)(obj, out)
+
+
+def _encoded(obj: Any) -> bytearray:
+    """One value's encoding on its own (a container element to sort)."""
+    out = bytearray()
+    _ENCODERS.get(type(obj), _encode_other)(obj, out)
+    return out
+
+
+def _encode_constant(obj: bool | None, out: bytearray) -> None:
+    out.append(_TAG_NONE if obj is None else _TAG_TRUE if obj else _TAG_FALSE)
+
+
+def _encode_int(obj: int, out: bytearray) -> None:
+    n = (obj.bit_length() + 8) >> 3
+    out += _TAG_U32.pack(_TAG_INT, n)
+    out += obj.to_bytes(n, "big", signed=True)
+
+
+def _encode_float(obj: float, out: bytearray) -> None:
+    out += _TAG_F64.pack(_TAG_FLOAT, obj)
+
+
+def _encode_str(obj: str, out: bytearray) -> None:
+    body = obj.encode("utf-8")
+    out += _TAG_U32.pack(_TAG_STR, len(body))
+    out += body
+
+
+def _encode_bytes(obj: bytes | bytearray, out: bytearray) -> None:
+    out += _TAG_U32.pack(_TAG_BYTES, len(obj))
+    out += obj
+
+
+def _encode_sequence(obj: list | tuple, out: bytearray) -> None:
+    out += _TAG_U32.pack(_TAG_LIST if isinstance(obj, list) else _TAG_TUPLE, len(obj))
+    for item in obj:
+        _ENCODERS.get(type(item), _encode_other)(item, out)
+
+
+def _encode_dict(obj: dict, out: bytearray) -> None:
+    pairs = sorted((_encoded(k), _encoded(v)) for k, v in obj.items())
+    out += _TAG_U32.pack(_TAG_DICT, len(pairs))
+    for k, v in pairs:
+        out += k
+        out += v
+
+
+def _record_encoder(tag: int, encode_body: Callable[[Any], bytes]):
+    """The dispatch entry of a registered codec that stages its body."""
+
+    def encode(obj: Any, out: bytearray) -> None:
+        body = encode_body(obj)
+        out += _TAG_U32.pack(tag, len(body))
+        out += body
+
+    return encode
+
+
+#: The encoder of each exact type the protocol ships; registered codecs
+#: that stage their body join it (:func:`register_codec`).
+_ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
+    type(None): _encode_constant,
+    bool: _encode_constant,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    bytearray: _encode_bytes,
+    list: _encode_sequence,
+    tuple: _encode_sequence,
+    dict: _encode_dict,
+}
+
+#: What the value encoding claims by ``isinstance``: no codec may be
+#: registered for these or their subclasses.
+_STRUCTURAL = (
+    bool, np.bool_, int, np.integer, float, np.floating, str,
+    bytes, bytearray, memoryview, np.ndarray, list, tuple, set, frozenset, dict,
+)
+
+
+def _encode_other(obj: Any, out: bytearray) -> None:
+    """A type the table misses: numpy scalars, subclasses, memoryviews,
+    sets, ndarrays, in-place codecs — matched by ``isinstance``, then by
+    the registry along the type's MRO."""
     if isinstance(obj, (bool, np.bool_)):
-        out.append(_TAG_TRUE if obj else _TAG_FALSE)
-        return
-    if isinstance(obj, (int, np.integer)):
-        body = _encode_int(int(obj))
-        out.append(_TAG_INT)
-        out += len(body).to_bytes(4, "big")
-        out += body
-        return
-    if isinstance(obj, (float, np.floating)):
-        out.append(_TAG_FLOAT)
-        out += struct.pack(">d", float(obj))
-        return
-    if isinstance(obj, str):
-        body = obj.encode("utf-8")
-        out.append(_TAG_STR)
-        out += len(body).to_bytes(4, "big")
-        out += body
-        return
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        if isinstance(obj, memoryview) and not obj.c_contiguous:
-            obj = bytes(obj)
-        out.append(_TAG_BYTES)
-        out += len(obj).to_bytes(4, "big")
-        out += obj
-        return
-    if isinstance(obj, np.ndarray):
+        _encode_constant(obj, out)
+    elif isinstance(obj, (int, np.integer)):
+        _encode_int(int(obj), out)
+    elif isinstance(obj, (float, np.floating)):
+        _encode_float(float(obj), out)
+    elif isinstance(obj, str):
+        _encode_str(obj, out)
+    elif isinstance(obj, memoryview):
+        view = obj if obj.c_contiguous else memoryview(bytes(obj))
+        out += _TAG_U32.pack(_TAG_BYTES, view.nbytes)
+        out += view
+    elif isinstance(obj, (bytes, bytearray)):
+        _encode_bytes(obj, out)
+    elif isinstance(obj, np.ndarray):
         out.append(_TAG_NDARRAY)
         _encode_ndarray_into(obj, out)
-        return
-    if isinstance(obj, (list, tuple)):
-        out.append(_TAG_LIST if isinstance(obj, list) else _TAG_TUPLE)
-        out += len(obj).to_bytes(4, "big")
-        for item in obj:
-            encode_value_into(item, out)
-        return
-    if isinstance(obj, (set, frozenset)):
-        encoded = sorted(encode_value(item) for item in obj)
-        out.append(_TAG_SET if isinstance(obj, set) else _TAG_FROZENSET)
-        out += len(encoded).to_bytes(4, "big")
+    elif isinstance(obj, (list, tuple)):
+        _encode_sequence(obj, out)
+    elif isinstance(obj, (set, frozenset)):
+        encoded = sorted(_encoded(item) for item in obj)
+        out += _TAG_U32.pack(
+            _TAG_SET if isinstance(obj, set) else _TAG_FROZENSET, len(encoded)
+        )
         for item in encoded:
             out += item
-        return
-    if isinstance(obj, dict):
-        pairs = sorted(
-            (encode_value(k), encode_value(v)) for k, v in obj.items()
-        )
-        out.append(_TAG_DICT)
-        out += len(pairs).to_bytes(4, "big")
-        for k, v in pairs:
-            out += k
-            out += v
-        return
-    for cls in type(obj).__mro__:
-        entry = _by_type.get(cls)
-        if entry is not None:
+    elif isinstance(obj, dict):
+        _encode_dict(obj, out)
+    else:
+        for cls in type(obj).__mro__:
+            entry = _by_type.get(cls)
+            if entry is None:
+                continue
             tag, encode_body = entry
-            if cls in _in_place:
-                # Reserve the length prefix, let the codec write its
-                # body into this buffer, then fill the prefix in.
-                out.append(tag)
-                at = len(out)
-                out += b"\x00\x00\x00\x00"
-                encode_body(obj, out)
-                out[at : at + 4] = (len(out) - at - 4).to_bytes(4, "big")
+            if cls not in _in_place:
+                _record_encoder(tag, encode_body)(obj, out)
                 return
-            body = encode_body(obj)
+            # Reserve the length prefix, let the codec write its body
+            # into this buffer, then fill the prefix in.
             out.append(tag)
-            out += len(body).to_bytes(4, "big")
-            out += body
+            at = len(out)
+            out += b"\x00\x00\x00\x00"
+            encode_body(obj, out)
+            out[at : at + 4] = _U32.pack(len(out) - at - 4)
             return
-    raise CodecError(
-        f"no codec registered for payload type {type(obj).__name__}"
-    )
-
-
-def encode_value_reference(obj: Any) -> bytes:
-    """Retained concatenating encoder: the executable byte-format spec.
-
-    Every fast path (:func:`encode_value_into`, :func:`encode_payload`,
-    :func:`encode_payload_frame`) is parity-pinned against this
-    implementation byte for byte.
-    """
-    _ensure_defaults()
-    if obj is None:
-        return bytes((_TAG_NONE,))
-    if isinstance(obj, (bool, np.bool_)):
-        return bytes((_TAG_TRUE,)) if obj else bytes((_TAG_FALSE,))
-    if isinstance(obj, (int, np.integer)):
-        return bytes((_TAG_INT,)) + _lp(_encode_int(int(obj)))
-    if isinstance(obj, (float, np.floating)):
-        return bytes((_TAG_FLOAT,)) + struct.pack(">d", float(obj))
-    if isinstance(obj, str):
-        return bytes((_TAG_STR,)) + _lp(obj.encode("utf-8"))
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return bytes((_TAG_BYTES,)) + _lp(bytes(obj))
-    if isinstance(obj, np.ndarray):
-        return bytes((_TAG_NDARRAY,)) + _encode_ndarray(obj)
-    if isinstance(obj, (list, tuple)):
-        tag = _TAG_LIST if isinstance(obj, list) else _TAG_TUPLE
-        out = bytearray((tag,))
-        out += len(obj).to_bytes(4, "big")
-        for item in obj:
-            out += encode_value_reference(item)
-        return bytes(out)
-    if isinstance(obj, (set, frozenset)):
-        tag = _TAG_SET if isinstance(obj, set) else _TAG_FROZENSET
-        encoded = sorted(encode_value_reference(item) for item in obj)
-        out = bytearray((tag,))
-        out += len(encoded).to_bytes(4, "big")
-        for item in encoded:
-            out += item
-        return bytes(out)
-    if isinstance(obj, dict):
-        pairs = sorted(
-            (encode_value_reference(k), encode_value_reference(v))
-            for k, v in obj.items()
+        raise CodecError(
+            f"no codec registered for payload type {type(obj).__name__}"
         )
-        out = bytearray((_TAG_DICT,))
-        out += len(pairs).to_bytes(4, "big")
-        for k, v in pairs:
-            out += k
-            out += v
-        return bytes(out)
-    for cls in type(obj).__mro__:
-        entry = _by_type.get(cls)
-        if entry is not None:
-            tag, encode_body = entry
-            return bytes((tag,)) + _lp(encode_body(obj))
-    raise CodecError(
-        f"no codec registered for payload type {type(obj).__name__}"
-    )
 
 
 def _encode_ndarray_into(arr: np.ndarray, out: bytearray) -> None:
@@ -374,28 +386,18 @@ def _encode_ndarray_into(arr: np.ndarray, out: bytearray) -> None:
     out += a.data
 
 
-def _encode_ndarray(arr: np.ndarray) -> bytes:
-    out = bytearray()
-    _encode_ndarray_into(arr, out)
-    return bytes(out)
+# ---------------------------------------------------------------------------
+# Value decoding
+# ---------------------------------------------------------------------------
+#
+# ``_DECODERS[tag](data, offset, end, depth)`` reads the value whose tag
+# byte sits just before ``offset`` and returns ``(value, next offset)``;
+# ``end`` is ``len(data)``, taken once per top-level call; every read is
+# checked against it.
 
 
-def _read(data: bytes, offset: int, n: int) -> tuple[bytes, int]:
-    end = offset + n
-    if end > len(data):
-        raise CodecError("truncated value")
-    return data[offset:end], end
-
-
-def _read_lp(data: bytes, offset: int) -> tuple[bytes, int]:
-    raw, offset = _read(data, offset, 4)
-    n = int.from_bytes(raw, "big")
-    return _read(data, offset, n)
-
-
-def _read_count(data: bytes, offset: int) -> tuple[int, int]:
-    raw, offset = _read(data, offset, 4)
-    return int.from_bytes(raw, "big"), offset
+def _truncated() -> CodecError:
+    return CodecError("truncated value")
 
 
 def decode_value(
@@ -405,121 +407,169 @@ def decode_value(
     _ensure_defaults()
     if _depth > _MAX_DEPTH:
         raise CodecError(f"payload nesting exceeds {_MAX_DEPTH} levels")
-    tag_raw, offset = _read(data, offset, 1)
-    tag = tag_raw[0]
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_INT:
-        body, offset = _read_lp(data, offset)
-        if not body:
-            raise CodecError("empty int body")
-        return int.from_bytes(body, "big", signed=True), offset
-    if tag == _TAG_FLOAT:
-        body, offset = _read(data, offset, 8)
-        return struct.unpack(">d", body)[0], offset
-    if tag == _TAG_STR:
-        body, offset = _read_lp(data, offset)
-        try:
-            return body.decode("utf-8"), offset
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8 in str value: {exc}") from exc
-    if tag == _TAG_BYTES:
-        body, offset = _read_lp(data, offset)
-        return body, offset
-    if tag == _TAG_NDARRAY:
-        return _decode_ndarray(data, offset)
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        count, offset = _read_count(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = decode_value(data, offset, _depth + 1)
-            items.append(item)
-        return (items if tag == _TAG_LIST else tuple(items)), offset
-    if tag in (_TAG_SET, _TAG_FROZENSET):
-        count, offset = _read_count(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = decode_value(data, offset, _depth + 1)
-            items.append(item)
-        try:
-            out = set(items)
-        except TypeError as exc:
-            raise CodecError(f"unhashable set element: {exc}") from exc
-        if len(out) != count:
-            raise CodecError("duplicate elements in set encoding")
-        return (out if tag == _TAG_SET else frozenset(out)), offset
-    if tag == _TAG_DICT:
-        count, offset = _read_count(data, offset)
-        out_dict: dict = {}
-        for _ in range(count):
-            key, offset = decode_value(data, offset, _depth + 1)
-            value, offset = decode_value(data, offset, _depth + 1)
-            try:
-                out_dict[key] = value
-            except TypeError as exc:
-                raise CodecError(f"unhashable dict key: {exc}") from exc
-        if len(out_dict) != count:
-            raise CodecError("duplicate keys in dict encoding")
-        return out_dict, offset
-    entry = _by_tag.get(tag)
-    if entry is not None:
-        cls, decode_body = entry
-        if cls in _in_place:
-            n, offset = _read_count(data, offset)
-            if offset + n > len(data):
-                raise CodecError("truncated value")
-            body = memoryview(data)[offset : offset + n]
-            offset += n
-        else:
-            body, offset = _read_lp(data, offset)
-        try:
-            return decode_body(body), offset
-        except CodecError:
-            raise
-        except ValueError as exc:
-            raise CodecError(f"malformed {cls.__name__} body: {exc}") from exc
-    raise CodecError(f"unknown value tag {tag:#x}")
+    end = len(data)
+    if offset >= end:
+        raise _truncated()
+    return _DECODERS[data[offset]](data, offset + 1, end, _depth)
 
 
 def decode_whole_value(data: bytes, offset: int = 0) -> Any:
     """The one value ``data[offset:]`` holds; anything after it is an error."""
-    value, end = decode_value(data, offset)
-    if end != len(data):
-        raise CodecError(f"trailing garbage: {len(data) - end} bytes after value")
+    value, stop = decode_value(data, offset)
+    if stop != len(data):
+        raise CodecError(f"trailing garbage: {len(data) - stop} bytes after value")
     return value
 
 
-def _decode_ndarray(data: bytes, offset: int) -> tuple[np.ndarray, int]:
-    dtype_raw, offset = _read_lp(data, offset)
+def _span(data: bytes, offset: int, end: int) -> tuple[int, int]:
+    """``(start, stop)`` of the length-prefixed body at ``offset``."""
+    start = offset + 4
+    if start > end:
+        raise _truncated()
+    stop = start + _U32.unpack_from(data, offset)[0]
+    if stop > end:
+        raise _truncated()
+    return start, stop
+
+
+def _items(
+    data: bytes, offset: int, end: int, depth: int, per: int = 1
+) -> tuple[list, int]:
+    """The ``per × count`` values of a container, one level down."""
+    if offset + 4 > end:
+        raise _truncated()
+    n = per * _U32.unpack_from(data, offset)[0]
+    offset += 4
+    if n and depth >= _MAX_DEPTH:
+        raise CodecError(f"payload nesting exceeds {_MAX_DEPTH} levels")
+    depth += 1
+    items = []
+    for _ in range(n):
+        if offset >= end:
+            raise _truncated()
+        item, offset = _DECODERS[data[offset]](data, offset + 1, end, depth)
+        items.append(item)
+    return items, offset
+
+
+def _decode_int(data, offset, end, depth):
+    start, stop = _span(data, offset, end)
+    if start == stop:
+        raise CodecError("empty int body")
+    return int.from_bytes(data[start:stop], "big", signed=True), stop
+
+
+def _decode_float(data, offset, end, depth):
+    if offset + 8 > end:
+        raise _truncated()
+    return _F64.unpack_from(data, offset)[0], offset + 8
+
+
+def _decode_str(data, offset, end, depth):
+    start, stop = _span(data, offset, end)
+    try:
+        return data[start:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8 in str value: {exc}") from exc
+
+
+def _decode_bytes(data, offset, end, depth):
+    start, stop = _span(data, offset, end)
+    return data[start:stop], stop
+
+
+def _decode_tuple(data, offset, end, depth):
+    items, offset = _items(data, offset, end, depth)
+    return tuple(items), offset
+
+
+def _decode_set(data, offset, end, depth):
+    items, stop = _items(data, offset, end, depth)
+    try:
+        unique = set(items)
+    except TypeError as exc:
+        raise CodecError(f"unhashable set element: {exc}") from exc
+    if len(unique) != len(items):
+        raise CodecError("duplicate elements in set encoding")
+    return (unique if data[offset - 1] == _TAG_SET else frozenset(unique)), stop
+
+
+def _decode_dict(data, offset, end, depth):
+    flat, stop = _items(data, offset, end, depth, per=2)
+    try:
+        out = dict(zip(flat[::2], flat[1::2]))
+    except TypeError as exc:
+        raise CodecError(f"unhashable dict key: {exc}") from exc
+    if 2 * len(out) != len(flat):
+        raise CodecError("duplicate keys in dict encoding")
+    return out, stop
+
+
+def _decode_ndarray(data, offset, end, depth):
+    start, offset = _span(data, offset, end)
+    dtype_raw = data[start:offset]
     try:
         dtype = np.dtype(dtype_raw.decode("ascii"))
     except (UnicodeDecodeError, TypeError, ValueError) as exc:
         raise CodecError(f"invalid ndarray dtype {dtype_raw!r}") from exc
     if dtype.hasobject:
         raise CodecError("object-dtype ndarrays have no wire encoding")
-    ndim, offset = _read_count(data, offset)
+    if offset + 4 > end:
+        raise _truncated()
+    ndim = _U32.unpack_from(data, offset)[0]
     if ndim > _MAX_NDIM:
         raise CodecError(f"ndarray rank {ndim} exceeds {_MAX_NDIM}")
-    shape = []
-    for _ in range(ndim):
-        dim, offset = _read_count(data, offset)
-        shape.append(dim)
-    raw, offset = _read_lp(data, offset)
+    if offset + 4 + 4 * ndim > end:
+        raise _truncated()
+    shape = struct.unpack_from(f">{ndim}I", data, offset + 4)
+    start, stop = _span(data, offset + 4 + 4 * ndim, end)
     count = 1
     for dim in shape:
         count *= dim
-    expected = count * dtype.itemsize
-    if len(raw) != expected:
+    if stop - start != count * dtype.itemsize:
         raise CodecError(
-            f"ndarray buffer of {len(raw)} bytes does not match "
-            f"shape {tuple(shape)} dtype {dtype.str}"
+            f"ndarray buffer of {stop - start} bytes does not match "
+            f"shape {shape} dtype {dtype.str}"
         )
-    arr = np.frombuffer(raw, dtype=dtype)
-    return arr.reshape(shape).copy(), offset
+    arr = np.frombuffer(data[start:stop], dtype=dtype)
+    return arr.reshape(shape).copy(), stop
+
+
+def _record_decoder(cls: type, decode_body: Callable[[Any], Any], in_place: bool):
+    """The tag's entry for a registered codec: its body, checked and
+    handed over — a ``memoryview`` of the buffer if ``in_place``."""
+
+    def decode(data, offset, end, depth):
+        start, stop = _span(data, offset, end)
+        body = memoryview(data)[start:stop] if in_place else data[start:stop]
+        try:
+            return decode_body(body), stop
+        except CodecError:
+            raise
+        except ValueError as exc:
+            raise CodecError(f"malformed {cls.__name__} body: {exc}") from exc
+
+    return decode
+
+
+def _unknown_tag(data, offset, end, depth):
+    raise CodecError(f"unknown value tag {data[offset - 1]:#x}")
+
+
+#: One decoder per tag byte; registration fills in its tag.
+_DECODERS: list[Callable[[Any, int, int, int], tuple[Any, int]]] = [_unknown_tag] * 256
+_DECODERS[_TAG_NONE] = lambda data, offset, end, depth: (None, offset)
+_DECODERS[_TAG_FALSE] = lambda data, offset, end, depth: (False, offset)
+_DECODERS[_TAG_TRUE] = lambda data, offset, end, depth: (True, offset)
+_DECODERS[_TAG_INT] = _decode_int
+_DECODERS[_TAG_FLOAT] = _decode_float
+_DECODERS[_TAG_STR] = _decode_str
+_DECODERS[_TAG_BYTES] = _decode_bytes
+_DECODERS[_TAG_LIST] = _items
+_DECODERS[_TAG_TUPLE] = _decode_tuple
+_DECODERS[_TAG_SET] = _DECODERS[_TAG_FROZENSET] = _decode_set
+_DECODERS[_TAG_DICT] = _decode_dict
+_DECODERS[_TAG_NDARRAY] = _decode_ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +582,6 @@ def encode_payload(obj: Any) -> bytes:
     out = bytearray((PAYLOAD_VERSION,))
     encode_value_into(obj, out)
     return bytes(out)
-
-
-def encode_payload_reference(obj: Any) -> bytes:
-    """Retained concatenating twin of :func:`encode_payload`."""
-    return bytes((PAYLOAD_VERSION,)) + encode_value_reference(obj)
 
 
 def encode_payload_frame(kind: int, obj: Any) -> bytearray:

@@ -56,6 +56,46 @@ class TestShareStructure:
             ShamirSecretSharing(threshold=0)
 
 
+class TestShareLeafFormat:
+    """``x u64 ∥ secret_len u32 ∥ count u16 ∥ count × y u128``, packed by
+    one ``struct``: each bound raises the ``ValueError`` naming its
+    field, never ``struct.error`` or ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(x=1 << 64, ys=(1,), secret_len=1), "'x'"),
+            (dict(x=-1, ys=(1,), secret_len=1), "'x'"),
+            (dict(x=1, ys=(1,), secret_len=1 << 32), "'secret_len'"),
+            (dict(x=1, ys=(1,), secret_len=-1), "'secret_len'"),
+            (dict(x=1, ys=(0,) * (1 << 16), secret_len=1), "'ys'"),
+            (dict(x=1, ys=(0, 1 << 128), secret_len=1), r"'ys\[1\]'"),
+            (dict(x=1, ys=(-1,), secret_len=1), r"'ys\[0\]'"),
+        ],
+    )
+    def test_each_bound_names_its_field(self, fields, named):
+        with pytest.raises(ValueError, match=named) as caught:
+            Share(**fields).to_bytes()
+        assert type(caught.value) is ValueError
+
+    def test_largest_fields_encode_and_round_trip(self):
+        share = Share(x=(1 << 64) - 1, ys=(0, (1 << 128) - 1), secret_len=(1 << 32) - 1)
+        data = share.to_bytes()
+        assert data == (
+            b"\xff" * 8 + b"\xff" * 4 + b"\x00\x02" + bytes(16) + b"\xff" * 16
+        )
+        assert Share.from_bytes(data) == share
+        assert Share.from_bytes(memoryview(data)) == share
+        count = Share(x=0, ys=(7,) * ((1 << 16) - 1), secret_len=0)
+        assert Share.from_bytes(count.to_bytes()) == count
+
+    def test_wrong_lengths_refused(self):
+        data = Share(x=3, ys=(5, 6), secret_len=20).to_bytes()
+        for bad in (data[:0], data[:13], data[:-1], data + b"\x00"):
+            with pytest.raises(ValueError, match="share encoding"):
+                Share.from_bytes(bad)
+
+
 class TestReconstruction:
     def test_exact_threshold_reconstructs(self):
         ss = ShamirSecretSharing(threshold=3)

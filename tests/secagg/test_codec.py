@@ -1,5 +1,7 @@
 """Wire-format round-trips and malformed-input rejection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from repro.secagg.codec import (
     encode_masked_input,
     masked_input_nbytes,
 )
+from repro.secagg import types as secagg_types
 from repro.secagg.types import (
     AdvertiseKeysMsg,
     MaskedInputMsg,
     SecAggConfig,
+    SharePayload,
     UnmaskingMsg,
 )
 from repro.wire import (
@@ -27,6 +31,7 @@ from repro.wire import (
     encoded_value_nbytes,
 )
 from repro.wire.codecs import encode_payload_frame
+from repro.wire.frame import FRAME_OVERHEAD
 
 #: ``sender u64 ∥ bits u8 ∥ count u32`` in front of the packed vector.
 HEADER = 13
@@ -119,6 +124,58 @@ class TestAdvertiseCodec:
             "06" "00000002" "00ff"
             "00"
         )
+
+
+class TestOnlyTheRosterRecordIsMemoized:
+    """An ``AdvertiseKeysMsg`` keeps its body after the first encode (the
+    roster crosses to every client); nothing else does, and nothing can
+    go stale."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        calls = []
+        real = secagg_types.encode_value
+        monkeypatch.setattr(
+            secagg_types, "encode_value", lambda v: calls.append(v) or real(v)
+        )
+        return calls
+
+    def test_a_roster_sent_to_every_client_encodes_each_record_once(self, encodes):
+        ids = range(1, 9)
+        roster = {u: AdvertiseKeysMsg(u, bytes([u]) * 64, bytes([u + 1]) * 64) for u in ids}
+        requests = [("share_keys", (roster, [v for v in ids if v != u])) for u in ids]
+        frames = [bytes(encode_payload_frame(KIND_RESPONSE, r)) for r in requests]
+        assert len(encodes) == len(roster)
+        for request, frame in zip(requests, frames):
+            assert decode_payload(frame[FRAME_OVERHEAD:]) == request
+
+    def test_a_replaced_record_encodes_fresh_bytes(self):
+        msg = AdvertiseKeysMsg(sender=7, c_public=b"\x01", s_public=b"\x02")
+        assert msg.to_bytes() is msg.to_bytes()
+        sk, _ = generate_signing_keypair(TOY_GROUP)
+        sig = SchnorrSigner(sk, TOY_GROUP).sign(b"keys")
+        for changed in (
+            dataclasses.replace(msg, signature=sig),
+            dataclasses.replace(msg, sender=8),
+            dataclasses.replace(msg, c_public=b"\x03"),
+        ):
+            assert changed.to_bytes() != msg.to_bytes()
+            assert AdvertiseKeysMsg.from_bytes(changed.to_bytes()) == changed
+
+    def test_records_with_a_dict_re_encode_a_mutation(self, encodes):
+        share = Share(x=2, ys=(0xAB,), secret_len=1)
+        payload = SharePayload(1, 2, share, share)
+        unmasking = UnmaskingMsg(sender=1, s_sk_shares={}, b_shares={3: share})
+        for message, mapping, key in (
+            (payload, payload.extra_shares, "g:1"),
+            (unmasking, unmasking.b_shares, 9),
+        ):
+            before = message.to_bytes()
+            mapping[key] = share
+            after = message.to_bytes()
+            assert after != before
+            assert type(message).from_bytes(after) == message
+        assert len(encodes) == 4
 
 
 class TestVectorCodec:

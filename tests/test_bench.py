@@ -79,11 +79,28 @@ class TestBenchEntrypoint:
             "skellam_decode_d131072",
             "shamir_share_n32_t17",
             "shamir_reconstruct_n32_t17",
-            "codec_encode_d64",
             "mask_accumulate_d64",
         ):
             assert f"{name}_reference_s" in m
             assert f"{name}_fast_s" in m
+        # The codec rows are the fast path alone: encode, decode, bytes —
+        # the masked upload and the control plane at many_clients' shape.
+        for name in (
+            "d64",
+            "share_keys_request_n32",
+            "share_payload",
+            "share_payload_x6",
+            "unmasking_b29_s3",
+        ):
+            assert m[f"codec_encode_{name}_s"]["value"] > 0
+            assert m[f"codec_decode_{name}_s"]["value"] > 0
+            assert m[f"codec_encoded_{name}_bytes"]["value"] > 0
+        assert not any(k.startswith("codec_") and "reference" in k for k in m)
+        # Six g:k extras of three 16-byte chunks each, with their tags.
+        assert (
+            m["codec_encoded_share_payload_x6_bytes"]["value"]
+            > m["codec_encoded_share_payload_bytes"]["value"]
+        )
 
     def test_traffic_report_balances(self, bench_run):
         m = bench.load_bench(bench.bench_path(bench_run, "traffic"))["metrics"]

@@ -2,9 +2,10 @@
 
 The single-buffer encoders (``encode_value_into`` /
 ``encode_payload_frame``) and the two-part WebSocket writer
-(``encode_ws_frame_parts``) must be byte-identical to their retained
-concatenating twins on every payload shape the protocol ships — nested
-containers, ndarrays, Shares, registered message types.
+(``encode_ws_frame_parts``) must be byte-identical to the concatenating
+encoder of ``tests/oracles/wire_codec.py`` and the two-step frame
+writer on every payload shape the protocol ships — nested containers,
+ndarrays, Shares, registered message types.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.wire.frame import (
     fill_frame_header,
 )
 from repro.wire.ws import OP_BINARY, OP_PING, encode_ws_frame, encode_ws_frame_parts
+from tests.oracles.wire_codec import encode_payload_reference, encode_value_reference
 
 
 def _random_value(rng: random.Random, depth: int = 0):
@@ -83,12 +85,12 @@ class TestCodecEncodeParity:
             value = _random_value(rng)
             assert wire_codecs.encode_payload(
                 value
-            ) == wire_codecs.encode_payload_reference(value), trial
+            ) == encode_payload_reference(value), trial
 
     @pytest.mark.parametrize("payload", _protocol_payloads())
     def test_protocol_payloads_match_reference(self, payload):
         fast = wire_codecs.encode_payload(payload)
-        ref = wire_codecs.encode_payload_reference(payload)
+        ref = encode_payload_reference(payload)
         assert fast == ref
         # The fast bytes stay decodable and size-predicted.
         wire_codecs.decode_payload(fast)
@@ -100,7 +102,7 @@ class TestCodecEncodeParity:
         for obj in ([arr, view], {"a": view}, (arr,)):
             assert wire_codecs.encode_payload(
                 obj
-            ) == wire_codecs.encode_payload_reference(obj)
+            ) == encode_payload_reference(obj)
 
     def test_encode_value_matches_reference(self):
         # The bare (tag-less) value encoder and its concatenating spec
@@ -111,7 +113,7 @@ class TestCodecEncodeParity:
         for value in values:
             assert wire_codecs.encode_value(
                 value
-            ) == wire_codecs.encode_value_reference(value)
+            ) == encode_value_reference(value)
 
     def test_unencodable_type_raises_on_both_paths(self):
         class Opaque:
@@ -120,7 +122,7 @@ class TestCodecEncodeParity:
         with pytest.raises(wire_codecs.CodecError):
             wire_codecs.encode_payload(Opaque())
         with pytest.raises(wire_codecs.CodecError):
-            wire_codecs.encode_payload_reference(Opaque())
+            encode_payload_reference(Opaque())
 
 
 class TestPayloadFrameParity:
@@ -129,7 +131,7 @@ class TestPayloadFrameParity:
         for kind in (KIND_REQUEST, KIND_RESPONSE):
             framed = wire_codecs.encode_payload_frame(kind, payload)
             assert bytes(framed) == encode_frame(
-                kind, wire_codecs.encode_payload_reference(payload)
+                kind, encode_payload_reference(payload)
             )
             got_kind, body = decode_frame(bytes(framed))
             assert got_kind == kind
