@@ -134,11 +134,13 @@ def test_measured_per_round_traffic(once):
     # only because the routed ShareKeys inboxes — the stage's request
     # payloads — also carry the encrypted noise-seed shares.
     from repro.secagg.types import MaskedInputMsg
-    from repro.wire import encoded_nbytes
+    from repro.wire import KIND_RESPONSE
+    from repro.wire.codecs import encode_payload_frame
 
-    upload = encoded_nbytes(
-        MaskedInputMsg.from_vector(1, np.zeros(DIMENSION, dtype=np.int64), BITS)
-    )
+    upload = len(encode_payload_frame(
+        KIND_RESPONSE,
+        MaskedInputMsg.from_vector(1, np.zeros(DIMENSION, dtype=np.int64), BITS),
+    ))
     sec_masked = sec_stages["masked_input"]
     xn_masked = xn_stages["masked_input"]
     assert xn_masked > sec_masked >= N_CLIENTS * upload

@@ -3,8 +3,9 @@
 Demonstrates the three execution modes of the unified engine:
 
 1. an in-process round (bit-identical to the legacy synchronous driver),
-2. the same round over the simulated-latency transport, where §6.1
-   heterogeneous devices gate each comm stage,
+2. the same round across the in-process serialization boundary, its
+   frames priced on §6.1 heterogeneous device links so the slowest
+   device gates each comm stage,
 3. a chunk-pipelined round: the vector splits into m sub-rounds that
    overlap per the Appendix-C schedule, and the traced completion time
    beats serial execution.
@@ -20,7 +21,7 @@ from repro.engine import (
     DropoutTransport,
     PerOpTiming,
     RoundEngine,
-    SimulatedNetworkTransport,
+    SerializingTransport,
 )
 from repro.secagg import (
     DropoutSchedule,
@@ -46,13 +47,14 @@ async def main():
     result = await arun_secagg_round(config, inputs, dropout)
     print(f"in-process: survivors U3 = {result.u3}")
 
-    # 2 — the same round over simulated per-link latency: the slowest
-    # sampled device gates every comm-bearing stage.  SecAgg's client
-    # ids start at 1, so the fleet is addressed through a +1 view.
+    # 2 — the same round with every exchange encoded to wire frames and
+    # priced on per-device links: the slowest sampled device gates every
+    # comm-bearing stage.  SecAgg's client ids start at 1, so the fleet
+    # is addressed through a +1 view.
     fleet = Fleet.build(len(inputs), seed=1).with_id_offset(1)
     engine = RoundEngine(
         transport=DropoutTransport(
-            SimulatedNetworkTransport(fleet.link_seconds),
+            SerializingTransport(fleet.link_seconds),
             dropout,
             secagg_stage_of,
         )
@@ -60,10 +62,10 @@ async def main():
     server, clients = secagg_round_components(config, inputs)
     timed = await engine.run_round(server, clients)
     split = engine.trace.round_traffic_split(0)
-    print(f"simulated net: U3 = {timed.u3}, "
+    print(f"priced links: U3 = {timed.u3}, "
           f"round completes at t = {engine.trace.completion_time * 1e3:.2f} ms "
           f"(virtual), traffic = {split.down / 1024:.1f} KiB down + "
-          f"{split.up / 1024:.1f} KiB up (framed sizes from the codecs)")
+          f"{split.up / 1024:.1f} KiB up (the frames' lengths)")
 
     # 3 — chunk-pipelined execution: m independent sub-rounds overlap
     # per the Appendix-C schedule; serial execution is the baseline.

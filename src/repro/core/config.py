@@ -75,10 +75,12 @@ class DordisConfig:
         aggregation path.
     transport:
         Engine transport backend for protocol rounds:
-        "inprocess" — direct dispatch of live Python objects (fastest);
+        "inprocess" — direct dispatch of live Python objects without a
+        fleet (fastest, no bytes), "serialized" with one (a priced
+        round needs bytes, and bytes come from the encoder);
         "serialized" — every payload crosses the :mod:`repro.wire`
         serialization boundary in-process, so traced per-stage traffic
-        is the measured framed byte count;
+        is the length of the frames a framed-TCP socket would carry;
         "sockets" — each client behind a real localhost TCP connection
         with framed messages and per-connection accounting;
         "websocket" — each client behind a real RFC 6455 WebSocket

@@ -66,7 +66,7 @@ class TrainingResult:
     Configuring ``fleet=None`` (the documented opt-out) restores the
     legacy zero-latency behaviour: entries are then 0.0 unless the
     caller supplies an engine with its own timing source (e.g.
-    ``DordisSession(cfg, engine=RoundEngine(transport=SimulatedNetworkTransport(...)))``
+    ``DordisSession(cfg, engine=RoundEngine(transport=SerializingTransport(...)))``
     or a ``StageTiming`` model).  ``past_tolerance_rounds`` names the
     completed rounds whose dropout exceeded the XNoise tolerance
     (|D| > T): Theorem 1 no longer holds there, the aggregate carried
@@ -115,26 +115,22 @@ def build_transport(name: str, fleet: Fleet | None = None):
 
     With a fleet, every backend prices each exchange on the client's own
     links (:meth:`Fleet.link_seconds`: request frame on the downlink,
-    response on the uplink); without one, no virtual latency.  The
-    first three rows charge identical byte counts, so a fleet round's
-    trace is transport-invariant (the parity suites pin this);
-    ``"websocket"`` honestly adds its RFC 6455 framing bytes.  In-process
-    rounds without a fleet move live objects and report no bytes.
+    response on the uplink); without one, no virtual latency.  A priced
+    in-process round is the socket round minus the socket: ``"inprocess"``
+    with a fleet is ``"serialized"``, whose bytes are the lengths of the
+    frames a framed-TCP socket would carry, so a fleet round's trace is
+    transport-invariant across the first three names (the parity suites
+    pin this); ``"websocket"`` honestly adds its RFC 6455 framing bytes.
+    In-process rounds without a fleet move live objects and report no
+    bytes.
     """
-    from repro.engine import (
-        InProcessTransport,
-        SerializingTransport,
-        SimulatedNetworkTransport,
-        SocketTransport,
-    )
+    from repro.engine import InProcessTransport, SerializingTransport, SocketTransport
     from repro.wire.ws import CARRIERS
 
     link = None if fleet is None else fleet.link_seconds
-    if name == "inprocess":
-        if link is None:
-            return InProcessTransport()
-        return SimulatedNetworkTransport(link)
-    if name == "serialized":
+    if name == "inprocess" and link is None:
+        return InProcessTransport()
+    if name in ("inprocess", "serialized"):
         return SerializingTransport(link)
     if name in CARRIERS:
         return SocketTransport(name, link)

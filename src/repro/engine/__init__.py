@@ -4,12 +4,12 @@ Every round in the repo — the Appendix-D programming-interface runtime,
 the SecAgg/XNoise protocol drivers, and the training session loop — runs
 through one event-driven :class:`RoundEngine`:
 
-- **Transport-agnostic**: in-process direct dispatch, codec-sized
-  simulated links priced from §6.1 device profiles, the in-process wire
-  serialization boundary, real sockets (:class:`SocketTransport`:
-  framed TCP or RFC 6455 WebSocket behind one listening port;
-  :class:`ListenerTransport` when the listener is owned elsewhere), and
-  dropout-injecting middleware are interchangeable backends.
+- **Transport-agnostic**: in-process direct dispatch, the in-process
+  wire serialization boundary (frames priced on §6.1 device links),
+  real sockets (:class:`SocketTransport`: framed TCP or RFC 6455
+  WebSocket behind one listening port; :class:`ListenerTransport` when
+  the listener is owned elsewhere), and dropout-injecting middleware
+  are interchangeable backends.
 - **Chunk-pipelined**: aggregation tasks split into m sub-tasks
   (:mod:`repro.pipeline.chunking`) executed as overlapping asyncio tasks
   whose cross-chunk ordering is the Appendix-C schedule — the pipeline
@@ -55,7 +55,6 @@ from repro.engine.transport import (
     DropoutTransport,
     InProcessTransport,
     SerializingTransport,
-    SimulatedNetworkTransport,
     Transport,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "InProcessTransport",
     "ListenerTransport",
     "SerializingTransport",
-    "SimulatedNetworkTransport",
     "SocketTransport",
     "Transport",
 ]

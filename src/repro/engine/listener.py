@@ -66,6 +66,8 @@ from repro.engine.transport import (
     Delivery,
     LinkSeconds,
     Transport,
+    answer_request,
+    delivery_from_reply,
     priced,
 )
 from repro.wire import codecs as wire_codecs
@@ -73,7 +75,6 @@ from repro.wire.frame import (
     KIND_ERROR,
     KIND_HELLO,
     KIND_REQUEST,
-    KIND_RESPONSE,
     KIND_WELCOME,
     WIRE_VERSION,
     Hello,
@@ -672,22 +673,10 @@ class DialingClient:
                         f"dialing client expected REQUEST, got {kind:#x}"
                     )
                 self.request_bytes += n
-                op, payload = wire_codecs.decode_payload(body)
-                try:
-                    response = self.client.handle(op, payload)
-                except Exception as exc:
-                    # An ERROR reply crosses the uplink like any other
-                    # response frame; count it there so both socket
-                    # ends agree per direction even on aborted rounds.
-                    reply: bytes | bytearray = encode_frame(
-                        KIND_ERROR, wire_codecs.encode_error(exc)
-                    )
-                else:
-                    # Single-buffer wire envelope, framed without
-                    # re-copying its body.
-                    reply = wire_codecs.encode_payload_frame(
-                        KIND_RESPONSE, response
-                    )
+                # An ERROR reply is counted on the uplink like any other
+                # response frame, so both socket ends agree per
+                # direction even on aborted rounds.
+                reply = answer_request(self.client, body)
                 await link.send(reply, count=self._count_response)
                 self.requests += 1
                 if self.max_requests is not None and self.requests >= self.max_requests:
@@ -734,18 +723,7 @@ class _ListenerChannel(Channel):
         frame = wire_codecs.encode_payload_frame(KIND_REQUEST, (op, payload))
         kind, rbody, sent, received = await conn.exchange(op, frame)
         latency = priced(self._transport.link_seconds, client_id, sent, received)
-        if kind == KIND_ERROR:
-            raise wire_codecs.decode_error(rbody)
-        if kind != KIND_RESPONSE:
-            raise ValueError(f"unexpected frame kind {kind:#x} in response")
-        return Delivery(
-            client_id,
-            op,
-            wire_codecs.decode_payload(rbody),
-            latency=latency,
-            request_nbytes=sent,
-            response_nbytes=received,
-        )
+        return delivery_from_reply(client_id, op, kind, rbody, latency, sent, received)
 
 
 class ListenerTransport(Transport):

@@ -114,9 +114,9 @@ class StageTiming(OpTiming):
     Pair this with a zero-latency transport (the in-process default):
     the engine *adds* transport-reported link latency on top of op
     durations, and an Eq.-3 model's comm stages already include the
-    bandwidth-gated transfer time — combining it with
-    :class:`~repro.engine.transport.SimulatedNetworkTransport` would
-    charge communication twice.  Use one timing source or the other.
+    bandwidth-gated transfer time — combining it with a transport
+    priced by ``link_seconds`` would charge communication twice.  Use
+    one timing source or the other.
     """
 
     def __init__(

@@ -10,15 +10,12 @@ timeline.  Implementations:
   zero latency, zero reported bytes.  The engine with this transport is
   behaviorally identical to the old synchronous drivers (the regression
   tests rely on it).
-- :class:`SimulatedNetworkTransport` — direct dispatch that *sizes*
-  every exchange with :func:`repro.wire.codecs.encoded_nbytes` (the
-  framed bytes a socket would carry, without serializing) and prices
-  those sizes on per-client links, so heterogeneous stragglers gate
-  comm stages exactly as in the paper's §6.1 setup.
-- :class:`SerializingTransport` — every payload crosses a genuine
-  serialization boundary: requests and responses are encoded to
-  :mod:`repro.wire` frames and decoded again in-process, and each
-  :class:`Delivery` reports the exact framed byte counts.
+- :class:`SerializingTransport` — the socket round minus the socket:
+  requests and responses are encoded to :mod:`repro.wire` frames and
+  decoded again in-process, and each :class:`Delivery` reports the
+  length of the frames the encoder emitted — what a framed-TCP socket
+  would carry, priced on per-client links so heterogeneous stragglers
+  gate comm stages as in the paper's §6.1 setup.
 - :class:`repro.engine.listener.SocketTransport` — each round behind a
   real localhost listener (framed TCP or RFC 6455 WebSocket, one
   ``carrier`` argument), every client a dialing task, per-connection
@@ -91,8 +88,8 @@ class Delivery:
     it is never a wall-clock measurement.
 
     ``request_nbytes`` / ``response_nbytes`` are the framed byte counts
-    the exchange put on the wire — measured, not modelled, for
-    serializing/socket transports (0 for in-process dispatch, which
+    the exchange put on the wire — the frames' lengths, never a model,
+    for serializing/socket transports (0 for in-process dispatch, which
     moves live objects).  They are *directional*: the request travels
     server→client (the **downlink**), the response client→server (the
     **uplink**).  The engine folds them into each traced
@@ -149,57 +146,80 @@ class InProcessTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# Simulated links
+# Serialization middleware
 # ---------------------------------------------------------------------------
 
 
-class _SizedChannel(_InProcessChannel):
-    """Direct dispatch reporting codec-computed sizes and the latency
-    priced from those same numbers — reported traffic and simulated
-    link time can never disagree."""
+def answer_request(client: ProtocolClient, body) -> bytes | bytearray:
+    """The client edge of every wire transport, socket or not.
 
-    def __init__(self, clients, transport: "SimulatedNetworkTransport"):
-        super().__init__(clients)
-        self._transport = transport
+    Decodes one REQUEST frame's body, drives ``client`` and frames its
+    RESPONSE — or an ERROR frame naming the exception the client
+    raised, which crosses the uplink like any other reply.  A body that
+    does not decode raises :class:`repro.wire.codecs.CodecError`.
+    """
+    op, payload = wire_codecs.decode_payload(body)
+    try:
+        response = client.handle(op, payload)
+    except Exception as exc:
+        return encode_frame(KIND_ERROR, wire_codecs.encode_error(exc))
+    return wire_codecs.encode_payload_frame(KIND_RESPONSE, response)
+
+
+def delivery_from_reply(
+    client_id: int, op: str, kind: int, body, latency: float, sent: int, received: int
+) -> Delivery:
+    """The coordinator edge of every wire transport: one reply frame's
+    kind and body as a :class:`Delivery`, or the client's exception
+    re-raised from an ERROR frame."""
+    if kind == KIND_ERROR:
+        raise wire_codecs.decode_error(body)
+    if kind != KIND_RESPONSE:
+        raise ValueError(f"unexpected frame kind {kind:#x} in response")
+    return Delivery(
+        client_id,
+        op,
+        wire_codecs.decode_payload(body),
+        latency=latency,
+        request_nbytes=sent,
+        response_nbytes=received,
+    )
+
+
+class _SerializingChannel(Channel):
+    def __init__(self, clients: Mapping[int, ProtocolClient], link_seconds):
+        self._clients = dict(clients)
+        self._link_seconds = link_seconds
 
     async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
-        response = (await super().request(client_id, op, payload)).response
-        # The request wire message is the framed (op, payload) envelope,
-        # the response just the payload — byte-identical to what
-        # SerializingTransport/SocketTransport put on a real link.
-        request_nbytes = wire_codecs.encoded_nbytes((op, payload))
-        response_nbytes = wire_codecs.encoded_nbytes(response)
-        overhead_fn = self._transport.overhead_fn
-        if overhead_fn is not None:
-            request_nbytes += overhead_fn("down", request_nbytes)
-            response_nbytes += overhead_fn("up", response_nbytes)
-        return Delivery(
-            client_id,
-            op,
-            response,
-            latency=priced(
-                self._transport.link_seconds,
-                client_id,
-                request_nbytes,
-                response_nbytes,
-            ),
-            request_nbytes=request_nbytes,
-            response_nbytes=response_nbytes,
+        client = self._clients.get(client_id)
+        if client is None:
+            raise ClientUnavailable(client_id, op)
+        frame = bytes(
+            wire_codecs.encode_payload_frame(KIND_REQUEST, (op, payload))
+        )
+        reply = bytes(answer_request(client, decode_frame(frame)[1]))
+        down, up = len(frame), len(reply)
+        kind, body = decode_frame(reply)
+        return delivery_from_reply(
+            client_id, op, kind, body,
+            priced(self._link_seconds, client_id, down, up), down, up,
         )
 
 
-class SimulatedNetworkTransport(Transport):
-    """In-process dispatch over simulated links: measured sizes, priced
-    per client.
+class SerializingTransport(Transport):
+    """The socket round minus the socket.
 
-    Each *wire message* — the ``(op, payload)`` tuple for a request,
-    the bare payload for a response — is sized by
-    :func:`repro.wire.codecs.encoded_nbytes`, the actual framed
-    encoding: byte-identical to the frames :class:`SerializingTransport`
-    and ``SocketTransport`` put on a real link, so traced per-stage
-    traffic reflects what a deployment would send.  A payload no codec
-    covers raises :class:`repro.wire.codecs.CodecError`, as it would on
-    a socket.
+    Requests are encoded to :mod:`repro.wire` REQUEST frames at the
+    server edge, decoded (and answered with RESPONSE/ERROR frames) at
+    the client edge, so only ``bytes`` ever cross, and each
+    :class:`Delivery` reports the frames' lengths: the frames are
+    byte-identical to what ``SocketTransport("sockets")`` writes to its
+    sockets, so span for span this transport's traffic equals what a
+    framed-TCP round measures on real connections (a websocket round
+    adds :func:`repro.wire.ws.envelope_overhead` per message).  A
+    payload no codec covers raises
+    :class:`repro.wire.codecs.CodecError`, as it would on a socket.
 
     ``link_seconds`` (see :data:`LinkSeconds`) charges the request
     bytes against the client's *downlink* and the response bytes
@@ -207,100 +227,6 @@ class SimulatedNetworkTransport(Transport):
     for §6.1 device profiles.  The engine takes the max over
     concurrently dispatched clients, so the slowest sampled device
     gates each comm stage, as in the paper's cost model.
-
-    ``overhead_fn(direction, envelope_nbytes)`` optionally adds a
-    carrier's per-message framing bytes on top of the sized envelope
-    (``direction`` is ``"down"`` for requests, ``"up"`` for
-    responses).  With ``partial(repro.wire.ws.envelope_overhead,
-    "websocket")`` this transport is the codec oracle for websocket
-    rounds: span for span, its traffic equals what
-    ``SocketTransport("websocket")`` measures on real connections.
-    """
-
-    def __init__(
-        self,
-        link_seconds: LinkSeconds = None,
-        overhead_fn: Optional[Callable[[str, int], int]] = None,
-    ):
-        self.link_seconds = link_seconds
-        self.overhead_fn = overhead_fn
-
-    def connect(self, clients: Mapping[int, ProtocolClient]) -> Channel:
-        return _SizedChannel(clients, self)
-
-
-# ---------------------------------------------------------------------------
-# Serialization middleware
-# ---------------------------------------------------------------------------
-
-
-class _WireEndpoint:
-    """The client edge of a serialization boundary.
-
-    Receives REQUEST frames, decodes them, drives the wrapped
-    :class:`ProtocolClient`, and answers with RESPONSE (or ERROR)
-    frames — exactly what a remote client process does, minus the
-    socket.
-    """
-
-    def __init__(self, inner: ProtocolClient):
-        self.inner = inner
-
-    def handle(self, op: str, frame: bytes):
-        kind, body = decode_frame(frame)
-        if kind != KIND_REQUEST:
-            raise ValueError(f"client endpoint expected a REQUEST frame, got {kind:#x}")
-        wire_op, payload = wire_codecs.decode_payload(body)
-        if wire_op != op:
-            raise ValueError(
-                f"frame op {wire_op!r} does not match dispatched op {op!r}"
-            )
-        try:
-            response = self.inner.handle(op, payload)
-        except Exception as exc:
-            return encode_frame(KIND_ERROR, wire_codecs.encode_error(exc))
-        return bytes(wire_codecs.encode_payload_frame(KIND_RESPONSE, response))
-
-
-class _SerializingChannel(Channel):
-    def __init__(self, clients: Mapping[int, ProtocolClient], link_seconds):
-        self._endpoints = {cid: _WireEndpoint(c) for cid, c in clients.items()}
-        self._link_seconds = link_seconds
-
-    async def request(self, client_id: int, op: str, payload: Any) -> Delivery:
-        endpoint = self._endpoints.get(client_id)
-        if endpoint is None:
-            raise ClientUnavailable(client_id, op)
-        frame = bytes(
-            wire_codecs.encode_payload_frame(KIND_REQUEST, (op, payload))
-        )
-        reply = endpoint.handle(op, frame)
-        latency = priced(self._link_seconds, client_id, len(frame), len(reply))
-        kind, body = decode_frame(reply)
-        if kind == KIND_ERROR:
-            raise wire_codecs.decode_error(body)
-        if kind != KIND_RESPONSE:
-            raise ValueError(f"unexpected frame kind {kind:#x} in response")
-        return Delivery(
-            client_id,
-            op,
-            wire_codecs.decode_payload(body),
-            latency=latency,
-            request_nbytes=len(frame),
-            response_nbytes=len(reply),
-        )
-
-
-class SerializingTransport(Transport):
-    """Make every payload cross a genuine serialization boundary.
-
-    Requests are encoded to :mod:`repro.wire` REQUEST frames at the
-    server edge, decoded (and answered with RESPONSE/ERROR frames) at
-    the client edge, so only ``bytes`` ever cross — and each
-    :class:`Delivery` reports the exact framed sizes, priced by
-    ``link_seconds`` (see :data:`LinkSeconds`).  This is the cheapest
-    way to get wire-faithful traffic measurement: the frames are
-    byte-identical to what ``SocketTransport`` writes to its sockets.
     Client-side exceptions cross as ERROR frames and are re-raised from
     a registered exception type
     (:func:`repro.wire.codecs.decode_error`).

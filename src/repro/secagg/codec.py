@@ -17,16 +17,11 @@ from __future__ import annotations
 import struct
 
 from repro.secagg.types import MaskedInputMsg
-from repro.wire.bitpack import packed_nbytes, packed_stream
+from repro.wire.bitpack import packed_stream
 from repro.wire.codecs import CodecError
 
 #: Masked-input body header: sender u64 ∥ bits u8 ∥ count u32 (big-endian).
 _MASKED_HEADER = struct.Struct(">QBI")
-
-
-def masked_input_nbytes(count: int, bits: int) -> int:
-    """Body size of a masked input: header + ``ceil(count·bits/8)``."""
-    return _MASKED_HEADER.size + packed_nbytes(count, bits)
 
 
 def encode_masked_input(msg: MaskedInputMsg, out: bytearray | None = None) -> bytearray:

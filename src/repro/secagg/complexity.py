@@ -18,16 +18,21 @@ from repro.crypto.ae import AuthenticatedEncryption
 from repro.crypto.dh import resolve_group
 from repro.crypto.field import FIELD
 from repro.crypto.shamir import Share
-from repro.secagg.codec import masked_input_nbytes
+from repro.secagg.codec import _MASKED_HEADER
 from repro.secagg.graph import recommended_degree
 from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, SharePayload
-from repro.wire.codecs import encoded_nbytes
-from repro.wire.frame import FRAME_OVERHEAD
+from repro.wire.codecs import encode_payload_frame
+from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE
 
 #: Fixed bytes around one masked vector on the wire: frame header,
 #: payload version, codec tag + length prefix, and the masked-input
 #: header (sender, ring width, count).  Independent of the vector.
-MASKED_INPUT_ENVELOPE_BYTES = FRAME_OVERHEAD + 1 + 1 + 4 + masked_input_nbytes(0, 1)
+MASKED_INPUT_ENVELOPE_BYTES = FRAME_OVERHEAD + 1 + 1 + 4 + _MASKED_HEADER.size
+
+
+def _framed_nbytes(payload) -> int:
+    """Wire bytes of ``payload`` as one message: the frame the encoder emits."""
+    return len(encode_payload_frame(KIND_RESPONSE, payload))
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,9 @@ def fixed_upload_bytes(neighbors: int, dh_group: str = SecAggConfig.dh_group) ->
     at ``dh_group``'s element width, and AE's constant overhead over a
     plaintext holding shares of a mask key at the group's secret width —
     the width :meth:`SecAggClient.share_keys` cuts it at — and a 32-byte
-    seed.  Every term is fixed-width, so a round over ids below 128
-    measures exactly this (pinned by test on both named groups).
+    seed, each sized as the frame the encoder emits.  Every term is
+    fixed-width, so a round over ids below 128 measures exactly this
+    (pinned by test on both named groups).
     """
     group = resolve_group(dh_group)
     key = bytes(group.element_bytes)
@@ -91,7 +97,7 @@ def fixed_upload_bytes(neighbors: int, dh_group: str = SecAggConfig.dh_group) ->
         b_share=_blank_share(32),
     ).to_bytes()
     ciphertext = bytes(len(plaintext) + AuthenticatedEncryption.OVERHEAD)
-    return encoded_nbytes(AdvertiseKeysMsg(0, key, key)) + encoded_nbytes(
+    return _framed_nbytes(AdvertiseKeysMsg(0, key, key)) + _framed_nbytes(
         {peer: ciphertext for peer in range(neighbors)}
     )
 

@@ -166,8 +166,8 @@ async def arun_secagg_round(
     """Execute one secure-aggregation round on the engine (async).
 
     Dropout middleware wraps the engine's own transport, so a caller
-    that configured e.g. a :class:`SimulatedNetworkTransport` keeps its
-    latency model.
+    that configured e.g. a fleet-priced :class:`SerializingTransport`
+    keeps its latency model.
     """
     server, clients = secagg_round_components(
         config, inputs, pki, round_index, client_factory

@@ -23,8 +23,6 @@ from repro.wire.codecs import (
     encode_error,
     encode_payload,
     encode_value,
-    encoded_nbytes,
-    encoded_value_nbytes,
     register_codec,
     registered_codecs,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "encode_error",
     "encode_payload",
     "encode_value",
-    "encoded_nbytes",
-    "encoded_value_nbytes",
     "register_codec",
     "registered_codecs",
     "FRAME_OVERHEAD",

@@ -32,6 +32,10 @@ reads a reconstructed key with ``int.from_bytes``, so a 256-byte
 sharing from an older dealer still unmasks to the same aggregate
 (pinned by test) — nothing a peer decodes changed meaning.
 
+A payload's wire size is the length of the frame
+:func:`encode_payload_frame` emits for it; nothing here computes a size
+any other way, so traced traffic cannot drift from the bytes sent.
+
 Strictness: :func:`decode_payload` consumes the entire buffer or raises
 :class:`CodecError` — truncation, trailing bytes, unknown tags, wrong
 version bytes, duplicate dict keys/set elements all fail loudly.
@@ -111,7 +115,6 @@ REGISTERED_TAG_BASE = 0x20
 
 _by_type: dict[type, tuple[int, Callable[[Any], bytes]]] = {}
 _by_tag: dict[int, tuple[type, Callable[[bytes], Any]]] = {}
-_size_by_type: dict[type, Callable[[Any], int]] = {}
 _in_place: set[type] = set()
 
 
@@ -120,7 +123,6 @@ def register_codec(
     tag: int,
     encode_body: Callable[..., bytes],
     decode_body: Callable[[bytes], Any],
-    body_nbytes: Callable[[Any], int] | None = None,
     in_place: bool = False,
 ) -> None:
     """Bind ``cls`` to ``tag`` with a body encoder/decoder pair.
@@ -128,9 +130,7 @@ def register_codec(
     Tags below :data:`REGISTERED_TAG_BASE` belong to the structural
     value encoding; duplicate tags or types, and a type the value
     encoding already covers (an ``int`` or ``tuple`` subclass, say), are
-    programming errors and refused.  ``body_nbytes`` optionally computes ``len(encode_body(x))``
-    without materializing the bytes — worth providing for bulk-carrying
-    types (the size-only path otherwise falls back to encoding).
+    programming errors and refused.
 
     ``in_place`` marks a bulk codec that never stages its body:
     ``encode_body(obj, out)`` appends to the caller's buffer (and, with
@@ -153,8 +153,6 @@ def register_codec(
     _by_type[cls] = (tag, encode_body)
     _by_tag[tag] = (cls, decode_body)
     _DECODERS[tag] = _record_decoder(cls, decode_body, in_place)
-    if body_nbytes is not None:
-        _size_by_type[cls] = body_nbytes
     if in_place:
         _in_place.add(cls)
     else:
@@ -198,7 +196,6 @@ def _ensure_defaults() -> None:
         0x23,
         secagg_codec.encode_masked_input,
         secagg_codec.decode_masked_input,
-        body_nbytes=lambda m: secagg_codec.masked_input_nbytes(m.count, m.bits),
         in_place=True,
     )
     register_codec(UnmaskingMsg, 0x24, UnmaskingMsg.to_bytes, UnmaskingMsg.from_bytes)
@@ -610,68 +607,6 @@ def decode_payload(data: bytes) -> Any:
             f"unsupported payload version {data[0]} (speaking {PAYLOAD_VERSION})"
         )
     return decode_whole_value(data, 1)
-
-
-def encoded_value_nbytes(obj: Any) -> int:
-    """``len(encode_value(obj))`` computed arithmetically.
-
-    Mirrors :func:`encode_value` case for case without materializing
-    the bytes — an ndarray contributes ``arr.nbytes`` in O(1) instead
-    of a full buffer copy, so sizing a simulated exchange never scales
-    with model size.  A property test pins the equality with the real
-    encoder.
-    """
-    _ensure_defaults()
-    if obj is None or isinstance(obj, (bool, np.bool_)):
-        return 1
-    if isinstance(obj, (int, np.integer)):
-        value = int(obj)
-        return 1 + 4 + max(1, (value.bit_length() + 8) // 8)
-    if isinstance(obj, (float, np.floating)):
-        return 1 + 8
-    if isinstance(obj, str):
-        return 1 + 4 + len(obj.encode("utf-8"))
-    if isinstance(obj, memoryview):
-        return 1 + 4 + obj.nbytes
-    if isinstance(obj, (bytes, bytearray)):
-        return 1 + 4 + len(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            raise CodecError("object-dtype ndarrays have no wire encoding")
-        return (
-            1
-            + 4 + len(obj.dtype.str)
-            + 4 + 4 * obj.ndim
-            + 4 + obj.nbytes
-        )
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 1 + 4 + sum(encoded_value_nbytes(item) for item in obj)
-    if isinstance(obj, dict):
-        return 1 + 4 + sum(
-            encoded_value_nbytes(k) + encoded_value_nbytes(v)
-            for k, v in obj.items()
-        )
-    for cls in type(obj).__mro__:
-        entry = _by_type.get(cls)
-        if entry is not None:
-            body_nbytes = _size_by_type.get(cls)
-            body = body_nbytes(obj) if body_nbytes else len(entry[1](obj))
-            return 1 + 4 + body
-    raise CodecError(
-        f"no codec registered for payload type {type(obj).__name__}"
-    )
-
-
-def encoded_nbytes(payload: Any) -> int:
-    """Framed wire size of ``payload``: header + version + encoded body.
-
-    This is the *measured* size transports and the latency model use —
-    computed without serializing (see :func:`encoded_value_nbytes`).
-    It is the only sizer: a payload no codec covers raises
-    :class:`CodecError` on a simulated link exactly as it would on a
-    socket.
-    """
-    return FRAME_OVERHEAD + 1 + encoded_value_nbytes(payload)
 
 
 # ---------------------------------------------------------------------------

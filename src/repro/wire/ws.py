@@ -620,9 +620,10 @@ def envelope_overhead(carrier: str, direction: str, envelope_nbytes: int) -> int
     """Carrier framing bytes around one wire envelope, per direction.
 
     The oracle term for socket traffic: a span's ``down_bytes`` /
-    ``up_bytes`` over a carrier equal the codec-measured envelope sizes
-    plus this overhead per message — nothing for framed TCP, the
-    RFC 6455 header for websocket.  ``"up"`` messages (responses,
+    ``up_bytes`` over a carrier equal the lengths of the frames the
+    encoder emitted (what :class:`repro.engine.SerializingTransport`
+    reports) plus this overhead per message — nothing for framed TCP,
+    the RFC 6455 header for websocket.  ``"up"`` messages (responses,
     device→coordinator) carry the client mask — the dialing device is
     the WebSocket client — ``"down"`` messages (requests) do not.
     """

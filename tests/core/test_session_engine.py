@@ -238,11 +238,13 @@ class TestSessionWireTransports:
     def test_serialized_session_matches_inprocess_accounting(self):
         """The serialization boundary changes measurement, not behavior.
 
-        (Metric histories are not comparable across runs — clients draw
+        The baseline has no fleet, so it is the live-object
+        ``InProcessTransport`` (with a fleet, ``"inprocess"`` is the
+        serialization boundary too).  (Metric histories are not comparable across runs — clients draw
         masks/seeds from OS randomness — so, as in the chunked test, the
         deterministic trajectories are the bar.)
         """
-        base = DordisSession(secagg_config(pipeline_chunks=2)).run()
+        base = DordisSession(secagg_config(pipeline_chunks=2, fleet=None)).run()
         serialized_session = DordisSession(
             secagg_config(pipeline_chunks=2, transport="serialized")
         )
@@ -255,7 +257,7 @@ class TestSessionWireTransports:
 
     @pytest.mark.timeout(300)
     def test_socket_session_matches_inprocess_accounting(self):
-        base = DordisSession(secagg_config(rounds=1)).run()
+        base = DordisSession(secagg_config(rounds=1, fleet=None)).run()
         socket_session = DordisSession(secagg_config(rounds=1, transport="sockets"))
         over_sockets = socket_session.run()
         assert over_sockets.rounds_completed == base.rounds_completed
@@ -267,11 +269,42 @@ class TestSessionWireTransports:
         )
 
     @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("carrier", ["sockets", "websocket"])
+    def test_priced_inprocess_session_is_the_socket_session_minus_the_socket(
+        self, carrier
+    ):
+        """On the session's fleet, a default (``"inprocess"``) round and
+        a round over real connections trace the same spans — begin,
+        finish and bytes per direction — so the same per-round virtual
+        seconds: the in-process path prices the frames the encoder
+        emits, plus the carrier's framing, on the same links."""
+        from repro.engine import SerializingTransport
+        from tests.engine.test_socket_transport import OracleTransport
+
+        def spans(session):
+            return [
+                (s.label, s.resource, s.begin, s.finish, s.down_bytes, s.up_bytes)
+                for s in session.engine.trace.spans
+            ]
+
+        in_process = DordisSession(secagg_config(rounds=1))
+        assert isinstance(in_process.engine.transport, SerializingTransport)
+        if carrier == "websocket":
+            in_process.engine.transport = OracleTransport(
+                carrier, in_process.fleet.with_id_offset(1).link_seconds
+            )
+        over_socket = DordisSession(secagg_config(rounds=1, transport=carrier))
+        a, b = in_process.run(), over_socket.run()
+        assert a.round_seconds_history == b.round_seconds_history
+        assert a.round_seconds_history[0] > 0
+        assert spans(in_process) == spans(over_socket)
+
+    @pytest.mark.timeout(300)
     def test_websocket_session_matches_inprocess_accounting(self):
         """The fourth carrier at session level: same training behavior,
         traced traffic balanced against the WebSocket connection books
         (WS framing overhead included on both sides of the equation)."""
-        base = DordisSession(secagg_config(rounds=1)).run()
+        base = DordisSession(secagg_config(rounds=1, fleet=None)).run()
         ws_session = DordisSession(
             secagg_config(rounds=1, transport="websocket")
         )

@@ -19,7 +19,6 @@ from repro.engine import (
     InProcessTransport,
     RoundEngine,
     SerializingTransport,
-    SimulatedNetworkTransport,
     SocketTransport,
     run_sync,
 )
@@ -260,11 +259,10 @@ class TestWireTransportParity:
     def test_websocket_traffic_is_oracle_plus_framing_overhead(self):
         """The websocket carrier measures the same envelopes plus the
         documented RFC 6455 framing: span for span its per-direction
-        bytes equal the codec oracle with ``envelope_overhead``, and
-        the connection books balance from both socket ends."""
-        from functools import partial
-
-        from repro.wire.ws import envelope_overhead
+        bytes equal the in-process boundary's frames plus
+        ``envelope_overhead``, and the connection books balance from
+        both socket ends."""
+        from tests.engine.test_socket_transport import OracleTransport
 
         inputs = _inputs()
         transport = SocketTransport("websocket")
@@ -273,9 +271,7 @@ class TestWireTransportParity:
             arun_secagg_round(CONFIG, dict(inputs), None, engine=ws_engine)
         )
         oracle_engine = RoundEngine(
-            transport=SimulatedNetworkTransport(
-                overhead_fn=partial(envelope_overhead, "websocket")
-            )
+            transport=OracleTransport("websocket")
         )
         run_sync(
             arun_secagg_round(CONFIG, dict(inputs), None, engine=oracle_engine)

@@ -11,7 +11,7 @@ from repro.engine import (
     InProcessTransport,
     PerOpTiming,
     RoundEngine,
-    SimulatedNetworkTransport,
+    SerializingTransport,
     StageTiming,
     Targeted,
 )
@@ -21,6 +21,8 @@ from repro.fleet import Fleet, ProfileColumns
 from repro.secagg import SecAggConfig, run_secagg_round
 from repro.secagg.driver import DropoutSchedule, secagg_round_components
 from repro.sim.timeline import TraceTimeline
+from repro.wire import KIND_RESPONSE
+from repro.wire.codecs import encode_payload_frame
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,11 @@ def link_fleet(uplinks, downlinks):
         uplink_bps=np.array(uplinks, dtype=float),
         downlink_bps=np.array(downlinks, dtype=float),
     ))
+
+
+def framed_nbytes(payload) -> int:
+    """Wire bytes of one message carrying ``payload``: its frame's length."""
+    return len(encode_payload_frame(KIND_RESPONSE, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +527,7 @@ class TestRoundSubmission:
 
 
 # ---------------------------------------------------------------------------
-# Timing models and simulated network latency
+# Timing models and priced link latency
 # ---------------------------------------------------------------------------
 
 
@@ -570,49 +577,42 @@ class TestTiming:
         """up == down bandwidth must reduce to the pre-refactor formula
         bit-identically: (request + response) / bandwidth, one division
         — not two separately-rounded per-direction terms."""
-        from repro.wire import encoded_nbytes
-
         vectors = {0: np.ones(8)}
         bandwidth = 3.0  # pathological divisor: rounding differences show
         fleet = link_fleet(uplinks=[bandwidth], downlinks=[bandwidth])
         engine = RoundEngine(
-            transport=SimulatedNetworkTransport(fleet.link_seconds)
+            transport=SerializingTransport(fleet.link_seconds)
         )
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
-        down = encoded_nbytes(("encode", None))
-        up = encoded_nbytes(vectors[0])
+        down = framed_nbytes(("encode", None))
+        up = framed_nbytes(vectors[0])
         assert encode_span.duration == (down + up) / bandwidth
         assert (encode_span.down_bytes, encode_span.up_bytes) == (down, up)
 
     def test_asymmetric_device_charges_each_direction(self):
         """Request bytes ride the downlink, response bytes the uplink."""
-        from repro.wire import encoded_nbytes
-
         vectors = {0: np.ones(8)}
         fleet = link_fleet(uplinks=[10.0], downlinks=[1000.0])
         engine = RoundEngine(
-            transport=SimulatedNetworkTransport(fleet.link_seconds)
+            transport=SerializingTransport(fleet.link_seconds)
         )
         engine.run_round_sync(SumServer(), [SumClient(0, vectors[0])])
         encode_span = engine.trace.round_spans(0)[0]
-        down = encoded_nbytes(("encode", None))
-        up = encoded_nbytes(vectors[0])
+        down = framed_nbytes(("encode", None))
+        up = framed_nbytes(vectors[0])
         assert encode_span.duration == down / 1000.0 + up / 10.0
 
-    def test_simulated_network_latency_gates_stage(self):
+    def test_priced_link_latency_gates_stage(self):
         """The slowest device's link time bounds the comm duration.
 
-        Latency is ``measured bytes / bandwidth``: the size is the
-        *actual* framed wire encoding of each payload/response (via
-        :func:`repro.wire.encoded_nbytes`).
+        Latency is ``framed bytes / bandwidth``: the size is the length
+        of each payload's/response's frame as the encoder emits it.
         """
-        from repro.wire import encoded_nbytes
-
         vectors = {0: np.ones(8), 1: np.ones(8)}
         bandwidths = [1e4, 1e6]
         fleet = link_fleet(uplinks=bandwidths, downlinks=bandwidths)
-        transport = SimulatedNetworkTransport(fleet.link_seconds)
+        transport = SerializingTransport(fleet.link_seconds)
         engine = RoundEngine(transport=transport)
         clients = [SumClient(u, v) for u, v in vectors.items()]
         result = engine.run_round_sync(SumServer(), clients)
@@ -620,7 +620,7 @@ class TestTiming:
         encode_span = engine.trace.round_spans(0)[0]
         # Request = the framed (op, payload) envelope, response = the
         # framed vector — what the wire transports actually send.
-        exchange = encoded_nbytes(("encode", None)) + encoded_nbytes(vectors[0])
+        exchange = framed_nbytes(("encode", None)) + framed_nbytes(vectors[0])
         slowest = exchange / bandwidths[0]
         assert encode_span.duration == pytest.approx(slowest)
         assert encode_span.duration >= exchange / bandwidths[1]
@@ -633,14 +633,17 @@ class TestSplitTrafficReplay:
         """simulate_trace with per-direction traffic reproduces an
         executed wire round span for span — including the split.
 
-        The replay's traffic comes from the codecs (an independent
-        oracle), not from the executed trace.
+        The replay's traffic comes from the pre-dispatch reference
+        encoder (an independent oracle), not from the executed trace.
         """
-        from repro.engine import SerializingTransport, stage_groups
-        from repro.wire import encoded_nbytes
+        from repro.engine import stage_groups
         from repro.sim.timeline import SimulatedRound, simulate_trace
         from repro.wire.codecs import encode_payload
-        from repro.wire.frame import KIND_REQUEST, encode_frame
+        from repro.wire.frame import FRAME_OVERHEAD, KIND_REQUEST, encode_frame
+        from tests.oracles.wire_codec import encode_payload_reference
+
+        def oracle_nbytes(payload):
+            return FRAME_OVERHEAD + len(encode_payload_reference(payload))
 
         vectors = {u: np.arange(6, dtype=float) + u for u in range(3)}
         engine = RoundEngine(
@@ -657,22 +660,22 @@ class TestSplitTrafficReplay:
         # carries: encode fans out to 3, dispatch/decode too; acks and
         # vectors come back).
         down = {
-            "encode": 3 * encoded_nbytes(("encode", None)),
+            "encode": 3 * oracle_nbytes(("encode", None)),
             "aggregate": 0,
-            "dispatch": 3 * encoded_nbytes(("dispatch", aggregate)),
-            "decode": 3 * encoded_nbytes(("decode", True)),
+            "dispatch": 3 * oracle_nbytes(("dispatch", aggregate)),
+            "decode": 3 * oracle_nbytes(("decode", True)),
             "finalize": 0,
         }
         up = {
-            "encode": 3 * encoded_nbytes(vectors[0]),
+            "encode": 3 * oracle_nbytes(vectors[0]),
             "aggregate": 0,
-            "dispatch": 3 * encoded_nbytes(True),
-            "decode": 3 * encoded_nbytes(True),
+            "dispatch": 3 * oracle_nbytes(True),
+            "decode": 3 * oracle_nbytes(True),
             "finalize": 0,
         }
-        # Sanity: encoded_nbytes really is the framed request size.
+        # Sanity: the oracle's size really is the framed request's.
         frame = encode_frame(KIND_REQUEST, encode_payload(("encode", None)))
-        assert encoded_nbytes(("encode", None)) == len(frame)
+        assert oracle_nbytes(("encode", None)) == len(frame)
 
         replay = simulate_trace([
             SimulatedRound(

@@ -5,16 +5,17 @@ Acceptance bar for the wire-native transport stack: a round over framed
 TCP *or* RFC 6455 WebSocket is bit-identical to in-process execution,
 and the traced per-direction traffic equals the carrier-framed bytes
 actually written to the socket — byte for byte, verified from *both*
-ends of every connection and span for span against the codec oracle
-(``SimulatedNetworkTransport`` with the carrier's
-``envelope_overhead``, no socket involved).  The carrier is a test
+ends of every connection and span for span against the socket round
+minus the socket (:class:`OracleTransport`: the in-process
+serialization boundary's frames plus the carrier's
+``envelope_overhead``).  The carrier is a test
 parameter, exactly as it is a constructor argument.  All tests carry
 the hard ``timeout`` marker so a hung connection fails fast in CI
 instead of stalling the suite.
 """
 
 import asyncio
-from functools import partial
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,23 +26,52 @@ from repro.engine import (
     InProcessTransport,
     RoundEngine,
     SerializingTransport,
-    SimulatedNetworkTransport,
     SocketTransport,
     Targeted,
     run_sync,
 )
+from repro.engine.transport import Channel, Transport, priced
 from repro.secagg.types import ProtocolAbort
 from repro.wire.ws import CARRIERS, envelope_overhead
 
 both_carriers = pytest.mark.parametrize("carrier", CARRIERS)
 
 
-def oracle_transport(carrier, link_seconds=None):
-    """The codec oracle for a carrier's rounds: measured envelope sizes
-    plus that carrier's framing overhead, no sockets involved."""
-    return SimulatedNetworkTransport(
-        link_seconds, overhead_fn=partial(envelope_overhead, carrier)
-    )
+class _CarrierFramedChannel(Channel):
+    def __init__(self, inner: Channel, carrier: str, link_seconds):
+        self._inner = inner
+        self._carrier = carrier
+        self._link_seconds = link_seconds
+
+    async def request(self, client_id, op, payload):
+        delivery = await self._inner.request(client_id, op, payload)
+        down, up = delivery.request_nbytes, delivery.response_nbytes
+        down += envelope_overhead(self._carrier, "down", down)
+        up += envelope_overhead(self._carrier, "up", up)
+        return dataclasses.replace(
+            delivery,
+            latency=priced(self._link_seconds, client_id, down, up),
+            request_nbytes=down,
+            response_nbytes=up,
+        )
+
+    async def aclose(self):
+        await self._inner.aclose()
+
+
+class OracleTransport(Transport):
+    """The oracle for a carrier's rounds, no sockets involved: the
+    in-process serialization boundary's frames plus that carrier's
+    framing overhead, priced on ``link_seconds``."""
+
+    def __init__(self, carrier, link_seconds=None):
+        self._carrier = carrier
+        self._link_seconds = link_seconds
+
+    def connect(self, clients):
+        return _CarrierFramedChannel(
+            SerializingTransport().connect(clients), self._carrier, self._link_seconds
+        )
 
 
 def directional_spans(trace):
@@ -145,22 +175,13 @@ class TestSocketRoundTrip:
     @both_carriers
     def test_traffic_equals_codec_oracle_plus_carrier_overhead(self, carrier):
         """Span for span, per direction: socket-measured bytes equal the
-        codec-computed envelope sizes plus the carrier's documented
-        framing overhead (the oracle computes both without a socket)."""
+        encoder's frames plus the carrier's documented framing overhead
+        (the in-process boundary reports both without a socket)."""
         sock_engine, _ = run_echo(SocketTransport(carrier))
-        oracle_engine, _ = run_echo(oracle_transport(carrier))
+        oracle_engine, _ = run_echo(OracleTransport(carrier))
         assert directional_spans(sock_engine.trace) == directional_spans(
             oracle_engine.trace
         )
-
-    def test_tcp_traffic_identical_to_serializing_transport(self):
-        """Socket frames are byte-identical to the in-process
-        serialization boundary — one wire contract, two carriers."""
-        sock_engine, _ = run_echo(SocketTransport())
-        ser_engine, _ = run_echo(SerializingTransport())
-        assert [s.traffic_bytes for s in sock_engine.trace.spans] == [
-            s.traffic_bytes for s in ser_engine.trace.spans
-        ]
 
     def test_ws_overhead_is_the_only_delta_to_the_tcp_framing(self):
         """Against the serializing boundary (same envelope, no carrier
@@ -384,19 +405,30 @@ class TestDropoutOverSockets:
         "name,stage",
         [("none", None), ("before-upload", 2), ("mid-unmask", 4)],
     )
-    def test_socket_split_equals_codec_computed_sizes(self, name, stage, carrier):
-        """Per-direction socket-measured bytes == codec-computed sizes
-        (+ the carrier's framing), span for span."""
+    def test_socket_round_is_the_in_process_round_plus_the_socket(
+        self, name, stage, carrier
+    ):
+        """Per-direction socket-measured bytes == the encoder's frames
+        (+ the carrier's framing), span for span — and, priced on the
+        same fleet links, the same virtual begin and finish times."""
+        from repro.fleet import Fleet
         from repro.secagg.driver import DropoutSchedule
 
         sched = (
             None if stage is None else DropoutSchedule(at_stage={stage: {3}})
         )
-        sock_engine, _ = secagg_over(SocketTransport(carrier), sched)
-        oracle_engine, _ = secagg_over(oracle_transport(carrier), sched)
-        assert directional_spans(sock_engine.trace) == directional_spans(
-            oracle_engine.trace
-        )
+        link = Fleet.build(5, seed=2).with_id_offset(1).link_seconds
+        sock_engine, _ = secagg_over(SocketTransport(carrier, link), sched)
+        oracle_engine, _ = secagg_over(OracleTransport(carrier, link), sched)
+
+        def timed(trace):
+            return [
+                (s.label, s.begin, s.finish, s.down_bytes, s.up_bytes)
+                for s in trace.spans
+            ]
+
+        assert timed(sock_engine.trace) == timed(oracle_engine.trace)
+        assert sock_engine.trace.completion_time > 0
 
 
 @pytest.mark.timeout(60)
@@ -442,12 +474,13 @@ class TestMaskedVectorWireSize:
             s for s in engine.trace.round_spans(0) if s.label == "masked_input"
         ]
         analytic = senders * config.vector_bytes
+        assert MASKED_INPUT_ENVELOPE_BYTES == 27
         assert span.up_bytes - senders * MASKED_INPUT_ENVELOPE_BYTES == analytic
         assert span.up_bytes == senders * masked_upload_bytes(config)
 
-    def test_simulated_accounting_equals_socket_bytes(self):
+    def test_in_process_accounting_equals_socket_bytes(self):
         _, sock_engine, sock = self._round(SocketTransport(), {4})
-        _, sim_engine, sim = self._round(SimulatedNetworkTransport(), {4})
+        _, sim_engine, sim = self._round(SerializingTransport(), {4})
         np.testing.assert_array_equal(sock.aggregate, sim.aggregate)
         assert directional_spans(sock_engine.trace) == directional_spans(
             sim_engine.trace

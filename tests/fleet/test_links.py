@@ -3,23 +3,22 @@
 ``build_transport(name, fleet)`` hands every backend the same hook,
 ``fleet.link_seconds``.  The acceptance bar: the same asymmetric fleet
 must produce *identical* traces — per-direction byte splits and virtual
-latencies — whether the round runs in-process with codec-sized
-payloads, behind the in-process serialization boundary, or over real
-framed TCP sockets; the websocket carrier prices its (honestly larger)
-framed bytes on the same links.
+latencies — whether the round runs in-process (the serialization
+boundary: the socket round minus the socket) or over real framed TCP
+sockets; the websocket carrier prices its (honestly larger) framed
+bytes on the same links.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.dordis import build_transport
-from repro.engine import RoundEngine, SimulatedNetworkTransport
+from repro.engine import RoundEngine, SerializingTransport
 from repro.fleet import Fleet, ProfileColumns
-from repro.wire import encoded_nbytes
-from repro.wire.ws import envelope_overhead
+from repro.wire import KIND_REQUEST, KIND_RESPONSE
+from repro.wire.codecs import encode_payload_frame
 from tests.engine.test_round_engine import SumClient, SumServer
+from tests.engine.test_socket_transport import OracleTransport
 
 
 def asymmetric_fleet():
@@ -38,13 +37,13 @@ def run_round(transport):
     return engine.trace
 
 
-class TestFleetPricedSimulatedLinks:
+class TestFleetPricedInProcessLinks:
     def test_latency_is_per_direction_per_client(self):
         fleet = asymmetric_fleet()
-        trace = run_round(SimulatedNetworkTransport(fleet.link_seconds))
+        trace = run_round(build_transport("inprocess", fleet))
         encode = trace.round_spans(0)[0]
-        down = encoded_nbytes(("encode", None))
-        up = encoded_nbytes(np.ones(16) * 1.0)
+        down = len(encode_payload_frame(KIND_REQUEST, ("encode", None)))
+        up = len(encode_payload_frame(KIND_RESPONSE, np.ones(16) * 1.0))
         worst = max(
             fleet.link_seconds(u, down, up) for u in (0, 1, 2)
         )
@@ -53,6 +52,10 @@ class TestFleetPricedSimulatedLinks:
         assert worst == fleet.link_seconds(0, down, up)
         assert encode.down_bytes == 3 * down
         assert encode.up_bytes == 3 * up
+
+    def test_priced_inprocess_is_the_serializing_boundary(self):
+        transport = build_transport("inprocess", asymmetric_fleet())
+        assert isinstance(transport, SerializingTransport)
 
     def test_unknown_transport_name_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
@@ -86,18 +89,15 @@ class TestOneLinkModelThreeCarriers:
 
 @pytest.mark.timeout(120)
 class TestWebSocketCarrier:
-    def test_ws_trace_equals_fleet_oracle_with_overhead(self):
+    def test_ws_trace_equals_the_in_process_websocket_boundary(self):
         """The fourth carrier prices its own (honestly larger) framed
         bytes on the same fleet links: its trace — spans *and* virtual
-        latencies — equals the offline fleet-priced oracle carrying
-        the documented RFC 6455 framing overhead."""
+        latencies — equals the in-process serialization boundary
+        carrying the documented RFC 6455 framing overhead."""
         fleet = asymmetric_fleet()
         ws_trace = run_round(build_transport("websocket", fleet))
         oracle_trace = run_round(
-            SimulatedNetworkTransport(
-                fleet.link_seconds,
-                overhead_fn=partial(envelope_overhead, "websocket"),
-            )
+            OracleTransport("websocket", fleet.link_seconds)
         )
         assert [
             (s.label, s.resource, s.begin, s.finish, s.down_bytes, s.up_bytes)

@@ -9,11 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.crypto.signature import SchnorrSigner, generate_signing_keypair
 from repro.crypto.dh import TOY_GROUP
-from repro.secagg.codec import (
-    decode_masked_input,
-    encode_masked_input,
-    masked_input_nbytes,
-)
+from repro.secagg.codec import decode_masked_input, encode_masked_input
 from repro.secagg import types as secagg_types
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -28,7 +24,6 @@ from repro.wire import (
     decode_payload,
     encode_payload,
     encode_value,
-    encoded_value_nbytes,
 )
 from repro.wire.codecs import encode_payload_frame
 from repro.wire.frame import FRAME_OVERHEAD
@@ -188,7 +183,6 @@ class TestVectorCodec:
         msg = _masked(values, bits, sender)
         body = encode_masked_input(msg)
         assert len(body) == HEADER + (len(values) * bits + 7) // 8
-        assert len(body) == masked_input_nbytes(len(values), bits)
         decoded = decode_masked_input(memoryview(bytes(body)))
         assert (decoded.sender, decoded.bits) == (sender, bits)
         assert decoded.masked_vector.dtype == np.int64
@@ -289,7 +283,7 @@ class TestMaskedInputCodec:
     def test_size_scales_with_dimension(self):
         small = _masked(np.zeros(16), 20)
         large = _masked(np.zeros(1024), 20)
-        assert encoded_value_nbytes(large) > encoded_value_nbytes(small) * 30
+        assert len(encode_value(large)) > len(encode_value(small)) * 30
 
     def test_body_is_header_plus_config_vector_bytes(self):
         # One definition of a vector's wire size: SecAggConfig.vector_bytes.
@@ -297,7 +291,6 @@ class TestMaskedInputCodec:
             config = SecAggConfig(threshold=2, bits=bits, dimension=dimension)
             msg = _masked(np.zeros(dimension), bits)
             assert config.vector_bytes == -(-dimension * bits // 8)
-            assert masked_input_nbytes(dimension, bits) == HEADER + config.vector_bytes
             assert len(encode_masked_input(msg)) == HEADER + config.vector_bytes
 
     def test_golden_frame(self):
@@ -343,15 +336,17 @@ class TestUnmaskingCodec:
             UnmaskingMsg.from_bytes(blob[:-4])
 
     def test_message_bytes_dispatch(self):
-        # One sizer for every message type, exact; none for a stranger.
+        # Every message type is its tag, length and codec body; a
+        # stranger has no encoding.
         for msg in (
             self._message(),
             AdvertiseKeysMsg(sender=1, c_public=b"\x01" * 64, s_public=b"\x02" * 64),
-            _masked(range(9), 20),
         ):
-            assert encoded_value_nbytes(msg) == len(encode_value(msg))
+            assert encode_value(msg)[5:] == msg.to_bytes()
+        masked = _masked(range(9), 20)
+        assert encode_value(masked)[5:] == encode_masked_input(masked)
         with pytest.raises(CodecError, match="no codec registered"):
-            encoded_value_nbytes(object())
+            encode_value(object())
 
     def test_peer_named_twice_rejected(self):
         # The field-list decoder kept the second share ("last entry

@@ -12,6 +12,13 @@ from repro.secagg.complexity import (
     secagg_plus_client_cost,
     secagg_server_cost,
 )
+from repro.wire import KIND_REQUEST
+from repro.wire.codecs import encode_payload_frame
+
+
+def _request_nbytes(op, payload) -> int:
+    """Wire bytes of the request the coordinator sends for ``op``."""
+    return len(encode_payload_frame(KIND_REQUEST, (op, payload)))
 
 
 class TestClientAsymptotics:
@@ -57,7 +64,7 @@ class TestFixedUploadIsTheMeasuredOne:
         from repro.crypto.signature import SchnorrSignature
         from repro.engine import RoundEngine, SerializingTransport, run_sync
         from repro.secagg import SecAggConfig, arun_secagg_round
-        from repro.wire import encoded_value_nbytes
+        from repro.wire import encode_value
 
         n = 6
         config = SecAggConfig(
@@ -67,7 +74,7 @@ class TestFixedUploadIsTheMeasuredOne:
         engine = RoundEngine(transport=SerializingTransport())
         run_sync(arun_secagg_round(config, inputs, engine=engine))
         traffic = engine.trace.stage_traffic_split(0)
-        signature = encoded_value_nbytes(SchnorrSignature(0, 0)) - 1  # replaces a None
+        signature = len(encode_value(SchnorrSignature(0, 0))) - 1  # replaces a None
         assert traffic["advertise_keys"].up + traffic["share_keys"].up == n * (
             fixed_upload_bytes(n - 1, dh_group) + malicious * signature
         )
@@ -291,7 +298,6 @@ class TestControlPlaneSendsWhatFig5Sends:
     )
     def test_semi_honest_round(self, monkeypatch, n, threshold, dropped, degree, frames):
         from repro.secagg import SecAggConfig
-        from repro.wire import encoded_nbytes
 
         config = SecAggConfig(
             threshold=threshold, bits=16, dimension=8, dh_group="modp512",
@@ -316,12 +322,11 @@ class TestControlPlaneSendsWhatFig5Sends:
             else:
                 assert len(neighbors) == degree and set(neighbors) < everyone
         assert traffic["share_keys"].down == sum(
-            encoded_nbytes(("share_keys", requests[u])) for u in result.u2
+            _request_nbytes("share_keys", requests[u]) for u in result.u2
         )
 
     def test_malicious_round_keeps_its_fifth_exchange(self, monkeypatch):
         from repro.secagg import SecAggConfig
-        from repro.wire import encoded_nbytes
 
         config = SecAggConfig(
             threshold=5, bits=16, dimension=8, malicious=True, dh_group="modp512"
@@ -331,11 +336,11 @@ class TestControlPlaneSendsWhatFig5Sends:
         )
         assert result.u4 == result.u3 == [1, 2, 4, 5, 7, 8]
         assert len(sent) == 2 * (8 + 8 + 6 + 6) + 2 * len(result.u4)
-        assert traffic["consistency_check"].down == len(result.u3) * encoded_nbytes(
-            ("consistency_check", result.u3)
+        assert traffic["consistency_check"].down == len(result.u3) * _request_nbytes(
+            "consistency_check", result.u3
         )
         assert traffic["share_keys"].down == sum(
-            encoded_nbytes(("share_keys", requests[u])) for u in result.u2
+            _request_nbytes("share_keys", requests[u]) for u in result.u2
         )
 
     def test_declared_workflow_is_eight_operations_or_ten(self):

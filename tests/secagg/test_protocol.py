@@ -18,7 +18,7 @@ from repro.secagg import (
 )
 from repro.secagg.complexity import masked_upload_bytes
 from repro.utils.rng import derive_rng
-from repro.wire import encoded_value_nbytes
+from repro.wire import encode_value
 
 
 def make_inputs(n, dim, bits=16, label="inputs"):
@@ -231,7 +231,7 @@ class TestSecAggPlus:
         assert t_plus.up < t_full.up / 3
         # Down, the ShareKeys request is the same roster plus the
         # recipient's own neighbour ids: k of them, not n − 1.
-        one_id = encoded_value_nbytes(1)
+        one_id = len(encode_value(1))
         assert t_full.down - t_plus.down == n * (n - 1 - 6) * one_id
 
     def test_config_validation(self):

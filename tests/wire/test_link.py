@@ -244,10 +244,9 @@ class TestSendAndOracle:
 
     def test_envelope_overhead(self):
         assert ws.envelope_overhead("sockets", "down", 10_000) == 0
-        # partial(envelope_overhead, carrier) is the overhead_fn
-        # (direction, nbytes) the simulated link takes.
-        overhead_fn = functools.partial(ws.envelope_overhead, "websocket")
-        assert overhead_fn("down", 10) == 2 and overhead_fn("up", 10) == 6
+        # Requests ride unmasked, responses carry the client mask.
+        assert ws.envelope_overhead("websocket", "down", 10) == 2
+        assert ws.envelope_overhead("websocket", "up", 10) == 6
         with pytest.raises(ValueError, match="direction"):
             ws.envelope_overhead("websocket", "sideways", 10)
         with pytest.raises(ValueError, match="carrier"):
