@@ -42,7 +42,8 @@ cancels in ``p_{u,v} + p_{v,u} = 0``); ``modulus == 1`` draws nothing.
 Given ``out`` it adds ``sign·mask`` into the caller's vector instead of
 returning a fresh one — in the kernel (``repro_mask_fold``) one C loop
 that produces the stream ≤ 2 KiB at a time on its stack and unpack-adds
-it, so a mask that is about to be summed is never materialised;
+it (sixteen counters and eight elements a register on an AVX-512 host),
+so a mask that is about to be summed is never materialised;
 :func:`expand_uniform_reference` is its numpy twin and
 :func:`expand_uniform_batch` the loop over it for many seeds.
 """

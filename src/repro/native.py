@@ -50,12 +50,21 @@ The kernel itself dispatches at runtime between a portable scalar
 SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~7× again over
 scalar C) — :func:`backend_name` — and, where the CPU has AVX-512,
 hashes every run of sixteen consecutive counters side by side, at half
-SHA-NI's time per block — :func:`stream_lanes`; a compiler that refuses
-that section still builds everything else (``-DREPRO_NO_X16``).  Every
+SHA-NI's time per block — :func:`stream_lanes`.  On the same CPUs the
+bit-pack plane runs eight elements per ``zmm`` register — a group of
+eight ``b``-bit elements is exactly ``b`` bytes, one 64-byte load or one
+masked store — in the mask fold, the coordinator's unpack-add and the
+client's reducing pack, with the scalar loops for ragged tails and for
+the last groups of a received stream whose load would pass its end.  A
+compiler that refuses that AVX-512 section (both lane sets, and the
+modexp lanes) still builds everything else (``-DREPRO_NO_X16``).  Every
 path yields the same bytes: the probe checks the one block and the wide
-run it will use, ``repro_sha256_ctr_path`` lets the tests force each
-path the host has.  ``ctypes`` releases the GIL around the foreign
-call, which is what lets the coordinator's one thread fan-out
+run it will use and packs and folds a stream long enough for the
+bit-pack lanes, ``repro_sha256_ctr_path`` lets the tests force each
+compression path the host has, and the bit-pack parity tests build the
+object without lanes under a name of its own to pin the scalar loops.
+``ctypes`` releases the GIL around the foreign call, which is what lets
+the coordinator's one thread fan-out
 (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`) fold masks on
 several cores at once.
 """
@@ -292,7 +301,9 @@ def _probe(lib: ctypes.CDLL) -> None:
     of an all-zero seed must match hashlib and so must a run long enough
     for the sixteen lanes, three 20-bit elements must
     pack to the documented little-endian bit stream and back (reduced
-    on the way in, added on the way out, by the fused pair), a
+    on the way in, added on the way out, by the fused pair), and so
+    must 131 elements at three widths (sixteen groups for the eight
+    bit-pack lanes and a ragged tail) against Python integers, a
     two-limb modular power must match ``pow`` and so must nine edge
     bases under one exponent (a full group of lanes and a tail), five hand-made noise
     trials must land where the sampler's specification puts them,
@@ -343,6 +354,27 @@ def _probe(lib: ctypes.CDLL) -> None:
         or list(folded) != [a + b for a, b in zip(start, values)]
     ):
         raise _Unavailable("probe mismatch (fused bit packer)")
+    # And long enough for the eight lanes, against Python integers: 131
+    # elements are sixteen groups of eight, each one 64-byte load, and a
+    # ragged tail of three; at 20 bits the last two groups' loads would
+    # pass the end of the stream and run on the scalar loop.  Five bits
+    # put eight lanes into one output word, 59 cross the 57-bit window.
+    count = 131
+    sums = [(i * 0x9E3779B97F4A7C15 + 0x7F4A) % (1 << 64) - (1 << 63) for i in range(count)]
+    start = [3 * i - 200 for i in range(count)]
+    for bits in (5, 20, 59):
+        ring = [v % (1 << bits) for v in sums]
+        want = sum(v << (i * bits) for i, v in enumerate(ring))
+        want = want.to_bytes(-(-count * bits // 8), "little")
+        stream = ctypes.create_string_buffer(len(want))
+        folded = (ctypes.c_int64 * count)(*start)
+        if (
+            lib.repro_pack_low_bits((ctypes.c_int64 * count)(*sums), count, bits, stream) != 0
+            or stream.raw != want
+            or lib.repro_unpack_add(want, len(want), count, bits, folded) != 0
+            or list(folded) != [a + b for a, b in zip(start, ring)]
+        ):
+            raise _Unavailable("probe mismatch (bit packer lanes)")
     modulus = _MODEXP_PROBE_MODULUS
     ctx = montgomery_context(modulus)
     exp = (modulus - 2).to_bytes(16, "big")

@@ -10,7 +10,10 @@ zero.
 Two implementations, bit-identical and pinned so by test:
 
 - the C loops in ``_native/sha256ctr.c`` (the shared object
-  :func:`repro.native.load` builds), one 64-bit window over the stream;
+  :func:`repro.native.load` builds), one 64-bit window over the stream
+  — and, for :func:`pack_low_bits_into` and :func:`unpack_add` on a CPU
+  with the kernel's AVX-512 lanes, eight elements a register: a group
+  of eight is exactly ``b`` bytes, one 64-byte load or one masked store;
 - the numpy fallback below.  The stream's layout repeats every
   ``P = 64/gcd(b, 64)`` elements (``P·b`` bits are a whole number of
   64-bit words), so the vector is viewed as rows of ``P`` elements and

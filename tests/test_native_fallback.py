@@ -527,6 +527,34 @@ class TestEveryReasonIsNamed:
         monkeypatch.setattr(rearmed, "_build", lambda: kernel)
         assert "probe mismatch (fused bit packer)" in self._announcement(rearmed)
 
+    def test_pack_lanes_that_miscompute_disable_the_whole_object(self, rearmed, monkeypatch):
+        # Right on three elements; past a group of eight, one bit of the
+        # second group's bytes comes out flipped — a lane with a wrong slot.
+        def wrong_second_group(real, src, n, bits, dst):
+            rc = real.repro_pack_low_bits(src, n, bits, dst)
+            if n >= 16:
+                dst[bits] = bytes([dst[bits][0] ^ 1])
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_pack_low_bits=wrong_second_group)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        assert "probe mismatch (bit packer lanes)" in self._announcement(rearmed)
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
+    def test_unpack_lanes_that_miscompute_disable_the_whole_object(self, rearmed, monkeypatch):
+        # Right on an eight-byte stream; from one 64-byte group load on,
+        # the ninth element is folded one off — a lane with a wrong shift.
+        def wrong_ninth_element(real, src, nbytes, n, bits, dst):
+            rc = real.repro_unpack_add(src, nbytes, n, bits, dst)
+            if rc == 0 and nbytes >= 64:
+                dst[8] += 1
+            return rc
+
+        kernel = self._real_kernel_with(rearmed, repro_unpack_add=wrong_ninth_element)
+        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
+        assert "probe mismatch (bit packer lanes)" in self._announcement(rearmed)
+        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
+
     def test_wrong_butterfly_disables_the_whole_object(self, rearmed, monkeypatch):
         # Right in every stage but the last: the two halves of the vector
         # come back swapped.

@@ -13,7 +13,15 @@ interpreter with libasan preloaded — every buffer a ``malloc`` of
 exactly the size the kernel is told, so one byte read or written past
 either end is a report, and any report fails the test.  Bit-pack shapes:
 every width, lengths on and off the group of eight / the 64-bit window /
-the in-place–tail split, plus what a hostile frame can be — a byte
+the in-place–tail split, and for the eight AVX-512 lanes (where the
+host has them) eight counts a width that put the last group's 64-byte
+load on every distance from the end of the stream the width allows —
+on its last byte wherever a count reaches it, and off it.  Each pack
+writes once into an exact destination and once into one followed by a
+64-byte guard that must come back as it was: the lanes' masked store is
+a target builtin gcc's ASan does not instrument (a store one byte too
+wide drew no overflow report, only a later bad ``free``), so the guard
+is what bounds it; plus what a hostile frame can be — a byte
 short, a byte long, a pad bit set — which must be refused with the
 destination untouched; the results are compared with the numpy twins
 (the subprocess runs with ``REPRO_NATIVE=0``), so this is also a third
@@ -103,21 +111,41 @@ def int64s(buf: Exact) -> np.ndarray:
     return np.frombuffer(buf.bytes(), dtype=np.int64)
 
 
+def lane_counts(bits):
+    # Eight counts 8G .. 8G + 7, G whole groups and enough bytes that
+    # the eight-lane loop takes some of them and leaves some: nbytes - 64
+    # runs through every remainder mod bits it can take at this width —
+    # a multiple of bits (the last lanes group's 64-byte load ends on
+    # the stream's last byte) wherever one is reachable, and the others.
+    groups = -(-(64 + bits) // bits) + 1
+    return [8 * groups + t for t in range(8)]
+
+
+GUARD = bytes(range(0xA0, 0xE0))
 shapes = 0
+edges = {"multiple": 0, "not": 0}
 for bits in range(1, 63):
-    for n in (0, 1, 7, 8, 9, 63, 64, 65, 4099):
+    for n in sorted({0, 1, 7, 8, 9, 63, 64, 65, 4099, *lane_counts(bits)}):
         rng = np.random.default_rng([bits, n])
         sums = rng.integers(-(1 << 62), 1 << 62, size=n, dtype=np.int64)
         ring = sums & ((1 << bits) - 1)
         want = bytearray()
         pack_bits_into(ring, bits, want)
         nbytes = packed_nbytes(n, bits)
+        if n >= 8 and nbytes >= 64:
+            edges["not" if (nbytes - 64) % bits else "multiple"] += 1
 
         # pack: strict on in-ring values, reducing on the raw sums
         for fn, values in ((lib.repro_pack_bits, ring), (lib.repro_pack_low_bits, sums)):
             src, dst = Exact(values.tobytes()), Exact(bytes(nbytes))
             assert fn(src.ptr, n, bits, dst.ptr) == 0, (fn, bits, n)
             assert dst.bytes() == bytes(want), (fn, bits, n)
+            dst.free()
+            # ASan does not see the lanes' masked store (a target
+            # builtin): a guard after the stream must come back as it was
+            dst = Exact(bytes(nbytes) + GUARD)
+            assert fn(src.ptr, n, bits, dst.ptr) == 0, (fn, bits, n)
+            assert dst.bytes() == bytes(want) + GUARD, (fn, bits, n)
             src.free(); dst.free()
         if n:  # the strict packer reports a sum it would truncate
             bad = ring.copy(); bad[n // 2] = -1
@@ -165,6 +193,7 @@ for count in (2**31, 2**61, 2**64 - 1):
     assert lib.repro_unpack_bits(tiny.ptr, 3, count, 20, sink.ptr) == -1
 tiny.free(); sink.free()
 print("sanitized shapes:", shapes)
+print("lanes load edges:", edges["multiple"], "on the last byte,", edges["not"], "off it")
 """
 
 MODEXP_SCRIPT = r"""
@@ -542,7 +571,10 @@ def test_bit_pack_plane_is_clean_under_asan_and_ubsan(sanitized_object):
     done = _sanitized_python(SCRIPT, *sanitized_object)
     report = done.stdout[-2000:] + done.stderr[-6000:]
     assert done.returncode == 0, report
-    assert "sanitized shapes: 558" in done.stdout, report
+    # 62 widths × 9 counts, and 8 more per width for the eight lanes,
+    # less the 7 those share with 63–65 (at 11–15 bits).
+    assert "sanitized shapes: 1047" in done.stdout, report
+    assert "lanes load edges: 44 on the last byte, 677 off it" in done.stdout, report
     assert "AddressSanitizer" not in done.stderr and "runtime error" not in done.stderr, report
 
 
