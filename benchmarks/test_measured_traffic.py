@@ -210,58 +210,3 @@ def test_measured_direction_split(once):
     assert masked_up > l_tot.down
     assert masked_up > l_tot.up - masked_up
 
-
-def _measure_over(carrier, dimension):
-    from repro.engine import SocketTransport
-
-    engine = RoundEngine(transport=SocketTransport(carrier))
-    run_sync(
-        arun_secagg_round(
-            _secagg_config(dimension), _inputs(dimension), None, engine=engine
-        )
-    )
-    return engine.trace
-
-
-def test_measured_ws_framing_overhead(once):
-    """Framed TCP vs RFC 6455 WebSocket, both *measured* on real
-    localhost connections: the WS carrier pays a deterministic framing
-    premium per message (2 B unmasked / 6 B masked for short frames,
-    +2/+8 for extended lengths) — a constant-per-message cost that
-    vanishes relative to the model-sized payloads as d grows."""
-    SMALL, LARGE = 64, 4096
-
-    def run_all():
-        return {
-            d: (
-                _measure_over("sockets", d),
-                _measure_over("websocket", d),
-            )
-            for d in (SMALL, LARGE)
-        }
-
-    traces = once(run_all)
-    print_header(
-        f"Measured framing overhead: framed TCP vs WebSocket "
-        f"(SecAgg, n={N_CLIENTS}, t={THRESHOLD}, b={BITS})"
-    )
-    print(f"{'dimension':>10s} {'TCP bytes':>12s} {'WS bytes':>12s} "
-          f"{'overhead':>10s}")
-    overhead_pct = {}
-    for d, (tcp, ws) in traces.items():
-        tcp_total = tcp.round_traffic_bytes(0)
-        ws_total = ws.round_traffic_bytes(0)
-        overhead_pct[d] = 100.0 * (ws_total - tcp_total) / tcp_total
-        print(f"{d:>10d} {tcp_total:>12,d} {ws_total:>12,d} "
-              f"{overhead_pct[d]:>9.2f}%")
-
-    for d, (tcp, ws) in traces.items():
-        # Same envelopes underneath: WS strictly adds framing, span for
-        # span, per direction.
-        for t_span, w_span in zip(tcp.spans, ws.spans):
-            assert w_span.down_bytes >= t_span.down_bytes
-            assert w_span.up_bytes >= t_span.up_bytes
-        assert ws.round_traffic_bytes(0) > tcp.round_traffic_bytes(0)
-    # The premium is per message, not per byte: relative overhead
-    # shrinks as the model dimension grows.
-    assert overhead_pct[LARGE] < overhead_pct[SMALL]

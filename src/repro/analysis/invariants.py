@@ -179,7 +179,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     # An O(d) coordinator on a one-pass data plane: after
     # MaskedInputCollection one d-vector and no client's masked input
     # (executed memory walk), one admission door, arrival fold ≡
-    # reference drivers on every carrier.
+    # reference drivers on every transport.
     "18": {
         "rules": [],
         "tests": [

@@ -2,7 +2,7 @@
 
 The engine (``repro/engine/``) is the one async substrate every round
 runs through, and the wire layer (``repro/wire/``) holds the coroutines
-it awaits on every socket — the stream readers and the carrier links;
+it awaits on every socket — the stream readers and the link;
 a blocking call inside any of them stalls every concurrent client, and
 a fire-and-forget task is lost to cancellation and exception
 reporting.  Two checks over ``async def`` bodies:

@@ -3,15 +3,13 @@
 The single-buffer writer discipline (ARCHITECTURE.md, "The hot path";
 invariant 9): ``encode_value_into`` lands ndarray data via one
 ``memoryview`` copy, ``encode_payload_frame`` stamps the header into
-the same buffer as the body, and the WS layer returns ``(head,
-payload)`` so an unmasked response is never copied at all.  A stray
+the same buffer as the body.  A stray
 ``.tobytes()`` or a per-byte Python loop quietly reintroduces the
 copies the refactor removed — and the parity tests, which compare
 *values* not allocations, would never notice.
 
 Inside every non-``*_reference`` ``encode_*``/``fill_*``/``pack_*``
-function of ``wire/codecs.py``, ``wire/frame.py``, ``wire/ws.py`` and
-``wire/bitpack.py`` — and inside the encoder of every codec the
+function of ``wire/codecs.py``, ``wire/frame.py`` and ``wire/bitpack.py`` — and inside the encoder of every codec the
 registry binds ``in_place`` (the bulk carriers that promise to write
 straight into the frame buffer), whichever module it lives in — this
 rule flags:
@@ -49,7 +47,6 @@ from repro.analysis.core import (
 _SCOPE_FILES = (
     "src/repro/wire/codecs.py",
     "src/repro/wire/frame.py",
-    "src/repro/wire/ws.py",
     "src/repro/wire/bitpack.py",
 )
 
@@ -94,8 +91,8 @@ class ZeroCopyRule(Rule):
     id = "zero-copy"
     description = (
         "no .tobytes() and no per-byte loops inside the non-reference "
-        "encode paths of wire/codecs.py, wire/frame.py, wire/ws.py, "
-        "wire/bitpack.py and every codec registered in_place"
+        "encode paths of wire/codecs.py, wire/frame.py, wire/bitpack.py "
+        "and every codec registered in_place"
     )
     invariants = ("6", "9", "12")
 

@@ -36,9 +36,7 @@ class _EchoClient(ProtocolClient):
         return {"echo": lambda p: p}
 
 
-async def _stress(
-    connections: int, rounds: int, carrier: str
-) -> dict[str, Any]:
+async def _stress(connections: int, rounds: int) -> dict[str, Any]:
     from repro.engine import (
         CoordinatorListener,
         DialingClient,
@@ -48,15 +46,12 @@ async def _stress(
 
     ids = set(range(1, connections + 1))
     clients = {u: _EchoClient(u) for u in ids}
-    listener = CoordinatorListener(expected_ids=ids, carrier=carrier)
+    listener = CoordinatorListener(expected_ids=ids)
     await listener.start()
     host, port = listener.address
 
     start = time.perf_counter()
-    dialers = {
-        u: DialingClient(clients[u], host, port, carrier=carrier)
-        for u in sorted(ids)
-    }
+    dialers = {u: DialingClient(clients[u], host, port) for u in sorted(ids)}
     workers = [
         asyncio.ensure_future(dialer.run()) for dialer in dialers.values()
     ]
@@ -115,15 +110,13 @@ async def _stress(
     }
 
 
-def run_listener(
-    *, connections: int = 1000, rounds: int = 3, carrier: str = "sockets"
-) -> dict[str, Any]:
+def run_listener(*, connections: int = 1000, rounds: int = 3) -> dict[str, Any]:
     """Stress one coordinator listener with ``connections`` dialers."""
     if connections < 1:
         raise ValueError("connections must be positive")
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    m = asyncio.run(_stress(connections, rounds, carrier))
+    m = asyncio.run(_stress(connections, rounds))
     ok = m["answered"] == connections * rounds and m["balanced"]
     metrics = {
         "connections": metric(connections, "count"),
@@ -140,9 +133,5 @@ def run_listener(
         "accounting_balanced": metric(1 if m["balanced"] else 0, "flag"),
         "all_answered_ok": metric(1 if ok else 0, "flag"),
     }
-    config = {
-        "connections": connections,
-        "rounds": rounds,
-        "carrier": carrier,
-    }
+    config = {"connections": connections, "rounds": rounds}
     return make_report(LISTENER_TOPIC, config, metrics)

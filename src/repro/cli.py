@@ -85,12 +85,10 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--mechanism", default="gaussian",
                    choices=["gaussian", "skellam"])
     p.add_argument("--transport", default="inprocess",
-                   choices=["inprocess", "serialized", "sockets",
-                            "websocket"],
+                   choices=["inprocess", "serialized", "sockets"],
                    help="engine transport for protocol rounds: direct "
                         "dispatch, the in-process wire serialization "
-                        "boundary, real framed TCP, or real RFC 6455 "
-                        "WebSocket connections")
+                        "boundary, or real framed-TCP connections")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -130,10 +128,6 @@ def _add_serve_parser(sub) -> None:
                         "(1..N) to dial in")
     p.add_argument("--dimension", type=int, default=16)
     p.add_argument("--bits", type=int, default=16)
-    p.add_argument("--transport", default="sockets",
-                   choices=["sockets", "websocket"],
-                   help="wire carrier: framed TCP (default) or RFC 6455 "
-                        "WebSocket")
     p.add_argument("--auth-token", default="",
                    help="shared secret demanded from every HELLO "
                         "(empty: unauthenticated)")
@@ -162,9 +156,6 @@ def _add_join_parser(sub) -> None:
                         "deterministic demo inputs line up")
     p.add_argument("--dimension", type=int, default=16)
     p.add_argument("--bits", type=int, default=16)
-    p.add_argument("--transport", default="sockets",
-                   choices=["sockets", "websocket"],
-                   help="wire carrier — must match the serve side")
     p.add_argument("--auth-token", default="",
                    help="shared secret presented in the HELLO")
     p.add_argument("--die-after", type=int, default=None,
@@ -430,7 +421,6 @@ def _cmd_serve(args) -> int:
         listener = CoordinatorListener(
             args.host,
             args.port,
-            carrier=args.transport,
             expected_ids=set(inputs),
             auth_token=args.auth_token.encode(),
             join_timeout=args.join_timeout,
@@ -464,7 +454,6 @@ def _cmd_serve(args) -> int:
     if args.json:
         print(json.dumps({
             "protocol": "secagg",
-            "transport": args.transport,
             "clients": n,
             "u3": sorted(result.u3),
             "u5": sorted(result.u5),
@@ -483,7 +472,7 @@ def _cmd_serve(args) -> int:
         }))
         return 0 if ok else 1
 
-    print(f"protocol         : SecAgg over {args.transport} (cross-process)")
+    print("protocol         : SecAgg over framed TCP (cross-process)")
     print(f"cohort/survived  : {n} expected, {listener.accepted} joined, "
           f"{len(result.u3)} in U3")
     print(f"aggregate        : "
@@ -533,7 +522,6 @@ def _cmd_join(args) -> int:
         workflow,
         args.host,
         args.port,
-        carrier=args.transport,
         auth_token=args.auth_token.encode(),
         max_requests=args.die_after,
     )

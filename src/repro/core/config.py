@@ -82,11 +82,7 @@ class DordisConfig:
         serialization boundary in-process, so traced per-stage traffic
         is the length of the frames a framed-TCP socket would carry;
         "sockets" — each client behind a real localhost TCP connection
-        with framed messages and per-connection accounting;
-        "websocket" — each client behind a real RFC 6455 WebSocket
-        (HTTP upgrade handshake, binary messages); accounting includes
-        the WebSocket framing overhead, so its traffic runs a few
-        bytes per message above the other wire backends.
+        with framed messages and per-connection accounting.
         Ignored when the caller supplies its own engine.
     """
 
@@ -162,12 +158,9 @@ class DordisConfig:
             raise ValueError("secure_aggregation must be simulated or secagg")
         if self.pipeline_chunks < 1:
             raise ValueError("pipeline_chunks must be >= 1")
-        if self.transport not in {
-            "inprocess", "serialized", "sockets", "websocket",
-        }:
+        if self.transport not in {"inprocess", "serialized", "sockets"}:
             raise ValueError(
-                "transport must be inprocess, serialized, sockets, "
-                "or websocket"
+                "transport must be inprocess, serialized or sockets"
             )
 
     @property

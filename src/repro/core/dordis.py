@@ -119,21 +119,19 @@ def build_transport(name: str, fleet: Fleet | None = None):
     in-process round is the socket round minus the socket: ``"inprocess"``
     with a fleet is ``"serialized"``, whose bytes are the lengths of the
     frames a framed-TCP socket would carry, so a fleet round's trace is
-    transport-invariant across the first three names (the parity suites
-    pin this); ``"websocket"`` honestly adds its RFC 6455 framing bytes.
-    In-process rounds without a fleet move live objects and report no
-    bytes.
+    transport-invariant across all three names (the parity suites pin
+    this).  In-process rounds without a fleet move live objects and
+    report no bytes.
     """
     from repro.engine import InProcessTransport, SerializingTransport, SocketTransport
-    from repro.wire.ws import CARRIERS
 
     link = None if fleet is None else fleet.link_seconds
     if name == "inprocess" and link is None:
         return InProcessTransport()
     if name in ("inprocess", "serialized"):
         return SerializingTransport(link)
-    if name in CARRIERS:
-        return SocketTransport(name, link)
+    if name == "sockets":
+        return SocketTransport(link)
     raise ValueError(f"unknown transport {name!r}")
 
 

@@ -6,9 +6,9 @@ through one event-driven :class:`RoundEngine`:
 
 - **Transport-agnostic**: in-process direct dispatch, the in-process
   wire serialization boundary (frames priced on §6.1 device links),
-  real sockets (:class:`SocketTransport`: framed TCP or RFC 6455
-  WebSocket behind one listening port; :class:`ListenerTransport` when
-  the listener is owned elsewhere), and dropout-injecting middleware
+  real sockets (:class:`SocketTransport`: framed TCP behind one
+  listening port; :class:`ListenerTransport` when the listener is owned
+  elsewhere), and dropout-injecting middleware
   are interchangeable backends.
 - **Chunk-pipelined**: aggregation tasks split into m sub-tasks
   (:mod:`repro.pipeline.chunking`) executed as overlapping asyncio tasks

@@ -2,27 +2,22 @@
 
 This module is the production-topology heart of the socket stack.  One
 :class:`CoordinatorListener` owns **one** ``asyncio.start_server`` port
-(plain framed TCP, or its RFC 6455 upgrade twin) and accepts every
-client connection on it; devices are :class:`DialingClient` workers that
-dial *in*.  The carrier is a constructor argument, never a second
-socket stack: how a frame rides the byte stream, and what that costs,
-lives behind :func:`repro.wire.ws.open_link`.  :class:`SocketTransport`
-(a private listener plus in-process dialers per round) and
-:class:`ListenerTransport` (an externally-owned listener, the
-cross-process ``repro.cli serve``/``join`` path) are the two shells
-over this core.
+speaking framed TCP (:class:`repro.wire.frame.TCPLink`) and accepts
+every client connection on it; devices are :class:`DialingClient`
+workers that dial *in*.  :class:`SocketTransport` (a private listener
+plus in-process dialers per round) and :class:`ListenerTransport` (an
+externally-owned listener, the cross-process ``repro.cli serve``/``join``
+path) are the two shells over this core.
 
 Per accepted connection the listener runs:
 
-1. the carrier accept (:func:`~repro.wire.ws.open_link`) — for the
-   websocket carrier an HTTP/1.1 Upgrade handshake, for framed TCP
-   nothing — counted as connection overhead;
-2. the wire handshake — the dialer opens with a ``HELLO`` frame carrying
+1. the wire handshake — the dialer opens with a ``HELLO`` frame carrying
    the explicit :class:`repro.wire.frame.Hello` schema (client id, wire
    version, optional auth token); the listener validates version, token,
    membership, and uniqueness, answering ``WELCOME`` or a descriptive
-   ``ERROR`` frame before hanging up;
-3. a dedicated **reader task** (the accept task itself) that receives
+   ``ERROR`` frame before hanging up — a peer that opens with anything
+   but a frame (an HTTP request, say) is refused at its header;
+2. a dedicated **reader task** (the accept task itself) that receives
    response frames and resolves in-flight exchanges in FIFO order, and a
    dedicated **writer task** draining a *bounded* send queue — the
    backpressure seam: a coordinator fanning requests to thousands of
@@ -35,8 +30,8 @@ every in-flight exchange and every later request for that client raises
 folds into the existing dropout machinery (exactly like
 :class:`~repro.engine.transport.DropoutTransport` dropping it).  A dead
 connection never crashes the round; *malformed* bytes (bad magic,
-unknown kind, oversize prefix, a text or unmasked websocket frame) are
-a protocol violation and fail loud into the first in-flight exchange.
+unknown kind, oversize prefix) are a protocol violation and fail loud
+into the first in-flight exchange.
 
 Traced per-stage traffic sums the frames of *completed* deliveries: an
 ERROR exchange is counted in its connection's :class:`ConnectionStats`
@@ -72,6 +67,7 @@ from repro.engine.transport import (
 )
 from repro.wire import codecs as wire_codecs
 from repro.wire.frame import (
+    FRAME_OVERHEAD,
     KIND_ERROR,
     KIND_HELLO,
     KIND_REQUEST,
@@ -79,11 +75,11 @@ from repro.wire.frame import (
     WIRE_VERSION,
     Hello,
     LinkClosed,
+    TCPLink,
     decode_hello,
     encode_frame,
     encode_hello,
 )
-from repro.wire.ws import check_carrier, open_link
 
 if TYPE_CHECKING:
     from repro.api.protocol import ProtocolClient
@@ -105,10 +101,10 @@ class ConnectionStats:
     coordinator wrote toward the client), ``response_bytes`` the uplink
     (frames it read back) — ``down_bytes``/``up_bytes`` name that
     explicitly.  ``handshake_received`` covers what the dialing client
-    sent to set the connection up (for the websocket carrier the HTTP
-    upgrade request, then the ``HELLO`` frame), ``handshake_sent`` the
-    listener's answers (``101``/``WELCOME``) plus any control frames —
-    anything on the socket that is not stage-accounted traffic.
+    sent to set the connection up (the ``HELLO`` frame, or the header
+    of whatever it sent instead), ``handshake_sent`` the listener's
+    answer (``WELCOME`` or ``ERROR``) — anything on the socket that is
+    not stage-accounted traffic.
 
     The ``endpoint_*`` counters are what the *dialing client* (the
     device end) independently observed on its side of the same socket,
@@ -170,7 +166,7 @@ class _ClientConnection:
     """
 
     def __init__(
-        self, client_id: int, link, stats: ConnectionStats, queue_size: int
+        self, client_id: int, link: TCPLink, stats: ConnectionStats, queue_size: int
     ):
         self.client_id = client_id
         self.link = link
@@ -190,9 +186,8 @@ class _ClientConnection:
         """One request/response over this connection.
 
         Returns ``(kind, body, sent, received)`` where ``sent`` is the
-        deterministic carrier-framed size of ``frame`` (equal to what
-        the writer task measures) and ``received`` the framed size of
-        the answering frame.  Raises
+        length of ``frame`` (what the writer task measures) and
+        ``received`` that of the answering frame.  Raises
         :class:`~repro.engine.transport.ClientUnavailable` if the
         connection is (or dies while) in flight.
         """
@@ -228,7 +223,7 @@ class _ClientConnection:
             with contextlib.suppress(asyncio.CancelledError):
                 await putter
         self.stats.requests += 1
-        return kind, body, self.link.framed_size(len(frame)), received
+        return kind, body, len(frame), received
 
     def retire(self, exc: Optional[BaseException] = None) -> None:
         """Mark dead and fail everything in flight.
@@ -271,7 +266,6 @@ class CoordinatorListener:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        carrier: str = "sockets",
         expected_ids: Optional[Iterable[int]] = None,
         auth_token: bytes = b"",
         join_timeout: float = 30.0,
@@ -279,7 +273,6 @@ class CoordinatorListener:
     ):
         self.host = host
         self.port = port
-        self.carrier = check_carrier(carrier)
         self.expected_ids = None if expected_ids is None else set(expected_ids)
         self.auth_token = bytes(auth_token)
         self.join_timeout = join_timeout
@@ -333,8 +326,13 @@ class CoordinatorListener:
                 f"duplicate connection for client id {hello.client_id}"
             )
 
-    async def _handshake(self, link, stats: ConnectionStats) -> Hello:
-        kind, body, n = await link.recv()
+    async def _handshake(self, link: TCPLink, stats: ConnectionStats) -> Hello:
+        try:
+            kind, body, n = await link.recv()
+        except ValueError:
+            # A refused header was read off the socket before its check.
+            stats.handshake_received += FRAME_OVERHEAD
+            raise
         stats.handshake_received += n
         if kind != KIND_HELLO:
             raise ValueError(f"handshake must open with HELLO, got {kind:#x}")
@@ -359,24 +357,13 @@ class CoordinatorListener:
             self._accept_tasks.add(task)
             task.add_done_callback(self._accept_tasks.discard)
         stats = ConnectionStats(client_id=-1)
-        link = None
+        link = TCPLink(reader, writer)
         conn: Optional[_ClientConnection] = None
 
         def count_handshake_sent(n: int) -> None:
             stats.handshake_sent += n
 
-        def count_handshake_received(n: int) -> None:
-            stats.handshake_received += n
-
         try:
-            link = await open_link(
-                self.carrier,
-                "accept",
-                reader,
-                writer,
-                sent=count_handshake_sent,
-                received=count_handshake_received,
-            )
             try:
                 hello = await self._handshake(link, stats)
             except LinkClosed:
@@ -412,11 +399,10 @@ class CoordinatorListener:
             )
             self._signal(hello.client_id)
             await self._read_loop(conn)
-        except (asyncio.CancelledError, ConnectionError, ValueError):
+        except (asyncio.CancelledError, ConnectionError):
             # aclose() cancelling an accept parked mid-handshake, or a
-            # carrier-level failure (bad upgrade, reset socket): the
-            # socket dies quietly, the finally below still books its
-            # partial stats.
+            # reset socket: the socket dies quietly, the finally below
+            # still books its partial stats.
             return
         finally:
             if conn is not None:
@@ -433,11 +419,6 @@ class CoordinatorListener:
                         asyncio.CancelledError, Exception
                     ):
                         await conn.writer_task
-            if link is not None:
-                # Control frames (close handshake, pings) are connection
-                # overhead, folded in at the end of life.
-                stats.handshake_sent += link.control_sent
-                stats.handshake_received += link.control_received
             self.closed_connection_stats.append(stats)
             writer.close()
             with contextlib.suppress(asyncio.CancelledError, Exception):
@@ -465,7 +446,9 @@ class CoordinatorListener:
                 return
             except ValueError as exc:
                 # Malformed frame: fail loud into the in-flight
-                # exchange (never misparse, never silently drop).
+                # exchange (never misparse, never silently drop).  Its
+                # refused header did cross the socket.
+                conn.stats.response_bytes += FRAME_OVERHEAD
                 conn.retire(exc)
                 return
             conn.stats.response_bytes += n
@@ -544,7 +527,7 @@ class DialingClient:
     """The device end: one protocol client dialing into the listener.
 
     Runs the client's state machine behind a single dialed connection —
-    carrier setup, ``HELLO``/``WELCOME``, then a serve loop answering
+    ``HELLO``/``WELCOME``, then a serve loop answering
     each ``REQUEST`` frame with one ``RESPONSE`` (or ``ERROR``) frame.
     Used in-process as one task per client by the socket transports,
     and by ``repro.cli join`` as a whole OS process.
@@ -562,7 +545,6 @@ class DialingClient:
         host: str,
         port: int,
         *,
-        carrier: str = "sockets",
         auth_token: bytes = b"",
         client_id: Optional[int] = None,
         wire_version: int = WIRE_VERSION,
@@ -573,14 +555,13 @@ class DialingClient:
         self.client_id = client.id if client_id is None else client_id
         self.host = host
         self.port = port
-        self.carrier = check_carrier(carrier)
         self.auth_token = bytes(auth_token)
         self.wire_version = wire_version
         self.max_requests = max_requests
         self.dial_timeout = dial_timeout
         self.bytes_received = 0
         self.bytes_sent = 0
-        # Per-direction frame counters (handshake/control excluded):
+        # Per-direction frame counters (handshake excluded):
         # what this end of the socket saw of the stage-accounted
         # traffic.  Requests arrive here (the downlink's far end).
         self.request_bytes = 0
@@ -614,7 +595,7 @@ class DialingClient:
                     raise
                 await asyncio.sleep(0.05)
 
-    async def _hello(self, link) -> None:
+    async def _hello(self, link: TCPLink) -> None:
         await link.send(
             encode_frame(
                 KIND_HELLO,
@@ -649,18 +630,8 @@ class DialingClient:
         counters intact.  A listener gone *before* its WELCOME raises
         ``ConnectionError``."""
         reader, writer = await self._dial()
-        link = None
+        link = TCPLink(reader, writer)
         try:
-            link = await open_link(
-                self.carrier,
-                "dial",
-                reader,
-                writer,
-                sent=self._count_handshake,
-                received=self._count_handshake_received,
-                host=self.host,
-                port=self.port,
-            )
             await self._hello(link)
             while True:
                 try:
@@ -682,9 +653,6 @@ class DialingClient:
                 if self.max_requests is not None and self.requests >= self.max_requests:
                     return  # vanish abruptly, like a killed process
         finally:
-            if link is not None:
-                self._count_handshake(link.control_sent)
-                self._count_handshake_received(link.control_received)
             writer.close()
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await writer.wait_closed()
@@ -694,7 +662,7 @@ def record_endpoint(stats: ConnectionStats, dialer) -> None:
     """Copy a dialing end's ground-truth counters into ``stats``.
 
     Every dialing worker exposes the same four counters; recording
-    lives here so the carriers can never drift apart.
+    lives here so every owner of dialers books them the same way.
     """
     stats.endpoint_received_bytes = dialer.bytes_received
     stats.endpoint_sent_bytes = dialer.bytes_sent
@@ -773,7 +741,6 @@ class _HostedChannel(_ListenerChannel):
 
     async def _start(self) -> None:
         listener = CoordinatorListener(
-            carrier=self._transport.carrier,
             expected_ids=self._ids,
             join_timeout=self.JOIN_TIMEOUT,
         )
@@ -791,9 +758,7 @@ class _HostedChannel(_ListenerChannel):
         assert self._listener is not None
         if client_id not in self._workers:
             dialer = DialingClient(
-                self._clients[client_id],
-                *self._listener.address,
-                carrier=self._transport.carrier,
+                self._clients[client_id], *self._listener.address
             )
             task = asyncio.get_running_loop().create_task(dialer.run())
             self._workers[client_id] = (dialer, task)
@@ -850,20 +815,16 @@ class SocketTransport(Transport):
     """Each round behind one real localhost listener of its own.
 
     Every protocol client runs as a :class:`DialingClient` task dialing
-    the round's :class:`CoordinatorListener` over a genuine socket;
-    ``carrier`` picks framed TCP (``"sockets"``) or RFC 6455
-    (``"websocket"``).  Connections live for the channel's round and
-    land their :class:`ConnectionStats` — partial ones for connections
-    aborted mid-handshake included — in ``closed_connection_stats``.
-    Deliveries report carrier-framed byte counts (the wire envelope plus
-    :func:`repro.wire.ws.envelope_overhead`); ``link_seconds`` prices
-    exactly those.
+    the round's :class:`CoordinatorListener` over a genuine framed-TCP
+    socket.  Connections live for the channel's round and land their
+    :class:`ConnectionStats` — partial ones for connections aborted
+    mid-handshake included — in ``closed_connection_stats``.
+    Deliveries report the frames' lengths, byte-identical to what
+    :class:`~repro.engine.transport.SerializingTransport` reports;
+    ``link_seconds`` prices exactly those.
     """
 
-    def __init__(
-        self, carrier: str = "sockets", link_seconds: LinkSeconds = None
-    ):
-        self.carrier = check_carrier(carrier)
+    def __init__(self, link_seconds: LinkSeconds = None):
         self.link_seconds = link_seconds
         self.closed_connection_stats: list[ConnectionStats] = []
 

@@ -17,9 +17,8 @@ timeline.  Implementations:
   would carry, priced on per-client links so heterogeneous stragglers
   gate comm stages as in the paper's §6.1 setup.
 - :class:`repro.engine.listener.SocketTransport` — each round behind a
-  real localhost listener (framed TCP or RFC 6455 WebSocket, one
-  ``carrier`` argument), every client a dialing task, per-connection
-  accounting from both socket ends;
+  real localhost framed-TCP listener, every client a dialing task,
+  per-connection accounting from both socket ends;
   :class:`repro.engine.listener.ListenerTransport` is its variant over
   an externally-owned listener (clients in other processes).
 - :class:`DropoutTransport` — middleware that silences clients according
@@ -214,11 +213,9 @@ class SerializingTransport(Transport):
     server edge, decoded (and answered with RESPONSE/ERROR frames) at
     the client edge, so only ``bytes`` ever cross, and each
     :class:`Delivery` reports the frames' lengths: the frames are
-    byte-identical to what ``SocketTransport("sockets")`` writes to its
-    sockets, so span for span this transport's traffic equals what a
-    framed-TCP round measures on real connections (a websocket round
-    adds :func:`repro.wire.ws.envelope_overhead` per message).  A
-    payload no codec covers raises
+    byte-identical to what ``SocketTransport`` writes to its sockets,
+    so span for span this transport's traffic equals what a framed-TCP
+    round measures on real connections.  A payload no codec covers raises
     :class:`repro.wire.codecs.CodecError`, as it would on a socket.
 
     ``link_seconds`` (see :data:`LinkSeconds`) charges the request

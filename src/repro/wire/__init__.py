@@ -7,11 +7,8 @@ canonical, versioned byte encoding with a strict total decoder, and
 length-prefixed frames with a handshake and error kind.  The codec
 registry is the contract any transport backend plugs into — transports
 move opaque frames; only the codec layer understands their contents.
-How a frame rides a byte stream is the *link* seam:
-:class:`repro.wire.frame.TCPLink` (raw framed TCP) and
-:class:`repro.wire.ws.WSLink` (RFC 6455 binary messages) share one
-surface, and :func:`repro.wire.ws.open_link` is the one place a carrier
-name picks between them.
+On a socket, frames ride framed TCP as they are:
+:class:`repro.wire.frame.TCPLink` is the one link.
 """
 
 from repro.wire.codecs import (

@@ -67,8 +67,9 @@ body is the fixed-width leaf format of a crypto value (``Share``,
 fields (:class:`repro.secagg.types.WireRecord`).  The protocol message
 types ship registered below; :class:`repro.engine.Targeted` registers
 itself when the engine is imported (the engine depends on this module,
-not the reverse).  Transports treat the registry as *the* wire contract — a
-future websocket/gRPC backend reuses these codecs unchanged.
+not the reverse).  Transports treat the registry as *the* wire contract:
+the in-process serialization boundary and the socket carry the same
+frames.
 """
 
 from __future__ import annotations

@@ -168,29 +168,20 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes, int]:
 
 
 class TCPLink:
-    """Raw framed TCP as a carrier link: frames pass through unchanged.
+    """Framed TCP: one connected stream carrying whole wire frames.
 
-    The link surface both carriers share (see
-    :class:`repro.wire.ws.WSLink`): ``recv`` returns ``(kind, body,
-    wire bytes)`` and raises :class:`LinkClosed` once the peer is gone;
+    ``recv`` returns ``(kind, body, wire bytes)`` and raises
+    :class:`LinkClosed` once the peer is gone (clean EOF or a stream cut
+    off mid-frame); a header that fails its check raises
+    ``ValueError`` after its :data:`FRAME_OVERHEAD` bytes were consumed.
     ``send`` reports its byte count to ``count`` *before* the flush, so
     a cancellation landing in the drain can never lose already-written
     bytes from the books.
     """
 
-    #: Framed TCP has no control frames; the counters exist so both
-    #: carriers finalize identically.
-    control_sent = 0
-    control_received = 0
-
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self._reader = reader
         self._writer = writer
-
-    def framed_size(self, frame_nbytes: int) -> int:
-        """Wire bytes :meth:`send` measures for a frame of that size —
-        TCP adds nothing."""
-        return frame_nbytes
 
     async def recv(self) -> tuple[int, bytes, int]:
         try:
@@ -211,8 +202,8 @@ class TCPLink:
         return n
 
     async def start_close(self) -> None:
-        """Begin a graceful goodbye: plain TCP just closes the socket
-        (the peer reads a clean EOF between frames)."""
+        """Begin a graceful goodbye: close the socket (the peer reads a
+        clean EOF between frames)."""
         self._writer.close()
 
 

@@ -499,7 +499,7 @@ class TestAsyncHygiene:
     @pytest.mark.parametrize("scope", ["engine", "wire"])
     def test_trips_on_blocking_call_in_coroutine(self, check_repo, scope):
         # The engine's coroutines and the wire layer's (stream readers,
-        # carrier links) run on the same event loop.
+        # the link) run on the same event loop.
         result = check_repo({
             f"src/repro/{scope}/a.py": _src("""
                 import time
@@ -657,8 +657,8 @@ class TestZeroCopy:
 
     def test_trips_on_per_byte_append_loop(self, check_repo):
         result = check_repo({
-            "src/repro/wire/ws.py": _src("""
-                def encode_masked(payload, mask, out):
+            "src/repro/wire/bitpack.py": _src("""
+                def pack_masked(payload, mask, out):
                     for i, b in enumerate(payload):
                         out.append(mask[i % 4] ^ b)
             """),

@@ -263,23 +263,23 @@ class TestSessionWireTransports:
         assert over_sockets.rounds_completed == base.rounds_completed
         assert over_sockets.epsilon_history == base.epsilon_history
         # Traced traffic equals the framed bytes on the sockets.
-        transport = socket_session.engine.transport
+        stats = socket_session.engine.transport.closed_connection_stats
         assert socket_session.engine.trace.total_traffic_bytes == sum(
-            s.frame_bytes for s in transport.closed_connection_stats
+            s.frame_bytes for s in stats
         )
+        # Both socket ends agree, handshake included.
+        for s in stats:
+            assert s.bytes_sent == s.endpoint_received_bytes
+            assert s.bytes_received == s.endpoint_sent_bytes
 
     @pytest.mark.timeout(300)
-    @pytest.mark.parametrize("carrier", ["sockets", "websocket"])
-    def test_priced_inprocess_session_is_the_socket_session_minus_the_socket(
-        self, carrier
-    ):
+    def test_priced_inprocess_session_is_the_socket_session_minus_the_socket(self):
         """On the session's fleet, a default (``"inprocess"``) round and
         a round over real connections trace the same spans — begin,
         finish and bytes per direction — so the same per-round virtual
         seconds: the in-process path prices the frames the encoder
-        emits, plus the carrier's framing, on the same links."""
+        emits on the same links."""
         from repro.engine import SerializingTransport
-        from tests.engine.test_socket_transport import OracleTransport
 
         def spans(session):
             return [
@@ -289,34 +289,8 @@ class TestSessionWireTransports:
 
         in_process = DordisSession(secagg_config(rounds=1))
         assert isinstance(in_process.engine.transport, SerializingTransport)
-        if carrier == "websocket":
-            in_process.engine.transport = OracleTransport(
-                carrier, in_process.fleet.with_id_offset(1).link_seconds
-            )
-        over_socket = DordisSession(secagg_config(rounds=1, transport=carrier))
+        over_socket = DordisSession(secagg_config(rounds=1, transport="sockets"))
         a, b = in_process.run(), over_socket.run()
         assert a.round_seconds_history == b.round_seconds_history
         assert a.round_seconds_history[0] > 0
         assert spans(in_process) == spans(over_socket)
-
-    @pytest.mark.timeout(300)
-    def test_websocket_session_matches_inprocess_accounting(self):
-        """The fourth carrier at session level: same training behavior,
-        traced traffic balanced against the WebSocket connection books
-        (WS framing overhead included on both sides of the equation)."""
-        base = DordisSession(secagg_config(rounds=1, fleet=None)).run()
-        ws_session = DordisSession(
-            secagg_config(rounds=1, transport="websocket")
-        )
-        over_ws = ws_session.run()
-        assert over_ws.rounds_completed == base.rounds_completed
-        assert over_ws.epsilon_history == base.epsilon_history
-        transport = ws_session.engine.transport
-        stats = transport.closed_connection_stats
-        assert ws_session.engine.trace.total_traffic_bytes == sum(
-            s.frame_bytes for s in stats
-        )
-        # Both socket ends agree, HTTP upgrade and controls included.
-        for s in stats:
-            assert s.bytes_sent == s.endpoint_received_bytes
-            assert s.bytes_received == s.endpoint_sent_bytes

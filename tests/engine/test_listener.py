@@ -1,7 +1,7 @@
 """CoordinatorListener core: admission control, dropout folds, and the
 bounded-queue exchange path.
 
-The carrier integration suite (``test_socket_transport``) pins
+The socket integration suite (``test_socket_transport``) pins
 round-level behavior; this file exercises the listener directly —
 hostile HELLOs, connections dying at every stage boundary *and inside a
 frame*, and the backpressure seam — over real sockets.
@@ -24,8 +24,6 @@ from repro.engine import (
 )
 from repro.wire import WIRE_VERSION, codecs as wire_codecs
 from repro.wire import frame as wire_frame
-from repro.wire import ws
-from repro.wire.ws import CARRIERS, open_link
 from tests.engine.test_socket_transport import EchoClient, EchoServer
 
 
@@ -46,6 +44,81 @@ async def _run_refused(listener, dialer):
         if not task.done():
             task.cancel()
     return excinfo.value
+
+
+def _hello_frame(client_id, wire_version=WIRE_VERSION, auth_token=b""):
+    body = wire_frame.encode_hello(
+        wire_frame.Hello(client_id, wire_version, auth_token)
+    )
+    return wire_frame.encode_frame(wire_frame.KIND_HELLO, body)
+
+
+def _reheader(frame, at, value):
+    """``frame`` with header byte ``at`` replaced."""
+    return frame[:at] + bytes((value,)) + frame[at + 1 :]
+
+
+def _refused_openings():
+    """``{case: (opening bytes, reason named, bytes the listener reads
+    before refusing, client id booked)}`` against a listener expecting
+    id 1 with auth token ``s3cret``."""
+    header = wire_frame.FRAME_OVERHEAD
+    good = _hello_frame(1, auth_token=b"s3cret")
+    hello_body = good[header:]
+    cases = {
+        "bad-magic": (b"XX" + good[2:header], "bad frame magic", header, -1),
+        "unknown-kind": (
+            _reheader(good, 3, 0x7F)[:header], "unknown frame kind 0x7f", header, -1
+        ),
+        "oversized-prefix": (
+            good[:4] + (wire_frame.MAX_BODY + 1).to_bytes(4, "big"),
+            "oversized frame",
+            header,
+            -1,
+        ),
+    }
+    # A device of an earlier (or later) wire version stamps its version
+    # into the frame header too: refused there, before its HELLO is read.
+    for version in (1, 2, 3, 4, 5, 7):
+        cases[f"frame-version-{version}"] = (
+            _reheader(good, 2, version)[:header],
+            f"unsupported frame version {version}",
+            header,
+            -1,
+        )
+    for name, kind in (
+        ("welcome", wire_frame.KIND_WELCOME),
+        ("request", wire_frame.KIND_REQUEST),
+        ("response", wire_frame.KIND_RESPONSE),
+        ("error", wire_frame.KIND_ERROR),
+    ):
+        frame = wire_frame.encode_frame(kind, hello_body)
+        cases[f"opens-with-{name}"] = (
+            frame, f"must open with HELLO, got {kind:#x}", len(frame), -1
+        )
+    token_len = wire_frame.HELLO_OVERHEAD - 2
+    for name, body, match in (
+        ("truncated-body", hello_body[:-7], "truncated HELLO body"),
+        ("truncated-token", hello_body[:-1], "truncated HELLO auth token"),
+        ("trailing-garbage", hello_body + b"!", "trailing garbage after HELLO"),
+        (
+            "token-length-lies",
+            hello_body[:token_len] + (7).to_bytes(2, "big") + hello_body[-6:],
+            "truncated HELLO auth token",
+        ),
+    ):
+        frame = wire_frame.encode_frame(wire_frame.KIND_HELLO, body)
+        cases[f"hello-{name}"] = (frame, match, len(frame), -1)
+    for name, frame, match, claimed in (
+        ("version-skew", _hello_frame(1, 9, b"s3cret"), "wire version 9", 1),
+        ("unknown-id", _hello_frame(9, auth_token=b"s3cret"), "unknown client id 9", 9),
+        ("bad-token", _hello_frame(1, auth_token=b"wrong!"), "bad auth token", 1),
+    ):
+        cases[f"hello-{name}"] = (frame, match, len(frame), claimed)
+    return cases
+
+
+REFUSED_OPENINGS = _refused_openings()
 
 
 @pytest.mark.timeout(60)
@@ -75,6 +148,43 @@ class TestAdversarialHandshake:
         assert stats.client_id == 1
         assert stats.handshake_received > 0 and stats.handshake_sent > 0
         assert stats.frame_bytes == 0
+
+    def test_websocket_upgrade_refused_by_name_and_booked(self):
+        """A device that still opens with an HTTP Upgrade meets a framed
+        TCP listener: its first eight bytes are a header with a bad
+        magic, answered by one ERROR frame that says so.  The header the
+        listener read before refusing it is on the books."""
+        upgrade = (
+            b"GET / HTTP/1.1\r\nHost: 127.0.0.1\r\nUpgrade: websocket\r\n"
+            b"Connection: Upgrade\r\n"
+            b"Sec-WebSocket-Key: AAAAAAAAAAAAAAAAAAAAAA==\r\n"
+            b"Sec-WebSocket-Version: 13\r\n\r\n"
+        )
+
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            host, port = await listener.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(upgrade)
+                await writer.drain()
+                kind, body, n = await wire_frame.read_frame(reader)
+                # The accept task ends on its own: its stats land.
+                while not listener.closed_connection_stats:
+                    await asyncio.sleep(0.01)
+            finally:
+                writer.close()
+                await listener.aclose()
+            return listener, kind, body, n
+
+        listener, kind, body, n = asyncio.run(scenario())
+        assert kind == wire_frame.KIND_ERROR
+        assert "bad frame magic" in str(wire_codecs.decode_error(body))
+        assert listener.rejected == 1 and listener.accepted == 0
+        (stats,) = listener.closed_connection_stats
+        assert stats.client_id == -1 and stats.frame_bytes == 0
+        assert stats.handshake_received == wire_frame.FRAME_OVERHEAD
+        assert stats.handshake_sent == n
 
     @staticmethod
     def _refuse_hello_of_version(old: int):
@@ -222,6 +332,73 @@ class TestAdversarialHandshake:
             return accepted
 
         assert asyncio.run(scenario()) == 2
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_OPENINGS))
+    def test_refused_opening_is_named_and_booked(self, case):
+        """Whatever a device opens with, a refusal is one ERROR frame that
+        names the reason, and the bytes the listener read before refusing
+        are on the books: the header alone when the header itself is
+        refused, the whole frame when its content is."""
+        opening, match, consumed, claimed = REFUSED_OPENINGS[case]
+
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1}, auth_token=b"s3cret")
+            host, port = await listener.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(opening)
+                await writer.drain()
+                kind, body, n = await wire_frame.read_frame(reader)
+                while not listener.closed_connection_stats:
+                    await asyncio.sleep(0.01)
+            finally:
+                writer.close()
+                await listener.aclose()
+            return listener, kind, body, n
+
+        listener, kind, body, n = asyncio.run(scenario())
+        assert kind == wire_frame.KIND_ERROR
+        assert match in str(wire_codecs.decode_error(body))
+        assert listener.rejected == 1 and listener.accepted == 0
+        (stats,) = listener.closed_connection_stats
+        assert stats.client_id == claimed and stats.frame_bytes == 0
+        assert stats.handshake_received == consumed
+        assert stats.handshake_sent == n
+
+    @pytest.mark.parametrize("cut", range(len(_hello_frame(1))))
+    def test_hello_cut_anywhere_is_no_connection(self, cut):
+        """A device that hangs up inside its HELLO — before its first
+        byte, in the header or in the body — is neither admitted nor
+        refused: nothing is sent back, and its id stays free for the
+        next dial."""
+
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            host, port = await listener.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(_hello_frame(1)[:cut])
+                writer.write_eof()
+                answer = await asyncio.wait_for(reader.read(), 10)
+                while not listener.closed_connection_stats:
+                    await asyncio.sleep(0.01)
+                redial = asyncio.ensure_future(
+                    DialingClient(EchoBack(1), host, port).run()
+                )
+                conn = await listener.connection(1, timeout=10)
+                assert not conn.dead
+                redial.cancel()
+            finally:
+                writer.close()
+                await listener.aclose()
+            return listener, answer
+
+        listener, answer = asyncio.run(scenario())
+        assert answer == b""
+        assert listener.rejected == 0 and listener.accepted == 1
+        stats = listener.closed_connection_stats[0]
+        assert stats.client_id == -1
+        assert stats.handshake_sent == 0 and stats.frame_bytes == 0
 
 
 @pytest.mark.timeout(60)
@@ -377,26 +554,15 @@ class TestExchangePath:
         assert asyncio.run(scenario()) < 5
 
 
-def _ignore(_n):
-    pass
+def _half(frame):
+    """The first half of ``frame`` — a process killed mid-send."""
+    return bytes(frame)[: len(frame) // 2]
 
 
-def _half(carrier, frame):
-    """The first half of ``frame`` as a dialing device would put it on
-    this carrier's stream — a process killed mid-send."""
-    wire = bytes(frame)
-    if carrier == "websocket":
-        wire = ws.encode_ws_frame(ws.OP_BINARY, wire, mask=b"abcd")
-    return wire[: len(wire) // 2]
-
-
-async def _welcomed(client_id, host, port, carrier):
+async def _welcomed(client_id, host, port):
     """Dial in by hand, through the WELCOME: ``(link, writer)``."""
     reader, writer = await asyncio.open_connection(host, port)
-    link = await open_link(
-        carrier, "dial", reader, writer,
-        sent=_ignore, received=_ignore, host=host, port=port,
-    )
+    link = wire_frame.TCPLink(reader, writer)
     hello = wire_frame.encode_hello(wire_frame.Hello(client_id))
     await link.send(wire_frame.encode_frame(wire_frame.KIND_HELLO, hello))
     kind, _body, _n = await link.recv()
@@ -404,10 +570,11 @@ async def _welcomed(client_id, host, port, carrier):
     return link, writer
 
 
-async def _dying_dialer(client, host, port, carrier, die_on_op):
+async def _dying_dialer(client, host, port, die_on_op, cut=None):
     """A device that serves faithfully until ``die_on_op``, then writes
-    *half* of that response frame and is gone."""
-    link, writer = await _welcomed(client.id, host, port, carrier)
+    the first ``cut`` bytes (default: half) of that response frame and is
+    gone."""
+    link, writer = await _welcomed(client.id, host, port)
     try:
         while True:
             _kind, body, _n = await link.recv()
@@ -416,7 +583,7 @@ async def _dying_dialer(client, host, port, carrier, die_on_op):
                 wire_frame.KIND_RESPONSE, client.handle(op, payload)
             )
             if op == die_on_op:
-                writer.write(_half(carrier, reply))
+                writer.write(_half(reply) if cut is None else bytes(reply)[:cut])
                 await writer.drain()
                 return
             await link.send(reply)
@@ -425,10 +592,9 @@ async def _dying_dialer(client, host, port, carrier, die_on_op):
 
 
 @pytest.mark.timeout(60)
-@pytest.mark.parametrize("carrier", CARRIERS)
 class TestDeathInsideAFrame:
-    """A peer killed halfway through writing a frame is a *dropout*, on
-    both carriers — mid-upload is exactly when a device holding a
+    """A peer killed halfway through writing a frame is a *dropout* —
+    mid-upload is exactly when a device holding a
     model-sized masked vector is most likely to die.
 
     Regression: the truncated read surfaced as a plain ``ValueError``,
@@ -436,13 +602,13 @@ class TestDeathInsideAFrame:
     into the in-flight exchange — one dead device aborted the round.
     """
 
-    def test_half_response_is_client_unavailable(self, carrier):
+    def test_half_response_is_client_unavailable(self):
         async def scenario():
-            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
             client = EchoBack(1)
             worker = asyncio.ensure_future(
-                _dying_dialer(client, host, port, carrier, "echo")
+                _dying_dialer(client, host, port, "echo")
             )
             channel = ListenerTransport(listener).connect({1: client})
             try:
@@ -461,7 +627,35 @@ class TestDeathInsideAFrame:
         assert stats.requests == 0
         assert stats.request_bytes > 0 and stats.response_bytes == 0
 
-    def test_secagg_round_survives_a_death_inside_the_masked_input(self, carrier):
+    @pytest.mark.parametrize("cut", [0, 1, 4, 7, 8, 9, -1])
+    def test_response_cut_anywhere_is_client_unavailable(self, cut):
+        """Before the first byte, inside the header, right after it, one
+        byte into the body or one byte short of the end: the same
+        dropout, and no byte of the cut frame on the books."""
+
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            host, port = await listener.start()
+            client = EchoBack(1)
+            worker = asyncio.ensure_future(
+                _dying_dialer(client, host, port, "echo", cut)
+            )
+            channel = ListenerTransport(listener).connect({1: client})
+            try:
+                with pytest.raises(ClientUnavailable):
+                    await channel.request(1, "echo", list(range(64)))
+                with pytest.raises(ClientUnavailable):
+                    await channel.request(1, "echo", 0)
+                await worker
+            finally:
+                await listener.aclose()
+            return listener
+
+        (stats,) = asyncio.run(scenario()).closed_connection_stats
+        assert stats.requests == 0
+        assert stats.request_bytes > 0 and stats.response_bytes == 0
+
+    def test_secagg_round_survives_a_death_inside_the_masked_input(self):
         from repro.secagg.driver import secagg_round_components
         from repro.secagg.types import SecAggConfig
 
@@ -477,15 +671,13 @@ class TestDeathInsideAFrame:
 
         async def scenario():
             server, clients = secagg_round_components(config, dict(inputs))
-            listener = CoordinatorListener(
-                carrier=carrier, expected_ids=set(inputs)
-            )
+            listener = CoordinatorListener(expected_ids=set(inputs))
             host, port = await listener.start()
             workers = [
                 asyncio.ensure_future(
-                    _dying_dialer(c, host, port, carrier, "masked_input")
+                    _dying_dialer(c, host, port, "masked_input")
                     if c.id == victim
-                    else DialingClient(c, host, port, carrier=carrier).run()
+                    else DialingClient(c, host, port).run()
                 )
                 for c in clients
             ]
@@ -502,16 +694,17 @@ class TestDeathInsideAFrame:
         expected = sum(inputs[u] for u in result.u3) % config.modulus
         np.testing.assert_array_equal(result.aggregate, expected)
 
-    def test_malformed_response_still_aborts_loudly(self, carrier):
+    def test_malformed_response_still_aborts_loudly(self):
         """The other side of the line: bytes that are *wrong* (here a
-        bad magic) fail into the in-flight exchange, never a dropout."""
+        bad magic) fail into the in-flight exchange, never a dropout.
+        The refused header was read, so it is on the uplink's books."""
 
         async def scenario():
-            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
 
             async def garbler():
-                link, writer = await _welcomed(1, host, port, carrier)
+                link, writer = await _welcomed(1, host, port)
                 await link.recv()  # the request
                 reply = wire_frame.encode_frame(wire_frame.KIND_RESPONSE, b"x")
                 await link.send(b"XX" + reply[2:])
@@ -525,17 +718,58 @@ class TestDeathInsideAFrame:
                 await worker
             finally:
                 await listener.aclose()
+            return listener
 
-        asyncio.run(scenario())
+        (stats,) = asyncio.run(scenario()).closed_connection_stats
+        assert stats.requests == 0 and stats.request_bytes > 0
+        assert stats.response_bytes == wire_frame.FRAME_OVERHEAD
 
-    def test_unsolicited_frame_retires_the_connection(self, carrier):
+    @pytest.mark.parametrize(
+        "at,value,match",
+        [
+            (2, 5, "unsupported frame version 5"),
+            (3, 0x7F, "unknown frame kind 0x7f"),
+            (4, 0xFF, "oversized frame"),
+        ],
+    )
+    def test_every_malformed_response_header_aborts_loudly(self, at, value, match):
+        """A response header with an old frame version, an unknown kind
+        or a length prefix past ``MAX_BODY`` fails the exchange by name,
+        with its eight bytes on the uplink's books."""
+
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            host, port = await listener.start()
+
+            async def garbler():
+                link, writer = await _welcomed(1, host, port)
+                await link.recv()  # the request
+                reply = wire_frame.encode_frame(wire_frame.KIND_RESPONSE, b"")
+                await link.send(_reheader(reply, at, value))
+                writer.close()
+
+            worker = asyncio.ensure_future(garbler())
+            channel = ListenerTransport(listener).connect({1: EchoBack(1)})
+            try:
+                with pytest.raises(ValueError, match=match):
+                    await channel.request(1, "echo", 0)
+                await worker
+            finally:
+                await listener.aclose()
+            return listener
+
+        (stats,) = asyncio.run(scenario()).closed_connection_stats
+        assert stats.requests == 0 and stats.request_bytes > 0
+        assert stats.response_bytes == wire_frame.FRAME_OVERHEAD
+
+    def test_unsolicited_frame_retires_the_connection(self):
         """A frame nobody asked for kills the connection: its bytes are
         booked, and the client is a dropout from then on."""
 
         async def scenario():
-            listener = CoordinatorListener(carrier=carrier, expected_ids={1})
+            listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
-            link, writer = await _welcomed(1, host, port, carrier)
+            link, writer = await _welcomed(1, host, port)
             conn = await listener.connection(1, timeout=10)
             unsolicited = await link.send(
                 wire_codecs.encode_payload_frame(wire_frame.KIND_RESPONSE, 7)
@@ -555,31 +789,35 @@ class TestDeathInsideAFrame:
         assert stats.response_bytes == unsolicited and stats.requests == 0
 
 
-async def _dying_coordinator(carrier, die_in):
-    """A one-connection coordinator that is killed halfway through its
-    WELCOME (``die_in="welcome"``) or its first REQUEST."""
+def _welcome_frame(client_id):
+    return wire_frame.encode_frame(
+        wire_frame.KIND_WELCOME, wire_codecs.encode_payload(client_id)
+    )
+
+
+#: The first REQUEST a dying coordinator sends (412 bytes).
+_REQUEST = wire_codecs.encode_payload_frame(
+    wire_frame.KIND_REQUEST, ("echo", list(range(64)))
+)
+
+
+async def _dying_coordinator(die_in, cut=None):
+    """A one-connection coordinator that is killed after writing the
+    first ``cut`` bytes (default: half) of its WELCOME
+    (``die_in="welcome"``) or of its first REQUEST."""
     done = asyncio.Event()
 
     async def serve(reader, writer):
-        link = await open_link(
-            carrier, "accept", reader, writer, sent=_ignore, received=_ignore
-        )
+        link = wire_frame.TCPLink(reader, writer)
         _kind, body, _n = await link.recv()
         client_id = wire_frame.decode_hello(body).client_id
-        welcome = wire_frame.encode_frame(
-            wire_frame.KIND_WELCOME, wire_codecs.encode_payload(client_id)
-        )
-        request = wire_codecs.encode_payload_frame(
-            wire_frame.KIND_REQUEST, ("echo", list(range(64)))
-        )
+        welcome = _welcome_frame(client_id)
         if die_in == "welcome":
-            cut = welcome
+            frame = welcome
         else:
             await link.send(welcome)
-            cut = request
-        if carrier == "websocket":
-            cut = ws.encode_ws_frame(ws.OP_BINARY, bytes(cut))
-        writer.write(bytes(cut)[: len(cut) // 2])
+            frame = _REQUEST
+        writer.write(_half(frame) if cut is None else frame[:cut])
         await writer.drain()
         writer.close()
         done.set()
@@ -589,16 +827,15 @@ async def _dying_coordinator(carrier, die_in):
 
 
 @pytest.mark.timeout(60)
-@pytest.mark.parametrize("carrier", CARRIERS)
 class TestCoordinatorDeathSeenFromTheDevice:
     """What ``DialingClient.run()`` does when the *coordinator* dies
     inside a frame — the pinned contract ``repro.cli join`` relies on."""
 
-    def _run(self, carrier, die_in):
+    def _run(self, die_in, cut=None):
         async def scenario():
-            server, done = await _dying_coordinator(carrier, die_in)
+            server, done = await _dying_coordinator(die_in, cut)
             host, port = server.sockets[0].getsockname()[:2]
-            dialer = DialingClient(EchoBack(1), host, port, carrier=carrier)
+            dialer = DialingClient(EchoBack(1), host, port)
             try:
                 await asyncio.wait_for(dialer.run(), 10)
             finally:
@@ -609,17 +846,36 @@ class TestCoordinatorDeathSeenFromTheDevice:
 
         return asyncio.run(scenario())
 
-    def test_mid_request_ends_the_run_normally(self, carrier):
+    def test_mid_request_ends_the_run_normally(self):
         """Once welcomed, a coordinator cut off mid-frame is the same
         event as one hanging up: the run ends, whole-frame counters
         intact (``join`` prints them and exits 0)."""
-        dialer = self._run(carrier, "request")
+        dialer = self._run("request")
         assert dialer.requests == 0 and dialer.request_bytes == 0
         assert dialer.handshake_sent > 0 and dialer.handshake_received > 0
         assert dialer.bytes_received == dialer.handshake_received
 
-    def test_mid_welcome_is_a_connection_error(self, carrier):
+    def test_mid_welcome_is_a_connection_error(self):
         """Before the WELCOME there is no session to end: the handshake
         failed, loudly (``join`` prints ``join failed`` and exits 1)."""
         with pytest.raises(ConnectionError, match="before answering the HELLO"):
-            self._run(carrier, "welcome")
+            self._run("welcome")
+
+    @pytest.mark.parametrize(
+        "cut",
+        [*range(wire_frame.FRAME_OVERHEAD + 1), len(_REQUEST) // 2, len(_REQUEST) - 1],
+    )
+    def test_request_cut_anywhere_ends_the_run_normally(self, cut):
+        """No byte of the REQUEST, part of its header, the header alone,
+        half the frame or all but its last byte: the run ends, and the
+        cut frame is on no counter."""
+        dialer = self._run("request", cut)
+        assert dialer.requests == 0 and dialer.request_bytes == 0
+        assert dialer.bytes_received == dialer.handshake_received > 0
+
+    @pytest.mark.parametrize("cut", range(len(_welcome_frame(1))))
+    def test_welcome_cut_anywhere_is_a_connection_error(self, cut):
+        """No byte of the WELCOME, or any part of it short of the whole:
+        the handshake failed, loudly."""
+        with pytest.raises(ConnectionError, match="before answering the HELLO"):
+            self._run("welcome", cut)

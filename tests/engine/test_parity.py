@@ -155,13 +155,13 @@ class TestXNoiseParity:
 def _make_transport(name):
     if name == "serialized":
         return SerializingTransport()
-    return SocketTransport(name)
+    return SocketTransport()
 
 
-#: Every wire-crossing backend: the in-process serialization boundary,
-#: real framed TCP, and real RFC 6455 WebSocket connections — with the
-#: in-process baseline they make four parity-tested carriers.
-WIRE_TRANSPORTS = ["serialized", "sockets", "websocket"]
+#: Every wire-crossing backend: the in-process serialization boundary
+#: and real framed-TCP connections — with the in-process baseline they
+#: make three parity-tested transports.
+WIRE_TRANSPORTS = ["serialized", "sockets"]
 
 
 def _timing_spans(trace):
@@ -179,9 +179,7 @@ class TestWireTransportParity:
 
     Bit-identical aggregates, participant sets, metered traffic, and
     (timing-wise) traces — plus: the serializing and socket paths must
-    *measure* identical framed traffic, since they write the same
-    frames to different carriers, and the websocket path must measure
-    exactly those frames plus the documented RFC 6455 framing overhead.
+    *measure* identical framed traffic, since they emit the same frames.
     """
 
     @pytest.mark.parametrize("name,schedule", SCHEDULES)
@@ -256,42 +254,8 @@ class TestWireTransportParity:
         assert traffic["serialized"] == traffic["sockets"]
         assert sum(traffic["sockets"]) > 0
 
-    def test_websocket_traffic_is_oracle_plus_framing_overhead(self):
-        """The websocket carrier measures the same envelopes plus the
-        documented RFC 6455 framing: span for span its per-direction
-        bytes equal the in-process boundary's frames plus
-        ``envelope_overhead``, and the connection books balance from
-        both socket ends."""
-        from tests.engine.test_socket_transport import OracleTransport
 
-        inputs = _inputs()
-        transport = SocketTransport("websocket")
-        ws_engine = RoundEngine(transport=transport)
-        run_sync(
-            arun_secagg_round(CONFIG, dict(inputs), None, engine=ws_engine)
-        )
-        oracle_engine = RoundEngine(
-            transport=OracleTransport("websocket")
-        )
-        run_sync(
-            arun_secagg_round(CONFIG, dict(inputs), None, engine=oracle_engine)
-        )
-        assert [
-            (s.label, s.down_bytes, s.up_bytes) for s in ws_engine.trace.spans
-        ] == [
-            (s.label, s.down_bytes, s.up_bytes)
-            for s in oracle_engine.trace.spans
-        ]
-        stats = transport.closed_connection_stats
-        for s in stats:
-            assert s.bytes_sent == s.endpoint_received_bytes
-            assert s.bytes_received == s.endpoint_sent_bytes
-        split = ws_engine.trace.round_traffic_split(0)
-        assert split.down == sum(s.down_bytes for s in stats)
-        assert split.up == sum(s.up_bytes for s in stats)
-
-
-#: The in-process baseline and the three wire-crossing backends.
+#: The in-process baseline and the two wire-crossing backends.
 ALL_CARRIERS = ["in-process"] + WIRE_TRANSPORTS
 
 
@@ -317,7 +281,7 @@ class TestArrivalFoldParity:
     accumulator, folded by the coordinator as its frame lands, never a
     vector in between — against the serial reference drivers, which go
     through the same admission door one client at a time: aggregates and
-    U-sets bit-identical on all four carriers, both modes, whole and in
+    U-sets bit-identical on all three carriers, both modes, whole and in
     four chunks, with and without int64 headroom; traces identical to
     in-process execution."""
 
@@ -576,7 +540,7 @@ class TestCrossProcessParity:
     N = 3
     DIMENSION = 8
 
-    def _serve_join(self, carrier):
+    def _serve_join(self):
         import json
         import os
         import subprocess
@@ -590,7 +554,7 @@ class TestCrossProcessParity:
         serve = subprocess.Popen(
             [_sys.executable, "-m", "repro.cli", "serve",
              "--clients", str(self.N), "--dimension", str(self.DIMENSION),
-             "--transport", carrier, "--json"],
+             "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )
         try:
@@ -601,8 +565,7 @@ class TestCrossProcessParity:
                 subprocess.Popen(
                     [_sys.executable, "-m", "repro.cli", "join",
                      "--client-id", str(u), "--clients", str(self.N),
-                     "--dimension", str(self.DIMENSION),
-                     "--transport", carrier, "--port", port],
+                     "--dimension", str(self.DIMENSION), "--port", port],
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                     text=True, env=env,
                 )
@@ -621,9 +584,8 @@ class TestCrossProcessParity:
             if serve.poll() is None:
                 serve.kill()
 
-    @pytest.mark.parametrize("carrier", ["sockets", "websocket"])
-    def test_cross_process_round_bit_identical(self, carrier):
-        doc, endpoints = self._serve_join(carrier)
+    def test_cross_process_round_bit_identical(self):
+        doc, endpoints = self._serve_join()
 
         config = SecAggConfig(
             threshold=max(2, self.N // 2 + 1), bits=16,
@@ -634,7 +596,7 @@ class TestCrossProcessParity:
             u: rng.integers(0, config.modulus, size=self.DIMENSION)
             for u in range(1, self.N + 1)
         }
-        engine = RoundEngine(transport=SocketTransport(carrier))
+        engine = RoundEngine(transport=SocketTransport())
         result = run_sync(
             arun_secagg_round(config, dict(inputs), None, engine=engine)
         )

@@ -2,7 +2,7 @@
 
 A priced in-process round (:class:`SerializingTransport`) reports the
 length of the frames :func:`repro.wire.codecs.encode_payload_frame`
-emitted — the frames a socket would carry — plus the carrier's framing.
+emitted — the frames a socket would carry.
 What each kind of payload costs is pinned here, so a drive-by change to
 the value encoding cannot silently shift traced traffic or priced
 latencies.
@@ -18,9 +18,7 @@ from repro.engine.transport import answer_request, delivery_from_reply
 from repro.secagg.types import AdvertiseKeysMsg, ProtocolAbort
 from repro.wire import KIND_ERROR, KIND_REQUEST, KIND_RESPONSE, CodecError, decode_frame
 from repro.wire.codecs import encode_payload_frame
-from repro.wire.ws import envelope_overhead
 from tests.engine.test_round_engine import SumClient, SumServer
-from tests.engine.test_socket_transport import OracleTransport
 
 #: Frame header (8) + payload version (1) + value tag (1).
 ENVELOPE = 10
@@ -77,26 +75,16 @@ class TestFramedSizesPinned:
 
 
 class TestDeliveriesReportTheFrames:
-    @pytest.mark.parametrize("carrier", ["sockets", "websocket"])
-    def test_span_bytes_are_frame_lengths_plus_carrier_framing(self, carrier):
-        """The bare boundary reports the frames' lengths; the websocket
-        oracle the socket tests compare against adds the RFC 6455
-        header per message."""
+    def test_span_bytes_are_frame_lengths(self):
+        """The boundary reports the frames' lengths, nothing added."""
         vectors = {u: np.arange(5, dtype=float) * u for u in (1, 2)}
-        transport = (
-            SerializingTransport() if carrier == "sockets" else OracleTransport(carrier)
-        )
-        engine = RoundEngine(transport=transport)
+        engine = RoundEngine(transport=SerializingTransport())
         engine.run_round_sync(SumServer(), [SumClient(u, v) for u, v in vectors.items()])
         request = len(encode_payload_frame(KIND_REQUEST, ("encode", None)))
         response = _framed(vectors[1])
         (encode_span,) = [s for s in engine.trace.round_spans(0) if s.label == "encode"]
-        assert encode_span.down_bytes == 2 * (
-            request + envelope_overhead(carrier, "down", request)
-        )
-        assert encode_span.up_bytes == 2 * (
-            response + envelope_overhead(carrier, "up", response)
-        )
+        assert encode_span.down_bytes == 2 * request
+        assert encode_span.up_bytes == 2 * response
 
     def test_unregistered_payloads_raise_on_a_priced_in_process_link(self):
         """No guess for a payload no codec covers: the in-process link

@@ -5,8 +5,7 @@
 must produce *identical* traces — per-direction byte splits and virtual
 latencies — whether the round runs in-process (the serialization
 boundary: the socket round minus the socket) or over real framed TCP
-sockets; the websocket carrier prices its (honestly larger) framed
-bytes on the same links.
+sockets.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.fleet import Fleet, ProfileColumns
 from repro.wire import KIND_REQUEST, KIND_RESPONSE
 from repro.wire.codecs import encode_payload_frame
 from tests.engine.test_round_engine import SumClient, SumServer
-from tests.engine.test_socket_transport import OracleTransport
 
 
 def asymmetric_fleet():
@@ -86,36 +84,3 @@ class TestOneLinkModelThreeCarriers:
         split = traces["sockets"].round_traffic_split(0)
         assert split.down > 0 and split.up > 0
 
-
-@pytest.mark.timeout(120)
-class TestWebSocketCarrier:
-    def test_ws_trace_equals_the_in_process_websocket_boundary(self):
-        """The fourth carrier prices its own (honestly larger) framed
-        bytes on the same fleet links: its trace — spans *and* virtual
-        latencies — equals the in-process serialization boundary
-        carrying the documented RFC 6455 framing overhead."""
-        fleet = asymmetric_fleet()
-        ws_trace = run_round(build_transport("websocket", fleet))
-        oracle_trace = run_round(
-            OracleTransport("websocket", fleet.link_seconds)
-        )
-        assert [
-            (s.label, s.resource, s.begin, s.finish, s.down_bytes, s.up_bytes)
-            for s in ws_trace.spans
-        ] == [
-            (s.label, s.resource, s.begin, s.finish, s.down_bytes, s.up_bytes)
-            for s in oracle_trace.spans
-        ]
-
-    def test_ws_carrier_charges_more_bytes_to_the_same_links(self):
-        """WS framing rides the same per-direction links, so the
-        carrier's comm stages take (slightly) longer than framed TCP —
-        more bytes over the same bandwidth, never fewer."""
-        fleet = asymmetric_fleet()
-        tcp = run_round(build_transport("sockets", fleet))
-        ws = run_round(build_transport("websocket", fleet))
-        tcp_split = tcp.round_traffic_split(0)
-        ws_split = ws.round_traffic_split(0)
-        assert ws_split.down > tcp_split.down
-        assert ws_split.up > tcp_split.up
-        assert ws.completion_time > tcp.completion_time

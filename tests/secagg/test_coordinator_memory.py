@@ -97,7 +97,7 @@ def _components(protocol, n):
     return watched(XNoiseWorkflowServer)(server.inner), clients, inputs, config
 
 
-TRANSPORTS = {"in-process": InProcessTransport, "sockets": lambda: SocketTransport("sockets")}
+TRANSPORTS = {"in-process": InProcessTransport, "sockets": SocketTransport}
 
 
 @pytest.mark.timeout(120)

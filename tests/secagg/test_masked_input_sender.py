@@ -1,4 +1,4 @@
-"""The ``sender`` field of a masked input is checked — on every carrier.
+"""The ``sender`` field of a masked input is checked — on every transport.
 
 Regression: the coordinator used to key a masked input by the
 connection it arrived on and never look at the ``sender`` the message
@@ -27,11 +27,10 @@ from repro.secagg.driver import arun_secagg_round, run_secagg_round_reference
 from repro.secagg.types import ProtocolAbort, SecAggConfig
 
 CONFIG = SecAggConfig(threshold=3, bits=20, dimension=9, dh_group="modp512")
-CARRIERS = {
+TRANSPORTS = {
     "in-process": InProcessTransport,
     "serialized": SerializingTransport,
-    "sockets": lambda: SocketTransport("sockets"),
-    "websocket": lambda: SocketTransport("websocket"),
+    "sockets": SocketTransport,
 }
 
 
@@ -54,11 +53,11 @@ def _factory(liars):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
 class TestLyingSender:
-    def test_the_liar_is_left_out_of_u3_and_recovered_as_a_dropout(self, carrier):
+    def test_the_liar_is_left_out_of_u3_and_recovered_as_a_dropout(self, transport):
         inputs = _inputs()
-        engine = RoundEngine(transport=CARRIERS[carrier]())
+        engine = RoundEngine(transport=TRANSPORTS[transport]())
         result = run_sync(
             arun_secagg_round(CONFIG, inputs, client_factory=_factory({2}), engine=engine)
         )
@@ -67,8 +66,8 @@ class TestLyingSender:
         expected = sum(inputs[u] for u in result.u3) % CONFIG.modulus
         np.testing.assert_array_equal(result.aggregate, expected)
 
-    def test_below_threshold_the_round_aborts_by_name(self, carrier):
-        engine = RoundEngine(transport=CARRIERS[carrier]())
+    def test_below_threshold_the_round_aborts_by_name(self, transport):
+        engine = RoundEngine(transport=TRANSPORTS[transport]())
         with pytest.raises(ProtocolAbort, match=r"only 2 masked inputs \(3 malformed: \[1, 2, 3\]\)"):
             run_sync(
                 arun_secagg_round(

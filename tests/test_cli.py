@@ -17,15 +17,11 @@ class TestParser:
         assert args.transport == "inprocess"
 
     def test_transport_choices(self):
-        args = build_parser().parse_args(["run", "--transport", "websocket"])
-        assert args.transport == "websocket"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--transport", "pigeon"])
-        args = build_parser().parse_args(["serve", "--transport", "websocket"])
-        assert args.transport == "websocket"
-        with pytest.raises(SystemExit):
-            # The cross-process round only has wire carriers to offer.
-            build_parser().parse_args(["serve", "--transport", "inprocess"])
+        args = build_parser().parse_args(["run", "--transport", "sockets"])
+        assert args.transport == "sockets"
+        for name in ("pigeon", "websocket"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--transport", name])
 
     def test_plan_requires_core_args(self):
         with pytest.raises(SystemExit):
@@ -88,10 +84,10 @@ class TestRunCommand:
         assert "down" in out and "up" in out
 
     @pytest.mark.timeout(120)
-    def test_websocket_transport_smoke(self, capsys):
+    def test_sockets_transport_smoke(self, capsys):
         code = main([
             "run", "--num-clients", "12", "--sample-size", "5",
-            "--rounds", "2", "--transport", "websocket",
+            "--rounds", "2", "--transport", "sockets",
         ])
         assert code == 0
         assert "rounds completed : 2" in capsys.readouterr().out
@@ -172,9 +168,10 @@ class TestServeJoinValidation:
         assert main(["serve", "--join-timeout", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
-    def test_serve_rejects_unknown_transport(self):
+    def test_serve_has_no_transport_option(self):
+        # Framed TCP is the one carrier: there is nothing to choose.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--transport", "carrier-pigeon"])
+            build_parser().parse_args(["serve", "--transport", "sockets"])
 
     def test_join_requires_client_id_and_port(self):
         with pytest.raises(SystemExit):
@@ -198,11 +195,11 @@ class TestServeJoinValidation:
         assert code == 2
         assert "die-after" in capsys.readouterr().err
 
-    def test_join_rejects_unknown_transport(self):
+    def test_join_has_no_transport_option(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["join", "--client-id", "1", "--port", "7001",
-                 "--transport", "carrier-pigeon"]
+                 "--transport", "sockets"]
             )
 
 

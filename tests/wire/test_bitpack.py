@@ -18,6 +18,7 @@ from repro.wire.bitpack import (
     unpack_add,
     unpack_bits,
 )
+from tests.native_objects import bind, edge_counts
 
 #: Lengths on and off every grid that matters: the byte, the 64-bit
 #: window, and the numpy fallback's period (up to 64 elements).
@@ -155,10 +156,18 @@ class TestStrictness:
             assert values.min() >= 0 and int(values.max()) < 1 << bits
 
 
-#: The fused pair's shapes: every width, lengths on and off the group of
-#: eight, the 64-bit window and the kernel's in-place / tail split, and
-#: one past a page.
-FUSED_LENGTHS = [0, 1, 7, 8, 9, 63, 64, 65, 4099]
+def fused_lengths(bits: int) -> list[int]:
+    """The fused pair's shapes at one width: lengths on and off the
+    group of eight, the 64-bit window, a 256-element run, the kernel's
+    in-place / tail split and one past a page; one mask slab of stream
+    (⌊16384/b⌋) and a count either side; and the counts whose last
+    whole group's 64-byte load ends one byte short of, exactly at, and
+    one byte past the stream's last byte."""
+    slab = 16384 // bits
+    return sorted(
+        {0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 4099,
+         slab - 1, slab, slab + 1, *edge_counts(bits).values()}
+    )
 
 
 def _deferred_sum(bits, n, seed=2):
@@ -168,31 +177,60 @@ def _deferred_sum(bits, n, seed=2):
     )
 
 
+#: What follows the destination of a direct kernel pack: the lanes'
+#: masked store must write ``bits`` bytes a group and never this.
+GUARD = bytes(range(0xA0, 0xE0))
+
+
+@pytest.fixture(params=["loaded", "scalar", "twin"])
+def fused_object(request, monkeypatch):
+    """The object the fused pair runs on (``tests/native_objects.py``):
+    the loaded kernel, its ``-DREPRO_NO_X16`` build, or the numpy twins."""
+    return bind(request.param, monkeypatch)
+
+
 class TestFusedPair:
     """``pack_low_bits_into`` ≡ ``% 2**b`` + ``pack_bits_into`` and
-    ``unpack_add`` ≡ ``unpack_bits`` + ``+=`` — kernel and twin alike —
-    on exact-size heap buffers (``bytes`` objects: nothing readable past
-    the stream's last byte belongs to it)."""
+    ``unpack_add`` ≡ ``unpack_bits`` + ``+=`` — the twins' unfused
+    composition is the reference — on the loaded kernel, on its scalar
+    build and on the twins, on exact-size heap buffers (``bytes``
+    objects: nothing readable past the stream's last byte belongs to
+    it)."""
 
-    @pytest.mark.parametrize("bits", range(1, 63))
-    def test_both_paths_match_the_unfused_composition(self, bits):
-        for n in FUSED_LENGTHS:
-            sums = _deferred_sum(bits, n)
+    @staticmethod
+    def _unfused_stream(sums, bits):
+        """The reference stream: ``% 2**b``, then the strict pack, on the
+        twins."""
+        with native.twins_only():
             plain = bytearray()
             pack_bits_into(sums % (1 << bits), bits, plain)
-            stream = bytes(plain)
+        return bytes(plain)
+
+    @pytest.mark.parametrize("bits", range(1, 63))
+    def test_reducing_pack_matches_the_unfused_composition(self, fused_object, bits):
+        for n in fused_lengths(bits):
+            sums = _deferred_sum(bits, n)
+            stream = self._unfused_stream(sums, bits)
+            out = bytearray(b"head")
+            pack_low_bits_into(sums, bits, out)
+            assert bytes(out[4:]) == stream and out[:4] == b"head", (bits, n)
+            if fused_object is not None:
+                dst = np.frombuffer(bytes(len(stream)) + GUARD, dtype=np.uint8).copy()
+                assert fused_object.repro_pack_low_bits(
+                    sums.ctypes.data, n, bits, dst.ctypes.data
+                ) == 0
+                assert dst.tobytes() == stream + GUARD, f"n={n}"
+
+    @pytest.mark.parametrize("bits", range(1, 63))
+    def test_unpack_add_matches_the_unfused_composition(self, fused_object, bits):
+        for n in fused_lengths(bits):
+            stream = self._unfused_stream(_deferred_sum(bits, n), bits)
             start = _deferred_sum(40, n, seed=3) >> 23
-            want = start + unpack_bits(stream, n, bits)
-            for twin in (False, True):
-                if twin and native.load() is None:
-                    continue  # the active path already was the twin
-                with native.twins_only() if twin else contextlib.nullcontext():
-                    out = bytearray(b"head")
-                    pack_low_bits_into(sums, bits, out)
-                    total = start.copy()
-                    assert unpack_add(stream, bits, total) is total
-                assert bytes(out[4:]) == stream and out[:4] == b"head", (bits, n, twin)
-                np.testing.assert_array_equal(total, want)
+            with native.twins_only():
+                want = start + unpack_bits(stream, n, bits)
+            total = start.copy()
+            assert unpack_add(stream, bits, total) is total
+            np.testing.assert_array_equal(total, want, err_msg=f"n={n}")
 
     def test_the_twins_work_slab_by_slab_across_slab_boundaries(self):
         # 2 slabs and a ragged end, at a width whose slabs end off the

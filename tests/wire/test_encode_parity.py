@@ -1,8 +1,7 @@
 """Parity pins for the zero-copy wire write paths.
 
 The single-buffer encoders (``encode_value_into`` /
-``encode_payload_frame``) and the two-part WebSocket writer
-(``encode_ws_frame_parts``) must be byte-identical to the concatenating
+``encode_payload_frame``) must be byte-identical to the concatenating
 encoder of ``tests/oracles/wire_codec.py`` and the two-step frame
 writer on every payload shape the protocol ships — nested containers,
 ndarrays, Shares, registered message types.
@@ -27,7 +26,6 @@ from repro.wire.frame import (
     encode_frame,
     fill_frame_header,
 )
-from repro.wire.ws import OP_BINARY, OP_PING, encode_ws_frame, encode_ws_frame_parts
 from tests.oracles.wire_codec import encode_payload_reference, encode_value_reference
 
 
@@ -150,28 +148,3 @@ class TestPayloadFrameParity:
         with pytest.raises(ValueError):
             fill_frame_header(_Huge(), KIND_REQUEST)
 
-
-class TestWSFrameParts:
-    @pytest.mark.parametrize("nbytes", [0, 1, 125, 126, 65535, 65536])
-    @pytest.mark.parametrize("mask", [None, b"\x01\x02\x03\x04"])
-    def test_parts_join_equals_whole_frame(self, nbytes, mask):
-        payload = bytes(i & 0xFF for i in range(nbytes))
-        head, wire_payload = encode_ws_frame_parts(
-            OP_BINARY, payload, mask=mask
-        )
-        assert head + bytes(wire_payload) == encode_ws_frame(
-            OP_BINARY, payload, mask=mask
-        )
-
-    def test_unmasked_payload_is_not_copied(self):
-        payload = bytearray(b"zero-copy body")
-        _, wire_payload = encode_ws_frame_parts(OP_BINARY, payload)
-        assert wire_payload is payload
-
-    def test_parts_validation_matches_whole(self):
-        with pytest.raises(ValueError):
-            encode_ws_frame_parts(OP_PING, b"x" * 126)
-        with pytest.raises(ValueError):
-            encode_ws_frame_parts(OP_BINARY, b"x", mask=b"\x00")
-        with pytest.raises(ValueError):
-            encode_ws_frame_parts(0x3, b"")
