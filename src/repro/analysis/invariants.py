@@ -117,7 +117,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/crypto/test_hotpath_parity.py",
             "tests/engine/test_socket_transport.py",
             "tests/test_native_fallback.py",
-            "tests/test_native_sanitized.py",
+            "tests/test_native_matrix.py",
             "tests/crypto/test_modexp.py",
             "tests/dp/test_sampler.py",
         ],
@@ -143,7 +143,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/xnoise/test_noise_vectors.py",
             "tests/dp/test_sampler.py",
             "tests/xnoise/test_protocol.py",
-            "tests/test_native_fallback.py",
+            "tests/test_native_matrix.py",
         ],
     },
     # The mask plane: a mask is the wire unpacking of its seed's stream
@@ -155,7 +155,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/crypto/test_mask_vectors.py",
             "tests/crypto/test_hotpath_parity.py",
             "tests/secagg/test_unmask_plane.py",
-            "tests/test_native_fallback.py",
+            "tests/test_native_matrix.py",
         ],
     },
     # One stream on every compression path (portable C, SHA-NI, the
@@ -163,7 +163,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     "16": {
         "rules": [],
         "tests": [
-            "tests/crypto/test_hotpath_parity.py",
+            "tests/test_native_matrix.py",
             "tests/test_native_fallback.py",
         ],
     },
@@ -173,7 +173,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
         "tests": [
             "tests/dp/test_transform_vectors.py",
             "tests/dp/test_skellam.py",
-            "tests/test_native_fallback.py",
+            "tests/test_native_matrix.py",
         ],
     },
     # An O(d) coordinator on a one-pass data plane: after

@@ -4,7 +4,7 @@ The repo's performance discipline (ARCHITECTURE.md invariants 9–11)
 keeps each optimized hot path next to the original scalar code as an
 executable specification: ``share`` / ``share_reference``,
 ``collect_unmask`` / ``collect_unmask_reference``,
-``expand_uniform`` / ``expand_uniform_reference``.  Nothing used to
+``reconstruct`` / ``reconstruct_reference``.  Nothing used to
 stop a refactor from silently deleting one side of a pair, renaming it
 out of sync, or dropping the parity test.  (A specification *class* is
 out of scope: ``PRGReference`` specifies module functions —

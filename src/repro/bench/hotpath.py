@@ -23,10 +23,10 @@ import numpy as np
 from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
-from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_reference
+from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_numpy
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.dp.rotation import fwht
-from repro.dp.sampler import skellam_noise_from_seed_reference
+from repro.dp.sampler import skellam_noise_from_seed_numpy
 from repro.dp.skellam import SkellamConfig, SkellamMechanism
 from repro.secagg.masking import MaskAccumulator, accumulate_masks_reference
 from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, SharePayload, UnmaskingMsg
@@ -133,10 +133,10 @@ def run_hotpath(
         acc = base.copy()
         assert np.array_equal(
             expand_uniform(*fold_args, out=acc, sign=-1),
-            expand_uniform_reference(*fold_args, out=base.copy(), sign=-1),
+            expand_uniform_numpy(*fold_args, out=base.copy(), sign=-1),
         )
         ref_s = _best_of(
-            lambda: expand_uniform_reference(*fold_args, out=acc, sign=1), repeats
+            lambda: expand_uniform_numpy(*fold_args, out=acc, sign=1), repeats
         )
         fast_s = _best_of(lambda: expand_uniform(*fold_args, out=acc, sign=-1), repeats)
         _speedup_triplet(metrics, f"mask_fold_d{d}_b{MASK_FOLD_BITS}", ref_s, fast_s)
@@ -236,10 +236,10 @@ def run_hotpath(
         expand_args = (prg_seed, float(variance), SKELLAM_DIMENSION)
         assert np.array_equal(
             skellam_noise_from_seed(*expand_args),
-            skellam_noise_from_seed_reference(*expand_args),
+            skellam_noise_from_seed_numpy(*expand_args),
         )
         ref_s = _best_of(
-            lambda: skellam_noise_from_seed_reference(*expand_args), repeats
+            lambda: skellam_noise_from_seed_numpy(*expand_args), repeats
         )
         fast_s = _best_of(lambda: skellam_noise_from_seed(*expand_args), repeats)
         _speedup_triplet(

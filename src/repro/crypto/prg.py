@@ -40,11 +40,11 @@ cancels in ``p_{u,v} + p_{v,u} = 0``); ``modulus == 1`` draws nothing.
 
 :func:`expand_uniform` is the one whole-mask entry point (counter 0).
 Given ``out`` it adds ``sign·mask`` into the caller's vector instead of
-returning a fresh one — in the kernel (``repro_mask_fold``) one C loop
+returning a fresh one — in the kernel (:func:`repro.native.mask_fold`) one C loop
 that produces the stream ≤ 2 KiB at a time on its stack and unpack-adds
 it (sixteen counters and eight elements a register on an AVX-512 host),
 so a mask that is about to be summed is never materialised;
-:func:`expand_uniform_reference` is its numpy twin and
+:func:`expand_uniform_numpy` is its numpy twin and
 :func:`expand_uniform_batch` the loop over it for many seeds.
 """
 
@@ -280,7 +280,7 @@ def expand_uniform(
     return _expand(seed, length, modulus, out, sign, kernel=True)
 
 
-def expand_uniform_reference(
+def expand_uniform_numpy(
     seed: bytes,
     length: int,
     modulus: int,

@@ -35,12 +35,12 @@ nothing here calls a library random generator or a libm function:
   floats, accumulated into a 64-bit integer CDF; word *t* yields element
   *t* by table inversion.  Python/numpy only.
 
-Two execution paths share every table: the C loop ``repro_skellam_fill``
-in the native shared object (which also produces the stream, 2 KiB at a
+Two execution paths share every table: the C loop behind
+:func:`repro.native.skellam_fill` (which also produces the stream, 2 KiB at a
 time, so it never leaves the cache) and the numpy twin below
-(:func:`skellam_noise_from_seed_reference`, also the announced fallback
+(:func:`skellam_noise_from_seed_numpy`, also the announced fallback
 when the kernel is unavailable).  They are bit-identical and pinned so
-(``tests/dp/test_sampler.py``, ``tests/test_native_fallback.py``).
+(``tests/dp/test_sampler.py``, ``tests/test_native_matrix.py``).
 Rejection sampling is *not* constant-time: the number of words consumed
 depends on the values drawn.
 """
@@ -362,7 +362,7 @@ def skellam_noise_from_seed(
     return _expand(seed, variance, dimension, out, sign, kernel=True)
 
 
-def skellam_noise_from_seed_reference(
+def skellam_noise_from_seed_numpy(
     seed: bytes,
     variance: float,
     dimension: int,

@@ -1,70 +1,39 @@
-"""Optional native accelerator: counter-mode PRG, bit packer, noise loop, modexp, transform.
+"""Optional native accelerator: the C kernels in ``_native/`` and the table that binds them.
 
-The unmask plane's dominant cost is SHA-256 compressions: d = 2^20
-elements is 2^18 blocks per mask and ~1,000 masks per round.  The pure
-Python loop in :mod:`repro.crypto.prg` bottoms out around half a
-microsecond per block — almost all of it per-block Python/hashlib
-bookkeeping, not hashing.  This module removes that floor when (and only
-when) the host can support it, by lazily compiling the self-contained C
-kernel in ``_native/sha256ctr.c`` with the system C compiler and loading
-it through :mod:`ctypes`.  The same shared object carries the
-ring-width bit-packing loops of the masked-vector wire codec
-(:mod:`repro.wire.bitpack`: pack and unpack, and the fused pair a round
-runs — the reducing pack a client finishes its masked input with and
-the unpack-add the coordinator folds it by), the mask fold that
-unpack-adds a seed's stream straight into an accumulator
-(:func:`repro.crypto.prg.expand_uniform` specifies the draw and holds
-the numpy twin), the Skellam noise loop every XNoise
-component is drawn by (:mod:`repro.dp.sampler` holds its specification,
-its tables and its numpy twin) and the fixed-width modular exponentiation
-behind :meth:`repro.crypto.dh.DHGroup.powers` (every DH key generation and
-agreement, Schnorr signature and VRF evaluation — one CPython ``pow()``
-each otherwise: 0.7 ms at 512 bits, 28 ms at 2048; a neighbourhood's
-agreements share one secret exponent and go eight bases a pass on
-AVX-512 IFMA — :func:`modexp_lanes`) and the DSkellam
-transform's butterfly and rounder (:mod:`repro.dp.rotation` and
-:mod:`repro.dp.quantize` hold their numpy twins), so one build serves
-the data plane, the control plane and the device-side DP encode.
+A round's per-element cost is in a handful of primitives — the SHA-256
+counter stream under every mask and noise seed, the mask fold, the
+masked-vector bit packer and its fused pair, the Skellam noise loop,
+key agreement's modular powers and the DSkellam butterfly and rounder.
+Each is a C kernel here and a bit-identical numpy (or ``pow``) twin next
+to its Python entry point.  :data:`KERNELS` declares every exported
+``repro_*`` symbol once — its ctypes signature, its kind and, for a
+kernel, the load-time probe that must pass before the object is trusted
+— and :func:`load` binds and probes the object from it; the entry
+points call the bound attributes, so the table is read at load time only.
 
-Design constraints, in order:
+- **No new dependencies.**  First-party C, one file per plane behind
+  ``kernels.h``, compiled into one shared object by whatever
+  ``cc``/``gcc``/``clang`` the host already has.
+- **Graceful, announced fallback.**  No compiler, a compile or load
+  error, a failed probe or ``REPRO_NATIVE=0`` makes :func:`load` return
+  ``None`` (memoized) and emit one ``RuntimeWarning`` per process naming
+  the reason; every caller then runs its twin, which yields the same
+  bytes (the same ``SHA256(seed ∥ ctr)`` stream, the same bit stream,
+  the same IEEE operations in the same order, and a modular power is an
+  integer).
+- **Self-invalidating cache.**  The object lands in the gitignored
+  ``_native/_build/``, named by a hash of every source file, the header
+  and the flags, so an edit rebuilds and an object built any other way
+  is never picked up.
 
-- **No new dependencies.**  The kernel is first-party C with no
-  includes beyond the C standard library; it is built with whatever
-  ``cc``/``gcc``/``clang`` the host already has.  No compiler, no
-  kernel — nothing is downloaded or installed.
-- **Graceful, announced fallback.**  Any failure — no compiler, compile
-  error, load error, a wrong probe digest, ``REPRO_NATIVE=0`` in the
-  environment — makes :func:`load` return ``None`` (memoized) and emit
-  one ``RuntimeWarning`` per process naming the reason; callers keep
-  the pure-Python/numpy path.  The two paths are bit-identical by
-  construction (same ``SHA256(seed ∥ ctr)`` stream, same bit stream,
-  the same IEEE operations in the same order for the noise weights and
-  the butterfly, and a modular power is an integer: ``pow()`` *is* the
-  fallback) and parity-pinned by test whenever the kernel is available.
-- **Self-invalidating cache.**  The shared object lands in a
-  gitignored ``_native/_build/`` directory next to the source, named by
-  a hash of the source text and the compiler flags, so editing the C
-  file rebuilds and an object built any other way is never picked up.
-
-The kernel itself dispatches at runtime between a portable scalar
-SHA-256 and an SHA-NI path on x86-64 CPUs that have it (~7× again over
-scalar C) — :func:`backend_name` — and, where the CPU has AVX-512,
-hashes every run of sixteen consecutive counters side by side, at half
-SHA-NI's time per block — :func:`stream_lanes`.  On the same CPUs the
-bit-pack plane runs eight elements per ``zmm`` register — a group of
-eight ``b``-bit elements is exactly ``b`` bytes, one 64-byte load or one
-masked store — in the mask fold, the coordinator's unpack-add and the
-client's reducing pack, with the scalar loops for ragged tails and for
-the last groups of a received stream whose load would pass its end.  A
-compiler that refuses that AVX-512 section (both lane sets, and the
-modexp lanes) still builds everything else (``-DREPRO_NO_X16``).  Every
-path yields the same bytes: the probe checks the one block and the wide
-run it will use and packs and folds a stream long enough for the
-bit-pack lanes, ``repro_sha256_ctr_path`` lets the tests force each
-compression path the host has, and the bit-pack parity tests build the
-object without lanes under a name of its own to pin the scalar loops.
-``ctypes`` releases the GIL around the foreign call, which is what lets
-the coordinator's one thread fan-out
+At run time the stream picks its single-block compression — portable C
+or SHA-NI, :func:`backend_name` — and, on AVX-512, hashes sixteen
+counters at a time (:func:`stream_lanes`); on the same CPUs the bit-pack
+plane moves eight elements a register and, with IFMA, the modexp plane
+raises eight bases a pass (:func:`modexp_lanes`).  A compiler that
+refuses the AVX-512 section still builds everything else
+(``-DREPRO_NO_X16``).  ``ctypes`` releases the GIL around each call,
+which is what lets the coordinator's one-thread fan-out
 (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`) fold masks on
 several cores at once.
 """
@@ -81,11 +50,16 @@ import sysconfig
 import tempfile
 import threading
 import warnings
+from ctypes import c_char_p, c_double, c_int, c_int64, c_size_t, c_uint, c_uint64, c_void_p
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-_SRC = Path(__file__).resolve().parent / "_native" / "sha256ctr.c"
-_BUILD_DIR = _SRC.parent / "_build"
+_NATIVE_DIR = Path(__file__).resolve().parent / "_native"
+_BUILD_DIR = _NATIVE_DIR / "_build"
+#: What one build compiles into one object: every plane.
+_SOURCES = tuple(sorted(_NATIVE_DIR.glob("*.c")))
+#: What the planes share; hashed into the object's name with them.
+_HEADERS = tuple(sorted(_NATIVE_DIR.glob("*.h")))
 
 # Messages are seed ∥ be64(counter); the kernel requires them to fit a
 # single padded SHA-256 block (seedlen + 8 ≤ 55).  Protocol seeds are
@@ -96,7 +70,7 @@ MAX_SEED_LEN = 47
 MODEXP_MAX_BITS = 4096
 #: Radix of the modexp lanes' digits (AVX-512 IFMA multiplies 52 bits).
 MODEXP_LANE_DIGIT_BITS = 52
-#: ``repro_modexp``'s answer when it was compiled without ``__int128``.
+#: The modexp kernel's answer when it was compiled without ``__int128``.
 _MODEXP_NOT_BUILT = -3
 #: ``(k, z, g(k))`` as :mod:`repro.dp.sampler` evaluates the weight, and
 #: what the probe's four draws must leave behind (both pinned equal to
@@ -127,6 +101,9 @@ _ROUND_PROBE = (
     (float("nan"), 0.5, 8, None), (float("-inf"), 0.5, 8, None),
     (2.0**62, 0.5, 1 << 62, None), (7.5, 0.25, 8, None), (-8.5, 0.75, 8, None),
 )
+#: Three 20-bit elements and the documented little-endian stream they
+#: pack to (and unpack from).
+_PACK_PROBE = ((0xABCDE, 0x12345, 0xFFFFF), bytes.fromhex("debc5a3412ffff0f"))
 
 _lock = threading.Lock()
 _loaded = False
@@ -157,17 +134,17 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILDS = (_CFLAGS, _CFLAGS + ("-DREPRO_NO_X16",))
 
 
-def _compile(flags: tuple[str, ...], sofile: Path) -> None:
+def _compile(flags: Sequence[str], sofile: Path) -> None:
     _BUILD_DIR.mkdir(parents=True, exist_ok=True)
     failure = "no C compiler found"
     for cc in _compilers():
         # Compile to a temp name and rename into place so a
         # concurrent builder can never load a half-written object.
-        fd, tmp = tempfile.mkstemp(suffix=".so", prefix="sha256ctr-", dir=_BUILD_DIR)
+        fd, tmp = tempfile.mkstemp(suffix=".so", prefix="kernels-", dir=_BUILD_DIR)
         os.close(fd)
         try:
             subprocess.run(
-                [cc, *flags, str(_SRC), "-o", tmp],
+                [cc, *flags, *map(str, _SOURCES), "-o", tmp],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -184,15 +161,21 @@ def _compile(flags: tuple[str, ...], sofile: Path) -> None:
     raise _Unavailable(failure)
 
 
-def _shared_object() -> Path:
-    """The cached object for this source, built if none is there yet.
+def _object_path(flags: Sequence[str]) -> Path:
+    """Where the object built from this source with ``flags`` is cached:
+    its name hashes every source file, the header and the flags, so an
+    object built any other way (another flag set, a sanitizer) is never
+    picked up."""
+    digest = hashlib.sha256()
+    for path in (*_SOURCES, *_HEADERS):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    digest.update(" ".join(flags).encode())
+    return _BUILD_DIR / f"kernels-{digest.hexdigest()[:16]}.so"
 
-    Its name hashes the source *and* the flags, so an object built any
-    other way (another flag set, a sanitizer) is never picked up.
-    """
-    src = _SRC.read_bytes()
-    tags = [hashlib.sha256(src + " ".join(flags).encode()).hexdigest() for flags in _BUILDS]
-    objects = [_BUILD_DIR / f"sha256ctr-{tag[:16]}.so" for tag in tags]
+
+def _shared_object() -> Path:
+    """The cached object for this source, built if none is there yet."""
+    objects = [_object_path(flags) for flags in _BUILDS]
     found = next((sofile for sofile in objects if sofile.exists()), None)
     if found is None:
         for flags, found in zip(_BUILDS, objects):
@@ -214,176 +197,142 @@ def _shared_object() -> Path:
     return found
 
 
-def _build() -> ctypes.CDLL:
-    lib = ctypes.CDLL(str(_shared_object()))
-    lib.repro_sha256_ctr.argtypes = [
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_uint64,
-        ctypes.c_uint64,
-        ctypes.c_char_p,
-    ]
-    lib.repro_sha256_ctr.restype = ctypes.c_int
-    lib.repro_sha256_ctr_path.argtypes = [ctypes.c_int, *lib.repro_sha256_ctr.argtypes]
-    lib.repro_sha256_ctr_path.restype = ctypes.c_int
-    lib.repro_sha256_ctr_backend.argtypes = []
-    lib.repro_sha256_ctr_backend.restype = ctypes.c_int
-    lib.repro_sha256_ctr_lanes.argtypes = []
-    lib.repro_sha256_ctr_lanes.restype = ctypes.c_int
-    lib.repro_pack_bits.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-        ctypes.c_uint,
-        ctypes.c_void_p,
-    ]
-    lib.repro_pack_bits.restype = ctypes.c_int
-    lib.repro_unpack_bits.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-        ctypes.c_size_t,
-        ctypes.c_uint,
-        ctypes.c_void_p,
-    ]
-    lib.repro_unpack_bits.restype = ctypes.c_int
-    lib.repro_pack_low_bits.argtypes = lib.repro_pack_bits.argtypes
-    lib.repro_pack_low_bits.restype = ctypes.c_int
-    lib.repro_unpack_add.argtypes = lib.repro_unpack_bits.argtypes
-    lib.repro_unpack_add.restype = ctypes.c_int
-    lib.repro_modexp.argtypes = [
-        ctypes.c_char_p,
-        ctypes.c_char_p,
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_char_p,
-    ]
-    lib.repro_modexp.restype = ctypes.c_int
-    lib.repro_modexp_path.argtypes = [ctypes.c_int, *lib.repro_modexp.argtypes]
-    lib.repro_modexp_path.restype = ctypes.c_int
-    lib.repro_modexp_lanes.argtypes = []
-    lib.repro_modexp_lanes.restype = ctypes.c_int
-    lib.repro_skellam_fill.argtypes = [
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-        ctypes.c_double,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-    ]
-    lib.repro_skellam_fill.restype = ctypes.c_int
-    lib.repro_skellam_weight.argtypes = [ctypes.c_double, ctypes.c_double]
-    lib.repro_skellam_weight.restype = ctypes.c_double
-    lib.repro_mask_fold.argtypes = [
-        ctypes.c_char_p,
-        ctypes.c_size_t,
-        ctypes.c_uint,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-    ]
-    lib.repro_mask_fold.restype = ctypes.c_int
-    lib.repro_fwht.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
-    lib.repro_fwht.restype = ctypes.c_int
-    lib.repro_stochastic_round.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int64, ctypes.c_void_p,
-    ]
-    lib.repro_stochastic_round.restype = ctypes.c_int
-    return lib
+# -- load-time probes: one per kernel row, each given its bound function --
 
 
-def _probe(lib: ctypes.CDLL) -> None:
-    """One sanity answer per kernel before trusting the object: block 0
-    of an all-zero seed must match hashlib and so must a run long enough
-    for the sixteen lanes, three 20-bit elements must
-    pack to the documented little-endian bit stream and back (reduced
-    on the way in, added on the way out, by the fused pair), and so
-    must 131 elements at three widths (sixteen groups for the eight
-    bit-pack lanes and a ragged tail) against Python integers, a
-    two-limb modular power must match ``pow`` and so must nine edge
-    bases under one exponent (a full group of lanes and a tail), five hand-made noise
-    trials must land where the sampler's specification puts them,
-    two folded masks must be the bit fields of their hashlib stream, and
-    the butterfly and the rounder must reproduce hand-made vectors."""
-    digest = ctypes.create_string_buffer(32)
-    seed = b"\x00" * 32
-    rc = lib.repro_sha256_ctr(seed, len(seed), 0, 1, digest)
-    want = hashlib.sha256(seed + (0).to_bytes(8, "big")).digest()
-    if rc != 0 or digest.raw != want:
-        raise _Unavailable("probe mismatch (SHA-256 counter block)")
-    # Two runs of sixteen and a tail, from a counter whose low word
-    # carries inside the first run, lane by lane.
-    ctr0, nblocks = (1 << 32) - 8, 33
-    run = ctypes.create_string_buffer(32 * nblocks)
-    rc = lib.repro_sha256_ctr(seed, len(seed), ctr0, nblocks, run)
-    want = b"".join(
+def _counter_blocks(seed: bytes, ctr0: int, nblocks: int) -> bytes:
+    return b"".join(
         hashlib.sha256(seed + ctr.to_bytes(8, "big")).digest()
         for ctr in range(ctr0, ctr0 + nblocks)
     )
-    if rc != 0 or run.raw != want:
-        raise _Unavailable("probe mismatch (SHA-256 counter lanes)")
-    values = (ctypes.c_int64 * 3)(0xABCDE, 0x12345, 0xFFFFF)
-    packed = ctypes.create_string_buffer(8)
-    unpacked = (ctypes.c_int64 * 3)()
-    if (
-        lib.repro_pack_bits(values, 3, 20, packed) != 0
-        or packed.raw != bytes.fromhex("debc5a3412ffff0f")
-        or lib.repro_unpack_bits(packed, 8, 3, 20, unpacked) != 0
-        or list(unpacked) != list(values)
-    ):
-        raise _Unavailable("probe mismatch (bit packer)")
-    # The fused pair: the same three elements, each off by a multiple of
-    # 2**20 (two of them negative), reduce-pack to the same stream, and
-    # that stream adds into a non-zero vector — after a stream one byte
-    # short and one with a pad bit set were refused with it untouched.
-    shifted = (ctypes.c_int64 * 3)(0xABCDE - (1 << 40), 0x12345 + (1 << 20), -1)
-    reduced = ctypes.create_string_buffer(8)
-    start = [5, -7, 1 << 40]
-    folded = (ctypes.c_int64 * 3)(*start)
-    if (
-        lib.repro_pack_low_bits(shifted, 3, 20, reduced) != 0
-        or reduced.raw != packed.raw
-        or lib.repro_unpack_add(packed, 7, 3, 20, folded) != -1
-        or lib.repro_unpack_add(packed.raw[:7] + b"\x1f", 8, 3, 20, folded) != -2
-        or list(folded) != start
-        or lib.repro_unpack_add(packed, 8, 3, 20, folded) != 0
-        or list(folded) != [a + b for a, b in zip(start, values)]
-    ):
-        raise _Unavailable("probe mismatch (fused bit packer)")
-    # And long enough for the eight lanes, against Python integers: 131
-    # elements are sixteen groups of eight, each one 64-byte load, and a
-    # ragged tail of three; at 20 bits the last two groups' loads would
-    # pass the end of the stream and run on the scalar loop.  Five bits
-    # put eight lanes into one output word, 59 cross the 57-bit window.
+
+
+def _probe_stream(fn) -> bool:
+    """Block 0 of an all-zero seed, then two runs of sixteen and a tail
+    from a counter whose low word carries inside the first run, lane by
+    lane — against hashlib."""
+    seed = bytes(32)
+    for ctr0, nblocks in ((0, 1), ((1 << 32) - 8, 33)):
+        out = ctypes.create_string_buffer(32 * nblocks)
+        rc = fn(seed, len(seed), ctr0, nblocks, out)
+        if rc != 0 or out.raw != _counter_blocks(seed, ctr0, nblocks):
+            return False
+    return True
+
+
+def _probe_pack(fn) -> bool:
+    values, stream = _PACK_PROBE
+    packed = ctypes.create_string_buffer(len(stream))
+    return fn((c_int64 * 3)(*values), 3, 20, packed) == 0 and packed.raw == stream
+
+
+def _probe_unpack(fn) -> bool:
+    values, stream = _PACK_PROBE
+    unpacked = (c_int64 * 3)()
+    return fn(stream, len(stream), 3, 20, unpacked) == 0 and tuple(unpacked) == values
+
+
+def _lane_streams():
+    """``(sums, bits, ring, stream)``, long enough for the eight bit-pack
+    lanes, against Python integers: 131 elements are sixteen groups of
+    eight, each one 64-byte load, and a ragged tail of three; at 20 bits
+    the last two groups' loads would pass the end of the stream and run
+    on the scalar loop.  Five bits put eight lanes into one output word,
+    59 cross the 57-bit window."""
     count = 131
     sums = [(i * 0x9E3779B97F4A7C15 + 0x7F4A) % (1 << 64) - (1 << 63) for i in range(count)]
-    start = [3 * i - 200 for i in range(count)]
     for bits in (5, 20, 59):
         ring = [v % (1 << bits) for v in sums]
-        want = sum(v << (i * bits) for i, v in enumerate(ring))
-        want = want.to_bytes(-(-count * bits // 8), "little")
-        stream = ctypes.create_string_buffer(len(want))
-        folded = (ctypes.c_int64 * count)(*start)
+        stream = sum(v << (i * bits) for i, v in enumerate(ring))
+        yield sums, bits, ring, stream.to_bytes(-(-count * bits // 8), "little")
+
+
+def _probe_pack_low(fn) -> bool:
+    """The documented three elements, each off by a multiple of 2**20
+    (two of them negative), reduce-pack to the same stream; then the
+    lanes' run."""
+    values, stream = _PACK_PROBE
+    shifted = (c_int64 * 3)(values[0] - (1 << 40), values[1] + (1 << 20), -1)
+    reduced = ctypes.create_string_buffer(len(stream))
+    if fn(shifted, 3, 20, reduced) != 0 or reduced.raw != stream:
+        return False
+    for sums, bits, _, want in _lane_streams():
+        out = ctypes.create_string_buffer(len(want))
+        if fn((c_int64 * len(sums))(*sums), len(sums), bits, out) != 0 or out.raw != want:
+            return False
+    return True
+
+
+def _probe_unpack_add(fn) -> bool:
+    """The documented stream adds into a non-zero vector — after a stream
+    one byte short and one with a pad bit set were refused with it
+    untouched; then the lanes' run."""
+    values, stream = _PACK_PROBE
+    start = [5, -7, 1 << 40]
+    folded = (c_int64 * 3)(*start)
+    if (
+        fn(stream, 7, 3, 20, folded) != -1
+        or fn(stream[:7] + b"\x1f", 8, 3, 20, folded) != -2
+        or list(folded) != start
+        or fn(stream, 8, 3, 20, folded) != 0
+        or list(folded) != [a + b for a, b in zip(start, values)]
+    ):
+        return False
+    for sums, bits, ring, want in _lane_streams():
+        start = [3 * i - 200 for i in range(len(sums))]
+        folded = (c_int64 * len(sums))(*start)
         if (
-            lib.repro_pack_low_bits((ctypes.c_int64 * count)(*sums), count, bits, stream) != 0
-            or stream.raw != want
-            or lib.repro_unpack_add(want, len(want), count, bits, folded) != 0
+            fn(want, len(want), len(sums), bits, folded) != 0
             or list(folded) != [a + b for a, b in zip(start, ring)]
         ):
-            raise _Unavailable("probe mismatch (bit packer lanes)")
+            return False
+    return True
+
+
+def _probe_mask_fold(fn) -> bool:
+    """Against Python integers over hashlib's stream: the protocol's 20
+    bits added, a width past the 57-bit window subtracted, each into a
+    non-zero vector a few elements longer than one kernel slab (816 and
+    272 elements) and no multiple of eight."""
+    seed = bytes(32)
+    for bits, count, sign in ((20, 819, 1), (59, 275, -1)):
+        stream = int.from_bytes(_counter_blocks(seed, 0, -(-count * bits // 256)), "little")
+        want = [
+            3 * i + sign * ((stream >> (i * bits)) & ((1 << bits) - 1))
+            for i in range(count)
+        ]
+        folded = (c_int64 * count)(*range(0, 3 * count, 3))
+        if fn(seed, len(seed), bits, sign, folded, count) != 0 or list(folded) != want:
+            return False
+    return True
+
+
+def _probe_skellam_weight(fn) -> bool:
+    """The weight function to the last bit."""
+    return all(fn(k, z) == float.fromhex(g) for k, z, g in _SKELLAM_PROBE_WEIGHTS)
+
+
+def _probe_skellam_fill(fn) -> bool:
+    """Four draws from a hand-made two-strip table (−5 … 4, every other
+    trial past the squeeze) folded with sign −1 into a non-zero vector."""
+    seed = bytes(32)
+    strips = struct.pack("=qqQdqqQd", 0, 5, 1 << 63, 1.0, -1, -5, 1 << 63, 1.0)
+    noise = (c_int64 * 4)(10, 20, 30, 40)
+    rc = fn(seed, len(seed), strips, 2, float(1 << 20), -1, noise, 4)
+    return rc == 0 and list(noise) == _SKELLAM_PROBE_DRAWS
+
+
+def _probe_modexp(fn) -> bool:
+    """A two-limb modular power, then nine edge bases under one exponent
+    (a full group of lanes and a tail), against ``pow``.  A compiler
+    without a 128-bit integer leaves the kernel out: announced, and the
+    rest of the object kept."""
     modulus = _MODEXP_PROBE_MODULUS
     ctx = montgomery_context(modulus)
     exp = (modulus - 2).to_bytes(16, "big")
-    for bases, what in (
-        ([0xFEDCBA9876543210_0123456789ABCDEF], "modular exponentiation"),
-        (_MODEXP_PROBE_BASES, "modular exponentiation lanes"),
-    ):
+    for bases in ([0xFEDCBA9876543210_0123456789ABCDEF], _MODEXP_PROBE_BASES):
         out = ctypes.create_string_buffer(16 * len(bases))
-        rc = lib.repro_modexp(
+        rc = fn(
             ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs,
             b"".join(b.to_bytes(16, "big") for b in bases), len(bases), exp, 16, out,
         )
@@ -392,59 +341,105 @@ def _probe(lib: ctypes.CDLL) -> None:
                 "repro.native: the C compiler has no 128-bit integer, key "
                 "agreement and signatures run on Python's pow()",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            break
+            return True
         want = b"".join(pow(b, modulus - 2, modulus).to_bytes(16, "big") for b in bases)
         if rc != 0 or out.raw != want:
-            raise _Unavailable(f"probe mismatch ({what})")
-    # The noise kernel: its weight function to the last bit, then four
-    # draws from a hand-made two-strip table (−5 … 4, every other trial
-    # past the squeeze) folded with sign −1 into a non-zero vector.
-    for k, z, weight in _SKELLAM_PROBE_WEIGHTS:
-        if lib.repro_skellam_weight(k, z) != float.fromhex(weight):
-            raise _Unavailable("probe mismatch (Skellam weight function)")
-    strips = struct.pack("=qqQdqqQd", 0, 5, 1 << 63, 1.0, -1, -5, 1 << 63, 1.0)
-    noise = (ctypes.c_int64 * 4)(10, 20, 30, 40)
-    rc = lib.repro_skellam_fill(seed, len(seed), strips, 2, float(1 << 20), -1, noise, 4)
-    if rc != 0 or list(noise) != _SKELLAM_PROBE_DRAWS:
-        raise _Unavailable("probe mismatch (Skellam noise expansion)")
-    # The mask fold, against Python integers over hashlib's stream: the
-    # protocol's 20 bits added, a width past the 57-bit window
-    # subtracted, each into a non-zero vector a few elements longer than
-    # one kernel slab (816 and 272 elements) and no multiple of eight.
-    for bits, count, sign in ((20, 819, 1), (59, 275, -1)):
-        blocks = -(-count * bits // 256)
-        stream = int.from_bytes(
-            b"".join(
-                hashlib.sha256(seed + ctr.to_bytes(8, "big")).digest()
-                for ctr in range(blocks)
-            ),
-            "little",
-        )
-        want = [
-            3 * i + sign * ((stream >> (i * bits)) & ((1 << bits) - 1))
-            for i in range(count)
-        ]
-        folded = (ctypes.c_int64 * count)(*range(0, 3 * count, 3))
-        rc = lib.repro_mask_fold(seed, len(seed), bits, sign, folded, count)
-        if rc != 0 or list(folded) != want:
-            raise _Unavailable("probe mismatch (mask folding)")
-    # The butterfly of the Kronecker product of (1, c), c = 2 … 9, is the
-    # product of the factors' (1 + c, 1 − c): exact integers, every stage
-    # with its own factor, so a skipped, doubled or mirrored one shows.
+            return False
+    return True
+
+
+def _probe_fwht(fn) -> bool:
+    """The butterfly of the Kronecker product of (1, c), c = 2 … 9, is the
+    product of the factors' (1 + c, 1 − c): exact integers, every stage
+    with its own factor, so a skipped, doubled or mirrored one shows."""
     vector, want = [1.0], [1.0]
     for c in range(2, 10):
         vector = vector + [x * c for x in vector]
         want = [x * (1 + c) for x in want] + [x * (1 - c) for x in want]
-    rotated = (ctypes.c_double * len(vector))(*vector)
-    if lib.repro_fwht(rotated, len(vector)) != 0 or list(rotated) != want:
-        raise _Unavailable("probe mismatch (Walsh-Hadamard butterfly)")
-    one, rounded = ctypes.c_double * 1, (ctypes.c_int64 * 1)()
+    rotated = (c_double * len(vector))(*vector)
+    return fn(rotated, len(vector)) == 0 and list(rotated) == want
+
+
+def _probe_round(fn) -> bool:
+    one, rounded = c_double * 1, (c_int64 * 1)()
     for x, u, limit, want in _ROUND_PROBE:
-        rc = lib.repro_stochastic_round(one(x), one(u), 1, limit, rounded)
+        rc = fn(one(x), one(u), 1, limit, rounded)
         if (rc, rounded[0]) != (0, want) if want is not None else rc != -2:
-            raise _Unavailable("probe mismatch (stochastic rounding)")
+            return False
+    return True
+
+
+# -- the kernel table ------------------------------------------------------
+
+#: A row's kind: a kernel (probed at load time), a lane or backend query,
+#: or a selector that forces one path for tests and the bench's reference rows.
+KERNEL, QUERY, PATH = "kernel", "query", "path"
+
+
+class Row(NamedTuple):
+    """One exported symbol of the shared object."""
+
+    symbol: str
+    restype: type
+    argtypes: tuple
+    kind: str
+    #: Kernels only: the load-time check of the bound function, and the
+    #: name a failure is announced under.
+    probe: Optional[Callable[..., bool]] = None
+    announce: str = ""
+
+
+_STREAM = (c_char_p, c_size_t, c_uint64, c_uint64, c_char_p)
+_PACK = (c_void_p, c_size_t, c_uint, c_void_p)
+_UNPACK = (c_void_p, c_size_t, c_size_t, c_uint, c_void_p)
+_MODEXP = (c_char_p, c_char_p, c_char_p, c_size_t, c_char_p, c_size_t, c_char_p, c_size_t, c_char_p)
+
+#: Every ``repro_*`` symbol the object exports, in probe order.
+KERNELS = (
+    Row("repro_sha256_ctr", c_int, _STREAM, KERNEL, _probe_stream, "SHA-256 counter stream"),
+    Row("repro_sha256_ctr_path", c_int, (c_int, *_STREAM), PATH),
+    Row("repro_sha256_ctr_backend", c_int, (), QUERY),
+    Row("repro_sha256_ctr_lanes", c_int, (), QUERY),
+    Row("repro_pack_bits", c_int, _PACK, KERNEL, _probe_pack, "bit packer"),
+    Row("repro_unpack_bits", c_int, _UNPACK, KERNEL, _probe_unpack, "bit unpacker"),
+    Row("repro_pack_low_bits", c_int, _PACK, KERNEL, _probe_pack_low, "reducing bit packer"),
+    Row("repro_unpack_add", c_int, _UNPACK, KERNEL, _probe_unpack_add, "unpack-add"),
+    Row("repro_mask_fold", c_int, (c_char_p, c_size_t, c_uint, c_int64, c_void_p, c_size_t),
+        KERNEL, _probe_mask_fold, "mask folding"),
+    Row("repro_skellam_weight", c_double, (c_double, c_double),
+        KERNEL, _probe_skellam_weight, "Skellam weight function"),
+    Row("repro_skellam_fill", c_int,
+        (c_char_p, c_size_t, c_void_p, c_size_t, c_double, c_int64, c_void_p, c_size_t),
+        KERNEL, _probe_skellam_fill, "Skellam noise expansion"),
+    Row("repro_modexp", c_int, _MODEXP, KERNEL, _probe_modexp, "modular exponentiation"),
+    Row("repro_modexp_path", c_int, (c_int, *_MODEXP), PATH),
+    Row("repro_modexp_lanes", c_int, (), QUERY),
+    Row("repro_fwht", c_int, (c_void_p, c_size_t), KERNEL, _probe_fwht, "Walsh-Hadamard butterfly"),
+    Row("repro_stochastic_round", c_int, (c_void_p, c_void_p, c_size_t, c_int64, c_void_p),
+        KERNEL, _probe_round, "stochastic rounding"),
+)
+
+
+def _bind(sofile: Path) -> ctypes.CDLL:
+    """The object at ``sofile`` with every row's signature set."""
+    lib = ctypes.CDLL(str(sofile))
+    for row in KERNELS:
+        fn = getattr(lib, row.symbol)
+        fn.argtypes, fn.restype = list(row.argtypes), row.restype
+    return lib
+
+
+def _build() -> ctypes.CDLL:
+    return _bind(_shared_object())
+
+
+def _probe(lib) -> None:
+    """Every kernel row's probe, in table order, before the object is trusted."""
+    for row in KERNELS:
+        if row.probe is not None and not row.probe(getattr(lib, row.symbol)):
+            raise _Unavailable(f"probe mismatch ({row.announce})")
 
 
 def load() -> Optional[ctypes.CDLL]:

@@ -9,7 +9,7 @@ zero.
 
 Two implementations, bit-identical and pinned so by test:
 
-- the C loops in ``_native/sha256ctr.c`` (the shared object
+- the C loops in ``_native/bitpack.c`` (the shared object
   :func:`repro.native.load` builds), one 64-bit window over the stream
   — and, for :func:`pack_low_bits_into` and :func:`unpack_add` on a CPU
   with the kernel's AVX-512 lanes, eight elements a register: a group

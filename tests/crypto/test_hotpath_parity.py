@@ -4,12 +4,13 @@ The perf work keeps each original implementation in-tree as an
 executable specification (``PRGReference``, ``share_reference`` /
 ``reconstruct_reference``, ``accumulate_masks_reference``) and this
 suite holds the optimized paths bit-identical to them — across call
-boundaries, random shapes, odd moduli, and the guard fallbacks.
+boundaries, random shapes, odd moduli, and the guard fallbacks.  The
+native kernels under those paths, each on every object and compression
+path, are ``tests/test_native_matrix.py``'s.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import random
 from unittest import mock
@@ -156,26 +157,6 @@ class TestPRGParity:
         )
         assert ref.read(32) == counter_stream(b"p" * 32, 1, ctr0=1)
 
-    def test_native_kernel_matches_hashlib_when_available(self):
-        lib = native.load()
-        if lib is None:
-            pytest.skip("native kernel unavailable on this host")
-        import hashlib
-
-        rng = random.Random(23)
-        for seedlen in (0, 1, 16, 32, 47):
-            seed = rng.randbytes(seedlen)
-            stream = native.sha256_ctr_stream(seed, 7, ctr0=3)
-            assert stream is not None
-            for i in range(7):
-                want = hashlib.sha256(
-                    seed + (3 + i).to_bytes(8, "big")
-                ).digest()
-                assert bytes(stream[32 * i : 32 * i + 32]) == want
-
-    def test_native_kernel_rejects_oversized_seed(self):
-        assert native.sha256_ctr_stream(b"x" * 48, 1) is None
-
     def test_validation_parity(self):
         with pytest.raises(TypeError):
             PRGReference("not-bytes")
@@ -189,92 +170,6 @@ class TestPRGParity:
                 prg.uniform_vector(length, modulus)
             with pytest.raises(ValueError):
                 expand_uniform(b"v" * 32, length, modulus)
-
-
-#: ``repro_sha256_ctr_path``'s paths and its two "not on this host" codes.
-COMPRESSION_PATHS = {1: "portable C", 2: "SHA-NI", 3: "sixteen AVX-512 lanes"}
-PATH_MISSING = {-2: "this CPU lacks the instructions", -3: "this build left it out"}
-
-
-def forced_stream(path: int, seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
-    """``native.sha256_ctr_stream`` with every block on one compression
-    path; a named skip when the host cannot run that path."""
-    lib = native.load()
-    if lib is None:
-        pytest.skip("native kernel unavailable on this host")
-    out = ctypes.create_string_buffer(32 * nblocks + 1)  # one byte the kernel may not touch
-    rc = lib.repro_sha256_ctr_path(path, seed, len(seed), ctr0, nblocks, out)
-    if rc in PATH_MISSING:
-        pytest.skip(f"compression path {path} ({COMPRESSION_PATHS[path]}): {PATH_MISSING[rc]}")
-    assert rc == 0 and out.raw[-1] == 0
-    return bytearray(out.raw[:-1])
-
-
-@pytest.mark.parametrize("path", COMPRESSION_PATHS, ids=COMPRESSION_PATHS.values())
-class TestEveryCompressionPath:
-    """Each path the host has yields the one stream, executed — the
-    dispatcher alone would never run portable C on a SHA-NI host."""
-
-    def test_stream_matches_hashlib_at_every_seed_length_and_run_shape(self, path):
-        # Run lengths either side of one and two runs of sixteen lanes and
-        # of the kernels' slabs; counters whose low word carries inside a
-        # run, and that wrap at 2**64.
-        rng = random.Random(61)
-        lengths = (0, 1, 15, 16, 17, 31, 32, 33, 60, 64, 80, 100)
-        for seedlen in range(native.MAX_SEED_LEN + 1):
-            seed = rng.randbytes(seedlen)
-            for ctr0 in (0, 2**32 - 8, 2**32 - 1, 2**64 - 40):
-                want = b"".join(
-                    hashlib.sha256(seed + ((ctr0 + i) % 2**64).to_bytes(8, "big")).digest()
-                    for i in range(max(lengths))
-                )
-                for nblocks in lengths:
-                    assert forced_stream(path, seed, nblocks, ctr0) == want[: 32 * nblocks], (
-                        seedlen, ctr0, nblocks,
-                    )
-
-    def test_golden_masks_and_noise_come_out_of_the_twins_on_this_path(self, path):
-        from repro.crypto.prg import expand_uniform_reference
-        from repro.dp.sampler import skellam_noise_from_seed_reference
-        from tests.crypto.test_mask_vectors import GOLDEN as masks, SEEDS
-        from tests.xnoise.test_noise_vectors import GOLDEN as noise
-
-        def stream(seed, nblocks, ctr0=0):
-            return forced_stream(path, seed, nblocks, ctr0)
-
-        with mock.patch.object(native, "sha256_ctr_stream", side_effect=stream) as forced:
-            for (seed, bits), (head, digest) in masks.items():
-                vector = expand_uniform_reference(SEEDS[seed], 1000, 1 << bits)
-                assert vector[:3].tolist() == head
-                assert hashlib.sha256(vector.astype("<i8").tobytes()).hexdigest() == digest
-            assert forced.call_count == len(masks)
-            for (seed, variance, dimension), (head, digest) in noise.items():
-                vector = skellam_noise_from_seed_reference(seed, variance, dimension)
-                assert vector[:7].tolist() == head
-                assert hashlib.sha256(vector.astype("<i8").tobytes()).hexdigest() == digest
-            assert forced.call_count > len(masks)
-
-    def test_bad_arguments_are_refused_on_every_path(self, path):
-        lib = native.load()
-        if lib is None:
-            pytest.skip("native kernel unavailable on this host")
-        forced_stream(path, b"", 0)  # skips here when the host lacks the path
-        out = ctypes.create_string_buffer(32)
-        assert lib.repro_sha256_ctr_path(path, b"x" * 48, 48, 0, 1, out) == -1
-        assert lib.repro_sha256_ctr_path(path, None, 0, 0, 1, out) == -1
-        assert lib.repro_sha256_ctr_path(0, b"", 0, 0, 1, out) == -1
-        assert lib.repro_sha256_ctr_path(len(COMPRESSION_PATHS) + 1, b"", 0, 0, 1, out) == -1
-        assert out.raw == bytes(32)
-
-
-def test_the_announced_lane_width_is_what_the_dispatcher_runs():
-    lib = native.load()
-    assert native.stream_lanes() == (1 if lib is None else lib.repro_sha256_ctr_lanes())
-    assert native.stream_lanes() in (1, 16)
-    if lib is not None:
-        # Lanes announced iff path 3 can run here (an empty run is a status query).
-        status = lib.repro_sha256_ctr_path(3, b"", 0, 0, 0, ctypes.create_string_buffer(1))
-        assert (native.stream_lanes() == 16) == (status == 0)
 
 
 class TestShamirParity:

@@ -23,7 +23,7 @@ from repro.crypto.prg import (
     PRGReference,
     expand_uniform,
     expand_uniform_batch,
-    expand_uniform_reference,
+    expand_uniform_numpy,
 )
 from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
 
@@ -107,7 +107,7 @@ GOLDEN = {
 
 EXPANDERS = {
     "kernel": expand_uniform,
-    "twin": expand_uniform_reference,
+    "twin": expand_uniform_numpy,
     "reference": lambda seed, n, m: PRGReference(seed).uniform_vector(n, m),
     "batch": lambda seed, n, m: expand_uniform_batch(
         [seed], n, m, out=np.zeros(n, dtype=np.int64)
@@ -172,7 +172,7 @@ class TestInPlaceFold:
         # The twin in slabs small enough to cross several: the vector may
         # not depend on where they end.
         with mock.patch.object(prg, "_SLAB", slab):
-            twin = expand_uniform_reference(
+            twin = expand_uniform_numpy(
                 seed, length, modulus, out=base.copy(), sign=sign
             )
         np.testing.assert_array_equal(twin, want)
@@ -190,14 +190,14 @@ class TestInPlaceFold:
             base = np.full(length, 7, dtype=np.int64)
             assert native.mask_fold(SEEDS[1], bits, base, -1)
             np.testing.assert_array_equal(
-                base, 7 - expand_uniform_reference(SEEDS[1], length, 1 << bits)
+                base, 7 - expand_uniform_numpy(SEEDS[1], length, 1 << bits)
             )
 
     def test_twin_never_calls_the_mask_kernel(self):
         with mock.patch.object(native, "mask_fold", side_effect=AssertionError):
-            expand_uniform_reference(SEEDS[0], 300, 1 << 20)
+            expand_uniform_numpy(SEEDS[0], 300, 1 << 20)
 
-    @pytest.mark.parametrize("expand", [expand_uniform, expand_uniform_reference])
+    @pytest.mark.parametrize("expand", [expand_uniform, expand_uniform_numpy])
     def test_a_bad_out_or_sign_is_refused_before_anything_is_drawn(self, expand):
         n = 40
         good = np.arange(n, dtype=np.int64)
@@ -244,7 +244,7 @@ class TestOtherModuli:
     big-endian 64-bit word per element."""
 
     @pytest.mark.parametrize("modulus", [3, 997, (1 << 20) + 17, (1 << 62) + 1, 1 << 63])
-    @pytest.mark.parametrize("expand", [expand_uniform, expand_uniform_reference])
+    @pytest.mark.parametrize("expand", [expand_uniform, expand_uniform_numpy])
     def test_word_draws_fresh_and_in_place(self, modulus, expand):
         seed = SEEDS[1]
         stream = PRGReference(seed).read(8 * 300)

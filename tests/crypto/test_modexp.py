@@ -7,11 +7,10 @@ CPU has them, the scalar loop otherwise), on :data:`TOY_GROUP` (not
 covered by width, so ``pow``), on a 4096-bit modulus (above the lanes'
 2048-bit cap, so the scalar loop), on operands the kernel refuses
 (negative exponent, unreduced base) and with the kernel switched off —
-for every batch size around the group of eight, on every path the host
-has, forced one at a time.
+for every batch size around the group of eight.  The kernel's own
+contract — each path forced, every width, every refusal, on every
+object — is ``tests/test_native_matrix.py``'s.
 """
-
-import ctypes
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,11 +33,6 @@ WIDEST = DHGroup(p=(1 << 4096) - 4095, g=2, q=(1 << 4095) - 2048)
 #: Batch sizes around the group of eight: empty, a lone base (scalar),
 #: partial groups, whole groups, whole groups and a tail of one.
 COUNTS = (0, 1, 2, 7, 8, 9, 15, 16, 17, 31)
-
-#: ``repro_modexp_path``'s paths and its two "not on this host" codes.
-MODEXP_PATHS = {1: "scalar loop", 2: "eight IFMA lanes"}
-PATH_MISSING = {-2: "this CPU lacks the instructions", -3: "this build left it out"}
-
 
 @pytest.fixture(params=["kernel", "no kernel"])
 def kernel(request, monkeypatch):
@@ -66,30 +60,6 @@ def _batch_bases(group: DHGroup) -> list[int]:
 def _batch(group: DHGroup, count: int, shift: int = 0) -> list[int]:
     distinct = _batch_bases(group)
     return [distinct[(i + shift) % len(distinct)] for i in range(count)]
-
-
-def _path_status(path: int, group: DHGroup) -> int:
-    """What ``repro_modexp_path`` answers an empty call: 0, -2, -3, or -1
-    (the lanes and a modulus wider than 2048 bits)."""
-    lib = native.load()
-    if lib is None:
-        pytest.skip("native kernel unavailable on this host")
-    ctx = group._montgomery
-    return lib.repro_modexp_path(
-        path, ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs, b"", 0, bytes(8), 8, None
-    )
-
-
-def forced_powers(path: int, group: DHGroup, bases: list[int], exp: int) -> list[int]:
-    """``group.powers`` with every base on one kernel path; a named skip
-    when the host cannot run that path."""
-    status = _path_status(path, group)
-    if status in PATH_MISSING:
-        pytest.skip(f"modexp path {path} ({MODEXP_PATHS[path]}): {PATH_MISSING[status]}")
-    assert status == 0
-    results = native.modexp(group._montgomery, bases, exp, path=path)
-    assert results is not None
-    return results
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -271,81 +241,6 @@ class TestKernelCoverage:
         assert native.modexp(ctx, [MODP_512.p - 1], 5) == [MODP_512.p - 1]
         assert native.modexp(ctx, [], 5) == []
         assert native.modexp(ctx, [3] * 9 + [MODP_512.p], 5) is None
-
-
-@pytest.mark.parametrize("path", MODEXP_PATHS, ids=MODEXP_PATHS.values())
-class TestEveryModexpPath:
-    """Each path the host has, forced for every base: the scalar loop on
-    multi-base calls an IFMA host would send to the lanes, the lanes at
-    every width — a lone base included."""
-
-    @pytest.mark.parametrize("name", ["modp512", "modp2048"])
-    def test_forced_path_is_pow_at_every_width(self, path, name):
-        group = GROUPS[name]
-        distinct = _batch_bases(group)
-        for exp in (0, 1, group.q - 1, group.p**2 + 1):
-            want = {b: pow(b, exp, group.p) for b in distinct}
-            for count in (1, 2, 3, 4, 5, 6, 7, 8, 9, 17):
-                bases = _batch(group, count, shift=count)
-                assert forced_powers(path, group, bases, exp) == [want[b] for b in bases]
-
-    def test_forced_path_on_the_lanes_boundary(self, path):
-        # 2048 bits is 40 digits of 52: the lanes' last width; 2112 bits
-        # (41 digits) is the scalar loop's alone, refused by the lanes.
-        for modulus in ((1 << 2048) - 1, (1 << 2112) - 1):
-            group = DHGroup(p=modulus, g=2, q=modulus // 2)
-            if path == 2 and modulus.bit_length() > 2048:
-                assert _path_status(path, group) in (-1, *PATH_MISSING)
-                assert native.modexp(group._montgomery, [3, 5], 7, path=path) is None
-                continue
-            bases = [0, 1, modulus - 1, modulus // 3, 12345]
-            exp = (modulus - 1) // 2
-            assert forced_powers(path, group, bases, exp) == [pow(b, exp, modulus) for b in bases]
-
-    def test_a_base_not_below_p_in_any_lane_refuses_the_whole_call(self, path):
-        lib = native.load()
-        forced_powers(path, MODP_512, [], 1)  # skips here when the host lacks the path
-        ctx = MODP_512._montgomery
-        width = 8 * ctx.limbs
-        for count in (1, 2, 8, 9, 17):
-            for at in {0, count // 2, count - 1}:
-                for bad in (MODP_512.p, MODP_512.p + 1, (1 << 512) - 1):
-                    bases = _batch(MODP_512, count)
-                    bases[at] = bad
-                    out = ctypes.create_string_buffer(b"\xa5" * (width * count), width * count)
-                    rc = lib.repro_modexp_path(
-                        path, ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs,
-                        b"".join(b.to_bytes(width, "big") for b in bases), count,
-                        bytes(8), 8, out,
-                    )
-                    assert rc == -1, (count, at)
-                    assert out.raw == b"\xa5" * (width * count), (count, at)
-
-    def test_bad_arguments_are_refused(self, path):
-        lib = native.load()
-        forced_powers(path, MODP_512, [], 1)
-        ctx = MODP_512._montgomery
-        out = ctypes.create_string_buffer(64)
-        args = (ctx.rr, ctx.rr52, ctx.limbs, bytes(64), 1, bytes(8), 8, out)
-        even = (MODP_512.p - 1).to_bytes(64, "big")
-        assert lib.repro_modexp_path(path, even, *args) == -1
-        assert lib.repro_modexp_path(path, None, *args) == -1
-        assert lib.repro_modexp_path(path, ctx.modulus, ctx.rr, ctx.rr52, 0, bytes(64), 1,
-                                     bytes(8), 8, out) == -1
-        assert lib.repro_modexp_path(path, ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs, None, 1,
-                                     bytes(8), 8, out) == -1
-        assert lib.repro_modexp_path(0, ctx.modulus, *args) == -1
-        assert lib.repro_modexp_path(len(MODEXP_PATHS) + 1, ctx.modulus, *args) == -1
-        assert out.raw == bytes(64)
-
-
-def test_the_announced_lane_width_is_what_the_dispatcher_runs():
-    lib = native.load()
-    assert native.modexp_lanes() == (1 if lib is None else lib.repro_modexp_lanes())
-    assert native.modexp_lanes() in (1, 8)
-    if lib is not None:
-        # Lanes announced iff path 2 can run here (an empty call is a status query).
-        assert (native.modexp_lanes() == 8) == (_path_status(2, MODP_512) == 0)
 
 
 def test_dh_schnorr_and_vrf_agree_across_kernel_and_pow(monkeypatch):

@@ -11,29 +11,23 @@ the transform: ascending-stage butterflies, ``·signs, butterfly, /√d,
 ·scale``, one ``rng.random(d_pad)`` per rounding attempt.  Never
 regenerate them from the tree under test.
 
-Then parity: each kernel against its numpy twin — the same public call
-inside ``native.twins_only()`` — on the values where a shortcut would
-show (signed zeros, subnormals, overflow to infinity, a uniform exactly
-equal to the fraction).  Every golden runs twice — as loaded, and with
-the kernel taken away mid-suite — and under ``REPRO_NATIVE=0`` both legs
-are the twin.
+Every golden runs twice — as loaded, and with the kernel taken away
+mid-suite — and under ``REPRO_NATIVE=0`` both legs are the twin.  The
+kernels themselves — against the butterfly's definition and the
+rounder's formula, on the values where a shortcut would show (signed
+zeros, subnormals, overflow to infinity, a uniform exactly equal to the
+fraction), on every object — are ``tests/test_native_matrix.py``'s.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import native
 from repro.dp.quantize import conditional_stochastic_round, stochastic_round
 from repro.dp.rotation import fwht
 from repro.dp.skellam import SkellamConfig, SkellamMechanism
-
-needs_kernel = pytest.mark.skipif(
-    native.load() is None, reason="native kernel unavailable on this host"
-)
 
 GOLDEN = {
     1: {
@@ -163,82 +157,13 @@ class TestRounderConsumption:
         assert rng.random() == twin.random()
 
 
-#: Where a butterfly that is not quite the definition shows: signed
-#: zeros, both subnormal ends, and magnitudes whose sums overflow.
-SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7e308)
-
-
-def by_twin(call, *args, **kwargs):
-    """``call`` with every kernel answering "not here"."""
-    with native.twins_only():
-        return call(*args, **kwargs)
-
-
-def butterfly_input(n: int, seed: int, planted: list[tuple[int, float]]) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    vector = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 5)
-    for position, value in planted:
-        vector[position % n] = value
-    return vector
-
-
-@needs_kernel
-class TestButterflyKernelParity:
-    @given(
-        n=st.sampled_from([1, 2, 4, 8, 64, 1024, 2048, 4096, 16384]),
-        seed=st.integers(0, 2**32 - 1),
-        planted=st.lists(
-            st.tuples(st.integers(0, 16384), st.sampled_from(SPECIALS)), max_size=6
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_kernel_is_the_twin(self, n, seed, planted):
-        vector = butterfly_input(n, seed, planted)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert fwht(vector).tobytes() == by_twin(fwht, vector).tobytes()
-
-    def test_overflow_to_infinity_matches(self):
-        vector = np.full(8192, 1e308)
-        vector[1::2] = -1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            kernel, twin = fwht(vector), by_twin(fwht, vector)
-        assert np.isinf(kernel).any()
-        assert kernel.tobytes() == twin.tobytes()
-
-    def test_every_stage_count_up_to_a_million(self):
-        rng = np.random.default_rng(17)
-        for stages in range(21):
-            vector = rng.standard_normal(1 << stages)
-            assert fwht(vector).tobytes() == by_twin(fwht, vector).tobytes(), stages
-
-
-class TestButterflyTwin:
-    def test_twin_is_the_copying_butterfly(self):
-        """The pre-kernel ``fwht``, verbatim, against the in-place twin."""
-
-        def fwht_copying(vector):
-            v = np.asarray(vector, dtype=float).copy()
-            n, h = v.shape[0], 1
-            while h < n:
-                v = v.reshape(-1, 2 * h)
-                left, right = v[:, :h].copy(), v[:, h:].copy()
-                v[:, :h] = left + right
-                v[:, h:] = left - right
-                v = v.reshape(-1)
-                h *= 2
-            return v
-
-        for n in (1, 2, 8, 1024, 8192):
-            vector = butterfly_input(n, n, [(3, -0.0), (5, 5e-324)])
-            assert by_twin(fwht, vector).tobytes() == fwht_copying(vector).tobytes()
-
-    def test_twins_only_hands_the_kernel_back(self):
-        before = native.load()
-        with pytest.raises(KeyError):
-            with native.twins_only():
-                assert native.load() is None
-                raise KeyError("inside")
-        assert native.load() is before
+def test_twins_only_hands_the_kernel_back():
+    before = native.load()
+    with pytest.raises(KeyError):
+        with native.twins_only():
+            assert native.load() is None
+            raise KeyError("inside")
+    assert native.load() is before
 
 
 class Dealt:
@@ -252,35 +177,6 @@ class Dealt:
             return self.uniforms.reshape(size).copy()
         out[...] = self.uniforms
         return out
-
-
-def round_with(values, uniforms, limit):
-    """The rounder on these uniforms: the integers, or ``None`` if refused."""
-    try:
-        with np.errstate(invalid="ignore"):
-            return conditional_stochastic_round(
-                values, Dealt(uniforms), float("inf"), max_attempts=1, limit=limit
-            )
-    except ValueError:
-        return None
-
-
-class TestLoadTimeProbe:
-    """What ``native._probe`` asks of the kernels is what the twins answer."""
-
-    def test_probe_vector_is_the_transform_its_closed_form_says(self):
-        # What native._probe feeds the kernel, through the twin.
-        vector, want = np.ones(1), np.ones(1)
-        for c in range(2, 10):
-            vector = np.concatenate((vector, vector * c))
-            want = np.concatenate((want * (1 + c), want * (1 - c)))
-        np.testing.assert_array_equal(by_twin(fwht, vector), want)
-
-    def test_probe_roundings_are_what_the_twin_computes(self):
-        assert len(native._ROUND_PROBE) == 15
-        for x, u, limit, want in native._ROUND_PROBE:
-            got = by_twin(round_with, np.array([x]), [u], limit)
-            assert (got is None) if want is None else (got.tolist() == [want]), (x, u)
 
 
 class TestWrapperInputs:
@@ -361,11 +257,6 @@ class TestWrapperInputs:
         assert empty.shape == (0,) and empty.dtype == np.int64
 
 
-ROUND_SPECIALS = (
-    0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 2.0**52 + 1, -(2.0**52) - 1,
-    2.0**51 + 0.5, -(2.0**51) - 0.5, 2.0**61, -(2.0**61), 4611686018427387392.0,
-)
-
 #: What cannot be an integer of the ring, whichever rounder is asked.
 REFUSED = [
     (float("nan"), 0.5, 1 << 62),
@@ -378,44 +269,6 @@ REFUSED = [
     (8.0, 0.5, 8),
     (-8.5, 0.75, 8),  # rounds down past −limit
 ]
-
-
-@needs_kernel
-class TestRounderKernelParity:
-    @given(
-        n=st.sampled_from([1, 2, 7, 64, 1000]),
-        seed=st.integers(0, 2**32 - 1),
-        planted=st.lists(
-            st.tuples(st.integers(0, 999), st.sampled_from(ROUND_SPECIALS)), max_size=8
-        ),
-        exact=st.lists(st.integers(0, 999), max_size=8),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_kernel_is_the_twin(self, n, seed, planted, exact):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 12)
-        for position, value in planted:
-            values[position % n] = value
-        uniforms = rng.random(n)
-        for position in exact:  # u exactly the fraction: must stay down
-            uniforms[position % n] = values[position % n] - np.floor(values[position % n])
-        kernel = round_with(values, uniforms, 1 << 62)
-        np.testing.assert_array_equal(kernel, by_twin(round_with, values, uniforms, 1 << 62))
-        floor = np.floor(values)
-        np.testing.assert_array_equal(
-            kernel, floor.astype(np.int64) + (uniforms < values - floor)
-        )
-        for position in exact:
-            assert kernel[position % n] == floor[position % n]
-
-    @pytest.mark.parametrize(
-        "value, uniform, rounded",
-        [(7.5, 0.75, 7), (-8.0, 0.0, -8), (-7.5, 0.75, -8), (7.999, 0.9995, 7)],
-    )
-    def test_both_accept_the_whole_signed_range(self, value, uniform, rounded):
-        kernel = round_with(np.array([value]), [uniform], 8)
-        twin = by_twin(round_with, np.array([value]), [uniform], 8)
-        assert kernel.tolist() == twin.tolist() == [rounded]
 
 
 class TestRefusalIsNamed:

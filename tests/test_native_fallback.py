@@ -323,55 +323,19 @@ class TestEveryReasonIsNamed:
 
     def test_probe_mismatch(self, rearmed, monkeypatch):
         class WrongKernel:
-            @staticmethod
-            def repro_sha256_ctr(seed, seedlen, ctr0, nblocks, out):
-                return 0  # "succeeds" but leaves the digest all zero
+            """Every function "succeeds" and computes nothing."""
 
-        monkeypatch.setattr(rearmed, "_build", lambda: WrongKernel)
+            def __getattr__(self, name):
+                return lambda *args: 0
+
+        monkeypatch.setattr(rearmed, "_build", WrongKernel)
         assert "probe mismatch" in self._announcement(rearmed)
-
-    @staticmethod
-    def _real_kernel_with(native, **replaced):
-        """The real object (built into the fixture's tmp dir) with the
-        named entry points replaced by ``fn(real, *args)``."""
-        import types
-
-        real = native._build()
-        entry_points = {
-            name: getattr(real, name)
-            for name in ("repro_sha256_ctr", "repro_sha256_ctr_lanes", "repro_pack_bits",
-                         "repro_unpack_bits", "repro_pack_low_bits", "repro_unpack_add",
-                         "repro_modexp", "repro_modexp_path", "repro_modexp_lanes",
-                         "repro_skellam_fill",
-                         "repro_skellam_weight", "repro_mask_fold", "repro_fwht",
-                         "repro_stochastic_round")
-        }
-        for name, fn in replaced.items():
-            entry_points[name] = lambda *args, _fn=fn: _fn(real, *args)
-        return types.SimpleNamespace(**entry_points)
-
-    def test_wrong_wide_block_disables_the_whole_object(self, rearmed, monkeypatch):
-        # Right block by block, wrong only in a run long enough for the
-        # sixteen lanes: one bit of the lane whose counter is 2**32.
-        def one_wrong_lane(real, seed, seedlen, ctr0, nblocks, out):
-            rc = real.repro_sha256_ctr(seed, seedlen, ctr0, nblocks, out)
-            if nblocks >= 16:
-                out[32 * 8] = bytes([out[32 * 8][0] ^ 1])
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_sha256_ctr=one_wrong_lane)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (SHA-256 counter lanes)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-        assert rearmed.stream_lanes() == 1
 
     def test_compiler_that_refuses_the_lanes_keeps_the_rest_of_the_object(
         self, rearmed, monkeypatch, tmp_path
     ):
         # A compiler that fails on the AVX-512 section (an old one, say):
         # it only gets through the source with the section left out.
-        import ctypes
         import hashlib
         import shutil
 
@@ -393,12 +357,8 @@ class TestEveryReasonIsNamed:
         assert "modular powers one base at a time" in str(caught[0].message)
         assert rearmed.stream_lanes() == 1 and rearmed.modexp_lanes() == 1
         assert rearmed.backend_name() in ("c-scalar", "c-sha-ni")
-        out = ctypes.create_string_buffer(32)
-        assert lib.repro_sha256_ctr_path(3, b"", 0, 0, 1, out) == -3  # not built
-        assert out.raw == bytes(32)
         ctx = rearmed.montgomery_context((1 << 128) - 159)
-        assert lib.repro_modexp_path(2, ctx.modulus, ctx.rr, ctx.rr52, ctx.limbs,
-                                     b"", 0, bytes(8), 8, None) == -3
+        assert rearmed.modexp(ctx, [3, 5], 7, path=2) is None  # the lanes: not built
         bases = list(range(2, 13))
         assert rearmed.modexp(ctx, bases, 65537) == [pow(b, 65537, (1 << 128) - 159) for b in bases]
         # Every other kernel is there and answers as the full object does.
@@ -409,213 +369,32 @@ class TestEveryReasonIsNamed:
         )
         folded = np.zeros(1000, dtype=np.int64)
         assert rearmed.mask_fold(b"k" * 32, 20, folded, 1)
-        from repro.crypto.prg import expand_uniform_reference
+        from repro.crypto.prg import expand_uniform_numpy
 
         np.testing.assert_array_equal(
-            folded, expand_uniform_reference(b"k" * 32, 1000, 1 << 20)
+            folded, expand_uniform_numpy(b"k" * 32, 1000, 1 << 20)
         )
 
-    def test_the_cached_object_is_named_by_source_and_flags(self, rearmed, monkeypatch):
+    def test_the_cached_object_is_named_by_source_and_flags(self, rearmed, monkeypatch, tmp_path):
         # An object built with other flags (a sanitizer, say) can never be
-        # the one a production run finds.
+        # the one a production run finds, and neither can one built from
+        # any other text of any plane or the header.
         production = rearmed._shared_object()
         monkeypatch.setattr(rearmed, "_BUILDS", (rearmed._CFLAGS + ("-g",),))
         other = rearmed._shared_object()
         assert production != other and production.exists() and other.exists()
         assert production.parent == other.parent == rearmed._BUILD_DIR
-
-    def test_wrong_modexp_answer_disables_the_whole_object(self, rearmed, monkeypatch):
-        def one_flipped_bit(real, mod, rr, rr52, limbs, bases, count, exp, explen, out):
-            real.repro_modexp(mod, rr, rr52, limbs, bases, count, exp, explen, out)
-            out[0] = bytes([out[0][0] ^ 1])
-            return 0
-
-        kernel = self._real_kernel_with(rearmed, repro_modexp=one_flipped_bit)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (modular exponentiation)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-
-    def test_one_wrong_lane_disables_the_whole_object(self, rearmed, monkeypatch):
-        # Right one base at a time; in a call of several, the fourth base's
-        # power comes back one bit off — what a lane that mis-carries does.
-        def one_wrong_lane(real, mod, rr, rr52, limbs, bases, count, exp, explen, out):
-            rc = real.repro_modexp(mod, rr, rr52, limbs, bases, count, exp, explen, out)
-            if count > 1:
-                at = 3 * 8 * limbs + 8 * limbs - 1
-                out[at] = bytes([out[at][0] ^ 1])
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_modexp=one_wrong_lane)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (modular exponentiation lanes)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-        assert rearmed.modexp_lanes() == 1
-
-    def test_wrong_noise_weight_disables_the_whole_object(self, rearmed, monkeypatch):
-        # One unit in the last place — what a fused multiply-add would do.
-        import math
-
-        def one_ulp_off(real, k, z):
-            return math.nextafter(real.repro_skellam_weight(k, z), 2.0)
-
-        kernel = self._real_kernel_with(rearmed, repro_skellam_weight=one_ulp_off)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (Skellam weight function)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-
-    def test_wrong_noise_draw_disables_the_whole_object(self, rearmed, monkeypatch):
-        def skips_a_trial(real, seed, seedlen, strips, nstrips, z, sign, out, n):
-            rc = real.repro_skellam_fill(seed, seedlen, strips, nstrips, z, sign, out, n)
-            out[n - 1] += 1
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_skellam_fill=skips_a_trial)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (Skellam noise expansion)" in message
-        assert rearmed.modexp(rearmed.montgomery_context((1 << 128) - 159), [3], 5) is None
-
-    def test_wrong_mask_element_disables_the_whole_object(self, rearmed, monkeypatch):
-        # Right everywhere but in the element after the kernel's first
-        # slab of stream (816 elements at 20 bits).
-        def one_wrong_element(real, seed, seedlen, bits, sign, out, n):
-            rc = real.repro_mask_fold(seed, seedlen, bits, sign, out, n)
-            if n > 816:
-                out[816] ^= 1
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_mask_fold=one_wrong_element)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (mask folding)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-        assert not rearmed.mask_fold(b"k" * 32, 20, None, 1)
-
-    def test_reducing_packer_that_does_not_reduce_disables_the_whole_object(
-        self, rearmed, monkeypatch
-    ):
-        # Packs in-ring vectors correctly and lets the high bits of a
-        # deferred sum spill into the next element.
-        def unreduced(real, src, n, bits, dst):
-            real.repro_pack_low_bits(src, n, bits, dst)
-            return real.repro_pack_bits(src, n, bits, dst) and 0
-
-        kernel = self._real_kernel_with(rearmed, repro_pack_low_bits=unreduced)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        assert "probe mismatch (fused bit packer)" in self._announcement(rearmed)
-
-    @pytest.mark.parametrize("refusal", [-1, -2])
-    def test_unpack_add_that_folds_what_it_should_refuse_disables_the_whole_object(
-        self, rearmed, monkeypatch, refusal
-    ):
-        # Right on every well-formed stream; a short stream (-1) or a set
-        # pad bit (-2) is added anyway — into the coordinator's sum.
-        import ctypes
-
-        def admits_anything(real, src, nbytes, n, bits, dst):
-            rc = real.repro_unpack_add(src, nbytes, n, bits, dst)
-            if rc == refusal:
-                padded = ctypes.create_string_buffer(bytes(src[:nbytes]), (n * bits + 7) // 8)
-                padded[-1] = bytes([padded[-1][0] & 0x0F])
-                rc = real.repro_unpack_add(padded, len(padded), n, bits, dst)
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_unpack_add=admits_anything)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        assert "probe mismatch (fused bit packer)" in self._announcement(rearmed)
-
-    def test_pack_lanes_that_miscompute_disable_the_whole_object(self, rearmed, monkeypatch):
-        # Right on three elements; past a group of eight, one bit of the
-        # second group's bytes comes out flipped — a lane with a wrong slot.
-        def wrong_second_group(real, src, n, bits, dst):
-            rc = real.repro_pack_low_bits(src, n, bits, dst)
-            if n >= 16:
-                dst[bits] = bytes([dst[bits][0] ^ 1])
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_pack_low_bits=wrong_second_group)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        assert "probe mismatch (bit packer lanes)" in self._announcement(rearmed)
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-
-    def test_unpack_lanes_that_miscompute_disable_the_whole_object(self, rearmed, monkeypatch):
-        # Right on an eight-byte stream; from one 64-byte group load on,
-        # the ninth element is folded one off — a lane with a wrong shift.
-        def wrong_ninth_element(real, src, nbytes, n, bits, dst):
-            rc = real.repro_unpack_add(src, nbytes, n, bits, dst)
-            if rc == 0 and nbytes >= 64:
-                dst[8] += 1
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_unpack_add=wrong_ninth_element)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        assert "probe mismatch (bit packer lanes)" in self._announcement(rearmed)
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-
-    def test_wrong_butterfly_disables_the_whole_object(self, rearmed, monkeypatch):
-        # Right in every stage but the last: the two halves of the vector
-        # come back swapped.
-        import ctypes
-
-        def swapped_last_stage(real, vector, n):
-            rc = real.repro_fwht(vector, n)
-            if n > 1:
-                half = (ctypes.c_double * (n // 2))(*vector[: n // 2])
-                vector[: n // 2] = vector[n // 2 :]
-                vector[n // 2 :] = half
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_fwht=swapped_last_stage)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (Walsh-Hadamard butterfly)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-        assert rearmed.load() is None
-
-    def test_wrong_rounding_disables_the_whole_object(self, rearmed, monkeypatch):
-        # A rounder that rounds up when the uniform *equals* the fraction.
-        def rounds_up_on_a_tie(real, x, u, n, limit, out):
-            rc = real.repro_stochastic_round(x, u, n, limit, out)
-            for i in range(n):
-                if rc == 0 and u[i] == x[i] % 1.0 != 0.0:
-                    out[i] += 1
-            return rc
-
-        kernel = self._real_kernel_with(rearmed, repro_stochastic_round=rounds_up_on_a_tie)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (stochastic rounding)" in message
-        assert rearmed.load() is None
-
-    def test_rounder_that_casts_what_it_should_refuse_disables_the_whole_object(
-        self, rearmed, monkeypatch
-    ):
-        def never_refuses(real, x, u, n, limit, out):
-            real.repro_stochastic_round(x, u, n, limit, out)
-            return 0
-
-        kernel = self._real_kernel_with(rearmed, repro_stochastic_round=never_refuses)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        message = self._announcement(rearmed)
-        assert "probe mismatch (stochastic rounding)" in message
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is None
-
-    def test_compiler_without_int128_keeps_the_rest_of_the_object(
-        self, rearmed, monkeypatch
-    ):
-        from repro.crypto.dh import MODP_512
-
-        kernel = self._real_kernel_with(rearmed, repro_modexp=lambda real, *args: -3)
-        monkeypatch.setattr(rearmed, "_build", lambda: kernel)
-        with pytest.warns(RuntimeWarning, match="128-bit integer") as caught:
-            assert rearmed.load() is kernel
-        assert len(caught) == 1
-        assert rearmed.sha256_ctr_stream(b"k" * 32, 1) is not None
-        assert rearmed.modexp(MODP_512._montgomery, [3, 4], 5) is None
-        assert MODP_512.powers([3, 4], 5) == [243, 1024]
+        planes, headers = rearmed._SOURCES, rearmed._HEADERS
+        names = {production.name}
+        for i, path in enumerate((*planes, *headers)):
+            edited = tmp_path / path.name
+            edited.write_bytes(path.read_bytes() + b"\n")
+            files = [*planes, *headers]
+            files[i] = edited
+            monkeypatch.setattr(rearmed, "_SOURCES", tuple(files[: len(planes)]))
+            monkeypatch.setattr(rearmed, "_HEADERS", tuple(files[len(planes) :]))
+            names.add(rearmed._object_path(rearmed._CFLAGS).name)
+        assert len(names) == 1 + len(planes) + len(headers)
 
     def test_memoized_silence_after_the_first_call(self, rearmed, monkeypatch):
         import warnings

@@ -1,4 +1,8 @@
-"""Ring-width bit packing: the layout, strictness, and native ≡ numpy."""
+"""Ring-width bit packing: the layout, strictness and the fused pair's contract.
+
+The C loops against the numpy twin, at every width and every lane, load
+and slab edge, on every object, are ``tests/test_native_matrix.py``'s.
+"""
 
 import contextlib
 
@@ -9,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.wire.bitpack import (
     _SLAB,
-    _pack_numpy,
     bit_fields,
     pack_bits_into,
     pack_low_bits_into,
@@ -18,7 +21,6 @@ from repro.wire.bitpack import (
     unpack_add,
     unpack_bits,
 )
-from tests.native_objects import bind, edge_counts
 
 #: Lengths on and off every grid that matters: the byte, the 64-bit
 #: window, and the numpy fallback's period (up to 64 elements).
@@ -75,40 +77,19 @@ class TestLayout:
         assert bytes(out) == _oracle(values, bits)
         np.testing.assert_array_equal(unpack_bits(bytes(out), len(values), bits), vector)
 
-    def test_non_contiguous_input_packs_like_its_copy(self):
-        values = _random_vector(20, 64)[::2]
-        a, b = bytearray(), bytearray()
-        pack_bits_into(values, 20, a)
-        pack_bits_into(values.copy(), 20, b)
-        assert a == b == _oracle(values, 20)
-
-
-class TestNativeNumpyParity:
-    """The C loops and the numpy fallback emit the same bytes."""
-
-    @pytest.fixture(autouse=True)
-    def _need_native(self):
-        if native.load() is None:
-            pytest.skip("native kernel unavailable on this host")
-
-    @pytest.mark.parametrize("bits", range(1, 63))
-    def test_pack_and_unpack_bit_identical(self, bits):
-        for n in LENGTHS:
-            values = _random_vector(bits, n, seed=1)
-            out = bytearray()
-            pack_bits_into(values, bits, out)  # native
-            assert bytes(_pack_numpy(values, bits)) == bytes(out), (bits, n)
-            stream = np.frombuffer(bytes(out), dtype=np.uint8)
-            np.testing.assert_array_equal(
-                bit_fields(stream, n, bits), unpack_bits(out, n, bits)
-            )
-
     def test_fallback_reads_an_unaligned_frame_slice(self):
         values = _random_vector(20, 48)  # 120 bytes: whole fallback rows
         frame = bytearray(b"xyz")  # odd offset: the stream is unaligned
         pack_bits_into(values, 20, frame)
         stream = np.frombuffer(frame, dtype=np.uint8, offset=3)
         np.testing.assert_array_equal(bit_fields(stream, 48, 20), values)
+
+    def test_non_contiguous_input_packs_like_its_copy(self):
+        values = _random_vector(20, 64)[::2]
+        a, b = bytearray(), bytearray()
+        pack_bits_into(values, 20, a)
+        pack_bits_into(values.copy(), 20, b)
+        assert a == b == _oracle(values, 20)
 
 
 class TestStrictness:
@@ -156,20 +137,6 @@ class TestStrictness:
             assert values.min() >= 0 and int(values.max()) < 1 << bits
 
 
-def fused_lengths(bits: int) -> list[int]:
-    """The fused pair's shapes at one width: lengths on and off the
-    group of eight, the 64-bit window, a 256-element run, the kernel's
-    in-place / tail split and one past a page; one mask slab of stream
-    (⌊16384/b⌋) and a count either side; and the counts whose last
-    whole group's 64-byte load ends one byte short of, exactly at, and
-    one byte past the stream's last byte."""
-    slab = 16384 // bits
-    return sorted(
-        {0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 4099,
-         slab - 1, slab, slab + 1, *edge_counts(bits).values()}
-    )
-
-
 def _deferred_sum(bits, n, seed=2):
     """What a ``MaskAccumulator`` holds before it reduces: signed, wide."""
     return np.random.default_rng([seed, bits, n]).integers(
@@ -177,60 +144,11 @@ def _deferred_sum(bits, n, seed=2):
     )
 
 
-#: What follows the destination of a direct kernel pack: the lanes'
-#: masked store must write ``bits`` bytes a group and never this.
-GUARD = bytes(range(0xA0, 0xE0))
-
-
-@pytest.fixture(params=["loaded", "scalar", "twin"])
-def fused_object(request, monkeypatch):
-    """The object the fused pair runs on (``tests/native_objects.py``):
-    the loaded kernel, its ``-DREPRO_NO_X16`` build, or the numpy twins."""
-    return bind(request.param, monkeypatch)
-
-
 class TestFusedPair:
     """``pack_low_bits_into`` ≡ ``% 2**b`` + ``pack_bits_into`` and
-    ``unpack_add`` ≡ ``unpack_bits`` + ``+=`` — the twins' unfused
-    composition is the reference — on the loaded kernel, on its scalar
-    build and on the twins, on exact-size heap buffers (``bytes``
-    objects: nothing readable past the stream's last byte belongs to
-    it)."""
-
-    @staticmethod
-    def _unfused_stream(sums, bits):
-        """The reference stream: ``% 2**b``, then the strict pack, on the
-        twins."""
-        with native.twins_only():
-            plain = bytearray()
-            pack_bits_into(sums % (1 << bits), bits, plain)
-        return bytes(plain)
-
-    @pytest.mark.parametrize("bits", range(1, 63))
-    def test_reducing_pack_matches_the_unfused_composition(self, fused_object, bits):
-        for n in fused_lengths(bits):
-            sums = _deferred_sum(bits, n)
-            stream = self._unfused_stream(sums, bits)
-            out = bytearray(b"head")
-            pack_low_bits_into(sums, bits, out)
-            assert bytes(out[4:]) == stream and out[:4] == b"head", (bits, n)
-            if fused_object is not None:
-                dst = np.frombuffer(bytes(len(stream)) + GUARD, dtype=np.uint8).copy()
-                assert fused_object.repro_pack_low_bits(
-                    sums.ctypes.data, n, bits, dst.ctypes.data
-                ) == 0
-                assert dst.tobytes() == stream + GUARD, f"n={n}"
-
-    @pytest.mark.parametrize("bits", range(1, 63))
-    def test_unpack_add_matches_the_unfused_composition(self, fused_object, bits):
-        for n in fused_lengths(bits):
-            stream = self._unfused_stream(_deferred_sum(bits, n), bits)
-            start = _deferred_sum(40, n, seed=3) >> 23
-            with native.twins_only():
-                want = start + unpack_bits(stream, n, bits)
-            total = start.copy()
-            assert unpack_add(stream, bits, total) is total
-            np.testing.assert_array_equal(total, want, err_msg=f"n={n}")
+    ``unpack_add`` ≡ ``unpack_bits`` + ``+=``, and what either refuses.
+    Both kernels at every width, on every object, against the bit-stream
+    oracle, are ``tests/test_native_matrix.py``'s."""
 
     def test_the_twins_work_slab_by_slab_across_slab_boundaries(self):
         # 2 slabs and a ragged end, at a width whose slabs end off the

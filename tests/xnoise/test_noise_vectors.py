@@ -16,7 +16,7 @@ import pytest
 
 import repro.xnoise.protocol as protocol
 from repro.dp import sampler
-from repro.dp.sampler import skellam_noise_from_seed_reference
+from repro.dp.sampler import skellam_noise_from_seed_numpy
 from repro.xnoise.protocol import skellam_noise_from_seed
 
 SEEDS = (bytes(32), bytes(range(32)))
@@ -105,7 +105,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("expand", [skellam_noise_from_seed, skellam_noise_from_seed_reference])
+@pytest.mark.parametrize("expand", [skellam_noise_from_seed, skellam_noise_from_seed_numpy])
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"{c[0][:2].hex()}-{c[1]:g}-{c[2]}")
 def test_golden_vector(case, expand):
     seed, variance, dimension = case
