@@ -22,6 +22,7 @@ import numpy as np
 
 from repro import native
 from repro.bench.schema import make_report, metric
+from repro.crypto.ae import AuthenticatedEncryption
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
 from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_numpy
 from repro.crypto.shamir import ShamirSecretSharing
@@ -322,14 +323,36 @@ def run_hotpath(
     extended = SharePayload(
         1, 2, s_shares[2], b_shares[2], {f"g:{k}": g[2] for k, g in enumerate(g_shares, 1)}
     )
+    # The ciphertext path a round runs per peer, under the one AE the
+    # client keys per peer: the dealer's fixed-layout encode and seal,
+    # and the recipient's open and parse against its own shape.
+    channel = AuthenticatedEncryption(bytes(rng.integers(0, 256, size=32, dtype=np.uint8)))
+    metrics["ae_key_s"] = metric(_best_of(lambda: AuthenticatedEncryption(bytes(32)), repeats), "s")
     for name, payload in (("share_payload", plain), ("share_payload_x6", extended)):
-        data = payload.to_bytes()
-        assert SharePayload.from_bytes(data) == payload
+        data, shape = payload.to_bytes(), payload.shape
+        sealed = channel.encrypt(data)
+        assert SharePayload.from_bytes(channel.decrypt(sealed), shape, 1, 2) == payload
         metrics[f"codec_encode_{name}_s"] = metric(_best_of(payload.to_bytes, repeats), "s")
         metrics[f"codec_decode_{name}_s"] = metric(
-            _best_of(lambda: SharePayload.from_bytes(data), repeats), "s"
+            _best_of(lambda: SharePayload.from_bytes(data, shape, 1, 2), repeats), "s"
         )
         metrics[f"codec_encoded_{name}_bytes"] = metric(len(data), "bytes")
+        metrics[f"ae_encrypt_{name}_s"] = metric(
+            _best_of(lambda: channel.encrypt(data), repeats), "s"
+        )
+        metrics[f"ae_decrypt_{name}_s"] = metric(
+            _best_of(lambda: channel.decrypt(sealed), repeats), "s"
+        )
+        metrics[f"ciphertext_seal_{name}_s"] = metric(
+            _best_of(lambda: channel.encrypt(payload.to_bytes()), repeats), "s"
+        )
+        metrics[f"ciphertext_open_{name}_s"] = metric(
+            _best_of(
+                lambda: SharePayload.from_bytes(channel.decrypt(sealed), shape, 1, 2),
+                repeats,
+            ),
+            "s",
+        )
     unmasking = UnmaskingMsg(
         sender=1,
         s_sk_shares={u: s_shares[u] for u in ids[29:]},

@@ -603,6 +603,11 @@ def _cmd_bench(args) -> int:
               f"{m[f'{deal}_reference_s']['value'] * 1e3:.3f}ms oracle → "
               f"{m[f'{deal}_fast_s']['value'] * 1e3:.3f}ms one pass "
               f"(key at 256 B: {m[f'{deal}_width256_s']['value'] * 1e3:.3f}ms)")
+        for name in ("share_payload", "share_payload_x6"):
+            print(f"ShareKeys ciphertext, {int(m[f'codec_encoded_{name}_bytes']['value'])} B "
+                  f"plaintext: seal {m[f'ciphertext_seal_{name}_s']['value'] * 1e6:.1f}us, "
+                  f"open {m[f'ciphertext_open_{name}_s']['value'] * 1e6:.1f}us "
+                  f"(AE keyed once a peer: {m['ae_key_s']['value'] * 1e6:.1f}us)")
         stream = (f"{report['config']['native_backend']} "
                   f"x{report['config']['stream_lanes']}")
         for name in sorted(m):

@@ -11,6 +11,12 @@ server (Fig. 5, ShareKeys).  We build the standard composition:
 
 Encrypt-then-MAC with independent keys is the composition that yields
 INT-CTXT + IND-CPA from a secure stream cipher and PRF.
+
+An object is keyed once: its constructor derives both subkeys and
+absorbs the HMAC key's two pad blocks (RFC 2104), so each message's tag
+costs one copy of each SHA-256 state.  A SecAgg client keeps one object
+per peer for the round and uses it in both directions — to encrypt its
+shares for the peer and to decrypt the peer's shares for it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,12 @@ _KEY_LEN = 32
 
 class AEError(Exception):
     """Raised when decryption fails authentication (tampered or wrong key)."""
+
+
+#: RFC 2104's inner and outer pad bytes, as ``bytes.translate`` tables.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_SHA256_BLOCK = 64
 
 
 def _subkey(key: bytes, label: bytes) -> bytes:
@@ -51,7 +63,19 @@ class AuthenticatedEncryption:
         if len(key) != _KEY_LEN:
             raise ValueError(f"key must be {_KEY_LEN} bytes, got {len(key)}")
         self._enc_key = _subkey(key, b"enc")
-        self._mac_key = _subkey(key, b"mac")
+        # HMAC-SHA256 under the mac subkey, its pad blocks absorbed once.
+        block = _subkey(key, b"mac").ljust(_SHA256_BLOCK, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def _tag(self, nonce: bytes, ciphertext: bytes) -> bytes:
+        """``HMAC-SHA256(mac subkey, nonce ∥ ciphertext)``."""
+        inner = self._inner.copy()
+        inner.update(nonce)
+        inner.update(ciphertext)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
         """``data`` XOR the first ``len(data)`` keystream bytes, as one
@@ -66,8 +90,7 @@ class AuthenticatedEncryption:
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = secrets.token_bytes(_NONCE_LEN)
         ciphertext = self._xor_keystream(nonce, plaintext)
-        tag = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).digest()
-        return nonce + ciphertext + tag
+        return nonce + ciphertext + self._tag(nonce, ciphertext)
 
     def decrypt(self, blob: bytes) -> bytes:
         if len(blob) < _NONCE_LEN + _TAG_LEN:
@@ -75,7 +98,6 @@ class AuthenticatedEncryption:
         nonce = blob[:_NONCE_LEN]
         ciphertext = blob[_NONCE_LEN:-_TAG_LEN]
         tag = blob[-_TAG_LEN:]
-        expect = hmac.new(self._mac_key, nonce + ciphertext, hashlib.sha256).digest()
-        if not hmac.compare_digest(tag, expect):
+        if not hmac.compare_digest(tag, self._tag(nonce, ciphertext)):
             raise AEError("authentication failed")
         return self._xor_keystream(nonce, ciphertext)

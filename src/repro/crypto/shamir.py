@@ -83,6 +83,13 @@ class Share:
 _SHARE_HEADER = struct.Struct(">QIH")
 
 
+def chunk_count(secret_len: int, field: PrimeField = FIELD) -> int:
+    """Field chunks :meth:`ShamirSecretSharing.share` cuts a secret of
+    ``secret_len`` bytes into: one per ``field.capacity_bytes``, and one
+    zero chunk for an empty secret."""
+    return -(-secret_len // field.capacity_bytes) or 1
+
+
 class ShamirSecretSharing:
     """t-out-of-n sharing of byte-string secrets.
 

@@ -329,6 +329,10 @@ class CoordinatorListener:
     async def _handshake(self, link: TCPLink, stats: ConnectionStats) -> Hello:
         try:
             kind, body, n = await link.recv()
+        except LinkClosed as exc:
+            # A HELLO cut mid-frame: what arrived of it crossed the socket.
+            stats.handshake_received += exc.received
+            raise
         except ValueError:
             # A refused header was read off the socket before its check.
             stats.handshake_received += FRAME_OVERHEAD

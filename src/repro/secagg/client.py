@@ -38,6 +38,7 @@ from repro.crypto.signature import SchnorrSigner
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
+    DealingShape,
     MaskedInputMsg,
     ProtocolAbort,
     SecAggConfig,
@@ -49,6 +50,9 @@ from repro.secagg.types import (
 #: What one peer's ShareKeys payload leaves with its recipient:
 #: ``(share of s^SK, share of b, shares of the extra secrets)``.
 _HeldShares = tuple[Share, Share, dict[str, Share]]
+
+#: Byte width of the self-mask seed b_u.
+_B_SEED_BYTES = 32
 
 
 def _advertise_message_bytes(msg: AdvertiseKeysMsg) -> bytes:
@@ -89,10 +93,11 @@ class SecAggClient:
         self._s_pair = self._ka.generate()
         self._b_seed: bytes = b""
         self._peer_keys: dict[int, tuple[int, int]] = {}  # peer -> (c^PK, s^PK)
-        # Each pairwise c-channel key is agreed once a round: in
-        # ShareKeys, the whole neighbourhood in one call, to encrypt;
-        # reused in Unmasking to decrypt.
-        self._c_keys: dict[int, bytes] = {}
+        # Each pairwise c-channel key is agreed and keyed into its AE
+        # once a round: in ShareKeys, the whole neighbourhood in one
+        # call, to encrypt; the same object decrypts in Unmasking.
+        self._c_channels: dict[int, AuthenticatedEncryption] = {}
+        self._shape: Optional[DealingShape] = None
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
         self._payloads: Optional[dict[int, _HeldShares]] = None
@@ -172,7 +177,7 @@ class SecAggClient:
             raise ProtocolAbort(f"neighbors {strangers} missing from roster")
 
         self._peer_keys = peer_keys
-        self._c_keys = {}
+        self._c_channels = {}
         self._neighbors = neighbor_set
         if len(self._neighbors) < self.config.threshold:
             raise ProtocolAbort(
@@ -180,13 +185,20 @@ class SecAggClient:
                 f"{self.config.threshold} unsatisfiable"
             )
 
-        self._b_seed = random_seed(32)
+        self._b_seed = random_seed(_B_SEED_BYTES)
         ss = ShamirSecretSharing(self.config.threshold)
         # Fig. 5 cuts shares over all of U1 including the dealer itself;
         # the dealer keeps its own share and may reveal it in Unmasking.
         holder_ids = sorted(self._neighbors | {self.id})
         neighbor_ids = sorted(self._neighbors)
-        s_sk_bytes = self._s_pair.secret.to_bytes(self._ka.group.secret_bytes, "big")
+        key_width = self._ka.group.secret_bytes
+        s_sk_bytes = self._s_pair.secret.to_bytes(key_width, "big")
+        # Every client of a round deals this shape; its recipients parse
+        # what they hold against their own.
+        self._shape = DealingShape(
+            (key_width, _B_SEED_BYTES, *map(len, self.extra_secrets.values())),
+            tuple(self.extra_secrets),
+        )
         s_shares, b_shares, *extras = ss.share(
             [s_sk_bytes, self._b_seed, *self.extra_secrets.values()], holder_ids
         )
@@ -198,7 +210,9 @@ class SecAggClient:
         )
 
         c_keys = self._ka.agree(self._c_pair, [self._peer_keys[v][0] for v in neighbor_ids])
-        self._c_keys = dict(zip(neighbor_ids, c_keys))
+        self._c_channels = {
+            peer: AuthenticatedEncryption(key) for peer, key in zip(neighbor_ids, c_keys)
+        }
         ciphertexts: dict[int, bytes] = {}
         for peer in neighbor_ids:
             payload = SharePayload(
@@ -208,19 +222,18 @@ class SecAggClient:
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            ciphertexts[peer] = AuthenticatedEncryption(self._c_keys[peer]).encrypt(
-                payload.to_bytes()
-            )
+            ciphertexts[peer] = self._c_channels[peer].encrypt(payload.to_bytes())
         return ciphertexts
 
-    def _c_key(self, peer: int) -> bytes:
-        """The c-channel key shared with ``peer``: agreed in ShareKeys for
-        every neighbour, on first use for anyone else."""
-        key = self._c_keys.get(peer)
-        if key is None:
+    def _c_channel(self, peer: int) -> AuthenticatedEncryption:
+        """The AE keyed with the c-channel key shared with ``peer``:
+        agreed in ShareKeys for every neighbour, on first use for anyone
+        else."""
+        channel = self._c_channels.get(peer)
+        if channel is None:
             (key,) = self._ka.agree(self._c_pair, [self._peer_keys[peer][0]])
-            self._c_keys[peer] = key
-        return key
+            channel = self._c_channels[peer] = AuthenticatedEncryption(key)
+        return channel
 
     # ------------------------------------------------------------------
     # Stage 2 — MaskedInputCollection
@@ -386,7 +399,10 @@ class SecAggClient:
         ciphertext is authenticated and parsed once a round: the result
         is kept for the next caller (Unmasking, then XNoise's
         ExcessiveNoiseRemoval), and only a complete result is kept, so
-        a bad ciphertext aborts every stage that asks.
+        a bad ciphertext aborts every stage that asks.  Each plaintext
+        is parsed against this client's own dealing shape: a peer that
+        dealt other labels or widths, or a payload routed elsewhere,
+        aborts by name.
         """
         if self._payloads is not None:
             return self._payloads
@@ -396,18 +412,12 @@ class SecAggClient:
         for peer, blob in self._received_ciphertexts.items():
             if peer == self.id or peer not in self._peer_keys:
                 continue
-            key = self._c_key(peer)
             try:
                 payload = SharePayload.from_bytes(
-                    AuthenticatedEncryption(key).decrypt(blob)
+                    self._c_channel(peer).decrypt(blob), self._shape, peer, self.id
                 )
             except (AEError, ValueError) as exc:
                 raise ProtocolAbort(f"bad ciphertext from {peer}: {exc}") from exc
-            if payload.sender != peer or payload.recipient != self.id:
-                raise ProtocolAbort(
-                    f"misrouted payload: claims {payload.sender}->{payload.recipient}, "
-                    f"expected {peer}->{self.id}"
-                )
             out[peer] = (payload.s_sk_share, payload.b_share, payload.extra_shares)
         self._payloads = out
         return out

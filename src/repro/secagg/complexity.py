@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from repro.crypto.ae import AuthenticatedEncryption
 from repro.crypto.dh import resolve_group
-from repro.crypto.field import FIELD
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.codec import _MASKED_HEADER
 from repro.secagg.graph import recommended_degree
 from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, SharePayload
@@ -70,32 +69,22 @@ def masked_upload_bytes(config: SecAggConfig) -> int:
     return config.vector_bytes + MASKED_INPUT_ENVELOPE_BYTES
 
 
-def _blank_share(secret_len: int) -> Share:
-    """A zero-filled share the size of any share of a ``secret_len``-byte secret."""
-    chunks = -(-secret_len // FIELD.capacity_bytes)
-    return Share(x=0, ys=(0,) * chunks, secret_len=secret_len)
-
-
 def fixed_upload_bytes(neighbors: int, dh_group: str = SecAggConfig.dh_group) -> int:
     """Framed bytes one client uploads besides its masked vector.
 
     Its key advertisement plus its ShareKeys outbox (one ciphertext per
     neighbor), sized by the codecs from representative messages: keys
-    at ``dh_group``'s element width, and AE's constant overhead over a
-    plaintext holding shares of a mask key at the group's secret width —
-    the width :meth:`SecAggClient.share_keys` cuts it at — and a 32-byte
-    seed, each sized as the frame the encoder emits.  Every term is
-    fixed-width, so a round over ids below 128 measures exactly this
-    (pinned by test on both named groups).
+    at ``dh_group``'s element width, and AE's constant overhead over the
+    fixed-width plaintext of one dealing — a share of a mask key at the
+    group's secret width, the width :meth:`SecAggClient.share_keys`
+    cuts it at, and of a 32-byte seed — each sized as the encoder emits
+    it.  Every term is fixed-width, so a round over ids below 128
+    measures exactly this (pinned by test on both named groups).
     """
     group = resolve_group(dh_group)
     key = bytes(group.element_bytes)
-    plaintext = SharePayload(
-        sender=0,
-        recipient=0,
-        s_sk_share=_blank_share(group.secret_bytes),
-        b_share=_blank_share(32),
-    ).to_bytes()
+    s_sk, b = ShamirSecretSharing(1).share([bytes(group.secret_bytes), bytes(32)], [1])
+    plaintext = SharePayload(sender=0, recipient=1, s_sk_share=s_sk[1], b_share=b[1]).to_bytes()
     ciphertext = bytes(len(plaintext) + AuthenticatedEncryption.OVERHEAD)
     return _framed_nbytes(AdvertiseKeysMsg(0, key, key)) + _framed_nbytes(
         {peer: ciphertext for peer in range(neighbors)}

@@ -6,13 +6,15 @@ driver and match the paper's Fig. 5 stage names.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
 
-from repro.crypto.shamir import Share
+from repro.crypto.field import FIELD
+from repro.crypto.shamir import Share, chunk_count
 from repro.crypto.signature import SchnorrSignature
 from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
 from repro.wire.codecs import CodecError, decode_whole_value, encode_value
@@ -216,13 +218,64 @@ class AdvertiseKeysMsg(WireRecord):
         )
 
 
+#: ``sender u64 ∥ recipient u64``: the route that opens a ShareKeys plaintext.
+_ROUTE = struct.Struct(">QQ")
+
+#: Bytes of one share evaluation (a y-value) in a ShareKeys plaintext.
+_Y_BYTES = FIELD.element_bytes
+
+
 @dataclass(frozen=True)
-class SharePayload(WireRecord):
+class DealingShape:
+    """What a dealer shares in ShareKeys, in dealing order: the byte
+    width of s^SK (its group's secret width), of the self-mask seed b,
+    then of each extra secret, whose labels ``labels`` holds.
+
+    Every client of a round deals the same labels at the same widths,
+    so a recipient parses each plaintext it holds against its own shape.
+    """
+
+    widths: tuple[int, ...]
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.widths) != 2 + len(self.labels) or any(
+            type(w) is not int or w < 0 for w in self.widths
+        ):
+            raise ValueError(
+                f"dealing shape needs s^SK, b and one width per label, "
+                f"got widths {self.widths} for labels {self.labels}"
+            )
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"dealing shape labels {self.labels} repeat a label")
+
+    @cached_property
+    def chunks(self) -> tuple[int, ...]:
+        return tuple([chunk_count(w) for w in self.widths])
+
+    @cached_property
+    def nbytes(self) -> int:
+        """Length of every plaintext dealt at this shape."""
+        return _ROUTE.size + _Y_BYTES * sum(self.chunks)
+
+
+@dataclass(frozen=True)
+class SharePayload:
     """The plaintext of one ShareKeys ciphertext (Fig. 5):
     ``u ∥ v ∥ s^SK_{u,v} ∥ b_{u,v} [∥ g_{u,1,v} … g_{u,T,v}]``.
 
     ``extra_shares`` maps a label to the recipient's share of that
-    extra secret (XNoise: the noise-component seeds).
+    extra secret (XNoise: the noise-component seeds), in dealing order.
+
+    A fixed-width leaf format, like :meth:`Share.to_bytes`: ``sender
+    u64 ∥ recipient u64``, then the y-values (16 B each, big-endian) of
+    the s^SK share, the b share and each extra share, in that order.
+    Nothing else travels: every share's ``x`` is the recipient, and its
+    secret length, chunk count and label come from the recipient's own
+    :class:`DealingShape`.  :meth:`from_bytes` refuses any other length,
+    a wrong route and a y outside GF(p), each by name; :meth:`to_bytes`
+    refuses what would not parse back, so nothing unparseable is sent.
+    Every failure is a :class:`CodecError`.
     """
 
     sender: int
@@ -231,20 +284,89 @@ class SharePayload(WireRecord):
     b_share: Share
     extra_shares: dict = field(default_factory=dict)  # label -> Share
 
-    @staticmethod
-    def _check(sender, recipient, s_sk_share, b_share, extra_shares) -> None:
+    @property
+    def shape(self) -> DealingShape:
+        """The shape this payload was dealt at."""
+        return DealingShape(
+            tuple([share.secret_len for share in self._shares()]),
+            tuple(self.extra_shares),
+        )
+
+    def _shares(self) -> list:
+        return [self.s_sk_share, self.b_share, *self.extra_shares.values()]
+
+    def to_bytes(self) -> bytes:
+        sender, recipient = self.sender, self.recipient
         _require(
-            _is_id(sender) and _is_id(recipient),
+            _is_id(sender) and _is_id(recipient)
+            and sender < 1 << 64 and recipient < 1 << 64,
             f"share payload route {sender!r} -> {recipient!r} is not a pair of ids",
         )
         _require(
-            isinstance(s_sk_share, Share) and isinstance(b_share, Share),
-            "share payload must carry a Share of the mask key and of the seed",
-        )
-        _require(
-            _is_map(extra_shares, lambda k: isinstance(k, str), Share),
+            all(isinstance(label, str) for label in self.extra_shares),
             "share payload extras must map str labels to Shares",
         )
+        ys: list[int] = []
+        for share in self._shares():
+            if not isinstance(share, Share):
+                raise CodecError(
+                    "share payload must carry Shares of the mask key, the seed and each extra"
+                )
+            if share.x != recipient:
+                raise CodecError(
+                    f"share payload for {recipient} carries a share at x = {share.x}"
+                )
+            if len(share.ys) != chunk_count(share.secret_len):
+                raise CodecError(
+                    f"share of a {share.secret_len}-byte secret has {len(share.ys)} chunks"
+                )
+            ys += share.ys
+        _check_field_elements(ys)
+        return _ROUTE.pack(sender, recipient) + b"".join(
+            [y.to_bytes(_Y_BYTES, "big") for y in ys]
+        )
+
+    @classmethod
+    def from_bytes(
+        cls, data: bytes, shape: DealingShape, sender: int, recipient: int
+    ) -> "SharePayload":
+        """Strict inverse of :meth:`to_bytes` for the plaintext ``sender``
+        dealt ``recipient`` at ``shape``."""
+        n = len(data)
+        if n != shape.nbytes:
+            raise CodecError(
+                f"SharePayload of {n} bytes; the dealing shape {shape.widths} "
+                f"needs {shape.nbytes}"
+            )
+        route = _ROUTE.unpack_from(data)
+        if route != (sender, recipient):
+            raise CodecError(
+                f"SharePayload routed {route[0]} -> {route[1]}, "
+                f"expected {sender} -> {recipient}"
+            )
+        ys = [
+            int.from_bytes(data[i : i + _Y_BYTES], "big")
+            for i in range(_ROUTE.size, n, _Y_BYTES)
+        ]
+        _check_field_elements(ys)
+        shares = []
+        start = 0
+        for width, count in zip(shape.widths, shape.chunks):
+            shares.append(
+                Share(x=recipient, ys=tuple(ys[start : start + count]), secret_len=width)
+            )
+            start += count
+        s_sk_share, b_share, *extras = shares
+        return cls(sender, recipient, s_sk_share, b_share, dict(zip(shape.labels, extras)))
+
+
+def _check_field_elements(ys: list[int]) -> None:
+    """Every y-value of a ShareKeys plaintext is an element of the
+    share field GF(p), p = 2**127 − 1."""
+    p = FIELD.p
+    for i, y in enumerate(ys):
+        if not (type(y) is int and 0 <= y < p):
+            raise CodecError(f"share payload y-value {i} = {y!r} is not in [0, p)")
 
 
 @dataclass(frozen=True)

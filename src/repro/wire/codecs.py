@@ -16,21 +16,22 @@ big-endian; ints are length-prefixed signed big-endian (arbitrary
 precision — DH group elements fit); ndarrays carry dtype, shape, and
 the raw C-order buffer.  Version 3 carried every small typed message
 as the value encoding of its field tuple (version 2 had hand-laid,
-zero-padded field lists); versions 4, 5 and 6 (this one) kept the
-layout and changed a meaning — since 4 an XNoise seed expands to the
-noise vector :mod:`repro.dp.sampler` specifies, not to a numpy
-generator's; since 5 a mask seed expands to ring-width bit fields of
-its stream (:mod:`repro.crypto.prg`), not to cut-down 32-bit words;
-and since 6 a ``share_keys`` request is ``(roster, the recipient's own
-neighbour ids)``, not ``(roster, the whole masking graph)``, and a
-semi-honest round has no ``consistency_check`` request (its
-``unmask`` request carries U3) — so an older payload is refused by
-name.  Sharing the mask key s^SK at its group's secret width (64 bytes
-on ``modp512``, where it was 256) did not take a version: a ``Share``
-carries its own chunk count and secret length, and the coordinator
-reads a reconstructed key with ``int.from_bytes``, so a 256-byte
-sharing from an older dealer still unmasks to the same aggregate
-(pinned by test) — nothing a peer decodes changed meaning.
+zero-padded field lists); versions 4, 5 and 6 kept the layout and
+changed a meaning — since 4 an XNoise seed expands to the noise vector
+:mod:`repro.dp.sampler` specifies, not to a numpy generator's; since 5
+a mask seed expands to ring-width bit fields of its stream
+(:mod:`repro.crypto.prg`), not to cut-down 32-bit words; and since 6 a
+``share_keys`` request is ``(roster, the recipient's own neighbour
+ids)``, not ``(roster, the whole masking graph)``, and a semi-honest
+round has no ``consistency_check`` request (its ``unmask`` request
+carries U3).  Version 7 (this one) changed what a ShareKeys ciphertext
+seals: the plaintext is the fixed-width leaf format of
+:class:`~repro.secagg.types.SharePayload` (route, then y-values only),
+parsed against the recipient's own dealing shape, no longer the value
+encoding of a record — so every client of a round must deal the same
+labels at the same widths, and a mask key shared at 256 bytes beside
+keys at 64 now aborts the round by name.  The payload envelope and
+every frame are unchanged, but an older payload is refused by name.
 
 A payload's wire size is the length of the frame
 :func:`encode_payload_frame` emits for it; nothing here computes a size
@@ -51,8 +52,8 @@ then the registry along the type's MRO, to the same bytes.  The
 decoder indexes a table by the tag byte and reads each count and body
 in place.  Only :class:`~repro.secagg.types.AdvertiseKeysMsg` keeps its
 encoding: the ShareKeys request repeats the roster to every client, and
-the record is frozen with immutable fields (``SharePayload`` and
-``UnmaskingMsg`` hold dicts and are sent once).  The pre-dispatch codec
+the record is frozen with immutable fields (``UnmaskingMsg`` holds
+dicts and is sent once).  The pre-dispatch codec
 is the test oracle ``tests/oracles/wire_codec.py``.
 
 Registry
@@ -64,7 +65,9 @@ writes its body straight into the frame buffer and parses it from a
 message, crosses with one copy out and none in.  Every other typed
 body is the fixed-width leaf format of a crypto value (``Share``,
 ``SchnorrSignature``) or, for a message, the value encoding of its
-fields (:class:`repro.secagg.types.WireRecord`).  The protocol message
+fields (:class:`repro.secagg.types.WireRecord`).  The ShareKeys
+plaintext never meets the registry: it is a leaf format of its own,
+sealed by AE before it becomes one ``bytes`` value of a frame.  The protocol message
 types ship registered below; :class:`repro.engine.Targeted` registers
 itself when the engine is imported (the engine depends on this module,
 not the reverse).  Transports treat the registry as *the* wire contract:
@@ -81,7 +84,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 6
+PAYLOAD_VERSION = 7
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).

@@ -61,13 +61,23 @@ class FrameTruncated(ValueError):
 
     A ``ValueError`` like every other decode failure, but named, so a
     :class:`Link` can tell a dead peer (a dropout) from malformed bytes
-    (a protocol violation that must stay loud).
+    (a protocol violation that must stay loud).  ``received`` is how
+    many bytes of the frame were read before the cut.
     """
+
+    def __init__(self, message: str, received: int):
+        super().__init__(message)
+        self.received = received
 
 
 class LinkClosed(Exception):
     """The peer is gone: clean EOF, a close handshake, or a stream cut
-    off mid-frame."""
+    off mid-frame.  ``received`` is the bytes of the cut frame read off
+    the socket (0 on a clean EOF), so a caller can book them."""
+
+    def __init__(self, received: int = 0):
+        super().__init__()
+        self.received = received
 
 
 def encode_frame(kind: int, body: bytes) -> bytes:
@@ -151,19 +161,23 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes, int]:
 
     Raises :class:`FrameEOF` on a clean close *between* frames and
     :class:`FrameTruncated` on a close mid-frame (the peer died
-    mid-send).
+    mid-send), carrying the bytes of the frame read before the cut.
     """
     try:
         header = await reader.readexactly(FRAME_OVERHEAD)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             raise FrameEOF from exc
-        raise FrameTruncated("connection closed inside a frame header") from exc
+        raise FrameTruncated(
+            "connection closed inside a frame header", len(exc.partial)
+        ) from exc
     kind, length = _check_header(header)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise FrameTruncated("connection closed inside a frame body") from exc
+        raise FrameTruncated(
+            "connection closed inside a frame body", FRAME_OVERHEAD + len(exc.partial)
+        ) from exc
     return kind, body, FRAME_OVERHEAD + length
 
 
@@ -186,8 +200,10 @@ class TCPLink:
     async def recv(self) -> tuple[int, bytes, int]:
         try:
             return await read_frame(self._reader)
-        except (FrameEOF, FrameTruncated) as exc:
+        except FrameEOF as exc:
             raise LinkClosed from exc
+        except FrameTruncated as exc:
+            raise LinkClosed(exc.received) from exc
 
     async def send(
         self,

@@ -144,6 +144,44 @@ class TestAuthenticatedEncryption:
         nonce, ciphertext = blob[:16], blob[16:-32]
         assert ciphertext == PRGReference(ae._enc_key + nonce).read(100)
 
+    @staticmethod
+    def _sealed_by_hand(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+        """The construction written out with ``hmac.new`` per message:
+        subkeys ``HMAC(key, "dordis-ae" ∥ label)``, the keystream of
+        ``enc ∥ nonce``, the tag ``HMAC(mac, nonce ∥ ciphertext)``."""
+        import hashlib
+        import hmac
+
+        from repro.crypto.prg import PRGReference
+
+        enc = hmac.new(key, b"dordis-aeenc", hashlib.sha256).digest()
+        mac = hmac.new(key, b"dordis-aemac", hashlib.sha256).digest()
+        stream = PRGReference(enc + nonce).read(len(plaintext))
+        ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+        return nonce + ciphertext + hmac.new(mac, nonce + ciphertext, hashlib.sha256).digest()
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 144, 432, 500])
+    def test_one_object_seals_and_opens_as_written_out_in_both_directions(self, length):
+        """A client keys one object per peer and uses it both ways: its
+        shares for the peer go out under it and the peer's shares come
+        in under it.  Every byte is the per-message ``hmac.new``
+        construction's, however many messages the object has sealed."""
+        from unittest import mock
+
+        key = bytes(range(100, 132))
+        mine, theirs = AuthenticatedEncryption(key), AuthenticatedEncryption(key)
+        for k in range(3):
+            nonce = bytes([k]) * 16
+            plaintext = bytes((7 * i + k) % 256 for i in range(length))
+            expected = self._sealed_by_hand(key, nonce, plaintext)
+            with mock.patch("repro.crypto.ae.secrets.token_bytes", return_value=nonce):
+                assert mine.encrypt(plaintext) == expected
+                assert theirs.encrypt(plaintext) == expected
+            assert theirs.decrypt(expected) == mine.decrypt(expected) == plaintext
+            forged = expected[:-1] + bytes([expected[-1] ^ 1])
+            with pytest.raises(AEError, match="authentication failed"):
+                mine.decrypt(forged)
+
     @given(payload=st.binary(min_size=0, max_size=500))
     @settings(max_examples=30)
     def test_roundtrip_arbitrary_payloads(self, payload):

@@ -369,8 +369,8 @@ class TestAdversarialHandshake:
     def test_hello_cut_anywhere_is_no_connection(self, cut):
         """A device that hangs up inside its HELLO — before its first
         byte, in the header or in the body — is neither admitted nor
-        refused: nothing is sent back, and its id stays free for the
-        next dial."""
+        refused: nothing is sent back, its id stays free for the next
+        dial, and every byte it did send is booked."""
 
         async def scenario():
             listener = CoordinatorListener(expected_ids={1})
@@ -399,6 +399,7 @@ class TestAdversarialHandshake:
         stats = listener.closed_connection_stats[0]
         assert stats.client_id == -1
         assert stats.handshake_sent == 0 and stats.frame_bytes == 0
+        assert stats.handshake_received == cut
 
 
 @pytest.mark.timeout(60)

@@ -350,3 +350,33 @@ class TestUnmaskingAttacks:
         assert consistency_message(1, [1, 2]) != consistency_message(1, [1, 3])
         # Order-insensitive (the set is what is signed).
         assert consistency_message(1, [2, 1]) == consistency_message(1, [1, 2])
+
+
+@pytest.mark.timeout(60)
+class TestADealerAtAnotherShape:
+    """Every client of a round deals the same labels at the same widths,
+    and parses what it holds against its own shape.  A peer that deals
+    one XNoise seed share fewer or more ends the round in a named
+    ProtocolAbort — over the serialized wire and over real sockets —
+    never in a hang or a wrong sum."""
+
+    @pytest.mark.parametrize("transport", ["serialized", "sockets"])
+    @pytest.mark.parametrize("odd_extras", [5, 7])
+    def test_an_extra_count_off_by_one_aborts_the_round_by_name(self, transport, odd_extras):
+        from repro.engine import RoundEngine, SerializingTransport, SocketTransport, run_sync
+        from repro.secagg import arun_secagg_round
+
+        def factory(u: int) -> SecAggClient:
+            count = odd_extras if u == 3 else 6
+            seeds = {f"g:{k}": bytes([u, k]) * 16 for k in range(1, count + 1)}
+            return SecAggClient(u, CFG, extra_secrets=seeds)
+
+        inputs = {u: np.full(8, u, dtype=np.int64) for u in range(1, 6)}
+        carrier = SerializingTransport() if transport == "serialized" else SocketTransport()
+        engine = RoundEngine(transport=carrier)
+        with pytest.raises(
+            ProtocolAbort,
+            match=rf"bad ciphertext from 3: SharePayload of {144 + 48 * odd_extras} "
+            r"bytes; the dealing shape \(64, 32, 32, 32, 32, 32, 32, 32\) needs 432",
+        ):
+            run_sync(arun_secagg_round(CFG, inputs, client_factory=factory, engine=engine))

@@ -12,6 +12,7 @@ from repro.secagg.complexity import (
     secagg_plus_client_cost,
     secagg_server_cost,
 )
+from repro.secagg.types import ProtocolAbort
 from repro.wire import KIND_REQUEST
 from repro.wire.codecs import encode_payload_frame
 
@@ -80,10 +81,12 @@ class TestFixedUploadIsTheMeasuredOne:
         )
 
     def test_modp2048_upload_is_the_width_it_always_was(self):
-        # Taken from the tree that shared every mask key at 256 bytes:
-        # modp2048's q has 2,047 bits, so its secret width is still 256.
-        assert fixed_upload_bytes(5) == fixed_upload_bytes(5, "modp2048") == 2837
-        assert fixed_upload_bytes(31, "modp2048") == 14667
+        # Taken from the tree that shared every mask key at 256 bytes
+        # (2,837 and 14,667 B): modp2048's q has 2,047 bits, so its
+        # secret width is still 256.  Payload version 7 sheds 44 B from
+        # each ciphertext's plaintext, the framing the recipient knows.
+        assert fixed_upload_bytes(5) == fixed_upload_bytes(5, "modp2048") == 2837 - 5 * 44
+        assert fixed_upload_bytes(31, "modp2048") == 14667 - 31 * 44
 
 
 class _ParentWidth(DHGroup):
@@ -174,17 +177,18 @@ class TestMaskKeyAtTheSecretWidth:
         assert counts == {"sent": 992, "routed": 899, "revealed": 87}
         assert parent - now == 208 * sum(counts.values()) == 411_424
 
-    def test_a_256_byte_key_sharing_still_unmasks(self):
-        """Why the wire version stays 6: a Share carries its own chunk
-        count and secret length, and the coordinator reads a
-        reconstructed key with ``int.from_bytes``, so dealers still
-        sharing at 256 bytes — dropped ones, whose keys the coordinator
-        must rebuild, and a survivor — unmask to the exact survivor sum
-        beside dealers at 64."""
-        _, counts, widths = self._round(8, 5, {3, 6}, parent_dealers={1, 3, 6})
-        assert sorted(widths) == [64] * 5 + [256] * 3
-        assert counts["revealed"] == 2 * 6
-
+    def test_a_256_byte_key_dealer_aborts_the_round_by_name(self):
+        """Why payload version 7 took a number: a ShareKeys plaintext
+        carries no chunk counts or secret lengths, so its recipient
+        parses it against its own dealing shape.  A dealer still sharing
+        at 256 bytes beside dealers at 64 is refused by name — the round
+        ends in a ProtocolAbort, never a wrong sum."""
+        with pytest.raises(
+            ProtocolAbort,
+            match=r"bad ciphertext from 3: SharePayload of 352 bytes; "
+            r"the dealing shape \(64, 32\) needs 144",
+        ):
+            self._round(8, 5, {6}, parent_dealers={3})
 
 class TestKeyAgreementsAreTheExecutedOnes:
     def test_a_round_with_dropouts_agrees_exactly_the_counted_keys(self, monkeypatch):

@@ -7,7 +7,7 @@ from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.secagg.graph import CompleteGraph, KRegularGraph, recommended_degree
 from repro.secagg.masking import MaskAccumulator
-from repro.secagg.types import SharePayload
+from repro.secagg.types import DealingShape, SharePayload
 from repro.utils.rng import derive_seed
 from repro.wire import CodecError, encode_value
 
@@ -23,12 +23,16 @@ def _share_payload() -> SharePayload:
     )
 
 
+#: The shape client 1 parses client 5's plaintext against.
+_SHAPE = DealingShape((32, 32, 32), ("g:0",))
+
+
 class TestWire:
     def test_truncated_fields_rejected(self):
         blob = _share_payload().to_bytes()
         for cut in range(len(blob)):
-            with pytest.raises(CodecError):
-                SharePayload.from_bytes(blob[:cut])
+            with pytest.raises(CodecError, match="dealing shape"):
+                SharePayload.from_bytes(blob[:cut], _SHAPE, 5, 1)
 
     def test_share_roundtrip(self):
         share = Share(x=7, ys=(123456789, 42), secret_len=20)
@@ -36,13 +40,16 @@ class TestWire:
 
     def test_share_payload_roundtrip_with_extras(self):
         payload = _share_payload()
-        assert SharePayload.from_bytes(payload.to_bytes()) == payload
+        assert payload.shape == _SHAPE
+        assert SharePayload.from_bytes(payload.to_bytes(), _SHAPE, 5, 1) == payload
 
     def test_malformed_payload_rejected(self):
-        with pytest.raises(CodecError):
-            SharePayload.from_bytes(encode_value((b"1", b"2", b"3")))
-        with pytest.raises(CodecError, match="trailing garbage"):
-            SharePayload.from_bytes(_share_payload().to_bytes() + b"\x00")
+        with pytest.raises(CodecError, match="dealing shape"):
+            SharePayload.from_bytes(encode_value((b"1", b"2", b"3")), _SHAPE, 5, 1)
+        with pytest.raises(CodecError, match="dealing shape"):
+            SharePayload.from_bytes(_share_payload().to_bytes() + b"\x00", _SHAPE, 5, 1)
+        with pytest.raises(CodecError, match="expected 5 -> 2"):
+            SharePayload.from_bytes(_share_payload().to_bytes(), _SHAPE, 5, 2)
 
     def test_garbage_share_rejected(self):
         with pytest.raises(ValueError):

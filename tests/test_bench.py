@@ -96,11 +96,15 @@ class TestBenchEntrypoint:
             assert m[f"codec_decode_{name}_s"]["value"] > 0
             assert m[f"codec_encoded_{name}_bytes"]["value"] > 0
         assert not any(k.startswith("codec_") and "reference" in k for k in m)
-        # Six g:k extras of three 16-byte chunks each, with their tags.
-        assert (
-            m["codec_encoded_share_payload_x6_bytes"]["value"]
-            > m["codec_encoded_share_payload_bytes"]["value"]
-        )
+        # The fixed layout: route, five s^SK chunks and three b chunks,
+        # then six g:k extras of three 16-byte chunks each.
+        assert m["codec_encoded_share_payload_bytes"]["value"] == 16 + 8 * 16
+        assert m["codec_encoded_share_payload_x6_bytes"]["value"] == 16 + 26 * 16
+        # The ciphertext path a round runs, under one AE keyed per peer.
+        assert m["ae_key_s"]["value"] > 0
+        for name in ("share_payload", "share_payload_x6"):
+            for row in ("ae_encrypt", "ae_decrypt", "ciphertext_seal", "ciphertext_open"):
+                assert m[f"{row}_{name}_s"]["value"] > 0
 
     def test_traffic_report_balances(self, bench_run):
         m = bench.load_bench(bench.bench_path(bench_run, "traffic"))["metrics"]

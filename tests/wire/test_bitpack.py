@@ -226,14 +226,17 @@ class TestFusedPair:
 #: client that folded ``terms`` fixed seeds into a fixed signed base:
 #: ``(bits, dimension, terms) → digest``.  Never regenerate from the
 #: tree under test — the frame only moves if the wire format does.
+#: Refreshed once, for payload version 7: the frame's ninth byte (the
+#: payload version) went 6 → 7 and no other byte moved — each earlier
+#: digest is this frame's with that byte set back to 6.
 PARENT_FRAMES = {
-    (20, 4099, 5): "7d66203b5814c4948daf4070aec44bd8c2ddc6b45b99daf6b366256e1c752ce1",
-    (1, 65, 3): "4ab7255a08e0d5e476cdb24d68ee0470a4765657a03b660e1d6750bacd71509e",
-    (13, 64, 4): "5ae2589ecdc8ddcf45137c25aa8c0aa2bf25761f8260322513d17618bc3e805f",
-    (33, 1031, 6): "86a3387de4224382d2cde5bc49f9bec51edcb6562f8fe47ae1a8de6f6d3612ee",
-    (57, 9, 2): "a0a85f70455f15ff883708b5293d217a4e697fe2781d44014911a78112ce7d65",
-    (58, 63, 7): "a01b3b1a0bb472eaf6be6f34f685db5b84b022aa4ac907b9869f31ecc730e354",
-    (62, 7, 3): "a825b18cb9705f1c999ac058943a35397b78cdb60e1a6cd037f28dfc90890d1a",
+    (20, 4099, 5): "99021379091113bc5c4025e01157db767c921c7852942beadef3a88d1d75aeda",
+    (1, 65, 3): "2b4d2373c63f6e787b7b931c502ed7a9d68de6cd5fcc35b3cca5a9803d061d7c",
+    (13, 64, 4): "d37566f76a5316d3567e350e29326f61bbfdab49484c3d1ceca19700d55c19d2",
+    (33, 1031, 6): "9680651c5746f83d671a15181104fda1442446339723e31886a8efa1fc4e609f",
+    (57, 9, 2): "4061af510993726b200ed8fce8b7b843b7488501674490d60dfeb2742f8b7298",
+    (58, 63, 7): "f9fb18134aa812dfa6578cdfddd5a5d145abd02827622ff89136fe2b3d0593da",
+    (62, 7, 3): "94e6517da2f963f1d878e350a445d0a915d130084b86edd6a0d470b6533b1325",
 }
 
 

@@ -3,26 +3,30 @@
 ``tests/oracles/wire_codec.py`` keeps the encoder and decoder the
 dispatch tables replaced.  Here the live codec must write the same bytes
 for every value the format covers — nested containers, numpy scalars,
-subclasses, ``memoryview``s, every registered type, an XNoise
-``SharePayload`` — and, on every mutant of a real protocol payload
-(each truncation, each tag byte rewritten, each length prefix set to
-2³² − 1, one byte appended), return what the oracle returns or raise a
-``CodecError`` where it does.  Anything else escaping either decoder is
-a failure.  Example counts follow the hypothesis profile: CI's fast
+subclasses, ``memoryview``s, every registered type — and, on every
+mutant of a real protocol payload (each truncation, each tag byte
+rewritten, each length prefix set to 2³² − 1, one byte appended),
+return what the oracle returns or raise a ``CodecError`` where it does.
+Anything else escaping either decoder is a failure.  The XNoise
+``SharePayload`` — the ShareKeys plaintext, a fixed-width leaf format —
+is held to the layout written out below the same way: its bytes, and
+its parser's verdict on every mutant.  Example counts follow the hypothesis profile: CI's fast
 step selects ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``).
 """
 
 from __future__ import annotations
 
 import enum
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.shamir import ShamirSecretSharing
+from repro.crypto.field import FIELD
+from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.engine import Targeted
-from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, SharePayload
+from repro.secagg.types import AdvertiseKeysMsg, DealingShape, MaskedInputMsg, SharePayload
 from repro.wire.codecs import (
     PAYLOAD_VERSION,
     CodecError,
@@ -37,11 +41,10 @@ from repro.wire.codecs import (
 from repro.wire.frame import FRAME_OVERHEAD, KIND_REQUEST, encode_frame
 from tests.oracles.wire_codec import (
     decode_payload_reference,
-    decode_whole_value_reference,
     encode_payload_reference,
     encode_value_reference,
 )
-from tests.wire.test_codecs import _sample_payloads, _shares, _small_messages
+from tests.wire.test_codecs import _sample_payloads, _small_messages
 
 
 class Color(enum.IntEnum):
@@ -58,16 +61,69 @@ _masked_inputs = st.integers(1, 62).flatmap(
         lambda v: MaskedInputMsg.from_vector(3, np.array(v, dtype=np.int64), bits)
     )
 )
-_share_payloads = st.builds(
-    SharePayload,
-    sender=st.integers(0, 2**64),
-    recipient=st.integers(0, 2**64),
-    s_sk_share=_shares,
-    b_share=_shares,
-    extra_shares=st.dictionaries(
-        st.sampled_from([f"g:{k}" for k in range(1, 7)]), _shares, max_size=6
-    ),
-)
+def _chunks(secret_len: int) -> int:
+    """Field elements a ``secret_len``-byte secret is shared in."""
+    return max(1, -(-secret_len // FIELD.capacity_bytes))
+
+
+def _dealt_shares(recipient: int):
+    """A share as a dealer hands it to ``recipient``: at x = recipient,
+    one field element per chunk of its secret."""
+    return st.integers(0, 80).flatmap(
+        lambda n: st.lists(
+            st.integers(0, FIELD.p - 1), min_size=_chunks(n), max_size=_chunks(n)
+        ).map(lambda ys: Share(x=recipient, ys=tuple(ys), secret_len=n))
+    )
+
+
+@st.composite
+def _share_payloads(draw) -> SharePayload:
+    recipient = draw(st.integers(0, 2**64 - 1), label="recipient")
+    labels = draw(
+        st.lists(st.sampled_from([f"g:{k}" for k in range(1, 7)]), unique=True, max_size=6),
+        label="labels",
+    )
+    shares = [draw(_dealt_shares(recipient)) for _ in range(2 + len(labels))]
+    return SharePayload(
+        draw(st.integers(0, 2**64 - 1), label="sender"),
+        recipient,
+        shares[0],
+        shares[1],
+        dict(zip(labels, shares[2:])),
+    )
+
+
+def _leaf_reference(payload: SharePayload) -> bytes:
+    """The ShareKeys plaintext written out: ``u`` and ``v`` as u64, then
+    every y-value as u128 — s^SK's, b's, each extra's — big-endian."""
+    shares = [payload.s_sk_share, payload.b_share, *payload.extra_shares.values()]
+    return (
+        payload.sender.to_bytes(8, "big")
+        + payload.recipient.to_bytes(8, "big")
+        + b"".join(y.to_bytes(16, "big") for share in shares for y in share.ys)
+    )
+
+
+def _parse_reference(data: bytes, shape: DealingShape, sender: int, recipient: int):
+    """The payload the layout reads from ``data``, or ``None`` where it
+    refuses: any length but the shape's, another route, a y ≥ p."""
+    counts = [_chunks(width) for width in shape.widths]
+    if len(data) != 16 + 16 * sum(counts):
+        return None
+    if data[:16] != sender.to_bytes(8, "big") + recipient.to_bytes(8, "big"):
+        return None
+    ys = [int.from_bytes(data[i : i + 16], "big") for i in range(16, len(data), 16)]
+    if any(y >= FIELD.p for y in ys):
+        return None
+    shares = []
+    for width, count in zip(shape.widths, counts):
+        shares.append(Share(x=recipient, ys=tuple(ys[:count]), secret_len=width))
+        ys = ys[count:]
+    return SharePayload(sender, recipient, shares[0], shares[1], dict(zip(shape.labels, shares[2:])))
+
+
+#: What a refused ShareKeys plaintext is refused as.
+_PAYLOAD_REFUSALS = r"dealing shape|routed \d+ -> \d+, expected|y-value \d+ = \d+ is not in"
 _leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -110,16 +166,6 @@ _values = st.recursive(
 )
 
 
-def _fields(payload: SharePayload) -> tuple:
-    return (
-        payload.sender,
-        payload.recipient,
-        payload.s_sk_share,
-        payload.b_share,
-        payload.extra_shares,
-    )
-
-
 class TestEncodeParity:
     @given(value=_values)
     @settings(deadline=None)
@@ -131,13 +177,14 @@ class TestEncodeParity:
             KIND_REQUEST, encode_payload_reference(value)
         )
 
-    @given(payload=_share_payloads)
+    @given(payload=_share_payloads())
     @settings(deadline=None)
-    def test_share_payload_with_g_extras_is_its_field_tuple(self, payload):
+    def test_share_payload_with_g_extras_is_its_leaf_layout(self, payload):
         data = payload.to_bytes()
-        assert data == encode_value_reference(_fields(payload))
-        assert SharePayload.from_bytes(data) == payload
-        assert decode_whole_value(data) == decode_whole_value_reference(data)
+        assert data == _leaf_reference(payload)
+        route = (payload.sender, payload.recipient)
+        assert SharePayload.from_bytes(data, payload.shape, *route) == payload
+        assert _parse_reference(data, payload.shape, *route) == payload
 
     @pytest.mark.parametrize(
         "value",
@@ -258,6 +305,66 @@ def _protocol_payloads(seed: int) -> list:
         Targeted({u: ("unmask", [1, 2], None, {3}, [1.5, -0.0]) for u in ids}),
         {"vector": np.arange(5, dtype=np.int64), "u": frozenset(ids)},
     ]
+
+
+def _dealt_plaintext(extras: int) -> tuple[SharePayload, DealingShape]:
+    """Client 1's plaintext for client 2 at ``many_clients``' widths."""
+    labels = tuple(f"g:{k}" for k in range(1, extras + 1))
+    secrets = [b"k" * 64, b"b" * 32, *(bytes([k]) * 32 for k in range(extras))]
+    s_sk, b, *g = ShamirSecretSharing(2).share(secrets, [1, 2, 3])
+    payload = SharePayload(1, 2, s_sk[2], b[2], {lbl: g[k][2] for k, lbl in enumerate(labels)})
+    return payload, DealingShape((64, 32, *[32] * extras), labels)
+
+
+def _assert_parsers_agree(data: bytes, shape: DealingShape, sender=1, recipient=2) -> None:
+    try:
+        live = SharePayload.from_bytes(data, shape, sender, recipient)
+    except CodecError as exc:
+        assert re.search(_PAYLOAD_REFUSALS, str(exc)), exc
+        live = None
+    assert live == _parse_reference(data, shape, sender, recipient), data
+
+
+class TestSharePayloadMutants:
+    """The ShareKeys plaintext's parser against the layout: the same
+    verdict on every mutant, a refusal always by name."""
+
+    @pytest.mark.parametrize("extras", [0, 6], ids=["plain", "x6"])
+    def test_every_mutant_of_a_dealt_plaintext(self, extras):
+        payload, shape = _dealt_plaintext(extras)
+        data = payload.to_bytes()
+        mutants = [data[:cut] for cut in range(len(data))]
+        mutants += [data + bytes(more) for more in range(1, 49)]
+        for at in range(len(data)):
+            for byte in (0x00, 0x7F, 0xFF, data[at] ^ 0x01):
+                mutants.append(data[:at] + bytes((byte,)) + data[at + 1 :])
+        for mutant in mutants:
+            _assert_parsers_agree(mutant, shape)
+        for other in (extras - 1, extras + 1):
+            if other >= 0:
+                _assert_parsers_agree(data, _dealt_plaintext(other)[1])
+        for route in ((1, 3), (2, 1), (1 << 63, 2)):
+            _assert_parsers_agree(data, shape, *route)
+
+    @given(payload=_share_payloads(), data=st.data())
+    @settings(deadline=None)
+    def test_a_bit_flip_is_refused_by_name_or_re_encodes(self, payload, data):
+        encoded = payload.to_bytes()
+        bit = data.draw(st.integers(0, 8 * len(encoded) - 1), label="bit")
+        mutant = bytearray(encoded)
+        mutant[bit // 8] ^= 0x80 >> (bit % 8)
+        mutant = bytes(mutant)
+        route = (payload.sender, payload.recipient)
+        try:
+            parsed = SharePayload.from_bytes(mutant, payload.shape, *route)
+        except CodecError as exc:
+            assert re.search(_PAYLOAD_REFUSALS, str(exc)), exc
+            if bit >= 128:  # not the route: the flip took a y out of the field
+                at = bit // 128 * 16
+                assert int.from_bytes(mutant[at : at + 16], "big") >= FIELD.p
+            return
+        assert parsed.to_bytes() == mutant
+        assert (parsed.sender, parsed.recipient) == route
 
 
 class TestDecoderParity:

@@ -62,14 +62,17 @@ class TestPeerGoneIsLinkClosed:
     @pytest.mark.parametrize("cut", range(len(FRAME)))
     @in_loop
     async def test_tcp_eof_and_truncation(self, cut):
-        with pytest.raises(f.LinkClosed):
+        with pytest.raises(f.LinkClosed) as excinfo:
             await tcp_link(FRAME[:cut]).recv()
+        # What arrived of the cut frame is reported, for the books.
+        assert excinfo.value.received == cut
 
     @in_loop
     async def test_the_stream_reader_names_the_truncation(self):
         assert issubclass(f.FrameTruncated, ValueError)
-        with pytest.raises(f.FrameTruncated):
+        with pytest.raises(f.FrameTruncated) as excinfo:
             await f.read_frame(fed(FRAME[:-1]))
+        assert excinfo.value.received == len(FRAME) - 1
 
 
 class TestMalformedStaysLoud:

@@ -140,7 +140,8 @@ class TestDropoutWithinTolerance:
     def test_stage5_responders_agree_and_decrypt_once(self, monkeypatch):
         """Unmasking and ExcessiveNoiseRemoval read the same ShareKeys
         payloads: each is authenticated and parsed once a round, under a
-        c-channel key agreed once a round (in ShareKeys, to encrypt)."""
+        c-channel key agreed and keyed into its AE once a round (in
+        ShareKeys, to encrypt; the same object decrypts)."""
         from collections import Counter
 
         from repro.crypto.ae import AuthenticatedEncryption
@@ -157,6 +158,13 @@ class TestDropoutWithinTolerance:
                     calls["agreements"] += len(args[1])
                 return _real(self, *args)
             monkeypatch.setattr(cls, name, counting)
+        real_init = AuthenticatedEncryption.__init__
+
+        def keying(self, key):
+            calls["keyings"] += 1
+            real_init(self, key)
+
+        monkeypatch.setattr(AuthenticatedEncryption, "__init__", keying)
 
         n = 6
         cfg = make_config(n=n, t=3, tolerance=2, variance=400.0, dim=64)
@@ -171,6 +179,7 @@ class TestDropoutWithinTolerance:
         assert calls["agreements"] == n * secagg_client_cost(n).key_agreements
         assert calls["agree"] == 2 * n
         assert calls["encrypt"] == n * (n - 1)
+        assert calls["keyings"] == calls["agreements"] // 2
         # Client 4 left before Unmasking and never opened its inbox; the
         # five that answered stages 4 *and* 5 opened theirs once.
         assert calls["decrypt"] == (n - 1) * (n - 1)
