@@ -387,8 +387,9 @@ int repro_unpack_add(const uint8_t *src, size_t nbytes, size_t n,
 
 /* Adds sign * (element i of seed's mask over 2**bits) into out[i] for
  * i in [0, n), raw: the caller owns the int64 headroom.  Returns 0, -1
- * on bad arguments (bits outside [1, 62], seedlen > 47 included, whatever
- * n is). */
+ * on bad arguments (bits outside [1, 62], seedlen > STREAM_MAX_SEED
+ * included, whatever n is) and, with out untouched, on a CPU without
+ * AES-NI. */
 int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
                     int64_t sign, int64_t *out, size_t n)
 {
@@ -399,8 +400,8 @@ int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
     uint64_t ctr = 0, left;
     int lanes = 0;
 
-    if (seed == NULL || seedlen > 47 || out == NULL || bits < 1 || bits > 62
-        || (sign != 1 && sign != -1))
+    if (seed == NULL || seedlen > STREAM_MAX_SEED || out == NULL || bits < 1
+        || bits > 62 || (sign != 1 && sign != -1))
         return -1;
 #ifdef HAVE_X16_BUILD
     lanes = bitpack_lanes();

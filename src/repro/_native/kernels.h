@@ -4,7 +4,7 @@
  * call into one object and binds its repro_* entry points from its
  * kernel table.  One plane a file:
  *
- *   stream.c     the SHA-256 counter stream (scalar, SHA-NI, 16 lanes)
+ *   stream.c     the AES-256-CTR counter stream (AES-NI, VAES)
  *   bitpack.c    the masked-vector bit packer and the mask fold
  *   sampler.c    Skellam noise from the counter stream
  *   modexp.c     fixed-width modular exponentiation (scalar, 8 lanes)
@@ -15,12 +15,12 @@
  * uses of another is declared below with hidden visibility, so the
  * object exports its repro_* entry points and nothing else.
  *
- * The AVX-512 loops — the sixteen stream lanes, the eight bit-pack lanes
- * and the eight IFMA modexp lanes — share one gate: -DREPRO_NO_X16
- * leaves them all out, and repro.native retries the build with it when
- * the compiler refuses the section, so losing the lanes never costs the
- * object.  Whether they run is one runtime check per lane set (stream.c,
- * modexp.c).
+ * The AVX-512 loops — the VAES stream (four zmm of four AES blocks), the
+ * eight bit-pack lanes and the eight IFMA modexp lanes — share one gate:
+ * -DREPRO_NO_X16 leaves them all out, and repro.native retries the build
+ * with it when the compiler refuses the section, so losing the lanes
+ * never costs the object.  Whether they run is one runtime check per lane
+ * set (stream.c, whose answer the bit-pack lanes follow, and modexp.c).
  */
 #ifndef REPRO_KERNELS_H
 #define REPRO_KERNELS_H
@@ -30,16 +30,16 @@
 #include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define HAVE_SHANI_BUILD 1
+#define HAVE_X86_BUILD 1
 #include <immintrin.h>
 #endif
 
-#if defined(HAVE_SHANI_BUILD) && !defined(REPRO_NO_X16)
+#if defined(HAVE_X86_BUILD) && !defined(REPRO_NO_X16)
 #define HAVE_X16_BUILD 1
 #define X16_TARGET __attribute__((target("avx512f,avx512bw,avx512vl")))
 #endif
 
-#define X16_LANES 16 /* counters one stream-lane compression covers */
+#define X16_LANES 16 /* AES blocks one step of the VAES stream covers */
 
 /* -DREPRO_TEST_LANES_OFF is a test build that repro.native never makes:
  * the lanes are compiled in, every runtime check answers that this CPU
@@ -60,9 +60,15 @@
 #define PLANE_SHARED
 #endif
 
-/* stream.c: out[i*32 .. i*32+31] = SHA256(seed || be64(ctr0 + i)),
- * seedlen <= 47; 0, or -1 on bad arguments.  And how many counters one
- * compression covers on runs long enough here: 16 on the lanes, else 1. */
+/* The longest seed: seed || 0x80 || be64(bit length) fills one 64-byte
+ * SHA-256 block, so K = SHA-256(seed) is one compression. */
+#define STREAM_MAX_SEED 55
+
+/* stream.c: out[i*32 .. i*32+31] = block ctr0 + i of seed's stream,
+ * E_K(be128(2i)) || E_K(be128(2i + 1)) with K = SHA-256(seed), seedlen
+ * <= 55; 0, -1 on bad arguments, -2 on a CPU without AES-NI (-3 on a
+ * build without x86 intrinsics).  And how many AES blocks one step of it
+ * covers here: 16 on VAES, 8 on AES-NI, 0 without AES-NI. */
 PLANE_SHARED int ctr_stream(const uint8_t *seed, size_t seedlen,
                             uint64_t ctr0, uint64_t nblocks, uint8_t *out);
 PLANE_SHARED int ctr_stream_lanes(void);

@@ -81,7 +81,8 @@ double repro_skellam_weight(double k, double z)
 /* Adds sign * k of the first n accepted trials of seed's stream (from
  * counter 0) into out[0..n), in order.  The stream is produced here, a
  * refill at a time, so it never leaves the cache and never runs out.
- * Returns 0, -1 on bad arguments (seedlen > 47 included, whatever n is). */
+ * Returns 0, -1 on bad arguments (seedlen > STREAM_MAX_SEED included,
+ * whatever n is) and, with out untouched, on a CPU without AES-NI. */
 int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
                        const skellam_strip *strips, size_t nstrips,
                        double z, int64_t sign, int64_t *out, size_t n)
@@ -90,7 +91,7 @@ int repro_skellam_fill(const uint8_t *seed, size_t seedlen,
     uint64_t ctr = 0;
     size_t filled = 0, t;
 
-    if (seed == NULL || seedlen > 47 || strips == NULL || out == NULL
+    if (seed == NULL || seedlen > STREAM_MAX_SEED || strips == NULL || out == NULL
         || nstrips < 1 || nstrips > ((size_t)1 << SKELLAM_STRIP_BITS)
         || (sign != 1 && sign != -1))
         return -1;

@@ -1,22 +1,29 @@
-/* Stream plane: the counter-mode SHA-256 stream.
+/* Stream plane: the AES-256-CTR counter stream.
  *
- * Computes out[i] = SHA256(seed || be64(ctr0 + i)) for i in [0, nblocks):
- * the exact block stream of repro.crypto.prg.PRGReference, specialized to
- * the protocol's short seeds.  Each message is seedlen + 8 <= 55 bytes,
- * so it fits one 64-byte padded block and every digest costs exactly one
- * compression — the padded block is built once and only the 8 counter
- * bytes are patched per iteration.
+ * Block i (32 bytes) of a seed's stream is E_K(be128(2i)) || E_K(be128(2i+1))
+ * with K = SHA-256(seed): AES-256 in counter mode from a zero counter
+ * block, the whole 128-bit block incremented big-endian, read 32 bytes a
+ * block so that every caller counts in 32-byte blocks.  A seed is at most
+ * STREAM_MAX_SEED = 55 bytes, so K is one compression of one padded block
+ * (portable C, or SHA-NI where the CPU has it).  The AES runs on AES-NI,
+ * eight blocks in flight in xmm registers, or — where the CPU has VAES and
+ * AVX-512 — four zmm registers of four blocks each.  It is the exact stream
+ * of repro.crypto.prg.PRGReference; the mask fold and the noise loop draw
+ * it from here (ctr_stream, kernels.h).
  *
- * Portable scalar compression everywhere, SHA-NI via function-target
- * dispatch where the CPU has it, and sixteen counters side by side where
- * it has AVX-512.  The mask fold and the noise loop draw their stream
- * from here (ctr_stream, kernels.h).  When the object cannot be built,
- * the pure-Python hashlib loop in repro.crypto.prg serves the same bytes.
+ * There is no portable C AES: on a CPU without AES-NI ctr_stream answers
+ * -2, and repro.native announces that the stream, the mask fold and the
+ * noise loop run in Python, which serves the same bytes.
+ *
+ * The mask fold and the noise loop call ctr_stream once a 2 KiB slab with
+ * the same seed; each thread keeps the round keys of the last seed it saw,
+ * so K and its key schedule are derived once per kernel call, not once a
+ * slab (at that size a derivation costs about a third of the AES).
  */
 
 #include "kernels.h"
 
-static const uint32_t K[64] = {
+static const uint32_t SHA256_K[64] = {
     0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u,
     0x3956c25bu, 0x59f111f1u, 0x923f82a4u, 0xab1c5ed5u,
     0xd807aa98u, 0x12835b01u, 0x243185beu, 0x550c7dc3u,
@@ -66,7 +73,7 @@ static void compress_scalar(uint32_t state[8], const uint8_t block[64])
     for (i = 0; i < 64; i++) {
         uint32_t S1 = ROR(e, 6) ^ ROR(e, 11) ^ ROR(e, 25);
         uint32_t ch = (e & f) ^ (~e & g);
-        uint32_t t1 = h + S1 + ch + K[i] + w[i];
+        uint32_t t1 = h + S1 + ch + SHA256_K[i] + w[i];
         uint32_t S0 = ROR(a, 2) ^ ROR(a, 13) ^ ROR(a, 22);
         uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
         uint32_t t2 = S0 + maj;
@@ -78,7 +85,7 @@ static void compress_scalar(uint32_t state[8], const uint8_t block[64])
     state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
 
-#ifdef HAVE_SHANI_BUILD
+#ifdef HAVE_X86_BUILD
 /* The standard Intel SHA-NI single-block flow: state packed as ABEF /
  * CDGH, four rounds per sha256rnds2 pair, message schedule kept rolling
  * with sha256msg1/msg2. */
@@ -281,192 +288,48 @@ static void compress_shani(uint32_t state[8], const uint8_t block[64])
     _mm_storeu_si128((__m128i *)&state[0], state0);
     _mm_storeu_si128((__m128i *)&state[4], state1);
 }
-#endif /* HAVE_SHANI_BUILD */
+#endif /* HAVE_X86_BUILD */
 
-/* ---------------------------------------------------------------------
- * Sixteen counters of one seed at once (AVX-512 F + BW + VL).
- *
- * Counter mode makes a seed's blocks independent single-block messages,
- * so sixteen of them run side by side: one zmm register per state word
- * and per schedule word, lane j working on counter ctr + j.  A message
- * word that holds only seed or padding bytes is the same in every lane
- * and is broadcast; the eight counter bytes sit at byte `seedlen`, so
- * they fill word seedlen/4 + 1 and — shifted by the seed's odd bytes —
- * parts of the words on either side of it, and those (at most three)
- * rows are built per lane from 64-bit sums ctr + j, which carry past
- * 2^32 and wrap at 2^64 exactly as the loop below does.  The rounds are
- * the textbook ones, a rotate being one vprord and each of Ch, Maj and
- * the three-way xors one vpternlogd.  The eight digest registers are
- * byte-swapped and transposed (32-bit, then 64-bit unpacks inside each
- * 128-bit lane, one two-source permute across them), which leaves
- * blocks j and j + 4 in one register: sixteen 32-byte stores in the
- * layout the single-block paths write.
- *
- * -DREPRO_NO_X16 leaves the section out, and with it the bit-pack and
- * modexp lanes that sit under the same HAVE_X16_BUILD gate (kernels.h).
- * There is no eight-lane AVX2 variant: without vprord and vpternlogd it
- * would not beat SHA-NI, and no host here can measure one.
- * ------------------------------------------------------------------ */
-#ifdef HAVE_X16_BUILD
+#define KEY_SCALAR 1 /* K on the portable compression */
+#define KEY_SHANI 2  /* K on SHA-NI */
+#define AES_NI 1     /* AES-NI, eight xmm blocks in flight */
+#define AES_VAES 2   /* VAES, four zmm registers of four blocks */
+#define AES_ROUNDS 14
+#define AES_NI_BLOCKS 8
 
-#define X16_ADD(x, y) _mm512_add_epi32(x, y)
-#define X16_XOR3(x, y, z) _mm512_ternarylogic_epi32(x, y, z, 0x96)
-#define X16_BIG_S0(x) X16_XOR3(_mm512_ror_epi32(x, 2), \
-    _mm512_ror_epi32(x, 13), _mm512_ror_epi32(x, 22))
-#define X16_BIG_S1(x) X16_XOR3(_mm512_ror_epi32(x, 6), \
-    _mm512_ror_epi32(x, 11), _mm512_ror_epi32(x, 25))
-#define X16_SMALL_S0(x) X16_XOR3(_mm512_ror_epi32(x, 7), \
-    _mm512_ror_epi32(x, 18), _mm512_srli_epi32(x, 3))
-#define X16_SMALL_S1(x) X16_XOR3(_mm512_ror_epi32(x, 17), \
-    _mm512_ror_epi32(x, 19), _mm512_srli_epi32(x, 10))
-
-/* Round i + j on schedule word w[j]; Ch is 0xCA, Maj 0xE8. */
-#define X16_ROUND(a, b, c, d, e, f, g, h, j) do { \
-    __m512i t1 = X16_ADD( \
-        X16_ADD(h, X16_ADD(w[j], _mm512_set1_epi32((int)K[i + j]))), \
-        X16_ADD(X16_BIG_S1(e), _mm512_ternarylogic_epi32(e, f, g, 0xCA))); \
-    __m512i t2 = X16_ADD(X16_BIG_S0(a), \
-        _mm512_ternarylogic_epi32(a, b, c, 0xE8)); \
-    d = X16_ADD(d, t1); \
-    h = X16_ADD(t1, t2); \
-} while (0)
-
-/* w[j] becomes schedule word i + j, in place over word i + j - 16. */
-#define X16_SCHEDULE(j) \
-    w[j] = X16_ADD(X16_ADD(w[j], X16_SMALL_S0(w[(j + 1) & 15])), \
-        X16_ADD(w[(j + 9) & 15], X16_SMALL_S1(w[(j + 14) & 15])))
-
-#define X16_EIGHT_ROUNDS(j, STEP) \
-    STEP(j); X16_ROUND(a, b, c, d, e, f, g, h, j); \
-    STEP(j + 1); X16_ROUND(h, a, b, c, d, e, f, g, j + 1); \
-    STEP(j + 2); X16_ROUND(g, h, a, b, c, d, e, f, j + 2); \
-    STEP(j + 3); X16_ROUND(f, g, h, a, b, c, d, e, j + 3); \
-    STEP(j + 4); X16_ROUND(e, f, g, h, a, b, c, d, j + 4); \
-    STEP(j + 5); X16_ROUND(d, e, f, g, h, a, b, c, j + 5); \
-    STEP(j + 6); X16_ROUND(c, d, e, f, g, h, a, b, j + 6); \
-    STEP(j + 7); X16_ROUND(b, c, d, e, f, g, h, a, j + 7)
-#define X16_NO_STEP(j) (void)0
-
-/* The low halves of eight 64-bit lanes of lo, then of hi. */
-X16_TARGET
-static inline __m512i x16_low_words(__m512i lo, __m512i hi)
-{
-    LANE_ENTRY();
-    return _mm512_inserti64x4(
-        _mm512_castsi256_si512(_mm512_cvtepi64_epi32(lo)),
-        _mm512_cvtepi64_epi32(hi), 1);
-}
-
-/* out[32j .. 32j+31] = SHA256 of the block whose big-endian words are
- * `words` with be64(ctr + j) written at byte seedlen, j in [0, 16);
- * `words` has zeros where the counter goes. */
-X16_TARGET
-static void compress_x16(const uint32_t words[16], size_t seedlen,
-                         uint64_t ctr, uint8_t *out)
-{
-    const __m512i byteswap = _mm512_broadcast_i32x4(_mm_set_epi64x(
-        0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL));
-    const __m512i blocks_0_4 = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
-    const __m512i blocks_8_12 = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
-    const __m512i ctr_lo = _mm512_add_epi64(_mm512_set1_epi64((long long)ctr),
-        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-    const __m512i ctr_hi = _mm512_add_epi64(ctr_lo, _mm512_set1_epi64(8));
-    const __m128i odd = _mm_cvtsi32_si128(8 * (int)(seedlen % 4));
-    const __m128i rest = _mm_cvtsi32_si128(32 - 8 * (int)(seedlen % 4));
-    const size_t at = seedlen / 4;
-    __m512i rows[16], w[16], a, b, c, d, e, f, g, h;
-    int i, j;
-
-    LANE_ENTRY();
-    /* The 96 bits of words at .. at + 2 are odd seed bytes, the counter,
-     * then 0x80 and padding: the counter shifted right by the odd bytes
-     * (a shift by 64 or more leaves zero, and the narrowing drops what
-     * belongs to the word before). */
-    for (j = 0; j < 16; j++) /* rows: indexed at run time; w stays in registers */
-        rows[j] = _mm512_set1_epi32((int)words[j]);
-    rows[at] = _mm512_or_si512(rows[at], x16_low_words(
-        _mm512_srl_epi64(_mm512_srli_epi64(ctr_lo, 32), odd),
-        _mm512_srl_epi64(_mm512_srli_epi64(ctr_hi, 32), odd)));
-    rows[at + 1] = x16_low_words(
-        _mm512_srl_epi64(ctr_lo, odd), _mm512_srl_epi64(ctr_hi, odd));
-    rows[at + 2] = _mm512_or_si512(rows[at + 2], x16_low_words(
-        _mm512_sll_epi64(ctr_lo, rest), _mm512_sll_epi64(ctr_hi, rest)));
-    for (j = 0; j < 16; j++)
-        w[j] = rows[j];
-
-    a = _mm512_set1_epi32((int)H0[0]); b = _mm512_set1_epi32((int)H0[1]);
-    c = _mm512_set1_epi32((int)H0[2]); d = _mm512_set1_epi32((int)H0[3]);
-    e = _mm512_set1_epi32((int)H0[4]); f = _mm512_set1_epi32((int)H0[5]);
-    g = _mm512_set1_epi32((int)H0[6]); h = _mm512_set1_epi32((int)H0[7]);
-
-    i = 0;
-    X16_EIGHT_ROUNDS(0, X16_NO_STEP);
-    X16_EIGHT_ROUNDS(8, X16_NO_STEP);
-    for (i = 16; i < 64; i += 16) {
-        X16_EIGHT_ROUNDS(0, X16_SCHEDULE);
-        X16_EIGHT_ROUNDS(8, X16_SCHEDULE);
-    }
-
-    w[0] = X16_ADD(a, _mm512_set1_epi32((int)H0[0]));
-    w[1] = X16_ADD(b, _mm512_set1_epi32((int)H0[1]));
-    w[2] = X16_ADD(c, _mm512_set1_epi32((int)H0[2]));
-    w[3] = X16_ADD(d, _mm512_set1_epi32((int)H0[3]));
-    w[4] = X16_ADD(e, _mm512_set1_epi32((int)H0[4]));
-    w[5] = X16_ADD(f, _mm512_set1_epi32((int)H0[5]));
-    w[6] = X16_ADD(g, _mm512_set1_epi32((int)H0[6]));
-    w[7] = X16_ADD(h, _mm512_set1_epi32((int)H0[7]));
-    for (j = 0; j < 8; j++)
-        w[j] = _mm512_shuffle_epi8(w[j], byteswap);
-    /* Digest words 0-3 (then 4-7) of block 4q + m, in 128-bit lane q of
-     * w[8 + m] (w[12 + m]). */
-    for (j = 0; j < 8; j += 4) {
-        __m512i ab_lo = _mm512_unpacklo_epi32(w[j], w[j + 1]);
-        __m512i ab_hi = _mm512_unpackhi_epi32(w[j], w[j + 1]);
-        __m512i cd_lo = _mm512_unpacklo_epi32(w[j + 2], w[j + 3]);
-        __m512i cd_hi = _mm512_unpackhi_epi32(w[j + 2], w[j + 3]);
-
-        w[8 + j] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
-        w[9 + j] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
-        w[10 + j] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
-        w[11 + j] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
-    }
-    for (j = 0; j < 4; j++) {
-        __m512i low = _mm512_permutex2var_epi64(w[8 + j], blocks_0_4, w[12 + j]);
-        __m512i high = _mm512_permutex2var_epi64(w[8 + j], blocks_8_12, w[12 + j]);
-
-        _mm256_storeu_si256((__m256i *)(out + 32 * j),
-                            _mm512_castsi512_si256(low));
-        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 4)),
-                            _mm512_extracti64x4_epi64(low, 1));
-        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 8)),
-                            _mm512_castsi512_si256(high));
-        _mm256_storeu_si256((__m256i *)(out + 32 * (j + 12)),
-                            _mm512_extracti64x4_epi64(high, 1));
-    }
-}
-#endif /* HAVE_X16_BUILD */
-
-#define PATH_SCALAR 1
-#define PATH_SHANI 2
-#define PATH_X16 3
-
-/* 0 when this build on this CPU can run `path`, -2 when the CPU lacks
- * its instructions, -3 when the build left it out, -1 for no path. */
-static int path_status(int path)
+/* 0 when this build on this CPU can derive K on `path`, -2 when the CPU
+ * lacks its instructions, -3 when the build left it out, -1 for no path. */
+static int key_status(int path)
 {
     switch (path) {
-    case PATH_SCALAR:
+    case KEY_SCALAR:
         return 0;
-    case PATH_SHANI:
-#ifdef HAVE_SHANI_BUILD
+    case KEY_SHANI:
+#ifdef HAVE_X86_BUILD
         return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")
             && __builtin_cpu_supports("ssse3") ? 0 : -2;
 #else
         return -3;
 #endif
-    case PATH_X16:
+    default:
+        return -1;
+    }
+}
+
+/* The same answers for an AES path. */
+static int aes_status(int path)
+{
+    switch (path) {
+    case AES_NI:
+#ifdef HAVE_X86_BUILD
+        return __builtin_cpu_supports("aes") && __builtin_cpu_supports("ssse3") ? 0 : -2;
+#else
+        return -3;
+#endif
+    case AES_VAES:
 #ifdef HAVE_X16_BUILD
-        return CPU_RUNS_LANES(__builtin_cpu_supports("avx512f")
+        return CPU_RUNS_LANES(!aes_status(AES_NI) && __builtin_cpu_supports("vaes")
+            && __builtin_cpu_supports("avx512f")
             && __builtin_cpu_supports("avx512bw")
             && __builtin_cpu_supports("avx512vl")) ? 0 : -2;
 #else
@@ -477,155 +340,298 @@ static int path_status(int path)
     }
 }
 
-/* Which single-block compression serves short streams and tails:
- * 1 = portable C, 2 = SHA-NI. */
-int repro_sha256_ctr_backend(void)
+/* K = SHA-256(seed), seedlen <= STREAM_MAX_SEED, on compression `path`. */
+static void derive_key(int path, const uint8_t *seed, size_t seedlen,
+                       uint8_t key[32])
 {
-    static int backend;
-    if (!backend)
-        backend = path_status(PATH_SHANI) ? PATH_SCALAR : PATH_SHANI;
-    return backend;
+    uint8_t block[64] = {0};
+    uint64_t bits = (uint64_t)seedlen * 8;
+    uint32_t st[8];
+    int j;
+
+    memcpy(block, seed, seedlen);
+    block[seedlen] = 0x80;
+    for (j = 0; j < 8; j++)
+        block[63 - j] = (uint8_t)(bits >> (8 * j));
+    memcpy(st, H0, sizeof(st));
+#ifdef HAVE_X86_BUILD
+    if (path == KEY_SHANI)
+        compress_shani(st, block);
+    else
+#endif
+        compress_scalar(st, block);
+    for (j = 0; j < 8; j++) {
+        key[4 * j] = (uint8_t)(st[j] >> 24);
+        key[4 * j + 1] = (uint8_t)(st[j] >> 16);
+        key[4 * j + 2] = (uint8_t)(st[j] >> 8);
+        key[4 * j + 3] = (uint8_t)st[j];
+    }
 }
 
+#ifdef HAVE_X86_BUILD
+#define AES_TARGET __attribute__((target("aes,ssse3")))
+
+/* One key-schedule step (FIPS-197 5.2, Nk = 8): the four words of k, each
+ * xored with the ones before it, then with the broadcast word t. */
+AES_TARGET
+static inline __m128i key_step(__m128i k, __m128i t)
+{
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+    k = _mm_xor_si128(k, _mm_slli_si128(k, 4));
+    return _mm_xor_si128(k, t);
+}
+
+/* Round key 2i from 2i - 2 and SubWord(RotWord(w)) ^ rcon of the last
+ * word of 2i - 1; round key 2i + 1 from 2i - 1 and SubWord of the last
+ * word of 2i.  aeskeygenassist wants rcon as an immediate. */
+#define KEY_EVEN(rk, i, rcon) (rk[i] = key_step(rk[(i) - 2], _mm_shuffle_epi32( \
+    _mm_aeskeygenassist_si128(rk[(i) - 1], rcon), 0xff)))
+#define KEY_ODD(rk, i) (rk[i] = key_step(rk[(i) - 2], _mm_shuffle_epi32( \
+    _mm_aeskeygenassist_si128(rk[(i) - 1], 0), 0xaa)))
+
+/* The fifteen AES-256 round keys of key. */
+AES_TARGET
+static void expand_key(const uint8_t key[32], __m128i rk[AES_ROUNDS + 1])
+{
+    rk[0] = _mm_loadu_si128((const __m128i *)key);
+    rk[1] = _mm_loadu_si128((const __m128i *)(key + 16));
+    KEY_EVEN(rk, 2, 0x01); KEY_ODD(rk, 3);
+    KEY_EVEN(rk, 4, 0x02); KEY_ODD(rk, 5);
+    KEY_EVEN(rk, 6, 0x04); KEY_ODD(rk, 7);
+    KEY_EVEN(rk, 8, 0x08); KEY_ODD(rk, 9);
+    KEY_EVEN(rk, 10, 0x10); KEY_ODD(rk, 11);
+    KEY_EVEN(rk, 12, 0x20); KEY_ODD(rk, 13);
+    KEY_EVEN(rk, 14, 0x40);
+}
+
+/* The counter block hi:lo (a 128-bit integer) as AES reads it: big-endian. */
+AES_TARGET
+static inline __m128i counter_block(uint64_t hi, uint64_t lo)
+{
+    return _mm_shuffle_epi8(_mm_set_epi64x((long long)hi, (long long)lo),
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+/* out[16j .. 16j+15] = E(hi:lo + j) for j in [0, n), eight blocks at a
+ * time; a last group short of eight goes through a scratch copy. */
+AES_TARGET
+static void aes_ni_ctr(const __m128i rk[AES_ROUNDS + 1], uint64_t hi,
+                       uint64_t lo, uint64_t n, uint8_t *out)
+{
+    uint64_t i;
+
+    for (i = 0; i < n; i += AES_NI_BLOCKS) {
+        __m128i x[AES_NI_BLOCKS];
+        uint8_t scratch[16 * AES_NI_BLOCKS];
+        uint8_t *dst = n - i < AES_NI_BLOCKS ? scratch : out + 16 * i;
+        int j, r;
+
+        for (j = 0; j < AES_NI_BLOCKS; j++) {
+            x[j] = _mm_xor_si128(counter_block(hi, lo), rk[0]);
+            hi += !++lo;
+        }
+        for (r = 1; r < AES_ROUNDS; r++)
+            for (j = 0; j < AES_NI_BLOCKS; j++)
+                x[j] = _mm_aesenc_si128(x[j], rk[r]);
+        for (j = 0; j < AES_NI_BLOCKS; j++)
+            _mm_storeu_si128((__m128i *)(dst + 16 * j),
+                             _mm_aesenclast_si128(x[j], rk[AES_ROUNDS]));
+        if (dst == scratch)
+            memcpy(out + 16 * i, scratch, 16 * (size_t)(n - i));
+    }
+}
+
+#ifdef HAVE_X16_BUILD
+#define VAES_TARGET __attribute__((target("vaes,avx512f,avx512bw,avx512vl")))
+
+/* The same blocks sixteen at a time: four zmm registers, 128-bit lane q
+ * of register r holding counter hi:lo + 4r + q.  The counters are kept
+ * as little-endian 128-bit integers — qword 2q the low half, 2q + 1 the
+ * high — so a step is one 64-bit add, and a low half that wrapped
+ * (ended below the step) carries one into the high half beside it; a
+ * byte reversal inside each lane makes the blocks. */
+VAES_TARGET
+static void aes_vaes_ctr(const __m128i rk[AES_ROUNDS + 1], uint64_t hi,
+                         uint64_t lo, uint64_t n, uint8_t *out)
+{
+    const __m512i reverse = _mm512_broadcast_i32x4(_mm_set_epi8(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    const __m512i step = _mm512_setr_epi64(X16_LANES, 0, X16_LANES, 0,
+                                           X16_LANES, 0, X16_LANES, 0);
+    const __m512i one = _mm512_set1_epi64(1);
+    __m512i k[AES_ROUNDS + 1], ctr[4];
+    uint64_t halves[2 * X16_LANES], i;
+    int j, r;
+
+    LANE_ENTRY();
+    for (r = 0; r <= AES_ROUNDS; r++)
+        k[r] = _mm512_broadcast_i32x4(rk[r]);
+    for (j = 0; j < X16_LANES; j++) {
+        halves[2 * j] = lo;
+        halves[2 * j + 1] = hi;
+        hi += !++lo;
+    }
+    for (j = 0; j < 4; j++)
+        ctr[j] = _mm512_loadu_si512(halves + 8 * j);
+    for (i = 0; i < n; i += X16_LANES) {
+        __m512i x[4];
+        uint8_t scratch[16 * X16_LANES];
+        uint8_t *dst = n - i < X16_LANES ? scratch : out + 16 * i;
+
+        for (j = 0; j < 4; j++) {
+            __mmask8 wrapped;
+
+            x[j] = _mm512_xor_si512(_mm512_shuffle_epi8(ctr[j], reverse), k[0]);
+            ctr[j] = _mm512_add_epi64(ctr[j], step);
+            wrapped = _mm512_mask_cmplt_epu64_mask(0x55, ctr[j], step);
+            ctr[j] = _mm512_mask_add_epi64(ctr[j], (__mmask8)(wrapped << 1),
+                                           ctr[j], one);
+        }
+        for (r = 1; r < AES_ROUNDS; r++)
+            for (j = 0; j < 4; j++)
+                x[j] = _mm512_aesenc_epi128(x[j], k[r]);
+        for (j = 0; j < 4; j++)
+            _mm512_storeu_si512(dst + 64 * j,
+                                _mm512_aesenclast_epi128(x[j], k[AES_ROUNDS]));
+        if (dst == scratch)
+            memcpy(out + 16 * i, scratch, 16 * (size_t)(n - i));
+    }
+}
+#endif /* HAVE_X16_BUILD */
+
+/* n blocks of E(hi:lo + j) on AES path `path`, which can run here. */
+static void aes_ctr(int path, const __m128i rk[AES_ROUNDS + 1], uint64_t hi,
+                    uint64_t lo, uint64_t n, uint8_t *out)
+{
+#ifdef HAVE_X16_BUILD
+    if (path == AES_VAES) {
+        aes_vaes_ctr(rk, hi, lo, n, out);
+        return;
+    }
+#endif
+    (void)path;
+    aes_ni_ctr(rk, hi, lo, n, out);
+}
+
+/* The round keys of the last seed this thread streamed. */
+static __thread struct {
+    __m128i rk[AES_ROUNDS + 1];
+    size_t seedlen;
+    uint8_t seed[STREAM_MAX_SEED];
+    int held;
+} last_key;
+#endif /* HAVE_X86_BUILD */
+
+/* AES blocks one step of the stream covers: 16 on the VAES path (which
+ * also turns the bit-pack lanes on, bitpack.c), 8 on AES-NI, 0 on a CPU
+ * without AES-NI — which has no stream here. */
 int ctr_stream_lanes(void)
 {
-    static int lanes;
-    if (!lanes)
-        lanes = path_status(PATH_X16) ? 1 : X16_LANES;
-    return lanes;
+    static int answer; /* lanes + 1, 0 until asked */
+
+    if (!answer)
+        answer = 1 + (!aes_status(AES_VAES) ? X16_LANES
+                      : !aes_status(AES_NI) ? AES_NI_BLOCKS : 0);
+    return answer - 1;
 }
 
-/* How many counters one compression call covers on runs long enough:
- * 16 with the AVX-512 lanes, else 1. */
-int repro_sha256_ctr_lanes(void)
+int repro_stream_lanes(void)
 {
     return ctr_stream_lanes();
 }
 
-/* The padded block of seed || be64(0): the one message every counter of
- * this seed patches eight bytes of. */
-static void ctr_block(uint8_t block[64], const uint8_t *seed, size_t seedlen)
+/* Which compression derives K: 1 = portable C, 2 = SHA-NI; 0 when this
+ * CPU has no stream here (no AES-NI). */
+int repro_stream_backend(void)
 {
-    uint64_t bits = (uint64_t)(seedlen + 8) * 8;
-    int j;
+    static int answer; /* backend + 1, 0 until asked */
 
-    memset(block, 0, 64);
-    memcpy(block, seed, seedlen);
-    block[seedlen + 8] = 0x80;
-    for (j = 0; j < 8; j++)
-        block[63 - j] = (uint8_t)(bits >> (8 * j));
+    if (!answer)
+        answer = 1 + (!ctr_stream_lanes() ? 0
+                      : key_status(KEY_SHANI) ? KEY_SCALAR : KEY_SHANI);
+    return answer - 1;
 }
-
-/* nblocks digests from ctr0, one block at a time on `path` (1 or 2). */
-static void ctr_single(int path, uint8_t block[64], size_t seedlen,
-                       uint64_t ctr0, uint64_t nblocks, uint8_t *out)
-{
-    uint64_t i;
-    int j;
-
-    for (i = 0; i < nblocks; i++) {
-        uint64_t c = ctr0 + i;
-        uint32_t st[8];
-        uint8_t *o = out + 32 * i;
-
-        for (j = 0; j < 8; j++)
-            block[seedlen + 7 - j] = (uint8_t)(c >> (8 * j));
-        memcpy(st, H0, sizeof(st));
-#ifdef HAVE_SHANI_BUILD
-        if (path == PATH_SHANI)
-            compress_shani(st, block);
-        else
-#endif
-            compress_scalar(st, block);
-        for (j = 0; j < 8; j++) {
-            uint32_t v = st[j];
-            o[4 * j] = (uint8_t)(v >> 24);
-            o[4 * j + 1] = (uint8_t)(v >> 16);
-            o[4 * j + 2] = (uint8_t)(v >> 8);
-            o[4 * j + 3] = (uint8_t)v;
-        }
-    }
-}
-
-#ifdef HAVE_X16_BUILD
-/* Every whole run of sixteen of the nblocks digests from ctr0 — and,
- * with `ragged`, the rest too, by way of a scratch run cut to length.
- * Returns how many blocks it wrote. */
-static uint64_t ctr_lanes(const uint8_t block[64], size_t seedlen,
-                          uint64_t ctr0, uint64_t nblocks, uint8_t *out,
-                          int ragged)
-{
-    uint32_t words[16];
-    uint64_t i;
-    int j;
-
-    if (nblocks < X16_LANES && !ragged)
-        return 0;
-    for (j = 0; j < 16; j++)
-        words[j] = ((uint32_t)block[4 * j] << 24)
-            | ((uint32_t)block[4 * j + 1] << 16)
-            | ((uint32_t)block[4 * j + 2] << 8) | block[4 * j + 3];
-    for (i = 0; nblocks - i >= X16_LANES; i += X16_LANES)
-        compress_x16(words, seedlen, ctr0 + i, out + 32 * i);
-    if (ragged && i < nblocks) {
-        uint8_t scratch[32 * X16_LANES];
-
-        compress_x16(words, seedlen, ctr0 + i, scratch);
-        memcpy(out + 32 * i, scratch, 32 * (size_t)(nblocks - i));
-        i = nblocks;
-    }
-    return i;
-}
-#endif
 
 int ctr_stream(const uint8_t *seed, size_t seedlen,
                uint64_t ctr0, uint64_t nblocks, uint8_t *out)
 {
-    uint8_t block[64];
-    uint64_t done = 0;
+    int lanes;
 
-    if (seed == NULL || out == NULL || seedlen > 47)
+    if (seed == NULL || out == NULL || seedlen > STREAM_MAX_SEED)
         return -1;
-    ctr_block(block, seed, seedlen);
-#ifdef HAVE_X16_BUILD
-    if (ctr_stream_lanes() == X16_LANES)
-        done = ctr_lanes(block, seedlen, ctr0, nblocks, out, 0);
+    lanes = ctr_stream_lanes();
+    if (!lanes)
+        return aes_status(AES_NI);
+#ifdef HAVE_X86_BUILD
+    if (!last_key.held || last_key.seedlen != seedlen
+        || memcmp(last_key.seed, seed, seedlen)) {
+        uint8_t key[32];
+
+        derive_key(repro_stream_backend(), seed, seedlen, key);
+        expand_key(key, last_key.rk);
+        memcpy(last_key.seed, seed, seedlen);
+        last_key.seedlen = seedlen;
+        last_key.held = 1;
+    }
+    /* Stream block ctr0 starts at AES block 2 * ctr0, a 65-bit number. */
+    aes_ctr(lanes == X16_LANES ? AES_VAES : AES_NI, last_key.rk, ctr0 >> 63,
+            ctr0 << 1, 2 * nblocks, out);
+#else
+    (void)ctr0;
+    (void)nblocks;
 #endif
-    ctr_single(repro_sha256_ctr_backend(), block, seedlen, ctr0 + done,
-               nblocks - done, out + 32 * done);
     return 0;
 }
 
-/* out[i*32 .. i*32+31] = SHA256(seed || be64(ctr0 + i)).
- * Requires seedlen <= 47 (message fits one padded block).
- * Returns 0 on success, -1 on bad arguments. */
-int repro_sha256_ctr(const uint8_t *seed, size_t seedlen,
-                     uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+/* out[i*32 .. i*32+31] = block ctr0 + i of seed's stream, seedlen <= 55.
+ * Returns 0, -1 on bad arguments, -2 (-3) when this CPU (build) has no
+ * AES-NI. */
+int repro_stream(const uint8_t *seed, size_t seedlen,
+                 uint64_t ctr0, uint64_t nblocks, uint8_t *out)
 {
     return ctr_stream(seed, seedlen, ctr0, nblocks, out);
 }
 
-/* The same stream with every block on one compression path — 1 portable
- * C, 2 SHA-NI, 3 the sixteen lanes (ragged ends included) — so a test
- * can run the paths this host would never pick.  Not reachable from
+/* The AES-256-CTR keystream of a raw key from a raw counter block:
+ * out[16j .. 16j+15] = E_key(counter + j), j in [0, n), on AES path 1
+ * (AES-NI) or 2 (VAES, ragged ends included) — the known-answer vectors
+ * and the path this host would never pick.  Not reachable from
  * configuration.  Returns 0, -1 on bad arguments, -2 when the CPU lacks
  * the path, -3 when the build does. */
-int repro_sha256_ctr_path(int path, const uint8_t *seed, size_t seedlen,
-                          uint64_t ctr0, uint64_t nblocks, uint8_t *out)
+int repro_stream_path(int path, const uint8_t *key, const uint8_t *counter,
+                      uint64_t n, uint8_t *out)
 {
-    uint8_t block[64];
-    int status = path_status(path);
+    int status = aes_status(path);
 
     if (status)
         return status;
-    if (seed == NULL || out == NULL || seedlen > 47)
+    if (key == NULL || counter == NULL || out == NULL)
         return -1;
-    ctr_block(block, seed, seedlen);
-#ifdef HAVE_X16_BUILD
-    if (path == PATH_X16)
-        ctr_lanes(block, seedlen, ctr0, nblocks, out, 1);
-    else
+#ifdef HAVE_X86_BUILD
+    {
+        __m128i rk[AES_ROUNDS + 1];
+
+        expand_key(key, rk);
+        aes_ctr(path, rk, load_be64(counter), load_be64(counter + 8), n, out);
+    }
+#else
+    (void)n;
 #endif
-        ctr_single(path, block, seedlen, ctr0, nblocks, out);
+    return 0;
+}
+
+/* K = SHA-256(seed), seedlen <= 55, on compression path 1 (portable C)
+ * or 2 (SHA-NI), into key[0 .. 31].  Same answers as repro_stream_path. */
+int repro_stream_key_path(int path, const uint8_t *seed, size_t seedlen,
+                          uint8_t *key)
+{
+    int status = key_status(path);
+
+    if (status)
+        return status;
+    if (seed == NULL || key == NULL || seedlen > STREAM_MAX_SEED)
+        return -1;
+    derive_key(path, seed, seedlen, key);
     return 0;
 }

@@ -4,8 +4,10 @@ SecAgg requires an IND-CPA + INT-CTXT authenticated-encryption scheme AE
 to protect the secret shares that clients route through the untrusted
 server (Fig. 5, ShareKeys).  We build the standard composition:
 
-- keystream: the SHA-256 counter stream (:func:`repro.crypto.prg.counter_stream`)
-  of the 48-byte seed ``HKDF(key, "enc") || nonce``;
+- keystream: the AES-256-CTR counter stream (:func:`repro.crypto.prg.counter_stream`)
+  of the 48-byte seed ``HKDF(key, "enc") || nonce`` — AES-256 under
+  ``SHA-256(seed)`` from a zero counter block, on the native kernel
+  where it is loaded (a seed fits its one-block key derivation);
 - ciphertext: plaintext XOR keystream;
 - tag: HMAC-SHA256 under ``HKDF(key, "mac")`` over ``nonce || ciphertext``.
 

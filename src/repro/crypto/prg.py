@@ -1,28 +1,35 @@
-"""SHA-256 counter-mode pseudorandom generator.
+"""AES-256-CTR pseudorandom generator.
 
 SecAgg expands short seeds into model-length mask vectors, and XNoise
 expands noise seeds into DP noise (§3.1: "a DP noise is a sequence of
 pseudo-random numbers of the same length as the model, and can be uniquely
-generated via feeding a seed into a PRN generator").
+generated via feeding a seed into a PRN generator").  SecAgg names AES in
+counter mode as that generator, and this is it:
 
-The construction is the standard counter-mode PRF: block *i* of the stream
-is ``SHA256(seed || i)``.  Identical seeds always produce identical
-streams, which is what lets XNoise ship 32-byte seeds instead of
-model-sized noise vectors.
+    block *i* (32 bytes) of ``seed`` is ``E_K(be128(2i)) ∥ E_K(be128(2i+1))``,
+    where ``K = SHA-256(seed)``
+
+— plain AES-256-CTR from a zero counter block, with the full 128-bit
+big-endian increment, read 32 bytes a block.  Identical seeds always
+produce identical streams, which is what lets XNoise ship 32-byte seeds
+instead of model-sized noise vectors.
 
 Two implementations live here, bit-identical by construction and pinned
 bit-identical by test (``tests/crypto/test_hotpath_parity.py``,
-``tests/crypto/test_mask_vectors.py``):
+``tests/crypto/test_mask_vectors.py``, ``tests/crypto/test_aes_vectors.py``):
 
 - :func:`counter_stream` and :func:`expand_uniform` — the hot path.
-  The stream comes from the native kernel (:mod:`repro.native`) when
-  the host can build it; otherwise the SHA-256 midstate over the seed
-  is computed once and ``.copy()``-ed per counter block (the seed bytes
-  are never re-absorbed).
-- :class:`PRGReference` — the retained executable specification: one
-  ``hashlib.sha256(seed + counter)`` call per 32-byte block and Python
-  integers for every element, exactly as the deployed protocol
-  describes it.  Every optimization above must reproduce it bit for bit.
+  The stream comes from the native kernel (:mod:`repro.native`: AES-NI,
+  VAES where the CPU has it) for seeds up to 55 bytes — one padded
+  SHA-256 block, every protocol seed — when the host can build it;
+  otherwise from OpenSSL through ``cryptography``, and on a host without
+  that either from the specification AES below (announced once: it
+  takes about 50 ns a byte).
+- :class:`PRGReference` — the retained executable specification: the
+  stream block by block from :mod:`repro.crypto.aes`, AES-256 written
+  out from FIPS-197 in numpy and shared with neither the kernel nor
+  OpenSSL, and Python integers for every element.  Every optimization
+  above must reproduce it bit for bit.
 
 **What a seed expands to.**  Over a ring ``2**b`` (``1 ≤ b ≤ 62`` — every
 ring the protocol uses; the paper's is ``2**20``) element *i* of the
@@ -42,64 +49,33 @@ cancels in ``p_{u,v} + p_{v,u} = 0``); ``modulus == 1`` draws nothing.
 Given ``out`` it adds ``sign·mask`` into the caller's vector instead of
 returning a fresh one — in the kernel (:func:`repro.native.mask_fold`) one C loop
 that produces the stream ≤ 2 KiB at a time on its stack and unpack-adds
-it (sixteen counters and eight elements a register on an AVX-512 host),
-so a mask that is about to be summed is never materialised;
-:func:`expand_uniform_numpy` is its numpy twin and
+it (sixteen AES blocks in flight and eight elements a register on an
+AVX-512 host with VAES), so a mask that is about to be summed is never
+materialised; :func:`expand_uniform_numpy` is its numpy twin and
 :func:`expand_uniform_batch` the loop over it for many seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
-import threading
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import native
+from repro.crypto import aes
 from repro.wire.bitpack import MAX_BITS, bit_fields, packed_nbytes
 
-_BLOCK = hashlib.sha256().digest_size  # 32 bytes
-
-# Backend for the *fast* paths only (PRGReference stays on hashlib, the
-# spec as written).  CPython's bundled HACL* SHA-256 (_sha256 on 3.11,
-# _sha2 on 3.12+) has a much cheaper midstate copy() than the OpenSSL
-# object hashlib hands out — and copy() dominates the counter loop,
-# where each block appends only 8 bytes to a copied midstate.  Both
-# produce the same digests (it's SHA-256); the parity pins against
-# PRGReference hold regardless of which backend is picked.
-try:  # pragma: no cover - exercised implicitly by every fast-path test
-    from _sha2 import sha256 as _sha256_fast  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover
-    try:
-        from _sha256 import sha256 as _sha256_fast  # type: ignore[import-not-found]
-    except ImportError:
-        _sha256_fast = hashlib.sha256
-
-# Counter blocks are the same for every seed (block i appends
-# ``i.to_bytes(8, "big")``), so the 8-byte encodings are precomputed
-# once and shared across all expansions.  Grown on demand under a lock
-# (concurrent growers would interleave appends), capped so a one-off
-# huge expansion cannot pin unbounded memory.
-_CTR_CAP = 1 << 19
-_ctr_table: list[bytes] = []
-_ctr_lock = threading.Lock()
+_BLOCK = 32  # bytes a stream block: two AES blocks
 
 #: Elements the numpy twin unpacks per pass — a multiple of 256, so each
 #: slab starts on a block boundary; its temporaries stay cache-resident.
 _SLAB = 1 << 14
 
-
-def _counter_bytes(start: int, stop: int) -> list[bytes]:
-    """Counter encodings ``start … stop − 1`` (shared, cached ≤ cap)."""
-    if stop > _CTR_CAP:
-        return [i.to_bytes(8, "big") for i in range(start, stop)]
-    if len(_ctr_table) < stop:
-        with _ctr_lock:
-            for i in range(len(_ctr_table), stop):
-                _ctr_table.append(i.to_bytes(8, "big"))
-    return _ctr_table[start:stop]
+_announced_spec_aes = False
 
 
 def _check_draw(length: int, modulus: int) -> Optional[int]:
@@ -116,33 +92,34 @@ def _check_draw(length: int, modulus: int) -> Optional[int]:
 
 
 class PRGReference:
-    """The retained scalar reference: ``SHA256(seed ∥ counter)`` per block.
+    """The retained scalar reference: the stream block by block.
 
-    This is the executable specification :func:`counter_stream` and
-    :func:`expand_uniform` are parity-pinned against — slow on purpose,
-    never used on the hot path.
+    Block *i* is ``E_K(be128(2i)) ∥ E_K(be128(2i+1))`` with
+    ``K = SHA-256(seed)``, computed by the specification AES
+    (:mod:`repro.crypto.aes`).  This is the executable specification
+    :func:`counter_stream` and :func:`expand_uniform` are parity-pinned
+    against — slow on purpose, never used on the hot path.
     """
 
     def __init__(self, seed: bytes):
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError("seed must be bytes")
-        self._seed = bytes(seed)
+        self._key = hashlib.sha256(bytes(seed)).digest()
         self._counter = 0
 
+    def block(self, i: int) -> bytes:
+        """Stream block ``i``: the two AES blocks at counters ``2i`` and ``2i + 1``."""
+        return aes.ctr_keystream(self._key, 2 * i, 2)
+
     def read(self, n: int) -> bytes:
-        """Return the next ``n`` pseudorandom bytes."""
+        """Return the next ``n`` pseudorandom bytes (whole blocks are
+        consumed: the rest of a block's bytes are never returned)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        blocks = []
-        remaining = n
-        while remaining > 0:
-            block = hashlib.sha256(
-                self._seed + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            blocks.append(block[:remaining])
-            remaining -= len(block[:remaining])
-        return b"".join(blocks)
+        nblocks = -(-n // _BLOCK)
+        stream = aes.ctr_keystream(self._key, 2 * self._counter, 2 * nblocks)
+        self._counter += nblocks
+        return stream[:n]
 
     def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
         """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
@@ -182,29 +159,60 @@ def _reduce_words(buf: bytearray, length: int, modulus: int) -> np.ndarray:
     return words.view(np.int64)
 
 
+@functools.cache
+def _openssl():
+    """``cryptography``'s cipher module, or ``None`` where it is not
+    installed — imported on first use, as a round on the kernel never
+    needs it."""
+    try:
+        from cryptography.hazmat.primitives import ciphers
+    except ImportError:
+        return None
+    return ciphers
+
+
+def _python_stream(seed: bytes, nblocks: int, ctr0: int) -> bytearray:
+    """The stream without the kernel: OpenSSL's AES-CTR from the counter
+    block ``be128(2·ctr0)``, or the specification AES where
+    ``cryptography`` is not installed (announced once a process)."""
+    global _announced_spec_aes
+    key = hashlib.sha256(seed).digest()
+    ciphers = _openssl()
+    if ciphers is not None:
+        counter = ciphers.modes.CTR((2 * ctr0).to_bytes(16, "big"))
+        keystream = ciphers.Cipher(ciphers.algorithms.AES(key), counter).encryptor()
+        nbytes = _BLOCK * nblocks
+        buf = bytearray(nbytes + 15)  # update_into's room for a partial block
+        keystream.update_into(bytes(nbytes), buf)
+        del buf[nbytes:]
+        return buf
+    if not _announced_spec_aes:
+        _announced_spec_aes = True
+        warnings.warn(
+            "repro.crypto.prg: cryptography is not installed, the AES-CTR "
+            "stream runs on the numpy specification AES (about 50 ns a byte)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return bytearray(aes.ctr_keystream(key, 2 * ctr0, 2 * nblocks))
+
+
 def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
-    """Blocks ``ctr0 … ctr0 + nblocks − 1`` of ``SHA256(seed ∥ be64(ctr))``.
+    """Blocks ``ctr0 … ctr0 + nblocks − 1`` of ``seed``'s AES-256-CTR stream.
 
     The raw block stream under every seed expansion — masks
     (:func:`expand_uniform`), Skellam noise (:mod:`repro.dp.sampler`)
     and the AE keystream (:mod:`repro.crypto.ae`) — in one writable
-    buffer.  The native kernel (repro.native) emits it
-    ~10× faster when the host can build it; otherwise the hashlib
-    midstate loop serves the identical bytes.  Every counter must be one
-    ``be64`` can name, ``[0, 2**64)``: ``ValueError`` on both paths.
+    buffer.  The native kernel (:mod:`repro.native`) emits it for seeds
+    up to 55 bytes when the host can build it; otherwise
+    :func:`_python_stream` serves the identical bytes.  Every counter
+    must lie in ``[0, 2**64)``: ``ValueError`` on both paths.
     """
     if ctr0 < 0 or ctr0 + nblocks > 1 << 64:
         raise ValueError("stream counters must lie in [0, 2**64)")
-    buf = native.sha256_ctr_stream(seed, nblocks, ctr0)
+    buf = native.counter_stream(seed, nblocks, ctr0)
     if buf is None:
-        copy = _sha256_fast(seed).copy
-        blocks: list[bytes] = []
-        append = blocks.append
-        for ctr in _counter_bytes(ctr0, ctr0 + nblocks):
-            h = copy()
-            h.update(ctr)
-            append(h.digest())
-        buf = bytearray(b"".join(blocks))
+        buf = _python_stream(seed, nblocks, ctr0)
     return buf
 
 

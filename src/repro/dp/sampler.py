@@ -7,8 +7,9 @@ numpy release or execution path.  This module *is* that definition —
 nothing here calls a library random generator or a libm function:
 
 - **Stream.**  Word *t* is the big-endian ``u64`` at bytes ``[8t, 8t+8)``
-  of ``SHA256(seed ∥ be64(ctr))``, ctr = 0, 1, … — the block stream the
-  masks already use (:func:`repro.crypto.prg.counter_stream`, FIPS 180-4).
+  of the seed's AES-256-CTR stream (``K = SHA-256(seed)``, counter block
+  0, 1, …) — the block stream the masks already use
+  (:func:`repro.crypto.prg.counter_stream`, FIPS-197 and FIPS 180-4).
 - **Target.**  ``Skellam(z/2, z/2)`` with z the variance: one draw per
   element from ``P(k) = e^{−z}·I_k(z)``, not a difference of two Poissons.
   The sampler works with the weight ``g(k) = √(2πz)·e^{−z}·I_k(z)``

@@ -1,9 +1,10 @@
 """Optional native accelerator: the C kernels in ``_native/`` and the table that binds them.
 
-A round's per-element cost is in a handful of primitives — the SHA-256
-counter stream under every mask and noise seed, the mask fold, the
-masked-vector bit packer and its fused pair, the Skellam noise loop,
-key agreement's modular powers and the DSkellam butterfly and rounder.
+A round's per-element cost is in a handful of primitives — the
+AES-256-CTR counter stream under every mask, noise seed and AE
+keystream, the mask fold, the masked-vector bit packer and its fused
+pair, the Skellam noise loop, key agreement's modular powers and the
+DSkellam butterfly and rounder.
 Each is a C kernel here and a bit-identical numpy (or ``pow``) twin next
 to its Python entry point.  :data:`KERNELS` declares every exported
 ``repro_*`` symbol once — its ctypes signature, its kind and, for a
@@ -18,7 +19,7 @@ points call the bound attributes, so the table is read at load time only.
   error, a failed probe or ``REPRO_NATIVE=0`` makes :func:`load` return
   ``None`` (memoized) and emit one ``RuntimeWarning`` per process naming
   the reason; every caller then runs its twin, which yields the same
-  bytes (the same ``SHA256(seed ∥ ctr)`` stream, the same bit stream,
+  bytes (the same AES-256-CTR stream, the same bit stream,
   the same IEEE operations in the same order, and a modular power is an
   integer).
 - **Self-invalidating cache.**  The object lands in the gitignored
@@ -26,14 +27,17 @@ points call the bound attributes, so the table is read at load time only.
   and the flags, so an edit rebuilds and an object built any other way
   is never picked up.
 
-At run time the stream picks its single-block compression — portable C
-or SHA-NI, :func:`backend_name` — and, on AVX-512, hashes sixteen
-counters at a time (:func:`stream_lanes`); on the same CPUs the bit-pack
-plane moves eight elements a register and, with IFMA, the modexp plane
-raises eight bases a pass (:func:`modexp_lanes`).  A compiler that
-refuses the AVX-512 section still builds everything else
-(``-DREPRO_NO_X16``).  ``ctypes`` releases the GIL around each call,
-which is what lets the coordinator's one-thread fan-out
+At run time the stream derives its key ``K = SHA-256(seed)`` on the
+portable compression or on SHA-NI (:func:`backend_name`) and encrypts
+its counter blocks with AES-NI, eight blocks in flight, or with VAES,
+sixteen (:func:`stream_lanes`); where VAES runs, the bit-pack plane moves
+eight elements a register and, with IFMA, the modexp plane raises eight
+bases a pass (:func:`modexp_lanes`).  A compiler that refuses the
+AVX-512 section still builds everything else (``-DREPRO_NO_X16``).  A
+CPU without AES-NI keeps the object but not its stream: the counter
+stream, the mask fold and the noise loop then run in Python
+(announced), and there is no portable C AES.  ``ctypes`` releases the
+GIL around each call, which is what lets the coordinator's one-thread fan-out
 (:meth:`repro.secagg.masking.MaskAccumulator.fold_seeds`) fold masks on
 several cores at once.
 """
@@ -61,10 +65,10 @@ _SOURCES = tuple(sorted(_NATIVE_DIR.glob("*.c")))
 #: What the planes share; hashed into the object's name with them.
 _HEADERS = tuple(sorted(_NATIVE_DIR.glob("*.h")))
 
-# Messages are seed ∥ be64(counter); the kernel requires them to fit a
-# single padded SHA-256 block (seedlen + 8 ≤ 55).  Protocol seeds are
-# 32 bytes (DH agreement digests / random_seed(32)).
-MAX_SEED_LEN = 47
+# The kernel derives K = SHA-256(seed) from one padded block, so a seed
+# is at most 55 bytes.  Protocol seeds are 32 bytes (DH agreement
+# digests / random_seed(32)) and 48 (the AE's enc_key ∥ nonce).
+MAX_SEED_LEN = 55
 
 #: Widest modulus the modexp kernel takes (64 limbs of 64 bits).
 MODEXP_MAX_BITS = 4096
@@ -72,6 +76,23 @@ MODEXP_MAX_BITS = 4096
 MODEXP_LANE_DIGIT_BITS = 52
 #: The modexp kernel's answer when it was compiled without ``__int128``.
 _MODEXP_NOT_BUILT = -3
+#: ``(seed, ctr0, nblocks, SHA-256 of the stream)`` the stream must
+#: answer, and ``(bits, count, sign, SHA-256 of the little-endian int64
+#: vector)`` a fold into ``3·i`` must leave — taken from
+#: ``repro.crypto.prg.PRGReference`` and OpenSSL, never from the kernel
+#: (``tests/crypto/test_aes_vectors.py`` re-derives them).
+_STREAM_PROBE = (
+    (bytes(32), 0, 1,
+     "212170b88dbe8038986c1afffa3c09f525be7b8c0f569ead1b45d0ba55c436c7"),
+    (bytes(range(48)), (1 << 63) - 3, 11,
+     "6c32350681595f8b8c64d281b6cf9601c309066763b6dda0ac58b39e2946bc23"),
+)
+_MASK_FOLD_PROBE = (
+    (20, 819, 1,
+     "d0a30ff015d2a9ddb5333941cc5d7070a6b9f06708aaf11845a84d7f7d943d2c"),
+    (59, 275, -1,
+     "9fd41da1fd08824fb0f3cea9bc0e27ac672e959600ba10699a0e728e341ac742"),
+)
 #: ``(k, z, g(k))`` as :mod:`repro.dp.sampler` evaluates the weight, and
 #: what the probe's four draws must leave behind (both pinned equal to
 #: the Python evaluation by ``tests/dp/test_sampler.py``).
@@ -82,7 +103,7 @@ _SKELLAM_PROBE_WEIGHTS = (
     (799999.0, 2.5e9, "0x1.43062b04af994p-185"),
     (-3.0e8, float(1 << 49), "0x1.99320102c051ap-116"),
 )
-_SKELLAM_PROBE_DRAWS = [15, 16, 30, 37]
+_SKELLAM_PROBE_DRAWS = [14, 20, 26, 37]
 #: The modexp probe's two-limb modulus and, for the lanes, nine bases
 #: under one exponent — a full group of eight and a tail — with the edges
 #: a digit carry or the final subtraction would get wrong: 0, 1, 2, p − 1,
@@ -189,7 +210,7 @@ def _shared_object() -> Path:
     if found != objects[0]:
         warnings.warn(
             "repro.native: the C compiler refused the kernel's AVX-512 section, "
-            "the counter stream runs one block at a time and modular powers "
+            "the counter stream runs on AES-NI without VAES and modular powers "
             "one base at a time (a build without lanes)",
             RuntimeWarning,
             stacklevel=4,
@@ -200,22 +221,18 @@ def _shared_object() -> Path:
 # -- load-time probes: one per kernel row, each given its bound function --
 
 
-def _counter_blocks(seed: bytes, ctr0: int, nblocks: int) -> bytes:
-    return b"".join(
-        hashlib.sha256(seed + ctr.to_bytes(8, "big")).digest()
-        for ctr in range(ctr0, ctr0 + nblocks)
-    )
+def _digest(data) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _probe_stream(fn) -> bool:
-    """Block 0 of an all-zero seed, then two runs of sixteen and a tail
-    from a counter whose low word carries inside the first run, lane by
-    lane — against hashlib."""
-    seed = bytes(32)
-    for ctr0, nblocks in ((0, 1), ((1 << 32) - 8, 33)):
+    """Block 0 of an all-zero seed, then eleven blocks of the AE's seed
+    length from block 2**63 − 3 — AES counters 2**64 − 6 on, so the low
+    half carries inside the first sixteen and a ragged six follow — each
+    against its known answer."""
+    for seed, ctr0, nblocks, want in _STREAM_PROBE:
         out = ctypes.create_string_buffer(32 * nblocks)
-        rc = fn(seed, len(seed), ctr0, nblocks, out)
-        if rc != 0 or out.raw != _counter_blocks(seed, ctr0, nblocks):
+        if fn(seed, len(seed), ctr0, nblocks, out) != 0 or _digest(out.raw) != want:
             return False
     return True
 
@@ -290,19 +307,15 @@ def _probe_unpack_add(fn) -> bool:
 
 
 def _probe_mask_fold(fn) -> bool:
-    """Against Python integers over hashlib's stream: the protocol's 20
-    bits added, a width past the 57-bit window subtracted, each into a
-    non-zero vector a few elements longer than one kernel slab (816 and
-    272 elements) and no multiple of eight."""
+    """The protocol's 20 bits added, a width past the 57-bit window
+    subtracted, each into the vector ``3·i`` a few elements longer than
+    one kernel slab (816 and 272 elements) and no multiple of eight —
+    against the known answer."""
     seed = bytes(32)
-    for bits, count, sign in ((20, 819, 1), (59, 275, -1)):
-        stream = int.from_bytes(_counter_blocks(seed, 0, -(-count * bits // 256)), "little")
-        want = [
-            3 * i + sign * ((stream >> (i * bits)) & ((1 << bits) - 1))
-            for i in range(count)
-        ]
+    for bits, count, sign, want in _MASK_FOLD_PROBE:
         folded = (c_int64 * count)(*range(0, 3 * count, 3))
-        if fn(seed, len(seed), bits, sign, folded, count) != 0 or list(folded) != want:
+        rc = fn(seed, len(seed), bits, sign, folded, count)
+        if rc != 0 or _digest(struct.pack(f"<{count}q", *folded)) != want:
             return False
     return True
 
@@ -389,30 +402,36 @@ class Row(NamedTuple):
     #: name a failure is announced under.
     probe: Optional[Callable[..., bool]] = None
     announce: str = ""
+    #: The kernel draws the counter stream: on a CPU without AES-NI it
+    #: is not probed, and its entry point answers "use the twin".
+    streams: bool = False
 
 
 _STREAM = (c_char_p, c_size_t, c_uint64, c_uint64, c_char_p)
+_AES_PATH = (c_int, c_char_p, c_char_p, c_uint64, c_char_p)
 _PACK = (c_void_p, c_size_t, c_uint, c_void_p)
 _UNPACK = (c_void_p, c_size_t, c_size_t, c_uint, c_void_p)
 _MODEXP = (c_char_p, c_char_p, c_char_p, c_size_t, c_char_p, c_size_t, c_char_p, c_size_t, c_char_p)
 
 #: Every ``repro_*`` symbol the object exports, in probe order.
 KERNELS = (
-    Row("repro_sha256_ctr", c_int, _STREAM, KERNEL, _probe_stream, "SHA-256 counter stream"),
-    Row("repro_sha256_ctr_path", c_int, (c_int, *_STREAM), PATH),
-    Row("repro_sha256_ctr_backend", c_int, (), QUERY),
-    Row("repro_sha256_ctr_lanes", c_int, (), QUERY),
+    Row("repro_stream", c_int, _STREAM, KERNEL, _probe_stream, "AES-256-CTR counter stream",
+        streams=True),
+    Row("repro_stream_path", c_int, _AES_PATH, PATH),
+    Row("repro_stream_key_path", c_int, (c_int, c_char_p, c_size_t, c_char_p), PATH),
+    Row("repro_stream_backend", c_int, (), QUERY),
+    Row("repro_stream_lanes", c_int, (), QUERY),
     Row("repro_pack_bits", c_int, _PACK, KERNEL, _probe_pack, "bit packer"),
     Row("repro_unpack_bits", c_int, _UNPACK, KERNEL, _probe_unpack, "bit unpacker"),
     Row("repro_pack_low_bits", c_int, _PACK, KERNEL, _probe_pack_low, "reducing bit packer"),
     Row("repro_unpack_add", c_int, _UNPACK, KERNEL, _probe_unpack_add, "unpack-add"),
     Row("repro_mask_fold", c_int, (c_char_p, c_size_t, c_uint, c_int64, c_void_p, c_size_t),
-        KERNEL, _probe_mask_fold, "mask folding"),
+        KERNEL, _probe_mask_fold, "mask folding", streams=True),
     Row("repro_skellam_weight", c_double, (c_double, c_double),
         KERNEL, _probe_skellam_weight, "Skellam weight function"),
     Row("repro_skellam_fill", c_int,
         (c_char_p, c_size_t, c_void_p, c_size_t, c_double, c_int64, c_void_p, c_size_t),
-        KERNEL, _probe_skellam_fill, "Skellam noise expansion"),
+        KERNEL, _probe_skellam_fill, "Skellam noise expansion", streams=True),
     Row("repro_modexp", c_int, _MODEXP, KERNEL, _probe_modexp, "modular exponentiation"),
     Row("repro_modexp_path", c_int, (c_int, *_MODEXP), PATH),
     Row("repro_modexp_lanes", c_int, (), QUERY),
@@ -436,10 +455,22 @@ def _build() -> ctypes.CDLL:
 
 
 def _probe(lib) -> None:
-    """Every kernel row's probe, in table order, before the object is trusted."""
+    """Every kernel row's probe, in table order, before the object is
+    trusted — but for the rows that draw the stream on a CPU without
+    AES-NI, which keeps the rest of the object (announced)."""
+    streams = lib.repro_stream_lanes() > 0
     for row in KERNELS:
-        if row.probe is not None and not row.probe(getattr(lib, row.symbol)):
+        if row.probe is None or (row.streams and not streams):
+            continue
+        if not row.probe(getattr(lib, row.symbol)):
             raise _Unavailable(f"probe mismatch ({row.announce})")
+    if not streams:
+        warnings.warn(
+            "repro.native: this CPU has no AES-NI, the counter stream, mask "
+            "folding and noise expansion run in Python/numpy",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -491,21 +522,24 @@ def twins_only():
 
 
 def backend_name() -> str:
-    """Which single-block compression is active (for bench metadata):
-    what short streams and ragged ends run on, with or without lanes."""
+    """Which SHA-256 compression derives the stream's key
+    ``K = SHA-256(seed)`` (for bench metadata): ``"c-sha-ni"`` or
+    ``"c-scalar"``, and ``"python"`` when the stream is not the kernel's."""
     lib = load()
     if lib is None:
         return "python"
-    return {1: "c-scalar", 2: "c-sha-ni"}.get(
-        lib.repro_sha256_ctr_backend(), "c-unknown"
+    return {0: "python", 1: "c-scalar", 2: "c-sha-ni"}.get(
+        lib.repro_stream_backend(), "c-unknown"
     )
 
 
 def stream_lanes() -> int:
-    """Counters hashed per compression on runs of sixteen blocks or more:
-    16 when the kernel has its AVX-512 lanes on this CPU, else 1."""
+    """AES blocks one step of the kernel's stream encrypts: 16 on VAES
+    (four zmm registers of four blocks, and then the bit-pack lanes run
+    too), 8 on AES-NI alone (eight xmm registers), 0 when the stream is
+    not the kernel's (no kernel, or a CPU without AES-NI)."""
     lib = load()
-    return 1 if lib is None else lib.repro_sha256_ctr_lanes()
+    return 0 if lib is None else lib.repro_stream_lanes()
 
 
 def modexp_lanes() -> int:
@@ -516,12 +550,13 @@ def modexp_lanes() -> int:
     return 1 if lib is None else lib.repro_modexp_lanes()
 
 
-def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[bytearray]:
-    """``nblocks`` · 32 bytes of ``SHA256(seed ∥ be64(ctr))`` stream.
+def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[bytearray]:
+    """Blocks ``ctr0 … ctr0 + nblocks − 1`` of ``seed``'s AES-256-CTR
+    stream (:mod:`repro.crypto.prg`), 32 bytes each.
 
-    Returns ``None`` when the kernel is unavailable or the seed is too
-    long for the single-block message layout — callers fall back to the
-    pure-Python loop, which produces the identical stream.
+    Returns ``None`` when the kernel is unavailable, the CPU has no
+    AES-NI or the seed is longer than :data:`MAX_SEED_LEN` — callers
+    fall back to Python, which produces the identical stream.
     """
     if len(seed) > MAX_SEED_LEN:
         return None
@@ -531,8 +566,7 @@ def sha256_ctr_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> Optional[byte
     out = bytearray(32 * nblocks)
     if nblocks:
         buf = (ctypes.c_char * len(out)).from_buffer(out)
-        rc = lib.repro_sha256_ctr(seed, len(seed), ctr0, nblocks, buf)
-        if rc != 0:
+        if lib.repro_stream(seed, len(seed), ctr0, nblocks, buf) != 0:
             return None
     return out
 
@@ -549,6 +583,8 @@ def mask_fold(seed: bytes, bits: int, out, sign: int) -> bool:
     if lib is None:
         return False
     if lib.repro_mask_fold(seed, len(seed), bits, sign, out.ctypes.data, len(out)):
+        if not lib.repro_stream_lanes():
+            return False  # no AES-NI: refused before `out` was touched
         raise ValueError("mask kernel rejected its arguments")  # bits outside [1, 62]
     return True
 
@@ -568,8 +604,10 @@ def skellam_fill(strips, z: float, seed: bytes, out, sign: int) -> bool:
         seed, len(seed), strips.ctypes.data, len(strips), z, sign,
         out.ctypes.data, len(out),
     )
-    if rc != 0:  # unreachable for a table the sampler built
-        raise ValueError("noise kernel rejected its arguments")
+    if rc != 0:
+        if not lib.repro_stream_lanes():
+            return False  # no AES-NI: refused before `out` was touched
+        raise ValueError("noise kernel rejected its arguments")  # a table the sampler never builds
     return True
 
 

@@ -24,13 +24,17 @@ a mask seed expands to ring-width bit fields of its stream
 ``share_keys`` request is ``(roster, the recipient's own neighbour
 ids)``, not ``(roster, the whole masking graph)``, and a semi-honest
 round has no ``consistency_check`` request (its ``unmask`` request
-carries U3).  Version 7 (this one) changed what a ShareKeys ciphertext
+carries U3).  Version 7 changed what a ShareKeys ciphertext
 seals: the plaintext is the fixed-width leaf format of
 :class:`~repro.secagg.types.SharePayload` (route, then y-values only),
 parsed against the recipient's own dealing shape, no longer the value
 encoding of a record — so every client of a round must deal the same
 labels at the same widths, and a mask key shared at 256 bytes beside
-keys at 64 now aborts the round by name.  The payload envelope and
+keys at 64 now aborts the round by name.  Version 8 (this one) changed
+the stream every seed expands to (:mod:`repro.crypto.prg`): AES-256-CTR
+under ``K = SHA-256(seed)``, no longer ``SHA256(seed ∥ be64(i))`` — so
+every mask, every noise vector and every AE keystream differs, and a
+version-7 peer's masks would not cancel.  The payload envelope and
 every frame are unchanged, but an older payload is refused by name.
 
 A payload's wire size is the length of the frame
@@ -84,7 +88,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 7
+PAYLOAD_VERSION = 8
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).

@@ -102,19 +102,21 @@ class TestAuthenticatedEncryption:
         with pytest.raises(ValueError):
             AuthenticatedEncryption(b"short-key")
 
-    #: Taken from the tree at 923c2d7 (keystream read a byte at a time
-    #: from the stateful ``PRG``): key ``bytes(range(32))``, nonce
-    #: ``a0 … af``, plaintext the big-endian 16-bit words 0 … 44 — 90
-    #: bytes, so the keystream ends inside its third block.  Ciphertexts
-    #: cross between checkouts in both directions; never regenerate
-    #: these from the tree under test.
+    #: Key ``bytes(range(32))``, nonce ``a0 … af``, plaintext the
+    #: big-endian 16-bit words 0 … 44 — 90 bytes, so the keystream ends
+    #: inside its third block.  The empty blob is the tree at 923c2d7's
+    #: (no keystream in it); the other was re-derived when the stream
+    #: became AES-256-CTR, from the written-out construction below over
+    #: ``PRGReference`` and confirmed against OpenSSL's AES-CTR.
+    #: Ciphertexts cross between checkouts in both directions; never
+    #: regenerate these from the tree under test.
     GOLDEN_NONCE = bytes(range(0xA0, 0xB0))
     GOLDEN_BLOB = bytes.fromhex(
         "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
-        "abd759eb8e78eb0aeca0b5b9e141968489eade4ae5e6bad1d217ca6337d8f6f7"
-        "51a9e001965e8ccdeed63c6a4511d6e2b1d0354002518fe39700c76f715be33e"
-        "1b2b5df4b3e730aecd08495aa0cd3d5ad214627ce3772e3ef306"
-        "a489ecf2e7532de509607b8bc9fd66860ffec29ff14aad6e68e81d8632ead073"
+        "ec6366fafc297b27e66704b9692f1b18672dbcc06a654802f11eb27d52cdf328"
+        "d4d20aab3bfb91ecdc9c444ca93aa203354eafb13d58a6936451a466419e3b8a"
+        "6db31965e6148313ad453e404eee41933cab6c35e76e74081cfa"
+        "0cb8e5515879f0a82ad7873914f7f39812cc429d365c38a28cb3a597cefec385"
     )
     GOLDEN_EMPTY_BLOB = bytes.fromhex(
         "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf"
@@ -135,8 +137,7 @@ class TestAuthenticatedEncryption:
             assert ae.encrypt(b"") == self.GOLDEN_EMPTY_BLOB
 
     def test_keystream_is_the_counter_stream_of_enc_key_and_nonce(self):
-        # 48 bytes of seed: past the kernel's one-block layout, so the
-        # hashlib loop serves it on every host.
+        # 48 bytes of seed: the kernel serves it where it is loaded.
         from repro.crypto.prg import PRGReference
 
         ae = AuthenticatedEncryption(b"k" * 32)

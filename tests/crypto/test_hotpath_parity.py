@@ -11,7 +11,6 @@ path, are ``tests/test_native_matrix.py``'s.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from unittest import mock
 
@@ -35,8 +34,8 @@ from repro.secagg.masking import (
 
 class TestPRGParity:
     def test_counter_stream_bit_identical_at_random_offsets(self):
-        # Seeds past 47 bytes (the AE keystream's is 48) take the
-        # hashlib loop on every host; the stream is the same stream.
+        # Seeds past 55 bytes take the Python stream on every host; the
+        # stream is the same stream.
         rng = random.Random(0xC0FFEE)
         for trial in range(20):
             seed = rng.randbytes(rng.choice([16, 32, 48, 57]))
@@ -47,16 +46,16 @@ class TestPRGParity:
                 assert isinstance(got, bytearray)
                 assert got == whole[32 * ctr0 : 32 * (ctr0 + nblocks)], (trial, ctr0)
 
-    @pytest.mark.parametrize("seed_len", [47, 48])  # kernel, then hashlib
+    @pytest.mark.parametrize("seed_len", [55, 56])  # kernel, then Python
     def test_counter_stream_refuses_counters_be64_cannot_name(self, seed_len):
-        """Past 2**64 − 1 the kernel wraps to counter 0 while the
-        hashlib loop raised, and ctypes passed a negative ctr0 to the
-        kernel as 2**64 − 1; counter_stream now refuses both before
-        either path runs, and a run ending on the last counter is served
-        on either path."""
+        """ctypes would pass a negative ctr0 to the kernel as 2**64 − 1,
+        and a counter past 2**64 − 1 is none the kernel's ``uint64_t``
+        can name; counter_stream refuses both before either path runs,
+        and a run ending on the last counter is served on either path
+        (its AES counters carry into the top half)."""
         seed, top = bytes(seed_len), 1 << 64
         last = counter_stream(seed, 40, top - 40)[-32:]
-        assert last == hashlib.sha256(seed + (top - 1).to_bytes(8, "big")).digest()
+        assert last == PRGReference(seed).block(top - 1)
         for nblocks, ctr0 in ((41, top - 40), (1, top), (1, -1)):
             with pytest.raises(ValueError, match="2\\*\\*64"):
                 counter_stream(seed, nblocks, ctr0)
@@ -103,7 +102,7 @@ class TestPRGParity:
 
     def test_expand_uniform_long_seed_matches_reference(self):
         # Seeds longer than one padded SHA-256 block bypass the native
-        # kernel; the hashlib loop must serve the identical stream.
+        # kernel; the Python stream must serve the identical one.
         seed = b"q" * 80
         np.testing.assert_array_equal(
             expand_uniform(seed, 65, 1 << 20),
@@ -510,13 +509,10 @@ class TestMaskAccumulatorParity:
     @pytest.mark.timeout(60)
     def test_fold_seeds_fan_out_on_the_numpy_twin_under_thread_stress(self):
         # More workers than cores, a 1 µs switch interval, every worker
-        # on the hashlib stream — whose shared counter table is emptied
-        # first, so the workers grow it concurrently (under its lock).
-        # A lost or doubled update anywhere changes the sum.
+        # on the numpy twin over the Python stream.  A lost or doubled
+        # update anywhere changes the sum.
         import sys
         from unittest import mock
-
-        from repro.crypto import prg
 
         modulus, dim = 1 << 20, 40_000  # past two of the twin's 2**14 slabs
         rng = random.Random(53)
@@ -527,11 +523,9 @@ class TestMaskAccumulatorParity:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with prg._ctr_lock:
-                del prg._ctr_table[:]
             with (
                 mock.patch.object(native, "mask_fold", return_value=False),
-                mock.patch.object(native, "sha256_ctr_stream", return_value=None),
+                mock.patch.object(native, "counter_stream", return_value=None),
             ):
                 fanned = MaskAccumulator(base, modulus, n_terms=25)
                 fanned.fold_seeds(seeds, 8)

@@ -266,7 +266,7 @@ class TestKernelIsTheTwin:
         )
 
     def test_a_seed_too_long_for_the_kernel_takes_the_twin(self):
-        seed = b"s" * 48
+        seed = b"s" * 56
         assert len(seed) > native.MAX_SEED_LEN
         a = skellam_noise_from_seed(seed, 2.28e8, 100)
         assert np.array_equal(a, skellam_noise_from_seed_numpy(seed, 2.28e8, 100))

@@ -104,7 +104,7 @@ class TestAdvertiseCodec:
 
     def test_golden_frame(self):
         # magic "DW", wire version 6, kind 0x11, body length 32;
-        # payload version 7, tag 0x22, codec body length 26; a 4-tuple
+        # payload version 8, tag 0x22, codec body length 26; a 4-tuple
         # of int 7, bytes 12 34, bytes 00 ff, None.
         frame = encode_payload_frame(
             KIND_RESPONSE,
@@ -112,7 +112,7 @@ class TestAdvertiseCodec:
         )
         assert bytes(frame).hex() == (
             "44570611" "00000020"
-            "07" "22" "0000001a"
+            "08" "22" "0000001a"
             "08" "00000004"
             "03" "00000001" "07"
             "06" "00000002" "1234"
@@ -300,7 +300,7 @@ class TestMaskedInputCodec:
     def test_golden_frame(self):
         # The whole RESPONSE frame of a tiny masked input, byte for byte:
         # magic "DW", wire version 6, kind 0x11, body length 27;
-        # payload version 7, tag 0x23, codec body length 21;
+        # payload version 8, tag 0x23, codec body length 21;
         # sender 7, bits 20, count 3; 0xABCDE ∥ 0x12345 ∥ 0xFFFFF packed
         # little-endian, top nibble of the last byte zero padding.
         frame = encode_payload_frame(
@@ -308,7 +308,7 @@ class TestMaskedInputCodec:
         )
         assert bytes(frame).hex() == (
             "44570611" "0000001b"
-            "07" "23" "00000015"
+            "08" "23" "00000015"
             "0000000000000007" "14" "00000003"
             "debc5a3412ffff0f"
         )
@@ -383,7 +383,7 @@ class TestUnmaskingCodec:
             UnmaskingMsg.from_bytes(encode_value(fields))
 
     def test_golden_frame(self):
-        # Body length 86; payload version 7, tag 0x24, codec body length
+        # Body length 86; payload version 8, tag 0x24, codec body length
         # 80; a 4-tuple of int 2, {5: Share} (tag 0x20, 30 bytes: x 2,
         # secret_len 1, one 16-byte evaluation 0xab), an empty dict,
         # {1: bytes aa bb}.
@@ -395,7 +395,7 @@ class TestUnmaskingCodec:
         )
         assert bytes(encode_payload_frame(KIND_RESPONSE, msg)).hex() == (
             "44570611" "00000056"
-            "07" "24" "00000050"
+            "08" "24" "00000050"
             "08" "00000004"
             "03" "00000001" "02"
             "0b" "00000001"

@@ -212,6 +212,10 @@ print(json.dumps({
         str(w.message) for w in caught
         if issubclass(w.category, RuntimeWarning) and "repro.native" in str(w.message)
     ],
+    "stream_announcements": [
+        str(w.message) for w in caught
+        if issubclass(w.category, RuntimeWarning) and "repro.crypto.prg" in str(w.message)
+    ],
     "u3": result.u3,
     "aggregate_is_ring_sum": bool(np.array_equal(result.aggregate, expected)),
     "aggregate": hashlib.sha256(result.aggregate.tobytes()).hexdigest(),
@@ -238,11 +242,24 @@ print(json.dumps({
 """
 
 
-def _run(native_env: str) -> dict:
+#: Makes ``import cryptography`` fail in the child, as on a host without it.
+HIDE_CRYPTOGRAPHY = "import sys\nsys.modules['cryptography'] = None\n"
+
+#: What must come out of every path byte for byte.
+BIT_IDENTICAL = (
+    "u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks", "keys", "signatures",
+    "round_frames", "noise", "xnoise_u3", "xnoise_u6", "xnoise_removed", "xnoise_aggregate",
+    "wide_u3", "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors", "fused",
+    "session_encoded_inputs", "session_ring_aggregates", "session_decoded",
+    "session_metric_history",
+)
+
+
+def _run(native_env: str, prelude: str = "") -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NATIVE=native_env)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-c", prelude + SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=240,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -283,14 +300,42 @@ class TestAnnouncedFallback:
             # No compiler here: that, too, must have been announced.
             assert len(kernel["announcements"]) == 1
             pytest.skip("native kernel unavailable on this host")
-        assert kernel["announcements"] == []
-        for key in ("u3", "aggregate", "aggregate_is_ring_sum", "frames", "masks",
-                    "keys", "signatures", "round_frames", "noise", "xnoise_u3",
-                    "xnoise_u6", "xnoise_removed", "xnoise_aggregate", "wide_u3",
-                    "wide_aggregate", "wide_aggregate_is_ring_sum", "masked_vectors", "fused",
-                    "session_encoded_inputs", "session_ring_aggregates",
-                    "session_decoded", "session_metric_history"):
+        assert kernel["announcements"] == kernel["stream_announcements"] == []
+        for key in BIT_IDENTICAL:
             assert kernel[key] == fallback[key], key
+
+    def test_without_cryptography_the_specification_aes_serves_the_same_round(
+        self, fallback
+    ):
+        # Without it the fallback above already ran on the specification
+        # AES, and matched the kernel.
+        pytest.importorskip("cryptography")
+        assert fallback["stream_announcements"] == []
+        spec = _run("0", prelude=HIDE_CRYPTOGRAPHY)
+        (message,) = spec["stream_announcements"]
+        assert "cryptography is not installed" in message
+        assert "specification AES" in message
+        assert spec["announcements"] == fallback["announcements"]
+        for key in BIT_IDENTICAL:
+            assert spec[key] == fallback[key], key
+
+
+class TestTheAeKeystreamStaysOnTheKernel:
+    def test_no_python_stream_call_while_the_kernel_is_loaded(self, monkeypatch):
+        """The AE's 48-byte seed (``enc_key ∥ nonce``) fits the kernel: a
+        ``Cipher`` object per message would cost more than the whole
+        message does on the kernel."""
+        from repro import native
+        from repro.crypto import prg
+        from repro.crypto.ae import AuthenticatedEncryption
+
+        if not native.stream_lanes():
+            pytest.skip("the counter stream is not the kernel's on this host")
+        monkeypatch.setattr(prg, "_python_stream", lambda *args: pytest.fail("Python stream"))
+        ae = AuthenticatedEncryption(bytes(range(32)))
+        for n in (0, 1, 31, 32, 144, 432, 500):
+            plaintext = bytes(i % 251 for i in range(n))
+            assert ae.decrypt(ae.encrypt(plaintext)) == plaintext
 
 
 class TestEveryReasonIsNamed:
@@ -336,7 +381,6 @@ class TestEveryReasonIsNamed:
     ):
         # A compiler that fails on the AVX-512 section (an old one, say):
         # it only gets through the source with the section left out.
-        import hashlib
         import shutil
 
         import numpy as np
@@ -355,25 +399,26 @@ class TestEveryReasonIsNamed:
             lib = rearmed.load()
         assert lib is not None and len(caught) == 1
         assert "modular powers one base at a time" in str(caught[0].message)
-        assert rearmed.stream_lanes() == 1 and rearmed.modexp_lanes() == 1
+        assert rearmed.stream_lanes() in (0, 8) and rearmed.modexp_lanes() == 1
         assert rearmed.backend_name() in ("c-scalar", "c-sha-ni")
         ctx = rearmed.montgomery_context((1 << 128) - 159)
         assert rearmed.modexp(ctx, [3, 5], 7, path=2) is None  # the lanes: not built
         bases = list(range(2, 13))
         assert rearmed.modexp(ctx, bases, 65537) == [pow(b, 65537, (1 << 128) - 159) for b in bases]
-        # Every other kernel is there and answers as the full object does.
-        stream = rearmed.sha256_ctr_stream(b"k" * 32, 40, ctr0=2**32 - 20)
-        assert stream == b"".join(
-            hashlib.sha256(b"k" * 32 + ctr.to_bytes(8, "big")).digest()
-            for ctr in range(2**32 - 20, 2**32 + 20)
-        )
-        folded = np.zeros(1000, dtype=np.int64)
-        assert rearmed.mask_fold(b"k" * 32, 20, folded, 1)
-        from repro.crypto.prg import expand_uniform_numpy
+        # Every other kernel is there and answers as the full object does
+        # (the stream and the mask fold on AES-NI alone, on a CPU with it).
+        from repro.crypto.prg import PRGReference
 
-        np.testing.assert_array_equal(
-            folded, expand_uniform_numpy(b"k" * 32, 1000, 1 << 20)
-        )
+        if rearmed.stream_lanes():
+            stream = rearmed.counter_stream(b"k" * 32, 40, ctr0=2**63 - 20)
+            assert stream == b"".join(
+                PRGReference(b"k" * 32).block(i) for i in range(2**63 - 20, 2**63 + 20)
+            )
+            folded = np.zeros(1000, dtype=np.int64)
+            assert rearmed.mask_fold(b"k" * 32, 20, folded, 1)
+            np.testing.assert_array_equal(
+                folded, PRGReference(b"k" * 32).uniform_vector(1000, 1 << 20)
+            )
 
     def test_the_cached_object_is_named_by_source_and_flags(self, rearmed, monkeypatch, tmp_path):
         # An object built with other flags (a sanitizer, say) can never be

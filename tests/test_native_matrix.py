@@ -18,7 +18,7 @@ A kernel cell calls the symbol directly on exact-size numpy buffers (an
 ASan redzone right after the last byte), with a guard after every
 destination a kernel writes — the lanes' masked store is a target
 builtin ASan does not instrument — and holds the answer to an oracle
-written here: hashlib, Python integers, ``pow``, the butterfly's
+written here: the specification AES, hashlib, Python integers, ``pow``, the butterfly's
 definition, the sampler's algorithm one word at a time.  What a kernel
 must refuse, it refuses with its output untouched.  A twin cell holds
 the numpy twin, through its Python entry point, to the same oracle.  A
@@ -42,6 +42,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -52,7 +53,8 @@ import pytest
 
 from repro import native
 from repro.crypto.dh import MODP_512, MODP_2048, DHGroup
-from repro.crypto.prg import counter_stream, expand_uniform, expand_uniform_numpy
+from repro.crypto import aes
+from repro.crypto.prg import PRGReference, counter_stream, expand_uniform, expand_uniform_numpy
 from repro.dp import sampler
 from repro.dp.quantize import _round_by_uniforms
 from repro.dp.rotation import fwht
@@ -82,11 +84,11 @@ def chars(buf: np.ndarray):
 
 
 def blocks(seed: bytes, ctr0: int, nblocks: int) -> bytes:
-    """``SHA256(seed ∥ be64(ctr))`` from ``ctr0``, the counter wrapping at 2**64."""
-    return b"".join(
-        hashlib.sha256(seed + ((ctr0 + i) % TOP).to_bytes(8, "big")).digest()
-        for i in range(nblocks)
-    )
+    """Blocks ``ctr0 …`` of ``seed``'s stream: the FIPS-197 AES of
+    :mod:`repro.crypto.aes` (pinned by its known answers) under
+    ``K = SHA-256(seed)`` from the counter block ``be128(2·ctr0)`` —
+    past block 2**64 too, where the counter block's top half grows."""
+    return aes.ctr_keystream(hashlib.sha256(seed).digest(), 2 * ctr0, 2 * nblocks)
 
 
 def packed(values, bits: int) -> bytes:
@@ -185,17 +187,24 @@ def refused(call, *args, **kwargs) -> bool:
 #: The path each selector can force that lives under the AVX-512 gate,
 #: and what the objects without lanes answer for it: the build left it
 #: out (-3), or the CPU check says no (-2).
-LANE_PATH = {"repro_sha256_ctr_path": 3, "repro_modexp_path": 2}
+LANE_PATH = {"repro_stream_path": 2, "repro_modexp_path": 2}
 NO_LANES = {"scalar": -3, "lanes_off": -2}
 MISSING = {-2: "this CPU lacks the instructions", -3: "this build left it out"}
-STREAM_PATHS = {1: "portable C", 2: "SHA-NI", 3: "sixteen AVX-512 lanes"}
+AES_PATHS = {1: "AES-NI", 2: "VAES, four zmm registers of four blocks"}
+KEY_PATHS = {1: "portable C", 2: "SHA-NI"}
 MODEXP_PATHS = {1: "scalar loop", 2: "eight IFMA lanes"}
 
 
-def stream_status(lib, path: int) -> int:
-    """0 where ``path`` runs on this object (a NULL seed is then refused
-    with −1), else −2 / −3 before the arguments are looked at."""
-    rc = lib.repro_sha256_ctr_path(path, None, 0, 0, 0, None)
+def aes_status(lib, path: int) -> int:
+    """0 where AES ``path`` runs on this object (a NULL key is then
+    refused with −1), else −2 / −3 before the arguments are looked at."""
+    rc = lib.repro_stream_path(path, None, None, 0, None)
+    return 0 if rc == -1 else rc
+
+
+def key_status(lib, path: int) -> int:
+    """The same for the compression that derives ``K``."""
+    rc = lib.repro_stream_key_path(path, None, 0, None)
     return 0 if rc == -1 else rc
 
 
@@ -208,7 +217,7 @@ def forced(cell: Cell, symbol: str, path: int, status: int, what: str) -> bool:
     """Whether ``path`` runs on this object: the lanes' answer on an
     object without them is asserted, a host without a path is a named
     skip."""
-    if path == LANE_PATH[symbol] and cell.name in NO_LANES:
+    if path == LANE_PATH.get(symbol) and cell.name in NO_LANES:
         assert status == NO_LANES[cell.name], (cell.name, symbol, status)
         return False
     if status in MISSING:
@@ -219,51 +228,60 @@ def forced(cell: Cell, symbol: str, path: int, status: int, what: str) -> bool:
 
 # -- the stream plane ------------------------------------------------------
 
-CTR0S = (0, 2**32 - 8, 2**32 - 1, TOP - 40)
-#: Runs either side of one and two runs of sixteen lanes, into and past
-#: the wrap at 2**64 from the last counter start.
-RUNS = (0, 1, 15, 16, 17, 31, 32, 33, 40, 41, 57, 60, 64, 80, 100)
+CTR0S = (0, 2**63 - 8, 2**63 - 1, TOP - 40)
+#: Runs either side of one and two VAES steps (eight blocks) and of the
+#: AES-NI group (four), into and past the carry into the counter block's
+#: top half from block 2**63, and past 2**64 from the last start.
+RUNS = (0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 57, 64, 100)
+#: The longest seed one padded SHA-256 block holds (the kernel refuses one more).
+LONGEST_SEED = native.MAX_SEED_LEN
 
 
-def run_stream(fn, seed: bytes, ctr0: int, nblocks: int, *path) -> tuple[int, bytes]:
+def run_stream(fn, seed: bytes, ctr0: int, nblocks: int) -> tuple[int, bytes]:
     held, out = exact(seed), exact(bytes(32 * nblocks) + GUARD)
-    rc = fn(*path, chars(held), len(seed), ctr0, nblocks, chars(out))
+    rc = fn(chars(held), len(seed), ctr0, nblocks, chars(out))
     assert out[32 * nblocks :].tobytes() == GUARD, (ctr0, nblocks)
     return rc, out[: 32 * nblocks].tobytes()
 
 
-def stream_shapes(cell: Cell, fn, seedlen: int, *path) -> None:
+def stream_shapes(cell: Cell, fn, seedlen: int) -> None:
     seed = bytes(range(7, 7 + seedlen))
     for ctr0 in CTR0S:
         want = blocks(seed, ctr0, max(RUNS))
         for n in RUNS:
-            if fn is None:  # the hashlib loop, which refuses a counter past 2**64 − 1
+            if fn is None:  # the Python stream, which refuses a counter past 2**64 − 1
                 if ctr0 + n > TOP:
                     assert refused(counter_stream, seed, n, ctr0)
                     continue
                 got = bytes(counter_stream(seed, n, ctr0))
             else:
-                rc, got = run_stream(fn, seed, ctr0, n, *path)
+                rc, got = run_stream(fn, seed, ctr0, n)
                 assert rc == 0, (seedlen, ctr0, n)
             assert got == want[: 32 * n], (seedlen, ctr0, n)
+    if fn is not None and seedlen:
+        # The key schedule a thread keeps is the last seed's: a seed one
+        # bit away in its last byte, then this one again.
+        other = seed[:-1] + bytes([seed[-1] ^ 1])
+        assert run_stream(fn, other, 0, 9) == (0, blocks(other, 0, 9))
+        assert run_stream(fn, seed, 0, 9) == (0, blocks(seed, 0, 9))
     if fn is not None:  # a seed that no longer fits one padded block
-        assert run_stream(fn, bytes(48), 0, 2, *path) == (-1, bytes(64))
-        assert fn(*path, None, 0, 0, 1, chars(exact(bytes(32)))) == -1
+        assert run_stream(fn, bytes(LONGEST_SEED + 1), 0, 2) == (-1, bytes(64))
+        assert fn(None, 0, 0, 1, chars(exact(bytes(32)))) == -1
 
 
 def check_stream(cell: Cell, seedlen: int) -> None:
     if cell.lib is None:
-        assert native.sha256_ctr_stream(bytes(seedlen), 1) is None
+        assert native.counter_stream(bytes(seedlen), 1) is None
     else:
         want = blocks(bytes(seedlen), 5, 40)
-        assert bytes(native.sha256_ctr_stream(bytes(seedlen), 40, ctr0=5)) == want
-        assert native.sha256_ctr_stream(bytes(48), 1) is None
-    stream_shapes(cell, cell.lib and cell.lib.repro_sha256_ctr, seedlen)
+        assert bytes(native.counter_stream(bytes(seedlen), 40, ctr0=5)) == want
+        assert native.counter_stream(bytes(LONGEST_SEED + 1), 1) is None
+    stream_shapes(cell, cell.lib and cell.lib.repro_stream, seedlen)
 
 
 def golden_masks_and_noise() -> int:
     """The golden mask and noise vectors through the twins, on whatever
-    serves ``native.sha256_ctr_stream``; returns how many were checked."""
+    serves ``native.counter_stream``; returns how many were checked."""
     from tests.crypto.test_mask_vectors import GOLDEN as masks, SEEDS
     from tests.xnoise.test_noise_vectors import GOLDEN as noise
 
@@ -279,48 +297,97 @@ def golden_masks_and_noise() -> int:
     return len(masks) + len(noise)
 
 
+@functools.cache
+def aes_cases() -> tuple[tuple[bytes, int, int, bytes], ...]:
+    """``(key, counter, n, keystream)``: the FIPS-197 and SP 800-38A known
+    answers, then every ragged run of 0 … 33 blocks from counters whose
+    low half carries, whose whole block wraps at 2**128, and from
+    SP 800-38A's own — the runs against the specification AES."""
+    from tests.crypto.test_aes_vectors import KNOWN_ANSWERS
+
+    cases = [(key, counter, len(out) // 16, out) for key, counter, out in KNOWN_ANSWERS]
+    key = bytes(range(100, 132))
+    for counter in (0, 2**64 - 5, 2**64 - 17, 2**128 - 7, KNOWN_ANSWERS[-1][1]):
+        want = aes.ctr_keystream(key, counter, 33)
+        cases.extend((key, counter, n, want[: 16 * n]) for n in range(34))
+    return tuple(cases)
+
+
+def run_aes(fn, path: int, key: bytes, counter: int, n: int) -> tuple[int, bytes]:
+    held, block = exact(key), exact(counter.to_bytes(16, "big"))
+    out = exact(bytes(16 * n) + GUARD)
+    rc = fn(path, chars(held), chars(block), n, chars(out))
+    assert out[16 * n :].tobytes() == GUARD, (counter, n)
+    return rc, out[: 16 * n].tobytes()
+
+
 def check_stream_path(cell: Cell, path: int) -> None:
-    if cell.lib is None:  # the twins' one stream is hashlib's
+    if cell.lib is None:  # the twins' AES: the specification PRGReference runs on
+        for key, counter, n, want in aes_cases():
+            assert aes.ctr_keystream(key, counter, n) == want, (counter, n)
         assert golden_masks_and_noise() > 0
         return
-    fn = cell.lib.repro_sha256_ctr_path
-    status = stream_status(cell.lib, path)
-    if not forced(cell, "repro_sha256_ctr_path", path, status, STREAM_PATHS[path]):
-        assert run_stream(fn, b"", 0, 17, path) == (status, bytes(32 * 17))
+    fn = cell.lib.repro_stream_path
+    status = aes_status(cell.lib, path)
+    if not forced(cell, "repro_stream_path", path, status, AES_PATHS[path]):
+        assert run_aes(fn, path, bytes(32), 0, 17) == (status, bytes(16 * 17))
         return
-    for seedlen in range(native.MAX_SEED_LEN + 1):
-        stream_shapes(cell, fn, seedlen, path)
-    for bad in (0, len(STREAM_PATHS) + 1):
-        assert run_stream(fn, b"", 0, 1, bad) == (-1, bytes(32))
+    for key, counter, n, want in aes_cases():
+        assert run_aes(fn, path, key, counter, n) == (0, want), (counter, n)
+    for bad in (0, len(AES_PATHS) + 1):
+        assert run_aes(fn, bad, bytes(32), 0, 1) == (-1, bytes(16))
 
     def on_this_path(seed, nblocks, ctr0=0):
-        rc, got = run_stream(fn, seed, ctr0, nblocks, path)
+        key = hashlib.sha256(seed).digest()
+        rc, got = run_aes(fn, path, key, 2 * ctr0, 2 * nblocks)
         assert rc == 0
         return bytearray(got)
 
-    with mock.patch.object(native, "sha256_ctr_stream", side_effect=on_this_path) as stream:
+    with mock.patch.object(native, "counter_stream", side_effect=on_this_path) as stream:
         assert golden_masks_and_noise() <= stream.call_count
+
+
+def check_stream_key_path(cell: Cell, path: int) -> None:
+    seeds = [bytes(range(7, 7 + n)) for n in range(LONGEST_SEED + 1)]
+    if cell.lib is None:  # the twins derive K with hashlib
+        for seed in seeds:
+            assert PRGReference(seed).block(0) == blocks(seed, 0, 1)
+        return
+    fn = cell.lib.repro_stream_key_path
+    status = key_status(cell.lib, path)
+    forced(cell, "repro_stream_key_path", path, status, KEY_PATHS[path])
+    for seed in seeds + [bytes(LONGEST_SEED + 1), None]:
+        out = exact(bytes(32) + GUARD)
+        rc = fn(path, seed and chars(exact(seed)), len(seed or b""), chars(out))
+        if seed is None or len(seed) > LONGEST_SEED:
+            assert (rc, out[:32].tobytes()) == (-1, bytes(32))
+        else:
+            assert (rc, out[:32].tobytes()) == (0, hashlib.sha256(seed).digest()), len(seed)
+        assert out[32:].tobytes() == GUARD
+    for bad in (0, len(KEY_PATHS) + 1):
+        assert fn(bad, b"", 0, chars(exact(bytes(32)))) == -1
 
 
 def check_backend(cell: Cell, _) -> None:
     if cell.lib is None:
         assert native.backend_name() == "python"
         return
-    backend = cell.lib.repro_sha256_ctr_backend()
-    assert backend == (2 if stream_status(cell.lib, 2) == 0 else 1)
+    backend = cell.lib.repro_stream_backend()
+    assert backend == (2 if key_status(cell.lib, 2) == 0 else 1)
     assert native.backend_name() == {1: "c-scalar", 2: "c-sha-ni"}[backend]
 
 
 def check_stream_lanes(cell: Cell, _) -> None:
     if cell.lib is None:
-        assert native.stream_lanes() == 1
+        assert native.stream_lanes() == 0
         return
-    lanes = cell.lib.repro_sha256_ctr_lanes()
-    # Lanes announced iff path 3 can run here.
-    assert lanes == (16 if stream_status(cell.lib, 3) == 0 else 1)
+    lanes = cell.lib.repro_stream_lanes()
+    # 16 iff the VAES path can run here, 8 on AES-NI alone, else none.
+    aesni, vaes = (aes_status(cell.lib, path) == 0 for path in AES_PATHS)
+    assert lanes == (16 if vaes else 8 if aesni else 0)
     assert native.stream_lanes() == lanes
     if cell.name in NO_LANES:
-        assert lanes == 1
+        assert lanes in (0, 8)
 
 
 # -- the bit-pack plane ----------------------------------------------------
@@ -430,7 +497,7 @@ def check_unpack_add(cell: Cell, bits: int) -> None:
         assert huge_counts_refused(cell.lib.repro_unpack_add, bits)
 
 
-MASK_SEEDS = (b"", bytes(range(7, 39)), bytes(range(47)))
+MASK_SEEDS = (b"", bytes(range(7, 39)), bytes(range(LONGEST_SEED)))
 
 
 @functools.cache
@@ -463,7 +530,8 @@ def check_mask_fold(cell: Cell, bits: int) -> None:
             np.testing.assert_array_equal(got, start - mask_)
     if cell.lib is not None:  # refused before anything is drawn, whatever the count
         fn, out = cell.lib.repro_mask_fold, starts(9)
-        for seed, width, sign in ((bytes(48), bits, 1), (b"", 0, 1), (b"", 63, 1), (b"", bits, 0)):
+        too_long = bytes(LONGEST_SEED + 1)
+        for seed, width, sign in ((too_long, bits, 1), (b"", 0, 1), (b"", 63, 1), (b"", bits, 0)):
             for n in (0, 9):
                 assert fn(chars(exact(seed)), len(seed), width, sign, out.ctypes.data, n) == -1
         np.testing.assert_array_equal(out, starts(9))
@@ -523,7 +591,7 @@ def strip_table(name: str):
 
 FILL_TABLES = {name: name for name in ("one-row", "z1048576", "z2.28e8", "z2.5e9")}
 FILL_COUNTS = (0, 1, 255, 256, 257)  # either side of the kernel's 256-word refill
-FILL_SEEDS = (b"", bytes(range(47)))
+FILL_SEEDS = (b"", bytes(range(LONGEST_SEED)))
 
 
 @functools.cache
@@ -533,10 +601,10 @@ def accepted_trials(name: str, seed: bytes, n: int) -> tuple[int, ...]:
     table = strip_table(name)
     strips, z, out, ctr = table.strips.tolist(), table.z, [], 0
     while len(out) < n:
-        block = blocks(seed, ctr, 1)
-        ctr += 1
-        for t in range(4):
-            word = int.from_bytes(block[8 * t : 8 * t + 8], "big")
+        refill = blocks(seed, ctr, 64)
+        ctr += 64
+        for t in range(4 * 64):
+            word = int.from_bytes(refill[8 * t : 8 * t + 8], "big")
             if word >> 54 >= len(strips):
                 continue
             base, width, threshold, hat = strips[word >> 54]
@@ -571,7 +639,7 @@ def check_skellam_fill(cell: Cell, name: str) -> None:
                 np.testing.assert_array_equal(got, start + sign * trials[:n])
     if cell.lib is not None:  # refused before anything is drawn, whatever the count
         out = starts(9)
-        for seed, nstrips, sign in ((bytes(48), len(table.strips), 1), (b"", 0, 1),
+        for seed, nstrips, sign in ((bytes(LONGEST_SEED + 1), len(table.strips), 1), (b"", 0, 1),
                                     (b"", 1025, 1), (b"", len(table.strips), 0)):
             for n in (0, 9):
                 assert cell.lib.repro_skellam_fill(
@@ -888,11 +956,11 @@ def _flip(buf, at: int) -> None:
     buf[at] = bytes([buf[at][0] ^ 1])
 
 
-def _one_wrong_stream_lane(real, seed, seedlen, ctr0, nblocks, out):
-    """Right block by block, wrong only in a run long enough for the
-    sixteen lanes: one bit of the lane whose counter is 2**32."""
+def _one_wrong_stream_step(real, seed, seedlen, ctr0, nblocks, out):
+    """Right in a run shorter than one VAES step, wrong past one: one
+    bit of block 8, the second step's first."""
     rc = real(seed, seedlen, ctr0, nblocks, out)
-    if nblocks >= 16:
+    if nblocks > 8:
         _flip(out, 32 * 8)
     return rc
 
@@ -1012,13 +1080,14 @@ def _never_refuses(real, x, u, n, limit, out):
 
 
 MATRIX: dict[str, MatrixRow] = {
-    "repro_sha256_ctr": MatrixRow(
-        {f"seed{n}": n for n in range(native.MAX_SEED_LEN + 1)}, check_stream,
-        {"one wrong lane": _one_wrong_stream_lane, "one wrong block": _one_wrong_block},
+    "repro_stream": MatrixRow(
+        {f"seed{n}": n for n in range(LONGEST_SEED + 1)}, check_stream,
+        {"one wrong step": _one_wrong_stream_step, "one wrong block": _one_wrong_block},
     ),
-    "repro_sha256_ctr_path": MatrixRow({f"path{p}": p for p in STREAM_PATHS}, check_stream_path),
-    "repro_sha256_ctr_backend": MatrixRow({"answer": None}, check_backend),
-    "repro_sha256_ctr_lanes": MatrixRow({"answer": None}, check_stream_lanes),
+    "repro_stream_path": MatrixRow({f"path{p}": p for p in AES_PATHS}, check_stream_path),
+    "repro_stream_key_path": MatrixRow({f"path{p}": p for p in KEY_PATHS}, check_stream_key_path),
+    "repro_stream_backend": MatrixRow({"answer": None}, check_backend),
+    "repro_stream_lanes": MatrixRow({"answer": None}, check_stream_lanes),
     "repro_pack_bits": MatrixRow(WIDTHS, check_pack_bits, {"one flipped bit": _one_flipped_pack}),
     "repro_unpack_bits": MatrixRow(
         WIDTHS, check_unpack_bits, {"one element off": _one_element_off}
@@ -1056,10 +1125,14 @@ MATRIX: dict[str, MatrixRow] = {
     ),
 }
 
+#: The in-process objects' cells first: the child objects' run beside
+#: them from the module's start, and their cells only collect answers.
 CELLS = [
     pytest.param(symbol, name, label, id=f"{symbol}-{name}-{label}")
+    for in_child in (False, True)
     for symbol, row in MATRIX.items()
     for name in OBJECTS
+    if (name in IN_SUBPROCESS) == in_child
     for label in row.groups
 ]
 
@@ -1092,35 +1165,66 @@ for symbol, label in json.load(sys.stdin):
 """
 
 
-@functools.cache
-def child_results(name: str, cells: tuple) -> dict[tuple[str, str], str]:
-    """The cells of one object, run in child interpreters: one for all
-    of them, and after a crash — which fails the cell it happened in —
-    one for the cells after it."""
-    sofile = build(name)
-    results: dict[tuple[str, str], str] = {}
-    pending = list(cells)
-    while pending:
-        done = subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", CHILD, name, str(sofile)],
-            input=json.dumps(pending), env=child_env(name),
-            capture_output=True, text=True, timeout=1800,
-        )
-        report, running = done.stderr[-6000:], None
-        for line in done.stdout.splitlines():
+class ChildRun:
+    """The cells of one object, run in child interpreters — started with
+    the module, so they run beside the in-process cells (on a second core
+    where there is one): one child for all of them, and after a crash —
+    which fails the cell it happened in — one for the cells after it."""
+
+    def __init__(self, name: str, cells: tuple):
+        self.name, self.results, self.pending = name, {}, list(cells)
+        try:
+            self.sofile, self.skipped = build(name), ""
+        except pytest.skip.Exception as exc:
+            self.sofile, self.skipped, self.pending = None, str(exc.msg), []
+            return
+        self._start()
+
+    def _start(self) -> None:
+        self.out, self.err = tempfile.TemporaryFile("w+"), tempfile.TemporaryFile("w+")
+        with tempfile.TemporaryFile("w+") as cells:
+            json.dump(self.pending, cells)
+            cells.seek(0)
+            self.child = subprocess.Popen(
+                [sys.executable, "-W", "ignore", "-c", CHILD, self.name, str(self.sofile)],
+                stdin=cells, stdout=self.out, stderr=self.err, env=child_env(self.name),
+                text=True,
+            )
+
+    def _finish(self) -> None:
+        """Wait for the running child, take its answers, and start the
+        next one for the cells it left."""
+        returncode = self.child.wait(timeout=1800)
+        self.out.seek(0)
+        self.err.seek(0)
+        report, running = self.err.read()[-6000:], None
+        for line in self.out:
             symbol, label, result = json.loads(line)
             running = None if result else (symbol, label)
             if result:
-                results[symbol, label] = result
-        if running in pending:
-            results[running] = f"crashed in this cell (exit {done.returncode}):\n{report}"
+                self.results[symbol, label] = result
+        if running in self.pending:
+            self.results[running] = f"crashed in this cell (exit {returncode}):\n{report}"
         else:  # the child ran every cell it was given, or died before the first
             where = f" while {running[1]}" if running else ""
-            failure = f"not run (child exit {done.returncode}{where}):\n{report}"
-            for cell in pending:
-                results.setdefault(cell, failure)
-        pending = [cell for cell in pending if cell not in results]
-    return results
+            failure = f"not run (child exit {returncode}{where}):\n{report}"
+            for cell in self.pending:
+                self.results.setdefault(cell, failure)
+        self.pending = [cell for cell in self.pending if cell not in self.results]
+        if self.pending:
+            self._start()
+
+    def result(self, cell: tuple[str, str]) -> str:
+        if self.skipped:
+            return "skip: " + self.skipped
+        while cell not in self.results:
+            self._finish()
+        return self.results[cell]
+
+    def stop(self) -> None:
+        if self.pending and self.child.poll() is None:
+            self.child.kill()
+            self.child.wait()
 
 
 def selected(session: pytest.Session, name: str) -> tuple:
@@ -1132,12 +1236,25 @@ def selected(session: pytest.Session, name: str) -> tuple:
     )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def children(request):
+    """The child objects' runs, started before the module's first test."""
+    runs = {
+        name: ChildRun(name, cells)
+        for name in IN_SUBPROCESS
+        if (cells := selected(request.session, name))
+    }
+    yield runs
+    for run in runs.values():
+        run.stop()
+
+
 @pytest.mark.timeout(1800)
 @pytest.mark.parametrize("symbol, name, label", CELLS)
-def test_cell(symbol, name, label, monkeypatch, request):
+def test_cell(symbol, name, label, monkeypatch, children):
     row = MATRIX[symbol]
     if name in IN_SUBPROCESS:
-        result = child_results(name, selected(request.session, name))[symbol, label]
+        result = children[name].result((symbol, label))
         if result.startswith("skip: "):
             pytest.skip(result[len("skip: ") :])
         assert result == "ok", result
@@ -1199,8 +1316,8 @@ def test_a_wrong_kernel_fails_its_probe(symbol, how, rearmed, monkeypatch):
     assert native.load() is None  # memoized: no second warning
     (warning,) = caught
     assert f"probe mismatch ({row.announce})" in str(warning.message)
-    assert native.sha256_ctr_stream(b"k" * 32, 1) is None
-    assert native.stream_lanes() == native.modexp_lanes() == 1
+    assert native.counter_stream(b"k" * 32, 1) is None
+    assert native.stream_lanes() == 0 and native.modexp_lanes() == 1
 
 
 def test_a_build_without_int128_keeps_the_rest_of_the_object(rearmed, monkeypatch):
@@ -1209,7 +1326,41 @@ def test_a_build_without_int128_keeps_the_rest_of_the_object(rearmed, monkeypatc
     with pytest.warns(RuntimeWarning, match="128-bit integer") as caught:
         assert native.load() is kernel
     assert len(caught) == 1
-    assert native.sha256_ctr_stream(b"k" * 32, 1) is not None
+    assert native.counter_stream(b"k" * 32, 1) is not None
     assert native.modexp(MODP_512._montgomery, [3, 4], 5) is None
     assert MODP_512.powers([3, 4], 5) == [243, 1024]
     assert MODP_2048.powers([3], 2) == [9]
+
+
+def test_a_cpu_without_aes_ni_keeps_the_rest_of_the_object(rearmed, monkeypatch):
+    """What the planes answer on such a CPU — no lanes, the stream and
+    every kernel that draws it refusing — announced once at load; the
+    stream, the mask fold and the noise then come from Python, the same
+    bytes, and every other kernel stays."""
+    kernel = with_replaced(rearmed, "repro_stream_lanes", lambda real: 0)
+    for symbol, refusal in (("repro_stream", -2), ("repro_mask_fold", -1),
+                            ("repro_skellam_fill", -1)):
+        setattr(kernel, symbol, lambda *args, _rc=refusal: _rc)
+    kernel.repro_stream_backend = lambda: 0
+    monkeypatch.setattr(native, "_build", lambda: kernel)
+    with pytest.warns(RuntimeWarning, match="no AES-NI") as caught:
+        assert native.load() is kernel
+    assert len(caught) == 1
+    assert native.backend_name() == "python" and native.stream_lanes() == 0
+    assert native.counter_stream(b"k" * 32, 3) is None
+    assert counter_stream(b"k" * 32, 3, 7) == blocks(b"k" * 32, 7, 3)
+    folded = np.arange(1000, dtype=np.int64)
+    assert not native.mask_fold(b"k" * 32, 20, folded, 1)
+    np.testing.assert_array_equal(folded, np.arange(1000))
+    np.testing.assert_array_equal(
+        expand_uniform(b"k" * 32, 1000, 1 << 20), PRGReference(b"k" * 32).uniform_vector(1000, 1 << 20)
+    )
+    table = sampler._strip_table(2.28e8)
+    noise = np.zeros(300, dtype=np.int64)
+    assert not native.skellam_fill(table.strips, table.z, b"n" * 32, noise, 1)
+    assert not noise.any()
+    with native.twins_only():
+        want = sampler.skellam_noise_from_seed_numpy(b"n" * 32, 2.28e8, 300)
+    np.testing.assert_array_equal(sampler.skellam_noise_from_seed(b"n" * 32, 2.28e8, 300), want)
+    assert MODP_512.powers([3, 4], 5) == [243, 1024]
+    assert native.modexp(MODP_512._montgomery, [3, 4], 5) == [243, 1024]

@@ -226,17 +226,20 @@ class TestFusedPair:
 #: client that folded ``terms`` fixed seeds into a fixed signed base:
 #: ``(bits, dimension, terms) → digest``.  Never regenerate from the
 #: tree under test — the frame only moves if the wire format does.
-#: Refreshed once, for payload version 7: the frame's ninth byte (the
-#: payload version) went 6 → 7 and no other byte moved — each earlier
-#: digest is this frame's with that byte set back to 6.
+#: Refreshed for payload version 7: the frame's ninth byte (the payload
+#: version) went 6 → 7 and no other byte moved.  Re-derived for payload
+#: version 8, whose masks come from the AES-256-CTR stream: the same
+#: fold on the numpy twin drawing ``PRGReference``'s stream, and again
+#: drawing OpenSSL's AES-CTR, with the same digests — not from the
+#: kernel, which must reproduce them.
 PARENT_FRAMES = {
-    (20, 4099, 5): "99021379091113bc5c4025e01157db767c921c7852942beadef3a88d1d75aeda",
-    (1, 65, 3): "2b4d2373c63f6e787b7b931c502ed7a9d68de6cd5fcc35b3cca5a9803d061d7c",
-    (13, 64, 4): "d37566f76a5316d3567e350e29326f61bbfdab49484c3d1ceca19700d55c19d2",
-    (33, 1031, 6): "9680651c5746f83d671a15181104fda1442446339723e31886a8efa1fc4e609f",
-    (57, 9, 2): "4061af510993726b200ed8fce8b7b843b7488501674490d60dfeb2742f8b7298",
-    (58, 63, 7): "f9fb18134aa812dfa6578cdfddd5a5d145abd02827622ff89136fe2b3d0593da",
-    (62, 7, 3): "94e6517da2f963f1d878e350a445d0a915d130084b86edd6a0d470b6533b1325",
+    (20, 4099, 5): "09e91dbc5dc82e23ef24326cff3de99b7f08a842c437ed86590623475061d0c6",
+    (1, 65, 3): "a7242af82e60710fb3cf2dbf467c6cb323999e22f70d6f825d8484dcf5d08b52",
+    (13, 64, 4): "06f878671d8d064806878d1200cf3bd9b6aaa4ded76b681c3779a6155dc48d28",
+    (33, 1031, 6): "3c5f2d2a9c0768392ae4d9a07221f83323c0a1c3a96aa99805cc8d110b028c22",
+    (57, 9, 2): "c9a1426c5e05bcbb4294bc6ccbe33fd603743aeff2456a952fe4c2220f9ce18b",
+    (58, 63, 7): "3f6d97c5b5f44e0223002d1e05c7b3afddb40de4a3142a32eaea263852b0277e",
+    (62, 7, 3): "6456521eee7302cd54018d39def726dfe5621ba174c7d6efe7f302ef9cf47cc6",
 }
 
 

@@ -284,14 +284,14 @@ class TestEnvelope:
     def test_version_1_payload_refused_by_name(self):
         # A version-1 masked input (length-prefixed fields, int64
         # big-endian elements) exactly as the previous tree wrote it.
-        assert PAYLOAD_VERSION == 7
+        assert PAYLOAD_VERSION == 8
         v1_body = (
             (8).to_bytes(4, "big") + (3).to_bytes(8, "big")
             + (16).to_bytes(4, "big") + (5).to_bytes(8, "big") + (6).to_bytes(8, "big")
         )
         v1 = bytes([1, 0x23]) + len(v1_body).to_bytes(4, "big") + v1_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 1 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 1 \(speaking 8\)"
         ):
             decode_payload(v1)
         # Even relabelled as this version it does not parse as a packed body.
@@ -312,7 +312,7 @@ class TestEnvelope:
         )
         v2 = bytes([2, 0x22]) + len(v2_body).to_bytes(4, "big") + v2_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 2 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 2 \(speaking 8\)"
         ):
             decode_payload(v2)
         # Even relabelled as this version it is refused, never mis-parsed.
@@ -324,7 +324,7 @@ class TestEnvelope:
         # layout did not change, what a revealed seed expands to did.
         v3 = bytes([3]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 3 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 3 \(speaking 8\)"
         ):
             decode_payload(v3)
 
@@ -333,7 +333,7 @@ class TestEnvelope:
         # a mask seed (a reconstructed b_u, an agreed s_{u,v}) expands to.
         v4 = bytes([4]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 4 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 4 \(speaking 8\)"
         ):
             decode_payload(v4)
 
@@ -344,7 +344,7 @@ class TestEnvelope:
         # ``consistency_check`` in a semi-honest round.
         v5 = bytes([5]) + encode_payload(({}, {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}))[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 5 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 5 \(speaking 8\)"
         ):
             decode_payload(v5)
 
@@ -355,9 +355,20 @@ class TestEnvelope:
         # format, parsed against the recipient's own dealing shape.
         v6 = bytes([6]) + encode_payload({2: bytes(236), 3: bytes(236)})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 6 \(speaking 7\)"
+            CodecError, match=r"unsupported payload version 6 \(speaking 8\)"
         ):
             decode_payload(v6)
+
+    def test_version_7_payload_refused_by_name(self):
+        # A version-7 masked upload, byte for byte but for the version:
+        # its mask came from the SHA-256 counter stream.  Version 8 masks
+        # with AES-256-CTR, so a version-7 vector would never unmask.
+        vector = np.arange(9, dtype=np.int64)
+        v7 = bytes([7]) + encode_payload(MaskedInputMsg.from_vector(3, vector, 20))[1:]
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 7 \(speaking 8\)"
+        ):
+            decode_payload(v7)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):

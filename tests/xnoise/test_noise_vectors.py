@@ -2,10 +2,13 @@
 
 ``skellam_noise_from_seed`` used to be defined by numpy's ``default_rng``
 and ``Generator.poisson``, which NEP 19 does not freeze across releases.
-It is now defined by :mod:`repro.dp.sampler` — FIPS 180-4 and IEEE 754 —
-and these vectors (first seven elements, SHA-256 of the whole vector as
+It is now defined by :mod:`repro.dp.sampler` — over the AES-256-CTR
+stream (FIPS-197) since payload version 8, and IEEE 754 — and these
+vectors (first seven elements, SHA-256 of the whole vector as
 little-endian int64) must come out of the C kernel and the numpy twin
-alike, on any host, for both sides of the 2²⁰ switch.
+alike, on any host, for both sides of the 2²⁰ switch.  They were taken
+from the numpy twin drawing ``PRGReference``'s stream, and again drawing
+OpenSSL's AES-CTR, with the same result — never from the kernel.
 """
 
 import hashlib
@@ -23,84 +26,84 @@ SEEDS = (bytes(32), bytes(range(32)))
 
 GOLDEN = {
     (SEEDS[0], 2.0, 7): (
-        [-1, 0, 1, -2, -3, 0, 1],
-        "d882370c9721e6ce91ad7475aab632c5bae169e0315857b1b8022f5390e4d1f8",
+        [0, 1, 0, -1, 1, 0, -2],
+        "3a42b8b7cac0b6edd92d7b2a0e7fe55a7b6e6f40ab90ddcfbd8ae129edde1467",
     ),
     (SEEDS[0], 2.0, 1000): (
-        [-1, 0, 1, -2, -3, 0, 1],
-        "f02a4dc77cbd55bc46806eb239fb58b6f4cb496252c37f3fe14e60f833ab5a3f",
+        [0, 1, 0, -1, 1, 0, -2],
+        "5ed630d858f609ceb3c645bc455a36d9c0e58d3b90309a08be10840ebbc51178",
     ),
     (SEEDS[0], 80.0, 7): (
-        [-8, -3, 8, -11, -16, -2, 10],
-        "851c332026c6983f17b8eabdf11f861253ee77c4850de51131e7feb8c2ef8e86",
+        [1, 9, -1, -9, 6, -3, -12],
+        "fc4ef95f0025539af5eeb2e8bcc6b55304b025e00be5d8024fd18f08a78e0aff",
     ),
     (SEEDS[0], 80.0, 1000): (
-        [-8, -3, 8, -11, -16, -2, 10],
-        "c442e29af1991435ba5e2615e97a3ce34553a7e8a56e5a8386ea43e42172b65c",
+        [1, 9, -1, -9, 6, -3, -12],
+        "0711f1d882feed15a1152020b8eda90646640052c0e3c86e2f3a9c2458785a32",
     ),
     (SEEDS[0], float(1 << 20), 7): (
-        [530, 1249, -1343, 359, 106, 1526, -1647],
-        "fbc536bee106f576eeb84ad82a0e7032d016326debb66c52aacb605ea1c941fc",
+        [-234, -1388, -26, 484, -983, 1354, 258],
+        "98ce6b7dac395b80228e1e10d1ec750a8d3d5e789fe56bfc70121a587a385d0b",
     ),
     (SEEDS[0], float(1 << 20), 1000): (
-        [530, 1249, -1343, 359, 106, 1526, -1647],
-        "973f870650bbd813b38f20a547ae16fca48a694001ad32d49526d5a041b7878e",
+        [-234, -1388, -26, 484, -983, 1354, 258],
+        "4e1e152963973ec4f2b5ed654763eef13838c02ed290b3fe64b8e4268b5a3da3",
     ),
     (SEEDS[0], 2.28e8, 7): (
-        [6789, 16095, -14190, 4515, 1313, 18979, -16504],
-        "dad9fd5bc4a9818c5ddb643706d006baec98e4a64eb5e39eda8bcc4cd41d81c8",
+        [-14565, 27681, 6167, -10587, 17248, 3222, -14047],
+        "275df44ab388231cd8c936c95043875bb8246330ccf8af7009955bd67185fd59",
     ),
     (SEEDS[0], 2.28e8, 1000): (
-        [6789, 16095, -14190, 4515, 1313, 18979, -16504],
-        "7373add1482dbc8e21208316442be5d62306cef843fa4987b15da440a0b7757c",
+        [-14565, 27681, 6167, -10587, 17248, 3222, -14047],
+        "90619d235d9a0157fb0cfbcd1eca3dc620d9c9d0d6d538aebfdd93997ddf39c7",
     ),
     (SEEDS[0], 2.50e9, 7): (
-        [22540, 53360, -47060, 14997, 4380, 62891, -54711],
-        "ef941684f9ff4fc6db39aa16d02ad04e51af7dacc00d9710935902974af0c62a",
+        [-3913, -48300, 20482, -35127, 57172, 10705, -46586],
+        "4af4d4ae88b0a85f4dfceb61f7a4ab8b931c38ee23e4014ceecdd0459afbca0a",
     ),
     (SEEDS[0], 2.50e9, 1000): (
-        [22540, 53360, -47060, 14997, 4380, 62891, -54711],
-        "9b4d126e9d4ee56cf70d8d57d9a4ee90cfe91c0cdcc5b7389b7e0f71bc7cff55",
+        [-3913, -48300, 20482, -35127, 57172, 10705, -46586],
+        "75216bfa462f27b4f4417f60947b6a0a54dd4435861db696e1434fd9db295a53",
     ),
     (SEEDS[1], 2.0, 7): (
-        [1, -1, 0, 1, 0, 1, -2],
-        "4fc02a37a0d8bb39d16685cad6ee5a7d4db7792e668d68c366ff259ddd418400",
+        [0, 1, 1, 0, 0, 0, 1],
+        "75508a7ff6856258c169fe0bb512020d01baeb5ee9695d1fd8d83bc48f740db1",
     ),
     (SEEDS[1], 2.0, 1000): (
-        [1, -1, 0, 1, 0, 1, -2],
-        "b0b6ed0d0202066412d446e6590119fee157421d8fab4b2be3bfab8a7441a25d",
+        [0, 1, 1, 0, 0, 0, 1],
+        "6774d051597e6a5173685744d9419d49546a468ee7544b2dbefb3a14cae52bbb",
     ),
     (SEEDS[1], 80.0, 7): (
-        [4, -7, 1, 6, -3, 5, -13],
-        "bb807016ee1412b645a0099419fa080bdfe661f3f2536647c428e9fee23d036f",
+        [4, 7, 8, 3, 2, 2, 5],
+        "6d74b87f24d4d0744e31f3131f56aa6e6f946eab6ad44af4ccb516f314a2dc11",
     ),
     (SEEDS[1], 80.0, 1000): (
-        [4, -7, 1, 6, -3, 5, -13],
-        "6403936e7696dd7b1740869f8e289db4b72220d86c933925f46076b06cdaf024",
+        [4, 7, 8, 3, 2, 2, 5],
+        "bb7861d3d43dddca1394228a108455c2e755c6bc09417fcab4f6ccab97982762",
     ),
     (SEEDS[1], float(1 << 20), 7): (
-        [-641, 681, -291, -922, 1394, -864, 233],
-        "cd81bc38ad2984f66d0d9cd677eb616ccc1ce90210b587ba56cf83771313af49",
+        [-1145, -1341, -499, -454, -349, -756, -820],
+        "40c6d350a63ffd8513b48ad7599ee89400107975f7da21eb46e41bfb4de00dbc",
     ),
     (SEEDS[1], float(1 << 20), 1000): (
-        [-641, 681, -291, -922, 1394, -864, 233],
-        "35a21b921519e72c0f8b03b93e8c8571a9e9393f6a8f721784fa58886d80774d",
+        [-1145, -1341, -499, -454, -349, -756, -820],
+        "d075d8a45bbe0e6b50a84cae76c3d01f361a4bc0f0c43f34e0b493a2cf387afa",
     ),
     (SEEDS[1], 2.28e8, 7): (
-        [-6402, 8936, -9869, 17667, -9211, 2905, 618],
-        "afcdb482b64b5bfdb019367d235ce067aec7f50e56d49a41f92174f36ac456d6",
+        [-5982, -12307, -14171, -4532, -3942, -2611, -8011],
+        "f7dd729b3f9bc75e33858ee6924bbc8fa854942d3776b4781ec864156da8ab66",
     ),
     (SEEDS[1], 2.28e8, 1000): (
-        [-6402, 8936, -9869, 17667, -9211, 2905, 618],
-        "51474981f9abf1c7f8995f0e00f689849065c6afef21a26d7bc3c952fc06020e",
+        [-5982, -12307, -14171, -4532, -3942, -2611, -8011],
+        "7c595bcc76f1038107ec24d0c8e3d8044f556420cf3728a2d369555fc3c508bf",
     ),
     (SEEDS[1], 2.50e9, 7): (
-        [-21257, 29660, -6276, -32746, 58555, -30563, 9654],
-        "c4d2af17a8623da1c1d940079fbc521c91a4810e895a914ae39a2442fea90f4c",
+        [-19861, -40822, -46994, -15050, -13108, -8685, -26585],
+        "c3dd577a6bacef0f6a76aeb29ffff9880383e127c57640e8af86d0b4b72c0ee0",
     ),
     (SEEDS[1], 2.50e9, 1000): (
-        [-21257, 29660, -6276, -32746, 58555, -30563, 9654],
-        "fc0ecaa01793ed02e103f50f2770e8bef11336a12831fbb059a58d78baec655d",
+        [-19861, -40822, -46994, -15050, -13108, -8685, -26585],
+        "cea2217a9f99b0b8c003c9528743c58a37585fc512c1f82db34f8874b625db4b",
     ),
 }
 
