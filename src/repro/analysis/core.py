@@ -249,29 +249,6 @@ def contains_pow_2_63(node: ast.AST) -> bool:
     return False
 
 
-def walk_scopes(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.AST, ast.ClassDef | None]]:
-    """Yield every def/async-def/class with its enclosing class (if any).
-
-    Nested functions are attributed to the class of their enclosing
-    method, which is what the scope-based rules want.
-    """
-
-    def visit(node: ast.AST, cls: ast.ClassDef | None) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield child, cls
-                yield from visit(child, child)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, cls
-                yield from visit(child, cls)
-            else:
-                yield from visit(child, cls)
-
-    yield from visit(tree, None)
-
-
 def arg_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
     """The ordered argument-name tuple two twins must share."""
     a = fn.args

@@ -200,4 +200,13 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/secagg/test_complexity.py",
         ],
     },
+    # One entropy source; a seeded round replays byte for byte.
+    "20": {
+        "rules": ["determinism"],
+        "tests": [
+            "tests/engine/test_replay.py",
+            "tests/crypto/test_entropy.py",
+            "tests/secagg/test_suite_round.py",
+        ],
+    },
 }

@@ -15,9 +15,10 @@ clock — stamps traced events.  Flagged inside those packages:
    ``datetime.utcnow()``) — traced timing flows from the virtual-time
    arbiter, not the host clock.
 
-Cryptographic randomness (``secrets``) is exempt: protocol key material
-*must* be unpredictable; determinism there lives in the seeds the
-protocol explicitly shares.
+Anywhere under ``src/repro`` but the entropy module, so is any read of
+the OS CSPRNG (any ``secrets`` function, ``from secrets import …``,
+``os.urandom``, ``random.SystemRandom``): key material comes from a suite's
+``EntropySource``, so a seeded round replays (invariant 20).
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ _SCOPE_DIRS = (
     "src/repro/crypto/",
 )
 
+#: The one module that may read the OS CSPRNG.
+_ENTROPY_MODULE = "src/repro/crypto/entropy.py"
+_OS_ENTROPY = ("os.urandom", "random.SystemRandom")
+
 _WALL_CLOCK = {"time.time", "datetime.now", "datetime.utcnow",
                "datetime.datetime.now", "datetime.datetime.utcnow"}
 
@@ -58,12 +63,15 @@ class DeterminismRule(Rule):
     description = (
         "engine/sim/fleet/crypto draw randomness via derive_rng — no "
         "stdlib random, no global np.random, no unseeded default_rng, "
-        "no wall-clock reads in traced paths"
+        "no wall-clock reads in traced paths; only the entropy module "
+        "reads the OS CSPRNG"
     )
-    invariants = ("2a", "8", "10")
+    invariants = ("2a", "8", "10", "20")
 
     def check(self, ctx: CheckContext) -> Iterable[Finding]:
         for src in ctx.sources:
+            if src.rel.startswith("src/repro/") and src.rel != _ENTROPY_MODULE:
+                yield from self._check_os_entropy(src)
             if not _in_scope(src.rel):
                 continue
             imports_random = any(
@@ -79,9 +87,20 @@ class DeterminismRule(Rule):
                     continue
                 yield from self._check_call(src, node, name, imports_random)
 
+    def _check_os_entropy(self, src: SourceFile) -> Iterable[Finding]:
+        for node in ast.walk(src.tree):
+            name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+            if isinstance(node, ast.ImportFrom) and node.module == "secrets":
+                name = "secrets.<import>"
+            if name and (name.startswith("secrets.") or name in _OS_ENTROPY):
+                yield self.finding(src, node, f"{name} reads the OS CSPRNG outside "
+                                   f"crypto/entropy.py — draw from an EntropySource")
+
     def _check_call(
         self, src: SourceFile, call: ast.Call, name: str, imports_random: bool
     ) -> Iterable[Finding]:
+        if name == "random.SystemRandom":
+            return  # _check_os_entropy's finding
         if imports_random and name.startswith("random."):
             yield self.finding(
                 src, call,

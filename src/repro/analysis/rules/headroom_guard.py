@@ -12,8 +12,8 @@ somewhere in the same scope:
 
 - an *accumulate* is ``+=`` / ``-=``, or a call to one of the in-place
   fold kernels with the target as ``out=`` (``unpack_add`` — a packed
-  masked input joining a sum — ``expand_uniform``,
-  ``expand_uniform_batch``, ``skellam_noise_from_seed``): the addition
+  masked input joining a sum — ``expand_uniform``, the PG slot's
+  ``expand``, ``expand_uniform_batch``, ``skellam_noise_from_seed``): the addition
   happens in C or numpy, the headroom is still the caller's;
 - a *reduce* is ``%= modulus``, ``&= modulus - 1`` (the same reduction
   over a power-of-two ring) or handing the target to
@@ -55,7 +55,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Calls that add into their ``out=`` argument in place.
 _FOLD_CALLS = {
-    "unpack_add", "expand_uniform", "expand_uniform_batch", "skellam_noise_from_seed",
+    "unpack_add", "expand_uniform", "expand", "expand_uniform_batch", "skellam_noise_from_seed",
 }
 #: Calls that reduce their first argument mod ``2**bits`` on the way out.
 _REDUCING_CALLS = {"pack_low_bits_into"}

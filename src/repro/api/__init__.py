@@ -13,10 +13,10 @@ ProtocolServer      ``set_graph_dict()`` declares the workflow's
 ProtocolClient      ``set_routine()`` maps each server request to a
                     client-side handler method.
 DPHandler           ``init_params`` / ``encode_data`` / ``decode_data``.
-AEHandler,          the security primitives: authenticated encryption,
-KAHandler,          key agreement, pseudorandom generation, and secret
-PGHandler,          sharing — override to swap implementations.
-SSHandler
+Suite.ka, .ae,      the security primitives' handler slots (key agreement,
+.ss, .prg,          AE, secret sharing, PRG) and the entropy source: pass
+.entropy            ``suite=`` to a SecAgg/XNoise client or server to
+                    swap implementations (:mod:`repro.crypto.suite`).
 AppServer           ``use_output()`` — what the server does with the
                     aggregate.
 AppClient           ``prepare_data()`` / ``use_output()``.
@@ -32,15 +32,8 @@ from repro.api.handlers import (
     DPHandler,
     PlainDPHandler,
     SkellamDPHandler,
-    AEHandler,
-    DefaultAEHandler,
-    KAHandler,
-    DefaultKAHandler,
-    PGHandler,
-    DefaultPGHandler,
-    SSHandler,
-    DefaultSSHandler,
 )
+from repro.crypto.suite import Suite
 from repro.api.protocol import ProtocolServer, ProtocolClient, WorkflowError
 from repro.api.app import AppServer, AppClient
 from repro.api.runtime import AggregationRuntime
@@ -49,14 +42,7 @@ __all__ = [
     "DPHandler",
     "PlainDPHandler",
     "SkellamDPHandler",
-    "AEHandler",
-    "DefaultAEHandler",
-    "KAHandler",
-    "DefaultKAHandler",
-    "PGHandler",
-    "DefaultPGHandler",
-    "SSHandler",
-    "DefaultSSHandler",
+    "Suite",
     "ProtocolServer",
     "ProtocolClient",
     "WorkflowError",

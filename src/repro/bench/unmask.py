@@ -34,7 +34,7 @@ import numpy as np
 from repro import native
 from repro.bench.schema import make_report, metric
 from repro.crypto.dh import KeyAgreement, resolve_group
-from repro.crypto.shamir import ShamirSecretSharing, random_seed
+from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.server import SecAggServer
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -76,7 +76,7 @@ def _fabricate_state(
     # Every client shares both secrets across the whole cohort (complete
     # graph); responders reveal b_u for survivors, s^SK_u for dropped.
     ss = ShamirSecretSharing(threshold)
-    b_shares = {u: ss.share([random_seed(32)], ids)[0] for u in survivors}
+    b_shares = {u: ss.share([rng.bytes(32)], ids)[0] for u in survivors}
     sk_shares = {
         u: ss.share([pairs[u].secret.to_bytes(ka.group.secret_bytes, "big")], ids)[0]
         for u in dropped

@@ -7,12 +7,14 @@ scheme, and a secure PRG (Fig. 5).  This subpackage provides each of those
 interfaces from scratch:
 
 - :mod:`repro.crypto.field`     — GF(p) arithmetic, p = 2**127 − 1.
-- :mod:`repro.crypto.prg`       — SHA-256 counter-mode PRG.
+- :mod:`repro.crypto.prg`       — AES-256-CTR PRG.
 - :mod:`repro.crypto.shamir`    — Shamir secret sharing over GF(p).
 - :mod:`repro.crypto.dh`        — finite-field Diffie–Hellman (RFC 3526).
 - :mod:`repro.crypto.ae`        — encrypt-then-MAC authenticated encryption.
 - :mod:`repro.crypto.signature` — Schnorr signatures.
 - :mod:`repro.crypto.pki`       — a trusted key directory.
+- :mod:`repro.crypto.entropy`   — where every random draw comes from.
+- :mod:`repro.crypto.suite`     — the primitives a round reaches.
 
 These are *reproduction-grade* primitives: they implement the textbook
 constructions faithfully and pass adversarial unit tests (tamper

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-import secrets
 
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
 from repro.crypto.prg import counter_stream
 
 _NONCE_LEN = 16
@@ -89,8 +89,8 @@ class AuthenticatedEncryption:
         )
         return mixed.to_bytes(n, "big")
 
-    def encrypt(self, plaintext: bytes) -> bytes:
-        nonce = secrets.token_bytes(_NONCE_LEN)
+    def encrypt(self, plaintext: bytes, entropy: EntropySource = SYSTEM_ENTROPY) -> bytes:
+        nonce = entropy.token_bytes(_NONCE_LEN)
         ciphertext = self._xor_keystream(nonce, plaintext)
         return nonce + ciphertext + self._tag(nonce, ciphertext)
 

@@ -19,12 +19,12 @@ the CPU has the lanes.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from repro import native
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
 
 #: RFC 3526, group 14 (2048-bit MODP).  Generator 2.
 MODP_2048_P = int(
@@ -50,10 +50,6 @@ class DHGroup:
     p: int
     g: int
     q: int
-
-    def random_exponent(self) -> int:
-        """Uniform secret exponent in [1, q)."""
-        return 1 + secrets.randbelow(self.q - 1)
 
     def powers(self, bases: Sequence[int], exp: int) -> list[int]:
         """``[b**exp mod p for b in bases]`` — the one place a group
@@ -149,8 +145,9 @@ class KeyAgreement:
     def __init__(self, group: DHGroup = MODP_2048):
         self.group = group
 
-    def generate(self) -> DHKeyPair:
-        sk = self.group.random_exponent()
+    def generate(self, entropy: EntropySource = SYSTEM_ENTROPY) -> DHKeyPair:
+        """A key pair whose secret exponent is uniform in ``[1, q)``."""
+        sk = 1 + entropy.randbelow(self.group.q - 1)
         return DHKeyPair(secret=sk, public=self.group.power(self.group.g, sk))
 
     def public_bytes(self, pair: DHKeyPair) -> bytes:

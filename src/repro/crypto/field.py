@@ -9,7 +9,6 @@ from an "exponentially large domain F".
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 #: The Mersenne prime 2**127 − 1.
@@ -66,10 +65,6 @@ class PrimeField:
 
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
-
-    def random_element(self) -> int:
-        """Uniform element of GF(p) from the OS CSPRNG."""
-        return secrets.randbelow(self.p)
 
     def eval_poly(self, coeffs: list[int], x: int) -> int:
         """Evaluate a polynomial with ``coeffs[0]`` the constant term (Horner)."""

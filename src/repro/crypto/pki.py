@@ -10,6 +10,7 @@ is that trusted directory, plus key issuance.
 from __future__ import annotations
 
 from repro.crypto.dh import DHGroup, MODP_2048
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
 from repro.crypto.signature import (
     SchnorrSigner,
     SchnorrVerifier,
@@ -29,14 +30,14 @@ class PublicKeyInfrastructure:
         self.group = group
         self._verification_keys: dict[int, int] = {}
 
-    def register(self, identity: int) -> SchnorrSigner:
+    def register(self, identity: int, entropy: EntropySource = SYSTEM_ENTROPY) -> SchnorrSigner:
         """Issue a fresh signing key for ``identity``; returns the signer.
 
         The verification key is recorded in the public directory.
         """
         if identity in self._verification_keys:
             raise ValueError(f"identity {identity} already registered")
-        sk, vk = generate_signing_keypair(self.group)
+        sk, vk = generate_signing_keypair(self.group, entropy)
         self._verification_keys[identity] = vk
         return SchnorrSigner(sk, self.group)
 

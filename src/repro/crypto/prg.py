@@ -276,7 +276,8 @@ def expand_uniform(
     """Expand ``seed`` into ``length`` uniform ring elements (counter 0).
 
     The one shared mask-expansion entry point: SecAgg's client and
-    coordinator and the API layer's PG handler all call this.  Returns a
+    coordinator reach it through the suite's PG slot
+    (:class:`CounterPRG`).  Returns a
     fresh ``int64`` vector, or — given ``out`` (a writable contiguous
     ``int64`` vector of that length, else ``ValueError`` before anything
     is drawn) — adds ``sign·mask`` raw into it and returns it, so a mask
@@ -286,6 +287,18 @@ def expand_uniform(
     without the native kernel (pinned by test).
     """
     return _expand(seed, length, modulus, out, sign, kernel=True)
+
+
+class CounterPRG:
+    """The PG slot of :class:`repro.crypto.suite.Suite`: :func:`expand_uniform`,
+    looked up at each call (a tracer that rebinds it sees every mask)."""
+
+    def expand(self, seed, length, modulus, out=None, sign=1) -> np.ndarray:
+        return expand_uniform(seed, length, modulus, out, sign)
+
+
+#: The default PG slot.
+COUNTER_PRG = CounterPRG()
 
 
 def expand_uniform_numpy(

@@ -11,17 +11,17 @@ Secrets here are byte strings (seeds, serialized keys).  A byte secret is
 chunked so each chunk fits one field element; every chunk is shared with
 an independent polynomial.  A dealer hands all of its secrets to one
 :meth:`ShamirSecretSharing.share` call, which draws every random
-coefficient from one CSPRNG read and evaluates every chunk at a holder's
+coefficient from one entropy read and evaluates every chunk at a holder's
 point in one packed Horner pass.
 """
 
 from __future__ import annotations
 
-import secrets
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
 from repro.crypto.field import FIELD, PrimeField
 from repro.utils.bytesio import bytes_to_int, chunk_bytes, int_to_bytes
 
@@ -114,7 +114,8 @@ class ShamirSecretSharing:
         self._lagrange_cache: dict[tuple[int, ...], list[int]] = {}
 
     def share(
-        self, secret_list: Sequence[bytes], participant_ids: list[int]
+        self, secret_list: Sequence[bytes], participant_ids: list[int],
+        entropy: EntropySource = SYSTEM_ENTROPY,
     ) -> list[dict[int, Share]]:
         """Split every secret of ``secret_list`` into one share per
         participant id: element ``i`` of the result is secret ``i``'s
@@ -131,7 +132,7 @@ class ShamirSecretSharing:
         ids = self._holder_ids(participant_ids)
         constants, shapes = self._chunk_secrets(secret_list)
         step = self.threshold - 1
-        draws = self._draw_coefficients(len(constants) * step)
+        draws = self._draw_coefficients(len(constants) * step, entropy)
         polys = [
             [constant, *draws[i * step : (i + 1) * step]]
             for i, constant in enumerate(constants)
@@ -139,10 +140,11 @@ class ShamirSecretSharing:
         return self._cut_shares(self._evaluate_shares(polys, ids), shapes)
 
     def share_reference(
-        self, secret_list: Sequence[bytes], participant_ids: list[int]
+        self, secret_list: Sequence[bytes], participant_ids: list[int],
+        entropy: EntropySource = SYSTEM_ENTROPY,
     ) -> list[dict[int, Share]]:
         """Retained scalar reference for :meth:`share`: one
-        ``secrets.randbelow`` per coefficient and one ``field.eval_poly``
+        ``entropy.randbelow(p)`` per coefficient and one ``field.eval_poly``
         (a modulo per Horner step) per chunk and participant.
 
         Shares are random, so the parity pins are on the deterministic
@@ -153,7 +155,7 @@ class ShamirSecretSharing:
         ids = self._holder_ids(participant_ids)
         constants, shapes = self._chunk_secrets(secret_list)
         polys = [
-            [constant] + [self.field.random_element() for _ in range(self.threshold - 1)]
+            [constant] + [entropy.randbelow(self.field.p) for _ in range(self.threshold - 1)]
             for constant in constants
         ]
         return self._cut_shares(self._evaluate_shares_reference(polys, ids), shapes)
@@ -190,26 +192,25 @@ class ShamirSecretSharing:
             shapes.append((len(secret), len(chunks)))
         return constants, shapes
 
-    def _draw_coefficients(self, count: int) -> list[int]:
-        """``count`` uniform elements of GF(p) from one CSPRNG read.
+    def _draw_coefficients(self, count: int, entropy: EntropySource) -> list[int]:
+        """``count`` uniform elements of GF(p) from one ``token_bytes`` read.
 
         Each ``element_bytes``-wide big-endian word of the read is masked
-        to p's bit length and redrawn while it is ≥ p: the rule
-        ``secrets.randbelow(p)`` applies to ``getrandbits(p.bit_length())``,
-        so the distribution is the same.  On 2**127 − 1 the one value
-        redrawn is p itself.
+        to p's bit length and redrawn while it is ≥ p — rejection
+        sampling of ``p.bit_length()``-bit words, so each is uniform.
+        On 2**127 − 1 the one value redrawn is p itself.
         """
         p = self.field.p
         width = self.field.element_bytes
         mask = (1 << p.bit_length()) - 1
-        pool = secrets.token_bytes(width * count)
+        pool = entropy.token_bytes(width * count)
         words = [
             int.from_bytes(pool[k : k + width], "big") & mask
             for k in range(0, len(pool), width)
         ]
         for k, word in enumerate(words):
             while word >= p:
-                word = words[k] = int.from_bytes(secrets.token_bytes(width), "big") & mask
+                word = words[k] = int.from_bytes(entropy.token_bytes(width), "big") & mask
         return words
 
     def _evaluate_shares(
@@ -384,7 +385,3 @@ class ShamirSecretSharing:
             coeffs.append((num * self.field.inv(den)) % self.field.p)
         return coeffs
 
-
-def random_seed(nbytes: int = 32) -> bytes:
-    """Sample a fresh random seed (the ``b_u`` / ``g_{u,k}`` values of Fig. 5)."""
-    return secrets.token_bytes(nbytes)

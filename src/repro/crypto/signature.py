@@ -11,10 +11,10 @@ with the Fiat–Shamir hash over (commitment, public key, message).
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 
 from repro.crypto.dh import DHGroup, MODP_2048
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,15 @@ def _challenge(group: DHGroup, commitment: int, public: int, message: bytes) -> 
     return int.from_bytes(h.digest(), "big") % group.q
 
 
-def generate_signing_keypair(group: DHGroup = MODP_2048) -> tuple[int, int]:
+def generate_signing_keypair(
+    group: DHGroup = MODP_2048, entropy: EntropySource = SYSTEM_ENTROPY
+) -> tuple[int, int]:
     """Return ``(signing_key, verification_key)`` with vk = g**sk mod p.
 
     The signing key is the ``d^SK`` of Fig. 5 (distributed by the trusted
     third party / PKI), the verification key the matching ``d^PK``.
     """
-    sk = 1 + secrets.randbelow(group.q - 1)
+    sk = 1 + entropy.randbelow(group.q - 1)
     return sk, group.power(group.g, sk)
 
 
@@ -66,8 +68,8 @@ class SchnorrSigner:
         self._sk = signing_key
         self.public = group.power(group.g, signing_key)
 
-    def sign(self, message: bytes) -> SchnorrSignature:
-        k = 1 + secrets.randbelow(self.group.q - 1)
+    def sign(self, message: bytes, entropy: EntropySource = SYSTEM_ENTROPY) -> SchnorrSignature:
+        k = 1 + entropy.randbelow(self.group.q - 1)
         commitment = self.group.power(self.group.g, k)
         e = _challenge(self.group, commitment, self.public, message)
         s = (k + self._sk * e) % self.group.q

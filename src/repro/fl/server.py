@@ -42,10 +42,6 @@ class FedAvgServer:
         self.model.set_flat(self.global_params)
         self.rounds_applied += 1
 
-    def apply_update_mean(self, update_mean: np.ndarray) -> None:
-        """FedAvg step from an already-averaged update."""
-        self.apply_update_sum(update_mean, 1)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> float:
         self.model.set_flat(self.global_params)
         return self.model.accuracy(x, y)

@@ -67,7 +67,7 @@ _HEADERS = tuple(sorted(_NATIVE_DIR.glob("*.h")))
 
 # The kernel derives K = SHA-256(seed) from one padded block, so a seed
 # is at most 55 bytes.  Protocol seeds are 32 bytes (DH agreement
-# digests / random_seed(32)) and 48 (the AE's enc_key ∥ nonce).
+# digests / drawn b_u and noise seeds) and 48 (the AE's enc_key ∥ nonce).
 MAX_SEED_LEN = 55
 
 #: Widest modulus the modexp kernel takes (64 limbs of 64 bits).

@@ -30,11 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.crypto.ae import AEError, AuthenticatedEncryption
-from repro.crypto.dh import KeyAgreement, resolve_group
+from repro.crypto.ae import AEError
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.shamir import Share, ShamirSecretSharing, random_seed
+from repro.crypto.shamir import Share
 from repro.crypto.signature import SchnorrSigner
+from repro.crypto.suite import Suite
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -68,7 +68,7 @@ def consistency_message(round_index: int, u3: list[int]) -> bytes:
 
 
 class SecAggClient:
-    """One sampled client's view of a secure-aggregation round."""
+    """One sampled client's view of a round, on ``suite.for_party(client_id, round_index)``."""
 
     def __init__(
         self,
@@ -78,25 +78,26 @@ class SecAggClient:
         pki: Optional[PublicKeyInfrastructure] = None,
         round_index: int = 0,
         extra_secrets: dict[str, bytes] | None = None,
+        suite: Optional[Suite] = None,
     ):
         if config.malicious and (signer is None or pki is None):
             raise ValueError("malicious mode requires a signer and a PKI")
         self.id = client_id
         self.config = config
         self.round_index = round_index
-        self._ka = KeyAgreement(resolve_group(config.dh_group))
+        self.suite = (suite or Suite.for_group(config.dh_group)).for_party(client_id, round_index)
         self._signer = signer
         self._pki = pki
         self.extra_secrets = dict(extra_secrets or {})
 
-        self._c_pair = self._ka.generate()
-        self._s_pair = self._ka.generate()
+        self._c_pair = self.suite.ka.generate(self.suite.entropy)
+        self._s_pair = self.suite.ka.generate(self.suite.entropy)
         self._b_seed: bytes = b""
         self._peer_keys: dict[int, tuple[int, int]] = {}  # peer -> (c^PK, s^PK)
         # Each pairwise c-channel key is agreed and keyed into its AE
         # once a round: in ShareKeys, the whole neighbourhood in one
         # call, to encrypt; the same object decrypts in Unmasking.
-        self._c_channels: dict[int, AuthenticatedEncryption] = {}
+        self._c_channels: dict[int, object] = {}
         self._shape: Optional[DealingShape] = None
         self._neighbors: set[int] = set()
         self._received_ciphertexts: dict[int, bytes] = {}
@@ -111,12 +112,12 @@ class SecAggClient:
         """Generate the two key pairs and advertise the public halves."""
         msg = AdvertiseKeysMsg(
             sender=self.id,
-            c_public=self._ka.public_bytes(self._c_pair),
-            s_public=self._ka.public_bytes(self._s_pair),
+            c_public=self.suite.ka.public_bytes(self._c_pair),
+            s_public=self.suite.ka.public_bytes(self._s_pair),
         )
         if self.config.malicious:
             assert self._signer is not None
-            sig = self._signer.sign(_advertise_message_bytes(msg))
+            sig = self._signer.sign(_advertise_message_bytes(msg), self.suite.entropy)
             msg = dataclasses.replace(msg, signature=sig)
         return msg
 
@@ -145,12 +146,13 @@ class SecAggClient:
             )
         # Keys leave their wire form here, once; any other width is
         # refused before duplicates are compared or signatures checked.
+        ka, entropy = self.suite.ka, self.suite.entropy
         peer_keys: dict[int, tuple[int, int]] = {}
         for peer, msg in roster.items():
             try:
                 peer_keys[peer] = (
-                    self._ka.decode_public(msg.c_public),
-                    self._ka.decode_public(msg.s_public),
+                    ka.decode_public(msg.c_public),
+                    ka.decode_public(msg.s_public),
                 )
             except ValueError as exc:
                 raise ProtocolAbort(f"bad public key from {peer}: {exc}") from exc
@@ -185,13 +187,12 @@ class SecAggClient:
                 f"{self.config.threshold} unsatisfiable"
             )
 
-        self._b_seed = random_seed(_B_SEED_BYTES)
-        ss = ShamirSecretSharing(self.config.threshold)
+        self._b_seed = entropy.token_bytes(_B_SEED_BYTES)
         # Fig. 5 cuts shares over all of U1 including the dealer itself;
         # the dealer keeps its own share and may reveal it in Unmasking.
         holder_ids = sorted(self._neighbors | {self.id})
         neighbor_ids = sorted(self._neighbors)
-        key_width = self._ka.group.secret_bytes
+        key_width = ka.group.secret_bytes
         s_sk_bytes = self._s_pair.secret.to_bytes(key_width, "big")
         # Every client of a round deals this shape; its recipients parse
         # what they hold against their own.
@@ -199,8 +200,8 @@ class SecAggClient:
             (key_width, _B_SEED_BYTES, *map(len, self.extra_secrets.values())),
             tuple(self.extra_secrets),
         )
-        s_shares, b_shares, *extras = ss.share(
-            [s_sk_bytes, self._b_seed, *self.extra_secrets.values()], holder_ids
+        s_shares, b_shares, *extras = self.suite.ss(self.config.threshold).share(
+            [s_sk_bytes, self._b_seed, *self.extra_secrets.values()], holder_ids, entropy
         )
         extra_shares: dict[str, dict[int, Share]] = dict(zip(self.extra_secrets, extras))
         self._own_shares = (
@@ -209,9 +210,9 @@ class SecAggClient:
             {label: shares[self.id] for label, shares in extra_shares.items()},
         )
 
-        c_keys = self._ka.agree(self._c_pair, [self._peer_keys[v][0] for v in neighbor_ids])
+        c_keys = ka.agree(self._c_pair, [self._peer_keys[v][0] for v in neighbor_ids])
         self._c_channels = {
-            peer: AuthenticatedEncryption(key) for peer, key in zip(neighbor_ids, c_keys)
+            peer: self.suite.ae(key) for peer, key in zip(neighbor_ids, c_keys)
         }
         ciphertexts: dict[int, bytes] = {}
         for peer in neighbor_ids:
@@ -222,17 +223,17 @@ class SecAggClient:
                 b_share=b_shares[peer],
                 extra_shares={lbl: shares[peer] for lbl, shares in extra_shares.items()},
             )
-            ciphertexts[peer] = self._c_channels[peer].encrypt(payload.to_bytes())
+            ciphertexts[peer] = self._c_channels[peer].encrypt(payload.to_bytes(), entropy)
         return ciphertexts
 
-    def _c_channel(self, peer: int) -> AuthenticatedEncryption:
+    def _c_channel(self, peer: int):
         """The AE keyed with the c-channel key shared with ``peer``:
         agreed in ShareKeys for every neighbour, on first use for anyone
         else."""
         channel = self._c_channels.get(peer)
         if channel is None:
-            (key,) = self._ka.agree(self._c_pair, [self._peer_keys[peer][0]])
-            channel = self._c_channels[peer] = AuthenticatedEncryption(key)
+            (key,) = self.suite.ka.agree(self._c_pair, [self._peer_keys[peer][0]])
+            channel = self._c_channels[peer] = self.suite.ae(key)
         return channel
 
     # ------------------------------------------------------------------
@@ -275,10 +276,11 @@ class SecAggClient:
         # The sum leaves as its ring-width bit stream, reduced by the
         # pack: the masked input is never a vector again.
         acc = MaskAccumulator(
-            update_ring, self.config.modulus, n_terms=2 + len(peers), owned=owned
+            update_ring, self.config.modulus, n_terms=2 + len(peers), owned=owned,
+            prg=self.suite.prg,
         )
         acc.fold_seed(self._b_seed, 1)
-        seeds = self._ka.agree(self._s_pair, [self._peer_keys[peer][1] for peer in peers])
+        seeds = self.suite.ka.agree(self._s_pair, [self._peer_keys[peer][1] for peer in peers])
         for peer, seed in zip(peers, seeds):
             acc.fold_seed(seed, 1 if self.id > peer else -1)
         return MaskedInputMsg(
@@ -302,7 +304,7 @@ class SecAggClient:
         if not self.config.malicious:
             return None
         assert self._signer is not None
-        return self._signer.sign(consistency_message(self.round_index, u3))
+        return self._signer.sign(consistency_message(self.round_index, u3), self.suite.entropy)
 
     # ------------------------------------------------------------------
     # Stage 4 — Unmasking

@@ -12,9 +12,9 @@ MaskedInputCollection):
 
 Both masks are expanded from 32-byte seeds by the counter-mode PRG,
 exactly as the deployed protocol does, so a mask is never materialized
-on the wire — nor in memory: :meth:`MaskAccumulator.fold_seed` has
-:func:`repro.crypto.prg.expand_uniform` add a seed's signed expansion
-straight into the running sum.
+on the wire — nor in memory: :meth:`MaskAccumulator.fold_seed` has the
+suite's PG slot (by default :func:`repro.crypto.prg.expand_uniform`)
+add a seed's signed expansion straight into the running sum.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.crypto.prg import expand_uniform, expand_uniform_batch
+from repro.crypto.prg import COUNTER_PRG, CounterPRG
 from repro.wire.bitpack import pack_low_bits_into, packed_stream, unpack_add, unpack_bits
 
 
@@ -70,9 +70,10 @@ class MaskAccumulator:
     """
 
     def __init__(
-        self, base: np.ndarray, modulus: int, n_terms: int, *, owned: bool = False
+        self, base: np.ndarray, modulus: int, n_terms: int, *,
+        owned: bool = False, prg: CounterPRG = COUNTER_PRG,
     ):
-        self._configure(modulus, n_terms)
+        self._configure(modulus, n_terms, prg)
         if owned:
             if not (isinstance(base, np.ndarray) and base.dtype == np.int64):
                 raise ValueError("an owned base must be an int64 array")
@@ -84,18 +85,19 @@ class MaskAccumulator:
             self._acc = np.asarray(base, dtype=np.int64) % self._modulus
 
     @classmethod
-    def zeros(cls, size: int, modulus: int, n_terms: int) -> "MaskAccumulator":
+    def zeros(cls, size: int, modulus: int, n_terms: int, prg=COUNTER_PRG) -> "MaskAccumulator":
         """The sum of nothing yet: a zero base of ``size`` elements
         (counted in ``n_terms`` like any base), with no pass spent
         reducing it — how the coordinator's accumulator starts."""
         self = cls.__new__(cls)
-        self._configure(modulus, n_terms)
+        self._configure(modulus, n_terms, prg)
         self._acc = np.zeros(size, dtype=np.int64)
         return self
 
-    def _configure(self, modulus: int, n_terms: int) -> None:
+    def _configure(self, modulus: int, n_terms: int, prg: CounterPRG) -> None:
         if n_terms < 1:
             raise ValueError("n_terms counts the base vector: must be >= 1")
+        self._prg = prg  # the PG slot every seed expands through
         self._modulus = modulus = int(modulus)
         #: log2 of a power-of-two modulus (reductions are a mask, the
         #: sum has a packed form), else ``None``.
@@ -148,11 +150,11 @@ class MaskAccumulator:
         """
         if self._deferred:
             self._take_term()
-            expand_uniform(
+            self._prg.expand(
                 seed, self._acc.size, self._modulus, out=self._acc, sign=sign
             )
         else:
-            self._fold(expand_uniform(seed, self._acc.size, self._modulus), sign)
+            self._fold(self._prg.expand(seed, self._acc.size, self._modulus), sign)
 
     def fold_seeds(
         self, terms: Sequence[tuple[bytes, int]], workers: Optional[int] = 1
@@ -188,10 +190,8 @@ class MaskAccumulator:
         ]
 
         def fold(start: int, stop: int, part: np.ndarray) -> None:
-            seeds, signs = zip(*terms[start:stop])
-            expand_uniform_batch(
-                seeds, part.size, self._modulus, out=part, signs=signs
-            )
+            for seed, sign in terms[start:stop]:
+                self._prg.expand(seed, part.size, self._modulus, out=part, sign=sign)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list(): read every result, so a worker's exception raises here.

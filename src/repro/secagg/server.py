@@ -24,10 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
+from repro.crypto.dh import DHKeyPair
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
+from repro.crypto.suite import Suite
 from repro.secagg.graph import build_graph
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
@@ -41,18 +42,19 @@ from repro.secagg.types import (
 
 
 class SecAggServer:
-    """One round's server state."""
+    """One round's server state; every primitive is reached through ``suite``."""
 
     def __init__(
         self,
         config: SecAggConfig,
         pki: Optional[PublicKeyInfrastructure] = None,
         round_index: int = 0,
+        suite: Optional[Suite] = None,
     ):
         self.config = config
         self.pki = pki
         self.round_index = round_index
-        self._ka = KeyAgreement(resolve_group(config.dh_group))
+        self.suite = suite or Suite.for_group(config.dh_group)
         self.roster: dict[int, AdvertiseKeysMsg] = {}
         self._s_publics: dict[int, int] = {}  # the roster's s^PK as elements
         self.graph: dict[int, set[int]] = {}
@@ -88,8 +90,8 @@ class SecAggServer:
             )
         for u, msg in messages.items():
             try:
-                self._ka.decode_public(msg.c_public)
-                self._s_publics[u] = self._ka.decode_public(msg.s_public)
+                self.suite.ka.decode_public(msg.c_public)
+                self._s_publics[u] = self.suite.ka.decode_public(msg.s_public)
             except ValueError as exc:
                 raise ProtocolAbort(f"bad public key from {u}: {exc}") from exc
         self.roster = dict(messages)
@@ -149,6 +151,7 @@ class SecAggServer:
                     self.config.dimension,
                     self.config.modulus,
                     n_terms=1 + 2 * len(members) + edges // 2,
+                    prg=self.suite.prg,
                 )
             try:
                 self._sum.add_packed(msg.packed)
@@ -224,7 +227,7 @@ class SecAggServer:
         setting and to :meth:`collect_unmask_reference` (pinned by test).
         """
         good = self._accept_unmask(messages)
-        ss = ShamirSecretSharing(self.config.threshold)
+        ss = self.suite.ss(self.config.threshold)
         # Survivors' self masks subtract; a dropped u's pairwise mask
         # p_{v,u} = γ·PRG(s_{v,u}) with γ = +1 iff v > u is *subtracted*,
         # so the raw expansion folds with sign −γ.
@@ -247,7 +250,7 @@ class SecAggServer:
             )
             pair = DHKeyPair(secret=int.from_bytes(sk_bytes, "big"), public=0)
             survivors = sorted(self.graph.get(u, set()) & set(self.u3))
-            seeds = self._ka.agree(pair, [self._s_publics[v] for v in survivors])
+            seeds = self.suite.ka.agree(pair, [self._s_publics[v] for v in survivors])
             terms.extend((seed, -1 if v > u else 1) for v, seed in zip(survivors, seeds))
 
         self._sum.fold_seeds(terms, self.config.workers)
@@ -281,7 +284,7 @@ class SecAggServer:
         for u in self.u3:
             aggregate = (aggregate + vectors[u]) % modulus
 
-        ss = ShamirSecretSharing(self.config.threshold)
+        ss = self.suite.ss(self.config.threshold)
 
         # Remove survivors' self masks: reconstruct b_u, expand, subtract.
         for u in self.u3:
@@ -302,7 +305,7 @@ class SecAggServer:
             sk = int.from_bytes(sk_bytes, "big")
             pair = DHKeyPair(secret=sk, public=0)
             survivors = sorted(self.graph.get(u, set()) & set(self.u3))
-            seeds = self._ka.agree(pair, [self._s_publics[v] for v in survivors])
+            seeds = self.suite.ka.agree(pair, [self._s_publics[v] for v in survivors])
             for v, seed in zip(survivors, seeds):
                 base = PRGReference(seed).uniform_vector(dim, modulus)
                 mask = base if v > u else (-base) % modulus

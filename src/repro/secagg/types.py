@@ -26,15 +26,6 @@ STAGE_CONSISTENCY = 3
 STAGE_UNMASK = 4
 STAGE_NOISE_REMOVAL = 5  # XNoise's ExcessiveNoiseRemoval extension
 
-STAGE_NAMES = {
-    STAGE_ADVERTISE: "AdvertiseKeys",
-    STAGE_SHARE_KEYS: "ShareKeys",
-    STAGE_MASKED_INPUT: "MaskedInputCollection",
-    STAGE_CONSISTENCY: "ConsistencyCheck",
-    STAGE_UNMASK: "Unmasking",
-    STAGE_NOISE_REMOVAL: "ExcessiveNoiseRemoval",
-}
-
 
 class ProtocolAbort(Exception):
     """A party aborted the round (below threshold, failed verification…).

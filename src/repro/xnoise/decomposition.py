@@ -178,9 +178,6 @@ class NoiseDecomposition:
             self.n_sampled, self.tolerance, self.target_variance, self.inflation
         )
 
-    def removal_plan(self, n_dropped: int) -> range:
-        return removable_indices(n_dropped, self.tolerance)
-
     def residual_variance(self, n_dropped: int) -> float:
         return residual_variance_after_removal(
             self.n_sampled,

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.shamir import ShamirSecretSharing, Share, random_seed
+from repro.crypto.shamir import Share
 from repro.dp.sampler import skellam_noise_from_seed, support_bound
 from repro.engine import RoundEngine, Targeted
 from repro.engine.core import run_sync
@@ -101,7 +101,8 @@ class XNoiseResult(RoundResult):
 
 
 class XNoiseClient(SecAggClient):
-    """SecAgg client that over-adds decomposed noise and reveals seeds."""
+    """SecAgg client that over-adds decomposed noise and reveals seeds;
+    without ``noise_seeds`` it draws them from its suite's entropy."""
 
     def __init__(
         self,
@@ -112,23 +113,16 @@ class XNoiseClient(SecAggClient):
     ):
         self.xconfig = config
         self.decomposition = config.decomposition()
+        n = self.decomposition.n_components
+        if noise_seeds is not None and len(noise_seeds) != n:
+            raise ValueError(f"need {n} noise seeds, got {len(noise_seeds)}")
+        super().__init__(client_id, config.secagg, **kwargs)
         if noise_seeds is None:
-            noise_seeds = [
-                random_seed(32) for _ in range(self.decomposition.n_components)
-            ]
-        if len(noise_seeds) != self.decomposition.n_components:
-            raise ValueError(
-                f"need {self.decomposition.n_components} noise seeds, "
-                f"got {len(noise_seeds)}"
-            )
+            noise_seeds = [self.suite.entropy.token_bytes(32) for _ in range(n)]
         self.noise_seeds: list[bytes] = list(noise_seeds)
-        extra = {
-            seed_label(k): self.noise_seeds[k]
-            for k in range(1, self.decomposition.n_components)
+        self.extra_secrets = {
+            seed_label(k): self.noise_seeds[k] for k in range(1, n)
         }
-        super().__init__(
-            client_id, config.secagg, extra_secrets=extra, **kwargs
-        )
 
     def masked_input(self, ciphertexts, update_signal: np.ndarray):
         """Add all T+1 noise components to the encoded signal, then mask.
@@ -278,7 +272,7 @@ class XNoiseServer(SecAggServer):
             raise ProtocolAbort(
                 f"only {len(u6)} stage-5 responders; below threshold"
             )
-        ss = ShamirSecretSharing(self.config.threshold)
+        ss = self.suite.ss(self.config.threshold)
         reconstructed = {
             u: {
                 k: self._reconstruct(

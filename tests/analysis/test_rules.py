@@ -625,6 +625,39 @@ class TestDeterminism:
         })
         assert findings_for(result, "determinism") == []
 
+    def test_trips_on_os_entropy_outside_the_entropy_module(self, check_repo):
+        # Anywhere under src/repro, not only the traced packages.
+        result = check_repo({
+            "src/repro/secagg/d.py": _src("""
+                import os
+                import random
+                import secrets
+                from secrets import token_bytes
+
+                def seed():
+                    return secrets.token_bytes(32) + os.urandom(8)
+
+                def rng():
+                    return random.SystemRandom()
+            """),
+        })
+        messages = sorted(f.message for f in findings_for(result, "determinism"))
+        assert [m.split()[0] for m in messages] == [
+            "os.urandom", "random.SystemRandom", "secrets.<import>", "secrets.token_bytes",
+        ]
+        assert all("EntropySource" in m for m in messages)
+
+    def test_the_entropy_module_may_read_the_os(self, check_repo):
+        result = check_repo({
+            "src/repro/crypto/entropy.py": _src("""
+                import secrets
+
+                def token_bytes(n):
+                    return secrets.token_bytes(n)
+            """),
+        })
+        assert findings_for(result, "determinism") == []
+
 
 # ---------------------------------------------------------------------------
 # zero-copy

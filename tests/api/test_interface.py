@@ -1,5 +1,7 @@
 """The Appendix-D programming interface: declaration, dispatch, handlers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,20 @@ from repro.api import (
     AggregationRuntime,
     AppClient,
     AppServer,
-    DefaultAEHandler,
-    DefaultKAHandler,
-    DefaultPGHandler,
-    DefaultSSHandler,
     PlainDPHandler,
     ProtocolClient,
     ProtocolServer,
     SkellamDPHandler,
+    Suite,
     WorkflowError,
 )
+from repro.crypto.dh import resolve_group
+from repro.crypto.entropy import SeededEntropy
+from repro.crypto.prg import CounterPRG, PRGReference
+from repro.engine import RoundEngine
 from repro.pipeline.stages import Resource
+from repro.secagg import DropoutSchedule, SecAggClient, SecAggConfig, SecAggServer
+from repro.secagg.workflow import SecAggWorkflowClient, SecAggWorkflowServer, with_dropout
 from repro.utils.rng import derive_rng
 
 
@@ -190,28 +195,84 @@ class TestRuntimeDispatch:
             AggregationRuntime(MeanProtocolServer(PlainDPHandler()), [])
 
 
-class TestDefaultHandlers:
-    def test_ae_handler_roundtrip(self):
-        ae = DefaultAEHandler()
-        key = b"k" * 32
-        assert ae.decrypt(key, ae.encrypt(key, b"payload")) == b"payload"
+def ring_sum(inputs, ids, modulus):
+    return sum(inputs[u] for u in ids) % modulus
 
-    def test_ka_handler_agreement(self):
-        ka = DefaultKAHandler("modp512")
-        a, b = ka.generate(), ka.generate()
-        assert ka.agree(a, [b.public]) == ka.agree(b, [a.public])
 
-    def test_pg_handler_deterministic(self):
-        pg = DefaultPGHandler()
+class TestSuite:
+    """The suite's fields are Appendix D's handler slots."""
+
+    SUITE = Suite.for_group("modp512", SeededEntropy(b"slots" * 4))
+
+    def test_ka_slot_round_trips(self):
+        ka, entropy = self.SUITE.ka, self.SUITE.entropy
+        a, b = ka.generate(entropy), ka.generate(entropy)
+        assert ka.agree(a, [b.public]) == ka.agree(b, [ka.decode_public(ka.public_bytes(a))])
+
+    def test_ae_slot_round_trips(self):
+        channel = self.SUITE.ae(b"k" * 32)
+        sealed = channel.encrypt(b"payload", self.SUITE.entropy)
+        assert self.SUITE.ae(b"k" * 32).decrypt(sealed) == b"payload"
+
+    def test_ss_slot_round_trips(self):
+        (shares,) = self.SUITE.ss(2).share([b"secret"], [1, 2, 3], self.SUITE.entropy)
+        assert self.SUITE.ss(2).reconstruct([shares[1], shares[3]]) == b"secret"
+
+    def test_prg_slot_is_the_counter_stream_expansion(self):
         np.testing.assert_array_equal(
-            pg.expand(b"seed", 16, 1 << 16), pg.expand(b"seed", 16, 1 << 16)
+            self.SUITE.prg.expand(b"seed", 16, 1 << 16),
+            PRGReference(b"seed").uniform_vector(16, 1 << 16),
         )
 
-    def test_ss_handler_roundtrip(self):
-        ss = DefaultSSHandler()
-        shares = ss.share(b"secret", 2, [1, 2, 3])
-        assert ss.reconstruct([shares[1], shares[3]], 2) == b"secret"
+    def test_entropy_slot_is_drawn_per_party(self):
+        a, b = self.SUITE.for_party(1, 0), self.SUITE.for_party(2, 0)
+        assert a.ka is self.SUITE.ka and a.entropy.seed != b.entropy.seed
+        assert a.entropy.token_bytes(32) == self.SUITE.for_party(1, 0).entropy.token_bytes(32)
 
+    @pytest.mark.parametrize("group", ["modp512", "modp2048"])
+    def test_default_ka_group_is_the_rounds(self, group):
+        """Regression: the default key agreement once ran on modp2048
+        whatever group the round named."""
+        config = SecAggConfig(threshold=2, dimension=4, dh_group=group)
+        assert SecAggClient(1, config).suite.ka.group == resolve_group(group)
+        assert SecAggServer(config).suite.ka.group == resolve_group(group)
+
+    def test_an_overridden_handler_is_the_one_the_round_runs(self):
+        """A PRG other than the default masks every input and unmasks the
+        sum — on both sides, or the aggregate is wrong."""
+        expanded = []
+
+        class ReseededPRG(CounterPRG):
+            def expand(self, seed, length, modulus, out=None, sign=1):
+                expanded.append(seed)
+                return super().expand(b"alt" + seed, length, modulus, out, sign)
+
+        config = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
+        rng = derive_rng("suite-override")
+        inputs = {u: rng.integers(0, 1 << 12, size=8) for u in range(1, 6)}
+        dropout = DropoutSchedule.before_upload({5})
+        custom = dataclasses.replace(Suite.for_group("modp512"), prg=ReseededPRG())
+
+        def run(server_suite):
+            clients = [
+                SecAggWorkflowClient(SecAggClient(u, config, suite=custom), inputs[u])
+                for u in sorted(inputs)
+            ]
+            server = SecAggWorkflowServer(SecAggServer(config, suite=server_suite))
+            engine = RoundEngine()
+            transport = with_dropout(engine.transport, dropout)
+            return engine.run_round_sync(server, clients, transport=transport)
+
+        result = run(custom)
+        np.testing.assert_array_equal(result.aggregate, ring_sum(inputs, [1, 2, 3, 4], 1 << 16))
+        # 4 uploads × (b_u + a pairwise mask per U2 peer, 5 included);
+        # the server removes 4 self masks and the 4 masks paired with 5.
+        assert len(expanded) == 4 * (1 + 4) + 4 + 4
+        default_server = run(Suite.for_group("modp512"))
+        assert not np.array_equal(default_server.aggregate, result.aggregate)
+
+
+class TestDPHandlers:
     def test_skellam_handler_requires_init(self):
         h = SkellamDPHandler()
         with pytest.raises(RuntimeError):

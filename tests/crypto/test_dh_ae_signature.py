@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ae import AEError, AuthenticatedEncryption
+from repro.crypto.entropy import EntropySource
 from repro.crypto.dh import KeyAgreement, MODP_2048, MODP_512 as TOY_GROUP
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.signature import (
@@ -12,6 +13,17 @@ from repro.crypto.signature import (
     SchnorrVerifier,
     generate_signing_keypair,
 )
+
+
+class FixedNonce(EntropySource):
+    """An entropy source that answers every draw with one byte string."""
+
+    def __init__(self, nonce: bytes):
+        self.nonce = nonce
+
+    def token_bytes(self, n):
+        assert n == len(self.nonce)
+        return self.nonce
 
 
 class TestKeyAgreement:
@@ -124,17 +136,13 @@ class TestAuthenticatedEncryption:
     )
 
     def test_golden_ciphertext_of_the_parent_decrypts_and_is_reproduced(self):
-        from unittest import mock
-
         ae = AuthenticatedEncryption(bytes(range(32)))
         plaintext = b"".join(i.to_bytes(2, "big") for i in range(45))
         assert ae.decrypt(self.GOLDEN_BLOB) == plaintext
         assert ae.decrypt(self.GOLDEN_EMPTY_BLOB) == b""
-        with mock.patch(
-            "repro.crypto.ae.secrets.token_bytes", return_value=self.GOLDEN_NONCE
-        ):
-            assert ae.encrypt(plaintext) == self.GOLDEN_BLOB
-            assert ae.encrypt(b"") == self.GOLDEN_EMPTY_BLOB
+        nonce = FixedNonce(self.GOLDEN_NONCE)
+        assert ae.encrypt(plaintext, nonce) == self.GOLDEN_BLOB
+        assert ae.encrypt(b"", nonce) == self.GOLDEN_EMPTY_BLOB
 
     def test_keystream_is_the_counter_stream_of_enc_key_and_nonce(self):
         # 48 bytes of seed: the kernel serves it where it is loaded.
@@ -167,17 +175,14 @@ class TestAuthenticatedEncryption:
         shares for the peer go out under it and the peer's shares come
         in under it.  Every byte is the per-message ``hmac.new``
         construction's, however many messages the object has sealed."""
-        from unittest import mock
-
         key = bytes(range(100, 132))
         mine, theirs = AuthenticatedEncryption(key), AuthenticatedEncryption(key)
         for k in range(3):
             nonce = bytes([k]) * 16
             plaintext = bytes((7 * i + k) % 256 for i in range(length))
             expected = self._sealed_by_hand(key, nonce, plaintext)
-            with mock.patch("repro.crypto.ae.secrets.token_bytes", return_value=nonce):
-                assert mine.encrypt(plaintext) == expected
-                assert theirs.encrypt(plaintext) == expected
+            assert mine.encrypt(plaintext, FixedNonce(nonce)) == expected
+            assert theirs.encrypt(plaintext, FixedNonce(nonce)) == expected
             assert theirs.decrypt(expected) == mine.decrypt(expected) == plaintext
             forged = expected[:-1] + bytes([expected[-1] ^ 1])
             with pytest.raises(AEError, match="authentication failed"):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto.entropy import SYSTEM_ENTROPY
 from repro.crypto.field import FIELD, MERSENNE_127, PrimeField
 
 elements = st.integers(min_value=0, max_value=MERSENNE_127 - 1)
@@ -91,7 +92,7 @@ class TestPolynomialEvaluation:
 
 class TestRandomness:
     def test_random_elements_in_range_and_distinct(self):
-        draws = {FIELD.random_element() for _ in range(16)}
+        draws = {SYSTEM_ENTROPY.randbelow(FIELD.p) for _ in range(16)}
         assert all(0 <= d < FIELD.p for d in draws)
         # 16 draws from a 2**127 space colliding would indicate brokenness.
         assert len(draws) == 16

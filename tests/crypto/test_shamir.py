@@ -1,14 +1,12 @@
 """Shamir sharing: round-trips, threshold enforcement, dropout resilience,
-and the one-pass dealer (one CSPRNG read, packed Horner)."""
-
-import secrets
+and the one-pass dealer (one entropy read, packed Horner)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import shamir
+from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource, SeededEntropy
 from repro.crypto.field import MERSENNE_127
-from repro.crypto.shamir import Share, ShamirSecretSharing, random_seed
+from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.utils.bytesio import bytes_to_int, chunk_bytes
 
 
@@ -172,10 +170,15 @@ class TestSecrecy:
         s2 = share_one(ss, b"same-secret", [1, 2, 3])
         assert s1[1].ys != s2[1].ys
 
-    def test_random_seed_has_requested_length(self):
-        assert len(random_seed(32)) == 32
-        assert len(random_seed(16)) == 16
-        assert random_seed() != random_seed()
+    def test_shares_are_a_function_of_the_entropy_source(self):
+        """The same seeded source deals the same shares; another seed,
+        other shares of the same secret."""
+        ss = ShamirSecretSharing(threshold=3)
+
+        def deal(seed):
+            return ss.share([b"same-secret"], [1, 2, 3], SeededEntropy(seed))
+
+        assert deal(b"a" * 32) == deal(b"a" * 32) != deal(b"b" * 32)
 
 
 #: The secret lengths a dealer meets: an empty label, the chunk edges
@@ -209,8 +212,8 @@ class TestOnePassDealer:
         draws: list[int] = []
         real = ss._draw_coefficients
 
-        def recording(count):
-            draws.extend(real(count))
+        def recording(count, entropy):
+            draws.extend(real(count, entropy))
             return draws[-count:] if count else []
 
         ss._draw_coefficients = recording
@@ -233,30 +236,33 @@ class TestOnePassDealer:
             assert ss.reconstruct(list(shares.values())) == secret
         assert len(draws) == chunk * step
 
-    def test_every_coefficient_comes_from_one_read(self, monkeypatch):
+    def test_every_coefficient_comes_from_one_read(self):
         reads = []
-        real = secrets.token_bytes
 
-        def counting(n):
-            reads.append(n)
-            return real(n)
+        class Counting(EntropySource):
+            def token_bytes(self, n):
+                reads.append(n)
+                return SYSTEM_ENTROPY.token_bytes(n)
 
-        monkeypatch.setattr(shamir.secrets, "token_bytes", counting)
         ss = ShamirSecretSharing(17)
-        ss.share([bytes(64), bytes(32), bytes(32)], list(range(1, 33)))
+        ss.share([bytes(64), bytes(32), bytes(32)], list(range(1, 33)), Counting())
         # 5 + 3 + 3 chunks, 16 random coefficients each, 16 bytes a word.
         assert reads == [16 * 11 * 16]
 
-    def test_a_word_at_p_is_redrawn(self, monkeypatch):
+    def test_a_word_at_p_is_redrawn(self):
         """``0x7fff…ff`` masks to p itself — the one value ≥ p a 127-bit
         word can take — and is redrawn, as ``randbelow(p)`` would; the
         top bit of every word is masked off."""
         p_word = MERSENNE_127.to_bytes(16, "big")
         high = (1 << 127 | 5).to_bytes(16, "big")  # masks to 5
         reads = [p_word + high + p_word, p_word, (9).to_bytes(16, "big"), (7).to_bytes(16, "big")]
-        monkeypatch.setattr(shamir.secrets, "token_bytes", lambda n: reads.pop(0))
+
+        class Scripted(EntropySource):
+            def token_bytes(self, n):
+                return reads.pop(0)
+
         ss = ShamirSecretSharing(2)
-        assert ss._draw_coefficients(3) == [9, 5, 7]
+        assert ss._draw_coefficients(3, Scripted()) == [9, 5, 7]
         assert reads == []
 
     @pytest.mark.parametrize(
@@ -271,18 +277,17 @@ class TestOnePassDealer:
             ([b"s", 7], [1, 2, 3], TypeError),
         ],
     )
-    def test_every_validation_error_precedes_any_entropy(
-        self, monkeypatch, secret_list, ids, error
-    ):
-        def no_entropy(*args):
-            raise AssertionError("entropy read before validation")
+    def test_every_validation_error_precedes_any_entropy(self, secret_list, ids, error):
+        class NoEntropy(EntropySource):
+            def token_bytes(self, n):
+                raise AssertionError("entropy read before validation")
 
-        monkeypatch.setattr(shamir.secrets, "token_bytes", no_entropy)
-        monkeypatch.setattr(shamir.secrets, "randbelow", no_entropy)
+            randbelow = token_bytes
+
         ss = ShamirSecretSharing(3)
         for method in (ss.share, ss.share_reference):
             with pytest.raises(error):
-                method(secret_list, ids)
+                method(secret_list, ids, NoEntropy())
 
     def test_oracle_deals_the_same_shape_and_secrets(self):
         ss = ShamirSecretSharing(4)

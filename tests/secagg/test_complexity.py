@@ -108,8 +108,9 @@ class TestMaskKeyAtTheSecretWidth:
     def _round(n, threshold, dropped, parent_dealers=()):
         import numpy as np
 
-        from repro.crypto.dh import KeyAgreement
+        from repro.crypto.dh import KeyAgreement, resolve_group
         from repro.crypto.shamir import ShamirSecretSharing
+        from repro.crypto.suite import Suite
         from repro.engine import RoundEngine, SerializingTransport, run_sync
         from repro.secagg import DropoutSchedule, SecAggConfig, arun_secagg_round
         from repro.secagg.client import SecAggClient
@@ -123,9 +124,9 @@ class TestMaskKeyAtTheSecretWidth:
         real_share_keys = SecAggClient.share_keys
         real_masked, real_unmask = SecAggClient.masked_input, SecAggClient.unmask
 
-        def share(self, secret_list, ids):
+        def share(self, secret_list, ids, entropy):
             key_widths.append(len(secret_list[0]))
-            return real_share(self, secret_list, ids)
+            return real_share(self, secret_list, ids, entropy)
 
         def share_keys(self, *args):
             ciphertexts = real_share_keys(self, *args)
@@ -142,11 +143,11 @@ class TestMaskKeyAtTheSecretWidth:
             return msg
 
         def factory(u):
-            client = SecAggClient(u, config)
-            if u in parent_dealers:
-                group = client._ka.group
-                client._ka = KeyAgreement(_ParentWidth(p=group.p, g=group.g, q=group.q))
-            return client
+            if u not in parent_dealers:
+                return SecAggClient(u, config)
+            group = resolve_group(config.dh_group)
+            ka = KeyAgreement(_ParentWidth(p=group.p, g=group.g, q=group.q))
+            return SecAggClient(u, config, suite=Suite(ka=ka))
 
         inputs = {u: np.full(8, 1000 * u, dtype=np.int64) for u in range(1, n + 1)}
         engine = RoundEngine(transport=SerializingTransport())
@@ -231,8 +232,8 @@ class TestKeyAgreementsAreTheExecutedOnes:
         )
         assert sorted(set(inputs) - set(result.u3)) == sorted(dropped)
 
-        per_client = {u: agreements.pop(id(c._ka)) for u, c in clients.items()}
-        client_calls = {u: calls.pop(id(c._ka)) for u, c in clients.items()}
+        per_client = {u: agreements.pop(id(c.suite.ka)) for u, c in clients.items()}
+        client_calls = {u: calls.pop(id(c.suite.ka)) for u, c in clients.items()}
         cost = secagg_client_cost(n)
         for u, count in per_client.items():
             # A client that left before uploading never derived masks.

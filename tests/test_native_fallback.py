@@ -76,7 +76,7 @@ with warnings.catch_warnings(record=True) as caught:
         neighbourhood = ka.agree(alice, [peer.public for peer in peers])
         assert neighbourhood == [ka.agree(peer, [alice.public])[0] for peer in peers]
         keys.update(b"".join(neighbourhood))
-        signer = SchnorrSigner(group.random_exponent(), group)
+        signer = SchnorrSigner(1 + secrets.randbelow(group.q - 1), group)
         signature = signer.sign(b"round:0|u3:1,2,3,5")
         assert SchnorrVerifier(signer.public, group).verify(
             b"round:0|u3:1,2,3,5", signature)
