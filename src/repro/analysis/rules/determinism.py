@@ -16,9 +16,10 @@ clock — stamps traced events.  Flagged inside those packages:
    arbiter, not the host clock.
 
 Anywhere under ``src/repro`` but the entropy module, so is any read of
-the OS CSPRNG (any ``secrets`` function, ``from secrets import …``,
-``os.urandom``, ``random.SystemRandom``): key material comes from a suite's
-``EntropySource``, so a seeded round replays (invariant 20).
+the OS CSPRNG (importing ``secrets``, or calling a ``secrets`` function,
+``os.urandom`` or ``random.SystemRandom`` under any import alias): key
+material comes from a suite's ``EntropySource``, so a seeded round
+replays (invariant 20).
 """
 
 from __future__ import annotations
@@ -88,9 +89,22 @@ class DeterminismRule(Rule):
                 yield from self._check_call(src, node, name, imports_random)
 
     def _check_os_entropy(self, src: SourceFile) -> Iterable[Finding]:
+        # Local name → the dotted name it was imported as, so an alias
+        # (``import os as o``, ``from os import urandom``) resolves.
+        imported: dict[str, str] = {}
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname, a.name) for a in node.names if a.asname)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
         for node in ast.walk(src.tree):
             name = dotted_name(node.func) if isinstance(node, ast.Call) else None
-            if isinstance(node, ast.ImportFrom) and node.module == "secrets":
+            if name:
+                head, dot, rest = name.partition(".")
+                name = imported.get(head, head) + dot + rest
+            if (isinstance(node, ast.ImportFrom) and node.module == "secrets") or (
+                isinstance(node, ast.Import) and any(a.name == "secrets" for a in node.names)
+            ):
                 name = "secrets.<import>"
             if name and (name.startswith("secrets.") or name in _OS_ENTROPY):
                 yield self.finding(src, node, f"{name} reads the OS CSPRNG outside "

@@ -9,7 +9,7 @@ an :class:`EntropySource`:
   stream, so a seeded round replays byte for byte.  ``token_bytes(n)``
   is the next :meth:`~repro.crypto.prg.PRGReference.read` of the seed's
   stream; ``randbelow(n)`` reads ``bitlen(n − 1)``-bit big-endian words
-  so and redraws while one is ≥ ``n``; ``for_party(party, round)`` seeds
+  and redraws while one is ≥ ``n``; ``for_party(party, round)`` seeds
   a child with ``SHA-256(seed ∥ "party" ∥ be64(party) ∥ be64(round))``,
   so what a party draws never depends on which party drew first.
 """

@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.dh import DHGroup, MODP_2048
-from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource
+from repro.crypto.entropy import SYSTEM_ENTROPY
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,14 @@ def _challenge(group: DHGroup, points: list[int]) -> int:
     return int.from_bytes(h.digest(), "big") % group.q
 
 
-def generate_vrf_keypair(
-    group: DHGroup = MODP_2048, entropy: EntropySource = SYSTEM_ENTROPY
-) -> tuple[int, int]:
+def generate_vrf_keypair(group: DHGroup = MODP_2048) -> tuple[int, int]:
     """Return ``(secret_key, public_key)``."""
-    sk = 1 + entropy.randbelow(group.q - 1)
+    sk = 1 + SYSTEM_ENTROPY.randbelow(group.q - 1)
     return sk, group.power(group.g, sk)
 
 
 def vrf_prove(
-    secret_key: int, message: bytes, group: DHGroup = MODP_2048, entropy=SYSTEM_ENTROPY
+    secret_key: int, message: bytes, group: DHGroup = MODP_2048
 ) -> tuple[bytes, VRFProof]:
     """Evaluate the VRF; returns ``(output, proof)``.
 
@@ -86,7 +84,7 @@ def vrf_prove(
     """
     h = _hash_to_group(group, message)
     gamma = group.power(h, secret_key)
-    k = 1 + entropy.randbelow(group.q - 1)
+    k = 1 + SYSTEM_ENTROPY.randbelow(group.q - 1)
     a1 = group.power(group.g, k)
     a2 = group.power(h, k)
     public = group.power(group.g, secret_key)

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.crypto.pki import PublicKeyInfrastructure
+from repro.crypto.suite import Suite
 from repro.engine import RoundEngine
 from repro.engine.core import run_sync
 from repro.secagg.client import SecAggClient
@@ -134,6 +135,13 @@ def make_secagg_clients(
     return {u: client_factory(u) for u in sampled}
 
 
+def clients_suite(clients: dict[int, SecAggClient]) -> Optional[Suite]:
+    """The suite a round's server runs on: that of the clients it serves,
+    so a primitive a ``client_factory`` overrides is the server's too.
+    The server draws no randomness, so a party's child stream is harmless."""
+    return next(iter(clients.values())).suite if clients else None
+
+
 def secagg_round_components(
     config: SecAggConfig,
     inputs: dict[int, np.ndarray],
@@ -147,7 +155,7 @@ def secagg_round_components(
     clients = make_secagg_clients(
         config, sampled, pki, round_index, client_factory
     )
-    server = SecAggServer(config, pki=pki, round_index=round_index)
+    server = SecAggServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
     return (
         SecAggWorkflowServer(server),
         [SecAggWorkflowClient(clients[u], inputs[u]) for u in sampled],
@@ -280,7 +288,7 @@ def run_secagg_round_reference(
 
     pki = resolve_round_pki(config, pki, client_factory)
     clients = make_secagg_clients(config, sampled, pki, round_index, client_factory)
-    server = SecAggServer(config, pki=pki, round_index=round_index)
+    server = SecAggServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
 
     aggregate, _, _ = run_reference_stages(clients, server, inputs, dropout)
     return server.round_result(aggregate)

@@ -38,6 +38,7 @@ from repro.engine.core import run_sync
 from repro.secagg.client import SecAggClient
 from repro.secagg.driver import (
     DropoutSchedule,
+    clients_suite,
     make_secagg_clients,
     resolve_round_pki,
     run_reference_stages,
@@ -340,7 +341,7 @@ def xnoise_round_components(
         config.secagg, sampled, pki, round_index, client_factory,
         client_cls=XNoiseClient, client_config=config,
     )
-    server = XNoiseServer(config, pki=pki, round_index=round_index)
+    server = XNoiseServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
     return (
         XNoiseWorkflowServer(server),
         [SecAggWorkflowClient(clients[u], inputs[u]) for u in sampled],
@@ -425,7 +426,7 @@ def run_xnoise_round_reference(
         secagg_cfg, sampled, pki, round_index, client_factory,
         client_cls=XNoiseClient, client_config=config,
     )
-    server = XNoiseServer(config, pki=pki, round_index=round_index)
+    server = XNoiseServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
 
     # Stages 0–4 are SecAgg's: ShareKeys also carries the T noise-seed
     # shares, inputs go up perturbed with T+1 components, and Unmasking

@@ -643,9 +643,22 @@ class TestDeterminism:
         })
         messages = sorted(f.message for f in findings_for(result, "determinism"))
         assert [m.split()[0] for m in messages] == [
-            "os.urandom", "random.SystemRandom", "secrets.<import>", "secrets.token_bytes",
+            "os.urandom", "random.SystemRandom", "secrets.<import>", "secrets.<import>",
+            "secrets.token_bytes",
         ]
         assert all("EntropySource" in m for m in messages)
+
+    @pytest.mark.parametrize("body, expected", [
+        ("from os import urandom\nurandom(8)\n", ["os.urandom"]),
+        ("import os as o\no.urandom(8)\n", ["os.urandom"]),
+        ("import secrets as s\ns.token_bytes(8)\n",
+         ["secrets.<import>", "secrets.token_bytes"]),
+        ("from random import SystemRandom as R\nR()\n", ["random.SystemRandom"]),
+    ])
+    def test_trips_on_os_entropy_under_an_import_alias(self, check_repo, body, expected):
+        result = check_repo({"src/repro/secagg/d.py": body})
+        messages = sorted(f.message for f in findings_for(result, "determinism"))
+        assert [m.split()[0] for m in messages] == expected
 
     def test_the_entropy_module_may_read_the_os(self, check_repo):
         result = check_repo({

@@ -19,10 +19,21 @@ from repro.api import (
 from repro.crypto.dh import resolve_group
 from repro.crypto.entropy import SeededEntropy
 from repro.crypto.prg import CounterPRG, PRGReference
-from repro.engine import RoundEngine
 from repro.pipeline.stages import Resource
-from repro.secagg import DropoutSchedule, SecAggClient, SecAggConfig, SecAggServer
-from repro.secagg.workflow import SecAggWorkflowClient, SecAggWorkflowServer, with_dropout
+from repro.secagg import (
+    DropoutSchedule,
+    SecAggClient,
+    SecAggConfig,
+    SecAggServer,
+    run_secagg_round,
+    run_secagg_round_reference,
+)
+from repro.xnoise import (
+    XNoiseClient,
+    XNoiseConfig,
+    run_xnoise_round,
+    run_xnoise_round_reference,
+)
 from repro.utils.rng import derive_rng
 
 
@@ -237,39 +248,61 @@ class TestSuite:
         assert SecAggClient(1, config).suite.ka.group == resolve_group(group)
         assert SecAggServer(config).suite.ka.group == resolve_group(group)
 
-    def test_an_overridden_handler_is_the_one_the_round_runs(self):
-        """A PRG other than the default masks every input and unmasks the
-        sum — on both sides, or the aggregate is wrong."""
+    @pytest.mark.parametrize("driver", [run_secagg_round, run_secagg_round_reference])
+    def test_an_overridden_handler_is_the_one_the_round_runs(self, driver):
+        """A PRG a ``client_factory`` overrides masks every input and
+        unmasks the sum: the driver builds the server on the clients' suite."""
         expanded = []
-
-        class ReseededPRG(CounterPRG):
-            def expand(self, seed, length, modulus, out=None, sign=1):
-                expanded.append(seed)
-                return super().expand(b"alt" + seed, length, modulus, out, sign)
-
         config = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
         rng = derive_rng("suite-override")
         inputs = {u: rng.integers(0, 1 << 12, size=8) for u in range(1, 6)}
-        dropout = DropoutSchedule.before_upload({5})
-        custom = dataclasses.replace(Suite.for_group("modp512"), prg=ReseededPRG())
-
-        def run(server_suite):
-            clients = [
-                SecAggWorkflowClient(SecAggClient(u, config, suite=custom), inputs[u])
-                for u in sorted(inputs)
-            ]
-            server = SecAggWorkflowServer(SecAggServer(config, suite=server_suite))
-            engine = RoundEngine()
-            transport = with_dropout(engine.transport, dropout)
-            return engine.run_round_sync(server, clients, transport=transport)
-
-        result = run(custom)
+        custom = dataclasses.replace(
+            Suite.for_group("modp512"), prg=ReseededPRG(expanded)
+        )
+        result = driver(
+            config, inputs, DropoutSchedule.before_upload({5}),
+            client_factory=lambda u: SecAggClient(u, config, suite=custom),
+        )
         np.testing.assert_array_equal(result.aggregate, ring_sum(inputs, [1, 2, 3, 4], 1 << 16))
         # 4 uploads × (b_u + a pairwise mask per U2 peer, 5 included);
         # the server removes 4 self masks and the 4 masks paired with 5.
         assert len(expanded) == 4 * (1 + 4) + 4 + 4
-        default_server = run(Suite.for_group("modp512"))
-        assert not np.array_equal(default_server.aggregate, result.aggregate)
+
+    @pytest.mark.parametrize("driver", [run_xnoise_round, run_xnoise_round_reference])
+    def test_an_overridden_handler_reaches_the_xnoise_server(self, driver):
+        """Same noise seeds, another mask PRG: the noisy sum is unchanged."""
+        expanded = []
+        config = XNoiseConfig(
+            secagg=SecAggConfig(threshold=3, bits=18, dimension=32, dh_group="modp512"),
+            n_sampled=5,
+            tolerance=2,
+            target_variance=100.0,
+        )
+        rng = derive_rng("suite-override-xnoise")
+        inputs = {u: rng.integers(-10, 11, size=32) for u in range(1, 6)}
+        seeded = Suite.for_group("modp512", SeededEntropy(b"xnoise-override"))
+
+        def aggregate(suite):
+            return driver(
+                config, inputs, DropoutSchedule.before_upload({5}),
+                client_factory=lambda u: XNoiseClient(u, config, suite=suite),
+            ).aggregate
+
+        reference = aggregate(seeded)
+        custom = aggregate(dataclasses.replace(seeded, prg=ReseededPRG(expanded)))
+        np.testing.assert_array_equal(custom, reference)
+        assert len(expanded) == 4 * (1 + 4) + 4 + 4
+
+
+class ReseededPRG(CounterPRG):
+    """The counter stream over a prefixed seed, logging each seed it expands."""
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def expand(self, seed, length, modulus, out=None, sign=1):
+        self.log.append(seed)
+        return super().expand(b"alt" + seed, length, modulus, out, sign)
 
 
 class TestDPHandlers:

@@ -210,9 +210,12 @@ class TestKeyAgreementsAreTheExecutedOnes:
         calls, agreements = Counter(), Counter()
         real = KeyAgreement.agree
 
+        # Keyed on the secret's public half: a client's c- or s-key, or
+        # 0 for the coordinator's reconstructed s_u^SK.  (The driver's
+        # server shares its clients' suite, so one KA object serves both.)
         def counting(self, mine, peer_publics):
-            calls[id(self)] += 1
-            agreements[id(self)] += len(peer_publics)
+            calls[mine.public] += 1
+            agreements[mine.public] += len(peer_publics)
             return real(self, mine, peer_publics)
 
         monkeypatch.setattr(KeyAgreement, "agree", counting)
@@ -232,16 +235,19 @@ class TestKeyAgreementsAreTheExecutedOnes:
         )
         assert sorted(set(inputs) - set(result.u3)) == sorted(dropped)
 
-        per_client = {u: agreements.pop(id(c.suite.ka)) for u, c in clients.items()}
-        client_calls = {u: calls.pop(id(c.suite.ka)) for u, c in clients.items()}
+        def pop(counter, c):
+            return counter.pop(c._c_pair.public, 0) + counter.pop(c._s_pair.public, 0)
+
+        per_client = {u: pop(agreements, c) for u, c in clients.items()}
+        client_calls = {u: pop(calls, c) for u, c in clients.items()}
         cost = secagg_client_cost(n)
         for u, count in per_client.items():
             # A client that left before uploading never derived masks.
             left = u in dropped
             assert count == (cost.ciphertexts_sent if left else cost.key_agreements), u
             assert client_calls[u] == (1 if left else 2), u
-        (server_agreements,) = agreements.values()
-        (server_calls,) = calls.values()
+        assert set(agreements) == set(calls) == {0}
+        server_agreements, server_calls = agreements[0], calls[0]
         assert server_agreements == len(dropped) * len(result.u3)
         assert server_calls == len(dropped)
         # 1,978 agreements in 64 calls: 2·29 + 3 by clients, 3 by the coordinator.
