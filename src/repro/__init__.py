@@ -7,16 +7,16 @@ Privacy* (Jiang, Wang, Chen — EuroSys 2024).  It contains:
 - ``repro.crypto``   — cryptographic primitives (Shamir, DH, AE, Schnorr, PRG)
   built on the Python standard library.
 - ``repro.dp``       — distributed differential privacy: RDP accounting,
-  the distributed Gaussian and DSkellam mechanisms, and offline noise
-  planning.
+  the DSkellam mechanism, the seed → Skellam noise sampler, and offline
+  noise planning.
 - ``repro.secagg``   — the SecAgg (Bonawitz et al.) and SecAgg+ (Bell et
   al.) secure-aggregation protocols as in-process state machines.
 - ``repro.xnoise``   — the paper's core contribution: the XNoise
   ``add-then-remove`` noise-enforcement scheme with noise decomposition,
   seed secret-sharing, and malicious-server checks, plus the ``rebasing``
   baseline.
-- ``repro.fl``       — a NumPy federated-learning substrate (models, non-IID
-  data, FedAvg).
+- ``repro.fl``       — a NumPy federated-learning substrate (softmax, MLP and
+  bigram models, non-IID data, FedAvg).
 - ``repro.fleet``    — the scenario layer: per-device profiles with
   directional (uplink/downlink) bandwidth, client-availability models
   (fixed-rate dropout, behaviour-trace churn), and the ``Fleet`` object

@@ -400,6 +400,7 @@ def _cmd_serve(args) -> int:
     from repro.engine import CoordinatorListener, ListenerTransport, RoundEngine
     from repro.engine.core import run_sync
     from repro.secagg.driver import secagg_round_components
+    from repro.secagg.types import ProtocolAbort
 
     n = args.clients
     if n < 3:
@@ -436,7 +437,13 @@ def _cmd_serve(args) -> int:
             await listener.aclose()
         return listener, engine, result
 
-    listener, engine, result = run_sync(run())
+    try:
+        listener, engine, result = run_sync(run())
+    except ProtocolAbort as exc:
+        # Too few joined (or survived) for the threshold: a named
+        # outcome of the protocol, not a crash.
+        print(f"serve: round aborted: ProtocolAbort: {exc}", file=sys.stderr)
+        return 1
 
     expected = np.zeros(config.dimension, dtype=np.int64)
     for u in result.u3:

@@ -6,15 +6,12 @@ consumed by every released aggregate update.  The pieces:
 - :mod:`repro.dp.accountant` — Rényi-DP accounting: per-round RDP curves
   for the Gaussian and Skellam mechanisms, composition across rounds, and
   conversion to (ε, δ).
-- :mod:`repro.dp.gaussian`   — the distributed Gaussian mechanism (each
-  client adds a share of the target variance; Gaussian is closed under
-  summation).
 - :mod:`repro.dp.skellam`    — the DSkellam mechanism [Agarwal et al.
   2021] the paper's prototype employs (§5): clip → scale → rotate →
   conditionally round → add Skellam noise → wrap modulo 2**b.
 - :mod:`repro.dp.sampler`    — seed → Skellam noise, specified in the
   repo: the vector XNoise's clients add and its server removes
-  (SHA-256 counter stream, strip rejection, native kernel + numpy twin).
+  (AES-256-CTR stream, strip rejection, native kernel + numpy twin).
 - :mod:`repro.dp.quantize`   — clipping, stochastic rounding, modular
   (un)wrapping.
 - :mod:`repro.dp.rotation`   — the randomized Hadamard transform used to
@@ -22,6 +19,12 @@ consumed by every released aggregate update.  The pieces:
 - :mod:`repro.dp.planner`    — offline noise planning: the smallest
   per-round noise level σ²_* whose R-fold composition stays within the
   global budget.
+
+The real-domain Gaussian mechanism (``DordisConfig.mechanism =
+"gaussian"``) is :func:`clip_l2` plus one ``rng.normal`` draw inline in
+``DordisSession._aggregate``.  There is no discrete Gaussian: it is not
+closed under summation, so XNoise's add-then-remove cannot run on it —
+the reason Dordis uses DSkellam (§5).
 """
 
 from repro.dp.accountant import (
@@ -31,7 +34,6 @@ from repro.dp.accountant import (
     rdp_to_epsilon,
     DEFAULT_ORDERS,
 )
-from repro.dp.gaussian import DistributedGaussianMechanism
 from repro.dp.skellam import SkellamMechanism, SkellamConfig
 from repro.dp.quantize import (
     clip_l2,
@@ -41,11 +43,6 @@ from repro.dp.quantize import (
 )
 from repro.dp.rotation import RandomizedHadamard
 from repro.dp.planner import NoisePlan, plan_noise
-from repro.dp.dgauss import (
-    DGaussConfig,
-    DiscreteGaussianMechanism,
-    sample_discrete_gaussian,
-)
 
 __all__ = [
     "RdpAccountant",
@@ -53,7 +50,6 @@ __all__ = [
     "skellam_rdp",
     "rdp_to_epsilon",
     "DEFAULT_ORDERS",
-    "DistributedGaussianMechanism",
     "SkellamMechanism",
     "SkellamConfig",
     "clip_l2",
@@ -63,7 +59,4 @@ __all__ = [
     "RandomizedHadamard",
     "NoisePlan",
     "plan_noise",
-    "DGaussConfig",
-    "DiscreteGaussianMechanism",
-    "sample_discrete_gaussian",
 ]

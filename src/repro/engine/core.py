@@ -53,7 +53,6 @@ from repro.engine.transport import (
 from repro.pipeline.chunking import concat_chunks, split_vector
 from repro.pipeline.stages import Resource, Stage
 from repro.sim.timeline import ExecutionTrace, StageSpan
-from repro.wire.codecs import register_targeted as _register_targeted
 
 if TYPE_CHECKING:  # imported lazily to avoid an api ↔ engine import cycle
     from repro.api.protocol import ProtocolClient, ProtocolServer
@@ -96,11 +95,6 @@ class Targeted:
     """
 
     payloads: Mapping[int, Any]
-
-
-# Targeted maps are part of the wire contract; the registration lives
-# here because the wire layer must not import the engine.
-_register_targeted(Targeted)
 
 
 @dataclass

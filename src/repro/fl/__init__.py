@@ -8,8 +8,8 @@ federated tasks with the same structure (documented in DESIGN.md §1):
   non-IID with latent Dirichlet allocation (the paper's partitioner) and
   a Markov-text corpus for next-token perplexity.
 - :mod:`repro.fl.models`  — pure-NumPy models with a flat-parameter
-  interface: softmax regression, an MLP, a small conv net, and a bigram
-  language model.
+  interface: softmax regression, an MLP and a bigram language model
+  (the three ``DordisConfig.model`` accepts).
 - :mod:`repro.fl.optim`   — SGD with momentum and AdamW on flat vectors.
 - :mod:`repro.fl.client` / :mod:`repro.fl.server` — local training and
   FedAvg aggregation.
@@ -31,7 +31,6 @@ from repro.fl.data import (
 from repro.fl.models import (
     SoftmaxRegression,
     MLPClassifier,
-    ConvClassifier,
     BigramLM,
 )
 from repro.fl.optim import SGD, AdamW
@@ -48,7 +47,6 @@ __all__ = [
     "make_text_task",
     "SoftmaxRegression",
     "MLPClassifier",
-    "ConvClassifier",
     "BigramLM",
     "SGD",
     "AdamW",

@@ -4,8 +4,8 @@ FL protocols move *flat vectors* (model updates) around, so every model
 here exposes ``get_flat()`` / ``set_flat()`` plus mini-batch
 ``loss_and_grad``.  The models stand in for the paper's PyTorch nets
 (§6.1): softmax regression and an MLP for the image-classification
-stand-ins, a small convolutional head for parity with the paper's "CNN",
-and a bigram language model whose perplexity plays Reddit/Albert's role.
+stand-ins, and a bigram language model whose perplexity plays
+Reddit/Albert's role.
 """
 
 from __future__ import annotations
@@ -150,91 +150,6 @@ class MLPClassifier(FlatModel):
     def predict(self, x):
         hidden = np.tanh(x @ self.w1 + self.b1)
         return np.argmax(hidden @ self.w2 + self.b2, axis=1)
-
-
-class ConvClassifier(FlatModel):
-    """A small conv net over square single-channel images (im2col).
-
-    One valid-padding conv layer (c filters of f×f), ReLU, global average
-    pooling per filter map, then a linear head.  The paper's "CNN (1M
-    params)" plays this role at larger scale; here the architecture —
-    weight sharing, locality — is what matters for exercising the code
-    path with a structurally different gradient.
-    """
-
-    def __init__(
-        self,
-        image_side: int,
-        n_classes: int,
-        n_filters: int = 8,
-        filter_side: int = 3,
-        seed: int = 0,
-    ):
-        if image_side < filter_side:
-            raise ValueError("image smaller than filter")
-        self.side = image_side
-        self.f = filter_side
-        self.c = n_filters
-        self.k = n_classes
-        self.out_side = image_side - filter_side + 1
-        rng = derive_rng("conv-init", image_side, n_classes, n_filters, seed)
-        self.filters = rng.normal(
-            scale=1.0 / filter_side, size=(n_filters, filter_side * filter_side)
-        )
-        self.w = rng.normal(scale=0.1, size=(n_filters, n_classes))
-        self.b = np.zeros(n_classes)
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.filters.ravel(), self.w.ravel(), self.b])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        nf = self.c * self.f * self.f
-        nw = self.c * self.k
-        if flat.shape != (nf + nw + self.k,):
-            raise ValueError("flat vector shape mismatch")
-        self.filters = flat[:nf].reshape(self.c, self.f * self.f).copy()
-        self.w = flat[nf : nf + nw].reshape(self.c, self.k).copy()
-        self.b = flat[nf + nw :].copy()
-
-    def _im2col(self, images: np.ndarray) -> np.ndarray:
-        n = images.shape[0]
-        imgs = images.reshape(n, self.side, self.side)
-        out = self.out_side
-        cols = np.empty((n, out * out, self.f * self.f))
-        idx = 0
-        for i in range(out):
-            for j in range(out):
-                patch = imgs[:, i : i + self.f, j : j + self.f]
-                cols[:, idx, :] = patch.reshape(n, -1)
-                idx += 1
-        return cols
-
-    def _forward(self, x):
-        cols = self._im2col(x)  # (n, P, f²)
-        pre = cols @ self.filters.T  # (n, P, c)
-        act = np.maximum(pre, 0.0)
-        pooled = act.mean(axis=1)  # (n, c)
-        logits = pooled @ self.w + self.b
-        return cols, pre, act, pooled, logits
-
-    def loss_and_grad(self, x, y):
-        n = x.shape[0]
-        cols, pre, act, pooled, logits = self._forward(x)
-        probs = _softmax(logits)
-        loss = -np.log(probs[np.arange(n), y] + 1e-12).mean()
-        dlogits = (probs - _one_hot(y, self.k)) / n
-        gw = pooled.T @ dlogits
-        gb = dlogits.sum(axis=0)
-        dpooled = dlogits @ self.w.T  # (n, c)
-        dact = dpooled[:, None, :] / cols.shape[1]  # mean-pool backprop
-        dpre = dact * (pre > 0)
-        gfilters = np.einsum("npc,npf->cf", dpre, cols)
-        return float(loss), np.concatenate(
-            [gfilters.ravel(), gw.ravel(), gb]
-        )
-
-    def predict(self, x):
-        return np.argmax(self._forward(x)[4], axis=1)
 
 
 class BigramLM(FlatModel):

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.crypto.dh import resolve_group
 from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.suite import Suite
 from repro.engine import RoundEngine
@@ -79,11 +80,12 @@ def resolve_round_pki(
     """Default PKI for a round whose clients are built internally.
 
     Malicious mode needs one PKI shared by clients and server; when the
-    caller supplied neither it nor a client factory, create it here so
-    both sides of the round see the same instance.
+    caller supplied neither it nor a client factory, create it here, in
+    the round's own group, so both sides of the round see the same
+    instance.
     """
     if client_factory is None and config.malicious and pki is None:
-        return PublicKeyInfrastructure()
+        return PublicKeyInfrastructure(resolve_group(config.dh_group))
     return pki
 
 

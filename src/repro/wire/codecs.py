@@ -72,9 +72,9 @@ body is the fixed-width leaf format of a crypto value (``Share``,
 fields (:class:`repro.secagg.types.WireRecord`).  The ShareKeys
 plaintext never meets the registry: it is a leaf format of its own,
 sealed by AE before it becomes one ``bytes`` value of a frame.  The protocol message
-types ship registered below; :class:`repro.engine.Targeted` registers
-itself when the engine is imported (the engine depends on this module,
-not the reverse).  Transports treat the registry as *the* wire contract:
+types ship registered below.  :class:`repro.engine.Targeted` has no tag:
+the engine unpacks it into one request per client before anything is
+sent.  Transports treat the registry as *the* wire contract:
 the in-process serialization boundary and the socket carry the same
 frames.
 """
@@ -667,23 +667,3 @@ def decode_error(body: bytes) -> BaseException:
     if cls is None:
         return RuntimeError(f"{name}: {message}")
     return cls(message)
-
-
-#: Tag reserved for :class:`repro.engine.Targeted`, registered by
-#: :mod:`repro.engine.core` at import (avoids a wire → engine import).
-TARGETED_TAG = 0x25
-
-
-def register_targeted(cls: type) -> None:
-    """Register the engine's ``Targeted`` wrapper (called by the engine)."""
-
-    def _encode(t) -> bytes:
-        return encode_value(dict(t.payloads))
-
-    def _decode(body: bytes):
-        payloads = decode_whole_value(body)
-        if not isinstance(payloads, dict):
-            raise CodecError("malformed Targeted body")
-        return cls(payloads)
-
-    register_codec(cls, TARGETED_TAG, _encode, _decode)

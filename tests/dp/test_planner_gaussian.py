@@ -1,11 +1,8 @@
-"""Offline noise planning and the distributed Gaussian mechanism."""
+"""Offline noise planning."""
 
-import numpy as np
 import pytest
 
-from repro.dp.gaussian import DistributedGaussianMechanism
 from repro.dp.planner import plan_noise
-from repro.utils.rng import derive_rng
 
 
 class TestPlanner:
@@ -75,40 +72,3 @@ class TestPlanner:
         with pytest.raises(ValueError):
             plan.spend_round(plan.fresh_accountant(), 0.0)
 
-
-class TestDistributedGaussian:
-    def test_clipping(self):
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        prepared = mech.prepare_update(np.ones(16))
-        assert np.linalg.norm(prepared) == pytest.approx(1.0)
-
-    def test_noise_share_variance(self):
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        noise = mech.sample_noise(4.0, derive_rng("g-noise"), 50_000)
-        assert noise.var() == pytest.approx(4.0, rel=0.05)
-
-    def test_shares_sum_to_target_level(self):
-        """n clients each adding σ²/n yields aggregate variance σ²."""
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        rng = derive_rng("g-sum")
-        n, target = 10, 9.0
-        agg = sum(mech.sample_noise(target / n, rng, 50_000) for _ in range(n))
-        assert agg.var() == pytest.approx(target, rel=0.05)
-
-    def test_zero_variance_noise_is_zero(self):
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        assert not mech.sample_noise(0.0, derive_rng("z"), 10).any()
-
-    def test_perturb_combines_clip_and_noise(self):
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        out = mech.perturb(np.ones(8) * 100, 0.0, derive_rng("p"))
-        assert np.linalg.norm(out) == pytest.approx(1.0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            DistributedGaussianMechanism(clip_bound=0.0)
-
-    def test_negative_variance_rejected(self):
-        mech = DistributedGaussianMechanism(clip_bound=1.0)
-        with pytest.raises(ValueError):
-            mech.sample_noise(-1.0, derive_rng("n"), 4)

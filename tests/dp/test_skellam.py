@@ -93,13 +93,6 @@ class TestDivergedUpdateIsRefused:
         # No rounding attempt was made: the generator is where it began.
         assert rng.random() == np.random.default_rng(5).random()
 
-    def test_discrete_gaussian_rounder_refuses_it_too(self):
-        from repro.dp.dgauss import DGaussConfig, DiscreteGaussianMechanism
-
-        mech = DiscreteGaussianMechanism(DGaussConfig(dimension=8, clip_bound=1.0))
-        with pytest.raises(ValueError, match="non-finite"):
-            mech.encode(np.array([0.1] * 7 + [float("nan")]), 1.0, np.random.default_rng(0))
-
     def test_finite_update_with_an_overflowing_norm_clips_to_zeros_as_before(self):
         # ‖x‖ = inf on finite entries: clip_l2's factor is bound/inf = 0.
         mech = make_mechanism(dimension=50)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.fl.models import (
     BigramLM,
-    ConvClassifier,
     MLPClassifier,
     SoftmaxRegression,
 )
@@ -29,7 +28,6 @@ def numeric_grad(model, x, y, eps=1e-6):
 MODELS = [
     ("softmax", lambda: SoftmaxRegression(5, 3, l2=0.01, seed=1), (6, 5), 3),
     ("mlp", lambda: MLPClassifier(4, 6, 3, seed=1), (6, 4), 3),
-    ("conv", lambda: ConvClassifier(5, 3, n_filters=2, filter_side=3, seed=1), (4, 25), 3),
 ]
 
 
@@ -136,8 +134,6 @@ class TestValidation:
             SoftmaxRegression(0, 3)
         with pytest.raises(ValueError):
             MLPClassifier(4, 0, 3)
-        with pytest.raises(ValueError):
-            ConvClassifier(2, 3, filter_side=3)
         with pytest.raises(ValueError):
             BigramLM(1)
 

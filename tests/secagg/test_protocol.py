@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto.dh import MODP_512
 from repro.engine import RoundEngine, SerializingTransport, run_sync
 from repro.secagg import (
     DropoutSchedule,
@@ -17,6 +18,7 @@ from repro.secagg import (
     STAGE_UNMASK,
 )
 from repro.secagg.complexity import masked_upload_bytes
+from repro.secagg.driver import secagg_round_components
 from repro.utils.rng import derive_rng
 from repro.wire import encode_value
 
@@ -185,6 +187,23 @@ class TestMaliciousMode:
         np.testing.assert_array_equal(
             result.aggregate, ring_sum(inputs, inputs, bits)
         )
+
+    def test_driver_built_round_signs_in_its_own_group(self):
+        # The PKI a driver builds follows config.dh_group: modp512 keys
+        # sign and verify in modp512, not in the 2048-bit default group.
+        bits, dim = 16, 8
+        config = SecAggConfig(threshold=3, bits=bits, dimension=dim, malicious=True, dh_group="modp512")
+        inputs = make_inputs(4, dim, bits)
+        server, clients = secagg_round_components(config, inputs)
+        pki = server.inner.pki
+        assert pki.group is MODP_512
+        for c in clients:
+            assert c.inner._signer.group is MODP_512
+            verifier = pki.verifier(c.inner.id)
+            assert verifier.group is MODP_512
+            assert verifier.public == c.inner._signer.public < MODP_512.p
+        result = RoundEngine().run_round_sync(server, clients)
+        np.testing.assert_array_equal(result.aggregate, ring_sum(inputs, inputs, bits))
 
     def test_malicious_round_with_dropout(self):
         bits, dim = 16, 16

@@ -168,6 +168,17 @@ class TestServeJoinValidation:
         assert main(["serve", "--join-timeout", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.timeout(60)
+    def test_serve_below_threshold_names_the_abort_on_one_line(self, capsys):
+        # Nobody dials: the round ends below threshold at the first stage.
+        assert main(["serve", "--clients", "3", "--join-timeout", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("listening ")
+        assert captured.err.splitlines() == [
+            "serve: round aborted: ProtocolAbort: only 0 advertisements; "
+            "threshold 2 unmet"
+        ]
+
     def test_serve_has_no_transport_option(self):
         # Framed TCP is the one carrier: there is nothing to choose.
         with pytest.raises(SystemExit):

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.field import FIELD
 from repro.crypto.shamir import ShamirSecretSharing, Share
-from repro.engine import Targeted
 from repro.secagg.types import AdvertiseKeysMsg, DealingShape, MaskedInputMsg, SharePayload
 from repro.wire.codecs import (
     PAYLOAD_VERSION,
@@ -223,8 +222,8 @@ class TestEncodeParity:
 # ---------------------------------------------------------------------------
 
 #: Registered tags whose body is itself a value encoding (the mutants
-#: reach inside them): AdvertiseKeysMsg, UnmaskingMsg, Targeted.
-_VALUE_BODIES = {0x22, 0x24, 0x25}
+#: reach inside them): AdvertiseKeysMsg, UnmaskingMsg.
+_VALUE_BODIES = {0x22, 0x24}
 #: Every structural tag, every registered one, and unknown tags around them.
 _TAG_CHOICES = sorted(set(range(0x0E)) | {0x1F} | set(range(0x20, 0x27)) | {0xFF})
 _SATURATED = b"\xff\xff\xff\xff"
@@ -302,7 +301,7 @@ def _protocol_payloads(seed: int) -> list:
         *_sample_payloads(seed).values(),
         ("share_keys", (roster, ids[1:])),
         ("share_keys_response", {u: plaintext.to_bytes() for u in ids[1:]}),
-        Targeted({u: ("unmask", [1, 2], None, {3}, [1.5, -0.0]) for u in ids}),
+        {u: ("unmask", [1, 2], None, {3}, [1.5, -0.0]) for u in ids},
         {"vector": np.arange(5, dtype=np.int64), "u": frozenset(ids)},
     ]
 

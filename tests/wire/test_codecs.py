@@ -12,7 +12,6 @@ from repro.crypto.signature import (
     SchnorrSigner,
     generate_signing_keypair,
 )
-from repro.engine import Targeted  # noqa: F401  (registers the Targeted codec)
 from repro.secagg.types import AdvertiseKeysMsg, MaskedInputMsg, UnmaskingMsg
 from repro.wire import (
     CodecError,
@@ -163,9 +162,6 @@ def _sample_payloads(seed: int) -> dict[type, object]:
             b_shares={3: _random_share(rng)},
             revealed_seeds={1: rng.bytes(32)},
         ),
-        Targeted: Targeted(
-            {1: rng.bytes(4), 2: [1, 2, 3], 3: {"k": share}}
-        ),
     }
 
 
@@ -174,8 +170,6 @@ def _equal(a, b) -> bool:
         return (a.sender, a.bits) == (b.sender, b.bits) and np.array_equal(
             a.masked_vector, b.masked_vector
         )
-    if isinstance(a, Targeted):
-        return dict(a.payloads) == dict(b.payloads)
     return a == b
 
 
@@ -189,7 +183,6 @@ class TestRegisteredCodecs:
             "AdvertiseKeysMsg",
             "MaskedInputMsg",
             "UnmaskingMsg",
-            "Targeted",
         } <= names
         assert len(set(tags.values())) == len(tags)  # tags are unique
 
@@ -244,9 +237,6 @@ _small_messages = {
         s_sk_shares=st.dictionaries(_ids, _shares, max_size=3),
         b_shares=st.dictionaries(_ids, _shares, max_size=3),
         revealed_seeds=st.dictionaries(_ids, st.binary(max_size=32), max_size=3),
-    ),
-    Targeted: st.builds(
-        Targeted, st.dictionaries(_ids, st.binary(max_size=8) | _shares, max_size=3)
     ),
 }
 
@@ -373,6 +363,16 @@ class TestEnvelope:
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):
             decode_payload(bytes([PAYLOAD_VERSION, 0x1F]))
+
+    def test_tag_0x25_is_unknown(self):
+        # 0x25 carried the engine's Targeted wrapper, which the engine
+        # unpacks into per-client requests before anything is sent; no
+        # codec claims the tag, so a payload carrying it is refused.
+        body = encode_value({1: b"payload"})
+        with pytest.raises(CodecError, match="unknown value tag 0x25"):
+            decode_payload(bytes([PAYLOAD_VERSION, 0x25]) + body)
+        with pytest.raises(CodecError, match="unknown value tag 0x25"):
+            decode_payload(bytes([PAYLOAD_VERSION, 0x07, 0, 0, 0, 1, 0x25]) + body)
 
     def test_duplicate_dict_keys_rejected(self):
         single = encode_payload({7: 1})
