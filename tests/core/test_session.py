@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import DordisConfig, DordisSession
+from repro.core.baselines import NoiseStrategy
+from repro.dp import clip_l2
+from repro.utils.rng import derive_rng
 
 
 def quick_config(**overrides):
@@ -143,6 +146,83 @@ class TestSkellamSimulation:
             quick_config(rounds=5, epsilon=20.0, mechanism="skellam")
         ).run()
         assert abs(g.final_accuracy - s.final_accuracy) < 0.25
+
+
+class _NoNoise(NoiseStrategy):
+    """A strategy whose aggregate carries no noise: isolates clipping."""
+
+    def client_variance(self, target_variance, n_sampled):
+        return 0.0
+
+    def actual_variance(self, target_variance, n_sampled, n_dropped):
+        return 0.0
+
+
+class TestGaussianAggregate:
+    """``DordisSession._aggregate`` on ``mechanism="gaussian"``: each
+    survivor's update is clipped with ``clip_l2`` and the sum gets one
+    normal draw of the strategy's post-dropout variance."""
+
+    SAMPLED = list(range(8))
+
+    def test_aggregate_is_the_clipped_sum_plus_the_rounds_draw(self):
+        session = DordisSession(quick_config(strategy="orig"))
+        rng = np.random.default_rng(0)
+        updates = [rng.normal(scale=3.0, size=64) for _ in range(5)]
+        survivors = self.SAMPLED[:5]
+        got = session._aggregate(updates, self.SAMPLED, survivors, 2)
+        variance = session.strategy.actual_variance(session.plan.variance, 8, 3)
+        expected = sum(clip_l2(u, 1.0) for u in updates) + derive_rng(
+            "dp-noise", 1, 2
+        ).normal(0.0, np.sqrt(variance), 64)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_each_update_is_clipped_not_the_sum(self):
+        session = DordisSession(quick_config(), strategy=_NoNoise())
+        updates = [np.full(16, 100.0)] * 3
+        got = session._aggregate(updates, self.SAMPLED, self.SAMPLED[:3], 0)
+        assert np.linalg.norm(got) == pytest.approx(3.0)
+        np.testing.assert_allclose(got, np.full(16, 3.0 / 4.0))
+
+    def test_updates_inside_the_bound_pass_unchanged(self):
+        session = DordisSession(quick_config(), strategy=_NoNoise())
+        updates = [np.full(16, 0.1), np.arange(16) / 100.0]
+        got = session._aggregate(updates, self.SAMPLED, self.SAMPLED[:2], 0)
+        np.testing.assert_array_equal(got, updates[0] + updates[1])
+
+    @pytest.mark.parametrize(
+        "strategy, dropped",
+        [
+            ("orig", 0),
+            ("orig", 3),
+            ("con5", 0),
+            ("con5", 3),
+            ("xnoise", 0),
+            ("xnoise", 3),
+            ("xnoise", 6),
+        ],
+    )
+    def test_noise_variance_is_the_strategys_actual_variance(self, strategy, dropped):
+        session = DordisSession(
+            quick_config(strategy=strategy, tolerance_fraction=0.5)
+        )
+        survivors = self.SAMPLED[: 8 - dropped]
+        updates = [np.zeros(20_000)] * len(survivors)
+        noise = session._aggregate(updates, self.SAMPLED, survivors, 0)
+        target = session.strategy.actual_variance(session.plan.variance, 8, dropped)
+        assert target > 0
+        assert noise.var() == pytest.approx(target, rel=0.05)
+        assert abs(noise.mean()) < 5 * np.sqrt(target / noise.size)
+
+    def test_noise_is_fresh_each_round_and_replays_per_seed(self):
+        def noise(seed, round_index):
+            session = DordisSession(quick_config(seed=seed))
+            updates = [np.zeros(32)] * 8
+            return session._aggregate(updates, self.SAMPLED, self.SAMPLED, round_index)
+
+        np.testing.assert_array_equal(noise(1, 0), noise(1, 0))
+        assert not np.array_equal(noise(1, 0), noise(1, 1))
+        assert not np.array_equal(noise(1, 0), noise(2, 0))
 
 
 class TestRealProtocolSession:

@@ -374,6 +374,14 @@ class TestEnvelope:
         with pytest.raises(CodecError, match="unknown value tag 0x25"):
             decode_payload(bytes([PAYLOAD_VERSION, 0x07, 0, 0, 0, 1, 0x25]) + body)
 
+    def test_every_unclaimed_tag_is_unknown(self):
+        # Tags 0x00..0x0C are the structural values; the registry holds
+        # the rest that decode.  Every other byte is refused by name.
+        claimed = set(range(0x0D)) | set(registered_codecs().values())
+        for tag in sorted(set(range(256)) - claimed):
+            with pytest.raises(CodecError, match=f"unknown value tag {tag:#x}$"):
+                decode_payload(bytes([PAYLOAD_VERSION, tag]))
+
     def test_duplicate_dict_keys_rejected(self):
         single = encode_payload({7: 1})
         # Splice the one (key, value) pair in twice and bump the count.
