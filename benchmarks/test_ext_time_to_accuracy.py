@@ -41,8 +41,8 @@ def test_time_to_accuracy(once):
 
     result, (plain, pipe, speedup) = once(run)
     print_header("Extension — time-to-accuracy (CIFAR-10-like, XNoise, d=10%)")
-    print(f"  per-round: plain {plain.round_seconds / 60:.1f} min, "
-          f"pipelined {pipe.round_seconds / 60:.1f} min "
+    print(f"  per-round: plain {plain.round_durations[0] / 60:.1f} min, "
+          f"pipelined {pipe.round_durations[0] / 60:.1f} min "
           f"(speedup {speedup:.2f}x)")
     print(f"  {'target':>7} | {'plain (h)':>9} | {'pipe (h)':>9}")
     targets = [0.3, 0.4, 0.5]

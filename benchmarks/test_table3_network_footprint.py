@@ -13,7 +13,7 @@ dimensions while SecAgg's masked-vector uplink scales with them.
 import pytest
 from conftest import print_header
 
-from repro.pipeline.cost import table3_row
+from repro.xnoise.rebasing import table3_row
 
 MODEL_SIZES = [5_000_000, 50_000_000, 500_000_000]
 SAMPLES = [100, 200, 300]

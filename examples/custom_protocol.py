@@ -4,8 +4,9 @@ Implements a private federated-analytics application — estimating the
 population mean of client telemetry — by declaring a three-operation
 workflow (encode → aggregate → decode) on :class:`ProtocolServer` /
 :class:`ProtocolClient`, with the DSkellam mechanism plugged in through
-the :class:`DPHandler` slot.  Also prints the pipeline stages Dordis
-derives from the declared resource annotations.
+the :class:`DPHandler` slot, and runs one round on the
+:class:`repro.engine.RoundEngine`.  Also prints the pipeline stages
+Dordis derives from the declared resource annotations.
 
 Run:  python examples/custom_protocol.py
 """
@@ -13,13 +14,13 @@ Run:  python examples/custom_protocol.py
 import numpy as np
 
 from repro.api import (
-    AggregationRuntime,
     AppClient,
     AppServer,
     ProtocolClient,
     ProtocolServer,
     SkellamDPHandler,
 )
+from repro.engine import RoundEngine
 from repro.utils.rng import derive_rng
 
 DIM = 32
@@ -94,8 +95,9 @@ def main() -> None:
     clients = [TelemetryClient(i) for i in range(N_CLIENTS)]
     app = MeanEstimateApp()
     devices = {i: DeviceApp(i) for i in range(N_CLIENTS)}
-    runtime = AggregationRuntime(server, clients, app_server=app, app_clients=devices)
-    runtime.run_round()
+    RoundEngine().run_round_sync(
+        server, clients, app_server=app, app_clients=devices
+    )
 
     truth = np.mean(
         [devices[i].prepare_data(0) for i in range(N_CLIENTS)], axis=0

@@ -91,7 +91,7 @@ def main():
             strategy="xnoise",
             tolerance_fraction=0.4,
             dropout_rate=0.2,
-            transport="serialized",
+            transport="inprocess",
             seed=7,
             fleet=FleetConfig(downlink_range=(100e6 / 8, 1000e6 / 8)),
         )

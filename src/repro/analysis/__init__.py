@@ -17,8 +17,6 @@ mechanically enforces the *shape* of that discipline:
 - :mod:`repro.analysis.rules` — one module per rule (parity-twin,
   headroom-guard, strict-decoder, async-hygiene, determinism,
   zero-copy);
-- :mod:`repro.analysis.baseline` — the committed grandfather list
-  (``ANALYSIS_BASELINE.json``) for findings that are deliberate;
 - :mod:`repro.analysis.runner` — orchestration and text/JSON output;
 - :mod:`repro.analysis.invariants` — the invariant → rule/test map
   asserted by ``tests/analysis/test_invariant_map.py``.

@@ -3,8 +3,8 @@
 A rule sees the whole checked tree at once (:class:`CheckContext`), not
 one file at a time — several rules are cross-file by nature (the
 parity-twin rule cross-checks ``tests/``).  Every rule yields
-:class:`Finding` values; the runner applies inline suppressions and the
-committed baseline afterwards, so rules stay pure.
+:class:`Finding` values; the runner applies inline suppressions
+afterwards, so rules stay pure.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ SUPPRESSION_RULE_ID = "suppression"
 class Finding:
     """One violation: where, which rule, and what is wrong.
 
-    ``file`` is repo-relative (posix separators) so findings — and the
-    baseline keyed on them — are stable across checkouts.  Baseline
-    matching ignores ``line``: line numbers drift with unrelated edits.
+    ``file`` is repo-relative (posix separators) so findings are
+    stable across checkouts.
     """
 
     file: str
     line: int
     rule: str
     message: str
-
-    def key(self) -> tuple[str, str, str]:
-        """The line-independent identity used for baseline matching."""
-        return (self.rule, self.file, self.message)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,9 @@ root defaults to the repository this package lives in, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.core import (
     CheckContext,
     Finding,
@@ -31,11 +30,9 @@ REPORT_VERSION = 1
 class CheckResult:
     root: Path
     rules: dict[str, Rule]
-    #: Findings not covered by a suppression or the baseline — these
-    #: fail the check.
+    #: Findings not covered by an inline suppression — these fail the
+    #: check.
     findings: list[Finding]
-    #: Findings grandfathered by the committed baseline.
-    baselined: list[Finding] = field(default_factory=list)
     #: Count of findings silenced by inline allow-comments.
     suppressed: int = 0
     files_checked: int = 0
@@ -81,9 +78,7 @@ def load_test_texts(root: Path) -> dict[str, str]:
     }
 
 
-def run_check(
-    root: Path | None = None, baseline_path: Path | None = None
-) -> CheckResult:
+def run_check(root: Path | None = None) -> CheckResult:
     """Run every registered rule over the tree at ``root``."""
     root = (root or default_root()).resolve()
     rules = all_rules()
@@ -105,16 +100,10 @@ def run_check(
     kept, suppressed = apply_suppressions(findings, suppressions)
     kept.sort()
 
-    if baseline_path is None:
-        baseline_path = root / baseline_mod.DEFAULT_BASELINE_NAME
-    known = baseline_mod.load_baseline(baseline_path)
-    new, grandfathered = baseline_mod.partition(kept, known)
-
     return CheckResult(
         root=root,
         rules=rules,
-        findings=new,
-        baselined=grandfathered,
+        findings=kept,
         suppressed=suppressed,
         files_checked=len(sources),
     )
@@ -127,7 +116,7 @@ def render_text(result: CheckResult) -> str:
     lines.append(
         f"checked {result.files_checked} files with "
         f"{len(result.rules)} rules: {len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, {result.suppressed} suppressed"
+        f"{result.suppressed} suppressed"
     )
     return "\n".join(lines)
 
@@ -149,12 +138,10 @@ def render_json(result: CheckResult) -> str:
             for rule in result.rules.values()
         ],
         "findings": [row(f) for f in result.findings],
-        "baselined": [row(f) for f in result.baselined],
         "suppressed": result.suppressed,
         "counts": {
             "files": result.files_checked,
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
         },
         "clean": result.clean,
     }

@@ -22,10 +22,10 @@ AppServer           ``use_output()`` — what the server does with the
 AppClient           ``prepare_data()`` / ``use_output()``.
 ==================  ======================================================
 
-:mod:`repro.api.runtime` executes a (server, clients) pair: it walks the
-server's declared workflow in dependency order, dispatching client-side
-operations through each client's routine table — the same mechanism the
-built-in protocols use, exposed for extension.
+:meth:`repro.engine.RoundEngine.run_round` executes a (server, clients)
+pair: it walks the server's declared workflow in dependency order,
+dispatching client-side operations through each client's routine table
+— the same mechanism the built-in protocols use, exposed for extension.
 """
 
 from repro.api.handlers import (
@@ -36,7 +36,6 @@ from repro.api.handlers import (
 from repro.crypto.suite import Suite
 from repro.api.protocol import ProtocolServer, ProtocolClient, WorkflowError
 from repro.api.app import AppServer, AppClient
-from repro.api.runtime import AggregationRuntime
 
 __all__ = [
     "DPHandler",
@@ -48,5 +47,4 @@ __all__ = [
     "WorkflowError",
     "AppServer",
     "AppClient",
-    "AggregationRuntime",
 ]

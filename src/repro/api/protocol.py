@@ -84,21 +84,8 @@ class ProtocolServer:
         return order
 
     def pipeline_stages(self) -> list[Stage]:
-        """Group consecutive same-resource operations into stages.
-
-        This is the §4.1 grouping applied to the declared workflow — the
-        minimum scheduling units pipeline planning operates on.
-        """
-        graph = self.set_graph_dict()
-        stages: list[Stage] = []
-        for op in self.workflow_order():
-            resource = Resource(graph[op]["resource"])
-            if stages and stages[-1].resource is resource:
-                merged = Stage(f"{stages[-1].name}+{op}", resource)
-                stages[-1] = merged
-            else:
-                stages.append(Stage(op, resource))
-        return stages
+        """The stages of :func:`stage_groups`, without their ops."""
+        return [stage for stage, _ops in stage_groups(self)]
 
     def operation_method(self, op: str):
         """The coordination method for ``op`` (e.g. ``encode_data``)."""
@@ -109,6 +96,27 @@ class ProtocolServer:
                 f"method of that name"
             )
         return method
+
+
+def stage_groups(server: ProtocolServer) -> list[tuple[Stage, list[str]]]:
+    """(stage, ops) pairs: consecutive same-resource ops merged (§4.1).
+
+    The §4.1 grouping applied to the declared workflow — the minimum
+    scheduling units pipeline planning operates on — walked once: the
+    engine's executor, :class:`repro.engine.StageTiming` and
+    :meth:`ProtocolServer.pipeline_stages` all read it from here.
+    """
+    graph = server.set_graph_dict()
+    groups: list[tuple[Stage, list[str]]] = []
+    for op in server.workflow_order():
+        resource = Resource(graph[op]["resource"])
+        if groups and groups[-1][0].resource is resource:
+            stage, ops = groups[-1]
+            ops.append(op)
+            groups[-1] = (Stage(f"{stage.name}+{op}", resource), ops)
+        else:
+            groups.append((Stage(op, resource), [op]))
+    return groups
 
 
 class ProtocolClient:

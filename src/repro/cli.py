@@ -26,8 +26,8 @@ walks through:
   writing one machine-readable ``BENCH_<topic>.json`` per topic;
   ``--diff old new`` compares two persisted reports metric by metric;
 - ``check``    — run the repo's own AST-based invariant checker
-  (``repro.analysis``) over ``src/repro``: exits 0 when clean, 1 when
-  any non-baselined finding remains, 2 on usage errors.
+  (``repro.analysis``) over ``src/repro``: exits 0 when clean, 1 on
+  any finding, 2 on usage errors.
 
 Examples::
 
@@ -77,18 +77,16 @@ def _add_run_parser(sub) -> None:
     p.add_argument("--asymmetric", action="store_true",
                    help="give devices independent Zipf downlinks "
                         "(100-1000 Mbps) instead of symmetric links")
-    p.add_argument("--no-fleet", action="store_true",
-                   help="opt out of the fleet layer: legacy zero-latency "
-                        "execution with hard-wired fixed-rate dropout")
     p.add_argument("--strategy", default="xnoise",
                    help="orig | early | conK | xnoise")
     p.add_argument("--mechanism", default="gaussian",
                    choices=["gaussian", "skellam"])
     p.add_argument("--transport", default="inprocess",
-                   choices=["inprocess", "serialized", "sockets"],
-                   help="engine transport for protocol rounds: direct "
-                        "dispatch, the in-process wire serialization "
-                        "boundary, or real framed-TCP connections")
+                   choices=["inprocess", "sockets"],
+                   help="engine transport for protocol rounds, priced on "
+                        "the fleet's links: the in-process wire "
+                        "serialization boundary, or real framed-TCP "
+                        "connections")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -232,9 +230,6 @@ def _add_check_parser(sub) -> None:
     p.add_argument("--root", default=None,
                    help="repository root to check (default: the checkout "
                         "this package was loaded from)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline file grandfathering known findings "
-                        "(default: <root>/ANALYSIS_BASELINE.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,30 +277,19 @@ def _cmd_run(args) -> int:
 
     model = args.model or ("bigram" if args.task == "reddit-like" else "softmax")
     optimizer = "adamw" if args.task == "reddit-like" else "sgd"
-    if args.no_fleet:
-        if args.availability != "fixed" or args.asymmetric or args.correlation:
-            print(
-                "--no-fleet disables the fleet layer, which owns "
-                "--availability trace, --asymmetric and "
-                "--correlation; drop --no-fleet or the fleet flags",
-                file=sys.stderr,
-            )
-            return 2
-        fleet = None
-    else:
-        if args.correlation and args.availability == "fixed":
-            print(
-                "--correlation couples link speed to availability, which "
-                "the fixed-rate model cannot express; add "
-                "--availability trace",
-                file=sys.stderr,
-            )
-            return 2
-        fleet = FleetConfig(
-            availability=args.availability,
-            downlink_range=(100e6 / 8, 1000e6 / 8) if args.asymmetric else None,
-            correlation=args.correlation,
+    if args.correlation and args.availability == "fixed":
+        print(
+            "--correlation couples link speed to availability, which "
+            "the fixed-rate model cannot express; add "
+            "--availability trace",
+            file=sys.stderr,
         )
+        return 2
+    fleet = FleetConfig(
+        availability=args.availability,
+        downlink_range=(100e6 / 8, 1000e6 / 8) if args.asymmetric else None,
+        correlation=args.correlation,
+    )
     config = DordisConfig(
         task=args.task,
         model=model,
@@ -327,7 +311,7 @@ def _cmd_run(args) -> int:
     result = session.run()
     dropout = (
         f"{args.availability} (mean {float(np.mean(result.dropout_history)):.0%})"
-        if args.availability == "trace" and fleet is not None
+        if args.availability == "trace"
         else f"{args.dropout_rate:.0%}"
     )
     print(f"task={args.task} strategy={args.strategy} dropout={dropout}")
@@ -342,7 +326,7 @@ def _cmd_run(args) -> int:
         print(f"warning: epsilon consumed {result.epsilon_consumed:.3f} exceeds "
               f"the budget {args.epsilon}; rounds past the XNoise tolerance "
               f"(|D| > T): {past}", file=sys.stderr)
-    if fleet is not None and result.round_seconds_history:
+    if result.round_seconds_history:
         trace = session.engine.trace
         print(f"mean round       : "
               f"{float(np.mean(result.round_seconds_history)):.3f} s "
@@ -724,10 +708,9 @@ def _cmd_check(args) -> int:
     from repro.analysis import render_json, render_text, run_check
 
     root = Path(args.root).resolve() if args.root else None
-    baseline = Path(args.baseline).resolve() if args.baseline else None
     try:
-        result = run_check(root=root, baseline_path=baseline)
-    except (FileNotFoundError, ValueError) as exc:
+        result = run_check(root=root)
+    except FileNotFoundError as exc:
         print(f"check: {exc}", file=sys.stderr)
         return 2
     render = render_json if args.format == "json" else render_text

@@ -46,10 +46,9 @@ class DordisConfig:
         (Fig.-1a behaviour-trace churn, where the rate swings per
         round).  The default builds a symmetric heterogeneous fleet, so
         every session's transports carry per-direction link latency and
-        ``round_seconds_history`` is meaningful out of the box.
-        ``fleet=None`` is the documented opt-out: legacy zero-latency
-        execution (durations 0.0 unless the engine carries its own
-        timing source) with hard-wired fixed-rate dropout.
+        ``round_seconds_history`` is meaningful out of the box.  A
+        session always has one; a live-object round without link
+        latency is ``DordisSession(cfg, engine=RoundEngine())``.
 
     Dropout / enforcement
     ---------------------
@@ -74,16 +73,15 @@ class DordisConfig:
         (1 → plain, unchunked execution).  Only affects the "secagg"
         aggregation path.
     transport:
-        Engine transport backend for protocol rounds:
-        "inprocess" — direct dispatch of live Python objects without a
-        fleet (fastest, no bytes), "serialized" with one (a priced
-        round needs bytes, and bytes come from the encoder);
-        "serialized" — every payload crosses the :mod:`repro.wire`
-        serialization boundary in-process, so traced per-stage traffic
-        is the length of the frames a framed-TCP socket would carry;
-        "sockets" — each client behind a real localhost TCP connection
-        with framed messages and per-connection accounting.
-        Ignored when the caller supplies its own engine.
+        Engine transport backend for protocol rounds, each priced on
+        the fleet's links: "inprocess" — every payload crosses the
+        :mod:`repro.wire` serialization boundary in-process (a priced
+        round needs bytes, and bytes come from the encoder), so traced
+        per-stage traffic is the length of the frames a framed-TCP
+        socket would carry; "sockets" — each client behind a real
+        localhost TCP connection with framed messages and
+        per-connection accounting.  Ignored when the caller supplies
+        its own engine.
     """
 
     # Task / model.
@@ -107,7 +105,7 @@ class DordisConfig:
     bits: int = 20
 
     # Fleet / scenario.
-    fleet: Optional[FleetConfig] = field(default_factory=FleetConfig)
+    fleet: FleetConfig = field(default_factory=FleetConfig)
 
     # Dropout / enforcement.
     dropout_rate: float = 0.0
@@ -149,18 +147,17 @@ class DordisConfig:
             raise ValueError("mechanism must be gaussian or skellam")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.fleet is not None and not isinstance(self.fleet, FleetConfig):
+        if not isinstance(self.fleet, FleetConfig):
             raise ValueError(
-                "fleet must be a repro.fleet.FleetConfig (or None to opt "
-                "out of fleet timing/availability)"
+                f"fleet must be a repro.fleet.FleetConfig, not {self.fleet!r}"
             )
         if self.secure_aggregation not in {"simulated", "secagg"}:
             raise ValueError("secure_aggregation must be simulated or secagg")
         if self.pipeline_chunks < 1:
             raise ValueError("pipeline_chunks must be >= 1")
-        if self.transport not in {"inprocess", "serialized", "sockets"}:
+        if self.transport not in {"inprocess", "sockets"}:
             raise ValueError(
-                "transport must be inprocess, serialized or sockets"
+                f"transport must be inprocess or sockets, not {self.transport!r}"
             )
 
     @property

@@ -42,7 +42,7 @@ from repro.fl.data import (
     make_femnist_like,
     make_text_task,
 )
-from repro.fleet import Fleet, FixedRateDropout
+from repro.fleet import Fleet
 from repro.fl.models import BigramLM, MLPClassifier, SoftmaxRegression
 from repro.fl.optim import SGD, AdamW
 from repro.fl.server import FedAvgServer
@@ -57,17 +57,13 @@ class TrainingResult:
     perplexity (language, lower better) per completed round;
     ``epsilon_history`` the cumulative privacy spend after each round.
     ``round_seconds_history`` is the engine-traced simulated duration of
-    each completed round.  By default it is *meaningful*: the session's
-    fleet (:attr:`DordisConfig.fleet`) supplies the timing source — the
+    each completed round: the session's fleet
+    (:attr:`DordisConfig.fleet`) supplies the timing source — the
     real-protocol (``secagg``) path charges every exchange's framed
     bytes against each client's own uplink/downlink, and the fast
     noise-algebra path records the fleet's modeled
     broadcast → local-train → upload round cost as traced spans.
-    Configuring ``fleet=None`` (the documented opt-out) restores the
-    legacy zero-latency behaviour: entries are then 0.0 unless the
-    caller supplies an engine with its own timing source (e.g.
-    ``DordisSession(cfg, engine=RoundEngine(transport=SerializingTransport(...)))``
-    or a ``StageTiming`` model).  ``past_tolerance_rounds`` names the
+    ``past_tolerance_rounds`` names the
     completed rounds whose dropout exceeded the XNoise tolerance
     (|D| > T): Theorem 1 no longer holds there, the aggregate carried
     less than the target noise and the round spent more than planned.
@@ -113,23 +109,20 @@ _TASK_FACTORIES = {
 def build_transport(name: str, fleet: Fleet | None = None):
     """Engine transport for a :attr:`DordisConfig.transport` name.
 
-    With a fleet, every backend prices each exchange on the client's own
+    With a fleet, both backends price each exchange on the client's own
     links (:meth:`Fleet.link_seconds`: request frame on the downlink,
     response on the uplink); without one, no virtual latency.  A priced
-    in-process round is the socket round minus the socket: ``"inprocess"``
-    with a fleet is ``"serialized"``, whose bytes are the lengths of the
-    frames a framed-TCP socket would carry, so a fleet round's trace is
-    transport-invariant across all three names (the parity suites pin
-    this).  In-process rounds without a fleet move live objects and
-    report no bytes.
+    in-process round is the socket round minus the socket: its bytes are
+    the lengths of the frames a framed-TCP socket would carry, so a
+    fleet round's trace is the same on both names (the parity suites pin
+    this).  ``"inprocess"`` without a fleet moves live objects and
+    reports no bytes.
     """
     from repro.engine import InProcessTransport, SerializingTransport, SocketTransport
 
     link = None if fleet is None else fleet.link_seconds
-    if name == "inprocess" and link is None:
-        return InProcessTransport()
-    if name in ("inprocess", "serialized"):
-        return SerializingTransport(link)
+    if name == "inprocess":
+        return InProcessTransport() if link is None else SerializingTransport(link)
     if name == "sockets":
         return SocketTransport(link)
     raise ValueError(f"unknown transport {name!r}")
@@ -150,15 +143,13 @@ class DordisSession:
         # The fleet (device profiles + availability) is the scenario the
         # session runs against; dropout and link timing derive from it
         # unless the caller overrides either explicitly.
-        self.fleet: Fleet | None = None
-        if config.fleet is not None:
-            self.fleet = Fleet.build(
-                config.num_clients,
-                config.fleet,
-                dropout_rate=config.dropout_rate,
-                horizon=max(config.rounds, 1),
-                seed=config.seed,
-            )
+        self.fleet = Fleet.build(
+            config.num_clients,
+            config.fleet,
+            dropout_rate=config.dropout_rate,
+            horizon=max(config.rounds, 1),
+            seed=config.seed,
+        )
         # Protocol rounds shift client ids by +1 (non-zero Shamir
         # points), so the engine transport — which only ever serves
         # those rounds; the fast path bypasses it — addresses the fleet
@@ -168,8 +159,7 @@ class DordisSession:
         # even for million-device populations.
         self.engine = engine or RoundEngine(
             transport=build_transport(
-                config.transport,
-                self.fleet.with_id_offset(1) if self.fleet else None,
+                config.transport, self.fleet.with_id_offset(1)
             )
         )
         self.dataset = dataset if dataset is not None else self._build_dataset()
@@ -182,14 +172,9 @@ class DordisSession:
                 else {}
             ),
         )
-        if dropout_model is not None:
-            self.dropout_model = dropout_model
-        elif self.fleet is not None:
-            self.dropout_model = self.fleet.availability
-        else:
-            self.dropout_model = FixedRateDropout(
-                config.dropout_rate, seed=config.seed
-            )
+        self.dropout_model = (
+            dropout_model if dropout_model is not None else self.fleet.availability
+        )
         self.plan = self._plan_noise()
         self.skellam: SkellamMechanism | None = None
         if config.mechanism == "skellam":
@@ -387,25 +372,24 @@ class DordisSession:
             past_tolerance = isinstance(
                 self.strategy, XNoiseStrategy
             ) and len(dropped) > self.strategy.tolerance(len(sampled))
-            if self.fleet is not None:
-                # The fast path executes no protocol rounds, so the
-                # fleet's timing model supplies the round's cost: model
-                # broadcast on every sampled downlink, local training
-                # gated by the compute straggler, update upload on every
-                # surviving uplink.  Recorded as traced spans, it lands
-                # in round_seconds_history exactly like an engine-
-                # executed round's latency would.
-                cost = self.fleet.round_cost(
-                    sampled, survivors, 8 * self.model.n_params
+            # The fast path executes no protocol rounds, so the
+            # fleet's timing model supplies the round's cost: model
+            # broadcast on every sampled downlink, local training
+            # gated by the compute straggler, update upload on every
+            # surviving uplink.  Recorded as traced spans, it lands
+            # in round_seconds_history exactly like an engine-
+            # executed round's latency would.
+            cost = self.fleet.round_cost(
+                sampled, survivors, 8 * self.model.n_params
+            )
+            self.engine.record_modeled_round(
+                (
+                    ("broadcast", "comm", cost.down_seconds,
+                     cost.down_bytes, 0),
+                    ("local_train", "c-comp", cost.compute_seconds, 0, 0),
+                    ("upload", "comm", cost.up_seconds, 0, cost.up_bytes),
                 )
-                self.engine.record_modeled_round(
-                    (
-                        ("broadcast", "comm", cost.down_seconds,
-                         cost.down_bytes, 0),
-                        ("local_train", "c-comp", cost.compute_seconds, 0, 0),
-                        ("upload", "comm", cost.up_seconds, 0, cost.up_bytes),
-                    )
-                )
+            )
         server.apply_update_sum(update_sum, len(survivors))
         if past_tolerance:
             result.past_tolerance_rounds.append(r)
@@ -540,14 +524,11 @@ class DordisSession:
         # sampled straggler: scale whatever op cost model the engine
         # carries by the fleet's compute slowdown (a no-op for the
         # default zero-cost timing).
-        timing = None
-        if self.fleet is not None:
-            from repro.engine import ScaledResourceTiming
+        from repro.engine import ScaledResourceTiming
 
-            timing = ScaledResourceTiming(
-                self.engine.timing,
-                {"c-comp": self.fleet.straggler_factor(sampled)},
-            )
+        timing = ScaledResourceTiming(
+            self.engine.timing, {"c-comp": self.fleet.straggler_factor(sampled)}
+        )
 
         n_chunks = min(cfg.pipeline_chunks, mech.padded_dimension)
         if n_chunks <= 1:

@@ -51,6 +51,3 @@ class PublicKeyInfrastructure:
 
     def is_registered(self, identity: int) -> bool:
         return identity in self._verification_keys
-
-    def __len__(self) -> int:
-        return len(self._verification_keys)

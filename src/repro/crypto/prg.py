@@ -41,9 +41,8 @@ the draw is exactly uniform and costs ``b/8`` bytes — ``⌈n·b/256⌉``
 blocks in all, the bits past ``n·b`` ignored.  Element ``256·j`` starts
 at block ``j·b`` exactly, so any 256-aligned run of elements expands
 from its own counter and nothing ever holds more than a slab of stream.
-Any other modulus reduces one big-endian 64-bit word per element (modulo
-bias below ``modulus / 2**64``, irrelevant for masking: any fixed bias
-cancels in ``p_{u,v} + p_{v,u} = 0``); ``modulus == 1`` draws nothing.
+``modulus == 1`` draws nothing; any modulus that is not such a ring is
+refused by name.
 
 :func:`expand_uniform` is the one whole-mask entry point (counter 0).
 Given ``out`` it adds ``sign·mask`` into the caller's vector instead of
@@ -59,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import sys
 import warnings
 from typing import Optional, Sequence
 
@@ -78,17 +76,25 @@ _SLAB = 1 << 14
 _announced_spec_aes = False
 
 
-def _check_draw(length: int, modulus: int) -> Optional[int]:
-    """Validate a draw; ``b`` for the ring ``2**b`` with ``b ≤ 62``
-    (bit-packed draws, ``b == 0`` drawing nothing), ``None`` for any
-    other modulus (one 64-bit word per element)."""
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if length < 0:
-        raise ValueError("length must be non-negative")
+def ring_bits(modulus: int) -> int:
+    """``b`` for the ring ``modulus == 2**b`` with ``0 ≤ b ≤ 62`` — every
+    ring a round draws or sums in; any other modulus is refused by name."""
     modulus = int(modulus)
     bits = modulus.bit_length() - 1
-    return bits if modulus == 1 << bits and bits <= MAX_BITS else None
+    if modulus < 1 or modulus != 1 << bits or bits > MAX_BITS:
+        raise ValueError(
+            f"modulus {modulus} is not a ring 2**b with 0 <= b <= {MAX_BITS}"
+        )
+    return bits
+
+
+def _check_draw(length: int, modulus: int) -> int:
+    """Validate a draw over the ring ``modulus`` and return its ``b``
+    (``b == 0`` draws nothing)."""
+    bits = ring_bits(modulus)
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    return bits
 
 
 class PRGReference:
@@ -124,16 +130,11 @@ class PRGReference:
     def uniform_vector(self, length: int, modulus: int) -> np.ndarray:
         """Return ``length`` integers uniform in ``[0, modulus)`` as int64.
 
-        The draw definition in Python integers: over a ring ``2**b``
+        The draw definition in Python integers: over the ring ``2**b``
         element *i* is the ``b`` bits at bit ``i·b`` of the little-endian
-        stream (``⌈length·b/256⌉`` whole blocks are consumed); any other
-        modulus reduces the big-endian 64-bit word at byte ``8·i``.
+        stream (``⌈length·b/256⌉`` whole blocks are consumed).
         """
         bits = _check_draw(length, modulus)
-        if bits is None:
-            raw = self.read(8 * length)
-            words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-            return (words % np.uint64(modulus)).astype(np.int64)
         if bits == 0:
             return np.zeros(length, dtype=np.int64)
         raw = self.read(packed_nbytes(length, bits))
@@ -144,19 +145,6 @@ class PRGReference:
             for at in range(0, length * bits, bits)
         ]
         return np.array(draws, dtype=np.int64)
-
-
-def _reduce_words(buf: bytearray, length: int, modulus: int) -> np.ndarray:
-    """The first ``length`` big-endian 64-bit words of ``buf`` mod ``modulus``.
-
-    Byteswapped and reduced in place, then reinterpreted as int64:
-    value-preserving while ``modulus`` ≤ 2**63, wrapping above it.
-    """
-    words = np.frombuffer(buf, dtype=np.uint64, count=length)
-    if sys.byteorder == "little":
-        words.byteswap(inplace=True)
-    words %= np.uint64(modulus)
-    return words.view(np.int64)
 
 
 @functools.cache
@@ -216,13 +204,6 @@ def counter_stream(seed: bytes, nblocks: int, ctr0: int = 0) -> bytearray:
     return buf
 
 
-def _add_signed(out: np.ndarray, draws: np.ndarray, sign: int) -> None:
-    if sign > 0:
-        out += draws
-    else:
-        out -= draws
-
-
 def _fold_numpy(seed: bytes, bits: int, out: np.ndarray, sign: int) -> None:
     """The kernel's loop on numpy: ``out += sign·mask`` a slab at a time.
 
@@ -234,7 +215,11 @@ def _fold_numpy(seed: bytes, bits: int, out: np.ndarray, sign: int) -> None:
         nbytes = packed_nbytes(len(part), bits)
         blocks = counter_stream(seed, -(-nbytes // _BLOCK), start // 256 * bits)
         stream = np.frombuffer(blocks, dtype=np.uint8, count=nbytes)
-        _add_signed(part, bit_fields(stream, len(part), bits), sign)
+        draws = bit_fields(stream, len(part), bits)
+        if sign > 0:
+            part += draws
+        else:
+            part -= draws
 
 
 def _expand(seed, length, modulus, out, sign, kernel: bool) -> np.ndarray:
@@ -258,10 +243,7 @@ def _expand(seed, length, modulus, out, sign, kernel: bool) -> np.ndarray:
     if length == 0 or bits == 0:
         return out
     seed = bytes(seed)
-    if bits is None:
-        stream = counter_stream(seed, -(-length // 4))
-        _add_signed(out, _reduce_words(stream, length, modulus), sign)
-    elif not (kernel and native.mask_fold(seed, bits, out, sign)):
+    if not (kernel and native.mask_fold(seed, bits, out, sign)):
         _fold_numpy(seed, bits, out, sign)
     return out
 

@@ -1,7 +1,7 @@
 """Unified async round execution (the Dordis execution substrate).
 
-Every round in the repo — the Appendix-D programming-interface runtime,
-the SecAgg/XNoise protocol drivers, and the training session loop — runs
+Every round in the repo — an Appendix-D declared protocol, the
+SecAgg/XNoise protocol drivers, and the training session loop — runs
 through one event-driven :class:`RoundEngine`:
 
 - **Transport-agnostic**: in-process direct dispatch, the in-process
@@ -38,7 +38,6 @@ from repro.engine.timing import (
     PerOpTiming,
     ScaledResourceTiming,
     StageTiming,
-    ZeroTiming,
     stage_groups,
 )
 from repro.engine.listener import (
@@ -72,7 +71,6 @@ __all__ = [
     "PerOpTiming",
     "ScaledResourceTiming",
     "StageTiming",
-    "ZeroTiming",
     "Channel",
     "ClientUnavailable",
     "ConnectionStats",

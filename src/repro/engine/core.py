@@ -38,10 +38,11 @@ import asyncio
 import contextvars
 import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
+from repro.api.protocol import ProtocolClient, ProtocolServer
 from repro.engine.arbiter import AsyncResourceArbiter
 from repro.engine.timing import OpTiming, stage_groups
 from repro.engine.transport import (
@@ -53,9 +54,6 @@ from repro.engine.transport import (
 from repro.pipeline.chunking import concat_chunks, split_vector
 from repro.pipeline.stages import Resource, Stage
 from repro.sim.timeline import ExecutionTrace, StageSpan
-
-if TYPE_CHECKING:  # imported lazily to avoid an api ↔ engine import cycle
-    from repro.api.protocol import ProtocolClient, ProtocolServer
 
 #: Virtual time before which the current submitted job may not begin —
 #: set per job task from its dependency's finish, so unrelated rounds on

@@ -12,40 +12,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from repro.pipeline.stages import Stage
+from repro.api.protocol import ProtocolServer, stage_groups
 
-if TYPE_CHECKING:  # imported lazily to avoid an api ↔ engine import cycle
-    from repro.api.protocol import ProtocolServer
+if TYPE_CHECKING:
     from repro.pipeline.perf_model import WorkflowPerfModel
-
-
-def stage_groups(server: ProtocolServer) -> list[tuple[Stage, list[str]]]:
-    """(stage, ops) pairs: consecutive same-resource ops merged (§4.1).
-
-    The single source of the grouping invariant shared by the engine's
-    executor and :class:`StageTiming`; it mirrors
-    :meth:`ProtocolServer.pipeline_stages`, which provides the merged
-    stage objects themselves.
-    """
-    graph = server.set_graph_dict()
-    stages = server.pipeline_stages()
-    groups: list[tuple[Stage, list[str]]] = []
-    it = iter(stages)
-    current: Stage | None = None
-    for op in server.workflow_order():
-        resource = graph[op]["resource"]
-        if current is None or resource != current.resource.value:
-            current = next(it, None)
-            if current is None:
-                raise ValueError(
-                    f"workflow op {op!r} (resource {resource!r}) starts a "
-                    f"new stage but the server declares only "
-                    f"{len(stages)} pipeline stages — the workflow and "
-                    f"pipeline_stages() disagree"
-                )
-            groups.append((current, []))
-        groups[-1][1].append(op)
-    return groups
 
 
 class OpTiming:
@@ -55,9 +25,6 @@ class OpTiming:
         self, op: str, resource: str, *, n_chunks: int = 1, chunk_index: int = 0
     ) -> float:
         return 0.0
-
-
-ZeroTiming = OpTiming
 
 
 class PerOpTiming(OpTiming):

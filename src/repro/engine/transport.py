@@ -36,8 +36,9 @@ Every byte-reporting transport takes the same optional pricing hook,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
+from repro.api.protocol import ProtocolClient
 from repro.wire import codecs as wire_codecs
 from repro.wire.frame import (
     KIND_ERROR,
@@ -46,9 +47,6 @@ from repro.wire.frame import (
     decode_frame,
     encode_frame,
 )
-
-if TYPE_CHECKING:  # imported lazily to avoid an api ↔ engine import cycle
-    from repro.api.protocol import ProtocolClient
 
 #: The one pricing hook: ``(client_id, down_nbytes, up_nbytes) -> virtual
 #: link seconds``; ``None`` prices every exchange at zero.

@@ -185,6 +185,3 @@ class BigramLM(FlatModel):
         grad = np.zeros_like(self.logits)
         np.add.at(grad, x, drows)
         return float(loss), grad.ravel()
-
-    def predict(self, x):
-        return np.argmax(self.logits[x], axis=1)

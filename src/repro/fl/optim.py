@@ -28,9 +28,6 @@ class SGD:
         self._velocity = self.momentum * self._velocity + grad
         return params - self.lr * self._velocity
 
-    def reset(self) -> None:
-        self._velocity = None
-
 
 class AdamW:
     """AdamW with decoupled weight decay (the paper's Reddit optimizer)."""
@@ -66,7 +63,3 @@ class AdamW:
         v_hat = self._v / (1 - self.beta2**self._t)
         update = m_hat / (np.sqrt(v_hat) + self.eps)
         return params - self.lr * (update + self.weight_decay * params)
-
-    def reset(self) -> None:
-        self._m = self._v = None
-        self._t = 0

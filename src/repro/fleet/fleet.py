@@ -99,10 +99,6 @@ class FleetRoundCost:
     def total_seconds(self) -> float:
         return self.down_seconds + self.compute_seconds + self.up_seconds
 
-    @property
-    def traffic_bytes(self) -> int:
-        return self.down_bytes + self.up_bytes
-
 
 class Fleet:
     """A device population plus its availability model.

@@ -13,7 +13,9 @@ Eq.-3 per-stage performance model.
 - :mod:`repro.pipeline.scheduler` — the completion-time recurrence and
   the optimal-chunk search.
 - :mod:`repro.pipeline.simulator` — plain vs pipelined round timing.
-- :mod:`repro.pipeline.cost`      — the Table-3 network-footprint model.
+
+The Table-3 network-footprint model lives beside the rebasing baseline
+it prices, in :mod:`repro.xnoise.rebasing`.
 """
 
 from repro.pipeline.stages import (
@@ -35,7 +37,6 @@ from repro.pipeline.scheduler import (
     optimal_chunks,
 )
 from repro.pipeline.simulator import RoundTiming, simulate_round, compare_plain_pipelined
-from repro.pipeline.cost import xnoise_extra_bytes, table3_row
 from repro.pipeline.chunking import (
     chunk_boundaries,
     split_vector,
@@ -58,8 +59,6 @@ __all__ = [
     "RoundTiming",
     "simulate_round",
     "compare_plain_pipelined",
-    "xnoise_extra_bytes",
-    "table3_row",
     "chunk_boundaries",
     "split_vector",
     "concat_chunks",

@@ -26,9 +26,6 @@ class CompleteGraph:
         members = set(roster)
         return {u: members - {u} for u in roster}
 
-    def describe(self) -> str:
-        return "complete"
-
 
 class KRegularGraph:
     """Random k-regular masking graph — the SecAgg+ topology.
@@ -64,9 +61,6 @@ class KRegularGraph:
             ordered[node]: {ordered[nbr] for nbr in g.neighbors(node)}
             for node in g.nodes
         }
-
-    def describe(self) -> str:
-        return f"{self.degree}-regular"
 
 
 def recommended_degree(n: int, base: float = 3.0) -> int:

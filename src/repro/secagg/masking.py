@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.crypto.prg import COUNTER_PRG, CounterPRG
+from repro.crypto.prg import COUNTER_PRG, CounterPRG, ring_bits
 from repro.wire.bitpack import pack_low_bits_into, packed_stream, unpack_add, unpack_bits
 
 
@@ -36,16 +36,16 @@ class MaskAccumulator:
     live neighbor to the encoded input; the coordinator's unmask plane
     *subtracts* reconstructed masks from the survivor sum.  Reducing
     after *every* term walks the full vector k + 1 extra times; instead
-    the terms fold raw into int64 (:meth:`add` / :meth:`sub`) and reduce
-    once at :meth:`finish`.
+    the terms fold raw into int64 (:meth:`add` / :meth:`fold_seed`) and
+    reduce once at :meth:`finish`.
 
-    Over a ring ``2**b`` — every ring a round uses — a reduction is
-    ``& (modulus − 1)``, a quarter of the cost of numpy's signed 64-bit
-    ``%`` and equal to it for negative sums too (pinned by test), and
-    the sum can enter and leave in wire form: :meth:`add_packed` folds a
-    received bit stream without unpacking it into a vector,
-    :meth:`finish_packed` packs the deferred sum with the reduction
-    fused into the pack.  A general modulus keeps ``%``.
+    R is the ring ``2**b`` (``0 ≤ b ≤ 62``; any other modulus is refused
+    by name), so a reduction is ``& (R − 1)``, a quarter of the cost of
+    numpy's signed 64-bit ``%`` and equal to it for negative sums too
+    (pinned by test), and the sum can enter and leave in wire form:
+    :meth:`add_packed` folds a received bit stream without unpacking it
+    into a vector, :meth:`finish_packed` packs the deferred sum with the
+    reduction fused into the pack.
 
     The base is reduced into the ring on the way in, so the headroom
     proof below covers any base: one ``&`` pass into a fresh array, or
@@ -60,12 +60,12 @@ class MaskAccumulator:
     guard always passes.  When it fails the accumulator falls back to
     per-term reduction; the two paths are bit-identical (pinned by
     test) because ``(Σ ±xᵢ) mod R`` equals the left-fold of
-    ``(· ± xᵢ) mod R``, and both Python's and NumPy's ``%`` map
-    negative values into ``[0, R)``.
+    ``(· ± xᵢ) mod R``, and ``& (R − 1)`` maps negative values into
+    ``[0, R)`` as ``%`` does.
 
     Subtraction folds the pairwise-mask sign γ into the accumulation:
     instead of materializing ``(−PRG(s)) % R`` (a full extra vector
-    pass) and adding it, callers ``sub`` the raw expansion —
+    pass) and adding it, :meth:`fold_seed` subtracts the raw expansion —
     ``(x + ((−b) mod R)) mod R == (x − b) mod R``.
     """
 
@@ -79,10 +79,8 @@ class MaskAccumulator:
                 raise ValueError("an owned base must be an int64 array")
             self._acc = base
             self._reduce()
-        elif self._bits is not None:
-            self._acc = np.asarray(base, dtype=np.int64) & (self._modulus - 1)
         else:
-            self._acc = np.asarray(base, dtype=np.int64) % self._modulus
+            self._acc = np.asarray(base, dtype=np.int64) & (self._modulus - 1)
 
     @classmethod
     def zeros(cls, size: int, modulus: int, n_terms: int, prg=COUNTER_PRG) -> "MaskAccumulator":
@@ -99,24 +97,12 @@ class MaskAccumulator:
             raise ValueError("n_terms counts the base vector: must be >= 1")
         self._prg = prg  # the PG slot every seed expands through
         self._modulus = modulus = int(modulus)
-        #: log2 of a power-of-two modulus (reductions are a mask, the
-        #: sum has a packed form), else ``None``.
-        self._bits = (
-            modulus.bit_length() - 1 if modulus & (modulus - 1) == 0 else None
-        )
+        self._bits = ring_bits(modulus)
         self._deferred = n_terms * (modulus - 1) < 2**63
         self._remaining = n_terms - 1
 
     def _reduce(self) -> None:
-        if self._bits is not None:
-            self._acc &= self._modulus - 1
-        else:
-            self._acc %= self._modulus
-
-    def _packed_bits(self) -> int:
-        if self._bits is None:
-            raise ValueError("only a power-of-two ring has a packed form")
-        return self._bits
+        self._acc &= self._modulus - 1
 
     def _take_term(self) -> None:
         if self._remaining <= 0:
@@ -135,10 +121,6 @@ class MaskAccumulator:
     def add(self, mask: np.ndarray) -> None:
         """Fold one mask vector (values in ``[0, modulus)``) into the sum."""
         self._fold(mask, 1)
-
-    def sub(self, mask: np.ndarray) -> None:
-        """Fold one *negated* mask vector into the sum."""
-        self._fold(mask, -1)
 
     def fold_seed(self, seed: bytes, sign: int) -> None:
         """Fold ``sign·PRG(seed)`` into the sum without materializing it.
@@ -208,7 +190,7 @@ class MaskAccumulator:
         elements of ``b`` bits with zero pad bits raises ``ValueError``
         and leaves the accumulator — sum and term count — as it was.
         """
-        bits = self._packed_bits()
+        bits = self._bits
         if self._deferred:
             packed_stream(data, self._acc.size, bits)  # refuse before a term is taken
             self._take_term()
@@ -229,7 +211,7 @@ class MaskAccumulator:
         in one pass over the sum: the reduction is the packer's mask.
         """
         out = bytearray()
-        pack_low_bits_into(self._acc, self._packed_bits(), out)
+        pack_low_bits_into(self._acc, self._bits, out)
         return out
 
 

@@ -13,7 +13,6 @@ from repro.sim.timeline import (
     SimulatedRound,
     StageSpan,
     Timeline,
-    TraceTimeline,
     TrafficSplit,
     build_timelines,
     simulate_trace,
@@ -24,7 +23,6 @@ __all__ = [
     "SimulatedRound",
     "StageSpan",
     "Timeline",
-    "TraceTimeline",
     "TrafficSplit",
     "build_timelines",
     "simulate_trace",

@@ -9,12 +9,14 @@ experiment the paper's §6.4 numbers imply: the same accuracy is reached
 up to 2.4× sooner with pipelining, because the *round sequence* is
 unchanged and only its clock is compressed.
 
+A :class:`Timeline` takes one duration per round, so the same curve
+serves the model's uniform round time and an engine-executed session's
+traced per-round durations.
+
 It also defines :class:`ExecutionTrace`, the per-(stage, chunk) interval
 record the :class:`repro.engine.RoundEngine` fills while *executing*
 rounds — the measured counterpart to the offline
-:class:`repro.pipeline.scheduler.PipelineSchedule` — and
-:class:`TraceTimeline`, which turns traced per-round durations into the
-same time-to-metric curves as the model-driven :class:`Timeline`.
+:class:`repro.pipeline.scheduler.PipelineSchedule`.
 
 :func:`simulate_trace` is the offline discrete-event replay of the
 engine's virtual-time arbiter: given round structures and per-stage
@@ -35,8 +37,27 @@ from repro.pipeline.perf_model import WorkflowPerfModel
 from repro.pipeline.simulator import compare_plain_pipelined
 
 
-class _TimelineQueries:
-    """Shared curve queries over ``elapsed`` + ``metric_history``."""
+@dataclass(frozen=True)
+class Timeline:
+    """Cumulative wall-clock per completed round plus the metric curve.
+
+    ``round_durations`` holds one duration per completed round: the
+    model's uniform round time (:func:`build_timelines`) or the
+    per-round durations an engine-executed session traces.
+    """
+
+    round_durations: tuple
+    metric_history: tuple
+    metric_name: str
+
+    def __post_init__(self) -> None:
+        if len(self.round_durations) != len(self.metric_history):
+            raise ValueError("one duration per completed round required")
+
+    @property
+    def elapsed(self) -> np.ndarray:
+        """Elapsed seconds after each completed round."""
+        return np.cumsum(np.asarray(self.round_durations, dtype=float))
 
     def time_to_metric(self, target: float, higher_is_better: bool = True) -> float:
         """Seconds until the metric first reaches ``target``; inf if never."""
@@ -48,22 +69,7 @@ class _TimelineQueries:
 
     @property
     def total_seconds(self) -> float:
-        return float(self.elapsed[-1]) if len(self.metric_history) else 0.0
-
-
-@dataclass(frozen=True)
-class Timeline(_TimelineQueries):
-    """Cumulative wall-clock per completed round plus the metric curve."""
-
-    round_seconds: float
-    metric_history: tuple
-    metric_name: str
-
-    @property
-    def elapsed(self) -> np.ndarray:
-        """Elapsed seconds after each completed round."""
-        n = len(self.metric_history)
-        return self.round_seconds * np.arange(1, n + 1)
+        return float(self.elapsed[-1]) if self.metric_history else 0.0
 
 
 class TrafficSplit(NamedTuple):
@@ -256,28 +262,6 @@ class ExecutionTrace:
 
 
 @dataclass(frozen=True)
-class TraceTimeline(_TimelineQueries):
-    """Timeline over *measured* (traced) per-round durations.
-
-    Same query API as :class:`Timeline`, but each round carries its own
-    duration — what an engine-executed session reports instead of the
-    uniform model-predicted round time.
-    """
-
-    round_durations: tuple
-    metric_history: tuple
-    metric_name: str
-
-    def __post_init__(self) -> None:
-        if len(self.round_durations) != len(self.metric_history):
-            raise ValueError("one duration per completed round required")
-
-    @property
-    def elapsed(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.round_durations, dtype=float))
-
-
-@dataclass(frozen=True)
 class SimulatedRound:
     """Offline description of one engine round for :func:`simulate_trace`.
 
@@ -414,7 +398,7 @@ def build_timelines(
     )
     history = tuple(metric_history)
     return (
-        Timeline(plain.total, history, metric_name),
-        Timeline(pipelined.total, history, metric_name),
+        Timeline((plain.total,) * len(history), history, metric_name),
+        Timeline((pipelined.total,) * len(history), history, metric_name),
         speedup,
     )

@@ -1,6 +1,6 @@
 """Shared utilities: byte/int codecs, deterministic RNG derivation, Zipf draws."""
 
-from repro.utils.bytesio import int_to_bytes, bytes_to_int, chunk_bytes, pack_chunks
+from repro.utils.bytesio import int_to_bytes, bytes_to_int, chunk_bytes
 from repro.utils.rng import derive_rng, derive_seed
 from repro.utils.zipf import zipf_weights, zipf_between
 
@@ -8,7 +8,6 @@ __all__ = [
     "int_to_bytes",
     "bytes_to_int",
     "chunk_bytes",
-    "pack_chunks",
     "derive_rng",
     "derive_seed",
     "zipf_weights",

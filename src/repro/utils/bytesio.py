@@ -35,8 +35,3 @@ def chunk_bytes(data: bytes, chunk_size: int) -> list[bytes]:
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     return [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
-
-
-def pack_chunks(chunks: list[bytes]) -> bytes:
-    """Inverse of :func:`chunk_bytes` (plain concatenation)."""
-    return b"".join(chunks)

@@ -10,7 +10,8 @@
   seeds of clients that dropped mid-removal.
 - :mod:`repro.xnoise.rebasing` — the 'rebasing' baseline [Baek et al.]:
   noise correction transmitted as a full model-sized vector, with the
-  robustness gap XNoise fixes.
+  robustness gap XNoise fixes, and the Table-3 footprint model that
+  prices both schemes' extra per-round traffic.
 - :mod:`repro.xnoise.verify` — the §3.3 defense against a malicious
   server understating dropout: signed round numbers rebroadcast with the
   dropout outcome.
@@ -22,27 +23,24 @@ from repro.xnoise.decomposition import (
     removable_indices,
     residual_variance_after_removal,
 )
-from repro.xnoise.rebasing import RebasingScheme, rebasing_removal_bytes
+from repro.xnoise.protocol import (
+    XNoiseClient,
+    XNoiseConfig,
+    XNoiseResult,
+    XNoiseServer,
+    XNoiseWorkflowServer,
+    arun_xnoise_round,
+    run_xnoise_round,
+    run_xnoise_round_reference,
+    xnoise_round_components,
+)
+from repro.xnoise.rebasing import (
+    RebasingScheme,
+    rebasing_removal_bytes,
+    table3_row,
+    xnoise_extra_bytes,
+)
 from repro.xnoise.verify import DropoutAttestation, UnderstatementDetected
-
-# repro.xnoise.protocol pulls in the round engine (which in turn reaches
-# back through repro.pipeline → repro.xnoise.rebasing), so its exports
-# load lazily: any __all__ name not bound above is looked up in the
-# protocol module on first access, then cached in module globals.
-
-
-def __getattr__(name: str):
-    if name in __all__:
-        from repro.xnoise import protocol
-
-        value = getattr(protocol, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "NoiseDecomposition",
@@ -60,6 +58,8 @@ __all__ = [
     "xnoise_round_components",
     "RebasingScheme",
     "rebasing_removal_bytes",
+    "table3_row",
+    "xnoise_extra_bytes",
     "DropoutAttestation",
     "UnderstatementDetected",
 ]

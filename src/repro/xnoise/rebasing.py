@@ -16,8 +16,21 @@ Table 3):
    noise level with no recovery path.
 
 This module implements a working float-domain simulation of the scheme
-(used by the comparison tests) and the network-cost model behind
-Table 3.
+(used by the comparison tests) and the network-footprint model behind
+Table 3, which compares the *additional* per-round traffic a surviving
+client pays for noise enforcement, relative to Orig:
+
+- **rebasing**: one full model-sized correction vector — grows linearly
+  with the model (11.9 MB at 5M weights → 1192 MB at 500M);
+- **XNoise**: seed bookkeeping only — Shamir shares of the T noise-
+  component seeds, distributed through ciphertexts to the other sampled
+  clients, plus the revealed seeds.  Independent of model size, growing
+  ~quadratically with the sample size, and *shrinking* slightly with the
+  dropout rate (fewer components to reveal/recover).
+
+Deployment constants from §6.3: model weight 2.5 B, noise seed 32 B,
+Shamir share of a seed 16 B, ciphertext of a share 120 B.  The dropout
+tolerance follows the paper's Table 3 setting T = ⌈|U|/2⌉.
 """
 
 from __future__ import annotations
@@ -116,3 +129,68 @@ def rebasing_removal_bytes(model_size: int, element_bytes: float = 2.5) -> int:
     if model_size <= 0:
         raise ValueError("model_size must be positive")
     return int(model_size * element_bytes)
+
+
+#: §6.3 deployment constants (bytes).
+WEIGHT_BYTES = 2.5
+SEED_BYTES = 32
+SHARE_BYTES = 16
+CIPHERTEXT_BYTES = 120
+
+
+def xnoise_extra_bytes(
+    n_sampled: int,
+    dropout_rate: float = 0.0,
+    tolerance: int | None = None,
+    unmask_dropout_fraction: float = 0.05,
+) -> int:
+    """Per-round extra traffic of a surviving client under XNoise (bytes).
+
+    Components:
+
+    1. ShareKeys: T seed-shares encrypted to each of the |U|−1 peers —
+       T·(|U|−1)·120 B (this dominates and is model-size independent);
+    2. Unmasking: direct reveal of the T−|D| excess seeds — (T−|D|)·32 B;
+    3. Stage 5: contributed shares for survivors that dropped mid-
+       removal — (T−|D|)·f·|U|·16 B with f the unmask-dropout fraction.
+
+    Terms 2–3 shrink as the dropout rate grows (Eq. 2's monotonicity),
+    which is why the Table-3 columns decrease slightly with d.
+    """
+    if n_sampled < 2:
+        raise ValueError("need at least 2 sampled clients")
+    if not 0 <= dropout_rate < 1:
+        raise ValueError("dropout_rate must be in [0, 1)")
+    t = tolerance if tolerance is not None else (n_sampled + 1) // 2
+    if not 0 <= t < n_sampled:
+        raise ValueError("tolerance must be in [0, n_sampled)")
+    dropped = int(round(dropout_rate * n_sampled))
+    removable = max(t - min(dropped, t), 0)
+    share_dist = t * (n_sampled - 1) * CIPHERTEXT_BYTES
+    reveal = removable * SEED_BYTES
+    recovery = int(removable * unmask_dropout_fraction * n_sampled * SHARE_BYTES)
+    return share_dist + reveal + recovery
+
+
+@dataclass(frozen=True)
+class Table3Row:
+    """One Table-3 cell pair: rebasing vs XNoise, in MB."""
+
+    model_size: int
+    n_sampled: int
+    dropout_rate: float
+    rebasing_mb: float
+    xnoise_mb: float
+
+
+def table3_row(
+    model_size: int, n_sampled: int, dropout_rate: float
+) -> Table3Row:
+    """Compute one (model size, sample size, dropout) Table-3 row."""
+    return Table3Row(
+        model_size=model_size,
+        n_sampled=n_sampled,
+        dropout_rate=dropout_rate,
+        rebasing_mb=rebasing_removal_bytes(model_size, WEIGHT_BYTES) / 2**20,
+        xnoise_mb=xnoise_extra_bytes(n_sampled, dropout_rate) / 2**20,
+    )

@@ -5,7 +5,7 @@ a real fixture file with a deliberate bare ``except:`` would fail the
 repo's own ruff gate.  ``make_repo`` materialises the snippets under
 ``tmp_path`` in the same ``src/repro/...`` layout the runner discovers,
 so every trip/no-trip case exercises the full pipeline: discovery,
-parsing, rules, suppressions, baseline.
+parsing, rules, suppressions.
 """
 
 from __future__ import annotations
@@ -47,5 +47,5 @@ def check_repo(make_repo):
 
 
 def findings_for(result, rule_id: str):
-    """The result's non-baselined findings for one rule."""
+    """The result's findings for one rule."""
     return [f for f in result.findings if f.rule == rule_id]

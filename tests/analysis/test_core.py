@@ -1,4 +1,4 @@
-"""The rule engine itself: suppressions, baseline, findings, reports."""
+"""The rule engine itself: suppressions, findings, reports."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.analysis import render_json, render_text, run_check
-from repro.analysis.baseline import load_baseline, partition, write_baseline
 from repro.analysis.core import (
     SUPPRESSION_RULE_ID,
     Finding,
@@ -91,49 +90,6 @@ class TestSuppressionParsing:
         assert kept == [meta] and n == 0
 
 
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [
-            Finding(file="a.py", line=3, rule="r1", message="m1"),
-            Finding(file="b.py", line=9, rule="r2", message="m2"),
-        ]
-        path = tmp_path / "BASE.json"
-        write_baseline(path, findings)
-        keys = load_baseline(path)
-        assert keys == {("r1", "a.py", "m1"), ("r2", "b.py", "m2")}
-
-    def test_matching_ignores_line_numbers(self, tmp_path):
-        path = tmp_path / "BASE.json"
-        write_baseline(
-            path, [Finding(file="a.py", line=3, rule="r", message="m")]
-        )
-        drifted = Finding(file="a.py", line=77, rule="r", message="m")
-        fresh = Finding(file="a.py", line=3, rule="r", message="other")
-        new, grandfathered = partition([drifted, fresh], load_baseline(path))
-        assert grandfathered == [drifted] and new == [fresh]
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "BASE.json"
-        path.write_text(json.dumps({"version": 999, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_baselined_findings_do_not_fail_check(self, make_repo):
-        root = make_repo({"src/repro/mod.py": _ORPHAN})
-        dirty = run_check(root=root)
-        tripped = findings_for(dirty, "parity-twin")
-        assert tripped
-        write_baseline(root / "ANALYSIS_BASELINE.json", tripped)
-        clean = run_check(root=root)
-        assert clean.clean
-        assert {f.key() for f in clean.baselined} == {
-            f.key() for f in tripped
-        }
-
-
 class TestReports:
     def _result(self, check_repo):
         return check_repo({"src/repro/mod.py": _ORPHAN})
@@ -161,8 +117,8 @@ class TestReports:
         assert doc["counts"] == {
             "files": result.files_checked,
             "findings": len(result.findings),
-            "baselined": 0,
         }
+        assert "baselined" not in doc
 
     def test_registry_has_six_rules_with_invariants(self):
         rules = all_rules()

@@ -2,7 +2,7 @@
 
 Each case materialises a mini-repo under ``tmp_path`` (see conftest) so
 the rule is exercised exactly as ``repro.cli check`` runs it: discovery,
-scoping, suppressions, baseline.  The deliberately-broken sources are
+scoping, suppressions.  The deliberately-broken sources are
 string snippets, never committed ``.py`` files — a real fixture with a
 bare ``except:`` would fail the repo's own lint gate.
 """

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AggregationRuntime,
     AppClient,
     AppServer,
     PlainDPHandler,
@@ -19,6 +18,7 @@ from repro.api import (
 from repro.crypto.dh import resolve_group
 from repro.crypto.entropy import SeededEntropy
 from repro.crypto.prg import CounterPRG, PRGReference
+from repro.engine import RoundEngine
 from repro.pipeline.stages import Resource
 from repro.secagg import (
     DropoutSchedule,
@@ -160,11 +160,10 @@ class TestRuntimeDispatch:
         app_clients = {
             i: VectorAppClient(i, vectors[i]) for i in range(len(vectors))
         }
-        runtime = AggregationRuntime(
+        result = RoundEngine().run_round_sync(
             MeanProtocolServer(dp_server), clients,
             app_server=app_server, app_clients=app_clients,
         )
-        result = runtime.run_round()
         return result, app_server, app_clients
 
     def test_plain_sum(self):
@@ -195,15 +194,14 @@ class TestRuntimeDispatch:
             def set_routine(self):
                 return {}
 
-        runtime = AggregationRuntime(
-            MeanProtocolServer(PlainDPHandler()), [DeafClient(0)]
-        )
         with pytest.raises(WorkflowError):
-            runtime.run_round()
+            RoundEngine().run_round_sync(
+                MeanProtocolServer(PlainDPHandler()), [DeafClient(0)]
+            )
 
     def test_no_clients_rejected(self):
-        with pytest.raises(ValueError):
-            AggregationRuntime(MeanProtocolServer(PlainDPHandler()), [])
+        with pytest.raises(ValueError, match="at least one client"):
+            RoundEngine().run_round_sync(MeanProtocolServer(PlainDPHandler()), [])
 
 
 def ring_sum(inputs, ids, modulus):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import DordisConfig, DordisSession
-from repro.fleet import FleetConfig
+from repro.engine import RoundEngine
+from repro.fleet import FixedRateDropout, FleetConfig
 
 
 def secagg_config(**overrides):
@@ -105,14 +106,11 @@ class TestSessionFleet:
         assert trace.stage_traffic_split(0)["upload"].down == 0
         assert trace.stage_traffic_split(0)["broadcast"].up == 0
 
-    def test_fleet_none_is_the_documented_optout(self):
-        session = DordisSession(
-            DordisConfig(num_clients=10, sample_size=4, rounds=2,
-                         samples_per_client=10, seed=3, fleet=None)
-        )
-        result = session.run()
-        assert result.round_seconds_history == [0.0, 0.0]
-        assert session.engine.trace.spans == []
+    def test_fleet_none_is_refused_by_name(self):
+        # Every session runs on a fleet; a live-object round is
+        # ``engine=RoundEngine()``, not a fleet-less config.
+        with pytest.raises(ValueError, match="fleet must be"):
+            DordisConfig(fleet=None)
 
     def test_secagg_round_seconds_from_fleet_links(self):
         session = DordisSession(secagg_config())
@@ -147,9 +145,15 @@ class TestSessionFleet:
 
     def test_fixed_fleet_reproduces_legacy_dropout_history(self):
         """The fleet's 'fixed' availability draws the exact same
-        dropouts the old hard-wired FixedRateDropout did."""
-        with_fleet = DordisSession(secagg_config()).run()
-        legacy = DordisSession(secagg_config(fleet=None)).run()
+        dropouts a FixedRateDropout at the session's rate and seed does,
+        on a live-object engine as on the fleet-priced one."""
+        config = secagg_config()
+        with_fleet = DordisSession(config).run()
+        legacy = DordisSession(
+            config,
+            dropout_model=FixedRateDropout(config.dropout_rate, seed=config.seed),
+            engine=RoundEngine(),
+        ).run()
         assert with_fleet.dropout_history == legacy.dropout_history
         assert with_fleet.epsilon_history == legacy.epsilon_history
 
@@ -177,7 +181,7 @@ class TestSessionFleet:
         """The real-protocol path runs c-comp stages at the sampled
         straggler's pace: with an engine op-cost model, every c-comp
         span is the base duration × the round's straggler factor."""
-        from repro.engine import PerOpTiming, RoundEngine
+        from repro.engine import PerOpTiming
 
         times = {"masked_input": 1.0, "unmask": 2.0}
 
@@ -188,8 +192,8 @@ class TestSessionFleet:
                 if s.label in times and s.resource == "c-comp"
             ]
 
-        base_session = DordisSession(
-            secagg_config(rounds=1, fleet=None),
+        base_session = DordisSession(  # every device as fast as the fastest
+            secagg_config(rounds=1, fleet=FleetConfig(max_slowdown=1.0)),
             engine=RoundEngine(timing=PerOpTiming(times)),
         )
         fleet_session = DordisSession(
@@ -199,7 +203,7 @@ class TestSessionFleet:
         base = spans_of(base_session)
         scaled = spans_of(fleet_session)
         assert base and len(base) == len(scaled)
-        # Same dropout draws (fixed availability ≡ legacy), so spans
+        # Same dropout draws (fixed availability, same seed), so spans
         # pair up; each scaled duration is base × one common factor > 1.
         ratios = {
             round(s.duration / b.duration, 9)
@@ -235,19 +239,23 @@ class TestSessionWireTransports:
         with pytest.raises(ValueError, match="transport"):
             secagg_config(transport="carrier-pigeon")
 
+    def test_serialized_transport_refused_by_name(self):
+        # On a fleet, "inprocess" is the serialization boundary.
+        with pytest.raises(ValueError, match="transport must be inprocess or sockets"):
+            secagg_config(transport="serialized")
+
     def test_serialized_session_matches_inprocess_accounting(self):
         """The serialization boundary changes measurement, not behavior.
 
-        The baseline has no fleet, so it is the live-object
-        ``InProcessTransport`` (with a fleet, ``"inprocess"`` is the
-        serialization boundary too).  (Metric histories are not comparable across runs — clients draw
-        masks/seeds from OS randomness — so, as in the chunked test, the
-        deterministic trajectories are the bar.)
+        The baseline is a live-object ``RoundEngine()``; the session's own
+        ``"inprocess"`` transport is the fleet-priced serialization
+        boundary.  (Metric histories are not comparable across runs —
+        clients draw masks/seeds from OS randomness — so, as in the
+        chunked test, the deterministic trajectories are the bar.)
         """
-        base = DordisSession(secagg_config(pipeline_chunks=2, fleet=None)).run()
-        serialized_session = DordisSession(
-            secagg_config(pipeline_chunks=2, transport="serialized")
-        )
+        config = secagg_config(pipeline_chunks=2)
+        base = DordisSession(config, engine=RoundEngine()).run()
+        serialized_session = DordisSession(config)
         serialized = serialized_session.run()
         assert serialized.rounds_completed == base.rounds_completed
         assert serialized.epsilon_history == base.epsilon_history
@@ -257,7 +265,7 @@ class TestSessionWireTransports:
 
     @pytest.mark.timeout(300)
     def test_socket_session_matches_inprocess_accounting(self):
-        base = DordisSession(secagg_config(rounds=1, fleet=None)).run()
+        base = DordisSession(secagg_config(rounds=1), engine=RoundEngine()).run()
         socket_session = DordisSession(secagg_config(rounds=1, transport="sockets"))
         over_sockets = socket_session.run()
         assert over_sockets.rounds_completed == base.rounds_completed

@@ -272,8 +272,9 @@ class TestPKI:
         with pytest.raises(KeyError):
             pki.verifier(99)
 
-    def test_len_counts_registrations(self):
+    def test_register_records_each_identity(self):
         pki = PublicKeyInfrastructure(TOY_GROUP)
         for i in range(5):
             pki.register(i)
-        assert len(pki) == 5
+        assert all(pki.is_registered(i) for i in range(5))
+        assert not pki.is_registered(5)

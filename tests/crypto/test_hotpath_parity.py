@@ -63,21 +63,13 @@ class TestPRGParity:
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 100, 1021, 4096])
     @pytest.mark.parametrize(
         "modulus",
-        [1, 2, 3, 7, 1 << 20, (1 << 20) + 17, 1 << 62, (1 << 63) - 1],
+        [1, 2, 1 << 3, 1 << 7, 1 << 20, 1 << 33, 1 << 61, 1 << 62],
     )
     def test_uniform_vector_parity(self, length, modulus):
         out_fast = expand_uniform(b"seed-a" * 5, length, modulus)
         out_ref = PRGReference(b"seed-a" * 5).uniform_vector(length, modulus)
         assert out_fast.dtype == out_ref.dtype == np.int64
         np.testing.assert_array_equal(out_fast, out_ref)
-
-    def test_uniform_vector_parity_above_int64_fallback(self):
-        # modulus > 2**63 takes the reference-style reduction branch.
-        modulus = (1 << 63) + 3
-        np.testing.assert_array_equal(
-            expand_uniform(b"big" * 11, 33, modulus),
-            PRGReference(b"big" * 11).uniform_vector(33, modulus),
-        )
 
     def test_expand_uniform_matches_reference(self):
         np.testing.assert_array_equal(
@@ -86,7 +78,7 @@ class TestPRGParity:
         )
 
     @pytest.mark.parametrize(
-        "modulus", [1, 997, 1 << 20, 1 << 62, (1 << 63) + 5]
+        "modulus", [1, 1 << 9, 1 << 20, 1 << 33, 1 << 62]
     )
     def test_expand_uniform_batch_sum_matches_reference(self, modulus):
         rng = random.Random(17)
@@ -94,7 +86,7 @@ class TestPRGParity:
         out = expand_uniform_batch(
             seeds, 123, modulus, out=np.zeros(123, dtype=np.int64)
         )
-        # Raw int64 sums on both sides (they wrap alike past 2**63).
+        # Raw int64 sums on both sides.
         want = np.zeros(123, dtype=np.int64)
         for seed in seeds:
             want += PRGReference(seed).uniform_vector(123, modulus)
@@ -136,17 +128,6 @@ class TestPRGParity:
                 [(stream >> (i * bits)) & ((1 << bits) - 1) for i in range(count)],
             )
 
-    def test_non_power_of_two_modulus_stays_on_8_byte_draws(self):
-        seed = b"n" * 32
-        modulus = (1 << 20) + 17
-        stream = PRGReference(seed).read(8 * 9)
-        words = [
-            int.from_bytes(stream[8 * i : 8 * i + 8], "big") for i in range(9)
-        ]
-        np.testing.assert_array_equal(
-            expand_uniform(seed, 9, modulus), [w % modulus for w in words]
-        )
-
     def test_stream_position_after_a_vector_is_the_next_block(self):
         # Twelve 20-bit draws are 30 bytes — one 32-byte block, not two:
         # the specification's next read continues from block 1.
@@ -160,11 +141,11 @@ class TestPRGParity:
         with pytest.raises(TypeError):
             PRGReference("not-bytes")
         with pytest.raises(TypeError):
-            expand_uniform("not-bytes", 4, 7)
+            expand_uniform("not-bytes", 4, 8)
         prg = PRGReference(b"v" * 32)
         with pytest.raises(ValueError):
             prg.read(-1)
-        for length, modulus in ((4, 0), (-1, 7)):
+        for length, modulus in ((4, 0), (-1, 8)):
             with pytest.raises(ValueError):
                 prg.uniform_vector(length, modulus)
             with pytest.raises(ValueError):
@@ -343,7 +324,7 @@ class TestMaskAccumulatorParity:
             acc = MaskAccumulator(base, modulus, n_terms=1 + k)
             assert acc._deferred
             for m, sign in terms:
-                (acc.add if sign > 0 else acc.sub)(m)
+                acc._fold(m, sign)
             np.testing.assert_array_equal(
                 acc.finish(),
                 accumulate_signed_masks_reference(base, terms, modulus),
@@ -360,7 +341,7 @@ class TestMaskAccumulatorParity:
         acc = MaskAccumulator(base, modulus, n_terms=5)
         assert not acc._deferred
         for m, sign in terms:
-            (acc.add if sign > 0 else acc.sub)(m)
+            acc._fold(m, sign)
         np.testing.assert_array_equal(
             acc.finish(),
             accumulate_signed_masks_reference(base, terms, modulus),
@@ -388,7 +369,7 @@ class TestMaskAccumulatorParity:
         ):
             acc = MaskAccumulator(base, modulus, n_terms=5)
             for m, sign in terms:
-                (acc.add if sign > 0 else acc.sub)(m)
+                acc._fold(m, sign)
             got = acc.finish()
             np.testing.assert_array_equal(
                 got, accumulate_signed_masks_reference(base, terms, modulus)
@@ -402,7 +383,6 @@ class TestMaskAccumulatorParity:
             (1 << 62, 1, True),  # 2·(2⁶² − 1) < 2⁶³: the last ring with headroom
             (1 << 62, 2, False),  # 3·(2⁶² − 1) ≥ 2⁶³: per-term reduction
             (1 << 62, 6, False),
-            ((1 << 20) + 17, 6, True),  # not a power of two: 64-bit word draws
         ],
     )
     def test_seed_folding_matches_reference_on_both_sides_of_the_guard(
@@ -434,7 +414,7 @@ class TestMaskAccumulatorParity:
         base, vector = self._masks(rng, 2, 40, modulus)
         acc = MaskAccumulator(base, modulus, n_terms=3)
         acc.fold_seed(b"s" * 32, -1)
-        acc.sub(vector)
+        acc._fold(vector, -1)
         with pytest.raises(ValueError, match="more masks"):
             acc.fold_seed(b"t" * 32, 1)
         np.testing.assert_array_equal(
@@ -456,7 +436,7 @@ class TestMaskAccumulatorParity:
     ):
         # The fan-out (slabs of terms into per-worker partials, summed)
         # under the guard, the fold_seed loop without it: one left fold,
-        # in the middle of add / fold_seed / sub terms.
+        # in the middle of signed vector and fold_seed terms.
         rng = random.Random(47)
         dim = 300
         base, added, subbed = self._masks(rng, 3, dim, modulus)
@@ -466,7 +446,7 @@ class TestMaskAccumulatorParity:
         acc.add(added)
         acc.fold_seed(b"s" * 32, -1)
         acc.fold_seeds(seeds, workers)
-        acc.sub(subbed)
+        acc._fold(subbed, -1)
         with pytest.raises(ValueError, match="more masks"):
             acc.add(added)  # every folded seed was counted against n_terms
 
@@ -548,9 +528,9 @@ class TestMaskAccumulatorParity:
         with pytest.raises(ValueError):
             acc.add(np.ones(4, dtype=np.int64))
         acc = MaskAccumulator(np.zeros(4, dtype=np.int64), 1 << 20, n_terms=2)
-        acc.sub(np.ones(4, dtype=np.int64))
+        acc.fold_seed(b"s" * 32, -1)
         with pytest.raises(ValueError):
-            acc.sub(np.ones(4, dtype=np.int64))
+            acc.fold_seed(b"s" * 32, -1)
 
     def test_n_terms_must_count_base(self):
         with pytest.raises(ValueError):
@@ -558,7 +538,7 @@ class TestMaskAccumulatorParity:
 
     @pytest.mark.parametrize(
         "modulus, n_terms, deferred",
-        [(1 << 20, 6, True), (1 << 62, 2, True), (1 << 62, 6, False), ((1 << 20) + 17, 6, True)],
+        [(1 << 20, 6, True), (1 << 62, 2, True), (1 << 62, 6, False), (1 << 33, 6, True)],
     )
     def test_an_owned_base_is_folded_into_in_place_and_equals_a_copied_one(
         self, modulus, n_terms, deferred
@@ -579,7 +559,7 @@ class TestMaskAccumulatorParity:
             acc = MaskAccumulator(mine, modulus, n_terms=n_terms, owned=True)
             assert acc._deferred is deferred
             for m, sign in terms:
-                (acc.add if sign > 0 else acc.sub)(m)
+                acc._fold(m, sign)
             got = acc.finish()
             assert got is mine
             np.testing.assert_array_equal(
@@ -641,10 +621,3 @@ class TestMaskAccumulatorParity:
             assert acc._remaining == before[1]
         acc.add_packed(good)  # the budget the refusals did not spend
         np.testing.assert_array_equal(acc.finish(), 2 * np.arange(dim))
-
-    def test_a_general_modulus_has_no_packed_form(self):
-        acc = MaskAccumulator(np.zeros(4, dtype=np.int64), 997, n_terms=2)
-        with pytest.raises(ValueError, match="power-of-two"):
-            acc.add_packed(bytes(5))
-        with pytest.raises(ValueError, match="power-of-two"):
-            acc.finish_packed()

@@ -24,11 +24,13 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.crypto import prg
 from repro.crypto.prg import (
+    COUNTER_PRG,
     PRGReference,
     expand_uniform,
     expand_uniform_batch,
     expand_uniform_numpy,
 )
+from repro.secagg.masking import MaskAccumulator
 from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
 
 SEEDS = (bytes(32), bytes(range(32)))
@@ -243,27 +245,39 @@ class TestInPlaceFold:
         assert stream.read(32) == PRGReference(SEEDS[0]).read(32)
 
 
-class TestOtherModuli:
-    """Everything that is not ``2**b`` with ``b ≤ 62`` keeps one reduced
-    big-endian 64-bit word per element."""
+class TestOnlyRingsDraw:
+    """A modulus that is not ``2**b`` with ``0 ≤ b ≤ 62`` is refused by
+    name at every entry point, before anything is drawn or folded."""
 
     @pytest.mark.parametrize("modulus", [3, 997, (1 << 20) + 17, (1 << 62) + 1, 1 << 63])
-    @pytest.mark.parametrize("expand", [expand_uniform, expand_uniform_numpy])
-    def test_word_draws_fresh_and_in_place(self, modulus, expand):
-        seed = SEEDS[1]
-        stream = PRGReference(seed).read(8 * 300)
-        words = np.array(
-            [int.from_bytes(stream[8 * i : 8 * i + 8], "big") % modulus for i in range(300)],
-            dtype=np.int64,
-        )
-        np.testing.assert_array_equal(expand(seed, 300, modulus), words)
-        np.testing.assert_array_equal(
-            PRGReference(seed).uniform_vector(300, modulus), words
-        )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "expand_uniform", "expand_uniform_numpy", "CounterPRG.expand",
+            "PRGReference.uniform_vector", "MaskAccumulator", "MaskAccumulator.zeros",
+        ],
+    )
+    def test_a_modulus_outside_the_rings_is_refused(self, modulus, entry):
         out = np.arange(300, dtype=np.int64) - 150
-        with mock.patch.object(native, "mask_fold", side_effect=AssertionError):
-            expand(seed, 300, modulus, out=out, sign=-1)
-        np.testing.assert_array_equal(out, np.arange(300) - 150 - words)
+        calls = {
+            "expand_uniform": lambda: expand_uniform(SEEDS[1], 300, modulus, out=out, sign=-1),
+            "expand_uniform_numpy": lambda: expand_uniform_numpy(
+                SEEDS[1], 300, modulus, out=out, sign=-1
+            ),
+            "CounterPRG.expand": lambda: COUNTER_PRG.expand(
+                SEEDS[1], 300, modulus, out=out, sign=-1
+            ),
+            "PRGReference.uniform_vector": lambda: PRGReference(SEEDS[1]).uniform_vector(
+                300, modulus
+            ),
+            "MaskAccumulator": lambda: MaskAccumulator(out, modulus, 2, owned=True),
+            "MaskAccumulator.zeros": lambda: MaskAccumulator.zeros(300, modulus, 2),
+        }
+        with mock.patch.object(prg, "counter_stream", side_effect=AssertionError), \
+                mock.patch.object(native, "mask_fold", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"modulus {modulus} is not a ring"):
+            calls[entry]()
+        np.testing.assert_array_equal(out, np.arange(300) - 150)
 
 
 class TestBatch:

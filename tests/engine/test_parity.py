@@ -13,7 +13,7 @@ participant sets, and traces — to in-process execution.
 import numpy as np
 import pytest
 
-from repro.api import AggregationRuntime, PlainDPHandler, SkellamDPHandler
+from repro.api import PlainDPHandler, SkellamDPHandler
 from repro.api.protocol import ProtocolClient, ProtocolServer
 from repro.engine import (
     InProcessTransport,
@@ -434,7 +434,7 @@ class TestArrivalFoldParity:
 
 
 class TestRuntimeParity:
-    """AggregationRuntime (now engine-backed) vs the old serial walk."""
+    """A declared round on the engine vs the old serial walk."""
 
     class MeanServer(ProtocolServer):
         def __init__(self, dp):
@@ -504,9 +504,8 @@ class TestRuntimeParity:
         make = self._handlers(dim)
 
         engine_clients = [self.MeanClient(i, make()) for i in range(3)]
-        runtime = AggregationRuntime(self.MeanServer(make()), engine_clients)
-        engine_result = runtime.engine.run_round_sync(
-            runtime.server, runtime.clients, inputs=dict(vectors)
+        engine_result = RoundEngine().run_round_sync(
+            self.MeanServer(make()), engine_clients, inputs=dict(vectors)
         )
 
         legacy_clients = {i: self.MeanClient(i, make()) for i in range(3)}
@@ -518,9 +517,8 @@ class TestRuntimeParity:
     def test_plain_sum_identical(self):
         vectors = {i: np.full(6, float(i + 1)) for i in range(4)}
         clients = [self.MeanClient(i, PlainDPHandler()) for i in range(4)]
-        runtime = AggregationRuntime(self.MeanServer(PlainDPHandler()), clients)
-        result = runtime.engine.run_round_sync(
-            runtime.server, runtime.clients, inputs=dict(vectors)
+        result = RoundEngine().run_round_sync(
+            self.MeanServer(PlainDPHandler()), clients, inputs=dict(vectors)
         )
         legacy = self._legacy_run_round(
             self.MeanServer(PlainDPHandler()),

@@ -20,7 +20,6 @@ from repro.pipeline.scheduler import build_schedule
 from repro.fleet import Fleet, ProfileColumns
 from repro.secagg import SecAggConfig, run_secagg_round
 from repro.secagg.driver import DropoutSchedule, secagg_round_components
-from repro.sim.timeline import TraceTimeline
 from repro.wire import KIND_RESPONSE
 from repro.wire.codecs import encode_payload_frame
 
@@ -693,20 +692,3 @@ class TestSplitTrafficReplay:
             )
         ])
         assert replay.spans == engine.trace.spans
-
-
-class TestTraceTimeline:
-    def test_cumulative_elapsed_and_target(self):
-        timeline = TraceTimeline(
-            round_durations=(10.0, 20.0, 5.0),
-            metric_history=(0.1, 0.5, 0.9),
-            metric_name="accuracy",
-        )
-        np.testing.assert_allclose(timeline.elapsed, [10.0, 30.0, 35.0])
-        assert timeline.time_to_metric(0.5) == pytest.approx(30.0)
-        assert timeline.time_to_metric(0.95) == float("inf")
-        assert timeline.total_seconds == pytest.approx(35.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TraceTimeline((1.0,), (0.1, 0.2), "accuracy")

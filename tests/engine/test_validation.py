@@ -52,19 +52,23 @@ class TestPerOpTiming:
 
 
 class TestStageGroups:
-    def test_mismatched_pipeline_stages_named_in_error(self):
-        """A stage/workflow mismatch raises a descriptive ValueError
-        naming the op and resource instead of a bare StopIteration."""
+    def test_pipeline_stages_are_the_grouped_stages(self):
+        """One walk of the workflow: the declared stages and the engine's
+        (stage, ops) groups cannot disagree, merged stages included."""
 
-        class BrokenServer(SumServer):
-            def pipeline_stages(self):
-                return super().pipeline_stages()[:1]  # drops s-comp stage
+        class MergingServer(SumServer):
+            def set_graph_dict(self):
+                graph = super().set_graph_dict()
+                graph["decode"] = {"resource": "s-comp", "deps": ["aggregate"]}
+                return graph
 
-        with pytest.raises(ValueError) as excinfo:
-            stage_groups(BrokenServer())
-        message = str(excinfo.value)
-        assert "'aggregate'" in message
-        assert "'s-comp'" in message
+        server = MergingServer()
+        groups = stage_groups(server)
+        assert server.pipeline_stages() == [stage for stage, _ops in groups]
+        assert [(g.name, ops) for g, ops in groups] == [
+            ("encode", ["encode"]),
+            ("aggregate+decode", ["aggregate", "decode"]),
+        ]
 
     def test_matching_workflow_groups(self):
         groups = stage_groups(SumServer())

@@ -121,12 +121,6 @@ class TestTraining:
         # Second step moves farther due to velocity.
         assert np.all((p1 - p2) > (p - p1))
 
-    def test_optimizer_reset(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        opt.step(np.zeros(2), np.ones(2))
-        opt.reset()
-        assert opt._velocity is None
-
 
 class TestValidation:
     def test_model_shape_validation(self):

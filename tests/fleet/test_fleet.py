@@ -50,7 +50,6 @@ class TestFleetQueries:
         assert cost.up_seconds == pytest.approx(16.0)       # 400 / 25
         assert cost.down_bytes == 3 * 400   # every sampled client downloads
         assert cost.up_bytes == 2 * 400     # only survivors upload
-        assert cost.traffic_bytes == cost.down_bytes + cost.up_bytes
         assert cost.total_seconds == pytest.approx(2.0 + 6.0 + 16.0)
 
     def test_round_cost_no_survivors(self):

@@ -56,19 +56,20 @@ class TestFleetPricedInProcessLinks:
         assert isinstance(transport, SerializingTransport)
 
     def test_unknown_transport_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            build_transport("carrier-pigeon", asymmetric_fleet())
+        for name in ("carrier-pigeon", "serialized"):
+            with pytest.raises(ValueError, match="unknown transport"):
+                build_transport(name, asymmetric_fleet())
 
 
 @pytest.mark.timeout(120)
 class TestOneLinkModelThreeCarriers:
     def test_traces_identical_across_backends(self):
         """Same fleet, same round → identical spans (labels, begin,
-        finish, down, up) on all three envelope-identical backends."""
+        finish, down, up) on both envelope-identical backends."""
         fleet = asymmetric_fleet()
         traces = {
             name: run_round(build_transport(name, fleet))
-            for name in ("inprocess", "serialized", "sockets")
+            for name in ("inprocess", "sockets")
         }
         as_tuples = {
             name: [
@@ -78,8 +79,7 @@ class TestOneLinkModelThreeCarriers:
             ]
             for name, trace in traces.items()
         }
-        assert as_tuples["inprocess"] == as_tuples["serialized"]
-        assert as_tuples["serialized"] == as_tuples["sockets"]
+        assert as_tuples["inprocess"] == as_tuples["sockets"]
         # And the round genuinely moved directional bytes.
         split = traces["sockets"].round_traffic_split(0)
         assert split.down > 0 and split.up > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline.cost import (
+from repro.xnoise.rebasing import (
     CIPHERTEXT_BYTES,
     Table3Row,
     table3_row,

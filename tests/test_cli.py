@@ -92,19 +92,19 @@ class TestRunCommand:
         assert code == 0
         assert "rounds completed : 2" in capsys.readouterr().out
 
-    def test_no_fleet_opt_out(self, capsys):
-        code = main([
-            "run", "--num-clients", "16", "--sample-size", "6",
-            "--rounds", "2", "--no-fleet",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fleet-timed" not in out
-
-    def test_no_fleet_conflicts_with_fleet_flags(self, capsys):
-        assert main(["run", "--no-fleet", "--availability", "trace"]) == 2
+    def test_no_fleet_flag_is_a_usage_error(self, capsys):
+        # Every session runs on a fleet.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--no-fleet"])
+        assert excinfo.value.code == 2
         assert "--no-fleet" in capsys.readouterr().err
-        assert main(["run", "--no-fleet", "--asymmetric"]) == 2
+
+    def test_serialized_transport_is_a_usage_error(self, capsys):
+        # On a fleet, "inprocess" is the serialization boundary.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--transport", "serialized"])
+        assert excinfo.value.code == 2
+        assert "serialized" in capsys.readouterr().err
 
     def test_early_strategy_reports_stop(self, capsys):
         code = main([
@@ -245,11 +245,12 @@ class TestCheckCommand:
         assert main(["check", "--root", str(tmp_path / "nowhere")]) == 2
         assert "check:" in capsys.readouterr().err
 
-    def test_bad_baseline_exits_two(self, capsys, tmp_path):
-        bad = tmp_path / "BASE.json"
-        bad.write_text('{"version": 999, "findings": []}')
-        assert main(["check", "--baseline", str(bad)]) == 2
-        assert "check:" in capsys.readouterr().err
+    def test_baseline_option_is_a_usage_error(self, capsys, tmp_path):
+        # An inline allow is the only way to accept a finding.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--baseline", str(tmp_path / "BASE.json")])
+        assert excinfo.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
 
     def test_bad_format_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,25 +9,38 @@ from repro.sim.timeline import Timeline, build_timelines
 
 class TestTimeline:
     def test_elapsed_is_cumulative(self):
-        t = Timeline(60.0, (0.1, 0.2, 0.3), "accuracy")
+        t = Timeline((60.0,) * 3, (0.1, 0.2, 0.3), "accuracy")
         np.testing.assert_allclose(t.elapsed, [60, 120, 180])
         assert t.total_seconds == 180
 
     def test_time_to_metric_higher_better(self):
-        t = Timeline(10.0, (0.1, 0.5, 0.9), "accuracy")
+        t = Timeline((10.0,) * 3, (0.1, 0.5, 0.9), "accuracy")
         assert t.time_to_metric(0.5) == 20.0
         assert t.time_to_metric(0.05) == 10.0
         assert t.time_to_metric(0.95) == float("inf")
 
     def test_time_to_metric_lower_better(self):
-        t = Timeline(10.0, (100.0, 60.0, 30.0), "perplexity")
+        t = Timeline((10.0,) * 3, (100.0, 60.0, 30.0), "perplexity")
         assert t.time_to_metric(60.0, higher_is_better=False) == 20.0
         assert t.time_to_metric(10.0, higher_is_better=False) == float("inf")
 
     def test_empty_history(self):
-        t = Timeline(10.0, (), "accuracy")
+        t = Timeline((), (), "accuracy")
         assert t.total_seconds == 0.0
         assert t.time_to_metric(0.5) == float("inf")
+
+    def test_uneven_durations_are_cumulative(self):
+        # Traced rounds each carry their own duration.
+        t = Timeline((10.0, 20.0, 5.0), (0.1, 0.5, 0.9), "accuracy")
+        np.testing.assert_allclose(t.elapsed, [10.0, 30.0, 35.0])
+        assert t.time_to_metric(0.5) == pytest.approx(30.0)
+        assert t.time_to_metric(0.05) == pytest.approx(10.0)
+        assert t.time_to_metric(0.95) == float("inf")
+        assert t.total_seconds == pytest.approx(35.0)
+
+    def test_one_duration_per_round_required(self):
+        with pytest.raises(ValueError, match="one duration per completed round"):
+            Timeline((1.0,), (0.1, 0.2), "accuracy")
 
 
 class TestBuildTimelines:
@@ -41,7 +54,8 @@ class TestBuildTimelines:
         assert speedup > 1.2
         assert pipe.time_to_metric(0.6) < plain.time_to_metric(0.6)
         assert pipe.time_to_metric(0.6) == pytest.approx(
-            plain.time_to_metric(0.6) / (plain.round_seconds / pipe.round_seconds)
+            plain.time_to_metric(0.6)
+            / (plain.round_durations[0] / pipe.round_durations[0])
         )
 
     def test_metric_curves_identical(self):

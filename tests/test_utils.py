@@ -10,7 +10,6 @@ from repro.utils import (
     derive_rng,
     derive_seed,
     int_to_bytes,
-    pack_chunks,
     zipf_between,
     zipf_weights,
 )
@@ -34,7 +33,7 @@ class TestByteCodecs:
     @given(data=st.binary(max_size=200), size=st.integers(min_value=1, max_value=40))
     def test_chunk_pack_roundtrip(self, data, size):
         chunks = chunk_bytes(data, size)
-        assert pack_chunks(chunks) == data
+        assert b"".join(chunks) == data
         assert all(len(c) <= size for c in chunks)
 
     def test_chunk_zero_size_rejected(self):
