@@ -3,7 +3,7 @@
 The payoff measurement for the inverted socket topology — N concurrent
 ``DialingClient`` workers (default 1000) all dial one
 :class:`~repro.engine.listener.CoordinatorListener`, which must accept
-and welcome every one of them through a single ``asyncio.start_server``.
+and welcome every one of them through a single listening socket.
 Once the whole cohort is connected, the coordinator drives echo rounds
 (one request to every connection, gathered concurrently) over the same
 exchange path the SecAgg stages use.

@@ -1,8 +1,9 @@
 """Single-listener server core: one listening coordinator, N dialing clients.
 
 This module is the production-topology heart of the socket stack.  One
-:class:`CoordinatorListener` owns **one** ``asyncio.start_server`` port
-speaking framed TCP (:class:`repro.wire.frame.TCPLink`) and accepts
+:class:`CoordinatorListener` owns **one** listening port speaking framed
+TCP (:class:`repro.wire.frame.TCPLink`, served by
+:func:`repro.wire.frame.serve_links`) and accepts
 every client connection on it; devices are :class:`DialingClient`
 workers that dial *in*.  :class:`SocketTransport` (a private listener
 plus in-process dialers per round) and :class:`ListenerTransport` (an
@@ -79,6 +80,8 @@ from repro.wire.frame import (
     decode_hello,
     encode_frame,
     encode_hello,
+    open_link,
+    serve_links,
 )
 
 if TYPE_CHECKING:
@@ -244,8 +247,8 @@ class _ClientConnection:
 class CoordinatorListener:
     """One listening port multiplexing every dialing client.
 
-    The production topology: ``await start()`` binds a single
-    ``asyncio.start_server`` (``LISTEN_BACKLOG`` deep), and every
+    The production topology: ``await start()`` binds a single listening
+    socket (``LISTEN_BACKLOG`` deep), and every
     protocol client — in-process :class:`DialingClient` task or remote
     ``repro.cli join`` process — dials into it.  ``expected_ids``
     (optional) closes membership: a HELLO from any other id is rejected.
@@ -292,8 +295,8 @@ class CoordinatorListener:
         return self.host, self.port
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port, backlog=LISTEN_BACKLOG
+        self._server = await serve_links(
+            self._on_link, self.host, self.port, backlog=LISTEN_BACKLOG
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -353,15 +356,14 @@ class CoordinatorListener:
         if event is not None:
             event.set()
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _on_link(self, link: TCPLink) -> None:
+        task = asyncio.get_running_loop().create_task(self._accept(link))
+        self._accept_tasks.add(task)
+        task.add_done_callback(self._accept_tasks.discard)
+
+    async def _accept(self, link: TCPLink) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._accept_tasks.add(task)
-            task.add_done_callback(self._accept_tasks.discard)
         stats = ConnectionStats(client_id=-1)
-        link = TCPLink(reader, writer)
         conn: Optional[_ClientConnection] = None
 
         def count_handshake_sent(n: int) -> None:
@@ -424,9 +426,8 @@ class CoordinatorListener:
                     ):
                         await conn.writer_task
             self.closed_connection_stats.append(stats)
-            writer.close()
             with contextlib.suppress(asyncio.CancelledError, Exception):
-                await writer.wait_closed()
+                await link.aclose()
 
     async def _drain_writer(self, conn: _ClientConnection) -> None:
         """The connection's writer: one frame at a time off the bounded
@@ -586,14 +587,14 @@ class DialingClient:
         self.bytes_sent += n
         self.response_bytes += n
 
-    async def _dial(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    async def _dial(self) -> TCPLink:
         """Dial the listener, retrying brief refusals — a ``join``
         process may race the coordinator to the port."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.dial_timeout
         while True:
             try:
-                return await asyncio.open_connection(self.host, self.port)
+                return await open_link(self.host, self.port)
             except (ConnectionRefusedError, ConnectionResetError):
                 if loop.time() >= deadline:
                     raise
@@ -633,8 +634,7 @@ class DialingClient:
         mid-frame, either ends the run normally with the whole-frame
         counters intact.  A listener gone *before* its WELCOME raises
         ``ConnectionError``."""
-        reader, writer = await self._dial()
-        link = TCPLink(reader, writer)
+        link = await self._dial()
         try:
             await self._hello(link)
             while True:
@@ -650,16 +650,18 @@ class DialingClient:
                 self.request_bytes += n
                 # An ERROR reply is counted on the uplink like any other
                 # response frame, so both socket ends agree per
-                # direction even on aborted rounds.
-                reply = answer_request(self.client, body)
-                await link.send(reply, count=self._count_response)
+                # direction even on aborted rounds.  No name holds the
+                # reply: a model-sized frame is let go once written,
+                # not kept until the next request arrives.
+                await link.send(
+                    answer_request(self.client, body), count=self._count_response
+                )
                 self.requests += 1
                 if self.max_requests is not None and self.requests >= self.max_requests:
                     return  # vanish abruptly, like a killed process
         finally:
-            writer.close()
             with contextlib.suppress(asyncio.CancelledError, Exception):
-                await writer.wait_closed()
+                await link.aclose()
 
 
 def record_endpoint(stats: ConnectionStats, dialer) -> None:

@@ -35,6 +35,7 @@ from repro.wire.frame import (
     MAX_BODY,
     WIRE_VERSION,
     FrameEOF,
+    FrameProtocol,
     FrameTruncated,
     Hello,
     LinkClosed,
@@ -43,7 +44,8 @@ from repro.wire.frame import (
     decode_hello,
     encode_frame,
     encode_hello,
-    read_frame,
+    open_link,
+    serve_links,
 )
 
 __all__ = [
@@ -68,6 +70,7 @@ __all__ = [
     "MAX_BODY",
     "WIRE_VERSION",
     "FrameEOF",
+    "FrameProtocol",
     "FrameTruncated",
     "Hello",
     "LinkClosed",
@@ -76,5 +79,6 @@ __all__ = [
     "decode_hello",
     "encode_frame",
     "encode_hello",
-    "read_frame",
+    "open_link",
+    "serve_links",
 ]

@@ -398,7 +398,10 @@ def _encode_ndarray_into(arr: np.ndarray, out: bytearray) -> None:
 # ``_DECODERS[tag](data, offset, end, depth)`` reads the value whose tag
 # byte sits just before ``offset`` and returns ``(value, next offset)``;
 # ``end`` is ``len(data)``, taken once per top-level call; every read is
-# checked against it.
+# checked against it.  ``data`` is ``bytes`` or a ``memoryview`` (a body
+# a socket landed in a buffer of its own); the values decoded are the
+# same either way — ``bytes``, never a view — but for an ``in_place``
+# codec's body.
 
 
 def _truncated() -> CodecError:
@@ -473,14 +476,14 @@ def _decode_float(data, offset, end, depth):
 def _decode_str(data, offset, end, depth):
     start, stop = _span(data, offset, end)
     try:
-        return data[start:stop].decode("utf-8"), stop
+        return str(data[start:stop], "utf-8"), stop
     except UnicodeDecodeError as exc:
         raise CodecError(f"invalid utf-8 in str value: {exc}") from exc
 
 
 def _decode_bytes(data, offset, end, depth):
     start, stop = _span(data, offset, end)
-    return data[start:stop], stop
+    return bytes(data[start:stop]), stop
 
 
 def _decode_tuple(data, offset, end, depth):
@@ -512,7 +515,7 @@ def _decode_dict(data, offset, end, depth):
 
 def _decode_ndarray(data, offset, end, depth):
     start, offset = _span(data, offset, end)
-    dtype_raw = data[start:offset]
+    dtype_raw = bytes(data[start:offset])
     try:
         dtype = np.dtype(dtype_raw.decode("ascii"))
     except (UnicodeDecodeError, TypeError, ValueError) as exc:
@@ -546,7 +549,7 @@ def _record_decoder(cls: type, decode_body: Callable[[Any], Any], in_place: bool
 
     def decode(data, offset, end, depth):
         start, stop = _span(data, offset, end)
-        body = memoryview(data)[start:stop] if in_place else data[start:stop]
+        body = memoryview(data)[start:stop] if in_place else bytes(data[start:stop])
         try:
             return decode_body(body), stop
         except CodecError:
@@ -597,7 +600,7 @@ def encode_payload_frame(kind: int, obj: Any) -> bytearray:
     in after the body length is known), so framing a payload never
     re-copies its body.  Byte-identical to
     ``encode_frame(kind, encode_payload(obj))`` — pinned by test — and
-    suitable for ``StreamWriter.write`` as-is.
+    suitable for ``TCPLink.send`` as-is.
     """
     buf = bytearray(FRAME_OVERHEAD)
     buf.append(PAYLOAD_VERSION)

@@ -10,6 +10,7 @@ fast in CI instead of stalling the suite.
 """
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -164,16 +165,15 @@ class TestAdversarialHandshake:
         async def scenario():
             listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
-            reader, writer = await asyncio.open_connection(host, port)
+            link = await wire_frame.open_link(host, port)
             try:
-                writer.write(upgrade)
-                await writer.drain()
-                kind, body, n = await wire_frame.read_frame(reader)
+                await link.send(upgrade)
+                kind, body, n = await link.protocol.read()
                 # The accept task ends on its own: its stats land.
                 while not listener.closed_connection_stats:
                     await asyncio.sleep(0.01)
             finally:
-                writer.close()
+                await link.aclose()
                 await listener.aclose()
             return listener, kind, body, n
 
@@ -344,15 +344,14 @@ class TestAdversarialHandshake:
         async def scenario():
             listener = CoordinatorListener(expected_ids={1}, auth_token=b"s3cret")
             host, port = await listener.start()
-            reader, writer = await asyncio.open_connection(host, port)
+            link = await wire_frame.open_link(host, port)
             try:
-                writer.write(opening)
-                await writer.drain()
-                kind, body, n = await wire_frame.read_frame(reader)
+                await link.send(opening)
+                kind, body, n = await link.protocol.read()
                 while not listener.closed_connection_stats:
                     await asyncio.sleep(0.01)
             finally:
-                writer.close()
+                await link.aclose()
                 await listener.aclose()
             return listener, kind, body, n
 
@@ -375,11 +374,11 @@ class TestAdversarialHandshake:
         async def scenario():
             listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
-            reader, writer = await asyncio.open_connection(host, port)
+            link = await wire_frame.open_link(host, port)
             try:
-                writer.write(_hello_frame(1)[:cut])
-                writer.write_eof()
-                answer = await asyncio.wait_for(reader.read(), 10)
+                link.transport.write(_hello_frame(1)[:cut])
+                link.transport.write_eof()
+                answer = await asyncio.wait_for(_read_to_eof(link), 10)
                 while not listener.closed_connection_stats:
                     await asyncio.sleep(0.01)
                 redial = asyncio.ensure_future(
@@ -389,12 +388,12 @@ class TestAdversarialHandshake:
                 assert not conn.dead
                 redial.cancel()
             finally:
-                writer.close()
+                await link.aclose()
                 await listener.aclose()
             return listener, answer
 
         listener, answer = asyncio.run(scenario())
-        assert answer == b""
+        assert answer == 0
         assert listener.rejected == 0 and listener.accepted == 1
         stats = listener.closed_connection_stats[0]
         assert stats.client_id == -1
@@ -555,27 +554,37 @@ class TestExchangePath:
         assert asyncio.run(scenario()) < 5
 
 
+async def _read_to_eof(link):
+    """What the peer sends before it hangs up, as a byte count: the
+    frames read whole, plus what arrived of a frame it cut off."""
+    answered = 0
+    while True:
+        try:
+            answered += (await link.recv())[2]
+        except wire_frame.LinkClosed as exc:
+            return answered + exc.received
+
+
 def _half(frame):
     """The first half of ``frame`` — a process killed mid-send."""
     return bytes(frame)[: len(frame) // 2]
 
 
 async def _welcomed(client_id, host, port):
-    """Dial in by hand, through the WELCOME: ``(link, writer)``."""
-    reader, writer = await asyncio.open_connection(host, port)
-    link = wire_frame.TCPLink(reader, writer)
+    """Dial in by hand, through the WELCOME: the link."""
+    link = await wire_frame.open_link(host, port)
     hello = wire_frame.encode_hello(wire_frame.Hello(client_id))
     await link.send(wire_frame.encode_frame(wire_frame.KIND_HELLO, hello))
     kind, _body, _n = await link.recv()
     assert kind == wire_frame.KIND_WELCOME
-    return link, writer
+    return link
 
 
 async def _dying_dialer(client, host, port, die_on_op, cut=None):
     """A device that serves faithfully until ``die_on_op``, then writes
     the first ``cut`` bytes (default: half) of that response frame and is
     gone."""
-    link, writer = await _welcomed(client.id, host, port)
+    link = await _welcomed(client.id, host, port)
     try:
         while True:
             _kind, body, _n = await link.recv()
@@ -584,12 +593,88 @@ async def _dying_dialer(client, host, port, die_on_op, cut=None):
                 wire_frame.KIND_RESPONSE, client.handle(op, payload)
             )
             if op == die_on_op:
-                writer.write(_half(reply) if cut is None else bytes(reply)[:cut])
-                await writer.drain()
+                link.transport.write(_half(reply) if cut is None else bytes(reply)[:cut])
+                await link.protocol.drain()
                 return
             await link.send(reply)
     finally:
-        writer.close()
+        link.transport.close()
+
+
+def _resident_bytes():
+    """This process's resident set, from ``/proc/self/statm``."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.timeout(60)
+class TestHostileLength:
+    """Dialers that announce the largest body a header may carry and
+    then send nothing cost the listener address space, not memory, and
+    fold into dropout when they hang up."""
+
+    HOSTILE = range(3, 11)
+
+    def test_announced_max_body_costs_no_memory_and_drops_out(self):
+        header = (
+            wire_frame.MAGIC
+            + bytes((WIRE_VERSION, wire_frame.KIND_RESPONSE))
+            + wire_frame.MAX_BODY.to_bytes(4, "big")
+        )
+
+        async def hostile(client_id, host, port, measured):
+            link = await _welcomed(client_id, host, port)
+            try:
+                await link.recv()  # the round's first request
+                link.transport.write(header)
+                await measured.wait()
+            finally:
+                await link.aclose()
+
+        async def scenario():
+            clients = {u: EchoClient(u, 10 * u) for u in (1, 2, *self.HOSTILE)}
+            listener = CoordinatorListener(expected_ids=set(clients))
+            host, port = await listener.start()
+            measured = asyncio.Event()
+            workers = [
+                asyncio.ensure_future(DialingClient(clients[u], host, port).run())
+                for u in (1, 2)
+            ] + [
+                asyncio.ensure_future(hostile(u, host, port, measured))
+                for u in self.HOSTILE
+            ]
+            try:
+                conns = [await listener.connection(u, timeout=10) for u in clients]
+                before = _resident_bytes()
+                engine = RoundEngine(transport=ListenerTransport(listener))
+                round_task = asyncio.ensure_future(
+                    engine.run_round(EchoServer(), list(clients.values()))
+                )
+                protocols = [c.link.protocol for c in conns[2:]]
+                while not all(
+                    p._body is not None and len(p._body) == wire_frame.MAX_BODY
+                    for p in protocols
+                ):
+                    await asyncio.sleep(0.01)
+                grown = _resident_bytes() - before
+                measured.set()
+                result = await asyncio.wait_for(round_task, 30)
+            finally:
+                measured.set()
+                await listener.aclose()
+                await asyncio.gather(*workers, return_exceptions=True)
+            return listener, grown, result
+
+        listener, grown, result = asyncio.run(scenario())
+        # 8 × 256 MiB announced; resident memory rises by well under one.
+        assert grown < 32 << 20
+        # Every hostile dialer is a dropout: encode saw {1, 2} (total 30,
+        # targeted {1}), refine only 1.
+        assert result == {1: (30 + 1) * 2}
+        # As for any frame cut off, its header is on no book.
+        by_id = {s.client_id: s for s in listener.closed_connection_stats}
+        for u in self.HOSTILE:
+            assert by_id[u].requests == 0 and by_id[u].response_bytes == 0
 
 
 @pytest.mark.timeout(60)
@@ -705,11 +790,11 @@ class TestDeathInsideAFrame:
             host, port = await listener.start()
 
             async def garbler():
-                link, writer = await _welcomed(1, host, port)
+                link = await _welcomed(1, host, port)
                 await link.recv()  # the request
                 reply = wire_frame.encode_frame(wire_frame.KIND_RESPONSE, b"x")
                 await link.send(b"XX" + reply[2:])
-                writer.close()
+                link.transport.close()
 
             worker = asyncio.ensure_future(garbler())
             channel = ListenerTransport(listener).connect({1: EchoBack(1)})
@@ -743,11 +828,11 @@ class TestDeathInsideAFrame:
             host, port = await listener.start()
 
             async def garbler():
-                link, writer = await _welcomed(1, host, port)
+                link = await _welcomed(1, host, port)
                 await link.recv()  # the request
                 reply = wire_frame.encode_frame(wire_frame.KIND_RESPONSE, b"")
                 await link.send(_reheader(reply, at, value))
-                writer.close()
+                link.transport.close()
 
             worker = asyncio.ensure_future(garbler())
             channel = ListenerTransport(listener).connect({1: EchoBack(1)})
@@ -770,7 +855,7 @@ class TestDeathInsideAFrame:
         async def scenario():
             listener = CoordinatorListener(expected_ids={1})
             host, port = await listener.start()
-            link, writer = await _welcomed(1, host, port)
+            link = await _welcomed(1, host, port)
             conn = await listener.connection(1, timeout=10)
             unsolicited = await link.send(
                 wire_codecs.encode_payload_frame(wire_frame.KIND_RESPONSE, 7)
@@ -781,7 +866,7 @@ class TestDeathInsideAFrame:
                 with pytest.raises(ClientUnavailable):
                     await listener.connection(1, timeout=10)
             finally:
-                writer.close()
+                link.transport.close()
                 await listener.aclose()
             return listener, unsolicited
 
@@ -808,8 +893,7 @@ async def _dying_coordinator(die_in, cut=None):
     (``die_in="welcome"``) or of its first REQUEST."""
     done = asyncio.Event()
 
-    async def serve(reader, writer):
-        link = wire_frame.TCPLink(reader, writer)
+    async def serve(link):
         _kind, body, _n = await link.recv()
         client_id = wire_frame.decode_hello(body).client_id
         welcome = _welcome_frame(client_id)
@@ -818,12 +902,19 @@ async def _dying_coordinator(die_in, cut=None):
         else:
             await link.send(welcome)
             frame = _REQUEST
-        writer.write(_half(frame) if cut is None else frame[:cut])
-        await writer.drain()
-        writer.close()
+        link.transport.write(_half(frame) if cut is None else frame[:cut])
+        await link.protocol.drain()
+        link.transport.close()
         done.set()
 
-    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    tasks = set()
+
+    def on_link(link):
+        task = asyncio.get_running_loop().create_task(serve(link))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    server = await wire_frame.serve_links(on_link, "127.0.0.1", 0)
     return server, done
 
 

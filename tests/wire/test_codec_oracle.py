@@ -288,7 +288,10 @@ def _outcome(decode, data: bytes):
 
 
 def _assert_decoders_agree(data: bytes) -> None:
-    assert _outcome(decode_payload, data) == _outcome(decode_payload_reference, data), data
+    expected = _outcome(decode_payload_reference, data)
+    assert _outcome(decode_payload, data) == expected, data
+    # A body a socket landed in its own buffer arrives as a view.
+    assert _outcome(decode_payload, memoryview(data).toreadonly()) == expected, data
 
 
 def _protocol_payloads(seed: int) -> list:
@@ -390,13 +393,20 @@ class TestDecoderParity:
         _assert_decoders_agree(bytes((PAYLOAD_VERSION,)) + body)
         _assert_decoders_agree(body)
 
-    def test_bytes_stay_slices_of_the_input(self):
-        data = encode_payload([b"abc", {1: b"de"}])
+    def test_bytes_values_are_bytes_from_any_buffer(self):
+        """A socket hands a body over as ``bytes`` or, when it landed in
+        a buffer of its own, as a ``memoryview``: the values decoded are
+        the same, of the same types, either way."""
+        data = encode_payload([b"abc", {1: b"de"}, "str", np.arange(3)])
         value = decode_payload(data)
-        assert value == decode_payload_reference(data)
+        _assert_decoders_agree(data)
         assert type(value[0]) is bytes and type(value[1][1]) is bytes
-        view = memoryview(data)
-        assert type(decode_whole_value(view, 1)[0]) is memoryview
+        for view in (memoryview(data), memoryview(np.frombuffer(data, np.uint8))):
+            from_view = decode_payload(view.toreadonly())
+            assert encode_value_reference(from_view) == encode_value_reference(value)
+            assert [type(v) for v in from_view] == [type(v) for v in value]
+            assert type(from_view[1][1]) is bytes
+            assert type(decode_whole_value(view, 1)[0]) is bytes
 
     @pytest.mark.parametrize("dim", [0, 3, 5])
     def test_an_ndarray_buffer_must_fill_its_shape_exactly(self, dim):

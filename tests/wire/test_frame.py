@@ -137,25 +137,44 @@ class TestFrameAdversarial:
         assert f.encode_frame(kind, body) == data
 
 
+async def _one_link_server(serve):
+    """A server handing its one accepted link to ``serve``; returns the
+    server, the serving task's future and the dialed link."""
+    loop = asyncio.get_running_loop()
+    served = loop.create_future()
+
+    def done(task):
+        if task.exception() is not None:
+            served.set_exception(task.exception())
+        else:
+            served.set_result(task.result())
+
+    tasks = []
+
+    def on_link(link):
+        tasks.append(loop.create_task(serve(link)))
+        tasks[-1].add_done_callback(done)
+
+    server = await f.serve_links(on_link, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    return server, served, await f.open_link(host, port)
+
+
 class TestStreamFraming:
     @pytest.mark.timeout(30)
     def test_read_write_over_stream(self):
         async def scenario():
-            async def serve(reader, writer):
-                kind, body, _ = await f.read_frame(reader)
-                writer.write(f.encode_frame(f.KIND_RESPONSE, body[::-1]))
-                await writer.drain()
-                writer.close()
+            async def serve(link):
+                kind, body, _ = await link.protocol.read()
+                await link.send(f.encode_frame(f.KIND_RESPONSE, body[::-1]))
+                await link.aclose()
 
-            server = await asyncio.start_server(serve, "127.0.0.1", 0)
-            host, port = server.sockets[0].getsockname()[:2]
-            reader, writer = await asyncio.open_connection(host, port)
+            server, served, link = await _one_link_server(serve)
             request = f.encode_frame(f.KIND_REQUEST, b"abc")
-            writer.write(request)
-            await writer.drain()
-            sent = len(request)
-            kind, body, received = await f.read_frame(reader)
-            writer.close()
+            sent = await link.send(request)
+            kind, body, received = await link.protocol.read()
+            await link.aclose()
+            await served
             server.close()
             await server.wait_closed()
             return sent, kind, body, received
@@ -168,22 +187,72 @@ class TestStreamFraming:
     @pytest.mark.timeout(30)
     def test_clean_eof_vs_mid_frame_close(self):
         async def scenario():
-            async def serve(reader, writer):
+            async def serve(link):
                 # Half a header, then hang up: the peer died mid-send.
-                writer.write(f.MAGIC + bytes((f.WIRE_VERSION,)))
-                await writer.drain()
-                writer.close()
+                link.transport.write(f.MAGIC + bytes((f.WIRE_VERSION,)))
+                await link.aclose()
 
-            server = await asyncio.start_server(serve, "127.0.0.1", 0)
-            host, port = server.sockets[0].getsockname()[:2]
-            reader, writer = await asyncio.open_connection(host, port)
+            server, served, link = await _one_link_server(serve)
             with pytest.raises(ValueError, match="closed inside a frame header"):
-                await f.read_frame(reader)
-            writer.close()
+                await link.protocol.read()
+            await link.aclose()
+            await served
             server.close()
             await server.wait_closed()
 
         asyncio.run(scenario())
+
+    @pytest.mark.timeout(60)
+    def test_backpressure_holds_one_frame_and_resumes_on_recv(self):
+        """A peer writes 50 complete 1 MiB frames while nobody reads:
+        the receiving link holds one complete frame and nothing of the
+        next, the rest waits in the peer's send buffer, and every frame
+        arrives intact once reading starts."""
+        count, size = 50, 1 << 20
+        frames = [f.encode_frame(f.KIND_RESPONSE, bytes((i,)) * size) for i in range(count)]
+
+        async def scenario():
+            writer = asyncio.get_running_loop().create_future()
+
+            async def serve(link):
+                for frame in frames:
+                    link.transport.write(frame)
+                writer.set_result(link)
+                with pytest.raises(f.LinkClosed):
+                    await link.recv()
+                await link.aclose()
+
+            server, served, link = await _one_link_server(serve)
+            protocol = link.protocol
+            peer = await writer
+            for _ in range(500):
+                if protocol._ready is not None:
+                    break
+                await asyncio.sleep(0.01)
+            # Let the loop run on: nothing more may be read.
+            await asyncio.sleep(0.2)
+            held = protocol._ready, protocol._body, protocol._end - protocol._start
+            backlog = peer.transport.get_write_buffer_size()
+            received = []
+            for _ in range(count):
+                kind, body, n = await link.recv()
+                received.append((kind, len(body), body[0], body[-1], n))
+            await link.aclose()
+            await served
+            server.close()
+            await server.wait_closed()
+            return held, backlog, received
+
+        (ready, in_progress, staged), backlog, received = asyncio.run(scenario())
+        assert ready is not None and ready[1] == frames[0][f.FRAME_OVERHEAD :]
+        # At most the one frame in progress besides it: here none, since
+        # the body buffer stops the read at the frame's end.
+        assert in_progress is None and staged == 0
+        # Reading stopped: had it not, the peer's buffer would be empty.
+        assert backlog > size
+        assert received == [
+            (f.KIND_RESPONSE, size, i, i, size + f.FRAME_OVERHEAD) for i in range(count)
+        ]
 
 
 class TestHelloSchema:
