@@ -304,8 +304,8 @@ def run_hotpath(
     _codec_rows(metrics, f"d{d}", KIND_RESPONSE, lambda: upload, repeats)
 
     # The control plane at many_clients' shape (modp512, n = 32, t = 17):
-    # one client's ShareKeys request (the whole roster and its 31
-    # neighbour ids); one ShareKeys plaintext, plain and with XNoise's
+    # one client's ShareKeys request (the whole roster, from which the
+    # client derives its 31 neighbours); one ShareKeys plaintext, plain and with XNoise's
     # six g:k extras; one Unmasking response with 29 b-shares and 3
     # s^SK shares.  The request's roster records are fresh each call,
     # so every record is encoded, as for a round's first recipient.
@@ -316,7 +316,7 @@ def run_hotpath(
 
     def _request() -> tuple:
         roster = {u: AdvertiseKeysMsg(u, c, c[::-1]) for u, c in zip(ids, publics)}
-        return ("share_keys", (roster, ids[1:]))
+        return ("share_keys", roster)
 
     _codec_rows(metrics, f"share_keys_request_n{n}", KIND_REQUEST, _request, repeats)
     plain = SharePayload(1, 2, s_shares[2], b_shares[2])

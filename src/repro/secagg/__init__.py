@@ -9,9 +9,9 @@ in-process state machines:
   stages of Fig. 5 (AdvertiseKeys, ShareKeys, MaskedInputCollection,
   ConsistencyCheck, Unmasking), with the bracketed malicious-mode steps
   toggleable via configuration.
-- :mod:`repro.secagg.graph` — the communication graph: complete for
-  SecAgg, random k-regular for SecAgg+ (the "(poly)logarithmic overhead"
-  variant).
+- :mod:`repro.secagg.graph` — the masking graph both sides compute:
+  complete for SecAgg, a k-regular Harary graph over a seeded order of
+  the roster for SecAgg+ (the "(poly)logarithmic overhead" variant).
 - :mod:`repro.secagg.masking` — pairwise and self masks over Z_{2^b}.
 - :mod:`repro.secagg.workflow` — the Fig.-5 protocol declared as an
   Appendix-D workflow for the unified round engine
@@ -40,7 +40,7 @@ from repro.secagg.types import (
     STAGE_UNMASK,
     STAGE_NOISE_REMOVAL,
 )
-from repro.secagg.graph import CompleteGraph, KRegularGraph
+from repro.secagg.graph import masking_graph, recommended_degree, secagg_plus_config
 from repro.secagg.client import SecAggClient
 from repro.secagg.server import SecAggServer
 from repro.secagg.driver import (
@@ -55,7 +55,6 @@ from repro.secagg.workflow import (
     secagg_stage_of,
     with_dropout,
 )
-from repro.secagg.secagg_plus import secagg_plus_config, recommended_degree
 from repro.secagg.complexity import (
     secagg_client_cost,
     secagg_plus_client_cost,
@@ -66,8 +65,7 @@ __all__ = [
     "SecAggConfig",
     "RoundResult",
     "ProtocolAbort",
-    "CompleteGraph",
-    "KRegularGraph",
+    "masking_graph",
     "SecAggClient",
     "SecAggServer",
     "run_secagg_round",

@@ -35,6 +35,7 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.shamir import Share
 from repro.crypto.signature import SchnorrSigner
 from repro.crypto.suite import Suite
+from repro.secagg.graph import masking_graph
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -124,15 +125,13 @@ class SecAggClient:
     # ------------------------------------------------------------------
     # Stage 1 — ShareKeys
     # ------------------------------------------------------------------
-    def share_keys(
-        self, roster: dict[int, AdvertiseKeysMsg], neighbors
-    ) -> dict[int, bytes]:
+    def share_keys(self, roster: dict[int, AdvertiseKeysMsg]) -> dict[int, bytes]:
         """Validate the roster and distribute encrypted shares.
 
-        ``neighbors`` is this client's own neighbourhood in the masking
-        graph — a collection of roster ids, the whole roster but itself
-        under the complete graph — as the server sends it; nothing is
-        cut for a set that was not checked against the roster first.
+        This client's neighbours are its row of
+        :func:`~repro.secagg.graph.masking_graph` over the roster's ids —
+        derived here from the roster and the round's configuration, as
+        the coordinator derives it, never received.
 
         Returns ``recipient id → AE ciphertext``.  Shares of the masking
         key s^SK, the self-mask seed b_u, and every extra secret are cut
@@ -140,6 +139,8 @@ class SecAggClient:
         """
         if self.id not in roster:
             raise ProtocolAbort(f"client {self.id} missing from roster")
+        if not all(type(u) is int for u in roster):
+            raise ProtocolAbort("roster keys must be client ids")
         if len(roster) < self.config.threshold:
             raise ProtocolAbort(
                 f"roster of {len(roster)} below threshold {self.config.threshold}"
@@ -167,20 +168,11 @@ class SecAggClient:
                 ):
                     raise ProtocolAbort(f"bad key signature from {peer}")
 
-        if not isinstance(neighbors, (list, tuple, set, frozenset)) or not all(
-            type(v) is int for v in neighbors
-        ):
-            raise ProtocolAbort("neighbors must be a collection of client ids")
-        neighbor_set = set(neighbors)
-        if self.id in neighbor_set:
-            raise ProtocolAbort(f"client {self.id} listed as its own neighbor")
-        strangers = sorted(neighbor_set - roster.keys())
-        if strangers:
-            raise ProtocolAbort(f"neighbors {strangers} missing from roster")
-
         self._peer_keys = peer_keys
         self._c_channels = {}
-        self._neighbors = neighbor_set
+        self._neighbors = masking_graph(
+            roster, self.config.graph_degree, self.config.graph_seed
+        )[self.id]
         if len(self._neighbors) < self.config.threshold:
             raise ProtocolAbort(
                 f"only {len(self._neighbors)} neighbors; threshold "

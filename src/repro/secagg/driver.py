@@ -238,14 +238,11 @@ def run_reference_stages(
     # Stage 0 — AdvertiseKeys.
     alive = set(clients) - dropout.dropped_by(STAGE_ADVERTISE)
     adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    share_requests = server.collect_advertise(adverts)
+    roster = server.collect_advertise(adverts)
 
     # Stage 1 — ShareKeys.
     alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
-    outboxes = {
-        u: clients[u].share_keys(*share_requests[u])
-        for u in sorted(alive & set(share_requests))
-    }
+    outboxes = {u: clients[u].share_keys(roster) for u in sorted(alive & set(roster))}
     inboxes = server.route_shares(outboxes)
 
     # Stage 2 — MaskedInputCollection.

@@ -1,66 +1,90 @@
-"""Communication graphs for secure aggregation.
+"""The masking graph: who key-agrees, masks and secret-shares with whom.
 
 SecAgg masks every pair of clients — a complete graph, O(|U|²) pairwise
 work.  SecAgg+ (Bell et al., CCS'20) cuts this to (poly)logarithmic cost
-by masking only along the edges of a random k-regular graph with
-k = O(log n), at a slight cost in dropout/collusion robustness (§2.3.2).
+by masking only along the edges of a k-regular graph with k = O(log n),
+a Harary graph over a random order of the clients, at a slight cost in
+dropout/collusion robustness (§2.3.2).
 
-Both cases expose the same interface: given the stage-0 roster, return
-each client's neighbor set.  The server builds the graph once a round
-and sends each client its own neighbor ids: the construction is
-deterministic in the roster and a public seed, but what ``networkx``
-draws from that seed is no specification two parties could be held to.
+:func:`masking_graph` is the one construction, a pure function of the
+roster, ``graph_degree`` and ``graph_seed`` — so the coordinator and
+every client compute the same graph, and no part of it is sent:
+
+- degree ``None`` or ≥ n − 1: the complete graph;
+- otherwise the Harary/circulant graph H(k, n) over an order of the
+  sorted roster.  The order is a Fisher–Yates shuffle: for
+  i = n − 1, …, 1, swap position i with position j, where j is the first
+  32-bit big-endian word w of the PRG stream (:mod:`repro.crypto.prg`)
+  under the seed ``b"masking-graph:" ∥ decimal(graph_seed)`` with
+  w < 2³² − (2³² mod (i + 1)), taken mod i + 1 (unbiased rejection; a
+  rejected word is skipped).  The node at position p is joined to
+  positions p ± 1, …, p ± ⌊k/2⌋ (mod n), and, for odd k, position
+  p < ⌊n/2⌋ to p + ⌊n/2⌋.  Every node then has k neighbours, except the
+  one at position n − 1 when k·n is odd (k − 1); for k ≥ 2 the ring
+  p ± 1 makes the graph connected.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from typing import Iterable, Iterator, Optional
 
-import networkx as nx
+from repro.crypto.prg import counter_stream
+from repro.secagg.types import SecAggConfig
 
-
-class CompleteGraph:
-    """All-pairs masking — the original SecAgg topology."""
-
-    def build(self, roster: list[int]) -> dict[int, set[int]]:
-        members = set(roster)
-        return {u: members - {u} for u in roster}
+#: Stream blocks (eight words each) fetched at a time for the shuffle.
+_BLOCKS = 16
 
 
-class KRegularGraph:
-    """Random k-regular masking graph — the SecAgg+ topology.
+def _words(seed: bytes) -> Iterator[int]:
+    """The 32-bit big-endian words of ``seed``'s PRG stream, in order."""
+    ctr = 0
+    while True:
+        yield from struct.unpack(f">{8 * _BLOCKS}I", counter_stream(seed, _BLOCKS, ctr))
+        ctr += _BLOCKS
 
-    The construction is deterministic in ``(roster, seed)``: node ids are
-    sorted and mapped onto a ``networkx`` random regular graph.  If k·n is
-    odd or k ≥ n (no such regular graph), the degree is adjusted downward
-    to the nearest feasible value.
-    """
 
-    def __init__(self, degree: int, seed: int = 0):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.degree = degree
-        self.seed = seed
+def _shuffled(ordered: list[int], graph_seed: int) -> list[int]:
+    """Fisher–Yates over ``ordered``, drawn from the graph seed's stream."""
+    order = list(ordered)
+    words = _words(b"masking-graph:%d" % graph_seed)
+    for i in range(len(order) - 1, 0, -1):
+        bound = i + 1
+        limit = (1 << 32) - (1 << 32) % bound
+        w = next(words)
+        while w >= limit:
+            w = next(words)
+        j = w % bound
+        order[i], order[j] = order[j], order[i]
+    return order
 
-    def _feasible_degree(self, n: int) -> int:
-        k = min(self.degree, n - 1)
-        if k * n % 2 == 1:
-            k -= 1
-        return max(k, 1 if n > 1 else 0)
 
-    def build(self, roster: list[int]) -> dict[int, set[int]]:
-        ordered = sorted(roster)
-        n = len(ordered)
-        if n <= 1:
-            return {u: set() for u in ordered}
-        k = self._feasible_degree(n)
-        if k >= n - 1:
-            return CompleteGraph().build(roster)
-        g = nx.random_regular_graph(k, n, seed=self.seed)
-        return {
-            ordered[node]: {ordered[nbr] for nbr in g.neighbors(node)}
-            for node in g.nodes
-        }
+def masking_graph(
+    roster: Iterable[int], degree: Optional[int] = None, graph_seed: int = 0
+) -> dict[int, set[int]]:
+    """Every roster id's neighbour set in the round's masking graph."""
+    ordered = sorted(roster)
+    n = len(ordered)
+    if degree is not None and degree < 1:
+        raise ValueError("degree must be >= 1")
+    if degree is None or degree >= n - 1:
+        members = set(ordered)
+        return {u: members - {u} for u in ordered}
+    order = _shuffled(ordered, graph_seed)
+    graph: dict[int, set[int]] = {u: set() for u in ordered}
+
+    def join(p: int, q: int) -> None:
+        graph[order[p]].add(order[q % n])
+        graph[order[q % n]].add(order[p])
+
+    for p in range(n):
+        for d in range(1, degree // 2 + 1):
+            join(p, p + d)
+    if degree % 2:
+        for p in range(n // 2):
+            join(p, p + n // 2)
+    return graph
 
 
 def recommended_degree(n: int, base: float = 3.0) -> int:
@@ -76,8 +100,34 @@ def recommended_degree(n: int, base: float = 3.0) -> int:
     return max(2, min(k, n - 1))
 
 
-def build_graph(config, roster: list[int]) -> dict[int, set[int]]:
-    """Construct the public masking graph over the stage-0 roster."""
-    if config.graph_degree is None:
-        return CompleteGraph().build(roster)
-    return KRegularGraph(config.graph_degree, config.graph_seed).build(roster)
+def secagg_plus_config(
+    n_clients: int,
+    bits: int = 20,
+    dimension: int = 16,
+    malicious: bool = False,
+    degree: int | None = None,
+    threshold_fraction: float = 0.55,
+    graph_seed: int = 0,
+    dh_group: str = "modp2048",
+) -> SecAggConfig:
+    """A :class:`SecAggConfig` parameterized the SecAgg+ way.
+
+    The protocol is SecAgg's; only the graph and the threshold differ.
+    The Shamir threshold applies within each k-neighborhood, so it is a
+    fraction of the degree rather than of n.  ``threshold_fraction``
+    defaults just above 1/2, the regime Bell et al. analyze.
+    """
+    if n_clients < 2:
+        raise ValueError("SecAgg+ needs at least 2 clients")
+    k = degree if degree is not None else recommended_degree(n_clients)
+    k = min(k, n_clients - 1)
+    threshold = min(k, max(2, int(math.ceil(threshold_fraction * k))))
+    return SecAggConfig(
+        threshold=threshold,
+        bits=bits,
+        dimension=dimension,
+        malicious=malicious,
+        graph_degree=k,
+        graph_seed=graph_seed,
+        dh_group=dh_group,
+    )

@@ -29,7 +29,7 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.crypto.suite import Suite
-from repro.secagg.graph import build_graph
+from repro.secagg.graph import masking_graph
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -73,15 +73,14 @@ class SecAggServer:
     # ------------------------------------------------------------------
     def collect_advertise(
         self, messages: dict[int, AdvertiseKeysMsg]
-    ) -> dict[int, tuple[dict[int, AdvertiseKeysMsg], list[int]]]:
-        """Fix U1 and the masking graph over it; return each client's
-        ShareKeys request ``(roster, its own neighbors)`` — never a
-        roster a client would refuse for a key of the wrong width.
+    ) -> dict[int, AdvertiseKeysMsg]:
+        """Fix U1 and the masking graph over it; return the ShareKeys
+        request, the roster every client of U1 is sent — never one a
+        client would refuse for a key of the wrong width.
 
-        The one place the graph is built.  A client is sent its
-        neighbourhood, not the graph and not a recipe for it: what
-        networkx's generator draws from ``graph_seed`` is no frozen
-        specification two releases must agree on.
+        The graph is :func:`~repro.secagg.graph.masking_graph` of U1,
+        the one each client computes from the same roster, so the
+        request carries no neighbourhood.
         """
         if len(messages) < self.config.threshold:
             raise ProtocolAbort(
@@ -96,9 +95,10 @@ class SecAggServer:
                 raise ProtocolAbort(f"bad public key from {u}: {exc}") from exc
         self.roster = dict(messages)
         self.u1 = sorted(messages)
-        self.graph = build_graph(self.config, self.u1)
-        roster = dict(self.roster)
-        return {u: (roster, sorted(self.graph[u])) for u in self.u1}
+        self.graph = masking_graph(
+            self.u1, self.config.graph_degree, self.config.graph_seed
+        )
+        return dict(self.roster)
 
     # ------------------------------------------------------------------
     def route_shares(

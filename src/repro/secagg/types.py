@@ -54,10 +54,11 @@ class SecAggConfig:
         Enables the bracketed Fig. 5 steps: signed key advertisements and
         the ConsistencyCheck stage.
     graph_degree:
-        ``None`` → complete graph (SecAgg).  An integer k → random
-        k-regular communication graph (SecAgg+).
+        ``None`` → complete graph (SecAgg).  An integer k → the Harary
+        graph H(k, n) over a seeded order of the roster (SecAgg+), see
+        :func:`repro.secagg.graph.masking_graph`.
     graph_seed:
-        Public randomness for the k-regular graph construction.
+        Public randomness for that order.
     dh_group:
         Named Diffie–Hellman group ("modp2048" for deployment-grade keys,
         "modp512" for fast simulation/testing).

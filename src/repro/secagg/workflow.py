@@ -79,8 +79,8 @@ class SecAggWorkflowClient(ProtocolClient):
     def _advertise_keys(self, _payload):
         return self.inner.advertise_keys()
 
-    def _share_keys(self, payload):
-        return self.inner.share_keys(*payload)  # (roster, neighbors)
+    def _share_keys(self, roster):
+        return self.inner.share_keys(roster)
 
     def _masked_input(self, inbox):
         return self.inner.masked_input(inbox, self.update_ring)
@@ -131,7 +131,8 @@ class SecAggWorkflowServer(ProtocolServer):
     # Coordination methods (one per declared s-comp operation)
     # ------------------------------------------------------------------
     def collect_advertise(self, responses: dict) -> Targeted:
-        return Targeted(self.inner.collect_advertise(responses))
+        roster = self.inner.collect_advertise(responses)
+        return Targeted({u: roster for u in self.inner.u1})
 
     def route_shares(self, responses: dict) -> Targeted:
         inboxes = self.inner.route_shares(responses)

@@ -21,7 +21,7 @@ changed a meaning — since 4 an XNoise seed expands to the noise vector
 :mod:`repro.dp.sampler` specifies, not to a numpy generator's; since 5
 a mask seed expands to ring-width bit fields of its stream
 (:mod:`repro.crypto.prg`), not to cut-down 32-bit words; and since 6 a
-``share_keys`` request is ``(roster, the recipient's own neighbour
+``share_keys`` request was ``(roster, the recipient's own neighbour
 ids)``, not ``(roster, the whole masking graph)``, and a semi-honest
 round has no ``consistency_check`` request (its ``unmask`` request
 carries U3).  Version 7 changed what a ShareKeys ciphertext
@@ -30,11 +30,16 @@ seals: the plaintext is the fixed-width leaf format of
 parsed against the recipient's own dealing shape, no longer the value
 encoding of a record — so every client of a round must deal the same
 labels at the same widths, and a mask key shared at 256 bytes beside
-keys at 64 now aborts the round by name.  Version 8 (this one) changed
+keys at 64 now aborts the round by name.  Version 8 changed
 the stream every seed expands to (:mod:`repro.crypto.prg`): AES-256-CTR
 under ``K = SHA-256(seed)``, no longer ``SHA256(seed ∥ be64(i))`` — so
 every mask, every noise vector and every AE keystream differs, and a
-version-7 peer's masks would not cancel.  The payload envelope and
+version-7 peer's masks would not cancel.  Version 9 (this one) sends a
+``share_keys`` request as the roster alone: each client derives its
+neighbourhood with :func:`repro.secagg.graph.masking_graph`, as the
+coordinator does, and a SecAgg+ graph is a Harary graph over a seeded
+order of the roster, no longer a third-party library's random draw — so
+a version-8 peer would send or expect the other request.  The payload envelope and
 every frame are unchanged, but an older payload is refused by name.
 
 A payload's wire size is the length of the frame
@@ -88,7 +93,7 @@ import numpy as np
 
 from repro.wire.frame import FRAME_OVERHEAD, fill_frame_header
 
-PAYLOAD_VERSION = 8
+PAYLOAD_VERSION = 9
 
 #: Maximum ndarray rank the decoder accepts (protocol vectors are 1-D;
 #: a hostile 2**31-dimension header must not be believed).

@@ -227,6 +227,43 @@ class TestAdversarialHandshake:
         # client is handed a request it would abort on.
         self._refuse_hello_of_version(5)
 
+    def test_version_8_payload_passes_hello_and_is_refused_by_name(self):
+        # Payload version 9 kept wire version 6, so a version-8 device is
+        # welcomed; its first reply (here to a ShareKeys request) carries
+        # payload version 8 and fails the exchange by name, on the books.
+        async def scenario():
+            listener = CoordinatorListener(expected_ids={1})
+            host, port = await listener.start()
+
+            async def version_8_device():
+                link = await _welcomed(1, host, port)
+                await link.recv()  # the request
+                reply = wire_codecs.encode_payload_frame(
+                    wire_frame.KIND_RESPONSE, {2: bytes(16), 3: bytes(16)}
+                )
+                reply[wire_frame.FRAME_OVERHEAD] = 8
+                await link.send(reply)
+                link.transport.close()
+                return len(reply)
+
+            worker = asyncio.ensure_future(version_8_device())
+            channel = ListenerTransport(listener).connect({1: EchoBack(1)})
+            try:
+                with pytest.raises(
+                    wire_codecs.CodecError,
+                    match=r"unsupported payload version 8 \(speaking 9\)",
+                ):
+                    await channel.request(1, "share_keys", {})
+                sent = await worker
+            finally:
+                await listener.aclose()
+            return listener, sent
+
+        listener, sent = asyncio.run(scenario())
+        assert listener.accepted == 1 and listener.rejected == 0
+        (stats,) = listener.closed_connection_stats
+        assert stats.response_bytes == sent
+
     def test_bad_auth_token_rejected(self):
         async def scenario():
             listener = CoordinatorListener(

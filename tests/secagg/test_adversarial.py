@@ -25,30 +25,28 @@ def make_round(n=5, config=CFG):
     clients = {u: SecAggClient(u, config) for u in range(1, n + 1)}
     server = SecAggServer(config)
     adverts = {u: c.advertise_keys() for u, c in clients.items()}
-    requests = server.collect_advertise(adverts)
-    roster = requests[1][0]
-    graph = {u: nbrs for u, (_, nbrs) in requests.items()}
-    return clients, server, roster, graph
+    roster = server.collect_advertise(adverts)
+    return clients, server, roster
 
 
 class TestRosterAttacks:
     def test_duplicate_public_keys_rejected(self):
         """A server replaying one client's keys under two identities is
         caught by the all-keys-distinct assertion."""
-        clients, server, roster, graph = make_round()
+        clients, server, roster = make_round()
         cloned = dict(roster)
         victim = roster[1]
         cloned[2] = AdvertiseKeysMsg(
             sender=2, c_public=victim.c_public, s_public=victim.s_public
         )
         with pytest.raises(ProtocolAbort):
-            clients[3].share_keys(cloned, graph[3])
+            clients[3].share_keys(cloned)
 
     def test_client_missing_from_roster_aborts(self):
-        clients, server, roster, graph = make_round()
+        clients, server, roster = make_round()
         without_me = {u: m for u, m in roster.items() if u != 3}
         with pytest.raises(ProtocolAbort):
-            clients[3].share_keys(without_me, graph[3])
+            clients[3].share_keys(without_me)
 
     def test_undersized_roster_aborts(self):
         config = SecAggConfig(threshold=4, bits=16, dimension=8, dh_group="modp512")
@@ -56,7 +54,7 @@ class TestRosterAttacks:
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
         tiny = {u: adverts[u] for u in (1, 2, 3)}
         with pytest.raises(ProtocolAbort, match="roster of 3 below threshold 4"):
-            clients[1].share_keys(tiny, [2, 3])
+            clients[1].share_keys(tiny)
 
     def test_forged_key_signature_rejected_in_malicious_mode(self):
         pki = PublicKeyInfrastructure()
@@ -78,12 +76,12 @@ class TestRosterAttacks:
             signature=adverts[2].signature,
         )
         with pytest.raises(ProtocolAbort, match="bad key signature from 2"):
-            clients[1].share_keys(adverts, [2, 3, 4])
+            clients[1].share_keys(adverts)
 
     def test_zero_padded_duplicate_key_rejected(self):
         """Keys are compared as group elements at one width: a replayed
         key spelled with a leading zero byte is not a new key."""
-        clients, server, roster, graph = make_round()
+        clients, server, roster = make_round()
         cloned = dict(roster)
         victim = roster[1]
         cloned[2] = AdvertiseKeysMsg(
@@ -92,7 +90,7 @@ class TestRosterAttacks:
             s_public=b"\x00" + victim.s_public,
         )
         with pytest.raises(ProtocolAbort, match="bad public key from 2"):
-            clients[3].share_keys(cloned, graph[3])
+            clients[3].share_keys(cloned)
 
     def test_resplit_signed_keys_rejected_in_malicious_mode(self):
         """The signature covers ``c ∥ s``; moving the split point keeps
@@ -111,7 +109,7 @@ class TestRosterAttacks:
             for u in range(1, 5)
         }
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
-        clients[4].share_keys(adverts, [1, 2, 3])  # the honest roster is fine
+        clients[4].share_keys(adverts)  # the honest roster is fine
         c, s = adverts[2].c_public, adverts[2].s_public
         resplit = AdvertiseKeysMsg(
             sender=2, c_public=c[:-1], s_public=c[-1:] + s,
@@ -124,7 +122,7 @@ class TestRosterAttacks:
         roster = decode_payload(encode_payload(adverts))
         assert roster[2] == resplit
         with pytest.raises(ProtocolAbort, match="bad public key from 2"):
-            clients[1].share_keys(roster, [2, 3, 4])
+            clients[1].share_keys(roster)
 
     @pytest.mark.parametrize("field", ["c_public", "s_public"])
     @pytest.mark.parametrize("mangle", [
@@ -143,8 +141,9 @@ class TestRosterAttacks:
 
 
 class TestShareKeysRequestAttacks:
-    """The ShareKeys request is ``(roster, the recipient's neighbour ids)``;
-    whatever else arrives ends in a named abort before any share is cut."""
+    """The ShareKeys request is the roster alone: each client derives its
+    neighbours from it; whatever else arrives ends in a named abort
+    before any share is cut."""
 
     @pytest.fixture
     def no_shares_cut(self):
@@ -156,57 +155,56 @@ class TestShareKeysRequestAttacks:
             yield
         share.assert_not_called()
 
-    def test_whole_graph_dict_refused(self, no_shares_cut):
-        """What a version-5 coordinator sent: every client's neighbour set."""
-        clients, server, roster, graph = make_round()
-        whole = {u: set(nbrs) for u, nbrs in graph.items()}
-        with pytest.raises(ProtocolAbort, match="collection of client ids"):
-            clients[1].share_keys(roster, whole)
-
-    def test_whole_graph_dict_refused_across_the_wire(self, no_shares_cut):
+    def test_version_8_request_refused_across_the_wire(self, no_shares_cut):
+        """What a version-8 coordinator sent, ``(roster, neighbour ids)``,
+        is a roster without the client in it."""
         from repro.secagg.workflow import SecAggWorkflowClient
         from repro.wire import decode_payload, encode_payload
 
-        clients, server, roster, graph = make_round()
-        whole = {u: set(nbrs) for u, nbrs in graph.items()}
+        clients, server, roster = make_round()
         client = SecAggWorkflowClient(clients[1], np.zeros(8, dtype=np.int64))
-        request = decode_payload(encode_payload((roster, whole)))
-        with pytest.raises(ProtocolAbort, match="collection of client ids"):
+        request = decode_payload(encode_payload((roster, [2, 3, 4, 5])))
+        with pytest.raises(ProtocolAbort, match="client 1 missing from roster"):
             client.handle("share_keys", request)
 
-    @pytest.mark.parametrize("neighbors", [[2, 3, "4"], [2, 3, 4.0], [2, 3, True], 7, None])
-    def test_non_id_neighbors_refused(self, neighbors, no_shares_cut):
-        clients, server, roster, graph = make_round()
-        with pytest.raises(ProtocolAbort, match="collection of client ids"):
-            clients[1].share_keys(roster, neighbors)
+    def test_roster_without_self_refused(self, no_shares_cut):
+        clients, server, roster = make_round()
+        without_me = {u: m for u, m in roster.items() if u != 1}
+        with pytest.raises(ProtocolAbort, match="client 1 missing from roster"):
+            clients[1].share_keys(without_me)
 
-    def test_neighbor_outside_the_roster_refused(self, no_shares_cut):
-        clients, server, roster, graph = make_round()
-        with pytest.raises(ProtocolAbort, match=r"neighbors \[9\] missing from roster"):
-            clients[1].share_keys(roster, [2, 3, 4, 9])
-
-    def test_self_as_neighbor_refused(self, no_shares_cut):
-        clients, server, roster, graph = make_round()
-        with pytest.raises(ProtocolAbort, match="client 1 listed as its own neighbor"):
-            clients[1].share_keys(roster, [1, 2, 3, 4])
+    @pytest.mark.parametrize("stranger", ["4", 4.0, None])
+    def test_non_id_roster_keys_refused(self, stranger, no_shares_cut):
+        clients, server, roster = make_round()
+        forged = {u: m for u, m in roster.items() if u != 4}
+        forged[stranger] = roster[4]
+        with pytest.raises(ProtocolAbort, match="roster keys must be client ids"):
+            clients[1].share_keys(forged)
 
     def test_fewer_than_threshold_neighbors_refused(self, no_shares_cut):
-        clients, server, roster, graph = make_round()
+        """A graph of degree 2 under threshold 3 leaves every client short."""
+        config = SecAggConfig(
+            threshold=3, bits=16, dimension=8, graph_degree=2, dh_group="modp512"
+        )
+        clients, server, roster = make_round(n=6, config=config)
         with pytest.raises(ProtocolAbort, match="only 2 neighbors; threshold 3"):
-            clients[1].share_keys(roster, [2, 3])
-        with pytest.raises(ProtocolAbort, match="only 2 neighbors; threshold 3"):
-            clients[1].share_keys(roster, [2, 2, 3, 3])  # repeats are one neighbour
+            clients[1].share_keys(roster)
 
-    def test_shares_are_cut_for_exactly_the_checked_neighbors(self):
-        clients, server, roster, graph = make_round()
-        assert graph[1] == [2, 3, 4, 5]
-        assert sorted(clients[1].share_keys(roster, (5, 2, 4))) == [2, 4, 5]
+    def test_shares_are_cut_for_exactly_the_derived_neighbors(self):
+        config = SecAggConfig(
+            threshold=2, bits=16, dimension=8, graph_degree=3, graph_seed=4,
+            dh_group="modp512",
+        )
+        clients, server, roster = make_round(n=8, config=config)
+        for u, client in clients.items():
+            assert len(server.graph[u]) == 3
+            assert set(client.share_keys(roster)) == server.graph[u]
 
 
 class TestCiphertextAttacks:
     def _shared_round(self):
-        clients, server, roster, graph = make_round()
-        outboxes = {u: clients[u].share_keys(roster, graph[u]) for u in clients}
+        clients, server, roster = make_round()
+        outboxes = {u: clients[u].share_keys(roster) for u in clients}
         inboxes = server.route_shares(outboxes)
         return clients, server, inboxes
 
@@ -251,8 +249,8 @@ class TestCiphertextAttacks:
 
 class TestUnmaskingAttacks:
     def _to_unmask_stage(self):
-        clients, server, roster, graph = make_round()
-        outboxes = {u: clients[u].share_keys(roster, graph[u]) for u in clients}
+        clients, server, roster = make_round()
+        outboxes = {u: clients[u].share_keys(roster) for u in clients}
         inboxes = server.route_shares(outboxes)
         for u in clients:
             server.admit_masked(
@@ -324,8 +322,8 @@ class TestUnmaskingAttacks:
         }
         server = SecAggServer(config, pki=pki)
         adverts = {u: c.advertise_keys() for u, c in clients.items()}
-        requests = server.collect_advertise(adverts)
-        outboxes = {u: clients[u].share_keys(*requests[u]) for u in clients}
+        roster = server.collect_advertise(adverts)
+        outboxes = {u: clients[u].share_keys(roster) for u in clients}
         inboxes = server.route_shares(outboxes)
         for u in clients:
             server.admit_masked(

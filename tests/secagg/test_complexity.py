@@ -257,9 +257,9 @@ class TestKeyAgreementsAreTheExecutedOnes:
 
 class TestControlPlaneSendsWhatFig5Sends:
     """One measured ``serialized`` round: a ShareKeys request is the
-    roster and the recipient's own neighbour ids — O(n) ints a client,
-    not the O(n²) whole graph — and a semi-honest round is four
-    exchanges per live client, the malicious one keeps its fifth."""
+    roster alone — each client derives its own neighbours from it, none
+    is sent — and a semi-honest round is four exchanges per live client,
+    the malicious one keeps its fifth."""
 
     @staticmethod
     def _measured_round(monkeypatch, config, n, dropped):
@@ -283,9 +283,9 @@ class TestControlPlaneSendsWhatFig5Sends:
         clients = make_secagg_clients(config, list(range(1, n + 1)), pki, 0, None)
         share_requests = {}
         for u, client in clients.items():
-            def recording(roster, neighbors, u=u, share_keys=client.share_keys):
-                share_requests[u] = (roster, neighbors)
-                return share_keys(roster, neighbors)
+            def recording(roster, u=u, share_keys=client.share_keys):
+                share_requests[u] = roster
+                return share_keys(roster)
 
             client.share_keys = recording
 
@@ -295,7 +295,8 @@ class TestControlPlaneSendsWhatFig5Sends:
             config, inputs, DropoutSchedule.before_upload(dropped),
             pki=pki, client_factory=clients.__getitem__, engine=engine,
         ))
-        return result, engine.trace.stage_traffic_split(0), share_requests, frames
+        neighbours = {u: clients[u]._neighbors for u in share_requests}
+        return result, engine.trace.stage_traffic_split(0), share_requests, neighbours, frames
 
     @pytest.mark.parametrize(
         "n, threshold, dropped, degree, frames",
@@ -314,7 +315,7 @@ class TestControlPlaneSendsWhatFig5Sends:
             threshold=threshold, bits=16, dimension=8, dh_group="modp512",
             graph_degree=degree,
         )
-        result, traffic, requests, sent = self._measured_round(
+        result, traffic, requests, neighbours, sent = self._measured_round(
             monkeypatch, config, n, dropped
         )
         assert sorted(set(result.u1) - set(result.u3)) == sorted(dropped)
@@ -325,13 +326,12 @@ class TestControlPlaneSendsWhatFig5Sends:
         )
 
         everyone = set(result.u1)
-        for u, (roster, neighbors) in requests.items():
+        for u, roster in requests.items():
             assert sorted(roster) == result.u1
-            assert neighbors == sorted(neighbors) and u not in neighbors
             if degree is None:
-                assert set(neighbors) == everyone - {u}
+                assert neighbours[u] == everyone - {u}
             else:
-                assert len(neighbors) == degree and set(neighbors) < everyone
+                assert len(neighbours[u]) == degree and neighbours[u] < everyone - {u}
         assert traffic["share_keys"].down == sum(
             _request_nbytes("share_keys", requests[u]) for u in result.u2
         )
@@ -342,7 +342,7 @@ class TestControlPlaneSendsWhatFig5Sends:
         config = SecAggConfig(
             threshold=5, bits=16, dimension=8, malicious=True, dh_group="modp512"
         )
-        result, traffic, requests, sent = self._measured_round(
+        result, traffic, requests, _, sent = self._measured_round(
             monkeypatch, config, 8, {3, 6}
         )
         assert result.u4 == result.u3 == [1, 2, 4, 5, 7, 8]

@@ -20,7 +20,6 @@ from repro.secagg import (
 from repro.secagg.complexity import masked_upload_bytes
 from repro.secagg.driver import secagg_round_components
 from repro.utils.rng import derive_rng
-from repro.wire import encode_value
 
 
 def make_inputs(n, dim, bits=16, label="inputs"):
@@ -248,10 +247,9 @@ class TestSecAggPlus:
         t_plus = measured_traffic(plus, inputs)["share_keys"]
         # 6 of 23 possible neighbors: a quarter of the ciphertexts up.
         assert t_plus.up < t_full.up / 3
-        # Down, the ShareKeys request is the same roster plus the
-        # recipient's own neighbour ids: k of them, not n − 1.
-        one_id = len(encode_value(1))
-        assert t_full.down - t_plus.down == n * (n - 1 - 6) * one_id
+        # Down, the ShareKeys request is the roster alone under either
+        # graph: each client derives its k neighbours, none is sent.
+        assert t_full.down == t_plus.down
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

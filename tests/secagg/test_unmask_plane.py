@@ -42,11 +42,9 @@ def build_unmask_state(config, inputs, dropout=None):
 
     alive = set(sampled)
     adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    requests = server.collect_advertise(adverts)
+    roster = server.collect_advertise(adverts)
 
-    outboxes = {
-        u: clients[u].share_keys(*requests[u]) for u in sorted(alive & set(requests))
-    }
+    outboxes = {u: clients[u].share_keys(roster) for u in sorted(alive & set(roster))}
     inboxes = server.route_shares(outboxes)
 
     alive -= dropout.dropped_by(STAGE_MASKED_INPUT)

@@ -1,11 +1,14 @@
-"""Wire codecs, masking algebra, and communication graphs."""
+"""Wire codecs, masking algebra, and the masking graph."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
-from repro.secagg.graph import CompleteGraph, KRegularGraph, recommended_degree
+from repro.secagg.graph import masking_graph, recommended_degree
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import DealingShape, SharePayload
 from repro.utils.rng import derive_seed
@@ -115,42 +118,108 @@ class TestMasking:
         np.testing.assert_array_equal(total, np.zeros(16, dtype=np.int64))
 
 
+def _order_oracle(roster: list[int], graph_seed: int) -> list[int]:
+    """The construction's Fisher–Yates order, read word by word from
+    the specification stream (:class:`PRGReference`)."""
+    prg = PRGReference(b"masking-graph:%d" % graph_seed)
+    words: list[int] = []
+    order = sorted(roster)
+    for i in range(len(order) - 1, 0, -1):
+        while True:
+            if not words:
+                words = list(struct.unpack(">8I", prg.read(32)))
+            w = words.pop(0)
+            if w < (1 << 32) - (1 << 32) % (i + 1):
+                break
+        j = w % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _connected(graph: dict[int, set[int]]) -> bool:
+    """Breadth-first search from the smallest id reaches every node."""
+    start = min(graph)
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [v for u in frontier for v in graph[u] if v not in seen]
+        seen.update(frontier)
+    return seen == set(graph)
+
+
+@st.composite
+def _graph_cases(draw):
+    roster = sorted(draw(st.sets(st.integers(0, 10**6), min_size=2, max_size=130)))
+    degree = draw(st.integers(1, len(roster) - 1))
+    return roster, degree, draw(st.integers(0, 2**40))
+
+
+#: masking_graph(GOLDEN_ROSTER, 3, 2024): the order of the roster, and the
+#: graph it induces — position 10 (id 11) is the one node of degree
+#: k − 1, since k·n = 33 is odd.
+GOLDEN_ROSTER = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+GOLDEN_ORDER = [29, 23, 13, 3, 2, 19, 7, 31, 5, 17, 11]
+GOLDEN_GRAPH = {
+    2: {3, 17, 19}, 3: {2, 5, 13}, 5: {3, 17, 31}, 7: {19, 23, 31},
+    11: {17, 29}, 13: {3, 23, 31}, 17: {2, 5, 11}, 19: {2, 7, 29},
+    23: {7, 13, 29}, 29: {11, 19, 23}, 31: {5, 7, 13},
+}
+
+
 class TestGraphs:
-    def test_complete_graph(self):
-        g = CompleteGraph().build([1, 2, 3])
-        assert g == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+    @given(case=_graph_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_construction(self, case):
+        roster, k, graph_seed = case
+        graph = masking_graph(roster, k, graph_seed)
+        n = len(roster)
+        assert sorted(graph) == roster
+        for u, nbrs in graph.items():
+            assert u not in nbrs
+            assert all(u in graph[v] for v in nbrs)
+        short = [u for u, nbrs in graph.items() if len(nbrs) == k - 1]
+        assert len(short) == (k * n) % 2
+        assert all(len(nbrs) == k for u, nbrs in graph.items() if u not in short)
+        if k >= 2:
+            assert _connected(graph)
+        assert masking_graph(list(reversed(roster)), k, graph_seed) == graph
 
-    def test_k_regular_degree(self):
-        g = KRegularGraph(4, seed=1).build(list(range(10, 30)))
-        assert all(len(nbrs) == 4 for nbrs in g.values())
+    def test_golden(self):
+        assert _order_oracle(GOLDEN_ROSTER, 2024) == GOLDEN_ORDER
+        assert masking_graph(GOLDEN_ROSTER, 3, 2024) == GOLDEN_GRAPH
 
-    def test_k_regular_symmetric(self):
-        g = KRegularGraph(4, seed=1).build(list(range(12)))
-        for u, nbrs in g.items():
-            for v in nbrs:
-                assert u in g[v]
+    @pytest.mark.parametrize("n,graph_seed", [(23, 0), (64, 7), (129, 2**33)])
+    def test_order_is_the_specification_streams(self, n, graph_seed):
+        roster = list(range(100, 100 + n))
+        order = _order_oracle(roster, graph_seed)
+        graph = masking_graph(roster, 2, graph_seed)
+        for p, u in enumerate(order):
+            assert graph[u] == {order[p - 1], order[(p + 1) % n]}
 
-    def test_k_regular_deterministic(self):
-        a = KRegularGraph(4, seed=7).build(list(range(16)))
-        b = KRegularGraph(4, seed=7).build(list(range(16)))
-        assert a == b
+    def test_the_seed_moves_the_graph(self):
+        roster = list(range(40))
+        assert masking_graph(roster, 4, 1) != masking_graph(roster, 4, 2)
 
-    def test_k_regular_infeasible_degree_falls_back(self):
-        # k = 3, n = 3 -> complete graph of degree 2.
-        g = KRegularGraph(3, seed=0).build([1, 2, 3])
-        assert all(len(nbrs) == 2 for nbrs in g.values())
-
-    def test_odd_product_degree_adjusted(self):
-        # k = 3, n = 5: k*n odd, no 3-regular graph on 5 nodes; adjust to 2.
-        g = KRegularGraph(3, seed=0).build([1, 2, 3, 4, 5])
-        assert all(len(nbrs) == 2 for nbrs in g.values())
+    @pytest.mark.parametrize("degree", [None, 11, 12, 50])
+    def test_complete_graph(self, degree):
+        roster = list(range(3, 15))
+        members = set(roster)
+        assert masking_graph(roster, degree, 9) == {u: members - {u} for u in roster}
 
     def test_single_node_graph(self):
-        assert KRegularGraph(3).build([42]) == {42: set()}
+        assert masking_graph([42], 3) == {42: set()}
+        assert masking_graph([42]) == {42: set()}
 
     def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            KRegularGraph(0)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            masking_graph(range(10), 0)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_recommended_degree_is_connected(self, n):
+        k = recommended_degree(n)
+        assert k < n - 1
+        graph = masking_graph(range(n), k, 0)
+        assert _connected(graph)
+        assert {len(nbrs) for nbrs in graph.values()} <= {k - 1, k}
 
     def test_recommended_degree_logarithmic(self):
         assert recommended_degree(100) == pytest.approx(3 * np.log2(100), abs=1)
@@ -158,3 +227,33 @@ class TestGraphs:
         assert recommended_degree(2) == 1
         # Must grow slowly.
         assert recommended_degree(10_000) < 50
+
+    @pytest.mark.timeout(120)
+    def test_socket_round_each_client_derives_the_servers_neighbourhood(self):
+        """SecAgg+ over real sockets, k = 6, two clients dropped before
+        upload: every client's own neighbourhood is the coordinator's,
+        and the aggregate is the survivors' sum."""
+        from repro.engine import RoundEngine, SocketTransport, run_sync
+        from repro.secagg import DropoutSchedule, secagg_plus_config, with_dropout
+        from repro.secagg.driver import secagg_round_components
+
+        n, bits, dim = 12, 16, 32
+        config = secagg_plus_config(
+            n, bits=bits, dimension=dim, degree=6, graph_seed=5, dh_group="modp512"
+        )
+        rng = np.random.default_rng(11)
+        inputs = {u: rng.integers(0, 1 << 12, size=dim) for u in range(1, n + 1)}
+        server, clients = secagg_round_components(config, inputs)
+        engine = RoundEngine(transport=SocketTransport())
+        dropout = DropoutSchedule.before_upload({3, 9})
+        result = run_sync(
+            engine.run_round(server, clients, transport=with_dropout(engine.transport, dropout))
+        )
+        graph = server.inner.graph
+        assert {len(nbrs) for nbrs in graph.values()} == {6}
+        for client in clients:
+            assert client.inner._neighbors == graph[client.id]
+        survivors = sorted(set(inputs) - {3, 9})
+        assert result.u3 == survivors
+        expected = sum(inputs[u] for u in survivors) % config.modulus
+        np.testing.assert_array_equal(result.aggregate, expected)

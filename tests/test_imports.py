@@ -44,3 +44,38 @@ def test_each_package_imports_first_in_a_fresh_interpreter(first):
         timeout=50,
     )
     assert done.returncode == 0, done.stderr[-4000:]
+
+
+def _top_level_modules(program: str) -> set[str]:
+    """Top-level names in ``sys.modules`` after ``program`` runs in a
+    fresh interpreter."""
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            program + "\nimport sys\nprint(' '.join(sorted({m.split('.')[0] for m in sys.modules})))",
+        ],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=50,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    return set(done.stdout.split())
+
+
+@pytest.mark.timeout(120)
+def test_the_device_path_imports_nothing_third_party_but_numpy():
+    """What the protocol packages add to a bare interpreter (whose
+    ``site`` may load modules of its own) is the standard library,
+    numpy and this package — a device's cold start pays for no more."""
+    bare = _top_level_modules("pass")
+    loaded = _top_level_modules(
+        "import repro.secagg, repro.core, repro.engine, repro.xnoise"
+    )
+    added = loaded - bare - set(sys.stdlib_module_names)
+    assert added == {"numpy", "repro"}

@@ -231,15 +231,17 @@ class TestFusedPair:
 #: version 8, whose masks come from the AES-256-CTR stream: the same
 #: fold on the numpy twin drawing ``PRGReference``'s stream, and again
 #: drawing OpenSSL's AES-CTR, with the same digests — not from the
-#: kernel, which must reproduce them.
+#: kernel, which must reproduce them.  Refreshed for payload version 9
+#: from the version-8 tree's frames: the ninth byte went 8 → 9 and no
+#: other byte moved.
 PARENT_FRAMES = {
-    (20, 4099, 5): "09e91dbc5dc82e23ef24326cff3de99b7f08a842c437ed86590623475061d0c6",
-    (1, 65, 3): "a7242af82e60710fb3cf2dbf467c6cb323999e22f70d6f825d8484dcf5d08b52",
-    (13, 64, 4): "06f878671d8d064806878d1200cf3bd9b6aaa4ded76b681c3779a6155dc48d28",
-    (33, 1031, 6): "3c5f2d2a9c0768392ae4d9a07221f83323c0a1c3a96aa99805cc8d110b028c22",
-    (57, 9, 2): "c9a1426c5e05bcbb4294bc6ccbe33fd603743aeff2456a952fe4c2220f9ce18b",
-    (58, 63, 7): "3f6d97c5b5f44e0223002d1e05c7b3afddb40de4a3142a32eaea263852b0277e",
-    (62, 7, 3): "6456521eee7302cd54018d39def726dfe5621ba174c7d6efe7f302ef9cf47cc6",
+    (20, 4099, 5): "f8702eb79fdc28298fb284553ba2fe156a8192b56f43d706a34b9e9b1718ccf5",
+    (1, 65, 3): "4a7318a0dadb7454a1dcea9db29b074bab60a1d9591a532ebd697629d1bd7ea2",
+    (13, 64, 4): "88e76cebf0f1a0b5d41bde4ff604437c7d7b7b3cd19ccb34dfb84fc9b0e4dbd9",
+    (33, 1031, 6): "858525e31e398d5c0ca840e09bbe57d11706c10d173299e1532bddaeed420bb5",
+    (57, 9, 2): "5c6bc2f30383c63731b594ed32a8f92724d6f6915177e08d3419c449eaa56055",
+    (58, 63, 7): "e7260cc946da7ad11ff4c149aa69069d515cfca2e440f6c4f7fb67bff1b236bb",
+    (62, 7, 3): "8903d7744f96ae3cd1175e71833fb4afe4e2b027bc3d2c307928d95991127b44",
 }
 
 

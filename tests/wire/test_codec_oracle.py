@@ -302,7 +302,7 @@ def _protocol_payloads(seed: int) -> list:
     plaintext = SharePayload(1, 2, s_shares[2], b_shares[2], {"g:1": g1[2]})
     return [
         *_sample_payloads(seed).values(),
-        ("share_keys", (roster, ids[1:])),
+        ("share_keys", roster),
         ("share_keys_response", {u: plaintext.to_bytes() for u in ids[1:]}),
         {u: ("unmask", [1, 2], None, {3}, [1.5, -0.0]) for u in ids},
         {"vector": np.arange(5, dtype=np.int64), "u": frozenset(ids)},

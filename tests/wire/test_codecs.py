@@ -274,14 +274,14 @@ class TestEnvelope:
     def test_version_1_payload_refused_by_name(self):
         # A version-1 masked input (length-prefixed fields, int64
         # big-endian elements) exactly as the previous tree wrote it.
-        assert PAYLOAD_VERSION == 8
+        assert PAYLOAD_VERSION == 9
         v1_body = (
             (8).to_bytes(4, "big") + (3).to_bytes(8, "big")
             + (16).to_bytes(4, "big") + (5).to_bytes(8, "big") + (6).to_bytes(8, "big")
         )
         v1 = bytes([1, 0x23]) + len(v1_body).to_bytes(4, "big") + v1_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 1 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 1 \(speaking 9\)"
         ):
             decode_payload(v1)
         # Even relabelled as this version it does not parse as a packed body.
@@ -302,7 +302,7 @@ class TestEnvelope:
         )
         v2 = bytes([2, 0x22]) + len(v2_body).to_bytes(4, "big") + v2_body
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 2 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 2 \(speaking 9\)"
         ):
             decode_payload(v2)
         # Even relabelled as this version it is refused, never mis-parsed.
@@ -314,7 +314,7 @@ class TestEnvelope:
         # layout did not change, what a revealed seed expands to did.
         v3 = bytes([3]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 3 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 3 \(speaking 9\)"
         ):
             decode_payload(v3)
 
@@ -323,7 +323,7 @@ class TestEnvelope:
         # a mask seed (a reconstructed b_u, an agreed s_{u,v}) expands to.
         v4 = bytes([4]) + encode_payload({1: b"seed"})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 4 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 4 \(speaking 9\)"
         ):
             decode_payload(v4)
 
@@ -334,7 +334,7 @@ class TestEnvelope:
         # ``consistency_check`` in a semi-honest round.
         v5 = bytes([5]) + encode_payload(({}, {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}))[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 5 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 5 \(speaking 9\)"
         ):
             decode_payload(v5)
 
@@ -345,7 +345,7 @@ class TestEnvelope:
         # format, parsed against the recipient's own dealing shape.
         v6 = bytes([6]) + encode_payload({2: bytes(236), 3: bytes(236)})[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 6 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 6 \(speaking 9\)"
         ):
             decode_payload(v6)
 
@@ -356,9 +356,20 @@ class TestEnvelope:
         vector = np.arange(9, dtype=np.int64)
         v7 = bytes([7]) + encode_payload(MaskedInputMsg.from_vector(3, vector, 20))[1:]
         with pytest.raises(
-            CodecError, match=r"unsupported payload version 7 \(speaking 8\)"
+            CodecError, match=r"unsupported payload version 7 \(speaking 9\)"
         ):
             decode_payload(v7)
+
+    def test_version_8_payload_refused_by_name(self):
+        # A version-8 ShareKeys request, byte for byte but for the
+        # version: ``(roster, the recipient's neighbour ids)``.  Version
+        # 9 sends the roster alone; each client derives its neighbours.
+        roster = {u: AdvertiseKeysMsg(u, bytes([u]) * 8, bytes([u + 1]) * 8) for u in (1, 2, 3)}
+        v8 = bytes([8]) + encode_payload(("share_keys", (roster, [2, 3])))[1:]
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 8 \(speaking 9\)"
+        ):
+            decode_payload(v8)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(CodecError, match="unknown value tag"):

@@ -110,6 +110,23 @@ class TestFrameAdversarial:
         ):
             f.decode_frame(v5)
 
+    def test_version_8_payload_refused_by_name_inside_a_good_frame(self):
+        # Payload version 9 kept the frame and changed what a
+        # ``share_keys`` request carries (the roster alone, each client
+        # deriving its neighbours): a version-8 peer's frame parses, and
+        # the payload inside it is refused by name.
+        from repro.wire import CodecError, decode_payload
+        from repro.wire.codecs import encode_payload_frame
+
+        frame = bytearray(encode_payload_frame(f.KIND_REQUEST, ("share_keys", ({}, [2, 3]))))
+        frame[f.FRAME_OVERHEAD] = 8
+        kind, body = f.decode_frame(bytes(frame))
+        assert kind == f.KIND_REQUEST
+        with pytest.raises(
+            CodecError, match=r"unsupported payload version 8 \(speaking 9\)"
+        ):
+            decode_payload(body)
+
     def test_unknown_kind_rejected(self):
         bad = self.GOOD[:3] + b"\x7f" + self.GOOD[4:]
         with pytest.raises(ValueError, match="unknown frame kind"):
