@@ -17,9 +17,8 @@ decorated function — that is what ``co_firstlineno`` holds).  Lines are
 counted from that first line to the end of the body; a function nested
 in an unreached one is not counted twice.
 
-The result is ``DIR/BENCH_size.json`` (the ``repro.bench`` schema, unit
-``count``, so ``repro.cli bench --diff`` compares two of them): the size
-of ``src/`` (Python lines and modules, C lines, ``__all__`` symbols), the
+The result is ``DIR/BENCH_size.json`` (the ``bench_schema.py`` report,
+unit ``count``): the size of ``src/`` (Python lines and modules, C lines, ``__all__`` symbols), the
 number of tier-1 test ids, functions and unreached functions, unreached
 lines per module, and how many legs failed.  Each leg's environment,
 exit status and wall time are in the report's ``config``, with the list
@@ -166,12 +165,9 @@ def legs(scratch: Path) -> list[Leg]:
             "pipeline", "--clients", "100", "--model-size", "1000000", "--xnoise",
         )),
         Leg("cli-check", _cli("check")),
-        Leg("cli-bench", _cli(
-            "bench", "--topics", "hotpath", "traffic", "listener", "fleet", "unmask",
-            "--dims", "1024", "--repeats", "1", "--fleet-devices", "2000",
-            "--fleet-rounds", "3", "--connections", "20", "--unmask-dim", "1024",
-            "--unmask-clients", "8", "--unmask-workers", "1", "2",
-            "--out", str(scratch / "bench"),
+        Leg("micro", (
+            py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            str(REPO_ROOT / "benchmarks" / "micro" / "test_micro.py"),
         )),
         Leg("serve-join", (py, str(Path(__file__).resolve()), "--drive-serve")),
         Leg("malicious-rounds", (py, "-c", MALICIOUS_ROUNDS)),
@@ -336,13 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.drive_serve:
         return drive_serve()
-    sys.path.insert(0, str(SRC_DIR))
-    from repro.bench.schema import make_report, metric, write_bench
+    from bench_schema import make_report, metric, write_bench
 
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         scratch = Path(tmp)
         hook_dir, hits_dir = scratch / "hook", scratch / "hits"
-        for d in (hook_dir, hits_dir, scratch / "perf", scratch / "bench"):
+        for d in (hook_dir, hits_dir, scratch / "perf"):
             d.mkdir()
         (hook_dir / "sitecustomize.py").write_text(HOOK)
         ran = {}

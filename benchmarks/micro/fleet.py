@@ -1,10 +1,10 @@
-"""Fleet-scale benchmarks: million-device construction and cohort queries.
+"""The ``fleet`` topic: million-device construction and cohort queries.
 
-The columnar fleet path against its retained references, at the scale
-the ROADMAP's "millions of users" north star asks for: building a
-1M-device population (columnar vs the boxed
-:func:`heterogeneous_fleet_reference` builder, which is timed at a
-capped size and compared per-device), sampling 100-client cohorts,
+The columnar fleet path against its oracles, at the scale the ROADMAP's
+"millions of users" north star asks for: building a 1M-device
+population (columnar vs the boxed builder of ``tests/oracles/fleet.py``,
+which is timed at a capped size and compared per-device), sampling
+100-client cohorts,
 pricing rounds (vectorized :meth:`Fleet.round_cost` vs a per-device
 Python loop over the *same* columns), and the lazy
 :class:`SessionStream` availability model with correlated
@@ -21,18 +21,19 @@ from typing import Any
 
 import numpy as np
 
-from repro.bench.schema import make_report, metric
-from repro.fleet import (
-    DiurnalWave,
-    Fleet,
-    FleetConfig,
-    FlashCrowd,
-    RegionalOutage,
-    heterogeneous_fleet_reference,
-)
+from bench_schema import make_report, metric
+from repro.fleet import DiurnalWave, Fleet, FleetConfig, FlashCrowd, RegionalOutage
 from repro.utils.rng import derive_rng
+from tests.oracles.fleet import heterogeneous_fleet_reference
 
 TOPIC = "fleet"
+
+#: The committed shape: population, sampled cohort, rounds per scenario
+#: sweep (at least 2), best-of repeats.
+DEVICES = 1_000_000
+COHORT = 100
+ROUNDS = 50
+REPEATS = 5
 
 #: The boxed reference builder is timed at most at this size — one
 #: object per device makes 10^6 pointless to wait for; the comparison
@@ -53,10 +54,10 @@ def _scenario_rates(
 
 def run_fleet(
     *,
-    devices: int = 1_000_000,
-    cohort: int = 100,
-    rounds: int = 50,
-    repeats: int = 3,
+    devices: int = DEVICES,
+    cohort: int = COHORT,
+    rounds: int = ROUNDS,
+    repeats: int = REPEATS,
     correlation: float = 0.6,
     seed: int = 0,
 ) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Listener stress benchmark: many dialing clients, one listening port.
+"""The ``listener`` topic: many dialing clients, one listening port.
 
 The payoff measurement for the inverted socket topology — N concurrent
 ``DialingClient`` workers (default 1000) all dial one
@@ -19,10 +19,14 @@ import asyncio
 import time
 from typing import Any
 
+from bench_schema import make_report, metric
 from repro.api.protocol import ProtocolClient
-from repro.bench.schema import make_report, metric
 
-LISTENER_TOPIC = "listener"
+TOPIC = "listener"
+
+#: The committed shape: dialing clients and echo rounds.
+CONNECTIONS = 1000
+ROUNDS = 3
 
 #: Payload echoed on every exchange — a few words, so frames have a body
 #: but the benchmark stays a connection-scale test, not a bandwidth one.
@@ -110,7 +114,7 @@ async def _stress(connections: int, rounds: int) -> dict[str, Any]:
     }
 
 
-def run_listener(*, connections: int = 1000, rounds: int = 3) -> dict[str, Any]:
+def run_listener(*, connections: int = CONNECTIONS, rounds: int = ROUNDS) -> dict[str, Any]:
     """Stress one coordinator listener with ``connections`` dialers."""
     if connections < 1:
         raise ValueError("connections must be positive")
@@ -134,4 +138,4 @@ def run_listener(*, connections: int = 1000, rounds: int = 3) -> dict[str, Any]:
         "all_answered_ok": metric(1 if ok else 0, "flag"),
     }
     config = {"connections": connections, "rounds": rounds}
-    return make_report(LISTENER_TOPIC, config, metrics)
+    return make_report(TOPIC, config, metrics)

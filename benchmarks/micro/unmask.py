@@ -1,21 +1,21 @@
-"""Coordinator unmask-plane benchmark: fast plane vs reference twin.
+"""The ``unmask`` topic: the coordinator's unmask plane against its oracle.
 
-Fabricates one round's worth of post-Unmasking coordinator state at the
-ROADMAP target shape (d = 2^20, 100 clients, 10% dropout) — real DH
+Fabricates one round's worth of post-Unmasking coordinator state
+(committed shape d = 2^20, 32 clients, 10% dropout) — real DH
 keypairs, real Shamir shares of every survivor's self-mask seed and
 every dropped client's mask key, random masked inputs admitted through
-the coordinator's own door (packed, as they arrive) — then times
-:meth:`SecAggServer.collect_unmask_reference` (serial executable
-specification: one PRG expansion and one full reduction per term, one
-Lagrange computation per reconstruction) against the deferred-reduction
-plane :meth:`SecAggServer.collect_unmask` at each requested ``workers``
+the coordinator's own door (packed, as they arrive) — then times the
+serial oracle ``collect_unmask_reference`` of ``tests/oracles/secagg.py``
+(one PRG expansion and one full reduction per term, one Lagrange
+computation per reconstruction) against the deferred-reduction plane
+:meth:`SecAggServer.collect_unmask` at each requested ``workers``
 setting.  Every timed run must produce the bit-identical aggregate; the
 report carries that check as a metric.
 
 Admission — the arrival fold — happens while the state is built and is
-not in either timing; ``repro.bench.hotpath`` times it on its own
-(``unpack_add``).  The reference twin is an oracle: it is told the
-vectors the clients sent, which the coordinator itself no longer holds.
+not in either timing; the ``hotpath`` topic times it on its own
+(``unpack_add``).  The oracle is told the vectors the clients sent,
+which the coordinator itself no longer holds.
 
 Fabricating state directly is what makes the target shape reachable: a
 full protocol round at d = 2^20 would spend ~20 minutes in client-side
@@ -27,12 +27,12 @@ from __future__ import annotations
 import os
 import platform
 import time
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from bench_schema import make_report, metric
 from repro import native
-from repro.bench.schema import make_report, metric
 from repro.crypto.dh import KeyAgreement, resolve_group
 from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.server import SecAggServer
@@ -43,8 +43,18 @@ from repro.secagg.types import (
     UnmaskingMsg,
 )
 from repro.utils.rng import derive_rng
+from tests.oracles.secagg import collect_unmask_reference
 
 TOPIC = "unmask"
+
+#: The committed shape: dimension, cohort, dropout fraction (in
+#: [0, 0.5)), the ``workers`` settings timed, best-of repeats.  The
+#: oracle alone takes about two minutes a repeat at it.
+DIM = 1 << 20
+CLIENTS = 32
+DROPOUT = 0.1
+WORKERS = (1, 2)
+REPEATS = 3
 
 
 def _fabricate_state(
@@ -139,16 +149,15 @@ def _make_server(state: dict[str, Any], workers: Optional[int]) -> SecAggServer:
 
 def run_unmask(
     *,
-    dim: int = 1 << 20,
-    clients: int = 100,
-    dropout: float = 0.1,
-    workers_list: Optional[list[int]] = None,
-    repeats: int = 1,
+    dim: int = DIM,
+    clients: int = CLIENTS,
+    dropout: float = DROPOUT,
+    workers_list: Sequence[int] = WORKERS,
+    repeats: int = REPEATS,
     bits: int = 20,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Benchmark the unmask plane; returns a schema report."""
-    workers_list = workers_list or [1, 4]
     state = _fabricate_state(dim, clients, dropout, bits, seed)
     survivors = state["survivors"]
     dropped = state["dropped"]
@@ -162,7 +171,7 @@ def run_unmask(
     for _ in range(max(1, repeats)):
         server = _make_server(state, workers=1)
         start = time.perf_counter()
-        out = server.collect_unmask_reference(state["messages"], state["masked"])
+        out = collect_unmask_reference(server, state["messages"], state["masked"])
         best = min(best, time.perf_counter() - start)
         results.append(out)
     ref_s = best

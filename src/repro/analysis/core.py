@@ -1,8 +1,9 @@
 """Rule engine: findings, registry, source loading, suppressions.
 
 A rule sees the whole checked tree at once (:class:`CheckContext`), not
-one file at a time — several rules are cross-file by nature (the
-parity-twin rule cross-checks ``tests/``).  Every rule yields
+one file at a time — some rules are cross-file by nature (zero-copy
+and strict-decoder scope their checks by the codec registry in
+``wire/codecs.py``).  Every rule yields
 :class:`Finding` values; the runner applies inline suppressions
 afterwards, so rules stay pure.
 """
@@ -13,7 +14,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -74,9 +75,6 @@ class CheckContext:
 
     root: Path
     sources: list[SourceFile]
-    #: Raw text of every ``tests/**/*.py`` file, keyed by relative path —
-    #: the parity-twin rule greps these for pinning tests.
-    test_texts: dict[str, str] = field(default_factory=dict)
 
     def source(self, rel: str) -> SourceFile | None:
         for src in self.sources:
@@ -242,18 +240,6 @@ def contains_pow_2_63(node: ast.AST) -> bool:
         ):
             return True
     return False
-
-
-def arg_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    """The ordered argument-name tuple two twins must share."""
-    a = fn.args
-    names = [x.arg for x in a.posonlyargs + a.args]
-    if a.vararg:
-        names.append("*" + a.vararg.arg)
-    names.extend(x.arg for x in a.kwonlyargs)
-    if a.kwarg:
-        names.append("**" + a.kwarg.arg)
-    return tuple(names)
 
 
 def iter_calls(node: ast.AST) -> Iterator[ast.Call]:

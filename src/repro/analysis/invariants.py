@@ -15,7 +15,7 @@ from __future__ import annotations
 #: invariant label → {"rules": [...], "tests": [...]} — at least one of
 #: the two lists is non-empty for every entry.
 INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
-    # Engine + in-process transport ≡ reference drivers, bit for bit.
+    # Engine + in-process transport ≡ the serial oracle drivers, bit for bit.
     "1": {
         "rules": [],
         "tests": ["tests/engine/test_parity.py"],
@@ -75,31 +75,32 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
             "tests/core/test_session_engine.py",
         ],
     },
-    # Every hot path is bit-identical to its retained *_reference twin.
+    # Every hot path is bit-identical to its specification: a test
+    # oracle under tests/oracles/, or the numpy twin it falls back to.
     "9": {
-        "rules": ["parity-twin", "headroom-guard", "zero-copy"],
+        "rules": ["headroom-guard", "zero-copy"],
         "tests": [
             "tests/crypto/test_hotpath_parity.py",
             "tests/wire/test_encode_parity.py",
             "tests/wire/test_codec_oracle.py",
         ],
     },
-    # Fleet scale: the columns ≡ the reference builder row for row, and
-    # every fleet query ≡ the same question of the reference device (no
+    # Fleet scale: the columns ≡ the boxed oracle builder row for row, and
+    # every fleet query ≡ the same question of the oracle's device (no
     # boxed object, so no identity to keep); an id outside the
     # population is refused by name.
     "10": {
-        "rules": ["parity-twin", "determinism"],
+        "rules": ["determinism"],
         "tests": [
             "tests/fleet/test_profile.py",
             "tests/fleet/test_fleet.py",
             "tests/fleet/test_availability_stream.py",
         ],
     },
-    # The unmask plane ≡ collect_unmask_reference bit for bit at every
-    # worker count, including the headroom-guard fallback.
+    # The unmask plane ≡ the serial oracle (tests/oracles/secagg.py) bit
+    # for bit at every worker count, including the headroom-guard fallback.
     "11": {
-        "rules": ["parity-twin", "headroom-guard"],
+        "rules": ["headroom-guard"],
         "tests": ["tests/secagg/test_unmask_plane.py"],
     },
     # The ring-width data plane: bit-packed masked vectors (element
@@ -124,7 +125,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     },
     # Every pairwise key is agreed once a round, one agree call per
     # neighbourhood (2 a client, |dropped| for the coordinator);
-    # executed agreement/decrypt counts equal secagg/complexity.py's.
+    # executed agreement/decrypt counts equal tests/oracles/complexity.py's.
     "13": {
         "rules": [],
         "tests": [
@@ -150,7 +151,7 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     # (goldens), the in-place fold ≡ expand-then-add on kernel and twin,
     # under the accumulators' 2**63 guard.
     "15": {
-        "rules": ["parity-twin", "headroom-guard"],
+        "rules": ["headroom-guard"],
         "tests": [
             "tests/crypto/test_mask_vectors.py",
             "tests/crypto/test_hotpath_parity.py",
@@ -178,8 +179,8 @@ INVARIANT_MAP: dict[str, dict[str, list[str]]] = {
     },
     # An O(d) coordinator on a one-pass data plane: after
     # MaskedInputCollection one d-vector and no client's masked input
-    # (executed memory walk), one admission door, arrival fold ≡
-    # reference drivers on every transport.
+    # (executed memory walk), one admission door, arrival fold ≡ the
+    # serial oracle drivers on every transport.
     "18": {
         "rules": [],
         "tests": [

@@ -4,7 +4,6 @@ from repro.analysis.rules import (  # noqa: F401  — registration side effects
     async_hygiene,
     determinism,
     headroom_guard,
-    parity_twin,
     strict_decoder,
     zero_copy,
 )

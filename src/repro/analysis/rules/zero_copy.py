@@ -8,8 +8,7 @@ the same buffer as the body.  A stray
 copies the refactor removed — and the parity tests, which compare
 *values* not allocations, would never notice.
 
-Inside every non-``*_reference`` ``encode_*``/``fill_*``/``pack_*``
-function of ``wire/codecs.py``, ``wire/frame.py`` and ``wire/bitpack.py`` — and inside the encoder of every codec the
+Inside every ``encode_*``/``fill_*``/``pack_*`` function of ``wire/codecs.py``, ``wire/frame.py`` and ``wire/bitpack.py`` — and inside the encoder of every codec the
 registry binds ``in_place`` (the bulk carriers that promise to write
 straight into the frame buffer), whichever module it lives in — this
 rule flags:
@@ -20,9 +19,6 @@ rule flags:
    shape;
 3. loops that ``.append()`` a subscripted element — a byte-at-a-time
    copy in Python-land.
-
-The retained ``*_reference`` twins are exempt by name: they are the
-concatenating specification the fast path is measured against.
 
 Scoping by registration is what keeps the dominant payload in view: the
 masked-input encoder lives in ``secagg/codec.py``, and a filename scope
@@ -52,10 +48,7 @@ _SCOPE_FILES = (
 
 
 def _is_hot_encoder(name: str) -> bool:
-    return (
-        name.startswith(("encode_", "fill_", "pack_"))
-        and not name.endswith("_reference")
-    )
+    return name.startswith(("encode_", "fill_", "pack_"))
 
 
 def _is_range_len(call: ast.AST) -> bool:
@@ -90,7 +83,7 @@ def _appends_subscript(loop: ast.For) -> bool:
 class ZeroCopyRule(Rule):
     id = "zero-copy"
     description = (
-        "no .tobytes() and no per-byte loops inside the non-reference "
+        "no .tobytes() and no per-byte loops inside the "
         "encode paths of wire/codecs.py, wire/frame.py, wire/bitpack.py "
         "and every codec registered in_place"
     )

@@ -67,25 +67,12 @@ def discover_sources(root: Path) -> list[SourceFile]:
     ]
 
 
-def load_test_texts(root: Path) -> dict[str, str]:
-    tests_dir = root / "tests"
-    if not tests_dir.is_dir():
-        return {}
-    return {
-        path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
-        for path in sorted(tests_dir.rglob("*.py"))
-        if "__pycache__" not in path.parts
-    }
-
-
 def run_check(root: Path | None = None) -> CheckResult:
     """Run every registered rule over the tree at ``root``."""
     root = (root or default_root()).resolve()
     rules = all_rules()
     sources = discover_sources(root)
-    ctx = CheckContext(
-        root=root, sources=sources, test_texts=load_test_texts(root)
-    )
+    ctx = CheckContext(root=root, sources=sources)
 
     findings: list[Finding] = []
     for rule in rules.values():

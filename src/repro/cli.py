@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands mirror the workflow a user of the original system
+Six subcommands mirror the workflow a user of the original system
 walks through:
 
 - ``run``      — train one Dordis session and report utility + ε:
@@ -19,12 +19,6 @@ walks through:
   coordinator, answer its requests with the deterministic demo inputs
   for ``--client-id``, and print this end's byte counters as JSON
   (``--die-after K`` vanishes after K answers — dropout injection);
-- ``bench``    — run the hot-path microbenchmarks (each optimized
-  crypto/codec path against its retained ``*_reference`` twin),
-  one measured traffic round, and the listener stress topic (1000
-  concurrent dialing clients against one coordinator port by default),
-  writing one machine-readable ``BENCH_<topic>.json`` per topic;
-  ``--diff old new`` compares two persisted reports metric by metric;
 - ``check``    — run the repo's own AST-based invariant checker
   (``repro.analysis``) over ``src/repro``: exits 0 when clean, 1 on
   any finding, 2 on usage errors.
@@ -37,8 +31,6 @@ Examples::
     python -m repro.cli pipeline --clients 100 --model-size 11000000
     python -m repro.cli serve --clients 3 --port 7001   # terminal 1
     python -m repro.cli join --client-id 1 --clients 3 --port 7001  # 2..4
-    python -m repro.cli bench --out .
-    python -m repro.cli bench --diff BENCH_hotpath.old.json BENCH_hotpath.json
     python -m repro.cli check
     python -m repro.cli check --format json
 """
@@ -163,62 +155,6 @@ def _add_join_parser(sub) -> None:
                    help="must match the serve side")
 
 
-def _add_bench_parser(sub) -> None:
-    p = sub.add_parser(
-        "bench",
-        help="hot-path microbenchmarks + measured topics → BENCH_*.json",
-    )
-    p.add_argument("--dims", type=int, nargs="+",
-                   default=[2 ** 14, 2 ** 17, 2 ** 20],
-                   help="model dimensions for the PRG sweeps")
-    p.add_argument("--clients", type=int, default=4,
-                   help="clients in the traffic round (and Shamir cohort)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="best-of repetitions per microbenchmark")
-    p.add_argument("--bits", type=int, default=20,
-                   help="ring bit-width b (modulus 2**b)")
-    p.add_argument("--traffic-dimension", type=int, default=1024,
-                   help="dimension for the per-stage traffic round")
-    p.add_argument("--topics", nargs="+", default=["hotpath", "traffic",
-                                                   "listener", "fleet"],
-                   choices=["hotpath", "traffic", "listener", "fleet",
-                            "unmask"],
-                   help="which reports to produce (unmask — the "
-                        "coordinator's full dropout-recovery plane at the "
-                        "target shape — runs only when asked for: its "
-                        "reference side alone takes minutes)")
-    p.add_argument("--fleet-devices", type=int, default=1_000_000,
-                   help="population size for the fleet topic")
-    p.add_argument("--fleet-cohort", type=int, default=100,
-                   help="sampled clients per round for the fleet topic")
-    p.add_argument("--fleet-rounds", type=int, default=50,
-                   help="rounds per scenario sweep for the fleet topic")
-    p.add_argument("--connections", type=int, default=1000,
-                   help="concurrent dialing clients for the listener "
-                        "stress topic")
-    p.add_argument("--unmask-dim", type=int, default=2 ** 20,
-                   help="model dimension for the unmask topic")
-    p.add_argument("--unmask-clients", type=int, default=100,
-                   help="cohort size for the unmask topic")
-    p.add_argument("--unmask-dropout", type=float, default=0.1,
-                   help="dropout fraction for the unmask topic")
-    p.add_argument("--unmask-workers", type=int, nargs="+", default=[1, 4],
-                   help="workers settings timed for the unmask fast plane")
-    p.add_argument("--unmask-repeats", type=int, default=1,
-                   help="best-of repetitions for the unmask topic (its "
-                        "reference side is minutes per repeat at the "
-                        "default shape)")
-    p.add_argument("--out", default=".",
-                   help="directory BENCH_<topic>.json files are written to")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite", action="store_true",
-                   help="also run the figure/table benchmark suite "
-                        "(pytest benchmarks/) before the micro topics")
-    p.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), default=None,
-                   help="compare two persisted BENCH_*.json reports and "
-                        "exit (no benchmarks run)")
-
-
 def _add_check_parser(sub) -> None:
     p = sub.add_parser(
         "check",
@@ -242,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_parser(sub)
     _add_serve_parser(sub)
     _add_join_parser(sub)
-    _add_bench_parser(sub)
     _add_check_parser(sub)
     return parser
 
@@ -536,172 +471,6 @@ def _cmd_join(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro import bench
-    from repro.bench.hotpath import DH_BATCH_PEERS
-
-    if args.diff:
-        old, new = args.diff
-        print(bench.format_diff(bench.diff_bench(old, new)))
-        return 0
-
-    if args.suite:
-        import subprocess
-
-        print("running figure/table suite (pytest benchmarks/) ...")
-        rc = subprocess.call(
-            [sys.executable, "-m", "pytest", "benchmarks", "-q"]
-        )
-        if rc != 0:
-            print("figure/table suite failed", file=sys.stderr)
-            return rc
-
-    written = []
-    if "hotpath" in args.topics:
-        report = bench.run_hotpath(
-            args.dims,
-            clients=args.clients,
-            repeats=args.repeats,
-            bits=args.bits,
-            seed=args.seed,
-        )
-        written.append(bench.write_bench(report, args.out))
-        d = max(args.dims)
-        m = report["metrics"]
-        speedup = m.get(f"prg_expand_d{d}_speedup")
-        if speedup:
-            print(f"PRG expand d={d}: "
-                  f"{m[f'prg_expand_d{d}_reference_s']['value']:.4f}s ref → "
-                  f"{m[f'prg_expand_d{d}_fast_s']['value']:.4f}s fast "
-                  f"({speedup['value']:.2f}x)")
-        lanes = report["config"]["modexp_lanes"]
-        passes = (f"lanes x{lanes}" if lanes > 1
-                  else "one base a pass (a build or CPU without the IFMA lanes)")
-        for group in ("modp512", "modp2048"):
-            print(f"DH agree {group}: "
-                  f"{m[f'dh_agree_{group}_reference_s']['value'] * 1e3:.3f}ms pow → "
-                  f"{m[f'dh_agree_{group}_fast_s']['value'] * 1e3:.3f}ms "
-                  f"{report['config']['native_backend']} "
-                  f"({m[f'dh_agree_{group}_speedup']['value']:.2f}x)")
-            batch = f"dh_agree_batch{DH_BATCH_PEERS}_{group}"
-            print(f"DH agree {group}, {DH_BATCH_PEERS} peers a call, per agreement: "
-                  f"{m[f'{batch}_reference_s']['value'] * 1e3:.3f}ms pow → "
-                  f"{m[f'{batch}_scalar_s']['value'] * 1e3:.3f}ms scalar loop → "
-                  f"{m[f'{batch}_fast_s']['value'] * 1e3:.3f}ms {passes} "
-                  f"({m[f'{batch}_speedup']['value']:.2f}x)")
-        deal = "shamir_share_n32_t17"
-        print(f"Shamir deal, 32 holders, t=17, 64 B key + 32 B seed: "
-              f"{m[f'{deal}_reference_s']['value'] * 1e3:.3f}ms oracle → "
-              f"{m[f'{deal}_fast_s']['value'] * 1e3:.3f}ms one pass "
-              f"(key at 256 B: {m[f'{deal}_width256_s']['value'] * 1e3:.3f}ms)")
-        for name in ("share_payload", "share_payload_x6"):
-            print(f"ShareKeys ciphertext, {int(m[f'codec_encoded_{name}_bytes']['value'])} B "
-                  f"plaintext: seal {m[f'ciphertext_seal_{name}_s']['value'] * 1e6:.1f}us, "
-                  f"open {m[f'ciphertext_open_{name}_s']['value'] * 1e6:.1f}us "
-                  f"(AE keyed once a peer: {m['ae_key_s']['value'] * 1e6:.1f}us)")
-        stream = (f"{report['config']['native_backend']} "
-                  f"x{report['config']['stream_lanes']}")
-        for name in sorted(m):
-            if name.startswith(("mask_fold_", "skellam_expand_")) and name.endswith("_speedup"):
-                stem = name[: -len("_speedup")]
-                print(f"{stem.replace('_', ' ')}: "
-                      f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
-                      f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms {stream} "
-                      f"({m[name]['value']:.2f}x)")
-            # The fused bit-pack pair, beside its non-fused sibling.
-            for fused, plain in (("pack_low_bits_", "pack_bits_"), ("unpack_add_", "unpack_bits_")):
-                if name.startswith(fused) and name.endswith("_speedup"):
-                    stem = name[: -len("_speedup")]
-                    sibling = plain + stem[len(fused):] + "_s"
-                    print(f"{stem.replace('_', ' ')}: "
-                          f"{m[stem + '_reference_s']['value'] * 1e3:.2f}ms numpy → "
-                          f"{m[stem + '_fast_s']['value'] * 1e3:.2f}ms kernel "
-                          f"({plain.rstrip('_').replace('_', ' ')} alone: "
-                          f"{m[sibling]['value'] * 1e3:.2f}ms)")
-    if "traffic" in args.topics:
-        report = bench.run_traffic(
-            clients=args.clients,
-            dimension=args.traffic_dimension,
-            bits=args.bits,
-            seed=args.seed,
-        )
-        written.append(bench.write_bench(report, args.out))
-        m = report["metrics"]
-        print(f"traffic round d={args.traffic_dimension}: "
-              f"{int(m['total_bytes']['value']):,d} B framed in "
-              f"{m['round_wall_s']['value']:.3f}s")
-    if "fleet" in args.topics:
-        if args.fleet_devices < 1 or args.fleet_cohort < 1 or args.fleet_rounds < 2:
-            print("--fleet-devices/--fleet-cohort must be positive and "
-                  "--fleet-rounds at least 2", file=sys.stderr)
-            return 2
-        report = bench.run_fleet(
-            devices=args.fleet_devices,
-            cohort=args.fleet_cohort,
-            rounds=args.fleet_rounds,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-        written.append(bench.write_bench(report, args.out))
-        m = report["metrics"]
-        print(f"fleet build n={args.fleet_devices:,d}: "
-              f"{m['build_columnar_s']['value']:.3f}s columnar "
-              f"({m['build_per_device_speedup']['value']:.1f}x per-device "
-              f"vs boxed)")
-        print(f"fleet round cost k={min(args.fleet_cohort, args.fleet_devices)}: "
-              f"{m['round_cost_reference_s']['value'] * 1e3:.3f}ms loop → "
-              f"{m['round_cost_fast_s']['value'] * 1e3:.3f}ms vectorized "
-              f"({m['round_cost_speedup']['value']:.2f}x)")
-    if "unmask" in args.topics:
-        if args.unmask_clients < 4 or not 0 <= args.unmask_dropout < 0.5:
-            print("--unmask-clients must be >= 4 and --unmask-dropout in "
-                  "[0, 0.5)", file=sys.stderr)
-            return 2
-        report = bench.run_unmask(
-            dim=args.unmask_dim,
-            clients=args.unmask_clients,
-            dropout=args.unmask_dropout,
-            workers_list=args.unmask_workers,
-            repeats=args.unmask_repeats,
-            bits=args.bits,
-            seed=args.seed,
-        )
-        written.append(bench.write_bench(report, args.out))
-        m = report["metrics"]
-        ref = m["unmask_reference_s"]["value"]
-        print(f"unmask plane d={args.unmask_dim} n={args.unmask_clients} "
-              f"dropout={args.unmask_dropout:g} "
-              f"({report['config']['prg_backend']} "
-              f"x{report['config']['stream_lanes']}): {ref:.3f}s reference")
-        for w in args.unmask_workers:
-            fast = m[f"unmask_fast_w{w}_s"]["value"]
-            speed = m[f"unmask_speedup_w{w}"]["value"]
-            print(f"  workers={w}: {fast:.3f}s ({speed:.2f}x)")
-        if not m["parity_bit_identical"]["value"]:
-            print("unmask plane: fast aggregate != reference aggregate",
-                  file=sys.stderr)
-            return 1
-    if "listener" in args.topics:
-        if args.connections < 1:
-            print("--connections must be positive", file=sys.stderr)
-            return 2
-        report = bench.run_listener(connections=args.connections)
-        written.append(bench.write_bench(report, args.out))
-        m = report["metrics"]
-        print(f"listener stress n={args.connections}: accepted in "
-              f"{m['accept_wall_s']['value']:.3f}s "
-              f"({m['accept_rate_per_s']['value']:,.0f}/s), echo round "
-              f"{m['round_wall_s']['value']:.3f}s, "
-              f"{int(m['total_bytes']['value']):,d} B on the wire")
-        if not m["all_answered_ok"]["value"]:
-            print("listener stress: not every exchange answered",
-                  file=sys.stderr)
-            return 1
-    for path in written:
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_check(args) -> int:
     from pathlib import Path
 
@@ -726,7 +495,6 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": _cmd_pipeline,
         "serve": _cmd_serve,
         "join": _cmd_join,
-        "bench": _cmd_bench,
         "check": _cmd_check,
     }
     return handlers[args.command](args)

@@ -40,38 +40,11 @@ class PrimeField:
         """Bytes that always fit in one element (for packing byte secrets)."""
         return (self.p.bit_length() - 1) // 8
 
-    def validate(self, x: int) -> int:
-        if not 0 <= x < self.p:
-            raise ValueError(f"{x} is not an element of GF({self.p})")
-        return x
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises on zero."""
         if a % self.p == 0:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def eval_poly(self, coeffs: list[int], x: int) -> int:
-        """Evaluate a polynomial with ``coeffs[0]`` the constant term (Horner)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
 
 #: The default field shared by Shamir sharing and XNoise seeds.

@@ -139,27 +139,6 @@ class ShamirSecretSharing:
         ]
         return self._cut_shares(self._evaluate_shares(polys, ids), shapes)
 
-    def share_reference(
-        self, secret_list: Sequence[bytes], participant_ids: list[int],
-        entropy: EntropySource = SYSTEM_ENTROPY,
-    ) -> list[dict[int, Share]]:
-        """Retained scalar reference for :meth:`share`: one
-        ``entropy.randbelow(p)`` per coefficient and one ``field.eval_poly``
-        (a modulo per Horner step) per chunk and participant.
-
-        Shares are random, so the parity pins are on the deterministic
-        evaluation step — :meth:`_evaluate_shares` must equal
-        :meth:`_evaluate_shares_reference` for any polynomials — and on
-        what :meth:`_draw_coefficients` accepts and redraws.
-        """
-        ids = self._holder_ids(participant_ids)
-        constants, shapes = self._chunk_secrets(secret_list)
-        polys = [
-            [constant] + [entropy.randbelow(self.field.p) for _ in range(self.threshold - 1)]
-            for constant in constants
-        ]
-        return self._cut_shares(self._evaluate_shares_reference(polys, ids), shapes)
-
     def _holder_ids(self, participant_ids: list[int]) -> list[int]:
         """The evaluation points, checked: distinct, in [1, p), at least t."""
         # Coerce to Python ints: NumPy integers overflow inside the
@@ -223,9 +202,8 @@ class ShamirSecretSharing:
         (p − 1)·Σ_{j<t} x^j < 2**(bitlen(p) + (t − 1)·bitlen(max id) + 1),
         and a slot is that wide, so no slot carries into the next: Horner
         over the packed integers evaluates every chunk at once, and each
-        slot is reduced mod p once.  Bit-identical to
-        :meth:`_evaluate_shares_reference` (polynomial evaluation mod p
-        is unique); pinned by test.
+        slot is reduced mod p once.  Bit-identical to per-chunk Horner
+        mod p (polynomial evaluation mod p is unique); pinned by test.
         """
         p = self.field.p
         slot = p.bit_length() + (self.threshold - 1) * max(ids).bit_length() + 1
@@ -239,12 +217,6 @@ class ShamirSecretSharing:
                 acc = acc * pid + column
             out[pid] = [(acc >> k & mask) % p for k in offsets]
         return out
-
-    def _evaluate_shares_reference(
-        self, polys: list[list[int]], ids: list[int]
-    ) -> dict[int, list[int]]:
-        """Retained scalar evaluation: per-chunk Horner per participant."""
-        return {pid: [self.field.eval_poly(coeffs, pid) for coeffs in polys] for pid in ids}
 
     @staticmethod
     def _cut_shares(
@@ -270,8 +242,8 @@ class ShamirSecretSharing:
 
         The Lagrange-at-zero coefficients are computed once for the
         chosen evaluation points and reused across every chunk, with one
-        deferred reduction per chunk (bit-identical to
-        :meth:`reconstruct_reference`; pinned by test).  Coefficients
+        deferred reduction per chunk (bit-identical to a reduction per
+        Lagrange term; pinned by test).  Coefficients
         are additionally memoized per instance keyed by the x-coordinate
         tuple, so repeated reconstructions over the same share-holder
         set — the common case in an unmask round, where every secret is
@@ -325,8 +297,7 @@ class ShamirSecretSharing:
         return b"".join(chunks)
 
     def _lagrange_cached(self, xs: tuple[int, ...]) -> list[int]:
-        """Memoized :meth:`_lagrange_at_zero` (fast paths only — the
-        reference twin recomputes per call, as the spec is written)."""
+        """Memoized :meth:`_lagrange_at_zero`."""
         coeffs = self._lagrange_cache.get(xs)
         if coeffs is None:
             if len(self._lagrange_cache) >= self._LAGRANGE_CACHE_CAP:
@@ -334,22 +305,6 @@ class ShamirSecretSharing:
             coeffs = self._lagrange_at_zero(list(xs))
             self._lagrange_cache[xs] = coeffs
         return coeffs
-
-    def reconstruct_reference(self, shares: list[Share]) -> bytes:
-        """Retained scalar reference for :meth:`reconstruct` (modulo per
-        Lagrange term)."""
-        use, n_chunks, secret_len = self._select_shares(shares)
-        lagrange = self._lagrange_at_zero([s.x for s in use])
-        chunks: list[bytes] = []
-        remaining = secret_len
-        for chunk_idx in range(n_chunks):
-            value = 0
-            for coef, s in zip(lagrange, use):
-                value = (value + coef * s.ys[chunk_idx]) % self.field.p
-            size = min(self.field.capacity_bytes, remaining)
-            chunks.append(int_to_bytes(value, size) if size else b"")
-            remaining -= size
-        return b"".join(chunks)
 
     def _select_shares(
         self, shares: list[Share]

@@ -1,8 +1,8 @@
 """The heterogeneous fleet/scenario layer.
 
 One place owns the client population: per-device profiles with
-*directional* bandwidth (:class:`DeviceProfile`: separate
-``uplink_bps`` / ``downlink_bps``, compute slowdown), pluggable
+*directional* bandwidth (separate ``uplink_bps`` / ``downlink_bps``,
+compute slowdown), pluggable
 availability (:mod:`repro.fleet.availability`: §6.1 fixed-rate dropout,
 the Fig.-1a behaviour-trace churn, or its lazy million-device
 :class:`SessionStream` form with optional bandwidth×availability
@@ -14,8 +14,7 @@ session derives per-round dropout and modeled round cost from it.
 
 The population is stored columnar (:class:`ProfileColumns`, built by
 :func:`heterogeneous_fleet`), so fleets scale to millions of devices as
-three arrays; :func:`heterogeneous_fleet_reference` retains the
-one-object-per-device builder as the parity-pinned executable spec.
+three arrays.
 """
 
 from repro.fleet.availability import (
@@ -32,17 +31,14 @@ from repro.fleet.availability import (
 from repro.fleet.fleet import Fleet, FleetConfig, FleetRoundCost
 from repro.fleet.profile import (
     DEFAULT_BANDWIDTH_RANGE,
-    DeviceProfile,
     ProfileColumns,
     heterogeneous_fleet,
-    heterogeneous_fleet_reference,
 )
 
 __all__ = [
     "AlwaysAvailable",
     "BehaviorTrace",
     "DEFAULT_BANDWIDTH_RANGE",
-    "DeviceProfile",
     "DiurnalWave",
     "Fleet",
     "FleetConfig",
@@ -55,5 +51,4 @@ __all__ = [
     "TraceDrivenDropout",
     "build_availability",
     "heterogeneous_fleet",
-    "heterogeneous_fleet_reference",
 ]

@@ -131,11 +131,9 @@ class BehaviorTrace:
 
         Reproduces Fig. 1a: sample clients uniformly each round and
         measure the fraction unavailable by round end.  The per-round
-        draws must consume the rng exactly like the retained
-        :meth:`dropout_rates_reference` loop (pinned equal by test), but
-        the availability gather + mean collapses into one batched fancy
-        index over the whole horizon instead of one Python-level slice
-        and reduction per round.
+        draws consume the rng exactly like a per-round sample-slice-mean
+        loop (pinned equal by test), but the availability gather + mean
+        is one batched fancy index over the whole horizon.
         """
         rng = derive_rng("trace-sampling", seed)
         k = min(sample_size, self.n_clients)
@@ -147,18 +145,6 @@ class BehaviorTrace:
         )
         picked = self._avail[samples, np.arange(self.horizon)[:, None]]
         return 1.0 - picked.mean(axis=1)
-
-    def dropout_rates_reference(
-        self, sample_size: int, seed: int = 0
-    ) -> np.ndarray:
-        """The original per-round loop — the executable spec
-        :meth:`dropout_rates` is pinned bit-identical to."""
-        rng = derive_rng("trace-sampling", seed)
-        rates = np.empty(self.horizon)
-        for r in range(self.horizon):
-            sample = rng.choice(self.n_clients, size=min(sample_size, self.n_clients), replace=False)
-            rates[r] = 1.0 - self._avail[sample, r].mean()
-        return rates
 
 
 class TraceDrivenDropout:

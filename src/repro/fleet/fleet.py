@@ -210,8 +210,8 @@ class Fleet:
         self, client_id: int, down_nbytes: float, up_nbytes: float
     ) -> float:
         """One client's request/response exchange on its own links:
-        :meth:`DeviceProfile.link_seconds` over the columns (one
-        division when the links are symmetric)."""
+        down on the downlink, up on the uplink — one division when the
+        links are symmetric, so the pre-split formula holds bit for bit."""
         row = client_id - self._offset
         if not 0 <= row < self.columns.n:
             raise self._outside(client_id)

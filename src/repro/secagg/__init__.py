@@ -16,10 +16,9 @@ in-process state machines:
 - :mod:`repro.secagg.workflow` — the Fig.-5 protocol declared as an
   Appendix-D workflow for the unified round engine
   (:mod:`repro.engine`), with dropout injected as transport middleware.
-- :mod:`repro.secagg.driver` — round drivers: the engine-backed
-  :func:`run_secagg_round` and the retained synchronous reference it is
-  regression-tested against; both inject client dropout before any stage
-  and return the aggregate plus the per-stage participant sets.
+- :mod:`repro.secagg.driver` — the round driver: the engine-backed
+  :func:`run_secagg_round` injects client dropout before any stage and
+  returns the aggregate plus the per-stage participant sets.
 - :mod:`repro.secagg.types` — configuration and the protocol messages,
   each small one a :class:`~repro.secagg.types.WireRecord` (its wire
   body is the value encoding of its fields); :mod:`repro.secagg.codec`
@@ -45,7 +44,6 @@ from repro.secagg.client import SecAggClient
 from repro.secagg.server import SecAggServer
 from repro.secagg.driver import (
     run_secagg_round,
-    run_secagg_round_reference,
     arun_secagg_round,
     DropoutSchedule,
 )
@@ -54,11 +52,6 @@ from repro.secagg.workflow import (
     SecAggWorkflowServer,
     secagg_stage_of,
     with_dropout,
-)
-from repro.secagg.complexity import (
-    secagg_client_cost,
-    secagg_plus_client_cost,
-    secagg_server_cost,
 )
 
 __all__ = [
@@ -69,7 +62,6 @@ __all__ = [
     "SecAggClient",
     "SecAggServer",
     "run_secagg_round",
-    "run_secagg_round_reference",
     "arun_secagg_round",
     "DropoutSchedule",
     "SecAggWorkflowClient",
@@ -78,9 +70,6 @@ __all__ = [
     "with_dropout",
     "secagg_plus_config",
     "recommended_degree",
-    "secagg_client_cost",
-    "secagg_plus_client_cost",
-    "secagg_server_cost",
     "STAGE_ADVERTISE",
     "STAGE_SHARE_KEYS",
     "STAGE_MASKED_INPUT",

@@ -10,11 +10,6 @@ model (§6.1) — "clients drop out after being sampled but before sending
 their masked and perturbed update" — corresponds to scheduling dropouts
 before ``STAGE_MASKED_INPUT``; any stage works, so tests can also
 exercise mid-unmasking failures.
-
-The pre-engine serial loop is retained as
-:func:`run_secagg_round_reference` — the executable specification the
-engine path is regression-tested against (bit-identical aggregates
-and participant sets).
 """
 
 from __future__ import annotations
@@ -39,12 +34,7 @@ from repro.secagg.workflow import (
 from repro.secagg.types import (
     RoundResult,
     SecAggConfig,
-    STAGE_ADVERTISE,
-    STAGE_SHARE_KEYS,
     STAGE_MASKED_INPUT,
-    STAGE_CONSISTENCY,
-    STAGE_UNMASK,
-    UnmaskingMsg,
 )
 
 
@@ -221,73 +211,3 @@ def run_secagg_round(
             config, inputs, dropout, pki, round_index, client_factory
         )
     )
-
-
-def run_reference_stages(
-    clients: dict[int, SecAggClient],
-    server: SecAggServer,
-    inputs: dict[int, np.ndarray],
-    dropout: DropoutSchedule,
-) -> tuple[np.ndarray, set[int], dict[int, UnmaskingMsg]]:
-    """Fig. 5's stages 0–4, serially, for both reference drivers.
-
-    Returns the unmasked aggregate, the clients still alive after
-    Unmasking and their stage-4 messages (XNoise's stage 5 reads the
-    revealed seeds from them).
-    """
-    # Stage 0 — AdvertiseKeys.
-    alive = set(clients) - dropout.dropped_by(STAGE_ADVERTISE)
-    adverts = {u: clients[u].advertise_keys() for u in sorted(alive)}
-    roster = server.collect_advertise(adverts)
-
-    # Stage 1 — ShareKeys.
-    alive -= dropout.dropped_by(STAGE_SHARE_KEYS)
-    outboxes = {u: clients[u].share_keys(roster) for u in sorted(alive & set(roster))}
-    inboxes = server.route_shares(outboxes)
-
-    # Stage 2 — MaskedInputCollection.
-    alive -= dropout.dropped_by(STAGE_MASKED_INPUT)
-    for u in sorted(alive & set(server.u2)):
-        server.admit_masked(u, clients[u].masked_input(inboxes.get(u, {}), inputs[u]))
-    u3 = server.collect_masked()
-
-    # Stage 3 — ConsistencyCheck: an exchange in malicious mode only.
-    alive -= dropout.dropped_by(STAGE_CONSISTENCY)
-    if server.config.malicious:
-        server.collect_consistency(
-            {u: clients[u].consistency_check(u3) for u in sorted(alive & set(u3))}
-        )
-
-    # Stage 4 — Unmasking.
-    alive -= dropout.dropped_by(STAGE_UNMASK)
-    request = server.unmask_request()
-    unmask_msgs = {
-        u: clients[u].unmask(*request) for u in sorted(alive & set(server.u4))
-    }
-    aggregate = server.collect_unmask(unmask_msgs)
-    return aggregate, alive, unmask_msgs
-
-
-def run_secagg_round_reference(
-    config: SecAggConfig,
-    inputs: dict[int, np.ndarray],
-    dropout: Optional[DropoutSchedule] = None,
-    pki: Optional[PublicKeyInfrastructure] = None,
-    round_index: int = 0,
-    client_factory: Optional[Callable[[int], SecAggClient]] = None,
-) -> RoundResult:
-    """The pre-engine synchronous driver, kept as executable specification.
-
-    Regression tests run both this and the engine path on identical
-    inputs and require bit-identical outcomes.  Do not add features here;
-    new behavior belongs in the workflow/engine path.
-    """
-    dropout = dropout or DropoutSchedule()
-    sampled = sorted(inputs)
-
-    pki = resolve_round_pki(config, pki, client_factory)
-    clients = make_secagg_clients(config, sampled, pki, round_index, client_factory)
-    server = SecAggServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
-
-    aggregate, _, _ = run_reference_stages(clients, server, inputs, dropout)
-    return server.round_result(aggregate)

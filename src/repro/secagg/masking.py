@@ -213,31 +213,3 @@ class MaskAccumulator:
         out = bytearray()
         pack_low_bits_into(self._acc, self._bits, out)
         return out
-
-
-# repro: allow[parity-twin] the fast twin is the MaskAccumulator class, not a def
-def accumulate_masks_reference(
-    base: np.ndarray, masks: list[np.ndarray], modulus: int
-) -> np.ndarray:
-    """Retained reference for :class:`MaskAccumulator`: reduce after
-    every addition, exactly as MaskedInputCollection originally did."""
-    total = np.asarray(base, dtype=np.int64) % modulus
-    for mask in masks:
-        total = (total + mask) % modulus
-    return total
-
-
-# repro: allow[parity-twin] the fast twin is the MaskAccumulator class, not a def
-def accumulate_signed_masks_reference(
-    base: np.ndarray, terms: list[tuple[np.ndarray, int]], modulus: int
-) -> np.ndarray:
-    """Retained signed reference for :class:`MaskAccumulator`: one
-    reduced ``(· ± xᵢ) mod R`` step per term, in term order — the
-    left-fold the deferred signed sum must reproduce bit for bit."""
-    total = np.asarray(base, dtype=np.int64) % modulus
-    for mask, sign in terms:
-        if sign > 0:
-            total = (total + mask) % modulus
-        else:
-            total = (total - mask) % modulus
-    return total

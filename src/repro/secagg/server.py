@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.pki import PublicKeyInfrastructure
-from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.crypto.suite import Suite
 from repro.secagg.graph import masking_graph
@@ -220,11 +219,11 @@ class SecAggServer:
         no mask is ever a vector) before it reduces once — or per term
         when the ring leaves no int64 headroom; the guard, and the
         ``config.workers`` fan-out of the seed folds, are the
-        accumulator's.  Secrets are reconstructed one by one in the
-        reference twin's order (survivors' b_u, then dropped clients'
-        s^SK), so a failed reconstruction aborts with the identical
-        message.  The aggregate is bit-identical at every ``workers``
-        setting and to :meth:`collect_unmask_reference` (pinned by test).
+        accumulator's.  Secrets are reconstructed one by one, survivors'
+        b_u then dropped clients' s^SK, so a failed reconstruction
+        aborts naming the first secret short of shares.  The aggregate
+        is bit-identical at every ``workers`` setting and to the serial
+        one-reduction-per-mask specification (pinned by test).
         """
         good = self._accept_unmask(messages)
         ss = self.suite.ss(self.config.threshold)
@@ -257,62 +256,6 @@ class SecAggServer:
         return self._sum.finish()
 
     # ------------------------------------------------------------------
-    def collect_unmask_reference(
-        self,
-        messages: dict[int, UnmaskingMsg],
-        vectors: dict[int, np.ndarray],
-    ) -> np.ndarray:
-        """Retained serial reference for :meth:`collect_unmask`.
-
-        The executable specification of the unmasking plane, composed
-        from the reference primitives: one full ``(· ± x) mod R``
-        reduction per term, one :class:`PRGReference` expansion per
-        mask (``(−base) % R`` materialized for the γ = −1 pairwise
-        case), one :meth:`ShamirSecretSharing.reconstruct_reference`
-        per secret with its own Lagrange computation.  The server keeps
-        no client's masked input, so the oracle is told them:
-        ``vectors`` maps every U3 client to the vector it sent (the
-        caller unpacks the streams).  The fast plane must reproduce
-        this aggregate bit for bit at every ``workers`` setting (pinned
-        by test); it is also the "before" side of ``bench --topics
-        unmask``.
-        """
-        good = self._accept_unmask(messages)
-        modulus = self.config.modulus
-        dim = self.config.dimension
-        aggregate = np.zeros(dim, dtype=np.int64)
-        for u in self.u3:
-            aggregate = (aggregate + vectors[u]) % modulus
-
-        ss = self.suite.ss(self.config.threshold)
-
-        # Remove survivors' self masks: reconstruct b_u, expand, subtract.
-        for u in self.u3:
-            shares = [m.b_shares[u] for m in good.values() if u in m.b_shares]
-            b_seed = self._reconstruct_reference(
-                ss, shares, f"self-mask seed of {u}"
-            )
-            mask = PRGReference(b_seed).uniform_vector(dim, modulus)
-            aggregate = (aggregate - mask) % modulus
-
-        # Cancel dropped clients' pairwise masks: reconstruct s^SK_u, then
-        # recompute p_{v,u} for each surviving neighbor v and subtract it.
-        for u in self.dropped_after_masking:
-            shares = [
-                m.s_sk_shares[u] for m in good.values() if u in m.s_sk_shares
-            ]
-            sk_bytes = self._reconstruct_reference(ss, shares, f"mask key of {u}")
-            sk = int.from_bytes(sk_bytes, "big")
-            pair = DHKeyPair(secret=sk, public=0)
-            survivors = sorted(self.graph.get(u, set()) & set(self.u3))
-            seeds = self.suite.ka.agree(pair, [self._s_publics[v] for v in survivors])
-            for v, seed in zip(survivors, seeds):
-                base = PRGReference(seed).uniform_vector(dim, modulus)
-                mask = base if v > u else (-base) % modulus
-                aggregate = (aggregate - mask) % modulus
-        return aggregate
-
-    # ------------------------------------------------------------------
     def round_result(
         self, aggregate: np.ndarray, result_cls: type = RoundResult, **extra
     ) -> RoundResult:
@@ -342,13 +285,5 @@ class SecAggServer:
     ) -> bytes:
         try:
             return ss.reconstruct(shares)
-        except ValueError as exc:
-            raise ProtocolAbort(f"cannot reconstruct {what}: {exc}") from exc
-
-    def _reconstruct_reference(
-        self, ss: ShamirSecretSharing, shares: list[Share], what: str
-    ) -> bytes:
-        try:
-            return ss.reconstruct_reference(shares)
         except ValueError as exc:
             raise ProtocolAbort(f"cannot reconstruct {what}: {exc}") from exc

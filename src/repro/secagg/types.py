@@ -16,7 +16,7 @@ import numpy as np
 from repro.crypto.field import FIELD
 from repro.crypto.shamir import Share, chunk_count
 from repro.crypto.signature import SchnorrSignature
-from repro.wire.bitpack import pack_bits_into, packed_nbytes, unpack_bits
+from repro.wire.bitpack import pack_bits_into, unpack_bits
 from repro.wire.codecs import CodecError, decode_whole_value, encode_value
 
 STAGE_ADVERTISE = 0
@@ -101,16 +101,6 @@ class SecAggConfig:
     @property
     def modulus(self) -> int:
         return 1 << self.bits
-
-    @property
-    def vector_bytes(self) -> int:
-        """Wire size of one masked vector: ``ceil(dimension × b / 8)``.
-
-        The one definition of that size: the codec writes exactly this
-        many body bytes after its fixed header, and
-        :mod:`repro.secagg.complexity` counts the same number.
-        """
-        return packed_nbytes(self.dimension, self.bits)
 
 
 def _is_id(value) -> bool:

@@ -31,7 +31,6 @@ from repro.xnoise.protocol import (
     XNoiseWorkflowServer,
     arun_xnoise_round,
     run_xnoise_round,
-    run_xnoise_round_reference,
     xnoise_round_components,
 )
 from repro.xnoise.rebasing import (
@@ -54,7 +53,6 @@ __all__ = [
     "XNoiseWorkflowServer",
     "run_xnoise_round",
     "arun_xnoise_round",
-    "run_xnoise_round_reference",
     "xnoise_round_components",
     "RebasingScheme",
     "rebasing_removal_bytes",

@@ -90,34 +90,6 @@ def removable_indices(n_dropped: int, tolerance: int) -> range:
     return range(n_dropped + 1, tolerance + 1)
 
 
-def excess_variance(
-    n_sampled: int, tolerance: int, n_dropped: int, target_variance: float
-) -> float:
-    """Total excess noise level the server must remove — Eq. (1):
-
-        l_ex = (T − |D|)/(|U| − T) · σ²_*.
-    """
-    _validate(n_sampled, tolerance)
-    if not 0 <= n_dropped <= tolerance:
-        raise ValueError("n_dropped must be in [0, T]")
-    return (tolerance - n_dropped) / (n_sampled - tolerance) * target_variance
-
-
-def per_survivor_excess(
-    n_sampled: int, tolerance: int, n_dropped: int, target_variance: float
-) -> float:
-    """Per-survivor removal level — Eq. (2):
-
-        l'_ex = σ²_* · (1/(|U|−T) − 1/(|U|−|D|)).
-    """
-    _validate(n_sampled, tolerance)
-    if not 0 <= n_dropped <= tolerance:
-        raise ValueError("n_dropped must be in [0, T]")
-    return target_variance * (
-        1.0 / (n_sampled - tolerance) - 1.0 / (n_sampled - n_dropped)
-    )
-
-
 def residual_variance_after_removal(
     n_sampled: int,
     tolerance: int,

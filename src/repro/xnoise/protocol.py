@@ -41,7 +41,6 @@ from repro.secagg.driver import (
     clients_suite,
     make_secagg_clients,
     resolve_round_pki,
-    run_reference_stages,
 )
 from repro.secagg.server import SecAggServer
 from repro.secagg.workflow import (
@@ -53,7 +52,6 @@ from repro.secagg.types import (
     ProtocolAbort,
     RoundResult,
     SecAggConfig,
-    STAGE_NOISE_REMOVAL,
     UnmaskingMsg,
 )
 from repro.xnoise.decomposition import NoiseDecomposition
@@ -397,47 +395,3 @@ def run_xnoise_round(
             config, inputs, dropout, pki, round_index, client_factory
         )
     )
-
-
-def run_xnoise_round_reference(
-    config: XNoiseConfig,
-    inputs: dict[int, np.ndarray],
-    dropout: Optional[DropoutSchedule] = None,
-    pki: Optional[PublicKeyInfrastructure] = None,
-    round_index: int = 0,
-    client_factory: Optional[Callable[[int], XNoiseClient]] = None,
-) -> XNoiseResult:
-    """The pre-engine synchronous driver, kept as executable specification.
-
-    Regression tests run both this and the engine path on identical
-    inputs (and, via ``client_factory``, identical noise seeds) and
-    require bit-identical outcomes.  Do not add features here.
-    """
-    if len(inputs) != config.n_sampled:
-        raise ValueError(
-            f"got {len(inputs)} inputs for n_sampled={config.n_sampled}"
-        )
-    dropout = dropout or DropoutSchedule()
-    sampled = sorted(inputs)
-    secagg_cfg = config.secagg
-
-    pki = resolve_round_pki(secagg_cfg, pki, client_factory)
-    clients = make_secagg_clients(
-        secagg_cfg, sampled, pki, round_index, client_factory,
-        client_cls=XNoiseClient, client_config=config,
-    )
-    server = XNoiseServer(config, pki=pki, round_index=round_index, suite=clients_suite(clients))
-
-    # Stages 0–4 are SecAgg's: ShareKeys also carries the T noise-seed
-    # shares, inputs go up perturbed with T+1 components, and Unmasking
-    # reveals the excess seeds directly — all inside the XNoise client.
-    aggregate, alive, unmask_msgs = run_reference_stages(
-        clients, server, inputs, dropout
-    )
-
-    # Stage 5 — ExcessiveNoiseRemoval: the server asks, live U5 answers.
-    alive -= dropout.dropped_by(STAGE_NOISE_REMOVAL)
-    labels = server.seed_requests(unmask_msgs)
-    asked = sorted(alive & set(server.u5)) if labels else []
-    responses = {v: clients[v].shares_of_extra_secret(labels) for v in asked}
-    return server.finish_round(aggregate, responses)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.analysis import render_json, render_text, run_check
+from repro.analysis import render_json, render_text
 from repro.analysis.core import (
     SUPPRESSION_RULE_ID,
     Finding,
@@ -16,10 +14,16 @@ from repro.analysis.core import (
     scan_suppressions,
 )
 
-from .conftest import findings_for
-
-# A file the parity-twin rule trips on: a reference def with no twin.
-_ORPHAN = "def lonely_reference(x):\n    return x\n"
+# A file the headroom-guard rule trips on (line 4): a deferred sum
+# reduced by the modulus with no 2**63 check in scope.
+_UNGUARDED = (
+    "def unmask(vectors, modulus):\n"
+    "    acc = vectors[0]\n"
+    "    for v in vectors[1:]:\n"
+    "        acc += v\n"
+    "    acc %= modulus\n"
+    "    return acc\n"
+)
 
 
 def _load(tmp_path, text, name="m.py"):
@@ -32,16 +36,16 @@ class TestSuppressionParsing:
     def test_valid_allow_comment_parses(self, tmp_path):
         src = _load(
             tmp_path,
-            "x = 1  # repro: allow[parity-twin] twin is a class\n",
+            "x = 1  # repro: allow[headroom-guard] two terms never near 2**63\n",
         )
         sups, meta = scan_suppressions(src)
         assert meta == []
         (s,) = sups
-        assert (s.rule, s.line) == ("parity-twin", 1)
-        assert s.reason == "twin is a class"
+        assert (s.rule, s.line) == ("headroom-guard", 1)
+        assert s.reason == "two terms never near 2**63"
 
     def test_missing_reason_is_a_finding(self, tmp_path):
-        src = _load(tmp_path, "x = 1  # repro: allow[parity-twin]\n")
+        src = _load(tmp_path, "x = 1  # repro: allow[headroom-guard]\n")
         sups, meta = scan_suppressions(src)
         assert sups == []
         (f,) = meta
@@ -92,12 +96,12 @@ class TestSuppressionParsing:
 
 class TestReports:
     def _result(self, check_repo):
-        return check_repo({"src/repro/mod.py": _ORPHAN})
+        return check_repo({"src/repro/mod.py": _UNGUARDED})
 
     def test_text_report_lines(self, check_repo):
         result = self._result(check_repo)
         text = render_text(result)
-        assert "src/repro/mod.py:1: [parity-twin]" in text
+        assert "src/repro/mod.py:4: [headroom-guard]" in text
         assert text.strip().endswith("0 suppressed")
 
     def test_json_report_schema(self, check_repo):
@@ -107,7 +111,7 @@ class TestReports:
         assert isinstance(doc["root"], str)
         assert doc["clean"] is False
         rule_ids = {r["id"] for r in doc["rules"]}
-        assert len(rule_ids) >= 6
+        assert len(rule_ids) >= 5
         for r in doc["rules"]:
             assert set(r) == {"id", "description", "invariants"}
             assert isinstance(r["invariants"], list)
@@ -120,9 +124,9 @@ class TestReports:
         }
         assert "baselined" not in doc
 
-    def test_registry_has_six_rules_with_invariants(self):
+    def test_registry_has_five_rules_with_invariants(self):
         rules = all_rules()
-        assert len(rules) >= 6
+        assert len(rules) >= 5
         for rule in rules.values():
             assert rule.id and rule.description
             assert rule.invariants, f"{rule.id} claims no invariant"

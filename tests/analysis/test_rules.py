@@ -21,129 +21,6 @@ def _src(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parity-twin
-# ---------------------------------------------------------------------------
-
-
-class TestParityTwin:
-    def test_trips_on_missing_twin(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                def share_reference(secret, ids):
-                    return [(i, secret) for i in ids]
-            """),
-        })
-        (f,) = findings_for(result, "parity-twin")
-        assert "no fast twin 'share'" in f.message
-
-    def test_trips_on_signature_drift(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                def share(secret, ids, threshold):
-                    return ids
-
-                def share_reference(secret, ids):
-                    return ids
-            """),
-            "tests/test_share.py": "# share share_reference\n",
-        })
-        (f,) = findings_for(result, "parity-twin")
-        assert "signature" in f.message
-
-    def test_trips_on_missing_pinning_test(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                def share(secret, ids):
-                    return ids
-
-                def share_reference(secret, ids):
-                    return ids
-            """),
-        })
-        (f,) = findings_for(result, "parity-twin")
-        assert "pinning test" in f.message
-
-    def test_word_boundary_naming(self, check_repo):
-        # A test naming only `share_reference` does NOT count as naming
-        # `share` — the twin match is word-bounded.
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                def fleet(n):
-                    return n
-
-                def fleet_reference(n):
-                    return n
-            """),
-            "tests/test_fleet.py": "# only fleet_reference here\n",
-        })
-        (f,) = findings_for(result, "parity-twin")
-        assert "pinning test" in f.message
-
-    def test_clean_pair_with_test_passes(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                def share(secret, ids):
-                    return ids
-
-                def share_reference(secret, ids):
-                    return ids
-            """),
-            "tests/test_share.py": _src("""
-                from repro.mod import share, share_reference
-
-                def test_parity():
-                    assert share(b"s", [1]) == share_reference(b"s", [1])
-            """),
-        })
-        assert findings_for(result, "parity-twin") == []
-
-    def test_specification_class_out_of_scope_method_twin_checked(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                class PRGReference:
-                    def expand(self, n):
-                        return n
-
-                class Acc:
-                    def fold(self, x, y):
-                        return x
-
-                    def fold_reference(self, x):
-                        return x
-            """),
-            "tests/test_prg.py": "# PRGReference fold fold_reference\n",
-        })
-        # A specification class has no class twin to look for (it
-        # specifies module functions); fold/fold_reference drift in
-        # signature within the class scope.
-        (f,) = findings_for(result, "parity-twin")
-        assert "fold_reference" in f.message and "signature" in f.message
-
-    def test_an_oracle_may_be_told_what_the_fast_side_holds(self, check_repo):
-        # The reference begins with the fast twin's arguments; what
-        # follows is state the fast side folded away (collect_unmask /
-        # collect_unmask_reference).  A reordered or renamed prefix
-        # still drifts.
-        files = {
-            "src/repro/mod.py": _src("""
-                class Server:
-                    def collect(self, messages):
-                        return messages
-
-                    def collect_reference(self, messages, vectors):
-                        return messages
-            """),
-            "tests/test_collect.py": "# collect collect_reference\n",
-        }
-        assert findings_for(check_repo(files), "parity-twin") == []
-        files["src/repro/mod.py"] = files["src/repro/mod.py"].replace(
-            "self, messages, vectors", "self, vectors, messages"
-        )
-        (f,) = findings_for(check_repo(files), "parity-twin")
-        assert "signature" in f.message
-
-
-# ---------------------------------------------------------------------------
 # headroom-guard
 # ---------------------------------------------------------------------------
 
@@ -712,9 +589,10 @@ class TestZeroCopy:
         msgs = [f.message for f in findings_for(result, "zero-copy")]
         assert any("byte-at-a-time" in m for m in msgs)
 
-    def test_reference_twin_and_other_files_exempt(self, check_repo):
-        # `*_reference` encoders are the concatenating spec — exempt by
-        # name; files outside the three hot modules are out of scope.
+    def test_only_the_hot_modules_are_in_scope(self, check_repo):
+        # Files outside the three hot modules are out of scope; inside
+        # them every encoder is a hot encoder, whatever its suffix (the
+        # specifications live in tests/oracles/, not beside the code).
         result = check_repo({
             "src/repro/wire/codecs.py": _src("""
                 def encode_vector_reference(arr):
@@ -724,10 +602,9 @@ class TestZeroCopy:
                 def encode_anything(arr):
                     return arr.tobytes()
             """),
-            "tests/test_enc.py":
-                "# encode_vector_reference encode_vector\n",
         })
-        assert findings_for(result, "zero-copy") == []
+        (f,) = findings_for(result, "zero-copy")
+        assert f.file == "src/repro/wire/codecs.py"
 
     def test_trips_on_registered_in_place_encoder_outside_wire(
         self, check_repo
@@ -801,27 +678,27 @@ class TestZeroCopy:
 
 
 class TestSuppressionsEndToEnd:
+    _SUM = """
+        def unmask(vectors, modulus):
+            acc = vectors[0]
+            for v in vectors[1:]:
+                {allow}
+                acc += v
+            acc %= modulus
+            return acc
+    """
+
     def test_reasoned_allow_silences_a_finding(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                # repro: allow[parity-twin] twin retired with the v2 codec
-                def share_reference(secret, ids):
-                    return ids
-            """),
-        })
-        assert findings_for(result, "parity-twin") == []
+        allow = "# repro: allow[headroom-guard] two 20-bit terms never near 2**63"
+        result = check_repo({"src/repro/mod.py": _src(self._SUM.format(allow=allow))})
+        assert findings_for(result, "headroom-guard") == []
         assert result.suppressed == 1
 
     def test_reasonless_allow_is_itself_a_finding(self, check_repo):
-        result = check_repo({
-            "src/repro/mod.py": _src("""
-                # repro: allow[parity-twin]
-                def share_reference(secret, ids):
-                    return ids
-            """),
-        })
+        allow = "# repro: allow[headroom-guard]"
+        result = check_repo({"src/repro/mod.py": _src(self._SUM.format(allow=allow))})
         # The original finding survives AND the malformed comment is
         # reported.
-        assert len(findings_for(result, "parity-twin")) == 1
+        assert len(findings_for(result, "headroom-guard")) == 1
         (meta,) = findings_for(result, "suppression")
         assert "no reason" in meta.message

@@ -21,13 +21,12 @@ def test_real_tree_is_clean():
     assert result.clean, "\n".join(
         f"{f.file}:{f.line}: [{f.rule}] {f.message}" for f in result.findings
     )
-    assert len(result.rules) >= 6
+    assert len(result.rules) >= 5
     assert result.files_checked > 50
 
 
-def test_suppression_inventory_is_the_documented_two():
-    # Every inline allow in the tree, by (file, rule) — both are
-    # parity-twin exemptions whose fast twin is not a same-named def.
+def test_suppression_inventory_is_empty():
+    # Every inline allow in the tree, by (file, rule): there are none.
     from repro.analysis.core import scan_suppressions
     from repro.analysis.runner import discover_sources
 
@@ -39,10 +38,7 @@ def test_suppression_inventory_is_the_documented_two():
         inventory.extend((s.file, s.rule) for s in sups)
         for s in sups:
             assert s.reason, f"{s.file}:{s.line} has an empty reason"
-    assert sorted(inventory) == [
-        ("src/repro/secagg/masking.py", "parity-twin"),
-        ("src/repro/secagg/masking.py", "parity-twin"),
-    ]
+    assert inventory == []
 
 
 def test_json_report_on_real_tree_is_valid_and_clean():
@@ -50,8 +46,7 @@ def test_json_report_on_real_tree_is_valid_and_clean():
     assert doc["clean"] is True
     assert doc["findings"] == []
     assert doc["counts"]["findings"] == 0
-    assert {r["id"] for r in doc["rules"]} >= {
-        "parity-twin",
+    assert {r["id"] for r in doc["rules"]} == {
         "headroom-guard",
         "strict-decoder",
         "async-hygiene",

@@ -26,15 +26,14 @@ from repro.secagg import (
     SecAggConfig,
     SecAggServer,
     run_secagg_round,
-    run_secagg_round_reference,
 )
 from repro.xnoise import (
     XNoiseClient,
     XNoiseConfig,
     run_xnoise_round,
-    run_xnoise_round_reference,
 )
 from repro.utils.rng import derive_rng
+from tests.oracles.secagg import run_secagg_round_reference, run_xnoise_round_reference
 
 
 class MeanProtocolServer(ProtocolServer):

@@ -1,9 +1,10 @@
-"""Parity pins: every hot-path implementation vs its retained twin.
+"""Parity pins: every hot-path implementation vs its specification.
 
-The perf work keeps each original implementation in-tree as an
-executable specification (``PRGReference``, ``share_reference`` /
-``reconstruct_reference``, ``accumulate_masks_reference``) and this
-suite holds the optimized paths bit-identical to them — across call
+Each original implementation is kept as an executable specification —
+``PRGReference`` in the package (the stream's spec and its seeded
+entropy), the Shamir and mask-accumulation oracles under
+``tests/oracles/`` — and this suite holds the optimized paths
+bit-identical to them — across call
 boundaries, random shapes, odd moduli, and the guard fallbacks.  The
 native kernels under those paths, each on every object and compression
 path, are ``tests/test_native_matrix.py``'s.
@@ -12,6 +13,7 @@ path, are ``tests/test_native_matrix.py``'s.
 from __future__ import annotations
 
 import random
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -25,11 +27,9 @@ from repro.crypto.prg import (
     expand_uniform_batch,
 )
 from repro.crypto.shamir import ShamirSecretSharing
-from repro.secagg.masking import (
-    MaskAccumulator,
-    accumulate_masks_reference,
-    accumulate_signed_masks_reference,
-)
+from repro.secagg.masking import MaskAccumulator
+from tests.oracles.secagg import accumulate_masks_reference, accumulate_signed_masks_reference
+from tests.oracles.shamir import evaluate_shares_reference, reconstruct_reference, share_reference
 
 
 class TestPRGParity:
@@ -172,7 +172,7 @@ class TestShamirParity:
             ))
             assert scheme._evaluate_shares(
                 polys, ids
-            ) == scheme._evaluate_shares_reference(polys, ids)
+            ) == evaluate_shares_reference(scheme, polys, ids)
 
     def test_reconstruct_matches_reference_on_identical_shares(self):
         rng = random.Random(11)
@@ -184,9 +184,7 @@ class TestShamirParity:
                 scheme.share([secret], list(range(1, threshold + 3)))[0].values()
             )
             rng.shuffle(shares)
-            assert scheme.reconstruct(shares) == scheme.reconstruct_reference(
-                shares
-            )
+            assert scheme.reconstruct(shares) == reconstruct_reference(scheme, shares)
 
     def test_cross_round_trips(self):
         # fast share → reference reconstruct and vice versa.
@@ -194,21 +192,19 @@ class TestShamirParity:
         secret = b"the cross-implementation secret"
         ids = [1, 5, 9, 14]
         assert (
-            scheme.reconstruct_reference(
-                list(scheme.share([secret], ids)[0].values())
-            )
+            reconstruct_reference(scheme, list(scheme.share([secret], ids)[0].values()))
             == secret
         )
         assert (
             scheme.reconstruct(
-                list(scheme.share_reference([secret], ids)[0].values())
+                list(share_reference(scheme, [secret], ids)[0].values())
             )
             == secret
         )
 
     def test_share_reference_validation_parity(self):
         scheme = ShamirSecretSharing(3)
-        for method in (scheme.share, scheme.share_reference):
+        for method in (scheme.share, partial(share_reference, scheme)):
             with pytest.raises(ValueError):
                 method([b"s"], [1, 1, 2])
             with pytest.raises(ValueError):
@@ -227,7 +223,7 @@ class TestShamirParity:
             shares = list(scheme.share([secret], ids)[0].values())
             assert (
                 scheme.reconstruct(shares)
-                == scheme.reconstruct_reference(shares)
+                == reconstruct_reference(scheme, shares)
                 == secret
             )
         assert len(scheme._lagrange_cache) == 1
@@ -257,7 +253,7 @@ class TestShamirParity:
             secrets.append(secret)
             share_lists.append(shares)
         assert scheme.reconstruct_many(share_lists) == [
-            scheme.reconstruct_reference(s) for s in share_lists
+            reconstruct_reference(scheme, s) for s in share_lists
         ]
         assert scheme.reconstruct_many(share_lists) == secrets
         assert scheme.reconstruct_many([]) == []

@@ -1,6 +1,8 @@
 """Shamir sharing: round-trips, threshold enforcement, dropout resilience,
 and the one-pass dealer (one entropy read, packed Horner)."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from repro.crypto.entropy import SYSTEM_ENTROPY, EntropySource, SeededEntropy
 from repro.crypto.field import MERSENNE_127
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.utils.bytesio import bytes_to_int, chunk_bytes
+from tests.oracles.shamir import eval_poly, share_reference
 
 
 def share_one(ss, secret, ids):
@@ -45,7 +48,7 @@ class TestShareStructure:
 
     def test_a_bare_secret_is_not_a_list_of_secrets(self):
         ss = ShamirSecretSharing(threshold=2)
-        for method in (ss.share, ss.share_reference):
+        for method in (ss.share, partial(share_reference, ss)):
             with pytest.raises(TypeError):
                 method(b"secret", [1, 2])
 
@@ -201,7 +204,7 @@ class TestOnePassDealer:
         self, threshold, extra_ids, lengths, data
     ):
         """Every share is its chunk polynomial at the holder's point,
-        evaluated with ``field.eval_poly`` on the coefficients the one
+        evaluated with the oracle's ``eval_poly`` on the coefficients the one
         read supplied — for ids spanning 1 … 2**64 and beyond, and
         secrets of every dealt length mixed in one call."""
         ids = sorted({1, 1 << 20, 1 << 64, *extra_ids})
@@ -230,7 +233,7 @@ class TestOnePassDealer:
             for pid, share in shares.items():
                 assert share == Share(
                     x=pid,
-                    ys=tuple(ss.field.eval_poly(coeffs, pid) for coeffs in polys),
+                    ys=tuple(eval_poly(ss.field, coeffs, pid) for coeffs in polys),
                     secret_len=len(secret),
                 )
             assert ss.reconstruct(list(shares.values())) == secret
@@ -285,7 +288,7 @@ class TestOnePassDealer:
             randbelow = token_bytes
 
         ss = ShamirSecretSharing(3)
-        for method in (ss.share, ss.share_reference):
+        for method in (ss.share, partial(share_reference, ss)):
             with pytest.raises(error):
                 method(secret_list, ids, NoEntropy())
 
@@ -293,7 +296,7 @@ class TestOnePassDealer:
         ss = ShamirSecretSharing(4)
         secret_list = [bytes(range(64)), b"", b"seed" * 8]
         ids = [1, 3, 5, 7, 9]
-        fast, oracle = ss.share(secret_list, ids), ss.share_reference(secret_list, ids)
+        fast, oracle = ss.share(secret_list, ids), share_reference(ss, secret_list, ids)
         for secret, a, b in zip(secret_list, fast, oracle):
             assert {(s.x, len(s.ys), s.secret_len) for s in a.values()} == {
                 (s.x, len(s.ys), s.secret_len) for s in b.values()

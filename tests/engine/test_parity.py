@@ -26,7 +26,6 @@ from repro.secagg.driver import (
     DropoutSchedule,
     arun_secagg_round,
     run_secagg_round,
-    run_secagg_round_reference,
 )
 from repro.secagg.types import (
     SecAggConfig,
@@ -42,8 +41,8 @@ from repro.xnoise.protocol import (
     XNoiseConfig,
     arun_xnoise_round,
     run_xnoise_round,
-    run_xnoise_round_reference,
 )
+from tests.oracles.secagg import run_secagg_round_reference, run_xnoise_round_reference
 
 CONFIG = SecAggConfig(threshold=3, bits=16, dimension=8, dh_group="modp512")
 

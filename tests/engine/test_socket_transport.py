@@ -299,10 +299,8 @@ class TestDropoutOverSockets:
         ],
     )
     def test_dropout_at_every_stage_boundary(self, name, stage):
-        from repro.secagg.driver import (
-            DropoutSchedule,
-            run_secagg_round_reference,
-        )
+        from repro.secagg.driver import DropoutSchedule
+        from tests.oracles.secagg import run_secagg_round_reference
 
         sched = DropoutSchedule(at_stage={stage: {2}})
         engine, over_sockets = secagg_over(SocketTransport(), sched)
@@ -355,8 +353,8 @@ class TestDropoutOverSockets:
 class TestMaskedVectorWireSize:
     """One definition of a masked vector's wire size.
 
-    ``SecAggConfig.vector_bytes`` (``ceil(d·b/8)``) is what the traffic
-    meter books, what ``secagg.complexity`` predicts and what the codec
+    ``ceil(d·b/8)`` is what the traffic meter books, what the
+    complexity oracle's ``vector_bytes`` predicts and what the codec
     writes — checked here on a ring and a dimension that leave pad bits
     (7 × 13 = 91 bits → 12 bytes), against bytes counted on a socket.
     """
@@ -382,18 +380,19 @@ class TestMaskedVectorWireSize:
 
     @pytest.mark.parametrize("dropped", [frozenset(), frozenset({2})])
     def test_analytic_uplink_is_measured_uplink_minus_the_envelope(self, dropped):
-        from repro.secagg.complexity import (
+        from tests.oracles.complexity import (
             MASKED_INPUT_ENVELOPE_BYTES,
             masked_upload_bytes,
+            vector_bytes,
         )
         config, engine, result = self._round(SocketTransport(), dropped)
         senders = len(result.u3)
         assert senders == 5 - len(dropped)
-        assert config.vector_bytes == 12  # ceil(91 / 8); the floor was 11
+        assert vector_bytes(config) == 12  # ceil(91 / 8); the floor was 11
         (span,) = [
             s for s in engine.trace.round_spans(0) if s.label == "masked_input"
         ]
-        analytic = senders * config.vector_bytes
+        analytic = senders * vector_bytes(config)
         assert MASKED_INPUT_ENVELOPE_BYTES == 27
         assert span.up_bytes - senders * MASKED_INPUT_ENVELOPE_BYTES == analytic
         assert span.up_bytes == senders * masked_upload_bytes(config)

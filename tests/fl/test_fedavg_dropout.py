@@ -10,6 +10,7 @@ from repro.fl.models import SoftmaxRegression
 from repro.fl.optim import SGD
 from repro.fl.server import FedAvgServer
 from repro.utils.rng import derive_rng
+from tests.oracles.fleet import dropout_rates_reference
 
 
 def small_task():
@@ -145,11 +146,11 @@ class TestBehaviorTrace:
 
     def test_dropout_rates_pinned_to_reference_loop(self):
         """The batched sampling gather is a vectorization of the
-        retained per-round loop — same rng stream, bit-equal rates."""
+        oracle's per-round loop — same rng stream, bit-equal rates."""
         trace = BehaviorTrace(n_clients=100, horizon=150, seed=2)
         np.testing.assert_array_equal(
             trace.dropout_rates(sample_size=16, seed=4),
-            trace.dropout_rates_reference(sample_size=16, seed=4),
+            dropout_rates_reference(trace, sample_size=16, seed=4),
         )
 
     def test_trace_driven_adapter(self):

@@ -14,6 +14,7 @@ from repro.fleet import (
     build_availability,
 )
 from repro.fleet.availability import DENSE_TRACE_MAX_CLIENTS
+from tests.oracles.fleet import dropout_rates_reference
 
 
 class TestSessionStream:
@@ -124,18 +125,18 @@ class TestCorrelatedAvailability:
 class TestDropoutRatesVectorization:
     def test_pinned_to_reference_loop(self):
         """The batched gather must consume the sampling rng exactly like
-        the retained per-round loop — bit-equal output."""
+        the oracle's per-round loop — bit-equal output."""
         trace = BehaviorTrace(80, 40, seed=6)
         for seed in (0, 3):
             fast = trace.dropout_rates(16, seed=seed)
-            ref = trace.dropout_rates_reference(16, seed=seed)
+            ref = dropout_rates_reference(trace, 16, seed=seed)
             assert np.array_equal(fast, ref)
 
     def test_oversized_sample_clamps_to_population(self):
         trace = BehaviorTrace(10, 12, seed=1)
         assert np.array_equal(
             trace.dropout_rates(64, seed=2),
-            trace.dropout_rates_reference(64, seed=2),
+            dropout_rates_reference(trace, 64, seed=2),
         )
 
 

@@ -12,8 +12,8 @@ from repro.fleet import (
     ProfileColumns,
     TraceDrivenDropout,
     build_availability,
-    heterogeneous_fleet_reference,
 )
+from tests.oracles.fleet import heterogeneous_fleet_reference
 
 
 def toy_fleet(availability=None):

@@ -1,19 +1,13 @@
 """Device profiles: directional bandwidth, fleet construction, and the
-columns pinned against the boxed reference builder."""
+columns pinned against the boxed oracle builder (``tests/oracles/fleet.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import (
-    DeviceProfile,
-    Fleet,
-    FleetConfig,
-    ProfileColumns,
-    heterogeneous_fleet,
-    heterogeneous_fleet_reference,
-)
+from repro.fleet import Fleet, FleetConfig, ProfileColumns, heterogeneous_fleet
+from tests.oracles.fleet import DeviceProfile, heterogeneous_fleet_reference
 
 
 class TestDeviceProfile:
@@ -89,7 +83,7 @@ class TestHeterogeneousFleet:
 
 
 def boxed(columns: ProfileColumns) -> list[DeviceProfile]:
-    """Each row as the reference's DeviceProfile (client id = row)."""
+    """Each row as the oracle's DeviceProfile (client id = row)."""
     return [
         DeviceProfile(i, *(float(col[i]) for col in (
             columns.compute_factor, columns.uplink_bps, columns.downlink_bps
@@ -100,7 +94,7 @@ def boxed(columns: ProfileColumns) -> list[DeviceProfile]:
 
 class TestColumnarParity:
     """The columns are a representation change, not a model change:
-    every row must equal the retained reference builder's device
+    every row must equal the oracle builder's device
     bit-for-bit (dataclass equality compares every float)."""
 
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Asymptotic cost accounting for secure-aggregation protocols.
 
-§2.3.2 and §8 discuss the complexity gap that motivates SecAgg+: SecAgg
+The counts a measured round is pinned against.  §2.3.2 and §8 discuss the complexity gap that motivates SecAgg+: SecAgg
 costs each client O(n) key agreements/shares and the server O(n²)
 mask-expansion work, while SecAgg+'s k-regular graph (k = O(log n)) cuts
 these to O(log n) and O(n log n).  This module computes the *exact*
@@ -20,6 +20,7 @@ from repro.crypto.shamir import ShamirSecretSharing
 from repro.secagg.codec import _MASKED_HEADER
 from repro.secagg.graph import recommended_degree
 from repro.secagg.types import AdvertiseKeysMsg, SecAggConfig, SharePayload
+from repro.wire.bitpack import packed_nbytes
 from repro.wire.codecs import encode_payload_frame
 from repro.wire.frame import FRAME_OVERHEAD, KIND_RESPONSE
 
@@ -58,15 +59,19 @@ class ServerCost:
     routed_ciphertexts: int
 
 
+def vector_bytes(config: SecAggConfig) -> int:
+    """Wire size of one masked vector: ``ceil(dimension × b / 8)``."""
+    return packed_nbytes(config.dimension, config.bits)
+
+
 def masked_upload_bytes(config: SecAggConfig) -> int:
     """Analytic uplink of one masked input: ``d·b`` bits plus the envelope.
 
-    ``config.vector_bytes`` is the one definition of a vector's wire
-    size — the codec writes exactly that many body bytes — so this
+    The codec writes exactly :func:`vector_bytes` body bytes, so this
     equals the framed bytes a socket carries for the message (pinned by
     test against a measured round).
     """
-    return config.vector_bytes + MASKED_INPUT_ENVELOPE_BYTES
+    return vector_bytes(config) + MASKED_INPUT_ENVELOPE_BYTES
 
 
 def fixed_upload_bytes(neighbors: int, dh_group: str = SecAggConfig.dh_group) -> int:

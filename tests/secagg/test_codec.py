@@ -27,6 +27,7 @@ from repro.wire import (
 )
 from repro.wire.codecs import encode_payload_frame
 from repro.wire.frame import FRAME_OVERHEAD
+from tests.oracles.complexity import vector_bytes
 
 #: ``sender u64 ∥ bits u8 ∥ count u32`` in front of the packed vector.
 HEADER = 13
@@ -290,12 +291,12 @@ class TestMaskedInputCodec:
         assert len(encode_value(large)) > len(encode_value(small)) * 30
 
     def test_body_is_header_plus_config_vector_bytes(self):
-        # One definition of a vector's wire size: SecAggConfig.vector_bytes.
+        # One definition of a vector's wire size, the complexity oracle's.
         for dimension, bits in [(16, 20), (7, 20), (1, 1), (1000, 13), (5, 62)]:
             config = SecAggConfig(threshold=2, bits=bits, dimension=dimension)
             msg = _masked(np.zeros(dimension), bits)
-            assert config.vector_bytes == -(-dimension * bits // 8)
-            assert len(encode_masked_input(msg)) == HEADER + config.vector_bytes
+            assert vector_bytes(config) == -(-dimension * bits // 8)
+            assert len(encode_masked_input(msg)) == HEADER + vector_bytes(config)
 
     def test_golden_frame(self):
         # The whole RESPONSE frame of a tiny masked input, byte for byte:

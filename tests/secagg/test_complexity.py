@@ -5,16 +5,16 @@ from collections import Counter
 import pytest
 
 from repro.crypto.dh import DHGroup
-from repro.secagg.complexity import (
+from repro.secagg.types import ProtocolAbort
+from repro.wire import KIND_REQUEST
+from repro.wire.codecs import encode_payload_frame
+from tests.oracles.complexity import (
     crossover_population,
     fixed_upload_bytes,
     secagg_client_cost,
     secagg_plus_client_cost,
     secagg_server_cost,
 )
-from repro.secagg.types import ProtocolAbort
-from repro.wire import KIND_REQUEST
-from repro.wire.codecs import encode_payload_frame
 
 
 def _request_nbytes(op, payload) -> int:

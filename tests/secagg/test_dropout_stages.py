@@ -12,7 +12,6 @@ import pytest
 from repro.secagg.driver import (
     DropoutSchedule,
     run_secagg_round,
-    run_secagg_round_reference,
 )
 from repro.secagg.types import (
     ProtocolAbort,
@@ -23,6 +22,7 @@ from repro.secagg.types import (
 )
 from repro.utils.rng import derive_rng
 from repro.xnoise.protocol import XNoiseClient, XNoiseConfig, run_xnoise_round
+from tests.oracles.secagg import run_secagg_round_reference
 
 
 def _inputs(n=5, dim=6, seed=7):

@@ -23,8 +23,9 @@ from repro.engine import (
     run_sync,
 )
 from repro.secagg.client import SecAggClient
-from repro.secagg.driver import arun_secagg_round, run_secagg_round_reference
+from repro.secagg.driver import arun_secagg_round
 from repro.secagg.types import ProtocolAbort, SecAggConfig
+from tests.oracles.secagg import run_secagg_round_reference
 
 CONFIG = SecAggConfig(threshold=3, bits=20, dimension=9, dh_group="modp512")
 TRANSPORTS = {

@@ -17,9 +17,9 @@ from repro.secagg import (
     STAGE_MASKED_INPUT,
     STAGE_UNMASK,
 )
-from repro.secagg.complexity import masked_upload_bytes
 from repro.secagg.driver import secagg_round_components
 from repro.utils.rng import derive_rng
+from tests.oracles.complexity import masked_upload_bytes
 
 
 def make_inputs(n, dim, bits=16, label="inputs"):

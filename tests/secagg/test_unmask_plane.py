@@ -1,11 +1,12 @@
-"""The coordinator's unmask plane vs its retained reference twin.
+"""The coordinator's unmask plane vs its serial oracle.
 
 Builds real protocol state (keys, graphs, Shamir shares, masked inputs)
 through the client/server state machines, then pins
-``SecAggServer.collect_unmask`` bit-identical to
-``collect_unmask_reference`` across dropout patterns, worker counts, and
-the int64-headroom guard fallback — and both equal to the plain survivor
-input sum, which is what unmasking is supposed to recover.
+``SecAggServer.collect_unmask`` bit-identical to the oracle
+``collect_unmask_reference`` (``tests/oracles/secagg.py``) across
+dropout patterns, worker counts, and the int64-headroom guard fallback
+— and both equal to the plain survivor input sum, which is what
+unmasking is supposed to recover.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.secagg.types import (
     ProtocolAbort,
     SecAggConfig,
 )
+from tests.oracles.secagg import collect_unmask_reference, reconstruct_or_abort
 
 
 def build_unmask_state(config, inputs, dropout=None):
@@ -83,16 +85,16 @@ def sent_vectors(sent):
 
 
 def unmask_by(method, server, messages, sent):
-    """``collect_unmask`` or its reference twin, by name."""
+    """``collect_unmask`` or its oracle, by name."""
     if method == "collect_unmask_reference":
-        return server.collect_unmask_reference(messages, sent_vectors(sent))
+        return collect_unmask_reference(server, messages, sent_vectors(sent))
     return getattr(server, method)(messages)
 
 
 def assert_plane_parity(server, messages, sent, inputs, *, workers=(1, 3)):
-    """Fast plane ≡ reference twin ≡ the survivor input sum, all workers."""
-    reference = clone_with_workers(server, sent, 1).collect_unmask_reference(
-        messages, sent_vectors(sent)
+    """Fast plane ≡ oracle ≡ the survivor input sum, all workers."""
+    reference = collect_unmask_reference(
+        clone_with_workers(server, sent, 1), messages, sent_vectors(sent)
     )
     expected = np.zeros(server.config.dimension, dtype=np.int64)
     for u in server.u3:
@@ -288,10 +290,10 @@ class TestUnmaskPlaneAbortParity:
         assert "mask key of 3" in errors[0]
 
     def test_reconstruct_twins_abort_identically(self):
-        # The share-reconstruction helper pair behind both unmask
-        # planes: SecAggServer._reconstruct and _reconstruct_reference
-        # must wrap an unreconstructable share set in the same
-        # ProtocolAbort message.
+        # The share-reconstruction helpers behind the plane and its
+        # oracle: SecAggServer._reconstruct and the oracle's
+        # reconstruct_or_abort must wrap an unreconstructable share set
+        # in the same ProtocolAbort message.
         from repro.crypto.shamir import ShamirSecretSharing
 
         server, _, _ = self._state()
@@ -299,15 +301,15 @@ class TestUnmaskPlaneAbortParity:
         shares = list(ss.share([b"unmask seed material"], [1, 2, 3, 4])[0].values())
         too_few = shares[:2]
         errors = []
-        for method in ("_reconstruct", "_reconstruct_reference"):
+        for reconstruct in (server._reconstruct, reconstruct_or_abort):
             with pytest.raises(ProtocolAbort) as excinfo:
-                getattr(server, method)(ss, too_few, "self-mask seed of 9")
+                reconstruct(ss, too_few, "self-mask seed of 9")
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
         assert "self-mask seed of 9" in errors[0]
-        # And on reconstructable shares the twins agree with each other.
+        # And on reconstructable shares the two agree with each other.
         assert server._reconstruct(ss, shares[:3], "x") == \
-            server._reconstruct_reference(ss, shares[:3], "x")
+            reconstruct_or_abort(ss, shares[:3], "x")
 
 
 def test_config_rejects_non_positive_workers():

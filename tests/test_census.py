@@ -285,7 +285,7 @@ def test_legs_cover_every_run_of_the_paper(tmp_path):
     assert [n.removeprefix("example-") for n in names if n.startswith("example-")] == examples
     for name in ("native-build", "perf", "figures", "cli-run-xnoise",
                  "cli-run-skellam-sockets", "cli-plan", "cli-pipeline", "cli-check",
-                 "cli-bench", "serve-join", "malicious-rounds"):
+                 "micro", "serve-join", "malicious-rounds"):
         assert name in names
     native0 = [leg for leg in found if leg.name.endswith("-native0")]
     assert {leg.name for leg in native0} == {

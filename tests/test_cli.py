@@ -228,18 +228,23 @@ class TestCheckCommand:
         assert main(["check", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["clean"] is True
-        assert len(doc["rules"]) >= 6
+        assert len(doc["rules"]) >= 5
 
     def test_findings_exit_one(self, capsys, tmp_path):
         repo = tmp_path / "repo"
         (repo / "src" / "repro").mkdir(parents=True)
         (repo / "pyproject.toml").write_text("[project]\nname='x'\n")
         (repo / "src" / "repro" / "mod.py").write_text(
-            "def lonely_reference(x):\n    return x\n"
+            "def unmask(vectors, modulus):\n"
+            "    acc = vectors[0]\n"
+            "    for v in vectors[1:]:\n"
+            "        acc += v\n"
+            "    acc %= modulus\n"
+            "    return acc\n"
         )
         assert main(["check", "--root", str(repo)]) == 1
         out = capsys.readouterr().out
-        assert "[parity-twin]" in out
+        assert "[headroom-guard]" in out
 
     def test_bad_root_exits_two(self, capsys, tmp_path):
         assert main(["check", "--root", str(tmp_path / "nowhere")]) == 2

@@ -1,5 +1,9 @@
 """The packages import in any order: no import cycle among them.
 
+``src/repro`` ships the protocol alone: no ``*_reference`` twin (the
+specifications a fast path is pinned against live in ``tests/oracles/``)
+and no import of ``tests`` or ``benchmarks``.
+
 ``repro.engine`` reaches ``repro.pipeline`` (chunking) and the XNoise
 round reaches back into the engine, so an edge from ``repro.pipeline``
 into ``repro.xnoise`` would close a cycle that only shows up when one
@@ -9,6 +13,7 @@ and checks that ``repro.xnoise`` serves its protocol exports as plain
 module attributes.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -79,3 +84,24 @@ def test_the_device_path_imports_nothing_third_party_but_numpy():
     )
     added = loaded - bare - set(sys.stdlib_module_names)
     assert added == {"numpy", "repro"}
+
+
+def test_src_ships_no_twin_and_imports_no_test_or_benchmark_code():
+    found = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad, what = node.name.endswith("_reference"), f"def {node.name}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0):
+                modules = (
+                    [alias.name for alias in node.names]
+                    if isinstance(node, ast.Import) else [node.module]
+                )
+                bad = any(m.split(".")[0] in ("tests", "benchmarks") for m in modules)
+                what = f"import {', '.join(modules)}"
+            else:
+                continue
+            if bad:
+                found.append(f"{rel}:{node.lineno}: {what}")
+    assert not found, "\n".join(found)

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.xnoise.decomposition import (
     NoiseDecomposition,
     component_variances,
-    excess_variance,
     inflation_factor,
     per_client_variance,
-    per_survivor_excess,
     removable_indices,
     residual_variance_after_removal,
 )
+from tests.oracles.xnoise import excess_variance, per_survivor_excess
 
 
 class TestComponentVariances:

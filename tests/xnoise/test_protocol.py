@@ -11,12 +11,12 @@ from repro.xnoise.protocol import (
     XNoiseConfig,
     XNoiseServer,
     run_xnoise_round,
-    run_xnoise_round_reference,
     seed_label,
     skellam_noise_from_seed,
 )
 from repro.dp.quantize import unwrap_modular
 from repro.utils.rng import derive_rng
+from tests.oracles.secagg import run_xnoise_round_reference
 
 
 def make_config(n=6, t=None, tolerance=2, bits=18, dim=64, variance=100.0,
@@ -146,7 +146,7 @@ class TestDropoutWithinTolerance:
 
         from repro.crypto.ae import AuthenticatedEncryption
         from repro.crypto.dh import KeyAgreement
-        from repro.secagg.complexity import secagg_client_cost
+        from tests.oracles.complexity import secagg_client_cost
 
         calls = Counter()
         for cls, name in [(KeyAgreement, "agree"),
