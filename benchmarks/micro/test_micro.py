@@ -20,7 +20,7 @@ import hotpath
 import listener
 import pytest
 import unmask
-from bench_schema import SCHEMA_VERSION, make_report, validate_report, write_bench
+from bench_schema import SCHEMA_VERSION, make_report, metric, validate_report, write_bench
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -57,7 +57,6 @@ class TestRun:
             assert module.TOPIC == topic
             assert callable(getattr(module, f"run_{topic}"))
         assert set(micro_run.DEFAULT_TOPICS) < set(micro_run.TOPICS)
-        assert "unmask" not in micro_run.DEFAULT_TOPICS
 
     def test_unknown_topic_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -65,13 +64,58 @@ class TestRun:
         assert excinfo.value.code == 2
         assert "traffic" in capsys.readouterr().err
 
-    def test_reports_are_written_schema_valid(
-        self, tmp_path, hotpath_report, listener_report, fleet_report, unmask_report
-    ):
-        for report in (hotpath_report, listener_report, fleet_report, unmask_report):
-            path = write_bench(report, tmp_path / "out")
-            assert path.name == f"BENCH_{report['topic']}.json"
-            assert path.is_file()
+    @pytest.mark.parametrize("topic", micro_run.TOPICS)
+    def test_reports_are_schema_valid(self, tmp_path, request, topic):
+        report = request.getfixturevalue(f"{topic}_report")
+        assert report["topic"] == topic
+        validate_report(report)
+        path = write_bench(report, tmp_path / "out")
+        assert path.name == f"BENCH_{topic}.json"
+        assert path.is_file()
+
+
+def _fake_runs(monkeypatch, **flags):
+    """Replace every topic's runner with one that returns a tiny report:
+    a speedup row, and the topic's check flag at ``flags[topic]`` (1 when
+    not given)."""
+    modules = {"hotpath": hotpath, "listener": listener, "fleet": fleet_topic, "unmask": unmask}
+    for topic, module in modules.items():
+        metrics = {f"{topic}_speedup": metric(2.0, "x")}
+        if topic in micro_run.CHECKS:
+            metrics[micro_run.CHECKS[topic]] = metric(flags.get(topic, 1), "flag")
+        report = make_report(topic, {}, metrics)
+        monkeypatch.setattr(module, f"run_{topic}", lambda report=report: report)
+
+
+class TestMain:
+    """``run.py``'s own contract, over runners that return at once."""
+
+    def test_no_topic_runs_the_default_three(self, tmp_path, monkeypatch):
+        _fake_runs(monkeypatch)
+        assert micro_run.main(["--out", str(tmp_path)]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(f"BENCH_{t}.json" for t in micro_run.DEFAULT_TOPICS)
+
+    def test_named_topics_alone_are_written(self, tmp_path, monkeypatch):
+        _fake_runs(monkeypatch)
+        assert micro_run.main(["--out", str(tmp_path), "unmask", "fleet"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_fleet.json",
+            "BENCH_unmask.json",
+        ]
+
+    @pytest.mark.parametrize("topic", sorted(micro_run.CHECKS))
+    def test_a_failed_check_exits_1(self, tmp_path, monkeypatch, capsys, topic):
+        _fake_runs(monkeypatch, **{topic: 0})
+        assert micro_run.main(["--out", str(tmp_path), topic]) == 1
+        assert f"{topic}: {micro_run.CHECKS[topic]} is 0" in capsys.readouterr().err
+        # The report is still written, for the job's artifact.
+        assert (tmp_path / f"BENCH_{topic}.json").is_file()
+
+    def test_speedup_rows_are_printed(self, tmp_path, monkeypatch, capsys):
+        _fake_runs(monkeypatch)
+        assert micro_run.main(["--out", str(tmp_path), "hotpath"]) == 0
+        assert "hotpath: hotpath_speedup 2.00x" in capsys.readouterr().out
 
 
 class TestHotpath:
@@ -212,6 +256,10 @@ class TestFleet:
 
 
 class TestUnmask:
+    def test_not_in_default_topics(self):
+        assert "unmask" in micro_run.TOPICS
+        assert "unmask" not in micro_run.DEFAULT_TOPICS
+
     def test_report_config(self, unmask_report):
         assert unmask_report["topic"] == "unmask"
         assert unmask_report["config"]["dim"] == 256

@@ -86,10 +86,12 @@ def test_the_device_path_imports_nothing_third_party_but_numpy():
     assert added == {"numpy", "repro"}
 
 
-def test_src_ships_no_twin_and_imports_no_test_or_benchmark_code():
+def _guard_findings(package: Path) -> list[str]:
+    """Each ``def *_reference`` and each absolute import of ``tests`` or
+    ``benchmarks`` under ``package``, as ``file:line: what``."""
     found = []
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        rel = path.relative_to(ROOT)
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package.parent)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 bad, what = node.name.endswith("_reference"), f"def {node.name}"
@@ -103,5 +105,55 @@ def test_src_ships_no_twin_and_imports_no_test_or_benchmark_code():
             else:
                 continue
             if bad:
-                found.append(f"{rel}:{node.lineno}: {what}")
+                found.append(f"{rel.as_posix()}:{node.lineno}: {what}")
+    return found
+
+
+def test_src_ships_no_twin_and_imports_no_test_or_benchmark_code():
+    found = _guard_findings(ROOT / "src" / "repro")
     assert not found, "\n".join(found)
+
+
+def _package_with(tmp_path: Path, source: str) -> Path:
+    package = tmp_path / "repro"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "sub" / "mod.py").write_text(source)
+    return package
+
+
+@pytest.mark.parametrize(
+    "source, finding",
+    [
+        ("x = 1\ndef lonely_reference(v):\n    return v\n", "2: def lonely_reference"),
+        ("async def fetch_reference():\n    pass\n", "1: def fetch_reference"),
+        (
+            "class Sharer:\n    def share_reference(self):\n        pass\n",
+            "2: def share_reference",
+        ),
+        ("import tests.oracles.shamir\n", "1: import tests.oracles.shamir"),
+        (
+            "from benchmarks.bench_schema import write_bench\n",
+            "1: import benchmarks.bench_schema",
+        ),
+        ("import numpy, benchmarks\n", "1: import numpy, benchmarks"),
+    ],
+    ids=["function", "async-function", "method", "import-tests", "from-benchmarks", "one-of-many"],
+)
+def test_guard_trips_on_a_twin_or_a_test_import(tmp_path, source, finding):
+    """The guard fails the tree a twin or a harness import would ship in,
+    naming the file and line."""
+    assert _guard_findings(_package_with(tmp_path, source)) == [f"repro/sub/mod.py:{finding}"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def reference_point():\n    pass\ndef referenced():\n    pass\n",
+        "from .tests import helper\nfrom . import benchmarks\n",
+        "import testsuite\nfrom benchmarking import clock\n",
+    ],
+    ids=["reference-not-a-suffix", "relative-import", "prefix-only-names"],
+)
+def test_guard_passes_names_that_only_resemble(tmp_path, source):
+    assert _guard_findings(_package_with(tmp_path, source)) == []
