@@ -29,9 +29,15 @@ from bench_schema import make_report, metric
 from repro import native
 from repro.crypto.ae import AuthenticatedEncryption
 from repro.crypto.dh import DHKeyPair, KeyAgreement, resolve_group
-from repro.crypto.prg import PRGReference, expand_uniform, expand_uniform_numpy
+from repro.crypto.prg import (
+    COUNTER_PRG,
+    CounterPRG,
+    PRGReference,
+    expand_uniform,
+    expand_uniform_numpy,
+)
 from repro.crypto.shamir import ShamirSecretSharing
-from repro.dp.rotation import fwht
+from repro.dp.rotation import RandomizedHadamard
 from repro.dp.sampler import skellam_noise_from_seed_numpy
 from repro.dp.skellam import SkellamConfig, SkellamMechanism
 from repro.secagg.masking import MaskAccumulator
@@ -41,7 +47,6 @@ from repro.wire import codecs as wire_codecs
 from repro.wire.bitpack import pack_bits_into, pack_low_bits_into, unpack_add, unpack_bits
 from repro.wire.frame import FRAME_OVERHEAD, KIND_REQUEST, KIND_RESPONSE
 from repro.xnoise.protocol import skellam_noise_from_seed
-from tests.oracles.secagg import accumulate_masks_reference
 from tests.oracles.shamir import reconstruct_reference, share_reference
 
 TOPIC = "hotpath"
@@ -64,7 +69,7 @@ ROUND_PATHS: dict[str, Any] = {
     "repro.secagg.masking.unpack_bits": unpack_bits,
     "repro.crypto.suite.KeyAgreement.agree": KeyAgreement.agree,
     "repro.xnoise.protocol.skellam_noise_from_seed": skellam_noise_from_seed,
-    "repro.dp.rotation.fwht": fwht,
+    "repro.dp.skellam.RandomizedHadamard.forward": RandomizedHadamard.forward,
     "repro.core.dordis.SkellamMechanism.encode_signal": SkellamMechanism.encode_signal,
     "repro.core.dordis.SkellamMechanism.decode": SkellamMechanism.decode,
     "repro.crypto.suite.ShamirSecretSharing.share": ShamirSecretSharing.share,
@@ -76,7 +81,7 @@ ROUND_PATHS: dict[str, Any] = {
     "repro.crypto.suite.AuthenticatedEncryption": AuthenticatedEncryption,
     "repro.crypto.suite.AuthenticatedEncryption.encrypt": AuthenticatedEncryption.encrypt,
     "repro.crypto.suite.AuthenticatedEncryption.decrypt": AuthenticatedEncryption.decrypt,
-    "repro.secagg.client.MaskAccumulator": MaskAccumulator,
+    "repro.crypto.suite.CounterPRG.mask_input": CounterPRG.mask_input,
 }
 
 #: What the perf benchmark's ``dordis_round`` expands 110 times a round:
@@ -312,7 +317,8 @@ def run_hotpath(
             "repro.xnoise.protocol.skellam_noise_from_seed",
         )
 
-    # The DSkellam transform: the butterfly alone, then encode_signal
+    # The DSkellam transform: the rotation as encode_signal runs it
+    # (pad, sign, butterfly in its own buffer, scale), then encode_signal
     # and decode as a session's clients and coordinator call them, on
     # the kernels against the same calls on their numpy twins — the
     # announced fallback.  Equal generators, so equal integers.
@@ -321,9 +327,12 @@ def run_hotpath(
     mechanism = SkellamMechanism(config)
     update = rng.normal(size=size) * 0.01
     ring = rng.integers(0, mechanism.modulus, size=SKELLAM_DIMENSION)
-    rotated = rng.normal(size=SKELLAM_DIMENSION)
     for name, call, path in (
-        ("fwht", lambda: fwht(rotated), "repro.dp.rotation.fwht"),
+        (
+            "fwht",
+            lambda: mechanism.rotation.forward(update),
+            "repro.dp.skellam.RandomizedHadamard.forward",
+        ),
         (
             "skellam_encode_signal",
             lambda: mechanism.encode_signal(update, np.random.default_rng(seed)),
@@ -446,25 +455,30 @@ def run_hotpath(
     )
     _codec_rows(metrics, timed, "unmasking_b29_s3", KIND_RESPONSE, lambda: unmasking, repeats)
 
-    # Mask accumulation: base + one mask per live neighbor.
-    masks = [
-        rng.integers(0, modulus, size=d).astype(np.int64)
-        for _ in range(max(2, clients))
+    # A client's masked input at wide_model's shape: its input, the self
+    # mask and one pairwise mask per other client, packed for the wire —
+    # the PG slot's one pass (input and seeds slab by slab into the
+    # packed bytes) against the accumulator it falls back to (each mask
+    # folded into a copy of the input, then the reducing pack).
+    terms = [
+        (bytes(rng.integers(0, 256, size=32, dtype=np.uint8)), 1 if i % 2 == 0 else -1)
+        for i in range(max(1, clients))
     ]
     base = rng.integers(0, modulus, size=d).astype(np.int64)
 
-    def _fast_accumulate() -> np.ndarray:
-        acc = MaskAccumulator(base, modulus, n_terms=1 + len(masks))
-        for m in masks:
-            acc.add(m)
-        return acc.finish()
+    def _accumulate() -> bytearray:
+        acc = MaskAccumulator(base, modulus, n_terms=1 + len(terms))
+        for seed, sign in terms:
+            acc.fold_seed(seed, sign)
+        return acc.finish_packed()
 
-    ref_s = _best_of(
-        lambda: accumulate_masks_reference(base, masks, modulus), repeats
-    )
-    fast_s = _best_of(_fast_accumulate, repeats)
+    def _one_pass() -> bytearray:  # as the client runs it: the slot, else the accumulator
+        return COUNTER_PRG.mask_input(base, modulus, terms) or _accumulate()
+
+    assert _one_pass() == _accumulate()
     _speedup_triplet(
-        metrics, timed, f"mask_accumulate_d{d}", ref_s, fast_s, "repro.secagg.client.MaskAccumulator"
+        metrics, timed, f"mask_accumulate_d{d}", _best_of(_accumulate, repeats),
+        _best_of(_one_pass, repeats), "repro.crypto.suite.CounterPRG.mask_input",
     )
 
     config = {

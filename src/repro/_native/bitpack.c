@@ -1,4 +1,5 @@
-/* Bit-pack plane: the masked-vector bit packer and the mask fold.
+/* Bit-pack plane: the masked-vector bit packer, the mask fold and the
+ * masked input.
  *
  * Ring-width bit packing for masked vectors (repro.wire.bitpack).
  *
@@ -10,6 +11,8 @@
  * the mask fold) take whole groups of eight elements a zmm register at
  * a time.  repro.wire.bitpack holds the bit-identical numpy fallback.
  */
+
+#include <stdlib.h>
 
 #include "kernels.h"
 
@@ -126,12 +129,18 @@ static void lanes_pack_low_bits(const int64_t *src, unsigned bits,
     }
 }
 
-/* Whether the bit-pack loops run eight lanes wide on this CPU. */
+#endif /* HAVE_X16_BUILD */
+
+/* Whether the bit-pack loops run eight lanes wide here: on this CPU, and
+ * never on a build without them. */
 static int bitpack_lanes(void)
 {
+#ifdef HAVE_X16_BUILD
     return ctr_stream_lanes() == X16_LANES;
+#else
+    return 0;
+#endif
 }
-#endif /* HAVE_X16_BUILD */
 
 /* The pack loop.  `reduce` (a constant at both call sites) keeps only
  * the low `bits` bits of every element -- its value mod 2**bits, for a
@@ -180,26 +189,35 @@ int repro_pack_bits(const int64_t *src, size_t n, unsigned bits, uint8_t *dst)
     return pack_window(src, n, bits, dst, 0);
 }
 
-/* Pack src[i] mod 2**bits: the deferred sum of a MaskAccumulator goes
- * from int64 to its wire form in this one pass, the reduction fused
- * into the pack.  Whole groups of eight go on the lanes where they run
- * (each ends on a byte), the ragged rest through the window.  Returns
- * 0, -1 on bad arguments. */
-int repro_pack_low_bits(const int64_t *src, size_t n, unsigned bits,
-                        uint8_t *dst)
+/* Pack src[i] mod 2**bits into dst[0 .. ceil(n*bits/8)): whole groups
+ * of eight on the lanes where the caller says they run (each ends on a
+ * byte), the ragged rest through the window. */
+static void pack_low(const int64_t *src, size_t n, unsigned bits,
+                     uint8_t *dst, int lanes)
 {
     size_t groups = 0;
 
-    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
-        return -1;
 #ifdef HAVE_X16_BUILD
-    if (bitpack_lanes()) {
+    if (lanes) {
         groups = n / 8;
         lanes_pack_low_bits(src, bits, dst, groups);
     }
+#else
+    (void)lanes;
 #endif
-    return pack_window(src + 8 * groups, n - 8 * groups, bits,
-                       dst + groups * bits, 1);
+    pack_window(src + 8 * groups, n - 8 * groups, bits, dst + groups * bits, 1);
+}
+
+/* Pack src[i] mod 2**bits: the deferred sum of a MaskAccumulator goes
+ * from int64 to its wire form in this one pass, the reduction fused
+ * into the pack.  Returns 0, -1 on bad arguments. */
+int repro_pack_low_bits(const int64_t *src, size_t n, unsigned bits,
+                        uint8_t *dst)
+{
+    if (src == NULL || dst == NULL || bits < 1 || bits > 62)
+        return -1;
+    pack_low(src, n, bits, dst, bitpack_lanes());
+    return 0;
 }
 
 /* Whether nbytes == ceil(n * bits / 8), without forming n * bits (a
@@ -262,7 +280,8 @@ int repro_unpack_bits(const uint8_t *src, size_t nbytes, size_t n,
  * Over the ring 2**bits, element i of a seed's mask is bits
  * [i*bits, (i+1)*bits) of its counter stream read as the little-endian
  * bit stream of the packer above: a mask is the wire unpacking of its
- * seed's stream, every stream bit used once.  The stream is produced a
+ * seed's stream, every stream bit used once, and element 256*j starts at
+ * block j*bits.  The stream is produced a
  * slab of MASK_SLAB_BLOCKS blocks at a time on the stack (it never
  * leaves L1; whole runs of sixteen, so all of it but the vector's end
  * comes from the lanes, stream.c) and unpack-added into the caller's accumulator
@@ -385,6 +404,37 @@ int repro_unpack_add(const uint8_t *src, size_t nbytes, size_t n,
     return 0;
 }
 
+/* out[i] += (+/-) element i of key's stream from block ctr, i in [0, n),
+ * flip as in mask_element: the stream a slab at a time on the stack,
+ * each slab's whole groups of eight unpack-added (on the lanes when
+ * `lanes`), the bytes past its last group carried to the next. */
+static void fold_stream(const stream_key *key, uint64_t ctr, unsigned bits,
+                        int64_t flip, int64_t *out, size_t n, int lanes)
+{
+    uint8_t buffer[MASK_SLAB_CARRY + 32 * MASK_SLAB_BLOCKS + MASK_SLAB_SLACK]
+        __attribute__((aligned(64))) = {0};
+    uint8_t *const slab = buffer + MASK_SLAB_CARRY;
+    size_t done = 0, carried = 0;
+    /* ceil(n * bits / 256) without forming n * bits */
+    uint64_t left = (uint64_t)(n / 256) * bits + ((n % 256) * bits + 255) / 256;
+
+    while (left) {
+        uint64_t nblocks = left < MASK_SLAB_BLOCKS ? left : MASK_SLAB_BLOCKS;
+        const uint8_t *stream = slab - carried;
+        size_t have = carried + 32 * (size_t)nblocks, count;
+
+        keyed_stream(key, ctr, nblocks, slab);
+        ctr += nblocks;
+        left -= nblocks;
+        count = left ? have / bits * 8 : n - done;
+        unpack_add_groups(stream, bits, flip, out + done, count,
+                          lanes ? count / 8 : 0);
+        done += count;
+        carried = left ? have % bits : 0;
+        memcpy(slab - carried, slab + 32 * nblocks - carried, carried);
+    }
+}
+
 /* Adds sign * (element i of seed's mask over 2**bits) into out[i] for
  * i in [0, n), raw: the caller owns the int64 headroom.  Returns 0, -1
  * on bad arguments (bits outside [1, 62], seedlen > STREAM_MAX_SEED
@@ -393,36 +443,85 @@ int repro_unpack_add(const uint8_t *src, size_t nbytes, size_t n,
 int repro_mask_fold(const uint8_t *seed, size_t seedlen, unsigned bits,
                     int64_t sign, int64_t *out, size_t n)
 {
-    uint8_t buffer[MASK_SLAB_CARRY + 32 * MASK_SLAB_BLOCKS + MASK_SLAB_SLACK]
-        __attribute__((aligned(64))) = {0};
-    uint8_t *const slab = buffer + MASK_SLAB_CARRY;
-    size_t done = 0, carried = 0;
-    uint64_t ctr = 0, left;
-    int lanes = 0;
+    stream_key key;
 
-    if (seed == NULL || seedlen > STREAM_MAX_SEED || out == NULL || bits < 1
-        || bits > 62 || (sign != 1 && sign != -1))
+    if (out == NULL || bits < 1 || bits > 62 || (sign != 1 && sign != -1)
+        || stream_key_derive(seed, seedlen, &key))
         return -1;
-#ifdef HAVE_X16_BUILD
-    lanes = bitpack_lanes();
-#endif
-    /* ceil(n * bits / 256) without forming n * bits */
-    left = (uint64_t)(n / 256) * bits + ((n % 256) * bits + 255) / 256;
-    while (left) {
-        uint64_t nblocks = left < MASK_SLAB_BLOCKS ? left : MASK_SLAB_BLOCKS;
-        const uint8_t *stream = slab - carried;
-        size_t have = carried + 32 * (size_t)nblocks, count;
+    fold_stream(&key, 0, bits, sign >> 63, out, n, bitpack_lanes());
+    return 0;
+}
 
-        if (ctr_stream(seed, seedlen, ctr, nblocks, slab))
+/* ---------------------------------------------------------------------
+ * The masked input: a client's upload
+ *
+ *     (base[i] mod 2**bits + sum_s sign_s * mask_s[i]) mod 2**bits
+ *
+ * written straight into its packed wire bytes, one MASK_INPUT_SLAB of
+ * elements at a time: the slab of base copied in, reduced, into one
+ * int64 buffer that stays in L2; each seed's own run of stream (element
+ * 256*j starts at block j*bits, and a slab is whole runs of 256) folded
+ * into it by the mask fold's loop, from a key derived once a call; the
+ * slab packed by the reducing pack.  Nothing as long as the input is
+ * allocated here.
+ * repro.secagg.masking.MaskAccumulator (its fold, then finish_packed) is
+ * the bit-identical composition this replaces and is checked against.
+ * ------------------------------------------------------------------ */
+
+#define MASK_INPUT_SLAB 16384 /* elements a slab: 128 KiB of int64 */
+
+/* dst[0 .. ceil(n*bits/8)) = the packed stream of the masked input of
+ * base[0..n) under the nseeds seeds (seedlen bytes each, back to back)
+ * with signs[s] = +1 or -1.  The sum runs in int64 and is reduced once,
+ * by the pack, over 1 + nseeds terms in [0, 2**bits) (the base reduced
+ * on the way in), so (1 + nseeds) * (2**bits - 1) < 2**63 is required.
+ * Returns 0; -1 on bad
+ * arguments (bits outside [1, 62], seedlen > STREAM_MAX_SEED, a sign
+ * not +/-1, no headroom), -2 (-3) when this CPU (build) has no AES-NI
+ * to stream a seed with, -4 when the slab cannot be allocated — dst
+ * untouched in every case. */
+int repro_mask_input(const uint8_t *seeds, size_t seedlen, size_t nseeds,
+                     const int64_t *signs, unsigned bits, const int64_t *base,
+                     size_t n, uint8_t *dst)
+{
+    uint64_t mask;
+    int64_t *slab;
+    stream_key *keys;
+    size_t s, start;
+    int lanes = bitpack_lanes(), status;
+
+    if ((nseeds && (seeds == NULL || signs == NULL)) || base == NULL
+        || dst == NULL || seedlen > STREAM_MAX_SEED || bits < 1 || bits > 62)
+        return -1;
+    mask = ((uint64_t)1 << bits) - 1;
+    if (nseeds >= (uint64_t)INT64_MAX / mask)
+        return -1; /* (1 + nseeds) * mask > 2**63 - 1 */
+    for (s = 0; s < nseeds; s++)
+        if (signs[s] != 1 && signs[s] != -1)
             return -1;
-        ctr += nblocks;
-        left -= nblocks;
-        count = left ? have / bits * 8 : n - done;
-        unpack_add_groups(stream, bits, sign >> 63, out + done, count,
-                          lanes ? count / 8 : 0);
-        done += count;
-        carried = left ? have % bits : 0;
-        memcpy(slab - carried, slab + 32 * nblocks - carried, carried);
+    if (nseeds > (SIZE_MAX - sizeof(int64_t) * MASK_INPUT_SLAB) / sizeof(stream_key))
+        return -4;
+    slab = malloc(sizeof(int64_t) * MASK_INPUT_SLAB + nseeds * sizeof(stream_key));
+    if (slab == NULL)
+        return -4;
+    keys = (stream_key *)(slab + MASK_INPUT_SLAB);
+    for (s = 0; s < nseeds; s++) {
+        status = stream_key_derive(seeds + s * seedlen, seedlen, &keys[s]);
+        if (status) {
+            free(slab);
+            return status;
+        }
     }
+    for (start = 0; start < n; start += MASK_INPUT_SLAB) {
+        size_t count = n - start < MASK_INPUT_SLAB ? n - start : MASK_INPUT_SLAB, i;
+        uint64_t ctr = (uint64_t)(start / 256) * bits;
+
+        for (i = 0; i < count; i++)
+            slab[i] = (int64_t)((uint64_t)base[start + i] & mask);
+        for (s = 0; s < nseeds; s++)
+            fold_stream(&keys[s], ctr, bits, signs[s] >> 63, slab, count, lanes);
+        pack_low(slab, count, bits, dst + start / 8 * bits, lanes);
+    }
+    free(slab);
     return 0;
 }

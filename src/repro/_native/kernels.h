@@ -5,7 +5,8 @@
  * kernel table.  One plane a file:
  *
  *   stream.c     the AES-256-CTR counter stream (AES-NI, VAES)
- *   bitpack.c    the masked-vector bit packer and the mask fold
+ *   bitpack.c    the masked-vector bit packer, the mask fold and the
+ *                masked input
  *   sampler.c    Skellam noise from the counter stream
  *   modexp.c     fixed-width modular exponentiation (scalar, 8 lanes)
  *   transform.c  the DSkellam butterfly and rounder
@@ -72,6 +73,22 @@
 PLANE_SHARED int ctr_stream(const uint8_t *seed, size_t seedlen,
                             uint64_t ctr0, uint64_t nblocks, uint8_t *out);
 PLANE_SHARED int ctr_stream_lanes(void);
+
+/* A seed's stream key: the fifteen AES-256 round keys of K = SHA-256(seed),
+ * derived once and then streamed from at any counter (the mask fold and
+ * the masked input, which hold several seeds at a time). */
+typedef struct {
+    uint64_t rk[2 * 15];
+} stream_key;
+
+/* stream.c: *key for seed, seedlen <= 55; 0, -1 on bad arguments, -2 on
+ * a CPU without AES-NI (-3 on a build without x86 intrinsics).  Then
+ * keyed_stream writes blocks ctr0 .. ctr0 + nblocks - 1 of its stream
+ * into out, as ctr_stream does. */
+PLANE_SHARED int stream_key_derive(const uint8_t *seed, size_t seedlen,
+                                   stream_key *key);
+PLANE_SHARED void keyed_stream(const stream_key *key, uint64_t ctr0,
+                               uint64_t nblocks, uint8_t *out);
 
 /* Fixed eight-byte forms: one move each (the store loop folds into one;
  * the loads say so, as GCC does not fold them inside the mask loop). */

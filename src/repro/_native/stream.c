@@ -15,10 +15,12 @@
  * -2, and repro.native announces that the stream, the mask fold and the
  * noise loop run in Python, which serves the same bytes.
  *
- * The mask fold and the noise loop call ctr_stream once a 2 KiB slab with
- * the same seed; each thread keeps the round keys of the last seed it saw,
- * so K and its key schedule are derived once per kernel call, not once a
- * slab (at that size a derivation costs about a third of the AES).
+ * The mask fold and the masked input (bitpack.c) derive each seed's key
+ * once a call (stream_key_derive) and stream a 2 KiB slab at a time from
+ * it (keyed_stream).  The noise loop calls ctr_stream once a slab with the
+ * same seed; each thread keeps the round keys of the last seed it saw, so
+ * there too K and its key schedule are derived once per kernel call, not
+ * once a slab (at that size a derivation costs about a third of the AES).
  */
 
 #include "kernels.h"
@@ -514,9 +516,9 @@ static void aes_ctr(int path, const __m128i rk[AES_ROUNDS + 1], uint64_t hi,
     aes_ni_ctr(rk, hi, lo, n, out);
 }
 
-/* The round keys of the last seed this thread streamed. */
+/* The key of the last seed this thread streamed. */
 static __thread struct {
-    __m128i rk[AES_ROUNDS + 1];
+    stream_key key;
     size_t seedlen;
     uint8_t seed[STREAM_MAX_SEED];
     int held;
@@ -553,30 +555,63 @@ int repro_stream_backend(void)
     return answer - 1;
 }
 
+int stream_key_derive(const uint8_t *seed, size_t seedlen, stream_key *key)
+{
+    if (seed == NULL || key == NULL || seedlen > STREAM_MAX_SEED)
+        return -1;
+    if (!ctr_stream_lanes())
+        return aes_status(AES_NI);
+#ifdef HAVE_X86_BUILD
+    {
+        uint8_t k[32];
+        __m128i rk[AES_ROUNDS + 1];
+        int r;
+
+        derive_key(repro_stream_backend(), seed, seedlen, k);
+        expand_key(k, rk);
+        for (r = 0; r <= AES_ROUNDS; r++)
+            _mm_storeu_si128((__m128i *)(key->rk + 2 * r), rk[r]);
+    }
+#endif
+    return 0;
+}
+
+void keyed_stream(const stream_key *key, uint64_t ctr0, uint64_t nblocks,
+                  uint8_t *out)
+{
+#ifdef HAVE_X86_BUILD
+    __m128i rk[AES_ROUNDS + 1];
+    int r;
+
+    for (r = 0; r <= AES_ROUNDS; r++)
+        rk[r] = _mm_loadu_si128((const __m128i *)(key->rk + 2 * r));
+    /* Stream block ctr0 starts at AES block 2 * ctr0, a 65-bit number. */
+    aes_ctr(ctr_stream_lanes() == X16_LANES ? AES_VAES : AES_NI, rk,
+            ctr0 >> 63, ctr0 << 1, 2 * nblocks, out);
+#else
+    (void)key;
+    (void)ctr0;
+    (void)nblocks;
+    (void)out;
+#endif
+}
+
 int ctr_stream(const uint8_t *seed, size_t seedlen,
                uint64_t ctr0, uint64_t nblocks, uint8_t *out)
 {
-    int lanes;
-
     if (seed == NULL || out == NULL || seedlen > STREAM_MAX_SEED)
         return -1;
-    lanes = ctr_stream_lanes();
-    if (!lanes)
+    if (!ctr_stream_lanes())
         return aes_status(AES_NI);
 #ifdef HAVE_X86_BUILD
     if (!last_key.held || last_key.seedlen != seedlen
         || memcmp(last_key.seed, seed, seedlen)) {
-        uint8_t key[32];
-
-        derive_key(repro_stream_backend(), seed, seedlen, key);
-        expand_key(key, last_key.rk);
+        stream_key_derive(seed, seedlen, &last_key.key);
         memcpy(last_key.seed, seed, seedlen);
         last_key.seedlen = seedlen;
         last_key.held = 1;
     }
-    /* Stream block ctr0 starts at AES block 2 * ctr0, a 65-bit number. */
-    aes_ctr(lanes == X16_LANES ? AES_VAES : AES_NI, last_key.rk, ctr0 >> 63,
-            ctr0 << 1, 2 * nblocks, out);
+    keyed_stream(&last_key.key, ctr0, nblocks, out);
 #else
     (void)ctr0;
     (void)nblocks;

@@ -52,6 +52,13 @@ it (sixteen AES blocks in flight and eight elements a register on an
 AVX-512 host with VAES), so a mask that is about to be summed is never
 materialised; :func:`expand_uniform_numpy` is its numpy twin and
 :func:`expand_uniform_batch` the loop over it for many seeds.
+
+:func:`mask_input_packed` is a client's whole masked input in one pass:
+``(base + Σ sign·mask(seed)) mod 2**b`` written slab by slab into its
+packed wire bytes (:func:`repro.native.mask_input`), so neither the sum
+nor a mask is ever a vector.  It answers ``None`` where only the
+accumulator can (:class:`repro.secagg.masking.MaskAccumulator`, its
+fold and ``finish_packed`` — the same bytes).
 """
 
 from __future__ import annotations
@@ -271,12 +278,56 @@ def expand_uniform(
     return _expand(seed, length, modulus, out, sign, kernel=True)
 
 
+def mask_input_packed(
+    base: np.ndarray, modulus: int, terms: Sequence[tuple[bytes, int]]
+) -> Optional[bytearray]:
+    """``(base + Σ sign·expand_uniform(seed)) mod modulus`` over the
+    ``(seed, ±1)`` terms, as its ring-width bit stream, in one pass.
+
+    ``base`` is any 1-D integer vector (reduced into the ring on the way
+    in).  The native kernel copies a slab of it at a time into one
+    cache-resident ``int64`` buffer, folds each seed's run of stream
+    into that, and packs the slab into the returned bytes.  ``None``
+    means "fold with the accumulator instead": no kernel or no AES-NI,
+    the one-element ring ``2**0``, a sign other than ±1, seeds of
+    different lengths or one longer than :data:`repro.native.MAX_SEED_LEN`,
+    or no int64 headroom for the deferred sum —
+    ``(1 + len(terms))·(modulus − 1) ≥ 2**63``.
+    """
+    bits = ring_bits(modulus)
+    seeds = [bytes(seed) for seed, _ in terms]
+    signs = [sign for _, sign in terms]
+    base = np.ascontiguousarray(base, dtype=np.int64)
+    if (
+        bits == 0
+        or base.ndim != 1
+        or any(sign not in (1, -1) for sign in signs)
+        or len({len(seed) for seed in seeds}) > 1
+        or any(len(seed) > native.MAX_SEED_LEN for seed in seeds)
+        or (1 + len(terms)) * (modulus - 1) >= 2**63
+    ):
+        return None
+    out = bytearray(packed_nbytes(base.size, bits))
+    signed = np.array(signs, dtype=np.int64)
+    return out if native.mask_input(seeds, signed, bits, base, out) else None
+
+
 class CounterPRG:
     """The PG slot of :class:`repro.crypto.suite.Suite`: :func:`expand_uniform`,
     looked up at each call (a tracer that rebinds it sees every mask)."""
 
     def expand(self, seed, length, modulus, out=None, sign=1) -> np.ndarray:
         return expand_uniform(seed, length, modulus, out, sign)
+
+    def mask_input(self, base, modulus, terms) -> Optional[bytearray]:
+        """:func:`mask_input_packed`: the masked input without a single
+        :meth:`expand`, or ``None`` to have the caller fold each term
+        through :meth:`expand`.  A slot that overrides :meth:`expand`
+        (a recording suite, another generator) must see every mask, so
+        it answers ``None`` here unless it overrides this too."""
+        if type(self).expand is not CounterPRG.expand:
+            return None
+        return mask_input_packed(base, modulus, terms)
 
 
 #: The default PG slot.

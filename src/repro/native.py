@@ -2,9 +2,9 @@
 
 A round's per-element cost is in a handful of primitives — the
 AES-256-CTR counter stream under every mask, noise seed and AE
-keystream, the mask fold, the masked-vector bit packer and its fused
-pair, the Skellam noise loop, key agreement's modular powers and the
-DSkellam butterfly and rounder.
+keystream, the mask fold, a client's masked input in one pass, the
+masked-vector bit packer and its fused pair, the Skellam noise loop,
+key agreement's modular powers and the DSkellam butterfly and rounder.
 Each is a C kernel here and a bit-identical numpy (or ``pow``) twin next
 to its Python entry point.  :data:`KERNELS` declares every exported
 ``repro_*`` symbol once — its ctypes signature, its kind and, for a
@@ -92,6 +92,18 @@ _MASK_FOLD_PROBE = (
      "d0a30ff015d2a9ddb5333941cc5d7070a6b9f06708aaf11845a84d7f7d943d2c"),
     (59, 275, -1,
      "9fd41da1fd08824fb0f3cea9bc0e27ac672e959600ba10699a0e728e341ac742"),
+)
+#: ``(bits, count, seeds, signs, SHA-256 of the packed stream)`` the
+#: masked input of :data:`_MASK_INPUT_BASE`, repeated, must pack to —
+#: one slab and a ragged tail at the protocol's 20 bits under two seeds
+#: of opposite sign, then the longest seed alone past the 57-bit window
+#: — taken from ``PRGReference`` and Python integers, never from the
+#: kernel (``tests/crypto/test_aes_vectors.py`` re-derives them).
+_MASK_INPUT_PROBE = (
+    (20, 16411, (bytes(32), bytes(range(32))), (1, -1),
+     "f927bb555158f27b62b4fdba561ceffb13012c2673baef15b85a1c02a1d2e65c"),
+    (59, 275, (bytes(range(55)),), (-1,),
+     "51c2295b1016bead09bfcc667be70db9fa29aa49cab18d8b5de2602030c04ac3"),
 )
 #: ``(k, z, g(k))`` as :mod:`repro.dp.sampler` evaluates the weight, and
 #: what the probe's four draws must leave behind (both pinned equal to
@@ -320,6 +332,29 @@ def _probe_mask_fold(fn) -> bool:
     return True
 
 
+#: The masked-input probe's base, repeated: negative elements and
+#: elements past any ring, which the kernel reduces on the way in.
+_MASK_INPUT_BASE = (-5, 3 << 40, (1 << 20) + 7, -(1 << 62))
+
+
+def _probe_mask_input(fn) -> bool:
+    """Each known answer; then two seeds at 62 bits, past the int64
+    headroom, refused with the output untouched."""
+    pattern = struct.pack(f"<{len(_MASK_INPUT_BASE)}q", *_MASK_INPUT_BASE)
+    for bits, count, seeds, signs, want in _MASK_INPUT_PROBE:
+        base = ctypes.create_string_buffer(pattern * -(-count // len(_MASK_INPUT_BASE)))
+        out = ctypes.create_string_buffer(-(-count * bits // 8))
+        rc = fn(
+            b"".join(seeds), len(seeds[0]), len(seeds), (c_int64 * len(signs))(*signs), bits,
+            base, count, out,
+        )
+        if rc != 0 or _digest(out.raw) != want:
+            return False
+    out = ctypes.create_string_buffer(b"\xa5" * 8, 8)
+    rc = fn(bytes(64), 32, 2, (c_int64 * 2)(1, 1), 62, (c_int64 * 1)(0), 1, out)
+    return rc == -1 and out.raw == b"\xa5" * 8
+
+
 def _probe_skellam_weight(fn) -> bool:
     """The weight function to the last bit."""
     return all(fn(k, z) == float.fromhex(g) for k, z, g in _SKELLAM_PROBE_WEIGHTS)
@@ -427,6 +462,9 @@ KERNELS = (
     Row("repro_unpack_add", c_int, _UNPACK, KERNEL, _probe_unpack_add, "unpack-add"),
     Row("repro_mask_fold", c_int, (c_char_p, c_size_t, c_uint, c_int64, c_void_p, c_size_t),
         KERNEL, _probe_mask_fold, "mask folding", streams=True),
+    Row("repro_mask_input", c_int,
+        (c_char_p, c_size_t, c_size_t, c_void_p, c_uint, c_void_p, c_size_t, c_void_p),
+        KERNEL, _probe_mask_input, "masked input", streams=True),
     Row("repro_skellam_weight", c_double, (c_double, c_double),
         KERNEL, _probe_skellam_weight, "Skellam weight function"),
     Row("repro_skellam_fill", c_int,
@@ -586,6 +624,37 @@ def mask_fold(seed: bytes, bits: int, out, sign: int) -> bool:
         if not lib.repro_stream_lanes():
             return False  # no AES-NI: refused before `out` was touched
         raise ValueError("mask kernel rejected its arguments")  # bits outside [1, 62]
+    return True
+
+
+def mask_input(seeds: Sequence[bytes], signs, bits: int, base, out) -> bool:
+    """Run the masked-input kernel; ``False`` means "no kernel, use the
+    accumulator".
+
+    ``seeds`` are of one length, at most :data:`MAX_SEED_LEN`; ``signs``
+    a contiguous ``int64`` vector of ±1, one a seed; ``base`` a
+    contiguous ``int64`` vector and ``out`` a writable buffer of exactly
+    its packed length at ``bits`` (the caller has checked all of it, and
+    the int64 headroom ``(1 + len(seeds))·(2**bits − 1) < 2**63``).
+    ``out`` receives the packed stream of ``(base + Σ signs[s]·mask(seeds[s]))
+    mod 2**bits``.
+    """
+    lib = load()
+    if lib is None:
+        return False
+    seedlen = len(seeds[0]) if seeds else 0
+    dst = (ctypes.c_char * len(out)).from_buffer(out)
+    rc = lib.repro_mask_input(
+        b"".join(seeds), seedlen, len(seeds), signs.ctypes.data, bits,
+        base.ctypes.data, len(base), dst,
+    )
+    del dst  # release the buffer export
+    if rc in (-2, -3):
+        return False  # no AES-NI: refused before `out` was touched
+    if rc == -4:
+        raise MemoryError("masked-input kernel could not allocate its slab")
+    if rc != 0:
+        raise ValueError("masked-input kernel rejected its arguments")
     return True
 
 

@@ -35,7 +35,7 @@ from repro.crypto.pki import PublicKeyInfrastructure
 from repro.crypto.shamir import Share
 from repro.crypto.signature import SchnorrSigner
 from repro.crypto.suite import Suite
-from repro.secagg.graph import masking_graph
+from repro.secagg.graph import masking_row
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import (
     AdvertiseKeysMsg,
@@ -130,8 +130,9 @@ class SecAggClient:
 
         This client's neighbours are its row of
         :func:`~repro.secagg.graph.masking_graph` over the roster's ids —
-        derived here from the roster and the round's configuration, as
-        the coordinator derives it, never received.
+        derived here (:func:`~repro.secagg.graph.masking_row`, that row
+        alone) from the roster and the round's configuration, as the
+        coordinator derives the graph, never received.
 
         Returns ``recipient id → AE ciphertext``.  Shares of the masking
         key s^SK, the self-mask seed b_u, and every extra secret are cut
@@ -170,9 +171,9 @@ class SecAggClient:
 
         self._peer_keys = peer_keys
         self._c_channels = {}
-        self._neighbors = masking_graph(
-            roster, self.config.graph_degree, self.config.graph_seed
-        )[self.id]
+        self._neighbors = masking_row(
+            roster, self.id, self.config.graph_degree, self.config.graph_seed
+        )
         if len(self._neighbors) < self.config.threshold:
             raise ProtocolAbort(
                 f"only {len(self._neighbors)} neighbors; threshold "
@@ -241,9 +242,10 @@ class SecAggClient:
         """Store routed ciphertexts and upload the masked input.
 
         ``update_ring`` is the already DP-encoded vector, taken mod
-        ``2**b``.  With ``owned`` the caller gives the ``int64`` array
-        up: the masks are folded into it in place instead of into a
-        copy (XNoise's freshly perturbed signal).
+        ``2**b``; it is only read.  With ``owned`` the caller gives the
+        ``int64`` array up: where the PG slot cannot pack the masked
+        input in one pass, the accumulator folds the masks into it in
+        place instead of into a copy (XNoise's freshly perturbed signal).
         """
         update_ring = np.asarray(update_ring, dtype=np.int64)
         if update_ring.shape != (self.config.dimension,):
@@ -259,27 +261,33 @@ class SecAggClient:
             )
 
         peers = sorted(self._neighbors & self._u2)
-        # Input + self mask + one pairwise mask per live neighbor, summed
-        # with one deferred reduction (int64 headroom guard inside).
-        # Each seed's expansion is added into the sum as it is drawn —
-        # no mask vector exists — with the pairwise sign γ
-        # (p_{u,v} = γ·PRG(s_{u,v}), γ = +1 iff u > v) folded in:
-        # subtracting the raw expansion equals adding ``(−PRG(s)) % R``.
-        # The sum leaves as its ring-width bit stream, reduced by the
-        # pack: the masked input is never a vector again.
-        acc = MaskAccumulator(
-            update_ring, self.config.modulus, n_terms=2 + len(peers), owned=owned,
-            prg=self.suite.prg,
-        )
-        acc.fold_seed(self._b_seed, 1)
+        # Input + self mask + one pairwise mask per live neighbor, with
+        # the pairwise sign γ (p_{u,v} = γ·PRG(s_{u,v}), γ = +1 iff
+        # u > v) folded in: subtracting the raw expansion equals adding
+        # ``(−PRG(s)) % R``.  The PG slot packs that sum slab by slab
+        # from the input and the seeds, so the masked input is never a
+        # vector; where it cannot, each seed's expansion is added into
+        # one accumulator as it is drawn, with one deferred reduction
+        # (int64 headroom guard inside), and the sum leaves as its
+        # ring-width bit stream, reduced by the pack.
         seeds = self.suite.ka.agree(self._s_pair, [self._peer_keys[peer][1] for peer in peers])
-        for peer, seed in zip(peers, seeds):
-            acc.fold_seed(seed, 1 if self.id > peer else -1)
+        terms = [(self._b_seed, 1)] + [
+            (seed, 1 if self.id > peer else -1) for peer, seed in zip(peers, seeds)
+        ]
+        packed = self.suite.prg.mask_input(update_ring, self.config.modulus, terms)
+        if packed is None:
+            acc = MaskAccumulator(
+                update_ring, self.config.modulus, n_terms=1 + len(terms), owned=owned,
+                prg=self.suite.prg,
+            )
+            for seed, sign in terms:
+                acc.fold_seed(seed, sign)
+            packed = acc.finish_packed()
         return MaskedInputMsg(
             sender=self.id,
             bits=self.config.bits,
             count=self.config.dimension,
-            packed=acc.finish_packed(),
+            packed=packed,
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ dropout/collusion robustness (§2.3.2).
 
 :func:`masking_graph` is the one construction, a pure function of the
 roster, ``graph_degree`` and ``graph_seed`` — so the coordinator and
-every client compute the same graph, and no part of it is sent:
+every client compute the same graph, and no part of it is sent (a
+client computes only its own row, :func:`masking_row`):
 
 - degree ``None`` or ≥ n − 1: the complete graph;
 - otherwise the Harary/circulant graph H(k, n) over an order of the
@@ -60,15 +61,20 @@ def _shuffled(ordered: list[int], graph_seed: int) -> list[int]:
     return order
 
 
+def _complete(degree: Optional[int], n: int) -> bool:
+    """Whether ``degree`` asks for the complete graph on ``n`` nodes."""
+    if degree is not None and degree < 1:
+        raise ValueError("degree must be >= 1")
+    return degree is None or degree >= n - 1
+
+
 def masking_graph(
     roster: Iterable[int], degree: Optional[int] = None, graph_seed: int = 0
 ) -> dict[int, set[int]]:
     """Every roster id's neighbour set in the round's masking graph."""
     ordered = sorted(roster)
     n = len(ordered)
-    if degree is not None and degree < 1:
-        raise ValueError("degree must be >= 1")
-    if degree is None or degree >= n - 1:
+    if _complete(degree, n):
         members = set(ordered)
         return {u: members - {u} for u in ordered}
     order = _shuffled(ordered, graph_seed)
@@ -85,6 +91,30 @@ def masking_graph(
         for p in range(n // 2):
             join(p, p + n // 2)
     return graph
+
+
+def masking_row(
+    roster: Iterable[int], member: int, degree: Optional[int] = None, graph_seed: int = 0
+) -> set[int]:
+    """``masking_graph(roster, degree, graph_seed)[member]`` alone: one
+    pass over the roster (and its shuffle), not every node's set.
+    ``KeyError`` when ``member`` is not on the roster."""
+    ordered = sorted(roster)
+    n = len(ordered)
+    complete = _complete(degree, n)
+    members = set(ordered)
+    if member not in members:
+        raise KeyError(member)
+    if complete:
+        return members - {member}
+    order = _shuffled(ordered, graph_seed)
+    p = order.index(member)
+    row = {order[(p + d) % n] for d in range(1, degree // 2 + 1)}
+    row |= {order[(p - d) % n] for d in range(1, degree // 2 + 1)}
+    half = n // 2
+    if degree % 2 and p < 2 * half:  # the chord p <-> p + n/2 from the first half
+        row.add(order[p + half] if p < half else order[p - half])
+    return row
 
 
 def recommended_degree(n: int, base: float = 3.0) -> int:

@@ -126,9 +126,10 @@ class XNoiseClient(SecAggClient):
     def masked_input(self, ciphertexts, update_signal: np.ndarray):
         """Add all T+1 noise components to the encoded signal, then mask.
 
-        The perturbed signal is this call's own buffer: SecAgg's
-        accumulator takes it over — reduces it into the ring and folds
-        the masks into it — rather than copying it again.
+        The perturbed signal is this call's own buffer: SecAgg's one
+        pass packs the masked input from it, and where that pass cannot
+        run, SecAgg's accumulator takes it over — reduces it into the
+        ring and folds the masks into it — rather than copying it again.
         """
         noisy = np.array(update_signal, dtype=np.int64)
         for k, variance in enumerate(self.decomposition.variances()):

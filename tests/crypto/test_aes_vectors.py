@@ -153,6 +153,16 @@ class TestTheStreamIsAesCtr:
             folded = np.arange(0, 3 * count, 3, dtype=np.int64)
             folded += sign * PRGReference(bytes(32)).uniform_vector(count, 1 << bits)
             assert hashlib.sha256(folded.astype("<i8").tobytes()).hexdigest() == want
+        for bits, count, seeds, signs, want in native._MASK_INPUT_PROBE:
+            ring = 1 << bits
+            pattern = native._MASK_INPUT_BASE
+            total = [pattern[i % len(pattern)] % ring for i in range(count)]
+            for seed, sign in zip(seeds, signs):
+                mask = PRGReference(seed).uniform_vector(count, ring).tolist()
+                total = [(t + sign * m) % ring for t, m in zip(total, mask)]
+            stream = sum(v << (i * bits) for i, v in enumerate(total))
+            packed = stream.to_bytes(-(-count * bits // 8), "little")
+            assert hashlib.sha256(packed).hexdigest() == want
 
 
 class TestKernelPaths:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.prg import PRGReference
 from repro.crypto.shamir import Share, ShamirSecretSharing
-from repro.secagg.graph import masking_graph, recommended_degree
+from repro.secagg.graph import masking_graph, masking_row, recommended_degree
 from repro.secagg.masking import MaskAccumulator
 from repro.secagg.types import DealingShape, SharePayload
 from repro.utils.rng import derive_seed
@@ -204,6 +204,28 @@ class TestGraphs:
         roster = list(range(3, 15))
         members = set(roster)
         assert masking_graph(roster, degree, 9) == {u: members - {u} for u in roster}
+
+    @pytest.mark.parametrize("n,k", [
+        (2, 1), (3, 1), (5, 2), (6, 3), (7, 3), (11, 3), (12, 4), (13, 5), (16, 8),
+        (17, 15), (23, 4), (31, 7), (64, 17), (101, 20), (130, 7),
+    ])
+    @pytest.mark.parametrize("graph_seed", [0, 2024])
+    def test_a_row_is_the_graphs_row(self, n, k, graph_seed):
+        """Every id's row alone, on H(k, n) — odd and even k and n, k
+        past n/2 — and on the complete graph the same roster asks for
+        with no degree or one of n − 1 or more."""
+        roster = [3 * i + 1 for i in range(n)]
+        for degree in (k, None, n - 1, n + 5):
+            graph = masking_graph(roster, degree, graph_seed)
+            for u in roster:
+                assert masking_row(roster, u, degree, graph_seed) == graph[u], (degree, u)
+
+    def test_a_row_of_no_member_is_refused(self):
+        with pytest.raises(KeyError):
+            masking_row(range(10), 10, 3)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            masking_row(range(10), 3, 0)
+        assert masking_row(GOLDEN_ROSTER, 11, 3, 2024) == GOLDEN_GRAPH[11]
 
     def test_single_node_graph(self):
         assert masking_graph([42], 3) == {42: set()}

@@ -54,10 +54,18 @@ import pytest
 from repro import native
 from repro.crypto.dh import MODP_512, MODP_2048, DHGroup
 from repro.crypto import aes
-from repro.crypto.prg import PRGReference, counter_stream, expand_uniform, expand_uniform_numpy
+from repro.crypto.prg import (
+    CounterPRG,
+    PRGReference,
+    counter_stream,
+    expand_uniform,
+    expand_uniform_numpy,
+    mask_input_packed,
+)
 from repro.dp import sampler
 from repro.dp.quantize import _round_by_uniforms
 from repro.dp.rotation import fwht
+from repro.secagg.masking import MaskAccumulator
 from repro.wire.bitpack import pack_bits_into, pack_low_bits_into, unpack_add, unpack_bits
 from tests.native_objects import IN_SUBPROCESS, OBJECTS, bind, build, child_env
 
@@ -535,6 +543,135 @@ def check_mask_fold(cell: Cell, bits: int) -> None:
             for n in (0, 9):
                 assert fn(chars(exact(seed)), len(seed), width, sign, out.ctypes.data, n) == -1
         np.testing.assert_array_equal(out, starts(9))
+
+
+# -- the masked input ------------------------------------------------------
+
+#: Elements a slab of the masked-input kernel (MASK_INPUT_SLAB, bitpack.c).
+INPUT_SLAB = 1 << 14
+INPUT_COUNTS = (1, 7, 8, 255, 256, INPUT_SLAB - 1, INPUT_SLAB, INPUT_SLAB + 1)
+#: The widths either side of the scalar loop's 57-bit window, the
+#: protocol's 20 and the ends; at 58 bits and up a client with 31 peers
+#: has no int64 headroom (33 terms), at 62 bits one with a peer.
+INPUT_WIDTHS = {f"b{bits}": bits for bits in (1, 20, 57, 58, 62)}
+INPUT_SEED_LENGTHS = (0, 32, LONGEST_SEED)
+
+
+def input_base(bits: int, n: int) -> np.ndarray:
+    """A client's input as the kernel may get it: negative elements and
+    elements past the ring, both int64 ends planted."""
+    base = np.random.default_rng([bits, n, 5]).integers(-(1 << 62), 1 << 62, size=n)
+    base[:: max(1, n // 3)] = np.iinfo(np.int64).min
+    base[-1] = np.iinfo(np.int64).max
+    return base
+
+
+def input_terms(seedlen: int, nseeds: int, flip: int = 1) -> list[tuple[bytes, int]]:
+    """The self mask (+1) and ``nseeds − 1`` peers of alternating sign,
+    every seed ``seedlen`` bytes; ``flip`` −1 negates every sign."""
+    return [
+        (bytes((7 * s + j) % 256 for j in range(seedlen)), flip * (1 if s % 2 == 0 else -1))
+        for s in range(nseeds)
+    ]
+
+
+def has_headroom(bits: int, nseeds: int) -> bool:
+    return (1 + nseeds) * ((1 << bits) - 1) < 2**63
+
+
+def accumulated(base: np.ndarray, bits: int, terms) -> bytes:
+    """The oracle: the accumulator a client without the kernel runs —
+    the base, each term folded through the PG slot, ``finish_packed`` —
+    on the numpy twins."""
+    with native.twins_only():
+        acc = MaskAccumulator(base, 1 << bits, n_terms=1 + len(terms))
+        for seed, sign in terms:
+            acc.fold_seed(seed, sign)
+        return bytes(acc.finish_packed())
+
+
+def run_mask_input(fn, terms, bits: int, base: np.ndarray, wrong=None) -> tuple[int, bytes]:
+    """The kernel on exact-size buffers, ``wrong`` overriding arguments;
+    the packed stream starts as 0xa5 bytes and a guard follows it, and
+    neither the base nor the seeds may change."""
+    n, size = len(base), nbytes_of(len(base), bits)
+    seeds = exact(b"".join(seed for seed, _ in terms))
+    signs = exact(np.array([sign for _, sign in terms], dtype=np.int64).tobytes(), np.int64)
+    src, dst = exact(base.tobytes(), np.int64), exact(b"\xa5" * size + GUARD)
+    args = dict(
+        seeds=chars(seeds), seedlen=len(terms[0][0]) if terms else 0, nseeds=len(terms),
+        signs=signs.ctypes.data, bits=bits, base=src.ctypes.data, n=n, dst=dst.ctypes.data,
+    )
+    args.update(wrong or {})
+    rc = fn(*args.values())
+    assert dst[size:].tobytes() == GUARD, (bits, n)
+    assert src.tobytes() == base.tobytes() and seeds.tobytes() == b"".join(s for s, _ in terms)
+    return rc, dst[:size].tobytes()
+
+
+@functools.cache
+def spec_masks(seedlen: int, nseeds: int, bits: int) -> tuple[np.ndarray, ...]:
+    """Each seed's mask over the longest count, from the specification AES."""
+    n = max(INPUT_COUNTS)
+    return tuple(
+        fields(blocks(seed, 0, -(-n * bits // 256)), n, bits)
+        for seed, _ in input_terms(seedlen, nseeds)
+    )
+
+
+def check_mask_input(cell: Cell, bits: int) -> None:
+    ring = (1 << bits) - 1
+    shapes = [(seedlen, nseeds) for seedlen in INPUT_SEED_LENGTHS for nseeds in (1, 32)]
+    if cell.lib is None:  # no kernel: the accumulator, against the stream's definition
+        for seedlen, nseeds in shapes:
+            masks = spec_masks(seedlen, nseeds, bits)
+            for n in INPUT_COUNTS:
+                base, terms = input_base(bits, n), input_terms(seedlen, nseeds)
+                assert mask_input_packed(base, 1 << bits, terms) is None
+                assert CounterPRG().mask_input(base, 1 << bits, terms) is None
+                total = base & ring
+                for (_, sign), mask_ in zip(terms, masks):
+                    total = (total + sign * mask_[:n]) & ring
+                assert accumulated(base, bits, terms) == packed(total, bits), (seedlen, nseeds, n)
+        return
+    fn = cell.lib.repro_mask_input
+    for seedlen, nseeds in shapes:
+        for n in INPUT_COUNTS:
+            base = input_base(bits, n)
+            for flip in (1, -1):
+                terms = input_terms(seedlen, nseeds, flip)
+                rc, got = run_mask_input(fn, terms, bits, base)
+                if has_headroom(bits, nseeds):
+                    assert (rc, got) == (0, accumulated(base, bits, terms)), (seedlen, nseeds, n)
+                else:  # refused, the stream untouched
+                    assert (rc, got) == (-1, b"\xa5" * nbytes_of(n, bits)), (nseeds, n)
+    # A whole wide_model vector under the self mask, through the entry point too.
+    base, terms = input_base(bits, 1 << 20), input_terms(32, 1)
+    want = accumulated(base, bits, terms)
+    assert run_mask_input(fn, terms, bits, base) == (0, want)
+    assert mask_input_packed(base, 1 << bits, terms) == want
+    # The headroom's edge: the most seeds that fit, then one more.
+    most = (2**63 - 1) // ring - 1
+    if most < 40:
+        base = input_base(bits, 9)
+        assert run_mask_input(fn, input_terms(32, most), bits, base) == (
+            0, accumulated(base, bits, input_terms(32, most))
+        )
+        assert run_mask_input(fn, input_terms(32, most + 1), bits, base)[0] == -1
+        assert mask_input_packed(base, 1 << bits, input_terms(32, most + 1)) is None
+    # Refused before anything is drawn or written, whatever the count.
+    base, terms = input_base(bits, 9), input_terms(32, 2)
+    zero, two = (
+        exact(np.array(signs, np.int64).tobytes(), np.int64) for signs in ([1, 0], [2, -1])
+    )
+    refusals = (
+        dict(signs=zero.ctypes.data), dict(signs=two.ctypes.data),
+        dict(seedlen=LONGEST_SEED + 1, nseeds=1), dict(bits=0), dict(bits=63),
+        dict(base=None), dict(dst=None), dict(seeds=None), dict(signs=None),
+    )
+    for wrong in refusals:
+        assert run_mask_input(fn, terms, bits, base, wrong) == (-1, b"\xa5" * nbytes_of(9, bits))
+    assert run_mask_input(fn, [], bits, base) == (0, packed(base & ring, bits))
 
 
 # -- the sampler plane -----------------------------------------------------
@@ -1029,6 +1166,20 @@ def _wrong_past_a_slab(real, seed, seedlen, bits, sign, out, n):
     return rc
 
 
+def _wrong_past_an_input_slab(real, seeds, seedlen, nseeds, signs, bits, base, n, dst):
+    """Right but for the first packed byte of the second slab."""
+    rc = real(seeds, seedlen, nseeds, signs, bits, base, n, dst)
+    if rc == 0 and n > INPUT_SLAB:
+        _flip(dst, INPUT_SLAB // 8 * bits)
+    return rc
+
+
+def _packs_without_headroom(real, seeds, seedlen, nseeds, signs, bits, base, n, dst):
+    """Packs a sum it should refuse: its int64 could have wrapped."""
+    rc = real(seeds, seedlen, nseeds, signs, bits, base, n, dst)
+    return 0 if rc == -1 else rc
+
+
 def _one_ulp_off(real, k, z):
     """What a fused multiply-add does to the weight."""
     return math.nextafter(real(k, z), 2.0)
@@ -1104,6 +1255,10 @@ MATRIX: dict[str, MatrixRow] = {
     "repro_mask_fold": MatrixRow(
         WIDTHS, check_mask_fold, {"wrong past a slab": _wrong_past_a_slab}
     ),
+    "repro_mask_input": MatrixRow(INPUT_WIDTHS, check_mask_input, {
+        "wrong past a slab": _wrong_past_an_input_slab,
+        "packs without headroom": _packs_without_headroom,
+    }),
     "repro_skellam_weight": MatrixRow(
         WEIGHT_VARIANCES, check_skellam_weight, {"one ulp off": _one_ulp_off}
     ),
@@ -1339,7 +1494,7 @@ def test_a_cpu_without_aes_ni_keeps_the_rest_of_the_object(rearmed, monkeypatch)
     bytes, and every other kernel stays."""
     kernel = with_replaced(rearmed, "repro_stream_lanes", lambda real: 0)
     for symbol, refusal in (("repro_stream", -2), ("repro_mask_fold", -1),
-                            ("repro_skellam_fill", -1)):
+                            ("repro_mask_input", -2), ("repro_skellam_fill", -1)):
         setattr(kernel, symbol, lambda *args, _rc=refusal: _rc)
     kernel.repro_stream_backend = lambda: 0
     monkeypatch.setattr(native, "_build", lambda: kernel)
@@ -1355,6 +1510,7 @@ def test_a_cpu_without_aes_ni_keeps_the_rest_of_the_object(rearmed, monkeypatch)
     np.testing.assert_array_equal(
         expand_uniform(b"k" * 32, 1000, 1 << 20), PRGReference(b"k" * 32).uniform_vector(1000, 1 << 20)
     )
+    assert mask_input_packed(np.arange(1000), 1 << 20, [(b"k" * 32, 1)]) is None
     table = sampler._strip_table(2.28e8)
     noise = np.zeros(300, dtype=np.int64)
     assert not native.skellam_fill(table.strips, table.z, b"n" * 32, noise, 1)
